@@ -210,8 +210,8 @@ func BenchmarkFig9DifferenceNewOld(b *testing.B) {
 
 // BenchmarkFig10MaterializedUnion compares union-ALL aggregation from
 // scratch against T-distributive composition from the per-year store at
-// the longest interval (Fig. 10), across the three composition engines —
-// linear map-merge, O(log) sparse-table, O(1) prefix-sum — plus the
+// the longest interval (Fig. 10), across the two composition engines —
+// linear map-merge (the reference) and O(1) prefix-sum — plus the
 // concurrent catalog under parallel clients.
 func BenchmarkFig10MaterializedUnion(b *testing.B) {
 	g, _ := benchGraphs(b)
@@ -229,11 +229,6 @@ func BenchmarkFig10MaterializedUnion(b *testing.B) {
 		b.Run(attr+"-linear", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				store.UnionAllLinear(whole)
-			}
-		})
-		b.Run(attr+"-sparse", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				store.UnionAllLog(whole)
 			}
 		})
 		b.Run(attr+"-prefix", func(b *testing.B) {

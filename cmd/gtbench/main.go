@@ -121,37 +121,9 @@ func experiments() []experiment {
 			return one(benchutil.Fig10("Fig. 10", "DBLP: T-distributive union composition vs scratch",
 				env.DBLP(), "gender", "publications"))
 		}},
-		{"fig10s", "Composition engines: linear vs sparse-table vs prefix (Fig. 10 variant)", func(env *environment) []benchutil.Printable {
-			return one(benchutil.Fig10Sparse("Fig. 10s", "DBLP: union-ALL composition engine comparison (gender)",
-				env.DBLP(), "gender"))
-		}},
 		{"fig10c", "Concurrent clients on a shared materialization catalog (Fig. 10 variant)", func(env *environment) []benchutil.Printable {
 			return one(benchutil.Fig10Concurrent("Fig. 10c", "DBLP: catalog throughput vs concurrent clients (gender)",
 				env.DBLP(), "gender", []int{1, 2, 4, 8, 16}))
-		}},
-		{"ingest", "Stream-mode ingest-to-visible freshness under a write/read mix (delta vs full rebuild)", func(env *environment) []benchutil.Printable {
-			return one(ingestFreshness("Ingest", "DBLP replay through /v1/ingest: visibility latency and refresh counters",
-				env.DBLP(), "gender", 4))
-		}},
-		{"boot", "Cold-start: decode-on-load vs zero-copy mmap snapshot serving", func(env *environment) []benchutil.Printable {
-			return one(bootColdStart("Boot", "DBLP snapshot cold start: LoadFile (decode) vs OpenMapped (zero-copy)",
-				env, []float64{1, 2, 4}))
-		}},
-		{"cluster", "Time-range sharded scatter-gather throughput at 1/2/4/8 shards", func(env *environment) []benchutil.Printable {
-			return one(clusterScaling("Cluster", "DBLP union-ALL via graphtempo-router: scaling with shard count",
-				env.DBLP(), "gender", []int{1, 2, 4, 8}, 8, 64))
-		}},
-		{"timetravel", "AS OF reconstruction paths: full replay vs snapshot resume vs history LRU vs head", func(env *environment) []benchutil.Printable {
-			return one(timeTravel("TimeTravel", "DBLP pinned point-aggregate: reconstruction path latency per as_of transaction",
-				env.DBLP(), "gender"))
-		}},
-		{"analytics", "EVENTS/PATHS/TREND engines vs reference oracles: latency and speedup", func(env *environment) []benchutil.Printable {
-			return one(analyticsBench("Analytics", "DBLP evolution analytics: engine vs oracle latency (gender)",
-				env.DBLP(), "gender"))
-		}},
-		{"compress", "Operator kernels over dense vs run-compressed timestamp vectors", func(env *environment) []benchutil.Printable {
-			return one(compressKernels("Compress", "Stretched timeline (T=1024): kernel time and bytes, dense vs run-compressed",
-				env))
 		}},
 		{"fig11a", "DBLP attribute roll-up speedup (Fig. 11a)", func(env *environment) []benchutil.Printable {
 			return one(benchutil.Fig11("Fig. 11a", "DBLP: gender and publications from (gender,publications)",

@@ -1,30 +1,28 @@
 // Package analytics implements GraphTempo's evolution-analytics
 // workloads: the EVENTS, PATHS and TREND statement families.
 //
-// Each family ships as a pair (or triple) of engines that must agree to the
-// byte on every input:
+// Each family ships as a production engine and a reference oracle that must
+// agree to the byte on every input:
 //
 //   - EVENTS classifies attribute groups into stability / growth /
 //     shrinkage events between consecutive width-w windows of the timeline
 //     (the TempoGRAPHer exploration, built on internal/evolution's
-//     per-entity tuple-appearance semantics). EventsScan recomputes one
-//     evolution aggregate per window pair; EventsSweep answers every step
-//     in a single pass over the entities.
+//     per-entity tuple-appearance semantics). EventsSweep answers every
+//     step in a single pass over the entities.
 //   - PATHS answers time-respecting reachability between node sets within
 //     a window: earliest-arrival and fastest (shortest-duration) paths.
 //     The frontier engine buckets edge activity per time point through the
-//     compressed bitset vectors and sweeps once in time order; the
-//     time-expanded engine re-tests every edge at every point.
+//     compressed bitset vectors and sweeps once in time order.
 //   - TREND computes per-group weight series over a sliding width-w
 //     window with an integer least-squares direction classification. The
 //     catalog engine composes each window from the materialize catalog's
 //     prefix sums in O(windows) vector operations; the scan engine builds
 //     the series directly from the base graph.
 //
-// The Naive* functions in naive.go are deliberately dumb third
+// The Naive* functions in naive.go are deliberately dumb second
 // implementations (per-point set scans, monotone fixpoints) used as
 // equivalence oracles by tests, benchmarks and the analytics-e2e CI job.
-// Engine selection between the fast forms is the planner's job
+// Choosing between the two TREND engines is the planner's job
 // (internal/plan); this package only computes.
 package analytics
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/evolution"
 	"repro/internal/materialize"
 	"repro/internal/timeline"
 )
@@ -90,16 +91,18 @@ func checkAll(t *testing.T, g *core.Graph, r *rand.Rand, attrs []string) {
 	kinds := []agg.Kind{agg.Distinct, agg.All}
 	cat := materialize.NewCatalog(g)
 
-	// EVENTS: widths 1, 2 and a random one, both kinds, random MIN.
-	for _, w := range []int{1, 2, 1 + r.Intn(T+1)} {
+	// EVENTS: widths 1, 2, a random one, and the two widest tilings —
+	// ⌈T/2⌉ (one step) and T (no step) — both kinds, random MIN, unfiltered
+	// and filtered.
+	filters := []evolution.Filter{nil, func(n core.NodeID, tp timeline.Time) bool { return (int(n)+int(tp))%3 != 0 }}
+	for _, w := range []int{1, 2, 1 + r.Intn(T+1), (T + 1) / 2, T} {
 		for _, kind := range kinds {
-			spec := EventsSpec{Schema: mustSchema(t, g, attrs...), Kind: kind, Width: w, Min: int64(r.Intn(3))}
-			want := asJSON(t, NaiveEvents(g, spec))
-			if got := asJSON(t, EventsScan(g, spec)); got != want {
-				t.Errorf("events scan (w=%d kind=%v) diverges:\n got %s\nwant %s", w, kind, got, want)
-			}
-			if got := asJSON(t, EventsSweep(g, spec)); got != want {
-				t.Errorf("events sweep (w=%d kind=%v) diverges:\n got %s\nwant %s", w, kind, got, want)
+			for fi, filter := range filters {
+				spec := EventsSpec{Schema: mustSchema(t, g, attrs...), Kind: kind, Width: w, Min: int64(r.Intn(3)), Filter: filter}
+				want := asJSON(t, NaiveEvents(g, spec))
+				if got := asJSON(t, EventsSweep(g, spec)); got != want {
+					t.Errorf("events sweep (w=%d kind=%v filter=%d min=%d) diverges:\n got %s\nwant %s", w, kind, fi, spec.Min, got, want)
+				}
 			}
 		}
 	}
@@ -136,18 +139,25 @@ func checkAll(t *testing.T, g *core.Graph, r *rand.Rand, attrs []string) {
 		}
 		return out
 	}
+	// A 1-point, a 2-point (when the timeline has two points) and the empty
+	// window, then three random ones.
+	tl := g.Timeline()
+	wins := []timeline.Interval{tl.Point(timeline.Time(r.Intn(T))), tl.Empty()}
+	if T >= 2 {
+		lo := r.Intn(T - 1)
+		wins = append(wins, tl.Range(timeline.Time(lo), timeline.Time(lo+1)))
+	}
 	for trial := 0; trial < 3; trial++ {
 		lo := r.Intn(T)
 		hi := lo + r.Intn(T-lo)
-		win := g.Timeline().Range(timeline.Time(lo), timeline.Time(hi))
+		wins = append(wins, tl.Range(timeline.Time(lo), timeline.Time(hi)))
+	}
+	for _, win := range wins {
 		for _, mode := range []string{ModeEarliest, ModeFastest} {
 			spec := PathsSpec{Mode: mode, Src: pick(1 + r.Intn(3)), Dst: pick(1 + r.Intn(5)), Window: win}
 			want := asJSON(t, NaivePaths(g, spec))
 			if got := asJSON(t, NewPathsEngine(g, spec).Run()); got != want {
 				t.Errorf("paths frontier (%s %s) diverges:\n got %s\nwant %s", mode, win, got, want)
-			}
-			if got := asJSON(t, PathsTimeExpanded(g, spec)); got != want {
-				t.Errorf("paths time-expanded (%s %s) diverges:\n got %s\nwant %s", mode, win, got, want)
 			}
 		}
 	}

@@ -50,52 +50,17 @@ type EventsResult struct {
 	Rows  []EventRow `json:"rows"`
 }
 
-// EventsScan answers an EVENTS query by running one evolution aggregate
-// per consecutive window pair: O(steps · (|V|+|E|)). It is the preferred
-// engine when there are few steps (the planner's crossover).
-func EventsScan(g *core.Graph, spec EventsSpec) *EventsResult {
-	tl := g.Timeline()
-	w := spec.width()
-	nw := numWindows(tl.Len(), w)
-	out := &EventsResult{Width: w, Steps: maxInt(nw-1, 0)}
-	for s := 0; s < out.Steps; s++ {
-		oldLo, oldHi := tileBounds(s, w, tl.Len())
-		newLo, newHi := tileBounds(s+1, w, tl.Len())
-		old := tl.Range(timeline.Time(oldLo), timeline.Time(oldHi))
-		new := tl.Range(timeline.Time(newLo), timeline.Time(newHi))
-		ev := evolution.Aggregate(g, old, new, spec.Schema, spec.Kind, spec.Filter)
-		for _, tu := range ev.SortedNodes() {
-			wt := ev.Nodes[tu]
-			if wt.Gr+wt.Shr < spec.Min {
-				continue
-			}
-			out.Rows = append(out.Rows, EventRow{
-				Step:  s,
-				Old:   windowLabel(tl, oldLo, oldHi),
-				New:   windowLabel(tl, newLo, newHi),
-				Group: spec.Schema.Label(tu),
-				St:    wt.St,
-				Gr:    wt.Gr,
-				Shr:   wt.Shr,
-				Class: classOf(wt.Gr, wt.Shr),
-			})
-		}
-	}
-	return out
-}
-
 // stepKey identifies one (step, group) accumulation cell.
 type stepKey struct {
 	step int
 	tu   agg.Tuple
 }
 
-// EventsSweep answers the same query in a single pass over the entities:
+// EventsSweep answers an EVENTS query in a single pass over the entities:
 // each node's per-window tuple-appearance counts are collected from its
 // timestamp set once, then folded into every step the node touches —
-// O(|V|+|E| + appearances), independent of the step count. Byte-identical
-// to EventsScan by construction (both follow evolution.Aggregate's
-// per-entity classification).
+// O(|V|+|E| + appearances), independent of the step count. The per-entity
+// classification is evolution.Aggregate's.
 func EventsSweep(g *core.Graph, spec EventsSpec) *EventsResult {
 	tl := g.Timeline()
 	w := spec.width()

@@ -129,48 +129,6 @@ func (e *PathsEngine) sweep(t0 int, ea []int) {
 	}
 }
 
-// PathsTimeExpanded is the naive engine the planner falls back to on tiny
-// windows: no bucket index, every edge is re-tested at every point with a
-// per-snapshot fixpoint over the full edge list.
-func PathsTimeExpanded(g *core.Graph, spec PathsSpec) *PathsResult {
-	if spec.Window.IsEmpty() {
-		return pathsRun(g, spec, nil)
-	}
-	hi := int(spec.Window.Max())
-	sweep := func(t0 int, ea []int) {
-		for i := range ea {
-			ea[i] = -1
-		}
-		for _, u := range spec.Src {
-			for t := t0; t <= hi; t++ {
-				if g.NodeTau(u).Contains(t) {
-					if ea[u] == -1 || t < ea[u] {
-						ea[u] = t
-					}
-					break
-				}
-			}
-		}
-		for t := t0; t <= hi; t++ {
-			for changed := true; changed; {
-				changed = false
-				for ei := 0; ei < g.NumEdges(); ei++ {
-					id := core.EdgeID(ei)
-					if !g.EdgeTau(id).Contains(t) {
-						continue
-					}
-					ep := g.Edge(id)
-					if ea[ep.U] != -1 && ea[ep.U] <= t && (ea[ep.V] == -1 || ea[ep.V] > t) {
-						ea[ep.V] = t
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	return pathsRun(g, spec, sweep)
-}
-
 // pathsRun drives a sweep function through the mode's evaluation loop and
 // renders the result rows. A nil sweep (empty window) reaches nothing.
 func pathsRun(g *core.Graph, spec PathsSpec, sweep func(t0 int, ea []int)) *PathsResult {

@@ -10,34 +10,8 @@ import (
 	"repro/internal/timeline"
 )
 
-// This file holds the PR-2 extensions of the Fig. 10 materialization
-// experiment: the composition-engine comparison (linear map-merge vs
-// sparse-table vs prefix-sum) and the concurrent-client catalog sweep.
-
-// Fig10Sparse compares the three interval-composition engines of
-// materialize.Store on one attribute while extending the interval
-// [t0, t0+x]: the linear per-point map merge (O(x) merges), the
-// doubling/sparse table (O(log x) vector additions) and the prefix-sum
-// engine (O(1) vector subtraction), plus the dense engines' speedups over
-// linear.
-func Fig10Sparse(id, title string, g *core.Graph, attr string) *Experiment {
-	e := &Experiment{
-		ID: id, Title: title, XLabel: "interval end",
-		Series: []string{"linear", "sparse", "prefix", "sparse×", "prefix×"},
-	}
-	st := materialize.NewStore(g, schemaFor(g, attr))
-	st.UnionAll(g.Timeline().All()) // build the dense tables outside the timings
-	tl := g.Timeline()
-	for x := 1; x < tl.Len(); x++ {
-		iv := tl.Range(0, timeline.Time(x))
-		lin := timed(func() { st.UnionAllLinear(iv) })
-		sparse := timed(func() { st.UnionAllLog(iv) })
-		prefix := timed(func() { st.UnionAll(iv) })
-		e.Add(tl.Label(timeline.Time(x)),
-			lin, sparse, prefix, ratio(lin, sparse), ratio(lin, prefix))
-	}
-	return e
-}
+// This file holds the concurrent-client catalog sweep, a variant of the
+// Fig. 10 materialization experiment.
 
 // Fig10Concurrent sweeps concurrent clients over a shared
 // materialize.Catalog: every worker issues union-ALL queries drawn from

@@ -66,22 +66,27 @@ func RunsOf(s *Set) *Runs {
 	return r
 }
 
-// Compress returns the run-length form of s when the density heuristic says
-// it pays off, or nil when the dense form should be kept. A run costs 8
-// bytes (two uint32) against 8 bytes per 64-bit dense word, so compression
-// wins asymptotically when there are fewer runs than words; requiring a 2x
-// margin leaves the dense form in place when the indirection would buy
-// little (in particular every vector on a timeline of ≤ 2 words stays
-// dense — one popcount already beats any run walk there).
-func Compress(s *Set) *Runs {
-	words := (s.Len() + wordBits - 1) / wordBits
+// Compress returns the run-length form of s at logical length n when the
+// density heuristic says it pays off, or nil when the dense form should be
+// kept. n is the length of the timeline s lives on: a set that was only
+// grown while its entity kept appearing is shorter, and its missing tail
+// reads as zero. A run costs 8 bytes (two uint32) against 8 bytes per
+// 64-bit dense word, so compression wins asymptotically when there are
+// fewer runs than words; requiring a 2x margin leaves the dense form in
+// place when the indirection would buy little (in particular every vector
+// on a timeline of ≤ 2 words stays dense — one popcount already beats any
+// run walk there).
+func Compress(s *Set, n int) *Runs {
+	words := (n + wordBits - 1) / wordBits
 	if words < 4 {
 		return nil
 	}
 	if 2*s.NumRuns() > words {
 		return nil
 	}
-	return RunsOf(s)
+	r := RunsOf(s)
+	r.n = n
+	return r
 }
 
 // NewRuns builds a Runs of length n from explicit [lo, hi) pairs, which

@@ -202,14 +202,14 @@ func TestDecodeRunsCorrupt(t *testing.T) {
 func TestCompressHeuristic(t *testing.T) {
 	short := bitset.New(64)
 	short.SetAll()
-	if bitset.Compress(short) != nil {
+	if bitset.Compress(short, short.Len()) != nil {
 		t.Errorf("64-bit vector should stay dense")
 	}
 	long := bitset.New(1024)
 	for i := 100; i < 900; i++ {
 		long.Add(i)
 	}
-	r := bitset.Compress(long)
+	r := bitset.Compress(long, long.Len())
 	if r == nil {
 		t.Fatalf("single 800-bit run over 1024 bits should compress")
 	}
@@ -220,8 +220,15 @@ func TestCompressHeuristic(t *testing.T) {
 	for i := 0; i < 1024; i += 2 {
 		frag.Add(i)
 	}
-	if bitset.Compress(frag) != nil {
+	if bitset.Compress(frag, frag.Len()) != nil {
 		t.Errorf("alternating vector should stay dense")
+	}
+	// A set that stopped growing before the timeline did compresses at the
+	// timeline's length; its missing tail reads as zero.
+	grown := bitset.New(260)
+	grown.SetAll()
+	if r := bitset.Compress(grown, 300); r == nil || r.Len() != 300 || r.Count() != 260 || r.Contains(260) {
+		t.Errorf("260-bit run at logical length 300 compressed to %v", r)
 	}
 }
 

@@ -120,11 +120,6 @@ func (s TauStats) Ratio() float64 {
 	return float64(s.CompressedBytes) / float64(s.DenseBytes)
 }
 
-// DisableTauCompression pins every timestamp vector to its dense form. It
-// is the reference-engine switch of the compressed/dense cross-check and
-// must be called before the graph's first NodeTauVec/EdgeTauVec use.
-func (g *Graph) DisableTauCompression() { g.noCompress = true }
-
 // NodeTauVec returns τu(n) in the representation the density heuristic
 // chose: the dense set itself, or its run-length form for run-dominated
 // vectors. The first call triggers one O(V+E) selection scan (skipped for
@@ -174,7 +169,7 @@ func (g *Graph) buildTauVecs() {
 	// Accumulator snapshots are superseded on every ingest batch; paying a
 	// compression scan per batch would burn the freshness budget PR 6
 	// bought, so they always serve dense.
-	if g.noCompress || g.shared != nil {
+	if g.shared != nil {
 		g.tauStats = stats
 		return
 	}
@@ -196,7 +191,7 @@ func (g *Graph) buildTauVecs() {
 func compressVecs(taus []*bitset.Set, stats *TauStats) []bitset.Vector {
 	vecs := make([]bitset.Vector, len(taus))
 	for i, tau := range taus {
-		if r := bitset.Compress(tau); r != nil {
+		if r := bitset.Compress(tau, tau.Len()); r != nil {
 			vecs[i] = r
 			stats.Compressed++
 			stats.Runs += r.NumRuns()

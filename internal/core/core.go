@@ -107,9 +107,6 @@ type Graph struct {
 	nodeVec  []bitset.Vector
 	edgeVec  []bitset.Vector
 	tauStats TauStats
-	// noCompress pins every vector to dense form: the cross-checked
-	// reference configuration (tests, planner compressed-vs-dense choice).
-	noCompress bool
 	// preNodeVec/preEdgeVec hold decoded run forms injected by the
 	// snapshot reader (secTauRuns), so loading skips the compression scan.
 	preNodeVec []bitset.Vector

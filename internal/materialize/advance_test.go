@@ -126,7 +126,6 @@ func checkStoreEquivalence(t *testing.T, r *rand.Rand, final *core.Graph, inc *S
 		want := mustJSON(t, scratch.UnionAllLinear(iv))
 		for name, got := range map[string][]byte{
 			"prefix": mustJSON(t, inc.UnionAll(iv)),
-			"log":    mustJSON(t, inc.UnionAllLog(iv)),
 			"linear": mustJSON(t, inc.UnionAllLinear(iv)),
 		} {
 			if !bytes.Equal(got, want) {
@@ -352,14 +351,7 @@ func TestAdvanceConcurrentHammer(t *testing.T) {
 					errc <- err
 					return
 				}
-				var got, want *agg.Graph
-				if r.Intn(2) == 0 {
-					got = st.UnionAll(iv)
-				} else {
-					got = st.UnionAllLog(iv)
-				}
-				want = st.UnionAllLinear(iv)
-				if !got.Equal(want) {
+				if !st.UnionAll(iv).Equal(st.UnionAllLinear(iv)) {
 					errc <- fmt.Errorf("composed result over %s diverged from linear reference", iv)
 					return
 				}

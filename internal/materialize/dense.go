@@ -1,8 +1,6 @@
 package materialize
 
 import (
-	"math/bits"
-
 	"repro/internal/agg"
 	"repro/internal/timeline"
 )
@@ -18,25 +16,19 @@ import (
 // aggregate into one []int64 weight vector over a compact slot dictionary
 // (slot ↔ mixed-radix tuple code of internal/agg: one slot per node tuple
 // and per edge key that is non-zero at ANY time point), and precomputes
-// over those vectors
-//
-//   - prefix sums: prefix[i] = Σ points[0..i), so a contiguous run [a,b]
-//     composes with ONE vector subtraction, prefix[b+1] − prefix[a] — the
-//     O(1) two-lookup path (COUNT weights are invertible, so subtraction is
-//     exact; idempotent aggregates would need the sparse table below), and
-//   - a doubling/sparse table: level[l][i] = Σ points[i..i+2^l), so a run
-//     composes from its binary length decomposition with O(log|run|) pure
-//     vector additions and no subtraction.
+// prefix sums over those vectors: prefix[i] = Σ points[0..i), so a
+// contiguous run [a,b] composes with ONE vector subtraction,
+// prefix[b+1] − prefix[a] — the O(1) two-lookup path (COUNT weights are
+// invertible, so subtraction is exact).
 //
 // Decoding back to an *agg.Graph happens only at the boundary, with
-// exactly-sized result maps. Both engines are cross-checked against the
+// exactly-sized result maps. The engine is cross-checked against the
 // linear reference by randomized equivalence tests.
 //
 // The engine is APPENDABLE: slots are interned in first-seen order into one
 // interleaved append-only dictionary (order), vectors keep the width they
 // had when built (a missing tail reads as zero), and appending one time
-// point costs O(slots) for the new level-0 vector and prefix entry plus
-// O(slots · log T) amortized for the doubling table — never a rebuild of
+// point costs O(slots) for the new prefix entry — never a rebuild of
 // history. extend produces a NEW composer sharing the frozen backing
 // arrays with its parent, so readers of the old generation are undisturbed;
 // a composer may be extended at most once (Catalog.Advance enforces a
@@ -44,12 +36,12 @@ import (
 //
 // The structures are built lazily on the first composed query (sync.Once,
 // so a Store is safe for concurrent UnionAll callers) and cost
-// O(points × slots × log points) int64 adds and ~8·slots·(2n + n·log n)
-// bytes — compact-slot indexing, not the full Domain² space, keeps that
-// small even for wide schemas.
+// O(points × slots) int64 adds and ~8·slots·points bytes — compact-slot
+// indexing, not the full Domain² space, keeps that small even for wide
+// schemas.
 
-// composer holds the flattened per-point weight vectors and their prefix
-// and sparse tables. Immutable once built, except through extend.
+// composer holds the prefix sums of the flattened per-point weight vectors.
+// Immutable once built, except through extend.
 type composer struct {
 	schema *agg.Schema
 
@@ -65,9 +57,7 @@ type composer struct {
 	edgeSlot  map[agg.EdgeKey]int
 	width     int
 
-	points [][]int64   // level-0 vectors, one per base time point (ragged)
-	prefix [][]int64   // prefix[i] = Σ points[0..i); len = n+1 (ragged)
-	levels [][][]int64 // levels[l][i] = Σ points[i..i+2^l); l ≥ 1 (ragged)
+	prefix [][]int64 // prefix[i] = Σ points[0..i); len = n+1 (ragged)
 }
 
 // composer returns the store's dense composition engine, building it on
@@ -112,18 +102,13 @@ func (c *composer) extend(s *agg.Schema, newPoints []*agg.Graph) *composer {
 		nodeSlot:  make(map[agg.Tuple]int, len(c.nodeSlot)),
 		edgeSlot:  make(map[agg.EdgeKey]int, len(c.edgeSlot)),
 		width:     c.width,
-		points:    c.points[:len(c.points):len(c.points)],
 		prefix:    c.prefix[:len(c.prefix):len(c.prefix)],
-		levels:    make([][][]int64, len(c.levels)),
 	}
 	for tu, j := range c.nodeSlot {
 		n.nodeSlot[tu] = j
 	}
 	for k, j := range c.edgeSlot {
 		n.edgeSlot[k] = j
-	}
-	for l, lv := range c.levels {
-		n.levels[l] = lv[:len(lv):len(lv)]
 	}
 	for _, ag := range newPoints {
 		n.appendPoint(ag)
@@ -132,84 +117,46 @@ func (c *composer) extend(s *agg.Schema, newPoints []*agg.Graph) *composer {
 }
 
 // appendPoint folds one more per-point aggregate into the engine:
-// O(result size) to intern slots and flatten, O(width) for the new prefix
-// entry, and O(width) per doubling-table entry whose span closes at the
-// new point — O(log T) of them, so O(width · log T) amortized.
+// O(result size) to intern first-seen slots plus O(width) for the new
+// prefix entry, prefix[n] = prefix[n-1] + the point's weights.
 func (c *composer) appendPoint(ag *agg.Graph) {
-	vec := make([]int64, c.width, c.width+len(ag.Nodes)+len(ag.Edges))
-	for tu, w := range ag.Nodes {
-		j, ok := c.nodeSlot[tu]
-		if !ok {
-			j = c.addNodeSlot(tu)
-			vec = append(vec, 0)
+	for tu := range ag.Nodes {
+		if _, ok := c.nodeSlot[tu]; !ok {
+			c.addNodeSlot(tu)
 		}
-		vec[j] = w
 	}
-	for k, w := range ag.Edges {
-		j, ok := c.edgeSlot[k]
-		if !ok {
-			j = c.addEdgeSlot(k)
-			vec = append(vec, 0)
+	for k := range ag.Edges {
+		if _, ok := c.edgeSlot[k]; !ok {
+			c.addEdgeSlot(k)
 		}
-		vec[j] = w
 	}
-	c.points = append(c.points, vec)
-
-	n := len(c.points)
 	if len(c.prefix) == 0 {
 		// First point: prefix[0] is the empty sum.
 		c.prefix = append(c.prefix, []int64{})
 	}
-	// prefix[n] = prefix[n-1] + vec, at the new width.
 	pv := make([]int64, c.width)
 	copy(pv, c.prefix[len(c.prefix)-1])
-	for j, w := range vec {
-		pv[j] += w
+	for tu, w := range ag.Nodes {
+		pv[c.nodeSlot[tu]] += w
+	}
+	for k, w := range ag.Edges {
+		pv[c.edgeSlot[k]] += w
 	}
 	c.prefix = append(c.prefix, pv)
-
-	// Close every doubling-table block that ends at the new point: span
-	// 2^l blocks starting at n-2^l, for each level with 2^l ≤ n.
-	for l := 1; 1<<l <= n; l++ {
-		if l > len(c.levels) {
-			c.levels = append(c.levels, nil)
-		}
-		i := n - 1<<l
-		half := 1 << (l - 1)
-		a, b := c.block(l-1, i), c.block(l-1, i+half)
-		bv := make([]int64, c.width)
-		copy(bv, a)
-		for j, w := range b {
-			bv[j] += w
-		}
-		c.levels[l-1] = append(c.levels[l-1], bv)
-	}
 }
 
-func (c *composer) addNodeSlot(tu agg.Tuple) int {
-	j := c.width
+func (c *composer) addNodeSlot(tu agg.Tuple) {
 	c.order = append(c.order, int32(len(c.nodeCodes)))
 	c.nodeCodes = append(c.nodeCodes, tu)
-	c.nodeSlot[tu] = j
+	c.nodeSlot[tu] = c.width
 	c.width++
-	return j
 }
 
-func (c *composer) addEdgeSlot(k agg.EdgeKey) int {
-	j := c.width
+func (c *composer) addEdgeSlot(k agg.EdgeKey) {
 	c.order = append(c.order, ^int32(len(c.edgeCodes)))
 	c.edgeCodes = append(c.edgeCodes, k)
-	c.edgeSlot[k] = j
+	c.edgeSlot[k] = c.width
 	c.width++
-	return j
-}
-
-// block returns the precomputed sum of points [i, i+2^l).
-func (c *composer) block(l, i int) []int64 {
-	if l == 0 {
-		return c.points[i]
-	}
-	return c.levels[l-1][i]
 }
 
 // runs decomposes the interval into maximal contiguous [a,b] runs.
@@ -237,19 +184,6 @@ func (c *composer) addPrefix(acc []int64, a, b int) {
 	}
 	for j, w := range c.prefix[a] {
 		acc[j] -= w
-	}
-}
-
-// addLog accumulates the run [a,b] into acc from its binary length
-// decomposition over the sparse table: O(log(b-a+1)) vector additions.
-func (c *composer) addLog(acc []int64, a, b int) {
-	for length := b - a + 1; length > 0; {
-		l := bits.Len(uint(length)) - 1
-		for j, w := range c.block(l, a) {
-			acc[j] += w
-		}
-		a += 1 << l
-		length -= 1 << l
 	}
 }
 
@@ -286,15 +220,11 @@ func (c *composer) decode(acc []int64) *agg.Graph {
 	return out
 }
 
-// compose runs one of the two vector engines over the interval's runs.
-func (c *composer) compose(iv timeline.Interval, log bool) *agg.Graph {
+// compose sums the interval's runs from the prefix table and decodes.
+func (c *composer) compose(iv timeline.Interval) *agg.Graph {
 	acc := make([]int64, c.width)
 	for _, r := range runs(iv) {
-		if log {
-			c.addLog(acc, r[0], r[1])
-		} else {
-			c.addPrefix(acc, r[0], r[1])
-		}
+		c.addPrefix(acc, r[0], r[1])
 	}
 	return c.decode(acc)
 }

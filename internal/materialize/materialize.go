@@ -15,9 +15,8 @@
 //
 // Store holds the per-time-point materialization for one schema and
 // composes interval queries from flat weight vectors (dense.go): prefix
-// sums answer a contiguous run in O(1) vector ops and the doubling/sparse
-// table in O(log) additions, with the linear map-merge kept as the
-// cross-checked reference. Catalog adds a concurrent query-level serving
+// sums answer a contiguous run in O(1) vector ops, with the linear
+// map-merge kept as the cross-checked reference. Catalog adds a concurrent query-level serving
 // layer — a sharded byte-budgeted LRU with singleflight deduplication and
 // atomic per-source counters — that answers aggregate requests from
 // materialized results whenever one of the two derivations applies, and
@@ -68,10 +67,10 @@ func NewStore(g *core.Graph, s *agg.Schema) *Store {
 }
 
 // Append returns a new store extending st with the time points newG has
-// beyond st's horizon, in O(batch) aggregation work plus O(slots · log T)
-// amortized to extend the dense engine — never a re-aggregation of
-// history. newG must be an append-only extension of the store's base graph
-// (the old timeline labels are a prefix of newG's). It fails with
+// beyond st's horizon, in O(batch) aggregation work plus O(slots) per point
+// to extend the dense engine — never a re-aggregation of history. newG must
+// be an append-only extension of the store's base graph (the old timeline
+// labels are a prefix of newG's). It fails with
 // ErrCodingChanged when an attribute dictionary grew — new values change
 // the mixed-radix tuple coding, so the per-point vectors are not
 // comparable and the caller must rebuild from scratch (Catalog.Advance
@@ -126,20 +125,12 @@ func (st *Store) Point(t timeline.Time) *agg.Graph { return st.perPoint[t] }
 // contiguous run of the interval costs one vector subtraction, independent
 // of its length, and the result is decoded to maps only at the boundary.
 func (st *Store) UnionAll(iv timeline.Interval) *agg.Graph {
-	return st.composer().compose(iv, false)
-}
-
-// UnionAllLog composes the same result from the doubling/sparse table:
-// every contiguous run is split into its binary length decomposition and
-// summed with O(log|run|) precomputed vector additions (no subtraction).
-// It exists for the Fig. 10 engine comparison; UnionAll is the fast path.
-func (st *Store) UnionAllLog(iv timeline.Interval) *agg.Graph {
-	return st.composer().compose(iv, true)
+	return st.composer().compose(iv)
 }
 
 // UnionAllLinear is the reference composition: merge the per-point
 // map-based aggregates one at a time, O(|interval|) map merges. The dense
-// engines are cross-checked against it.
+// engine is cross-checked against it.
 func (st *Store) UnionAllLinear(iv timeline.Interval) *agg.Graph {
 	out := &agg.Graph{
 		Schema: st.schema,

@@ -24,7 +24,6 @@ func TestUnionAllComposition(t *testing.T) {
 	scratch := agg.Aggregate(ops.Union(g, iv, iv), s, agg.All)
 	for name, composed := range map[string]*agg.Graph{
 		"prefix": st.UnionAll(iv),
-		"log":    st.UnionAllLog(iv),
 		"linear": st.UnionAllLinear(iv),
 	} {
 		if !composed.Equal(scratch) {
@@ -53,9 +52,6 @@ func TestUnionAllEmptyAndNonContiguous(t *testing.T) {
 	want := st.UnionAllLinear(iv)
 	if got := st.UnionAll(iv); !got.Equal(want) {
 		t.Errorf("prefix composition over %s differs from linear", iv)
-	}
-	if got := st.UnionAllLog(iv); !got.Equal(want) {
-		t.Errorf("sparse-table composition over %s differs from linear", iv)
 	}
 }
 
@@ -291,7 +287,7 @@ func TestQuickDenseEqualsLinear(t *testing.T) {
 				iv = g.Timeline().Of(ts...)
 			}
 			want := st.UnionAllLinear(iv)
-			if !st.UnionAll(iv).Equal(want) || !st.UnionAllLog(iv).Equal(want) {
+			if !st.UnionAll(iv).Equal(want) {
 				return false
 			}
 		}

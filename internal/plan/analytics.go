@@ -14,20 +14,14 @@ import (
 )
 
 // This file compiles the evolution-analytics statement family (EVENTS,
-// PATHS, TREND) into physical operators. Each statement has two engines;
-// the cost rules here pick one:
+// PATHS, TREND) into physical operators:
 //
-//   - EVENTS: the per-step scan engine recomputes one evolution aggregate
-//     per window pair (steps · scan); the entity-sweep engine answers every
-//     step in a single entity pass (scan + steps). The evolution triple is
-//     per-entity presence in BOTH windows, which per-point aggregate
-//     vectors cannot express, so the catalog never applies — the choice is
-//     sweep vs per-step scan, crossing over as soon as there is more than
-//     one step.
+//   - EVENTS: the entity-sweep engine answers every step in a single
+//     entity pass (scan + steps). The evolution triple is per-entity
+//     presence in BOTH windows, which per-point aggregate vectors cannot
+//     express, so the catalog never applies.
 //   - PATHS: the frontier engine pays a bucket-index build (one compressed
-//     range scan per edge) to make each evaluation a single time sweep;
-//     with a tiny window (≤ 2 points, mirroring explore's seed rule) the
-//     index cannot amortize and the time-expanded engine wins.
+//     range scan per edge) to make each evaluation a single time sweep.
 //   - TREND: a union-ALL window weight is T-distributive, so unfiltered
 //     ALL trends compose every window from the catalog's prefix sums in
 //     O(windows) vector ops; DIST or filtered trends scan the base graph.
@@ -55,19 +49,11 @@ func compileEvents(env Env, q *Events) (physOp, error) {
 	if steps < 0 {
 		steps = 0
 	}
-	// One step is exactly one evolution aggregate — the sweep's per-entity
-	// bookkeeping cannot beat it. From two steps on the sweep amortizes its
-	// single pass across all steps.
-	sweep := steps > 1
-	cost := int64(steps) * scanCost(g)
-	if sweep {
-		cost = scanCost(g) + int64(steps)
-	}
 	return &eventsOp{
 		g: g, schema: schema, kind: kind, filter: filter,
 		preds: len(q.Where), width: w, min: q.Min, steps: steps,
-		sweep: sweep, cost: cost,
-		fb: env.Feedback, fbKey: q.Key(),
+		cost: scanCost(g) + int64(steps),
+		fb:   env.Feedback, fbKey: q.Key(),
 	}, nil
 }
 
@@ -117,19 +103,9 @@ func compilePaths(env Env, q *Paths) (physOp, int, bool, error) {
 		bounded = true
 	}
 	winLen := window.Len()
-	// Engine crossover mirrors explore's seed rule: with ≤ 2 window points
-	// there is at most one cross-point hop, so the bucket index can never
-	// amortize its build.
-	naive := winLen <= 2
 	sweeps := int64(1)
 	if mode == analytics.ModeFastest {
 		sweeps = int64(winLen)
-	}
-	var cost int64
-	if naive {
-		cost = sweeps * int64(winLen) * scanCost(g)
-	} else {
-		cost = scanCost(g) + sweeps*int64(g.NumNodes()+winLen)
 	}
 	maxTime := 0
 	if bounded && !window.IsEmpty() {
@@ -141,8 +117,8 @@ func compilePaths(env Env, q *Paths) (physOp, int, bool, error) {
 			Mode: mode, Src: src, Dst: dst, Window: window,
 		},
 		srcN: len(q.From), dstN: len(q.To),
-		naive: naive, cost: cost,
-		fb: env.Feedback, fbKey: q.Key(),
+		cost: scanCost(g) + sweeps*int64(g.NumNodes()+winLen),
+		fb:   env.Feedback, fbKey: q.Key(),
 	}, maxTime, bounded, nil
 }
 
@@ -187,7 +163,7 @@ func compileTrend(env Env, q *Trend) (physOp, error) {
 // ---- events operator --------------------------------------------------
 
 // eventsOp classifies attribute groups into evolution events per
-// consecutive window pair, on either the entity-sweep or per-step engine.
+// consecutive window pair on the entity-sweep engine.
 type eventsOp struct {
 	g      *core.Graph
 	schema *agg.Schema
@@ -197,33 +173,20 @@ type eventsOp struct {
 	width  int
 	min    int64
 	steps  int
-	sweep  bool
 	cost   int64
 
 	fb    *Feedback
 	fbKey string
 }
 
-func (o *eventsOp) name() string {
-	if o.sweep {
-		return "EventsSweep"
-	}
-	return "EventsScan"
-}
-
-func (o *eventsOp) engine() string {
-	if o.sweep {
-		return "entity-sweep"
-	}
-	return "per-step-scan"
-}
+func (o *eventsOp) name() string { return "EventsSweep" }
 
 func (o *eventsOp) describe() []kv {
 	attrs := []kv{
 		{"kind", kindString(o.kind)},
 		{"width", strconv.Itoa(o.width)},
 		{"steps", strconv.Itoa(o.steps)},
-		{"engine", o.engine()},
+		{"engine", "entity-sweep"},
 		{"filter", filterString(o.preds)},
 	}
 	if o.min > 0 {
@@ -234,28 +197,16 @@ func (o *eventsOp) describe() []kv {
 
 func (o *eventsOp) children() []physOp { return nil }
 
-func (o *eventsOp) countSelection() {
-	if o.sweep {
-		Selections.EventsSweep.Inc()
-	} else {
-		Selections.EventsScan.Inc()
-	}
-}
+func (o *eventsOp) countSelection() { Selections.EventsSweep.Inc() }
 
 func (o *eventsOp) run(ctx context.Context, out *Result) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	spec := analytics.EventsSpec{
+	res := analytics.EventsSweep(o.g, analytics.EventsSpec{
 		Schema: o.schema, Kind: o.kind, Width: o.width, Min: o.min,
 		Filter: evolution.Filter(o.filter),
-	}
-	var res *analytics.EventsResult
-	if o.sweep {
-		res = analytics.EventsSweep(o.g, spec)
-	} else {
-		res = analytics.EventsScan(o.g, spec)
-	}
+	})
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -275,7 +226,6 @@ type pathsOp struct {
 	g          *core.Graph
 	spec       analytics.PathsSpec
 	srcN, dstN int
-	naive      bool
 	cost       int64
 
 	fb    *Feedback
@@ -285,19 +235,7 @@ type pathsOp struct {
 	eng     *analytics.PathsEngine
 }
 
-func (o *pathsOp) name() string {
-	if o.naive {
-		return "PathsNaive"
-	}
-	return "PathsFrontier"
-}
-
-func (o *pathsOp) engine() string {
-	if o.naive {
-		return "time-expanded"
-	}
-	return "time-bucket-frontier"
-}
+func (o *pathsOp) name() string { return "PathsFrontier" }
 
 func (o *pathsOp) describe() []kv {
 	return []kv{
@@ -305,32 +243,21 @@ func (o *pathsOp) describe() []kv {
 		{"sources", strconv.Itoa(o.srcN)},
 		{"targets", strconv.Itoa(o.dstN)},
 		{"window", intervalString(o.spec.Window)},
-		{"engine", o.engine()},
+		{"engine", "time-bucket-frontier"},
 		{"est_cost", itoa64(o.cost)},
 	}
 }
 
 func (o *pathsOp) children() []physOp { return nil }
 
-func (o *pathsOp) countSelection() {
-	if o.naive {
-		Selections.PathsNaive.Inc()
-	} else {
-		Selections.PathsFront.Inc()
-	}
-}
+func (o *pathsOp) countSelection() { Selections.PathsFront.Inc() }
 
 func (o *pathsOp) run(ctx context.Context, out *Result) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	var res *analytics.PathsResult
-	if o.naive {
-		res = analytics.PathsTimeExpanded(o.g, o.spec)
-	} else {
-		o.engOnce.Do(func() { o.eng = analytics.NewPathsEngine(o.g, o.spec) })
-		res = o.eng.Run()
-	}
+	o.engOnce.Do(func() { o.eng = analytics.NewPathsEngine(o.g, o.spec) })
+	res := o.eng.Run()
 	if err := ctx.Err(); err != nil {
 		return err
 	}

@@ -9,7 +9,9 @@ import (
 	"repro/internal/agg"
 	"repro/internal/analytics"
 	"repro/internal/core"
+	"repro/internal/evolution"
 	"repro/internal/materialize"
+	"repro/internal/timeline"
 )
 
 func eventsNode(width int) *Events {
@@ -33,23 +35,20 @@ func rootName(t *testing.T, env Env, node Logical) string {
 	return p.root.name()
 }
 
-// TestAnalyticsEngineSelection pins the cost rules: which engine each
-// analytics statement compiles to, as a function of window width, catalog
-// availability, filters, and DURING length.
+// TestAnalyticsEngineSelection pins the physical operator each analytics
+// statement compiles to: EVENTS and PATHS have one production engine
+// whatever the step count or window length; TREND picks the catalog for
+// unfiltered ALL and scans otherwise.
 func TestAnalyticsEngineSelection(t *testing.T) {
 	g := core.PaperExample() // 3 time points
 	env := Env{Graph: g}
 	cat := materialize.NewCatalogWith(g, materialize.CatalogConfig{})
 
-	// EVENTS: width 1 → 2 steps → sweep; width 2 → 1 step → per-step scan.
-	if got := rootName(t, env, eventsNode(1)); got != "EventsSweep" {
-		t.Errorf("EVENTS width=1 compiled to %s, want EventsSweep", got)
-	}
-	if got := rootName(t, env, eventsNode(2)); got != "EventsScan" {
-		t.Errorf("EVENTS width=2 compiled to %s, want EventsScan", got)
-	}
-	if got := rootName(t, env, eventsNode(3)); got != "EventsScan" {
-		t.Errorf("EVENTS width=3 (0 steps) compiled to %s, want EventsScan", got)
+	// EVENTS: 2 steps, 1 step and 0 steps all run the entity sweep.
+	for w := 1; w <= 3; w++ {
+		if got := rootName(t, env, eventsNode(w)); got != "EventsSweep" {
+			t.Errorf("EVENTS width=%d compiled to %s, want EventsSweep", w, got)
+		}
 	}
 
 	// TREND: catalog only for unfiltered ALL.
@@ -68,14 +67,14 @@ func TestAnalyticsEngineSelection(t *testing.T) {
 		t.Errorf("TREND ALL without catalog compiled to %s, want TrendScan", got)
 	}
 
-	// PATHS: full 3-point window → frontier; 2-point DURING → time-expanded.
-	if got := rootName(t, env, pathsNode("earliest", []string{"u1"}, []string{"u4"})); got != "PathsFrontier" {
-		t.Errorf("PATHS over full window compiled to %s, want PathsFrontier", got)
-	}
-	short := pathsNode("fastest", []string{"u1"}, []string{"u4"})
-	short.During = IntervalRef{From: "t0", To: "t1"}
-	if got := rootName(t, env, short); got != "PathsNaive" {
-		t.Errorf("PATHS over 2-point window compiled to %s, want PathsNaive", got)
+	// PATHS: the full 3-point window and 2- and 1-point DURING windows all
+	// run the frontier engine.
+	for _, during := range []IntervalRef{{}, {From: "t0", To: "t1"}, {From: "t1"}} {
+		node := pathsNode("fastest", []string{"u1"}, []string{"u4"})
+		node.During = during
+		if got := rootName(t, env, node); got != "PathsFrontier" {
+			t.Errorf("%s compiled to %s, want PathsFrontier", node.Key(), got)
+		}
 	}
 }
 
@@ -119,10 +118,11 @@ func TestAnalyticsBounded(t *testing.T) {
 }
 
 // TestAnalyticsCompileEquivalence routes each statement through
-// Compile+Execute and requires byte-identical JSON against the direct
-// engine invocation the planner is supposed to have chosen.
+// Compile+Execute and requires byte-identical JSON against the naive
+// oracle — including the 0- and 1-step EVENTS and 1- and 2-point PATHS
+// windows, which have no engine of their own.
 func TestAnalyticsCompileEquivalence(t *testing.T) {
-	g := core.PaperExample()
+	g := core.PaperExample() // 3 time points
 	cat := materialize.NewCatalogWith(g, materialize.CatalogConfig{})
 	schema, err := agg.ByName(g, "gender")
 	if err != nil {
@@ -136,53 +136,84 @@ func TestAnalyticsCompileEquivalence(t *testing.T) {
 		}
 		return string(b)
 	}
+	run := func(env Env, node Logical) *Result {
+		t.Helper()
+		p, err := Compile(env, node)
+		if err != nil {
+			t.Fatalf("compile %s: %v", node.Key(), err)
+		}
+		res, err := p.Execute(ctx)
+		if err != nil {
+			t.Fatalf("execute %s: %v", node.Key(), err)
+		}
+		return res
+	}
 
-	p, err := Compile(Env{Graph: g}, eventsNode(1))
+	// EVENTS: width 1 → 2 steps, width 2 → 1 step, width 3 → 0 steps.
+	preds := []Predicate{{Attr: "publications", Op: ">", Value: "1"}}
+	filter, err := CompilePredicates(g, "", preds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Execute(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := analytics.EventsSweep(g, analytics.EventsSpec{Schema: schema, Kind: agg.Distinct, Width: 1})
-	if toJSON(res.Events) != toJSON(want) {
-		t.Errorf("EVENTS through planner diverges from engine:\n got %s\nwant %s", toJSON(res.Events), toJSON(want))
+	for w := 1; w <= 3; w++ {
+		for _, c := range []struct {
+			kind  string
+			min   int64
+			where []Predicate
+		}{
+			{kind: "dist"},
+			{kind: "all"},
+			{kind: "dist", min: 1},
+			{kind: "all", where: preds},
+			{kind: "dist", min: 2, where: preds},
+		} {
+			node := &Events{Kind: c.kind, Attrs: []string{"gender"}, Width: w, Min: c.min, Where: c.where}
+			spec := analytics.EventsSpec{Schema: schema, Kind: agg.Distinct, Width: w, Min: c.min}
+			if c.kind == "all" {
+				spec.Kind = agg.All
+			}
+			if c.where != nil {
+				spec.Filter = evolution.Filter(filter)
+			}
+			got, want := toJSON(run(Env{Graph: g}, node).Events), toJSON(analytics.NaiveEvents(g, spec))
+			if got != want {
+				t.Errorf("%s through planner diverges from oracle:\n got %s\nwant %s", node.Key(), got, want)
+			}
+		}
 	}
 
-	p, err = Compile(Env{Graph: g, Catalog: cat}, trendNode("all", 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = p.Execute(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(Env{Graph: g, Catalog: cat}, trendNode("all", 2))
 	wantTrend := analytics.TrendScan(g, analytics.TrendSpec{Schema: schema, Kind: agg.All, Width: 2})
 	if toJSON(res.Trend) != toJSON(wantTrend) {
 		t.Errorf("TREND through planner (catalog) diverges from scan engine:\n got %s\nwant %s", toJSON(res.Trend), toJSON(wantTrend))
 	}
 
-	node := pathsNode("fastest", []string{"u1"}, []string{"u2", "u4"})
-	p, err = Compile(Env{Graph: g}, node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = p.Execute(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// PATHS: the whole timeline, then 2- and 1-point DURING windows.
 	u1, _ := g.NodeByLabel("u1")
 	u2, _ := g.NodeByLabel("u2")
 	u4, _ := g.NodeByLabel("u4")
-	spec := analytics.PathsSpec{
-		Mode: analytics.ModeFastest,
-		Src:  []core.NodeID{u1}, Dst: []core.NodeID{u2, u4},
-		Window: g.Timeline().All(),
-	}
-	wantPaths := analytics.NewPathsEngine(g, spec).Run()
-	if toJSON(res.Paths) != toJSON(wantPaths) {
-		t.Errorf("PATHS through planner diverges from engine:\n got %s\nwant %s", toJSON(res.Paths), toJSON(wantPaths))
+	tl := g.Timeline()
+	for _, mode := range []string{analytics.ModeEarliest, analytics.ModeFastest} {
+		for _, c := range []struct {
+			during IntervalRef
+			window timeline.Interval
+		}{
+			{IntervalRef{}, tl.All()},
+			{IntervalRef{From: "t0", To: "t1"}, tl.Range(0, 1)},
+			{IntervalRef{From: "t1", To: "t2"}, tl.Range(1, 2)},
+			{IntervalRef{From: "t0"}, tl.Point(0)},
+			{IntervalRef{From: "t2"}, tl.Point(2)},
+		} {
+			node := pathsNode(mode, []string{"u1"}, []string{"u2", "u4"})
+			node.During = c.during
+			spec := analytics.PathsSpec{
+				Mode: mode, Src: []core.NodeID{u1}, Dst: []core.NodeID{u2, u4}, Window: c.window,
+			}
+			got, want := toJSON(run(Env{Graph: g}, node).Paths), toJSON(analytics.NaivePaths(g, spec))
+			if got != want {
+				t.Errorf("%s through planner diverges from oracle:\n got %s\nwant %s", node.Key(), got, want)
+			}
+		}
 	}
 }
 
@@ -198,7 +229,7 @@ func TestAnalyticsExplain(t *testing.T) {
 		want []string
 	}{
 		{eventsNode(1), Env{Graph: g}, []string{"EventsSweep", "engine=entity-sweep", "est_cost=", "steps=2"}},
-		{eventsNode(2), Env{Graph: g}, []string{"EventsScan", "engine=per-step-scan"}},
+		{eventsNode(2), Env{Graph: g}, []string{"EventsSweep", "engine=entity-sweep", "steps=1"}},
 		{trendNode("all", 2), Env{Graph: g, Catalog: cat}, []string{"TrendCatalog", "composition=prefix-sum", "windows=2"}},
 		{trendNode("dist", 1), Env{Graph: g}, []string{"TrendScan", "windows=3"}},
 		{pathsNode("earliest", []string{"u1"}, []string{"u4"}), Env{Graph: g}, []string{"PathsFrontier", "engine=time-bucket-frontier", "mode=earliest"}},
@@ -242,7 +273,7 @@ func TestAnalyticsSelectionsAndFeedback(t *testing.T) {
 		t.Errorf("no feedback observation recorded for %q (ok=%v, %+v)", node.Key(), ok, o)
 	}
 
-	before = Selections.PathsNaive.Value()
+	before = Selections.PathsFront.Value()
 	short := pathsNode("earliest", []string{"u1"}, []string{"u2"})
 	short.During = IntervalRef{From: "t0", To: "t1"}
 	p, err = Compile(env, short)
@@ -252,8 +283,8 @@ func TestAnalyticsSelectionsAndFeedback(t *testing.T) {
 	if _, err := p.Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := Selections.PathsNaive.Value(); got != before+1 {
-		t.Errorf("PathsNaive counter %d, want %d", got, before+1)
+	if got := Selections.PathsFront.Value(); got != before+1 {
+		t.Errorf("PathsFront counter %d, want %d", got, before+1)
 	}
 }
 

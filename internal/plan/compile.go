@@ -348,14 +348,6 @@ func compileExplore(env Env, workers int, q *Explore) (physOp, error) {
 			return nil, errf(in, 0, "", "unknown result %q (want edges or nodes)", q.Result)
 		}
 	}
-	// Engine selection: the incremental-view fast path pays one point
-	// index build (O(|V|+|E|)) to make each candidate a word-level view
-	// extension; with at most two time points there is at most one
-	// reference point and one candidate per traversal, so the index can
-	// never amortize and the seed engine (selector views, zero setup) wins.
-	// Both engines evaluate the identical candidate set (fastpath.go), so
-	// pairs, ordering and Evaluations are unchanged by this choice.
-	n := g.Timeline().Len()
 	op := &exploreOp{
 		g:       g,
 		schema:  schema,
@@ -365,10 +357,9 @@ func compileExplore(env Env, workers int, q *Explore) (physOp, error) {
 		ext:     ext,
 		k:       q.K,
 		workers: workers,
-		seed:    n <= 2,
 		result:  result,
 		target:  target,
-		cost:    exploreCost(g, n, n <= 2),
+		cost:    exploreCost(g),
 	}
 	if q.Tune > 0 {
 		return &tuneOp{inner: op, minPairs: q.Tune}, nil
@@ -378,21 +369,18 @@ func compileExplore(env Env, workers int, q *Explore) (physOp, error) {
 
 // exploreCost estimates candidate-evaluation work: the traversals anchor at
 // n-1 reference points with at most n-1-i extensions each (≤ n(n-1)/2
-// candidates). The seed engine pays a base-graph scan per candidate; the
-// fast path pays one index build plus a cheap incremental extension per
-// candidate (the /8 reflects word-level bitset work against per-entity
-// scans; a coarse, deliberately simple model).
-func exploreCost(g *core.Graph, n int, seed bool) int64 {
-	cands := int64(n) * int64(n-1) / 2
+// candidates). The incremental-view engine pays one point index build
+// (O(|V|+|E|)) plus a cheap incremental extension per candidate (the /8
+// reflects word-level bitset work against per-entity scans; a coarse,
+// deliberately simple model).
+func exploreCost(g *core.Graph) int64 {
+	n := int64(g.Timeline().Len())
+	cands := n * (n - 1) / 2
 	if cands < 1 {
 		cands = 1
 	}
 	scan := scanCost(g)
-	if seed {
-		return cands * scan
-	}
-	perCand := scan/8 + 1
-	return scan + cands*perCand
+	return scan + cands*(scan/8+1)
 }
 
 func compileTop(env Env, q *Top) (physOp, error) {

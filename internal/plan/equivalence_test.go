@@ -144,24 +144,23 @@ func TestCatalogEquivalence(t *testing.T) {
 }
 
 // TestExploreEquivalence checks pairs, threshold and evaluation counts
-// against a directly-driven Explorer — on the fast path (many time
-// points), with auto-initialized K, under intersection semantics, and on
-// the seed engine (two-point graph, where the planner switches engines
-// but the candidate set must not change).
+// against a directly-driven Explorer, and the pairs against the exhaustive
+// Explorer.Naive oracle on the seed engine — on many time points, with
+// auto-initialized K, under intersection semantics, through the TUNE loop,
+// and on two- and one-point coarsenings (at most one candidate per
+// traversal, no candidate at all) that run the same engine as every other
+// timeline.
 func TestExploreEquivalence(t *testing.T) {
-	g := dblp(t)
-	schema, err := agg.ByName(g, "gender")
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := dblp(t)
 	ctx := context.Background()
 
 	cases := []struct {
-		name  string
-		node  *plan.Explore
-		event explore.Event
-		sem   explore.Semantics
-		ext   explore.Extend
+		name   string
+		points int // coarsen the timeline to this many points; 0 keeps it
+		node   *plan.Explore
+		event  explore.Event
+		sem    explore.Semantics
+		ext    explore.Extend
 	}{
 		{
 			name:  "growth_union_k2",
@@ -179,25 +178,79 @@ func TestExploreEquivalence(t *testing.T) {
 			node:  &plan.Explore{Event: "shrinkage", Attrs: []string{"gender"}},
 			event: evolution.Shrinkage, sem: explore.UnionSemantics, ext: explore.ExtendNew,
 		},
+		{
+			name:  "growth_tune",
+			node:  &plan.Explore{Event: "growth", Attrs: []string{"gender"}, Tune: 3},
+			event: evolution.Growth, sem: explore.UnionSemantics, ext: explore.ExtendNew,
+		},
+		{
+			name: "two_points_growth_k1", points: 2,
+			node:  &plan.Explore{Event: "growth", Attrs: []string{"gender"}, K: 1},
+			event: evolution.Growth, sem: explore.UnionSemantics, ext: explore.ExtendNew,
+		},
+		{
+			name: "two_points_stability_intersection_auto_k", points: 2,
+			node: &plan.Explore{Event: "stability", Attrs: []string{"gender"},
+				Semantics: "intersection", Extend: "old"},
+			event: evolution.Stability, sem: explore.IntersectionSemantics, ext: explore.ExtendOld,
+		},
+		{
+			name: "two_points_shrinkage_tune", points: 2,
+			node:  &plan.Explore{Event: "shrinkage", Attrs: []string{"gender"}, Tune: 1},
+			event: evolution.Shrinkage, sem: explore.UnionSemantics, ext: explore.ExtendNew,
+		},
+		{
+			name: "one_point_growth_k1", points: 1,
+			node:  &plan.Explore{Event: "growth", Attrs: []string{"gender"}, K: 1},
+			event: evolution.Growth, sem: explore.UnionSemantics, ext: explore.ExtendNew,
+		},
+		{
+			name: "one_point_stability_tune", points: 1,
+			node:  &plan.Explore{Event: "stability", Attrs: []string{"gender"}, Tune: 1},
+			event: evolution.Stability, sem: explore.UnionSemantics, ext: explore.ExtendNew,
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			g := full
+			if c.points > 0 {
+				n := full.Timeline().Len()
+				spec, err := core.UniformGroups(full.Timeline(), (n+c.points-1)/c.points)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g, err = core.Coarsen(full, spec); err != nil {
+					t.Fatal(err)
+				}
+				if got := g.Timeline().Len(); got != c.points {
+					t.Fatalf("coarse timeline has %d points, want %d", got, c.points)
+				}
+			}
+			schema, err := agg.ByName(g, "gender")
+			if err != nil {
+				t.Fatal(err)
+			}
 			res := execute(t, plan.Env{Graph: g}, c.node)
 
 			ex := &explore.Explorer{Graph: g, Schema: schema, Kind: agg.Distinct, Result: explore.TotalEdges}
 			k := c.node.K
-			if k < 1 {
-				min, max := ex.InitK(c.event)
-				if c.sem == explore.UnionSemantics {
-					k = max
-				} else {
-					k = min
-				}
+			var pairs []explore.Pair
+			if c.node.Tune > 0 {
+				k, pairs, err = ex.TuneKCtx(ctx, c.event, c.sem, c.ext, c.node.Tune)
+			} else {
 				if k < 1 {
-					k = 1
+					min, max := ex.InitK(c.event)
+					if c.sem == explore.UnionSemantics {
+						k = max
+					} else {
+						k = min
+					}
+					if k < 1 {
+						k = 1
+					}
 				}
+				pairs, err = ex.ExploreCtx(ctx, c.event, c.sem, c.ext, k)
 			}
-			pairs, err := ex.ExploreCtx(ctx, c.event, c.sem, c.ext, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,37 +263,25 @@ func TestExploreEquivalence(t *testing.T) {
 			if res.Evaluations != ex.Evaluations {
 				t.Errorf("evaluations = %d, want %d", res.Evaluations, ex.Evaluations)
 			}
+
+			oracle := &explore.Explorer{Graph: g, Schema: schema, Kind: agg.Distinct,
+				Result: explore.TotalEdges, NoFastPath: true}
+			got, want := pairStrings(res.Pairs), pairStrings(oracle.Naive(c.event, c.sem, c.ext, k))
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("pairs diverge from the naive oracle at k=%d:\n got %v\nwant %v", k, got, want)
+			}
 		})
 	}
+}
 
-	// Seed engine: the two-point coarsening flips the planner to the
-	// selector-view engine; pairs and evaluation counts must be unchanged
-	// relative to a default (fast-path-eligible) Explorer.
-	spec, err := core.UniformGroups(g.Timeline(), (g.Timeline().Len()+1)/2*2)
-	if err != nil {
-		t.Fatal(err)
+// pairStrings renders exploration pairs (intervals and result) for
+// representation-independent comparison.
+func pairStrings(pairs []explore.Pair) []string {
+	out := make([]string, len(pairs))
+	for i, p := range pairs {
+		out[i] = p.String()
 	}
-	coarse, err := core.Coarsen(g, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := coarse.Timeline().Len(); n > 2 {
-		t.Fatalf("coarse timeline has %d points, want <= 2", n)
-	}
-	cschema, err := agg.ByName(coarse, "gender")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := execute(t, plan.Env{Graph: coarse}, &plan.Explore{Event: "growth", Attrs: []string{"gender"}, K: 1})
-	ex := &explore.Explorer{Graph: coarse, Schema: cschema, Kind: agg.Distinct, Result: explore.TotalEdges}
-	pairs, err := ex.ExploreCtx(ctx, evolution.Growth, explore.UnionSemantics, explore.ExtendNew, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Pairs, pairs) || res.Evaluations != ex.Evaluations {
-		t.Errorf("seed engine diverges: pairs %v vs %v, evaluations %d vs %d",
-			res.Pairs, pairs, res.Evaluations, ex.Evaluations)
-	}
+	return out
 }
 
 // TestTopEquivalence checks TOP against explore.TopEdgeTuplesCtx.

@@ -16,7 +16,6 @@ var Selections struct {
 	MeasureAgg   metrics.Counter // SUM/AVG/MIN/MAX measure aggregation
 	FilteredAgg  metrics.Counter // predicate-filtered aggregation (serial map engine)
 	FastExplore  metrics.Counter // exploration on the incremental-view fast path
-	SeedExplore  metrics.Counter // exploration on the seed (selector-view) engine
 	TuneExplore  metrics.Counter // §3.5 threshold tuning loop (memoized evaluation)
 	Top          metrics.Counter // top-N attribute-group ranking
 	Evolve       metrics.Counter // evolution aggregate
@@ -24,10 +23,8 @@ var Selections struct {
 	PartialAgg   metrics.Counter // shard-local partial aggregate (scatter slice execution)
 	ShardScatter metrics.Counter // shard slices fanned out by scattered aggregates
 	GatherMerge  metrics.Counter // cross-shard gather-merge roots
-	EventsScan   metrics.Counter // EVENTS on the per-step evolution-aggregate engine
 	EventsSweep  metrics.Counter // EVENTS on the single-pass entity-sweep engine
 	PathsFront   metrics.Counter // PATHS on the time-bucketed frontier engine
-	PathsNaive   metrics.Counter // PATHS on the time-expanded fallback engine
 	TrendCatalog metrics.Counter // TREND composed from the catalog's prefix sums
 	TrendScan    metrics.Counter // TREND on the direct sliding-scan engine
 }

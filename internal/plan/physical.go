@@ -332,7 +332,6 @@ type exploreOp struct {
 	ext     explore.Extend
 	k       int64 // < 1 selects the §3.5 initialization
 	workers int
-	seed    bool // seed engine instead of the incremental-view fast path
 	result  explore.ResultFunc
 	target  string
 	cost    int64
@@ -341,19 +340,7 @@ type exploreOp struct {
 	idx     *ops.PointIndex
 }
 
-func (o *exploreOp) name() string {
-	if o.seed {
-		return "SeedExplore"
-	}
-	return "FastExplore"
-}
-
-func (o *exploreOp) engine() string {
-	if o.seed {
-		return "selector-views"
-	}
-	return "incremental-views"
-}
+func (o *exploreOp) name() string { return "FastExplore" }
 
 // exploreWorkersString renders the explore engine's workers semantics:
 // 0/1 serial, negative GOMAXPROCS.
@@ -381,7 +368,7 @@ func (o *exploreOp) kString() string {
 func (o *exploreOp) describe() []kv {
 	return []kv{
 		{"traversal", explore.TraversalName(o.event, o.sem, o.ext)},
-		{"engine", o.engine()},
+		{"engine", "incremental-views"},
 		{"event", eventString(o.event)},
 		{"target", o.target},
 		{"k", o.kString()},
@@ -392,28 +379,19 @@ func (o *exploreOp) describe() []kv {
 
 func (o *exploreOp) children() []physOp { return nil }
 
-func (o *exploreOp) countSelection() {
-	if o.seed {
-		Selections.SeedExplore.Inc()
-	} else {
-		Selections.FastExplore.Inc()
-	}
-}
+func (o *exploreOp) countSelection() { Selections.FastExplore.Inc() }
 
 // explorer builds the per-run engine, sharing the plan's point index.
 func (o *exploreOp) explorer() *explore.Explorer {
 	ex := &explore.Explorer{
-		Graph:      o.g,
-		Schema:     o.schema,
-		Kind:       o.kind,
-		Result:     o.result,
-		Workers:    o.workers,
-		NoFastPath: o.seed,
+		Graph:   o.g,
+		Schema:  o.schema,
+		Kind:    o.kind,
+		Result:  o.result,
+		Workers: o.workers,
 	}
-	if !o.seed {
-		o.idxOnce.Do(func() { o.idx = ops.NewPointIndex(o.g) })
-		ex.UsePointIndex(o.idx)
-	}
+	o.idxOnce.Do(func() { o.idx = ops.NewPointIndex(o.g) })
+	ex.UsePointIndex(o.idx)
 	return ex
 }
 

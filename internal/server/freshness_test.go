@@ -95,23 +95,6 @@ func TestIngestDeltaApplies(t *testing.T) {
 	}
 }
 
-// TestIngestFullRebuildKnob pins the escape hatch: with FullRebuild set,
-// every advance replaces the catalog and the delta counter stays zero.
-func TestIngestFullRebuildKnob(t *testing.T) {
-	s, ts := newStreamServer(t, Config{FullRebuild: true})
-	for i := 0; i < 3; i++ {
-		if ir := ingestPoint(t, ts.URL, i); ir.Visible != ir.Points {
-			t.Fatalf("ingest %d: visible = %d, want %d", i, ir.Visible, ir.Points)
-		}
-	}
-	if got := s.deltaApplies.Value(); got != 0 {
-		t.Errorf("delta applies = %d, want 0 with FullRebuild", got)
-	}
-	if got := s.fullRebuilds.Value(); got != 2 {
-		t.Errorf("full rebuilds = %d, want 2", got)
-	}
-}
-
 // TestIngestStaticBackfillFallsBack pins the soundness fallback: filling in
 // a static value for a pre-existing node changes its tuple at old points,
 // so the delta is refused and the server rebuilds — counted, and still

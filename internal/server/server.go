@@ -72,11 +72,6 @@ type Config struct {
 	// HistoryCacheBytes sizes the LRU of reconstructed historical states
 	// serving AS OF / VALID DURING queries (<= 0 selects 256 MiB).
 	HistoryCacheBytes int64
-	// FullRebuild disables incremental catalog advancement in stream mode:
-	// every batch of new time points replaces the serving graph and catalog
-	// from scratch. Kept as an escape hatch and as the baseline the delta
-	// path is benchmarked against.
-	FullRebuild bool
 	// Logger receives structured access and lifecycle logs; nil selects
 	// slog.Default().
 	Logger *slog.Logger
@@ -245,8 +240,8 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // the appended suffix into the existing catalog in place — O(batch), with
 // queries continuing to serve the old generation until the swap — and
 // falls back to a stop-the-world rebuild only when the delta is refused
-// (non-extension history, static back-fill) or Config.FullRebuild is set.
-// It returns an error (mapped to 503) while no data has been ingested yet.
+// (non-extension history, static back-fill). It returns an error (mapped to
+// 503) while no data has been ingested yet.
 func (s *Server) current() (*state, error) {
 	st := s.cur.Load()
 	if s.series == nil {
@@ -270,7 +265,7 @@ func (s *Server) current() (*state, error) {
 		return nil, err
 	}
 	old := s.cur.Load()
-	if old != nil && !s.cfg.FullRebuild {
+	if old != nil {
 		if stats, aerr := old.cat.Advance(g); aerr == nil {
 			st = &state{g: g, cat: old.cat, gen: gen}
 			s.cur.Store(st)
@@ -306,8 +301,6 @@ func (s *Server) current() (*state, error) {
 			s.log.Warn("catalog delta refused, rebuilding", "points", gen,
 				"append_err", aerr, "retro_err", rerr)
 		}
-	}
-	if old != nil {
 		// Fold the retiring catalog's counters into the cumulative base so
 		// /metrics stays monotonic across rebuilds.
 		os := old.cat.Stats()
@@ -477,7 +470,6 @@ func (s *Server) registerMetrics() {
 		{"measure-agg", &plan.Selections.MeasureAgg},
 		{"filtered-agg", &plan.Selections.FilteredAgg},
 		{"fast-explore", &plan.Selections.FastExplore},
-		{"seed-explore", &plan.Selections.SeedExplore},
 		{"tune-explore", &plan.Selections.TuneExplore},
 		{"top", &plan.Selections.Top},
 		{"evolve", &plan.Selections.Evolve},
@@ -485,10 +477,8 @@ func (s *Server) registerMetrics() {
 		{"partial-agg", &plan.Selections.PartialAgg},
 		{"shard-scatter", &plan.Selections.ShardScatter},
 		{"gather-merge", &plan.Selections.GatherMerge},
-		{"events-scan", &plan.Selections.EventsScan},
 		{"events-sweep", &plan.Selections.EventsSweep},
 		{"paths-frontier", &plan.Selections.PathsFront},
-		{"paths-naive", &plan.Selections.PathsNaive},
 		{"trend-catalog", &plan.Selections.TrendCatalog},
 		{"trend-scan", &plan.Selections.TrendScan},
 	} {

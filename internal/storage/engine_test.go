@@ -100,6 +100,35 @@ func TestEngineCrashRestart(t *testing.T) {
 	}
 }
 
+// TestEngineCrashAfterCheckpoints streams past two automatic checkpoints —
+// timelines long enough for run-compressed timestamps, full of nodes that
+// stopped appearing — then abandons the engine: every acknowledged point
+// must come back, from a snapshot, and every snapshot left behind must load.
+func TestEngineCrashAfterCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	e := openTestEngine(t, dir, Options{Fsync: FsyncNever, CheckpointRecords: 256})
+	const acked = 640
+	appendN(t, e, 0, acked)
+	e.wg.Wait() // the background checkpoint finishes; still no Close
+	e2 := openTestEngine(t, dir, Options{Fsync: FsyncNever, CheckpointRecords: -1})
+	defer e2.Close()
+	if got := e2.Series().Len(); got != acked {
+		t.Errorf("recovered %d points, want all %d acknowledged", got, acked)
+	}
+	if ri := e2.Recovery(); ri.SnapshotGeneration == 0 {
+		t.Errorf("recovery %+v, want a snapshot generation", ri)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "snapshot-*.gts"))
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no snapshot left in %s (err %v)", dir, err)
+	}
+	for _, path := range snaps {
+		if _, err := LoadFile(path); err != nil {
+			t.Errorf("LoadFile(%s): %v", filepath.Base(path), err)
+		}
+	}
+}
+
 func TestEngineTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	e := openTestEngine(t, dir, Options{Fsync: FsyncAlways, CheckpointRecords: -1})

@@ -108,6 +108,25 @@ func TestOpenMappedEquivalence(t *testing.T) {
 	}
 }
 
+// TestOpenMappedStreamedGraph maps a snapshot of a graph whose timestamp
+// sets are shorter than its timeline (an entity that stopped appearing).
+func TestOpenMappedStreamedGraph(t *testing.T) {
+	g := streamedGraph(t)
+	path := filepath.Join(t.TempDir(), "g.gts")
+	if err := SaveFile(path, g); err != nil {
+		t.Fatalf("SaveFile: %v", err)
+	}
+	m, err := OpenMapped(path)
+	if err != nil {
+		t.Fatalf("OpenMapped: %v", err)
+	}
+	defer m.Close()
+	graphsEqual(t, g, m.Graph)
+	if got := m.Graph.TauStats(); got.Compressed == 0 {
+		t.Fatalf("mapped graph adopted no run vectors (stats %+v)", got)
+	}
+}
+
 // TestOpenMappedAgreesWithLoad compares whole aggregation results between
 // the two read paths — the end-to-end identity the CI job also checks
 // through the HTTP API.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/gtest"
 	"repro/internal/materialize"
+	"repro/internal/stream"
 	"repro/internal/timeline"
 )
 
@@ -96,6 +97,34 @@ func TestRoundTripRandomGraphs(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		roundTrip(t, gtest.RandomGraph(r, p))
 	}
+}
+
+// streamedGraph is a stream.Series graph on a timeline long enough for the
+// density heuristic (≥ 4 words): node "gone" and its edge appear only in the
+// first 260 of 300 points, so their accumulator-built timestamp sets are
+// shorter than the timeline.
+func streamedGraph(t *testing.T) *core.Graph {
+	t.Helper()
+	s := stream.New(core.AttrSpec{Name: "gender", Kind: core.Static})
+	for i := 0; i < 300; i++ {
+		snap := stream.Snapshot{Nodes: []stream.NodeRecord{{Label: "stays", Static: map[string]string{"gender": "f"}}}}
+		if i < 260 {
+			snap.Nodes = append(snap.Nodes, stream.NodeRecord{Label: "gone", Static: map[string]string{"gender": "m"}})
+			snap.Edges = []stream.EdgeRecord{{U: "stays", V: "gone"}}
+		}
+		if err := s.Append(fmt.Sprintf("t%03d", i), snap); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	g, err := s.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func TestRoundTripStreamedGraph(t *testing.T) {
+	roundTrip(t, streamedGraph(t))
 }
 
 func TestRoundTripStores(t *testing.T) {

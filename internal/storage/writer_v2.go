@@ -96,8 +96,8 @@ func writeSnapshotV2(w io.Writer, g *core.Graph, stores []*materialize.Store, po
 			e.str(g.NodeLabel(core.NodeID(n)))
 		}
 	})
-	nodeRuns := compressForSave(nNodes, func(i int) *bitset.Set { return g.NodeTau(core.NodeID(i)) })
-	edgeRuns := compressForSave(nEdges, func(i int) *bitset.Set { return g.EdgeTau(core.EdgeID(i)) })
+	nodeRuns := compressForSave(nNodes, T, func(i int) *bitset.Set { return g.NodeTau(core.NodeID(i)) })
+	edgeRuns := compressForSave(nEdges, T, func(i int) *bitset.Set { return g.EdgeTau(core.EdgeID(i)) })
 	if len(nodeRuns)+len(edgeRuns) > 0 {
 		sec(secTauRuns, func(e *enc) {
 			writeRunsList(e, nodeRuns)
@@ -252,11 +252,13 @@ type idxRuns struct {
 // compressForSave applies the density heuristic to every tau vector and
 // returns the entities it elects to compress, in index order. The choice
 // is persisted so a mapped reader serves compressed kernels immediately,
-// without an O(V+E) selection scan at boot.
-func compressForSave(n int, tau func(int) *bitset.Set) []idxRuns {
+// without an O(V+E) selection scan at boot. Every run vector is emitted at
+// the timeline length T the reader checks for: accumulator-built sets stop
+// growing when their entity stops appearing.
+func compressForSave(n, T int, tau func(int) *bitset.Set) []idxRuns {
 	var out []idxRuns
 	for i := 0; i < n; i++ {
-		if r := bitset.Compress(tau(i)); r != nil {
+		if r := bitset.Compress(tau(i), T); r != nil {
 			out = append(out, idxRuns{idx: i, r: r})
 		}
 	}

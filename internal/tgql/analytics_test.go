@@ -119,7 +119,7 @@ func TestTrendStatement(t *testing.T) {
 }
 
 // TestAnalyticsExplainStatement checks EXPLAIN renders the analytics
-// operators with their engine choice.
+// operators with their engine, whatever the step count or window length.
 func TestAnalyticsExplainStatement(t *testing.T) {
 	g := core.PaperExample()
 	cases := []struct {
@@ -127,9 +127,9 @@ func TestAnalyticsExplainStatement(t *testing.T) {
 		want  []string
 	}{
 		{"EXPLAIN EVENTS DIST BY gender WIDTH 1", []string{"EventsSweep", "engine=entity-sweep"}},
-		{"EXPLAIN EVENTS DIST BY gender WIDTH 2", []string{"EventsScan", "engine=per-step-scan"}},
+		{"EXPLAIN EVENTS DIST BY gender WIDTH 2", []string{"EventsSweep", "engine=entity-sweep", "steps=1"}},
 		{"EXPLAIN PATHS EARLIEST FROM u1 TO u2", []string{"PathsFrontier", "mode=earliest"}},
-		{"EXPLAIN PATHS FASTEST FROM u1 TO u2 DURING t0..t1", []string{"PathsNaive", "engine=time-expanded"}},
+		{"EXPLAIN PATHS FASTEST FROM u1 TO u2 DURING t0..t1", []string{"PathsFrontier", "engine=time-bucket-frontier", "window=[t0,t1]"}},
 		{"EXPLAIN TREND DIST BY gender", []string{"TrendScan", "windows=3"}},
 	}
 	for _, c := range cases {
