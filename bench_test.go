@@ -14,8 +14,13 @@ package graphtempo_test
 
 import (
 	"fmt"
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -23,6 +28,8 @@ import (
 	"repro/internal/agg"
 	"repro/internal/explore"
 	"repro/internal/larray"
+	"repro/internal/materialize"
+	"repro/internal/server"
 )
 
 var (
@@ -596,5 +603,84 @@ func BenchmarkExploreFastPath(b *testing.B) {
 		b.Run(tc.name+"/seed", run(true, 0))
 		b.Run(tc.name+"/fast", run(false, 0))
 		b.Run(tc.name+"/parallel", run(false, -1))
+	}
+}
+
+// wholeTimelineUnion is the dashboard panel of bench/'s dash_hot workload:
+// the union-ALL aggregate over both halves of the DBLP timeline, which the
+// materialization catalog composes from per-point aggregates.
+func wholeTimelineUnion(b *testing.B, g *graphtempo.Graph, names ...string) *agg.Graph {
+	b.Helper()
+	attrs := make([]graphtempo.AttrID, len(names))
+	for i, name := range names {
+		attrs[i] = g.MustAttr(name)
+	}
+	ag, _, err := materialize.NewCatalog(g).UnionAll(g.Timeline().All(), attrs...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ag
+}
+
+// BenchmarkWireEncode measures the aggregate-graph wire encoder alone, on
+// the three dashboard panels (gender: 2 groups, publications, and their
+// product — 26 nodes and ~600 edges at scale 1).
+func BenchmarkWireEncode(b *testing.B) {
+	g, _ := benchGraphs(b)
+	for _, tc := range []struct {
+		name  string
+		attrs []string
+	}{{"G", []string{"gender"}}, {"P", []string{"publications"}}, {"GP", []string{"gender", "publications"}}} {
+		ag := wholeTimelineUnion(b, g, tc.attrs...)
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var buf []byte
+			for i := 0; i < b.N; i++ {
+				buf = ag.AppendJSON(buf[:0])
+			}
+			b.SetBytes(int64(len(buf)))
+		})
+	}
+}
+
+// discardResponse is an http.ResponseWriter that drops the body, so the
+// serving benchmarks measure the handler and not a recorder's buffer.
+type discardResponse struct{ h http.Header }
+
+func (d *discardResponse) Header() http.Header         { return d.h }
+func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardResponse) WriteHeader(int)             {}
+
+// BenchmarkServeCachedPanel drives graphtempod's handler in process with
+// the (gender, publications) whole-timeline panel and its TGQL twin: after
+// the first request the catalog answers in about a microsecond, so what is
+// measured is the request pipeline and the response encoding.
+func BenchmarkServeCachedPanel(b *testing.B) {
+	g, _ := benchGraphs(b)
+	srv, err := server.New(server.Config{Graph: g, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if err != nil {
+		b.Fatal(err)
+	}
+	labels := g.Timeline().Labels()
+	mid := len(labels) / 2
+	first, second := labels[0]+".."+labels[mid-1], labels[mid]+".."+labels[len(labels)-1]
+	for _, tc := range []struct{ name, path, body string }{
+		{"aggregate", "/v1/aggregate", fmt.Sprintf(
+			`{"op":"union","kind":"all","attrs":["gender","publications"],"interval":{"from":%q,"to":%q},"interval2":{"from":%q,"to":%q}}`,
+			labels[0], labels[mid-1], labels[mid], labels[len(labels)-1])},
+		{"tgql", "/v1/tgql", fmt.Sprintf(`{"query":"AGG ALL gender, publications ON UNION(%s, %s)"}`, first, second)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			serve := func() {
+				w := &discardResponse{h: make(http.Header)}
+				srv.Handler().ServeHTTP(w, httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body)))
+			}
+			serve() // fill the catalog and the plan cache
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve()
+			}
+		})
 	}
 }

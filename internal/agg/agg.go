@@ -20,8 +20,7 @@ package agg
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"strconv"
 	"sync"
 
 	"repro/internal/core"
@@ -74,6 +73,11 @@ type Schema struct {
 	dense       sync.Pool
 	staticOnce  sync.Once
 	staticCodes []int32
+
+	// Wire-encoder state (wire.go): the lazily built JSON literal of every
+	// attribute value.
+	wireOnce sync.Once
+	wireVals [][]string
 }
 
 // NewSchema returns a schema aggregating g's nodes on the given attributes,
@@ -145,6 +149,15 @@ func (s *Schema) Graph() *core.Graph { return s.g }
 // Attrs returns the aggregation attribute ids, in schema order.
 func (s *Schema) Attrs() []core.AttrID { return append([]core.AttrID(nil), s.attrs...) }
 
+// AttrNames returns the aggregation attribute names, in schema order.
+func (s *Schema) AttrNames() []string {
+	names := make([]string, len(s.attrs))
+	for i, a := range s.attrs {
+		names[i] = s.g.Attr(a).Name
+	}
+	return names
+}
+
 // AllStatic reports whether every aggregation attribute is static, enabling
 // the §4.2 fast path.
 func (s *Schema) AllStatic() bool { return s.allStatic }
@@ -200,7 +213,7 @@ func (s *Schema) Decode(tu Tuple) []string {
 
 // Label renders a tuple like the paper's figures, e.g. "f,1".
 func (s *Schema) Label(tu Tuple) string {
-	return strings.Join(s.Decode(tu), ",")
+	return string(s.AppendLabel(nil, tu))
 }
 
 // Encode is the inverse of Decode: it returns the tuple for the given
@@ -253,44 +266,31 @@ func (ag *Graph) TotalEdgeWeight() int64 {
 	return sum
 }
 
-// SortedNodes returns the aggregate node tuples ordered by decoded label,
-// for deterministic presentation.
-func (ag *Graph) SortedNodes() []Tuple {
-	out := make([]Tuple, 0, len(ag.Nodes))
-	for tu := range ag.Nodes {
-		out = append(out, tu)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return ag.Schema.Label(out[i]) < ag.Schema.Label(out[j])
-	})
-	return out
-}
+// SortedNodes returns the aggregate node tuples in wire order (order.go):
+// by decoded label, for deterministic presentation.
+func (ag *Graph) SortedNodes() []Tuple { return SortedTuples(ag.Schema, ag.Nodes) }
 
-// SortedEdges returns the aggregate edge keys ordered by decoded labels.
-func (ag *Graph) SortedEdges() []EdgeKey {
-	out := make([]EdgeKey, 0, len(ag.Edges))
-	for k := range ag.Edges {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		li := ag.Schema.Label(out[i].From) + "→" + ag.Schema.Label(out[i].To)
-		lj := ag.Schema.Label(out[j].From) + "→" + ag.Schema.Label(out[j].To)
-		return li < lj
-	})
-	return out
-}
+// SortedEdges returns the aggregate edge keys in wire order.
+func (ag *Graph) SortedEdges() []EdgeKey { return SortedEdgeKeys(ag.Schema, ag.Edges) }
 
-// String renders the aggregate graph for debugging and examples.
+// String renders the aggregate graph for debugging, examples and the TGQL
+// text result.
 func (ag *Graph) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "aggregate graph (%s) on %d tuples\n", ag.Kind, len(ag.Nodes))
+	s := ag.Schema
+	b := make([]byte, 0, 64+32*(len(ag.Nodes)+len(ag.Edges)))
+	b = fmt.Appendf(b, "aggregate graph (%s) on %d tuples\n", ag.Kind, len(ag.Nodes))
 	for _, tu := range ag.SortedNodes() {
-		fmt.Fprintf(&b, "  node (%s) w=%d\n", ag.Schema.Label(tu), ag.Nodes[tu])
+		b = s.AppendLabel(append(b, "  node ("...), tu)
+		b = strconv.AppendInt(append(b, ") w="...), ag.Nodes[tu], 10)
+		b = append(b, '\n')
 	}
 	for _, k := range ag.SortedEdges() {
-		fmt.Fprintf(&b, "  edge (%s)→(%s) w=%d\n", ag.Schema.Label(k.From), ag.Schema.Label(k.To), ag.Edges[k])
+		b = s.AppendLabel(append(b, "  edge ("...), k.From)
+		b = s.AppendLabel(append(b, ")→("...), k.To)
+		b = strconv.AppendInt(append(b, ") w="...), ag.Edges[k], 10)
+		b = append(b, '\n')
 	}
-	return b.String()
+	return string(b)
 }
 
 // Aggregate computes the aggregate graph of a view under the schema

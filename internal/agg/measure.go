@@ -3,7 +3,6 @@ package agg
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -135,17 +134,8 @@ func (mg *MeasureGraph) Value(tu Tuple) (float64, bool) {
 	return v, ok
 }
 
-// SortedNodes returns tuples ordered by decoded label.
-func (mg *MeasureGraph) SortedNodes() []Tuple {
-	out := make([]Tuple, 0, len(mg.Nodes))
-	for tu := range mg.Nodes {
-		out = append(out, tu)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return mg.Schema.Label(out[i]) < mg.Schema.Label(out[j])
-	})
-	return out
-}
+// SortedNodes returns the measured tuples in wire order.
+func (mg *MeasureGraph) SortedNodes() []Tuple { return SortedTuples(mg.Schema, mg.Nodes) }
 
 // String renders the measured aggregate graph.
 func (mg *MeasureGraph) String() string {

@@ -526,19 +526,10 @@ func (rt *Router) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		rt.writeRoutedError(w, err)
 		return
 	}
-	raw, err := json.Marshal(res.Merged)
-	if err != nil {
-		server.WriteError(w, http.StatusInternalServerError, err)
-		return
-	}
 	rt.routeCounter("scatter").Inc()
 	w.Header().Set("X-Gt-Route", "scatter")
 	w.Header().Set("X-Gt-Shards", strconv.Itoa(len(slices)))
-	writeJSON(w, server.AggregateResponse{
-		Source:    fmt.Sprintf("scatter(%d)", len(slices)),
-		ElapsedMs: float64(time.Since(start).Microseconds()) / 1000,
-		Graph:     raw,
-	})
+	server.WriteAggregate(w, fmt.Sprintf("scatter(%d)", len(slices)), time.Since(start), res.Merged)
 }
 
 // slicesFor decides whether an aggregate decomposes across the shards

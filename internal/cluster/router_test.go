@@ -9,11 +9,14 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/gtest"
 	"repro/internal/server"
 	"repro/internal/stream"
 )
@@ -103,7 +106,12 @@ func attrsFor() []core.AttrSpec {
 // both base URLs.
 func startCluster(t *testing.T, cuts ...int) (routerURL, refURL string, rt *Router) {
 	t.Helper()
-	pts := testPoints()
+	return startClusterOn(t, testPoints(), cuts...)
+}
+
+// startClusterOn is startCluster over the given points.
+func startClusterOn(t *testing.T, pts []server.IngestRequest, cuts ...int) (routerURL, refURL string, rt *Router) {
+	t.Helper()
 	ref := newStreamServer(t, "", "", pts)
 	bounds := append([]int{0}, cuts...)
 	bounds = append(bounds, len(pts))
@@ -223,6 +231,52 @@ func TestScatterByteIdentity(t *testing.T) {
 			Op: "project", Interval: iv("t0", "t5"), Attrs: []string{"gender"}})
 		if route != "mirror" {
 			t.Errorf("cuts=%v spanning project route = %q, want mirror", cuts, route)
+		}
+	}
+}
+
+// TestScatterByteIdentityOnNastyValues: the router's scatter answer goes
+// through the same encoder, wire order and envelope as a single node's, so
+// the whole body (modulo source and elapsed_ms) stays byte-identical on
+// values that collide labels, that order differently as a concatenated edge
+// key than as a pair, and that need every JSON escape. (Invalid UTF-8 is
+// already U+FFFD on both sides: it cannot cross the JSON ingest.)
+func TestScatterByteIdentityOnNastyValues(t *testing.T) {
+	vals := gtest.NastyValues
+	var pts []server.IngestRequest
+	for p := 0; p < 4; p++ {
+		req := server.IngestRequest{Label: fmt.Sprintf("t%d", p)}
+		for i, v := range vals {
+			req.Nodes = append(req.Nodes, server.IngestNode{Label: fmt.Sprintf("u%d", i),
+				Static:  map[string]string{"gender": v},
+				Varying: map[string]string{"publications": vals[(i+p)%len(vals)]}})
+			for _, d := range []int{1, 5} {
+				req.Edges = append(req.Edges, server.IngestEdge{U: fmt.Sprintf("u%d", i), V: fmt.Sprintf("u%d", (i+d)%len(vals))})
+			}
+		}
+		pts = append(pts, req)
+	}
+	routerURL, refURL, _ := startClusterOn(t, pts, 2)
+	volatile := regexp.MustCompile(`^\{"source":"[^"]*","elapsed_ms":[0-9.]+,`)
+	for _, kind := range []string{"dist", "all"} {
+		for _, attrs := range [][]string{{"gender", "publications"}, {"publications", "gender"}} {
+			req := server.AggregateRequest{Op: "union", Kind: kind, Attrs: attrs,
+				Interval:  server.IntervalSpec{From: "t0", To: "t1"},
+				Interval2: server.IntervalSpec{From: "t1", To: "t3"}}
+			code, want, _ := postJSON(t, refURL+"/v1/aggregate", req)
+			if code != 200 {
+				t.Fatalf("single node = %d: %s", code, want)
+			}
+			code, got, hdr := postJSON(t, routerURL+"/v1/aggregate", req)
+			if code != 200 || hdr.Get("X-Gt-Route") != "scatter" {
+				t.Fatalf("router = %d via %q: %s", code, hdr.Get("X-Gt-Route"), got)
+			}
+			if !volatile.Match(got) || !bytes.Equal(volatile.ReplaceAll(got, nil), volatile.ReplaceAll(want, nil)) {
+				t.Errorf("%s %v diverged:\n single %s\n router %s", kind, attrs, want, got)
+			}
+			if hdr.Get("Content-Length") != strconv.Itoa(len(got)) {
+				t.Errorf("router Content-Length = %q for a %d-byte body", hdr.Get("Content-Length"), len(got))
+			}
 		}
 	}
 }

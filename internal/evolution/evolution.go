@@ -17,7 +17,6 @@ package evolution
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/agg"
@@ -251,31 +250,11 @@ func (a *Agg) EdgeWeights(from, to agg.Tuple) Weights {
 	return a.Edges[agg.EdgeKey{From: from, To: to}]
 }
 
-// SortedNodes returns tuple keys ordered by decoded label.
-func (a *Agg) SortedNodes() []agg.Tuple {
-	out := make([]agg.Tuple, 0, len(a.Nodes))
-	for tu := range a.Nodes {
-		out = append(out, tu)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return a.Schema.Label(out[i]) < a.Schema.Label(out[j])
-	})
-	return out
-}
+// SortedNodes returns the tuple keys in the aggregate graphs' wire order.
+func (a *Agg) SortedNodes() []agg.Tuple { return agg.SortedTuples(a.Schema, a.Nodes) }
 
-// SortedEdges returns edge keys ordered by decoded labels.
-func (a *Agg) SortedEdges() []agg.EdgeKey {
-	out := make([]agg.EdgeKey, 0, len(a.Edges))
-	for k := range a.Edges {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		li := a.Schema.Label(out[i].From) + "→" + a.Schema.Label(out[i].To)
-		lj := a.Schema.Label(out[j].From) + "→" + a.Schema.Label(out[j].To)
-		return li < lj
-	})
-	return out
-}
+// SortedEdges returns the edge keys in wire order.
+func (a *Agg) SortedEdges() []agg.EdgeKey { return agg.SortedEdgeKeys(a.Schema, a.Edges) }
 
 // String renders the aggregated evolution graph like Fig. 4b.
 func (a *Agg) String() string {

@@ -32,10 +32,7 @@ type jsonAgg struct {
 // attribute values and (stability, growth, shrinkage) weight triples,
 // sorted by label for deterministic output.
 func (a *Agg) MarshalJSON() ([]byte, error) {
-	out := jsonAgg{Kind: a.Kind.String(), Old: a.Old.String(), New: a.New.String()}
-	for _, id := range a.Schema.Attrs() {
-		out.Attributes = append(out.Attributes, a.Schema.Graph().Attr(id).Name)
-	}
+	out := jsonAgg{Attributes: a.Schema.AttrNames(), Kind: a.Kind.String(), Old: a.Old.String(), New: a.New.String()}
 	toJSON := func(w Weights) jsonWeights {
 		return jsonWeights{Stability: w.St, Growth: w.Gr, Shrinkage: w.Shr}
 	}

@@ -143,3 +143,42 @@ func RandomRange(r *rand.Rand, tl *timeline.Timeline) timeline.Interval {
 	to := from + r.Intn(tl.Len()-from)
 	return tl.Range(timeline.Time(from), timeline.Time(to))
 }
+
+// NastyValues are attribute values chosen to break an encoder or an order:
+// "1"/"10"/"1 0" separate the concatenated edge label from pair order,
+// "a,b" next to "a"/"b,c"/"c" makes distinct tuples share a label, and the
+// rest exercise every string-escaping rule of encoding/json.
+var NastyValues = []string{
+	"1", "10", "1 0", "a", "a,b", "b,c", "c", "<x>&", `q"uo\te`, "ctl\x00\x01\b\f\n\r\t\x1f\x7f",
+	"bad\xff\xc3utf8", "sep\u2028\u2029", "é→", "",
+}
+
+// ValueGraph builds a graph over time points t0 and t1 with a static
+// attribute x and a time-varying attribute y in which every pair of the
+// given values labels one node (y moves on by one value at t1) and each node
+// has three out-edges at both points, so that every value meets every other
+// in aggregate labels and edge keys.
+func ValueGraph(values []string) *core.Graph {
+	b := core.NewBuilder(timeline.MustNew("t0", "t1"),
+		core.AttrSpec{Name: "x", Kind: core.Static}, core.AttrSpec{Name: "y", Kind: core.TimeVarying})
+	var nodes []core.NodeID
+	for i, x := range values {
+		for j := range values {
+			n := b.AddNode(fmt.Sprintf("n%d_%d", i, j))
+			b.SetStatic(0, n, x)
+			for t := 0; t < 2; t++ {
+				b.SetNodeTime(n, timeline.Time(t))
+				b.SetVarying(1, n, timeline.Time(t), values[(j+t)%len(values)])
+			}
+			nodes = append(nodes, n)
+		}
+	}
+	for i, u := range nodes {
+		for d := 1; d <= 3; d++ {
+			e := b.AddEdge(u, nodes[(i+7*d)%len(nodes)])
+			b.SetEdgeTime(e, 0)
+			b.SetEdgeTime(e, 1)
+		}
+	}
+	return b.MustBuild()
+}

@@ -2,9 +2,9 @@ package plan
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -170,17 +170,6 @@ func (o *partialAggOp) children() []physOp {
 
 func (o *partialAggOp) countSelection() { Selections.PartialAgg.Inc() }
 
-// schemaAttrNames returns the schema's attribute names in order.
-func schemaAttrNames(s *agg.Schema) []string {
-	g := s.Graph()
-	ids := s.Attrs()
-	out := make([]string, len(ids))
-	for i, a := range ids {
-		out[i] = g.Attr(a).Name
-	}
-	return out
-}
-
 func (o *partialAggOp) run(ctx context.Context, out *Result) error {
 	if o.kind == agg.All {
 		return o.runAll(ctx, out)
@@ -195,7 +184,7 @@ func (o *partialAggOp) runAll(ctx context.Context, out *Result) error {
 	}
 	ag := tmp.Agg
 	pr := &PartialResult{
-		Attributes: schemaAttrNames(o.schema),
+		Attributes: o.schema.AttrNames(),
 		Kind:       kindString(agg.All),
 		Source:     tmp.AggSource.String(),
 	}
@@ -284,13 +273,8 @@ func (o *partialAggOp) runDist(ctx context.Context, out *Result) error {
 		return err
 	}
 
-	pr := &PartialResult{Attributes: schemaAttrNames(s), Kind: kindString(agg.Distinct)}
-	nodeKeys := make([]agg.Tuple, 0, len(nodeSets))
-	for tu := range nodeSets {
-		nodeKeys = append(nodeKeys, tu)
-	}
-	sort.Slice(nodeKeys, func(i, j int) bool { return s.Label(nodeKeys[i]) < s.Label(nodeKeys[j]) })
-	for _, tu := range nodeKeys {
+	pr := &PartialResult{Attributes: s.AttrNames(), Kind: kindString(agg.Distinct)}
+	for _, tu := range agg.SortedTuples(s, nodeSets) {
 		set := nodeSets[tu]
 		ents := make([]string, 0, len(set))
 		for e := range set {
@@ -299,16 +283,7 @@ func (o *partialAggOp) runDist(ctx context.Context, out *Result) error {
 		sort.Strings(ents)
 		pr.Nodes = append(pr.Nodes, PartialGroup{Values: s.Decode(tu), Weight: int64(len(ents)), Entities: ents})
 	}
-	edgeKeys := make([]agg.EdgeKey, 0, len(edgeSets))
-	for k := range edgeSets {
-		edgeKeys = append(edgeKeys, k)
-	}
-	sort.Slice(edgeKeys, func(i, j int) bool {
-		li := s.Label(edgeKeys[i].From) + "→" + s.Label(edgeKeys[i].To)
-		lj := s.Label(edgeKeys[j].From) + "→" + s.Label(edgeKeys[j].To)
-		return li < lj
-	})
-	for _, k := range edgeKeys {
+	for _, k := range agg.SortedEdgeKeys(s, edgeSets) {
 		set := edgeSets[k]
 		pairs := make([]labelPair, 0, len(set))
 		for p := range set {
@@ -429,11 +404,10 @@ func MergePartials(parts []*PartialResult) (*MergedGraph, error) {
 		}
 		nodeAccs = append(nodeAccs, acc)
 	}
-	// Sort exactly like agg.Graph.SortedNodes/SortedEdges: by the decoded
-	// label joined with commas.
-	sort.Slice(nodeAccs, func(i, j int) bool {
-		return strings.Join(nodeAccs[i].values, ",") < strings.Join(nodeAccs[j].values, ",")
-	})
+	// The same wire order as agg.Graph.SortedNodes/SortedEdges, label ties
+	// included, so router ≡ single node holds byte for byte.
+	agg.SortNodes(nodeAccs, func(a *mergedNodeAcc) []string { return a.values },
+		agg.AppendLabel, slices.Compare[[]string])
 	for _, acc := range nodeAccs {
 		m.Nodes = append(m.Nodes, PartialGroup{Values: acc.values, Weight: acc.weight})
 	}
@@ -444,43 +418,29 @@ func MergePartials(parts []*PartialResult) (*MergedGraph, error) {
 		}
 		edgeAccs = append(edgeAccs, acc)
 	}
-	sort.Slice(edgeAccs, func(i, j int) bool {
-		li := strings.Join(edgeAccs[i].from, ",") + "→" + strings.Join(edgeAccs[i].to, ",")
-		lj := strings.Join(edgeAccs[j].from, ",") + "→" + strings.Join(edgeAccs[j].to, ",")
-		return li < lj
-	})
+	agg.SortEdges(edgeAccs, func(a *mergedEdgeAcc) ([]string, []string) { return a.from, a.to },
+		agg.AppendLabel, slices.Compare[[]string])
 	for _, acc := range edgeAccs {
 		m.Edges = append(m.Edges, PartialEdge{From: acc.from, To: acc.to, Weight: acc.weight})
 	}
 	return m, nil
 }
 
-// MarshalJSON renders the merged graph exactly like agg.Graph.MarshalJSON
-// renders the single-node result (field order, null for empty sections).
-func (m *MergedGraph) MarshalJSON() ([]byte, error) {
-	type jn struct {
-		Values []string `json:"values"`
-		Weight int64    `json:"weight"`
-	}
-	type je struct {
-		From   []string `json:"from"`
-		To     []string `json:"to"`
-		Weight int64    `json:"weight"`
-	}
-	out := struct {
-		Attributes []string `json:"attributes"`
-		Kind       string   `json:"kind"`
-		Nodes      []jn     `json:"nodes"`
-		Edges      []je     `json:"edges"`
-	}{Attributes: m.Attributes, Kind: m.Kind}
+// AppendJSON appends the merged graph through the aggregate graphs' one
+// wire encoder, so it renders exactly like the single-node result.
+func (m *MergedGraph) AppendJSON(dst []byte) []byte {
+	w := agg.NewWireWriter(dst, m.Attributes, m.Kind)
 	for _, g := range m.Nodes {
-		out.Nodes = append(out.Nodes, jn{Values: g.Values, Weight: g.Weight})
+		w.Node(g.Values, g.Weight)
 	}
 	for _, g := range m.Edges {
-		out.Edges = append(out.Edges, je{From: g.From, To: g.To, Weight: g.Weight})
+		w.Edge(g.From, g.To, g.Weight)
 	}
-	return json.Marshal(out)
+	return w.Close()
 }
+
+// MarshalJSON renders the wire form for encoding/json callers.
+func (m *MergedGraph) MarshalJSON() ([]byte, error) { return m.AppendJSON(nil), nil }
 
 // ---- scatter / gather operators ---------------------------------------
 

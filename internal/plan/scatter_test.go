@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/gtest"
 	"repro/internal/plan"
 )
 
@@ -119,6 +121,48 @@ func TestScatterMatchesSingleNode(t *testing.T) {
 				t.Fatalf("scatter-merged aggregate differs from single-node:\n got %s\nwant %s", got, want)
 			}
 		})
+	}
+}
+
+// TestScatterMatchesSingleNodeOnNastyValues: the merge renders through the
+// same encoder and the same wire order as a single node, so the two stay
+// byte-identical on values that collide labels ("a,b"+"c" vs "a"+"b,c"),
+// separate the concatenated edge key from pair order ("1", "10") and need
+// every escaping rule — invalid UTF-8 included, which never crosses a JSON
+// hop here.
+func TestScatterMatchesSingleNodeOnNastyValues(t *testing.T) {
+	g := gtest.ValueGraph(gtest.NastyValues)
+	for _, kind := range []string{"dist", "all"} {
+		for _, attrs := range [][]string{{"x", "y"}, {"y", "x"}} {
+			sp, err := plan.CompileScatter(plan.ScatterQuery{
+				Op: plan.OpUnion, Attrs: attrs, Kind: kind,
+				Slices: []plan.ShardSlice{
+					{Shard: "a", Op: plan.OpUnion, AFrom: "t0", ATo: "t0", BFrom: "t0", BTo: "t0"},
+					{Shard: "b", Op: plan.OpUnion, AFrom: "t1", ATo: "t1", BFrom: "t1", BTo: "t1"},
+				},
+			}, localScatterer{g: g})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sp.Execute(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			single, err := plan.Compile(plan.Env{Graph: g, Workers: 1}, &plan.Aggregate{
+				Op:    plan.TemporalOp{Op: plan.OpUnion, A: plan.IntervalRef{From: "t0"}, B: plan.IntervalRef{From: "t1"}},
+				Attrs: attrs, Kind: kind,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sres, err := single.Execute(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := res.Merged.AppendJSON(nil), sres.Agg.AppendJSON(nil); !bytes.Equal(got, want) {
+				t.Fatalf("%s %v: merged differs from single node:\n got %s\nwant %s", kind, attrs, got, want)
+			}
+		}
 	}
 }
 

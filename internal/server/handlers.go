@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/stream"
@@ -97,7 +98,9 @@ type AggregateRequest struct {
 	AsOf int `json:"as_of,omitempty"`
 }
 
-// AggregateResponse carries the aggregate graph and how it was derived.
+// AggregateResponse carries the aggregate graph and how it was derived. The
+// daemons write these bytes with WriteAggregate rather than reflecting over
+// the struct; it is the contract clients decode.
 type AggregateResponse struct {
 	// Source is the materialization catalog's derivation (scratch, cached,
 	// t-distributive, d-distributive).
@@ -130,15 +133,8 @@ func (s *Server) handleAggregate(ctx context.Context, w http.ResponseWriter, r *
 	if err != nil {
 		return execStatus(err), err
 	}
-	raw, err := json.Marshal(res.Agg)
-	if err != nil {
-		return http.StatusInternalServerError, err
-	}
-	return writeJSON(w, AggregateResponse{
-		Source:    res.AggSource.String(),
-		ElapsedMs: float64(time.Since(start).Microseconds()) / 1000,
-		Graph:     raw,
-	})
+	WriteAggregate(w, res.AggSource.String(), time.Since(start), res.Agg)
+	return http.StatusOK, nil
 }
 
 // ExploreRequest asks for minimal/maximal interval pairs with at least K
@@ -240,7 +236,8 @@ type TGQLRequest struct {
 }
 
 // TGQLResponse carries the rendered result plus structured payloads when
-// the statement produced them.
+// the statement produced them (an aggregate's text and graph are written by
+// writeGraphJSON, byte for byte what this struct would encode to).
 type TGQLResponse struct {
 	Text  string          `json:"text"`
 	Graph json.RawMessage `json:"graph,omitempty"`
@@ -267,14 +264,15 @@ func (s *Server) handleTGQL(ctx context.Context, w http.ResponseWriter, r *http.
 	if err != nil {
 		return execStatus(err), err
 	}
-	resp := TGQLResponse{Text: res.String()}
 	if res.Agg != nil {
-		raw, mErr := json.Marshal(res.Agg)
-		if mErr != nil {
-			return http.StatusInternalServerError, mErr
-		}
-		resp.Graph = raw
+		// An aggregate statement sets no other payload: text, then graph.
+		writeGraphJSON(w, func(dst []byte) []byte {
+			dst = agg.AppendJSONString(append(dst, `{"text":`...), res.String())
+			return append(dst, `,"graph":`...)
+		}, res.Agg)
+		return http.StatusOK, nil
 	}
+	resp := TGQLResponse{Text: res.String()}
 	if res.Pairs != nil {
 		resp.K = res.K
 		resp.Pairs = make([]ExplorePair, len(res.Pairs))

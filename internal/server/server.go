@@ -685,6 +685,9 @@ type apiHandler func(ctx context.Context, w http.ResponseWriter, r *http.Request
 func (s *Server) api(endpoint string, h apiHandler) http.Handler {
 	weight := endpointWeight[endpoint]
 	hist := s.latencyHist(endpoint)
+	// Nearly every request ends 200: resolve that series once, and leave the
+	// keyed lookup under reqMu to the other codes.
+	okCount := s.reqCounter(endpoint, http.StatusOK)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w}
@@ -701,7 +704,11 @@ func (s *Server) api(endpoint string, h apiHandler) http.Handler {
 			}
 			elapsed := time.Since(start)
 			hist.Observe(elapsed.Seconds())
-			s.reqCounter(endpoint, sw.status).Inc()
+			if sw.status == http.StatusOK {
+				okCount.Inc()
+			} else {
+				s.reqCounter(endpoint, sw.status).Inc()
+			}
 			s.log.Info("request",
 				"endpoint", endpoint, "method", r.Method, "path", r.URL.Path,
 				"status", sw.status, "ms", float64(elapsed.Microseconds())/1000,
@@ -802,10 +809,51 @@ func WriteError(w http.ResponseWriter, status int, err error) {
 
 func writeError(w http.ResponseWriter, status int, err error) { WriteError(w, status, err) }
 
+// writeJSON reflects v into the response; it serves the small fixed-shape
+// replies. Answers that carry an aggregate graph go through writeGraphJSON.
 func writeJSON(w http.ResponseWriter, v any) (int, error) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		return http.StatusInternalServerError, nil // headers already sent
 	}
 	return http.StatusOK, nil
+}
+
+// WireGraph is an aggregate graph that appends its own wire form:
+// *agg.Graph on a node, *plan.MergedGraph on the router.
+type WireGraph interface{ AppendJSON(dst []byte) []byte }
+
+// respBufs recycles the buffers graph-carrying answers are built in; one
+// that grew past maxPooledResp is dropped instead of pinned in the pool.
+var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledResp = 1 << 20
+
+// writeGraphJSON builds a graph-carrying answer in a pooled buffer — open is
+// the envelope up to and including `"graph":`, the encoder appends the graph,
+// then the envelope closes — and writes it once with its Content-Length. The
+// bytes are exactly what json.NewEncoder(w).Encode of the response struct
+// (AggregateResponse, TGQLResponse) would send.
+func writeGraphJSON(w http.ResponseWriter, open func(dst []byte) []byte, g WireGraph) {
+	bp := respBufs.Get().(*[]byte)
+	buf := append(g.AppendJSON(open((*bp)[:0])), '}', '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
+	w.Write(buf) // a failed write means the client is gone; nothing to report to
+	if cap(buf) <= maxPooledResp {
+		*bp = buf
+		respBufs.Put(bp)
+	}
+}
+
+// WriteAggregate writes the AggregateResponse for g. Exported for the
+// cluster router, whose scatter answers share the envelope.
+func WriteAggregate(w http.ResponseWriter, source string, elapsed time.Duration, g WireGraph) {
+	writeGraphJSON(w, func(dst []byte) []byte {
+		dst = agg.AppendJSONString(append(dst, `{"source":`...), source)
+		// Whole microseconds in milliseconds: never in the range (< 1e-6 or
+		// ≥ 1e21) where encoding/json switches to exponent notation.
+		dst = strconv.AppendFloat(append(dst, `,"elapsed_ms":`...), float64(elapsed.Microseconds())/1000, 'f', -1, 64)
+		return append(dst, `,"graph":`...)
+	}, g)
 }
