@@ -73,11 +73,6 @@ type Schema struct {
 	dense       sync.Pool
 	staticOnce  sync.Once
 	staticCodes []int32
-
-	// Wire-encoder state (wire.go): the lazily built JSON literal of every
-	// attribute value.
-	wireOnce sync.Once
-	wireVals [][]string
 }
 
 // NewSchema returns a schema aggregating g's nodes on the given attributes,
@@ -202,7 +197,11 @@ func (s *Schema) StaticTuple(n core.NodeID) (Tuple, bool) {
 
 // Decode returns the attribute values of a tuple, in schema order.
 func (s *Schema) Decode(tu Tuple) []string {
-	out := make([]string, len(s.attrs))
+	return s.decodeInto(make([]string, len(s.attrs)), tu)
+}
+
+// decodeInto is Decode into a caller-owned slice of len(s.attrs).
+func (s *Schema) decodeInto(out []string, tu Tuple) []string {
 	rem := int64(tu)
 	for i, a := range s.attrs {
 		out[i] = s.g.Dict(a).Value(dict.Code(rem % s.radices[i]))

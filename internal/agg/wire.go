@@ -136,43 +136,31 @@ func (w *WireWriter) endList() {
 	w.n = 0
 }
 
-// The four steps of an object, shared by the decoded feeders below and the
-// tuple feeder (Graph.AppendJSON): node or edge opens it up to its first
-// value list, to moves an edge on to its second, weight closes it.
+// Node appends one node group given by its decoded values.
+func (w *WireWriter) Node(values []string, weight int64) {
+	w.item(`{"values":`)
+	w.dst = appendJSONStrings(w.dst, values)
+	w.weight(weight)
+}
 
-func (w *WireWriter) node() { w.item(`{"values":`) }
-
-// edge moves the writer from nodes to edges the first time.
-func (w *WireWriter) edge() {
+// Edge appends one edge group given by its decoded endpoint values; the
+// first edge closes the node list.
+func (w *WireWriter) Edge(from, to []string, weight int64) {
 	if !w.inEdges {
 		w.endList()
 		w.dst = append(w.dst, `,"edges":`...)
 		w.inEdges = true
 	}
 	w.item(`{"from":`)
+	w.dst = appendJSONStrings(w.dst, from)
+	w.dst = append(w.dst, `,"to":`...)
+	w.dst = appendJSONStrings(w.dst, to)
+	w.weight(weight)
 }
-
-func (w *WireWriter) to() { w.dst = append(w.dst, `,"to":`...) }
 
 func (w *WireWriter) weight(weight int64) {
 	w.dst = append(w.dst, `,"weight":`...)
 	w.dst = append(strconv.AppendInt(w.dst, weight, 10), '}')
-}
-
-// Node appends one node group given by its decoded values.
-func (w *WireWriter) Node(values []string, weight int64) {
-	w.node()
-	w.dst = appendJSONStrings(w.dst, values)
-	w.weight(weight)
-}
-
-// Edge appends one edge group given by its decoded endpoint values.
-func (w *WireWriter) Edge(from, to []string, weight int64) {
-	w.edge()
-	w.dst = appendJSONStrings(w.dst, from)
-	w.to()
-	w.dst = appendJSONStrings(w.dst, to)
-	w.weight(weight)
 }
 
 // Close ends the graph and returns the extended buffer.
@@ -185,57 +173,18 @@ func (w *WireWriter) Close() []byte {
 	return append(w.dst, '}')
 }
 
-// wireValues returns, per schema attribute, the JSON string literal of every
-// dictionary value by code. The table is built on first use — the dictionary
-// of a schema's graph is frozen — so encoding a tuple is a few copies.
-func (s *Schema) wireValues() [][]string {
-	s.wireOnce.Do(func() {
-		s.wireVals = make([][]string, len(s.attrs))
-		var buf []byte
-		for i, a := range s.attrs {
-			values := s.g.Dict(a).Values()
-			s.wireVals[i] = make([]string, len(values))
-			for c, v := range values {
-				buf = AppendJSONString(buf[:0], v)
-				s.wireVals[i][c] = string(buf)
-			}
-		}
-	})
-	return s.wireVals
-}
-
-// appendValues appends tu's `["v1","v2"]` fragment from the literal table.
-func (s *Schema) appendValues(dst []byte, lits [][]string, tu Tuple) []byte {
-	rem := int64(tu)
-	for i, r := range s.radices {
-		sep := byte(',')
-		if i == 0 {
-			sep = '['
-		}
-		dst = append(append(dst, sep), lits[i][rem%r]...)
-		rem /= r
-	}
-	return append(dst, ']')
-}
-
 // AppendJSON appends the graph's wire form to dst and returns the extended
 // buffer. It only reads ag, so any number of goroutines may encode one
 // shared (cached) graph.
 func (ag *Graph) AppendJSON(dst []byte) []byte {
 	s := ag.Schema
-	lits := s.wireValues()
 	w := NewWireWriter(dst, s.AttrNames(), ag.Kind.String())
+	from, to := make([]string, len(s.attrs)), make([]string, len(s.attrs))
 	for _, tu := range ag.SortedNodes() {
-		w.node()
-		w.dst = s.appendValues(w.dst, lits, tu)
-		w.weight(ag.Nodes[tu])
+		w.Node(s.decodeInto(from, tu), ag.Nodes[tu])
 	}
 	for _, k := range ag.SortedEdges() {
-		w.edge()
-		w.dst = s.appendValues(w.dst, lits, k.From)
-		w.to()
-		w.dst = s.appendValues(w.dst, lits, k.To)
-		w.weight(ag.Edges[k])
+		w.Edge(s.decodeInto(from, k.From), s.decodeInto(to, k.To), ag.Edges[k])
 	}
 	return w.Close()
 }

@@ -237,8 +237,7 @@ func TestWireLabelCollisionIsDeterministic(t *testing.T) {
 }
 
 // TestWireConcurrentEncode hammers one shared graph — what the catalog hands
-// every request of a hot panel — from 16 goroutines, the first of which
-// race to build the schema's literal table. Run under -race.
+// every request of a hot panel — from 16 goroutines. Run under -race.
 func TestWireConcurrentEncode(t *testing.T) {
 	g := dataset.DBLPScaled(1, 0.05)
 	ag := Aggregate(ops.Union(g, g.Timeline().All(), g.Timeline().All()), MustSchema(g, 0, 1), All)

@@ -104,7 +104,11 @@ type AggregateRequest struct {
 type AggregateResponse struct {
 	// Source is the materialization catalog's derivation (scratch, cached,
 	// t-distributive, d-distributive).
-	Source    string          `json:"source"`
+	Source string `json:"source"`
+	// ElapsedMs is the time the compiled plan took to execute (on the
+	// router: to scatter and merge). Decoding and compiling the request and
+	// encoding and sending the graph are not in it; the request log and the
+	// latency histogram cover the whole request.
 	ElapsedMs float64         `json:"elapsed_ms"`
 	Graph     json.RawMessage `json:"graph"`
 }
@@ -133,8 +137,7 @@ func (s *Server) handleAggregate(ctx context.Context, w http.ResponseWriter, r *
 	if err != nil {
 		return execStatus(err), err
 	}
-	WriteAggregate(w, res.AggSource.String(), time.Since(start), res.Agg)
-	return http.StatusOK, nil
+	return WriteAggregate(w, res.AggSource.String(), time.Since(start), res.Agg)
 }
 
 // ExploreRequest asks for minimal/maximal interval pairs with at least K
@@ -266,11 +269,10 @@ func (s *Server) handleTGQL(ctx context.Context, w http.ResponseWriter, r *http.
 	}
 	if res.Agg != nil {
 		// An aggregate statement sets no other payload: text, then graph.
-		writeGraphJSON(w, func(dst []byte) []byte {
+		return writeGraphJSON(w, func(dst []byte) []byte {
 			dst = agg.AppendJSONString(append(dst, `{"text":`...), res.String())
 			return append(dst, `,"graph":`...)
 		}, res.Agg)
-		return http.StatusOK, nil
 	}
 	resp := TGQLResponse{Text: res.String()}
 	if res.Pairs != nil {

@@ -833,23 +833,29 @@ const maxPooledResp = 1 << 20
 // the envelope up to and including `"graph":`, the encoder appends the graph,
 // then the envelope closes — and writes it once with its Content-Length. The
 // bytes are exactly what json.NewEncoder(w).Encode of the response struct
-// (AggregateResponse, TGQLResponse) would send.
-func writeGraphJSON(w http.ResponseWriter, open func(dst []byte) []byte, g WireGraph) {
+// (AggregateResponse, TGQLResponse) would send, and the return values are
+// writeJSON's.
+func writeGraphJSON(w http.ResponseWriter, open func(dst []byte) []byte, g WireGraph) (int, error) {
 	bp := respBufs.Get().(*[]byte)
 	buf := append(g.AppendJSON(open((*bp)[:0])), '}', '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-	w.Write(buf) // a failed write means the client is gone; nothing to report to
+	_, err := w.Write(buf)
 	if cap(buf) <= maxPooledResp {
 		*bp = buf
 		respBufs.Put(bp)
 	}
+	if err != nil {
+		return http.StatusInternalServerError, nil // headers already sent
+	}
+	return http.StatusOK, nil
 }
 
-// WriteAggregate writes the AggregateResponse for g. Exported for the
-// cluster router, whose scatter answers share the envelope.
-func WriteAggregate(w http.ResponseWriter, source string, elapsed time.Duration, g WireGraph) {
-	writeGraphJSON(w, func(dst []byte) []byte {
+// WriteAggregate writes the AggregateResponse for g; elapsed is sampled by
+// the caller, before the graph is encoded. Exported for the cluster router,
+// whose scatter answers share the envelope.
+func WriteAggregate(w http.ResponseWriter, source string, elapsed time.Duration, g WireGraph) (int, error) {
+	return writeGraphJSON(w, func(dst []byte) []byte {
 		dst = agg.AppendJSONString(append(dst, `{"source":`...), source)
 		// Whole microseconds in milliseconds: never in the range (< 1e-6 or
 		// ≥ 1e21) where encoding/json switches to exponent notation.
