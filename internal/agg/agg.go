@@ -315,9 +315,9 @@ func Aggregate(v *ops.View, s *Schema, kind Kind) *Graph {
 	ag.Nodes = make(map[Tuple]int64)
 	ag.Edges = make(map[EdgeKey]int64)
 	if s.allStatic {
-		aggregateStatic(v, s, kind, ag)
+		aggregateStaticRange(v, s, kind, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
 	} else {
-		aggregateVarying(v, s, kind, ag)
+		aggregateVaryingRange(v, s, kind, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
 	}
 	return ag
 }
@@ -338,9 +338,9 @@ func AggregateMap(v *ops.View, s *Schema, kind Kind) *Graph {
 		Edges:  make(map[EdgeKey]int64),
 	}
 	if s.allStatic {
-		aggregateStatic(v, s, kind, ag)
+		aggregateStaticRange(v, s, kind, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
 	} else {
-		aggregateVarying(v, s, kind, ag)
+		aggregateVaryingRange(v, s, kind, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
 	}
 	return ag
 }
@@ -359,7 +359,7 @@ func AggregateGeneral(v *ops.View, s *Schema, kind Kind) *Graph {
 		Nodes:  make(map[Tuple]int64),
 		Edges:  make(map[EdgeKey]int64),
 	}
-	aggregateVarying(v, s, kind, ag)
+	aggregateVaryingRange(v, s, kind, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
 	return ag
 }
 
@@ -443,12 +443,14 @@ func AggregateFiltered(v *ops.View, s *Schema, kind Kind, filter Filter) *Graph 
 	return ag
 }
 
-// aggregateStatic is the §4.2 fast path: each node has exactly one tuple,
-// so no unpivoting or per-tuple deduplication is needed. For ALL, the
-// appearance count of an entity is the popcount of its restricted
-// timestamp.
-func aggregateStatic(v *ops.View, s *Schema, kind Kind, ag *Graph) {
-	v.ForEachNode(func(n core.NodeID) {
+// aggregateStaticRange is the §4.2 fast path of the map engine over the
+// view's entities with ids in [nLo,nHi) / [eLo,eHi) — the whole id space
+// for the serial engine, one shard per call for the parallel one. Each node
+// has exactly one tuple, so no unpivoting or per-tuple deduplication is
+// needed. For ALL, the appearance count of an entity is the popcount of its
+// restricted timestamp.
+func aggregateStaticRange(v *ops.View, s *Schema, kind Kind, ag *Graph, nLo, nHi, eLo, eHi int) {
+	v.ForEachNodeIn(nLo, nHi, func(n core.NodeID) {
 		tu, ok := s.StaticTuple(n)
 		if !ok {
 			return
@@ -460,7 +462,7 @@ func aggregateStatic(v *ops.View, s *Schema, kind Kind, ag *Graph) {
 		}
 	})
 	g := s.g
-	v.ForEachEdge(func(e core.EdgeID) {
+	v.ForEachEdgeIn(eLo, eHi, func(e core.EdgeID) {
 		ep := g.Edge(e)
 		fu, ok1 := s.StaticTuple(ep.U)
 		tu, ok2 := s.StaticTuple(ep.V)
@@ -476,16 +478,17 @@ func aggregateStatic(v *ops.View, s *Schema, kind Kind, ag *Graph) {
 	})
 }
 
-// aggregateVarying handles schemas with at least one time-varying
-// attribute: tuples are collected per time point of each entity's
-// restricted timestamp; DIST deduplicates per (entity, tuple).
-func aggregateVarying(v *ops.View, s *Schema, kind Kind, ag *Graph) {
+// aggregateVaryingRange is the map engine's general path over the same id
+// ranges, for schemas with at least one time-varying attribute: tuples are
+// collected per time point of each entity's restricted timestamp; DIST
+// deduplicates per (entity, tuple).
+func aggregateVaryingRange(v *ops.View, s *Schema, kind Kind, ag *Graph, nLo, nHi, eLo, eHi int) {
 	g := s.g
 	var seen map[Tuple]bool
 	if kind == Distinct {
 		seen = make(map[Tuple]bool)
 	}
-	v.ForEachNode(func(n core.NodeID) {
+	v.ForEachNodeIn(nLo, nHi, func(n core.NodeID) {
 		if kind == Distinct {
 			clear(seen)
 		}
@@ -507,7 +510,7 @@ func aggregateVarying(v *ops.View, s *Schema, kind Kind, ag *Graph) {
 	if kind == Distinct {
 		seenEdges = make(map[EdgeKey]bool)
 	}
-	v.ForEachEdge(func(e core.EdgeID) {
+	v.ForEachEdgeIn(eLo, eHi, func(e core.EdgeID) {
 		if kind == Distinct {
 			clear(seenEdges)
 		}

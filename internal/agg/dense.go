@@ -199,10 +199,8 @@ func denseStatic(v *ops.View, s *Schema, kind Kind, sc *denseScratch, nLo, nHi, 
 
 // denseVarying handles time-varying schemas: tuples are collected per time
 // point of each entity's restricted timestamp through the view's
-// representation-aware iteration (run walks on compressed vectors,
-// word-level intersection on dense ones — no bitset materialization); DIST
-// deduplicates per entity with generation stamps instead of per-entity
-// maps.
+// word-level iteration (no bitset materialization); DIST deduplicates per
+// entity with generation stamps instead of per-entity maps.
 func denseVarying(v *ops.View, s *Schema, kind Kind, sc *denseScratch, nLo, nHi, eLo, eHi int) {
 	g := s.g
 	dist := kind == Distinct

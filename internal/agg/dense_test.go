@@ -202,3 +202,28 @@ func BenchmarkDenseVsMapKernel(b *testing.B) {
 		}
 	}
 }
+
+// TestVaryingKernelAllocCeiling holds the dense kernel's cost on
+// time-varying schemas to its view, scratch and result maps. The condition
+// the code does not show: the per-entity callbacks denseVarying hands to
+// View.ForEachNodeTime / ForEachEdgeTime must stay on the stack, and they do
+// only while τ is read as a concrete *bitset.Set — an interface anywhere on
+// that read path makes each callback escape, one heap closure per selected
+// entity (thousands on this graph).
+func TestVaryingKernelAllocCeiling(t *testing.T) {
+	g := dataset.DBLPScaled(1, 0.05)
+	all := g.Timeline().All()
+	gender, pubs := g.MustAttr("gender"), g.MustAttr("publications")
+	for _, attrs := range [][]core.AttrID{{pubs}, {gender, pubs}} {
+		s := MustSchema(g, attrs...)
+		if !s.denseEligible() {
+			t.Fatalf("schema %v left the dense kernel", attrs)
+		}
+		for _, kind := range []Kind{Distinct, All} {
+			got := testing.AllocsPerRun(10, func() { Aggregate(ops.Union(g, all, all), s, kind) })
+			if got > 100 {
+				t.Errorf("schema %v %v: %.0f allocs per aggregate, want ≤ 100", attrs, kind, got)
+			}
+		}
+	}
+}

@@ -3,9 +3,7 @@ package agg
 import (
 	"context"
 
-	"repro/internal/core"
 	"repro/internal/ops"
-	"repro/internal/timeline"
 )
 
 // AggregateParallel computes the same result as Aggregate using several
@@ -45,85 +43,3 @@ var parallelMinEntities = 16384
 // fewer entities than this run serially even when workers > 1. Exported for
 // the query planner, which reports the execution mode a plan will use.
 func ParallelMinEntities() int { return parallelMinEntities }
-
-// aggregateStaticRange is aggregateStatic restricted to id ranges.
-func aggregateStaticRange(v *ops.View, s *Schema, kind Kind, ag *Graph, nLo, nHi, eLo, eHi int) {
-	v.ForEachNodeIn(nLo, nHi, func(n core.NodeID) {
-		tu, ok := s.StaticTuple(n)
-		if !ok {
-			return
-		}
-		if kind == Distinct {
-			ag.Nodes[tu]++
-		} else {
-			ag.Nodes[tu] += int64(v.NodeTimesCount(n))
-		}
-	})
-	g := s.g
-	v.ForEachEdgeIn(eLo, eHi, func(e core.EdgeID) {
-		ep := g.Edge(e)
-		fu, ok1 := s.StaticTuple(ep.U)
-		tu, ok2 := s.StaticTuple(ep.V)
-		if !ok1 || !ok2 {
-			return
-		}
-		key := EdgeKey{fu, tu}
-		if kind == Distinct {
-			ag.Edges[key]++
-		} else {
-			ag.Edges[key] += int64(v.EdgeTimesCount(e))
-		}
-	})
-}
-
-// aggregateVaryingRange is aggregateVarying restricted to id ranges.
-func aggregateVaryingRange(v *ops.View, s *Schema, kind Kind, ag *Graph, nLo, nHi, eLo, eHi int) {
-	g := s.g
-	var seen map[Tuple]bool
-	if kind == Distinct {
-		seen = make(map[Tuple]bool)
-	}
-	v.ForEachNodeIn(nLo, nHi, func(n core.NodeID) {
-		if kind == Distinct {
-			clear(seen)
-		}
-		v.NodeTimes(n).ForEach(func(t int) {
-			tu, ok := s.TupleAt(n, timeline.Time(t))
-			if !ok {
-				return
-			}
-			if kind == Distinct {
-				if seen[tu] {
-					return
-				}
-				seen[tu] = true
-			}
-			ag.Nodes[tu]++
-		})
-	})
-	var seenEdges map[EdgeKey]bool
-	if kind == Distinct {
-		seenEdges = make(map[EdgeKey]bool)
-	}
-	v.ForEachEdgeIn(eLo, eHi, func(e core.EdgeID) {
-		if kind == Distinct {
-			clear(seenEdges)
-		}
-		ep := g.Edge(e)
-		v.EdgeTimes(e).ForEach(func(t int) {
-			fu, ok1 := s.TupleAt(ep.U, timeline.Time(t))
-			tu, ok2 := s.TupleAt(ep.V, timeline.Time(t))
-			if !ok1 || !ok2 {
-				return
-			}
-			key := EdgeKey{fu, tu}
-			if kind == Distinct {
-				if seenEdges[key] {
-					return
-				}
-				seenEdges[key] = true
-			}
-			ag.Edges[key]++
-		})
-	})
-}

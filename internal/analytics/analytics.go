@@ -11,8 +11,8 @@
 //     step in a single pass over the entities.
 //   - PATHS answers time-respecting reachability between node sets within
 //     a window: earliest-arrival and fastest (shortest-duration) paths.
-//     The frontier engine buckets edge activity per time point through the
-//     compressed bitset vectors and sweeps once in time order.
+//     The frontier engine buckets edge activity per time point from the
+//     edge timestamps and sweeps once in time order.
 //   - TREND computes per-group weight series over a sliding width-w
 //     window with an integer least-squares direction classification. The
 //     catalog engine composes each window from the materialize catalog's

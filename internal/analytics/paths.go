@@ -54,10 +54,9 @@ type arrival struct {
 }
 
 // PathsEngine is the frontier engine: edge activity is bucketed per window
-// point once (through the compressed timestamp vectors — one ForEachInRange
-// per edge, run-skipping on bitset.Runs), then each evaluation is a single
-// ascending-time sweep with a per-snapshot BFS closure. The bucket index is
-// immutable after New, so one engine may run concurrently.
+// point once (one ForEachInRange per edge timestamp), then each evaluation
+// is a single ascending-time sweep with a per-snapshot BFS closure. The
+// bucket index is immutable after New, so one engine may run concurrently.
 type PathsEngine struct {
 	g       *core.Graph
 	spec    PathsSpec
@@ -75,7 +74,7 @@ func NewPathsEngine(g *core.Graph, spec PathsSpec) *PathsEngine {
 	e.buckets = make([][]core.EdgeID, e.hi-e.lo+1)
 	for ei := 0; ei < g.NumEdges(); ei++ {
 		id := core.EdgeID(ei)
-		g.EdgeTauVec(id).ForEachInRange(e.lo, e.hi+1, func(t int) {
+		g.EdgeTau(id).ForEachInRange(e.lo, e.hi+1, func(t int) {
 			e.buckets[t-e.lo] = append(e.buckets[t-e.lo], id)
 		})
 	}
@@ -94,7 +93,7 @@ func (e *PathsEngine) sweep(t0 int, ea []int) {
 		ea[i] = -1
 	}
 	for _, u := range e.spec.Src {
-		if s := e.g.NodeTauVec(u).Next(t0); s >= 0 && s <= e.hi && (ea[u] == -1 || s < ea[u]) {
+		if s := e.g.NodeTau(u).Next(t0); s >= 0 && s <= e.hi && (ea[u] == -1 || s < ea[u]) {
 			ea[u] = s
 		}
 	}

@@ -471,3 +471,87 @@ func BenchmarkForEachAnd(b *testing.B) {
 		}
 	})
 }
+
+func TestFromWords(t *testing.T) {
+	words := []uint64{0b1011, 1}
+	s := FromWords(70, words)
+	if s.Len() != 70 || !s.Contains(0) || s.Contains(2) || !s.Contains(64) {
+		t.Fatalf("FromWords aliasing wrong: %s", s)
+	}
+	want := FromIndices(70, 0, 1, 3, 64)
+	if !s.Equal(want) {
+		t.Fatalf("FromWords = %s, want %s", s, want)
+	}
+}
+
+// TestRangeOpsMatchMaskOps pins the half-open range forms — what every
+// contiguous-interval view reads timestamps through — to the mask forms
+// over a mask holding exactly [lo, hi), on empty, full, run-heavy and
+// uniform sets of one to several words, including ranges past Len (which
+// read as zero).
+func TestRangeOpsMatchMaskOps(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	lengths := []int{0, 1, 63, 64, 65, 128, 200, 512, 1000}
+	for trial := 0; trial < 300; trial++ {
+		n := lengths[r.Intn(len(lengths))]
+		s := New(n)
+		switch r.Intn(6) {
+		case 0: // empty
+		case 1:
+			s.SetAll()
+		case 2, 3: // a few contiguous spans
+			for k := 0; n > 0 && k < 1+r.Intn(4); k++ {
+				lo := r.Intn(n)
+				for i, hi := lo, lo+1+r.Intn(n-lo); i < hi; i++ {
+					s.Add(i)
+				}
+			}
+		default:
+			for i := 0; i < n; i++ {
+				if r.Intn(3) == 0 {
+					s.Add(i)
+				}
+			}
+		}
+
+		var runs [][2]int
+		s.ForEachRun(func(lo, hi int) { runs = append(runs, [2]int{lo, hi}) })
+		rebuilt, prevHi := New(n), -1
+		for _, run := range runs {
+			if run[0] >= run[1] || run[0] <= prevHi {
+				t.Fatalf("n=%d: ForEachRun yields non-maximal or unordered runs %v on %s", n, runs, s)
+			}
+			prevHi = run[1]
+			for i := run[0]; i < run[1]; i++ {
+				rebuilt.Add(i)
+			}
+		}
+		if !rebuilt.Equal(s) {
+			t.Fatalf("n=%d: ForEachRun %v does not cover %s", n, runs, s)
+		}
+
+		for k := 0; k < 8; k++ {
+			lo := r.Intn(n + 2)
+			hi := lo + r.Intn(n+2-lo)
+			mask := New(hi)
+			for i := lo; i < hi; i++ {
+				mask.Add(i)
+			}
+			if got, want := s.ContainsRange(lo, hi), s.ContainsAll(mask); got != want {
+				t.Fatalf("n=%d: ContainsRange(%d,%d) = %v, ContainsAll = %v on %s", n, lo, hi, got, want, s)
+			}
+			if got, want := s.IntersectsRange(lo, hi), s.Intersects(mask); got != want {
+				t.Fatalf("n=%d: IntersectsRange(%d,%d) = %v, Intersects = %v on %s", n, lo, hi, got, want, s)
+			}
+			if got, want := s.CountRange(lo, hi), s.CountAnd(mask); got != want {
+				t.Fatalf("n=%d: CountRange(%d,%d) = %d, CountAnd = %d on %s", n, lo, hi, got, want, s)
+			}
+			var got, want []int
+			s.ForEachInRange(lo, hi, func(i int) { got = append(got, i) })
+			s.ForEachAnd(mask, func(i int) { want = append(want, i) })
+			if !equalInts(got, want) {
+				t.Fatalf("n=%d: ForEachInRange(%d,%d) = %v, ForEachAnd = %v", n, lo, hi, got, want)
+			}
+		}
+	}
+}

@@ -111,8 +111,8 @@ func (s *Set) nextClear(i int) int {
 }
 
 // ForEachRun calls fn for every maximal run [lo, hi) of consecutive set
-// bits, in increasing order. It is the bridge from the dense form to
-// run-length consumers (compression, diff-array aggregation).
+// bits, in increasing order — what a diff-array consumer (the static
+// per-point builder of package materialize) needs instead of single bits.
 func (s *Set) ForEachRun(fn func(lo, hi int)) {
 	for i := s.Next(0); i >= 0; {
 		j := s.nextClear(i)
@@ -123,22 +123,3 @@ func (s *Set) ForEachRun(fn func(lo, hi int)) {
 		i = s.Next(j)
 	}
 }
-
-// NumRuns returns the number of maximal runs of consecutive set bits.
-func (s *Set) NumRuns() int {
-	c := 0
-	for wi, w := range s.words {
-		// Count 0→1 transitions: a run starts at each bit set in w whose
-		// predecessor (previous bit, or the last bit of the previous word)
-		// is clear.
-		prev := uint64(0)
-		if wi > 0 {
-			prev = s.words[wi-1] >> (wordBits - 1)
-		}
-		c += bits.OnesCount64(w &^ (w<<1 | prev))
-	}
-	return c
-}
-
-// Dense returns the set itself; it makes *Set satisfy Vector.
-func (s *Set) Dense() *Set { return s }

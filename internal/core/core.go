@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/dict"
@@ -98,19 +97,6 @@ type Graph struct {
 	// idxOnce builds nodeIndex/edgeIndex lazily for FromColumns graphs
 	// (mmap boot must not pay an O(V+E) map build before first lookup).
 	idxOnce sync.Once
-
-	// Run-compressed timestamp forms (columns.go): built once on first
-	// NodeTauVec/EdgeTauVec call, per-vector by the bitset density
-	// heuristic. nil slices mean "serve the dense sets".
-	vecOnce  sync.Once
-	vecBuilt atomic.Bool
-	nodeVec  []bitset.Vector
-	edgeVec  []bitset.Vector
-	tauStats TauStats
-	// preNodeVec/preEdgeVec hold decoded run forms injected by the
-	// snapshot reader (secTauRuns), so loading skips the compression scan.
-	preNodeVec []bitset.Vector
-	preEdgeVec []bitset.Vector
 }
 
 // Timeline returns the graph's time domain.

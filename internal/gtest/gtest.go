@@ -126,6 +126,52 @@ func RandomGraph(r *rand.Rand, p Params) *core.Graph {
 	return g
 }
 
+// LongLivedGraph builds a reproducible graph of 60 nodes on a timeline of T
+// points whose entities live for one contiguous stretch each — timestamps
+// that span several 64-bit words when T is large, which RandomGraph's
+// per-point coin flips never produce. Unlike RandomGraph it leaves values
+// missing: one node in ten has no grp, act is set at a quarter of a node's
+// time points.
+func LongLivedGraph(r *rand.Rand, T int) *core.Graph {
+	labels := make([]string, T)
+	for i := range labels {
+		labels[i] = fmt.Sprintf("w%03d", i)
+	}
+	b := core.NewBuilder(timeline.MustNew(labels...),
+		core.AttrSpec{Name: "grp", Kind: core.Static},
+		core.AttrSpec{Name: "act", Kind: core.TimeVarying})
+	const nNodes = 60
+	lifeLo := make([]int, nNodes)
+	lifeHi := make([]int, nNodes)
+	for n := 0; n < nNodes; n++ {
+		id := b.AddNode(fmt.Sprintf("n%d", n))
+		lo := r.Intn(T - 1)
+		hi := lo + 1 + r.Intn(T-lo)
+		lifeLo[n], lifeHi[n] = lo, hi
+		for tt := lo; tt < hi; tt++ {
+			b.SetNodeTime(id, timeline.Time(tt))
+			if r.Intn(4) == 0 {
+				b.SetVarying(1, id, timeline.Time(tt), fmt.Sprintf("a%d", r.Intn(3)))
+			}
+		}
+		if r.Intn(10) != 0 {
+			b.SetStatic(0, id, fmt.Sprintf("g%d", r.Intn(4)))
+		}
+	}
+	for k := 0; k < 3*nNodes; k++ {
+		u, v := r.Intn(nNodes), r.Intn(nNodes)
+		lo, hi := max(lifeLo[u], lifeLo[v]), min(lifeHi[u], lifeHi[v])
+		if lo >= hi {
+			continue
+		}
+		e := b.AddEdge(core.NodeID(u), core.NodeID(v))
+		for tt := lo; tt < hi; tt++ {
+			b.SetEdgeTime(e, timeline.Time(tt))
+		}
+	}
+	return b.MustBuild()
+}
+
 // RandomInterval returns a random non-empty set of time points on tl.
 func RandomInterval(r *rand.Rand, tl *timeline.Timeline) timeline.Interval {
 	iv := tl.Point(timeline.Time(r.Intn(tl.Len())))

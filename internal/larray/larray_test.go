@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gtest"
 	"repro/internal/ops"
+	"repro/internal/timeline"
 )
 
 func TestFromGraphMatchesTable2(t *testing.T) {
@@ -189,57 +190,76 @@ func sameResult(a, b AggResult) bool {
 }
 
 // TestQuickReferenceEngineMatchesOptimized cross-validates the two
-// engines: for random graphs, random interval pairs, every operator and
-// both aggregation kinds, the literal Algorithm 1+2 pipeline and the
-// bitset/dictionary engine must produce identical aggregate graphs.
+// engines: for random graphs, contiguous and gapped interval pairs, every
+// operator and both aggregation kinds, the literal Algorithm 1+2 pipeline
+// and the bitset/dictionary engine must produce identical aggregate graphs.
 func TestQuickReferenceEngineMatchesOptimized(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := gtest.RandomGraph(r, gtest.DefaultParams())
-		if g.NumAttrs() == 0 {
-			return true
-		}
-		// Random non-empty attribute subset, random order.
-		perm := r.Perm(g.NumAttrs())
-		n := 1 + r.Intn(g.NumAttrs())
-		var ids []core.AttrID
-		var names []string
-		for _, p := range perm[:n] {
-			ids = append(ids, core.AttrID(p))
-			names = append(names, g.Attr(core.AttrID(p)).Name)
-		}
-		schema := agg.MustSchema(g, ids...)
-		ga := FromGraph(g)
-		tl := g.Timeline()
-		t1 := gtest.RandomInterval(r, tl)
-		t2 := gtest.RandomInterval(r, tl)
+	multiWord := gtest.DefaultParams()
+	multiWord.MaxTimes = 320
+	for _, row := range []struct {
+		name  string
+		gen   func(*rand.Rand) *core.Graph
+		count int
+	}{
+		{"one-word", func(r *rand.Rand) *core.Graph { return gtest.RandomGraph(r, gtest.DefaultParams()) }, 60},
+		// τ past one 64-bit word (the serving workloads reach T = 1132):
+		// per-point coin-flip lifetimes, then entities alive for one long
+		// stretch. Fewer iterations — Algorithm 1 copies every row per point.
+		{"multi-word", func(r *rand.Rand) *core.Graph { return gtest.RandomGraph(r, multiWord) }, 8},
+		{"multi-word-long-lived", func(r *rand.Rand) *core.Graph { return gtest.LongLivedGraph(r, 320) }, 8},
+	} {
+		f := func(seed int64) bool {
+			r := rand.New(rand.NewSource(seed))
+			g := row.gen(r)
+			if g.NumAttrs() == 0 {
+				return true
+			}
+			// Random non-empty attribute subset, random order.
+			perm := r.Perm(g.NumAttrs())
+			n := 1 + r.Intn(g.NumAttrs())
+			var ids []core.AttrID
+			var names []string
+			for _, p := range perm[:n] {
+				ids = append(ids, core.AttrID(p))
+				names = append(names, g.Attr(core.AttrID(p)).Name)
+			}
+			schema := agg.MustSchema(g, ids...)
+			ga := FromGraph(g)
+			tl := g.Timeline()
+			r1, r2 := gtest.RandomRange(r, tl), gtest.RandomRange(r, tl)
+			g1, g2 := gtest.RandomInterval(r, tl), gtest.RandomInterval(r, tl)
 
-		type casePair struct {
-			view *ops.View
-			arr  *GraphArrays
-		}
-		cases := []casePair{
-			{ops.Union(g, t1, t2), ga.Union(t1, t2)},
-			{ops.Intersection(g, t1, t2), ga.Intersection(t1, t2)},
-			{ops.Difference(g, t1, t2), ga.Difference(t1, t2)},
-			{ops.Difference(g, t2, t1), ga.Difference(t2, t1)},
-		}
-		for _, c := range cases {
-			for _, distinct := range []bool{true, false} {
-				kind := agg.All
-				if distinct {
-					kind = agg.Distinct
+			type casePair struct {
+				view *ops.View
+				arr  *GraphArrays
+			}
+			// (r1, r1) keeps even the union's interval contiguous.
+			for _, iv := range [][2]timeline.Interval{{g1, g2}, {r1, r2}, {r1, r1}, {r1, g1}} {
+				t1, t2 := iv[0], iv[1]
+				cases := []casePair{
+					{ops.Union(g, t1, t2), ga.Union(t1, t2)},
+					{ops.Intersection(g, t1, t2), ga.Intersection(t1, t2)},
+					{ops.Difference(g, t1, t2), ga.Difference(t1, t2)},
+					{ops.Difference(g, t2, t1), ga.Difference(t2, t1)},
 				}
-				fast := aggToLabels(agg.Aggregate(c.view, schema, kind))
-				ref := c.arr.Aggregate(names, distinct)
-				if !sameResult(fast, ref) {
-					return false
+				for _, c := range cases {
+					for _, distinct := range []bool{true, false} {
+						kind := agg.All
+						if distinct {
+							kind = agg.Distinct
+						}
+						fast := aggToLabels(agg.Aggregate(c.view, schema, kind))
+						ref := c.arr.Aggregate(names, distinct)
+						if !sameResult(fast, ref) {
+							return false
+						}
+					}
 				}
 			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: row.count}); err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
 	}
 }

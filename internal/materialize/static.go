@@ -13,8 +13,8 @@ import (
 // points contributes +1 to c's weight at every point of the run; recording
 // the run as a pair of diff-array updates (+1 at lo, -1 at hi) and
 // prefix-summing over time afterwards turns the O(T·(V+E)) per-point loop
-// into O((V+E)·runs + T·tuples) — the timestamp vectors are walked in
-// their compressed run form, never expanded to individual time points.
+// into O((V+E)·runs + T·tuples) — the timestamp vectors are walked run by
+// run (bitset.Set.ForEachRun), never expanded to individual time points.
 
 // diffRows accumulates diff arrays per tuple key, lazily allocated.
 type diffRows[K comparable] struct {
@@ -53,7 +53,7 @@ func buildPointsStatic(g *core.Graph, s *agg.Schema) []*agg.Graph {
 			continue
 		}
 		codes[n] = int64(tu)
-		g.NodeTauVec(core.NodeID(n)).ForEachRun(func(lo, hi int) {
+		g.NodeTau(core.NodeID(n)).ForEachRun(func(lo, hi int) {
 			nodes.add(tu, lo, hi)
 		})
 	}
@@ -65,7 +65,7 @@ func buildPointsStatic(g *core.Graph, s *agg.Schema) []*agg.Graph {
 			continue
 		}
 		key := agg.EdgeKey{From: agg.Tuple(cu), To: agg.Tuple(cv)}
-		g.EdgeTauVec(core.EdgeID(e)).ForEachRun(func(lo, hi int) {
+		g.EdgeTau(core.EdgeID(e)).ForEachRun(func(lo, hi int) {
 			edges.add(key, lo, hi)
 		})
 	}

@@ -26,14 +26,10 @@ type View struct {
 
 	// contig/rlo/rhi cache the contiguity of times, computed once at view
 	// construction: when the interval is one contiguous range [rlo, rhi),
-	// per-entity timestamp work uses the Vector range fast paths (O(runs)
-	// on compressed vectors) instead of mask scans.
+	// per-entity timestamp work uses the bitset range operations instead
+	// of mask scans.
 	contig   bool
 	rlo, rhi int
-	// denseTaus pins this view's timestamp reads to the dense sets — the
-	// planner's compressed-vs-dense escape hatch and the reference engine
-	// of the equivalence suite.
-	denseTaus bool
 }
 
 // newView computes the contiguity cache for the interval.
@@ -60,34 +56,13 @@ func contigRange(mask *bitset.Set) (lo, hi int, ok bool) {
 }
 
 // intersectsPred returns the τ ∩ mask ≠ ∅ test, routed through the range
-// fast path (O(runs) on compressed vectors) when mask is contiguous —
-// the same dispatch Project and Union inline via the view's cache.
-func intersectsPred(mask *bitset.Set) func(bitset.Vector) bool {
+// operation when mask is contiguous — the same dispatch Project and Union
+// inline via the view's cache.
+func intersectsPred(mask *bitset.Set) func(*bitset.Set) bool {
 	if lo, hi, ok := contigRange(mask); ok {
-		return func(v bitset.Vector) bool { return v.IntersectsRange(lo, hi) }
+		return func(tau *bitset.Set) bool { return tau.IntersectsRange(lo, hi) }
 	}
-	return func(v bitset.Vector) bool { return v.Intersects(mask) }
-}
-
-// ForceDenseTaus makes every timestamp read of this view use the dense
-// bitsets even when the graph chose compressed forms. Call before sharing
-// the view across goroutines.
-func (v *View) ForceDenseTaus() { v.denseTaus = true }
-
-// nodeVec returns node n's timestamp in the representation this view reads.
-func (v *View) nodeVec(n core.NodeID) bitset.Vector {
-	if v.denseTaus {
-		return v.g.NodeTau(n)
-	}
-	return v.g.NodeTauVec(n)
-}
-
-// edgeVec returns edge e's timestamp in the representation this view reads.
-func (v *View) edgeVec(e core.EdgeID) bitset.Vector {
-	if v.denseTaus {
-		return v.g.EdgeTau(e)
-	}
-	return v.g.EdgeTauVec(e)
+	return func(tau *bitset.Set) bool { return tau.Intersects(mask) }
 }
 
 // Graph returns the base graph the view selects from.
@@ -148,17 +123,17 @@ func (v *View) EdgeTimes(e core.EdgeID) *bitset.Set {
 // it is the appearance count ALL aggregation needs on static schemas.
 func (v *View) NodeTimesCount(n core.NodeID) int {
 	if v.contig {
-		return v.nodeVec(n).CountRange(v.rlo, v.rhi)
+		return v.g.NodeTau(n).CountRange(v.rlo, v.rhi)
 	}
-	return v.nodeVec(n).CountAnd(v.times.Mask())
+	return v.g.NodeTau(n).CountAnd(v.times.Mask())
 }
 
 // EdgeTimesCount returns |τe'(e)| without materializing the intersection.
 func (v *View) EdgeTimesCount(e core.EdgeID) int {
 	if v.contig {
-		return v.edgeVec(e).CountRange(v.rlo, v.rhi)
+		return v.g.EdgeTau(e).CountRange(v.rlo, v.rhi)
 	}
-	return v.edgeVec(e).CountAnd(v.times.Mask())
+	return v.g.EdgeTau(e).CountAnd(v.times.Mask())
 }
 
 // ForEachNodeTime calls fn for every t ∈ τu'(n), in increasing order,
@@ -166,19 +141,19 @@ func (v *View) EdgeTimesCount(e core.EdgeID) int {
 // aggregation over time-varying schemas.
 func (v *View) ForEachNodeTime(n core.NodeID, fn func(t int)) {
 	if v.contig {
-		v.nodeVec(n).ForEachInRange(v.rlo, v.rhi, fn)
+		v.g.NodeTau(n).ForEachInRange(v.rlo, v.rhi, fn)
 		return
 	}
-	v.nodeVec(n).ForEachAnd(v.times.Mask(), fn)
+	v.g.NodeTau(n).ForEachAnd(v.times.Mask(), fn)
 }
 
 // ForEachEdgeTime calls fn for every t ∈ τe'(e), in increasing order.
 func (v *View) ForEachEdgeTime(e core.EdgeID, fn func(t int)) {
 	if v.contig {
-		v.edgeVec(e).ForEachInRange(v.rlo, v.rhi, fn)
+		v.g.EdgeTau(e).ForEachInRange(v.rlo, v.rhi, fn)
 		return
 	}
-	v.edgeVec(e).ForEachAnd(v.times.Mask(), fn)
+	v.g.EdgeTau(e).ForEachAnd(v.times.Mask(), fn)
 }
 
 // Project implements the time project operator (Definition 2.2): the
@@ -188,13 +163,13 @@ func Project(g *core.Graph, t1 timeline.Interval) *View {
 	v := newView(g, bitset.New(g.NumNodes()), bitset.New(g.NumEdges()), t1)
 	mask := t1.Mask()
 	for n := 0; n < g.NumNodes(); n++ {
-		tau := g.NodeTauVec(core.NodeID(n))
+		tau := g.NodeTau(core.NodeID(n))
 		if v.contig && tau.ContainsRange(v.rlo, v.rhi) || !v.contig && tau.ContainsAll(mask) {
 			v.nodes.Add(n)
 		}
 	}
 	for e := 0; e < g.NumEdges(); e++ {
-		tau := g.EdgeTauVec(core.EdgeID(e))
+		tau := g.EdgeTau(core.EdgeID(e))
 		if v.contig && tau.ContainsRange(v.rlo, v.rhi) || !v.contig && tau.ContainsAll(mask) {
 			v.edges.Add(e)
 		}
@@ -216,13 +191,13 @@ func Union(g *core.Graph, t1, t2 timeline.Interval) *View {
 	v := newView(g, bitset.New(g.NumNodes()), bitset.New(g.NumEdges()), both)
 	mask := both.Mask()
 	for n := 0; n < g.NumNodes(); n++ {
-		tau := g.NodeTauVec(core.NodeID(n))
+		tau := g.NodeTau(core.NodeID(n))
 		if v.contig && tau.IntersectsRange(v.rlo, v.rhi) || !v.contig && tau.Intersects(mask) {
 			v.nodes.Add(n)
 		}
 	}
 	for e := 0; e < g.NumEdges(); e++ {
-		tau := g.EdgeTauVec(core.EdgeID(e))
+		tau := g.EdgeTau(core.EdgeID(e))
 		if v.contig && tau.IntersectsRange(v.rlo, v.rhi) || !v.contig && tau.Intersects(mask) {
 			v.edges.Add(e)
 		}
@@ -237,13 +212,13 @@ func Intersection(g *core.Graph, t1, t2 timeline.Interval) *View {
 	in1, in2 := intersectsPred(t1.Mask()), intersectsPred(t2.Mask())
 	v := newView(g, bitset.New(g.NumNodes()), bitset.New(g.NumEdges()), t1.Union(t2))
 	for n := 0; n < g.NumNodes(); n++ {
-		tau := g.NodeTauVec(core.NodeID(n))
+		tau := g.NodeTau(core.NodeID(n))
 		if in1(tau) && in2(tau) {
 			v.nodes.Add(n)
 		}
 	}
 	for e := 0; e < g.NumEdges(); e++ {
-		tau := g.EdgeTauVec(core.EdgeID(e))
+		tau := g.EdgeTau(core.EdgeID(e))
 		if in1(tau) && in2(tau) {
 			v.edges.Add(e)
 		}
@@ -262,7 +237,7 @@ func Difference(g *core.Graph, t1, t2 timeline.Interval) *View {
 	edges := bitset.New(g.NumEdges())
 	endpoint := bitset.New(g.NumNodes())
 	for e := 0; e < g.NumEdges(); e++ {
-		tau := g.EdgeTauVec(core.EdgeID(e))
+		tau := g.EdgeTau(core.EdgeID(e))
 		if in1(tau) && !in2(tau) {
 			edges.Add(e)
 			ep := g.Edge(core.EdgeID(e))
@@ -272,7 +247,7 @@ func Difference(g *core.Graph, t1, t2 timeline.Interval) *View {
 	}
 	nodes := bitset.New(g.NumNodes())
 	for n := 0; n < g.NumNodes(); n++ {
-		tau := g.NodeTauVec(core.NodeID(n))
+		tau := g.NodeTau(core.NodeID(n))
 		if in1(tau) && (!in2(tau) || endpoint.Contains(n)) {
 			nodes.Add(n)
 		}

@@ -20,8 +20,8 @@ import (
 //     entity pass (scan + steps). The evolution triple is per-entity
 //     presence in BOTH windows, which per-point aggregate vectors cannot
 //     express, so the catalog never applies.
-//   - PATHS: the frontier engine pays a bucket-index build (one compressed
-//     range scan per edge) to make each evaluation a single time sweep.
+//   - PATHS: the frontier engine pays a bucket-index build (one range
+//     scan per edge timestamp) to make each evaluation a single time sweep.
 //   - TREND: a union-ALL window weight is T-distributive, so unfiltered
 //     ALL trends compose every window from the catalog's prefix sums in
 //     O(windows) vector ops; DIST or filtered trends scan the base graph.

@@ -36,9 +36,9 @@ type Env struct {
 	// Cache, when set, memoizes compiled plans on the canonical query text
 	// (generation-keyed on Graph/Catalog identity).
 	Cache *Cache
-	// Feedback, when set, records observed cardinalities and run ratios
-	// from executed plans and adapts Compile's selections (serial vs
-	// parallel, dense vs map kernel, catalog vs direct scan) to them.
+	// Feedback, when set, records observed cardinalities from executed
+	// plans and adapts Compile's selections (serial vs parallel, dense vs
+	// map kernel) to them.
 	Feedback *Feedback
 	// History, when set, resolves AS OF / VALID DURING clauses into
 	// reconstructed historical states (graph, catalog, plan cache). Nil
@@ -267,17 +267,7 @@ func compileAggregate(env Env, workers int, q *Aggregate) (physOp, int, error) {
 	// scratch) instead of recomputing from the base graph. DIST aggregates
 	// are not T-distributive (distinct entities cannot be identified
 	// across precomputed per-point graphs), so they always recompute.
-	// Recorded feedback can override both the catalog choice (when
-	// compressed timestamp scans make direct recompute decisively cheaper
-	// than composition) and the view operator's engine selections.
-	useCatalog := q.Op.Op == OpUnion && kind == agg.All && env.Catalog != nil
-	var composeCost int64
-	if useCatalog {
-		composeCost = int64(a.Union(b).Len()) * schema.Domain()
-	}
-	ad := adaptAggregate(env.Feedback, q.Key(), workers,
-		agg.ParallelMinEntities(), schema.Domain(), scanCost(g), composeCost)
-	if useCatalog && !ad.bypassCatalog {
+	if q.Op.Op == OpUnion && kind == agg.All && env.Catalog != nil {
 		return &catalogAggOp{
 			cat:    env.Catalog,
 			iv:     a.Union(b),
@@ -286,6 +276,8 @@ func compileAggregate(env Env, workers int, q *Aggregate) (physOp, int, error) {
 			g:      g,
 		}, maxTime, nil
 	}
+	// Recorded feedback can override the view operator's engine selections.
+	ad := adaptAggregate(env.Feedback, q.Key(), workers, agg.ParallelMinEntities(), schema.Domain())
 	if ad.preferMap {
 		// The schema is freshly resolved for this compile, so pinning its
 		// kernel here affects exactly the plans built from it.
@@ -296,7 +288,7 @@ func compileAggregate(env Env, workers int, q *Aggregate) (physOp, int, error) {
 		schema:  schema,
 		kind:    kind,
 		workers: ad.workers,
-		cost:    ad.scanCost,
+		cost:    scanCost(g),
 		fb:      env.Feedback,
 		fbKey:   q.Key(),
 		note:    ad.note(),

@@ -9,9 +9,3 @@ package plan
 func SeedObservationForTest(f *Feedback, key string, entities, results int) {
 	f.observe(key, entities, results)
 }
-
-// SeedRunRatioForTest records a timestamp compression ratio as if an
-// executed plan had observed it from the graph's TauStats.
-func SeedRunRatioForTest(f *Feedback, ratio float64) {
-	f.observeRatio(ratio)
-}

@@ -1,19 +1,14 @@
 package plan
 
-import (
-	"strconv"
-	"sync"
-)
+import "sync"
 
 // Feedback closes the planner's loop: executed plans record what they
-// actually observed — the view's selected entity count, the aggregate's
-// output cardinality, the graph's timestamp compression ratio — and
-// Compile consults those observations the next time the same logical query
-// is planned. The cost model alone sees only graph-wide totals (scanCost =
-// |V|+|E|); observations are per-query and per-dataset, so they can demote
-// a parallel plan whose merge dominates, prefer the map kernel for a
-// sparsely occupied tuple domain, or bypass the catalog when compressed
-// timestamp scans make direct recompute cheaper than composition.
+// actually observed — the view's selected entity count and the aggregate's
+// output cardinality — and Compile consults those observations the next
+// time the same logical query is planned. The cost model alone sees only
+// graph-wide totals (scanCost = |V|+|E|); observations are per-query and
+// per-dataset, so they can demote a parallel plan whose merge dominates or
+// prefer the map kernel for a sparsely occupied tuple domain.
 //
 // Observations are advisory: a stale or wrong one costs performance, never
 // correctness (every operator computes the same result on every engine).
@@ -26,10 +21,6 @@ type Feedback struct {
 	obs   map[string]*Observation
 	order []string
 	max   int
-
-	ratio      float64 // latest observed TauStats.Ratio
-	hasRatio   bool
-	ratioEpoch int
 }
 
 // Observation is what one executed plan reported about a logical query.
@@ -96,23 +87,6 @@ func (f *Feedback) observe(key string, entities, results int) {
 	o.Executions++
 }
 
-// observeRatio records the graph's timestamp compression ratio
-// (TauStats.Ratio: compressed bytes over dense bytes, 1 = nothing
-// compressed) as reported after an execution. The first record and any
-// ≥25% relative move bump the ratio epoch.
-func (f *Feedback) observeRatio(r float64) {
-	if f == nil {
-		return
-	}
-	Feedbacks.RunRatio.Inc()
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.hasRatio || r < f.ratio*0.75 || r > f.ratio*1.25 {
-		f.ratioEpoch++
-	}
-	f.ratio, f.hasRatio = r, true
-}
-
 // Lookup returns the recorded observation for a logical key.
 func (f *Feedback) Lookup(key string) (Observation, bool) {
 	if f == nil {
@@ -124,16 +98,6 @@ func (f *Feedback) Lookup(key string) (Observation, bool) {
 		return *o, true
 	}
 	return Observation{}, false
-}
-
-// RunRatio returns the last observed timestamp compression ratio.
-func (f *Feedback) RunRatio() (float64, bool) {
-	if f == nil {
-		return 0, false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.ratio, f.hasRatio
 }
 
 // Reset drops every observation: the serving snapshot was replaced
@@ -149,7 +113,6 @@ func (f *Feedback) Reset() {
 	defer f.mu.Unlock()
 	clear(f.obs)
 	f.order = f.order[:0]
-	f.hasRatio, f.ratio, f.ratioEpoch = false, 0, 0
 }
 
 // epochFor is the feedback component of the plan cache key: it changes
@@ -161,16 +124,15 @@ func (f *Feedback) epochFor(key string) int {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	e := f.ratioEpoch
 	if o := f.obs[key]; o != nil {
-		e += o.epoch
+		return o.epoch
 	}
-	return e
+	return 0
 }
 
 // ---- selection adaptation --------------------------------------------
 
-// Feedback-driven selection thresholds. All three only ever trade one
+// Feedback-driven selection thresholds. Both only ever trade one
 // correct engine for another, so the constants are coarse on purpose.
 const (
 	// mergeBoundFactor demotes a parallel aggregation to serial when the
@@ -186,48 +148,22 @@ const (
 	// data barely touches. Small domains (gender² = 4 slots) never demote.
 	sparseDomainMinSlots = 1 << 12
 	sparseDomainFactor   = 16
-
-	// catalogBypassMargin answers union-ALL directly when the catalog's
-	// T-distributive composition (interval × domain slot merges) costs
-	// more than this margin times the observed compressed scan. The margin
-	// keeps the catalog's serving cache in play unless direct recompute
-	// wins decisively.
-	catalogBypassMargin = 4
 )
 
 // aggAdaptation is the outcome of consulting feedback for one aggregate
-// compile: possibly demoted workers, a kernel preference, a catalog
-// bypass, and the Explain notes naming what was applied.
+// compile: possibly demoted workers, a kernel preference, and the Explain
+// notes naming what was applied.
 type aggAdaptation struct {
-	workers       int
-	preferMap     bool
-	bypassCatalog bool
-	scanCost      int64
-	notes         []string
+	workers   int
+	preferMap bool
+	notes     []string
 }
 
 // adaptAggregate consults the feedback store for one aggregate compile.
 // parallelMin is the engine's serial/parallel crossover
-// (agg.ParallelMinEntities), domain the schema's tuple space, composeCost
-// the catalog's estimated composition cost (0 when no catalog applies).
-func adaptAggregate(f *Feedback, key string, workers int, parallelMin int, domain, scan, composeCost int64) aggAdaptation {
-	ad := aggAdaptation{workers: workers, scanCost: scan}
-	if f == nil {
-		return ad
-	}
-	if ratio, ok := f.RunRatio(); ok {
-		// Observed run-compression makes the word-level timestamp scans
-		// proportionally cheaper; reflect that in the direct-scan estimate.
-		ad.scanCost = int64(float64(scan) * ratio)
-		if ad.scanCost < 1 {
-			ad.scanCost = 1
-		}
-		ad.notes = append(ad.notes, "tau-ratio="+strconv.FormatFloat(ratio, 'f', 2, 64))
-		if composeCost > 0 && composeCost > catalogBypassMargin*ad.scanCost {
-			ad.bypassCatalog = true
-			ad.notes = append(ad.notes, "direct-scan(compressed)")
-		}
-	}
+// (agg.ParallelMinEntities), domain the schema's tuple space.
+func adaptAggregate(f *Feedback, key string, workers int, parallelMin int, domain int64) aggAdaptation {
+	ad := aggAdaptation{workers: workers}
 	obs, ok := f.Lookup(key)
 	if !ok {
 		return ad

@@ -57,31 +57,6 @@ func TestObserveEpochBoundary(t *testing.T) {
 	step(199, 39, 4) // identical observation: never bumps
 }
 
-// TestObserveRatioBoundary pins the run-ratio hysteresis: the first
-// record bumps, moves at exactly ±25% of the stored ratio do not (the
-// comparison is strict), and anything beyond does. All values are exact
-// binary fractions so the boundaries are not blurred by rounding.
-func TestObserveRatioBoundary(t *testing.T) {
-	f := NewFeedback()
-	step := func(r float64, wantEpoch int) {
-		t.Helper()
-		f.observeRatio(r)
-		f.mu.Lock()
-		got := f.ratioEpoch
-		f.mu.Unlock()
-		if got != wantEpoch {
-			t.Fatalf("after observeRatio(%v): ratioEpoch = %d, want %d", r, got, wantEpoch)
-		}
-	}
-	step(1.0, 1)   // first record always bumps
-	step(1.25, 1)  // exactly +25%: inside the band, no bump
-	step(1.0, 1)   // 1.0 within [0.9375, 1.5625]: no bump
-	step(0.75, 1)  // exactly -25%: no bump
-	step(0.5, 2)   // 0.5 < 0.75·0.75 = 0.5625: bump
-	step(0.625, 2) // exactly 0.5·1.25: no bump
-	step(0.8, 3)   // 0.8 > 0.625·1.25 = 0.78125: bump
-}
-
 // TestCacheAdvanceConcurrentOldGeneration races Advance against sustained
 // compile/lookup/store traffic on the outgoing generation. Run under
 // -race this checks the retired-generation degradation is merely a miss:

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/core"
-	"repro/internal/materialize"
 	"repro/internal/plan"
 	"repro/internal/timeline"
 )
@@ -63,8 +62,8 @@ func aggNode() *plan.Aggregate {
 }
 
 // TestFeedbackRecordsObservations: executing a view aggregation with a
-// feedback store records the observed cardinalities and (once available)
-// the timestamp compression ratio, retrievable under the logical key.
+// feedback store records the observed cardinalities, retrievable under the
+// logical key.
 func TestFeedbackRecordsObservations(t *testing.T) {
 	g := wideGraph(t)
 	fb := plan.NewFeedback()
@@ -189,55 +188,6 @@ func TestFeedbackInvalidatesCachedPlan(t *testing.T) {
 	}
 }
 
-// TestFeedbackBypassesCatalog: with an observed run ratio showing heavily
-// compressed timestamps, a union-ALL whose composition cost (interval ×
-// domain) decisively exceeds the compressed scan skips the catalog
-// operator in favour of the direct view aggregation.
-func TestFeedbackBypassesCatalog(t *testing.T) {
-	g := wideGraph(t)
-	cat := materialize.NewCatalogWith(g, materialize.CatalogConfig{})
-	fb := plan.NewFeedback()
-	env := plan.Env{Graph: g, Catalog: cat, Workers: 1, Feedback: fb}
-	node := aggNode()
-	node.Kind = "all"
-
-	before, err := plan.Compile(env, node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := before.Explain(); !strings.Contains(s, "CatalogUnionAll") {
-		t.Fatalf("union-ALL without feedback should use the catalog:\n%s", s)
-	}
-	want, err := before.Execute(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// composeCost = |t0..t3| × domain(80+) = 320+; scan = V+E ≈ 23. A
-	// ratio of 0.05 drops the adjusted scan to ~1, far past the ×4 margin.
-	plan.SeedRunRatioForTest(fb, 0.05)
-	after, err := plan.Compile(env, node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := after.Explain()
-	if strings.Contains(s, "CatalogUnionAll") || !strings.Contains(s, "direct-scan(compressed)") {
-		t.Fatalf("compressed-scan feedback did not bypass the catalog:\n%s", s)
-	}
-	got, err := after.Execute(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tu, w := range want.Agg.Nodes {
-		if got.Agg.Nodes[tu] != w {
-			t.Fatalf("tuple %d: direct %d, catalog %d", tu, got.Agg.Nodes[tu], w)
-		}
-	}
-	if len(got.Agg.Nodes) != len(want.Agg.Nodes) || len(got.Agg.Edges) != len(want.Agg.Edges) {
-		t.Fatal("direct plan result differs from catalog plan result")
-	}
-}
-
 // TestFeedbackSerialDemotion exercises the merge-bound demotion through
 // the exported seeding hook: an observed output cardinality within 4x of
 // the entity count makes a parallel compile fall back to one worker.
@@ -277,20 +227,16 @@ func TestFeedbackSerialDemotion(t *testing.T) {
 	}
 }
 
-// TestFeedbackReset: a reset drops observations and run ratio, returning
-// compiles to their unobserved selections.
+// TestFeedbackReset: a reset drops observations, returning compiles to
+// their unobserved selections.
 func TestFeedbackReset(t *testing.T) {
 	fb := plan.NewFeedback()
 	plan.SeedObservationForTest(fb, "k", 100, 100)
-	plan.SeedRunRatioForTest(fb, 0.1)
 	if _, ok := fb.Lookup("k"); !ok {
 		t.Fatal("seeded observation missing")
 	}
 	fb.Reset()
 	if _, ok := fb.Lookup("k"); ok {
 		t.Fatal("observation survived Reset")
-	}
-	if _, ok := fb.RunRatio(); ok {
-		t.Fatal("run ratio survived Reset")
 	}
 }

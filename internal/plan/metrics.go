@@ -41,5 +41,4 @@ var (
 // serving layer registers them under graphtempod_planner_feedback_total.
 var Feedbacks struct {
 	Cardinality metrics.Counter // view entity / result cardinality records
-	RunRatio    metrics.Counter // timestamp compression ratio records
 }

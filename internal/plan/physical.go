@@ -149,9 +149,8 @@ type viewAggOp struct {
 	workers int
 	cost    int64
 
-	// Feedback loop: run() reports the observed cardinalities (and the
-	// graph's timestamp compression ratio, when already computed) under
-	// fbKey; note names the adaptations this compile applied, for Explain.
+	// Feedback loop: run() reports the observed cardinalities under fbKey;
+	// note names the adaptations this compile applied, for Explain.
 	fb    *Feedback
 	fbKey string
 	note  string
@@ -206,14 +205,7 @@ func (o *viewAggOp) run(ctx context.Context, out *Result) error {
 	if err != nil {
 		return err
 	}
-	if o.fb != nil {
-		o.fb.observe(o.fbKey, o.view.entities(), len(ag.Nodes)+len(ag.Edges))
-		// The compression-selection scan runs lazily inside the engines;
-		// report its outcome only when it already happened, never force it.
-		if st, ok := o.view.view.Graph().TauStatsIfBuilt(); ok {
-			o.fb.observeRatio(st.Ratio())
-		}
-	}
+	o.fb.observe(o.fbKey, o.view.entities(), len(ag.Nodes)+len(ag.Edges))
 	out.Agg, out.AggSource = ag, materialize.Scratch
 	return nil
 }

@@ -400,7 +400,7 @@ func (s *Server) catalogStats() materialize.Stats {
 //	graphtempod_explorer_evaluations_total      counter (engine hot path)
 //	graphtempod_kernel_selections_total{kernel} counter (engine hot path)
 //	graphtempod_planner_selections_total{op}    counter (planner choices)
-//	graphtempod_planner_feedback_total{kind}    counter (feedback records)
+//	graphtempod_planner_feedback_total{kind}    counter (cardinality records)
 //	graphtempod_plan_cache_total{result}        counter (hit/miss)
 //	graphtempod_ingested_points                 gauge (stream mode)
 //	graphtempod_catalog_delta_applies_total     counter (stream mode)
@@ -494,8 +494,6 @@ func (s *Server) registerMetrics() {
 	r.RegisterCounter("graphtempod_planner_feedback_total",
 		"Runtime observations recorded into the planner feedback loop.",
 		&plan.Feedbacks.Cardinality, metrics.Label{Key: "kind", Value: "cardinality"})
-	r.RegisterCounter("graphtempod_planner_feedback_total", "",
-		&plan.Feedbacks.RunRatio, metrics.Label{Key: "kind", Value: "run-ratio"})
 	if s.series != nil {
 		r.GaugeFunc("graphtempod_ingested_points", "Time points ingested.",
 			func() float64 { return float64(s.series.Len()) })

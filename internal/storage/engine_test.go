@@ -101,8 +101,8 @@ func TestEngineCrashRestart(t *testing.T) {
 }
 
 // TestEngineCrashAfterCheckpoints streams past two automatic checkpoints —
-// timelines long enough for run-compressed timestamps, full of nodes that
-// stopped appearing — then abandons the engine: every acknowledged point
+// timelines several words long, full of nodes that stopped appearing (whose
+// timestamp sets are shorter than the timeline) — then abandons the engine: every acknowledged point
 // must come back, from a snapshot, and every snapshot left behind must load.
 func TestEngineCrashAfterCheckpoints(t *testing.T) {
 	dir := t.TempDir()

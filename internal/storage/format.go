@@ -133,17 +133,11 @@ type enc struct{ b []byte }
 func (e *enc) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
 func (e *enc) varint(v int64)   { e.b = binary.AppendVarint(e.b, v) }
 func (e *enc) byte(v byte)      { e.b = append(e.b, v) }
-func (e *enc) u64(v uint64)     { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 func (e *enc) str(s string)     { e.uvarint(uint64(len(s))); e.b = append(e.b, s...) }
 func (e *enc) strs(ss []string) {
 	e.uvarint(uint64(len(ss)))
 	for _, s := range ss {
 		e.str(s)
-	}
-}
-func (e *enc) words(w []uint64) {
-	for _, v := range w {
-		e.u64(v)
 	}
 }
 

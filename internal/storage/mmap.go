@@ -187,10 +187,6 @@ func snapshotFromParsed(p *parsedV2) (*Snapshot, error) {
 			}
 		}
 	}
-	if len(p.nodeRuns)+len(p.edgeRuns) > 0 {
-		cols.NodeTauVec = placeRuns(p.nodeRuns, nNodes)
-		cols.EdgeTauVec = placeRuns(p.edgeRuns, nEdges)
-	}
 	g, err := core.FromColumns(cols)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -224,16 +220,6 @@ func tauSets(words []uint64, n, wpt, T int) ([]*bitset.Set, error) {
 		out[i] = bitset.FromWords(T, w)
 	}
 	return out, nil
-}
-
-// placeRuns expands an index-ordered run list to a per-entity vector slice
-// (nil = dense), the form core.Columns adopts.
-func placeRuns(list []idxRuns, n int) []bitset.Vector {
-	vecs := make([]bitset.Vector, n)
-	for _, ir := range list {
-		vecs[ir.idx] = ir.r
-	}
-	return vecs
 }
 
 // aliasSlice reinterprets a little-endian blob as a typed slice without

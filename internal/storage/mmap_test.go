@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -10,67 +9,16 @@ import (
 	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/gtest"
 	"repro/internal/materialize"
 	"repro/internal/ops"
 	"repro/internal/timeline"
 )
 
-// runHeavyGraph builds a graph with a timeline long enough for the
-// density heuristic to elect compression (≥ 4 words) and contiguous
-// entity lifetimes so it actually fires.
-func runHeavyGraph(t *testing.T, seed int64) *core.Graph {
-	t.Helper()
-	const T = 320
-	labels := make([]string, T)
-	for i := range labels {
-		labels[i] = fmt.Sprintf("w%03d", i)
-	}
-	tl := timeline.MustNew(labels...)
-	b := core.NewBuilder(tl,
-		core.AttrSpec{Name: "grp", Kind: core.Static},
-		core.AttrSpec{Name: "act", Kind: core.TimeVarying})
-	rng := rand.New(rand.NewSource(seed))
-	const nNodes = 60
-	lifeLo := make([]int, nNodes)
-	lifeHi := make([]int, nNodes)
-	for n := 0; n < nNodes; n++ {
-		id := b.AddNode(fmt.Sprintf("n%d", n))
-		lo := rng.Intn(T - 1)
-		hi := lo + 1 + rng.Intn(T-lo)
-		lifeLo[n], lifeHi[n] = lo, hi
-		for tt := lo; tt < hi; tt++ {
-			b.SetNodeTime(id, timeline.Time(tt))
-			if rng.Intn(4) == 0 {
-				b.SetVarying(1, id, timeline.Time(tt), fmt.Sprintf("a%d", rng.Intn(3)))
-			}
-		}
-		if rng.Intn(10) != 0 {
-			b.SetStatic(0, id, fmt.Sprintf("g%d", rng.Intn(4)))
-		}
-	}
-	for k := 0; k < 3*nNodes; k++ {
-		u, v := rng.Intn(nNodes), rng.Intn(nNodes)
-		lo, hi := max(lifeLo[u], lifeLo[v]), min(lifeHi[u], lifeHi[v])
-		if lo >= hi {
-			continue
-		}
-		e := b.AddEdge(core.NodeID(u), core.NodeID(v))
-		for tt := lo; tt < hi; tt++ {
-			b.SetEdgeTime(e, timeline.Time(tt))
-		}
-	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
 // TestOpenMappedEquivalence: a mapped snapshot must expose exactly the
-// graph (and stores) the decode path reconstructs, and adopt the persisted
-// run-length choices instead of re-scanning.
+// graph (and stores) the decode path reconstructs.
 func TestOpenMappedEquivalence(t *testing.T) {
-	g := runHeavyGraph(t, 17)
+	g := gtest.LongLivedGraph(rand.New(rand.NewSource(17)), 320)
 	st := materialize.NewStore(g, agg.MustSchema(g, 0))
 	path := filepath.Join(t.TempDir(), "g.gts")
 	if err := SaveFile(path, g, st); err != nil {
@@ -88,17 +36,6 @@ func TestOpenMappedEquivalence(t *testing.T) {
 	graphsEqual(t, g, m.Graph)
 	if len(m.Stores) != 1 {
 		t.Fatalf("mapped snapshot has %d stores, want 1", len(m.Stores))
-	}
-
-	// The persisted compression choices are adopted: stats are available
-	// and match a fresh scan over the original graph.
-	want := g.TauStats()
-	if want.Compressed == 0 {
-		t.Fatalf("fixture graph compressed nothing (stats %+v) — heuristic regressed?", want)
-	}
-	got := m.Graph.TauStats()
-	if got.Compressed != want.Compressed || got.Runs != want.Runs {
-		t.Fatalf("mapped tau stats %+v, want %+v", got, want)
 	}
 
 	// Lookups that need the lazy indexes work on mapped graphs.
@@ -122,9 +59,6 @@ func TestOpenMappedStreamedGraph(t *testing.T) {
 	}
 	defer m.Close()
 	graphsEqual(t, g, m.Graph)
-	if got := m.Graph.TauStats(); got.Compressed == 0 {
-		t.Fatalf("mapped graph adopted no run vectors (stats %+v)", got)
-	}
 }
 
 // TestOpenMappedAgreesWithLoad compares whole aggregation results between
@@ -189,7 +123,7 @@ func TestOpenMappedV1FallsBackToDecode(t *testing.T) {
 // (Blob payload corruption is undetectable by design on the mapped path —
 // the decode path's CRCs cover it — but must still not panic.)
 func TestOpenMappedNeverPanics(t *testing.T) {
-	g := runHeavyGraph(t, 5)
+	g := gtest.LongLivedGraph(rand.New(rand.NewSource(5)), 320)
 	var buf bytes.Buffer
 	if err := Save(&buf, g); err != nil {
 		t.Fatal(err)
@@ -216,7 +150,7 @@ func TestOpenMappedNeverPanics(t *testing.T) {
 // checksums every blob, so any byte flip anywhere in the file must either
 // fail or (for padding bytes) leave the content identical.
 func TestLoadV2CorruptionDetected(t *testing.T) {
-	g := runHeavyGraph(t, 7)
+	g := gtest.LongLivedGraph(rand.New(rand.NewSource(7)), 320)
 	var buf bytes.Buffer
 	if err := Save(&buf, g); err != nil {
 		t.Fatal(err)

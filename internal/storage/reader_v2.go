@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"repro/internal/bitset"
 	"repro/internal/core"
 )
 
@@ -18,9 +17,6 @@ type parsedV2 struct {
 	attrs  []core.AttrSpec
 	dicts  [][]string // value by code, per attribute
 	nodes  []string
-
-	nodeRuns []idxRuns
-	edgeRuns []idxRuns
 
 	storeSpecs []storeSpec
 	points     []seriesPoint
@@ -84,10 +80,7 @@ func parseV2(data []byte, verifyBlobs bool) (*parsedV2, error) {
 		case secNodes:
 			p.nodes = d.strs()
 		case secTauRuns:
-			p.nodeRuns = readRunsList(d, len(p.nodes), len(p.labels))
-			// Edge count is not known yet (it comes from the blob
-			// directory); validated against it below.
-			p.edgeRuns = readRunsList(d, 1<<31-1, len(p.labels))
+			d.off = len(d.b) // reserved section: checksummed above, payload ignored
 		case secStores:
 			ns := d.count(1)
 			for i := 0; i < ns && d.err == nil; i++ {
@@ -220,11 +213,6 @@ func parseV2(data []byte, verifyBlobs bool) (*parsedV2, error) {
 	if si != len(staticParams) || vi != len(varyingParams) {
 		return nil, fmt.Errorf("%w: stray attribute column blob", ErrCorrupt)
 	}
-	for _, ir := range p.edgeRuns {
-		if ir.idx >= p.nEdges {
-			return nil, fmt.Errorf("%w: compressed tau for edge %d beyond %d edges", ErrCorrupt, ir.idx, p.nEdges)
-		}
-	}
 	return p, nil
 }
 
@@ -246,38 +234,6 @@ func readRecordBytes(data []byte, off int) ([]byte, int, error) {
 		return nil, 0, ErrChecksum
 	}
 	return payload, off + 8 + int(n), nil
-}
-
-// readRunsList decodes one (count, index, encoding)* list from secTauRuns.
-// Indices must be strictly ascending and below limit; every decoded vector
-// must span exactly T bits.
-func readRunsList(d *dec, limit, T int) []idxRuns {
-	n := d.count(2)
-	out := make([]idxRuns, 0, n)
-	prev := -1
-	for i := 0; i < n && d.err == nil; i++ {
-		idx := d.uvarint()
-		if d.err != nil {
-			break
-		}
-		if int(idx) <= prev || int(idx) >= limit {
-			d.fail("run list index %d out of order or beyond %d", idx, limit)
-			break
-		}
-		prev = int(idx)
-		r, used, err := bitset.DecodeRuns(d.b[d.off:])
-		if err != nil {
-			d.fail("run encoding for entity %d: %v", idx, err)
-			break
-		}
-		if r.Len() != T {
-			d.fail("run vector for entity %d spans %d bits, want %d", idx, r.Len(), T)
-			break
-		}
-		d.off += used
-		out = append(out, idxRuns{idx: int(idx), r: r})
-	}
-	return out
 }
 
 // loadV2 is the portable decode path: the parsed columns are copied into
@@ -335,8 +291,6 @@ func loadV2(data []byte) (*Snapshot, error) {
 			vi++
 		}
 	}
-	// The persisted run-length choices are not adopted here: the builder
-	// path re-derives them lazily, cross-checking writer and heuristic.
 	return ld.finish()
 }
 

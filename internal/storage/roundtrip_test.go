@@ -99,10 +99,9 @@ func TestRoundTripRandomGraphs(t *testing.T) {
 	}
 }
 
-// streamedGraph is a stream.Series graph on a timeline long enough for the
-// density heuristic (≥ 4 words): node "gone" and its edge appear only in the
-// first 260 of 300 points, so their accumulator-built timestamp sets are
-// shorter than the timeline.
+// streamedGraph is a stream.Series graph on a timeline of several words
+// (300 points): node "gone" and its edge appear only in the first 260, so
+// their accumulator-built timestamp sets are shorter than the timeline.
 func streamedGraph(t *testing.T) *core.Graph {
 	t.Helper()
 	s := stream.New(core.AttrSpec{Name: "gender", Kind: core.Static})

@@ -19,7 +19,6 @@ import (
 //
 //	header (magic + version 2)
 //	framed: secTimeline, secSchema, secNodes         (varint meta, as v1)
-//	framed: secTauRuns                               (optional)
 //	framed: secStores, secSeries                     (optional, as v1)
 //	framed: secBlobDir                               (fixed-width directory)
 //	framed: secEnd
@@ -34,7 +33,10 @@ import (
 // path (the mapped path checks structure only — see OpenMapped).
 const (
 	secBlobDir byte = 11 // blob directory: count, file size, fixed-width entries
-	secTauRuns byte = 12 // run-length encodings of run-dominated tau vectors
+	// secTauRuns is reserved: earlier writers put a second, run-length copy
+	// of the run-dominated tau vectors here. Never written now; the reader
+	// accepts it and ignores the payload (the tau blobs are authoritative).
+	secTauRuns byte = 12
 )
 
 // Blob kinds. Static and varying column blobs repeat per attribute with
@@ -96,14 +98,6 @@ func writeSnapshotV2(w io.Writer, g *core.Graph, stores []*materialize.Store, po
 			e.str(g.NodeLabel(core.NodeID(n)))
 		}
 	})
-	nodeRuns := compressForSave(nNodes, T, func(i int) *bitset.Set { return g.NodeTau(core.NodeID(i)) })
-	edgeRuns := compressForSave(nEdges, T, func(i int) *bitset.Set { return g.EdgeTau(core.EdgeID(i)) })
-	if len(nodeRuns)+len(edgeRuns) > 0 {
-		sec(secTauRuns, func(e *enc) {
-			writeRunsList(e, nodeRuns)
-			writeRunsList(e, edgeRuns)
-		})
-	}
 	if len(stores) > 0 {
 		sec(secStores, func(e *enc) {
 			e.uvarint(uint64(len(stores)))
@@ -241,34 +235,4 @@ func tauBlob(w, n int, tau func(int) *bitset.Set) []byte {
 		})
 	}
 	return b
-}
-
-// idxRuns pairs an entity index with its run-length encoding.
-type idxRuns struct {
-	idx int
-	r   *bitset.Runs
-}
-
-// compressForSave applies the density heuristic to every tau vector and
-// returns the entities it elects to compress, in index order. The choice
-// is persisted so a mapped reader serves compressed kernels immediately,
-// without an O(V+E) selection scan at boot. Every run vector is emitted at
-// the timeline length T the reader checks for: accumulator-built sets stop
-// growing when their entity stops appearing.
-func compressForSave(n, T int, tau func(int) *bitset.Set) []idxRuns {
-	var out []idxRuns
-	for i := 0; i < n; i++ {
-		if r := bitset.Compress(tau(i), T); r != nil {
-			out = append(out, idxRuns{idx: i, r: r})
-		}
-	}
-	return out
-}
-
-func writeRunsList(e *enc, list []idxRuns) {
-	e.uvarint(uint64(len(list)))
-	for _, ir := range list {
-		e.uvarint(uint64(ir.idx))
-		e.b = ir.r.AppendBinary(e.b)
-	}
 }
