@@ -26,6 +26,8 @@ import (
 
 	graphtempo "repro"
 	"repro/internal/agg"
+	"repro/internal/analytics"
+	"repro/internal/evolution"
 	"repro/internal/explore"
 	"repro/internal/larray"
 	"repro/internal/materialize"
@@ -682,5 +684,105 @@ func BenchmarkServeCachedPanel(b *testing.B) {
 				serve()
 			}
 		})
+	}
+}
+
+// The benchmarks below are the repeated evolution-family statements of
+// bench/'s adhoc_scan workload (schedule.go adhocSchedule), in process on
+// DBLP: what EVOLVE, EVENTS, TOP and TIMELINE cost without the server.
+
+// frac is adhocSchedule's at(): the time point frac of the way along a
+// T-point timeline.
+func frac(T int, f float64) graphtempo.Time { return graphtempo.Time(min(T-1, int(f*float64(T)))) }
+
+// BenchmarkEvolve measures evolution.Aggregate on the two EVOLVE statements
+// (two gapped windows on (gender, publications); the two halves on gender)
+// and on Fig. 12's filtered shape.
+func BenchmarkEvolve(b *testing.B) {
+	g, _ := benchGraphs(b)
+	tl := g.Timeline()
+	T := tl.Len()
+	pubs := g.MustAttr("publications")
+	high := func(n graphtempo.NodeID, t graphtempo.Time) bool {
+		v := g.ValueString(pubs, n, t)
+		return len(v) > 1 || (len(v) == 1 && v[0] > '4')
+	}
+	for _, tc := range []struct {
+		name     string
+		attrs    []string
+		kind     agg.Kind
+		old, new graphtempo.Interval
+		filter   evolution.Filter
+	}{
+		{"distGP", []string{"gender", "publications"}, agg.Distinct,
+			tl.Range(frac(T, 0.2), frac(T, 0.4)), tl.Range(frac(T, 0.6), frac(T, 0.8)), nil},
+		{"allG", []string{"gender"}, agg.All,
+			tl.Range(0, frac(T, 0.5)-1), tl.Range(frac(T, 0.5), graphtempo.Time(T-1)), nil},
+		{"fig12-filter", []string{"gender"}, agg.Distinct, tl.Range(0, 9), tl.Point(10), high},
+	} {
+		s := mustSchema(b, g, tc.attrs...)
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				evolution.Aggregate(g, tc.old, tc.new, s, tc.kind, tc.filter)
+			}
+		})
+	}
+}
+
+// BenchmarkEventsSweep measures analytics.EventsSweep on the three EVENTS
+// statements.
+func BenchmarkEventsSweep(b *testing.B) {
+	g, _ := benchGraphs(b)
+	for _, tc := range []struct {
+		name  string
+		attrs []string
+		spec  analytics.EventsSpec
+	}{
+		{"distG", []string{"gender"}, analytics.EventsSpec{Kind: agg.Distinct}},
+		{"allP-w2", []string{"publications"}, analytics.EventsSpec{Kind: agg.All, Width: 2}},
+		{"distGP-min50", []string{"gender", "publications"}, analytics.EventsSpec{Kind: agg.Distinct, Min: 50}},
+	} {
+		tc.spec.Schema = mustSchema(b, g, tc.attrs...)
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				analytics.EventsSweep(g, tc.spec)
+			}
+		})
+	}
+}
+
+// BenchmarkTopEdgeTuples measures the two TOP statements (top 3 gender
+// pairs by growth and by shrinkage). The graph's point index is built
+// before the timer starts: it is paid once per graph, not per statement.
+func BenchmarkTopEdgeTuples(b *testing.B) {
+	g, _ := benchGraphs(b)
+	s := mustSchema(b, g, "gender")
+	for _, tc := range []struct {
+		name  string
+		event explore.Event
+	}{{"growth", evolution.Growth}, {"shrinkage", evolution.Shrinkage}} {
+		b.Run(tc.name, func(b *testing.B) {
+			ex := &explore.Explorer{Graph: g, Schema: s, Kind: agg.Distinct, Result: explore.TotalEdges}
+			explore.TopEdgeTuples(ex, tc.event, 3)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				explore.TopEdgeTuples(ex, tc.event, 3)
+			}
+		})
+	}
+}
+
+// BenchmarkEvolutionTimeline measures TIMELINE BY gender: the class totals
+// of every consecutive pair of years.
+func BenchmarkEvolutionTimeline(b *testing.B) {
+	g, _ := benchGraphs(b)
+	s := mustSchema(b, g, "gender")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		evolution.Timeline(g, s, agg.Distinct, nil)
 	}
 }

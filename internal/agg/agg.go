@@ -68,9 +68,11 @@ type Schema struct {
 	allStatic bool
 	preferMap bool
 
-	// Dense-kernel state (dense.go): pooled flat accumulators, and the
-	// lazily built per-node static tuple codes for all-static schemas.
+	// Dense-kernel state (dense.go): pooled flat accumulators (sweep holds
+	// the evolution sweep kernel's), and the lazily built per-node static
+	// tuple codes for all-static schemas.
 	dense       sync.Pool
+	sweep       sync.Pool
 	staticOnce  sync.Once
 	staticCodes []int32
 }

@@ -1,6 +1,8 @@
 package agg
 
 import (
+	"sync"
+
 	"repro/internal/core"
 	"repro/internal/ops"
 	"repro/internal/timeline"
@@ -79,6 +81,11 @@ type denseScratch struct {
 	edgeTouched []int32
 }
 
+// SweepPool is the schema's pool for the scratch of the evolution sweep
+// kernel (internal/evolution/sweep.go), whose flat accumulators are sized
+// by this schema's domain and so live and die with it, like denseScratch.
+func (s *Schema) SweepPool() *sync.Pool { return &s.sweep }
+
 // getScratch returns a scratch with cleared weights sized for the schema.
 func (s *Schema) getScratch() *denseScratch {
 	d := int(s.domain)
@@ -112,10 +119,11 @@ func (s *Schema) putScratch(sc *denseScratch) {
 	s.dense.Put(sc)
 }
 
-// staticTupleCodes lazily builds the per-node dense tuple codes of an
+// StaticTupleCodes lazily builds the per-node dense tuple codes of an
 // all-static schema (-1 where any attribute value is missing). Built once
-// per schema; safe for concurrent readers.
-func (s *Schema) staticTupleCodes() []int32 {
+// per schema; safe for concurrent readers, who must not modify it. It
+// requires Domain() ≤ DenseDomainLimit (the codes are int32).
+func (s *Schema) StaticTupleCodes() []int32 {
 	s.staticOnce.Do(func() {
 		codes := make([]int32, s.g.NumNodes())
 		for n := range codes {
@@ -156,7 +164,7 @@ func aggregateDense(v *ops.View, s *Schema, kind Kind, ag *Graph, nLo, nHi, eLo,
 // denseStatic is the §4.2 static fast path on flat arrays: one tuple per
 // node, weights 1 (DIST) or the restricted-timestamp popcount (ALL).
 func denseStatic(v *ops.View, s *Schema, kind Kind, sc *denseScratch, nLo, nHi, eLo, eHi int) {
-	codes := s.staticTupleCodes()
+	codes := s.StaticTupleCodes()
 	d := int32(s.domain)
 	v.ForEachNodeIn(nLo, nHi, func(n core.NodeID) {
 		c := codes[n]

@@ -7,8 +7,9 @@
 //   - EVENTS classifies attribute groups into stability / growth /
 //     shrinkage events between consecutive width-w windows of the timeline
 //     (the TempoGRAPHer exploration, built on internal/evolution's
-//     per-entity tuple-appearance semantics). EventsSweep answers every
-//     step in a single pass over the entities.
+//     tuple-appearance semantics). EventsSweep answers every step from one
+//     pass over the nodes: evolution.TileSweep's flat accumulators, plus
+//     the row rendering here.
 //   - PATHS answers time-respecting reachability between node sets within
 //     a window: earliest-arrival and fastest (shortest-duration) paths.
 //     The frontier engine buckets edge activity per time point from the

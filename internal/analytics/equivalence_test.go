@@ -83,6 +83,41 @@ func randomGraph(t testing.TB, seed int64) *core.Graph {
 	return g
 }
 
+// checkEvents asserts EventsSweep ≡ NaiveEvents to the byte on g at every
+// width 1…T (or the given ones) — so every length of the short last tile,
+// the one-step tiling ⌈T/2⌉ and the no-step tiling T — for both kinds, with
+// and without a WHERE filter, under MIN 0 and a MIN drawn from the weights
+// the graph really has (so that it drops some rows and keeps others).
+func checkEvents(t *testing.T, g *core.Graph, r *rand.Rand, attrs []string, widths ...int) {
+	t.Helper()
+	if widths == nil {
+		for w := 1; w <= g.Timeline().Len(); w++ {
+			widths = append(widths, w)
+		}
+	}
+	filters := []evolution.Filter{nil, func(n core.NodeID, tp timeline.Time) bool { return (int(n)+int(tp))%3 != 0 }}
+	for _, w := range widths {
+		for _, kind := range []agg.Kind{agg.Distinct, agg.All} {
+			for fi, filter := range filters {
+				spec := EventsSpec{Schema: mustSchema(t, g, attrs...), Kind: kind, Width: w, Filter: filter}
+				all := NaiveEvents(g, spec)
+				mins := []int64{0}
+				if len(all.Rows) > 0 {
+					row := all.Rows[r.Intn(len(all.Rows))]
+					mins = append(mins, row.Gr+row.Shr, row.Gr+row.Shr+1)
+				}
+				for _, min := range mins {
+					spec.Min = min
+					want := asJSON(t, NaiveEvents(g, spec))
+					if got := asJSON(t, EventsSweep(g, spec)); got != want {
+						t.Fatalf("events sweep (w=%d kind=%v filter=%d min=%d) diverges:\n got %s\nwant %s", w, kind, fi, min, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // checkAll asserts every engine pair agrees to the byte on g for a sweep
 // of specs derived from the rng.
 func checkAll(t *testing.T, g *core.Graph, r *rand.Rand, attrs []string) {
@@ -90,22 +125,7 @@ func checkAll(t *testing.T, g *core.Graph, r *rand.Rand, attrs []string) {
 	T := g.Timeline().Len()
 	kinds := []agg.Kind{agg.Distinct, agg.All}
 	cat := materialize.NewCatalog(g)
-
-	// EVENTS: widths 1, 2, a random one, and the two widest tilings —
-	// ⌈T/2⌉ (one step) and T (no step) — both kinds, random MIN, unfiltered
-	// and filtered.
-	filters := []evolution.Filter{nil, func(n core.NodeID, tp timeline.Time) bool { return (int(n)+int(tp))%3 != 0 }}
-	for _, w := range []int{1, 2, 1 + r.Intn(T+1), (T + 1) / 2, T} {
-		for _, kind := range kinds {
-			for fi, filter := range filters {
-				spec := EventsSpec{Schema: mustSchema(t, g, attrs...), Kind: kind, Width: w, Min: int64(r.Intn(3)), Filter: filter}
-				want := asJSON(t, NaiveEvents(g, spec))
-				if got := asJSON(t, EventsSweep(g, spec)); got != want {
-					t.Errorf("events sweep (w=%d kind=%v filter=%d min=%d) diverges:\n got %s\nwant %s", w, kind, fi, spec.Min, got, want)
-				}
-			}
-		}
-	}
+	checkEvents(t, g, r, attrs)
 
 	// TREND: widths 1..3, both kinds; the catalog engine on ALL only.
 	for w := 1; w <= 3; w++ {

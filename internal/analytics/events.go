@@ -1,12 +1,12 @@
 package analytics
 
 import (
+	"context"
 	"sort"
 
 	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/evolution"
-	"repro/internal/timeline"
 )
 
 // EventsSpec parameterizes one EVENTS computation: the timeline is tiled
@@ -50,110 +50,67 @@ type EventsResult struct {
 	Rows  []EventRow `json:"rows"`
 }
 
-// stepKey identifies one (step, group) accumulation cell.
-type stepKey struct {
-	step int
-	tu   agg.Tuple
+// EventsSweep answers an EVENTS query in a single pass over the nodes:
+// evolution.TileSweep buckets each node's appearances per (tuple, tile) and
+// folds them into every step the node touches — O(|V| + appearances +
+// rows), independent of the step count. The per-entity classification is
+// evolution.Aggregate's.
+func EventsSweep(g *core.Graph, spec EventsSpec) *EventsResult {
+	out, _ := EventsSweepCtx(context.Background(), g, spec)
+	return out
 }
 
-// EventsSweep answers an EVENTS query in a single pass over the entities:
-// each node's per-window tuple-appearance counts are collected from its
-// timestamp set once, then folded into every step the node touches —
-// O(|V|+|E| + appearances), independent of the step count. The per-entity
-// classification is evolution.Aggregate's.
-func EventsSweep(g *core.Graph, spec EventsSpec) *EventsResult {
+// EventsSweepCtx is EventsSweep with cooperative cancellation, polled
+// inside the node pass. A nil error guarantees EventsSweep's result.
+func EventsSweepCtx(ctx context.Context, g *core.Graph, spec EventsSpec) (*EventsResult, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	tl := g.Timeline()
 	w := spec.width()
 	T := tl.Len()
 	nw := numWindows(T, w)
 	out := &EventsResult{Width: w, Steps: maxInt(nw-1, 0)}
 	if out.Steps == 0 {
-		return out
+		return out, nil
 	}
-	acc := make(map[stepKey]evolution.Weights)
-	counts := make(map[agg.Tuple]map[int]int64)
-	for n := 0; n < g.NumNodes(); n++ {
-		id := core.NodeID(n)
-		clear(counts)
-		g.NodeTau(id).ForEach(func(t int) {
-			if spec.Filter != nil && !spec.Filter(id, timeline.Time(t)) {
-				return
-			}
-			tu, ok := spec.Schema.TupleAt(id, timeline.Time(t))
-			if !ok {
-				return
-			}
-			m := counts[tu]
-			if m == nil {
-				m = make(map[int]int64)
-				counts[tu] = m
-			}
-			m[t/w]++
-		})
-		for tu, wins := range counts {
-			// A count in window j participates in step j-1 (as the new
-			// side) and step j (as the old side).
-			steps := make(map[int]struct{}, 2*len(wins))
-			for j := range wins {
-				if j-1 >= 0 {
-					steps[j-1] = struct{}{}
-				}
-				if j < out.Steps {
-					steps[j] = struct{}{}
-				}
-			}
-			for s := range steps {
-				c0, c1 := wins[s], wins[s+1]
-				k := stepKey{step: s, tu: tu}
-				acc[k] = foldClass(acc[k], c0, c1, spec.Kind)
-			}
-		}
+	cells, err := evolution.TileSweep(ctx, g, spec.Schema, spec.Kind, w, spec.Filter)
+	if err != nil {
+		return nil, err
 	}
-	for k, wt := range acc {
-		if wt.Gr+wt.Shr < spec.Min {
+	// Every window label and every group label is rendered once, however
+	// many rows carry it.
+	windows := make([]string, nw)
+	for j := range windows {
+		lo, hi := tileBounds(j, w, T)
+		windows[j] = windowLabel(tl, lo, hi)
+	}
+	groups := make(map[agg.Tuple]string)
+	for k, c := range cells {
+		if c.Gr+c.Shr < spec.Min {
 			continue
 		}
-		oldLo, oldHi := tileBounds(k.step, w, T)
-		newLo, newHi := tileBounds(k.step+1, w, T)
+		if out.Rows == nil { // stays nil (JSON null) when no cell passes Min
+			out.Rows = make([]EventRow, 0, len(cells)-k)
+		}
+		group, ok := groups[c.Tuple]
+		if !ok {
+			group = spec.Schema.Label(c.Tuple)
+			groups[c.Tuple] = group
+		}
 		out.Rows = append(out.Rows, EventRow{
-			Step:  k.step,
-			Old:   windowLabel(tl, oldLo, oldHi),
-			New:   windowLabel(tl, newLo, newHi),
-			Group: spec.Schema.Label(k.tu),
-			St:    wt.St,
-			Gr:    wt.Gr,
-			Shr:   wt.Shr,
-			Class: classOf(wt.Gr, wt.Shr),
+			Step:  c.Step,
+			Old:   windows[c.Step],
+			New:   windows[c.Step+1],
+			Group: group,
+			St:    c.St,
+			Gr:    c.Gr,
+			Shr:   c.Shr,
+			Class: classOf(c.Gr, c.Shr),
 		})
 	}
 	sortEventRows(out.Rows)
-	return out
-}
-
-// foldClass folds one entity's (old, new) appearance counts for a tuple
-// into the running weights — the evolution.addClass semantics.
-func foldClass(wt evolution.Weights, c0, c1 int64, kind agg.Kind) evolution.Weights {
-	switch {
-	case c0 > 0 && c1 > 0:
-		if kind == agg.Distinct {
-			wt.St++
-		} else {
-			wt.St += c0 + c1
-		}
-	case c1 > 0:
-		if kind == agg.Distinct {
-			wt.Gr++
-		} else {
-			wt.Gr += c1
-		}
-	case c0 > 0:
-		if kind == agg.Distinct {
-			wt.Shr++
-		} else {
-			wt.Shr += c0
-		}
-	}
-	return wt
+	return out, nil
 }
 
 func sortEventRows(rows []EventRow) {

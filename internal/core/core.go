@@ -97,6 +97,11 @@ type Graph struct {
 	// idxOnce builds nodeIndex/edgeIndex lazily for FromColumns graphs
 	// (mmap boot must not pay an O(V+E) map build before first lookup).
 	idxOnce sync.Once
+
+	// pointOnce builds points, the per-time-point existence index
+	// (points.go), on first use.
+	pointOnce sync.Once
+	points    *PointIndex
 }
 
 // Timeline returns the graph's time domain.
@@ -222,26 +227,10 @@ func (g *Graph) ValueString(a AttrID, n NodeID, t timeline.Time) string {
 }
 
 // NodesAt returns the number of nodes existing at time t.
-func (g *Graph) NodesAt(t timeline.Time) int {
-	c := 0
-	for _, tau := range g.nodeTau {
-		if tau.Contains(int(t)) {
-			c++
-		}
-	}
-	return c
-}
+func (g *Graph) NodesAt(t timeline.Time) int { return g.PointIndex().NodesAt(t).Count() }
 
 // EdgesAt returns the number of edges existing at time t.
-func (g *Graph) EdgesAt(t timeline.Time) int {
-	c := 0
-	for _, tau := range g.edgeTau {
-		if tau.Contains(int(t)) {
-			c++
-		}
-	}
-	return c
-}
+func (g *Graph) EdgesAt(t timeline.Time) int { return g.PointIndex().EdgesAt(t).Count() }
 
 // Builder assembles a Graph. Methods may be called in any order; Build
 // validates the result. A Builder must not be reused after Build.

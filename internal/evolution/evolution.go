@@ -13,9 +13,17 @@
 // both t0 and t1, but its tuple (f,1) appears only at t1, so it counts as
 // growth for (f,1) (and its t0 tuple (f,2) counts as shrinkage). For
 // static attributes this reduces to classifying the entities themselves.
+//
+// Aggregate (two arbitrary windows), Timeline (every consecutive pair of
+// points) and TileSweep (every consecutive pair of width-w tiles, the
+// EVENTS statement's kernel) are one entity pass over flat, pooled
+// accumulators (sweep.go); AggregateMap is the hash-map engine they are
+// checked against, and the one the code selects itself for schemas whose
+// tuple domain is too large for flat arrays (KernelName).
 package evolution
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -133,11 +141,69 @@ type Agg struct {
 // only in tnew to Gr, and present only in told to Shr. With kind Distinct
 // each (entity, tuple) contributes 1 (the paper's semantics, Fig. 4b);
 // with kind All it contributes its number of per-time-point appearances in
-// the interval(s) that define its class.
+// the interval(s) that define its class. The two intervals may overlap or
+// leave a gap.
+//
+// Schemas the dense aggregation kernel serves run on the flat-accumulator
+// sweep (sweep.go); the others (KernelName reports "map") on AggregateMap.
 func Aggregate(g *core.Graph, told, tnew timeline.Interval, s *agg.Schema, kind agg.Kind, filter Filter) *Agg {
+	out, _ := AggregateCtx(context.Background(), g, told, tnew, s, kind, filter)
+	return out
+}
+
+// AggregateCtx is Aggregate with cooperative cancellation: the entity pass
+// polls ctx every few thousand entities and returns ctx.Err() once it
+// expires. A nil error guarantees Aggregate's result.
+func AggregateCtx(ctx context.Context, g *core.Graph, told, tnew timeline.Interval, s *agg.Schema, kind agg.Kind, filter Filter) (*Agg, error) {
 	if s.Graph() != g {
 		panic("evolution: schema built on a different graph")
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if KernelName(s) != "dense" {
+		return aggregateMap(ctx, g, told, tnew, s, kind, filter, true)
+	}
+	sw := sweep{g: g, s: s, kind: kind, filter: filter, edges: true, keepTuples: true,
+		win: pairWindows(g.Timeline().Len(), told, tnew)}
+	sc, err := sw.run(ctx)
+	defer sw.release(sc)
+	if err != nil {
+		return nil, err
+	}
+	out := &Agg{
+		Schema: s,
+		Kind:   kind,
+		Old:    told,
+		New:    tnew,
+		Nodes:  make(map[agg.Tuple]Weights, len(sc.nodes.touched)),
+		Edges:  make(map[agg.EdgeKey]Weights, len(sc.edges.touched)),
+	}
+	for _, i := range sc.nodes.touched {
+		out.Nodes[agg.Tuple(i)] = sc.nodes.w[i]
+	}
+	d := int32(s.Domain())
+	for _, i := range sc.edges.touched {
+		out.Edges[agg.EdgeKey{From: agg.Tuple(i / d), To: agg.Tuple(i % d)}] = sc.edges.w[i]
+	}
+	return out, nil
+}
+
+// AggregateMap computes the same result as Aggregate on hash-map
+// accumulators: one (old, new) count map per entity, one weight map per
+// result. It is the reference the dense sweep is cross-checked against and
+// the engine of schemas whose tuple domain is too large for flat arrays.
+func AggregateMap(g *core.Graph, told, tnew timeline.Interval, s *agg.Schema, kind agg.Kind, filter Filter) *Agg {
+	if s.Graph() != g {
+		panic("evolution: schema built on a different graph")
+	}
+	out, _ := aggregateMap(context.Background(), g, told, tnew, s, kind, filter, true)
+	return out
+}
+
+// aggregateMap is the map engine; edges false skips the edge pass (EVENTS
+// classifies nodes only). It polls ctx like the sweep does.
+func aggregateMap(ctx context.Context, g *core.Graph, told, tnew timeline.Interval, s *agg.Schema, kind agg.Kind, filter Filter, edges bool) (*Agg, error) {
 	out := &Agg{
 		Schema: s,
 		Kind:   kind,
@@ -151,6 +217,9 @@ func Aggregate(g *core.Graph, told, tnew timeline.Interval, s *agg.Schema, kind 
 	// counts[tuple] = appearances in (old, new).
 	nodeCounts := make(map[agg.Tuple][2]int64)
 	for n := 0; n < g.NumNodes(); n++ {
+		if n%sweepChunk == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
 		id := core.NodeID(n)
 		clear(nodeCounts)
 		g.NodeTau(id).ForEach(func(t int) {
@@ -176,12 +245,20 @@ func Aggregate(g *core.Graph, told, tnew timeline.Interval, s *agg.Schema, kind 
 			nodeCounts[tu] = c
 		})
 		for tu, c := range nodeCounts {
-			out.Nodes[tu] = addClass(out.Nodes[tu], c, kind)
+			w := out.Nodes[tu]
+			addClass(&w, c[0], c[1], kind)
+			out.Nodes[tu] = w
 		}
+	}
+	if !edges {
+		return out, nil
 	}
 
 	edgeCounts := make(map[agg.EdgeKey][2]int64)
 	for e := 0; e < g.NumEdges(); e++ {
+		if e%sweepChunk == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
 		id := core.EdgeID(e)
 		ep := g.Edge(id)
 		clear(edgeCounts)
@@ -210,36 +287,38 @@ func Aggregate(g *core.Graph, told, tnew timeline.Interval, s *agg.Schema, kind 
 			edgeCounts[key] = c
 		})
 		for key, c := range edgeCounts {
-			out.Edges[key] = addClass(out.Edges[key], c, kind)
+			w := out.Edges[key]
+			addClass(&w, c[0], c[1], kind)
+			out.Edges[key] = w
 		}
 	}
-	return out
+	return out, nil
 }
 
 // addClass folds one entity's (old, new) appearance counts for a tuple into
-// the running weights.
-func addClass(w Weights, c [2]int64, kind agg.Kind) Weights {
+// the running weights — the one classification rule of the evolution
+// family.
+func addClass(w *Weights, c0, c1 int64, kind agg.Kind) {
 	switch {
-	case c[0] > 0 && c[1] > 0:
+	case c0 > 0 && c1 > 0:
 		if kind == agg.Distinct {
 			w.St++
 		} else {
-			w.St += c[0] + c[1]
+			w.St += c0 + c1
 		}
-	case c[1] > 0:
+	case c1 > 0:
 		if kind == agg.Distinct {
 			w.Gr++
 		} else {
-			w.Gr += c[1]
+			w.Gr += c1
 		}
-	case c[0] > 0:
+	case c0 > 0:
 		if kind == agg.Distinct {
 			w.Shr++
 		} else {
-			w.Shr += c[0]
+			w.Shr += c0
 		}
 	}
-	return w
 }
 
 // NodeWeights returns the weight triple of the aggregate node for tu.

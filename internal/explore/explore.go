@@ -159,7 +159,8 @@ type Explorer struct {
 
 	// NoFastPath forces the seed evaluation engine (selector views plus a
 	// fresh aggregation per candidate) even when the incremental-view
-	// fast path is applicable. Used by ablations and equivalence tests.
+	// fast path is applicable — for Explore/Naive and for TopEdgeTuples.
+	// Used by ablations and equivalence tests.
 	NoFastPath bool
 
 	// Memo, when non-nil, caches candidate evaluations across runs (the
@@ -175,10 +176,6 @@ type Explorer struct {
 	// (NewNodeIndexedExplorer).
 	index     *EdgeIndex
 	nodeIndex *NodeIndex
-
-	// pointIdx caches the per-time-point existence index backing the fast
-	// path's incremental views; built lazily on first use.
-	pointIdx *ops.PointIndex
 
 	// ctx is the cancellation context of the current ExploreCtx run (nil
 	// outside one). Traversal loops poll it between candidate evaluations
@@ -313,12 +310,6 @@ func TraversalName(event Event, sem Semantics, ext Extend) string {
 		return "check-longest"
 	}
 }
-
-// UsePointIndex installs a prebuilt per-time-point existence index for the
-// fast path, letting callers share one immutable index across explorers
-// over the same graph (ops.PointIndex is safe for concurrent use). An index
-// built on a different graph is ignored and rebuilt lazily as usual.
-func (ex *Explorer) UsePointIndex(ix *ops.PointIndex) { ex.pointIdx = ix }
 
 // traversalFor encodes Table 1.
 func traversalFor(event Event, sem Semantics, ext Extend) traversal {

@@ -47,15 +47,6 @@ func (ex *Explorer) fastEligible() bool {
 	return ex.index == nil && ex.nodeIndex == nil && !ex.NoFastPath
 }
 
-// pointIndex lazily builds (and caches across calls) the per-time-point
-// existence index of the explorer's graph.
-func (ex *Explorer) pointIndex() *ops.PointIndex {
-	if ex.pointIdx == nil || ex.pointIdx.Graph() != ex.Graph {
-		ex.pointIdx = ops.NewPointIndex(ex.Graph)
-	}
-	return ex.pointIdx
-}
-
 // refState is the traversal state of one reference point i: the two sides
 // of its current candidate (Told anchored at i, Tnew anchored at i+1; the
 // side selected by Extend moves outward one point per depth), the extension
@@ -80,8 +71,8 @@ type fastCand struct {
 	r     int64
 }
 
-// fastRun holds one traversal's shared context: the point index, one
-// PairView per worker, and the per-reference-point states.
+// fastRun holds one traversal's shared context: one PairView per worker and
+// the per-reference-point states, all reading the graph's point index.
 type fastRun struct {
 	ex      *Explorer
 	event   Event
@@ -93,7 +84,7 @@ type fastRun struct {
 }
 
 func (ex *Explorer) newFastRun(event Event, sem Semantics, ext Extend) *fastRun {
-	ix := ex.pointIndex()
+	g := ex.Graph
 	workers := ex.Workers
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -104,9 +95,9 @@ func (ex *Explorer) newFastRun(event Event, sem Semantics, ext Extend) *fastRun 
 	fr := &fastRun{ex: ex, event: event, sem: sem, ext: ext, workers: workers}
 	fr.pvs = make([]*ops.PairView, workers)
 	for w := range fr.pvs {
-		fr.pvs[w] = ix.NewPairView()
+		fr.pvs[w] = ops.NewPairView(g)
 	}
-	n := ex.Graph.Timeline().Len()
+	n := g.Timeline().Len()
 	if n < 2 {
 		return fr
 	}
@@ -114,8 +105,8 @@ func (ex *Explorer) newFastRun(event Event, sem Semantics, ext Extend) *fastRun 
 	for i := range fr.refs {
 		fr.refs[i] = &refState{
 			i:      i,
-			oldIV:  ix.NewIncrementalView(timeline.Time(i)),
-			newIV:  ix.NewIncrementalView(timeline.Time(i + 1)),
+			oldIV:  ops.NewIncrementalView(g, timeline.Time(i)),
+			newIV:  ops.NewIncrementalView(g, timeline.Time(i+1)),
 			active: true,
 		}
 	}

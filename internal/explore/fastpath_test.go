@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/evolution"
 	"repro/internal/gtest"
+	"repro/internal/ops"
 )
 
 // anyExplorer builds an explorer over a random graph with a random
@@ -133,26 +134,31 @@ func TestFastPathParallelRace(t *testing.T) {
 	}
 }
 
-// TestFastPathReusesPointIndex checks the lazy index is cached across calls
-// and rebuilt when the graph changes.
+// TestFastPathReusesPointIndex: two explorers and a TOP on one graph share
+// one point index — the graph's, built once — and a second graph gets its
+// own.
 func TestFastPathReusesPointIndex(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	ex := staticExplorer(r)
 	for ex == nil {
 		ex = staticExplorer(r)
 	}
+	g := ex.Graph
 	ex.Explore(evolution.Stability, UnionSemantics, ExtendNew, 1)
-	first := ex.pointIdx
-	if first == nil {
-		t.Fatal("fast path did not build a point index")
-	}
-	ex.Explore(evolution.Growth, IntersectionSemantics, ExtendOld, 1)
-	if ex.pointIdx != first {
+	first := g.PointIndex()
+	other := &Explorer{Graph: g, Schema: ex.Schema, Kind: ex.Kind, Result: TotalNodes}
+	other.Explore(evolution.Growth, IntersectionSemantics, ExtendOld, 1)
+	TopEdgeTuples(other, evolution.Shrinkage, 3)
+	if g.PointIndex() != first {
 		t.Fatal("point index rebuilt for the same graph")
 	}
+	// What the views read is that index, not a copy an explorer built.
+	iv := ops.NewIncrementalView(g, 0)
+	if !iv.Nodes().Equal(first.NodesAt(0)) || !iv.Edges().Equal(first.EdgesAt(0)) {
+		t.Fatal("incremental view does not read the graph's point index")
+	}
 	g2 := gtest.RandomGraph(r, gtest.DefaultParams())
-	ex.Graph = g2
-	if ex.pointIndex().Graph() != g2 {
-		t.Fatal("point index not rebuilt after graph swap")
+	if g2.PointIndex() == first {
+		t.Fatal("two graphs share a point index")
 	}
 }

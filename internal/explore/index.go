@@ -14,9 +14,10 @@ import (
 // aggregate edge on an all-static schema with Distinct semantics — exactly
 // the paper's §5.2 setting (distinct female-female edges).
 //
-// It precomputes, per base time point, the bitset of edge ids existing at
-// that point, and the time-independent bitset of edge ids whose endpoint
-// tuples match the target. result(G) for any exploration pair then reduces
+// It reads, per base time point, the bitset of edge ids existing at that
+// point from the graph's shared point index, and precomputes the
+// time-independent bitset of edge ids whose endpoint tuples match the
+// target. result(G) for any exploration pair then reduces
 // to popcounts of word-parallel AND/OR combinations, avoiding the per-pair
 // view construction and hash-map aggregation of the general path:
 //
@@ -28,9 +29,9 @@ import (
 // The speedup over the general evaluator is measured by
 // BenchmarkAblationEdgeIndex.
 type EdgeIndex struct {
-	g        *core.Graph
-	perPoint []*bitset.Set // edges existing at each base time point
-	match    *bitset.Set   // edges whose endpoint tuples match the target
+	g      *core.Graph
+	points *core.PointIndex // edges existing at each base time point
+	match  *bitset.Set      // edges whose endpoint tuples match the target
 }
 
 // NewEdgeIndex builds the index for the aggregate edge (from → to) under
@@ -47,20 +48,9 @@ func NewEdgeIndex(s *agg.Schema, from, to []string) (*EdgeIndex, error) {
 		return nil, fmt.Errorf("explore: edge tuple %v→%v not in attribute domain", from, to)
 	}
 	g := s.Graph()
-	ix := &EdgeIndex{
-		g:        g,
-		perPoint: make([]*bitset.Set, g.Timeline().Len()),
-		match:    bitset.New(g.NumEdges()),
-	}
-	for t := range ix.perPoint {
-		ix.perPoint[t] = bitset.New(g.NumEdges())
-	}
+	ix := &EdgeIndex{g: g, points: g.PointIndex(), match: bitset.New(g.NumEdges())}
 	for e := 0; e < g.NumEdges(); e++ {
-		id := core.EdgeID(e)
-		g.EdgeTau(id).ForEach(func(t int) {
-			ix.perPoint[t].Add(e)
-		})
-		ep := g.Edge(id)
+		ep := g.Edge(core.EdgeID(e))
 		fu, okU := s.StaticTuple(ep.U)
 		tu, okV := s.StaticTuple(ep.V)
 		if okU && okV && fu == fromTu && tu == toTu {
@@ -70,35 +60,12 @@ func NewEdgeIndex(s *agg.Schema, from, to []string) (*EdgeIndex, error) {
 	return ix, nil
 }
 
-// selMask combines the per-point masks under the selector's semantics,
-// iterating the interval's bitmask directly (Times() would allocate a
-// []Time per evaluation).
-func (ix *EdgeIndex) selMask(sel ops.Sel) *bitset.Set {
-	out := bitset.New(ix.g.NumEdges())
-	if sel.Interval.IsEmpty() {
-		return out
-	}
-	first := true
-	sel.Interval.Mask().ForEach(func(t int) {
-		switch {
-		case first:
-			out.CopyFrom(ix.perPoint[t])
-			first = false
-		case sel.ForAll:
-			out.AndWith(ix.perPoint[t])
-		default:
-			out.OrWith(ix.perPoint[t])
-		}
-	})
-	return out
-}
-
 // Eval returns the distinct count of matching edges for the event between
 // the two selectors — identical to the general evaluator with an
 // EdgeTuple result function and Distinct counting.
 func (ix *EdgeIndex) Eval(event Event, old, new ops.Sel) int64 {
-	sOld := ix.selMask(old)
-	sNew := ix.selMask(new)
+	sOld := combine(ix.points.EdgesAt, ix.g.NumEdges(), old)
+	sNew := combine(ix.points.EdgesAt, ix.g.NumEdges(), new)
 	switch event {
 	case evolution.Stability:
 		sOld.AndWith(sNew)

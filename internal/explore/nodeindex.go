@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/evolution"
 	"repro/internal/ops"
+	"repro/internal/timeline"
 )
 
 // NodeIndex is the node-counting counterpart of EdgeIndex: it accelerates
@@ -20,11 +21,9 @@ import (
 // their evaluation combines the node masks with an endpoint sweep over the
 // edge-difference mask (still far cheaper than view + hash aggregation).
 type NodeIndex struct {
-	g         *core.Graph
-	nodeAt    []*bitset.Set // nodes existing at each base time point
-	edgeAt    []*bitset.Set // edges existing at each base time point
-	match     *bitset.Set   // nodes whose static tuple matches the target
-	endpoints [][2]core.NodeID
+	g      *core.Graph
+	points *core.PointIndex // nodes and edges existing at each base time point
+	match  *bitset.Set      // nodes whose static tuple matches the target
 }
 
 // NewNodeIndex builds the index for the aggregate node tuple values under
@@ -38,29 +37,11 @@ func NewNodeIndex(s *agg.Schema, values ...string) (*NodeIndex, error) {
 		return nil, fmt.Errorf("explore: tuple %v not in attribute domain", values)
 	}
 	g := s.Graph()
-	ix := &NodeIndex{
-		g:         g,
-		nodeAt:    make([]*bitset.Set, g.Timeline().Len()),
-		edgeAt:    make([]*bitset.Set, g.Timeline().Len()),
-		match:     bitset.New(g.NumNodes()),
-		endpoints: make([][2]core.NodeID, g.NumEdges()),
-	}
-	for t := range ix.nodeAt {
-		ix.nodeAt[t] = bitset.New(g.NumNodes())
-		ix.edgeAt[t] = bitset.New(g.NumEdges())
-	}
+	ix := &NodeIndex{g: g, points: g.PointIndex(), match: bitset.New(g.NumNodes())}
 	for n := 0; n < g.NumNodes(); n++ {
-		id := core.NodeID(n)
-		g.NodeTau(id).ForEach(func(t int) { ix.nodeAt[t].Add(n) })
-		if tu, ok := s.StaticTuple(id); ok && tu == target {
+		if tu, ok := s.StaticTuple(core.NodeID(n)); ok && tu == target {
 			ix.match.Add(n)
 		}
-	}
-	for e := 0; e < g.NumEdges(); e++ {
-		id := core.EdgeID(e)
-		g.EdgeTau(id).ForEach(func(t int) { ix.edgeAt[t].Add(e) })
-		ep := g.Edge(id)
-		ix.endpoints[e] = [2]core.NodeID{ep.U, ep.V}
 	}
 	return ix, nil
 }
@@ -68,7 +49,7 @@ func NewNodeIndex(s *agg.Schema, values ...string) (*NodeIndex, error) {
 // combine folds per-point masks under the selector semantics, iterating
 // the interval's bitmask directly (Times() would allocate a []Time per
 // evaluation).
-func combine(perPoint []*bitset.Set, width int, sel ops.Sel) *bitset.Set {
+func combine(perPoint func(timeline.Time) *bitset.Set, width int, sel ops.Sel) *bitset.Set {
 	out := bitset.New(width)
 	if sel.Interval.IsEmpty() {
 		return out
@@ -77,12 +58,12 @@ func combine(perPoint []*bitset.Set, width int, sel ops.Sel) *bitset.Set {
 	sel.Interval.Mask().ForEach(func(t int) {
 		switch {
 		case first:
-			out.CopyFrom(perPoint[t])
+			out.CopyFrom(perPoint(timeline.Time(t)))
 			first = false
 		case sel.ForAll:
-			out.AndWith(perPoint[t])
+			out.AndWith(perPoint(timeline.Time(t)))
 		default:
-			out.OrWith(perPoint[t])
+			out.OrWith(perPoint(timeline.Time(t)))
 		}
 	})
 	return out
@@ -92,8 +73,8 @@ func combine(perPoint []*bitset.Set, width int, sel ops.Sel) *bitset.Set {
 // the two selectors, identical to the general evaluator with a NodeTuple
 // result and Distinct counting.
 func (ix *NodeIndex) Eval(event Event, old, new ops.Sel) int64 {
-	nOld := combine(ix.nodeAt, ix.g.NumNodes(), old)
-	nNew := combine(ix.nodeAt, ix.g.NumNodes(), new)
+	nOld := combine(ix.points.NodesAt, ix.g.NumNodes(), old)
+	nNew := combine(ix.points.NodesAt, ix.g.NumNodes(), new)
 	switch event {
 	case evolution.Stability:
 		nOld.AndWith(nNew)
@@ -112,18 +93,18 @@ func (ix *NodeIndex) Eval(event Event, old, new ops.Sel) int64 {
 // of a difference edge (Definition 2.5).
 func (ix *NodeIndex) evalDifference(pos, neg ops.Sel, nPos, nNeg *bitset.Set) int64 {
 	kept := nPos.AndNot(nNeg)
-	ePos := combine(ix.edgeAt, ix.g.NumEdges(), pos)
-	eNeg := combine(ix.edgeAt, ix.g.NumEdges(), neg)
+	ePos := combine(ix.points.EdgesAt, ix.g.NumEdges(), pos)
+	eNeg := combine(ix.points.EdgesAt, ix.g.NumEdges(), neg)
 	ePos.ForEach(func(e int) {
 		if eNeg.Contains(e) {
 			return
 		}
-		ep := ix.endpoints[e]
-		if nPos.Contains(int(ep[0])) {
-			kept.Add(int(ep[0]))
+		ep := ix.g.Edge(core.EdgeID(e))
+		if nPos.Contains(int(ep.U)) {
+			kept.Add(int(ep.U))
 		}
-		if nPos.Contains(int(ep[1])) {
-			kept.Add(int(ep[1]))
+		if nPos.Contains(int(ep.V)) {
+			kept.Add(int(ep.V))
 		}
 	})
 	return int64(kept.CountAnd(ix.match))

@@ -34,8 +34,25 @@ func (ts TupleScore) Label(s *agg.Schema) string {
 // the graph exhibits fewer tuple pairs). Ties break by label for
 // determinism. The ranked tuples identify which attribute groups deserve a
 // full exploration run.
+//
+// Each pair is the entity-level stability or difference view of Defs.
+// 2.4/2.5, combined word-parallel from the graph's point index by one
+// reused ops.PairView; NoFastPath pins the per-pair entity scans of
+// ops.Intersection/ops.Difference instead (the reference).
 func TopEdgeTuples(ex *Explorer, event Event, n int) []TupleScore {
-	tl := ex.Graph.Timeline()
+	g, tl := ex.Graph, ex.Graph.Timeline()
+	stability := func(old, new timeline.Interval) *ops.View { return ops.Intersection(g, old, new) }
+	difference := func(pos, neg timeline.Interval) *ops.View { return ops.Difference(g, pos, neg) }
+	if !ex.NoFastPath && tl.Len() > 1 {
+		pv := ops.NewPairView(g)
+		a, b := ops.NewIncrementalView(g, 0), ops.NewIncrementalView(g, 0)
+		at := func(iv *ops.IncrementalView, point timeline.Interval) *ops.IncrementalView {
+			iv.Reset(point.Min())
+			return iv
+		}
+		stability = func(old, new timeline.Interval) *ops.View { return pv.Stability(at(a, old), at(b, new)) }
+		difference = func(pos, neg timeline.Interval) *ops.View { return pv.Difference(at(a, pos), at(b, neg)) }
+	}
 	best := make(map[agg.EdgeKey]TupleScore)
 	for i := 0; i < tl.Len()-1; i++ {
 		if ex.canceled() {
@@ -46,11 +63,11 @@ func TopEdgeTuples(ex *Explorer, event Event, n int) []TupleScore {
 		var v *ops.View
 		switch event {
 		case evolution.Stability:
-			v = ops.Intersection(ex.Graph, old, new)
+			v = stability(old, new)
 		case evolution.Growth:
-			v = ops.Difference(ex.Graph, new, old)
+			v = difference(new, old)
 		default:
-			v = ops.Difference(ex.Graph, old, new)
+			v = difference(old, new)
 		}
 		ag := agg.Aggregate(v, ex.Schema, ex.Kind)
 		for key, w := range ag.Edges {
@@ -60,18 +77,28 @@ func TopEdgeTuples(ex *Explorer, event Event, n int) []TupleScore {
 			}
 		}
 	}
-	out := make([]TupleScore, 0, len(best))
-	for _, ts := range best {
-		out = append(out, ts)
+	// Rank by peak, then label; each label is rendered once, not once per
+	// comparison.
+	type ranked struct {
+		ts    TupleScore
+		label string
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Peak != out[j].Peak {
-			return out[i].Peak > out[j].Peak
+	order := make([]ranked, 0, len(best))
+	for _, ts := range best {
+		order = append(order, ranked{ts, ts.Label(ex.Schema)})
+	}
+	sort.Slice(order, func(i, j int) bool {
+		if order[i].ts.Peak != order[j].ts.Peak {
+			return order[i].ts.Peak > order[j].ts.Peak
 		}
-		return out[i].Label(ex.Schema) < out[j].Label(ex.Schema)
+		return order[i].label < order[j].label
 	})
-	if n > 0 && len(out) > n {
-		out = out[:n]
+	if n > 0 && len(order) > n {
+		order = order[:n]
+	}
+	out := make([]TupleScore, len(order))
+	for i := range order {
+		out[i] = order[i].ts
 	}
 	return out
 }

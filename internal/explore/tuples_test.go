@@ -1,11 +1,15 @@
 package explore
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/evolution"
+	"repro/internal/gtest"
+	"repro/internal/timeline"
 )
 
 func TestTopEdgeTuplesGrowth(t *testing.T) {
@@ -67,6 +71,79 @@ func TestTopEdgeTuplesConsistentWithExplorer(t *testing.T) {
 		pairs := ex2.Explore(evolution.Shrinkage, UnionSemantics, ExtendOld, ts.Peak)
 		if len(pairs) == 0 {
 			t.Errorf("tuple %s: no pairs at its own peak %d", ts.Label(s), ts.Peak)
+		}
+	}
+}
+
+// TestTopFastMatchesSeedPath checks pair-view TOP ≡ NoFastPath TOP (the
+// per-pair entity scans), scores, intervals and order, for the three events
+// on static, time-varying and mixed schemas — with time-varying attributes
+// the entity-level views TOP ranks differ from the tuple-appearance
+// classification of evolution.Aggregate, so this is the only oracle — and
+// for every way n can relate to the number of tuple pairs.
+func TestTopFastMatchesSeedPath(t *testing.T) {
+	graphs := []*core.Graph{core.PaperExample(), gtest.LongLivedGraph(rand.New(rand.NewSource(3)), 130)}
+	for seed := int64(0); seed < 40; seed++ {
+		graphs = append(graphs, gtest.RandomGraph(rand.New(rand.NewSource(seed)), gtest.DefaultParams()))
+	}
+	for gi, g := range graphs {
+		var static, varying []core.AttrID
+		for a := 0; a < g.NumAttrs(); a++ {
+			if g.Attr(core.AttrID(a)).Kind == core.Static {
+				static = append(static, core.AttrID(a))
+			} else {
+				varying = append(varying, core.AttrID(a))
+			}
+		}
+		var schemas []*agg.Schema
+		if len(static) > 0 {
+			schemas = append(schemas, agg.MustSchema(g, static...))
+		}
+		if len(varying) > 0 {
+			schemas = append(schemas, agg.MustSchema(g, varying...))
+		}
+		if len(static) > 0 && len(varying) > 0 {
+			schemas = append(schemas, agg.MustSchema(g, static[0], varying[0]))
+		}
+		for _, s := range schemas {
+			for _, kind := range []agg.Kind{agg.Distinct, agg.All} {
+				fast := &Explorer{Graph: g, Schema: s, Kind: kind, Result: TotalEdges}
+				seed := &Explorer{Graph: g, Schema: s, Kind: kind, Result: TotalEdges, NoFastPath: true}
+				for _, ev := range []Event{evolution.Stability, evolution.Growth, evolution.Shrinkage} {
+					groups := len(TopEdgeTuples(seed, ev, 0))
+					for _, n := range []int{0, 1, 3, groups + 1} {
+						got, want := TopEdgeTuples(fast, ev, n), TopEdgeTuples(seed, ev, n)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("graph %d %v %v %v n=%d: pair-view TOP diverges from the seed path\n got %v\nwant %v",
+								gi, s.AttrNames(), kind, ev, n, got, want)
+						}
+						if n > 0 && len(got) != min(n, groups) {
+							t.Fatalf("graph %d %v %v n=%d: %d scores, want %d", gi, s.AttrNames(), ev, n, len(got), min(n, groups))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTopOnePointTimeline: no consecutive pair, so an empty, non-nil
+// ranking on both paths.
+func TestTopOnePointTimeline(t *testing.T) {
+	b := core.NewBuilder(timeline.MustNew("only"), core.AttrSpec{Name: "c", Kind: core.Static})
+	u, v := b.AddNode("u"), b.AddNode("v")
+	for _, n := range []core.NodeID{u, v} {
+		b.SetNodeTime(n, 0)
+		b.SetStatic(0, n, "x")
+	}
+	b.SetEdgeTime(b.AddEdge(u, v), 0)
+	g := b.MustBuild()
+	for _, noFast := range []bool{false, true} {
+		ex := &Explorer{Graph: g, Schema: agg.MustSchema(g, 0), Kind: agg.Distinct, Result: TotalEdges, NoFastPath: noFast}
+		for _, ev := range []Event{evolution.Stability, evolution.Growth, evolution.Shrinkage} {
+			if top := TopEdgeTuples(ex, ev, 3); top == nil || len(top) != 0 {
+				t.Fatalf("NoFastPath=%v %v: top = %#v, want empty and non-nil", noFast, ev, top)
+			}
 		}
 	}
 }

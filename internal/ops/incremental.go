@@ -16,52 +16,11 @@ import (
 // exploration traversals of §3 evaluate chains of candidate pairs that
 // differ by a single time point (T ∪ {t} or T ∩ semantics extended by t),
 // so the entity selection of step i+1 is one OrWith/AndWith away from step
-// i. A PointIndex precomputes, per base time point, the bitset of
+// i. The graph's core.PointIndex holds, per base time point, the bitset of
 // nodes/edges existing at that point; an IncrementalView then maintains a
 // side's accumulated selection in place, and a PairView combines two sides
 // into stability or difference views using only word-parallel operations
 // plus an output-sized endpoint sweep.
-
-// PointIndex holds, for each base time point of a graph, the bitset of node
-// ids and edge ids existing at that point. Building it costs one pass over
-// all timestamps; it is immutable afterwards and safe for concurrent use.
-type PointIndex struct {
-	g      *core.Graph
-	nodeAt []*bitset.Set
-	edgeAt []*bitset.Set
-}
-
-// NewPointIndex builds the per-time-point existence index of g.
-func NewPointIndex(g *core.Graph) *PointIndex {
-	n := g.Timeline().Len()
-	ix := &PointIndex{
-		g:      g,
-		nodeAt: make([]*bitset.Set, n),
-		edgeAt: make([]*bitset.Set, n),
-	}
-	for t := 0; t < n; t++ {
-		ix.nodeAt[t] = bitset.New(g.NumNodes())
-		ix.edgeAt[t] = bitset.New(g.NumEdges())
-	}
-	for i := 0; i < g.NumNodes(); i++ {
-		g.NodeTau(core.NodeID(i)).ForEach(func(t int) { ix.nodeAt[t].Add(i) })
-	}
-	for e := 0; e < g.NumEdges(); e++ {
-		g.EdgeTau(core.EdgeID(e)).ForEach(func(t int) { ix.edgeAt[t].Add(e) })
-	}
-	return ix
-}
-
-// Graph returns the indexed base graph.
-func (ix *PointIndex) Graph() *core.Graph { return ix.g }
-
-// NodesAt returns the bitset of nodes existing at t. Callers must not
-// modify it.
-func (ix *PointIndex) NodesAt(t timeline.Time) *bitset.Set { return ix.nodeAt[t] }
-
-// EdgesAt returns the bitset of edges existing at t. Callers must not
-// modify it.
-func (ix *PointIndex) EdgesAt(t timeline.Time) *bitset.Set { return ix.edgeAt[t] }
 
 // IncrementalView is one side of an exploration candidate pair: an interval
 // together with the accumulated node/edge selection of the entities that
@@ -73,18 +32,21 @@ func (ix *PointIndex) EdgesAt(t timeline.Time) *bitset.Set { return ix.edgeAt[t]
 // An IncrementalView is reusable: Reset re-anchors it at a single point
 // without reallocating. It is not safe for concurrent mutation.
 type IncrementalView struct {
-	ix    *PointIndex
+	g     *core.Graph
+	ix    *core.PointIndex
 	nodes *bitset.Set
 	edges *bitset.Set
 	times timeline.Interval
 }
 
-// NewIncrementalView returns a view anchored at the single point t.
-func (ix *PointIndex) NewIncrementalView(t timeline.Time) *IncrementalView {
+// NewIncrementalView returns a view over g anchored at the single point t,
+// reading g's shared point index.
+func NewIncrementalView(g *core.Graph, t timeline.Time) *IncrementalView {
 	iv := &IncrementalView{
-		ix:    ix,
-		nodes: bitset.New(ix.g.NumNodes()),
-		edges: bitset.New(ix.g.NumEdges()),
+		g:     g,
+		ix:    g.PointIndex(),
+		nodes: bitset.New(g.NumNodes()),
+		edges: bitset.New(g.NumEdges()),
 	}
 	iv.Reset(t)
 	return iv
@@ -92,27 +54,27 @@ func (ix *PointIndex) NewIncrementalView(t timeline.Time) *IncrementalView {
 
 // Reset re-anchors the view at the single point t, reusing its buffers.
 func (iv *IncrementalView) Reset(t timeline.Time) {
-	iv.nodes.CopyFrom(iv.ix.nodeAt[t])
-	iv.edges.CopyFrom(iv.ix.edgeAt[t])
-	iv.times = iv.ix.g.Timeline().Point(t)
+	iv.nodes.CopyFrom(iv.ix.NodesAt(t))
+	iv.edges.CopyFrom(iv.ix.EdgesAt(t))
+	iv.times = iv.g.Timeline().Point(t)
 }
 
 // ExtendUnion adds time point t under union semantics (Exists): the
 // selection grows to entities existing at ≥1 point of the extended
 // interval. Equivalent to rebuilding with Exists(times ∪ {t}).
 func (iv *IncrementalView) ExtendUnion(t timeline.Time) {
-	iv.nodes.OrWith(iv.ix.nodeAt[t])
-	iv.edges.OrWith(iv.ix.edgeAt[t])
-	iv.times = iv.times.Union(iv.ix.g.Timeline().Point(t))
+	iv.nodes.OrWith(iv.ix.NodesAt(t))
+	iv.edges.OrWith(iv.ix.EdgesAt(t))
+	iv.times = iv.times.Union(iv.g.Timeline().Point(t))
 }
 
 // ExtendIntersect adds time point t under intersection semantics (ForAll):
 // the selection shrinks to entities existing at every point of the
 // extended interval. Equivalent to rebuilding with ForAll(times ∪ {t}).
 func (iv *IncrementalView) ExtendIntersect(t timeline.Time) {
-	iv.nodes.AndWith(iv.ix.nodeAt[t])
-	iv.edges.AndWith(iv.ix.edgeAt[t])
-	iv.times = iv.times.Union(iv.ix.g.Timeline().Point(t))
+	iv.nodes.AndWith(iv.ix.NodesAt(t))
+	iv.edges.AndWith(iv.ix.EdgesAt(t))
+	iv.times = iv.times.Union(iv.g.Timeline().Point(t))
 }
 
 // Interval returns the accumulated interval.
@@ -130,7 +92,7 @@ func (iv *IncrementalView) Edges() *bitset.Set { return iv.edges }
 // The view aliases the IncrementalView's bitsets: it is valid until the
 // next Extend/Reset call.
 func (iv *IncrementalView) View() *View {
-	return newView(iv.ix.g, iv.nodes, iv.edges, iv.times)
+	return newView(iv.g, iv.nodes, iv.edges, iv.times)
 }
 
 // PairView combines two IncrementalViews into the stability or difference
@@ -139,20 +101,20 @@ func (iv *IncrementalView) View() *View {
 // next Stability/Difference call on the same PairView. One PairView per
 // worker makes candidate evaluation allocation-free.
 type PairView struct {
-	ix       *PointIndex
+	g        *core.Graph
 	nodes    *bitset.Set
 	edges    *bitset.Set
 	endpoint *bitset.Set
 	view     View
 }
 
-// NewPairView returns a reusable pair combiner for the index's graph.
-func (ix *PointIndex) NewPairView() *PairView {
+// NewPairView returns a reusable pair combiner for views over g.
+func NewPairView(g *core.Graph) *PairView {
 	return &PairView{
-		ix:       ix,
-		nodes:    bitset.New(ix.g.NumNodes()),
-		edges:    bitset.New(ix.g.NumEdges()),
-		endpoint: bitset.New(ix.g.NumNodes()),
+		g:        g,
+		nodes:    bitset.New(g.NumNodes()),
+		edges:    bitset.New(g.NumEdges()),
+		endpoint: bitset.New(g.NumNodes()),
 	}
 }
 
@@ -163,7 +125,7 @@ func (ix *PointIndex) NewPairView() *PairView {
 func (pv *PairView) Stability(old, new *IncrementalView) *View {
 	pv.nodes.SetAnd(old.nodes, new.nodes)
 	pv.edges.SetAnd(old.edges, new.edges)
-	pv.view = View{g: pv.ix.g, nodes: pv.nodes, edges: pv.edges, times: old.times.Union(new.times)}
+	pv.view = View{g: pv.g, nodes: pv.nodes, edges: pv.edges, times: old.times.Union(new.times)}
 	return &pv.view
 }
 
@@ -177,7 +139,7 @@ func (pv *PairView) Difference(pos, neg *IncrementalView) *View {
 	pv.edges.CopyFrom(pos.edges)
 	pv.edges.AndNotWith(neg.edges)
 	pv.endpoint.Clear()
-	g := pv.ix.g
+	g := pv.g
 	pv.edges.ForEach(func(e int) {
 		ep := g.Edge(core.EdgeID(e))
 		pv.endpoint.Add(int(ep.U))

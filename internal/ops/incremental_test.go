@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/gtest"
 	"repro/internal/timeline"
 )
@@ -27,13 +28,12 @@ func TestQuickIncrementalMatchesScratch(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		g := gtest.RandomGraph(r, gtest.DefaultParams())
 		tl := g.Timeline()
-		ix := NewPointIndex(g)
 
 		// Grow a contiguous interval one point at a time, extending left or
 		// right at random, checking the invariant after every step.
 		anchor := timeline.Time(r.Intn(tl.Len()))
-		union := ix.NewIncrementalView(anchor)
-		inter := ix.NewIncrementalView(anchor)
+		union := NewIncrementalView(g, anchor)
+		inter := NewIncrementalView(g, anchor)
 		lo, hi := anchor, anchor
 		for step := 0; step < tl.Len()+2; step++ {
 			// Union semantics: selection = Union(g, iv, iv) restricted sets.
@@ -68,10 +68,10 @@ func TestQuickIncrementalMatchesScratch(t *testing.T) {
 
 		// Pair combinations against the scratch selectors, across random
 		// anchored sides and both semantics per side.
-		pv := ix.NewPairView()
+		pv := NewPairView(g)
 		for trial := 0; trial < 4; trial++ {
 			mkSide := func() (*IncrementalView, Sel) {
-				iv := ix.NewIncrementalView(timeline.Time(r.Intn(tl.Len())))
+				iv := NewIncrementalView(g, timeline.Time(r.Intn(tl.Len())))
 				forAll := r.Intn(2) == 0
 				for k := r.Intn(tl.Len()); k > 0; k-- {
 					t := timeline.Time(r.Intn(tl.Len()))
@@ -111,31 +111,49 @@ func TestIncrementalViewReset(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	g := gtest.RandomGraph(r, gtest.DefaultParams())
 	tl := g.Timeline()
-	ix := NewPointIndex(g)
-	iv := ix.NewIncrementalView(0)
+	iv := NewIncrementalView(g, 0)
 	for t := 1; t < tl.Len(); t++ {
 		iv.ExtendIntersect(timeline.Time(t))
 	}
 	iv.Reset(0)
-	fresh := ix.NewIncrementalView(0)
+	fresh := NewIncrementalView(g, 0)
 	if !iv.nodes.Equal(fresh.nodes) || !iv.edges.Equal(fresh.edges) || !iv.Interval().Equal(fresh.Interval()) {
 		t.Fatal("Reset did not restore the single-point state")
 	}
 }
 
-// TestPointIndexMasks spot-checks the index against per-entity membership.
+// TestPointIndexMasks checks the graph's point index bit for bit against
+// the timestamps it transposes, on graphs whose entity and time spaces both
+// span several words, and against the projection's counts.
 func TestPointIndexMasks(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	g := gtest.RandomGraph(r, gtest.DefaultParams())
-	ix := NewPointIndex(g)
-	for t0 := 0; t0 < g.Timeline().Len(); t0++ {
-		at := At(g, timeline.Time(t0))
-		if ix.NodesAt(timeline.Time(t0)).Count() != at.NumNodes() {
-			t.Fatalf("t=%d: node mask count %d != projection %d",
-				t0, ix.NodesAt(timeline.Time(t0)).Count(), at.NumNodes())
-		}
-		if ix.EdgesAt(timeline.Time(t0)).Count() != at.NumEdges() {
-			t.Fatalf("t=%d: edge mask count mismatch", t0)
+	big := gtest.DefaultParams()
+	big.MaxNodes, big.MaxEdges = 200, 900
+	for _, g := range []*core.Graph{
+		gtest.RandomGraph(r, gtest.DefaultParams()), gtest.RandomGraph(r, big), gtest.LongLivedGraph(r, 150),
+	} {
+		ix := g.PointIndex()
+		for t0 := 0; t0 < g.Timeline().Len(); t0++ {
+			nodes, edges := ix.NodesAt(timeline.Time(t0)), ix.EdgesAt(timeline.Time(t0))
+			if nodes.Len() != g.NumNodes() || edges.Len() != g.NumEdges() {
+				t.Fatalf("t=%d: masks sized %d/%d, graph has %d/%d", t0, nodes.Len(), edges.Len(), g.NumNodes(), g.NumEdges())
+			}
+			for n := 0; n < g.NumNodes(); n++ {
+				if nodes.Contains(n) != g.NodeTau(core.NodeID(n)).Contains(t0) {
+					t.Fatalf("t=%d: node %d membership differs from its timestamp", t0, n)
+				}
+			}
+			for e := 0; e < g.NumEdges(); e++ {
+				if edges.Contains(e) != g.EdgeTau(core.EdgeID(e)).Contains(t0) {
+					t.Fatalf("t=%d: edge %d membership differs from its timestamp", t0, e)
+				}
+			}
+			if at := At(g, timeline.Time(t0)); nodes.Count() != at.NumNodes() || edges.Count() != at.NumEdges() {
+				t.Fatalf("t=%d: mask counts %d/%d != projection %d/%d", t0, nodes.Count(), edges.Count(), at.NumNodes(), at.NumEdges())
+			}
+			if g.NodesAt(timeline.Time(t0)) != nodes.Count() || g.EdgesAt(timeline.Time(t0)) != edges.Count() {
+				t.Fatalf("t=%d: NodesAt/EdgesAt disagree with the masks", t0)
+			}
 		}
 	}
 }

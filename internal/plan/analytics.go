@@ -187,6 +187,7 @@ func (o *eventsOp) describe() []kv {
 		{"width", strconv.Itoa(o.width)},
 		{"steps", strconv.Itoa(o.steps)},
 		{"engine", "entity-sweep"},
+		{"kernel", evolution.KernelName(o.schema)},
 		{"filter", filterString(o.preds)},
 	}
 	if o.min > 0 {
@@ -200,14 +201,11 @@ func (o *eventsOp) children() []physOp { return nil }
 func (o *eventsOp) countSelection() { Selections.EventsSweep.Inc() }
 
 func (o *eventsOp) run(ctx context.Context, out *Result) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	res := analytics.EventsSweep(o.g, analytics.EventsSpec{
+	res, err := analytics.EventsSweepCtx(ctx, o.g, analytics.EventsSpec{
 		Schema: o.schema, Kind: o.kind, Width: o.width, Min: o.min,
 		Filter: evolution.Filter(o.filter),
 	})
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return err
 	}
 	if o.fb != nil {

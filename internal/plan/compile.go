@@ -397,7 +397,7 @@ func compileTop(env Env, q *Top) (physOp, error) {
 		schema: schema,
 		event:  event,
 		n:      q.N,
-		cost:   int64(steps) * scanCost(g),
+		cost:   scanCost(g) + int64(steps),
 	}, nil
 }
 
@@ -455,7 +455,7 @@ func compileTimeline(env Env, q *Timeline) (physOp, error) {
 		filter: filter,
 		preds:  len(q.Where),
 		steps:  steps,
-		cost:   int64(steps) * scanCost(g),
+		cost:   scanCost(g) + int64(steps),
 	}, nil
 }
 

@@ -3,7 +3,6 @@ package plan
 import (
 	"context"
 	"strconv"
-	"sync"
 
 	"repro/internal/agg"
 	"repro/internal/core"
@@ -311,10 +310,9 @@ func eventString(e explore.Event) string {
 
 // ---- exploration operators -------------------------------------------
 
-// exploreOp runs one §3 exploration. The point index of the fast path is
-// immutable and graph-wide, so it is built once per plan (lazily, to keep
-// EXPLAIN free) and shared across concurrent executions; every other piece
-// of engine state lives in a fresh Explorer per run.
+// exploreOp runs one §3 exploration. The fast path reads the graph's own
+// point index (built on first use, so EXPLAIN stays free); every piece of
+// engine state lives in a fresh Explorer per run.
 type exploreOp struct {
 	g       *core.Graph
 	schema  *agg.Schema
@@ -327,9 +325,6 @@ type exploreOp struct {
 	result  explore.ResultFunc
 	target  string
 	cost    int64
-
-	idxOnce sync.Once
-	idx     *ops.PointIndex
 }
 
 func (o *exploreOp) name() string { return "FastExplore" }
@@ -373,18 +368,15 @@ func (o *exploreOp) children() []physOp { return nil }
 
 func (o *exploreOp) countSelection() { Selections.FastExplore.Inc() }
 
-// explorer builds the per-run engine, sharing the plan's point index.
+// explorer builds the per-run engine.
 func (o *exploreOp) explorer() *explore.Explorer {
-	ex := &explore.Explorer{
+	return &explore.Explorer{
 		Graph:   o.g,
 		Schema:  o.schema,
 		Kind:    o.kind,
 		Result:  o.result,
 		Workers: o.workers,
 	}
-	o.idxOnce.Do(func() { o.idx = ops.NewPointIndex(o.g) })
-	ex.UsePointIndex(o.idx)
-	return ex
 }
 
 func (o *exploreOp) run(ctx context.Context, out *Result) error {
@@ -442,7 +434,8 @@ func (o *tuneOp) run(ctx context.Context, out *Result) error {
 }
 
 // topOp ranks aggregate edges (attribute-pair groups) by peak event count
-// over consecutive interval pairs.
+// over consecutive interval pairs: one pass builds the graph's point index
+// (once per graph), then every pair is an output-sized pair view.
 type topOp struct {
 	g      *core.Graph
 	schema *agg.Schema
@@ -458,6 +451,7 @@ func (o *topOp) describe() []kv {
 		{"n", strconv.Itoa(o.n)},
 		{"event", eventString(o.event)},
 		{"pairs", "consecutive"},
+		{"engine", "pair-views"},
 		{"est_cost", itoa64(o.cost)},
 	}
 }
@@ -501,6 +495,7 @@ func (o *evolveOp) describe() []kv {
 		{"kind", kindString(o.kind)},
 		{"old", intervalString(o.old)},
 		{"new", intervalString(o.new)},
+		{"kernel", evolution.KernelName(o.schema)},
 		{"filter", filterString(o.preds)},
 		{"est_cost", itoa64(o.cost)},
 	}
@@ -510,18 +505,16 @@ func (o *evolveOp) children() []physOp { return nil }
 func (o *evolveOp) countSelection()    { Selections.Evolve.Inc() }
 
 func (o *evolveOp) run(ctx context.Context, out *Result) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	ev := evolution.Aggregate(o.g, o.old, o.new, o.schema, o.kind, evolution.Filter(o.filter))
-	if err := ctx.Err(); err != nil {
+	ev, err := evolution.AggregateCtx(ctx, o.g, o.old, o.new, o.schema, o.kind, evolution.Filter(o.filter))
+	if err != nil {
 		return err
 	}
 	out.Evolution = ev
 	return nil
 }
 
-// timelineOp computes evolution weights for every consecutive pair.
+// timelineOp computes evolution weights for every consecutive pair in one
+// entity sweep.
 type timelineOp struct {
 	g      *core.Graph
 	schema *agg.Schema
@@ -536,6 +529,7 @@ func (o *timelineOp) name() string { return "EvolutionTimeline" }
 func (o *timelineOp) describe() []kv {
 	return []kv{
 		{"steps", strconv.Itoa(o.steps)},
+		{"kernel", evolution.KernelName(o.schema)},
 		{"filter", filterString(o.preds)},
 		{"est_cost", itoa64(o.cost)},
 	}
@@ -545,11 +539,8 @@ func (o *timelineOp) children() []physOp { return nil }
 func (o *timelineOp) countSelection()    { Selections.Timeline.Inc() }
 
 func (o *timelineOp) run(ctx context.Context, out *Result) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	steps := evolution.Timeline(o.g, o.schema, agg.Distinct, evolution.Filter(o.filter))
-	if err := ctx.Err(); err != nil {
+	steps, err := evolution.TimelineCtx(ctx, o.g, o.schema, agg.Distinct, evolution.Filter(o.filter))
+	if err != nil {
 		return err
 	}
 	out.Timeline = steps
