@@ -7,7 +7,6 @@
 //	agg        temporal operator + attribute aggregation (text or JSON)
 //	evolution  aggregated evolution graph (stability/growth/shrinkage)
 //	explore    minimal/maximal interval pairs with ≥ k events
-//	cube       OLAP partial materialization over the attribute lattice
 //	coarsen    zoom out on the time axis (e.g. years → 5-year periods)
 //	query      execute TGQL statements (one-shot with -q, or a REPL)
 //	timeline   step-by-step evolution profile across the whole time axis
@@ -40,7 +39,6 @@ import (
 	"repro/internal/agg"
 	"repro/internal/benchutil"
 	"repro/internal/core"
-	"repro/internal/cube"
 	"repro/internal/dataset"
 	"repro/internal/dot"
 	"repro/internal/evolution"
@@ -64,8 +62,6 @@ func main() {
 		err = cmdEvolution(os.Args[2:])
 	case "explore":
 		err = cmdExplore(os.Args[2:])
-	case "cube":
-		err = cmdCube(os.Args[2:])
 	case "coarsen":
 		err = cmdCoarsen(os.Args[2:])
 	case "query":
@@ -86,7 +82,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: graphtempo <stats|agg|evolution|explore|cube|coarsen|query|timeline> [flags]
+	fmt.Fprintln(os.Stderr, `usage: graphtempo <stats|agg|evolution|explore|coarsen|query|timeline> [flags]
 run "graphtempo <subcommand> -h" for flags`)
 }
 
@@ -250,50 +246,6 @@ func cmdAgg(args []string) error {
 	}
 	fmt.Printf("%s on %s: %d nodes, %d edges\n", *op, view.Times(), view.NumNodes(), view.NumEdges())
 	fmt.Print(result)
-	return nil
-}
-
-func cmdCube(args []string) error {
-	fs := flag.NewFlagSet("cube", flag.ExitOnError)
-	gf := addGraphFlags(fs)
-	budget := fs.Int("budget", 2, "number of cuboids to materialize greedily")
-	attrs := fs.String("attrs", "", "query attributes, comma-separated")
-	at := fs.String("at", "", "time point to query")
-	fs.Parse(args)
-
-	g, err := gf.load()
-	if err != nil {
-		return err
-	}
-	c, err := cube.New(g)
-	if err != nil {
-		return err
-	}
-	if err := c.MaterializeGreedy(*budget); err != nil {
-		return err
-	}
-	fmt.Print(c.Describe())
-	if *attrs == "" || *at == "" {
-		return nil
-	}
-	iv, err := parseInterval(g, *at)
-	if err != nil {
-		return fmt.Errorf("-at: %w", err)
-	}
-	var ids []core.AttrID
-	for _, name := range strings.Split(*attrs, ",") {
-		a, ok := g.AttrByName(name)
-		if !ok {
-			return fmt.Errorf("unknown attribute %q", name)
-		}
-		ids = append(ids, a)
-	}
-	ag, src, err := c.Query(iv.Min(), ids...)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("query (%s) at %s answered from %s:\n", *attrs, *at, src)
-	fmt.Print(ag)
 	return nil
 }
 

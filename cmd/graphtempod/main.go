@@ -81,7 +81,7 @@ func parseFlags(args []string) (*options, error) {
 	o := &options{}
 	fs.StringVar(&o.addr, "addr", ":8089", "listen address")
 	fs.StringVar(&o.dataset, "dataset", "", "dataset to serve: paper, dblp, movielens, or a graph directory path")
-	fs.BoolVar(&o.mmap, "mmap", false, "serve a -dataset snapshot file zero-copy via mmap (decode fallback for v1 files and unsupported platforms)")
+	fs.BoolVar(&o.mmap, "mmap", false, "serve a -dataset snapshot file zero-copy out of a file mapping, checking structure and ranges but not blob checksums or the full model rules (read into one heap buffer where mmap is unavailable)")
 	fs.Float64Var(&o.scale, "scale", 1.0, "size factor for synthetic datasets")
 	fs.Int64Var(&o.seed, "seed", 42, "generator seed for synthetic datasets")
 	fs.StringVar(&o.streamSpec, "stream", "", "run in stream mode with this schema, e.g. gender:static,publications:varying")
@@ -152,7 +152,9 @@ func loadGraph(o *options, log *slog.Logger) (*core.Graph, *storage.Mapped, erro
 		m   *storage.Mapped
 		err error
 	)
-	source := "decode"
+	// source is how the graph came to be: "generated" (a built-in), "load"
+	// (read and fully verified), or the byte source of an -mmap boot.
+	source := "generated"
 	switch o.dataset {
 	case "paper":
 		g = core.PaperExample()
@@ -161,6 +163,7 @@ func loadGraph(o *options, log *slog.Logger) (*core.Graph, *storage.Mapped, erro
 	case "movielens":
 		g = dataset.MovieLensScaled(o.seed, o.scale)
 	default:
+		source = "load"
 		if fi, serr := os.Stat(o.dataset); serr == nil && fi.Mode().IsRegular() {
 			if o.mmap {
 				g, m, err = storage.MappedGraph(o.dataset)

@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/core"
-	"repro/internal/cube"
 	"repro/internal/dataset"
 	"repro/internal/dot"
 	"repro/internal/evolution"
@@ -141,11 +140,6 @@ type (
 	// EvalMemo is an opt-in cross-run cache of exploration candidate
 	// evaluations (used automatically by TuneK).
 	EvalMemo = explore.EvalMemo
-	// Cube manages OLAP partial materialization over the attribute
-	// lattice.
-	Cube = cube.Cube
-	// CubeSource reports how a cube query was answered.
-	CubeSource = cube.Source
 	// CoarsenSpec describes a zoom-out of the time axis.
 	CoarsenSpec = core.CoarsenSpec
 )
@@ -357,11 +351,6 @@ func NewMatCatalogWith(g *Graph, cfg MatCatalogConfig) *MatCatalog {
 // NewEvalMemo returns an exploration evaluation memo with the given byte
 // budget (<= 0 selects the default).
 func NewEvalMemo(maxBytes int64) *EvalMemo { return explore.NewEvalMemo(maxBytes) }
-
-// NewCube returns an OLAP cube over the given dimensions (all attributes
-// of g when none are given); materialize cuboids explicitly, greedily, or
-// fully, then answer per-time-point aggregate queries by roll-up.
-func NewCube(g *Graph, dims ...AttrID) (*Cube, error) { return cube.New(g, dims...) }
 
 // Coarsen zooms out on the time axis per spec (union existence semantics;
 // latest value per group for time-varying attributes).

@@ -8,9 +8,9 @@ import (
 	"repro/internal/timeline"
 )
 
-// Columns is the flat, already-validated-at-write-time input of
-// FromColumns: the column layout the storage package persists, pointing
-// (for the mmap path) straight into a file mapping.
+// Columns is the flat input of FromColumns: the column layout the storage
+// package persists, pointing straight into the snapshot's bytes (a heap
+// buffer, or a file mapping under -mmap).
 type Columns struct {
 	Timeline   *timeline.Timeline
 	Attrs      []AttrSpec
@@ -25,13 +25,14 @@ type Columns struct {
 	Varying [][]dict.Code
 }
 
-// FromColumns assembles a Graph directly from columnar data without the
-// Builder's per-entity semantic validation. It is the O(1)-ish boot path
-// of the mmap snapshot reader: only cheap structural invariants are
-// checked (slice lengths line up, endpoints in range), and the label →
-// id and endpoints → id indexes are built lazily on first lookup. Callers
-// that need full validation (empty timestamps, edges outside endpoint
-// lifetimes) must go through Builder instead.
+// FromColumns assembles a Graph directly from columnar data. It is the one
+// way snapshot bytes become a graph, so it checks what reading the graph
+// relies on — slice lengths line up, endpoints, existence bits and codes are
+// in range (checkRanges), node labels are distinct — in one pass over each
+// column and without copying any. The model rules that need every τ pair or
+// an O(E) hash build (non-empty timestamps, edges within endpoint lifetimes,
+// distinct edges) are Validate's; a caller that skips it gets the
+// endpoints → id index built on first lookup instead.
 func FromColumns(c Columns) (*Graph, error) {
 	if c.Timeline == nil {
 		return nil, fmt.Errorf("core: FromColumns requires a timeline")
@@ -55,12 +56,7 @@ func FromColumns(c Columns) (*Graph, error) {
 			return nil, fmt.Errorf("core: varying attribute %q has wrong column shape", spec.Name)
 		}
 	}
-	for e, ep := range c.Edges {
-		if int(ep.U) < 0 || int(ep.U) >= nNodes || int(ep.V) < 0 || int(ep.V) >= nNodes {
-			return nil, fmt.Errorf("core: edge %d endpoints (%d,%d) out of range [0,%d)", e, ep.U, ep.V, nNodes)
-		}
-	}
-	return &Graph{
+	g := &Graph{
 		tl:         c.Timeline,
 		attrs:      c.Attrs,
 		dicts:      c.Dicts,
@@ -70,22 +66,12 @@ func FromColumns(c Columns) (*Graph, error) {
 		edgeTau:    c.EdgeTau,
 		static:     c.Static,
 		varying:    c.Varying,
-	}, nil
-}
-
-// buildIndexes populates the label and endpoints maps of a FromColumns
-// graph on first lookup; Builder graphs arrive with them set.
-func (g *Graph) buildIndexes() {
-	if g.nodeIndex != nil {
-		return
 	}
-	ni := make(map[string]NodeID, len(g.nodeLabels))
-	for n, label := range g.nodeLabels {
-		ni[label] = NodeID(n)
+	if err := g.checkRanges(); err != nil {
+		return nil, err
 	}
-	ei := make(map[Endpoints]EdgeID, len(g.edges))
-	for e, ep := range g.edges {
-		ei[ep] = EdgeID(e)
+	if err := g.indexNodes(); err != nil {
+		return nil, err
 	}
-	g.nodeIndex, g.edgeIndex = ni, ei
+	return g, nil
 }

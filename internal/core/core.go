@@ -94,8 +94,8 @@ type Graph struct {
 	// node/edge counts. nodeIndex/edgeIndex are nil in that case.
 	shared *sharedIndex
 
-	// idxOnce builds nodeIndex/edgeIndex lazily for FromColumns graphs
-	// (mmap boot must not pay an O(V+E) map build before first lookup).
+	// idxOnce builds edgeIndex on first lookup for FromColumns graphs that
+	// skipped Validate (mmap boot must not pay an O(E) map build).
 	idxOnce sync.Once
 
 	// pointOnce builds points, the per-time-point existence index
@@ -154,7 +154,6 @@ func (g *Graph) NodeByLabel(label string) (NodeID, bool) {
 	if g.shared != nil {
 		return g.shared.nodeByLabel(label, len(g.nodeLabels))
 	}
-	g.idxOnce.Do(g.buildIndexes)
 	n, ok := g.nodeIndex[label]
 	return n, ok
 }
@@ -171,7 +170,7 @@ func (g *Graph) EdgeByEndpoints(u, v NodeID) (EdgeID, bool) {
 	if g.shared != nil {
 		return g.shared.edgeByEndpoints(Endpoints{u, v}, len(g.edges))
 	}
-	g.idxOnce.Do(g.buildIndexes)
+	g.idxOnce.Do(func() { _ = g.indexEdges() }) // a repeated edge is Validate's to report
 	e, ok := g.edgeIndex[Endpoints{u, v}]
 	return e, ok
 }
@@ -365,35 +364,13 @@ func (b *Builder) SetVarying(a AttrID, n NodeID, t timeline.Time, value string) 
 	b.varying[a][int(n)*b.tl.Len()+int(t)] = b.dicts[a].Put(value)
 }
 
-// Build validates and returns the graph. After Build the builder must not
-// be used again.
-//
-// Validation enforces that every node and edge exists at some time point,
-// and that every edge exists only at time points where both of its
-// endpoints exist — in the paper's model an interaction requires both
-// entities to be present.
+// Build validates (Graph.Validate) and returns the graph. After Build the
+// builder must not be used again.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	for e, ep := range b.edges {
-		tau := b.edgeTau[e]
-		if tau.IsEmpty() {
-			return nil, fmt.Errorf("core: edge (%s,%s) has empty timestamp",
-				b.nodeLabels[ep.U], b.nodeLabels[ep.V])
-		}
-		both := b.nodeTau[ep.U].And(b.nodeTau[ep.V])
-		if !both.ContainsAll(tau) {
-			return nil, fmt.Errorf("core: edge (%s,%s) exists at a time its endpoints do not",
-				b.nodeLabels[ep.U], b.nodeLabels[ep.V])
-		}
-	}
-	for n, tau := range b.nodeTau {
-		if tau.IsEmpty() {
-			return nil, fmt.Errorf("core: node %s has empty timestamp", b.nodeLabels[n])
-		}
-	}
-	return &Graph{
+	g := &Graph{
 		tl:         b.tl,
 		attrs:      b.attrs,
 		dicts:      b.dicts,
@@ -405,7 +382,11 @@ func (b *Builder) Build() (*Graph, error) {
 		edgeTau:    b.edgeTau,
 		static:     b.static,
 		varying:    b.varying,
-	}, nil
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // MustBuild is Build but panics on error. Intended for fixtures and tests.

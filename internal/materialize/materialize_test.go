@@ -322,6 +322,73 @@ func TestQuickTDistributiveEqualsScratch(t *testing.T) {
 	}
 }
 
+func TestQuickCatalogAnswersMatchScratch(t *testing.T) {
+	// Whatever is materialized, a single-point request on any attribute
+	// list equals the from-scratch aggregate, and it is rolled up
+	// (D-distributive) exactly when some store's attributes cover the
+	// request and no store holds the list itself.
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		g := gtest.RandomGraph(r, gtest.DefaultParams())
+		if g.NumAttrs() == 0 {
+			return true
+		}
+		randomAttrs := func() []core.AttrID {
+			perm := r.Perm(g.NumAttrs())
+			attrs := make([]core.AttrID, 1+r.Intn(g.NumAttrs()))
+			for i := range attrs {
+				attrs[i] = core.AttrID(perm[i])
+			}
+			return attrs
+		}
+		c := NewCatalog(g)
+		var stored [][]core.AttrID
+		for n := r.Intn(4); n > 0; n-- {
+			attrs := randomAttrs()
+			if _, err := c.Materialize(attrs...); err != nil {
+				return false
+			}
+			stored = append(stored, attrs)
+		}
+		asked := map[string]bool{}
+		for trial := 0; trial < 6; trial++ {
+			attrs := randomAttrs()
+			tp := timeline.Time(r.Intn(g.Timeline().Len()))
+			got, src, err := c.UnionAll(g.Timeline().Point(tp), attrs...)
+			if err != nil {
+				return false
+			}
+			want := agg.Aggregate(ops.At(g, tp), agg.MustSchema(g, attrs...), agg.All)
+			if !got.Equal(want) {
+				return false
+			}
+			exact, superset := false, false
+			for _, st := range stored {
+				exact = exact || attrsKey(st) == attrsKey(attrs)
+				superset = superset || covers(st, attrs)
+			}
+			wantSrc := Scratch
+			switch key := fmt.Sprint(attrs, tp); {
+			case asked[key]:
+				wantSrc = Cached
+			case exact:
+				wantSrc = TDistributive
+			case superset:
+				wantSrc = DDistributive
+			}
+			asked[fmt.Sprint(attrs, tp)] = true
+			if src != wantSrc {
+				t.Logf("seed %d: %v@%d answered from %v, want %v (stores %v)", seed, attrs, tp, src, wantSrc, stored)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestQuickDistinctNotTDistributiveWitness(t *testing.T) {
 	// §4.3 also notes DIST union aggregates are NOT T-distributive: find a
 	// witness where summing per-point DIST aggregates over-counts.

@@ -1,69 +1,10 @@
 package materialize
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro/internal/agg"
-	"repro/internal/core"
-	"repro/internal/timeline"
 )
-
-// Persistence: a Store's per-time-point aggregates can be written to one
-// JSON file and reloaded later — the warehouse workflow behind §4.3, where
-// the per-unit-of-time aggregations are precomputed once and reused across
-// sessions. Tuples are serialized as decoded attribute values, so a
-// reloaded store only requires the same graph schema (attribute names and
-// value domains), not identical internal code assignments.
-
-type persistEntry struct {
-	Values []string `json:"values"`
-	Weight int64    `json:"weight"`
-}
-
-type persistEdge struct {
-	From   []string `json:"from"`
-	To     []string `json:"to"`
-	Weight int64    `json:"weight"`
-}
-
-type persistPoint struct {
-	Label string         `json:"label"`
-	Nodes []persistEntry `json:"nodes"`
-	Edges []persistEdge  `json:"edges"`
-}
-
-type persistFile struct {
-	Attributes []string       `json:"attributes"`
-	Points     []persistPoint `json:"points"`
-}
-
-// WriteFile serializes the store to path as JSON.
-func (st *Store) WriteFile(path string) error {
-	s := st.schema
-	g := s.Graph()
-	out := persistFile{}
-	for _, a := range s.Attrs() {
-		out.Attributes = append(out.Attributes, g.Attr(a).Name)
-	}
-	for t, ag := range st.perPoint {
-		pt := persistPoint{Label: g.Timeline().Label(timeline.Time(t))}
-		for _, tu := range ag.SortedNodes() {
-			pt.Nodes = append(pt.Nodes, persistEntry{Values: s.Decode(tu), Weight: ag.Nodes[tu]})
-		}
-		for _, k := range ag.SortedEdges() {
-			pt.Edges = append(pt.Edges, persistEdge{
-				From: s.Decode(k.From), To: s.Decode(k.To), Weight: ag.Edges[k]})
-		}
-		out.Points = append(out.Points, pt)
-	}
-	data, err := json.MarshalIndent(out, "", " ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
 
 // NewStoreFromPoints wraps externally decoded per-time-point ALL
 // aggregates as a Store — the reconstruction path of binary snapshot
@@ -82,64 +23,4 @@ func NewStoreFromPoints(s *agg.Schema, perPoint []*agg.Graph) (*Store, error) {
 		}
 	}
 	return &Store{schema: s, perPoint: perPoint}, nil
-}
-
-// ReadStoreFile loads a store previously written with WriteFile, validating
-// it against the given graph and schema: the attribute list, time-point
-// labels and every tuple value must still resolve.
-func ReadStoreFile(g *core.Graph, s *agg.Schema, path string) (*Store, error) {
-	if s.Graph() != g {
-		return nil, fmt.Errorf("materialize: schema built on a different graph")
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var in persistFile
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, fmt.Errorf("materialize: %w", err)
-	}
-	attrs := s.Attrs()
-	if len(in.Attributes) != len(attrs) {
-		return nil, fmt.Errorf("materialize: stored attributes %v do not match schema", in.Attributes)
-	}
-	for i, a := range attrs {
-		if g.Attr(a).Name != in.Attributes[i] {
-			return nil, fmt.Errorf("materialize: stored attribute %q ≠ schema attribute %q",
-				in.Attributes[i], g.Attr(a).Name)
-		}
-	}
-	if len(in.Points) != g.Timeline().Len() {
-		return nil, fmt.Errorf("materialize: stored %d time points, graph has %d",
-			len(in.Points), g.Timeline().Len())
-	}
-	st := &Store{schema: s, perPoint: make([]*agg.Graph, len(in.Points))}
-	for t, pt := range in.Points {
-		if want := g.Timeline().Label(timeline.Time(t)); pt.Label != want {
-			return nil, fmt.Errorf("materialize: time point %d labeled %q, want %q", t, pt.Label, want)
-		}
-		ag := &agg.Graph{
-			Schema: s,
-			Kind:   agg.All,
-			Nodes:  make(map[agg.Tuple]int64, len(pt.Nodes)),
-			Edges:  make(map[agg.EdgeKey]int64, len(pt.Edges)),
-		}
-		for _, n := range pt.Nodes {
-			tu, ok := s.Encode(n.Values...)
-			if !ok {
-				return nil, fmt.Errorf("materialize: stored tuple %v not in attribute domain", n.Values)
-			}
-			ag.Nodes[tu] = n.Weight
-		}
-		for _, e := range pt.Edges {
-			from, ok1 := s.Encode(e.From...)
-			to, ok2 := s.Encode(e.To...)
-			if !ok1 || !ok2 {
-				return nil, fmt.Errorf("materialize: stored edge tuple %v→%v not in attribute domain", e.From, e.To)
-			}
-			ag.Edges[agg.EdgeKey{From: from, To: to}] = e.Weight
-		}
-		st.perPoint[t] = ag
-	}
-	return st, nil
 }

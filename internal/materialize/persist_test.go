@@ -1,91 +1,54 @@
 package materialize
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/agg"
 	"repro/internal/core"
-	"repro/internal/dataset"
+	"repro/internal/ops"
 	"repro/internal/timeline"
 )
 
-func TestStorePersistRoundTrip(t *testing.T) {
-	g := dataset.DBLPScaled(1, 0.01)
-	s := agg.MustSchema(g, g.MustAttr("gender"), g.MustAttr("publications"))
-	st := NewStore(g, s)
-
-	path := filepath.Join(t.TempDir(), "store.json")
-	if err := st.WriteFile(path); err != nil {
-		t.Fatal(err)
+// TestNewStoreFromPointsValidation: the snapshot reader's way of wrapping
+// decoded per-point aggregates as a Store accepts exactly one ALL aggregate
+// of the store's own schema per base time point.
+func TestNewStoreFromPointsValidation(t *testing.T) {
+	g := core.PaperExample()
+	s := agg.MustSchema(g, g.MustAttr("gender"))
+	built := NewStore(g, s)
+	T := g.Timeline().Len()
+	points := func() []*agg.Graph {
+		out := make([]*agg.Graph, T)
+		for tp := range out {
+			out[tp] = built.Point(timeline.Time(tp))
+		}
+		return out
 	}
-	back, err := ReadStoreFile(g, s, path)
+
+	st, err := NewStoreFromPoints(s, points())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every per-point aggregate and every composed window must match.
-	tl := g.Timeline()
-	for tp := 0; tp < tl.Len(); tp++ {
-		if !back.Point(timeline.Time(tp)).Equal(st.Point(timeline.Time(tp))) {
-			t.Fatalf("point %d differs after reload", tp)
-		}
-	}
-	iv := tl.Range(0, 5)
-	if !back.UnionAll(iv).Equal(st.UnionAll(iv)) {
-		t.Fatal("composed window differs after reload")
-	}
-}
-
-func TestReadStoreFileValidation(t *testing.T) {
-	g := core.PaperExample()
-	s := agg.MustSchema(g, g.MustAttr("gender"))
-	st := NewStore(g, s)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "store.json")
-	if err := st.WriteFile(path); err != nil {
-		t.Fatal(err)
+	if iv := g.Timeline().All(); !st.UnionAll(iv).Equal(built.UnionAll(iv)) {
+		t.Error("wrapped store composes a different union than the built one")
 	}
 
-	// Wrong schema (different attribute set).
-	other := agg.MustSchema(g, g.MustAttr("publications"))
-	if _, err := ReadStoreFile(g, other, path); err == nil {
-		t.Error("mismatched schema should fail")
+	if _, err := NewStoreFromPoints(s, points()[:T-1]); err == nil {
+		t.Error("a missing time point should fail")
 	}
-	// Foreign graph.
-	g2 := core.PaperExample()
-	if _, err := ReadStoreFile(g2, s, path); err == nil {
-		t.Error("schema built on another graph should fail")
+	withNil := points()
+	withNil[1] = nil
+	if _, err := NewStoreFromPoints(s, withNil); err == nil {
+		t.Error("a nil point should fail")
 	}
-	// Corrupted JSON.
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte("{nope"), 0o644); err != nil {
-		t.Fatal(err)
+	foreign := points()
+	foreign[0] = NewStore(g, agg.MustSchema(g, g.MustAttr("gender"))).Point(0) // equal attributes, different *Schema
+	if _, err := NewStoreFromPoints(s, foreign); err == nil {
+		t.Error("a point on another schema should fail")
 	}
-	if _, err := ReadStoreFile(g, s, bad); err == nil {
-		t.Error("corrupted file should fail")
+	dist := points()
+	dist[0] = agg.Aggregate(ops.At(g, 0), s, agg.Distinct)
+	if _, err := NewStoreFromPoints(s, dist); err == nil {
+		t.Error("a DIST point should fail")
 	}
-	// Missing file.
-	if _, err := ReadStoreFile(g, s, filepath.Join(dir, "missing.json")); err == nil {
-		t.Error("missing file should fail")
-	}
-	// Out-of-domain tuple.
-	tampered := filepath.Join(dir, "tampered.json")
-	data, _ := os.ReadFile(path)
-	if err := os.WriteFile(tampered,
-		[]byte(replaceFirst(string(data), `"m"`, `"zz"`)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadStoreFile(g, s, tampered); err == nil {
-		t.Error("out-of-domain tuple should fail")
-	}
-}
-
-func replaceFirst(s, old, new string) string {
-	for i := 0; i+len(old) <= len(s); i++ {
-		if s[i:i+len(old)] == old {
-			return s[:i] + new + s[i+len(old):]
-		}
-	}
-	return s
 }

@@ -16,11 +16,15 @@ import (
 //     swap it in, and capture the point set the snapshot must cover.
 //  2. Outside the lock: materialize the captured points and write
 //     snapshot-<gen+1>.gts atomically (.tmp + rename + directory sync).
-//  3. Garbage-collect snapshots and segments the new generation made
-//     redundant.
+//  3. Load the file just written, with every check Load has, and compare
+//     its covered-txn watermark with the captured point count.
+//  4. Only then garbage-collect the snapshots and segments the new
+//     generation made redundant.
 //
-// A failure after step 1 leaves extra segments behind; recovery replays
-// them, so nothing is lost — the next checkpoint retries the compaction.
+// A failure after step 1 leaves extra segments behind, and a snapshot that
+// fails step 3 is removed with the previous generation and its segments
+// kept; recovery replays them, so nothing is lost — the next checkpoint
+// retries the compaction.
 func (e *Engine) checkpoint() error {
 	start := time.Now()
 
@@ -75,7 +79,17 @@ func (e *Engine) checkpoint() error {
 	if err != nil {
 		return fmt.Errorf("storage: checkpoint materialize: %v", err)
 	}
-	if err := saveFile(filepath.Join(e.dir, snapName(newGen)), g, nil, points, len(points)); err != nil {
+	path := filepath.Join(e.dir, snapName(newGen))
+	if err := saveFile(path, g, nil, points, len(points)); err != nil {
+		return err
+	}
+	if hook := testHookSnapshotWritten; hook != nil {
+		hook(path)
+	}
+	if err := verifySnapshot(path, len(points)); err != nil {
+		e.log.Error("checkpoint wrote an unusable snapshot; keeping the previous generation and its segments",
+			"file", path, "err", err)
+		os.Remove(path)
 		return err
 	}
 	e.mu.Lock()
@@ -88,5 +102,22 @@ func (e *Engine) checkpoint() error {
 	e.log.Info("checkpoint complete",
 		"dir", e.dir, "generation", newGen, "points", len(points),
 		"elapsed", time.Since(start).Round(time.Millisecond).String())
+	return nil
+}
+
+// testHookSnapshotWritten, when non-nil, runs between a checkpoint's
+// snapshot write and its verification — tests use it to damage the file.
+var testHookSnapshotWritten func(path string)
+
+// verifySnapshot loads the snapshot at path the way recovery would and
+// checks that it covers exactly txn transactions.
+func verifySnapshot(path string, txn int) error {
+	snap, err := LoadFile(path)
+	if err != nil {
+		return fmt.Errorf("storage: verify %s: %w", filepath.Base(path), err)
+	}
+	if got := snap.CoveredTxn(); got != txn {
+		return fmt.Errorf("%w: %s covers txn %d, checkpoint captured %d", ErrCorrupt, filepath.Base(path), got, txn)
+	}
 	return nil
 }

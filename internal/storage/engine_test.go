@@ -255,6 +255,76 @@ func TestEngineCorruptSnapshotFallsBack(t *testing.T) {
 	}
 }
 
+// TestCheckpointVerifiesBeforeGC damages each snapshot between its write
+// and its verification: the checkpoint must fail, count the failure, and
+// leave the generation and segments it would have replaced in place, so a
+// crash right then still recovers every acknowledged point; the next
+// undisturbed checkpoint retries the compaction and collects them.
+func TestCheckpointVerifiesBeforeGC(t *testing.T) {
+	dir := t.TempDir()
+	e := openTestEngine(t, dir, Options{Fsync: FsyncAlways, CheckpointRecords: -1})
+	appendN(t, e, 0, 4)
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, e, 4, 7)
+
+	testHookSnapshotWritten = func(path string) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		data[len(data)/2] ^= 0x40
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Error(err)
+		}
+	}
+	defer func() { testHookSnapshotWritten = nil }()
+	if err := e.Checkpoint(); !isStorageError(err) {
+		t.Fatalf("checkpoint over a damaged snapshot: %v, want a typed storage error", err)
+	}
+	testHookSnapshotWritten = nil
+	if st := e.Stats(); st.Checkpoints != 1 || st.CheckpointErrors != 1 {
+		t.Fatalf("stats %+v, want 1 checkpoint and 1 checkpoint error", st)
+	}
+	for _, name := range []string{snapName(1), walName(1), walName(2)} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("%s was not kept: %v", name, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, snapName(2))); !os.IsNotExist(err) {
+		t.Fatalf("unverified snapshot left behind: %v", err)
+	}
+	appendN(t, e, 7, 9) // acknowledged into the segment the failed checkpoint opened
+
+	// Crash here: no Close.
+	e2 := openTestEngine(t, dir, Options{Fsync: FsyncAlways, CheckpointRecords: -1})
+	if got := e2.Series().Len(); got != 9 {
+		t.Fatalf("recovered %d points, want all 9 acknowledged", got)
+	}
+	if ri := e2.Recovery(); ri.SnapshotGeneration != 1 || ri.SnapshotPoints != 4 || ri.WALRecords != 5 {
+		t.Fatalf("recovery %+v, want snapshot gen 1 with 4 points + 5 WAL records", ri)
+	}
+	if err := e2.Checkpoint(); err != nil {
+		t.Fatalf("retry checkpoint: %v", err)
+	}
+	gen := e2.Stats().Generation
+	for _, old := range []string{snapName(1), walName(1), walName(2)} {
+		if _, err := os.Stat(filepath.Join(dir, old)); !os.IsNotExist(err) {
+			t.Fatalf("%s not collected after the retry: %v", old, err)
+		}
+	}
+	if err := e2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e3 := openTestEngine(t, dir, Options{CheckpointRecords: -1})
+	defer e3.Close()
+	if ri := e3.Recovery(); e3.Series().Len() != 9 || ri.SnapshotGeneration != gen || ri.SnapshotPoints != 9 {
+		t.Fatalf("after retry: %d points, recovery %+v, want 9 from snapshot gen %d", e3.Series().Len(), ri, gen)
+	}
+}
+
 func TestEngineValidationErrorsLeaveNoState(t *testing.T) {
 	dir := t.TempDir()
 	e := openTestEngine(t, dir, Options{})

@@ -42,15 +42,13 @@ const (
 	snapMagic = "GTSNAP01"
 	walMagic  = "GTWAL001"
 
-	// Snapshot format versions. Version 1 frames every column inside
-	// varint-encoded records; version 2 moves the fixed-width numeric
-	// columns (existence words, edge endpoints, attribute codes) into an
-	// 8-aligned little-endian blob area described by a directory section,
-	// so a reader can serve them straight out of a file mapping. Writers
-	// emit formatVersion; readers accept both (anything else is
-	// ErrVersion).
-	formatVersionV1 uint16 = 1
-	formatVersion   uint16 = 2
+	// formatVersion is the one snapshot format: framed varint meta sections
+	// plus an 8-aligned little-endian blob area for the fixed-width numeric
+	// columns (existence words, edge endpoints, attribute codes), described
+	// by a directory section, so a reader can serve them straight out of
+	// the file's bytes. Any other version is ErrVersion (version 1 framed
+	// every column inside varint records; no such file exists any more).
+	formatVersion uint16 = 2
 
 	// maxRecordBytes bounds a single framed record, guarding the reader
 	// against absurd allocations from corrupt length prefixes.

@@ -98,25 +98,6 @@ func TestOpenMappedAgreesWithLoad(t *testing.T) {
 	}
 }
 
-// TestOpenMappedV1FallsBackToDecode: v1 files cannot be aliased; the
-// mapped entry point must still serve them via the decode path.
-func TestOpenMappedV1FallsBackToDecode(t *testing.T) {
-	g := dataset.DBLPScaled(21, 0.004)
-	var buf bytes.Buffer
-	if err := writeSnapshotV1(&buf, g, nil, nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	m, err := OpenMapped(writeTemp(t, buf.Bytes()))
-	if err != nil {
-		t.Fatalf("OpenMapped(v1): %v", err)
-	}
-	defer m.Close()
-	if m.Source != "decode" {
-		t.Fatalf("v1 OpenMapped source %q, want decode", m.Source)
-	}
-	graphsEqual(t, g, m.Graph)
-}
-
 // TestOpenMappedNeverPanics drives the mapped reader through truncations
 // at every boundary and byte corruptions across the framed region: every
 // outcome must be a clean error or a successful open, never a panic.

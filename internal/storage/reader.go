@@ -1,16 +1,18 @@
 package storage
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
-	"math/bits"
 	"os"
+	"unsafe"
 
 	"repro/internal/agg"
+	"repro/internal/bitset"
 	"repro/internal/core"
+	"repro/internal/dict"
 	"repro/internal/materialize"
 	"repro/internal/timeline"
 )
@@ -43,63 +45,27 @@ func (s *Snapshot) CoveredTxn() int {
 	return len(s.points)
 }
 
-// Load reads a snapshot from r, accepting both format versions (v1 framed
-// columns and v2 blob layout). It never panics on malformed input: every
-// failure wraps one of ErrBadMagic, ErrVersion, ErrTruncated, ErrChecksum
-// or ErrCorrupt.
+// Load reads a snapshot from r into one private buffer and decodes it with
+// every check on: framed sections and blob regions are CRC-verified, and the
+// assembled graph passes core's full model validation. It never panics on
+// malformed input: every failure wraps one of ErrBadMagic, ErrVersion,
+// ErrTruncated, ErrChecksum or ErrCorrupt. The graph's columns alias the
+// buffer, which lives as long as the graph does.
 func Load(r io.Reader) (*Snapshot, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var hdr [10]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: snapshot header", ErrTruncated)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
 	}
-	if string(hdr[:8]) != snapMagic {
-		return nil, fmt.Errorf("%w: want %q", ErrBadMagic, snapMagic)
-	}
-	switch v := binary.LittleEndian.Uint16(hdr[8:10]); v {
-	case formatVersionV1:
-		// fall through to the streaming v1 loader below
-	case formatVersion:
-		rest, err := io.ReadAll(br)
-		if err != nil {
-			return nil, err
-		}
-		return loadV2(append(hdr[:], rest...))
-	default:
-		return nil, fmt.Errorf("%w: file version %d, reader accepts %d and %d",
-			ErrVersion, v, formatVersionV1, formatVersion)
-	}
-
-	ld := &snapLoader{}
-	for {
-		payload, err := readRecord(br)
-		if err == io.EOF {
-			return nil, fmt.Errorf("%w: no end section", ErrTruncated)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(payload) == 0 {
-			return nil, fmt.Errorf("%w: empty section record", ErrCorrupt)
-		}
-		if payload[0] == secEnd {
-			break
-		}
-		if err := ld.section(payload[0], &dec{b: payload[1:]}); err != nil {
-			return nil, err
-		}
-	}
-	return ld.finish()
+	return decode(data, true)
 }
 
 // LoadFile reads a snapshot from path.
 func LoadFile(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Load(f)
+	return decode(data, true)
 }
 
 // LoadGraph is LoadFile returning only the graph — the common case for
@@ -112,25 +78,47 @@ func LoadGraph(path string) (*core.Graph, error) {
 	return snap.Graph, nil
 }
 
-// snapLoader accumulates decoded sections and assembles the graph once the
-// end marker arrives. Sections must arrive in writer order; missing
-// mandatory sections surface at finish.
-type snapLoader struct {
-	labels   []string
-	attrs    []core.AttrSpec
-	dicts    [][]string // value by code, per attribute
-	nodes    []string
-	nodeTaus [][]uint64
-	edges    [][2]uint64
-	edgeTaus [][]uint64
-	static   [][]uint64 // code+1 per node, per static attr (attr order)
-	varying  [][]uint64 // code+1 per node*T, per varying attr
+// decode is the one snapshot decoder: parse the file held in data, assemble
+// the graph over its blob regions, rebuild the stores. verify selects the
+// depth Load and OpenMapped differ in — blob checksums and Graph.Validate —
+// never a different path. data must be private to the caller unless the
+// host is little-endian (see hostOrder).
+func decode(data []byte, verify bool) (*Snapshot, error) {
+	p, err := parseV2(data, verify)
+	if err != nil {
+		return nil, err
+	}
+	snap, err := snapshotFromParsed(p)
+	if err != nil {
+		return nil, err
+	}
+	if verify {
+		if err := snap.Graph.Validate(); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+	}
+	return snap, nil
+}
+
+// parsedV2 is a structurally validated view of one snapshot: decoded meta
+// sections plus sub-slices of the input buffer for the blob regions.
+type parsedV2 struct {
+	labels []string
+	attrs  []core.AttrSpec
+	dicts  [][]string // value by code, per attribute
+	nodes  []string
 
 	storeSpecs []storeSpec
 	points     []seriesPoint
 	coveredTxn int
 
-	seen map[byte]bool
+	wordsPerTau int
+	nEdges      int
+	nodeTauB    []byte   // nNodes × wordsPerTau LE uint64 words
+	edgeTauB    []byte   // nEdges × wordsPerTau LE uint64 words
+	edgesB      []byte   // nEdges × (int32 u, int32 v) LE
+	staticB     [][]byte // per static attr, in attr order: nNodes int32 codes
+	varyingB    [][]byte // per varying attr, in attr order: nNodes×T int32 codes
 }
 
 type storeSpec struct {
@@ -153,145 +141,233 @@ type storeEdge struct {
 	weight   int64
 }
 
-func (ld *snapLoader) section(id byte, d *dec) error {
-	if ld.seen == nil {
-		ld.seen = make(map[byte]bool)
+// parseV2 walks a complete snapshot held in data. The header must carry the
+// magic and formatVersion; framed meta records are checksum-verified as
+// always; blob regions are bounds- and alignment-checked against the
+// directory, and additionally CRC-verified when verifyBlobs is set (the
+// mapped path skips the checksums to avoid paging the whole file in).
+func parseV2(data []byte, verifyBlobs bool) (*parsedV2, error) {
+	if len(data) < 10 {
+		return nil, fmt.Errorf("%w: snapshot header", ErrTruncated)
 	}
-	if ld.seen[id] {
-		return fmt.Errorf("%w: duplicate section %d", ErrCorrupt, id)
+	if string(data[:8]) != snapMagic {
+		return nil, fmt.Errorf("%w: want %q", ErrBadMagic, snapMagic)
 	}
-	ld.seen[id] = true
-	switch id {
-	case secTimeline:
-		ld.labels = d.strs()
-	case secSchema:
-		n := d.count(2)
-		for i := 0; i < n && d.err == nil; i++ {
-			name := d.str()
-			kind := d.byteVal()
-			if kind > byte(core.TimeVarying) {
-				d.fail("bad attribute kind %d", kind)
+	if v := binary.LittleEndian.Uint16(data[8:10]); v != formatVersion {
+		return nil, fmt.Errorf("%w: file version %d, reader accepts version %d", ErrVersion, v, formatVersion)
+	}
+	p := &parsedV2{}
+	off := 10
+	seen := make(map[byte]bool)
+	var dir []blobEntry
+	var fileSize uint64
+	for {
+		payload, n, err := readRecordBytes(data, off)
+		if err != nil {
+			return nil, err
+		}
+		off = n
+		if len(payload) == 0 {
+			return nil, fmt.Errorf("%w: empty section record", ErrCorrupt)
+		}
+		id := payload[0]
+		if id == secEnd {
+			break
+		}
+		if seen[id] {
+			return nil, fmt.Errorf("%w: duplicate section %d", ErrCorrupt, id)
+		}
+		seen[id] = true
+		d := &dec{b: payload[1:]}
+		switch id {
+		case secTimeline:
+			p.labels = d.strs()
+		case secSchema:
+			na := d.count(2)
+			for i := 0; i < na && d.err == nil; i++ {
+				name := d.str()
+				kind := d.byteVal()
+				if kind > byte(core.TimeVarying) {
+					d.fail("bad attribute kind %d", kind)
+				}
+				p.attrs = append(p.attrs, core.AttrSpec{Name: name, Kind: core.AttrKind(kind)})
+				p.dicts = append(p.dicts, d.strs())
 			}
-			ld.attrs = append(ld.attrs, core.AttrSpec{Name: name, Kind: core.AttrKind(kind)})
-			ld.dicts = append(ld.dicts, d.strs())
-		}
-	case secNodes:
-		ld.nodes = d.strs()
-	case secNodeTau:
-		ld.nodeTaus = d.taus(len(ld.nodes))
-	case secEdges:
-		n := d.count(2)
-		nNodes := uint64(len(ld.nodes))
-		for i := 0; i < n && d.err == nil; i++ {
-			u, v := d.uvarint(), d.uvarint()
-			if u >= nNodes || v >= nNodes {
-				d.fail("edge (%d,%d) references node beyond %d", u, v, nNodes)
+		case secNodes:
+			p.nodes = d.strs()
+		case secTauRuns:
+			d.off = len(d.b) // reserved section: checksummed above, payload ignored
+		case secStores:
+			// The writer emits sections in id order, so the store section's
+			// attribute ids and point count are checked against a timeline
+			// and schema already read (absent ones reject every store).
+			ns := d.count(1)
+			for i := 0; i < ns && d.err == nil; i++ {
+				p.storeSpecs = append(p.storeSpecs, d.readStore(len(p.attrs), len(p.labels)))
 			}
-			ld.edges = append(ld.edges, [2]uint64{u, v})
-		}
-	case secEdgeTau:
-		ld.edgeTaus = d.taus(len(ld.edges))
-	case secStatic:
-		for ai := range ld.attrs {
-			if ld.attrs[ai].Kind != core.Static {
-				continue
+		case secSeries:
+			ns := d.count(1)
+			for i := 0; i < ns && d.err == nil; i++ {
+				m := d.count(1)
+				if d.err == nil && m > d.remaining() {
+					d.fail("series record length %d exceeds remaining %d", m, d.remaining())
+				}
+				if d.err == nil {
+					p.points = append(p.points, seriesPoint{payload: append([]byte(nil), d.b[d.off:d.off+m]...)})
+					d.off += m
+				}
 			}
-			col := ld.codeColumn(d, len(ld.nodes), len(ld.dicts[ai]))
-			ld.static = append(ld.static, col)
-		}
-	case secVarying:
-		for ai := range ld.attrs {
-			if ld.attrs[ai].Kind != core.TimeVarying {
-				continue
+		case secTxnMeta:
+			p.coveredTxn = int(d.uvarint())
+		case secBlobDir:
+			cnt := int(d.u32())
+			fileSize = d.u64()
+			if d.err == nil && cnt*blobDirEntryLen != d.remaining() {
+				d.fail("blob directory count %d does not match payload", cnt)
 			}
-			col := ld.codeColumn(d, len(ld.nodes)*len(ld.labels), len(ld.dicts[ai]))
-			ld.varying = append(ld.varying, col)
-		}
-	case secStores:
-		n := d.count(1)
-		for i := 0; i < n && d.err == nil; i++ {
-			ld.storeSpecs = append(ld.storeSpecs, ld.readStore(d))
-		}
-	case secSeries:
-		n := d.count(1)
-		for i := 0; i < n && d.err == nil; i++ {
-			m := d.count(1)
-			if d.err == nil && m > d.remaining() {
-				d.fail("series record length %d exceeds remaining %d", m, d.remaining())
+			for i := 0; i < cnt && d.err == nil; i++ {
+				dir = append(dir, blobEntry{
+					kind: d.u32(), param: d.u32(),
+					off: d.u64(), length: d.u64(), crc: d.u32(),
+				})
 			}
-			if d.err == nil {
-				ld.points = append(ld.points, seriesPoint{payload: append([]byte(nil), d.b[d.off:d.off+m]...)})
-				d.off += m
-			}
+		default:
+			return nil, fmt.Errorf("%w: unknown section %d", ErrCorrupt, id)
 		}
-	case secTxnMeta:
-		ld.coveredTxn = int(d.uvarint())
-	default:
-		return fmt.Errorf("%w: unknown section %d", ErrCorrupt, id)
-	}
-	if d.err != nil {
-		return fmt.Errorf("section %d: %w", id, d.err)
-	}
-	if d.remaining() != 0 {
-		return fmt.Errorf("%w: section %d has %d trailing bytes", ErrCorrupt, id, d.remaining())
-	}
-	return nil
-}
-
-// taus decodes n flat bitsets of w words each.
-func (d *dec) taus(n int) [][]uint64 {
-	w := d.count(0)
-	if d.err != nil {
-		return nil
-	}
-	if int64(n)*int64(w)*8 > int64(d.remaining()) {
-		d.fail("tau block %d×%d words exceeds remaining %d bytes", n, w, d.remaining())
-		return nil
-	}
-	out := make([][]uint64, n)
-	for i := range out {
-		words := make([]uint64, w)
-		for j := range words {
-			words[j] = d.u64()
-		}
-		out[i] = words
-	}
-	return out
-}
-
-// codeColumn decodes n code+1 values, each < domain+1.
-func (ld *snapLoader) codeColumn(d *dec, n, domain int) []uint64 {
-	if int64(n) > int64(d.remaining()) {
-		d.fail("code column of %d cells exceeds remaining %d bytes", n, d.remaining())
-		return nil
-	}
-	col := make([]uint64, n)
-	for i := range col {
-		v := d.uvarint()
 		if d.err != nil {
-			return nil
+			return nil, fmt.Errorf("section %d: %w", id, d.err)
 		}
-		if v > uint64(domain) {
-			d.fail("code %d beyond dictionary of %d values", v, domain)
-			return nil
+		if d.remaining() != 0 {
+			return nil, fmt.Errorf("%w: section %d has %d trailing bytes", ErrCorrupt, id, d.remaining())
 		}
-		col[i] = v
 	}
-	return col
+	for _, id := range []byte{secTimeline, secSchema, secNodes, secBlobDir} {
+		if !seen[id] {
+			return nil, fmt.Errorf("%w: missing section %d", ErrCorrupt, id)
+		}
+	}
+	if fileSize != uint64(len(data)) {
+		return nil, fmt.Errorf("%w: directory declares %d bytes, file has %d", ErrCorrupt, fileSize, len(data))
+	}
+
+	// Validate and slice the blob regions.
+	blob := func(be blobEntry) ([]byte, error) {
+		if be.off%8 != 0 || be.off < uint64(off) || be.off+be.length > uint64(len(data)) ||
+			be.off+be.length < be.off {
+			return nil, fmt.Errorf("%w: blob kind %d region [%d,+%d) out of bounds", ErrCorrupt, be.kind, be.off, be.length)
+		}
+		b := data[be.off : be.off+be.length]
+		if verifyBlobs && crc32.Checksum(b, castagnoli) != be.crc {
+			return nil, fmt.Errorf("%w: blob kind %d param %d", ErrChecksum, be.kind, be.param)
+		}
+		return b, nil
+	}
+	T := len(p.labels)
+	nNodes := len(p.nodes)
+	wpt := (T + 63) / 64
+	p.wordsPerTau = wpt
+	p.nEdges = -1
+	var staticParams, varyingParams []uint32
+	for _, be := range dir {
+		b, err := blob(be)
+		if err != nil {
+			return nil, err
+		}
+		switch be.kind {
+		case blobNodeTau:
+			if p.nodeTauB != nil || int(be.param) != wpt || len(b) != nNodes*wpt*8 {
+				return nil, fmt.Errorf("%w: node tau blob shape", ErrCorrupt)
+			}
+			p.nodeTauB = b
+		case blobEdgeTau:
+			if p.edgeTauB != nil || int(be.param) != wpt {
+				return nil, fmt.Errorf("%w: edge tau blob shape", ErrCorrupt)
+			}
+			p.edgeTauB = b
+		case blobEdges:
+			if p.edgesB != nil || len(b)%8 != 0 {
+				return nil, fmt.Errorf("%w: edges blob shape", ErrCorrupt)
+			}
+			p.edgesB = b
+			p.nEdges = len(b) / 8
+		case blobStatic:
+			p.staticB = append(p.staticB, b)
+			staticParams = append(staticParams, be.param)
+			if len(b) != nNodes*4 {
+				return nil, fmt.Errorf("%w: static blob for attr %d has %d bytes", ErrCorrupt, be.param, len(b))
+			}
+		case blobVarying:
+			p.varyingB = append(p.varyingB, b)
+			varyingParams = append(varyingParams, be.param)
+			if len(b) != nNodes*T*4 {
+				return nil, fmt.Errorf("%w: varying blob for attr %d has %d bytes", ErrCorrupt, be.param, len(b))
+			}
+		default:
+			return nil, fmt.Errorf("%w: unknown blob kind %d", ErrCorrupt, be.kind)
+		}
+	}
+	if p.nodeTauB == nil || p.edgeTauB == nil || p.edgesB == nil {
+		return nil, fmt.Errorf("%w: missing mandatory blob", ErrCorrupt)
+	}
+	if wpt > 0 && len(p.edgeTauB) != p.nEdges*wpt*8 {
+		return nil, fmt.Errorf("%w: edge tau blob does not cover %d edges", ErrCorrupt, p.nEdges)
+	}
+	// Attribute column blobs must appear once per attribute of the matching
+	// kind, in attribute order — the order snapshotFromParsed consumes.
+	si, vi := 0, 0
+	for ai, a := range p.attrs {
+		switch a.Kind {
+		case core.Static:
+			if si >= len(staticParams) || staticParams[si] != uint32(ai) {
+				return nil, fmt.Errorf("%w: missing static blob for attr %d", ErrCorrupt, ai)
+			}
+			si++
+		case core.TimeVarying:
+			if vi >= len(varyingParams) || varyingParams[vi] != uint32(ai) {
+				return nil, fmt.Errorf("%w: missing varying blob for attr %d", ErrCorrupt, ai)
+			}
+			vi++
+		}
+	}
+	if si != len(staticParams) || vi != len(varyingParams) {
+		return nil, fmt.Errorf("%w: stray attribute column blob", ErrCorrupt)
+	}
+	return p, nil
 }
 
-func (ld *snapLoader) readStore(d *dec) storeSpec {
+// readRecordBytes reads one framed record in place, returning the payload
+// (aliasing data) and the offset past the record.
+func readRecordBytes(data []byte, off int) ([]byte, int, error) {
+	if off+8 > len(data) {
+		return nil, 0, fmt.Errorf("%w: partial record header", ErrTruncated)
+	}
+	n := binary.LittleEndian.Uint32(data[off : off+4])
+	if n > maxRecordBytes {
+		return nil, 0, fmt.Errorf("%w: record length %d exceeds limit", ErrCorrupt, n)
+	}
+	if off+8+int(n) > len(data) {
+		return nil, 0, fmt.Errorf("%w: record payload short (want %d bytes)", ErrTruncated, n)
+	}
+	payload := data[off+8 : off+8+int(n)]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[off+4:off+8]) {
+		return nil, 0, ErrChecksum
+	}
+	return payload, off + 8 + int(n), nil
+}
+
+// readStore decodes one materialized store: its attribute ids (each below
+// nAttrs), then T points of aggregate node and edge entries.
+func (d *dec) readStore(nAttrs, T int) storeSpec {
 	var sp storeSpec
 	na := d.count(1)
 	for i := 0; i < na && d.err == nil; i++ {
 		a := d.uvarint()
-		if a >= uint64(len(ld.attrs)) {
-			d.fail("store attribute id %d beyond schema of %d", a, len(ld.attrs))
+		if a >= uint64(nAttrs) {
+			d.fail("store attribute id %d beyond schema of %d", a, nAttrs)
 			return sp
 		}
 		sp.attrs = append(sp.attrs, core.AttrID(a))
 	}
-	T := len(ld.labels)
 	for t := 0; t < T && d.err == nil; t++ {
 		var pt storePoint
 		nn := d.count(1)
@@ -311,83 +387,58 @@ func (ld *snapLoader) readStore(d *dec) storeSpec {
 	return sp
 }
 
-// finish validates cross-section invariants and assembles the graph
-// through the core builder, whose own validation (edge existence within
-// endpoint lifetimes, non-empty timestamps) is the last corruption gate.
-func (ld *snapLoader) finish() (*Snapshot, error) {
-	for _, id := range []byte{secTimeline, secSchema, secNodes, secNodeTau, secEdges, secEdgeTau, secStatic, secVarying} {
-		if !ld.seen[id] {
-			return nil, fmt.Errorf("%w: missing section %d", ErrCorrupt, id)
-		}
-	}
-	tl, err := timeline.New(ld.labels...)
+// snapshotFromParsed assembles a graph over the parsed blob regions without
+// copying the columns: each becomes a host-order typed slice over the
+// snapshot's own bytes and core.FromColumns checks every one of them for
+// what reading the graph relies on.
+func snapshotFromParsed(p *parsedV2) (*Snapshot, error) {
+	tl, err := timeline.New(p.labels...)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	T := tl.Len()
-	b := core.NewBuilder(tl, ld.attrs...)
-	// Seed each dictionary with the saved value order so codes (and
-	// therefore the byte encoding of a re-save) survive the roundtrip;
-	// the column loops below re-intern idempotently.
-	for ai := range ld.attrs {
-		if ai < len(ld.dicts) {
-			b.InternValues(core.AttrID(ai), ld.dicts[ai]...)
+	wpt := p.wordsPerTau
+
+	dicts := make([]*dict.Dict, len(p.attrs))
+	for i, values := range p.dicts {
+		seen := make(map[string]bool, len(values))
+		for _, v := range values {
+			if seen[v] {
+				return nil, fmt.Errorf("%w: duplicate dictionary value %q", ErrCorrupt, v)
+			}
+			seen[v] = true
 		}
+		dicts[i] = dict.FromValues(values)
 	}
-	nodeSeen := make(map[string]bool, len(ld.nodes))
-	for _, label := range ld.nodes {
-		if nodeSeen[label] {
-			return nil, fmt.Errorf("%w: duplicate node label %q", ErrCorrupt, label)
-		}
-		nodeSeen[label] = true
-		b.AddNode(label)
-	}
-	for n, words := range ld.nodeTaus {
-		if err := setBits(words, T, func(t int) { b.SetNodeTime(core.NodeID(n), timeline.Time(t)) }); err != nil {
-			return nil, err
-		}
-	}
-	edgeSeen := make(map[[2]uint64]bool, len(ld.edges))
-	for _, ep := range ld.edges {
-		if edgeSeen[ep] {
-			return nil, fmt.Errorf("%w: duplicate edge (%d,%d)", ErrCorrupt, ep[0], ep[1])
-		}
-		edgeSeen[ep] = true
-		b.AddEdge(core.NodeID(ep[0]), core.NodeID(ep[1]))
-	}
-	for e, words := range ld.edgeTaus {
-		if err := setBits(words, T, func(t int) { b.SetEdgeTime(core.EdgeID(e), timeline.Time(t)) }); err != nil {
-			return nil, err
-		}
+	cols := core.Columns{
+		Timeline:   tl,
+		Attrs:      p.attrs,
+		Dicts:      dicts,
+		NodeLabels: p.nodes,
+		NodeTau:    tauSets(hostOrder[uint64](p.nodeTauB, 8), len(p.nodes), wpt, T),
+		Edges:      hostOrder[core.Endpoints](p.edgesB, 4),
+		EdgeTau:    tauSets(hostOrder[uint64](p.edgeTauB, 8), p.nEdges, wpt, T),
+		Static:     make([][]dict.Code, len(p.attrs)),
+		Varying:    make([][]dict.Code, len(p.attrs)),
 	}
 	si, vi := 0, 0
-	for ai, a := range ld.attrs {
+	for ai, a := range p.attrs {
 		switch a.Kind {
 		case core.Static:
-			col := ld.static[si]
+			cols.Static[ai] = hostOrder[dict.Code](p.staticB[si], 4)
 			si++
-			for n, c := range col {
-				if c != 0 {
-					b.SetStatic(core.AttrID(ai), core.NodeID(n), ld.dicts[ai][c-1])
-				}
-			}
 		case core.TimeVarying:
-			col := ld.varying[vi]
+			cols.Varying[ai] = hostOrder[dict.Code](p.varyingB[vi], 4)
 			vi++
-			for i, c := range col {
-				if c != 0 {
-					b.SetVarying(core.AttrID(ai), core.NodeID(i/T), timeline.Time(i%T), ld.dicts[ai][c-1])
-				}
-			}
 		}
 	}
-	g, err := b.Build()
+	g, err := core.FromColumns(cols)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 
-	snap := &Snapshot{Graph: g, points: ld.points, coveredTxn: ld.coveredTxn}
-	for _, sp := range ld.storeSpecs {
+	snap := &Snapshot{Graph: g, points: p.points, coveredTxn: p.coveredTxn}
+	for _, sp := range p.storeSpecs {
 		st, err := rebuildStore(g, sp)
 		if err != nil {
 			return nil, err
@@ -397,21 +448,51 @@ func (ld *snapLoader) finish() (*Snapshot, error) {
 	return snap, nil
 }
 
-// setBits replays the set bits of a flat word array through fn, rejecting
-// bits at or beyond the timeline length.
-func setBits(words []uint64, T int, fn func(t int)) error {
-	for wi, w := range words {
-		base := wi * 64
-		for w != 0 {
-			t := base + bits.TrailingZeros64(w)
-			if t >= T {
-				return fmt.Errorf("%w: existence bit %d beyond timeline of %d points", ErrCorrupt, t, T)
-			}
-			fn(t)
-			w &= w - 1
+// tauSets wraps per-entity windows of a flat word column as bitsets.
+func tauSets(words []uint64, n, wpt, T int) []*bitset.Set {
+	out := make([]*bitset.Set, n)
+	for i := range out {
+		out[i] = bitset.FromWords(T, words[i*wpt:(i+1)*wpt:(i+1)*wpt])
+	}
+	return out
+}
+
+// hostOrder turns a blob of little-endian fields, each width bytes wide,
+// into a host-order typed slice over the same memory. On a little-endian
+// host that is an alias; on a big-endian one the fields are byte-swapped in
+// place first, which is why such a host only ever decodes a private heap
+// buffer (OpenMapped reads instead of mapping there). parseV2 guarantees
+// 8-aligned blob offsets and file buffers are at least word-aligned, so the
+// element alignment holds for every T used here (uint64, int32 pairs, int32
+// codes); a misaligned base falls back to a copy.
+func hostOrder[T any](b []byte, width int) []T {
+	var zero T
+	sz := int(unsafe.Sizeof(zero))
+	if len(b) < sz {
+		return nil
+	}
+	if uintptr(unsafe.Pointer(&b[0]))%uintptr(unsafe.Alignof(zero)) != 0 {
+		b = append([]byte(nil), b...)
+	}
+	if !hostLittleEndian() {
+		swapFields(b, width)
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), len(b)/sz)
+}
+
+// swapFields reverses the bytes of every width-byte field of b in place.
+func swapFields(b []byte, width int) {
+	for i := 0; i+width <= len(b); i += width {
+		for lo, hi := i, i+width-1; lo < hi; lo, hi = lo+1, hi-1 {
+			b[lo], b[hi] = b[hi], b[lo]
 		}
 	}
-	return nil
+}
+
+// hostLittleEndian reports whether the blobs' byte order is the host's.
+func hostLittleEndian() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 1
 }
 
 // rebuildStore re-encodes a decoded store spec against the reconstructed

@@ -67,11 +67,21 @@ func roundTrip(t *testing.T, g *core.Graph, stores ...*materialize.Store) *Snaps
 	if err := Save(&buf, g, stores...); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
+	saved := append([]byte(nil), buf.Bytes()...)
 	snap, err := Load(&buf)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	graphsEqual(t, g, snap.Graph)
+	// Save∘Load is the identity on bytes: dictionary order, entity order
+	// and store contents all survive.
+	var again bytes.Buffer
+	if err := Save(&again, snap.Graph, snap.Stores...); err != nil {
+		t.Fatalf("re-Save: %v", err)
+	}
+	if !bytes.Equal(again.Bytes(), saved) {
+		t.Fatalf("Save(Load(f)) differs from f (%d vs %d bytes)", again.Len(), len(saved))
+	}
 	return snap
 }
 

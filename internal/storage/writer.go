@@ -11,18 +11,15 @@ import (
 	"repro/internal/timeline"
 )
 
-// Snapshot section identifiers, in the order sections are written.
-// Mandatory sections encode the columnar graph; secStores and secSeries
-// are optional.
+// Snapshot section identifiers, in the order sections are written:
+// timeline, schema and node labels are mandatory, stores, series and the
+// txn watermark optional; the blob directory and reserved section 12 are
+// declared beside the blob layout in writer_v2.go. Ids 4–8 framed the
+// numeric columns in format version 1 and are never reused.
 const (
 	secTimeline byte = 1  // time point labels
 	secSchema   byte = 2  // attribute specs + per-attribute dictionaries
 	secNodes    byte = 3  // node label column
-	secNodeTau  byte = 4  // node existence bitsets, flat uint64 words
-	secEdges    byte = 5  // edge endpoint columns (node ids)
-	secEdgeTau  byte = 6  // edge existence bitsets, flat uint64 words
-	secStatic   byte = 7  // static attribute code columns
-	secVarying  byte = 8  // time-varying attribute code columns
 	secStores   byte = 9  // materialized per-point aggregate vectors
 	secSeries   byte = 10 // raw stream ingest records (checkpoints only)
 	secTxnMeta  byte = 13 // covered-txn watermark (bi-temporal checkpoints)
@@ -36,7 +33,7 @@ type seriesPoint struct {
 }
 
 // Save writes g, and optionally materialized stores over g, to w in the
-// current (version 2, mmap-servable) binary snapshot format.
+// binary snapshot format.
 func Save(w io.Writer, g *core.Graph, stores ...*materialize.Store) error {
 	return writeSnapshotV2(w, g, stores, nil, 0)
 }

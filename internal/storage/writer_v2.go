@@ -13,24 +13,22 @@ import (
 	"repro/internal/timeline"
 )
 
-// Version-2 layout. The header and record framing are unchanged from v1;
-// the fixed-width numeric columns move out of the framed records into a
-// blob area at the end of the file:
+// Snapshot layout. A header and framed meta sections, then the fixed-width
+// numeric columns in a blob area at the end of the file:
 //
-//	header (magic + version 2)
-//	framed: secTimeline, secSchema, secNodes         (varint meta, as v1)
-//	framed: secStores, secSeries                     (optional, as v1)
+//	header (magic + formatVersion)
+//	framed: secTimeline, secSchema, secNodes         (varint meta)
+//	framed: secStores, secSeries, secTxnMeta         (optional)
 //	framed: secBlobDir                               (fixed-width directory)
 //	framed: secEnd
 //	zero padding to 8-byte alignment
 //	blob area: 8-aligned little-endian regions, one per directory entry
 //
-// Every blob holds host-order-free little-endian words: uint64 existence
-// words at a fixed stride per entity, int32 edge endpoint pairs, or int32
-// attribute codes (-1 = missing). A mapped reader can alias them in place
-// on little-endian hosts; the decode path reads them portably. Each
-// directory entry carries a CRC32C of its blob, verified by the decode
-// path (the mapped path checks structure only — see OpenMapped).
+// Every blob holds little-endian fields: uint64 existence words at a fixed
+// stride per entity, int32 edge endpoint pairs, or int32 attribute codes
+// (-1 = missing). The reader hands them to core.FromColumns as typed slices
+// over the file's own bytes (see hostOrder). Each directory entry carries a
+// CRC32C of its blob, verified by Load (OpenMapped checks structure only).
 const (
 	secBlobDir byte = 11 // blob directory: count, file size, fixed-width entries
 	// secTauRuns is reserved: earlier writers put a second, run-length copy
