@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -27,11 +28,14 @@ import (
 	graphtempo "repro"
 	"repro/internal/agg"
 	"repro/internal/analytics"
+	"repro/internal/bitset"
+	"repro/internal/core"
 	"repro/internal/evolution"
 	"repro/internal/explore"
 	"repro/internal/larray"
 	"repro/internal/materialize"
 	"repro/internal/server"
+	"repro/internal/timeline"
 )
 
 var (
@@ -778,5 +782,177 @@ func BenchmarkEvolutionTimeline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		evolution.Timeline(g, s, agg.Distinct, nil)
+	}
+}
+
+// The benchmarks below are the two halves of a one-off scan — what
+// bench/'s adhoc_scan aggregates (schedule.go scanShapes) cost in process:
+// building the operator's view, then aggregating it on a time-varying
+// schema.
+
+// benchLongLived is gtest.LongLivedGraph at benchmark size: 8,000 nodes and
+// ~40,000 edges on a timeline of T points, each entity alive for one
+// contiguous stretch — multi-word timestamps, and projections over long
+// intervals that keep few entities.
+func benchLongLived(T int) *graphtempo.Graph {
+	r := rand.New(rand.NewSource(7))
+	labels := make([]string, T)
+	for i := range labels {
+		labels[i] = fmt.Sprintf("w%03d", i)
+	}
+	b := core.NewBuilder(timeline.MustNew(labels...),
+		core.AttrSpec{Name: "grp", Kind: core.Static}, core.AttrSpec{Name: "act", Kind: core.TimeVarying})
+	const nNodes = 8000
+	lo, hi := make([]int, nNodes), make([]int, nNodes)
+	for n := 0; n < nNodes; n++ {
+		id := b.AddNode(fmt.Sprintf("n%d", n))
+		lo[n] = r.Intn(T - 1)
+		hi[n] = lo[n] + 1 + r.Intn(T-lo[n])
+		b.SetStatic(0, id, fmt.Sprintf("g%d", r.Intn(4)))
+		for t := lo[n]; t < hi[n]; t++ {
+			b.SetNodeTime(id, timeline.Time(t))
+			b.SetVarying(1, id, timeline.Time(t), fmt.Sprintf("a%d", r.Intn(6)))
+		}
+	}
+	for k := 0; k < 8*nNodes; k++ {
+		u, v := r.Intn(nNodes), r.Intn(nNodes)
+		from, to := max(lo[u], lo[v]), min(hi[u], hi[v])
+		if from >= to {
+			continue
+		}
+		e := b.AddEdge(core.NodeID(u), core.NodeID(v))
+		for t := from; t < to; t++ {
+			b.SetEdgeTime(e, timeline.Time(t))
+		}
+	}
+	return b.MustBuild()
+}
+
+// rowMajorView times the reading the constructors replaced: probe τ of every
+// node and edge against the interval masks (Exists: τ ∩ T ≠ ∅; ForAll:
+// T ⊆ τ), keep the entities that are in a and — per op — in, or not in, b.
+// It skips the difference operator's endpoint closure, so it is a lower
+// bound; the checked row-major oracle is internal/ops' test file.
+func rowMajorView(g *graphtempo.Graph, op string, a, b graphtempo.Sel) (nodes, edges *bitset.Set) {
+	in := func(s graphtempo.Sel, tau *bitset.Set) bool {
+		if s.ForAll {
+			return !s.Interval.IsEmpty() && tau.ContainsAll(s.Interval.Mask())
+		}
+		return tau.Intersects(s.Interval.Mask())
+	}
+	keep := func(tau *bitset.Set) bool {
+		switch op {
+		case "intersection":
+			return in(a, tau) && in(b, tau)
+		case "difference":
+			return in(a, tau) && !in(b, tau)
+		default: // project and union take one selector
+			return in(a, tau)
+		}
+	}
+	nodes, edges = bitset.New(g.NumNodes()), bitset.New(g.NumEdges())
+	for n := 0; n < g.NumNodes(); n++ {
+		if keep(g.NodeTau(graphtempo.NodeID(n))) {
+			nodes.Add(n)
+		}
+	}
+	for e := 0; e < g.NumEdges(); e++ {
+		if keep(g.EdgeTau(graphtempo.EdgeID(e))) {
+			edges.Add(e)
+		}
+	}
+	return nodes, edges
+}
+
+// BenchmarkViewBuild measures the temporal operators' view construction —
+// column algebra over the graph's point index — beside the row-major loops
+// it replaced, on DBLP (T = 21, mostly single-point edges) and on a
+// long-lived graph (T = 320, multi-word timestamps). project-long keeps the
+// < 1 % of entities alive through three quarters of the long timeline.
+func BenchmarkViewBuild(b *testing.B) {
+	dblp, _ := benchGraphs(b)
+	for _, gc := range []struct {
+		name string
+		g    *graphtempo.Graph
+	}{{"dblp", dblp}, {"long320", benchLongLived(320)}} {
+		g, tl := gc.g, gc.g.Timeline()
+		T := tl.Len()
+		last := graphtempo.Time(T - 1)
+		all, mid := tl.All(), frac(T, 0.5)
+		type shape struct {
+			name, op string
+			a, b     graphtempo.Sel
+			build    func() *graphtempo.View
+		}
+		shapes := []shape{
+			{"project-1pt", "project", graphtempo.ForAllOf(tl.Point(mid)), graphtempo.Sel{},
+				func() *graphtempo.View { return graphtempo.Project(g, tl.Point(mid)) }},
+			{"union", "union", graphtempo.Exists(all), graphtempo.Sel{},
+				func() *graphtempo.View { return graphtempo.Union(g, all, all) }},
+			{"intersection", "intersection", graphtempo.Exists(tl.Range(0, mid-1)), graphtempo.Exists(tl.Range(mid, last)),
+				func() *graphtempo.View { return graphtempo.Intersection(g, tl.Range(0, mid-1), tl.Range(mid, last)) }},
+			{"difference", "difference", graphtempo.Exists(tl.Range(0, last-1)), graphtempo.Exists(tl.Point(last)),
+				func() *graphtempo.View { return graphtempo.Difference(g, tl.Range(0, last-1), tl.Point(last)) }},
+		}
+		if gc.name == "long320" {
+			long := tl.Range(frac(T, 0.125), frac(T, 0.875))
+			shapes = append(shapes, shape{"project-long", "project", graphtempo.ForAllOf(long), graphtempo.Sel{},
+				func() *graphtempo.View { return graphtempo.Project(g, long) }})
+		}
+		g.PointIndex().NodesAt(0) // paid once per graph, not per view
+		for _, sh := range shapes {
+			b.Run(gc.name+"/"+sh.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sh.build()
+				}
+			})
+			b.Run(gc.name+"/"+sh.name+"/rowmajor", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					rowMajorView(g, sh.op, sh.a, sh.b)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkScanVarying measures one-off scans on the time-varying schemas
+// of bench/'s scanShapes — DIST and ALL on (gender, publications) and on
+// publications — walking the operators and the contiguous ranges of the
+// DBLP timeline the way bench/'s scanDraws does (two strides coprime to the
+// number of ranges), one scan per iteration: view construction plus
+// aggregation.
+func BenchmarkScanVarying(b *testing.B) {
+	g, _ := benchGraphs(b)
+	tl := g.Timeline()
+	var ranges []graphtempo.Interval
+	for n := 1; n <= tl.Len(); n++ {
+		for i := 0; i+n <= tl.Len(); i++ {
+			ranges = append(ranges, tl.Range(graphtempo.Time(i), graphtempo.Time(i+n-1)))
+		}
+	}
+	ops := []func(g *graphtempo.Graph, a, b graphtempo.Interval) *graphtempo.View{
+		graphtempo.Union, graphtempo.Intersection, graphtempo.Difference,
+	}
+	n := len(ranges) // 231 on DBLP; 89 and 137 are coprime to it
+	for _, tc := range []struct {
+		name  string
+		kind  graphtempo.AggKind
+		attrs []string
+	}{
+		{"distGP", graphtempo.Distinct, []string{"gender", "publications"}},
+		{"allGP", graphtempo.All, []string{"gender", "publications"}},
+		{"distP", graphtempo.Distinct, []string{"publications"}},
+		{"allP", graphtempo.All, []string{"publications"}},
+	} {
+		s := mustSchema(b, g, tc.attrs...)
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				v := ops[i%len(ops)](g, ranges[(i*89)%n], ranges[(17+i*137)%n])
+				graphtempo.Aggregate(v, s, tc.kind)
+			}
+		})
 	}
 }

@@ -182,8 +182,13 @@ func loadGraph(o *options, log *slog.Logger) (*core.Graph, *storage.Mapped, erro
 			return nil, nil, fmt.Errorf("load %s: %w", o.dataset, err)
 		}
 	}
+	// A built or loaded graph derives its scan structures on first use, so
+	// both sizes are normally 0 here; graphtempod_graph_index_bytes follows
+	// them as scans build them.
+	pointIndex, varyingRows := g.IndexBytes()
 	log.Info("dataset loaded", "dataset", o.dataset, "scale", o.scale, "source", source,
 		"nodes", g.NumNodes(), "edges", g.NumEdges(), "points", g.Timeline().Len(),
+		"point_index_bytes", pointIndex, "varying_rows_bytes", varyingRows,
 		"elapsed", time.Since(start).Round(time.Millisecond).String())
 	return g, m, nil
 }

@@ -145,3 +145,24 @@ func TestFacadeStreaming(t *testing.T) {
 		t.Fatalf("graph: %v, %v", g, err)
 	}
 }
+
+// TestFacadeEmptyProjection: projecting onto no time points keeps nothing —
+// Definition 2.1 admits no entity with an empty timestamp — so its aggregate
+// has no groups. (It used to keep the whole graph: "exists throughout ∅"
+// held vacuously, and DIST on gender answered f=3, m=2 and three edges.)
+func TestFacadeEmptyProjection(t *testing.T) {
+	g := graphtempo.PaperExample()
+	none := g.Timeline().Empty()
+	v := graphtempo.Project(g, none)
+	if v.NumNodes() != 0 || v.NumEdges() != 0 {
+		t.Fatalf("Project(g, ∅) keeps %d nodes and %d edges", v.NumNodes(), v.NumEdges())
+	}
+	for _, kind := range []graphtempo.AggKind{graphtempo.Distinct, graphtempo.All} {
+		if ag := graphtempo.Aggregate(v, mustByName(t, g, "gender"), kind); len(ag.Nodes) != 0 || len(ag.Edges) != 0 {
+			t.Errorf("%s aggregate of an empty projection:\n%s", kind, ag)
+		}
+	}
+	if u := graphtempo.Union(g, none, none); u.NumNodes() != 0 || u.NumEdges() != 0 {
+		t.Errorf("Union(g, ∅, ∅) keeps %d nodes and %d edges", u.NumNodes(), u.NumEdges())
+	}
+}

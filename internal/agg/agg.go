@@ -19,6 +19,7 @@
 package agg
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"sync"
@@ -310,17 +311,9 @@ func Aggregate(v *ops.View, s *Schema, kind Kind) *Graph {
 	}
 	countKernel(s)
 	ag := &Graph{Schema: s, Kind: kind}
-	if s.denseEligible() {
-		aggregateDense(v, s, kind, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
-		return ag
-	}
-	ag.Nodes = make(map[Tuple]int64)
-	ag.Edges = make(map[EdgeKey]int64)
-	if s.allStatic {
-		aggregateStaticRange(v, s, kind, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
-	} else {
-		aggregateVaryingRange(v, s, kind, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
-	}
+	// context.Background is never canceled: the shared engine's probes cost
+	// a nil check.
+	aggregateRangeCtx(context.Background(), v, s, kind, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
 	return ag
 }
 

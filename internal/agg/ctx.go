@@ -73,22 +73,18 @@ func aggregateParallelInner(ctx context.Context, v *ops.View, s *Schema, kind Ki
 	g := s.g
 	parts := make([]*Graph, workers)
 	var wg sync.WaitGroup
-	nodeShard := (g.NumNodes() + workers - 1) / workers
-	edgeShard := (g.NumEdges() + workers - 1) / workers
+	// Shards are id ranges cut at word boundaries of the selection bitsets,
+	// so no two workers read the same word.
+	nodeShard := ((g.NumNodes()+workers-1)/workers + 63) &^ 63
+	edgeShard := ((g.NumEdges()+workers-1)/workers + 63) &^ 63
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			part := &Graph{Schema: s, Kind: kind}
 			parts[w] = part
-			nLo, nHi := w*nodeShard, (w+1)*nodeShard
-			if nHi > g.NumNodes() {
-				nHi = g.NumNodes()
-			}
-			eLo, eHi := w*edgeShard, (w+1)*edgeShard
-			if eHi > g.NumEdges() {
-				eHi = g.NumEdges()
-			}
+			nLo, nHi := min(w*nodeShard, g.NumNodes()), min((w+1)*nodeShard, g.NumNodes())
+			eLo, eHi := min(w*edgeShard, g.NumEdges()), min((w+1)*edgeShard, g.NumEdges())
 			aggregateRangeCtx(ctx, v, s, kind, part, nLo, nHi, eLo, eHi)
 		}(w)
 	}
@@ -142,33 +138,17 @@ func aggregateRangeCtx(ctx context.Context, v *ops.View, s *Schema, kind Kind, a
 	}
 	if s.denseEligible() {
 		sc := s.getScratch()
-		kernel := denseVarying
-		if s.allStatic {
-			kernel = denseStatic
-		}
-		for lo := nLo; lo < nHi; lo += ctxChunk {
-			if canceled() {
-				s.putScratch(sc)
-				return
+		if aggregateDense(v, s, kind, sc, nLo, nHi, eLo, eHi, canceled) {
+			d := int64(s.domain)
+			ag.Nodes = make(map[Tuple]int64, len(sc.nodeTouched))
+			for _, c := range sc.nodeTouched {
+				ag.Nodes[Tuple(c)] = sc.nodeW[c]
 			}
-			kernel(v, s, kind, sc, lo, min(lo+ctxChunk, nHi), 0, 0)
-		}
-		for lo := eLo; lo < eHi; lo += ctxChunk {
-			if canceled() {
-				s.putScratch(sc)
-				return
+			ag.Edges = make(map[EdgeKey]int64, len(sc.edgeTouched))
+			for _, c := range sc.edgeTouched {
+				code := int64(c)
+				ag.Edges[EdgeKey{Tuple(code / d), Tuple(code % d)}] = sc.edgeW[c]
 			}
-			kernel(v, s, kind, sc, 0, 0, lo, min(lo+ctxChunk, eHi))
-		}
-		d := int64(s.domain)
-		ag.Nodes = make(map[Tuple]int64, len(sc.nodeTouched))
-		for _, c := range sc.nodeTouched {
-			ag.Nodes[Tuple(c)] = sc.nodeW[c]
-		}
-		ag.Edges = make(map[EdgeKey]int64, len(sc.edgeTouched))
-		for _, c := range sc.edgeTouched {
-			code := int64(c)
-			ag.Edges[EdgeKey{Tuple(code / d), Tuple(code % d)}] = sc.edgeW[c]
 		}
 		s.putScratch(sc)
 		return
@@ -193,4 +173,26 @@ func aggregateRangeCtx(ctx context.Context, v *ops.View, s *Schema, kind Kind, a
 		}
 		kernel(v, s, kind, ag, 0, 0, lo, min(lo+ctxChunk, eHi))
 	}
+}
+
+// aggregateDense accumulates the id ranges into the scratch with the dense
+// kernel the schema takes — one tuple per node for a static schema, the
+// time-major scan otherwise — and reports whether it ran to completion.
+func aggregateDense(v *ops.View, s *Schema, kind Kind, sc *denseScratch, nLo, nHi, eLo, eHi int, canceled func() bool) bool {
+	if !s.allStatic {
+		return denseVarying(v, s, kind, sc, nLo, nHi, eLo, eHi, canceled)
+	}
+	for lo := nLo; lo < nHi; lo += ctxChunk {
+		if canceled() {
+			return false
+		}
+		denseStatic(v, s, kind, sc, lo, min(lo+ctxChunk, nHi), 0, 0)
+	}
+	for lo := eLo; lo < eHi; lo += ctxChunk {
+		if canceled() {
+			return false
+		}
+		denseStatic(v, s, kind, sc, 0, 0, lo, min(lo+ctxChunk, eHi))
+	}
+	return true
 }

@@ -205,11 +205,10 @@ func BenchmarkDenseVsMapKernel(b *testing.B) {
 
 // TestVaryingKernelAllocCeiling holds the dense kernel's cost on
 // time-varying schemas to its view, scratch and result maps. The condition
-// the code does not show: the per-entity callbacks denseVarying hands to
-// View.ForEachNodeTime / ForEachEdgeTime must stay on the stack, and they do
-// only while τ is read as a concrete *bitset.Set — an interface anywhere on
-// that read path makes each callback escape, one heap closure per selected
-// entity (thousands on this graph).
+// the code does not show: the time-major scan keeps its column plan and its
+// word lists in the pooled scratch and hands no per-entity or per-appearance
+// callback to anything — a closure on that path, or a plan slice that
+// escapes per call, shows up here as thousands of allocations on this graph.
 func TestVaryingKernelAllocCeiling(t *testing.T) {
 	g := dataset.DBLPScaled(1, 0.05)
 	all := g.Timeline().All()

@@ -6,14 +6,19 @@
 // operators as binary vectors over the node/edge id space. Both uses share
 // this implementation.
 //
-// Because the time domain grows under streaming ingest, the read-only
-// combinators (Contains, Intersects, ContainsAll, CountAnd, ForEachAnd, And,
-// Or, AndNot, Equal) treat a shorter set as zero-padded to the longer
-// length: a timestamp frozen when the timeline had T points means "absent
-// after T", which is exactly what the padding says. The mutating operations
-// (Add, Remove, AndWith, OrWith, AndNotWith, CopyFrom, SetAnd, SetAndNotOr)
-// stay strict about length, so selection buffers sized for one id space
-// cannot silently absorb another.
+// Both domains only ever grow under streaming ingest, so a set frozen at an
+// earlier length reads as zero-padded to today's: a timestamp frozen when
+// the timeline had T points means "absent after T", and a per-point
+// existence column (core.PointIndex) frozen when the graph had n entities
+// means "absent for every later id". The read-only combinators (Contains,
+// Intersects, ContainsAll, CountAnd, And, Or, AndNot, Equal) pad whichever
+// side is shorter. The in-place combinators (OrWith, AndWith,
+// AndNotWith, CopyFrom) pad in one direction only: the operand may be
+// shorter than the receiver — AndWith and CopyFrom clear the receiver's
+// tail, as the padding zeros would — but a longer operand panics, because
+// the receiver is a selection buffer sized for today's id space and bits
+// beyond it belong to a different one. Add, Remove, SetAnd and SetAndNotOr
+// stay strict about length.
 package bitset
 
 import (
@@ -147,6 +152,14 @@ func (s *Set) sameLen(t *Set, op string) {
 	}
 }
 
+// notLonger panics when operand t is longer than receiver s: the in-place
+// combinators zero-pad a shorter operand and reject a longer one.
+func (s *Set) notLonger(t *Set, op string) {
+	if t.n > s.n {
+		panic(fmt.Sprintf("bitset: %s of a length-%d set with a longer one (%d)", op, s.n, t.n))
+	}
+}
+
 // minWords returns the number of backing words shared by both sets.
 func (s *Set) minWords(t *Set) int {
 	if len(s.words) < len(t.words) {
@@ -242,21 +255,24 @@ func (s *Set) AndNot(t *Set) *Set {
 	return r
 }
 
-// AndWith sets s to the intersection of s and t, in place.
-// It panics if the sets have different lengths.
+// AndWith sets s to the intersection of s and t, in place. A shorter t is
+// zero-padded (s's tail is cleared); it panics if t is longer than s.
 func (s *Set) AndWith(t *Set) {
-	s.sameLen(t, "AndWith")
-	for i := range s.words {
-		s.words[i] &= t.words[i]
+	s.notLonger(t, "AndWith")
+	dst := s.words[:len(t.words)]
+	for i, w := range t.words {
+		dst[i] &= w
 	}
+	clear(s.words[len(t.words):])
 }
 
-// OrWith sets s to the union of s and t, in place.
-// It panics if the sets have different lengths.
+// OrWith sets s to the union of s and t, in place. A shorter t is
+// zero-padded; it panics if t is longer than s.
 func (s *Set) OrWith(t *Set) {
-	s.sameLen(t, "OrWith")
-	for i := range s.words {
-		s.words[i] |= t.words[i]
+	s.notLonger(t, "OrWith")
+	dst := s.words[:len(t.words)]
+	for i, w := range t.words {
+		dst[i] |= w
 	}
 }
 
@@ -332,34 +348,20 @@ func (s *Set) ForEachWord(fn func(wi int, w uint64)) {
 	}
 }
 
-// ForEachAnd calls fn for every index set in both s and t, in increasing
-// order, without materializing the intersection — the allocation-free
-// equivalent of s.And(t).ForEach(fn). The shorter set is treated as
-// zero-padded.
-func (s *Set) ForEachAnd(t *Set, fn func(i int)) {
-	for wi, w := range s.words[:s.minWords(t)] {
-		w &= t.words[wi]
-		base := wi * wordBits
-		for w != 0 {
-			fn(base + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-}
-
-// CopyFrom overwrites s with the contents of t, in place.
-// It panics if the sets have different lengths.
+// CopyFrom overwrites s with the contents of t, in place. A shorter t is
+// zero-padded (s's tail is cleared); it panics if t is longer than s.
 func (s *Set) CopyFrom(t *Set) {
-	s.sameLen(t, "CopyFrom")
-	copy(s.words, t.words)
+	s.notLonger(t, "CopyFrom")
+	clear(s.words[copy(s.words, t.words):])
 }
 
-// AndNotWith clears every bit of s that is set in t, in place.
-// It panics if the sets have different lengths.
+// AndNotWith clears every bit of s that is set in t, in place. A shorter t
+// is zero-padded; it panics if t is longer than s.
 func (s *Set) AndNotWith(t *Set) {
-	s.sameLen(t, "AndNotWith")
-	for i := range s.words {
-		s.words[i] &^= t.words[i]
+	s.notLonger(t, "AndNotWith")
+	dst := s.words[:len(t.words)]
+	for i, w := range t.words {
+		dst[i] &^= w
 	}
 }
 

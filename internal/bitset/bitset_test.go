@@ -57,9 +57,71 @@ func TestLengthMismatchPanicsInPlace(t *testing.T) {
 			t.Fatal("expected panic for mismatched lengths")
 		}
 	}()
-	// The mutating operations stay strict about length; only the read-only
-	// combinators zero-pad (TestZeroPadSemantics).
+	// The in-place operations reject a longer operand; a shorter one is
+	// zero-padded (TestInPlaceZeroPadding).
 	New(10).OrWith(New(11))
+}
+
+// TestInPlaceZeroPadding pins the one direction in which the in-place
+// combinators pad: an operand frozen at an earlier length (a point-index
+// column from before the id space grew) acts as its zero-padded extension,
+// and an operand longer than the receiver panics.
+func TestInPlaceZeroPadding(t *testing.T) {
+	const n = 130 // three words, so the cleared tail spans a whole word and a partial one
+	recv := func() *Set { return FromIndices(n, 0, 2, 63, 64, 70, 129) }
+	short := FromIndices(67, 2, 5, 64, 66)
+	ops := []struct {
+		name  string
+		apply func(s, t *Set)
+		want  []int // recv() op short-zero-padded
+	}{
+		{"OrWith", (*Set).OrWith, []int{0, 2, 5, 63, 64, 66, 70, 129}},
+		{"AndWith", (*Set).AndWith, []int{2, 64}},
+		{"AndNotWith", (*Set).AndNotWith, []int{0, 63, 70, 129}},
+		{"CopyFrom", (*Set).CopyFrom, []int{2, 5, 64, 66}},
+	}
+	for _, op := range ops {
+		got := recv()
+		op.apply(got, short)
+		if got.Len() != n || !got.Equal(FromIndices(n, op.want...)) {
+			t.Errorf("%s with a shorter operand = %v, want %v", op.name, got.Indices(), op.want)
+		}
+		padded := recv()
+		op.apply(padded, short.CloneGrow(n))
+		if !got.Equal(padded) {
+			t.Errorf("%s: shorter operand %v != its padded form %v", op.name, got.Indices(), padded.Indices())
+		}
+		empty, zeros := recv(), recv()
+		op.apply(empty, New(0))
+		op.apply(zeros, New(n))
+		if !empty.Equal(zeros) {
+			t.Errorf("%s with a zero-length operand = %v, want %v", op.name, empty.Indices(), zeros.Indices())
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with a longer operand should panic", op.name)
+				}
+			}()
+			op.apply(New(10), New(11)) // same word count: the check is on length, not words
+		}()
+	}
+	// The three-operand forms have no frozen-column consumer and stay strict
+	// in both directions.
+	for name, fn := range map[string]func(){
+		"SetAnd shorter":      func() { New(n).SetAnd(New(n), short) },
+		"SetAnd longer":       func() { New(10).SetAnd(New(10), New(11)) },
+		"SetAndNotOr shorter": func() { New(n).SetAndNotOr(New(n), short, New(n)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s should panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
 }
 
 // TestZeroPadSemantics pins the append-only timeline contract: a set frozen
@@ -89,11 +151,6 @@ func TestZeroPadSemantics(t *testing.T) {
 		}
 		if got := a.And(b); got.Len() != 8 || !got.Equal(FromIndices(8, 2)) {
 			t.Errorf("%s: And = %v", name, got.Indices())
-		}
-		var idx []int
-		a.ForEachAnd(b, func(i int) { idx = append(idx, i) })
-		if len(idx) != 1 || idx[0] != 2 {
-			t.Errorf("%s: ForEachAnd = %v, want [2]", name, idx)
 		}
 	}
 	if got := short.Or(long); got.Len() != 8 || !got.Equal(FromIndices(8, 0, 2, 5, 7)) {
@@ -332,37 +389,6 @@ func TestAppendIndicesMatchesIndices(t *testing.T) {
 	}
 }
 
-func TestForEachAndMatchesAnd(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(300)
-		a, b := New(n), New(n)
-		for i := 0; i < n; i++ {
-			if r.Intn(2) == 0 {
-				a.Add(i)
-			}
-			if r.Intn(2) == 0 {
-				b.Add(i)
-			}
-		}
-		want := a.And(b).Indices()
-		var got []int
-		a.ForEachAnd(b, func(i int) { got = append(got, i) })
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestForEachWordCoversAllBits(t *testing.T) {
 	s := New(130)
 	for _, i := range []int{0, 63, 64, 100, 129} {
@@ -447,31 +473,6 @@ func BenchmarkIndicesVsAppend(b *testing.B) {
 	})
 }
 
-// BenchmarkForEachAnd compares materializing the intersection against the
-// word-level fused iteration.
-func BenchmarkForEachAnd(b *testing.B) {
-	a, c := New(4096), New(4096)
-	for i := 0; i < 4096; i += 2 {
-		a.Add(i)
-	}
-	for i := 0; i < 4096; i += 3 {
-		c.Add(i)
-	}
-	sink := 0
-	b.Run("And+ForEach", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			a.And(c).ForEach(func(i int) { sink += i })
-		}
-	})
-	b.Run("ForEachAnd", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			a.ForEachAnd(c, func(i int) { sink += i })
-		}
-	})
-}
-
 func TestFromWords(t *testing.T) {
 	words := []uint64{0b1011, 1}
 	s := FromWords(70, words)
@@ -484,11 +485,10 @@ func TestFromWords(t *testing.T) {
 	}
 }
 
-// TestRangeOpsMatchMaskOps pins the half-open range forms — what every
-// contiguous-interval view reads timestamps through — to the mask forms
-// over a mask holding exactly [lo, hi), on empty, full, run-heavy and
-// uniform sets of one to several words, including ranges past Len (which
-// read as zero).
+// TestRangeOpsMatchMaskOps pins the run and half-open range iterators to
+// the mask forms over a mask holding exactly [lo, hi), on empty, full,
+// run-heavy and uniform sets of one to several words, including ranges past
+// Len (which read as zero).
 func TestRangeOpsMatchMaskOps(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	lengths := []int{0, 1, 63, 64, 65, 128, 200, 512, 1000}
@@ -537,20 +537,10 @@ func TestRangeOpsMatchMaskOps(t *testing.T) {
 			for i := lo; i < hi; i++ {
 				mask.Add(i)
 			}
-			if got, want := s.ContainsRange(lo, hi), s.ContainsAll(mask); got != want {
-				t.Fatalf("n=%d: ContainsRange(%d,%d) = %v, ContainsAll = %v on %s", n, lo, hi, got, want, s)
-			}
-			if got, want := s.IntersectsRange(lo, hi), s.Intersects(mask); got != want {
-				t.Fatalf("n=%d: IntersectsRange(%d,%d) = %v, Intersects = %v on %s", n, lo, hi, got, want, s)
-			}
-			if got, want := s.CountRange(lo, hi), s.CountAnd(mask); got != want {
-				t.Fatalf("n=%d: CountRange(%d,%d) = %d, CountAnd = %d on %s", n, lo, hi, got, want, s)
-			}
-			var got, want []int
+			var got []int
 			s.ForEachInRange(lo, hi, func(i int) { got = append(got, i) })
-			s.ForEachAnd(mask, func(i int) { want = append(want, i) })
-			if !equalInts(got, want) {
-				t.Fatalf("n=%d: ForEachInRange(%d,%d) = %v, ForEachAnd = %v", n, lo, hi, got, want)
+			if want := s.And(mask).Indices(); !equalInts(got, want) {
+				t.Fatalf("n=%d: ForEachInRange(%d,%d) = %v, And(mask) = %v", n, lo, hi, got, want)
 			}
 		}
 	}

@@ -36,57 +36,28 @@ func (s *Set) clampHi(lo, hi int) int {
 	return hi
 }
 
-// CountRange returns the number of set bits in [lo, hi). Bits at or beyond
-// Len count as zero.
-func (s *Set) CountRange(lo, hi int) int {
-	hi = s.clampHi(lo, hi)
-	if lo >= hi {
-		return 0
+// WordIn returns backing word wi with the bits outside [lo, hi) cleared —
+// the building block for consumers that shard a set by index range and read
+// only the words of their shard.
+func (s *Set) WordIn(wi, lo, hi int) uint64 {
+	w := s.words[wi]
+	if base := wi * wordBits; base < lo {
+		w &= ^uint64(0) << uint(lo-base)
 	}
-	wlo, whi := lo/wordBits, (hi-1)/wordBits
-	first := ^uint64(0) << uint(lo%wordBits)
-	last := ^uint64(0) >> uint(wordBits-1-(hi-1)%wordBits)
-	if wlo == whi {
-		return bits.OnesCount64(s.words[wlo] & first & last)
+	if rest := hi - wi*wordBits; rest < wordBits {
+		w &= 1<<uint(rest) - 1
 	}
-	c := bits.OnesCount64(s.words[wlo] & first)
-	for wi := wlo + 1; wi < whi; wi++ {
-		c += bits.OnesCount64(s.words[wi])
-	}
-	return c + bits.OnesCount64(s.words[whi]&last)
-}
-
-// ContainsRange reports whether every bit in [lo, hi) is set. An empty
-// range is contained; a range extending past Len is not (zero-padding).
-func (s *Set) ContainsRange(lo, hi int) bool {
-	if lo >= hi {
-		if lo < 0 {
-			s.clampHi(lo, hi)
-		}
-		return true
-	}
-	if hi > s.n {
-		return false
-	}
-	return s.CountRange(lo, hi) == hi-lo
-}
-
-// IntersectsRange reports whether any bit in [lo, hi) is set.
-func (s *Set) IntersectsRange(lo, hi int) bool {
-	hi = s.clampHi(lo, hi)
-	if lo >= hi {
-		return false
-	}
-	i := s.Next(lo)
-	return i >= 0 && i < hi
+	return w
 }
 
 // ForEachInRange calls fn for every set bit in [lo, hi), in increasing
-// order.
+// order. It reads the words of the range only.
 func (s *Set) ForEachInRange(lo, hi int, fn func(i int)) {
 	hi = s.clampHi(lo, hi)
-	for i := s.Next(lo); i >= 0 && i < hi; i = s.Next(i + 1) {
-		fn(i)
+	for wi := lo / wordBits; wi*wordBits < hi; wi++ {
+		for w := s.WordIn(wi, lo, hi); w != 0; w &= w - 1 {
+			fn(wi*wordBits + bits.TrailingZeros64(w))
+		}
 	}
 }
 

@@ -108,6 +108,14 @@ type Accumulator struct {
 	varyingT   [][][]dict.Code
 	curVarying []map[NodeID]dict.Code
 
+	// The point index (points.go) grows with the graph: one frozen node
+	// column and one edge column per finished point, so Snapshot hands the
+	// index over in O(1) and no generation re-transposes τ. head are the
+	// lazily built columns of the graph this accumulator resumed from (nil
+	// for a fresh one); nodeAt/edgeAt cover the points after them.
+	head           *lazyColumns
+	nodeAt, edgeAt pointColumns
+
 	gen uint64 // bumped by Snapshot; COW epoch for timestamp bitsets
 }
 
@@ -178,12 +186,18 @@ func (a *Accumulator) AddPoint(label string) {
 	a.labels = append(a.labels, label)
 }
 
-// finishPoint densifies the staged time-varying values of the current
-// point into immutable rows.
+// column returns the current point's position among the appended
+// point-index columns.
+func (a *Accumulator) column() int { return len(a.labels) - 1 - a.head.points() }
+
+// finishPoint freezes the current point's index columns and densifies its
+// staged time-varying values into immutable rows.
 func (a *Accumulator) finishPoint() {
 	if len(a.labels) == 0 {
 		return
 	}
+	a.nodeAt.freeze(a.column(), len(a.nodeLabels))
+	a.edgeAt.freeze(a.column(), len(a.edges))
 	t := len(a.labels) - 1
 	for ai := range a.attrs {
 		if a.attrs[ai].Kind != TimeVarying {
@@ -238,6 +252,7 @@ func (a *Accumulator) SetNodeTime(n NodeID) {
 		a.nodeTau[n] = s
 	}
 	s.Add(len(a.labels) - 1)
+	a.nodeAt.mark(a.column(), int(n))
 }
 
 // touch prepares a timestamp bitset for mutation at the current point:
@@ -278,6 +293,7 @@ func (a *Accumulator) SetEdgeTime(e EdgeID) {
 		a.edgeTau[e] = s
 	}
 	s.Add(len(a.labels) - 1)
+	a.edgeAt.mark(a.column(), int(e))
 }
 
 // SetStatic records the value of static attribute attr for node n. Writing
@@ -338,6 +354,11 @@ func (a *Accumulator) Snapshot() *Graph {
 		static:     make([][]dict.Code, len(a.attrs)),
 		varyingT:   make([][][]dict.Code, len(a.attrs)),
 		shared:     a.index,
+		points: PointIndex{
+			head:   a.head,
+			nodeAt: a.nodeAt.cols[:len(a.nodeAt.cols):len(a.nodeAt.cols)],
+			edgeAt: a.edgeAt.cols[:len(a.edgeAt.cols):len(a.edgeAt.cols)],
+		},
 	}
 	a.nodeTauShared, a.nodeTauFrozen = true, len(a.nodeTau)
 	a.edgeTauShared, a.edgeTauFrozen = true, len(a.edgeTau)

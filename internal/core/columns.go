@@ -73,5 +73,6 @@ func FromColumns(c Columns) (*Graph, error) {
 	if err := g.indexNodes(); err != nil {
 		return nil, err
 	}
+	g.deriveLazily()
 	return g, nil
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/dict"
@@ -98,10 +99,22 @@ type Graph struct {
 	// skipped Validate (mmap boot must not pay an O(E) map build).
 	idxOnce sync.Once
 
-	// pointOnce builds points, the per-time-point existence index
-	// (points.go), on first use.
-	pointOnce sync.Once
-	points    *PointIndex
+	// points is the per-time-point existence index (points.go): appended
+	// columns on accumulator snapshots, transposed from τ on first use
+	// otherwise.
+	points PointIndex
+	// derived[a] is the time-major copy VaryingRows builds of varying[a];
+	// unused on accumulator snapshots, which store rows (varyingT).
+	derived      []derivedRows
+	derivedBytes atomic.Int64
+}
+
+// deriveLazily sets up the scan structures of a graph that was not grown by
+// an Accumulator: every point-index column and every time-major row is
+// derived from the stored layout when first asked for.
+func (g *Graph) deriveLazily() {
+	g.points = PointIndex{head: &lazyColumns{T: g.tl.Len(), nodeTau: g.nodeTau, edgeTau: g.edgeTau}}
+	g.derived = make([]derivedRows, len(g.attrs))
 }
 
 // Timeline returns the graph's time domain.
@@ -386,6 +399,7 @@ func (b *Builder) Build() (*Graph, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	g.deriveLazily()
 	return g, nil
 }
 

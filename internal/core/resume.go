@@ -12,13 +12,17 @@ import (
 //
 // The resumed accumulator follows the same sharing discipline as a live
 // one: g's timestamp bitsets, static columns and time-major varying rows
-// are adopted copy-on-write (the generation fence forces a clone before
-// the first mutation of any shared structure), dictionaries are cloned,
-// and node/edge identity is rebuilt in g's exact ID order so subsequent
+// (g.VaryingRows: derived once, O(V·T), when g is node-major) are adopted
+// copy-on-write (the generation fence forces a clone before the first
+// mutation of any shared structure), dictionaries are cloned, and
+// node/edge identity is rebuilt in g's exact ID order so subsequent
 // appends assign the same IDs and value codes live ingestion did.
 //
-// g must use the time-major varying layout or the node-major one; both
-// are adopted (node-major columns are transposed once, O(V·T)).
+// g's point index is chained to, not copied and not forced: the columns g
+// was handed at ingest are adopted, the ones it builds lazily stay lazy and
+// shared, so a resumed graph that is never scanned pays no transpose and one
+// that is pays it once for every generation resumed from g. g's points are
+// closed: the first write must follow an AddPoint.
 func ResumeAccumulator(g *Graph) *Accumulator {
 	a := &Accumulator{
 		attrs:        append([]AttrSpec(nil), g.attrs...),
@@ -39,7 +43,10 @@ func ResumeAccumulator(g *Graph) *Accumulator {
 		dictSnapLen:  make([]int, len(g.attrs)),
 		// All tau generations are 0 and the epoch starts at 1, so the first
 		// touch of any adopted bitset clones it instead of mutating g's.
-		gen: 1,
+		gen:    1,
+		head:   g.points.head,
+		nodeAt: pointColumns{cols: g.points.nodeAt},
+		edgeAt: pointColumns{cols: g.points.edgeAt},
 	}
 	for i, l := range a.nodeLabels {
 		a.index.nodes[l] = NodeID(i)
@@ -54,8 +61,6 @@ func ResumeAccumulator(g *Graph) *Accumulator {
 		a.dictSnap[i] = d
 		a.dictSnapLen[i] = d.Len()
 	}
-	T := g.tl.Len()
-	V := len(g.nodeLabels)
 	for ai := range a.attrs {
 		if a.attrs[ai].Kind == Static {
 			col := g.static[ai]
@@ -63,21 +68,8 @@ func ResumeAccumulator(g *Graph) *Accumulator {
 			a.staticFrozen[ai] = len(col)
 			continue
 		}
-		if g.varyingT != nil {
-			rows := g.varyingT[ai]
-			a.varyingT[ai] = rows[:len(rows):len(rows)]
-			continue
-		}
-		col := g.varying[ai]
-		rows := make([][]dict.Code, T)
-		for t := 0; t < T; t++ {
-			row := make([]dict.Code, V)
-			for n := 0; n < V; n++ {
-				row[n] = col[n*T+t]
-			}
-			rows[t] = row
-		}
-		a.varyingT[ai] = rows
+		rows := g.VaryingRows(AttrID(ai))
+		a.varyingT[ai] = rows[:len(rows):len(rows)]
 	}
 	return a
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/evolution"
 	"repro/internal/ops"
-	"repro/internal/timeline"
 )
 
 // NodeIndex is the node-counting counterpart of EdgeIndex: it accelerates
@@ -46,35 +45,12 @@ func NewNodeIndex(s *agg.Schema, values ...string) (*NodeIndex, error) {
 	return ix, nil
 }
 
-// combine folds per-point masks under the selector semantics, iterating
-// the interval's bitmask directly (Times() would allocate a []Time per
-// evaluation).
-func combine(perPoint func(timeline.Time) *bitset.Set, width int, sel ops.Sel) *bitset.Set {
-	out := bitset.New(width)
-	if sel.Interval.IsEmpty() {
-		return out
-	}
-	first := true
-	sel.Interval.Mask().ForEach(func(t int) {
-		switch {
-		case first:
-			out.CopyFrom(perPoint(timeline.Time(t)))
-			first = false
-		case sel.ForAll:
-			out.AndWith(perPoint(timeline.Time(t)))
-		default:
-			out.OrWith(perPoint(timeline.Time(t)))
-		}
-	})
-	return out
-}
-
 // Eval returns the distinct count of matching nodes for the event between
 // the two selectors, identical to the general evaluator with a NodeTuple
 // result and Distinct counting.
 func (ix *NodeIndex) Eval(event Event, old, new ops.Sel) int64 {
-	nOld := combine(ix.points.NodesAt, ix.g.NumNodes(), old)
-	nNew := combine(ix.points.NodesAt, ix.g.NumNodes(), new)
+	nOld := old.Over(ix.points.NodesAt, ix.g.NumNodes())
+	nNew := new.Over(ix.points.NodesAt, ix.g.NumNodes())
 	switch event {
 	case evolution.Stability:
 		nOld.AndWith(nNew)
@@ -93,8 +69,8 @@ func (ix *NodeIndex) Eval(event Event, old, new ops.Sel) int64 {
 // of a difference edge (Definition 2.5).
 func (ix *NodeIndex) evalDifference(pos, neg ops.Sel, nPos, nNeg *bitset.Set) int64 {
 	kept := nPos.AndNot(nNeg)
-	ePos := combine(ix.points.EdgesAt, ix.g.NumEdges(), pos)
-	eNeg := combine(ix.points.EdgesAt, ix.g.NumEdges(), neg)
+	ePos := pos.Over(ix.points.EdgesAt, ix.g.NumEdges())
+	eNeg := neg.Over(ix.points.EdgesAt, ix.g.NumEdges())
 	ePos.ForEach(func(e int) {
 		if eNeg.Contains(e) {
 			return

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/dict"
 	"repro/internal/timeline"
 )
 
@@ -227,4 +228,72 @@ func ValueGraph(values []string) *core.Graph {
 		}
 	}
 	return b.MustBuild()
+}
+
+// PointIndexError compares g's point index with the transpose of its
+// timestamps, bit for bit over the whole id space (a column shorter than the
+// id space must read as zeros): column t holds entity x exactly when τ(x)
+// holds t. It returns nil when they agree.
+func PointIndexError(g *core.Graph) error {
+	ix := g.PointIndex()
+	for t := 0; t < g.Timeline().Len(); t++ {
+		nodes, edges := ix.NodesAt(timeline.Time(t)), ix.EdgesAt(timeline.Time(t))
+		if nodes.Len() > g.NumNodes() || edges.Len() > g.NumEdges() {
+			return fmt.Errorf("t=%d: columns sized %d/%d exceed the graph's %d nodes / %d edges",
+				t, nodes.Len(), edges.Len(), g.NumNodes(), g.NumEdges())
+		}
+		for n := 0; n < g.NumNodes(); n++ {
+			if nodes.Contains(n) != g.NodeTau(core.NodeID(n)).Contains(t) {
+				return fmt.Errorf("t=%d: node %d: column says %v, τ says %v", t, n, nodes.Contains(n), !nodes.Contains(n))
+			}
+		}
+		for e := 0; e < g.NumEdges(); e++ {
+			if edges.Contains(e) != g.EdgeTau(core.EdgeID(e)).Contains(t) {
+				return fmt.Errorf("t=%d: edge %d: column says %v, τ says %v", t, e, edges.Contains(e), !edges.Contains(e))
+			}
+		}
+	}
+	return nil
+}
+
+// ReplayPoint folds the content of g's time point tp into acc as a new
+// point — what ingesting that point's batch does.
+func ReplayPoint(acc *core.Accumulator, g *core.Graph, tp int) {
+	acc.AddPoint(g.Timeline().Label(timeline.Time(tp)))
+	for n := 0; n < g.NumNodes(); n++ {
+		if !g.NodeTau(core.NodeID(n)).Contains(tp) {
+			continue
+		}
+		id := acc.EnsureNode(g.NodeLabel(core.NodeID(n)))
+		acc.SetNodeTime(id)
+		for ai, spec := range g.Attrs() {
+			a := core.AttrID(ai)
+			if c := g.Value(a, core.NodeID(n), timeline.Time(tp)); c == dict.None {
+				continue
+			} else if spec.Kind == core.Static {
+				acc.SetStatic(a, id, g.Dict(a).Value(c))
+			} else {
+				acc.SetVarying(a, id, g.Dict(a).Value(c))
+			}
+		}
+	}
+	for e := 0; e < g.NumEdges(); e++ {
+		if g.EdgeTau(core.EdgeID(e)).Contains(tp) {
+			ep := g.Edge(core.EdgeID(e))
+			acc.SetEdgeTime(acc.EnsureEdge(acc.EnsureNode(g.NodeLabel(ep.U)), acc.EnsureNode(g.NodeLabel(ep.V))))
+		}
+	}
+}
+
+// Accumulated returns g as streaming ingest would have built it: replayed
+// point by point through a core.Accumulator, so ids follow first appearance,
+// time-varying values are stored as per-point rows and the point index as
+// appended columns — both frozen at each point's entity count, shorter than
+// the final id space wherever entities joined later.
+func Accumulated(g *core.Graph) *core.Graph {
+	acc := core.NewAccumulator(g.Attrs()...)
+	for tp := 0; tp < g.Timeline().Len(); tp++ {
+		ReplayPoint(acc, g, tp)
+	}
+	return acc.Snapshot()
 }

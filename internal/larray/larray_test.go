@@ -196,6 +196,8 @@ func sameResult(a, b AggResult) bool {
 func TestQuickReferenceEngineMatchesOptimized(t *testing.T) {
 	multiWord := gtest.DefaultParams()
 	multiWord.MaxTimes = 320
+	accumulated := gtest.DefaultParams()
+	accumulated.MaxNodes, accumulated.MaxEdges, accumulated.MaxTimes = 150, 400, 10
 	for _, row := range []struct {
 		name  string
 		gen   func(*rand.Rand) *core.Graph
@@ -207,6 +209,9 @@ func TestQuickReferenceEngineMatchesOptimized(t *testing.T) {
 		// stretch. Fewer iterations — Algorithm 1 copies every row per point.
 		{"multi-word", func(r *rand.Rand) *core.Graph { return gtest.RandomGraph(r, multiWord) }, 8},
 		{"multi-word-long-lived", func(r *rand.Rand) *core.Graph { return gtest.LongLivedGraph(r, 320) }, 8},
+		// Built the way ingest builds: value rows and point-index columns
+		// frozen per point, shorter than the id space for later nodes.
+		{"accumulated", func(r *rand.Rand) *core.Graph { return gtest.Accumulated(gtest.RandomGraph(r, accumulated)) }, 30},
 	} {
 		f := func(seed int64) bool {
 			r := rand.New(rand.NewSource(seed))

@@ -12,7 +12,6 @@ import (
 	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/dict"
 	"repro/internal/gtest"
 	"repro/internal/timeline"
 )
@@ -34,7 +33,7 @@ func replayAdvance(t *testing.T, g *core.Graph, attrSets [][]core.AttrID) (*Cata
 	var cat *Catalog
 	var total AdvanceStats
 	for tp := 0; tp < len(labels); tp++ {
-		replayPoint(acc, g, tp, labels[tp])
+		gtest.ReplayPoint(acc, g, tp)
 		snap := acc.Snapshot()
 		if cat == nil {
 			cat = NewCatalog(snap)
@@ -54,38 +53,6 @@ func replayAdvance(t *testing.T, g *core.Graph, attrSets [][]core.AttrID) (*Cata
 		total.Rebuilt += stats.Rebuilt
 	}
 	return cat, total
-}
-
-// replayPoint folds the content of g's time point tp into acc.
-func replayPoint(acc *core.Accumulator, g *core.Graph, tp int, label string) {
-	acc.AddPoint(label)
-	attrs := g.Attrs()
-	for n := 0; n < g.NumNodes(); n++ {
-		if !g.NodeTau(core.NodeID(n)).Contains(tp) {
-			continue
-		}
-		id := acc.EnsureNode(g.NodeLabel(core.NodeID(n)))
-		acc.SetNodeTime(id)
-		for ai, spec := range attrs {
-			a := core.AttrID(ai)
-			if spec.Kind == core.Static {
-				if c := g.StaticValue(a, core.NodeID(n)); c != dict.None {
-					acc.SetStatic(a, id, g.Dict(a).Value(c))
-				}
-			} else if c := g.VaryingValue(a, core.NodeID(n), timeline.Time(tp)); c != dict.None {
-				acc.SetVarying(a, id, g.Dict(a).Value(c))
-			}
-		}
-	}
-	for e := 0; e < g.NumEdges(); e++ {
-		if !g.EdgeTau(core.EdgeID(e)).Contains(tp) {
-			continue
-		}
-		ep := g.Edge(core.EdgeID(e))
-		u := acc.EnsureNode(g.NodeLabel(ep.U))
-		v := acc.EnsureNode(g.NodeLabel(ep.V))
-		acc.SetEdgeTime(acc.EnsureEdge(u, v))
-	}
 }
 
 // mustJSON renders an aggregate with the deterministic (sorted,

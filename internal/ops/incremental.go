@@ -10,17 +10,16 @@ import (
 // path that replaces per-candidate entity scans with word-level bitset
 // deltas.
 //
-// The operator constructors in ops.go and select.go (Union, Intersection,
-// StabilityView, DifferenceView) test every node and edge timestamp against
-// the interval masks — O(|V|+|E|) per call with a branch per entity. The
-// exploration traversals of §3 evaluate chains of candidate pairs that
-// differ by a single time point (T ∪ {t} or T ∩ semantics extended by t),
-// so the entity selection of step i+1 is one OrWith/AndWith away from step
-// i. The graph's core.PointIndex holds, per base time point, the bitset of
-// nodes/edges existing at that point; an IncrementalView then maintains a
-// side's accumulated selection in place, and a PairView combines two sides
-// into stability or difference views using only word-parallel operations
-// plus an output-sized endpoint sweep.
+// The operator constructors in ops.go and select.go fold every column of
+// their intervals per call — |T|·(|V|+|E|)/64 word operations into freshly
+// allocated selections. The exploration traversals of §3 evaluate chains of
+// candidate pairs that differ by a single time point (T ∪ {t} or T ∩
+// semantics extended by t), so the entity selection of step i+1 is one
+// OrWith/AndWith of one column away from step i. An IncrementalView
+// maintains a side's accumulated selection in place over the same
+// core.PointIndex columns, and a PairView combines two sides into
+// stability or difference views in reused buffers — the same column
+// algebra, without the refold and without the allocations.
 
 // IncrementalView is one side of an exploration candidate pair: an interval
 // together with the accumulated node/edge selection of the entities that
@@ -92,7 +91,7 @@ func (iv *IncrementalView) Edges() *bitset.Set { return iv.edges }
 // The view aliases the IncrementalView's bitsets: it is valid until the
 // next Extend/Reset call.
 func (iv *IncrementalView) View() *View {
-	return newView(iv.g, iv.nodes, iv.edges, iv.times)
+	return &View{g: iv.g, nodes: iv.nodes, edges: iv.edges, times: iv.times}
 }
 
 // PairView combines two IncrementalViews into the stability or difference
@@ -101,20 +100,20 @@ func (iv *IncrementalView) View() *View {
 // next Stability/Difference call on the same PairView. One PairView per
 // worker makes candidate evaluation allocation-free.
 type PairView struct {
-	g        *core.Graph
-	nodes    *bitset.Set
-	edges    *bitset.Set
-	endpoint *bitset.Set
-	view     View
+	g      *core.Graph
+	nodes  *bitset.Set
+	edges  *bitset.Set
+	rescue *rescue
+	view   View
 }
 
 // NewPairView returns a reusable pair combiner for views over g.
 func NewPairView(g *core.Graph) *PairView {
 	return &PairView{
-		g:        g,
-		nodes:    bitset.New(g.NumNodes()),
-		edges:    bitset.New(g.NumEdges()),
-		endpoint: bitset.New(g.NumNodes()),
+		g:      g,
+		nodes:  bitset.New(g.NumNodes()),
+		edges:  bitset.New(g.NumEdges()),
+		rescue: newRescue(g),
 	}
 }
 
@@ -138,14 +137,7 @@ func (pv *PairView) Stability(old, new *IncrementalView) *View {
 func (pv *PairView) Difference(pos, neg *IncrementalView) *View {
 	pv.edges.CopyFrom(pos.edges)
 	pv.edges.AndNotWith(neg.edges)
-	pv.endpoint.Clear()
-	g := pv.g
-	pv.edges.ForEach(func(e int) {
-		ep := g.Edge(core.EdgeID(e))
-		pv.endpoint.Add(int(ep.U))
-		pv.endpoint.Add(int(ep.V))
-	})
-	pv.nodes.SetAndNotOr(pos.nodes, neg.nodes, pv.endpoint)
-	pv.view = View{g: g, nodes: pv.nodes, edges: pv.edges, times: pos.times}
+	pv.nodes.SetAndNotOr(pos.nodes, neg.nodes, pv.rescue.endpoints(pv.edges))
+	pv.view = View{g: pv.g, nodes: pv.nodes, edges: pv.edges, times: pos.times}
 	return &pv.view
 }

@@ -3,12 +3,19 @@
 //
 // Each operator yields a View — a selection of nodes and edges of the base
 // graph together with the time mask over which attribute values are
-// collected. Views avoid the row copying of the paper's Algorithm 1 (which
-// package larray implements literally, for cross-validation); Materialize
-// converts a View back into a standalone core.Graph when a copy is wanted.
+// collected. The selection is computed the way the paper's Algorithm 1
+// reads its arrays, by time column: every operator is a word-parallel
+// combination of the graph's per-point existence columns (core.PointIndex)
+// under a selector (select.go) — (|T1|+|T2|)·(|V|+|E|)/64 word operations,
+// no per-entity probe of τ. Views avoid the row copying of Algorithm 1
+// (which package larray implements literally, for cross-validation);
+// Materialize converts a View back into a standalone core.Graph when a copy
+// is wanted.
 package ops
 
 import (
+	"math/bits"
+
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/timeline"
@@ -23,46 +30,6 @@ type View struct {
 	nodes *bitset.Set // over node ids
 	edges *bitset.Set // over edge ids
 	times timeline.Interval
-
-	// contig/rlo/rhi cache the contiguity of times, computed once at view
-	// construction: when the interval is one contiguous range [rlo, rhi),
-	// per-entity timestamp work uses the bitset range operations instead
-	// of mask scans.
-	contig   bool
-	rlo, rhi int
-}
-
-// newView computes the contiguity cache for the interval.
-func newView(g *core.Graph, nodes, edges *bitset.Set, times timeline.Interval) *View {
-	v := &View{g: g, nodes: nodes, edges: edges, times: times}
-	v.rlo, v.rhi, v.contig = contigRange(times.Mask())
-	return v
-}
-
-// contigRange reports whether mask is one contiguous run [lo, hi); a nil
-// or empty mask is the empty range [0, 0).
-func contigRange(mask *bitset.Set) (lo, hi int, ok bool) {
-	if mask == nil {
-		return 0, 0, true
-	}
-	lo = mask.Next(0)
-	if lo < 0 {
-		return 0, 0, true
-	}
-	if c := mask.Count(); mask.ContainsRange(lo, lo+c) {
-		return lo, lo + c, true
-	}
-	return 0, 0, false
-}
-
-// intersectsPred returns the τ ∩ mask ≠ ∅ test, routed through the range
-// operation when mask is contiguous — the same dispatch Project and Union
-// inline via the view's cache.
-func intersectsPred(mask *bitset.Set) func(*bitset.Set) bool {
-	if lo, hi, ok := contigRange(mask); ok {
-		return func(tau *bitset.Set) bool { return tau.IntersectsRange(lo, hi) }
-	}
-	return func(tau *bitset.Set) bool { return tau.Intersects(mask) }
 }
 
 // Graph returns the base graph the view selects from.
@@ -84,6 +51,13 @@ func (v *View) ContainsNode(n core.NodeID) bool { return v.nodes.Contains(int(n)
 // ContainsEdge reports whether edge e is selected.
 func (v *View) ContainsEdge(e core.EdgeID) bool { return v.edges.Contains(int(e)) }
 
+// Nodes returns the selected node ids as a bitset over the base graph's node
+// id space, for word-parallel consumers. Callers must not modify it.
+func (v *View) Nodes() *bitset.Set { return v.nodes }
+
+// Edges returns the selected edge ids, under the same rules as Nodes.
+func (v *View) Edges() *bitset.Set { return v.edges }
+
 // ForEachNode calls fn for every selected node, in id order.
 func (v *View) ForEachNode(fn func(core.NodeID)) {
 	v.nodes.ForEach(func(i int) { fn(core.NodeID(i)) })
@@ -95,17 +69,25 @@ func (v *View) ForEachEdge(fn func(core.EdgeID)) {
 }
 
 // ForEachNodeIn calls fn for every selected node with lo ≤ id < hi, in id
-// order. It lets parallel consumers shard the view by id range.
+// order. It lets parallel consumers shard the view by id range, and reads
+// only the words of that range: a shard of a sparse selection costs its own
+// words, not a scan to the next selected id beyond it.
 func (v *View) ForEachNodeIn(lo, hi int, fn func(core.NodeID)) {
-	for i := v.nodes.Next(lo); i >= 0 && i < hi; i = v.nodes.Next(i + 1) {
-		fn(core.NodeID(i))
+	hi = min(hi, v.nodes.Len())
+	for wi := lo / 64; wi*64 < hi; wi++ {
+		for w := v.nodes.WordIn(wi, lo, hi); w != 0; w &= w - 1 {
+			fn(core.NodeID(wi*64 + bits.TrailingZeros64(w)))
+		}
 	}
 }
 
 // ForEachEdgeIn calls fn for every selected edge with lo ≤ id < hi.
 func (v *View) ForEachEdgeIn(lo, hi int, fn func(core.EdgeID)) {
-	for i := v.edges.Next(lo); i >= 0 && i < hi; i = v.edges.Next(i + 1) {
-		fn(core.EdgeID(i))
+	hi = min(hi, v.edges.Len())
+	for wi := lo / 64; wi*64 < hi; wi++ {
+		for w := v.edges.WordIn(wi, lo, hi); w != 0; w &= w - 1 {
+			fn(core.EdgeID(wi*64 + bits.TrailingZeros64(w)))
+		}
 	}
 }
 
@@ -122,59 +104,21 @@ func (v *View) EdgeTimes(e core.EdgeID) *bitset.Set {
 // NodeTimesCount returns |τu'(n)| without materializing the intersection;
 // it is the appearance count ALL aggregation needs on static schemas.
 func (v *View) NodeTimesCount(n core.NodeID) int {
-	if v.contig {
-		return v.g.NodeTau(n).CountRange(v.rlo, v.rhi)
-	}
 	return v.g.NodeTau(n).CountAnd(v.times.Mask())
 }
 
 // EdgeTimesCount returns |τe'(e)| without materializing the intersection.
 func (v *View) EdgeTimesCount(e core.EdgeID) int {
-	if v.contig {
-		return v.g.EdgeTau(e).CountRange(v.rlo, v.rhi)
-	}
 	return v.g.EdgeTau(e).CountAnd(v.times.Mask())
-}
-
-// ForEachNodeTime calls fn for every t ∈ τu'(n), in increasing order,
-// without materializing the intersection — the per-appearance loop of ALL
-// aggregation over time-varying schemas.
-func (v *View) ForEachNodeTime(n core.NodeID, fn func(t int)) {
-	if v.contig {
-		v.g.NodeTau(n).ForEachInRange(v.rlo, v.rhi, fn)
-		return
-	}
-	v.g.NodeTau(n).ForEachAnd(v.times.Mask(), fn)
-}
-
-// ForEachEdgeTime calls fn for every t ∈ τe'(e), in increasing order.
-func (v *View) ForEachEdgeTime(e core.EdgeID, fn func(t int)) {
-	if v.contig {
-		v.g.EdgeTau(e).ForEachInRange(v.rlo, v.rhi, fn)
-		return
-	}
-	v.g.EdgeTau(e).ForEachAnd(v.times.Mask(), fn)
 }
 
 // Project implements the time project operator (Definition 2.2): the
 // subgraph containing the nodes and edges that exist throughout T1
-// (T1 ⊆ τ(x)), with timestamps restricted to T1.
+// (T1 ⊆ τ(x)), with timestamps restricted to T1. An empty T1 selects
+// nothing: Definition 2.1 admits no entity with an empty timestamp.
 func Project(g *core.Graph, t1 timeline.Interval) *View {
-	v := newView(g, bitset.New(g.NumNodes()), bitset.New(g.NumEdges()), t1)
-	mask := t1.Mask()
-	for n := 0; n < g.NumNodes(); n++ {
-		tau := g.NodeTau(core.NodeID(n))
-		if v.contig && tau.ContainsRange(v.rlo, v.rhi) || !v.contig && tau.ContainsAll(mask) {
-			v.nodes.Add(n)
-		}
-	}
-	for e := 0; e < g.NumEdges(); e++ {
-		tau := g.EdgeTau(core.EdgeID(e))
-		if v.contig && tau.ContainsRange(v.rlo, v.rhi) || !v.contig && tau.ContainsAll(mask) {
-			v.edges.Add(e)
-		}
-	}
-	return v
+	nodes, edges := ForAll(t1).in(g)
+	return &View{g: g, nodes: nodes, edges: edges, times: t1}
 }
 
 // At is shorthand for Project on the single time point t — the per-time-
@@ -188,42 +132,15 @@ func At(g *core.Graph, t timeline.Time) *View {
 // T2, with timestamps restricted to T1 ∪ T2.
 func Union(g *core.Graph, t1, t2 timeline.Interval) *View {
 	both := t1.Union(t2)
-	v := newView(g, bitset.New(g.NumNodes()), bitset.New(g.NumEdges()), both)
-	mask := both.Mask()
-	for n := 0; n < g.NumNodes(); n++ {
-		tau := g.NodeTau(core.NodeID(n))
-		if v.contig && tau.IntersectsRange(v.rlo, v.rhi) || !v.contig && tau.Intersects(mask) {
-			v.nodes.Add(n)
-		}
-	}
-	for e := 0; e < g.NumEdges(); e++ {
-		tau := g.EdgeTau(core.EdgeID(e))
-		if v.contig && tau.IntersectsRange(v.rlo, v.rhi) || !v.contig && tau.Intersects(mask) {
-			v.edges.Add(e)
-		}
-	}
-	return v
+	nodes, edges := Exists(both).in(g)
+	return &View{g: g, nodes: nodes, edges: edges, times: both}
 }
 
 // Intersection implements the intersection operator (Definition 2.4): the
 // stable part of the graph — nodes and edges existing at some point of T1
 // and at some point of T2 — with timestamps restricted to T1 ∪ T2.
 func Intersection(g *core.Graph, t1, t2 timeline.Interval) *View {
-	in1, in2 := intersectsPred(t1.Mask()), intersectsPred(t2.Mask())
-	v := newView(g, bitset.New(g.NumNodes()), bitset.New(g.NumEdges()), t1.Union(t2))
-	for n := 0; n < g.NumNodes(); n++ {
-		tau := g.NodeTau(core.NodeID(n))
-		if in1(tau) && in2(tau) {
-			v.nodes.Add(n)
-		}
-	}
-	for e := 0; e < g.NumEdges(); e++ {
-		tau := g.EdgeTau(core.EdgeID(e))
-		if in1(tau) && in2(tau) {
-			v.edges.Add(e)
-		}
-	}
-	return v
+	return StabilityView(g, Exists(t1), Exists(t2))
 }
 
 // Difference implements the difference operator (Definition 2.5) for
@@ -233,26 +150,7 @@ func Intersection(g *core.Graph, t1, t2 timeline.Interval) *View {
 // Timestamps are restricted to T1. The operator is not symmetric: T2 − T1
 // (with T1 preceding T2) captures growth instead of shrinkage (§2.1).
 func Difference(g *core.Graph, t1, t2 timeline.Interval) *View {
-	in1, in2 := intersectsPred(t1.Mask()), intersectsPred(t2.Mask())
-	edges := bitset.New(g.NumEdges())
-	endpoint := bitset.New(g.NumNodes())
-	for e := 0; e < g.NumEdges(); e++ {
-		tau := g.EdgeTau(core.EdgeID(e))
-		if in1(tau) && !in2(tau) {
-			edges.Add(e)
-			ep := g.Edge(core.EdgeID(e))
-			endpoint.Add(int(ep.U))
-			endpoint.Add(int(ep.V))
-		}
-	}
-	nodes := bitset.New(g.NumNodes())
-	for n := 0; n < g.NumNodes(); n++ {
-		tau := g.NodeTau(core.NodeID(n))
-		if in1(tau) && (!in2(tau) || endpoint.Contains(n)) {
-			nodes.Add(n)
-		}
-	}
-	return newView(g, nodes, edges, t1)
+	return DifferenceView(g, Exists(t1), Exists(t2))
 }
 
 // Materialize copies a view out into a standalone graph, as the paper's

@@ -558,6 +558,52 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestGraphIndexBytesGauge: the serving graph's derived scan structures are
+// visible. A built graph derives both on first use — nothing before a scan,
+// the point index after any view, the time-major rows after a time-varying
+// aggregate — while a streamed graph is handed its index columns at ingest
+// and stores rows, so it reports columns and never derived rows.
+func TestGraphIndexBytesGauge(t *testing.T) {
+	gauge := func(url, index string) string {
+		_, body := get(t, url+"/metrics")
+		return strings.TrimSpace(grepMetrics(string(body), `graphtempod_graph_index_bytes{index="`+index+`"}`))
+	}
+	scan := AggregateRequest{Op: "intersection", Interval: IntervalSpec{From: "t0"}, Interval2: IntervalSpec{From: "t1"},
+		Attrs: []string{"publications"}, Kind: "dist"}
+
+	_, ts := newStaticServer(t)
+	for _, index := range []string{"points", "varying_rows"} {
+		if got, want := gauge(ts.URL, index), `graphtempod_graph_index_bytes{index="`+index+`"} 0`; got != want {
+			t.Errorf("before any scan: %q, want %q", got, want)
+		}
+	}
+	if code, data := postJSON(t, ts.URL+"/v1/aggregate", scan); code != 200 {
+		t.Fatalf("aggregate = %d: %s", code, data)
+	}
+	// PaperExample: 3 points × (5 nodes + 6 edges → one word each) × 8 bytes;
+	// 3 points × 5 nodes × 4-byte codes.
+	if got, want := gauge(ts.URL, "points"), `graphtempod_graph_index_bytes{index="points"} 48`; got != want {
+		t.Errorf("after a scan: %q, want %q", got, want)
+	}
+	if got, want := gauge(ts.URL, "varying_rows"), `graphtempod_graph_index_bytes{index="varying_rows"} 60`; got != want {
+		t.Errorf("after a time-varying scan: %q, want %q", got, want)
+	}
+
+	_, sts := newStreamServer(t, Config{})
+	for i := 0; i < 3; i++ {
+		ingestPoint(t, sts.URL, i)
+	}
+	if code, data := postJSON(t, sts.URL+"/v1/aggregate", scan); code != 200 {
+		t.Fatalf("stream aggregate = %d: %s", code, data)
+	}
+	if got, want := gauge(sts.URL, "points"), `graphtempod_graph_index_bytes{index="points"} 48`; got != want {
+		t.Errorf("streamed graph: %q, want %q", got, want)
+	}
+	if got, want := gauge(sts.URL, "varying_rows"), `graphtempod_graph_index_bytes{index="varying_rows"} 0`; got != want {
+		t.Errorf("streamed graph stores rows: %q, want %q", got, want)
+	}
+}
+
 func grepMetrics(text, substr string) string {
 	var b strings.Builder
 	for _, line := range strings.Split(text, "\n") {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/gtest"
 	"repro/internal/stream"
 	"repro/internal/timeline"
 )
@@ -55,10 +56,18 @@ func oracleReplay(t *testing.T, attrs []core.AttrSpec, journal []stream.JournalE
 
 // assertReplayMatchesOracle sweeps the given transactions and compares the
 // engine's reconstruction against the oracle byte for byte. It returns how
-// many reconstructions took the snapshot-resume fast path.
+// many reconstructions took the snapshot-resume fast path. Every graph it
+// sees — the engine's live one (recovered, when the engine was reopened) and
+// each reconstruction, resumed from a snapshot's lazy columns or replayed —
+// must carry a point index equal to the transpose of its τ.
 func assertReplayMatchesOracle(t *testing.T, e *Engine, attrs []core.AttrSpec, txns []int) int {
 	t.Helper()
 	journal := e.Series().Journal()
+	if live, err := e.Series().Graph(); err != nil {
+		t.Fatalf("live graph: %v", err)
+	} else if err := gtest.PointIndexError(live); err != nil {
+		t.Fatalf("live graph's point index: %v", err)
+	}
 	resumed := 0
 	for _, txn := range txns {
 		g, st, err := e.ReplayTo(txn)
@@ -67,6 +76,9 @@ func assertReplayMatchesOracle(t *testing.T, e *Engine, attrs []core.AttrSpec, t
 		}
 		if st.FromSnapshot {
 			resumed++
+		}
+		if err := gtest.PointIndexError(g); err != nil {
+			t.Fatalf("ReplayTo(%d) (from_snapshot=%v): point index: %v", txn, st.FromSnapshot, err)
 		}
 		want := snapBytes(t, oracleReplay(t, attrs, journal, txn))
 		if got := snapBytes(t, g); !bytes.Equal(got, want) {
