@@ -201,7 +201,7 @@ func loadGraph(o *options, log *slog.Logger) (*core.Graph, *storage.Mapped, erro
 // lands one replicated record (through the engine in durable mode, so
 // replicated points hit the replica's own WAL too) and applied reports
 // the local sequence.
-func newServer(o *options, log *slog.Logger) (*server.Server, *storage.Engine, *storage.Mapped, func(string, string, stream.Snapshot) error, func() int, error) {
+func newServer(o *options, log *slog.Logger) (*server.Server, *storage.Engine, *storage.Mapped, func(string, stream.Snapshot, string) (int, error), func() int, error) {
 	cfg := server.Config{
 		MaxInflight:    o.maxInflight,
 		MaxQueue:       o.maxQueue,
@@ -219,7 +219,7 @@ func newServer(o *options, log *slog.Logger) (*server.Server, *storage.Engine, *
 	var (
 		eng     *storage.Engine
 		mapped  *storage.Mapped
-		apply   func(string, string, stream.Snapshot) error
+		apply   func(string, stream.Snapshot, string) (int, error)
 		applied func() int
 	)
 	if o.streamSpec != "" {
@@ -242,7 +242,7 @@ func newServer(o *options, log *slog.Logger) (*server.Server, *storage.Engine, *
 				return nil, nil, nil, nil, nil, fmt.Errorf("open data dir %s: %w", o.dataDir, err)
 			}
 			cfg.Storage = eng
-			apply, applied = engApply(eng), eng.Series().Len
+			apply, applied = eng.AppendAt, eng.Series().Len
 			ri := eng.Recovery()
 			log.Info("durable stream mode", "schema", o.streamSpec, "data-dir", o.dataDir,
 				"fsync", o.fsync, "recovered_points", eng.Series().Len(),
@@ -250,7 +250,7 @@ func newServer(o *options, log *slog.Logger) (*server.Server, *storage.Engine, *
 		} else {
 			series := stream.New(attrs...)
 			cfg.Series = series
-			apply, applied = seriesApply(series), series.Len
+			apply, applied = series.AppendAt, series.Len
 			log.Info("stream mode", "schema", o.streamSpec)
 		}
 	} else {
@@ -272,30 +272,6 @@ func newServer(o *options, log *slog.Logger) (*server.Server, *storage.Engine, *
 		return nil, nil, nil, nil, nil, err
 	}
 	return srv, eng, mapped, apply, applied, nil
-}
-
-// engApply adapts the storage engine to the follower's Apply: replicated
-// retroactive records re-run the same insert locally (hitting the replica's
-// own WAL), so replica and primary converge on identical journals.
-func engApply(eng *storage.Engine) func(string, string, stream.Snapshot) error {
-	return func(label, before string, snap stream.Snapshot) error {
-		if before != "" {
-			_, err := eng.AppendAt(label, snap, before)
-			return err
-		}
-		return eng.Append(label, snap)
-	}
-}
-
-// seriesApply adapts an in-memory series to the follower's Apply.
-func seriesApply(series *stream.Series) func(string, string, stream.Snapshot) error {
-	return func(label, before string, snap stream.Snapshot) error {
-		if before != "" {
-			_, err := series.AppendAt(label, snap, before)
-			return err
-		}
-		return series.Append(label, snap)
-	}
 }
 
 func newLogger(format string) *slog.Logger {

@@ -2,16 +2,20 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/storage"
 )
 
 func TestParseFlags(t *testing.T) {
@@ -74,6 +78,14 @@ func TestNewServerModes(t *testing.T) {
 		t.Fatal("durable stream mode returned no storage engine")
 	}
 	eng.Close()
+	// A data directory whose only snapshot does not load and whose segments
+	// start after generation 0 refuses to boot: run returns this error and
+	// main exits 1 with it on stderr.
+	os.WriteFile(filepath.Join(o.dataDir, "snapshot-0000000000000003.gts"), []byte("not a snapshot"), 0o644)
+	os.Rename(filepath.Join(o.dataDir, "wal-0000000000000000.log"), filepath.Join(o.dataDir, "wal-0000000000000003.log"))
+	if _, _, _, _, _, err := newServer(o, log); !errors.Is(err, storage.ErrUnrecoverable) || !strings.Contains(err.Error(), "snapshot-0000000000000003.gts") {
+		t.Fatalf("damaged data dir: %v, want ErrUnrecoverable naming the snapshot", err)
+	}
 	o, err = parseFlags([]string{"-dataset", "/nonexistent/graphdir"})
 	if err != nil {
 		t.Fatal(err)

@@ -4,10 +4,10 @@
 //
 // A small "deployments" network arrives month by month: services (nodes,
 // with a static team and a time-varying load bucket) and call edges. The
-// program registers aggregations up front, appends snapshots, answers
-// window queries from the incrementally maintained per-month aggregates
-// (T-distributive reuse, §4.3), and finally materializes the full
-// temporal graph to run an evolution analysis and emit a DOT drawing.
+// program appends snapshots, materializes the full temporal graph, answers
+// a window query from a materialization catalog's per-month aggregates
+// (T-distributive reuse, §4.3), and finally runs an evolution analysis and
+// emits a DOT drawing.
 //
 // Run with: go run ./examples/streaming
 package main
@@ -24,10 +24,6 @@ func main() {
 		graphtempo.AttrSpec{Name: "team", Kind: graphtempo.Static},
 		graphtempo.AttrSpec{Name: "load", Kind: graphtempo.TimeVarying},
 	)
-	if err := series.RegisterAggregation("by-team", "team"); err != nil {
-		panic(err)
-	}
-
 	node := func(name, team, load string) graphtempo.StreamNode {
 		return graphtempo.StreamNode{
 			Label:   name,
@@ -73,21 +69,6 @@ func main() {
 			m.label, len(m.snap.Nodes), len(m.snap.Edges))
 	}
 
-	// Window queries answered from the per-month aggregates alone.
-	nodes, edges, err := series.WindowUnionAll("by-team", 0, series.Len()-1)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("\n— Service-month appearances per team, whole window —")
-	for team, w := range nodes {
-		fmt.Printf("  %s: %d\n", team, w)
-	}
-	fmt.Println("— Call-month appearances per team pair —")
-	for pair, w := range edges {
-		fmt.Printf("  %s: %d\n", pair, w)
-	}
-
-	// Materialize the full graph for richer analysis.
 	g, err := series.Graph()
 	if err != nil {
 		panic(err)
@@ -97,6 +78,25 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+
+	// A window query answered from the catalog's per-month aggregates alone.
+	cat := graphtempo.NewMatCatalog(g)
+	if _, err := cat.Materialize(team.Attrs()...); err != nil {
+		panic(err)
+	}
+	window, _, err := cat.UnionAll(tl.All(), team.Attrs()...)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("\n— Service-month appearances per team, whole window —")
+	for tuple, w := range window.Nodes {
+		fmt.Printf("  %s: %d\n", team.Label(tuple), w)
+	}
+	fmt.Println("— Call-month appearances per team pair —")
+	for pair, w := range window.Edges {
+		fmt.Printf("  (%s)→(%s): %d\n", team.Label(pair.From), team.Label(pair.To), w)
+	}
+
 	ev := graphtempo.AggregateEvolution(g, tl.Range(0, 1), tl.Point(2),
 		team, graphtempo.Distinct, nil)
 	fmt.Println("\n— Evolution jan..feb → mar, aggregated by team —")

@@ -120,9 +120,6 @@ func TestFacadeEvolutionTimelineAndTopTuples(t *testing.T) {
 func TestFacadeStreaming(t *testing.T) {
 	series := graphtempo.NewStreamSeries(
 		graphtempo.AttrSpec{Name: "kind", Kind: graphtempo.Static})
-	if err := series.RegisterAggregation("k", "kind"); err != nil {
-		t.Fatal(err)
-	}
 	snap := graphtempo.StreamSnapshot{
 		Nodes: []graphtempo.StreamNode{
 			{Label: "a", Static: map[string]string{"kind": "x"}},
@@ -133,16 +130,22 @@ func TestFacadeStreaming(t *testing.T) {
 	if err := series.Append("t0", snap); err != nil {
 		t.Fatal(err)
 	}
-	nodes, edges, err := series.WindowUnionAll("k", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nodes["x"] != 1 || edges["(x)→(y)"] != 1 {
-		t.Errorf("window = %v / %v", nodes, edges)
-	}
 	g, err := series.Graph()
 	if err != nil || g.NumNodes() != 2 {
 		t.Fatalf("graph: %v, %v", g, err)
+	}
+	kind := mustByName(t, g, "kind")
+	window, _, err := graphtempo.NewMatCatalog(g).UnionAll(g.Timeline().All(), kind.Attrs()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(window.Nodes) != 2 || len(window.Edges) != 1 {
+		t.Errorf("window = %v", window)
+	}
+	for pair, w := range window.Edges {
+		if kind.Label(pair.From) != "x" || kind.Label(pair.To) != "y" || w != 1 {
+			t.Errorf("window edge (%s)→(%s) weight %d", kind.Label(pair.From), kind.Label(pair.To), w)
+		}
 	}
 }
 

@@ -26,11 +26,12 @@ type Follower struct {
 	// their primary; the router's mirror picks any live, caught-up member
 	// of the shard so replication survives a primary failure.
 	Pick func() (string, error)
-	// Apply ingests one replicated time point; before carries the
-	// valid-time insertion position of a retroactive record ("" for a tail
-	// append). An error stops the current poll; the record is re-fetched on
-	// the next one.
-	Apply func(label, before string, snap stream.Snapshot) error
+	// Apply ingests one replicated time point — the local AppendAt
+	// (stream.Series' or storage.Engine's): before carries the valid-time
+	// insertion position of a retroactive record ("" for a tail append), so
+	// follower and upstream converge on identical journals. An error stops
+	// the current poll; the record is re-fetched on the next one.
+	Apply func(label string, snap stream.Snapshot, before string) (int, error)
 	// Len returns the applied record count — the next sequence to request.
 	Len func() int
 	// WaitMs is the long-poll window passed to the upstream when caught
@@ -94,11 +95,11 @@ func (f *Follower) Poll(ctx context.Context) (int, error) {
 			// applied count, exactly like a torn WAL tail on disk.
 			return applied, fmt.Errorf("wal stream %s: %w", base, err)
 		}
-		label, before, snap, err := storage.DecodeAnyIngestRecord(payload)
+		label, before, snap, err := storage.DecodeIngestRecord(payload)
 		if err != nil {
 			return applied, fmt.Errorf("wal stream %s: %w", base, err)
 		}
-		if err := f.Apply(label, before, snap); err != nil {
+		if _, err := f.Apply(label, snap, before); err != nil {
 			return applied, fmt.Errorf("apply replicated point %q: %w", label, err)
 		}
 		applied++

@@ -240,14 +240,10 @@ func (rt *Router) shardFollower(i int) *Follower {
 			cands := rt.health.candidates(sh, rt.cfg.MaxLag)
 			return cands[0].URL, nil
 		},
-		Apply: func(label, before string, snap stream.Snapshot) error {
+		Apply: func(label string, snap stream.Snapshot, before string) (int, error) {
 			rt.applyMu.Lock()
 			defer rt.applyMu.Unlock()
-			if before != "" {
-				_, err := rt.mseries.AppendAt(label, snap, before)
-				return err
-			}
-			return rt.mseries.Append(label, snap)
+			return rt.mseries.AppendAt(label, snap, before)
 		},
 		Len: func() int {
 			rt.applyMu.Lock()
@@ -288,8 +284,22 @@ func (rt *Router) anyStatus(ctx context.Context, sh Shard) (*server.StatusRespon
 	return nil, fmt.Errorf("no member answered /v1/status: %w", lastErr)
 }
 
-// Handler returns the router's root handler.
-func (rt *Router) Handler() http.Handler { return rt.mux }
+// requestIDKey carries a request's X-Request-Id to the outbound shard hops.
+type requestIDKey struct{}
+
+// Handler returns the router's root handler. Every request is traced under
+// one id — the client's X-Request-Id, else one minted here at the edge —
+// echoed on the response and forwarded on every hop the request makes: the
+// mirror reads it off the request (toMirror), shard posts take it from the
+// context (post).
+func (rt *Router) Handler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		id := server.RequestID(r)
+		r.Header.Set("X-Request-Id", id)
+		w.Header().Set("X-Request-Id", id)
+		rt.mux.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), requestIDKey{}, id)))
+	})
+}
 
 // Registry returns the router's own metrics registry (the mirror server
 // keeps its own; /metrics renders both).
@@ -707,6 +717,9 @@ func (rt *Router) post(ctx context.Context, url string, body []byte) (int, []byt
 		return 0, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	if id, ok := ctx.Value(requestIDKey{}).(string); ok {
+		req.Header.Set("X-Request-Id", id)
+	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
 		return 0, nil, err

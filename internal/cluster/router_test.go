@@ -12,6 +12,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -378,16 +379,10 @@ func TestReplicaFailover(t *testing.T) {
 	replA := httptest.NewServer(replSrv.Handler())
 	t.Cleanup(replA.Close)
 	f := &Follower{
-		Pick: func() (string, error) { return primA.URL, nil },
-		Apply: func(label, before string, snap stream.Snapshot) error {
-			if before != "" {
-				_, err := replSeries.AppendAt(label, snap, before)
-				return err
-			}
-			return replSeries.Append(label, snap)
-		},
-		Len: replSeries.Len,
-		Log: quietLogger(),
+		Pick:  func() (string, error) { return primA.URL, nil },
+		Apply: replSeries.AppendAt,
+		Len:   replSeries.Len,
+		Log:   quietLogger(),
 	}
 	for replSeries.Len() < 3 {
 		if _, err := f.Poll(context.Background()); err != nil {
@@ -405,6 +400,9 @@ func TestReplicaFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
+	// The tail shard replays into the mirror in the background, and the router
+	// resolves labels against the mirror's timeline: wait for t3..t5 to land.
+	waitMirror(t, rt, len(pts))
 	rts := httptest.NewServer(rt.Handler())
 	t.Cleanup(rts.Close)
 
@@ -562,4 +560,119 @@ func TestClusterStatus(t *testing.T) {
 	if rs.Role != "router" || rs.Points != 6 || rs.Shards != 3 {
 		t.Errorf("router status = %+v", rs)
 	}
+}
+
+// lockedBuffer is a log sink safe to read while servers write.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.b.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.b.String()
+}
+
+// TestRequestIDFollowsHops: one id follows a request across processes — the
+// router adopts the client's X-Request-Id (or mints one), echoes it, and
+// forwards it on its shard posts and mirror hand-offs, so the shard's and the
+// mirror's access-log lines carry the id the client holds.
+func TestRequestIDFollowsHops(t *testing.T) {
+	var logs lockedBuffer // shards, mirror and router share one sink
+	log := slog.New(slog.NewTextHandler(&logs, nil))
+	pts := testPoints()
+	var spec []string
+	for i, part := range [][]server.IngestRequest{pts[:3], pts[3:]} {
+		s, err := server.New(server.Config{Series: stream.New(attrsFor()...), Logger: log.With("shard", i),
+			ShardName: fmt.Sprintf("s%d", i), Partial: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		for _, p := range part {
+			if code, data, _ := postJSON(t, ts.URL+"/v1/ingest", p); code != 200 {
+				t.Fatalf("ingest %s: %d: %s", p.Label, code, data)
+			}
+		}
+		spec = append(spec, fmt.Sprintf("s%d=%s", i, ts.URL))
+	}
+	m, err := ParseShardMap(strings.Join(spec, ";"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := New(Config{Map: m, ProbeInterval: 25 * time.Millisecond, Logger: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	waitMirror(t, rt, len(pts))
+	rts := httptest.NewServer(rt.Handler())
+	t.Cleanup(rts.Close)
+
+	send := func(path string, body any, id string) (route, echoed string) {
+		t.Helper()
+		buf, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodPost, rts.URL+path, bytes.NewReader(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != "" {
+			req.Header.Set("X-Request-Id", id)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if data, _ := io.ReadAll(resp.Body); resp.StatusCode != 200 {
+			t.Fatalf("%s = %d: %s", path, resp.StatusCode, data)
+		}
+		return resp.Header.Get("X-Gt-Route"), resp.Header.Get("X-Request-Id")
+	}
+	union := server.AggregateRequest{Op: "union", Interval: server.IntervalSpec{From: "t0", To: "t1"},
+		Interval2: server.IntervalSpec{From: "t3", To: "t5"}, Attrs: []string{"gender"}}
+
+	if route, echoed := send("/v1/aggregate", union, "trace-scatter"); route != "scatter" || echoed != "trace-scatter" {
+		t.Fatalf("scatter: route %q, echoed id %q", route, echoed)
+	}
+	for shard := 0; shard < 2; shard++ {
+		if !containsLine(logs.String(), "endpoint=partial", fmt.Sprintf("shard=%d", shard), "request_id=trace-scatter") {
+			t.Errorf("shard %d logged no partial request under the client's id:\n%s", shard, logs.String())
+		}
+	}
+	if route, echoed := send("/v1/tgql", server.TGQLRequest{Query: "TIMELINE BY gender"}, "trace-mirror"); route != "mirror" || echoed != "trace-mirror" {
+		t.Fatalf("mirror: route %q, echoed id %q", route, echoed)
+	}
+	if !containsLine(logs.String(), "endpoint=tgql", "request_id=trace-mirror", "component=mirror") {
+		t.Errorf("the mirror logged no tgql request under the client's id:\n%s", logs.String())
+	}
+	_, minted := send("/v1/aggregate", union, "")
+	if minted == "" || !containsLine(logs.String(), "endpoint=partial", "request_id="+minted) {
+		t.Errorf("router-minted id %q did not reach a shard:\n%s", minted, logs.String())
+	}
+}
+
+// containsLine reports whether one line of text contains every fragment.
+func containsLine(text string, fragments ...string) bool {
+lines:
+	for _, line := range strings.Split(text, "\n") {
+		for _, f := range fragments {
+			if !strings.Contains(line, f) {
+				continue lines
+			}
+		}
+		return true
+	}
+	return false
 }

@@ -236,22 +236,31 @@ func TestAdvanceRejectsStaticBackfill(t *testing.T) {
 	}
 }
 
+// TestAdvanceRejectsNonExtension: a graph that rewrites a time point label,
+// or one over a different attribute schema, is refused with the typed error
+// and the catalog keeps serving its own graph.
 func TestAdvanceRejectsNonExtension(t *testing.T) {
-	acc := core.NewAccumulator(core.AttrSpec{Name: "c", Kind: core.Static})
-	acc.AddPoint("t0")
-	id := acc.EnsureNode("a")
-	acc.SetNodeTime(id)
-	acc.SetStatic(0, id, "x")
-	g0 := acc.Snapshot()
+	build := func(point string, attrs ...core.AttrSpec) *core.Graph {
+		acc := core.NewAccumulator(attrs...)
+		acc.AddPoint(point)
+		id := acc.EnsureNode("a")
+		acc.SetNodeTime(id)
+		acc.SetStatic(0, id, "x")
+		return acc.Snapshot()
+	}
+	c := core.AttrSpec{Name: "c", Kind: core.Static}
+	g0 := build("t0", c)
 	cat := NewCatalog(g0)
-
-	other := core.NewAccumulator(core.AttrSpec{Name: "c", Kind: core.Static})
-	other.AddPoint("u0")
-	oid := other.EnsureNode("a")
-	other.SetNodeTime(oid)
-	other.SetStatic(0, oid, "x")
-	if _, err := cat.Advance(other.Snapshot()); err == nil {
-		t.Error("advance to a graph with a rewritten time point label should fail")
+	for name, g := range map[string]*core.Graph{
+		"rewritten time point label": build("u0", c),
+		"attribute schema changed":   build("t0", c, core.AttrSpec{Name: "d", Kind: core.Static}),
+	} {
+		if _, err := cat.Advance(g); !errors.Is(err, ErrNotExtension) {
+			t.Errorf("%s: Advance = %v, want ErrNotExtension", name, err)
+		}
+		if cat.Graph() != g0 {
+			t.Fatalf("%s: refused advance moved the catalog off its graph", name)
+		}
 	}
 }
 

@@ -25,7 +25,9 @@
 package materialize
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -41,7 +43,7 @@ import (
 // every base time point (the paper's chosen materialization unit).
 // A Store is immutable after construction and safe for concurrent readers;
 // the dense composition tables are built lazily on first composed query.
-// Append extends a store to a longer timeline by producing a NEW store that
+// Extend carries a store to a longer timeline by producing a NEW store that
 // shares all frozen per-point state — the old store keeps serving.
 type Store struct {
 	schema   *agg.Schema
@@ -66,51 +68,73 @@ func NewStore(g *core.Graph, s *agg.Schema) *Store {
 	return &Store{schema: s, perPoint: referencePointsLoop(g, s)}
 }
 
-// Append returns a new store extending st with the time points newG has
-// beyond st's horizon, in O(batch) aggregation work plus O(slots) per point
-// to extend the dense engine — never a re-aggregation of history. newG must
-// be an append-only extension of the store's base graph (the old timeline
-// labels are a prefix of newG's). It fails with
-// ErrCodingChanged when an attribute dictionary grew — new values change
-// the mixed-radix tuple coding, so the per-point vectors are not
-// comparable and the caller must rebuild from scratch (Catalog.Advance
-// counts those). The old store is left fully usable; a store may be
-// extended at most once (callers serialize lineage — Catalog.Advance does
-// so under its lock).
-func (st *Store) Append(newG *core.Graph) (*Store, error) {
+// Extend returns a new store over newG's timeline: the time points listed in
+// inserted (ascending indices into newG's timeline, from newPoints) are
+// aggregated fresh, and the store's own aggregates — pure tuple→weight maps
+// with no time index inside — take every other position. O(len(inserted))
+// aggregations, never a re-aggregation of history. When every inserted point
+// lies beyond the store's horizon the dense composition tables are extended
+// eagerly, O(slots) per point (forcing the parent's lazy build if needed), so
+// the first query on the new store pays no rebuild; an insert anywhere
+// earlier shifts positions and leaves them to that query's lazy build.
+//
+// It fails with ErrCodingChanged when an attribute dictionary grew or was
+// re-ordered (a mid-timeline insert replays valid order, which can change
+// which value is seen first): the old vectors are then not comparable and
+// the caller rebuilds from scratch. The old store is left fully usable; a
+// store may be extended at most once (callers serialize lineage —
+// Catalog.Advance does so under its lock).
+func (st *Store) Extend(newG *core.Graph, inserted []int) (*Store, error) {
 	s2, err := agg.NewSchema(newG, st.schema.Attrs()...)
 	if err != nil {
 		return nil, err
 	}
-	if !s2.SameCoding(st.schema) {
-		return nil, ErrCodingChanged
+	for _, id := range s2.Attrs() {
+		// The same values in the same order: agg.Schema.SameCoding, which
+		// compares dictionary sizes, plus what each code decodes to.
+		if !slices.Equal(st.schema.Graph().Dict(id).Values(), newG.Dict(id).Values()) {
+			return nil, ErrCodingChanged
+		}
 	}
-	oldN := len(st.perPoint)
-	n := newG.Timeline().Len()
-	if n < oldN {
-		return nil, fmt.Errorf("materialize: graph has %d points, store already covers %d", n, oldN)
+	oldN, n := len(st.perPoint), newG.Timeline().Len()
+	if oldN+len(inserted) != n {
+		return nil, fmt.Errorf("materialize: %d new points do not bridge %d covered to %d total", len(inserted), oldN, n)
 	}
-	perPoint := st.perPoint[:oldN:oldN]
-	for t := oldN; t < n; t++ {
-		perPoint = append(perPoint, agg.Aggregate(ops.At(newG, timeline.Time(t)), s2, agg.All))
+	perPoint := make([]*agg.Graph, 0, n)
+	next := 0
+	for t := 0; t < n; t++ {
+		if next < len(inserted) && inserted[next] == t {
+			perPoint = append(perPoint, agg.Aggregate(ops.At(newG, timeline.Time(t)), s2, agg.All))
+			next++
+		} else if old := t - next; old < oldN {
+			perPoint = append(perPoint, st.perPoint[old])
+		}
 	}
-	next := &Store{schema: s2, perPoint: perPoint}
-	// Extend the dense engine eagerly (forcing the parent's lazy build if
-	// needed): the first query on the new store must not pay a rebuild.
-	next.comp = st.composer().extend(s2, perPoint[oldN:])
-	return next, nil
+	if len(perPoint) != n {
+		return nil, fmt.Errorf("materialize: new point positions %v are not ascending indices into a timeline of %d points", inserted, n)
+	}
+	ext := &Store{schema: s2, perPoint: perPoint}
+	if len(inserted) == 0 || inserted[0] == oldN {
+		ext.comp = st.composer().extend(s2, perPoint[oldN:])
+	}
+	return ext, nil
 }
 
 // ErrCodingChanged reports that a store cannot be extended because an
-// attribute dictionary grew, changing the tuple coding.
-var ErrCodingChanged = fmt.Errorf("materialize: attribute coding changed; store must be rebuilt")
+// attribute dictionary grew or was re-ordered, changing the tuple coding.
+var ErrCodingChanged = errors.New("materialize: attribute coding changed; store must be rebuilt")
+
+// ErrNotExtension reports that an advance was refused because the new graph
+// does not extend the catalog's: a time point was dropped, the attribute
+// schema changed, or nodes were renumbered. Callers rebuild the catalog.
+var ErrNotExtension = errors.New("materialize: graph does not extend the catalog's; catalog must be rebuilt")
 
 // ErrStaticBackfill reports that an advance would be unsound because a
 // static attribute value was filled in (or changed) for a node that
 // already existed — old per-point aggregates and cached results would no
 // longer match a from-scratch rebuild. Callers handle it by rebuilding
 // the catalog.
-var ErrStaticBackfill = fmt.Errorf("materialize: static attribute back-filled on an existing node")
+var ErrStaticBackfill = errors.New("materialize: static attribute back-filled on an existing node")
 
 // Schema returns the store's aggregation schema.
 func (st *Store) Schema() *agg.Schema { return st.schema }
@@ -226,10 +250,10 @@ type catEntry struct {
 // results in a sharded LRU. All methods are safe for concurrent use:
 // distinct requests proceed in parallel (mutex-per-shard cache,
 // RWMutex-guarded store set) and concurrent identical requests are
-// deduplicated onto one computation. Advance folds newly appended time
-// points into every store without invalidating the cache — the graph is
-// append-only and interval cache keys are label-based, so every previously
-// cached result stays correct forever.
+// deduplicated onto one computation. Advance folds new time points into
+// every store; the result cache survives it when they are a suffix of the
+// timeline (interval cache keys are label-based, so every cached result
+// stays correct) and is purged when one landed earlier.
 type Catalog struct {
 	mu          sync.RWMutex
 	g           *core.Graph // current graph; replaced by Advance
@@ -317,9 +341,11 @@ func (c *Catalog) Materialize(attrs ...core.AttrID) (*Store, error) {
 	for err == nil && c.gen != gen {
 		g, gen = c.g, c.gen
 		c.mu.Unlock()
-		if next, aerr := st.Append(g); aerr == nil {
-			st = next
-		} else {
+		inserted, aerr := newPoints(st.schema.Graph(), g)
+		if aerr == nil {
+			st, aerr = st.Extend(g, inserted)
+		}
+		if aerr != nil {
 			st, err = buildStore(g, attrs)
 		}
 		c.mu.Lock()
@@ -344,77 +370,139 @@ func buildStore(g *core.Graph, attrs []core.AttrID) (*Store, error) {
 
 // AdvanceStats reports what one Catalog.Advance did.
 type AdvanceStats struct {
-	// NewPoints is how many time points the advance appended.
+	// NewPoints is how many time points the new graph has beyond the old.
 	NewPoints int
-	// Extended counts stores folded forward incrementally (O(batch)).
+	// Extended counts stores folded forward incrementally (Store.Extend).
 	Extended int
-	// Rebuilt counts stores re-materialized from scratch because a new
-	// attribute value changed their tuple coding.
+	// Rebuilt counts stores re-materialized from scratch because their
+	// tuple coding changed.
 	Rebuilt int
+	// FirstDirty is the lowest new-timeline index whose content changed:
+	// every cached plan or result that reads at or beyond it is stale. It
+	// equals the old timeline length when the new points are a suffix.
+	FirstDirty int
 }
 
-// Advance folds the delta between the catalog's current graph and newG
-// into every materialized store: newG must be an append-only extension
-// (the current timeline labels are a prefix of newG's, nodes and edges
-// only accumulate). Each store is extended in O(batch) aggregation work —
-// or rebuilt from scratch when an attribute dictionary grew and changed
-// its tuple coding — and the catalog switches to serving newG. The result
-// cache and hit counters are retained: cache keys are label-based interval
-// strings and the graph is append-only, so every cached result remains
-// correct. Concurrent readers keep serving the old stores until the swap;
-// in-flight Materialize builds catch up on their own.
-func (c *Catalog) Advance(newG *core.Graph) (AdvanceStats, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if newG == c.g {
-		return AdvanceStats{}, nil
+// newPoints matches old's time-point labels as a subsequence of new's and
+// returns the positions of new's timeline that old lacks, ascending.
+func newPoints(old, new *core.Graph) ([]int, error) {
+	otl, ntl := old.Timeline(), new.Timeline()
+	var inserted []int
+	i := 0
+	for j := 0; j < ntl.Len(); j++ {
+		if i < otl.Len() && otl.Label(timeline.Time(i)) == ntl.Label(timeline.Time(j)) {
+			i++
+		} else {
+			inserted = append(inserted, j)
+		}
 	}
-	oldLabels := c.g.Timeline().Labels()
-	newLabels := newG.Timeline().Labels()
-	if len(newLabels) < len(oldLabels) {
-		return AdvanceStats{}, fmt.Errorf("materialize: advance shrinks the timeline from %d to %d points", len(oldLabels), len(newLabels))
+	if i != otl.Len() {
+		return nil, fmt.Errorf("%w: time point %q dropped or moved", ErrNotExtension, otl.Label(timeline.Time(i)))
 	}
-	for i, l := range oldLabels {
-		if newLabels[i] != l {
-			return AdvanceStats{}, fmt.Errorf("materialize: advance rewrites time point %d (%q → %q)", i, l, newLabels[i])
+	return inserted, nil
+}
+
+// checkLineage verifies that what the old graph said about its nodes still
+// holds in the new one: same attribute schema, node identities and static
+// values. Time-varying values and timestamps of old points are immutable in
+// the accumulator lineage, so these are the only channels through which new
+// input can change what an OLD per-point aggregate should contain.
+func checkLineage(old, new *core.Graph) error {
+	if n := old.NumAttrs(); n != new.NumAttrs() {
+		return fmt.Errorf("%w: attribute schema changed (%d → %d attributes)", ErrNotExtension, n, new.NumAttrs())
+	}
+	nodes := old.NumNodes()
+	if new.NumNodes() < nodes {
+		return fmt.Errorf("%w: node count shrank", ErrNotExtension)
+	}
+	// A mid-timeline insert replays valid order, which assigns node IDs by
+	// first appearance: a batch introducing a new node renumbers every node
+	// first seen after it. The static comparison below is ID-indexed, so
+	// identity comes first.
+	for n := 0; n < nodes; n++ {
+		if ol, nl := old.NodeLabel(core.NodeID(n)), new.NodeLabel(core.NodeID(n)); ol != nl {
+			return fmt.Errorf("%w: node %d renumbered (%q → %q)", ErrNotExtension, n, ol, nl)
 		}
 	}
 	// A static value back-filled on a pre-existing node retroactively
 	// changes that node's tuple at EVERY old time point, so the frozen
 	// per-point aggregates (and cached results) would silently diverge
-	// from a scratch rebuild. Refuse the delta; the caller falls back to
-	// a full rebuild. Time-varying values and timestamps of old points are
-	// immutable in the accumulator lineage, so statics are the only
-	// retroactive channel.
-	if n := c.g.NumAttrs(); n != newG.NumAttrs() {
-		return AdvanceStats{}, fmt.Errorf("materialize: advance changes the attribute schema (%d → %d attributes)", n, newG.NumAttrs())
-	}
-	oldNodes := c.g.NumNodes()
-	for a := 0; a < newG.NumAttrs(); a++ {
-		if newG.Attr(core.AttrID(a)).Kind != core.Static {
+	// from a scratch rebuild. Codes are compared directly while the new
+	// dictionary extends the old; a replay that re-ordered it compares the
+	// decoded values.
+	for a := 0; a < new.NumAttrs(); a++ {
+		id := core.AttrID(a)
+		if new.Attr(id).Kind != core.Static {
 			continue
 		}
-		for n := 0; n < oldNodes; n++ {
-			if c.g.StaticValue(core.AttrID(a), core.NodeID(n)) != newG.StaticValue(core.AttrID(a), core.NodeID(n)) {
-				return AdvanceStats{}, fmt.Errorf("%w: node %q attribute %q",
-					ErrStaticBackfill, newG.NodeLabel(core.NodeID(n)), newG.Attr(core.AttrID(a)).Name)
+		od, nd := old.Dict(id), new.Dict(id)
+		stable := nd.Len() >= od.Len() && slices.Equal(od.Values(), nd.Values()[:od.Len()])
+		for n := 0; n < nodes; n++ {
+			ov, nv := old.StaticValue(id, core.NodeID(n)), new.StaticValue(id, core.NodeID(n))
+			same := ov == nv
+			if !stable {
+				same = od.Value(ov) == nd.Value(nv)
 			}
+			if same {
+				continue
+			}
+			return fmt.Errorf("%w: node %q attribute %q (%q → %q)", ErrStaticBackfill,
+				new.NodeLabel(core.NodeID(n)), new.Attr(id).Name, od.Value(ov), nd.Value(nv))
 		}
 	}
-	stats := AdvanceStats{NewPoints: len(newLabels) - len(oldLabels)}
+	return nil
+}
+
+// Advance folds the delta between the catalog's current graph and newG into
+// every materialized store — the one way a catalog moves to a longer
+// history. newG's timeline must contain the current labels as a subsequence
+// (newPoints) and agree with the current graph on schema, node identities
+// and static values (checkLineage); anything else is refused with
+// ErrNotExtension or ErrStaticBackfill, the catalog keeps serving its
+// current graph, and the caller rebuilds. Each store absorbs the new points
+// (Store.Extend) or is rebuilt from scratch when its tuple coding changed,
+// then the catalog switches to newG. Concurrent readers keep serving the
+// old stores until the swap; in-flight Materialize builds catch up on their
+// own.
+//
+// What survives is decided by where the new points landed, not by the
+// caller. A suffix of the new timeline (FirstDirty == the old length: a
+// tail append) keeps the result cache and hit counters — cache keys are
+// label-based interval strings and nothing an old label range covers
+// changed. A point that landed earlier (a retroactive insert) puts one more
+// point inside every label range spanning it, so the result cache is
+// purged, and FirstDirty tells the plan cache which plans to evict.
+func (c *Catalog) Advance(newG *core.Graph) (AdvanceStats, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	oldN := c.g.Timeline().Len()
+	if newG == c.g {
+		return AdvanceStats{FirstDirty: oldN}, nil
+	}
+	inserted, err := newPoints(c.g, newG)
+	if err != nil {
+		return AdvanceStats{}, err
+	}
+	if err := checkLineage(c.g, newG); err != nil {
+		return AdvanceStats{}, err
+	}
+	stats := AdvanceStats{NewPoints: len(inserted), FirstDirty: oldN}
+	if len(inserted) > 0 {
+		stats.FirstDirty = inserted[0]
+	}
 	for key, st := range c.stores {
-		next, err := st.Append(newG)
+		ext, err := st.Extend(newG, inserted)
 		if err == nil {
-			c.stores[key] = next
 			stats.Extended++
-			continue
-		}
-		s, err := agg.NewSchema(newG, st.Schema().Attrs()...)
-		if err != nil {
+		} else if ext, err = buildStore(newG, st.schema.Attrs()); err == nil {
+			stats.Rebuilt++
+		} else {
 			return stats, err
 		}
-		c.stores[key] = NewStore(newG, s)
-		stats.Rebuilt++
+		c.stores[key] = ext
+	}
+	if stats.FirstDirty < oldN {
+		c.cache.Purge()
 	}
 	c.g = newG
 	c.gen++

@@ -3,11 +3,15 @@ package materialize
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/agg"
 	"repro/internal/core"
+	"repro/internal/gtest"
 	"repro/internal/stream"
 	"repro/internal/timeline"
 )
@@ -81,12 +85,12 @@ func TestAdvanceRetroExtendsStores(t *testing.T) {
 		t.Fatal(err)
 	}
 	newG := seriesGraph(t, s)
-	stats, err := cat.AdvanceRetro(newG)
+	stats, err := cat.Advance(newG)
 	if err != nil {
-		t.Fatalf("AdvanceRetro: %v", err)
+		t.Fatalf("Advance: %v", err)
 	}
-	if stats.Inserted != 1 || stats.FirstDirty != 1 {
-		t.Fatalf("stats = %+v, want Inserted=1 FirstDirty=1", stats)
+	if stats.NewPoints != 1 || stats.FirstDirty != 1 {
+		t.Fatalf("stats = %+v, want NewPoints=1 FirstDirty=1", stats)
 	}
 	if stats.Extended+stats.Rebuilt != 2 {
 		t.Fatalf("stats = %+v, want 2 stores touched", stats)
@@ -98,12 +102,12 @@ func TestAdvanceRetroExtendsStores(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	st, ok := cat.store(attrsKey(attrs))
 	if !ok {
-		t.Fatal("gender store vanished across AdvanceRetro")
+		t.Fatal("gender store vanished across the advance")
 	}
 	checkStoreEquivalence(t, r, newG, st, attrs)
 	st2, ok := cat.store(attrsKey(both))
 	if !ok {
-		t.Fatal("gender+publications store vanished across AdvanceRetro")
+		t.Fatal("gender+publications store vanished across the advance")
 	}
 	checkStoreEquivalence(t, r, newG, st2, both)
 }
@@ -125,12 +129,12 @@ func TestAdvanceRetroTailAndMiddle(t *testing.T) {
 		t.Fatal(err)
 	}
 	newG := seriesGraph(t, s)
-	stats, err := cat.AdvanceRetro(newG)
+	stats, err := cat.Advance(newG)
 	if err != nil {
-		t.Fatalf("AdvanceRetro: %v", err)
+		t.Fatalf("Advance: %v", err)
 	}
-	if stats.Inserted != 2 || stats.FirstDirty != 2 {
-		t.Fatalf("stats = %+v, want Inserted=2 FirstDirty=2", stats)
+	if stats.NewPoints != 2 || stats.FirstDirty != 2 {
+		t.Fatalf("stats = %+v, want NewPoints=2 FirstDirty=2", stats)
 	}
 	st, _ := cat.store(attrsKey(attrs))
 	checkStoreEquivalence(t, rand.New(rand.NewSource(12)), newG, st, attrs)
@@ -150,9 +154,9 @@ func TestAdvanceRetroRebuildOnRenumber(t *testing.T) {
 	if _, err := s.AppendAt("t0b", retroSnap("u9", "m", "7"), "t1"); err != nil {
 		t.Fatal(err)
 	}
-	_, err := cat.AdvanceRetro(seriesGraph(t, s))
-	if !errors.Is(err, ErrRetroRebuild) {
-		t.Fatalf("AdvanceRetro = %v, want ErrRetroRebuild", err)
+	_, err := cat.Advance(seriesGraph(t, s))
+	if !errors.Is(err, ErrNotExtension) {
+		t.Fatalf("Advance = %v, want ErrNotExtension", err)
 	}
 }
 
@@ -167,8 +171,8 @@ func TestAdvanceRetroRejectsDroppedPoint(t *testing.T) {
 	if err := s2.Append("t0", retroSnap("u1", "m", "3", "u2")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cat.AdvanceRetro(seriesGraph(t, s2)); err == nil {
-		t.Fatal("AdvanceRetro accepted a timeline that drops points")
+	if _, err := cat.Advance(seriesGraph(t, s2)); !errors.Is(err, ErrNotExtension) {
+		t.Fatalf("Advance onto a timeline that drops points = %v, want ErrNotExtension", err)
 	}
 }
 
@@ -185,13 +189,13 @@ func TestInsertAtSplicesVector(t *testing.T) {
 		t.Fatal(err)
 	}
 	newG := seriesGraph(t, s)
-	next, err := st.InsertAt(newG, []int{1})
+	next, err := st.Extend(newG, []int{1})
 	if err != nil {
-		t.Fatalf("InsertAt: %v", err)
+		t.Fatalf("Extend: %v", err)
 	}
 	// Old per-point aggregates are position-shifted, not recomputed.
 	if next.Point(0) != oldPoints[0] || next.Point(2) != oldPoints[1] || next.Point(3) != oldPoints[2] {
-		t.Fatal("InsertAt recomputed aggregates that should have been carried over")
+		t.Fatal("Extend recomputed aggregates that should have been carried over")
 	}
 	scratch := NewStore(newG, agg.MustSchema(newG, attrs...))
 	for tp := 0; tp < 4; tp++ {
@@ -202,7 +206,182 @@ func TestInsertAtSplicesVector(t *testing.T) {
 	}
 
 	// Shape errors: wrong insert count does not bridge the timelines.
-	if _, err := st.InsertAt(newG, []int{1, 2}); err == nil {
-		t.Fatal("InsertAt with excess positions succeeded")
+	if _, err := st.Extend(newG, []int{1, 2}); err == nil {
+		t.Fatal("Extend with excess positions succeeded")
+	}
+}
+
+// historyPoint renders time point tp of a random history: node i is present
+// with probability 2/3 from its first point on (always at that first point),
+// carries a fixed static colour and a varying load drawn from a domain that
+// widens with tp — so late points grow the dictionary when they arrive and
+// re-order it when they arrive early.
+func historyPoint(seed int64, tp int, firstSeen []int, colours []string) stream.Snapshot {
+	r := rand.New(rand.NewSource(seed*1000 + int64(tp)))
+	var snap stream.Snapshot
+	var alive []string
+	for i, first := range firstSeen {
+		if tp < first || tp > first && r.Intn(3) == 0 {
+			continue
+		}
+		label := fmt.Sprintf("n%d", i)
+		alive = append(alive, label)
+		snap.Nodes = append(snap.Nodes, stream.NodeRecord{
+			Label:   label,
+			Static:  map[string]string{"colour": colours[i]},
+			Varying: map[string]string{"load": fmt.Sprintf("l%d", r.Intn(2+tp/3))},
+		})
+	}
+	seen := map[stream.EdgeRecord]bool{}
+	for k := 0; k < 2*len(alive); k++ {
+		e := stream.EdgeRecord{U: alive[r.Intn(len(alive))], V: alive[r.Intn(len(alive))]}
+		if e.U != e.V && !seen[e] {
+			seen[e] = true
+			snap.Edges = append(snap.Edges, e)
+		}
+	}
+	return snap
+}
+
+// TestAdvanceRandomHistories drives the one Advance with histories whose
+// points arrive out of valid order: tail appends, mid-timeline inserts and
+// single advances that carry both. After every step the catalog must be
+// indistinguishable from a scratch catalog over the new graph, FirstDirty is
+// the lowest arrived position, the result cache survives exactly the
+// suffix-only steps, and a refusal (a late-born node arriving early renumbers
+// its successors) is typed and leaves the old graph serving.
+func TestAdvanceRandomHistories(t *testing.T) {
+	const points = 12
+	var splices, suffixes, refusals int
+	for seed := int64(1); seed <= 12; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		firstSeen := make([]int, 5+r.Intn(6))
+		colours := make([]string, len(firstSeen))
+		for i := range firstSeen {
+			colours[i] = fmt.Sprintf("c%d", r.Intn(3))
+			if seed%3 == 0 && r.Intn(4) == 0 {
+				firstSeen[i] = 1 + r.Intn(points-1) // late-born: may force a refusal
+			}
+		}
+		s := stream.New(
+			core.AttrSpec{Name: "colour", Kind: core.Static},
+			core.AttrSpec{Name: "load", Kind: core.TimeVarying},
+		)
+		label := func(tp int) string { return fmt.Sprintf("t%02d", tp) }
+		if err := s.Append(label(0), historyPoint(seed, 0, firstSeen, colours)); err != nil {
+			t.Fatal(err)
+		}
+		g := seriesGraph(t, s)
+		attrSets := [][]core.AttrID{{g.MustAttr("colour")}, {g.MustAttr("load")}, {g.MustAttr("colour"), g.MustAttr("load")}}
+		newCat := func(g *core.Graph) *Catalog {
+			cat := NewCatalog(g)
+			for _, as := range attrSets {
+				if _, err := cat.Materialize(as...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return cat
+		}
+		cat := newCat(g)
+
+		arrived := []int{0}
+		order := r.Perm(points - 1)
+		for len(order) > 0 {
+			oldG, oldN := cat.Graph(), len(arrived)
+			// Warm the result cache with the whole old timeline.
+			whole := oldG.Timeline().All()
+			if _, _, err := cat.UnionAll(whole, attrSets[0]...); err != nil {
+				t.Fatal(err)
+			}
+			firstDirty := -1
+			for batch := 1 + r.Intn(2); batch > 0 && len(order) > 0; batch-- {
+				tp := order[0] + 1
+				order = order[1:]
+				at := sort.SearchInts(arrived, tp)
+				before := ""
+				if at < len(arrived) {
+					before = label(arrived[at])
+				}
+				if _, err := s.AppendAt(label(tp), historyPoint(seed, tp, firstSeen, colours), before); err != nil {
+					t.Fatalf("seed %d: ingest %s before %q: %v", seed, label(tp), before, err)
+				}
+				arrived = slices.Insert(arrived, at, tp)
+			}
+			for i, tp := range arrived {
+				if _, ok := oldG.Timeline().TimeOf(label(tp)); !ok {
+					firstDirty = i
+					break
+				}
+			}
+			newG := seriesGraph(t, s)
+			stats, err := cat.Advance(newG)
+			if err != nil {
+				if !errors.Is(err, ErrNotExtension) {
+					t.Fatalf("seed %d: Advance = %v, want success or ErrNotExtension", seed, err)
+				}
+				if cat.Graph() != oldG {
+					t.Fatalf("seed %d: refused advance moved the catalog off its graph", seed)
+				}
+				refusals++
+				cat = newCat(newG)
+				continue
+			}
+			if stats.FirstDirty != firstDirty || stats.NewPoints != len(arrived)-oldN || stats.Extended+stats.Rebuilt != len(attrSets) {
+				t.Fatalf("seed %d: stats %+v, want FirstDirty=%d NewPoints=%d over %d stores", seed, stats, firstDirty, len(arrived)-oldN, len(attrSets))
+			}
+			if suffixOnly := firstDirty >= oldN; suffixOnly {
+				suffixes++
+				ag, src, err := cat.UnionAll(newG.Timeline().Range(0, timeline.Time(oldN-1)), attrSets[0]...)
+				if err != nil || src != Cached {
+					t.Fatalf("seed %d: suffix-only advance lost the cached result (source %v, err %v)", seed, src, err)
+				}
+				want := NewStore(newG, agg.MustSchema(newG, attrSets[0]...)).UnionAllLinear(newG.Timeline().Range(0, timeline.Time(oldN-1)))
+				if !bytes.Equal(mustJSON(t, ag), mustJSON(t, want)) {
+					t.Fatalf("seed %d: retained cache entry diverged from scratch", seed)
+				}
+			} else {
+				splices++
+				if n := cat.Stats().CacheEntries; n != 0 {
+					t.Fatalf("seed %d: mid-timeline advance kept %d cached results", seed, n)
+				}
+			}
+			scratch := NewCatalog(newG)
+			for _, as := range attrSets {
+				st, ok := cat.store(attrsKey(as))
+				if !ok {
+					t.Fatalf("seed %d: store %v vanished", seed, as)
+				}
+				checkStoreEquivalence(t, r, newG, st, as)
+				for i := 0; i < 4; i++ {
+					iv := gtest.RandomRange(r, newG.Timeline())
+					got, _, err := cat.UnionAll(iv, as...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, _, err := scratch.UnionAll(iv, as...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
+						t.Fatalf("seed %d: UnionAll %v over %s diverged:\n%s\nvs\n%s", seed, as, iv, mustJSON(t, got), mustJSON(t, want))
+					}
+				}
+				tp := timeline.Time(r.Intn(len(arrived)))
+				sub, err := st.PointSubset(tp, as[:1]...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := NewStore(newG, agg.MustSchema(newG, as...)).PointSubset(tp, as[:1]...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(mustJSON(t, sub), mustJSON(t, want)) {
+					t.Fatalf("seed %d: PointSubset %v at %d diverged", seed, as, tp)
+				}
+			}
+		}
+	}
+	if splices == 0 || suffixes == 0 || refusals == 0 {
+		t.Fatalf("histories exercised %d splices, %d suffix-only advances, %d refusals; want all three", splices, suffixes, refusals)
 	}
 }

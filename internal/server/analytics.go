@@ -1,35 +1,18 @@
 package server
 
 import (
-	"context"
-	"fmt"
 	"net/http"
-	"time"
 
 	"repro/internal/analytics"
 	"repro/internal/plan"
+	"repro/internal/tgql"
 )
 
-// This file serves the evolution-analytics statement family (EVENTS,
-// PATHS, TREND) over dedicated JSON endpoints. The statements traverse the
-// whole timeline by construction, so a daemon serving one time-range shard
-// of a cluster (Config.Partial) rejects them up front with a typed 400 —
-// a shard-local answer would be silently wrong; the router answers them
-// from its mirror instead.
-
-// errPartialAnalytics is the typed rejection every analytics entry point
-// returns on a partial (time-range shard) daemon, mirroring the partial
-// aggregate's as_of contract.
-var errPartialAnalytics = fmt.Errorf(
-	"analytics statements traverse the whole timeline and cannot be served by a time-range shard; query the router's mirror")
-
-// rejectPartialAnalytics guards an analytics entry point on shard daemons.
-func (s *Server) rejectPartialAnalytics() (int, error) {
-	if s.cfg.Partial {
-		return http.StatusBadRequest, errPartialAnalytics
-	}
-	return 0, nil
-}
+// This file holds the wire forms of the evolution-analytics statement
+// family (EVENTS, PATHS, TREND) over dedicated JSON endpoints. The
+// statements traverse the whole timeline by construction, so a daemon
+// serving one time-range shard of a cluster rejects them (serve's
+// wholeTimeline guard); the router answers them from its mirror instead.
 
 // EventsRequest asks for evolution-event classification of every attribute
 // group between consecutive width-w windows (POST /v1/events).
@@ -54,38 +37,18 @@ type EventsResponse struct {
 	Events    *analytics.EventsResult `json:"events"`
 }
 
-func (s *Server) handleEvents(ctx context.Context, w http.ResponseWriter, r *http.Request) (int, error) {
-	if status, err := s.rejectPartialAnalytics(); err != nil {
-		return status, err
-	}
-	var req EventsRequest
-	if status, err := s.decodeJSON(w, r, &req); err != nil {
-		return status, err
-	}
-	st, err := s.current()
-	if err != nil {
-		return http.StatusServiceUnavailable, err
-	}
-	node := &plan.Events{
+func decodeEvents(req *EventsRequest) (query, error) {
+	return query{workers: req.Workers, stmt: tgql.Statement{Node: &plan.Events{
 		Kind:  req.Kind,
 		Attrs: req.Attrs,
 		Width: req.Width,
 		Min:   req.Min,
 		AsOf:  plan.TxnRef{Txn: req.AsOf},
-	}
-	p, err := plan.Compile(s.planEnv(st, req.Workers), node)
-	if err != nil {
-		return http.StatusBadRequest, err
-	}
-	start := time.Now()
-	res, err := p.Execute(ctx)
-	if err != nil {
-		return execStatus(err), err
-	}
-	return writeJSON(w, EventsResponse{
-		ElapsedMs: float64(time.Since(start).Microseconds()) / 1000,
-		Events:    res.Events,
-	})
+	}}}, nil
+}
+
+func encodeEvents(w http.ResponseWriter, _ query, a answer) (int, error) {
+	return writeJSON(w, EventsResponse{ElapsedMs: elapsedMs(a.elapsed), Events: a.res.Events})
 }
 
 // PathsRequest asks for time-respecting reachability (POST /v1/paths).
@@ -107,38 +70,18 @@ type PathsResponse struct {
 	Paths     *analytics.PathsResult `json:"paths"`
 }
 
-func (s *Server) handlePaths(ctx context.Context, w http.ResponseWriter, r *http.Request) (int, error) {
-	if status, err := s.rejectPartialAnalytics(); err != nil {
-		return status, err
-	}
-	var req PathsRequest
-	if status, err := s.decodeJSON(w, r, &req); err != nil {
-		return status, err
-	}
-	st, err := s.current()
-	if err != nil {
-		return http.StatusServiceUnavailable, err
-	}
-	node := &plan.Paths{
+func decodePaths(req *PathsRequest) (query, error) {
+	return query{workers: req.Workers, stmt: tgql.Statement{Node: &plan.Paths{
 		Mode:   req.Mode,
 		From:   req.From,
 		To:     req.To,
 		During: req.During.ref(),
 		AsOf:   plan.TxnRef{Txn: req.AsOf},
-	}
-	p, err := plan.Compile(s.planEnv(st, req.Workers), node)
-	if err != nil {
-		return http.StatusBadRequest, err
-	}
-	start := time.Now()
-	res, err := p.Execute(ctx)
-	if err != nil {
-		return execStatus(err), err
-	}
-	return writeJSON(w, PathsResponse{
-		ElapsedMs: float64(time.Since(start).Microseconds()) / 1000,
-		Paths:     res.Paths,
-	})
+	}}}, nil
+}
+
+func encodePaths(w http.ResponseWriter, _ query, a answer) (int, error) {
+	return writeJSON(w, PathsResponse{ElapsedMs: elapsedMs(a.elapsed), Paths: a.res.Paths})
 }
 
 // TrendRequest asks for per-group sliding-window appearance series
@@ -159,35 +102,15 @@ type TrendResponse struct {
 	Trend     *analytics.TrendResult `json:"trend"`
 }
 
-func (s *Server) handleTrend(ctx context.Context, w http.ResponseWriter, r *http.Request) (int, error) {
-	if status, err := s.rejectPartialAnalytics(); err != nil {
-		return status, err
-	}
-	var req TrendRequest
-	if status, err := s.decodeJSON(w, r, &req); err != nil {
-		return status, err
-	}
-	st, err := s.current()
-	if err != nil {
-		return http.StatusServiceUnavailable, err
-	}
-	node := &plan.Trend{
+func decodeTrend(req *TrendRequest) (query, error) {
+	return query{workers: req.Workers, stmt: tgql.Statement{Node: &plan.Trend{
 		Kind:  req.Kind,
 		Attrs: req.Attrs,
 		Width: req.Width,
 		AsOf:  plan.TxnRef{Txn: req.AsOf},
-	}
-	p, err := plan.Compile(s.planEnv(st, req.Workers), node)
-	if err != nil {
-		return http.StatusBadRequest, err
-	}
-	start := time.Now()
-	res, err := p.Execute(ctx)
-	if err != nil {
-		return execStatus(err), err
-	}
-	return writeJSON(w, TrendResponse{
-		ElapsedMs: float64(time.Since(start).Microseconds()) / 1000,
-		Trend:     res.Trend,
-	})
+	}}}, nil
+}
+
+func encodeTrend(w http.ResponseWriter, _ query, a answer) (int, error) {
+	return writeJSON(w, TrendResponse{ElapsedMs: elapsedMs(a.elapsed), Trend: a.res.Trend})
 }

@@ -179,59 +179,6 @@ func TestAnalyticsEndpointsAsOf(t *testing.T) {
 	}
 }
 
-// TestPartialRejectsAnalytics: a daemon serving one time-range shard must
-// refuse every analytics entry point with the typed 400 envelope, while
-// still serving non-analytics statements.
-func TestPartialRejectsAnalytics(t *testing.T) {
-	s, err := New(Config{Graph: core.PaperExample(), Partial: true, Logger: quietLogger()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	wantRejected := func(name string, code int, data []byte) {
-		t.Helper()
-		if code != 400 {
-			t.Fatalf("%s on partial daemon = %d, want 400: %s", name, code, data)
-		}
-		var eb errorBody
-		if err := json.Unmarshal(data, &eb); err != nil {
-			t.Fatalf("%s: bad error envelope %s: %v", name, data, err)
-		}
-		if eb.Error.Code != "bad_request" {
-			t.Fatalf("%s: envelope code = %q, want bad_request", name, eb.Error.Code)
-		}
-		if !strings.Contains(eb.Error.Message, "time-range shard") {
-			t.Fatalf("%s: message does not explain the shard restriction: %q", name, eb.Error.Message)
-		}
-	}
-
-	code, data := postJSON(t, ts.URL+"/v1/events", EventsRequest{Attrs: []string{"gender"}})
-	wantRejected("/v1/events", code, data)
-	code, data = postJSON(t, ts.URL+"/v1/paths", PathsRequest{From: []string{"u1"}, To: []string{"u2"}})
-	wantRejected("/v1/paths", code, data)
-	code, data = postJSON(t, ts.URL+"/v1/trend", TrendRequest{Attrs: []string{"gender"}})
-	wantRejected("/v1/trend", code, data)
-
-	for _, q := range []string{
-		"EVENTS DIST BY gender",
-		"PATHS EARLIEST FROM u1 TO u2",
-		"TREND ALL BY gender WIDTH 2",
-	} {
-		code, data = postJSON(t, ts.URL+"/v1/tgql", TGQLRequest{Query: q})
-		wantRejected("/v1/tgql "+q, code, data)
-		code, data = postJSON(t, ts.URL+"/v1/explain", TGQLRequest{Query: q})
-		wantRejected("/v1/explain "+q, code, data)
-	}
-
-	// Non-analytics statements still work on the shard daemon.
-	code, data = postJSON(t, ts.URL+"/v1/tgql", TGQLRequest{Query: "AGG DIST gender ON UNION(t0, t0)"})
-	if code != 200 {
-		t.Fatalf("non-analytics tgql on partial daemon = %d: %s", code, data)
-	}
-}
-
 // TestAnalyticsPlannerMetrics: executing each statement family bumps its
 // planner selection counter in the exposition.
 func TestAnalyticsPlannerMetrics(t *testing.T) {

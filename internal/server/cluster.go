@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -11,6 +10,7 @@ import (
 
 	"repro/internal/plan"
 	"repro/internal/storage"
+	"repro/internal/tgql"
 )
 
 // This file is the shard-side control plane of the cluster tier: the
@@ -183,38 +183,24 @@ type PartialAggregateResponse struct {
 	Partial   *plan.PartialResult `json:"partial"`
 }
 
-func (s *Server) handlePartialAggregate(ctx context.Context, w http.ResponseWriter, r *http.Request) (int, error) {
-	var req AggregateRequest
-	if status, err := s.decodeJSON(w, r, &req); err != nil {
-		return status, err
-	}
+func decodePartial(req *AggregateRequest) (query, error) {
 	if req.AsOf != 0 {
 		// Shards serve the head only; the router answers AS OF from its
 		// mirror rather than scattering it.
-		return http.StatusBadRequest, fmt.Errorf("partial aggregates cannot serve as_of; query the router's mirror")
+		return query{}, fmt.Errorf("partial aggregates cannot serve as_of; query the router's mirror")
 	}
-	st, err := s.current()
-	if err != nil {
-		return http.StatusServiceUnavailable, err
-	}
-	node := &plan.Partial{
+	return query{workers: req.Workers, stmt: tgql.Statement{Node: &plan.Partial{
 		Op:    plan.TemporalOp{Op: req.Op, A: req.Interval.ref(), B: req.Interval2.ref()},
 		Attrs: req.Attrs,
 		Kind:  req.Kind,
-	}
-	p, err := plan.Compile(s.planEnv(st, req.Workers), node)
-	if err != nil {
-		return http.StatusBadRequest, err
-	}
-	start := time.Now()
-	res, err := p.Execute(ctx)
-	if err != nil {
-		return execStatus(err), err
-	}
+	}}}, nil
+}
+
+func encodePartial(w http.ResponseWriter, _ query, a answer) (int, error) {
 	return writeJSON(w, PartialAggregateResponse{
-		Source:    res.Partial.Source,
-		ElapsedMs: float64(time.Since(start).Microseconds()) / 1000,
-		Partial:   res.Partial,
+		Source:    a.res.Partial.Source,
+		ElapsedMs: elapsedMs(a.elapsed),
+		Partial:   a.res.Partial,
 	})
 }
 
@@ -293,11 +279,7 @@ func (s *Server) tailRecords(from int) [][]byte {
 	}
 	out := make([][]byte, 0, len(journal)-from)
 	for _, e := range journal[from:] {
-		if e.Before != "" {
-			out = append(out, storage.EncodeIngestAtRecord(e.Label, e.Before, e.Snap))
-		} else {
-			out = append(out, storage.EncodeIngestRecord(e.Label, e.Snap))
-		}
+		out = append(out, storage.EncodeIngestRecord(e.Label, e.Before, e.Snap))
 	}
 	return out
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/agg"
+	"repro/internal/explore"
 	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/stream"
@@ -51,36 +52,6 @@ func (sp IntervalSpec) ref() plan.IntervalRef {
 	return plan.IntervalRef{From: sp.From, To: sp.To, Points: sp.Points}
 }
 
-// planEnv is the compile environment for queries against one serving
-// snapshot: its graph and catalog, the request's workers budget, the
-// server's plan cache (generation-keyed on the snapshot identity, so a
-// stream-mode rebuild flushes it automatically), and the feedback store
-// that adapts selections to observed cardinalities.
-func (s *Server) planEnv(st *state, workers int) plan.Env {
-	return plan.Env{Graph: st.g, Catalog: st.cat, Workers: workers, Cache: s.plans,
-		Feedback: s.fback, History: s}
-}
-
-// asOfQuery appends the wire-level as_of shorthand to a TGQL statement as
-// its AS OF clause, so both spellings share one grammar, one plan-cache
-// keyspace and one error path (a statement that already carries AS OF plus
-// the wire field is a duplicate-clause parse error).
-func asOfQuery(query string, asOf int) string {
-	if asOf <= 0 {
-		return query
-	}
-	return fmt.Sprintf("%s AS OF %d", query, asOf)
-}
-
-// execStatus maps an execution error: context errors keep their transport
-// mapping (504/499), engine errors are the client's fault (400).
-func execStatus(err error) int {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return statusForCtx(err)
-	}
-	return http.StatusBadRequest
-}
-
 // AggregateRequest asks for the aggregate graph of a temporal operator
 // applied to one or two intervals.
 type AggregateRequest struct {
@@ -113,31 +84,17 @@ type AggregateResponse struct {
 	Graph     json.RawMessage `json:"graph"`
 }
 
-func (s *Server) handleAggregate(ctx context.Context, w http.ResponseWriter, r *http.Request) (int, error) {
-	var req AggregateRequest
-	if status, err := s.decodeJSON(w, r, &req); err != nil {
-		return status, err
-	}
-	st, err := s.current()
-	if err != nil {
-		return http.StatusServiceUnavailable, err
-	}
-	node := &plan.Aggregate{
+func decodeAggregate(req *AggregateRequest) (query, error) {
+	return query{workers: req.Workers, stmt: tgql.Statement{Node: &plan.Aggregate{
 		Op:    plan.TemporalOp{Op: req.Op, A: req.Interval.ref(), B: req.Interval2.ref()},
 		Attrs: req.Attrs,
 		Kind:  req.Kind,
 		AsOf:  plan.TxnRef{Txn: req.AsOf},
-	}
-	p, err := plan.Compile(s.planEnv(st, req.Workers), node)
-	if err != nil {
-		return http.StatusBadRequest, err
-	}
-	start := time.Now()
-	res, err := p.Execute(ctx)
-	if err != nil {
-		return execStatus(err), err
-	}
-	return WriteAggregate(w, res.AggSource.String(), time.Since(start), res.Agg)
+	}}}, nil
+}
+
+func encodeAggregate(w http.ResponseWriter, _ query, a answer) (int, error) {
+	return WriteAggregate(w, a.res.AggSource.String(), a.elapsed, a.res.Agg)
 }
 
 // ExploreRequest asks for minimal/maximal interval pairs with at least K
@@ -183,21 +140,13 @@ type ExploreResponse struct {
 	ElapsedMs   float64       `json:"elapsed_ms"`
 }
 
-func (s *Server) handleExplore(ctx context.Context, w http.ResponseWriter, r *http.Request) (int, error) {
-	var req ExploreRequest
-	if status, err := s.decodeJSON(w, r, &req); err != nil {
-		return status, err
-	}
-	st, err := s.current()
-	if err != nil {
-		return http.StatusServiceUnavailable, err
-	}
+func decodeExplore(req *ExploreRequest) (query, error) {
 	// The wire API requires an explicit threshold (TGQL's K AUTO
 	// initialization is a REPL convenience).
 	if req.K < 1 {
-		return http.StatusBadRequest, fmt.Errorf("k must be >= 1, got %d", req.K)
+		return query{}, fmt.Errorf("k must be >= 1, got %d", req.K)
 	}
-	node := &plan.Explore{
+	return query{workers: req.Workers, stmt: tgql.Statement{Node: &plan.Explore{
 		Event:     req.Event,
 		Attrs:     req.Attrs,
 		Kind:      req.Kind,
@@ -209,26 +158,25 @@ func (s *Server) handleExplore(ctx context.Context, w http.ResponseWriter, r *ht
 		EdgeTo:    req.EdgeTo,
 		K:         req.K,
 		AsOf:      plan.TxnRef{Txn: req.AsOf},
+	}}}, nil
+}
+
+// explorePairs renders interval pairs in their wire form.
+func explorePairs(pairs []explore.Pair) []ExplorePair {
+	out := make([]ExplorePair, len(pairs))
+	for i, p := range pairs {
+		out[i] = ExplorePair{Old: p.Old.String(), New: p.New.String(), Result: p.Result}
 	}
-	p, err := plan.Compile(s.planEnv(st, req.Workers), node)
-	if err != nil {
-		return http.StatusBadRequest, err
-	}
-	start := time.Now()
-	res, err := p.Execute(ctx)
-	if err != nil {
-		return execStatus(err), err
-	}
-	resp := ExploreResponse{
-		K:           res.K,
-		Pairs:       make([]ExplorePair, len(res.Pairs)),
-		Evaluations: res.Evaluations,
-		ElapsedMs:   float64(time.Since(start).Microseconds()) / 1000,
-	}
-	for i, p := range res.Pairs {
-		resp.Pairs[i] = ExplorePair{Old: p.Old.String(), New: p.New.String(), Result: p.Result}
-	}
-	return writeJSON(w, resp)
+	return out
+}
+
+func encodeExplore(w http.ResponseWriter, _ query, a answer) (int, error) {
+	return writeJSON(w, ExploreResponse{
+		K:           a.res.K,
+		Pairs:       explorePairs(a.res.Pairs),
+		Evaluations: a.res.Evaluations,
+		ElapsedMs:   elapsedMs(a.elapsed),
+	})
 }
 
 // TGQLRequest runs one TGQL statement.
@@ -248,24 +196,26 @@ type TGQLResponse struct {
 	K     int64           `json:"k,omitempty"`
 }
 
-func (s *Server) handleTGQL(ctx context.Context, w http.ResponseWriter, r *http.Request) (int, error) {
-	var req TGQLRequest
-	if status, err := s.decodeJSON(w, r, &req); err != nil {
-		return status, err
+// decodeStatement lowers the statement both TGQL endpoints carry: parsed
+// once, with the wire-level as_of shorthand appended as its AS OF clause, so
+// both spellings share one grammar, one plan-cache keyspace and one error
+// path (a statement that already carries AS OF plus the wire field is a
+// duplicate-clause parse error).
+func decodeStatement(text string, asOf int) (query, error) {
+	if text == "" {
+		return query{}, fmt.Errorf("query required")
 	}
-	if req.Query == "" {
-		return http.StatusBadRequest, fmt.Errorf("query required")
+	if asOf > 0 {
+		text = fmt.Sprintf("%s AS OF %d", text, asOf)
 	}
-	if s.cfg.Partial && tgql.IsAnalytics(req.Query) {
-		return http.StatusBadRequest, errPartialAnalytics
-	}
-	st, err := s.current()
+	stmt, err := tgql.Lower(text)
+	return query{stmt: stmt, workers: 1, text: text}, err
+}
+
+func encodeTGQL(w http.ResponseWriter, q query, a answer) (int, error) {
+	res, err := q.stmt.Result(a.g, a.plan, a.res)
 	if err != nil {
-		return http.StatusServiceUnavailable, err
-	}
-	res, err := tgql.ExecEnv(ctx, s.planEnv(st, 1), asOfQuery(req.Query, req.AsOf))
-	if err != nil {
-		return execStatus(err), err
+		return http.StatusBadRequest, err
 	}
 	if res.Agg != nil {
 		// An aggregate statement sets no other payload: text, then graph.
@@ -274,13 +224,9 @@ func (s *Server) handleTGQL(ctx context.Context, w http.ResponseWriter, r *http.
 			return append(dst, `,"graph":`...)
 		}, res.Agg)
 	}
-	resp := TGQLResponse{Text: res.String()}
+	resp := TGQLResponse{Text: res.String(), Pairs: explorePairs(res.Pairs)}
 	if res.Pairs != nil {
 		resp.K = res.K
-		resp.Pairs = make([]ExplorePair, len(res.Pairs))
-		for i, p := range res.Pairs {
-			resp.Pairs[i] = ExplorePair{Old: p.Old.String(), New: p.New.String(), Result: p.Result}
-		}
 	}
 	return writeJSON(w, resp)
 }
@@ -299,26 +245,17 @@ type ExplainResponse struct {
 	Plan string `json:"plan"`
 }
 
-func (s *Server) handleExplain(ctx context.Context, w http.ResponseWriter, r *http.Request) (int, error) {
-	var req ExplainRequest
-	if status, err := s.decodeJSON(w, r, &req); err != nil {
-		return status, err
+func decodeExplain(req *ExplainRequest) (query, error) {
+	q, err := decodeStatement(req.Query, req.AsOf)
+	if err == nil {
+		err = q.stmt.NoPlan
 	}
-	if req.Query == "" {
-		return http.StatusBadRequest, fmt.Errorf("query required")
-	}
-	if s.cfg.Partial && tgql.IsAnalytics(req.Query) {
-		return http.StatusBadRequest, errPartialAnalytics
-	}
-	st, err := s.current()
-	if err != nil {
-		return http.StatusServiceUnavailable, err
-	}
-	p, err := tgql.PlanEnv(s.planEnv(st, 1), asOfQuery(req.Query, req.AsOf))
-	if err != nil {
-		return http.StatusBadRequest, err
-	}
-	return writeJSON(w, ExplainResponse{Plan: p.Explain()})
+	q.stmt.Explain = true
+	return q, err
+}
+
+func encodeExplain(w http.ResponseWriter, _ query, a answer) (int, error) {
+	return writeJSON(w, ExplainResponse{Plan: a.plan.Explain()})
 }
 
 // IngestNode is the wire form of one node in an ingested snapshot.
@@ -356,32 +293,18 @@ type IngestResponse struct {
 	Txn     int `json:"txn"`
 }
 
-// applyIngest routes one batch into the series (durable mode goes through
-// the WAL first), choosing the tail-append or retroactive-insert path.
-func (s *Server) applyIngest(req IngestRequest, snap stream.Snapshot) error {
-	if s.storage != nil {
-		if req.Before != "" {
-			_, err := s.storage.AppendAt(req.Label, snap, req.Before)
-			return err
-		}
-		return s.storage.Append(req.Label, snap)
-	}
-	if req.Before != "" {
-		_, err := s.series.AppendAt(req.Label, snap, req.Before)
-		return err
-	}
-	return s.series.Append(req.Label, snap)
-}
-
-func (s *Server) handleIngest(ctx context.Context, w http.ResponseWriter, r *http.Request) (int, error) {
+func (s *Server) handleIngest(ctx context.Context, w *statusWriter, r *http.Request) (int, error) {
 	if s.series == nil {
 		return http.StatusConflict, fmt.Errorf("server runs in static mode; ingestion is disabled")
 	}
 	if s.role() == RoleReplica {
 		return http.StatusConflict, fmt.Errorf("shard replica: ingestion is driven by WAL replication; write to the primary")
 	}
+	clock := stageClock{last: time.Now()}
 	var req IngestRequest
-	if status, err := s.decodeJSON(w, r, &req); err != nil {
+	status, err := s.decodeJSON(w, r, &req)
+	w.stages.decode = clock.lap()
+	if err != nil {
 		return status, err
 	}
 	if req.Label == "" {
@@ -397,10 +320,17 @@ func (s *Server) handleIngest(ctx context.Context, w http.ResponseWriter, r *htt
 	for i, e := range req.Edges {
 		snap.Edges[i] = stream.EdgeRecord{U: e.U, V: e.V}
 	}
-	// Durable mode: the WAL append (and, under -fsync=always, the sync)
-	// happens before the acknowledgement. A WAL failure is the server's
-	// fault, not the client's.
-	if err := s.applyIngest(req, snap); err != nil {
+	// AppendAt validates the batch and places it at the tail or before
+	// req.Before — through the storage engine when there is one, so the WAL
+	// append (and, under -fsync=always, the sync) precedes the
+	// acknowledgement. A WAL failure is the server's fault, not the client's.
+	if s.storage != nil {
+		_, err = s.storage.AppendAt(req.Label, snap, req.Before)
+	} else {
+		_, err = s.series.AppendAt(req.Label, snap, req.Before)
+	}
+	w.stages.exec = clock.lap()
+	if err != nil {
 		if errors.Is(err, storage.ErrWAL) {
 			return http.StatusInternalServerError, err
 		}
@@ -414,10 +344,14 @@ func (s *Server) handleIngest(ctx context.Context, w http.ResponseWriter, r *htt
 	// first so the freshness histogram covers this very advance.
 	s.trackVisibility(points)
 	visible := 0
-	if st, err := s.current(); err == nil {
+	st, err := s.current()
+	w.stages.state = clock.lap()
+	if err == nil {
 		visible = st.gen
 	} else {
 		s.log.Warn("ingest accepted but serving state not advanced", "err", err)
 	}
-	return writeJSON(w, IngestResponse{Points: points, Visible: visible, Txn: points})
+	status, err = writeJSON(w, IngestResponse{Points: points, Visible: visible, Txn: points})
+	w.stages.encode = clock.lap()
+	return status, err
 }

@@ -236,12 +236,12 @@ func (s *Server) BeginDrain() {
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // current returns the serving state, advancing it in stream mode when
-// ingestion has moved past the snapshot's generation. The fast path folds
-// the appended suffix into the existing catalog in place — O(batch), with
-// queries continuing to serve the old generation until the swap — and
-// falls back to a stop-the-world rebuild only when the delta is refused
-// (non-extension history, static back-fill). It returns an error (mapped to
-// 503) while no data has been ingested yet.
+// ingestion has moved past the snapshot's generation: Catalog.Advance folds
+// the new points into the existing catalog in place — wherever in valid time
+// they landed, with queries continuing to serve the old generation until the
+// swap — else a counted stop-the-world rebuild when the delta is refused
+// (renumbered nodes, static back-fill). It returns an error (mapped to 503)
+// while no data has been ingested yet.
 func (s *Server) current() (*state, error) {
 	st := s.cur.Load()
 	if s.series == nil {
@@ -264,43 +264,33 @@ func (s *Server) current() (*state, error) {
 	if err != nil {
 		return nil, err
 	}
-	old := s.cur.Load()
-	if old != nil {
-		if stats, aerr := old.cat.Advance(g); aerr == nil {
+	if old := s.cur.Load(); old != nil {
+		stats, err := old.cat.Advance(g)
+		if err == nil {
 			st = &state{g: g, cat: old.cat, gen: gen}
 			s.cur.Store(st)
 			// Bounded plans over the clean prefix keep serving; only plans
-			// that can observe the appended suffix are evicted.
-			s.plans.Advance(g, old.cat, old.g.Timeline().Len())
-			s.deltaApplies.Inc()
+			// that can observe a position at or past the first dirty one are
+			// evicted.
+			s.plans.Advance(g, old.cat, stats.FirstDirty)
+			if stats.FirstDirty < old.g.Timeline().Len() {
+				// A retroactive point landed inside the old timeline.
+				// Feedback cardinalities are keyed by interval labels whose
+				// positions just shifted, so they restart from scratch; a
+				// suffix-only advance keeps them.
+				s.fback.Reset()
+				s.retroApplies.Inc()
+			} else {
+				s.deltaApplies.Inc()
+			}
 			s.storeRebuilds.Add(int64(stats.Rebuilt))
 			s.observeVisibility(gen)
 			s.log.Info("serving state advanced", "points", gen,
-				"new_points", stats.NewPoints, "stores_extended", stats.Extended,
-				"stores_rebuilt", stats.Rebuilt)
+				"new_points", stats.NewPoints, "first_dirty", stats.FirstDirty,
+				"stores_extended", stats.Extended, "stores_rebuilt", stats.Rebuilt)
 			return st, nil
-		} else if rstats, rerr := old.cat.AdvanceRetro(g); rerr == nil {
-			// A retroactive ingest landed new points inside the existing
-			// timeline: the catalog spliced its stores around the dirty
-			// positions instead of rebuilding the world. Plans that could
-			// observe anything at or past the first dirty position are
-			// evicted; feedback cardinalities are keyed by interval labels
-			// whose positions just shifted, so they restart from scratch.
-			st = &state{g: g, cat: old.cat, gen: gen}
-			s.cur.Store(st)
-			s.plans.Advance(g, old.cat, rstats.FirstDirty)
-			s.fback.Reset()
-			s.retroApplies.Inc()
-			s.storeRebuilds.Add(int64(rstats.Rebuilt))
-			s.observeVisibility(gen)
-			s.log.Info("serving state advanced (retroactive)", "points", gen,
-				"inserted", rstats.Inserted, "first_dirty", rstats.FirstDirty,
-				"stores_extended", rstats.Extended, "stores_rebuilt", rstats.Rebuilt)
-			return st, nil
-		} else {
-			s.log.Warn("catalog delta refused, rebuilding", "points", gen,
-				"append_err", aerr, "retro_err", rerr)
 		}
+		s.log.Warn("catalog delta refused, rebuilding", "points", gen, "err", err)
 		// Fold the retiring catalog's counters into the cumulative base so
 		// /metrics stays monotonic across rebuilds.
 		os := old.cat.Stats()
@@ -316,7 +306,7 @@ func (s *Server) current() (*state, error) {
 	s.cur.Store(st)
 	s.plans.Reset(g, st.cat)
 	// Cardinalities observed against the replaced snapshot no longer
-	// describe anything; append-only advances (above) keep them instead.
+	// describe anything; suffix-only advances (above) keep them instead.
 	s.fback.Reset()
 	s.observeVisibility(gen)
 	s.log.Info("serving state rebuilt", "points", gen, "nodes", g.NumNodes(), "edges", g.NumEdges())
@@ -646,15 +636,15 @@ func (s *Server) routes() {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		s.reg.WritePrometheus(w)
 	})
-	s.mux.Handle("POST /v1/aggregate", s.api("aggregate", s.handleAggregate))
-	s.mux.Handle("POST /v1/explore", s.api("explore", s.handleExplore))
-	s.mux.Handle("POST /v1/tgql", s.api("tgql", s.handleTGQL))
-	s.mux.Handle("POST /v1/explain", s.api("explain", s.handleExplain))
+	s.mux.Handle("POST /v1/aggregate", s.api("aggregate", serve(s, decodeAggregate, encodeAggregate)))
+	s.mux.Handle("POST /v1/explore", s.api("explore", serve(s, decodeExplore, encodeExplore)))
+	s.mux.Handle("POST /v1/tgql", s.api("tgql", serve(s, func(req *TGQLRequest) (query, error) { return decodeStatement(req.Query, req.AsOf) }, encodeTGQL)))
+	s.mux.Handle("POST /v1/explain", s.api("explain", serve(s, decodeExplain, encodeExplain)))
+	s.mux.Handle("POST /v1/partial/aggregate", s.api("partial", serve(s, decodePartial, encodePartial)))
+	s.mux.Handle("POST /v1/events", s.api("events", serve(s, decodeEvents, encodeEvents)))
+	s.mux.Handle("POST /v1/paths", s.api("paths", serve(s, decodePaths, encodePaths)))
+	s.mux.Handle("POST /v1/trend", s.api("trend", serve(s, decodeTrend, encodeTrend)))
 	s.mux.Handle("POST /v1/ingest", s.api("ingest", s.handleIngest))
-	s.mux.Handle("POST /v1/partial/aggregate", s.api("partial", s.handlePartialAggregate))
-	s.mux.Handle("POST /v1/events", s.api("events", s.handleEvents))
-	s.mux.Handle("POST /v1/paths", s.api("paths", s.handlePaths))
-	s.mux.Handle("POST /v1/trend", s.api("trend", s.handleTrend))
 	// Cluster control plane: status/labels serve the router's health, lag
 	// and shard-map probes, the WAL stream feeds replicas and the router's
 	// mirror. They bypass admission so probes keep answering under load
@@ -664,11 +654,13 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/wal/stream", s.handleWALStream)
 }
 
-// statusWriter captures the status code and byte count for logs/metrics.
+// statusWriter captures the status code and byte count for logs/metrics,
+// and carries the stage durations the handler records for the access log.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
 	bytes  int
+	stages stages
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -689,7 +681,7 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 
 // apiHandler is an endpoint implementation: it returns (status, error);
 // on error the middleware writes the JSON error envelope.
-type apiHandler func(ctx context.Context, w http.ResponseWriter, r *http.Request) (int, error)
+type apiHandler func(ctx context.Context, w *statusWriter, r *http.Request) (int, error)
 
 // api wraps an endpoint in the full middleware chain:
 // recover → access log + metrics → deadline → admission → handler.
@@ -702,13 +694,15 @@ func (s *Server) api(endpoint string, h apiHandler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w}
+		id := RequestID(r)
+		sw.Header().Set("X-Request-Id", id)
 
 		defer func() {
 			if rec := recover(); rec != nil {
 				s.panics.Inc()
 				buf := make([]byte, 8<<10)
 				buf = buf[:runtime.Stack(buf, false)]
-				s.log.Error("handler panic", "endpoint", endpoint, "panic", rec, "stack", string(buf))
+				s.log.Error("handler panic", "endpoint", endpoint, "request_id", id, "panic", rec, "stack", string(buf))
 				if sw.status == 0 {
 					writeError(sw, http.StatusInternalServerError, fmt.Errorf("internal error"))
 				}
@@ -720,10 +714,15 @@ func (s *Server) api(endpoint string, h apiHandler) http.Handler {
 			} else {
 				s.reqCounter(endpoint, sw.status).Inc()
 			}
-			s.log.Info("request",
-				"endpoint", endpoint, "method", r.Method, "path", r.URL.Path,
-				"status", sw.status, "ms", float64(elapsed.Microseconds())/1000,
-				"bytes", sw.bytes, "remote", r.RemoteAddr)
+			// Typed attrs: no boxing of the twelve values on every request.
+			st := &sw.stages
+			s.log.LogAttrs(r.Context(), slog.LevelInfo, "request",
+				slog.String("endpoint", endpoint), slog.String("method", r.Method), slog.String("path", r.URL.Path),
+				slog.Int("status", sw.status), slog.Float64("ms", elapsedMs(elapsed)),
+				slog.Int64("decode_us", st.decode.Microseconds()), slog.Int64("state_us", st.state.Microseconds()),
+				slog.Int64("compile_us", st.compile.Microseconds()), slog.Int64("exec_us", st.exec.Microseconds()),
+				slog.Int64("encode_us", st.encode.Microseconds()),
+				slog.Int("bytes", sw.bytes), slog.String("remote", r.RemoteAddr), slog.String("request_id", id))
 		}()
 
 		ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(r))
@@ -870,7 +869,7 @@ func WriteAggregate(w http.ResponseWriter, source string, elapsed time.Duration,
 		dst = agg.AppendJSONString(append(dst, `{"source":`...), source)
 		// Whole microseconds in milliseconds: never in the range (< 1e-6 or
 		// ≥ 1e21) where encoding/json switches to exponent notation.
-		dst = strconv.AppendFloat(append(dst, `,"elapsed_ms":`...), float64(elapsed.Microseconds())/1000, 'f', -1, 64)
+		dst = strconv.AppendFloat(append(dst, `,"elapsed_ms":`...), elapsedMs(elapsed), 'f', -1, 64)
 		return append(dst, `,"graph":`...)
 	}, g)
 }

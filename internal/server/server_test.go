@@ -496,17 +496,23 @@ func TestWorkersClamped(t *testing.T) {
 // yields a 500 JSON envelope and moves the panic counter, without killing
 // the server.
 func TestPanicIsolation(t *testing.T) {
-	s, err := New(Config{Graph: core.PaperExample(), Logger: quietLogger()})
+	var logs syncBuffer
+	s, err := New(Config{Graph: core.PaperExample(), Logger: slog.New(slog.NewTextHandler(&logs, nil))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := s.api("aggregate", func(ctx context.Context, w http.ResponseWriter, r *http.Request) (int, error) {
+	h := s.api("aggregate", func(ctx context.Context, w *statusWriter, r *http.Request) (int, error) {
 		panic("boom")
 	})
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/aggregate", strings.NewReader("{}")))
+	req := httptest.NewRequest(http.MethodPost, "/v1/aggregate", strings.NewReader("{}"))
+	req.Header.Set("X-Request-Id", "the-one-that-panicked")
+	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("panic status = %d, want 500", rec.Code)
+	}
+	if !strings.Contains(logs.String(), `msg="handler panic" endpoint=aggregate request_id=the-one-that-panicked`) {
+		t.Errorf("panic log does not carry the request id: %s", logs.String())
 	}
 	var eb errorBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error.Code == "" || eb.Error.Message == "" {

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -268,5 +270,59 @@ func TestConfigStorageMode(t *testing.T) {
 	defer eng.Close()
 	if _, err := New(Config{Graph: core.PaperExample(), Storage: eng, Logger: quietLogger()}); err == nil {
 		t.Fatal("graph + storage accepted")
+	}
+}
+
+// TestParentDataDirServesParentAnswers recovers a data directory the PR 22
+// binary wrote — tail appends and two `before` inserts, ten records folded
+// into snapshot 1 and six more (one of them retroactive) in the WAL tail when
+// it was killed — and requires byte-identical /v1/aggregate and /v1/tgql
+// answers, AS OF pins below and above the snapshot's transaction included, to
+// the ones that binary gave after its own restart (testdata/pr22_answers.jsonl,
+// elapsed_ms stripped): the one ingest codec and the one Advance read the
+// parent's bytes the way the parent's two of each did.
+func TestParentDataDirServesParentAnswers(t *testing.T) {
+	dir := t.TempDir()
+	files, err := filepath.Glob("testdata/pr22_datadir/*")
+	if err != nil || len(files) != 2 {
+		t.Fatalf("fixture files %v: %v", files, err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng, err := storage.Open(dir, durableAttrs(), storage.Options{CheckpointRecords: -1, Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if ri := eng.Recovery(); ri.SnapshotPoints != 10 || ri.WALRecords != 6 {
+		t.Fatalf("recovery %+v, want 10 snapshot points + 6 WAL records", ri)
+	}
+	s, err := New(Config{Storage: eng, Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile("testdata/pr22_answers.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+		var want struct {
+			Path, Body, Answer string
+			Status             int
+		}
+		if err := json.Unmarshal([]byte(line), &want); err != nil {
+			t.Fatal(err)
+		}
+		rec := post(s.Handler(), want.Path, want.Body)
+		if got := elapsedField.ReplaceAllString(rec.Body.String(), ""); rec.Code != want.Status || got != want.Answer {
+			t.Errorf("%s %s:\n got %d %s\nwant %d %s", want.Path, want.Body, rec.Code, got, want.Status, want.Answer)
+		}
 	}
 }

@@ -29,8 +29,8 @@ func reflected(t *testing.T, v any) []byte {
 	return buf.Bytes()
 }
 
-// serve runs one request through the handler in process.
-func serve(h http.Handler, path, body string) *httptest.ResponseRecorder {
+// post runs one request through the handler in process.
+func post(h http.Handler, path, body string) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
 	return rec
@@ -93,7 +93,7 @@ func TestGraphAnswersMatchReflectedStructs(t *testing.T) {
 
 				req, _ := json.Marshal(AggregateRequest{Op: tc.op, Kind: strings.ToLower(tc.kind.String()), Attrs: attrs,
 					Interval: IntervalSpec{From: tl.Label(0)}, Interval2: IntervalSpec{From: tc.second}})
-				rec := serve(srv.Handler(), "/v1/aggregate", string(req))
+				rec := post(srv.Handler(), "/v1/aggregate", string(req))
 				var got AggregateResponse
 				if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 					t.Fatalf("undecodable answer %s: %v", rec.Body, err)
@@ -102,7 +102,7 @@ func TestGraphAnswersMatchReflectedStructs(t *testing.T) {
 
 				stmt, _ := json.Marshal(TGQLRequest{Query: fmt.Sprintf("AGG %s %s ON %s(%s, %s)",
 					tc.kind, strings.Join(attrs, ", "), tc.stmt, tl.Label(0), tc.second)})
-				check(serve(srv.Handler(), "/v1/tgql", string(stmt)),
+				check(post(srv.Handler(), "/v1/tgql", string(stmt)),
 					reflected(t, TGQLResponse{Text: want.String(), Graph: graph}))
 			})
 		}
@@ -135,8 +135,8 @@ func TestConcurrentCachedPanel(t *testing.T) {
 	var bodies, want [2]string
 	bodies[0], bodies[1] = cachedPanel(g)
 	for i, path := range paths {
-		serve(srv.Handler(), path, bodies[i]) // the first answer's source is not yet "cached"
-		want[i] = elapsedField.ReplaceAllString(serve(srv.Handler(), path, bodies[i]).Body.String(), "")
+		post(srv.Handler(), path, bodies[i]) // the first answer's source is not yet "cached"
+		want[i] = elapsedField.ReplaceAllString(post(srv.Handler(), path, bodies[i]).Body.String(), "")
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 16; w++ {
@@ -145,7 +145,7 @@ func TestConcurrentCachedPanel(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
 				k := (w + i) % 2
-				rec := serve(srv.Handler(), paths[k], bodies[k])
+				rec := post(srv.Handler(), paths[k], bodies[k])
 				if got := elapsedField.ReplaceAllString(rec.Body.String(), ""); rec.Code != http.StatusOK || got != want[k] {
 					t.Errorf("%s: status %d, body differs from the first answer", paths[k], rec.Code)
 					return
@@ -175,7 +175,7 @@ func TestCachedPanelAllocCeilings(t *testing.T) {
 		path, body string
 		ceiling    float64
 	}{{"/v1/aggregate", aggregate, 2000}, {"/v1/tgql", tgql, 10000}} {
-		run := func() { serve(srv.Handler(), tc.path, tc.body) }
+		run := func() { post(srv.Handler(), tc.path, tc.body) }
 		run() // fill the catalog and the plan cache
 		if got := testing.AllocsPerRun(20, run); got > tc.ceiling {
 			t.Errorf("%s: %.0f allocs per cached panel, ceiling %.0f", tc.path, got, tc.ceiling)

@@ -96,7 +96,7 @@ func (e *Engine) checkpoint() error {
 	e.snapGen, e.snapTxn = newGen, len(points)
 	e.mu.Unlock()
 
-	e.gcBefore(newGen, newGen)
+	e.gcBefore(newGen)
 	e.ctr.checkpoints.Add(1)
 	e.ctr.lastCheckpointUs.Store(time.Since(start).Microseconds())
 	e.log.Info("checkpoint complete",

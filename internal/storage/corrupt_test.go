@@ -110,7 +110,7 @@ func FuzzWALReplay(f *testing.F) {
 	}
 	for i := 0; i < 3; i++ {
 		label, snap := testBatch(i)
-		if _, err := w.append(encodeIngest(label, snap)); err != nil {
+		if _, err := w.append(EncodeIngestRecord(label, "", snap)); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -130,7 +130,7 @@ func FuzzWALReplay(f *testing.F) {
 		// Must never panic; decode failures inside records surface through
 		// the callback error, framing damage as a torn tail.
 		_, _, _, _ = replayWAL(p, func(payload []byte) error {
-			_, _, err := decodeIngest(payload)
+			_, _, _, err := DecodeIngestRecord(payload)
 			return err
 		})
 	})

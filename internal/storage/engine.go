@@ -118,7 +118,9 @@ type Engine struct {
 // the given attribute schema: it loads the latest valid snapshot, replays
 // every WAL segment at or after the snapshot's generation (truncating a
 // torn tail to the last complete record), garbage-collects files older
-// than the recovered generation, and opens the active segment for append.
+// than the loaded snapshot's generation, and opens the active segment for
+// append. It refuses with ErrUnrecoverable when no snapshot loads and the
+// segments do not reach back to generation 0.
 func Open(dir string, attrs []core.AttrSpec, opts Options) (*Engine, error) {
 	if opts.FsyncInterval <= 0 {
 		opts.FsyncInterval = 100 * time.Millisecond
@@ -184,26 +186,28 @@ func (e *Engine) Stats() Stats {
 // coalescing window deterministically.
 var testHookSyncDelay func()
 
-// Append durably ingests one time point: it validates and applies the
-// batch to the in-memory series, appends the record to the WAL, and — under
-// FsyncAlways — syncs before returning. Concurrent appends group-commit:
-// the write lock is released before the fsync, one leader syncs the
-// segment for every record written so far, and the other appends ride the
-// same flush instead of issuing their own. Validation failures leave no
-// state behind and are returned verbatim; a WAL write failure is wrapped
-// in ErrWAL (the in-memory state is then ahead of disk, which the caller
-// should surface as a server-side error).
+// Append durably ingests one time point at the valid-time tail: AppendAt
+// with no position.
 func (e *Engine) Append(label string, snap stream.Snapshot) error {
 	_, err := e.AppendAt(label, snap, "")
 	return err
 }
 
-// AppendAt is Append with a valid-time position: when before names an
-// existing time point, the new point is inserted immediately before it
-// (retroactive ingest) while still occupying the tail of transaction
-// time — the WAL stays strictly append-only and crash recovery replays
-// the insert deterministically. An empty before is a tail append. The
+// AppendAt durably ingests one time point: it validates and applies the
+// batch to the in-memory series, appends the record to the WAL, and — under
+// FsyncAlways — syncs before returning. When before names an existing time
+// point the new point is inserted immediately before it (retroactive
+// ingest); an empty before appends at the valid-time tail. Either way the
+// record takes the tail of transaction time — the WAL stays strictly
+// append-only and crash recovery replays the insert deterministically. The
 // returned index is the point's valid-time position.
+//
+// Concurrent appends group-commit: the write lock is released before the
+// fsync, one leader syncs the segment for every record written so far, and
+// the other appends ride the same flush instead of issuing their own.
+// Validation failures leave no state behind and are returned verbatim; a
+// WAL write failure is wrapped in ErrWAL (the in-memory state is then ahead
+// of disk, which the caller should surface as a server-side error).
 func (e *Engine) AppendAt(label string, snap stream.Snapshot, before string) (int, error) {
 	e.mu.Lock()
 	if e.closed {
@@ -215,12 +219,7 @@ func (e *Engine) AppendAt(label string, snap stream.Snapshot, before string) (in
 		e.mu.Unlock()
 		return 0, err
 	}
-	var payload []byte
-	if before == "" {
-		payload = encodeIngest(label, snap)
-	} else {
-		payload = encodeIngestAt(label, before, snap)
-	}
+	payload := EncodeIngestRecord(label, before, snap)
 	n, err := e.wal.append(payload)
 	if err != nil {
 		e.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -214,23 +215,10 @@ func TestEngineAutoCheckpoint(t *testing.T) {
 	}
 }
 
-// TestEngineCorruptSnapshotFallsBack damages the newest snapshot: recovery
-// must fall back to replaying the surviving WAL segments.
-func TestEngineCorruptSnapshotFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	e := openTestEngine(t, dir, Options{CheckpointRecords: -1})
-	appendN(t, e, 0, 4)
-	if err := e.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Bit-flip the snapshot body: the checkpoint collected wal-0, so the
-	// damaged snapshot was the only full copy. Recovery must fall back to
-	// generation 0 — an empty but functional engine — rather than refuse
-	// to boot or serve corrupt data.
-	path := filepath.Join(dir, snapName(1))
+// flipSnapshotByte damages one byte in the middle of snapshot gen's body.
+func flipSnapshotByte(t *testing.T, dir string, gen uint64) {
+	t.Helper()
+	path := filepath.Join(dir, snapName(gen))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -239,19 +227,103 @@ func TestEngineCorruptSnapshotFallsBack(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e2 := openTestEngine(t, dir, Options{CheckpointRecords: -1})
-	defer e2.Close()
-	// Snapshot 1 is unusable and no older snapshot exists: the engine comes
-	// up empty but functional, replaying only wal-1 (which has no records).
-	if e2.Series().Len() != 0 {
-		t.Fatalf("engine recovered %d points from a corrupt snapshot", e2.Series().Len())
-	}
-	if ri := e2.Recovery(); ri.SnapshotGeneration != 0 {
-		t.Fatalf("recovery %+v, want fallback to generation 0", ri)
-	}
-	appendN(t, e2, 0, 2)
-	if e2.Series().Len() != 2 {
-		t.Fatal("fallback engine does not accept appends")
+}
+
+// TestEngineCorruptSnapshotFallsBack damages the newest snapshot. Recovery
+// falls back to whatever still holds the whole acknowledged history — a
+// loadable predecessor plus its segments, or segments reaching back to
+// generation 0 — and refuses with ErrUnrecoverable when nothing does: with
+// the predecessors collected, the records before the oldest surviving
+// segment exist only in the damaged file, and booting on the rest would
+// serve a fragment.
+func TestEngineCorruptSnapshotFallsBack(t *testing.T) {
+	// Every row ingests 4 points, checkpoints (snapshot 1), ingests 3 more,
+	// checkpoints again (snapshot 2, collecting generation 1) and ingests 2
+	// into wal-2; keep names the collected files put back before reopening,
+	// as if the crash had interrupted the collection.
+	for _, tc := range []struct {
+		name    string
+		keep    []string
+		corrupt []uint64
+		refused []string // file names ErrUnrecoverable must carry; nil = recovers all 9 points
+	}{
+		{name: "predecessors collected", corrupt: []uint64{2},
+			refused: []string{snapName(2), walName(2)}},
+		{name: "every snapshot damaged, segments from 1", keep: []string{snapName(1), walName(1)}, corrupt: []uint64{1, 2},
+			refused: []string{snapName(1), snapName(2), walName(1)}},
+		{name: "loadable predecessor and its segments", keep: []string{snapName(1), walName(1)}, corrupt: []uint64{2}},
+		{name: "segments back to generation 0", keep: []string{walName(0), walName(1)}, corrupt: []uint64{2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			kept := map[string][]byte{}
+			save := func() {
+				for _, name := range tc.keep {
+					if data, err := os.ReadFile(filepath.Join(dir, name)); err == nil {
+						kept[name] = data
+					}
+				}
+			}
+			e := openTestEngine(t, dir, Options{CheckpointRecords: -1})
+			appendN(t, e, 0, 4)
+			save()
+			if err := e.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			appendN(t, e, 4, 7)
+			save()
+			if err := e.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			appendN(t, e, 7, 9)
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for name, data := range kept {
+				if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, gen := range tc.corrupt {
+				flipSnapshotByte(t, dir, gen)
+			}
+
+			if tc.refused != nil {
+				_, err := Open(dir, testAttrs, Options{CheckpointRecords: -1})
+				if !errors.Is(err, ErrUnrecoverable) {
+					t.Fatalf("Open = %v, want ErrUnrecoverable", err)
+				}
+				for _, part := range append([]string{dir}, tc.refused...) {
+					if !strings.Contains(err.Error(), part) {
+						t.Errorf("error does not name %s: %v", part, err)
+					}
+				}
+				return
+			}
+			// Boot, crash (no Close) and boot again with no checkpoint in
+			// between: the first boot must not collect a segment its loaded
+			// snapshot does not cover.
+			crashed := openTestEngine(t, dir, Options{CheckpointRecords: -1})
+			if got := crashed.Series().Len(); got != 9 {
+				t.Fatalf("recovered %d points, want all 9 acknowledged", got)
+			}
+			e2 := openTestEngine(t, dir, Options{CheckpointRecords: -1})
+			if got := e2.Series().Len(); got != 9 {
+				t.Fatalf("second boot recovered %d points, want all 9 acknowledged", got)
+			}
+			appendN(t, e2, 9, 11)
+			if err := e2.Checkpoint(); err != nil {
+				t.Fatalf("checkpoint after fallback: %v", err)
+			}
+			if err := e2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			e3 := openTestEngine(t, dir, Options{CheckpointRecords: -1})
+			defer e3.Close()
+			if ri := e3.Recovery(); e3.Series().Len() != 11 || ri.SnapshotPoints != 11 {
+				t.Fatalf("after the retried checkpoint: %d points, recovery %+v", e3.Series().Len(), ri)
+			}
+		})
 	}
 }
 

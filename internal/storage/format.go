@@ -73,6 +73,12 @@ var (
 	// ErrWAL wraps a failure to append or sync the write-ahead log; the
 	// in-memory state is ahead of disk when it is returned.
 	ErrWAL = errors.New("storage: wal append failed")
+	// ErrUnrecoverable is returned by Open when no snapshot in the data
+	// directory loads and the surviving WAL segments do not reach back to
+	// generation 0: the records before the oldest segment exist only in the
+	// damaged snapshot(s), so booting would serve a fragment of the
+	// acknowledged history. The message names the files.
+	ErrUnrecoverable = errors.New("storage: unrecoverable data directory")
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)

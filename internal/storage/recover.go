@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/stream"
 )
 
 // recover loads the directory state into e: series, generation, active
@@ -19,15 +20,19 @@ import (
 //  1. Remove leftover .tmp files (incomplete snapshot writes).
 //  2. Load the newest snapshot that passes validation; a corrupt snapshot
 //     is logged and the next older one tried, because the WAL segments it
-//     would have replaced are only garbage-collected after a successful
-//     rename — an older snapshot plus its segments is always complete.
+//     would have replaced are only garbage-collected after the new
+//     snapshot verified — an older snapshot plus its segments is always
+//     complete. When none loads and the segments do not reach back to
+//     generation 0, the history before the oldest segment is gone with the
+//     snapshots: refuse with ErrUnrecoverable rather than serve the rest.
 //  3. Replay every WAL segment with generation ≥ the loaded snapshot's,
 //     in ascending order. Only the newest segment may carry a torn tail
 //     (rotation syncs a segment before creating its successor); the tail
 //     is truncated to the last complete record.
-//  4. Garbage-collect snapshots and segments older than the recovered
-//     generation, and open the newest segment for append (creating
-//     segment <gen> if none exists).
+//  4. Garbage-collect snapshots and segments older than the loaded
+//     snapshot's generation — never a segment that snapshot does not cover
+//     — and open the newest segment for append (creating segment <gen> if
+//     none exists).
 func (e *Engine) recover(attrs []core.AttrSpec) error {
 	start := time.Now()
 	snaps, segs, err := e.scan()
@@ -37,8 +42,9 @@ func (e *Engine) recover(attrs []core.AttrSpec) error {
 
 	// Newest loadable snapshot wins.
 	var (
-		loaded  *Snapshot
-		snapGen uint64
+		loaded     *Snapshot
+		snapGen    uint64
+		unloadable []string
 	)
 	for i := len(snaps) - 1; i >= 0; i-- {
 		gen := snaps[i]
@@ -52,6 +58,15 @@ func (e *Engine) recover(attrs []core.AttrSpec) error {
 		}
 		e.log.Warn("snapshot unusable, trying previous generation",
 			"file", snapName(gen), "err", lerr)
+		unloadable = append(unloadable, fmt.Sprintf("%s: %v", snapName(gen), lerr))
+	}
+	if loaded == nil && len(unloadable) > 0 && (len(segs) == 0 || segs[0] > 0) {
+		oldest := "none"
+		if len(segs) > 0 {
+			oldest = walName(segs[0])
+		}
+		return fmt.Errorf("%w: %s: no snapshot loads (%s) and the oldest surviving wal segment is %s; the records before it exist only in those snapshots",
+			ErrUnrecoverable, e.dir, strings.Join(unloadable, "; "), oldest)
 	}
 
 	if loaded != nil {
@@ -67,7 +82,7 @@ func (e *Engine) recover(attrs []core.AttrSpec) error {
 		e.snapGen = snapGen
 		e.snapTxn = loaded.CoveredTxn()
 	} else {
-		e.series = newSeries(attrs)
+		e.series = stream.New(attrs...)
 	}
 	e.gen = snapGen
 
@@ -124,7 +139,7 @@ func (e *Engine) recover(attrs []core.AttrSpec) error {
 		}
 	}
 
-	e.gcBefore(e.gen, snapGen)
+	e.gcBefore(snapGen)
 	e.recovery.Elapsed = time.Since(start)
 	if e.recovery.SnapshotPoints > 0 || e.recovery.WALRecords > 0 {
 		e.log.Info("storage recovered",
@@ -162,21 +177,22 @@ func (e *Engine) scan() (snaps, segs []uint64, err error) {
 	return snaps, segs, nil
 }
 
-// gcBefore removes snapshots older than keepSnap and segments older than
-// keepSeg — files a completed checkpoint made redundant but whose removal
-// was interrupted.
-func (e *Engine) gcBefore(keepSeg, keepSnap uint64) {
+// gcBefore removes the snapshots and segments older than generation keep —
+// files the verified snapshot of that generation made redundant. Snapshots
+// go first, so a crash in between never leaves a snapshot without the
+// segments that follow it.
+func (e *Engine) gcBefore(keep uint64) {
 	snaps, segs, err := e.scan()
 	if err != nil {
 		return
 	}
 	for _, gen := range snaps {
-		if gen < keepSnap {
+		if gen < keep {
 			os.Remove(filepath.Join(e.dir, snapName(gen)))
 		}
 	}
 	for _, gen := range segs {
-		if gen < keepSeg {
+		if gen < keep {
 			os.Remove(filepath.Join(e.dir, walName(gen)))
 		}
 	}

@@ -59,17 +59,9 @@ func (e *Engine) ReplayTo(txn int) (*core.Graph, ReplayStats, error) {
 		}
 	}
 
-	scratch := stream.New(e.attrs...)
-	for _, p := range raw {
-		if err := replayRecord(scratch, p); err != nil {
-			return nil, ReplayStats{}, err
-		}
-	}
-	g, err := scratch.Graph()
-	if err != nil {
-		return nil, ReplayStats{}, err
-	}
-	return g, ReplayStats{Replayed: txn}, nil
+	// The series journal holds the same batches as raw[:txn], decoded.
+	g, err := e.series.ReplayTo(txn)
+	return g, ReplayStats{Replayed: txn}, err
 }
 
 // resumeFromSnapshot loads the generation-gen snapshot and replays the
@@ -84,7 +76,7 @@ func (e *Engine) resumeFromSnapshot(gen uint64, snapTxn int, raw [][]byte) (*cor
 	}
 	r := stream.NewResumer(snap.Graph)
 	for _, p := range raw[snapTxn:] {
-		label, before, batch, derr := decodeIngestAny(p)
+		label, before, batch, derr := DecodeIngestRecord(p)
 		if derr != nil {
 			return nil, ReplayStats{}, derr
 		}

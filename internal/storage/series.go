@@ -7,9 +7,6 @@ import (
 	"repro/internal/stream"
 )
 
-// newSeries returns an empty series with the engine's schema.
-func newSeries(attrs []core.AttrSpec) *stream.Series { return stream.New(attrs...) }
-
 // seriesFromSnapshot rebuilds the in-memory series of a stream checkpoint
 // by replaying its embedded ingest records — the same encoding the WAL
 // carries, in the same transaction order — so dictionary codes and append
@@ -35,7 +32,7 @@ func seriesFromSnapshot(snap *Snapshot, attrs []core.AttrSpec) (*stream.Series, 
 
 // replayRecord applies one encoded ingest record (either type) to a series.
 func replayRecord(s *stream.Series, payload []byte) error {
-	label, before, batch, err := decodeIngestAny(payload)
+	label, before, batch, err := DecodeIngestRecord(payload)
 	if err != nil {
 		return err
 	}

@@ -3,15 +3,14 @@ package storage
 import (
 	"fmt"
 	"io"
-
-	"repro/internal/stream"
 )
 
-// This file is the storage half of WAL replication: it exports the ingest
-// record codec and the length-prefixed framing so `internal/server` can
-// stream a shard's history over HTTP (`/v1/wal/stream`) and a replica (or
-// the router's mirror) can apply it, plus the engine-side tail API that
-// serves those records without touching the segment files on every poll.
+// This file is the storage half of WAL replication: it exports the
+// length-prefixed framing so `internal/server` can stream a shard's history
+// over HTTP (`/v1/wal/stream`) and a replica (or the router's mirror) can
+// apply it (the record codec is EncodeIngestRecord/DecodeIngestRecord in
+// wal.go), plus the engine-side tail API that serves those records without
+// touching the segment files on every poll.
 //
 // The unit of replication is the ingest record: one encoded time point,
 // exactly the payload the WAL frames on disk and checkpoints embed in
@@ -23,33 +22,6 @@ import (
 // FormatVersion is the on-disk snapshot/WAL format version, exported for
 // the serving tier's /v1/status report.
 const FormatVersion = formatVersion
-
-// EncodeIngestRecord serializes one ingest batch into the WAL record
-// payload format (the replication wire format). The first byte is the
-// record type tag; DecodeIngestRecord validates it.
-func EncodeIngestRecord(label string, snap stream.Snapshot) []byte {
-	return encodeIngest(label, snap)
-}
-
-// DecodeIngestRecord parses a WAL record payload back into the time-point
-// label and ingest batch it carries. It rejects retroactive records; use
-// DecodeAnyIngestRecord on streams that may carry them.
-func DecodeIngestRecord(payload []byte) (string, stream.Snapshot, error) {
-	return decodeIngest(payload)
-}
-
-// EncodeIngestAtRecord serializes a retroactive ingest batch: a time point
-// inserted into valid time immediately before the existing point `before`.
-func EncodeIngestAtRecord(label, before string, snap stream.Snapshot) []byte {
-	return encodeIngestAt(label, before, snap)
-}
-
-// DecodeAnyIngestRecord parses either ingest record type. For a tail append
-// `before` is ""; for a retroactive record it names the valid-time point the
-// batch was inserted in front of.
-func DecodeAnyIngestRecord(payload []byte) (label, before string, snap stream.Snapshot, err error) {
-	return decodeIngestAny(payload)
-}
 
 // WriteFramedRecord frames one payload as [len u32 LE][crc32c u32 LE][payload]
 // — the same framing WAL segments and snapshot sections use — and writes it

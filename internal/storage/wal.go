@@ -123,25 +123,23 @@ func replayWAL(path string, fn func(payload []byte) error) (records int, goodLen
 	}
 }
 
-// encodeIngest serializes one ingest batch as a WAL record payload. The
-// same bytes are embedded in checkpoint snapshots (secSeries), so stream
-// recovery replays identical records whichever file they come from.
-func encodeIngest(label string, snap stream.Snapshot) []byte {
+// EncodeIngestRecord serializes one ingest batch as a WAL record payload —
+// also the replication wire format, and the bytes checkpoint snapshots embed
+// (secSeries), so recovery replays identical records whichever file they come
+// from. A tail append (before == "") is a recIngest record: tag, label, batch
+// body; a retroactive insert is a recIngestAt record, which carries the label
+// it is inserted before between the two.
+func EncodeIngestRecord(label, before string, snap stream.Snapshot) []byte {
 	e := &enc{b: make([]byte, 0, 64+32*len(snap.Nodes)+8*len(snap.Edges))}
-	e.byte(recIngest)
+	if before == "" {
+		e.byte(recIngest)
+	} else {
+		e.byte(recIngestAt)
+	}
 	e.str(label)
-	encodeSnapshotBody(e, snap)
-	return e.b
-}
-
-// encodeIngestAt serializes a retroactive ingest: the new point's label,
-// the existing label it is inserted before, then the same batch body as a
-// tail append.
-func encodeIngestAt(label, before string, snap stream.Snapshot) []byte {
-	e := &enc{b: make([]byte, 0, 64+32*len(snap.Nodes)+8*len(snap.Edges))}
-	e.byte(recIngestAt)
-	e.str(label)
-	e.str(before)
+	if before != "" {
+		e.str(before)
+	}
 	encodeSnapshotBody(e, snap)
 	return e.b
 }
@@ -160,30 +158,15 @@ func encodeSnapshotBody(e *enc, snap stream.Snapshot) {
 	}
 }
 
-// decodeIngest parses a tail-append WAL record payload back into an
-// ingest batch, rejecting every other record type.
-func decodeIngest(payload []byte) (string, stream.Snapshot, error) {
-	if len(payload) > 0 && payload[0] == recIngestAt {
-		return "", stream.Snapshot{}, fmt.Errorf("%w: retroactive record where a tail append was expected", ErrCorrupt)
-	}
-	label, _, snap, err := decodeIngestAny(payload)
-	if err != nil {
-		return "", stream.Snapshot{}, err
-	}
-	return label, snap, nil
-}
-
-// decodeIngestAny parses either ingest record type. before is "" for a
-// tail append and the insertion label for a retroactive record.
-func decodeIngestAny(payload []byte) (string, string, stream.Snapshot, error) {
+// DecodeIngestRecord parses an ingest record payload of either type. before
+// is "" for a tail append and the insertion label for a retroactive record.
+func DecodeIngestRecord(payload []byte) (label, before string, snap stream.Snapshot, err error) {
 	d := &dec{b: payload}
-	var snap stream.Snapshot
 	t := d.byteVal()
 	if d.err == nil && t != recIngest && t != recIngestAt {
 		return "", "", snap, fmt.Errorf("%w: unknown wal record type %d", ErrCorrupt, t)
 	}
-	label := d.str()
-	var before string
+	label = d.str()
 	if t == recIngestAt {
 		before = d.str()
 	}

@@ -1,10 +1,13 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/stream"
@@ -28,7 +31,7 @@ func writeTestWAL(t *testing.T, path string, n int) {
 	}
 	for i := 0; i < n; i++ {
 		label, snap := testBatch(i)
-		if _, err := w.append(encodeIngest(label, snap)); err != nil {
+		if _, err := w.append(EncodeIngestRecord(label, "", snap)); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -43,7 +46,7 @@ func writeTestWAL(t *testing.T, path string, n int) {
 func replayLabels(t *testing.T, path string) (labels []string, goodLen int64, torn bool) {
 	t.Helper()
 	records, goodLen, torn, err := replayWAL(path, func(payload []byte) error {
-		label, snap, err := decodeIngest(payload)
+		label, _, snap, err := DecodeIngestRecord(payload)
 		if err != nil {
 			return err
 		}
@@ -136,7 +139,7 @@ func TestWALReopenAppend(t *testing.T) {
 		t.Fatalf("openWALForAppend: %v", err)
 	}
 	label, snap := testBatch(9)
-	if _, err := w.append(encodeIngest(label, snap)); err != nil {
+	if _, err := w.append(EncodeIngestRecord(label, "", snap)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.sync(); err != nil {
@@ -181,8 +184,46 @@ func TestWALHeaderErrors(t *testing.T) {
 
 func TestIngestCodecRejectsTrailingBytes(t *testing.T) {
 	label, snap := testBatch(0)
-	payload := append(encodeIngest(label, snap), 0x00)
-	if _, _, err := decodeIngest(payload); !errors.Is(err, ErrCorrupt) {
+	payload := append(EncodeIngestRecord(label, "", snap), 0x00)
+	if _, _, _, err := DecodeIngestRecord(payload); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing byte: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestIngestCodecGolden pins the record bytes against the two encoders the
+// one codec replaced (encodeIngest for tail appends, encodeIngestAt for
+// retroactive inserts, as of PR 22): their payloads decode to the same batch
+// and re-encode to the same bytes, so WAL segments, snapshot-embedded records
+// and replication frames written before and after are interchangeable. Each
+// attribute map holds one entry — the encoder writes maps in iteration order.
+func TestIngestCodecGolden(t *testing.T) {
+	snap := stream.Snapshot{
+		Nodes: []stream.NodeRecord{
+			{Label: "u1", Static: map[string]string{"gender": "m"}, Varying: map[string]string{"pubs": "3"}},
+			{Label: "u2", Static: map[string]string{"gender": "f"}},
+			{Label: "u3"},
+		},
+		Edges: []stream.EdgeRecord{{U: "u1", V: "u2"}, {U: "u3", V: "u1"}},
+	}
+	for _, tc := range []struct {
+		name, label, before, golden string
+	}{
+		{"tail", "t7", "", "0102743703027531010667656e646572016d0104707562730133027532010667656e646572016600027533000002027531027532027533027531"},
+		{"retroactive", "t3b", "t4", "020374336202743403027531010667656e646572016d0104707562730133027532010667656e646572016600027533000002027531027532027533027531"},
+	} {
+		golden, err := hex.DecodeString(tc.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label, before, got, err := DecodeIngestRecord(golden)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.name, err)
+		}
+		if label != tc.label || before != tc.before || !reflect.DeepEqual(got, snap) {
+			t.Fatalf("%s: decoded (%q, %q, %+v), want (%q, %q, %+v)", tc.name, label, before, got, tc.label, tc.before, snap)
+		}
+		if again := EncodeIngestRecord(label, before, got); !bytes.Equal(again, golden) {
+			t.Fatalf("%s: re-encoded to\n%x\nwant\n%x", tc.name, again, golden)
+		}
 	}
 }

@@ -2,18 +2,13 @@
 // time — the interactive setting the paper's conclusion envisions.
 //
 // A Series ingests snapshots (the nodes and edges alive at the new time
-// point, with attribute values) and maintains, for every registered
-// aggregation, the per-time-point non-distinct (ALL) aggregate computed
-// once at ingestion. Because union + ALL aggregation is T-distributive
-// (§4.3), the aggregate of any time window is then the weight-wise sum of
-// the stored per-point aggregates — no re-scan of history.
-//
-// A full core.Graph over everything ingested so far can be materialized at
-// any time (and is cached between appends) for operators and explorations
-// that need the complete model. The series feeds every append into a
-// core.Accumulator, so materializing after an append costs O(batch + V + E)
-// — a snapshot of shared columns — rather than a replay of the whole
-// history. Validation is two-phase: a batch is checked completely (including
+// point, with attribute values). A full core.Graph over everything ingested
+// so far can be materialized at any time (and is cached between appends);
+// per-point aggregates and their T-distributive window sums (§4.3) are
+// materialize.Catalog's job, over that graph. The series feeds every append
+// into a core.Accumulator, so materializing after an append costs
+// O(batch + V + E) — a snapshot of shared columns — rather than a replay of
+// the whole history. Validation is two-phase: a batch is checked completely (including
 // static-attribute conflicts with earlier points) before any state changes,
 // so a rejected batch leaves no trace and never reaches a write-ahead log.
 package stream
@@ -60,20 +55,9 @@ type JournalEntry struct {
 	Snap   Snapshot
 }
 
-// aggSpec is one registered aggregation with its per-point results.
-type aggSpec struct {
-	attrs []string
-	// nodes[t][tupleLabel] and edges[t][pairLabel] are the ALL aggregate
-	// of time point t, keyed by decoded labels so they survive dictionary
-	// growth across appends.
-	nodes []map[string]int64
-	edges []map[string]int64
-}
-
 // Series accumulates an evolving graph. It is safe for concurrent use:
-// appends and registrations take the write lock, window queries and
-// materialization the read lock, so a serving layer can ingest while
-// answering queries.
+// appends take the write lock, reads and materialization the read lock, so
+// a serving layer can ingest while answering queries.
 type Series struct {
 	mu     sync.RWMutex
 	attrs  []core.AttrSpec
@@ -84,8 +68,6 @@ type Series struct {
 	// which differs from valid order once a retroactive batch lands.
 	journal []JournalEntry
 
-	aggs map[string]*aggSpec
-
 	acc    *core.Accumulator
 	cached *core.Graph // latest snapshot; nil when stale
 }
@@ -94,7 +76,6 @@ type Series struct {
 func New(attrs ...core.AttrSpec) *Series {
 	return &Series{
 		attrs: append([]core.AttrSpec(nil), attrs...),
-		aggs:  map[string]*aggSpec{},
 		acc:   core.NewAccumulator(attrs...),
 	}
 }
@@ -113,54 +94,11 @@ func (s *Series) Labels() []string {
 	return append([]string(nil), s.labels...)
 }
 
-// RegisterAggregation adds an aggregation (by attribute names) whose
-// per-point ALL aggregates are maintained from the next Append on; already
-// ingested points are back-filled.
-func (s *Series) RegisterAggregation(name string, attrNames ...string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.aggs[name]; dup {
-		return fmt.Errorf("stream: aggregation %q already registered", name)
-	}
-	if len(attrNames) == 0 {
-		return fmt.Errorf("stream: aggregation needs at least one attribute")
-	}
-	for _, n := range attrNames {
-		found := false
-		for _, a := range s.attrs {
-			if a.Name == n {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("stream: unknown attribute %q", n)
-		}
-	}
-	spec := &aggSpec{attrs: append([]string(nil), attrNames...)}
-	for i := range s.snaps {
-		nodes, edges := aggregateSnapshot(s.snaps[i], spec.attrs)
-		spec.nodes = append(spec.nodes, nodes)
-		spec.edges = append(spec.edges, edges)
-	}
-	s.aggs[name] = spec
-	return nil
-}
-
-// Append ingests the next time point. The label must be new; edges must
-// reference snapshot nodes; nodes must carry values for every attribute of
-// the schema (static values may be omitted after the node's first
-// appearance, and must not contradict the value recorded at an earlier
-// point). The whole batch is validated before any state changes: a
-// returned error means the series is exactly as it was.
+// Append ingests the next time point at the valid-time tail: AppendAt with
+// no position.
 func (s *Series) Append(label string, snap Snapshot) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.validate(label, snap); err != nil {
-		return err
-	}
-	s.apply(label, snap)
-	return nil
+	_, err := s.AppendAt(label, snap, "")
+	return err
 }
 
 // validate checks a batch against the schema and the accumulated state
@@ -207,24 +145,9 @@ func (s *Series) validate(label string, snap Snapshot) error {
 	return nil
 }
 
-// apply folds a validated batch into the series at the valid-time tail.
-// Called with the write lock held; must not fail.
-func (s *Series) apply(label string, snap Snapshot) {
-	s.labels = append(s.labels, label)
-	s.snaps = append(s.snaps, snap)
-	s.journal = append(s.journal, JournalEntry{Label: label, Snap: snap})
-	s.cached = nil
-	for _, spec := range s.aggs {
-		nodes, edges := aggregateSnapshot(snap, spec.attrs)
-		spec.nodes = append(spec.nodes, nodes)
-		spec.edges = append(spec.edges, edges)
-	}
-	applyAcc(s.acc, s.attrs, label, snap)
-}
-
 // applyAcc feeds one batch into an accumulator — the single definition of
-// how a snapshot becomes graph columns, shared by tail appends and the
-// valid-order replays that retroactive inserts and ReplayTo perform.
+// how a snapshot becomes graph columns, shared by tail inserts, the
+// valid-order replay a mid-timeline insert performs, and Resumer.
 func applyAcc(acc *core.Accumulator, attrs []core.AttrSpec, label string, snap Snapshot) {
 	acc.AddPoint(label)
 	for _, n := range snap.Nodes {
@@ -247,54 +170,57 @@ func applyAcc(acc *core.Accumulator, attrs []core.AttrSpec, label string, snap S
 	}
 }
 
-// AppendAt ingests a time point retroactively: the new point is inserted
-// into valid time immediately before the existing label `before`, while
-// its transaction position is the tail of the journal (the system learned
-// it now). An empty `before` is a plain tail append. The returned index is
-// the new point's valid-time position — everything at or after it must be
-// re-aggregated by the serving layers. Validation is all-or-nothing, as in
-// Append.
+// AppendAt ingests one time point — the series' only mutator. The label
+// must be new; edges must reference snapshot nodes; nodes must carry values
+// for every attribute of the schema (static values may be omitted after the
+// node's first appearance, and must not contradict the value recorded at
+// another point). An empty `before` appends at the valid-time tail; naming an
+// existing label inserts the point immediately before it (a retroactive,
+// late-arriving batch). Either way the batch takes the tail of transaction
+// time. The returned index is the new point's valid-time position:
+// everything at or after it must be re-aggregated by the serving layers.
+// The whole batch is validated before any state changes: a returned error
+// means the series is exactly as it was.
 func (s *Series) AppendAt(label string, snap Snapshot, before string) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if before == "" {
-		if err := s.validate(label, snap); err != nil {
-			return 0, err
-		}
-		s.apply(label, snap)
-		return len(s.labels) - 1, nil
-	}
-	at := -1
-	for i, l := range s.labels {
-		if l == before {
-			at = i
-			break
-		}
-	}
-	if at < 0 {
-		return 0, fmt.Errorf("stream: retroactive ingest: no time point labeled %q", before)
+	at, err := s.position(before)
+	if err != nil {
+		return 0, err
 	}
 	if err := s.validate(label, snap); err != nil {
 		return 0, err
 	}
-	s.applyAt(label, snap, before, at)
+	s.insert(label, snap, before, at)
 	return at, nil
 }
 
-// applyAt splices a validated batch into valid position at. The per-point
-// aggregate columns insert in place; the accumulator's columns are keyed
-// by first-appearance order over valid time, which a mid-timeline insert
-// can shift wholesale, so it is rebuilt by replaying the new valid order.
-// Called with the write lock held; must not fail.
-func (s *Series) applyAt(label string, snap Snapshot, before string, at int) {
+// position resolves an insertion label to its valid-time index; "" is the
+// tail. Called with the lock held.
+func (s *Series) position(before string) (int, error) {
+	if before == "" {
+		return len(s.labels), nil
+	}
+	if at := slices.Index(s.labels, before); at >= 0 {
+		return at, nil
+	}
+	return 0, fmt.Errorf("stream: retroactive ingest: no time point labeled %q", before)
+}
+
+// insert folds a validated batch into valid position at. A tail insert
+// feeds the accumulator one more point; anything earlier rebuilds it by
+// replaying the new valid order, because its columns are keyed by
+// first-appearance order over valid time, which a mid-timeline insert can
+// shift wholesale. Called with the write lock held; must not fail.
+func (s *Series) insert(label string, snap Snapshot, before string, at int) {
+	tail := at == len(s.labels)
 	s.labels = slices.Insert(s.labels, at, label)
 	s.snaps = slices.Insert(s.snaps, at, snap)
 	s.journal = append(s.journal, JournalEntry{Label: label, Before: before, Snap: snap})
 	s.cached = nil
-	for _, spec := range s.aggs {
-		nodes, edges := aggregateSnapshot(snap, spec.attrs)
-		spec.nodes = slices.Insert(spec.nodes, at, nodes)
-		spec.edges = slices.Insert(spec.edges, at, edges)
+	if tail {
+		applyAcc(s.acc, s.attrs, label, snap)
+		return
 	}
 	s.acc = core.NewAccumulator(s.attrs...)
 	for i, l := range s.labels {
@@ -337,66 +263,13 @@ func (s *Series) ReplayTo(txn int) (*core.Graph, error) {
 
 	scratch := New(attrs...)
 	for _, e := range entries {
-		if e.Before == "" {
-			scratch.apply(e.Label, e.Snap)
-			continue
+		at, err := scratch.position(e.Before)
+		if err != nil {
+			return nil, fmt.Errorf("stream: journal corrupt: entry %q: %w", e.Label, err)
 		}
-		at := -1
-		for i, l := range scratch.labels {
-			if l == e.Before {
-				at = i
-				break
-			}
-		}
-		if at < 0 {
-			return nil, fmt.Errorf("stream: journal corrupt: retroactive entry %q references missing label %q", e.Label, e.Before)
-		}
-		scratch.applyAt(e.Label, e.Snap, e.Before, at)
+		scratch.insert(e.Label, e.Snap, e.Before, at)
 	}
 	return scratch.acc.Snapshot(), nil
-}
-
-// aggregateSnapshot computes the single-point ALL aggregate of a snapshot
-// directly from its records (at one time point ALL and DIST coincide).
-func aggregateSnapshot(snap Snapshot, attrs []string) (map[string]int64, map[string]int64) {
-	nodes := make(map[string]int64)
-	edges := make(map[string]int64)
-	tuples := make(map[string]string, len(snap.Nodes))
-	for _, n := range snap.Nodes {
-		tuple, ok := tupleOf(n, attrs)
-		if !ok {
-			continue
-		}
-		tuples[n.Label] = tuple
-		nodes[tuple]++
-	}
-	for _, e := range snap.Edges {
-		tu, ok1 := tuples[e.U]
-		tv, ok2 := tuples[e.V]
-		if !ok1 || !ok2 {
-			continue
-		}
-		edges["("+tu+")→("+tv+")"]++
-	}
-	return nodes, edges
-}
-
-func tupleOf(n NodeRecord, attrs []string) (string, bool) {
-	tuple := ""
-	for i, a := range attrs {
-		v, ok := n.Static[a]
-		if !ok {
-			v, ok = n.Varying[a]
-		}
-		if !ok || v == "" {
-			return "", false
-		}
-		if i > 0 {
-			tuple += ","
-		}
-		tuple += v
-	}
-	return tuple, true
 }
 
 // Resumer replays tail batches on top of a previously snapshotted graph —
@@ -426,32 +299,6 @@ func (r *Resumer) Append(label string, snap Snapshot) {
 // Append assigns new ones exactly as live ingestion does.
 func (r *Resumer) Graph() *core.Graph {
 	return r.acc.Snapshot()
-}
-
-// WindowUnionAll returns the union-ALL aggregate of the time points
-// [from, to] (inclusive indices) for a registered aggregation, composed
-// from the per-point aggregates by T-distributive summation.
-func (s *Series) WindowUnionAll(name string, from, to int) (map[string]int64, map[string]int64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	spec, ok := s.aggs[name]
-	if !ok {
-		return nil, nil, fmt.Errorf("stream: no aggregation named %q", name)
-	}
-	if from < 0 || to >= len(s.labels) || from > to {
-		return nil, nil, fmt.Errorf("stream: window [%d,%d] out of range [0,%d]", from, to, len(s.labels)-1)
-	}
-	nodes := make(map[string]int64)
-	edges := make(map[string]int64)
-	for t := from; t <= to; t++ {
-		for k, w := range spec.nodes[t] {
-			nodes[k] += w
-		}
-		for k, w := range spec.edges[t] {
-			edges[k] += w
-		}
-	}
-	return nodes, edges, nil
 }
 
 // Points returns the ingested time points as parallel label and snapshot

@@ -2,15 +2,10 @@ package stream
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
-	"testing/quick"
 
-	"repro/internal/agg"
 	"repro/internal/core"
-	"repro/internal/ops"
-	"repro/internal/timeline"
 )
 
 // paperSnapshots feeds the running example of Fig. 1 point by point.
@@ -48,9 +43,6 @@ func buildSeries(t *testing.T) *Series {
 	t.Helper()
 	attrs, labels, snaps := paperSnapshots()
 	s := New(attrs...)
-	if err := s.RegisterAggregation("gp", "gender", "publications"); err != nil {
-		t.Fatal(err)
-	}
 	for i, snap := range snaps {
 		if err := s.Append(labels[i], snap); err != nil {
 			t.Fatal(err)
@@ -83,56 +75,6 @@ func TestSeriesGraphMatchesFixture(t *testing.T) {
 	}
 }
 
-func TestWindowUnionAllMatchesMaterializedAggregation(t *testing.T) {
-	s := buildSeries(t)
-	nodes, edges, err := s.WindowUnionAll("gp", 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fig. 3e: ALL weight of (f,1) on the union of (t0, t1) is 4.
-	if nodes["f,1"] != 4 {
-		t.Errorf("window w(f,1) = %d, want 4", nodes["f,1"])
-	}
-	// Cross-check every weight against the full engine.
-	g, _ := s.Graph()
-	schema := agg.MustSchema(g, g.MustAttr("gender"), g.MustAttr("publications"))
-	tl := g.Timeline()
-	full := agg.Aggregate(ops.Union(g, tl.Range(0, 1), tl.Range(0, 1)), schema, agg.All)
-	for tu, w := range full.Nodes {
-		if nodes[schema.Label(tu)] != w {
-			t.Errorf("node %s: window %d, engine %d", schema.Label(tu), nodes[schema.Label(tu)], w)
-		}
-	}
-	for k, w := range full.Edges {
-		key := "(" + schema.Label(k.From) + ")→(" + schema.Label(k.To) + ")"
-		if edges[key] != w {
-			t.Errorf("edge %s: window %d, engine %d", key, edges[key], w)
-		}
-	}
-}
-
-func TestRegisterBackfillsExistingPoints(t *testing.T) {
-	attrs, labels, snaps := paperSnapshots()
-	s := New(attrs...)
-	for i, snap := range snaps {
-		if err := s.Append(labels[i], snap); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Register after the fact: back-filled results must match.
-	if err := s.RegisterAggregation("g", "gender"); err != nil {
-		t.Fatal(err)
-	}
-	nodes, _, err := s.WindowUnionAll("g", 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Appearances: m = u1×2 + u5×1 = 3; f = u2×3 + u3×1 + u4×3 = 7.
-	if nodes["m"] != 3 || nodes["f"] != 7 {
-		t.Errorf("backfilled window = %v, want m:3 f:7", nodes)
-	}
-}
-
 func TestSeriesValidation(t *testing.T) {
 	attrs, labels, snaps := paperSnapshots()
 	s := New(attrs...)
@@ -153,15 +95,6 @@ func TestSeriesValidation(t *testing.T) {
 	}
 	if err := s.Append("tZ", Snapshot{Nodes: []NodeRecord{{Label: "a"}, {Label: "a"}}}); err == nil {
 		t.Error("duplicate node in snapshot should fail")
-	}
-	if err := s.RegisterAggregation("gp", "nope"); err == nil {
-		t.Error("unknown attribute should fail")
-	}
-	if err := s.RegisterAggregation(""); err == nil {
-		t.Error("no attributes should fail")
-	}
-	if _, _, err := s.WindowUnionAll("missing", 0, 0); err == nil {
-		t.Error("unknown aggregation should fail")
 	}
 }
 
@@ -191,126 +124,12 @@ func TestStaticConflictDetected(t *testing.T) {
 	}
 }
 
-func TestQuickWindowEqualsEngine(t *testing.T) {
-	// Random streams: WindowUnionAll must equal union-ALL aggregation on
-	// the materialized graph for every window.
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		s := New(
-			core.AttrSpec{Name: "color", Kind: core.Static},
-			core.AttrSpec{Name: "load", Kind: core.TimeVarying},
-		)
-		if err := s.RegisterAggregation("c", "color"); err != nil {
-			return false
-		}
-		if err := s.RegisterAggregation("cl", "color", "load"); err != nil {
-			return false
-		}
-		nPoints := 2 + r.Intn(4)
-		nNodes := 2 + r.Intn(8)
-		colors := make([]string, nNodes)
-		for i := range colors {
-			colors[i] = fmt.Sprintf("c%d", r.Intn(3))
-		}
-		for t := 0; t < nPoints; t++ {
-			var snap Snapshot
-			alive := map[int]bool{}
-			for i := 0; i < nNodes; i++ {
-				if r.Intn(3) == 0 {
-					continue
-				}
-				alive[i] = true
-				snap.Nodes = append(snap.Nodes, NodeRecord{
-					Label:   fmt.Sprintf("n%d", i),
-					Static:  map[string]string{"color": colors[i]},
-					Varying: map[string]string{"load": fmt.Sprintf("%d", r.Intn(3))},
-				})
-			}
-			for tries := 0; tries < 10; tries++ {
-				u, v := r.Intn(nNodes), r.Intn(nNodes)
-				if u != v && alive[u] && alive[v] {
-					snap.Edges = append(snap.Edges, EdgeRecord{fmt.Sprintf("n%d", u), fmt.Sprintf("n%d", v)})
-				}
-			}
-			// Deduplicate edges (the model has at most one (u,v) edge per
-			// time point; duplicates would double-count).
-			seen := map[EdgeRecord]bool{}
-			var dedup []EdgeRecord
-			for _, e := range snap.Edges {
-				if !seen[e] {
-					seen[e] = true
-					dedup = append(dedup, e)
-				}
-			}
-			snap.Edges = dedup
-			if len(snap.Nodes) == 0 {
-				snap.Nodes = append(snap.Nodes, NodeRecord{
-					Label:   "n0",
-					Static:  map[string]string{"color": colors[0]},
-					Varying: map[string]string{"load": "0"},
-				})
-			}
-			if err := s.Append(fmt.Sprintf("t%d", t), snap); err != nil {
-				return false
-			}
-		}
-		g, err := s.Graph()
-		if err != nil {
-			return false
-		}
-		from := r.Intn(nPoints)
-		to := from + r.Intn(nPoints-from)
-		for _, name := range []string{"c", "cl"} {
-			nodes, edges, err := s.WindowUnionAll(name, from, to)
-			if err != nil {
-				return false
-			}
-			var attrs []core.AttrID
-			if name == "c" {
-				attrs = []core.AttrID{g.MustAttr("color")}
-			} else {
-				attrs = []core.AttrID{g.MustAttr("color"), g.MustAttr("load")}
-			}
-			schema := agg.MustSchema(g, attrs...)
-			iv := g.Timeline().Range(timeline.Time(from), timeline.Time(to))
-			full := agg.Aggregate(ops.Union(g, iv, iv), schema, agg.All)
-			if int64(len(nodes)) != int64(len(full.Nodes)) {
-				return false
-			}
-			for tu, w := range full.Nodes {
-				if nodes[schema.Label(tu)] != w {
-					return false
-				}
-			}
-			for k, w := range full.Edges {
-				key := "(" + schema.Label(k.From) + ")→(" + schema.Label(k.To) + ")"
-				if edges[key] != w {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSeriesConcurrentHammer exercises the Series lock under -race: one
 // goroutine keeps appending fresh time points while others hammer the
-// read paths (Len, Labels, WindowUnionAll, Graph) and a late
-// RegisterAggregation back-fills mid-stream.
+// read paths (Len, Labels, Points, Graph).
 func TestSeriesConcurrentHammer(t *testing.T) {
-	attrs, labels, snaps := paperSnapshots()
-	s := New(attrs...)
-	if err := s.RegisterAggregation("gp", "gender", "publications"); err != nil {
-		t.Fatal(err)
-	}
-	for i, snap := range snaps {
-		if err := s.Append(labels[i], snap); err != nil {
-			t.Fatal(err)
-		}
-	}
+	_, labels, snaps := paperSnapshots()
+	s := buildSeries(t)
 
 	const extra = 40
 	done := make(chan struct{})
@@ -329,14 +148,6 @@ func TestSeriesConcurrentHammer(t *testing.T) {
 		}
 	}()
 
-	wg.Add(1)
-	go func() { // late registration back-fills while appends run
-		defer wg.Done()
-		if err := s.RegisterAggregation("g", "gender"); err != nil {
-			t.Errorf("register: %v", err)
-		}
-	}()
-
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {
@@ -352,12 +163,9 @@ func TestSeriesConcurrentHammer(t *testing.T) {
 					t.Errorf("Labels len %d < earlier Len %d", got, n)
 					return
 				}
-				if n > 0 {
-					nodes, _, err := s.WindowUnionAll("gp", 0, n-1)
-					if err != nil || len(nodes) == 0 {
-						t.Errorf("window [0,%d]: %v (nodes %d)", n-1, err, len(nodes))
-						return
-					}
+				if pl, ps := s.Points(); len(pl) < n || len(pl) != len(ps) {
+					t.Errorf("Points: %d labels, %d snapshots after Len %d", len(pl), len(ps), n)
+					return
 				}
 				if _, err := s.Graph(); err != nil {
 					t.Errorf("graph: %v", err)
@@ -370,8 +178,5 @@ func TestSeriesConcurrentHammer(t *testing.T) {
 
 	if got, want := s.Len(), len(labels)+extra; got != want {
 		t.Fatalf("final Len = %d, want %d", got, want)
-	}
-	if _, _, err := s.WindowUnionAll("g", 0, s.Len()-1); err != nil {
-		t.Fatalf("back-filled aggregation: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package tgql
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -182,31 +183,46 @@ func TestAnalyticsErrorPositions(t *testing.T) {
 	}
 }
 
-// TestIsAnalytics classifies statements for the partial-shard guard.
-func TestIsAnalytics(t *testing.T) {
-	yes := []string{
-		"EVENTS DIST BY gender",
-		"events all by gender width 2 min 1",
-		"PATHS FASTEST FROM u1 TO u2 DURING t0..t1",
-		"TREND ALL BY gender",
-		"EXPLAIN EVENTS DIST BY gender",
-		"EXPLAIN PATHS EARLIEST FROM u1 TO u2",
-	}
-	for _, q := range yes {
-		if !IsAnalytics(q) {
-			t.Errorf("IsAnalytics(%q) = false, want true", q)
+// TestLower pins the lowering serving layers build on: one parse per call,
+// the logical node by statement family, the EXPLAIN flag, and the plan-less
+// side door (STATS, COARSEN) with the error compile-only callers report.
+func TestLower(t *testing.T) {
+	for _, tc := range []struct {
+		query   string
+		node    string // %T of Statement.Node; "" = plan-less
+		explain bool
+	}{
+		{"AGG DIST gender ON POINT t0", "*plan.Aggregate", false},
+		{"events all by gender width 2 min 1", "*plan.Events", false},
+		{"EXPLAIN PATHS EARLIEST FROM u1 TO u2", "*plan.Paths", true},
+		{"EXPLAIN TREND ALL BY gender", "*plan.Trend", true},
+		{"TIMELINE BY gender", "*plan.Timeline", false},
+		{"STATS", "", false},
+		{"COARSEN 2", "", false},
+	} {
+		before := Parses.Value()
+		st, err := Lower(tc.query)
+		if err != nil {
+			t.Errorf("Lower(%q): %v", tc.query, err)
+			continue
+		}
+		if n := Parses.Value() - before; n != 1 {
+			t.Errorf("Lower(%q) parsed %d times", tc.query, n)
+		}
+		got := ""
+		if st.Node != nil {
+			got = fmt.Sprintf("%T", st.Node)
+		}
+		if got != tc.node || st.Explain != tc.explain {
+			t.Errorf("Lower(%q) = node %q explain %v, want %q %v", tc.query, got, st.Explain, tc.node, tc.explain)
+		}
+		if noPlan := st.NoPlan != nil && strings.Contains(st.NoPlan.Error(), "has no query plan"); noPlan != (st.Node == nil) {
+			t.Errorf("Lower(%q): Node %v, NoPlan %v", tc.query, st.Node, st.NoPlan)
 		}
 	}
-	no := []string{
-		"AGG DIST gender ON POINT t0",
-		"TIMELINE BY gender",
-		"STATS",
-		"EVENTS DIST", // parse error → false; the exec path owns the error
-		"not a query",
-	}
-	for _, q := range no {
-		if IsAnalytics(q) {
-			t.Errorf("IsAnalytics(%q) = true, want false", q)
+	for _, q := range []string{"EVENTS DIST", "not a query", "EXPLAIN STATS"} {
+		if _, err := Lower(q); err == nil {
+			t.Errorf("Lower(%q) succeeded", q)
 		}
 	}
 }

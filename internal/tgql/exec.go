@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/evolution"
 	"repro/internal/explore"
+	"repro/internal/metrics"
 	"repro/internal/plan"
 )
 
@@ -191,58 +192,99 @@ func ExecCtx(ctx context.Context, g *core.Graph, query string) (*Result, error) 
 }
 
 // ExecEnv parses one statement and executes it through the query planner:
-// parse → logical plan → physical plan (plan.Compile's cost model selects
-// the operators) → execute. The environment supplies the graph and the
-// optional serving facilities — a materialization catalog (unlocks the
-// catalog-backed union-ALL operator), a plan cache, a workers budget.
-//
-// STATS and COARSEN are REPL conveniences over core, not query-plan
-// statements; they execute directly.
+// parse → logical plan (Lower) → physical plan (plan.Compile's cost model
+// selects the operators) → execute → Result. The environment supplies the
+// graph and the optional serving facilities — a materialization catalog
+// (unlocks the catalog-backed union-ALL operator), a plan cache, a workers
+// budget. graphtempod runs the same four steps itself, around its own
+// instrumentation, from the same Statement.
 func ExecEnv(ctx context.Context, env plan.Env, query string) (*Result, error) {
-	stmt, err := parse(query)
+	st, err := Lower(query)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	env.Query = query
-	switch q := stmt.(type) {
-	case statsQuery:
-		s := core.ComputeStats(env.Graph)
-		return &Result{Stats: &s, g: env.Graph}, nil
-	case coarsenQuery:
-		spec, err := core.UniformGroups(env.Graph.Timeline(), q.Width)
-		if err != nil {
+	var p *plan.Plan
+	var pr *plan.Result
+	if st.Node != nil {
+		env.Query = query
+		if p, err = plan.Compile(env, st.Node); err != nil {
 			return nil, err
 		}
-		coarse, err := core.Coarsen(env.Graph, spec)
-		if err != nil {
-			return nil, err
+		if !st.Explain {
+			if pr, err = p.Execute(ctx); err != nil {
+				return nil, err
+			}
 		}
-		return &Result{Coarse: coarse, g: env.Graph}, nil
-	case explainQuery:
-		node, err := toLogical(q.stmt)
-		if err != nil {
-			return nil, err
-		}
-		p, err := plan.Compile(env, node)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Explain: p.Explain(), g: env.Graph}, nil
+	}
+	return st.Result(env.Graph, p, pr)
+}
+
+// Parses counts statements parsed since process start. A serving layer
+// parses each request's statement exactly once; its tests hold it to that.
+var Parses metrics.Counter
+
+// Statement is one parsed statement lowered into the planner's logical IR.
+type Statement struct {
+	// Node is the statement's logical plan. It is nil for STATS and COARSEN,
+	// which are REPL conveniences over core rather than query-plan
+	// statements: Result computes them directly.
+	Node plan.Logical
+	// Explain reports an EXPLAIN prefix: Node is to be compiled and its
+	// physical plan rendered, not executed.
+	Explain bool
+
+	// NoPlan is why Node is nil: the error a compile-only caller (EXPLAIN,
+	// /v1/explain) reports for the statement.
+	NoPlan error
+
+	stmt interface{} // the parsed bare statement
+}
+
+// Lower parses query — once — and lowers it to a Statement. EXPLAIN of a
+// statement that has no logical plan is an error.
+func Lower(query string) (Statement, error) {
+	Parses.Inc()
+	stmt, err := parse(query)
+	if err != nil {
+		return Statement{}, err
+	}
+	ex, explain := stmt.(explainQuery)
+	if explain {
+		stmt = ex.stmt
 	}
 	node, err := toLogical(stmt)
-	if err != nil {
-		return nil, err
+	if err != nil && explain {
+		return Statement{}, err
 	}
-	p, err := plan.Compile(env, node)
-	if err != nil {
-		return nil, err
+	return Statement{Node: node, Explain: explain, NoPlan: err, stmt: stmt}, nil
+}
+
+// Result renders the statement's outcome against g, the graph it ran on:
+// the compiled plan's rendering for EXPLAIN, the executed plan's payload
+// otherwise (p and pr are what plan.Compile and Plan.Execute returned for
+// Node), and — for the plan-less STATS and COARSEN — the statistics
+// computed here, directly over g.
+func (st Statement) Result(g *core.Graph, p *plan.Plan, pr *plan.Result) (*Result, error) {
+	switch q := st.stmt.(type) {
+	case statsQuery:
+		s := core.ComputeStats(g)
+		return &Result{Stats: &s, g: g}, nil
+	case coarsenQuery:
+		spec, err := core.UniformGroups(g.Timeline(), q.Width)
+		if err != nil {
+			return nil, err
+		}
+		coarse, err := core.Coarsen(g, spec)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Coarse: coarse, g: g}, nil
 	}
-	pr, err := p.Execute(ctx)
-	if err != nil {
-		return nil, err
+	if st.Explain {
+		return &Result{Explain: p.Explain(), g: g}, nil
 	}
 	return &Result{
 		Agg:       pr.Agg,
@@ -256,48 +298,23 @@ func ExecEnv(ctx context.Context, env plan.Env, query string) (*Result, error) {
 		Events:    pr.Events,
 		Paths:     pr.Paths,
 		Trend:     pr.Trend,
-		g:         env.Graph,
+		g:         g,
 	}, nil
-}
-
-// IsAnalytics reports whether the query parses to one of the evolution
-// analytics statements (EVENTS, PATHS, TREND), bare or under EXPLAIN.
-// Serving layers that cannot answer analytics (scatter partials hold one
-// time-range shard, but the statements traverse the whole timeline) use it
-// to reject up front. Unparseable queries report false — the parser's own
-// error surfaces on the execution path.
-func IsAnalytics(query string) bool {
-	stmt, err := parse(query)
-	if err != nil {
-		return false
-	}
-	if ex, ok := stmt.(explainQuery); ok {
-		stmt = ex.stmt
-	}
-	switch stmt.(type) {
-	case eventsQuery, pathsQuery, trendQuery:
-		return true
-	}
-	return false
 }
 
 // PlanEnv parses one statement and compiles it into a physical plan
 // without executing it. A leading EXPLAIN keyword is accepted and
 // ignored (the returned plan is what EXPLAIN would render).
 func PlanEnv(env plan.Env, query string) (*plan.Plan, error) {
-	stmt, err := parse(query)
+	st, err := Lower(query)
 	if err != nil {
 		return nil, err
 	}
-	if ex, ok := stmt.(explainQuery); ok {
-		stmt = ex.stmt
-	}
-	node, err := toLogical(stmt)
-	if err != nil {
-		return nil, err
+	if st.NoPlan != nil {
+		return nil, st.NoPlan
 	}
 	env.Query = query
-	return plan.Compile(env, node)
+	return plan.Compile(env, st.Node)
 }
 
 // PlanQuery compiles one statement against g with the same serial
@@ -306,7 +323,7 @@ func PlanQuery(g *core.Graph, query string) (*plan.Plan, error) {
 	return PlanEnv(plan.Env{Graph: g, Workers: 1}, query)
 }
 
-// toLogical lowers a parsed statement into the planner's logical IR.
+// toLogical lowers a parsed bare statement into the planner's logical IR.
 // STATS and COARSEN have no logical plan (they are not query statements).
 func toLogical(stmt interface{}) (plan.Logical, error) {
 	switch q := stmt.(type) {
