@@ -102,10 +102,11 @@ type Accumulator struct {
 	static       [][]dict.Code
 	staticFrozen []int
 
-	// varyingT[a][t] is the dense per-node row of time-varying attribute a
-	// at time t (nil for static attributes). The current point's values are
-	// staged sparsely in curVarying and densified when the point ends.
-	varyingT   [][][]dict.Code
+	// varying[a][t] is the dense per-node row of time-varying attribute a
+	// at time t (nil for static attributes), the Graph layout. The current
+	// point's values are staged sparsely in curVarying and densified when
+	// the point ends.
+	varying    [][][]dict.Code
 	curVarying []map[NodeID]dict.Code
 
 	// The point index (points.go) grows with the graph: one frozen node
@@ -129,7 +130,7 @@ func NewAccumulator(attrs ...AttrSpec) *Accumulator {
 		index:        &sharedIndex{nodes: make(map[string]NodeID), edges: make(map[Endpoints]EdgeID)},
 		static:       make([][]dict.Code, len(attrs)),
 		staticFrozen: make([]int, len(attrs)),
-		varyingT:     make([][][]dict.Code, len(attrs)),
+		varying:      make([][][]dict.Code, len(attrs)),
 		curVarying:   make([]map[NodeID]dict.Code, len(attrs)),
 		dictSnap:     make([]*dict.Dict, len(attrs)),
 		dictSnapLen:  make([]int, len(attrs)),
@@ -203,7 +204,7 @@ func (a *Accumulator) finishPoint() {
 		if a.attrs[ai].Kind != TimeVarying {
 			continue
 		}
-		if len(a.varyingT[ai]) > t {
+		if len(a.varying[ai]) > t {
 			continue // already densified (repeated Snapshot)
 		}
 		row := make([]dict.Code, len(a.nodeLabels))
@@ -213,7 +214,7 @@ func (a *Accumulator) finishPoint() {
 		for n, c := range a.curVarying[ai] {
 			row[n] = c
 		}
-		a.varyingT[ai] = append(a.varyingT[ai], row)
+		a.varying[ai] = append(a.varying[ai], row)
 		a.curVarying[ai] = nil
 	}
 }
@@ -352,7 +353,7 @@ func (a *Accumulator) Snapshot() *Graph {
 		edges:      a.edges[:len(a.edges):len(a.edges)],
 		edgeTau:    a.edgeTau[:len(a.edgeTau):len(a.edgeTau)],
 		static:     make([][]dict.Code, len(a.attrs)),
-		varyingT:   make([][][]dict.Code, len(a.attrs)),
+		varying:    make([][][]dict.Code, len(a.attrs)),
 		shared:     a.index,
 		points: PointIndex{
 			head:   a.head,
@@ -375,8 +376,8 @@ func (a *Accumulator) Snapshot() *Graph {
 			g.static[ai] = col[:len(col):len(col)]
 			a.staticFrozen[ai] = len(col)
 		} else {
-			rows := a.varyingT[ai]
-			g.varyingT[ai] = rows[:len(rows):len(rows)]
+			rows := a.varying[ai]
+			g.varying[ai] = rows[:len(rows):len(rows)]
 		}
 	}
 	a.gen++

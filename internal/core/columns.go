@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/dict"
@@ -19,10 +20,11 @@ type Columns struct {
 	NodeTau    []*bitset.Set
 	Edges      []Endpoints
 	EdgeTau    []*bitset.Set
-	// Static[a][n] / Varying[a][n*T+t] use the Builder layout; exactly one
-	// of the two is non-nil per attribute, matching Attrs[a].Kind.
+	// Static[a][n] / Varying[a][t][n] use the Graph layout: T rows of |V|
+	// codes per time-varying attribute. Exactly one of the two is non-nil
+	// per attribute, matching Attrs[a].Kind.
 	Static  [][]dict.Code
-	Varying [][]dict.Code
+	Varying [][][]dict.Code
 }
 
 // FromColumns assembles a Graph directly from columnar data. It is the one
@@ -52,7 +54,7 @@ func FromColumns(c Columns) (*Graph, error) {
 			if va != nil || len(st) != nNodes {
 				return nil, fmt.Errorf("core: static attribute %q has wrong column shape", spec.Name)
 			}
-		} else if st != nil || len(va) != nNodes*T {
+		} else if st != nil || len(va) != T || slices.ContainsFunc(va, func(row []dict.Code) bool { return len(row) != nNodes }) {
 			return nil, fmt.Errorf("core: varying attribute %q has wrong column shape", spec.Name)
 		}
 	}
@@ -73,6 +75,6 @@ func FromColumns(c Columns) (*Graph, error) {
 	if err := g.indexNodes(); err != nil {
 		return nil, err
 	}
-	g.deriveLazily()
+	g.indexLazily()
 	return g, nil
 }

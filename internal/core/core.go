@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/dict"
@@ -81,15 +80,12 @@ type Graph struct {
 	// static[a][n] is the value code of static attribute a for node n;
 	// nil for time-varying attributes.
 	static [][]dict.Code
-	// varying[a][int(n)*tl.Len()+t] is the value code of time-varying
-	// attribute a for node n at time t; nil for static attributes.
-	// Builder-built graphs use this node-major layout.
-	varying [][]dict.Code
-	// varyingT[a][t][n] is the time-major layout used by Accumulator
-	// snapshots: one immutable row per time point, frozen at the node count
-	// of that point (later nodes read as dict.None). Exactly one of varying
-	// and varyingT is non-nil.
-	varyingT [][][]dict.Code
+	// varying[a][t][n] is the value code of time-varying attribute a for
+	// node n at time t — one row per time point, the node × time array A_i
+	// of §4 by time column; nil for static attributes. A row may be shorter
+	// than NumNodes (an accumulator freezes it at its point's node count):
+	// nodes beyond its end read as dict.None.
+	varying [][][]dict.Code
 	// shared is non-nil for Accumulator snapshots: label lookups go through
 	// the accumulator's lock-guarded index, clipped to this snapshot's
 	// node/edge counts. nodeIndex/edgeIndex are nil in that case.
@@ -103,18 +99,12 @@ type Graph struct {
 	// columns on accumulator snapshots, transposed from τ on first use
 	// otherwise.
 	points PointIndex
-	// derived[a] is the time-major copy VaryingRows builds of varying[a];
-	// unused on accumulator snapshots, which store rows (varyingT).
-	derived      []derivedRows
-	derivedBytes atomic.Int64
 }
 
-// deriveLazily sets up the scan structures of a graph that was not grown by
-// an Accumulator: every point-index column and every time-major row is
-// derived from the stored layout when first asked for.
-func (g *Graph) deriveLazily() {
+// indexLazily sets up the point index of a graph that was not grown by an
+// Accumulator: every column is transposed from τ when first asked for.
+func (g *Graph) indexLazily() {
 	g.points = PointIndex{head: &lazyColumns{T: g.tl.Len(), nodeTau: g.nodeTau, edgeTau: g.edgeTau}}
-	g.derived = make([]derivedRows, len(g.attrs))
 }
 
 // Timeline returns the graph's time domain.
@@ -206,22 +196,15 @@ func (g *Graph) StaticValue(a AttrID, n NodeID) dict.Code {
 // time t (dict.None when the node has no value there).
 // It panics if a is static.
 func (g *Graph) VaryingValue(a AttrID, n NodeID, t timeline.Time) dict.Code {
-	if g.varyingT != nil {
-		rows := g.varyingT[a]
-		if rows == nil {
-			panic(fmt.Sprintf("core: attribute %q is not time-varying", g.attrs[a].Name))
-		}
-		row := rows[t]
-		if int(n) >= len(row) {
-			return dict.None // node joined after this point was frozen
-		}
-		return row[n]
-	}
-	col := g.varying[a]
-	if col == nil {
+	rows := g.varying[a]
+	if rows == nil {
 		panic(fmt.Sprintf("core: attribute %q is not time-varying", g.attrs[a].Name))
 	}
-	return col[int(n)*g.tl.Len()+int(t)]
+	row := rows[t]
+	if int(n) >= len(row) {
+		return dict.None // node joined after this point was frozen
+	}
+	return row[n]
 }
 
 // Value returns the code of attribute a for node n at time t, regardless of
@@ -260,7 +243,7 @@ type Builder struct {
 	edgeTau   []*bitset.Set
 
 	static  [][]dict.Code
-	varying [][]dict.Code
+	varying [][][]dict.Code // [a][t][n], as in Graph
 
 	err error
 }
@@ -274,7 +257,7 @@ func NewBuilder(tl *timeline.Timeline, attrs ...AttrSpec) *Builder {
 		nodeIndex: make(map[string]NodeID),
 		edgeIndex: make(map[Endpoints]EdgeID),
 		static:    make([][]dict.Code, len(attrs)),
-		varying:   make([][]dict.Code, len(attrs)),
+		varying:   make([][][]dict.Code, len(attrs)),
 	}
 	seen := make(map[string]bool, len(attrs))
 	for i, a := range attrs {
@@ -286,6 +269,9 @@ func NewBuilder(tl *timeline.Timeline, attrs ...AttrSpec) *Builder {
 		}
 		seen[a.Name] = true
 		b.dicts[i] = dict.New()
+		if a.Kind == TimeVarying {
+			b.varying[i] = make([][]dict.Code, tl.Len())
+		}
 	}
 	return b
 }
@@ -309,10 +295,10 @@ func (b *Builder) AddNode(label string) NodeID {
 	for a := range b.attrs {
 		if b.attrs[a].Kind == Static {
 			b.static[a] = append(b.static[a], dict.None)
-		} else {
-			for i := 0; i < b.tl.Len(); i++ {
-				b.varying[a] = append(b.varying[a], dict.None)
-			}
+			continue
+		}
+		for t, row := range b.varying[a] {
+			b.varying[a][t] = append(row, dict.None)
 		}
 	}
 	return n
@@ -374,7 +360,7 @@ func (b *Builder) SetVarying(a AttrID, n NodeID, t timeline.Time, value string) 
 		b.fail(fmt.Errorf("core: SetVarying on static attribute %q", b.attrs[a].Name))
 		return
 	}
-	b.varying[a][int(n)*b.tl.Len()+int(t)] = b.dicts[a].Put(value)
+	b.varying[a][t][n] = b.dicts[a].Put(value)
 }
 
 // Build validates (Graph.Validate) and returns the graph. After Build the
@@ -399,7 +385,7 @@ func (b *Builder) Build() (*Graph, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	g.deriveLazily()
+	g.indexLazily()
 	return g, nil
 }
 

@@ -163,45 +163,17 @@ func (c *pointColumns) freeze(t, n int) {
 	c.cols = append(c.cols, bitset.FromWords(n, words))
 }
 
-// derivedRows is the lazily built time-major copy of one node-major
-// time-varying column.
-type derivedRows struct {
-	once sync.Once
-	rows [][]dict.Code
-}
-
-// VaryingRows returns the time-major reading of time-varying attribute a —
-// the node × time array A_i of §4 by time column, the order Alg. 2 unpivots
-// it in: rows[t][n] is node n's code at t. A row may be shorter than
-// NumNodes (an accumulator freezes it at its point's node count); nodes
-// beyond its end read as dict.None. Accumulator snapshots store the rows;
-// a node-major graph (Builder, loaded or mmap'd snapshot) derives them on
-// first use, once per attribute. Callers must not modify them.
+// VaryingRows returns time-varying attribute a as stored: the node × time
+// array A_i of §4 by time column, the order Alg. 2 unpivots it in —
+// rows[t][n] is node n's code at t. A row may be shorter than NumNodes (an
+// accumulator freezes it at its point's node count); nodes beyond its end
+// read as dict.None. Callers must not modify them.
 // It panics if a is static.
 func (g *Graph) VaryingRows(a AttrID) [][]dict.Code {
 	if g.attrs[a].Kind != TimeVarying {
 		panic("core: attribute \"" + g.attrs[a].Name + "\" is not time-varying")
 	}
-	if g.varyingT != nil {
-		return g.varyingT[a]
-	}
-	d := &g.derived[a]
-	d.once.Do(func() {
-		T, V := g.tl.Len(), len(g.nodeLabels)
-		col, codes := g.varying[a], make([]dict.Code, T*V)
-		for n := 0; n < V; n++ {
-			for t, c := range col[n*T : (n+1)*T] {
-				codes[t*V+n] = c
-			}
-		}
-		rows := make([][]dict.Code, T)
-		for t := range rows {
-			rows[t] = codes[t*V : (t+1)*V : (t+1)*V]
-		}
-		g.derivedBytes.Add(int64(T) * int64(V) * 4)
-		d.rows = rows
-	})
-	return d.rows
+	return g.varying[a]
 }
 
 // StaticColumn returns the per-node value column of static attribute a.
@@ -213,10 +185,6 @@ func (g *Graph) StaticColumn(a AttrID) []dict.Code {
 	return g.static[a]
 }
 
-// IndexBytes reports the resident size of the graph's derived scan
-// structures as built so far: the point index's columns, and the time-major
-// rows derived from node-major time-varying columns (0 on accumulator
-// snapshots, which store rows).
-func (g *Graph) IndexBytes() (points, varyingRows int64) {
-	return g.points.bytes(), g.derivedBytes.Load()
-}
+// IndexBytes reports the resident size of the graph's point index as built
+// so far: appended columns, plus the transposed ones once a scan asked.
+func (g *Graph) IndexBytes() int64 { return g.points.bytes() }

@@ -11,12 +11,12 @@ import (
 // reconstruction as "snapshot + partial WAL replay".
 //
 // The resumed accumulator follows the same sharing discipline as a live
-// one: g's timestamp bitsets, static columns and time-major varying rows
-// (g.VaryingRows: derived once, O(V·T), when g is node-major) are adopted
-// copy-on-write (the generation fence forces a clone before the first
-// mutation of any shared structure), dictionaries are cloned, and
-// node/edge identity is rebuilt in g's exact ID order so subsequent
-// appends assign the same IDs and value codes live ingestion did.
+// one: g's timestamp bitsets, static columns and time-varying rows are
+// adopted as stored, copy-on-write (the generation fence forces a clone
+// before the first mutation of any shared structure), dictionaries are
+// cloned, and node/edge identity is rebuilt in g's exact ID order so
+// subsequent appends assign the same IDs and value codes live ingestion
+// did.
 //
 // g's point index is chained to, not copied and not forced: the columns g
 // was handed at ingest are adopted, the ones it builds lazily stay lazy and
@@ -37,7 +37,7 @@ func ResumeAccumulator(g *Graph) *Accumulator {
 		edgeTauGen:   make([]uint64, len(g.edgeTau)),
 		static:       make([][]dict.Code, len(g.attrs)),
 		staticFrozen: make([]int, len(g.attrs)),
-		varyingT:     make([][][]dict.Code, len(g.attrs)),
+		varying:      make([][][]dict.Code, len(g.attrs)),
 		curVarying:   make([]map[NodeID]dict.Code, len(g.attrs)),
 		dictSnap:     make([]*dict.Dict, len(g.attrs)),
 		dictSnapLen:  make([]int, len(g.attrs)),
@@ -68,8 +68,8 @@ func ResumeAccumulator(g *Graph) *Accumulator {
 			a.staticFrozen[ai] = len(col)
 			continue
 		}
-		rows := g.VaryingRows(AttrID(ai))
-		a.varyingT[ai] = rows[:len(rows):len(rows)]
+		rows := g.varying[ai]
+		a.varying[ai] = rows[:len(rows):len(rows)]
 	}
 	return a
 }

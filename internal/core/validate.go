@@ -70,11 +70,7 @@ func (g *Graph) checkRanges() error {
 	for a, spec := range g.attrs {
 		cols := [][]dict.Code{g.static[a]}
 		if spec.Kind == TimeVarying {
-			if g.varyingT != nil {
-				cols = g.varyingT[a]
-			} else {
-				cols[0] = g.varying[a]
-			}
+			cols = g.varying[a]
 		}
 		domain := dict.Code(g.dicts[a].Len())
 		for _, col := range cols {

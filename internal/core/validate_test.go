@@ -23,7 +23,7 @@ func validColumns() Columns {
 		Edges:      []Endpoints{{0, 1}, {1, 2}},
 		EdgeTau:    []*bitset.Set{tau(0, 1), tau(1)},
 		Static:     [][]dict.Code{{0, 1, dict.None}, nil},
-		Varying:    [][]dict.Code{nil, {0, 0, 0, dict.None, dict.None, 0}},
+		Varying:    [][][]dict.Code{nil, {{0, 0, dict.None}, {0, dict.None, 0}}},
 	}
 }
 
@@ -51,7 +51,8 @@ func TestValidateRules(t *testing.T) {
 			c.NodeLabels = append(c.NodeLabels, "d")
 			c.NodeTau = append(c.NodeTau, bitset.New(2))
 			c.Static[0] = append(c.Static[0], dict.None)
-			c.Varying[1] = append(c.Varying[1], dict.None, dict.None)
+			c.Varying[1][0] = append(c.Varying[1][0], dict.None)
+			c.Varying[1][1] = append(c.Varying[1][1], dict.None)
 		}, "node d has empty timestamp", false},
 		{"empty edge tau", func(c *Columns) { c.EdgeTau[1] = bitset.New(2) }, "edge (b,c) has empty timestamp", false},
 		{"edge outside endpoint lifetime", func(c *Columns) { c.EdgeTau[1] = bitset.FromIndices(2, 0, 1) }, "endpoints do not", false},
@@ -59,7 +60,9 @@ func TestValidateRules(t *testing.T) {
 		{"duplicate label", func(c *Columns) { c.NodeLabels[2] = "a" }, `duplicate node label "a"`, true},
 		{"endpoint out of range", func(c *Columns) { c.Edges[1].V = 3 }, "out of range", true},
 		{"code beyond domain", func(c *Columns) { c.Static[0][0] = 2 }, "outside its dictionary", true},
-		{"code below none", func(c *Columns) { c.Varying[1][0] = -2 }, "outside its dictionary", true},
+		{"code below none", func(c *Columns) { c.Varying[1][0][0] = -2 }, "outside its dictionary", true},
+		{"short varying row", func(c *Columns) { c.Varying[1][1] = c.Varying[1][1][:2] }, "wrong column shape", true},
+		{"missing varying row", func(c *Columns) { c.Varying[1] = c.Varying[1][:1] }, "wrong column shape", true},
 		{"bit beyond timeline", func(c *Columns) { c.NodeTau[0] = bitset.FromWords(2, []uint64{0b111}) }, "beyond the timeline", true},
 		{"tau longer than timeline", func(c *Columns) { c.EdgeTau[0] = bitset.FromIndices(3, 0) }, "beyond the timeline", true},
 	} {

@@ -387,7 +387,7 @@ func (s *Server) catalogStats() materialize.Stats {
 //	graphtempod_panics_total                    counter
 //	graphtempod_catalog_answers_total{source}   counter (hit/miss by source)
 //	graphtempod_catalog_cache_{entries,bytes}   gauges
-//	graphtempod_graph_index_bytes{index}        gauge (points | varying_rows)
+//	graphtempod_graph_index_bytes{index}        gauge (points)
 //	graphtempod_explorer_evaluations_total      counter (engine hot path)
 //	graphtempod_kernel_selections_total{kernel} counter (engine hot path)
 //	graphtempod_planner_selections_total{op}    counter (planner choices)
@@ -439,18 +439,15 @@ func (s *Server) registerMetrics() {
 		func() float64 { return float64(s.catalogStats().CacheEntries) })
 	r.GaugeFunc("graphtempod_catalog_cache_bytes", "Approximate bytes of cached results.",
 		func() float64 { return float64(s.catalogStats().CacheBytes) })
-	for i, name := range []string{"points", "varying_rows"} {
-		r.GaugeFunc("graphtempod_graph_index_bytes",
-			"Bytes of the serving graph's derived scan structures built so far: point-index columns, time-major attribute rows.",
-			func() float64 {
-				st := s.cur.Load()
-				if st == nil {
-					return 0
-				}
-				points, rows := st.g.IndexBytes()
-				return float64([2]int64{points, rows}[i])
-			}, metrics.Label{Key: "index", Value: name})
-	}
+	r.GaugeFunc("graphtempod_graph_index_bytes",
+		"Bytes of the serving graph's point-index columns built so far.",
+		func() float64 {
+			st := s.cur.Load()
+			if st == nil {
+				return 0
+			}
+			return float64(st.g.IndexBytes())
+		}, metrics.Label{Key: "index", Value: "points"})
 	r.CounterFunc("graphtempod_catalog_cache_evictions_total", "Results evicted from the serving cache.",
 		func() float64 { return float64(s.catalogStats().CacheEvictions) })
 	r.RegisterCounter("graphtempod_explorer_evaluations_total",

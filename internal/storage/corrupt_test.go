@@ -3,11 +3,13 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/gtest"
 )
 
 // validSnapshotBytes returns a small but fully featured snapshot: graph
@@ -91,6 +93,18 @@ func TestLoadFileMissing(t *testing.T) {
 
 func FuzzLoadSnapshot(f *testing.F) {
 	f.Add(validSnapshotBytes(f))
+	// Time-varying rows frozen at each point's node count and padded on
+	// save, and the node-major kind older writers emitted.
+	var rows bytes.Buffer
+	if err := Save(&rows, gtest.Accumulated(gtest.LongLivedGraph(rand.New(rand.NewSource(3)), 20))); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(rows.Bytes())
+	legacy, err := os.ReadFile(filepath.Join(nodeMajorDir, "random.gts"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
 	f.Add([]byte(snapMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -119,8 +119,8 @@ type Engine struct {
 // every WAL segment at or after the snapshot's generation (truncating a
 // torn tail to the last complete record), garbage-collects files older
 // than the loaded snapshot's generation, and opens the active segment for
-// append. It refuses with ErrUnrecoverable when no snapshot loads and the
-// segments do not reach back to generation 0.
+// append. It refuses with ErrUnrecoverable when what loads covers less than
+// the damaged files show was acknowledged.
 func Open(dir string, attrs []core.AttrSpec, opts Options) (*Engine, error) {
 	if opts.FsyncInterval <= 0 {
 		opts.FsyncInterval = 100 * time.Millisecond
@@ -159,9 +159,6 @@ func (e *Engine) Series() *stream.Series { return e.series }
 
 // Recovery returns what the boot recovered.
 func (e *Engine) Recovery() RecoveryInfo { return e.recovery }
-
-// Dir returns the data directory.
-func (e *Engine) Dir() string { return e.dir }
 
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats {

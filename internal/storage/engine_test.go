@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -26,9 +27,6 @@ func openTestEngine(t *testing.T, dir string, opts Options) *Engine {
 	}
 	return e
 }
-
-// seriesLabels returns the labels of every ingested point.
-func seriesLabels(s *stream.Series) []string { labels, _ := s.Points(); return labels }
 
 func appendN(t *testing.T, e *Engine, from, to int) {
 	t.Helper()
@@ -69,7 +67,7 @@ func TestEngineCleanRestart(t *testing.T) {
 	}
 	e2 := openTestEngine(t, dir, Options{})
 	defer e2.Close()
-	if got := seriesLabels(e2.Series()); len(got) != 7 || got[0] != "t0" || got[6] != "t6" {
+	if got := e2.Series().Labels(); len(got) != 7 || got[0] != "t0" || got[6] != "t6" {
 		t.Fatalf("recovered labels %v", got)
 	}
 	if ri := e2.Recovery(); ri.WALRecords != 7 || ri.TruncatedBytes != 0 {
@@ -93,7 +91,7 @@ func TestEngineCrashRestart(t *testing.T) {
 	// killed process would leave it.
 	e2 := openTestEngine(t, dir, Options{Fsync: FsyncAlways, CheckpointRecords: -1})
 	defer e2.Close()
-	if got := seriesLabels(e2.Series()); len(got) != 5 {
+	if got := e2.Series().Labels(); len(got) != 5 {
 		t.Fatalf("recovered labels %v, want 5", got)
 	}
 	if ri := e2.Recovery(); ri.WALRecords != 5 {
@@ -148,7 +146,7 @@ func TestEngineTornTailRecovery(t *testing.T) {
 	}
 	e2 := openTestEngine(t, dir, Options{CheckpointRecords: -1})
 	defer e2.Close()
-	if got := seriesLabels(e2.Series()); len(got) != 3 {
+	if got := e2.Series().Labels(); len(got) != 3 {
 		t.Fatalf("recovered %v, want 3 records", got)
 	}
 	ri := e2.Recovery()
@@ -189,7 +187,7 @@ func TestEngineCheckpointAndGC(t *testing.T) {
 	}
 	e2 := openTestEngine(t, dir, Options{CheckpointRecords: -1})
 	defer e2.Close()
-	if got := seriesLabels(e2.Series()); len(got) != 8 {
+	if got := e2.Series().Labels(); len(got) != 8 {
 		t.Fatalf("recovered %v, want 8", got)
 	}
 	ri := e2.Recovery()
@@ -325,6 +323,78 @@ func TestEngineCorruptSnapshotFallsBack(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestEngineRefusesBelowNamedTxn: the newest snapshot is damaged in its
+// blob area only, so its framed meta sections still parse and name the txn
+// it covers (7). Its loadable predecessor covers 4, and the segment that
+// carried records 5–7 is gone: recovery would reach txn 6 (4 + wal-2's 2)
+// with a hole in the history. Open must refuse, naming both numbers and
+// both snapshots, and leave every file as it was.
+func TestEngineRefusesBelowNamedTxn(t *testing.T) {
+	dir := t.TempDir()
+	e := openTestEngine(t, dir, Options{CheckpointRecords: -1})
+	appendN(t, e, 0, 4)
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	first, err := os.ReadFile(filepath.Join(dir, snapName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, e, 4, 7)
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, e, 7, 9)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, snapName(1)), first, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, snapName(2))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ent, _, _ := dirEntry(t, data, blobNodeTau, 1)
+	data[binary.LittleEndian.Uint64(data[ent+8:])] ^= 0x40
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirContents(t, dir)
+
+	_, err = Open(dir, testAttrs, Options{CheckpointRecords: -1})
+	if !errors.Is(err, ErrUnrecoverable) {
+		t.Fatalf("Open = %v, want ErrUnrecoverable", err)
+	}
+	for _, part := range []string{dir, snapName(2), snapName(1), "txn 7", "txn 6"} {
+		if !strings.Contains(err.Error(), part) {
+			t.Errorf("error does not name %s: %v", part, err)
+		}
+	}
+	if after := dirContents(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("refused Open changed the directory:\n%v\nwas\n%v", after, before)
+	}
+}
+
+// dirContents maps every file in dir to its bytes.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(ents))
+	for _, ent := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[ent.Name()] = string(data)
+	}
+	return out
 }
 
 // TestCheckpointVerifiesBeforeGC damages each snapshot between its write
@@ -505,7 +575,7 @@ func TestEngineConcurrent(t *testing.T) {
 		t.Fatalf("recovered %d points, want %d", e2.Series().Len(), n)
 	}
 	// Exactly the appended labels, in order.
-	labels := seriesLabels(e2.Series())
+	labels := e2.Series().Labels()
 	for i, l := range labels {
 		if want := fmt.Sprintf("t%d", i); l != want {
 			t.Fatalf("label %d is %q, want %q", i, l, want)

@@ -114,11 +114,14 @@ type parsedV2 struct {
 
 	wordsPerTau int
 	nEdges      int
-	nodeTauB    []byte   // nNodes × wordsPerTau LE uint64 words
-	edgeTauB    []byte   // nEdges × wordsPerTau LE uint64 words
-	edgesB      []byte   // nEdges × (int32 u, int32 v) LE
-	staticB     [][]byte // per static attr, in attr order: nNodes int32 codes
-	varyingB    [][]byte // per varying attr, in attr order: nNodes×T int32 codes
+	nodeTauB    []byte // nNodes × wordsPerTau LE uint64 words
+	edgeTauB    []byte // nEdges × wordsPerTau LE uint64 words
+	edgesB      []byte // nEdges × (int32 u, int32 v) LE
+	// attrB[a] is attribute a's column blob, of kind attrKind[a]: nNodes
+	// int32 codes (blobStatic), or T×nNodes of them (blobVaryingRows, or
+	// the node-major blobVarying older writers emitted).
+	attrB    [][]byte
+	attrKind []uint32
 }
 
 type storeSpec struct {
@@ -267,7 +270,8 @@ func parseV2(data []byte, verifyBlobs bool) (*parsedV2, error) {
 	wpt := (T + 63) / 64
 	p.wordsPerTau = wpt
 	p.nEdges = -1
-	var staticParams, varyingParams []uint32
+	p.attrB = make([][]byte, len(p.attrs))
+	p.attrKind = make([]uint32, len(p.attrs))
 	for _, be := range dir {
 		b, err := blob(be)
 		if err != nil {
@@ -290,18 +294,20 @@ func parseV2(data []byte, verifyBlobs bool) (*parsedV2, error) {
 			}
 			p.edgesB = b
 			p.nEdges = len(b) / 8
-		case blobStatic:
-			p.staticB = append(p.staticB, b)
-			staticParams = append(staticParams, be.param)
-			if len(b) != nNodes*4 {
-				return nil, fmt.Errorf("%w: static blob for attr %d has %d bytes", ErrCorrupt, be.param, len(b))
+		case blobStatic, blobVaryingRows, blobVarying:
+			ai, want := int(be.param), nNodes*4
+			if be.kind != blobStatic {
+				want *= T
 			}
-		case blobVarying:
-			p.varyingB = append(p.varyingB, b)
-			varyingParams = append(varyingParams, be.param)
-			if len(b) != nNodes*T*4 {
-				return nil, fmt.Errorf("%w: varying blob for attr %d has %d bytes", ErrCorrupt, be.param, len(b))
+			switch {
+			case ai >= len(p.attrs) || (be.kind == blobStatic) != (p.attrs[ai].Kind == core.Static):
+				return nil, fmt.Errorf("%w: blob kind %d names attr %d, which is not of that kind", ErrCorrupt, be.kind, ai)
+			case p.attrB[ai] != nil:
+				return nil, fmt.Errorf("%w: attr %d has more than one column blob", ErrCorrupt, ai)
+			case len(b) != want:
+				return nil, fmt.Errorf("%w: column blob for attr %d has %d bytes, want %d", ErrCorrupt, ai, len(b), want)
 			}
+			p.attrB[ai], p.attrKind[ai] = b, be.kind
 		default:
 			return nil, fmt.Errorf("%w: unknown blob kind %d", ErrCorrupt, be.kind)
 		}
@@ -312,25 +318,10 @@ func parseV2(data []byte, verifyBlobs bool) (*parsedV2, error) {
 	if wpt > 0 && len(p.edgeTauB) != p.nEdges*wpt*8 {
 		return nil, fmt.Errorf("%w: edge tau blob does not cover %d edges", ErrCorrupt, p.nEdges)
 	}
-	// Attribute column blobs must appear once per attribute of the matching
-	// kind, in attribute order — the order snapshotFromParsed consumes.
-	si, vi := 0, 0
-	for ai, a := range p.attrs {
-		switch a.Kind {
-		case core.Static:
-			if si >= len(staticParams) || staticParams[si] != uint32(ai) {
-				return nil, fmt.Errorf("%w: missing static blob for attr %d", ErrCorrupt, ai)
-			}
-			si++
-		case core.TimeVarying:
-			if vi >= len(varyingParams) || varyingParams[vi] != uint32(ai) {
-				return nil, fmt.Errorf("%w: missing varying blob for attr %d", ErrCorrupt, ai)
-			}
-			vi++
+	for ai, b := range p.attrB {
+		if b == nil {
+			return nil, fmt.Errorf("%w: missing column blob for attr %d", ErrCorrupt, ai)
 		}
-	}
-	if si != len(staticParams) || vi != len(varyingParams) {
-		return nil, fmt.Errorf("%w: stray attribute column blob", ErrCorrupt)
 	}
 	return p, nil
 }
@@ -389,8 +380,10 @@ func (d *dec) readStore(nAttrs, T int) storeSpec {
 
 // snapshotFromParsed assembles a graph over the parsed blob regions without
 // copying the columns: each becomes a host-order typed slice over the
-// snapshot's own bytes and core.FromColumns checks every one of them for
-// what reading the graph relies on.
+// snapshot's own bytes (a time-varying blob, one slice per time point) and
+// core.FromColumns checks every one of them for what reading the graph
+// relies on. The one copy is a node-major blobVarying from an older writer,
+// transposed here into the rows every graph stores.
 func snapshotFromParsed(p *parsedV2) (*Snapshot, error) {
 	tl, err := timeline.New(p.labels...)
 	if err != nil {
@@ -419,17 +412,21 @@ func snapshotFromParsed(p *parsedV2) (*Snapshot, error) {
 		Edges:      hostOrder[core.Endpoints](p.edgesB, 4),
 		EdgeTau:    tauSets(hostOrder[uint64](p.edgeTauB, 8), p.nEdges, wpt, T),
 		Static:     make([][]dict.Code, len(p.attrs)),
-		Varying:    make([][]dict.Code, len(p.attrs)),
+		Varying:    make([][][]dict.Code, len(p.attrs)),
 	}
-	si, vi := 0, 0
-	for ai, a := range p.attrs {
-		switch a.Kind {
-		case core.Static:
-			cols.Static[ai] = hostOrder[dict.Code](p.staticB[si], 4)
-			si++
-		case core.TimeVarying:
-			cols.Varying[ai] = hostOrder[dict.Code](p.varyingB[vi], 4)
-			vi++
+	V := len(p.nodes)
+	for ai, b := range p.attrB {
+		codes := hostOrder[dict.Code](b, 4)
+		if p.attrKind[ai] == blobStatic {
+			cols.Static[ai] = codes
+			continue
+		}
+		if p.attrKind[ai] == blobVarying {
+			codes = timeMajor(codes, V, T)
+		}
+		cols.Varying[ai] = make([][]dict.Code, T)
+		for t := range T {
+			cols.Varying[ai][t] = codes[t*V : (t+1)*V : (t+1)*V]
 		}
 	}
 	g, err := core.FromColumns(cols)
@@ -446,6 +443,18 @@ func snapshotFromParsed(p *parsedV2) (*Snapshot, error) {
 		snap.Stores = append(snap.Stores, st)
 	}
 	return snap, nil
+}
+
+// timeMajor transposes a legacy node-major column (codes[n*T+t]) into a
+// copy laid out as blobVaryingRows is (codes[t*V+n]).
+func timeMajor(codes []dict.Code, V, T int) []dict.Code {
+	out := make([]dict.Code, T*V)
+	for n := 0; n < V; n++ {
+		for t, c := range codes[n*T : (n+1)*T] {
+			out[t*V+n] = c
+		}
+	}
+	return out
 }
 
 // tauSets wraps per-entity windows of a flat word column as bitsets.

@@ -28,7 +28,10 @@ import (
 //  3. Replay every WAL segment with generation ≥ the loaded snapshot's,
 //     in ascending order. Only the newest segment may carry a torn tail
 //     (rotation syncs a segment before creating its successor); the tail
-//     is truncated to the last complete record.
+//     is truncated to the last complete record. If an unloadable snapshot's
+//     framed meta sections still parse and name a covered txn above the
+//     one replay reached, records it covered are gone: refuse with
+//     ErrUnrecoverable before touching any file.
 //  4. Garbage-collect snapshots and segments older than the loaded
 //     snapshot's generation — never a segment that snapshot does not cover
 //     — and open the newest segment for append (creating segment <gen> if
@@ -45,20 +48,33 @@ func (e *Engine) recover(attrs []core.AttrSpec) error {
 		loaded     *Snapshot
 		snapGen    uint64
 		unloadable []string
+		// named is the highest covered txn an unloadable snapshot still
+		// names in its meta sections (namedBy), 0 when none does.
+		named   int
+		namedBy string
 	)
 	for i := len(snaps) - 1; i >= 0; i-- {
 		gen := snaps[i]
-		s, lerr := LoadFile(filepath.Join(e.dir, snapName(gen)))
+		data, rerr := os.ReadFile(filepath.Join(e.dir, snapName(gen)))
+		if rerr != nil {
+			return rerr // IO error: do not silently fall back
+		}
+		s, lerr := decode(data, true)
 		if lerr == nil {
 			loaded, snapGen = s, gen
 			break
 		}
 		if !errorsIsAny(lerr, ErrBadMagic, ErrVersion, ErrTruncated, ErrChecksum, ErrCorrupt) {
-			return lerr // IO error: do not silently fall back
+			return lerr
 		}
 		e.log.Warn("snapshot unusable, trying previous generation",
 			"file", snapName(gen), "err", lerr)
 		unloadable = append(unloadable, fmt.Sprintf("%s: %v", snapName(gen), lerr))
+		if p, perr := parseV2(data, false); perr == nil {
+			if txn := (&Snapshot{points: p.points, coveredTxn: p.coveredTxn}).CoveredTxn(); txn > named {
+				named, namedBy = txn, snapName(gen)
+			}
+		}
 	}
 	if loaded == nil && len(unloadable) > 0 && (len(segs) == 0 || segs[0] > 0) {
 		oldest := "none"
@@ -93,6 +109,10 @@ func (e *Engine) recover(attrs []core.AttrSpec) error {
 			replaySegs = append(replaySegs, gen)
 		}
 	}
+	var (
+		tailPath    string
+		tailGoodLen int64
+	)
 	for i, gen := range replaySegs {
 		path := filepath.Join(e.dir, walName(gen))
 		records, goodLen, torn, rerr := replayWAL(path, func(payload []byte) error {
@@ -122,14 +142,22 @@ func (e *Engine) recover(attrs []core.AttrSpec) error {
 			e.gen = gen
 		}
 		if i == len(replaySegs)-1 {
-			e.wal, err = openWALForAppend(path, goodLen)
-			if err != nil {
-				return err
-			}
-			e.segRecords = records
+			tailPath, tailGoodLen, e.segRecords = path, goodLen, records
 		}
 	}
-	if e.wal == nil {
+	if named > len(e.raw) {
+		from := "no snapshot"
+		if loaded != nil {
+			from = snapName(snapGen)
+		}
+		return fmt.Errorf("%w: %s: %s does not load but covers txn %d; %s and the surviving wal segments reach only txn %d",
+			ErrUnrecoverable, e.dir, namedBy, named, from, len(e.raw))
+	}
+	if tailPath != "" {
+		if e.wal, err = openWALForAppend(tailPath, tailGoodLen); err != nil {
+			return err
+		}
+	} else {
 		e.wal, err = createWAL(filepath.Join(e.dir, walName(e.gen)), e.gen)
 		if err != nil {
 			return err

@@ -93,36 +93,60 @@ func restamp(data []byte, lo, hi int) {
 	binary.LittleEndian.PutUint32(data[lo-4:lo], crc32.Checksum(data[lo:hi], castagnoli))
 }
 
+// dirEntry returns the offset in data of the directory entry of blob (kind,
+// param) and the payload bounds of the directory record holding it.
+func dirEntry(t *testing.T, data []byte, kind, param uint32) (ent, lo, hi int) {
+	t.Helper()
+	lo, hi, ok := findSection(t, data, secBlobDir)
+	if !ok {
+		t.Fatal("no blob directory")
+	}
+	for ent := lo + 1 + 4 + 8; ent+blobDirEntryLen <= hi; ent += blobDirEntryLen {
+		if binary.LittleEndian.Uint32(data[ent:]) == kind && binary.LittleEndian.Uint32(data[ent+4:]) == param {
+			return ent, lo, hi
+		}
+	}
+	t.Fatalf("no blob kind %d param %d", kind, param)
+	return 0, 0, 0
+}
+
 // mutateBlob applies fn to the blob (kind, param) of a copy of data and
 // re-stamps the blob's CRC in the directory and the directory record's own,
 // so the result is checksum-valid throughout.
 func mutateBlob(t *testing.T, data []byte, kind, param uint32, fn func(b []byte)) []byte {
 	t.Helper()
 	mut := append([]byte(nil), data...)
-	lo, hi, ok := findSection(t, mut, secBlobDir)
-	if !ok {
-		t.Fatal("no blob directory")
-	}
-	for ent := lo + 1 + 4 + 8; ent+blobDirEntryLen <= hi; ent += blobDirEntryLen {
-		if binary.LittleEndian.Uint32(mut[ent:]) != kind || binary.LittleEndian.Uint32(mut[ent+4:]) != param {
-			continue
-		}
-		off := binary.LittleEndian.Uint64(mut[ent+8:])
-		length := binary.LittleEndian.Uint64(mut[ent+16:])
-		b := mut[off : off+length]
-		fn(b)
-		binary.LittleEndian.PutUint32(mut[ent+24:], crc32.Checksum(b, castagnoli))
-		restamp(mut, lo, hi)
-		return mut
-	}
-	t.Fatalf("no blob kind %d param %d", kind, param)
-	return nil
+	ent, lo, hi := dirEntry(t, mut, kind, param)
+	off := binary.LittleEndian.Uint64(mut[ent+8:])
+	length := binary.LittleEndian.Uint64(mut[ent+16:])
+	b := mut[off : off+length]
+	fn(b)
+	binary.LittleEndian.PutUint32(mut[ent+24:], crc32.Checksum(b, castagnoli))
+	restamp(mut, lo, hi)
+	return mut
+}
+
+// mutateEntry rewrites the directory entry of blob (kind, param) in a copy
+// of data to name newKind, newParam and length bytes at the same offset,
+// with the CRC of the region it now covers, so the result is checksum-valid
+// throughout.
+func mutateEntry(t *testing.T, data []byte, kind, param, newKind, newParam uint32, length uint64) []byte {
+	t.Helper()
+	mut := append([]byte(nil), data...)
+	ent, lo, hi := dirEntry(t, mut, kind, param)
+	off := binary.LittleEndian.Uint64(mut[ent+8:])
+	binary.LittleEndian.PutUint32(mut[ent:], newKind)
+	binary.LittleEndian.PutUint32(mut[ent+4:], newParam)
+	binary.LittleEndian.PutUint64(mut[ent+16:], length)
+	binary.LittleEndian.PutUint32(mut[ent+24:], crc32.Checksum(mut[off:off+length], castagnoli))
+	restamp(mut, lo, hi)
+	return mut
 }
 
 // TestLoadSemanticViolations: files whose every checksum holds but whose
-// content breaks one rule of core.Graph.Validate. Load must name the rule
-// under ErrCorrupt; OpenMapped, which skips Validate, must reject the file
-// or serve it without panicking.
+// content breaks one rule of core.Graph.Validate or of the blob layout.
+// Load must name the rule under ErrCorrupt; OpenMapped, which skips
+// Validate, must reject the file or serve it without panicking.
 func TestLoadSemanticViolations(t *testing.T) {
 	g := violationGraph(t)
 	var buf bytes.Buffer
@@ -151,7 +175,12 @@ func TestLoadSemanticViolations(t *testing.T) {
 		{"duplicate edge", mutateBlob(t, data, blobEdges, 0, func(b []byte) { copy(b[8:16], b[0:8]) }), "duplicate edge (a,b)"},
 		{"endpoint beyond nodes", mutateBlob(t, data, blobEdges, 0, code(3, 4)), "out of range"},
 		{"static code beyond domain", mutateBlob(t, data, blobStatic, 0, code(2, 2)), `"grp" code 2 outside its dictionary`},
-		{"varying code below none", mutateBlob(t, data, blobVarying, 1, code(4, -2)), `"lvl" code -2 outside its dictionary`},
+		{"varying code below none", mutateBlob(t, data, blobVaryingRows, 1, code(4, -2)), `"lvl" code -2 outside its dictionary`},
+		{"rows code beyond domain", mutateBlob(t, data, blobVaryingRows, 1, code(5, 9)), `"lvl" code 9 outside its dictionary`},
+		// The rows blob is T×|V| = 3×4 codes; the static one |V| = 4.
+		{"rows blob of the wrong length", mutateEntry(t, data, blobVaryingRows, 1, blobVaryingRows, 1, 44), "attr 1 has 44 bytes, want 48"},
+		{"legacy and rows blob for one attribute", mutateEntry(t, data, blobStatic, 0, blobVarying, 1, 48), "attr 1 has more than one column blob"},
+		{"rows blob for a static attribute", mutateEntry(t, data, blobVaryingRows, 1, blobVaryingRows, 0, 48), "blob kind 6 names attr 0, which is not of that kind"},
 		{"node bit beyond timeline", mutateBlob(t, data, blobNodeTau, 1, word(0, 0b1111)), "node a has existence bits beyond the timeline"},
 		{"edge bit beyond timeline", mutateBlob(t, data, blobEdgeTau, 1, word(0, 1<<40|0b110)), "edge 0 has existence bits beyond the timeline"},
 	}

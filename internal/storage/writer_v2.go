@@ -9,8 +9,8 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/core"
+	"repro/internal/dict"
 	"repro/internal/materialize"
-	"repro/internal/timeline"
 )
 
 // Snapshot layout. A header and framed meta sections, then the fixed-width
@@ -26,7 +26,8 @@ import (
 //
 // Every blob holds little-endian fields: uint64 existence words at a fixed
 // stride per entity, int32 edge endpoint pairs, or int32 attribute codes
-// (-1 = missing). The reader hands them to core.FromColumns as typed slices
+// (-1 = missing; a time-varying attribute time-major, one row of codes per
+// time point). The reader hands them to core.FromColumns as typed slices
 // over the file's own bytes (see hostOrder). Each directory entry carries a
 // CRC32C of its blob, verified by Load (OpenMapped checks structure only).
 const (
@@ -37,15 +38,19 @@ const (
 	secTauRuns byte = 12
 )
 
-// Blob kinds. Static and varying column blobs repeat per attribute with
-// the attribute id in the entry's param field; the tau kinds put the word
+// Blob kinds. Attribute column blobs repeat per attribute with the
+// attribute id in the entry's param field; the tau kinds put the word
 // stride there.
 const (
 	blobNodeTau uint32 = 1 // NumNodes × param uint64 words
 	blobEdgeTau uint32 = 2 // NumEdges × param uint64 words
 	blobEdges   uint32 = 3 // NumEdges × (int32 u, int32 v)
 	blobStatic  uint32 = 4 // NumNodes int32 codes, param = attr id
-	blobVarying uint32 = 5 // NumNodes×T int32 codes, param = attr id
+	// blobVarying is read-only: older writers stored a time-varying
+	// attribute node-major (NumNodes×T codes, node n's at [n*T, n*T+T)).
+	// The reader transposes it into rows; nothing writes it any more.
+	blobVarying     uint32 = 5
+	blobVaryingRows uint32 = 6 // T rows × NumNodes int32 codes, param = attr id
 )
 
 // blobEntry is one fixed-width directory entry: 28 bytes on disk.
@@ -147,14 +152,19 @@ func writeSnapshotV2(w io.Writer, g *core.Graph, stores []*materialize.Store, po
 			}
 			addBlob(blobStatic, uint32(ai), col)
 		case core.TimeVarying:
-			col := make([]byte, nNodes*T*4)
-			for n := 0; n < nNodes; n++ {
-				for t := 0; t < T; t++ {
-					binary.LittleEndian.PutUint32(col[(n*T+t)*4:],
-						uint32(g.VaryingValue(core.AttrID(ai), core.NodeID(n), timeline.Time(t))))
+			// Rows shorter than the node count (an accumulator froze them
+			// before later nodes joined) are padded with dict.None.
+			col := make([]byte, T*nNodes*4)
+			for t, row := range g.VaryingRows(core.AttrID(ai)) {
+				for n := 0; n < nNodes; n++ {
+					c := dict.None
+					if n < len(row) {
+						c = row[n]
+					}
+					binary.LittleEndian.PutUint32(col[(t*nNodes+n)*4:], uint32(c))
 				}
 			}
-			addBlob(blobVarying, uint32(ai), col)
+			addBlob(blobVaryingRows, uint32(ai), col)
 		}
 	}
 

@@ -301,16 +301,6 @@ func (r *Resumer) Graph() *core.Graph {
 	return r.acc.Snapshot()
 }
 
-// Points returns the ingested time points as parallel label and snapshot
-// slices — the exact append sequence, used by persistence checkpoints to
-// capture a replayable copy of the series. The snapshots share record
-// slices with the series; callers must treat them as read-only.
-func (s *Series) Points() ([]string, []Snapshot) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]string(nil), s.labels...), append([]Snapshot(nil), s.snaps...)
-}
-
 // Attrs returns the series' attribute schema.
 func (s *Series) Attrs() []core.AttrSpec {
 	return append([]core.AttrSpec(nil), s.attrs...)

@@ -163,12 +163,13 @@ func TestSeriesConcurrentHammer(t *testing.T) {
 					t.Errorf("Labels len %d < earlier Len %d", got, n)
 					return
 				}
-				if pl, ps := s.Points(); len(pl) < n || len(pl) != len(ps) {
-					t.Errorf("Points: %d labels, %d snapshots after Len %d", len(pl), len(ps), n)
+				g, err := s.Graph()
+				if err != nil {
+					t.Errorf("graph: %v", err)
 					return
 				}
-				if _, err := s.Graph(); err != nil {
-					t.Errorf("graph: %v", err)
+				if got := g.Timeline().Len(); got < n {
+					t.Errorf("Graph has %d points after Len %d", got, n)
 					return
 				}
 			}
