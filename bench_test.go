@@ -751,6 +751,41 @@ func BenchmarkEventsSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkPaths measures the PATHS frontier engine on the whole timeline
+// from 3 random sources to 6 random targets, adhoc_scan's PATHS shape:
+// build is the per-plan index NewPathsEngine makes, earliest and fastest
+// one Run on a built engine. The graph's point index is built before the
+// timer starts: it is paid once per graph, not per statement.
+func BenchmarkPaths(b *testing.B) {
+	g, _ := benchGraphs(b)
+	r := rand.New(rand.NewSource(28))
+	pick := func(k int) []core.NodeID {
+		out := make([]core.NodeID, k)
+		for i := range out {
+			out[i] = core.NodeID(r.Intn(g.NumNodes()))
+		}
+		return out
+	}
+	spec := analytics.PathsSpec{Mode: analytics.ModeEarliest, Src: pick(3), Dst: pick(6), Window: g.Timeline().All()}
+	g.PointIndex().EdgesAt(0)
+	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			analytics.NewPathsEngine(g, spec)
+		}
+	})
+	for _, mode := range []string{analytics.ModeEarliest, analytics.ModeFastest} {
+		spec.Mode = mode
+		eng := analytics.NewPathsEngine(g, spec)
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				eng.Run()
+			}
+		})
+	}
+}
+
 // BenchmarkTopEdgeTuples measures the two TOP statements (top 3 gender
 // pairs by growth and by shrinkage). The graph's point index is built
 // before the timer starts: it is paid once per graph, not per statement.

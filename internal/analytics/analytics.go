@@ -12,8 +12,9 @@
 //     the row rendering here.
 //   - PATHS answers time-respecting reachability between node sets within
 //     a window: earliest-arrival and fastest (shortest-duration) paths.
-//     The frontier engine buckets edge activity per time point from the
-//     edge timestamps and sweeps once in time order.
+//     The frontier engine builds a per-point out-adjacency in CSR form
+//     from the graph's point index columns and sweeps it once in time
+//     order per departure, walking slices.
 //   - TREND computes per-group weight series over a sliding width-w
 //     window with an integer least-squares direction classification. The
 //     catalog engine composes each window from the materialize catalog's

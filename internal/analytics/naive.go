@@ -120,14 +120,8 @@ func sortedTuples(schema *agg.Schema, m map[agg.Tuple]*[3]int64) []agg.Tuple {
 // NaivePaths recomputes PATHS as a monotone reachability fixpoint over the
 // full (time × node) matrix, one matrix per departure point.
 func NaivePaths(g *core.Graph, spec PathsSpec) *PathsResult {
-	if spec.Window.IsEmpty() {
-		return pathsRun(g, spec, nil)
-	}
-	hi := int(spec.Window.Max())
-	sweep := func(t0 int, ea []int) {
-		for i := range ea {
-			ea[i] = -1
-		}
+	sweep := func(t0 int, ea []int) error {
+		hi := int(spec.Window.Max())
 		n := g.NumNodes()
 		span := hi - t0 + 1
 		reach := make([][]bool, span)
@@ -179,8 +173,10 @@ func NaivePaths(g *core.Graph, spec PathsSpec) *PathsResult {
 				}
 			}
 		}
+		return nil
 	}
-	return pathsRun(g, spec, sweep)
+	res, _ := pathsRun(g, spec, sweep)
+	return res
 }
 
 // NaiveTrend recomputes TREND by rescanning every (node, time) cell of

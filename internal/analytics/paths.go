@@ -1,6 +1,9 @@
 package analytics
 
 import (
+	"context"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -25,10 +28,9 @@ const (
 //     window, where duration = arrive − depart + 1 points (ties prefer the
 //     earlier arrival, then the earlier departure).
 type PathsSpec struct {
-	Mode   string // ModeEarliest or ModeFastest
-	Src    []core.NodeID
-	Dst    []core.NodeID
-	Window timeline.Interval // contiguous; empty means no reachable targets
+	Mode     string // ModeEarliest or ModeFastest
+	Src, Dst []core.NodeID
+	Window   timeline.Interval // contiguous; empty means no reachable targets
 }
 
 // PathRow reports one reached target.
@@ -49,126 +51,159 @@ type PathsResult struct {
 }
 
 // arrival is one target's best (depart, arrive) pair.
-type arrival struct {
-	depart, arrive int
-}
+type arrival struct{ depart, arrive int }
 
-// PathsEngine is the frontier engine: edge activity is bucketed per window
-// point once (one ForEachInRange per edge timestamp), then each evaluation
-// is a single ascending-time sweep with a per-snapshot BFS closure. The
-// bucket index is immutable after New, so one engine may run concurrently.
+// PathsEngine is the frontier engine. It holds the window's per-point
+// out-adjacency in CSR form, built once from the graph's point index
+// columns: for each point, the distinct tails of the edges alive there, each
+// tail's run of heads, and each head's own index among the tails. An
+// evaluation is a single ascending-time sweep that closes each snapshot by
+// walking those slices, O(window appearances) per sweep. The index is
+// immutable after New, so one engine may run concurrently.
 type PathsEngine struct {
-	g       *core.Graph
-	spec    PathsSpec
-	lo, hi  int
-	buckets [][]core.EdgeID // edge activity per window point, index t-lo
+	g      *core.Graph
+	spec   PathsSpec
+	lo, hi int
+	adj    []pointAdj // index t-lo
 }
 
-// NewPathsEngine builds the per-point edge buckets for spec's window.
+// pointAdj is one point's out-adjacency: tails ascend, tails[i]'s heads are
+// heads[off[i]:off[i+1]], and next[k] is heads[k]'s index in tails, or -1
+// when it has no out-edge at the point.
+type pointAdj struct {
+	tails, heads []core.NodeID
+	off, next    []int32
+}
+
+// NewPathsEngine builds the per-point adjacency of spec's window: a
+// counting sort of each point's edges by tail, with the tails marked in a
+// bitset so that no step branches on whether a tail is new.
 func NewPathsEngine(g *core.Graph, spec PathsSpec) *PathsEngine {
 	e := &PathsEngine{g: g, spec: spec}
 	if spec.Window.IsEmpty() {
 		return e
 	}
 	e.lo, e.hi = int(spec.Window.Min()), int(spec.Window.Max())
-	e.buckets = make([][]core.EdgeID, e.hi-e.lo+1)
-	for ei := 0; ei < g.NumEdges(); ei++ {
-		id := core.EdgeID(ei)
-		g.EdgeTau(id).ForEachInRange(e.lo, e.hi+1, func(t int) {
-			e.buckets[t-e.lo] = append(e.buckets[t-e.lo], id)
+	e.adj = make([]pointAdj, e.hi-e.lo+1)
+	mark := make([]uint64, (g.NumNodes()+63)/64) // the current point's tails
+	rank := make([]int32, len(mark))             // how many tails mark's earlier words hold
+	cur := make([]int32, g.NumNodes())           // a tail's out-degree, then its cursor into heads
+	tails, off := []core.NodeID(nil), []int32{0}
+	for t := e.lo; t <= e.hi; t++ {
+		a := &e.adj[t-e.lo]
+		col := g.PointIndex().EdgesAt(timeline.Time(t))
+		col.ForEach(func(id int) {
+			u := g.Edge(core.EdgeID(id)).U
+			mark[u/64] |= 1 << (u % 64)
+			cur[u]++
 		})
+		tails, off = tails[:0], off[:1]
+		for wi, w := range mark {
+			rank[wi] = int32(len(tails))
+			for ; w != 0; w &= w - 1 {
+				u := core.NodeID(wi*64 + bits.TrailingZeros64(w))
+				tails, off = append(tails, u), append(off, off[len(tails)]+cur[u])
+				cur[u] = off[len(tails)-1]
+			}
+		}
+		a.tails, a.off = slices.Clone(tails), slices.Clone(off)
+		a.heads, a.next = make([]core.NodeID, off[len(tails)]), make([]int32, off[len(tails)])
+		col.ForEach(func(id int) {
+			ep := g.Edge(core.EdgeID(id))
+			k, w := cur[ep.U], mark[ep.V/64]
+			cur[ep.U]++
+			// next is ep.V's rank among the marked tails, or -1 when unmarked.
+			in := int32(w >> (ep.V % 64) & 1)
+			a.heads[k], a.next[k] = ep.V, in*(rank[ep.V/64]+int32(bits.OnesCount64(w<<(63-ep.V%64))))-1
+		})
+		for _, u := range a.tails {
+			cur[u] = 0
+		}
+		clear(mark)
 	}
 	return e
 }
 
 // Run evaluates the spec.
 func (e *PathsEngine) Run() *PathsResult {
-	return pathsRun(e.g, e.spec, e.sweep)
+	res, _ := e.RunCtx(context.Background())
+	return res
 }
 
-// sweep computes earliest arrivals from the sources into ea (-1 unreached),
-// departing no earlier than t0.
-func (e *PathsEngine) sweep(t0 int, ea []int) {
-	for i := range ea {
-		ea[i] = -1
-	}
+// RunCtx evaluates the spec, probing ctx at every departure and every 16
+// points of a sweep; once ctx is done it returns ctx.Err() and no answer.
+func (e *PathsEngine) RunCtx(ctx context.Context) (*PathsResult, error) {
+	return pathsRun(e.g, e.spec, func(t0 int, ea []int) error { return e.sweep(ctx, t0, ea) })
+}
+
+// sweep computes earliest arrivals from the sources into ea (-1 unreached,
+// as it arrives), departing no earlier than t0. It returns ctx.Err(),
+// leaving ea partial, when a probe finds ctx done.
+func (e *PathsEngine) sweep(ctx context.Context, t0 int, ea []int) error {
 	for _, u := range e.spec.Src {
 		if s := e.g.NodeTau(u).Next(t0); s >= 0 && s <= e.hi && (ea[u] == -1 || s < ea[u]) {
 			ea[u] = s
 		}
 	}
-	var queue []core.NodeID
-	adj := make(map[core.NodeID][]core.NodeID)
+	var queue []int32 // tail indices at t
 	for t := t0; t <= e.hi; t++ {
-		bucket := e.buckets[t-e.lo]
-		if len(bucket) == 0 {
-			continue
+		if (t-t0)%16 == 0 && ctx.Err() != nil {
+			return ctx.Err()
 		}
-		clear(adj)
-		queue = queue[:0]
-		for _, id := range bucket {
-			ep := e.g.Edge(id)
-			adj[ep.U] = append(adj[ep.U], ep.V)
-			// Seed the snapshot closure with heads already reached by t.
-			if ea[ep.U] != -1 && ea[ep.U] <= t && (ea[ep.V] == -1 || ea[ep.V] > t) {
-				ea[ep.V] = t
-				queue = append(queue, ep.V)
+		a := &e.adj[t-e.lo]
+		// Close the snapshot from every tail already reached by t.
+		for i, u := range a.tails {
+			if ea[u] != -1 && ea[u] <= t {
+				queue = append(queue, int32(i))
 			}
 		}
 		for len(queue) > 0 {
-			u := queue[len(queue)-1]
+			i := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
-			for _, v := range adj[u] {
-				if ea[v] == -1 || ea[v] > t {
+			for k := a.off[i]; k < a.off[i+1]; k++ {
+				if v := a.heads[k]; ea[v] == -1 || ea[v] > t {
 					ea[v] = t
-					queue = append(queue, v)
+					if a.next[k] >= 0 {
+						queue = append(queue, a.next[k])
+					}
 				}
 			}
 		}
 	}
+	return nil
 }
 
-// pathsRun drives a sweep function through the mode's evaluation loop and
-// renders the result rows. A nil sweep (empty window) reaches nothing.
-func pathsRun(g *core.Graph, spec PathsSpec, sweep func(t0 int, ea []int)) *PathsResult {
+// pathsRun drives a sweep function through the mode's evaluation loop,
+// handing it ea reset to -1 for every departure, and renders the result
+// rows; an empty window reaches nothing. The first sweep error is returned
+// with no answer.
+func pathsRun(g *core.Graph, spec PathsSpec, sweep func(t0 int, ea []int) error) (*PathsResult, error) {
 	out := &PathsResult{Mode: spec.Mode, Window: spec.Window.String()}
-	if sweep == nil || spec.Window.IsEmpty() {
-		return out
+	if spec.Window.IsEmpty() {
+		return out, nil
 	}
-	lo, hi := int(spec.Window.Min()), int(spec.Window.Max())
+	lo, last := int(spec.Window.Min()), int(spec.Window.Max())
+	if spec.Mode != ModeFastest {
+		last = lo
+	}
 	best := make(map[core.NodeID]arrival)
 	ea := make([]int, g.NumNodes())
-	starts := []int{lo}
-	if spec.Mode == ModeFastest {
-		starts = starts[:0]
-		for t0 := lo; t0 <= hi; t0++ {
-			starts = append(starts, t0)
+	for t0 := lo; t0 <= last; t0++ {
+		for i := range ea {
+			ea[i] = -1
 		}
-	}
-	for _, t0 := range starts {
-		sweep(t0, ea)
+		if err := sweep(t0, ea); err != nil {
+			return nil, err
+		}
 		for _, v := range spec.Dst {
-			a := ea[v]
-			if a == -1 {
-				continue
-			}
-			cand := arrival{depart: t0, arrive: a}
-			cur, ok := best[v]
-			if !ok || better(cand, cur) {
+			cand := arrival{depart: t0, arrive: ea[v]}
+			if cur, ok := best[v]; cand.arrive != -1 && (!ok || better(cand, cur)) {
 				best[v] = cand
 			}
 		}
 	}
 	tl := g.Timeline()
-	dst := append([]core.NodeID(nil), spec.Dst...)
-	sort.Slice(dst, func(i, j int) bool { return g.NodeLabel(dst[i]) < g.NodeLabel(dst[j]) })
-	seen := make(map[core.NodeID]bool, len(dst))
-	for _, v := range dst {
-		a, ok := best[v]
-		if !ok || seen[v] {
-			continue
-		}
-		seen[v] = true
+	for v, a := range best {
 		out.Rows = append(out.Rows, PathRow{
 			Node:     g.NodeLabel(v),
 			Depart:   tl.Label(timeline.Time(a.depart)),
@@ -176,19 +211,16 @@ func pathsRun(g *core.Graph, spec PathsSpec, sweep func(t0 int, ea []int)) *Path
 			Duration: a.arrive - a.depart + 1,
 		})
 	}
+	sort.Slice(out.Rows, func(i, j int) bool { return out.Rows[i].Node < out.Rows[j].Node })
 	out.Reached = len(out.Rows)
-	return out
+	return out, nil
 }
 
-// better orders candidate arrivals: shorter duration, then earlier
-// arrival, then earlier departure.
+// better orders candidate arrivals: shorter duration, then earlier arrival
+// (at equal duration, the earlier departure).
 func better(a, b arrival) bool {
-	da, db := a.arrive-a.depart, b.arrive-b.depart
-	if da != db {
+	if da, db := a.arrive-a.depart, b.arrive-b.depart; da != db {
 		return da < db
 	}
-	if a.arrive != b.arrive {
-		return a.arrive < b.arrive
-	}
-	return a.depart < b.depart
+	return a.arrive < b.arrive
 }

@@ -46,12 +46,7 @@ type TrendResult struct {
 }
 
 // trendWindows returns the number of sliding-window positions.
-func trendWindows(T, w int) int {
-	if T < w {
-		return 0
-	}
-	return T - w + 1
-}
+func trendWindows(T, w int) int { return max(T-w+1, 0) }
 
 // TrendCatalog answers an ALL-kind unfiltered TREND through the
 // materialization catalog: each window position is one prefix-sum

@@ -20,8 +20,9 @@ import (
 //     entity pass (scan + steps). The evolution triple is per-entity
 //     presence in BOTH windows, which per-point aggregate vectors cannot
 //     express, so the catalog never applies.
-//   - PATHS: the frontier engine pays a bucket-index build (one range
-//     scan per edge timestamp) to make each evaluation a single time sweep.
+//   - PATHS: the frontier engine pays a per-point adjacency build (one pass
+//     over each window point's edge column) to make each evaluation a
+//     single time sweep over slices.
 //   - TREND: a union-ALL window weight is T-distributive, so unfiltered
 //     ALL trends compose every window from the catalog's prefix sums in
 //     O(windows) vector ops; DIST or filtered trends scan the base graph.
@@ -44,16 +45,11 @@ func compileEvents(env Env, q *Events) (physOp, error) {
 		return nil, err
 	}
 	w := normWidth(q.Width)
-	T := g.Timeline().Len()
-	steps := (T+w-1)/w - 1
-	if steps < 0 {
-		steps = 0
-	}
+	steps := max((g.Timeline().Len()+w-1)/w-1, 0)
 	return &eventsOp{
 		g: g, schema: schema, kind: kind, filter: filter,
 		preds: len(q.Where), width: w, min: q.Min, steps: steps,
 		cost: scanCost(g) + int64(steps),
-		fb:   env.Feedback, fbKey: q.Key(),
 	}, nil
 }
 
@@ -118,7 +114,6 @@ func compilePaths(env Env, q *Paths) (physOp, int, bool, error) {
 		},
 		srcN: len(q.From), dstN: len(q.To),
 		cost: scanCost(g) + sweeps*int64(g.NumNodes()+winLen),
-		fb:   env.Feedback, fbKey: q.Key(),
 	}, maxTime, bounded, nil
 }
 
@@ -137,10 +132,7 @@ func compileTrend(env Env, q *Trend) (physOp, error) {
 		return nil, err
 	}
 	w := normWidth(q.Width)
-	windows := g.Timeline().Len() - w + 1
-	if windows < 0 {
-		windows = 0
-	}
+	windows := max(g.Timeline().Len()-w+1, 0)
 	// A window's ALL weight is the union-ALL aggregate of its points —
 	// T-distributive, so the catalog answers each window as one prefix-sum
 	// composition. DIST weights (distinct entities per window) and
@@ -156,7 +148,6 @@ func compileTrend(env Env, q *Trend) (physOp, error) {
 		g: g, schema: schema, kind: kind, filter: filter,
 		preds: len(q.Where), width: w, windows: windows,
 		cost: scanCost(g) + int64(windows),
-		fb:   env.Feedback, fbKey: q.Key(),
 	}, nil
 }
 
@@ -174,9 +165,6 @@ type eventsOp struct {
 	min    int64
 	steps  int
 	cost   int64
-
-	fb    *Feedback
-	fbKey string
 }
 
 func (o *eventsOp) name() string { return "EventsSweep" }
@@ -208,9 +196,6 @@ func (o *eventsOp) run(ctx context.Context, out *Result) error {
 	if err != nil {
 		return err
 	}
-	if o.fb != nil {
-		o.fb.observe(o.fbKey, o.g.NumNodes(), len(res.Rows))
-	}
 	out.Events = res
 	return nil
 }
@@ -218,16 +203,14 @@ func (o *eventsOp) run(ctx context.Context, out *Result) error {
 // ---- paths operator ---------------------------------------------------
 
 // pathsOp answers a time-respecting path query. The frontier engine's
-// bucket index is immutable and window-wide, so it is built once per plan
-// (lazily, keeping EXPLAIN free) and shared across concurrent executions.
+// per-point adjacency is immutable and window-wide, so it is built once per
+// plan (lazily, keeping EXPLAIN free) and shared across concurrent
+// executions.
 type pathsOp struct {
 	g          *core.Graph
 	spec       analytics.PathsSpec
 	srcN, dstN int
 	cost       int64
-
-	fb    *Feedback
-	fbKey string
 
 	engOnce sync.Once
 	eng     *analytics.PathsEngine
@@ -251,19 +234,10 @@ func (o *pathsOp) children() []physOp { return nil }
 func (o *pathsOp) countSelection() { Selections.PathsFront.Inc() }
 
 func (o *pathsOp) run(ctx context.Context, out *Result) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	o.engOnce.Do(func() { o.eng = analytics.NewPathsEngine(o.g, o.spec) })
-	res := o.eng.Run()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if o.fb != nil {
-		o.fb.observe(o.fbKey, o.dstN, res.Reached)
-	}
+	res, err := o.eng.RunCtx(ctx)
 	out.Paths = res
-	return nil
+	return err
 }
 
 // ---- trend operators --------------------------------------------------
@@ -322,9 +296,6 @@ type trendScanOp struct {
 	width   int
 	windows int
 	cost    int64
-
-	fb    *Feedback
-	fbKey string
 }
 
 func (o *trendScanOp) name() string { return "TrendScan" }
@@ -352,9 +323,6 @@ func (o *trendScanOp) run(ctx context.Context, out *Result) error {
 	})
 	if err := ctx.Err(); err != nil {
 		return err
-	}
-	if o.fb != nil {
-		o.fb.observe(o.fbKey, int(o.schema.Domain()), len(res.Rows))
 	}
 	out.Trend = res
 	return nil

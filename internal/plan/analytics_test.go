@@ -3,14 +3,18 @@ package plan
 import (
 	"context"
 	"encoding/json"
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/agg"
 	"repro/internal/analytics"
 	"repro/internal/core"
 	"repro/internal/evolution"
+	"repro/internal/gtest"
 	"repro/internal/materialize"
+	"repro/internal/metrics"
 	"repro/internal/timeline"
 )
 
@@ -249,43 +253,104 @@ func TestAnalyticsExplain(t *testing.T) {
 }
 
 // TestAnalyticsSelectionsAndFeedback checks that executions bump the
-// operator-selection counters and record cardinality feedback under the
-// logical key.
+// operator-selection counters and leave the feedback store alone: only
+// aggregates consult it, so an analytics statement's second execution must
+// hit the plan cache instead of recompiling behind a bumped epoch.
 func TestAnalyticsSelectionsAndFeedback(t *testing.T) {
 	g := core.PaperExample()
 	fb := NewFeedback()
-	env := Env{Graph: g, Feedback: fb}
+	env := Env{Graph: g, Feedback: fb, Cache: NewCache(0)}
 	ctx := context.Background()
 
-	before := Selections.EventsSweep.Value()
-	node := eventsNode(1)
-	p, err := Compile(env, node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Execute(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := Selections.EventsSweep.Value(); got != before+1 {
-		t.Errorf("EventsSweep counter %d, want %d", got, before+1)
-	}
-	if o, ok := fb.Lookup(node.Key()); !ok || o.Executions != 1 {
-		t.Errorf("no feedback observation recorded for %q (ok=%v, %+v)", node.Key(), ok, o)
-	}
-
-	before = Selections.PathsFront.Value()
 	short := pathsNode("earliest", []string{"u1"}, []string{"u2"})
 	short.During = IntervalRef{From: "t0", To: "t1"}
-	p, err = Compile(env, short)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		node    Logical
+		counter *metrics.Counter
+	}{
+		{eventsNode(1), &Selections.EventsSweep},
+		{short, &Selections.PathsFront},
+		{pathsNode("fastest", []string{"u1"}, []string{"u4"}), &Selections.PathsFront},
+		{trendNode("dist", 2), &Selections.TrendScan},
+	} {
+		var first *Plan
+		for run := 0; run < 2; run++ {
+			before, hits := c.counter.Value(), CacheHits.Value()
+			p, err := Compile(env, c.node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Execute(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if got := c.counter.Value(); got != before+1 {
+				t.Errorf("%s run %d: selection counter %d, want %d", c.node.Key(), run, got, before+1)
+			}
+			if run == 0 {
+				first = p
+			} else if p != first || CacheHits.Value() != hits+1 {
+				t.Errorf("%s: second execution recompiled instead of hitting the plan cache", c.node.Key())
+			}
+		}
+		if o, ok := fb.Lookup(c.node.Key()); ok {
+			t.Errorf("%s recorded a feedback observation nobody reads: %+v", c.node.Key(), o)
+		}
 	}
-	if _, err := p.Execute(ctx); err != nil {
-		t.Fatal(err)
+}
+
+// TestPathsPlanConcurrent runs EARLIEST and FASTEST from 8 goroutines
+// through one compiled plan each, so the first executions race to build the
+// shared per-point adjacency; run with -race this is the operator's
+// data-race check. Every answer must match the oracle.
+func TestPathsPlanConcurrent(t *testing.T) {
+	g := gtest.LongLivedGraph(rand.New(rand.NewSource(8)), 96)
+	from, to := []string{"n1", "n2", "n3"}, []string{"n4", "n10", "n20", "n30", "n40", "n50"}
+	ids := func(labels []string) []core.NodeID {
+		out := make([]core.NodeID, len(labels))
+		for i, l := range labels {
+			out[i], _ = g.NodeByLabel(l)
+		}
+		return out
 	}
-	if got := Selections.PathsFront.Value(); got != before+1 {
-		t.Errorf("PathsFront counter %d, want %d", got, before+1)
+	type job struct {
+		p    *Plan
+		want string
 	}
+	var jobs []job
+	for _, mode := range []string{analytics.ModeEarliest, analytics.ModeFastest} {
+		p, err := Compile(Env{Graph: g}, pathsNode(mode, from, to))
+		if err != nil {
+			t.Fatal(err)
+		}
+		naive := analytics.NaivePaths(g, analytics.PathsSpec{
+			Mode: mode, Src: ids(from), Dst: ids(to), Window: g.Timeline().All(),
+		})
+		if naive.Reached == 0 {
+			t.Fatalf("%s reaches no target: the fixture exercises nothing", mode)
+		}
+		want, _ := json.Marshal(naive)
+		jobs = append(jobs, job{p, string(want)})
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 4; j++ {
+				for _, jb := range jobs {
+					res, err := jb.p.Execute(context.Background())
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got, _ := json.Marshal(res.Paths); string(got) != jb.want {
+						t.Errorf("concurrent PATHS diverged:\n got %s\nwant %s", got, jb.want)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestAnalyticsCached checks that analytics plans participate in the plan
@@ -311,6 +376,29 @@ func TestAnalyticsCached(t *testing.T) {
 	}
 	if cache.Len() != 2 {
 		t.Errorf("cache has %d plans, want 2 (widths key separately)", cache.Len())
+	}
+}
+
+// TestCacheKeysUnknownKeywordsApart: an operator, kind or paths mode that
+// Compile rejects must not share a cache key with the valid statement it
+// would otherwise render as, or a cached plan answers the invalid request.
+func TestCacheKeysUnknownKeywordsApart(t *testing.T) {
+	g := core.PaperExample()
+	env := Env{Graph: g, Cache: NewCache(0)}
+	agg := &Aggregate{Op: TemporalOp{Op: "union", A: IntervalRef{From: "t0"}, B: IntervalRef{From: "t1"}}, Attrs: []string{"gender"}}
+	for _, c := range []struct{ valid, invalid Logical }{
+		{trendNode("dist", 1), trendNode("most", 1)},
+		{eventsNode(1), &Events{Kind: "most", Attrs: []string{"gender"}, Width: 1}},
+		{pathsNode("earliest", []string{"u1"}, []string{"u2"}), pathsNode("scenic", []string{"u1"}, []string{"u2"})},
+		{agg, &Aggregate{Op: agg.Op, Attrs: agg.Attrs, Kind: "most"}},
+		{agg, &Aggregate{Op: TemporalOp{Op: "UNION", A: agg.Op.A, B: agg.Op.B}, Attrs: agg.Attrs}},
+	} {
+		if _, err := Compile(env, c.valid); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Compile(env, c.invalid); err == nil {
+			t.Errorf("%s compiled from the cache after %s", c.invalid.Key(), c.valid.Key())
+		}
 	}
 }
 

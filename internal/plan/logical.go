@@ -117,7 +117,8 @@ type TemporalOp struct {
 	B  IntervalRef // zero for project
 }
 
-// opKeyword renders the canonical TGQL keyword of an operator name.
+// opKeyword renders the canonical TGQL keyword of an operator name; an
+// unknown one renders quoted, as kindKeyword does.
 func opKeyword(op string) string {
 	switch op {
 	case OpProject:
@@ -129,7 +130,7 @@ func opKeyword(op string) string {
 	case OpDifference:
 		return "DIFF"
 	default:
-		return strings.ToUpper(op)
+		return strconv.Quote(op) // keyed apart from every valid operator
 	}
 }
 
@@ -183,14 +184,16 @@ func renderAttrs(b *strings.Builder, attrs []string) {
 }
 
 // kindKeyword renders a wire/TGQL kind string canonically; resolution and
-// validation happen at compile time.
+// validation happen at compile time. An unknown kind renders quoted, so its
+// key never matches a valid statement's cached plan.
 func kindKeyword(kind string) string {
 	switch strings.ToLower(kind) {
 	case "all":
 		return "ALL"
-	default:
+	case "", "dist", "distinct":
 		return "DIST"
 	}
+	return strconv.Quote(kind)
 }
 
 // Aggregate computes the aggregate graph of a temporal operator (§2.2):
@@ -442,12 +445,16 @@ type Paths struct {
 
 func (q *Paths) logicalNode() {}
 
-// modeKeyword renders a paths mode canonically.
+// modeKeyword renders a paths mode canonically, an unknown one quoted as
+// kindKeyword does.
 func modeKeyword(mode string) string {
-	if strings.ToLower(mode) == "fastest" {
+	switch strings.ToLower(mode) {
+	case "", "earliest":
+		return "EARLIEST"
+	case "fastest":
 		return "FASTEST"
 	}
-	return "EARLIEST"
+	return strconv.Quote(mode)
 }
 
 // Key renders "PATHS MODE FROM labels TO labels[ DURING iv]".

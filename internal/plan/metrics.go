@@ -24,7 +24,7 @@ var Selections struct {
 	ShardScatter metrics.Counter // shard slices fanned out by scattered aggregates
 	GatherMerge  metrics.Counter // cross-shard gather-merge roots
 	EventsSweep  metrics.Counter // EVENTS on the single-pass entity-sweep engine
-	PathsFront   metrics.Counter // PATHS on the time-bucketed frontier engine
+	PathsFront   metrics.Counter // PATHS on the per-point adjacency frontier engine
 	TrendCatalog metrics.Counter // TREND composed from the catalog's prefix sums
 	TrendScan    metrics.Counter // TREND on the direct sliding-scan engine
 }
