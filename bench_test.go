@@ -453,37 +453,6 @@ func BenchmarkAblationStaticFastPath(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationEdgeIndex compares the general exploration evaluator
-// (view construction + aggregation per candidate pair) against the
-// per-time-point edge bitmask index on the Fig. 14 stability workload.
-func BenchmarkAblationEdgeIndex(b *testing.B) {
-	g, _ := benchGraphs(b)
-	s := mustSchema(b, g, "gender")
-	ff, err := graphtempo.EdgeTupleResult(s, []string{"f"}, []string{"f"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	general := &graphtempo.Explorer{Graph: g, Schema: s, Kind: graphtempo.Distinct, Result: ff}
-	indexed, err := graphtempo.NewIndexedExplorer(s, []string{"f"}, []string{"f"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	k, _ := general.InitK(graphtempo.Stability)
-	if k < 1 {
-		k = 1
-	}
-	b.Run("general", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			general.Explore(graphtempo.Stability, graphtempo.IntersectionSemantics, graphtempo.ExtendNew, k)
-		}
-	})
-	b.Run("indexed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			indexed.Explore(graphtempo.Stability, graphtempo.IntersectionSemantics, graphtempo.ExtendNew, k)
-		}
-	})
-}
-
 // BenchmarkAblationCatalogRollup compares answering a per-time-point
 // aggregate from scratch against rolling it up from a materialized store on
 // a superset of the requested attributes (one extra attribute, and all
@@ -559,32 +528,44 @@ func BenchmarkAblationExplorePruning(b *testing.B) {
 	})
 }
 
-// BenchmarkExploreFastPath measures the incremental-view exploration fast
-// path against the seed evaluator (selector views + fresh aggregation per
-// candidate) on paper-scale exploration workloads: one traversal of each
-// kind that dominates §5.2 (U-Explore on stability, I-Explore on stability,
-// and growth via minimal pairs). "seed" pins NoFastPath, "fast" evaluates
-// candidates serially on incremental views, "parallel" adds the bounded
-// worker pool at GOMAXPROCS.
+// BenchmarkExploreFastPath measures the exploration fast path — incremental
+// views, and on this all-static schema the mask evaluator — against the seed
+// evaluator (selector views + fresh aggregation per candidate) on
+// paper-scale exploration workloads: one traversal of each kind that
+// dominates §5.2 (U-Explore on stability, I-Explore on stability, and
+// growth via minimal pairs), the §5.2 target itself (female→female edges,
+// I-Explore) and an ALL count. "seed" pins NoFastPath, "fast" evaluates
+// candidates serially, "parallel" adds the bounded worker pool at
+// GOMAXPROCS.
 func BenchmarkExploreFastPath(b *testing.B) {
 	g, _ := benchGraphs(b)
 	s := mustSchema(b, g, "gender")
+	ff, err := explore.EdgeTuple(s, []string{"f"}, []string{"f"})
+	if err != nil {
+		b.Fatal(err)
+	}
 	cases := []struct {
-		name  string
-		event graphtempo.EvolutionClass
-		sem   explore.Semantics
-		ext   explore.Extend
-		useK  func(min, max int64) int64
+		name   string
+		event  graphtempo.EvolutionClass
+		sem    explore.Semantics
+		ext    explore.Extend
+		kind   agg.Kind
+		result explore.Measure
+		useK   func(min, max int64) int64
 	}{
 		{"stability-union-min", graphtempo.Stability, graphtempo.UnionSemantics, graphtempo.ExtendNew,
-			func(min, max int64) int64 { return max }},
+			agg.Distinct, explore.TotalEdges, func(min, max int64) int64 { return max }},
 		{"stability-intersect-max", graphtempo.Stability, graphtempo.IntersectionSemantics, graphtempo.ExtendNew,
-			func(min, max int64) int64 { return min }},
+			agg.Distinct, explore.TotalEdges, func(min, max int64) int64 { return min }},
 		{"growth-union-min", graphtempo.Growth, graphtempo.UnionSemantics, graphtempo.ExtendNew,
-			func(min, max int64) int64 { return max }},
+			agg.Distinct, explore.TotalEdges, func(min, max int64) int64 { return max }},
+		{"edge-tuple", graphtempo.Stability, graphtempo.IntersectionSemantics, graphtempo.ExtendNew,
+			agg.Distinct, ff, func(min, max int64) int64 { return min }},
+		{"all-growth-union-min", graphtempo.Growth, graphtempo.UnionSemantics, graphtempo.ExtendNew,
+			agg.All, explore.TotalEdges, func(min, max int64) int64 { return max }},
 	}
 	for _, tc := range cases {
-		ex := &explore.Explorer{Graph: g, Schema: s, Kind: agg.Distinct, Result: explore.TotalEdges}
+		ex := &explore.Explorer{Graph: g, Schema: s, Kind: tc.kind, Result: tc.result}
 		min, max := ex.InitK(tc.event)
 		k := tc.useK(min, max)
 		if k < 1 {

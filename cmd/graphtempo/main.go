@@ -356,7 +356,6 @@ func cmdExplore(args []string) error {
 	k := fs.Int64("k", 0, "event threshold (0 = auto from the §3.5 initialization)")
 	edge := fs.String("edge", "", "count one aggregate edge, e.g. f,f (from,to on single-attribute schemas)")
 	node := fs.String("node", "", "count one aggregate node tuple, e.g. f")
-	indexed := fs.Bool("indexed", false, "use the per-time-point edge bitmask index (requires -edge and a static schema)")
 	tune := fs.Int("tune", 0, "instead of a fixed k, find the largest k yielding at least this many pairs")
 	fs.Parse(args)
 
@@ -376,14 +375,6 @@ func cmdExplore(args []string) error {
 			return fmt.Errorf("-edge wants %d values (from,to tuples)", 2*len(s.Attrs()))
 		}
 		half := len(parts) / 2
-		if *indexed {
-			ix, err := explore.NewIndexedExplorer(s, parts[:half], parts[half:])
-			if err != nil {
-				return err
-			}
-			ex = ix
-			break
-		}
 		fn, err := explore.EdgeTuple(s, parts[:half], parts[half:])
 		if err != nil {
 			return err

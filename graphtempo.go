@@ -117,8 +117,8 @@ type (
 	Explorer = explore.Explorer
 	// ExplorePair is one reported interval pair.
 	ExplorePair = explore.Pair
-	// ResultFunc measures result(G) on an aggregate graph.
-	ResultFunc = explore.ResultFunc
+	// ResultMeasure is result(G): total or one tuple's node or edge weight.
+	ResultMeasure = explore.Measure
 	// Semantics selects union (minimal) or intersection (maximal) search.
 	Semantics = explore.Semantics
 	// Extend selects which side of a pair is extended.
@@ -316,21 +316,21 @@ func TopEdgeTuples(ex *Explorer, event EvolutionClass, n int) []TupleScore {
 	return explore.TopEdgeTuples(ex, event, n)
 }
 
-// Exploration result functions (§3.2).
-
-// TotalNodes counts all aggregate node weight.
-func TotalNodes(g *AggGraph) int64 { return explore.TotalNodes(g) }
-
-// TotalEdges counts all aggregate edge weight.
-func TotalEdges(g *AggGraph) int64 { return explore.TotalEdges(g) }
+// Exploration measures (§3.2).
+var (
+	// TotalNodes counts all aggregate node weight.
+	TotalNodes = explore.TotalNodes
+	// TotalEdges counts all aggregate edge weight.
+	TotalEdges = explore.TotalEdges
+)
 
 // NodeTupleResult counts the weight of one aggregate node.
-func NodeTupleResult(s *AggSchema, values ...string) (ResultFunc, error) {
+func NodeTupleResult(s *AggSchema, values ...string) (ResultMeasure, error) {
 	return explore.NodeTuple(s, values...)
 }
 
 // EdgeTupleResult counts the weight of one aggregate edge.
-func EdgeTupleResult(s *AggSchema, from, to []string) (ResultFunc, error) {
+func EdgeTupleResult(s *AggSchema, from, to []string) (ResultMeasure, error) {
 	return explore.EdgeTuple(s, from, to)
 }
 
@@ -360,14 +360,6 @@ func Coarsen(g *Graph, spec CoarsenSpec) (*Graph, error) { return core.Coarsen(g
 // points of tl.
 func UniformGroups(tl *Timeline, width int) (CoarsenSpec, error) {
 	return core.UniformGroups(tl, width)
-}
-
-// NewIndexedExplorer returns an Explorer that evaluates candidate pairs
-// with precomputed per-time-point edge bitmasks — the fast path for the
-// paper's §5.2 setting (one aggregate edge on an all-static schema,
-// Distinct counting).
-func NewIndexedExplorer(s *AggSchema, from, to []string) (*Explorer, error) {
-	return explore.NewIndexedExplorer(s, from, to)
 }
 
 // Streaming ingestion and rendering.

@@ -24,6 +24,7 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/dict"
 	"repro/internal/ops"
@@ -71,11 +72,14 @@ type Schema struct {
 
 	// Dense-kernel state (dense.go): pooled flat accumulators (sweep holds
 	// the evolution sweep kernel's), and the lazily built per-node static
-	// tuple codes for all-static schemas.
+	// tuple codes and match masks for all-static schemas.
 	dense       sync.Pool
 	sweep       sync.Pool
 	staticOnce  sync.Once
 	staticCodes []int32
+	matchOnce   sync.Once
+	matchNodes  *bitset.Set
+	matchEdges  *bitset.Set
 }
 
 // NewSchema returns a schema aggregating g's nodes on the given attributes,

@@ -174,6 +174,26 @@ func (s *Schema) StaticTupleCodes() []int32 {
 	return s.staticCodes
 }
 
+// StaticMatch returns what aggregation under an all-static schema counts:
+// the nodes that have a tuple and the edges whose endpoints both have one.
+// Both are nil when every node has a tuple. Built once per schema, like
+// StaticTupleCodes; callers must not modify them.
+func (s *Schema) StaticMatch() (nodes, edges *bitset.Set) {
+	s.matchOnce.Do(func() {
+		g := s.g
+		has := bitset.New(g.NumNodes())
+		for n := 0; n < g.NumNodes(); n++ {
+			if _, ok := s.StaticTuple(core.NodeID(n)); ok {
+				has.Add(n)
+			}
+		}
+		if has.Count() < g.NumNodes() {
+			s.matchNodes, s.matchEdges = has, g.EdgesBetween(has, has)
+		}
+	})
+	return s.matchNodes, s.matchEdges
+}
+
 // denseStatic is the §4.2 static fast path on flat arrays: one tuple per
 // node, weights 1 (DIST) or the restricted-timestamp popcount (ALL).
 func denseStatic(v *ops.View, s *Schema, kind Kind, sc *denseScratch, nLo, nHi, eLo, eHi int) {

@@ -182,6 +182,18 @@ func (g *Graph) EdgeByEndpoints(u, v NodeID) (EdgeID, bool) {
 // The caller must not modify it.
 func (g *Graph) EdgeTau(e EdgeID) *bitset.Set { return g.edgeTau[e] }
 
+// EdgesBetween returns the edges whose source is in from and whose target is
+// in to, both sets spanning the graph's node ids.
+func (g *Graph) EdgesBetween(from, to *bitset.Set) *bitset.Set {
+	words := make([]uint64, (len(g.edges)+63)/64)
+	for e, ep := range g.edges {
+		u, v := uint(ep.U), uint(ep.V)
+		in := (from.Word(int(u/64)) >> (u % 64)) & (to.Word(int(v/64)) >> (v % 64)) & 1
+		words[e/64] |= in << (e % 64)
+	}
+	return bitset.FromWords(len(g.edges), words)
+}
+
 // StaticValue returns the code of static attribute a for node n.
 // It panics if a is time-varying.
 func (g *Graph) StaticValue(a AttrID, n NodeID) dict.Code {

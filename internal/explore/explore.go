@@ -94,37 +94,6 @@ func (e Extend) String() string {
 	return "new"
 }
 
-// ResultFunc measures result(G): the number of events of interest in an
-// aggregate graph (§3.2).
-type ResultFunc func(*agg.Graph) int64
-
-// TotalNodes counts all aggregate node weight.
-func TotalNodes(g *agg.Graph) int64 { return g.TotalNodeWeight() }
-
-// TotalEdges counts all aggregate edge weight.
-func TotalEdges(g *agg.Graph) int64 { return g.TotalEdgeWeight() }
-
-// NodeTuple returns a ResultFunc counting the weight of one aggregate node,
-// e.g. female authors. The values are in schema attribute order.
-func NodeTuple(s *agg.Schema, values ...string) (ResultFunc, error) {
-	tu, ok := s.Encode(values...)
-	if !ok {
-		return nil, fmt.Errorf("explore: tuple %v not in attribute domain", values)
-	}
-	return func(g *agg.Graph) int64 { return g.NodeWeight(tu) }, nil
-}
-
-// EdgeTuple returns a ResultFunc counting the weight of one aggregate edge,
-// e.g. female→female collaborations (the paper's §5.2 exploration target).
-func EdgeTuple(s *agg.Schema, from, to []string) (ResultFunc, error) {
-	f, ok1 := s.Encode(from...)
-	t, ok2 := s.Encode(to...)
-	if !ok1 || !ok2 {
-		return nil, fmt.Errorf("explore: edge tuple %v→%v not in attribute domain", from, to)
-	}
-	return func(g *agg.Graph) int64 { return g.EdgeWeight(f, t) }, nil
-}
-
 // Pair is one reported interval pair with the measured result.
 type Pair struct {
 	Old, New timeline.Interval
@@ -137,14 +106,14 @@ func (p Pair) String() string {
 }
 
 // Explorer runs exploration over one base graph with a fixed aggregation
-// schema, count kind and result function.
+// schema, count kind and measure.
 type Explorer struct {
 	Graph  *core.Graph
 	Schema *agg.Schema
 	Kind   agg.Kind
-	Result ResultFunc
+	Result Measure
 
-	// Evaluations counts aggregate-graph evaluations performed by the
+	// Evaluations counts candidate-pair evaluations performed by the
 	// most recent Explore or Naive call; it is the cost metric of the
 	// pruning ablation. The fast path evaluates exactly the candidates
 	// the seed traversal would, so the count is engine-independent.
@@ -158,9 +127,10 @@ type Explorer struct {
 	Workers int
 
 	// NoFastPath forces the seed evaluation engine (selector views plus a
-	// fresh aggregation per candidate) even when the incremental-view
-	// fast path is applicable — for Explore/Naive and for TopEdgeTuples.
-	// Used by ablations and equivalence tests.
+	// fresh aggregation per candidate) instead of the incremental-view fast
+	// path and the mask evaluator of an all-static schema — for
+	// Explore/Naive, InitK, ExploreFree and TopEdgeTuples. Used by
+	// ablations and equivalence tests.
 	NoFastPath bool
 
 	// Memo, when non-nil, caches candidate evaluations across runs (the
@@ -169,13 +139,6 @@ type Explorer struct {
 	// nil when comparing evaluation counts across engines. TuneK installs
 	// a temporary memo automatically when none is set.
 	Memo *EvalMemo
-
-	// index, when set (NewIndexedExplorer), evaluates candidate pairs
-	// with precomputed per-time-point edge bitmasks instead of view
-	// construction + aggregation; nodeIndex is its node-tuple analogue
-	// (NewNodeIndexedExplorer).
-	index     *EdgeIndex
-	nodeIndex *NodeIndex
 
 	// ctx is the cancellation context of the current ExploreCtx run (nil
 	// outside one). Traversal loops poll it between candidate evaluations
@@ -208,8 +171,9 @@ func (ex *Explorer) ExploreCtx(ctx context.Context, event Event, sem Semantics, 
 }
 
 // eval computes result(G) for the aggregate graph of the event between the
-// two selectors, consulting the memo (when set) first.
-func (ex *Explorer) eval(event Event, old, new ops.Sel) int64 {
+// two selectors, consulting the memo (when set) first. m is the run's mask
+// evaluator (Explorer.masks); nil takes the seed path.
+func (ex *Explorer) eval(m *masks, event Event, old, new ops.Sel) int64 {
 	if ex.Memo != nil {
 		if r, ok := ex.Memo.lookup(event, old, new); ok {
 			return r
@@ -217,21 +181,6 @@ func (ex *Explorer) eval(event Event, old, new ops.Sel) int64 {
 	}
 	ex.Evaluations++
 	TotalEvaluations.Inc()
-	r := ex.evalCompute(event, old, new)
-	if ex.Memo != nil {
-		ex.Memo.store(event, old, new, r)
-	}
-	return r
-}
-
-// evalCompute is the uncached evaluation engine behind eval.
-func (ex *Explorer) evalCompute(event Event, old, new ops.Sel) int64 {
-	if ex.index != nil {
-		return ex.index.Eval(event, old, new)
-	}
-	if ex.nodeIndex != nil {
-		return ex.nodeIndex.Eval(event, old, new)
-	}
 	var v *ops.View
 	switch event {
 	case evolution.Stability:
@@ -243,7 +192,11 @@ func (ex *Explorer) evalCompute(event Event, old, new ops.Sel) int64 {
 	default:
 		panic("explore: unknown event")
 	}
-	return ex.Result(agg.Aggregate(v, ex.Schema, ex.Kind))
+	r := ex.measure(m, v)
+	if ex.Memo != nil {
+		ex.Memo.store(event, old, new, r)
+	}
+	return r
 }
 
 // sel wraps an interval with the side's semantics: a union-extended side
@@ -258,10 +211,12 @@ func sel(iv timeline.Interval, sem Semantics) ops.Sel {
 
 // Explore finds the minimal (union semantics) or maximal (intersection
 // semantics) interval pairs with at least k events, using the pruned
-// traversal of Table 1 for the given event and extension side.
+// traversal of Table 1 for the given event and extension side. The seed
+// traversals below replace the fast path (fastpath.go) under NoFastPath
+// only, so they evaluate on the seed path.
 func (ex *Explorer) Explore(event Event, sem Semantics, ext Extend, k int64) []Pair {
 	ex.Evaluations = 0
-	if ex.fastEligible() {
+	if !ex.NoFastPath {
 		fr := ex.newFastRun(event, sem, ext)
 		switch traversalFor(event, sem, ext) {
 		case travU:
@@ -382,7 +337,7 @@ func (ex *Explorer) uExplore(event Event, sem Semantics, ext Extend, k int64) []
 				break
 			}
 			oldSel, newSel := sel(old, sem), sel(new, sem)
-			if r := ex.eval(event, oldSel, newSel); r >= k {
+			if r := ex.eval(nil, event, oldSel, newSel); r >= k {
 				out = append(out, Pair{Old: old, New: new, Result: r})
 				break // prune: minimal pair found for this reference point
 			}
@@ -407,7 +362,7 @@ func (ex *Explorer) iExplore(event Event, sem Semantics, ext Extend, k int64) []
 			if !ok {
 				break
 			}
-			r := ex.eval(event, sel(old, sem), sel(new, sem))
+			r := ex.eval(nil, event, sel(old, sem), sel(new, sem))
 			if r < k {
 				break // prune: all further extensions are ≤ this result
 			}
@@ -430,7 +385,7 @@ func (ex *Explorer) checkBase(event Event, sem Semantics, ext Extend, k int64) [
 			return nil
 		}
 		old, new, _ := ex.pairAt(i, ext, 0)
-		if r := ex.eval(event, sel(old, sem), sel(new, sem)); r >= k {
+		if r := ex.eval(nil, event, sel(old, sem), sel(new, sem)); r >= k {
 			out = append(out, Pair{Old: old, New: new, Result: r})
 		}
 	}
@@ -454,7 +409,7 @@ func (ex *Explorer) checkLongest(event Event, sem Semantics, ext Extend, k int64
 		} else {
 			old, new = tl.Point(timeline.Time(i)), tl.Range(timeline.Time(i+1), timeline.Time(n-1))
 		}
-		if r := ex.eval(event, sel(old, sem), sel(new, sem)); r >= k {
+		if r := ex.eval(nil, event, sel(old, sem), sel(new, sem)); r >= k {
 			out = append(out, Pair{Old: old, New: new, Result: r})
 		}
 	}
@@ -467,7 +422,7 @@ func (ex *Explorer) checkLongest(event Event, sem Semantics, ext Extend, k int64
 // baseline for the pruned traversals and the ablation comparator.
 func (ex *Explorer) Naive(event Event, sem Semantics, ext Extend, k int64) []Pair {
 	ex.Evaluations = 0
-	if ex.fastEligible() {
+	if !ex.NoFastPath {
 		return ex.newFastRun(event, sem, ext).naive(sem, k)
 	}
 	var out []Pair
@@ -483,7 +438,7 @@ func (ex *Explorer) Naive(event Event, sem Semantics, ext Extend, k int64) []Pai
 			if !ok {
 				break
 			}
-			r := ex.eval(event, sel(old, sem), sel(new, sem))
+			r := ex.eval(nil, event, sel(old, sem), sel(new, sem))
 			cands = append(cands, cand{Pair{Old: old, New: new, Result: r}, r >= k})
 		}
 		if sem == UnionSemantics {
@@ -515,11 +470,12 @@ func (ex *Explorer) Naive(event Event, sem Semantics, ext Extend, k int64) []Pai
 func (ex *Explorer) InitK(event Event) (min, max int64) {
 	tl := ex.Graph.Timeline()
 	n := tl.Len()
+	m := ex.masks()
 	first := true
 	for i := 0; i < n-1; i++ {
 		old := ops.Exists(tl.Point(timeline.Time(i)))
 		new := ops.Exists(tl.Point(timeline.Time(i + 1)))
-		r := ex.eval(event, old, new)
+		r := ex.eval(m, event, old, new)
 		if first || r < min {
 			min = r
 		}

@@ -271,10 +271,11 @@ func TestQuickTheorem38SpanEquivalence(t *testing.T) {
 		}
 		a := r.Intn(tl.Len() - 1)
 		b := a + 1 + r.Intn(tl.Len()-a-1)
-		left := ex.eval(evolution.Stability,
+		m := ex.masks()
+		left := ex.eval(m, evolution.Stability,
 			ops.Exists(tl.Point(timeline.Time(a))),
 			ops.ForAll(tl.Range(timeline.Time(a+1), timeline.Time(b))))
-		right := ex.eval(evolution.Stability,
+		right := ex.eval(m, evolution.Stability,
 			ops.ForAll(tl.Range(timeline.Time(a), timeline.Time(b-1))),
 			ops.Exists(tl.Point(timeline.Time(b))))
 		return left == right

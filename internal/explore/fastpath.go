@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/agg"
 	"repro/internal/evolution"
 	"repro/internal/ops"
 	"repro/internal/timeline"
@@ -39,13 +38,11 @@ import (
 // accumulates {x : τ(x) ∩ T ≠ ∅} = Exists(T); an intersection-extended
 // side accumulates {x : T ⊆ τ(x)} = ForAll(T); a fixed single-point side is
 // the same under both, matching sel().
-
-// fastEligible reports whether Explore/Naive may use the fast path: the
-// indexed evaluators bypass view construction entirely and keep their own
-// engine, and NoFastPath pins the seed path for ablations.
-func (ex *Explorer) fastEligible() bool {
-	return ex.index == nil && ex.nodeIndex == nil && !ex.NoFastPath
-}
+//
+// A measure that weighs edges combines edges alone (ops.NewEdgePairView):
+// no node side, no Definition 2.5 rescue. On an all-static schema the
+// combined view is not aggregated either: the mask evaluator (measure.go)
+// counts it.
 
 // refState is the traversal state of one reference point i: the two sides
 // of its current candidate (Told anchored at i, Tnew anchored at i+1; the
@@ -71,14 +68,16 @@ type fastCand struct {
 	r     int64
 }
 
-// fastRun holds one traversal's shared context: one PairView per worker and
-// the per-reference-point states, all reading the graph's point index.
+// fastRun holds one traversal's shared context: one PairView per worker, the
+// per-reference-point states, all reading the graph's point index, and the
+// mask evaluator (nil on a schema with a time-varying attribute).
 type fastRun struct {
 	ex      *Explorer
 	event   Event
 	sem     Semantics
 	ext     Extend
 	workers int
+	masks   *masks
 	pvs     []*ops.PairView
 	refs    []*refState
 }
@@ -92,10 +91,14 @@ func (ex *Explorer) newFastRun(event Event, sem Semantics, ext Extend) *fastRun 
 	if workers == 0 {
 		workers = 1
 	}
-	fr := &fastRun{ex: ex, event: event, sem: sem, ext: ext, workers: workers}
+	fr := &fastRun{ex: ex, event: event, sem: sem, ext: ext, workers: workers, masks: ex.masks()}
+	newPairView := ops.NewPairView
+	if !ex.Result.nodes {
+		newPairView = ops.NewEdgePairView
+	}
 	fr.pvs = make([]*ops.PairView, workers)
 	for w := range fr.pvs {
-		fr.pvs[w] = ops.NewPairView(g)
+		fr.pvs[w] = newPairView(g)
 	}
 	n := g.Timeline().Len()
 	if n < 2 {
@@ -127,9 +130,9 @@ func (fr *fastRun) maxExtra(i int) int {
 // compute (false on a memo hit). A hit leaves the incremental views where
 // they are — the catch-up loop advances them lazily on the next computed
 // candidate. Safe to call concurrently for distinct reference points as
-// long as each worker owns its PairView: agg.Aggregate draws scratch from
-// the schema's internal pool, the ResultFunc only reads the aggregate
-// graph, and the memo cache is itself concurrency-safe.
+// long as each worker owns its PairView: the masks are read-only,
+// agg.Aggregate draws scratch from the schema's internal pool, and the memo
+// cache is itself concurrency-safe.
 func (fr *fastRun) process(rs *refState, pv *ops.PairView) bool {
 	var oldSel, newSel ops.Sel
 	if fr.ex.Memo != nil {
@@ -166,7 +169,7 @@ func (fr *fastRun) process(rs *refState, pv *ops.PairView) bool {
 	default:
 		panic("explore: unknown event")
 	}
-	rs.r = fr.ex.Result(agg.Aggregate(v, fr.ex.Schema, fr.ex.Kind))
+	rs.r = fr.ex.measure(fr.masks, v)
 	if fr.ex.Memo != nil {
 		fr.ex.Memo.store(fr.event, oldSel, newSel, rs.r)
 	}

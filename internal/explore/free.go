@@ -18,12 +18,13 @@ import (
 //
 // The search is exhaustive — O(n⁴) evaluations over n base points — so it
 // is intended for the moderate timelines of the paper's datasets (n = 21
-// and n = 6) or together with an indexed explorer, whose bitmask
-// evaluations make even the DBLP-scale sweep cheap.
+// and n = 6), or for all-static schemas, whose bitmask evaluations make
+// even the DBLP-scale sweep cheap.
 func (ex *Explorer) ExploreFree(event Event, sem Semantics, k int64) []Pair {
 	ex.Evaluations = 0
 	tl := ex.Graph.Timeline()
 	n := tl.Len()
+	m := ex.masks()
 
 	type cand struct {
 		a1, a2, b1, b2 int // old = [a1,a2], new = [b1,b2]
@@ -37,7 +38,7 @@ func (ex *Explorer) ExploreFree(event Event, sem Semantics, k int64) []Pair {
 			for b1 := a2 + 1; b1 < n; b1++ {
 				for b2 := b1; b2 < n; b2++ {
 					new := tl.Range(timeline.Time(b1), timeline.Time(b2))
-					if r := ex.eval(event, oldSel, sel(new, sem)); r >= k {
+					if r := ex.eval(m, event, oldSel, sel(new, sem)); r >= k {
 						qualifying = append(qualifying, cand{a1, a2, b1, b2, r})
 					}
 				}

@@ -5,8 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/agg"
-	"repro/internal/core"
 	"repro/internal/evolution"
 	"repro/internal/ops"
 	"repro/internal/timeline"
@@ -69,7 +67,7 @@ func TestQuickExploreFreeSound(t *testing.T) {
 			// impossible (single-point side) — a spot check of
 			// minimality on the four one-step sub-pairs.
 			check := func(old, new timeline.Interval) bool {
-				return ex.eval(evolution.Shrinkage, ops.Exists(old), ops.Exists(new)) < k
+				return ex.eval(nil, evolution.Shrinkage, ops.Exists(old), ops.Exists(new)) < k
 			}
 			if p.Old.Len() > 1 {
 				if !check(tl.Range(p.Old.Min()+1, p.Old.Max()), p.New) ||
@@ -91,20 +89,25 @@ func TestQuickExploreFreeSound(t *testing.T) {
 	}
 }
 
+// TestExploreFreeWithIndex: the free sweep on the mask evaluator (an
+// all-static schema) agrees with the seed evaluator, in pairs and in
+// Evaluations, for every measure, kind and event — on the short timelines
+// an O(n⁴) sweep with a quadratic Pareto filter is meant for.
 func TestExploreFreeWithIndex(t *testing.T) {
-	// The free sweep composes with the edge index; results must agree
-	// with the general evaluator.
-	g := core.PaperExample()
-	s := agg.MustSchema(g, g.MustAttr("gender"))
-	indexed, err := NewIndexedExplorer(s, []string{"m"}, []string{"f"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	result, _ := EdgeTuple(s, []string{"m"}, []string{"f"})
-	general := &Explorer{Graph: g, Schema: s, Kind: agg.Distinct, Result: result}
-	a := indexed.ExploreFree(evolution.Shrinkage, UnionSemantics, 1)
-	b := general.ExploreFree(evolution.Shrinkage, UnionSemantics, 1)
-	if !samePairs(a, b) {
-		t.Errorf("indexed %v ≠ general %v", pairStrings(a), pairStrings(b))
+	for _, c := range measureCases(t) {
+		if c.s.Graph().Timeline().Len() > 8 {
+			continue
+		}
+		for _, ev := range []Event{evolution.Stability, evolution.Growth, evolution.Shrinkage} {
+			for _, sem := range []Semantics{UnionSemantics, IntersectionSemantics} {
+				fast, seed := c.pair()
+				a := fast.ExploreFree(ev, sem, 1)
+				b := seed.ExploreFree(ev, sem, 1)
+				if !samePairs(a, b) || fast.Evaluations != seed.Evaluations {
+					t.Errorf("%s %v %v: masks %v (%d evals) ≠ seed %v (%d)", c.name, ev, sem,
+						pairStrings(a), fast.Evaluations, pairStrings(b), seed.Evaluations)
+				}
+			}
+		}
 	}
 }

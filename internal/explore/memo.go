@@ -14,7 +14,7 @@ import (
 // get evaluated. A memo hit skips both view construction and aggregation.
 //
 // The memo key is the (event, selector, selector) triple; results are tied
-// to the owning explorer's graph, schema, kind and result function, so a
+// to the owning explorer's graph, schema, kind and measure, so a
 // memo must not be shared between explorers measuring different things.
 // Because it changes Evaluations (hits are not recharged), the memo is
 // strictly opt-in: a nil Memo preserves the engine-independent counts the
@@ -30,7 +30,7 @@ func NewEvalMemo(maxBytes int64) *EvalMemo {
 }
 
 // Purge empties the memo. Call it before reusing a memo after changing the
-// explorer's schema, kind or result function.
+// explorer's schema, kind or measure.
 func (m *EvalMemo) Purge() { m.cache.Purge() }
 
 // Stats exposes the underlying cache counters.

@@ -5,8 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/agg"
-	"repro/internal/core"
 	"repro/internal/evolution"
 )
 
@@ -65,19 +63,21 @@ func TestQuickTuneKIsMaximal(t *testing.T) {
 	}
 }
 
+// TestTuneKWithIndexedExplorer: TuneK and its memo on the mask evaluator
+// return the seed path's threshold and pairs, for every measure and kind,
+// extension side and minimum pair count.
 func TestTuneKWithIndexedExplorer(t *testing.T) {
-	g := core.PaperExample()
-	s := agg.MustSchema(g, g.MustAttr("gender"))
-	indexed, err := NewIndexedExplorer(s, []string{"m"}, []string{"f"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	result, _ := EdgeTuple(s, []string{"m"}, []string{"f"})
-	general := &Explorer{Graph: g, Schema: s, Kind: agg.Distinct, Result: result}
-	kI, pI := indexed.TuneK(evolution.Shrinkage, UnionSemantics, ExtendOld, 1)
-	kG, pG := general.TuneK(evolution.Shrinkage, UnionSemantics, ExtendOld, 1)
-	if kI != kG || !samePairs(pI, pG) {
-		t.Errorf("indexed TuneK (%d, %v) ≠ general (%d, %v)",
-			kI, pairStrings(pI), kG, pairStrings(pG))
+	for _, c := range measureCases(t) {
+		for _, ext := range allExts {
+			for minPairs := 1; minPairs <= 2; minPairs++ {
+				fast, seed := c.pair()
+				kF, pF := fast.TuneK(evolution.Shrinkage, UnionSemantics, ext, minPairs)
+				kS, pS := seed.TuneK(evolution.Shrinkage, UnionSemantics, ext, minPairs)
+				if kF != kS || !samePairs(pF, pS) {
+					t.Errorf("%s %v min %d: masks TuneK (%d, %v) ≠ seed (%d, %v)",
+						c.name, ext, minPairs, kF, pairStrings(pF), kS, pairStrings(pS))
+				}
+			}
+		}
 	}
 }

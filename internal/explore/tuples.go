@@ -37,14 +37,18 @@ func (ts TupleScore) Label(s *agg.Schema) string {
 //
 // Each pair is the entity-level stability or difference view of Defs.
 // 2.4/2.5, combined word-parallel from the graph's point index by one
-// reused ops.PairView; NoFastPath pins the per-pair entity scans of
-// ops.Intersection/ops.Difference instead (the reference).
+// reused edge-only ops.PairView: the ranking reads aggregate edges alone,
+// so neither the node side nor Definition 2.5's rescue is computed and the
+// aggregation's node pass finds nothing to count (on an all-static schema
+// it counts each kept edge's StaticTupleCodes pair). NoFastPath pins the
+// per-pair entity scans of ops.Intersection/ops.Difference instead (the
+// reference).
 func TopEdgeTuples(ex *Explorer, event Event, n int) []TupleScore {
 	g, tl := ex.Graph, ex.Graph.Timeline()
 	stability := func(old, new timeline.Interval) *ops.View { return ops.Intersection(g, old, new) }
 	difference := func(pos, neg timeline.Interval) *ops.View { return ops.Difference(g, pos, neg) }
 	if !ex.NoFastPath && tl.Len() > 1 {
-		pv := ops.NewPairView(g)
+		pv := ops.NewEdgePairView(g)
 		a, b := ops.NewIncrementalView(g, 0), ops.NewIncrementalView(g, 0)
 		at := func(iv *ops.IncrementalView, point timeline.Interval) *ops.IncrementalView {
 			iv.Reset(point.Min())

@@ -31,37 +31,54 @@ import (
 // An IncrementalView is reusable: Reset re-anchors it at a single point
 // without reallocating. It is not safe for concurrent mutation.
 type IncrementalView struct {
-	g     *core.Graph
-	ix    *core.PointIndex
-	nodes *bitset.Set
-	edges *bitset.Set
-	times timeline.Interval
+	g  *core.Graph
+	ix *core.PointIndex
+	// nodes/edges are the anchor point's index columns, read in place, until
+	// the first extension moves them into ownNodes/ownEdges, which are
+	// allocated then and reused after every later Reset.
+	nodes, edges       *bitset.Set
+	ownNodes, ownEdges *bitset.Set
+	times              timeline.Interval
 }
 
 // NewIncrementalView returns a view over g anchored at the single point t,
 // reading g's shared point index.
 func NewIncrementalView(g *core.Graph, t timeline.Time) *IncrementalView {
-	iv := &IncrementalView{
-		g:     g,
-		ix:    g.PointIndex(),
-		nodes: bitset.New(g.NumNodes()),
-		edges: bitset.New(g.NumEdges()),
-	}
+	iv := &IncrementalView{g: g, ix: g.PointIndex()}
 	iv.Reset(t)
 	return iv
 }
 
-// Reset re-anchors the view at the single point t, reusing its buffers.
+// Reset re-anchors the view at the single point t. While t's columns span
+// the id space (a frozen shorter column is copied, zero-padded) the view
+// reads them in place: a side that is never extended copies and allocates
+// nothing.
 func (iv *IncrementalView) Reset(t timeline.Time) {
-	iv.nodes.CopyFrom(iv.ix.NodesAt(t))
-	iv.edges.CopyFrom(iv.ix.EdgesAt(t))
+	iv.nodes, iv.edges = iv.ix.NodesAt(t), iv.ix.EdgesAt(t)
+	if iv.nodes.Len() != iv.g.NumNodes() || iv.edges.Len() != iv.g.NumEdges() {
+		iv.writable()
+	}
 	iv.times = iv.g.Timeline().Point(t)
+}
+
+// writable moves the selection into the view's own buffers before an
+// in-place update: the index columns are shared by every reader.
+func (iv *IncrementalView) writable() {
+	if iv.ownNodes == nil {
+		iv.ownNodes, iv.ownEdges = bitset.New(iv.g.NumNodes()), bitset.New(iv.g.NumEdges())
+	}
+	if iv.nodes != iv.ownNodes {
+		iv.ownNodes.CopyFrom(iv.nodes)
+		iv.ownEdges.CopyFrom(iv.edges)
+		iv.nodes, iv.edges = iv.ownNodes, iv.ownEdges
+	}
 }
 
 // ExtendUnion adds time point t under union semantics (Exists): the
 // selection grows to entities existing at ≥1 point of the extended
 // interval. Equivalent to rebuilding with Exists(times ∪ {t}).
 func (iv *IncrementalView) ExtendUnion(t timeline.Time) {
+	iv.writable()
 	iv.nodes.OrWith(iv.ix.NodesAt(t))
 	iv.edges.OrWith(iv.ix.EdgesAt(t))
 	iv.times = iv.times.Union(iv.g.Timeline().Point(t))
@@ -71,6 +88,7 @@ func (iv *IncrementalView) ExtendUnion(t timeline.Time) {
 // the selection shrinks to entities existing at every point of the
 // extended interval. Equivalent to rebuilding with ForAll(times ∪ {t}).
 func (iv *IncrementalView) ExtendIntersect(t timeline.Time) {
+	iv.writable()
 	iv.nodes.AndWith(iv.ix.NodesAt(t))
 	iv.edges.AndWith(iv.ix.EdgesAt(t))
 	iv.times = iv.times.Union(iv.g.Timeline().Point(t))
@@ -103,18 +121,24 @@ type PairView struct {
 	g      *core.Graph
 	nodes  *bitset.Set
 	edges  *bitset.Set
-	rescue *rescue
+	rescue *rescue // nil: edges only
 	view   View
 }
 
 // NewPairView returns a reusable pair combiner for views over g.
 func NewPairView(g *core.Graph) *PairView {
-	return &PairView{
-		g:      g,
-		nodes:  bitset.New(g.NumNodes()),
-		edges:  bitset.New(g.NumEdges()),
-		rescue: newRescue(g),
-	}
+	pv := NewEdgePairView(g)
+	pv.rescue = newRescue(g)
+	return pv
+}
+
+// NewEdgePairView returns a pair combiner that selects edges alone: its
+// views have an empty node selection, so a difference skips Definition
+// 2.5's rescue pass. It serves readers that weigh edges only — an
+// aggregation's edge side reads its endpoints' tuples from the graph, not
+// from the view's nodes.
+func NewEdgePairView(g *core.Graph) *PairView {
+	return &PairView{g: g, nodes: bitset.New(g.NumNodes()), edges: bitset.New(g.NumEdges())}
 }
 
 // Stability combines the two sides into the stability view — entities
@@ -122,7 +146,9 @@ func NewPairView(g *core.Graph) *PairView {
 // intervals, exactly as StabilityView(g, old, new) with the corresponding
 // selectors (Definition 2.4 generalized to §3.1 semantics).
 func (pv *PairView) Stability(old, new *IncrementalView) *View {
-	pv.nodes.SetAnd(old.nodes, new.nodes)
+	if pv.rescue != nil {
+		pv.nodes.SetAnd(old.nodes, new.nodes)
+	}
 	pv.edges.SetAnd(old.edges, new.edges)
 	pv.view = View{g: pv.g, nodes: pv.nodes, edges: pv.edges, times: old.times.Union(new.times)}
 	return &pv.view
@@ -137,7 +163,9 @@ func (pv *PairView) Stability(old, new *IncrementalView) *View {
 func (pv *PairView) Difference(pos, neg *IncrementalView) *View {
 	pv.edges.CopyFrom(pos.edges)
 	pv.edges.AndNotWith(neg.edges)
-	pv.nodes.SetAndNotOr(pos.nodes, neg.nodes, pv.rescue.endpoints(pv.edges))
+	if pv.rescue != nil {
+		pv.nodes.SetAndNotOr(pos.nodes, neg.nodes, pv.rescue.endpoints(pv.edges))
+	}
 	pv.view = View{g: pv.g, nodes: pv.nodes, edges: pv.edges, times: pos.times}
 	return &pv.view
 }

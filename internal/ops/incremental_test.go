@@ -67,8 +67,12 @@ func TestQuickIncrementalMatchesScratch(t *testing.T) {
 		}
 
 		// Pair combinations against the scratch selectors, across random
-		// anchored sides and both semantics per side.
-		pv := NewPairView(g)
+		// anchored sides and both semantics per side; an edge-only combiner
+		// must agree on edges and times and select no node.
+		pv, epv := NewPairView(g), NewEdgePairView(g)
+		edgesOf := func(got, want *View) bool {
+			return got.nodes.IsEmpty() && got.edges.Equal(want.edges) && got.times.Equal(want.times)
+		}
 		for trial := 0; trial < 4; trial++ {
 			mkSide := func() (*IncrementalView, Sel) {
 				iv := NewIncrementalView(g, timeline.Time(r.Intn(tl.Len())))
@@ -95,6 +99,11 @@ func TestQuickIncrementalMatchesScratch(t *testing.T) {
 				return false
 			}
 			if !viewsEqual(pv.Difference(oldIV, newIV), DifferenceView(g, oldSel, newSel)) {
+				return false
+			}
+			if !edgesOf(epv.Stability(oldIV, newIV), StabilityView(g, oldSel, newSel)) ||
+				!edgesOf(epv.Difference(newIV, oldIV), DifferenceView(g, newSel, oldSel)) ||
+				!edgesOf(epv.Difference(oldIV, newIV), DifferenceView(g, oldSel, newSel)) {
 				return false
 			}
 		}

@@ -322,7 +322,7 @@ type exploreOp struct {
 	ext     explore.Extend
 	k       int64 // < 1 selects the §3.5 initialization
 	workers int
-	result  explore.ResultFunc
+	result  explore.Measure
 	target  string
 	cost    int64
 }
