@@ -34,7 +34,8 @@ func cmdQuery(args []string) error {
 
 	fmt.Printf("GraphTempo query shell — %d nodes, %d edges, %d time points\n",
 		g.NumNodes(), g.NumEdges(), g.Timeline().Len())
-	fmt.Println(`statements: STATS | AGG | EVOLVE | EXPLORE   (empty line or "exit" quits)`)
+	fmt.Println(`statements: STATS | AGG | EVOLVE | EXPLORE | TOP | TIMELINE | COARSEN | EVENTS | PATHS | TREND,`)
+	fmt.Println(`            each but STATS and COARSEN optionally under EXPLAIN   (empty line or "exit" quits)`)
 	fmt.Println(`example: AGG DIST gender ON UNION(` + g.Timeline().Label(0) + `, ` +
 		g.Timeline().Label(1) + `)`)
 	scanner := bufio.NewScanner(os.Stdin)

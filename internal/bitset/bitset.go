@@ -276,13 +276,6 @@ func (s *Set) OrWith(t *Set) {
 	}
 }
 
-// Clear resets all bits to zero.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
 // SetAll sets every bit in [0, Len).
 func (s *Set) SetAll() {
 	for i := range s.words {

@@ -24,18 +24,6 @@ func (s *Set) Word(wi int) uint64 { return s.words[wi] }
 // NumWords returns the number of backing words.
 func (s *Set) NumWords() int { return len(s.words) }
 
-// clampHi clamps hi to the logical length and panics on a negative lo,
-// mirroring Contains' treatment of out-of-range indices.
-func (s *Set) clampHi(lo, hi int) int {
-	if lo < 0 {
-		panic(fmt.Sprintf("bitset: negative range start %d", lo))
-	}
-	if hi > s.n {
-		return s.n
-	}
-	return hi
-}
-
 // WordIn returns backing word wi with the bits outside [lo, hi) cleared —
 // the building block for consumers that shard a set by index range and read
 // only the words of their shard.
@@ -48,17 +36,6 @@ func (s *Set) WordIn(wi, lo, hi int) uint64 {
 		w &= 1<<uint(rest) - 1
 	}
 	return w
-}
-
-// ForEachInRange calls fn for every set bit in [lo, hi), in increasing
-// order. It reads the words of the range only.
-func (s *Set) ForEachInRange(lo, hi int, fn func(i int)) {
-	hi = s.clampHi(lo, hi)
-	for wi := lo / wordBits; wi*wordBits < hi; wi++ {
-		for w := s.WordIn(wi, lo, hi); w != 0; w &= w - 1 {
-			fn(wi*wordBits + bits.TrailingZeros64(w))
-		}
-	}
 }
 
 // nextClear returns the index of the first clear bit at or after i, where

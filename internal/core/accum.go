@@ -149,9 +149,6 @@ func NewAccumulator(attrs ...AttrSpec) *Accumulator {
 	return a
 }
 
-// NumPoints returns the number of appended time points.
-func (a *Accumulator) NumPoints() int { return len(a.labels) }
-
 // NumNodes returns the number of distinct nodes seen so far.
 func (a *Accumulator) NumNodes() int { return len(a.nodeLabels) }
 

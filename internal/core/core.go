@@ -15,7 +15,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/bitset"
@@ -428,12 +427,4 @@ func ComputeStats(g *Graph) Stats {
 		tau.ForEach(func(t int) { s.Edges[t]++ })
 	}
 	return s
-}
-
-// SortedNodeLabels returns all node labels in sorted order; useful for
-// deterministic output in tools and tests.
-func (g *Graph) SortedNodeLabels() []string {
-	out := append([]string(nil), g.nodeLabels...)
-	sort.Strings(out)
-	return out
 }

@@ -181,16 +181,3 @@ func TestMustAttrPanics(t *testing.T) {
 	}()
 	PaperExample().MustAttr("nope")
 }
-
-func TestSortedNodeLabels(t *testing.T) {
-	g := PaperExample()
-	labels := g.SortedNodeLabels()
-	for i := 1; i < len(labels); i++ {
-		if labels[i-1] >= labels[i] {
-			t.Fatalf("labels not sorted: %v", labels)
-		}
-	}
-	if len(labels) != 5 {
-		t.Fatalf("len = %d, want 5", len(labels))
-	}
-}

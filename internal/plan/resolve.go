@@ -30,24 +30,20 @@ import (
 // errf renders a resolution error: positioned against the query text when
 // available, plain otherwise.
 func errf(in string, pos int, near, format string, args ...interface{}) error {
-	msg := fmt.Sprintf(format, args...)
 	if in == "" {
-		return fmt.Errorf("%s", msg)
+		return fmt.Errorf(format, args...)
 	}
-	line, col := lineCol(in, pos)
-	if near != "" {
-		return fmt.Errorf("tgql: %d:%d: %s (near %q)", line, col, msg, near)
-	}
-	return fmt.Errorf("tgql: %d:%d: %s", line, col, msg)
+	return PosErrorf(in, pos, near, format, args...)
 }
 
-// lineCol converts a byte offset in the query to 1-based line:column.
-func lineCol(in string, pos int) (line, col int) {
-	if pos > len(in) {
-		pos = len(in)
-	}
-	line, col = 1, 1
-	for i := 0; i < pos; i++ {
+// PosErrorf renders an error anchored at byte offset pos of the query text
+// in as "tgql: line:col: msg (near "tok")", with 1-based line and column so
+// errors in multi-line queries point at the spot; an empty near omits the
+// token clause. The TGQL lexer and parser and plan resolution all report
+// through it.
+func PosErrorf(in string, pos int, near, format string, args ...interface{}) error {
+	line, col := 1, 1
+	for i := 0; i < pos && i < len(in); i++ {
 		if in[i] == '\n' {
 			line++
 			col = 1
@@ -55,7 +51,11 @@ func lineCol(in string, pos int) (line, col int) {
 			col++
 		}
 	}
-	return line, col
+	msg := fmt.Sprintf(format, args...)
+	if near != "" {
+		return fmt.Errorf("tgql: %d:%d: %s (near %q)", line, col, msg, near)
+	}
+	return fmt.Errorf("tgql: %d:%d: %s", line, col, msg)
 }
 
 // ClampWorkers caps client-supplied parallelism at the host's GOMAXPROCS:

@@ -166,6 +166,7 @@ func TestAnalyticsErrorPositions(t *testing.T) {
 		{"PATHS EARLIEST FROM u9 TO u2", []string{"tgql: 1:21:", `unknown node "u9"`}},
 		{"PATHS EARLIEST FROM u1 TO u9", []string{"tgql: 1:27:", `unknown node "u9"`}},
 		{"PATHS EARLIEST FROM u1 TO u2 DURING t9", []string{`unknown time point "t9"`}},
+		{"PATHS EARLIEST FROM u1 TO u2 DURING ''", []string{"tgql: 1:37:", "empty time-point label"}},
 		{"TREND DIST BY nope", []string{"tgql: 1:15:", `unknown attribute "nope"`}},
 		{"TREND DIST BY gender WIDTH 0", []string{"WIDTH wants a positive integer"}},
 	}
@@ -220,7 +221,8 @@ func TestLower(t *testing.T) {
 			t.Errorf("Lower(%q): Node %v, NoPlan %v", tc.query, st.Node, st.NoPlan)
 		}
 	}
-	for _, q := range []string{"EVENTS DIST", "not a query", "EXPLAIN STATS"} {
+	// An empty interval label fails in the parser, before any resolution.
+	for _, q := range []string{"EVENTS DIST", "not a query", "EXPLAIN STATS", "AGG DIST gender ON POINT ''"} {
 		if _, err := Lower(q); err == nil {
 			t.Errorf("Lower(%q) succeeded", q)
 		}

@@ -147,30 +147,12 @@ func ParseFilter(g *core.Graph, expr string) (agg.Filter, error) {
 		return nil, err
 	}
 	p := &parser{toks: toks, in: expr}
-	var cmps []comparison
-	for {
-		attr, attrPos, err := p.valuePos()
-		if err != nil {
-			return nil, err
-		}
-		opTok := p.peek()
-		if opTok.kind != tokOp {
-			return nil, p.errorf(opTok, "expected a comparison operator, found %q", opTok.text)
-		}
-		p.take()
-		val, valPos, err := p.valuePos()
-		if err != nil {
-			return nil, err
-		}
-		cmps = append(cmps, comparison{Attr: attr, Op: opTok.text, Value: val, AttrPos: attrPos, ValuePos: valPos})
-		if !p.keyword("AND") {
-			break
-		}
+	preds := p.predicates()
+	p.atEOF()
+	if p.err != nil {
+		return nil, p.err
 	}
-	if err := p.atEOF(); err != nil {
-		return nil, err
-	}
-	return plan.CompilePredicates(g, expr, toPredicates(cmps))
+	return plan.CompilePredicates(g, expr, preds)
 }
 
 // Exec parses and executes one query against g.
@@ -226,7 +208,7 @@ func ExecEnv(ctx context.Context, env plan.Env, query string) (*Result, error) {
 // parses each request's statement exactly once; its tests hold it to that.
 var Parses metrics.Counter
 
-// Statement is one parsed statement lowered into the planner's logical IR.
+// Statement is one statement parsed into the planner's logical IR.
 type Statement struct {
 	// Node is the statement's logical plan. It is nil for STATS and COARSEN,
 	// which are REPL conveniences over core rather than query-plan
@@ -240,26 +222,15 @@ type Statement struct {
 	// /v1/explain) reports for the statement.
 	NoPlan error
 
-	stmt interface{} // the parsed bare statement
+	stats   bool // STATS
+	coarsen int  // COARSEN's width; 0 for every other statement
 }
 
-// Lower parses query — once — and lowers it to a Statement. EXPLAIN of a
-// statement that has no logical plan is an error.
+// Lower parses query — once — into a Statement. EXPLAIN of a statement
+// that has no logical plan is an error.
 func Lower(query string) (Statement, error) {
 	Parses.Inc()
-	stmt, err := parse(query)
-	if err != nil {
-		return Statement{}, err
-	}
-	ex, explain := stmt.(explainQuery)
-	if explain {
-		stmt = ex.stmt
-	}
-	node, err := toLogical(stmt)
-	if err != nil && explain {
-		return Statement{}, err
-	}
-	return Statement{Node: node, Explain: explain, NoPlan: err, stmt: stmt}, nil
+	return parse(query)
 }
 
 // Result renders the statement's outcome against g, the graph it ran on:
@@ -268,12 +239,12 @@ func Lower(query string) (Statement, error) {
 // Node), and — for the plan-less STATS and COARSEN — the statistics
 // computed here, directly over g.
 func (st Statement) Result(g *core.Graph, p *plan.Plan, pr *plan.Result) (*Result, error) {
-	switch q := st.stmt.(type) {
-	case statsQuery:
+	switch {
+	case st.stats:
 		s := core.ComputeStats(g)
 		return &Result{Stats: &s, g: g}, nil
-	case coarsenQuery:
-		spec, err := core.UniformGroups(g.Timeline(), q.Width)
+	case st.coarsen > 0:
+		spec, err := core.UniformGroups(g.Timeline(), st.coarsen)
 		if err != nil {
 			return nil, err
 		}
@@ -321,153 +292,4 @@ func PlanEnv(env plan.Env, query string) (*plan.Plan, error) {
 // environment ExecCtx executes under.
 func PlanQuery(g *core.Graph, query string) (*plan.Plan, error) {
 	return PlanEnv(plan.Env{Graph: g, Workers: 1}, query)
-}
-
-// toLogical lowers a parsed bare statement into the planner's logical IR.
-// STATS and COARSEN have no logical plan (they are not query statements).
-func toLogical(stmt interface{}) (plan.Logical, error) {
-	switch q := stmt.(type) {
-	case aggQuery:
-		return &plan.Aggregate{
-			Op:             toTemporalOp(q.Op),
-			Attrs:          q.Attrs,
-			AttrsPos:       q.AttrsPos,
-			Kind:           strings.ToLower(q.Kind),
-			Where:          toPredicates(q.Where),
-			Measure:        q.Measure,
-			MeasureAttr:    q.MAttr,
-			MeasureAttrPos: q.MAttrPos,
-			Valid:          toValidRef(q.temporalClause),
-			AsOf:           toTxnRef(q.temporalClause),
-		}, nil
-	case evolveQuery:
-		return &plan.Evolve{
-			Kind:     strings.ToLower(q.Kind),
-			Attrs:    q.Attrs,
-			AttrsPos: q.AttrsPos,
-			From:     toIntervalRef(q.From),
-			To:       toIntervalRef(q.To),
-			Where:    toPredicates(q.Where),
-			Valid:    toValidRef(q.temporalClause),
-			AsOf:     toTxnRef(q.temporalClause),
-		}, nil
-	case exploreQuery:
-		return &plan.Explore{
-			Event:     strings.ToLower(q.Event),
-			Attrs:     q.Attrs,
-			AttrsPos:  q.AttrsPos,
-			Semantics: strings.ToLower(q.Semantics),
-			Extend:    strings.ToLower(q.Extend),
-			NodeTuple: q.NodeTuple,
-			EdgeFrom:  q.EdgeFrom,
-			EdgeTo:    q.EdgeTo,
-			K:         q.K,
-			Tune:      q.Tune,
-			Valid:     toValidRef(q.temporalClause),
-			AsOf:      toTxnRef(q.temporalClause),
-		}, nil
-	case topQuery:
-		return &plan.Top{
-			N:        q.N,
-			Event:    strings.ToLower(q.Event),
-			Attrs:    q.Attrs,
-			AttrsPos: q.AttrsPos,
-			Valid:    toValidRef(q.temporalClause),
-			AsOf:     toTxnRef(q.temporalClause),
-		}, nil
-	case timelineQuery:
-		return &plan.Timeline{
-			Attrs:    q.Attrs,
-			AttrsPos: q.AttrsPos,
-			Where:    toPredicates(q.Where),
-			Valid:    toValidRef(q.temporalClause),
-			AsOf:     toTxnRef(q.temporalClause),
-		}, nil
-	case eventsQuery:
-		return &plan.Events{
-			Kind:     strings.ToLower(q.Kind),
-			Attrs:    q.Attrs,
-			AttrsPos: q.AttrsPos,
-			Width:    q.Width,
-			Min:      q.Min,
-			Where:    toPredicates(q.Where),
-			Valid:    toValidRef(q.temporalClause),
-			AsOf:     toTxnRef(q.temporalClause),
-		}, nil
-	case pathsQuery:
-		node := &plan.Paths{
-			Mode:    strings.ToLower(q.Mode),
-			From:    q.From,
-			FromPos: q.FromPos,
-			To:      q.To,
-			ToPos:   q.ToPos,
-			Valid:   toValidRef(q.temporalClause),
-			AsOf:    toTxnRef(q.temporalClause),
-		}
-		if q.HasDur {
-			node.During = toIntervalRef(q.During)
-		}
-		return node, nil
-	case trendQuery:
-		return &plan.Trend{
-			Kind:     strings.ToLower(q.Kind),
-			Attrs:    q.Attrs,
-			AttrsPos: q.AttrsPos,
-			Width:    q.Width,
-			Where:    toPredicates(q.Where),
-			Valid:    toValidRef(q.temporalClause),
-			AsOf:     toTxnRef(q.temporalClause),
-		}, nil
-	default:
-		return nil, fmt.Errorf("tgql: statement %T has no query plan (EXPLAIN supports AGG, EVOLVE, EXPLORE, TOP, TIMELINE, EVENTS, PATHS and TREND)", stmt)
-	}
-}
-
-// toTemporalOp lowers a parsed operator expression; TGQL's POINT and
-// PROJECT both normalize to the planner's project operator.
-func toTemporalOp(op opExpr) plan.TemporalOp {
-	var name string
-	switch op.Op {
-	case "POINT", "PROJECT":
-		name = plan.OpProject
-	case "UNION":
-		name = plan.OpUnion
-	case "INTERSECT":
-		name = plan.OpIntersection
-	default: // DIFF
-		name = plan.OpDifference
-	}
-	t := plan.TemporalOp{Op: name, A: toIntervalRef(op.A)}
-	if name != plan.OpProject {
-		t.B = toIntervalRef(op.B)
-	}
-	return t
-}
-
-func toIntervalRef(iv intervalExpr) plan.IntervalRef {
-	return plan.IntervalRef{From: iv.From, To: iv.To, FromPos: iv.FromPos, ToPos: iv.ToPos}
-}
-
-// toValidRef lowers a statement's VALID DURING window (zero when absent).
-func toValidRef(tc temporalClause) plan.IntervalRef {
-	if !tc.HasValid {
-		return plan.IntervalRef{}
-	}
-	return toIntervalRef(tc.Valid)
-}
-
-// toTxnRef lowers a statement's AS OF transaction (zero when absent).
-func toTxnRef(tc temporalClause) plan.TxnRef {
-	return plan.TxnRef{Txn: tc.AsOf, Pos: tc.AsOfPos}
-}
-
-func toPredicates(cmps []comparison) []plan.Predicate {
-	if len(cmps) == 0 {
-		return nil
-	}
-	out := make([]plan.Predicate, len(cmps))
-	for i, c := range cmps {
-		out[i] = plan.Predicate{Attr: c.Attr, Op: c.Op, Value: c.Value, AttrPos: c.AttrPos, ValuePos: c.ValuePos}
-	}
-	return out
 }

@@ -21,9 +21,10 @@
 package tgql
 
 import (
-	"fmt"
 	"strings"
 	"unicode"
+
+	"repro/internal/plan"
 )
 
 type tokenKind int
@@ -54,38 +55,7 @@ type lexer struct {
 }
 
 func (l *lexer) error(pos int, format string, args ...interface{}) error {
-	return posErrf(l.in, pos, "", format, args...)
-}
-
-// lineCol converts a byte offset into a 1-based line:column pair, so
-// errors in multi-line queries (the REPL and the HTTP endpoint both accept
-// them) point at the offending spot.
-func lineCol(in string, pos int) (line, col int) {
-	if pos > len(in) {
-		pos = len(in)
-	}
-	line, col = 1, 1
-	for i := 0; i < pos; i++ {
-		if in[i] == '\n' {
-			line++
-			col = 1
-		} else {
-			col++
-		}
-	}
-	return line, col
-}
-
-// posErrf renders an error anchored at a byte offset of in as
-// "tgql: line:col: message (near "token")"; an empty near omits the
-// token clause (lexical errors already quote the offending character).
-func posErrf(in string, pos int, near, format string, args ...interface{}) error {
-	line, col := lineCol(in, pos)
-	msg := fmt.Sprintf(format, args...)
-	if near != "" {
-		return fmt.Errorf("tgql: %d:%d: %s (near %q)", line, col, msg, near)
-	}
-	return fmt.Errorf("tgql: %d:%d: %s", line, col, msg)
+	return plan.PosErrorf(l.in, pos, "", format, args...)
 }
 
 func (l *lexer) next() (token, error) {

@@ -3,798 +3,469 @@ package tgql
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/plan"
 )
 
-// AST node types. Intervals and attribute values stay as strings until
-// execution, when they are resolved against a concrete graph.
-
-type intervalExpr struct {
-	From, To string // To == "" for a single point
-	// FromPos/ToPos are the byte offsets of the labels in the query, so
-	// resolution errors (unknown time point) can point at them.
-	FromPos, ToPos int
-}
-
-type opExpr struct {
-	Op string // POINT, PROJECT, UNION, INTERSECT, DIFF
-	A  intervalExpr
-	B  intervalExpr // for binary operators
-}
-
-type comparison struct {
-	Attr  string
-	Op    string // = != < <= > >=
-	Value string
-	// AttrPos/ValuePos locate the operands for execution-time errors.
-	AttrPos, ValuePos int
-}
-
-// temporalClause carries the optional trailing bi-temporal clauses every
-// query statement accepts: VALID DURING restricts evaluation to a
-// valid-time window, AS OF evaluates against the transaction-time state
-// right after ingest record AsOf was acknowledged.
-type temporalClause struct {
-	Valid    intervalExpr
-	HasValid bool
-	AsOf     int
-	AsOfPos  int
-}
-
-type aggQuery struct {
-	Kind     string // DIST | ALL
-	Attrs    []string
-	AttrsPos []int
-	Op       opExpr
-	Where    []comparison
-	Measure  string // "" or SUM/AVG/MIN/MAX
-	MAttr    string // measured attribute
-	MAttrPos int
-	temporalClause
-}
-
-type evolveQuery struct {
-	Kind     string
-	Attrs    []string
-	AttrsPos []int
-	From     intervalExpr
-	To       intervalExpr
-	Where    []comparison
-	temporalClause
-}
-
-type exploreQuery struct {
-	Event     string // STABILITY | GROWTH | SHRINKAGE
-	Attrs     []string
-	AttrsPos  []int
-	EdgeFrom  []string // nil when not an edge target
-	EdgeTo    []string
-	NodeTuple []string // nil when not a node target
-	Semantics string   // UNION | INTERSECTION (default UNION)
-	Extend    string   // OLD | NEW (default NEW)
-	K         int64    // -1 when TUNE is used
-	Tune      int      // 0 when K is used
-	temporalClause
-}
-
-type statsQuery struct{}
-
-type topQuery struct {
-	N        int
-	Event    string
-	Attrs    []string
-	AttrsPos []int
-	temporalClause
-}
-
-type timelineQuery struct {
-	Attrs    []string
-	AttrsPos []int
-	Where    []comparison
-	temporalClause
-}
-
-type coarsenQuery struct {
-	Width int
-}
-
-// eventsQuery classifies every attribute group's change between
-// consecutive width-w windows into growth/shrinkage/stability events.
-type eventsQuery struct {
-	Kind     string // DIST | ALL
-	Attrs    []string
-	AttrsPos []int
-	Width    int   // tiling window width, 1 when absent
-	Min      int64 // minimum change magnitude (Gr+Shr) per row
-	Where    []comparison
-	temporalClause
-}
-
-// pathsQuery asks for time-respecting reachability from a source set to a
-// target set, earliest-arrival or shortest-duration.
-type pathsQuery struct {
-	Mode    string // EARLIEST | FASTEST
-	From    []string
-	FromPos []int
-	To      []string
-	ToPos   []int
-	During  intervalExpr
-	HasDur  bool
-	temporalClause
-}
-
-// trendQuery computes per-group sliding-window appearance series with a
-// least-squares direction.
-type trendQuery struct {
-	Kind     string // DIST | ALL
-	Attrs    []string
-	AttrsPos []int
-	Width    int // sliding window width, 1 when absent
-	Where    []comparison
-	temporalClause
-}
-
-// explainQuery wraps a statement prefixed with EXPLAIN: compile it and
-// render the physical plan instead of executing.
-type explainQuery struct {
-	stmt interface{}
-}
+// The parser builds the planner's logical IR (plan.Aggregate, plan.Evolve,
+// …) directly. Intervals and attribute values stay symbolic, with their
+// byte offsets, until plan.Compile resolves them against a concrete graph.
 
 // parser consumes the token stream. in is the original query text, kept
-// for line:column rendering in errors.
+// for line:column rendering in errors. err is the first error: once it is
+// set every method is a no-op and keyword matches nothing, so a grammar
+// rule reads as the sequence of its parts.
 type parser struct {
 	toks []token
 	pos  int
 	in   string
+	err  error
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
 
-func (p *parser) take() token {
-	t := p.toks[p.pos]
-	if t.kind != tokEOF {
+func (p *parser) take() {
+	if p.toks[p.pos].kind != tokEOF {
 		p.pos++
 	}
-	return t
 }
 
-func (p *parser) errorf(t token, format string, args ...interface{}) error {
-	if t.kind == tokEOF {
-		line, col := lineCol(p.in, t.pos)
-		return fmt.Errorf("tgql: %d:%d: %s (at end of input)", line, col, fmt.Sprintf(format, args...))
+// fail records an error anchored at t, unless an earlier one stands.
+func (p *parser) fail(t token, format string, args ...interface{}) {
+	if p.err != nil {
+		return
 	}
-	return posErrf(p.in, t.pos, t.text, format, args...)
+	if t.kind == tokEOF {
+		format += " (at end of input)"
+	}
+	p.err = plan.PosErrorf(p.in, t.pos, t.text, format, args...)
+}
+
+// expected fails at the next token with "expected <what>, found <token>".
+func (p *parser) expected(what string) {
+	p.fail(p.peek(), "expected %s, found %q", what, p.peek().text)
 }
 
 // keyword consumes an identifier and reports whether it equals kw
 // (case-insensitive).
 func (p *parser) keyword(kw string) bool {
 	t := p.peek()
-	if t.kind == tokIdent && strings.EqualFold(t.text, kw) {
+	if p.err == nil && t.kind == tokIdent && strings.EqualFold(t.text, kw) {
 		p.take()
 		return true
 	}
 	return false
 }
 
-func (p *parser) expectKeyword(kw string) error {
+func (p *parser) expectKeyword(kw string) {
 	if !p.keyword(kw) {
-		return p.errorf(p.peek(), "expected %s, found %q", kw, p.peek().text)
+		p.expected(kw)
 	}
-	return nil
 }
 
-// value consumes an identifier or quoted string.
-func (p *parser) value() (string, error) {
-	v, _, err := p.valuePos()
-	return v, err
+// pick consumes one of the keywords kws and returns it lowercased, as the
+// IR spells it; what names them in the error when the next token is none.
+func (p *parser) pick(what string, kws ...string) string {
+	for _, kw := range kws {
+		if p.keyword(kw) {
+			return strings.ToLower(kw)
+		}
+	}
+	p.expected(what)
+	return ""
 }
 
-// valuePos is value plus the token's byte offset, recorded in the AST so
-// execution-time resolution errors can point at the operand.
-func (p *parser) valuePos() (string, int, error) {
+func (p *parser) kind() string { return p.pick("DIST or ALL", "DIST", "ALL") }
+
+func (p *parser) event() string {
+	return p.pick("STABILITY, GROWTH or SHRINKAGE", "STABILITY", "GROWTH", "SHRINKAGE")
+}
+
+// expect consumes a punctuation token of kind k.
+func (p *parser) expect(k tokenKind, format string, args ...interface{}) {
+	if p.err == nil && p.peek().kind == k {
+		p.take()
+		return
+	}
+	p.fail(p.peek(), format, args...)
+}
+
+// value consumes an identifier or quoted string and returns it with its
+// byte offset, which resolution errors point at.
+func (p *parser) value() (string, int) {
 	t := p.peek()
-	if t.kind == tokIdent || t.kind == tokString {
+	if p.err == nil && (t.kind == tokIdent || t.kind == tokString) {
 		p.take()
-		return t.text, t.pos, nil
+		return t.text, t.pos
 	}
-	return "", t.pos, p.errorf(t, "expected a value, found %q", t.text)
+	p.expected("a value")
+	return "", t.pos
 }
 
-// valueList parses value (, value)*.
-func (p *parser) valueList() ([]string, error) {
-	out, _, err := p.valueListPos()
-	return out, err
-}
-
-// valueListPos is valueList plus the byte offset of each value.
-func (p *parser) valueListPos() ([]string, []int, error) {
-	var out []string
-	var poss []int
+// values parses value (, value)*.
+func (p *parser) values() (vs []string, poss []int) {
 	for {
-		v, pos, err := p.valuePos()
-		if err != nil {
-			return nil, nil, err
+		v, pos := p.value()
+		if p.err != nil {
+			return nil, nil
 		}
-		out = append(out, v)
-		poss = append(poss, pos)
+		vs, poss = append(vs, v), append(poss, pos)
 		if p.peek().kind != tokComma {
-			return out, poss, nil
+			return vs, poss
 		}
 		p.take()
 	}
+}
+
+// integer parses a clause's integer argument, at least lo. msg is the
+// clause's complaint, with one %q for the argument; like the other
+// argument errors it points at the token after the argument.
+func (p *parser) integer(lo int64, msg string) int64 {
+	v, _ := p.value()
+	var n int64
+	if p.err == nil {
+		if _, err := fmt.Sscanf(v, "%d", &n); err != nil || n < lo {
+			p.fail(p.peek(), msg, v)
+		}
+	}
+	return n
+}
+
+// label parses one time-point label. An empty one is an error: the IR
+// reads an interval without labels as an absent clause.
+func (p *parser) label() (string, int) {
+	t := p.peek()
+	v, pos := p.value()
+	if p.err == nil && v == "" {
+		p.fail(t, "empty time-point label")
+	}
+	return v, pos
 }
 
 // interval parses label or label..label.
-func (p *parser) interval() (intervalExpr, error) {
-	from, fromPos, err := p.valuePos()
-	if err != nil {
-		return intervalExpr{}, err
-	}
+func (p *parser) interval() (r plan.IntervalRef) {
+	r.From, r.FromPos = p.label()
 	if p.peek().kind == tokRange {
 		p.take()
-		to, toPos, err := p.valuePos()
-		if err != nil {
-			return intervalExpr{}, err
-		}
-		return intervalExpr{From: from, To: to, FromPos: fromPos, ToPos: toPos}, nil
+		r.To, r.ToPos = p.label()
 	}
-	return intervalExpr{From: from, FromPos: fromPos}, nil
+	return r
 }
 
-// opExpr parses the temporal operator expression of AGG … ON.
-func (p *parser) opExpr() (opExpr, error) {
+// temporalOp parses the temporal operator expression of AGG … ON; POINT
+// and PROJECT both are the planner's project operator.
+func (p *parser) temporalOp() plan.TemporalOp {
 	t := p.peek()
-	if t.kind != tokIdent {
-		return opExpr{}, p.errorf(t, "expected an operator, found %q", t.text)
+	if p.err != nil || t.kind != tokIdent {
+		p.expected("an operator")
+		return plan.TemporalOp{}
 	}
 	op := strings.ToUpper(t.text)
+	var name string
 	switch op {
 	case "POINT", "PROJECT":
 		p.take()
-		iv, err := p.interval()
-		if err != nil {
-			return opExpr{}, err
-		}
-		return opExpr{Op: op, A: iv}, nil
-	case "UNION", "INTERSECT", "DIFF":
-		p.take()
-		if p.peek().kind != tokLParen {
-			return opExpr{}, p.errorf(p.peek(), "expected ( after %s", op)
-		}
-		p.take()
-		a, err := p.interval()
-		if err != nil {
-			return opExpr{}, err
-		}
-		if p.peek().kind != tokComma {
-			return opExpr{}, p.errorf(p.peek(), "expected , in %s(...)", op)
-		}
-		p.take()
-		b, err := p.interval()
-		if err != nil {
-			return opExpr{}, err
-		}
-		if p.peek().kind != tokRParen {
-			return opExpr{}, p.errorf(p.peek(), "expected ) to close %s(...)", op)
-		}
-		p.take()
-		return opExpr{Op: op, A: a, B: b}, nil
+		return plan.TemporalOp{Op: plan.OpProject, A: p.interval()}
+	case "UNION":
+		name = plan.OpUnion
+	case "INTERSECT":
+		name = plan.OpIntersection
+	case "DIFF":
+		name = plan.OpDifference
 	default:
-		return opExpr{}, p.errorf(t, "unknown operator %q (want POINT, PROJECT, UNION, INTERSECT or DIFF)", t.text)
+		p.fail(t, "unknown operator %q (want POINT, PROJECT, UNION, INTERSECT or DIFF)", t.text)
+		return plan.TemporalOp{}
+	}
+	p.take()
+	p.expect(tokLParen, "expected ( after %s", op)
+	a := p.interval()
+	p.expect(tokComma, "expected , in %s(...)", op)
+	b := p.interval()
+	p.expect(tokRParen, "expected ) to close %s(...)", op)
+	return plan.TemporalOp{Op: name, A: a, B: b}
+}
+
+// predicates parses cmp (AND cmp)*: the WHERE grammar without its keyword,
+// which ParseFilter accepts on its own.
+func (p *parser) predicates() []plan.Predicate {
+	var out []plan.Predicate
+	for {
+		var c plan.Predicate
+		c.Attr, c.AttrPos = p.value()
+		if t := p.peek(); p.err == nil && t.kind == tokOp {
+			p.take()
+			c.Op = t.text
+		} else {
+			p.expected("a comparison operator")
+		}
+		c.Value, c.ValuePos = p.value()
+		if p.err != nil {
+			return nil
+		}
+		out = append(out, c)
+		if !p.keyword("AND") {
+			return out
+		}
 	}
 }
 
 // where parses WHERE cmp (AND cmp)* if present.
-func (p *parser) where() ([]comparison, error) {
+func (p *parser) where() []plan.Predicate {
 	if !p.keyword("WHERE") {
-		return nil, nil
+		return nil
 	}
-	var out []comparison
-	for {
-		attr, attrPos, err := p.valuePos()
-		if err != nil {
-			return nil, err
-		}
-		opTok := p.peek()
-		if opTok.kind != tokOp {
-			return nil, p.errorf(opTok, "expected a comparison operator, found %q", opTok.text)
-		}
-		p.take()
-		val, valPos, err := p.valuePos()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, comparison{Attr: attr, Op: opTok.text, Value: val, AttrPos: attrPos, ValuePos: valPos})
-		if !p.keyword("AND") {
-			return out, nil
-		}
-	}
+	return p.predicates()
 }
 
-func (p *parser) kind() (string, error) {
-	switch {
-	case p.keyword("DIST"):
-		return "DIST", nil
-	case p.keyword("ALL"):
-		return "ALL", nil
-	default:
-		return "", p.errorf(p.peek(), "expected DIST or ALL, found %q", p.peek().text)
-	}
-}
-
-func (p *parser) atEOF() error {
+func (p *parser) atEOF() {
 	if t := p.peek(); t.kind != tokEOF {
-		return p.errorf(t, "unexpected trailing input starting at %q", t.text)
+		p.fail(t, "unexpected trailing input starting at %q", t.text)
 	}
-	return nil
 }
 
-// temporalOne parses one of the optional trailing bi-temporal clauses —
-// VALID DURING <interval> or AS OF <txn> — reporting whether it consumed
-// one. Each clause may appear at most once per statement.
-func (p *parser) temporalOne(tc *temporalClause) (bool, error) {
+// temporal parses one of the trailing bi-temporal clauses — VALID DURING
+// <interval> or AS OF <txn> — into the node's refs, reporting whether it
+// consumed one. Each may appear once per statement.
+func (p *parser) temporal(valid *plan.IntervalRef, asOf *plan.TxnRef) bool {
 	t := p.peek()
 	switch {
 	case p.keyword("VALID"):
-		if err := p.expectKeyword("DURING"); err != nil {
-			return false, err
+		p.expectKeyword("DURING")
+		if !valid.IsZero() {
+			p.fail(t, "duplicate VALID DURING clause")
 		}
-		if tc.HasValid {
-			return false, p.errorf(t, "duplicate VALID DURING clause")
-		}
-		iv, err := p.interval()
-		if err != nil {
-			return false, err
-		}
-		tc.Valid, tc.HasValid = iv, true
-		return true, nil
+		*valid = p.interval()
 	case p.keyword("AS"):
-		if err := p.expectKeyword("OF"); err != nil {
-			return false, err
+		p.expectKeyword("OF")
+		if !asOf.IsZero() {
+			p.fail(t, "duplicate AS OF clause")
 		}
-		if tc.AsOf > 0 {
-			return false, p.errorf(t, "duplicate AS OF clause")
-		}
-		v, pos, err := p.valuePos()
-		if err != nil {
-			return false, err
-		}
-		var txn int
-		if _, err := fmt.Sscanf(v, "%d", &txn); err != nil || txn < 1 {
-			return false, p.errorf(p.peek(), "AS OF wants a positive transaction number, got %q", v)
-		}
-		tc.AsOf, tc.AsOfPos = txn, pos
-		return true, nil
+		pos := p.peek().pos
+		txn := p.integer(1, "AS OF wants a positive transaction number, got %q")
+		*asOf = plan.TxnRef{Txn: int(txn), Pos: pos}
+	default:
+		return false
 	}
-	return false, nil
+	return true
 }
 
-// temporal parses [VALID DURING <interval>] [AS OF <txn>] in either order.
-func (p *parser) temporal(tc *temporalClause) error {
-	for {
-		ok, err := p.temporalOne(tc)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
+// clauses parses a statement's optional trailing clauses, in any order,
+// until none matches, then requires the end of input. clause consumes one
+// statement-specific clause and reports whether it did (nil when the
+// statement has none); the bi-temporal clauses are tried after it.
+func (p *parser) clauses(valid *plan.IntervalRef, asOf *plan.TxnRef, clause func() bool) {
+	for p.err == nil {
+		if (clause == nil || !clause()) && !p.temporal(valid, asOf) {
+			break
 		}
 	}
+	p.atEOF()
 }
 
-// parse parses one statement, optionally prefixed with EXPLAIN.
-func parse(in string) (interface{}, error) {
+// parse parses one statement, optionally prefixed with EXPLAIN. EXPLAIN of
+// a statement that has no logical plan is an error.
+func parse(in string) (Statement, error) {
 	toks, err := lexAll(in)
 	if err != nil {
-		return nil, err
+		return Statement{}, err
 	}
 	p := &parser{toks: toks, in: in}
-	if p.keyword("EXPLAIN") {
-		stmt, err := p.statement()
-		if err != nil {
-			return nil, err
-		}
-		return explainQuery{stmt: stmt}, nil
-	}
-	return p.statement()
-}
-
-// statement parses one bare statement.
-func (p *parser) statement() (interface{}, error) {
+	st := Statement{Explain: p.keyword("EXPLAIN")}
 	switch {
 	case p.keyword("STATS"):
-		if err := p.atEOF(); err != nil {
-			return nil, err
-		}
-		return statsQuery{}, nil
-	case p.keyword("AGG"):
-		return p.parseAgg()
-	case p.keyword("EVOLVE"):
-		return p.parseEvolve()
-	case p.keyword("EXPLORE"):
-		return p.parseExplore()
-	case p.keyword("TOP"):
-		return p.parseTop()
-	case p.keyword("TIMELINE"):
-		var q timelineQuery
-		var err error
-		if err = p.expectKeyword("BY"); err != nil {
-			return nil, err
-		}
-		if q.Attrs, q.AttrsPos, err = p.valueListPos(); err != nil {
-			return nil, err
-		}
-		if q.Where, err = p.where(); err != nil {
-			return nil, err
-		}
-		if err := p.temporal(&q.temporalClause); err != nil {
-			return nil, err
-		}
-		if err := p.atEOF(); err != nil {
-			return nil, err
-		}
-		return q, nil
+		st.stats, st.NoPlan = true, noPlan("tgql.statsQuery")
+		p.atEOF()
 	case p.keyword("COARSEN"):
-		var q coarsenQuery
-		v, err := p.value()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := fmt.Sscanf(v, "%d", &q.Width); err != nil || q.Width < 1 {
-			return nil, p.errorf(p.peek(), "COARSEN wants a positive width, got %q", v)
-		}
-		if err := p.atEOF(); err != nil {
-			return nil, err
-		}
-		return q, nil
+		st.coarsen = int(p.integer(1, "COARSEN wants a positive width, got %q"))
+		st.NoPlan = noPlan("tgql.coarsenQuery")
+		p.atEOF()
+	case p.keyword("AGG"):
+		st.Node = p.agg()
+	case p.keyword("EVOLVE"):
+		st.Node = p.evolve()
+	case p.keyword("EXPLORE"):
+		st.Node = p.explore()
+	case p.keyword("TOP"):
+		st.Node = p.top()
+	case p.keyword("TIMELINE"):
+		st.Node = p.timeline()
 	case p.keyword("EVENTS"):
-		return p.parseEvents()
+		st.Node = p.events()
 	case p.keyword("PATHS"):
-		return p.parsePaths()
+		st.Node = p.paths()
 	case p.keyword("TREND"):
-		return p.parseTrend()
+		st.Node = p.trend()
 	default:
-		return nil, p.errorf(p.peek(),
-			"expected STATS, AGG, EVOLVE, EXPLORE, TOP, TIMELINE, COARSEN, EVENTS, PATHS or TREND, found %q", p.peek().text)
+		p.expected("STATS, AGG, EVOLVE, EXPLORE, TOP, TIMELINE, COARSEN, EVENTS, PATHS or TREND")
 	}
+	if p.err == nil && st.Explain {
+		p.err = st.NoPlan
+	}
+	if p.err != nil {
+		return Statement{}, p.err
+	}
+	return st, nil
 }
 
-// width parses the argument of a WIDTH clause.
-func (p *parser) width() (int, error) {
-	v, err := p.value()
-	if err != nil {
-		return 0, err
-	}
-	var w int
-	if _, err := fmt.Sscanf(v, "%d", &w); err != nil || w < 1 {
-		return 0, p.errorf(p.peek(), "WIDTH wants a positive integer, got %q", v)
-	}
-	return w, nil
+// noPlan is the error STATS and COARSEN report where a plan is asked for.
+// name spells the statement as this error always has (a Go type name from
+// before the parser built the IR), so clients keep seeing the same text.
+func noPlan(name string) error {
+	return fmt.Errorf("tgql: statement %s has no query plan (EXPLAIN supports AGG, EVOLVE, EXPLORE, TOP, TIMELINE, EVENTS, PATHS and TREND)", name)
 }
 
-// parseEvents parses
-//
-//	EVENTS DIST|ALL BY attrs [WIDTH n] [MIN n] [WHERE …] [temporal]
-func (p *parser) parseEvents() (interface{}, error) {
-	q := eventsQuery{Width: 1}
-	var err error
-	if q.Kind, err = p.kind(); err != nil {
-		return nil, err
-	}
-	if err = p.expectKeyword("BY"); err != nil {
-		return nil, err
-	}
-	if q.Attrs, q.AttrsPos, err = p.valueListPos(); err != nil {
-		return nil, err
-	}
-	for {
-		switch {
-		case p.keyword("WIDTH"):
-			if q.Width, err = p.width(); err != nil {
-				return nil, err
-			}
-		case p.keyword("MIN"):
-			v, err := p.value()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := fmt.Sscanf(v, "%d", &q.Min); err != nil || q.Min < 0 {
-				return nil, p.errorf(p.peek(), "MIN wants a non-negative integer, got %q", v)
-			}
-		case p.peek().kind == tokIdent && strings.EqualFold(p.peek().text, "WHERE"):
-			if q.Where, err = p.where(); err != nil {
-				return nil, err
-			}
-		default:
-			if ok, err := p.temporalOne(&q.temporalClause); err != nil {
-				return nil, err
-			} else if ok {
-				continue
-			}
-			if err := p.atEOF(); err != nil {
-				return nil, err
-			}
-			return q, nil
-		}
-	}
-}
-
-// parsePaths parses
-//
-//	PATHS EARLIEST|FASTEST FROM v(,v)* TO v(,v)* [DURING interval] [temporal]
-func (p *parser) parsePaths() (interface{}, error) {
-	var q pathsQuery
-	switch {
-	case p.keyword("EARLIEST"):
-		q.Mode = "EARLIEST"
-	case p.keyword("FASTEST"):
-		q.Mode = "FASTEST"
-	default:
-		return nil, p.errorf(p.peek(), "expected EARLIEST or FASTEST, found %q", p.peek().text)
-	}
-	var err error
-	if err = p.expectKeyword("FROM"); err != nil {
-		return nil, err
-	}
-	if q.From, q.FromPos, err = p.valueListPos(); err != nil {
-		return nil, err
-	}
-	if err = p.expectKeyword("TO"); err != nil {
-		return nil, err
-	}
-	if q.To, q.ToPos, err = p.valueListPos(); err != nil {
-		return nil, err
-	}
-	if p.keyword("DURING") {
-		if q.During, err = p.interval(); err != nil {
-			return nil, err
-		}
-		q.HasDur = true
-	}
-	if err := p.temporal(&q.temporalClause); err != nil {
-		return nil, err
-	}
-	if err := p.atEOF(); err != nil {
-		return nil, err
-	}
-	return q, nil
-}
-
-// parseTrend parses
-//
-//	TREND DIST|ALL BY attrs [WIDTH n] [WHERE …] [temporal]
-func (p *parser) parseTrend() (interface{}, error) {
-	q := trendQuery{Width: 1}
-	var err error
-	if q.Kind, err = p.kind(); err != nil {
-		return nil, err
-	}
-	if err = p.expectKeyword("BY"); err != nil {
-		return nil, err
-	}
-	if q.Attrs, q.AttrsPos, err = p.valueListPos(); err != nil {
-		return nil, err
-	}
-	for {
-		switch {
-		case p.keyword("WIDTH"):
-			if q.Width, err = p.width(); err != nil {
-				return nil, err
-			}
-		case p.peek().kind == tokIdent && strings.EqualFold(p.peek().text, "WHERE"):
-			if q.Where, err = p.where(); err != nil {
-				return nil, err
-			}
-		default:
-			if ok, err := p.temporalOne(&q.temporalClause); err != nil {
-				return nil, err
-			} else if ok {
-				continue
-			}
-			if err := p.atEOF(); err != nil {
-				return nil, err
-			}
-			return q, nil
-		}
-	}
-}
-
-// parseTop parses TOP n event BY attrs — rank the aggregate edges
-// (attribute groups) by peak event count over consecutive interval pairs.
-func (p *parser) parseTop() (interface{}, error) {
-	var q topQuery
-	v, err := p.value()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := fmt.Sscanf(v, "%d", &q.N); err != nil || q.N < 1 {
-		return nil, p.errorf(p.peek(), "TOP wants a positive count, got %q", v)
-	}
-	switch {
-	case p.keyword("STABILITY"):
-		q.Event = "STABILITY"
-	case p.keyword("GROWTH"):
-		q.Event = "GROWTH"
-	case p.keyword("SHRINKAGE"):
-		q.Event = "SHRINKAGE"
-	default:
-		return nil, p.errorf(p.peek(), "expected STABILITY, GROWTH or SHRINKAGE, found %q", p.peek().text)
-	}
-	if err := p.expectKeyword("BY"); err != nil {
-		return nil, err
-	}
-	if q.Attrs, q.AttrsPos, err = p.valueListPos(); err != nil {
-		return nil, err
-	}
-	if err := p.temporal(&q.temporalClause); err != nil {
-		return nil, err
-	}
-	if err := p.atEOF(); err != nil {
-		return nil, err
-	}
-	return q, nil
-}
-
-func (p *parser) parseAgg() (interface{}, error) {
-	var q aggQuery
-	var err error
-	if q.Kind, err = p.kind(); err != nil {
-		return nil, err
-	}
-	if q.Attrs, q.AttrsPos, err = p.valueListPos(); err != nil {
-		return nil, err
-	}
-	if err = p.expectKeyword("ON"); err != nil {
-		return nil, err
-	}
-	if q.Op, err = p.opExpr(); err != nil {
-		return nil, err
-	}
-	if q.Where, err = p.where(); err != nil {
-		return nil, err
-	}
+// agg parses AGG kind attrs ON op [WHERE …] [MEASURE fn(attr)] [temporal].
+func (p *parser) agg() plan.Logical {
+	q := &plan.Aggregate{Kind: p.kind()}
+	q.Attrs, q.AttrsPos = p.values()
+	p.expectKeyword("ON")
+	q.Op = p.temporalOp()
+	q.Where = p.where()
 	if p.keyword("MEASURE") {
-		fn := p.peek()
-		switch {
-		case p.keyword("SUM"), p.keyword("AVG"), p.keyword("MIN"), p.keyword("MAX"):
-			q.Measure = strings.ToUpper(fn.text)
-		default:
-			return nil, p.errorf(fn, "expected SUM, AVG, MIN or MAX, found %q", fn.text)
-		}
-		if p.peek().kind != tokLParen {
-			return nil, p.errorf(p.peek(), "expected ( after MEASURE %s", q.Measure)
-		}
-		p.take()
-		if q.MAttr, q.MAttrPos, err = p.valuePos(); err != nil {
-			return nil, err
-		}
-		if p.peek().kind != tokRParen {
-			return nil, p.errorf(p.peek(), "expected ) after measured attribute")
-		}
-		p.take()
+		q.Measure = strings.ToUpper(p.pick("SUM, AVG, MIN or MAX", "SUM", "AVG", "MIN", "MAX"))
+		p.expect(tokLParen, "expected ( after MEASURE %s", q.Measure)
+		q.MeasureAttr, q.MeasureAttrPos = p.value()
+		p.expect(tokRParen, "expected ) after measured attribute")
 	}
-	if err := p.temporal(&q.temporalClause); err != nil {
-		return nil, err
-	}
-	if err := p.atEOF(); err != nil {
-		return nil, err
-	}
-	return q, nil
+	p.clauses(&q.Valid, &q.AsOf, nil)
+	return q
 }
 
-func (p *parser) parseEvolve() (interface{}, error) {
-	var q evolveQuery
-	var err error
-	if q.Kind, err = p.kind(); err != nil {
-		return nil, err
-	}
-	if q.Attrs, q.AttrsPos, err = p.valueListPos(); err != nil {
-		return nil, err
-	}
-	if err = p.expectKeyword("FROM"); err != nil {
-		return nil, err
-	}
-	if q.From, err = p.interval(); err != nil {
-		return nil, err
-	}
-	if err = p.expectKeyword("TO"); err != nil {
-		return nil, err
-	}
-	if q.To, err = p.interval(); err != nil {
-		return nil, err
-	}
-	if q.Where, err = p.where(); err != nil {
-		return nil, err
-	}
-	if err := p.temporal(&q.temporalClause); err != nil {
-		return nil, err
-	}
-	if err := p.atEOF(); err != nil {
-		return nil, err
-	}
-	return q, nil
+// evolve parses EVOLVE kind attrs FROM interval TO interval [WHERE …]
+// [temporal].
+func (p *parser) evolve() plan.Logical {
+	q := &plan.Evolve{Kind: p.kind()}
+	q.Attrs, q.AttrsPos = p.values()
+	p.expectKeyword("FROM")
+	q.From = p.interval()
+	p.expectKeyword("TO")
+	q.To = p.interval()
+	q.Where = p.where()
+	p.clauses(&q.Valid, &q.AsOf, nil)
+	return q
 }
 
-func (p *parser) parseExplore() (interface{}, error) {
-	q := exploreQuery{Semantics: "UNION", Extend: "NEW", K: -1}
-	switch {
-	case p.keyword("STABILITY"):
-		q.Event = "STABILITY"
-	case p.keyword("GROWTH"):
-		q.Event = "GROWTH"
-	case p.keyword("SHRINKAGE"):
-		q.Event = "SHRINKAGE"
-	default:
-		return nil, p.errorf(p.peek(), "expected STABILITY, GROWTH or SHRINKAGE, found %q", p.peek().text)
-	}
-	if err := p.expectKeyword("BY"); err != nil {
-		return nil, err
-	}
-	var err error
-	if q.Attrs, q.AttrsPos, err = p.valueListPos(); err != nil {
-		return nil, err
-	}
-	for {
+// explore parses EXPLORE event BY attrs and its optional clauses, in any
+// order: EDGE/NODE target, SEMANTICS, EXTEND, K, TUNE, temporal.
+func (p *parser) explore() plan.Logical {
+	q := &plan.Explore{Event: p.event(), Semantics: "union", Extend: "new", K: -1}
+	p.expectKeyword("BY")
+	q.Attrs, q.AttrsPos = p.values()
+	p.clauses(&q.Valid, &q.AsOf, func() bool {
 		switch {
 		case p.keyword("EDGE"):
-			if q.EdgeFrom, err = p.valueList(); err != nil {
-				return nil, err
-			}
-			if p.peek().kind != tokArrow {
-				return nil, p.errorf(p.peek(), "expected -> in EDGE target")
-			}
-			p.take()
-			if q.EdgeTo, err = p.valueList(); err != nil {
-				return nil, err
-			}
+			q.EdgeFrom, _ = p.values()
+			p.expect(tokArrow, "expected -> in EDGE target")
+			q.EdgeTo, _ = p.values()
 		case p.keyword("NODE"):
-			if q.NodeTuple, err = p.valueList(); err != nil {
-				return nil, err
-			}
+			q.NodeTuple, _ = p.values()
 		case p.keyword("SEMANTICS"):
 			switch {
 			case p.keyword("UNION"):
-				q.Semantics = "UNION"
+				q.Semantics = "union"
 			case p.keyword("INTERSECTION"):
-				q.Semantics = "INTERSECTION"
+				q.Semantics = "intersection"
 			default:
-				return nil, p.errorf(p.peek(), "expected UNION or INTERSECTION")
+				p.fail(p.peek(), "expected UNION or INTERSECTION")
 			}
 		case p.keyword("EXTEND"):
 			switch {
 			case p.keyword("OLD"):
-				q.Extend = "OLD"
+				q.Extend = "old"
 			case p.keyword("NEW"):
-				q.Extend = "NEW"
+				q.Extend = "new"
 			default:
-				return nil, p.errorf(p.peek(), "expected OLD or NEW")
+				p.fail(p.peek(), "expected OLD or NEW")
 			}
 		case p.keyword("K"):
-			v, err := p.value()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := fmt.Sscanf(v, "%d", &q.K); err != nil || q.K < 1 {
-				return nil, p.errorf(p.peek(), "K wants a positive integer, got %q", v)
-			}
+			q.K = p.integer(1, "K wants a positive integer, got %q")
 		case p.keyword("TUNE"):
-			v, err := p.value()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := fmt.Sscanf(v, "%d", &q.Tune); err != nil || q.Tune < 1 {
-				return nil, p.errorf(p.peek(), "TUNE wants a positive integer, got %q", v)
-			}
+			q.Tune = int(p.integer(1, "TUNE wants a positive integer, got %q"))
 		default:
-			if ok, err := p.temporalOne(&q.temporalClause); err != nil {
-				return nil, err
-			} else if ok {
-				continue
-			}
-			if err := p.atEOF(); err != nil {
-				return nil, err
-			}
-			return q, nil
+			return false
 		}
+		return true
+	})
+	return q
+}
+
+// top parses TOP n event BY attrs [temporal] — rank the aggregate edges
+// (attribute groups) by peak event count over consecutive interval pairs.
+func (p *parser) top() plan.Logical {
+	q := &plan.Top{N: int(p.integer(1, "TOP wants a positive count, got %q")), Event: p.event()}
+	p.expectKeyword("BY")
+	q.Attrs, q.AttrsPos = p.values()
+	p.clauses(&q.Valid, &q.AsOf, nil)
+	return q
+}
+
+// timeline parses TIMELINE BY attrs [WHERE …] [temporal].
+func (p *parser) timeline() plan.Logical {
+	q := &plan.Timeline{}
+	p.expectKeyword("BY")
+	q.Attrs, q.AttrsPos = p.values()
+	q.Where = p.where()
+	p.clauses(&q.Valid, &q.AsOf, nil)
+	return q
+}
+
+func (p *parser) width() int {
+	return int(p.integer(1, "WIDTH wants a positive integer, got %q"))
+}
+
+// events parses EVENTS kind BY attrs and its optional clauses, in any
+// order: WIDTH n, MIN n, WHERE …, temporal.
+func (p *parser) events() plan.Logical {
+	q := &plan.Events{Kind: p.kind(), Width: 1}
+	p.expectKeyword("BY")
+	q.Attrs, q.AttrsPos = p.values()
+	p.clauses(&q.Valid, &q.AsOf, func() bool {
+		switch {
+		case p.keyword("WIDTH"):
+			q.Width = p.width()
+		case p.keyword("MIN"):
+			q.Min = p.integer(0, "MIN wants a non-negative integer, got %q")
+		case p.keyword("WHERE"):
+			q.Where = p.predicates()
+		default:
+			return false
+		}
+		return true
+	})
+	return q
+}
+
+// paths parses PATHS EARLIEST|FASTEST FROM v(,v)* TO v(,v)* [DURING
+// interval] [temporal].
+func (p *parser) paths() plan.Logical {
+	q := &plan.Paths{Mode: p.pick("EARLIEST or FASTEST", "EARLIEST", "FASTEST")}
+	p.expectKeyword("FROM")
+	q.From, q.FromPos = p.values()
+	p.expectKeyword("TO")
+	q.To, q.ToPos = p.values()
+	if p.keyword("DURING") {
+		q.During = p.interval()
 	}
+	p.clauses(&q.Valid, &q.AsOf, nil)
+	return q
+}
+
+// trend parses TREND kind BY attrs and its optional clauses, in any order:
+// WIDTH n, WHERE …, temporal.
+func (p *parser) trend() plan.Logical {
+	q := &plan.Trend{Kind: p.kind(), Width: 1}
+	p.expectKeyword("BY")
+	q.Attrs, q.AttrsPos = p.values()
+	p.clauses(&q.Valid, &q.AsOf, func() bool {
+		switch {
+		case p.keyword("WIDTH"):
+			q.Width = p.width()
+		case p.keyword("WHERE"):
+			q.Where = p.predicates()
+		default:
+			return false
+		}
+		return true
+	})
+	return q
 }

@@ -167,6 +167,9 @@ func TestTemporalClauseErrors(t *testing.T) {
 		{"AGG DIST gender ON POINT t0 VALID DURING t0 VALID DURING t1", []string{"tgql: 1:45:", "duplicate VALID DURING"}},
 		{"AGG DIST gender ON POINT t0 VALID", []string{"expected DURING"}},
 		{"AGG DIST gender ON POINT t0 AS 3", []string{"expected OF"}},
+		// An empty label is an error, not an absent clause or operand.
+		{"AGG DIST gender ON POINT t0 VALID DURING ''", []string{"tgql: 1:42:", "empty time-point label"}},
+		{"AGG DIST gender ON PROJECT t0..''", []string{"tgql: 1:32:", "empty time-point label"}},
 		// No transaction log behind plain Exec: AS OF must be rejected at
 		// the clause's position, VALID DURING with an unknown label at the
 		// label's position.

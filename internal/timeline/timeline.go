@@ -231,35 +231,6 @@ func (iv Interval) Equal(other Interval) bool {
 	return iv.tl == other.tl && iv.set.Equal(other.set)
 }
 
-// ExtendRight returns the interval extended by the base point immediately
-// after its maximum, and true; or iv unchanged and false when already at the
-// right edge of the timeline. This is the "right child in the semi-lattice"
-// step of U-Explore/I-Explore (the semantics — union vs. intersection — are
-// determined by how the caller combines the extended interval, not by the
-// extension itself).
-func (iv Interval) ExtendRight() (Interval, bool) {
-	m := iv.Max()
-	if m < 0 || int(m)+1 >= iv.tl.Len() {
-		return iv, false
-	}
-	s := iv.set.Clone()
-	s.Add(int(m) + 1)
-	return Interval{iv.tl, s}, true
-}
-
-// ExtendLeft returns the interval extended by the base point immediately
-// before its minimum, and true; or iv unchanged and false when already at
-// the left edge of the timeline.
-func (iv Interval) ExtendLeft() (Interval, bool) {
-	m := iv.Min()
-	if m < 0 || m == 0 {
-		return iv, false
-	}
-	s := iv.set.Clone()
-	s.Add(int(m) - 1)
-	return Interval{iv.tl, s}, true
-}
-
 // String renders the interval with point labels: a single label for a
 // point, "[a,b]" for a contiguous run, and "{a,b,c}" for a general set.
 func (iv Interval) String() string {

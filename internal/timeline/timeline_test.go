@@ -98,28 +98,6 @@ func TestSetOps(t *testing.T) {
 	}
 }
 
-func TestExtend(t *testing.T) {
-	tl := MustNew("a", "b", "c")
-	iv := tl.Point(1)
-	r, ok := iv.ExtendRight()
-	if !ok || !r.Equal(tl.Range(1, 2)) {
-		t.Errorf("ExtendRight = %v,%v", r, ok)
-	}
-	if _, ok := r.ExtendRight(); ok {
-		t.Error("ExtendRight at edge should fail")
-	}
-	l, ok := iv.ExtendLeft()
-	if !ok || !l.Equal(tl.Range(0, 1)) {
-		t.Errorf("ExtendLeft = %v,%v", l, ok)
-	}
-	if _, ok := l.ExtendLeft(); ok {
-		t.Error("ExtendLeft at edge should fail")
-	}
-	if _, ok := tl.Empty().ExtendRight(); ok {
-		t.Error("ExtendRight of empty should fail")
-	}
-}
-
 func TestString(t *testing.T) {
 	tl := MustNew("2000", "2001", "2002")
 	cases := []struct {
@@ -165,39 +143,6 @@ func TestQuickLatticeLaws(t *testing.T) {
 			a.Union(a.Intersect(b)).Equal(a) &&
 			a.Intersect(a.Union(b)).Equal(a) &&
 			a.Minus(b).Union(a.Intersect(b)).Equal(a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickExtendGrowsByOne(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(20)
-		labels := make([]string, n)
-		for i := range labels {
-			labels[i] = string(rune('a' + i))
-		}
-		tl := MustNew(labels...)
-		from := Time(r.Intn(n))
-		to := from + Time(r.Intn(n-int(from)))
-		iv := tl.Range(from, to)
-		if right, ok := iv.ExtendRight(); ok {
-			if right.Len() != iv.Len()+1 || !iv.SubsetOf(right) || !right.IsContiguous() {
-				return false
-			}
-		} else if int(to) != n-1 {
-			return false
-		}
-		if left, ok := iv.ExtendLeft(); ok {
-			if left.Len() != iv.Len()+1 || !iv.SubsetOf(left) || !left.IsContiguous() {
-				return false
-			}
-		} else if from != 0 {
-			return false
-		}
-		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
