@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/core"
@@ -240,12 +241,52 @@ func (s *Schema) Encode(values ...string) (Tuple, bool) {
 	return Tuple(code), true
 }
 
-// Graph is a weighted aggregate graph G'(V', E', W_V', W_E', A').
+// Graph is a weighted aggregate graph G'(V', E', W_V', W_E', A'). It is
+// immutable once rendered or shared: the first render remembers the wire
+// order with its weights, every later one walks it without sorting, and
+// Merge, the one mutator, forgets it.
 type Graph struct {
 	Schema *Schema
 	Kind   Kind
 	Nodes  map[Tuple]int64
 	Edges  map[EdgeKey]int64
+	order  atomic.Pointer[wireOrder]
+}
+
+// wireOrder is a graph's groups in wire order, each with its weight.
+type wireOrder struct {
+	nodes []weighted[Tuple]
+	edges []weighted[EdgeKey]
+}
+
+// weighted is one group with its weight: sorting the pairs carries each
+// weight along instead of looking it up again.
+type weighted[K any] struct {
+	key K
+	w   int64
+}
+
+func pairs[K comparable](groups map[K]int64) []weighted[K] {
+	out := make([]weighted[K], 0, len(groups))
+	for k, w := range groups {
+		out = append(out, weighted[K]{k, w})
+	}
+	return out
+}
+
+// wire returns ag's wire order, sorting on first use with the wire-order
+// sorter (order.go). Concurrent first renders may each sort; their orders
+// are equal and either is kept.
+func (ag *Graph) wire() *wireOrder {
+	if o := ag.order.Load(); o != nil {
+		return o
+	}
+	s := ag.Schema
+	o := &wireOrder{nodes: pairs(ag.Nodes), edges: pairs(ag.Edges)}
+	SortNodes(o.nodes, func(p weighted[Tuple]) Tuple { return p.key }, s.AppendLabel, s.compareTuples)
+	SortEdges(o.edges, func(p weighted[EdgeKey]) (Tuple, Tuple) { return p.key.From, p.key.To }, s.AppendLabel, s.compareTuples)
+	ag.order.Store(o)
+	return o
 }
 
 // NodeWeight returns the weight of the aggregate node for tu (0 if absent).
@@ -274,26 +315,34 @@ func (ag *Graph) TotalEdgeWeight() int64 {
 
 // SortedNodes returns the aggregate node tuples in wire order (order.go):
 // by decoded label, for deterministic presentation.
-func (ag *Graph) SortedNodes() []Tuple { return SortedTuples(ag.Schema, ag.Nodes) }
+func (ag *Graph) SortedNodes() []Tuple { return keys(ag.wire().nodes) }
 
 // SortedEdges returns the aggregate edge keys in wire order.
-func (ag *Graph) SortedEdges() []EdgeKey { return SortedEdgeKeys(ag.Schema, ag.Edges) }
+func (ag *Graph) SortedEdges() []EdgeKey { return keys(ag.wire().edges) }
+
+func keys[K any](ps []weighted[K]) []K {
+	out := make([]K, len(ps))
+	for i, p := range ps {
+		out[i] = p.key
+	}
+	return out
+}
 
 // String renders the aggregate graph for debugging, examples and the TGQL
 // text result.
 func (ag *Graph) String() string {
-	s := ag.Schema
+	s, o := ag.Schema, ag.wire()
 	b := make([]byte, 0, 64+32*(len(ag.Nodes)+len(ag.Edges)))
 	b = fmt.Appendf(b, "aggregate graph (%s) on %d tuples\n", ag.Kind, len(ag.Nodes))
-	for _, tu := range ag.SortedNodes() {
-		b = s.AppendLabel(append(b, "  node ("...), tu)
-		b = strconv.AppendInt(append(b, ") w="...), ag.Nodes[tu], 10)
+	for _, p := range o.nodes {
+		b = s.AppendLabel(append(b, "  node ("...), p.key)
+		b = strconv.AppendInt(append(b, ") w="...), p.w, 10)
 		b = append(b, '\n')
 	}
-	for _, k := range ag.SortedEdges() {
-		b = s.AppendLabel(append(b, "  edge ("...), k.From)
-		b = s.AppendLabel(append(b, ")→("...), k.To)
-		b = strconv.AppendInt(append(b, ") w="...), ag.Edges[k], 10)
+	for _, p := range o.edges {
+		b = s.AppendLabel(append(b, "  edge ("...), p.key.From)
+		b = s.AppendLabel(append(b, ")→("...), p.key.To)
+		b = strconv.AppendInt(append(b, ") w="...), p.w, 10)
 		b = append(b, '\n')
 	}
 	return string(b)
@@ -339,7 +388,7 @@ func AggregateMap(v *ops.View, s *Schema, kind Kind) *Graph {
 	if s.allStatic {
 		aggregateStaticRange(v, s, kind, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
 	} else {
-		aggregateVaryingRange(v, s, kind, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
+		aggregateVaryingRange(v, s, kind, nil, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
 	}
 	return ag
 }
@@ -358,7 +407,7 @@ func AggregateGeneral(v *ops.View, s *Schema, kind Kind) *Graph {
 		Nodes:  make(map[Tuple]int64),
 		Edges:  make(map[EdgeKey]int64),
 	}
-	aggregateVaryingRange(v, s, kind, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
+	aggregateVaryingRange(v, s, kind, nil, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
 	return ag
 }
 
@@ -385,60 +434,7 @@ func AggregateFiltered(v *ops.View, s *Schema, kind Kind, filter Filter) *Graph 
 		Nodes:  make(map[Tuple]int64),
 		Edges:  make(map[EdgeKey]int64),
 	}
-	g := s.g
-	var seen map[Tuple]bool
-	if kind == Distinct {
-		seen = make(map[Tuple]bool)
-	}
-	v.ForEachNode(func(n core.NodeID) {
-		if kind == Distinct {
-			clear(seen)
-		}
-		v.NodeTimes(n).ForEach(func(t int) {
-			if !filter(n, timeline.Time(t)) {
-				return
-			}
-			tu, ok := s.TupleAt(n, timeline.Time(t))
-			if !ok {
-				return
-			}
-			if kind == Distinct {
-				if seen[tu] {
-					return
-				}
-				seen[tu] = true
-			}
-			ag.Nodes[tu]++
-		})
-	})
-	var seenEdges map[EdgeKey]bool
-	if kind == Distinct {
-		seenEdges = make(map[EdgeKey]bool)
-	}
-	v.ForEachEdge(func(e core.EdgeID) {
-		if kind == Distinct {
-			clear(seenEdges)
-		}
-		ep := g.Edge(e)
-		v.EdgeTimes(e).ForEach(func(t int) {
-			if !filter(ep.U, timeline.Time(t)) || !filter(ep.V, timeline.Time(t)) {
-				return
-			}
-			fu, ok1 := s.TupleAt(ep.U, timeline.Time(t))
-			tu, ok2 := s.TupleAt(ep.V, timeline.Time(t))
-			if !ok1 || !ok2 {
-				return
-			}
-			key := EdgeKey{fu, tu}
-			if kind == Distinct {
-				if seenEdges[key] {
-					return
-				}
-				seenEdges[key] = true
-			}
-			ag.Edges[key]++
-		})
-	})
+	aggregateVaryingRange(v, s, kind, filter, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
 	return ag
 }
 
@@ -479,9 +475,10 @@ func aggregateStaticRange(v *ops.View, s *Schema, kind Kind, ag *Graph, nLo, nHi
 
 // aggregateVaryingRange is the map engine's general path over the same id
 // ranges, for schemas with at least one time-varying attribute: tuples are
-// collected per time point of each entity's restricted timestamp; DIST
-// deduplicates per (entity, tuple).
-func aggregateVaryingRange(v *ops.View, s *Schema, kind Kind, ag *Graph, nLo, nHi, eLo, eHi int) {
+// collected per time point of each entity's restricted timestamp that
+// passes filter (nil passes every one; an edge needs both endpoints to
+// pass); DIST deduplicates per (entity, tuple).
+func aggregateVaryingRange(v *ops.View, s *Schema, kind Kind, filter Filter, ag *Graph, nLo, nHi, eLo, eHi int) {
 	g := s.g
 	var seen map[Tuple]bool
 	if kind == Distinct {
@@ -492,6 +489,9 @@ func aggregateVaryingRange(v *ops.View, s *Schema, kind Kind, ag *Graph, nLo, nH
 			clear(seen)
 		}
 		v.NodeTimes(n).ForEach(func(t int) {
+			if filter != nil && !filter(n, timeline.Time(t)) {
+				return
+			}
 			tu, ok := s.TupleAt(n, timeline.Time(t))
 			if !ok {
 				return
@@ -515,6 +515,9 @@ func aggregateVaryingRange(v *ops.View, s *Schema, kind Kind, ag *Graph, nLo, nH
 		}
 		ep := g.Edge(e)
 		v.EdgeTimes(e).ForEach(func(t int) {
+			if filter != nil && (!filter(ep.U, timeline.Time(t)) || !filter(ep.V, timeline.Time(t))) {
+				return
+			}
 			fu, ok1 := s.TupleAt(ep.U, timeline.Time(t))
 			tu, ok2 := s.TupleAt(ep.V, timeline.Time(t))
 			if !ok1 || !ok2 {
@@ -632,6 +635,7 @@ func (ag *Graph) Merge(other *Graph) {
 	if !ag.Schema.SameCoding(other.Schema) || ag.Kind != other.Kind {
 		panic("agg: Merge of incompatible aggregate graphs")
 	}
+	ag.order.Store(nil)
 	for tu, w := range other.Nodes {
 		ag.Nodes[tu] += w
 	}
@@ -642,13 +646,14 @@ func (ag *Graph) Merge(other *Graph) {
 
 // ApproxBytes estimates the resident size of the aggregate graph for
 // cache accounting: a fixed header plus the hash-map entries (key, weight
-// and bucket overhead). It is deliberately cheap — O(1) — and approximate;
+// and bucket overhead) and the remembered wire order, counted whether or
+// not it was built yet. It is deliberately cheap — O(1) — and approximate;
 // byte-budgeted caches only need relative sizes to be sane.
 func (ag *Graph) ApproxBytes() int64 {
 	const (
 		header    = 64
-		nodeEntry = 48 // Tuple (8) + int64 (8) + bucket overhead
-		edgeEntry = 64 // EdgeKey (16) + int64 (8) + bucket overhead
+		nodeEntry = 48 + 16 // Tuple (8) + int64 (8) + bucket overhead; wire order Tuple + weight
+		edgeEntry = 64 + 24 // EdgeKey (16) + int64 (8) + bucket overhead; wire order EdgeKey + weight
 	)
 	return header + int64(len(ag.Nodes))*nodeEntry + int64(len(ag.Edges))*edgeEntry
 }

@@ -157,21 +157,21 @@ func aggregateRangeCtx(ctx context.Context, v *ops.View, s *Schema, kind Kind, a
 		ag.Nodes = make(map[Tuple]int64)
 		ag.Edges = make(map[EdgeKey]int64)
 	}
-	kernel := aggregateVaryingRange
+	kernel := func(nLo, nHi, eLo, eHi int) { aggregateVaryingRange(v, s, kind, nil, ag, nLo, nHi, eLo, eHi) }
 	if s.allStatic {
-		kernel = aggregateStaticRange
+		kernel = func(nLo, nHi, eLo, eHi int) { aggregateStaticRange(v, s, kind, ag, nLo, nHi, eLo, eHi) }
 	}
 	for lo := nLo; lo < nHi; lo += ctxChunk {
 		if canceled() {
 			return
 		}
-		kernel(v, s, kind, ag, lo, min(lo+ctxChunk, nHi), 0, 0)
+		kernel(lo, min(lo+ctxChunk, nHi), 0, 0)
 	}
 	for lo := eLo; lo < eHi; lo += ctxChunk {
 		if canceled() {
 			return
 		}
-		kernel(v, s, kind, ag, 0, 0, lo, min(lo+ctxChunk, eHi))
+		kernel(0, 0, lo, min(lo+ctxChunk, eHi))
 	}
 }
 

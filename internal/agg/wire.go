@@ -174,17 +174,17 @@ func (w *WireWriter) Close() []byte {
 }
 
 // AppendJSON appends the graph's wire form to dst and returns the extended
-// buffer. It only reads ag, so any number of goroutines may encode one
-// shared (cached) graph.
+// buffer. Any number of goroutines may encode one shared (cached) graph;
+// after the first, each walks the remembered wire order without sorting.
 func (ag *Graph) AppendJSON(dst []byte) []byte {
-	s := ag.Schema
+	s, o := ag.Schema, ag.wire()
 	w := NewWireWriter(dst, s.AttrNames(), ag.Kind.String())
 	from, to := make([]string, len(s.attrs)), make([]string, len(s.attrs))
-	for _, tu := range ag.SortedNodes() {
-		w.Node(s.decodeInto(from, tu), ag.Nodes[tu])
+	for _, p := range o.nodes {
+		w.Node(s.decodeInto(from, p.key), p.w)
 	}
-	for _, k := range ag.SortedEdges() {
-		w.Edge(s.decodeInto(from, k.From), s.decodeInto(to, k.To), ag.Edges[k])
+	for _, p := range o.edges {
+		w.Edge(s.decodeInto(from, p.key.From), s.decodeInto(to, p.key.To), p.w)
 	}
 	return w.Close()
 }

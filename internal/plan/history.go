@@ -1,8 +1,6 @@
 package plan
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/materialize"
 )
@@ -108,14 +106,4 @@ func resolveHistory(env Env, node Logical) (Env, error) {
 	}
 	env.Graph, env.Catalog, env.Cache = st.Graph, st.Catalog, st.Plans
 	return env, nil
-}
-
-// headOnly guards entry points that cannot serve time travel (scatter
-// partials): it rejects nodes carrying bi-temporal clauses.
-func headOnly(node Logical) error {
-	valid, asOf := temporalOf(node)
-	if !valid.IsZero() || !asOf.IsZero() {
-		return fmt.Errorf("plan: %s: bi-temporal clauses cannot be served here", node.Key())
-	}
-	return nil
 }
