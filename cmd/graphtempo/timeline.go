@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"repro/internal/agg"
-	"repro/internal/benchutil"
 	"repro/internal/evolution"
 	"repro/internal/tgql"
 )
@@ -37,7 +36,7 @@ func cmdTimeline(args []string) error {
 		}
 	}
 	steps := evolution.Timeline(g, s, agg.Distinct, evolution.Filter(filter))
-	tb := &benchutil.Table{
+	tb := &tgql.Table{
 		ID: "timeline", Title: "evolution per consecutive time-point pair",
 		Header: []string{"step", "nodes St", "nodes Gr", "nodes Shr", "edges St", "edges Gr", "edges Shr"},
 	}

@@ -308,7 +308,7 @@ func main() {
 		start := time.Now()
 		for _, p := range e.make(env) {
 			if *asJSON {
-				if err := p.WriteJSON(w); err != nil {
+				if err := benchutil.WriteJSON(w, p); err != nil {
 					fmt.Fprintln(os.Stderr, err)
 					os.Exit(1)
 				}

@@ -248,7 +248,8 @@ func AggregateParallelCtx(ctx context.Context, v *View, s *AggSchema, kind AggKi
 // AggregateFiltered is Aggregate restricted to the (node, time)
 // appearances admitted by filter (nil admits everything).
 func AggregateFiltered(v *View, s *AggSchema, kind AggKind, filter NodeFilter) *AggGraph {
-	return agg.AggregateFiltered(v, s, kind, agg.Filter(filter))
+	ag, _ := agg.AggregateFiltered(context.Background(), v, s, kind, agg.Filter(filter))
+	return ag
 }
 
 // Query parses and executes one TGQL statement against g, e.g.

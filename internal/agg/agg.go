@@ -69,19 +69,22 @@ type Schema struct {
 	radices   []int64
 	domain    int64
 	allStatic bool
-	preferMap bool
 
-	// Dense-kernel state (dense.go): pooled flat accumulators (sweep holds
-	// the evolution sweep kernel's), and the lazily built per-node static
-	// tuple codes and match masks for all-static schemas.
+	// Kernel state (dense.go): pooled accumulators (sweep holds the
+	// evolution sweep kernel's), and the lazily built per-node static tuple
+	// codes and match masks for all-static schemas.
 	dense       sync.Pool
 	sweep       sync.Pool
 	staticOnce  sync.Once
-	staticCodes []int32
+	staticCodes []int64
 	matchOnce   sync.Once
 	matchNodes  *bitset.Set
 	matchEdges  *bitset.Set
 }
+
+// maxDomain bounds a schema's tuple domain so that every edge code
+// from·Domain+to fits in an int64: ⌊√(2⁶³−1)⌋.
+const maxDomain = 3_037_000_499
 
 // NewSchema returns a schema aggregating g's nodes on the given attributes,
 // in order. At least one attribute is required (Definition 2.6: 1 ≤ n ≤ k).
@@ -112,7 +115,7 @@ func NewSchema(g *core.Graph, attrs ...core.AttrID) (*Schema, error) {
 		}
 		s.strides[i] = stride
 		s.radices[i] = radix
-		if stride > (1<<62)/radix {
+		if stride > maxDomain/radix {
 			return nil, fmt.Errorf("agg: combined attribute domain too large")
 		}
 		stride *= radix
@@ -349,32 +352,21 @@ func (ag *Graph) String() string {
 }
 
 // Aggregate computes the aggregate graph of a view under the schema
-// (Algorithm 2 and its ALL/static variants). The view must be over the
-// same base graph as the schema.
-//
-// When the schema's tuple domain is small (Domain ≤ DenseDomainLimit, the
-// common case for the paper's dictionary-encoded attribute combinations),
-// the accumulation runs on pooled flat arrays indexed by dense tuple codes
-// instead of hash maps (dense.go); otherwise it falls back to the map
-// engine. Both engines produce identical weights — see AggregateMap and
-// the cross-check tests in dense_test.go.
+// (Algorithm 2 and its ALL/static variants) on the kernels of dense.go. The
+// view must be over the same base graph as the schema.
 func Aggregate(v *ops.View, s *Schema, kind Kind) *Graph {
 	if v.Graph() != s.g {
 		panic("agg: view and schema built on different graphs")
 	}
-	countKernel(s)
-	ag := &Graph{Schema: s, Kind: kind}
 	// context.Background is never canceled: the shared engine's probes cost
 	// a nil check.
-	aggregateRangeCtx(context.Background(), v, s, kind, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
-	return ag
+	return aggregateSerialCtx(context.Background(), v, s, kind, nil)
 }
 
-// AggregateMap computes the same result as Aggregate but always uses the
-// original hash-map accumulators, even when the dense kernel is eligible.
-// It is the reference engine the dense kernel is cross-checked against and
-// the "seed path" comparator of the fast-path benchmarks; library code
-// should call Aggregate.
+// AggregateMap computes the same result as Aggregate on hash-map
+// accumulators, entity by entity. It is the reference engine the kernels
+// are cross-checked against and the "seed path" comparator of the fast-path
+// benchmarks; library code should call Aggregate.
 func AggregateMap(v *ops.View, s *Schema, kind Kind) *Graph {
 	if v.Graph() != s.g {
 		panic("agg: view and schema built on different graphs")
@@ -388,7 +380,7 @@ func AggregateMap(v *ops.View, s *Schema, kind Kind) *Graph {
 	if s.allStatic {
 		aggregateStaticRange(v, s, kind, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
 	} else {
-		aggregateVaryingRange(v, s, kind, nil, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
+		aggregateVaryingRange(v, s, kind, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
 	}
 	return ag
 }
@@ -407,7 +399,7 @@ func AggregateGeneral(v *ops.View, s *Schema, kind Kind) *Graph {
 		Nodes:  make(map[Tuple]int64),
 		Edges:  make(map[EdgeKey]int64),
 	}
-	aggregateVaryingRange(v, s, kind, nil, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
+	aggregateVaryingRange(v, s, kind, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
 	return ag
 }
 
@@ -417,30 +409,27 @@ func AggregateGeneral(v *ops.View, s *Schema, kind Kind) *Graph {
 // high-activity restriction) for plain aggregation.
 type Filter func(n core.NodeID, t timeline.Time) bool
 
-// AggregateFiltered is Aggregate with a per-appearance filter. A nil
-// filter is equivalent to Aggregate. Filtering forces the general
-// per-time-point path even for all-static schemas, since the predicate
-// may depend on time-varying attributes.
-func AggregateFiltered(v *ops.View, s *Schema, kind Kind, filter Filter) *Graph {
-	if filter == nil {
-		return Aggregate(v, s, kind)
-	}
+// AggregateFiltered is Aggregate with a per-appearance filter; a nil
+// filter is Aggregate. A filtered aggregation takes the time-major kernel
+// even under an all-static schema, since the predicate may depend on
+// time-varying attributes. ctx is probed like AggregateParallelCtx does: a
+// nil error guarantees the complete result.
+func AggregateFiltered(ctx context.Context, v *ops.View, s *Schema, kind Kind, filter Filter) (*Graph, error) {
 	if v.Graph() != s.g {
 		panic("agg: view and schema built on different graphs")
 	}
-	ag := &Graph{
-		Schema: s,
-		Kind:   kind,
-		Nodes:  make(map[Tuple]int64),
-		Edges:  make(map[EdgeKey]int64),
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	aggregateVaryingRange(v, s, kind, filter, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
-	return ag
+	ag := aggregateSerialCtx(ctx, v, s, kind, filter)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return ag, nil
 }
 
 // aggregateStaticRange is the §4.2 fast path of the map engine over the
-// view's entities with ids in [nLo,nHi) / [eLo,eHi) — the whole id space
-// for the serial engine, one shard per call for the parallel one. Each node
+// view's entities with ids in [nLo,nHi) / [eLo,eHi). Each node
 // has exactly one tuple, so no unpivoting or per-tuple deduplication is
 // needed. For ALL, the appearance count of an entity is the popcount of its
 // restricted timestamp.
@@ -475,10 +464,9 @@ func aggregateStaticRange(v *ops.View, s *Schema, kind Kind, ag *Graph, nLo, nHi
 
 // aggregateVaryingRange is the map engine's general path over the same id
 // ranges, for schemas with at least one time-varying attribute: tuples are
-// collected per time point of each entity's restricted timestamp that
-// passes filter (nil passes every one; an edge needs both endpoints to
-// pass); DIST deduplicates per (entity, tuple).
-func aggregateVaryingRange(v *ops.View, s *Schema, kind Kind, filter Filter, ag *Graph, nLo, nHi, eLo, eHi int) {
+// collected per time point of each entity's restricted timestamp; DIST
+// deduplicates per (entity, tuple).
+func aggregateVaryingRange(v *ops.View, s *Schema, kind Kind, ag *Graph, nLo, nHi, eLo, eHi int) {
 	g := s.g
 	var seen map[Tuple]bool
 	if kind == Distinct {
@@ -489,9 +477,6 @@ func aggregateVaryingRange(v *ops.View, s *Schema, kind Kind, filter Filter, ag 
 			clear(seen)
 		}
 		v.NodeTimes(n).ForEach(func(t int) {
-			if filter != nil && !filter(n, timeline.Time(t)) {
-				return
-			}
 			tu, ok := s.TupleAt(n, timeline.Time(t))
 			if !ok {
 				return
@@ -515,9 +500,6 @@ func aggregateVaryingRange(v *ops.View, s *Schema, kind Kind, filter Filter, ag 
 		}
 		ep := g.Edge(e)
 		v.EdgeTimes(e).ForEach(func(t int) {
-			if filter != nil && (!filter(ep.U, timeline.Time(t)) || !filter(ep.V, timeline.Time(t))) {
-				return
-			}
 			fu, ok1 := s.TupleAt(ep.U, timeline.Time(t))
 			tu, ok2 := s.TupleAt(ep.V, timeline.Time(t))
 			if !ok1 || !ok2 {

@@ -1,6 +1,7 @@
 package agg
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -87,7 +88,7 @@ func TestAggregateFilteredDirect(t *testing.T) {
 	onlyOnes := func(n core.NodeID, t timeline.Time) bool {
 		return g.ValueString(pubs, n, t) == "1"
 	}
-	ag := AggregateFiltered(v, s, All, onlyOnes)
+	ag := mustFiltered(t, v, s, All, onlyOnes)
 	f, _ := s.Encode("f")
 	m, _ := s.Encode("m")
 	// f appearances with pubs=1: u2@t0, u2@t1, u3@t0, u4@t1 → 4.
@@ -106,12 +107,12 @@ func TestAggregateFilteredDirect(t *testing.T) {
 	}
 
 	// DIST variant dedups: u2 exhibits f at both t0,t1 → counts once.
-	dist := AggregateFiltered(v, s, Distinct, onlyOnes)
+	dist := mustFiltered(t, v, s, Distinct, onlyOnes)
 	if dist.NodeWeight(f) != 3 {
 		t.Errorf("DIST w(f | pubs=1) = %d, want 3", dist.NodeWeight(f))
 	}
 	// Nil filter delegates to Aggregate.
-	if !AggregateFiltered(v, s, Distinct, nil).Equal(Aggregate(v, s, Distinct)) {
+	if !mustFiltered(t, v, s, Distinct, nil).Equal(Aggregate(v, s, Distinct)) {
 		t.Error("nil filter should equal Aggregate")
 	}
 }
@@ -125,6 +126,16 @@ func TestAggregateFilteredPanicsOnForeignView(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	AggregateFiltered(ops.At(g2, 0), s, Distinct,
+	AggregateFiltered(context.Background(), ops.At(g2, 0), s, Distinct,
 		func(core.NodeID, timeline.Time) bool { return true })
+}
+
+// mustFiltered is AggregateFiltered under a context that never ends.
+func mustFiltered(t *testing.T, v *ops.View, s *Schema, kind Kind, filter Filter) *Graph {
+	t.Helper()
+	ag, err := AggregateFiltered(context.Background(), v, s, kind, filter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ag
 }

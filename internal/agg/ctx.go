@@ -5,33 +5,8 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/metrics"
 	"repro/internal/ops"
 )
-
-// KernelSelections counts which engine served each top-level Aggregate /
-// AggregateParallel call: the flat-array dense kernel, the static-schema
-// map kernel, or the general time-varying map kernel. The serving layer
-// registers these under one metric family so the kernel mix of live
-// traffic is observable; they are package-level because kernel selection
-// happens deep inside the library where no registry is in scope.
-var KernelSelections struct {
-	Dense   metrics.Counter
-	Static  metrics.Counter
-	Varying metrics.Counter
-}
-
-// countKernel records the engine chosen for one aggregation call.
-func countKernel(s *Schema) {
-	switch {
-	case s.denseEligible():
-		KernelSelections.Dense.Inc()
-	case s.allStatic:
-		KernelSelections.Static.Inc()
-	default:
-		KernelSelections.Varying.Inc()
-	}
-}
 
 // ctxChunk is the number of entity ids a shard worker processes between
 // cancellation probes. Small enough that an expired deadline stops the
@@ -66,10 +41,8 @@ func aggregateParallelInner(ctx context.Context, v *ops.View, s *Schema, kind Ki
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers == 1 || v.NumNodes()+v.NumEdges() < parallelMinEntities {
-		countKernel(s)
-		return aggregateSerialCtx(ctx, v, s, kind)
+		return aggregateSerialCtx(ctx, v, s, kind, nil)
 	}
-	countKernel(s)
 	g := s.g
 	parts := make([]*Graph, workers)
 	var wg sync.WaitGroup
@@ -85,7 +58,7 @@ func aggregateParallelInner(ctx context.Context, v *ops.View, s *Schema, kind Ki
 			parts[w] = part
 			nLo, nHi := min(w*nodeShard, g.NumNodes()), min((w+1)*nodeShard, g.NumNodes())
 			eLo, eHi := min(w*edgeShard, g.NumEdges()), min((w+1)*edgeShard, g.NumEdges())
-			aggregateRangeCtx(ctx, v, s, kind, part, nLo, nHi, eLo, eHi)
+			aggregateRangeCtx(ctx, v, s, kind, nil, part, nLo, nHi, eLo, eHi)
 		}(w)
 	}
 	wg.Wait()
@@ -111,9 +84,9 @@ func aggregateParallelInner(ctx context.Context, v *ops.View, s *Schema, kind Ki
 
 // aggregateSerialCtx is the single-worker engine with the same chunked
 // cancellation probes as the shard workers.
-func aggregateSerialCtx(ctx context.Context, v *ops.View, s *Schema, kind Kind) *Graph {
+func aggregateSerialCtx(ctx context.Context, v *ops.View, s *Schema, kind Kind, filter Filter) *Graph {
 	ag := &Graph{Schema: s, Kind: kind}
-	aggregateRangeCtx(ctx, v, s, kind, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
+	aggregateRangeCtx(ctx, v, s, kind, filter, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
 	if ctx.Err() != nil {
 		return nil
 	}
@@ -123,7 +96,7 @@ func aggregateSerialCtx(ctx context.Context, v *ops.View, s *Schema, kind Kind) 
 // aggregateRangeCtx aggregates the entity id ranges into ag, probing ctx
 // between chunks. On cancellation the partial accumulation is abandoned
 // (ag may be incomplete; callers discard it).
-func aggregateRangeCtx(ctx context.Context, v *ops.View, s *Schema, kind Kind, ag *Graph, nLo, nHi, eLo, eHi int) {
+func aggregateRangeCtx(ctx context.Context, v *ops.View, s *Schema, kind Kind, filter Filter, ag *Graph, nLo, nHi, eLo, eHi int) {
 	done := ctx.Done()
 	canceled := func() bool {
 		if done == nil {
@@ -136,51 +109,30 @@ func aggregateRangeCtx(ctx context.Context, v *ops.View, s *Schema, kind Kind, a
 			return false
 		}
 	}
-	if s.denseEligible() {
-		sc := s.getScratch()
-		if aggregateDense(v, s, kind, sc, nLo, nHi, eLo, eHi, canceled) {
-			d := int64(s.domain)
-			ag.Nodes = make(map[Tuple]int64, len(sc.nodeTouched))
-			for _, c := range sc.nodeTouched {
-				ag.Nodes[Tuple(c)] = sc.nodeW[c]
-			}
-			ag.Edges = make(map[EdgeKey]int64, len(sc.edgeTouched))
-			for _, c := range sc.edgeTouched {
-				code := int64(c)
-				ag.Edges[EdgeKey{Tuple(code / d), Tuple(code % d)}] = sc.edgeW[c]
-			}
-		}
-		s.putScratch(sc)
+	sc := s.getScratch()
+	defer s.putScratch(sc)
+	if !aggregateDense(v, s, kind, filter, sc, nLo, nHi, eLo, eHi, canceled) {
 		return
 	}
-	if ag.Nodes == nil {
-		ag.Nodes = make(map[Tuple]int64)
-		ag.Edges = make(map[EdgeKey]int64)
+	ag.Nodes = make(map[Tuple]int64, sc.nodes.Len())
+	for i := range sc.nodes.Len() {
+		c, w := sc.nodes.Entry(i)
+		ag.Nodes[Tuple(c)] = w
 	}
-	kernel := func(nLo, nHi, eLo, eHi int) { aggregateVaryingRange(v, s, kind, nil, ag, nLo, nHi, eLo, eHi) }
-	if s.allStatic {
-		kernel = func(nLo, nHi, eLo, eHi int) { aggregateStaticRange(v, s, kind, ag, nLo, nHi, eLo, eHi) }
-	}
-	for lo := nLo; lo < nHi; lo += ctxChunk {
-		if canceled() {
-			return
-		}
-		kernel(lo, min(lo+ctxChunk, nHi), 0, 0)
-	}
-	for lo := eLo; lo < eHi; lo += ctxChunk {
-		if canceled() {
-			return
-		}
-		kernel(0, 0, lo, min(lo+ctxChunk, eHi))
+	d := s.domain
+	ag.Edges = make(map[EdgeKey]int64, sc.edges.Len())
+	for i := range sc.edges.Len() {
+		c, w := sc.edges.Entry(i)
+		ag.Edges[EdgeKey{Tuple(c / d), Tuple(c % d)}] = w
 	}
 }
 
-// aggregateDense accumulates the id ranges into the scratch with the dense
-// kernel the schema takes — one tuple per node for a static schema, the
+// aggregateDense accumulates the id ranges into the scratch with the kernel
+// the call takes — one tuple per node for an unfiltered static schema, the
 // time-major scan otherwise — and reports whether it ran to completion.
-func aggregateDense(v *ops.View, s *Schema, kind Kind, sc *denseScratch, nLo, nHi, eLo, eHi int, canceled func() bool) bool {
-	if !s.allStatic {
-		return denseVarying(v, s, kind, sc, nLo, nHi, eLo, eHi, canceled)
+func aggregateDense(v *ops.View, s *Schema, kind Kind, filter Filter, sc *denseScratch, nLo, nHi, eLo, eHi int, canceled func() bool) bool {
+	if !s.allStatic || filter != nil {
+		return denseVarying(v, s, kind, filter, sc, nLo, nHi, eLo, eHi, canceled)
 	}
 	for lo := nLo; lo < nHi; lo += ctxChunk {
 		if canceled() {

@@ -57,31 +57,6 @@ func TestAggregateParallelCtxCanceled(t *testing.T) {
 	}
 }
 
-// TestKernelSelectionCounters checks the serving-layer observability hook:
-// one Aggregate call moves exactly one kernel counter.
-func TestKernelSelectionCounters(t *testing.T) {
-	g := core.PaperExample()
-	v := ops.At(g, 0)
-	read := func() [3]int64 {
-		return [3]int64{
-			KernelSelections.Dense.Value(),
-			KernelSelections.Static.Value(),
-			KernelSelections.Varying.Value(),
-		}
-	}
-	s, err := ByName(g, "gender")
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := read()
-	Aggregate(v, s, Distinct)
-	after := read()
-	moved := (after[0] - before[0]) + (after[1] - before[1]) + (after[2] - before[2])
-	if moved != 1 {
-		t.Fatalf("kernel counters moved by %d, want 1 (before %v, after %v)", moved, before, after)
-	}
-}
-
 // forceParallel lowers the serial-fallback threshold so the tiny paper
 // fixture takes the sharded path, restoring it on cleanup.
 func forceParallel(t *testing.T) func() {

@@ -11,26 +11,21 @@ import (
 	"repro/internal/timeline"
 )
 
-// This file implements the dense aggregation kernel: the hot-path engine
-// behind Aggregate for schemas whose cartesian tuple domain is small.
+// This file implements the aggregation kernels behind Aggregate,
+// AggregateParallel and AggregateFiltered, for every schema.
 //
-// The map engine (agg.go) pays a hash insert per appearance plus a map
-// allocation per entity for DIST deduplication, and materializes a
-// restricted-timestamp bitset per entity on the per-time-point path. The
-// tuple space of the paper's workloads is tiny and dictionary-encoded
-// (gender = 2, gender×publications ≈ 40, the largest MovieLens pair
-// combinations a few hundred), so the accumulators can instead be flat
-// []int64 arrays indexed by the dense mixed-radix tuple code — node weights
-// by tuple, edge weights by from*Domain+to — with O(1) unhashed updates and
-// nothing allocated per entity. The arrays are pooled per schema, making
-// repeated Aggregate calls allocation-free apart from the exactly-sized
-// result maps.
+// Tuples are dictionary-encoded mixed-radix codes, so the accumulators are
+// indexed by code — node weights by tuple, edge weights by from·Domain+to —
+// with unhashed updates and nothing allocated per entity (Accum). The
+// scratch is pooled per schema, making repeated calls allocation-free apart
+// from the exactly-sized result maps.
 //
 // Static schemas take one tuple per node (denseStatic). Time-varying schemas
-// are read the way Algorithm 2 unpivots the node × time attribute arrays —
-// by time column (denseVarying): for each point of the view's interval the
-// kernel streams the words of the point's existence column ∧ the view's
-// selection and decodes tuples from that point's attribute rows, which stay
+// — and filtered aggregation under any schema — are read the way
+// Algorithm 2 unpivots the node × time attribute arrays, by time column
+// (denseVarying): for each point of the view's interval the kernel streams
+// the words of the point's existence column ∧ the view's selection and
+// decodes tuples from that point's attribute rows, which stay
 // cache-resident through the whole pass, instead of walking each entity's τ
 // into a |V|·T table.
 //
@@ -38,57 +33,101 @@ import (
 // candidate interval pair costs one aggregation, and Figs. 13–14 evaluate
 // hundreds of pairs per traversal.
 
-// DenseDomainLimit bounds the tuple domains served by the dense kernel.
-// Above it (e.g. the 4-attribute MovieLens combination, domain ≈ 10k, whose
-// edge space would be ~10^8 slots) Aggregate falls back to the map engine.
-// 1024 caps the pooled edge array at 1024² slots = 8 MiB.
-const DenseDomainLimit = 1024
+// flatSlots bounds the code spaces an Accum keeps in a flat array: 1024²
+// slots, the edge space of a 1024-value tuple domain. Above it the space is
+// both too large to allocate and sparsely occupied — the 4-attribute
+// MovieLens schema (domain 9,828) has ~10⁸ edge slots and ~10⁶ occurring
+// pairs — so it accumulates into a map keyed by the same codes.
+const flatSlots = 1 << 20
 
-// denseEligible reports whether the dense kernel serves this schema.
-func (s *Schema) denseEligible() bool {
-	return !s.preferMap && s.domain > 0 && s.domain <= DenseDomainLimit
+// Accum is a kernel accumulator: one value per code of a code space
+// [0, n). Its storage follows from n alone (flatSlots): a flat array indexed
+// by the code, or a map from the code to a position in vals. Either way Ref
+// is O(1) and Reset O(codes touched), never O(n), so a pooled Accum serves
+// every call of a schema. The zero value of V means "untouched": callers
+// leave every value they Ref non-zero.
+type Accum[V comparable] struct {
+	flat  []V             // flat storage; empty under map storage
+	index map[int64]int32 // map storage: code → position in vals
+	vals  []V
+	codes []int64 // the codes touched since Reset, in first-touch order
 }
 
-// PreferMapKernel pins the schema to the map kernels even when the tuple
-// domain is small enough for the dense flat-array kernel. The query
-// planner's feedback loop calls it when observed cardinalities show the
-// domain is sparsely occupied (the d² edge slot space dwarfs the data), so
-// the dense arrays' allocation and clearing cost cannot amortize. Must be
-// set before the schema's first Aggregate use; both kernels produce
-// identical results, so the switch only ever trades performance.
-func (s *Schema) PreferMapKernel() { s.preferMap = true }
-
-// KernelName reports which aggregation kernel Aggregate would select for
-// this schema: "dense" (flat-array accumulators), "static" (map kernel over
-// time-invariant tuples) or "varying" (general map kernel). It mirrors the
-// dispatch in aggregateRangeCtx so the query planner can name the engine a
-// plan will run on without executing it.
-func (s *Schema) KernelName() string {
-	switch {
-	case s.denseEligible():
-		return "dense"
-	case s.allStatic:
-		return "static"
-	default:
-		return "varying"
+// Shape readies an empty Accum for the code space [0, n).
+func (a *Accum[V]) Shape(n int64) {
+	if n > flatSlots {
+		if a.index == nil {
+			a.index = make(map[int64]int32)
+		}
+		a.flat = a.flat[:0]
+		return
 	}
+	a.index, a.vals = nil, nil
+	if int64(cap(a.flat)) < n {
+		a.flat = make([]V, n)
+	}
+	a.flat = a.flat[:n]
 }
 
-// denseScratch is one pooled set of flat accumulators for a schema.
-// nodeW/edgeW hold in-flight weights; nodeSeen/edgeSeen are the DIST
-// deduplication stamps (an entry equal to the current gen was seen for the
-// current entity); the touched lists record which slots are non-zero so
-// clearing is O(distinct tuples), not O(domain²).
+// Ref returns the value of code. The pointer is valid until the next Ref.
+// The length test is the storage test: a flat code space's codes all lie
+// below its length, and under map storage the flat array is empty. The
+// kernels call Ref per appearance, so it must stay within the inliner's
+// budget (go build -gcflags=-m shows it inlined into count).
+func (a *Accum[V]) Ref(code int64) *V {
+	var zero V
+	if code < int64(len(a.flat)) {
+		p := &a.flat[code]
+		if *p == zero {
+			a.codes = append(a.codes, code)
+		}
+		return p
+	}
+	i, ok := a.index[code]
+	if !ok {
+		i = int32(len(a.vals))
+		a.index[code] = i
+		a.vals = append(a.vals, zero)
+		a.codes = append(a.codes, code)
+	}
+	return &a.vals[i]
+}
+
+// Len returns the number of codes touched since Reset.
+func (a *Accum[V]) Len() int { return len(a.codes) }
+
+// Entry returns the i-th touched code, in first-touch order, and its value.
+func (a *Accum[V]) Entry(i int) (int64, V) {
+	c := a.codes[i]
+	if a.index == nil {
+		return c, a.flat[c]
+	}
+	return c, a.vals[i]
+}
+
+// Reset zeroes every touched value.
+func (a *Accum[V]) Reset() {
+	if a.index == nil {
+		var zero V
+		for _, c := range a.codes {
+			a.flat[c] = zero
+		}
+	} else {
+		// A fresh map, not clear(): clearing costs the map's capacity, which
+		// the largest answer the schema ever had set.
+		a.index = make(map[int64]int32)
+		a.vals = a.vals[:0]
+	}
+	a.codes = a.codes[:0]
+}
+
+// denseScratch is one pooled kernel state for a schema: the node and edge
+// weights, DIST's stamps (the last entity, by gen, counted into a node or
+// edge group) and the time-major scan's per-call buffers.
 type denseScratch struct {
-	nodeW []int64
-	edgeW []int64
-
-	nodeSeen []int32
-	edgeSeen []int32
-	gen      int32
-
-	nodeTouched []int32
-	edgeTouched []int32
+	nodes, edges       Accum[int64]
+	nodeSeen, edgeSeen Accum[int64]
+	gen                int64
 
 	// Time-major kernel state (denseVarying), rebuilt per call: words are
 	// the indices of the selection's non-zero words within the scanned id
@@ -103,68 +142,42 @@ type denseScratch struct {
 }
 
 // SweepPool is the schema's pool for the scratch of the evolution sweep
-// kernel (internal/evolution/sweep.go), whose flat accumulators are sized
-// by this schema's domain and so live and die with it, like denseScratch.
+// kernel (internal/evolution/sweep.go), whose accumulators are sized by
+// this schema's domain and so live and die with it, like denseScratch.
 func (s *Schema) SweepPool() *sync.Pool { return &s.sweep }
 
-// getScratch returns a scratch with cleared weights sized for the schema.
+// getScratch returns a scratch with empty accumulators shaped for the
+// schema.
 func (s *Schema) getScratch() *denseScratch {
-	d := int(s.domain)
 	sc, _ := s.dense.Get().(*denseScratch)
 	if sc == nil {
-		sc = &denseScratch{
-			nodeW:    make([]int64, d),
-			edgeW:    make([]int64, d*d),
-			nodeSeen: make([]int32, d),
-			edgeSeen: make([]int32, d*d),
-		}
-	}
-	if sc.gen > 1<<30 { // stamp wrap guard; effectively never taken
-		clear(sc.nodeSeen)
-		clear(sc.edgeSeen)
-		sc.gen = 0
+		sc = &denseScratch{}
+		sc.nodes.Shape(s.domain)
+		sc.nodeSeen.Shape(s.domain)
+		sc.edges.Shape(s.domain * s.domain)
+		sc.edgeSeen.Shape(s.domain * s.domain)
 	}
 	return sc
 }
 
-// putScratch zeroes the touched weights and returns the scratch to the pool.
+// putScratch empties the accumulators and returns the scratch to the pool.
 func (s *Schema) putScratch(sc *denseScratch) {
-	for _, c := range sc.nodeTouched {
-		sc.nodeW[c] = 0
-	}
-	for _, c := range sc.edgeTouched {
-		sc.edgeW[c] = 0
-	}
-	sc.nodeTouched = sc.nodeTouched[:0]
-	sc.edgeTouched = sc.edgeTouched[:0]
+	sc.nodes.Reset()
+	sc.nodeSeen.Reset()
+	sc.edges.Reset()
+	sc.edgeSeen.Reset()
 	s.dense.Put(sc)
 }
 
-// addNode adds weight w to node tuple tu, addEdge to the edge slot code.
-func (sc *denseScratch) addNode(tu int32, w int64) {
-	if sc.nodeW[tu] == 0 {
-		sc.nodeTouched = append(sc.nodeTouched, tu)
-	}
-	sc.nodeW[tu] += w
-}
-
-func (sc *denseScratch) addEdge(code int32, w int64) {
-	if sc.edgeW[code] == 0 {
-		sc.edgeTouched = append(sc.edgeTouched, code)
-	}
-	sc.edgeW[code] += w
-}
-
-// StaticTupleCodes lazily builds the per-node dense tuple codes of an
-// all-static schema (-1 where any attribute value is missing). Built once
-// per schema; safe for concurrent readers, who must not modify it. It
-// requires Domain() ≤ DenseDomainLimit (the codes are int32).
-func (s *Schema) StaticTupleCodes() []int32 {
+// StaticTupleCodes lazily builds the per-node tuple codes of an all-static
+// schema (-1 where any attribute value is missing). Built once per schema;
+// safe for concurrent readers, who must not modify it.
+func (s *Schema) StaticTupleCodes() []int64 {
 	s.staticOnce.Do(func() {
-		codes := make([]int32, s.g.NumNodes())
+		codes := make([]int64, s.g.NumNodes())
 		for n := range codes {
 			if tu, ok := s.StaticTuple(core.NodeID(n)); ok {
-				codes[n] = int32(tu)
+				codes[n] = int64(tu)
 			} else {
 				codes[n] = -1
 			}
@@ -194,11 +207,11 @@ func (s *Schema) StaticMatch() (nodes, edges *bitset.Set) {
 	return s.matchNodes, s.matchEdges
 }
 
-// denseStatic is the §4.2 static fast path on flat arrays: one tuple per
-// node, weights 1 (DIST) or the restricted-timestamp popcount (ALL).
+// denseStatic is the §4.2 static fast path: one tuple per node, weights 1
+// (DIST) or the restricted-timestamp popcount (ALL).
 func denseStatic(v *ops.View, s *Schema, kind Kind, sc *denseScratch, nLo, nHi, eLo, eHi int) {
 	codes := s.StaticTupleCodes()
-	d := int32(s.domain)
+	d := s.domain
 	v.ForEachNodeIn(nLo, nHi, func(n core.NodeID) {
 		c := codes[n]
 		if c < 0 {
@@ -211,7 +224,7 @@ func denseStatic(v *ops.View, s *Schema, kind Kind, sc *denseScratch, nLo, nHi, 
 				return
 			}
 		}
-		sc.addNode(c, w)
+		*sc.nodes.Ref(c) += w
 	})
 	g := s.g
 	v.ForEachEdgeIn(eLo, eHi, func(e core.EdgeID) {
@@ -227,17 +240,19 @@ func denseStatic(v *ops.View, s *Schema, kind Kind, sc *denseScratch, nLo, nHi, 
 				return
 			}
 		}
-		sc.addEdge(cu*d+cv, w)
+		*sc.edges.Ref(cu*d + cv) += w
 	})
 }
 
 // denseVarying is the time-major kernel for time-varying (and mixed)
-// schemas over the view's entities with ids in [nLo,nHi) / [eLo,eHi). For
-// each point t of the view's interval it streams the words of
-// NodesAt(t) ∧ view.nodes and EdgesAt(t) ∧ view.edges and decodes each
-// appearance's tuple from the columns bound to t: row t of every varying
-// attribute plus the static columns, resolved once per call — no
-// Graph.Value dispatch per appearance.
+// schemas, and for filtered aggregation under any schema, over the view's
+// entities with ids in [nLo,nHi) / [eLo,eHi). For each point t of the
+// view's interval it streams the words of NodesAt(t) ∧ view.nodes and
+// EdgesAt(t) ∧ view.edges and decodes each appearance's tuple from the
+// columns bound to t: row t of every varying attribute plus the static
+// columns, resolved once per call — no Graph.Value dispatch per appearance.
+// A non-nil filter drops the appearances it rejects (an edge's needs both
+// endpoints to pass).
 //
 // ALL counts every appearance that way. DIST must count an (entity, tuple)
 // pair once: a word-parallel pass over the same columns first splits the
@@ -251,7 +266,7 @@ func denseStatic(v *ops.View, s *Schema, kind Kind, sc *denseScratch, nLo, nHi, 
 // appearances: a long projection that keeps few entities stays cheap.
 // canceled is probed every ctxChunk ids' worth of words; the kernel
 // returns false when it stopped early.
-func denseVarying(v *ops.View, s *Schema, kind Kind, sc *denseScratch, nLo, nHi, eLo, eHi int, canceled func() bool) bool {
+func denseVarying(v *ops.View, s *Schema, kind Kind, filter Filter, sc *denseScratch, nLo, nHi, eLo, eHi int, canceled func() bool) bool {
 	g := s.g
 	sc.rows, sc.cur = sc.rows[:0], sc.cur[:0]
 	for _, a := range s.attrs {
@@ -262,7 +277,7 @@ func denseVarying(v *ops.View, s *Schema, kind Kind, sc *denseScratch, nLo, nHi,
 		}
 	}
 	k := varyingScan{s: s, sc: sc, rows: sc.rows, cur: sc.cur, strides: s.strides,
-		times: v.Times().Mask(), dist: kind == Distinct, canceled: canceled}
+		times: v.Times().Mask(), dist: kind == Distinct, filter: filter, canceled: canceled}
 	if k.times == nil || k.times.IsEmpty() {
 		return true
 	}
@@ -282,9 +297,11 @@ type varyingScan struct {
 	rows     [][][]dict.Code
 	cur      [][]dict.Code
 	strides  []int64
-	times    *bitset.Set // the view's interval, non-empty
-	tLo, tHi int         // the words of times that can hold a point
+	t        timeline.Time // the bound point
+	times    *bitset.Set   // the view's interval, non-empty
+	tLo, tHi int           // the words of times that can hold a point
 	dist     bool
+	filter   Filter
 	canceled func() bool
 }
 
@@ -365,6 +382,7 @@ func zeroed(buf []uint64, n int) []uint64 {
 
 // bind points the varying attributes' columns at row t.
 func (k *varyingScan) bind(t int) {
+	k.t = timeline.Time(t)
 	for i, rows := range k.rows {
 		if rows != nil {
 			k.cur[i] = rows[t]
@@ -388,21 +406,45 @@ func (k *varyingScan) tuple(n core.NodeID) int64 {
 	return code
 }
 
+// admits reports whether the filter keeps node n's appearance at the bound
+// point.
+func (k *varyingScan) admits(n core.NodeID) bool { return k.filter == nil || k.filter(n, k.t) }
+
+// admitted clears from word x of the id space the entities whose appearance
+// at the bound point the filter rejects (an edge's needs both endpoints
+// kept), so that count's per-appearance loop reads no filter.
+func (k *varyingScan) admitted(base int, x uint64, edges bool) uint64 {
+	for y := x; y != 0; y &= y - 1 {
+		b := bits.TrailingZeros64(y)
+		if edges {
+			if ep := k.s.g.Edge(core.EdgeID(base + b)); !k.admits(ep.U) || !k.admits(ep.V) {
+				x &^= 1 << b
+			}
+		} else if !k.admits(core.NodeID(base + b)) {
+			x &^= 1 << b
+		}
+	}
+	return x
+}
+
 // count adds one appearance at the bound point for every entity in word x
-// of the id space (bit b is id base+b).
+// of the id space (bit b is id base+b) that the filter admits.
 func (k *varyingScan) count(base int, x uint64, edges bool) {
 	sc, g, d := k.sc, k.s.g, k.s.domain
+	if k.filter != nil {
+		x = k.admitted(base, x, edges)
+	}
 	for ; x != 0; x &= x - 1 {
 		id := base + bits.TrailingZeros64(x)
 		if !edges {
 			if tu := k.tuple(core.NodeID(id)); tu >= 0 {
-				sc.addNode(int32(tu), 1)
+				*sc.nodes.Ref(tu)++
 			}
 			continue
 		}
 		ep := g.Edge(core.EdgeID(id))
 		if fu, tu := k.tuple(ep.U), k.tuple(ep.V); fu >= 0 && tu >= 0 {
-			sc.addEdge(int32(fu*d+tu), 1)
+			*sc.edges.Ref(fu*d + tu)++
 		}
 	}
 }
@@ -413,27 +455,31 @@ func (k *varyingScan) count(base int, x uint64, edges bool) {
 func (k *varyingScan) dedupe(id int, edges bool) {
 	sc, g, d := k.sc, k.s.g, k.s.domain
 	sc.gen++
+	w, seen := &sc.nodes, &sc.nodeSeen
 	var ep core.Endpoints
 	var tau *bitset.Set
 	if edges {
+		w, seen = &sc.edges, &sc.edgeSeen
 		ep, tau = g.Edge(core.EdgeID(id)), g.EdgeTau(core.EdgeID(id))
 	} else {
 		tau = g.NodeTau(core.NodeID(id))
 	}
 	for wi, hi := k.tLo, min(k.tHi, tau.NumWords()); wi < hi; wi++ {
-		for w := tau.Word(wi) & k.times.Word(wi); w != 0; w &= w - 1 {
-			k.bind(wi*64 + bits.TrailingZeros64(w))
-			if !edges {
-				if tu := k.tuple(core.NodeID(id)); tu >= 0 && sc.nodeSeen[tu] != sc.gen {
-					sc.nodeSeen[tu] = sc.gen
-					sc.addNode(int32(tu), 1)
+		for bw := tau.Word(wi) & k.times.Word(wi); bw != 0; bw &= bw - 1 {
+			k.bind(wi*64 + bits.TrailingZeros64(bw))
+			var code int64
+			if edges {
+				fu, tu := k.tuple(ep.U), k.tuple(ep.V)
+				if fu < 0 || tu < 0 || !k.admits(ep.U) || !k.admits(ep.V) {
+					continue
 				}
+				code = fu*d + tu
+			} else if code = k.tuple(core.NodeID(id)); code < 0 || !k.admits(core.NodeID(id)) {
 				continue
 			}
-			fu, tu := k.tuple(ep.U), k.tuple(ep.V)
-			if code := fu*d + tu; fu >= 0 && tu >= 0 && sc.edgeSeen[code] != sc.gen {
-				sc.edgeSeen[code] = sc.gen
-				sc.addEdge(int32(code), 1)
+			if st := seen.Ref(code); *st != sc.gen {
+				*st = sc.gen
+				*w.Ref(code)++
 			}
 		}
 	}

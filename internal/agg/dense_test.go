@@ -84,9 +84,6 @@ func TestDenseMatchesMapOnDatasets(t *testing.T) {
 				if err != nil {
 					t.Fatalf("schema %v: %v", names, err)
 				}
-				if !s.denseEligible() {
-					t.Fatalf("schema %v unexpectedly not dense-eligible (domain %d)", names, s.Domain())
-				}
 				for _, v := range views {
 					for _, kind := range []Kind{Distinct, All} {
 						dense := Aggregate(v, s, kind)
@@ -215,9 +212,6 @@ func TestVaryingKernelAllocCeiling(t *testing.T) {
 	gender, pubs := g.MustAttr("gender"), g.MustAttr("publications")
 	for _, attrs := range [][]core.AttrID{{pubs}, {gender, pubs}} {
 		s := MustSchema(g, attrs...)
-		if !s.denseEligible() {
-			t.Fatalf("schema %v left the dense kernel", attrs)
-		}
 		for _, kind := range []Kind{Distinct, All} {
 			got := testing.AllocsPerRun(10, func() { Aggregate(ops.Union(g, all, all), s, kind) })
 			if got > 100 {

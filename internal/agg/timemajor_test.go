@@ -13,8 +13,8 @@ import (
 	"repro/internal/timeline"
 )
 
-// varyingSchemas returns the dense-eligible schemas of g with at least one
-// time-varying attribute: each varying attribute alone, and — the mixed
+// varyingSchemas returns the schemas of g with at least one time-varying
+// attribute: each varying attribute alone, and — the mixed
 // case — with every static attribute before it and after it.
 func varyingSchemas(t *testing.T, g *core.Graph) []*Schema {
 	t.Helper()
@@ -36,9 +36,7 @@ func varyingSchemas(t *testing.T, g *core.Graph) []*Schema {
 			sets = append(sets, varying)
 		}
 		for _, attrs := range sets {
-			if s := MustSchema(g, attrs...); s.denseEligible() {
-				out = append(out, s)
-			}
+			out = append(out, MustSchema(g, attrs...))
 		}
 	}
 	return out
@@ -136,7 +134,7 @@ func aggregateInPieces(r *rand.Rand, v *ops.View, s *Schema, kind Kind) *Graph {
 			eLo, eHi = ec[i], ec[i+1]
 		}
 		part := &Graph{Schema: s, Kind: kind}
-		aggregateRangeCtx(context.Background(), v, s, kind, part, nLo, nHi, eLo, eHi)
+		aggregateRangeCtx(context.Background(), v, s, kind, nil, part, nLo, nHi, eLo, eHi)
 		out.Merge(part)
 	}
 	return out
@@ -224,11 +222,11 @@ func TestTimeMajorKernelCancellation(t *testing.T) {
 			for k, stopped := 1, true; stopped; k++ {
 				probes := 0
 				sc := s.getScratch()
-				stopped = !denseVarying(v, s, kind, sc, 0, g.NumNodes(), 0, g.NumEdges(), func() bool {
+				stopped = !denseVarying(v, s, kind, nil, sc, 0, g.NumNodes(), 0, g.NumEdges(), func() bool {
 					probes++
 					return probes >= k
 				})
-				if stopped && len(sc.nodeTouched)+len(sc.edgeTouched) > 0 {
+				if stopped && sc.nodes.Len()+sc.edges.Len() > 0 {
 					partial++
 				}
 				s.putScratch(sc)

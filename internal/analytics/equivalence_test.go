@@ -214,6 +214,14 @@ func TestEquivalenceDBLP(t *testing.T) {
 	}
 }
 
+// TestEventsLargeDomain: EVENTS on the four-attribute MovieLens schema,
+// whose tuple codes (domain 9,828; per-step tiles) and slot lookups the
+// sweep keeps in map storage, is byte-identical to NaiveEvents.
+func TestEventsLargeDomain(t *testing.T) {
+	g := dataset.MovieLensScaled(1, 0.05)
+	checkEvents(t, g, rand.New(rand.NewSource(5)), []string{"gender", "age", "occupation", "rating"}, 1, 2)
+}
+
 // TestAnalyticsConcurrencyHammer runs every engine concurrently on shared
 // immutable state; run with -race this is the subsystem's data-race check.
 func TestAnalyticsConcurrencyHammer(t *testing.T) {

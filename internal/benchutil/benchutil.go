@@ -1,7 +1,7 @@
 // Package benchutil implements the experiment harness behind every table
 // and figure of the paper's §5 evaluation. Each experiment function
 // produces a printable result (a numeric Series table for the performance
-// figures, a string Table for the dataset statistics and qualitative
+// figures, a string tgql.Table for the dataset statistics and qualitative
 // figures), and is shared by the gtbench command and the root-level
 // testing.B benchmarks.
 package benchutil
@@ -12,16 +12,17 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"time"
+
+	"repro/internal/tgql"
 )
 
-// Printable is implemented by Experiment and Table: render as an aligned
-// text block, as CSV, or as one JSON object.
+// Printable is implemented by Experiment and tgql.Table: render as an
+// aligned text block or as CSV (WriteJSON renders either as one JSON
+// object).
 type Printable interface {
 	Print(w io.Writer)
 	WriteCSV(w io.Writer) error
-	WriteJSON(w io.Writer) error
 	Name() string
 }
 
@@ -107,55 +108,6 @@ func formatValue(v float64) string {
 	}
 }
 
-// Table is a string-valued result (dataset statistics, qualitative
-// figures, exploration outputs).
-type Table struct {
-	ID     string
-	Title  string
-	Header []string
-	Rows   [][]string
-}
-
-// Name returns the table id.
-func (t *Table) Name() string { return t.ID }
-
-// Add appends a row.
-func (t *Table) Add(cells ...string) {
-	if len(cells) != len(t.Header) {
-		panic(fmt.Sprintf("benchutil: row has %d cells, want %d", len(cells), len(t.Header)))
-	}
-	t.Rows = append(t.Rows, cells)
-}
-
-// Print renders the table aligned.
-func (t *Table) Print(w io.Writer) {
-	fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title)
-	widths := make([]int, len(t.Header))
-	for j, h := range t.Header {
-		widths[j] = len(h)
-	}
-	for _, r := range t.Rows {
-		for j, c := range r {
-			if len(c) > widths[j] {
-				widths[j] = len(c)
-			}
-		}
-	}
-	var line []string
-	for j, h := range t.Header {
-		line = append(line, fmt.Sprintf("%-*s", widths[j], h))
-	}
-	fmt.Fprintln(w, strings.Join(line, "  "))
-	for _, r := range t.Rows {
-		line = line[:0]
-		for j, c := range r {
-			line = append(line, fmt.Sprintf("%-*s", widths[j], c))
-		}
-		fmt.Fprintln(w, strings.Join(line, "  "))
-	}
-	fmt.Fprintln(w)
-}
-
 // WriteCSV renders the experiment as CSV (x label first, then one column
 // per series) for external plotting.
 func (e *Experiment) WriteCSV(w io.Writer) error {
@@ -195,45 +147,32 @@ var runMeta *RunMeta
 // SetRunMeta attaches m to every subsequent WriteJSON line; nil detaches.
 func SetRunMeta(m *RunMeta) { runMeta = m }
 
-// WriteJSON renders the experiment as one JSON object (followed by a
-// newline, so concatenated experiments form a JSON-lines stream).
-func (e *Experiment) WriteJSON(w io.Writer) error {
-	return writeJSONLine(w, struct {
+// WriteJSON renders an Experiment or a Table as one JSON object (followed
+// by a newline, so concatenated results form a JSON-lines stream), kind
+// "experiment" or "table", with the run meta when SetRunMeta set one.
+func WriteJSON(w io.Writer, p Printable) error {
+	type meta struct {
 		Kind string   `json:"kind"`
 		Meta *RunMeta `json:"meta,omitempty"`
-		*Experiment
-	}{"experiment", runMeta, e})
-}
-
-// WriteJSON renders the table as one JSON object under the same framing as
-// Experiment.WriteJSON.
-func (t *Table) WriteJSON(w io.Writer) error {
-	return writeJSONLine(w, struct {
-		Kind string   `json:"kind"`
-		Meta *RunMeta `json:"meta,omitempty"`
-		*Table
-	}{"table", runMeta, t})
-}
-
-func writeJSONLine(w io.Writer, v any) error {
+	}
+	var v any
+	switch p := p.(type) {
+	case *Experiment:
+		v = struct {
+			meta
+			*Experiment
+		}{meta{"experiment", runMeta}, p}
+	case *tgql.Table:
+		v = struct {
+			meta
+			*tgql.Table
+		}{meta{"table", runMeta}, p}
+	default:
+		return fmt.Errorf("benchutil: cannot render %T as JSON", p)
+	}
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	return enc.Encode(v)
-}
-
-// WriteCSV renders the table as CSV.
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Header); err != nil {
-		return err
-	}
-	for _, r := range t.Rows {
-		if err := cw.Write(r); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // timed measures fn in seconds: the minimum over a few runs, repeating

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/tgql"
 )
 
 func TestExperimentPrint(t *testing.T) {
@@ -34,7 +35,7 @@ func TestExperimentAddPanicsOnArity(t *testing.T) {
 }
 
 func TestTablePrint(t *testing.T) {
-	tb := &Table{ID: "t3", Title: "stats", Header: []string{"tp", "n"}}
+	tb := &tgql.Table{ID: "t3", Title: "stats", Header: []string{"tp", "n"}}
 	tb.Add("2000", "17")
 	var buf bytes.Buffer
 	tb.Print(&buf)
@@ -53,7 +54,7 @@ func TestWriteCSV(t *testing.T) {
 	if got := buf.String(); got != "t,a,b\nt0,0.5,2\n" {
 		t.Errorf("CSV = %q", got)
 	}
-	tb := &Table{Header: []string{"x", "y"}}
+	tb := &tgql.Table{Header: []string{"x", "y"}}
 	tb.Add("1", "2")
 	buf.Reset()
 	if err := tb.WriteCSV(&buf); err != nil {
@@ -184,11 +185,11 @@ func TestFigExplorationOnDBLP(t *testing.T) {
 func TestWriteJSONRunMeta(t *testing.T) {
 	e := &Experiment{ID: "x", Title: "demo", XLabel: "t", Series: []string{"a"}}
 	e.Add("t0", 1)
-	tb := &Table{ID: "t3", Title: "stats", Header: []string{"tp"}}
+	tb := &tgql.Table{ID: "t3", Title: "stats", Header: []string{"tp"}}
 	tb.Add("2000")
 
 	var buf bytes.Buffer
-	if err := e.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, e); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), `"meta"`) {
@@ -200,7 +201,7 @@ func TestWriteJSONRunMeta(t *testing.T) {
 	defer SetRunMeta(nil)
 	for _, p := range []Printable{e, tb} {
 		buf.Reset()
-		if err := p.WriteJSON(&buf); err != nil {
+		if err := WriteJSON(&buf, p); err != nil {
 			t.Fatal(err)
 		}
 		var got struct {

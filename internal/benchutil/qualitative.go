@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/evolution"
 	"repro/internal/explore"
+	"repro/internal/tgql"
 	"repro/internal/timeline"
 )
 
@@ -14,8 +15,8 @@ import (
 // qualitative figures of §5.2 (Figs. 12–14).
 
 // StatsTable renders per-time-point node/edge counts (Tables 3 and 4).
-func StatsTable(id, title string, g *core.Graph) *Table {
-	t := &Table{ID: id, Title: title, Header: []string{"#TP", "#Nodes", "#Edges"}}
+func StatsTable(id, title string, g *core.Graph) *tgql.Table {
+	t := &tgql.Table{ID: id, Title: title, Header: []string{"#TP", "#Nodes", "#Edges"}}
 	stats := core.ComputeStats(g)
 	for i, label := range stats.Labels {
 		t.Add(label, fmt.Sprintf("%d", stats.Nodes[i]), fmt.Sprintf("%d", stats.Edges[i]))
@@ -27,7 +28,7 @@ func StatsTable(id, title string, g *core.Graph) *Table {
 // authors (#publications > minPubs) between told and tnew, reporting the
 // St/Gr/Shr distribution of nodes and of edges (Fig. 12a: 2010 vs the
 // 2000s; Fig. 12b: 2020 vs the 2010s).
-func Fig12(id, title string, g *core.Graph, told, tnew timeline.Interval, minPubs int) *Table {
+func Fig12(id, title string, g *core.Graph, told, tnew timeline.Interval, minPubs int) *tgql.Table {
 	gender := g.MustAttr("gender")
 	pubs := g.MustAttr("publications")
 	s := agg.MustSchema(g, gender)
@@ -42,7 +43,7 @@ func Fig12(id, title string, g *core.Graph, told, tnew timeline.Interval, minPub
 	}
 	ev := evolution.Aggregate(g, told, tnew, s, agg.Distinct, highActivity)
 
-	t := &Table{ID: id, Title: title,
+	t := &tgql.Table{ID: id, Title: title,
 		Header: []string{"entity", "St", "Gr", "Shr", "stable%"}}
 	for _, tu := range ev.SortedNodes() {
 		w := ev.Nodes[tu]
@@ -84,7 +85,7 @@ type ExplorationSpec struct {
 // (from → to) on the given static attribute and reports, per threshold,
 // the pairs found and the evaluation counts of the pruned strategy versus
 // the naive baseline.
-func FigExploration(id, title string, g *core.Graph, attr string, from, to []string, spec ExplorationSpec) *Table {
+func FigExploration(id, title string, g *core.Graph, attr string, from, to []string, spec ExplorationSpec) *tgql.Table {
 	s := schemaFor(g, attr)
 	result, err := explore.EdgeTuple(s, from, to)
 	if err != nil {
@@ -101,7 +102,7 @@ func FigExploration(id, title string, g *core.Graph, attr string, from, to []str
 		wth = 1
 	}
 
-	t := &Table{ID: id, Title: title,
+	t := &tgql.Table{ID: id, Title: title,
 		Header: []string{"k", "pairs", "evals(pruned)", "evals(naive)", "examples"}}
 	for _, f := range spec.KFactors {
 		k := int64(float64(wth) * f)

@@ -16,10 +16,8 @@
 //
 // Aggregate (two arbitrary windows), Timeline (every consecutive pair of
 // points) and TileSweep (every consecutive pair of width-w tiles, the
-// EVENTS statement's kernel) are one entity pass over flat, pooled
-// accumulators (sweep.go); AggregateMap is the hash-map engine they are
-// checked against, and the one the code selects itself for schemas whose
-// tuple domain is too large for flat arrays (KernelName).
+// EVENTS statement's kernel) are one entity pass over pooled accumulators
+// (sweep.go) for every schema.
 package evolution
 
 import (
@@ -143,9 +141,6 @@ type Agg struct {
 // with kind All it contributes its number of per-time-point appearances in
 // the interval(s) that define its class. The two intervals may overlap or
 // leave a gap.
-//
-// Schemas the dense aggregation kernel serves run on the flat-accumulator
-// sweep (sweep.go); the others (KernelName reports "map") on AggregateMap.
 func Aggregate(g *core.Graph, told, tnew timeline.Interval, s *agg.Schema, kind agg.Kind, filter Filter) *Agg {
 	out, _ := AggregateCtx(context.Background(), g, told, tnew, s, kind, filter)
 	return out
@@ -161,9 +156,6 @@ func AggregateCtx(ctx context.Context, g *core.Graph, told, tnew timeline.Interv
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if KernelName(s) != "dense" {
-		return aggregateMap(ctx, g, told, tnew, s, kind, filter, true)
-	}
 	sw := sweep{g: g, s: s, kind: kind, filter: filter, edges: true, keepTuples: true,
 		win: pairWindows(g.Timeline().Len(), told, tnew)}
 	sc, err := sw.run(ctx)
@@ -176,121 +168,17 @@ func AggregateCtx(ctx context.Context, g *core.Graph, told, tnew timeline.Interv
 		Kind:   kind,
 		Old:    told,
 		New:    tnew,
-		Nodes:  make(map[agg.Tuple]Weights, len(sc.nodes.touched)),
-		Edges:  make(map[agg.EdgeKey]Weights, len(sc.edges.touched)),
+		Nodes:  make(map[agg.Tuple]Weights, sc.nodes.Len()),
+		Edges:  make(map[agg.EdgeKey]Weights, sc.edges.Len()),
 	}
-	for _, i := range sc.nodes.touched {
-		out.Nodes[agg.Tuple(i)] = sc.nodes.w[i]
+	for i := range sc.nodes.Len() {
+		c, w := sc.nodes.Entry(i)
+		out.Nodes[agg.Tuple(c)] = w
 	}
-	d := int32(s.Domain())
-	for _, i := range sc.edges.touched {
-		out.Edges[agg.EdgeKey{From: agg.Tuple(i / d), To: agg.Tuple(i % d)}] = sc.edges.w[i]
-	}
-	return out, nil
-}
-
-// AggregateMap computes the same result as Aggregate on hash-map
-// accumulators: one (old, new) count map per entity, one weight map per
-// result. It is the reference the dense sweep is cross-checked against and
-// the engine of schemas whose tuple domain is too large for flat arrays.
-func AggregateMap(g *core.Graph, told, tnew timeline.Interval, s *agg.Schema, kind agg.Kind, filter Filter) *Agg {
-	if s.Graph() != g {
-		panic("evolution: schema built on a different graph")
-	}
-	out, _ := aggregateMap(context.Background(), g, told, tnew, s, kind, filter, true)
-	return out
-}
-
-// aggregateMap is the map engine; edges false skips the edge pass (EVENTS
-// classifies nodes only). It polls ctx like the sweep does.
-func aggregateMap(ctx context.Context, g *core.Graph, told, tnew timeline.Interval, s *agg.Schema, kind agg.Kind, filter Filter, edges bool) (*Agg, error) {
-	out := &Agg{
-		Schema: s,
-		Kind:   kind,
-		Old:    told,
-		New:    tnew,
-		Nodes:  make(map[agg.Tuple]Weights),
-		Edges:  make(map[agg.EdgeKey]Weights),
-	}
-	oldMask, newMask := told.Mask(), tnew.Mask()
-
-	// counts[tuple] = appearances in (old, new).
-	nodeCounts := make(map[agg.Tuple][2]int64)
-	for n := 0; n < g.NumNodes(); n++ {
-		if n%sweepChunk == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		id := core.NodeID(n)
-		clear(nodeCounts)
-		g.NodeTau(id).ForEach(func(t int) {
-			inOld := oldMask.Contains(t)
-			inNew := newMask.Contains(t)
-			if !inOld && !inNew {
-				return
-			}
-			if filter != nil && !filter(id, timeline.Time(t)) {
-				return
-			}
-			tu, ok := s.TupleAt(id, timeline.Time(t))
-			if !ok {
-				return
-			}
-			c := nodeCounts[tu]
-			if inOld {
-				c[0]++
-			}
-			if inNew {
-				c[1]++
-			}
-			nodeCounts[tu] = c
-		})
-		for tu, c := range nodeCounts {
-			w := out.Nodes[tu]
-			addClass(&w, c[0], c[1], kind)
-			out.Nodes[tu] = w
-		}
-	}
-	if !edges {
-		return out, nil
-	}
-
-	edgeCounts := make(map[agg.EdgeKey][2]int64)
-	for e := 0; e < g.NumEdges(); e++ {
-		if e%sweepChunk == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		id := core.EdgeID(e)
-		ep := g.Edge(id)
-		clear(edgeCounts)
-		g.EdgeTau(id).ForEach(func(t int) {
-			inOld := oldMask.Contains(t)
-			inNew := newMask.Contains(t)
-			if !inOld && !inNew {
-				return
-			}
-			if filter != nil && (!filter(ep.U, timeline.Time(t)) || !filter(ep.V, timeline.Time(t))) {
-				return
-			}
-			fu, ok1 := s.TupleAt(ep.U, timeline.Time(t))
-			tu, ok2 := s.TupleAt(ep.V, timeline.Time(t))
-			if !ok1 || !ok2 {
-				return
-			}
-			key := agg.EdgeKey{From: fu, To: tu}
-			c := edgeCounts[key]
-			if inOld {
-				c[0]++
-			}
-			if inNew {
-				c[1]++
-			}
-			edgeCounts[key] = c
-		})
-		for key, c := range edgeCounts {
-			w := out.Edges[key]
-			addClass(&w, c[0], c[1], kind)
-			out.Edges[key] = w
-		}
+	d := s.Domain()
+	for i := range sc.edges.Len() {
+		c, w := sc.edges.Entry(i)
+		out.Edges[agg.EdgeKey{From: agg.Tuple(c / d), To: agg.Tuple(c % d)}] = w
 	}
 	return out, nil
 }

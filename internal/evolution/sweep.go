@@ -19,24 +19,14 @@ import (
 // held in flat cells stamped with the entity's epoch, so nothing is cleared
 // between entities and nothing is hashed or allocated; the cells an entity
 // touched are then folded once per (entity, tuple, step) by addClass into
-// flat Weights accumulators. Scratch is pooled per schema and the
-// accumulators are zeroed through their touched lists, like
+// Weights accumulators. Scratch is pooled per schema and every code-indexed
+// array is an agg.Accum, zeroed through its touched codes like
 // agg.denseScratch, so a call costs O(entities + appearances + groups) and
-// never O(domain²). Schemas the dense aggregation kernel does not serve
-// (agg.DenseDomainLimit, PreferMapKernel) take AggregateMap instead.
+// never O(domain²).
 
 // sweepChunk is the number of entity ids swept between cancellation probes
 // (see agg's ctxChunk).
 const sweepChunk = 4096
-
-// KernelName reports the kernel Aggregate, Timeline and TileSweep select
-// for s: "dense" (this file) or "map" (AggregateMap).
-func KernelName(s *agg.Schema) string {
-	if s.KernelName() == "dense" {
-		return "dense"
-	}
-	return "map"
-}
 
 // windows assigns time points to the windows a sweep classifies between:
 // windows j and j+1 form step j. Tiles are disjoint; Aggregate's two
@@ -79,16 +69,15 @@ type cell struct{ slot, win int32 }
 
 // bucket collects one entity's appearances as per-(tuple, window) counts.
 // The entity's distinct tuple codes get slots 0, 1, … in order of first
-// appearance (slotOf, valid where slotGen holds the entity's epoch); the
-// count of slot k in window j is cnt[k*nw+j], valid where cntGen holds the
-// epoch; cells lists the valid counts.
+// appearance (slots, valid where a stamp's high word holds the entity's
+// epoch); the count of slot k in window j is cnt[k*nw+j], valid where
+// cntGen holds the epoch; cells lists the valid counts.
 type bucket struct {
 	nw  int
 	gen uint32
 
-	slotOf  []int32
-	slotGen []uint32
-	codes   []int32 // slot → tuple code
+	slots agg.Accum[uint64] // tuple code → gen<<32 | the entity's slot
+	codes []int64           // slot → tuple code
 
 	cnt    []int32
 	cntGen []uint32
@@ -98,7 +87,7 @@ type bucket struct {
 // begin starts the next entity.
 func (b *bucket) begin() {
 	if b.gen == math.MaxUint32 { // stamp wrap guard; effectively never taken
-		clear(b.slotGen)
+		b.slots.Reset()
 		clear(b.cntGen)
 		b.gen = 0
 	}
@@ -108,17 +97,18 @@ func (b *bucket) begin() {
 }
 
 // only gives the entity its one tuple code (all-static schemas): slot 0.
-func (b *bucket) only(code int32) { b.codes = append(b.codes, code) }
+func (b *bucket) only(code int64) { b.codes = append(b.codes, code) }
 
 // slot returns the entity's slot for code, assigning the next one on first
 // sight.
-func (b *bucket) slot(code int32) int32 {
-	if b.slotGen[code] == b.gen {
-		return b.slotOf[code]
+func (b *bucket) slot(code int64) int32 {
+	st := b.slots.Ref(code)
+	if uint32(*st>>32) == b.gen {
+		return int32(uint32(*st))
 	}
 	k := int32(len(b.codes))
 	b.codes = append(b.codes, code)
-	b.slotOf[code], b.slotGen[code] = k, b.gen
+	*st = uint64(b.gen)<<32 | uint64(k)
 	if need := (int(k) + 1) * b.nw; need > len(b.cnt) {
 		b.cnt = append(b.cnt, make([]int32, need-len(b.cnt))...)
 		b.cntGen = append(b.cntGen, make([]uint32, need-len(b.cntGen))...)
@@ -145,7 +135,7 @@ func (b *bucket) bump(slot, win int32) {
 func (b *bucket) fold(a *acc, kind agg.Kind) {
 	for _, c := range b.cells {
 		i := int(c.slot)*b.nw + int(c.win)
-		code, cur := int(b.codes[c.slot]), int64(b.cnt[i])
+		code, cur := b.codes[c.slot], int64(b.cnt[i])
 		if int(c.win) < b.nw-1 {
 			var next int64
 			if b.cntGen[i+1] == b.gen {
@@ -159,42 +149,27 @@ func (b *bucket) fold(a *acc, kind agg.Kind) {
 	}
 }
 
-// acc is one flat Weights accumulator: the fold of (step, code) lands at
+// acc is one Weights accumulator: the fold of (step, code) lands at code
 // step*stride + code*mul — tuple code for Aggregate's nodes, from·d+to for
 // its edges, step·d+tuple for TileSweep, step alone (mul 0) for Timeline's
-// class totals. touched lists the non-zero entries.
+// class totals.
 type acc struct {
-	w           []Weights
-	touched     []int32
-	stride, mul int
+	agg.Accum[Weights]
+	stride, mul int64
 }
 
 // shape lays the accumulator out for steps×codes entries (codes 1 when the
-// tuple is not kept); all entries are zero between calls.
-func (a *acc) shape(steps, codes int) {
+// tuple is not kept); it is empty between calls.
+func (a *acc) shape(steps, codes int64) {
 	a.stride, a.mul = codes, 1
 	if codes == 1 {
 		a.mul = 0
 	}
-	if n := steps * codes; n > len(a.w) {
-		a.w = make([]Weights, n)
-	}
+	a.Shape(steps * codes)
 }
 
-func (a *acc) add(step, code int, c0, c1 int64, kind agg.Kind) {
-	i := step*a.stride + code*a.mul
-	w := &a.w[i]
-	if *w == (Weights{}) {
-		a.touched = append(a.touched, int32(i))
-	}
-	addClass(w, c0, c1, kind)
-}
-
-func (a *acc) clear() {
-	for _, i := range a.touched {
-		a.w[i] = Weights{}
-	}
-	a.touched = a.touched[:0]
+func (a *acc) add(step int, code, c0, c1 int64, kind agg.Kind) {
+	addClass(a.Ref(int64(step)*a.stride+code*a.mul), c0, c1, kind)
 }
 
 // scratch is one pooled set of sweep state for a schema.
@@ -221,32 +196,31 @@ type sweep struct {
 // caller reads the accumulators and hands the scratch back with release —
 // also when run reports a canceled context, in which case they are partial.
 func (sw *sweep) run(ctx context.Context) (*scratch, error) {
-	d := int(sw.s.Domain())
+	d := sw.s.Domain()
 	sc, _ := sw.s.SweepPool().Get().(*scratch)
 	if sc == nil {
 		sc = &scratch{}
 	}
 	sc.nw = sw.win.n
-	slots := 0 // codes that need a slot lookup: none when every entity has one tuple
+	slots := int64(0) // codes that need a slot lookup: none when every entity has one tuple
 	if !sw.s.AllStatic() {
 		slots = d
 		if sw.edges {
 			slots = d * d
 		}
 	}
-	if slots > len(sc.slotOf) {
-		sc.slotOf, sc.slotGen = make([]int32, slots), make([]uint32, slots)
-	}
+	sc.slots.Shape(slots)
 	if sc.nw > len(sc.cnt) { // slot 0 always has its row
 		sc.cnt, sc.cntGen = make([]int32, sc.nw), make([]uint32, sc.nw)
 	}
-	codes, edgeCodes := 1, 1
+	codes, edgeCodes := int64(1), int64(1)
 	if sw.keepTuples {
 		codes, edgeCodes = d, d*d
 	}
-	sc.nodes.shape(sw.win.n-1, codes)
+	steps := int64(sw.win.n - 1)
+	sc.nodes.shape(steps, codes)
 	if sw.edges {
-		sc.edges.shape(sw.win.n-1, edgeCodes)
+		sc.edges.shape(steps, edgeCodes)
 	}
 
 	for lo, n := 0, sw.g.NumNodes(); lo < n; lo += sweepChunk {
@@ -266,17 +240,18 @@ func (sw *sweep) run(ctx context.Context) (*scratch, error) {
 	return sc, nil
 }
 
-// release zeroes the touched accumulator entries and pools the scratch.
+// release empties the accumulators and pools the scratch.
 func (sw *sweep) release(sc *scratch) {
-	sc.nodes.clear()
-	sc.edges.clear()
+	sc.slots.Reset()
+	sc.nodes.Reset()
+	sc.edges.Reset()
 	sw.s.SweepPool().Put(sc)
 }
 
 func (sw *sweep) sweepNodes(sc *scratch, lo, hi int) {
 	g, s, win, filter := sw.g, sw.s, &sw.win, sw.filter
 	static := s.AllStatic()
-	var codes []int32
+	var codes []int64
 	if static {
 		codes = s.StaticTupleCodes()
 	}
@@ -292,7 +267,7 @@ func (sw *sweep) sweepNodes(sc *scratch, lo, hi int) {
 			if filter == nil && win.old != nil {
 				// One tuple, no filter, two windows: popcounts suffice.
 				if c0, c1 := tau.CountAnd(win.old), tau.CountAnd(win.new); c0|c1 != 0 {
-					sc.nodes.add(0, int(code), int64(c0), int64(c1), sw.kind)
+					sc.nodes.add(0, code, int64(c0), int64(c1), sw.kind)
 				}
 				continue
 			}
@@ -310,7 +285,7 @@ func (sw *sweep) sweepNodes(sc *scratch, lo, hi int) {
 					if !ok {
 						continue
 					}
-					slot = sc.slot(int32(tu))
+					slot = sc.slot(int64(tu))
 				}
 				if j := win.first[t]; j >= 0 {
 					sc.bump(slot, j)
@@ -329,8 +304,8 @@ func (sw *sweep) sweepNodes(sc *scratch, lo, hi int) {
 func (sw *sweep) sweepEdges(sc *scratch, lo, hi int) {
 	g, s, win, filter := sw.g, sw.s, &sw.win, sw.filter
 	static := s.AllStatic()
-	d := int32(s.Domain())
-	var codes []int32
+	d := s.Domain()
+	var codes []int64
 	if static {
 		codes = s.StaticTupleCodes()
 	}
@@ -346,7 +321,7 @@ func (sw *sweep) sweepEdges(sc *scratch, lo, hi int) {
 			code := cu*d + cv
 			if filter == nil && win.old != nil {
 				if c0, c1 := tau.CountAnd(win.old), tau.CountAnd(win.new); c0|c1 != 0 {
-					sc.edges.add(0, int(code), int64(c0), int64(c1), sw.kind)
+					sc.edges.add(0, code, int64(c0), int64(c1), sw.kind)
 				}
 				continue
 			}
@@ -366,7 +341,7 @@ func (sw *sweep) sweepEdges(sc *scratch, lo, hi int) {
 					if !ok1 || !ok2 {
 						continue
 					}
-					slot = sc.slot(int32(fu)*d + int32(tu))
+					slot = sc.slot(int64(fu)*d + int64(tu))
 				}
 				if j := win.first[t]; j >= 0 {
 					sc.bump(slot, j)

@@ -117,7 +117,7 @@ func timelineByPairs(g *core.Graph, s *agg.Schema, kind agg.Kind, filter Filter)
 }
 
 // checkSweep asserts, for every schema shape of g, kind, filter and window
-// pair: dense sweep ≡ AggregateMap (≡ larray where that engine applies: DIST,
+// pair: sweep ≡ AggregateMap (≡ larray where that engine applies: DIST,
 // unfiltered, and ga non-nil), Timeline ≡ the per-pair loop, and TileSweep
 // ≡ per-step AggregateMap node weights at widths 1, 2, a random one and T
 // (or only at the given ones: the oracle costs a graph scan per step).
@@ -125,9 +125,6 @@ func checkSweep(t *testing.T, g *core.Graph, r *rand.Rand, pairs int, ga *larray
 	t.Helper()
 	tl := g.Timeline()
 	for name, s := range schemasOf(g) {
-		if KernelName(s) != "dense" {
-			t.Fatalf("%s schema (domain %d) is not on the dense kernel", name, s.Domain())
-		}
 		for _, kind := range []agg.Kind{agg.Distinct, agg.All} {
 			for fi, filter := range []Filter{nil, appearanceFilter} {
 				for _, p := range windowPairs(r, tl, pairs) {
@@ -246,47 +243,31 @@ func TestSweepMatchesMapOnDatasets(t *testing.T) {
 	checkSweep(t, g, rand.New(rand.NewSource(8)), 1, larray.FromGraph(g), 2)
 }
 
-// TestLargeDomainTakesMapKernel pins the other side of the kernel choice:
-// MovieLens' four attributes have a tuple domain above agg.DenseDomainLimit,
-// so Aggregate, Timeline and TileSweep run on AggregateMap — and a small
-// schema pinned to the map kernel does too, with the dense answers.
-func TestLargeDomainTakesMapKernel(t *testing.T) {
+// TestLargeDomainMatchesMap runs the sweep where its accumulators leave
+// flat arrays for maps: MovieLens' four attributes (domain 9,828, ~10⁸ edge
+// codes), and wide synthetic schemas whose codes outgrow int32 — edge codes
+// on the varying one (domain 50,000 > 46,341), node codes on the mixed one
+// (domain 2.5·10⁹ > 2³¹).
+func TestLargeDomainMatchesMap(t *testing.T) {
 	g := movieLens()
 	tl := g.Timeline()
 	big := agg.MustSchema(g, g.MustAttr("gender"), g.MustAttr("age"), g.MustAttr("occupation"), g.MustAttr("rating"))
-	if big.Domain() <= agg.DenseDomainLimit || KernelName(big) != "map" {
-		t.Fatalf("four-attribute schema: domain %d, kernel %s; want a map-kernel domain", big.Domain(), KernelName(big))
-	}
-	pinned := agg.MustSchema(g, g.MustAttr("gender"), g.MustAttr("rating"))
-	pinned.PreferMapKernel()
-	dense := agg.MustSchema(g, g.MustAttr("gender"), g.MustAttr("rating"))
-	if KernelName(pinned) != "map" || KernelName(dense) != "dense" {
-		t.Fatalf("kernels: pinned %s, unpinned %s", KernelName(pinned), KernelName(dense))
-	}
 	old, new := tl.Range(0, 2), tl.Range(2, timeline.Time(tl.Len()-1))
 	for _, kind := range []agg.Kind{agg.Distinct, agg.All} {
-		got, want := Aggregate(g, old, new, big, kind, appearanceFilter), AggregateMap(g, old, new, big, kind, appearanceFilter)
-		if !reflect.DeepEqual(got.Nodes, want.Nodes) || !reflect.DeepEqual(got.Edges, want.Edges) {
-			t.Fatalf("%v: Aggregate on a map-kernel schema diverges from AggregateMap", kind)
+		for _, filter := range []Filter{nil, appearanceFilter} {
+			got, want := Aggregate(g, old, new, big, kind, filter), AggregateMap(g, old, new, big, kind, filter)
+			if got.String() != want.String() {
+				t.Fatalf("%v: Aggregate on the four-attribute schema diverges from AggregateMap", kind)
+			}
 		}
 		if got, want := Timeline(g, big, kind, nil), timelineByPairs(g, big, kind, nil); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: Timeline on a map-kernel schema diverges from the per-pair loop", kind)
+			t.Fatalf("%v: Timeline on the four-attribute schema diverges from the per-pair loop", kind)
 		}
 		checkTiles(t, g, big, kind, 2, nil)
-
-		a, b := Aggregate(g, old, new, pinned, kind, nil), Aggregate(g, old, new, dense, kind, nil)
-		if !reflect.DeepEqual(a.Nodes, b.Nodes) || !reflect.DeepEqual(a.Edges, b.Edges) {
-			t.Fatalf("%v: pinned map kernel and dense kernel disagree", kind)
-		}
-		if a, b := Timeline(g, pinned, kind, nil), Timeline(g, dense, kind, nil); !reflect.DeepEqual(a, b) {
-			t.Fatalf("%v: Timeline differs between the kernels", kind)
-		}
-		ta, _ := TileSweep(context.Background(), g, pinned, kind, 2, nil)
-		tb, _ := TileSweep(context.Background(), g, dense, kind, 2, nil)
-		if !reflect.DeepEqual(ta, tb) {
-			t.Fatalf("%v: TileSweep differs between the kernels", kind)
-		}
 	}
+	r := rand.New(rand.NewSource(33))
+	wide := gtest.WideGraph(r, 300, 6, 50_000, 50_000, 3)
+	checkSweep(t, wide, r, 2, nil, 1, 4)
 }
 
 // TestOnePointTimeline: no consecutive pair, no step.
@@ -313,17 +294,18 @@ func TestSweepCancellation(t *testing.T) {
 	if g.NumNodes() <= sweepChunk {
 		t.Fatalf("graph has %d nodes; the mid-run case needs more than one chunk", g.NumNodes())
 	}
-	tl := g.Timeline()
-	appearances := 0
-	for n := 0; n < g.NumNodes(); n++ {
-		appearances += g.NodeTau(core.NodeID(n)).Count()
-	}
-	pinned := agg.MustSchema(g, g.MustAttr("gender"), g.MustAttr("publications"))
-	pinned.PreferMapKernel()
+	// A code space of 1.5·10⁶ node tuples keeps every accumulator in map
+	// storage.
+	wide := gtest.WideGraph(rand.New(rand.NewSource(311)), 5000, 21, 50_000, 30)
 	for name, s := range map[string]*agg.Schema{
 		"dense": agg.MustSchema(g, g.MustAttr("gender"), g.MustAttr("publications")),
-		"map":   pinned,
+		"map":   agg.MustSchema(wide, 0, 1),
 	} {
+		g, tl := s.Graph(), s.Graph().Timeline()
+		appearances := 0
+		for n := 0; n < g.NumNodes(); n++ {
+			appearances += g.NodeTau(core.NodeID(n)).Count()
+		}
 		calls := map[string]func(ctx context.Context, f Filter) error{
 			"aggregate": func(ctx context.Context, f Filter) error {
 				_, err := AggregateCtx(ctx, g, tl.Range(0, 9), tl.Range(10, 20), s, agg.Distinct, f)

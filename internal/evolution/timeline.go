@@ -49,39 +49,19 @@ func TimelineCtx(ctx context.Context, g *core.Graph, s *agg.Schema, kind agg.Kin
 	for i := range out {
 		out[i].Old, out[i].New = timeline.Time(i), timeline.Time(i+1)
 	}
-	if KernelName(s) == "dense" {
-		sw := sweep{g: g, s: s, kind: kind, filter: filter, edges: true, win: tileWindows(tl, 1)}
-		sc, err := sw.run(ctx)
-		defer sw.release(sc)
-		if err != nil {
-			return nil, err
-		}
-		for _, i := range sc.nodes.touched {
-			w := sc.nodes.w[i]
-			out[i].NodeSt, out[i].NodeGr, out[i].NodeShr = w.St, w.Gr, w.Shr
-		}
-		for _, i := range sc.edges.touched {
-			w := sc.edges.w[i]
-			out[i].EdgeSt, out[i].EdgeGr, out[i].EdgeShr = w.St, w.Gr, w.Shr
-		}
-	} else {
-		for i := range out {
-			ev, err := aggregateMap(ctx, g, tl.Point(out[i].Old), tl.Point(out[i].New), s, kind, filter, true)
-			if err != nil {
-				return nil, err
-			}
-			step := &out[i]
-			for _, w := range ev.Nodes {
-				step.NodeSt += w.St
-				step.NodeGr += w.Gr
-				step.NodeShr += w.Shr
-			}
-			for _, w := range ev.Edges {
-				step.EdgeSt += w.St
-				step.EdgeGr += w.Gr
-				step.EdgeShr += w.Shr
-			}
-		}
+	sw := sweep{g: g, s: s, kind: kind, filter: filter, edges: true, win: tileWindows(tl, 1)}
+	sc, err := sw.run(ctx)
+	defer sw.release(sc)
+	if err != nil {
+		return nil, err
+	}
+	for i := range sc.nodes.Len() {
+		step, w := sc.nodes.Entry(i)
+		out[step].NodeSt, out[step].NodeGr, out[step].NodeShr = w.St, w.Gr, w.Shr
+	}
+	for i := range sc.edges.Len() {
+		step, w := sc.edges.Entry(i)
+		out[step].EdgeSt, out[step].EdgeGr, out[step].EdgeShr = w.St, w.Gr, w.Shr
 	}
 	for i := range out {
 		step := &out[i]
@@ -111,37 +91,20 @@ func TileSweep(ctx context.Context, g *core.Graph, s *agg.Schema, kind agg.Kind,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tl := g.Timeline()
-	win := tileWindows(tl, width)
-	if KernelName(s) == "dense" {
-		sw := sweep{g: g, s: s, kind: kind, filter: filter, keepTuples: true, win: win}
-		sc, err := sw.run(ctx)
-		defer sw.release(sc)
-		if err != nil {
-			return nil, err
-		}
-		slices.Sort(sc.nodes.touched)
-		out := make([]StepWeights, len(sc.nodes.touched))
-		d := int32(s.Domain())
-		for k, i := range sc.nodes.touched {
-			out[k] = StepWeights{Step: int(i / d), Tuple: agg.Tuple(i % d), Weights: sc.nodes.w[i]}
-		}
-		return out, nil
+	sw := sweep{g: g, s: s, kind: kind, filter: filter, keepTuples: true, win: tileWindows(g.Timeline(), width)}
+	sc, err := sw.run(ctx)
+	defer sw.release(sc)
+	if err != nil {
+		return nil, err
 	}
-	var out []StepWeights
-	tile := func(j int) timeline.Interval {
-		return tl.Range(timeline.Time(j*width), timeline.Time(min((j+1)*width, tl.Len())-1))
+	d := s.Domain()
+	out := make([]StepWeights, sc.nodes.Len())
+	for k := range out {
+		c, w := sc.nodes.Entry(k)
+		out[k] = StepWeights{Step: int(c / d), Tuple: agg.Tuple(c % d), Weights: w}
 	}
-	for step := 0; step < win.n-1; step++ {
-		ev, err := aggregateMap(ctx, g, tile(step), tile(step+1), s, kind, filter, false)
-		if err != nil {
-			return nil, err
-		}
-		from := len(out)
-		for tu, w := range ev.Nodes {
-			out = append(out, StepWeights{Step: step, Tuple: tu, Weights: w})
-		}
-		slices.SortFunc(out[from:], func(a, b StepWeights) int { return cmp.Compare(a.Tuple, b.Tuple) })
-	}
+	slices.SortFunc(out, func(a, b StepWeights) int {
+		return cmp.Or(cmp.Compare(a.Step, b.Step), cmp.Compare(a.Tuple, b.Tuple))
+	})
 	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/evolution"
 	"repro/internal/gtest"
 	"repro/internal/timeline"
@@ -122,6 +123,23 @@ func TestTopFastMatchesSeedPath(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestTopLargeDomainMatchesSeedPath: TOP on the four-attribute MovieLens
+// schema (domain 9,828, whose ~10⁸ edge codes the kernel keeps in map
+// storage) ranks exactly as the NoFastPath seed path.
+func TestTopLargeDomainMatchesSeedPath(t *testing.T) {
+	g := dataset.MovieLensScaled(1, 0.05)
+	s := agg.MustSchema(g, g.MustAttr("gender"), g.MustAttr("age"), g.MustAttr("occupation"), g.MustAttr("rating"))
+	for _, kind := range []agg.Kind{agg.Distinct, agg.All} {
+		fast := &Explorer{Graph: g, Schema: s, Kind: kind, Result: TotalEdges}
+		seed := &Explorer{Graph: g, Schema: s, Kind: kind, Result: TotalEdges, NoFastPath: true}
+		for _, ev := range []Event{evolution.Stability, evolution.Growth, evolution.Shrinkage} {
+			if got, want := TopEdgeTuples(fast, ev, 5), TopEdgeTuples(seed, ev, 5); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v %v: pair-view TOP diverges from the seed path\n got %v\nwant %v", kind, ev, got, want)
 			}
 		}
 	}

@@ -230,6 +230,69 @@ func ValueGraph(values []string) *core.Graph {
 	return b.MustBuild()
 }
 
+// WideGraph builds a random graph over points time points whose attribute
+// i has radices[i] interned values — static for even i, time-varying for
+// odd i — of which nodes take only four, the first and the last among
+// them. The tuple domain is the product of radices however small the graph
+// is: the regime where tuple codes outgrow int32 and aggregation
+// accumulators leave flat arrays for maps. Every node exists at one point
+// or more, with every value set there, and edges join random pairs at
+// some of the points where both ends exist.
+func WideGraph(r *rand.Rand, nodes, points int, radices ...int) *core.Graph {
+	labels := make([]string, points)
+	for t := range labels {
+		labels[t] = fmt.Sprintf("t%d", t)
+	}
+	attrs := make([]core.AttrSpec, len(radices))
+	for a := range attrs {
+		attrs[a] = core.AttrSpec{Name: fmt.Sprintf("a%d", a), Kind: core.Static}
+		if a%2 == 1 {
+			attrs[a].Kind = core.TimeVarying
+		}
+	}
+	b := core.NewBuilder(timeline.MustNew(labels...), attrs...)
+	used := make([][]string, len(radices))
+	for a, radix := range radices {
+		values := make([]string, radix)
+		for v := range values {
+			values[v] = fmt.Sprint(v)
+		}
+		b.InternValues(core.AttrID(a), values...)
+		used[a] = []string{values[0], values[radix/3], values[radix/2], values[radix-1]}
+	}
+	pick := func(a int) string { return used[a][r.Intn(len(used[a]))] }
+	alive := make([][]bool, nodes)
+	for i := range alive {
+		n := b.AddNode(fmt.Sprintf("n%d", i))
+		for a := 0; a < len(radices); a += 2 {
+			b.SetStatic(core.AttrID(a), n, pick(a))
+		}
+		alive[i] = make([]bool, points)
+		first := r.Intn(points)
+		for t := range alive[i] {
+			if t != first && r.Intn(2) == 0 {
+				continue
+			}
+			alive[i][t] = true
+			b.SetNodeTime(n, timeline.Time(t))
+			for a := 1; a < len(radices); a += 2 {
+				b.SetVarying(core.AttrID(a), n, timeline.Time(t), pick(a))
+			}
+		}
+	}
+	for i := 0; i < 3*nodes; i++ {
+		u, v := r.Intn(nodes), r.Intn(nodes)
+		first := true
+		for t := range points {
+			if alive[u][t] && alive[v][t] && (first || r.Intn(2) == 0) {
+				b.SetEdgeTime(b.AddEdge(core.NodeID(u), core.NodeID(v)), timeline.Time(t))
+				first = false
+			}
+		}
+	}
+	return b.MustBuild()
+}
+
 // PointIndexError compares g's point index with the transpose of its
 // timestamps, bit for bit over the whole id space (a column shorter than the
 // id space must read as zeros): column t holds entity x exactly when τ(x)

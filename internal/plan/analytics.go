@@ -175,7 +175,6 @@ func (o *eventsOp) describe() []kv {
 		{"width", strconv.Itoa(o.width)},
 		{"steps", strconv.Itoa(o.steps)},
 		{"engine", "entity-sweep"},
-		{"kernel", evolution.KernelName(o.schema)},
 		{"filter", filterString(o.preds)},
 	}
 	if o.min > 0 {

@@ -277,12 +277,7 @@ func compileAggregate(env Env, workers int, q *Aggregate) (physOp, int, error) {
 		}, maxTime, nil
 	}
 	// Recorded feedback can override the view operator's engine selections.
-	ad := adaptAggregate(env.Feedback, q.Key(), workers, agg.ParallelMinEntities(), schema.Domain())
-	if ad.preferMap {
-		// The schema is freshly resolved for this compile, so pinning its
-		// kernel here affects exactly the plans built from it.
-		schema.PreferMapKernel()
-	}
+	ad := adaptAggregate(env.Feedback, q.Key(), workers, agg.ParallelMinEntities())
 	return &viewAggOp{
 		view:    newViewOp(g, q.Op.Op, a, b),
 		schema:  schema,

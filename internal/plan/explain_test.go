@@ -91,8 +91,8 @@ func TestExplainNamesDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := out.Explain(); !strings.Contains(s, "kernel=dense") {
-		t.Errorf("aggregate plan does not name the kernel:\n%s", s)
+	if s := out.Explain(); !strings.Contains(s, "mode=serial") {
+		t.Errorf("aggregate plan does not name the execution mode:\n%s", s)
 	}
 
 	out, err = tgql.PlanEnv(plan.Env{Graph: g}, "EXPLORE GROWTH BY gender K 2")

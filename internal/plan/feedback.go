@@ -7,8 +7,7 @@ import "sync"
 // output cardinality — and Compile consults those observations the next
 // time the same logical query is planned. The cost model alone sees only
 // graph-wide totals (scanCost = |V|+|E|); observations are per-query and
-// per-dataset, so they can demote a parallel plan whose merge dominates or
-// prefer the map kernel for a sparsely occupied tuple domain.
+// per-dataset, so they can demote a parallel plan whose merge dominates.
 //
 // Observations are advisory: a stale or wrong one costs performance, never
 // correctness (every operator computes the same result on every engine).
@@ -132,37 +131,26 @@ func (f *Feedback) epochFor(key string) int {
 
 // ---- selection adaptation --------------------------------------------
 
-// Feedback-driven selection thresholds. Both only ever trade one
-// correct engine for another, so the constants are coarse on purpose.
-const (
-	// mergeBoundFactor demotes a parallel aggregation to serial when the
-	// observed output cardinality is within this factor of the selected
-	// entity count: each worker materializes a private partial with ~all
-	// result tuples, so the O(workers × results) merge eats the sharded
-	// scan's win.
-	mergeBoundFactor = 4
-
-	// sparseDomainMinSlots / sparseDomainFactor prefer the map kernel when
-	// the dense kernel's d² edge slot space dwarfs the observed entity
-	// count: the flat arrays are allocated and cleared for a domain the
-	// data barely touches. Small domains (gender² = 4 slots) never demote.
-	sparseDomainMinSlots = 1 << 12
-	sparseDomainFactor   = 16
-)
+// mergeBoundFactor demotes a parallel aggregation to serial when the
+// observed output cardinality is within this factor of the selected entity
+// count: each worker materializes a private partial with ~all result
+// tuples, so the O(workers × results) merge eats the sharded scan's win.
+// It only ever trades one correct engine for another, so it is coarse on
+// purpose.
+const mergeBoundFactor = 4
 
 // aggAdaptation is the outcome of consulting feedback for one aggregate
-// compile: possibly demoted workers, a kernel preference, and the Explain
-// notes naming what was applied.
+// compile: possibly demoted workers, and the Explain notes naming what was
+// applied.
 type aggAdaptation struct {
-	workers   int
-	preferMap bool
-	notes     []string
+	workers int
+	notes   []string
 }
 
 // adaptAggregate consults the feedback store for one aggregate compile.
 // parallelMin is the engine's serial/parallel crossover
-// (agg.ParallelMinEntities), domain the schema's tuple space.
-func adaptAggregate(f *Feedback, key string, workers int, parallelMin int, domain int64) aggAdaptation {
+// (agg.ParallelMinEntities).
+func adaptAggregate(f *Feedback, key string, workers int, parallelMin int) aggAdaptation {
 	ad := aggAdaptation{workers: workers}
 	obs, ok := f.Lookup(key)
 	if !ok {
@@ -171,10 +159,6 @@ func adaptAggregate(f *Feedback, key string, workers int, parallelMin int, domai
 	if workers != 1 && obs.Entities >= parallelMin && obs.Results*mergeBoundFactor >= obs.Entities {
 		ad.workers = 1
 		ad.notes = append(ad.notes, "serial(merge-bound)")
-	}
-	if slots := domain * domain; slots >= sparseDomainMinSlots && slots > sparseDomainFactor*int64(obs.Entities) {
-		ad.preferMap = true
-		ad.notes = append(ad.notes, "map-kernel(sparse-domain)")
 	}
 	return ad
 }

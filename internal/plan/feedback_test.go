@@ -14,8 +14,7 @@ import (
 )
 
 // wideGraph builds a small graph whose single static attribute has a wide
-// value domain (80 values over 12 nodes), so the dense kernel's d² slot
-// space dwarfs the data — the shape the sparse-domain demotion targets.
+// value domain (80 values over 12 nodes).
 func wideGraph(t *testing.T) *core.Graph {
 	t.Helper()
 	tl := timeline.MustNew("t0", "t1", "t2", "t3")
@@ -95,55 +94,6 @@ func TestFeedbackRecordsObservations(t *testing.T) {
 	}
 }
 
-// TestFeedbackPrefersMapKernel: once an observation shows the tuple domain
-// is sparsely occupied, recompiling selects the map kernel (and says so in
-// EXPLAIN); the demoted plan still produces the dense kernel's result.
-func TestFeedbackPrefersMapKernel(t *testing.T) {
-	g := wideGraph(t)
-	fb := plan.NewFeedback()
-	env := plan.Env{Graph: g, Workers: 1, Feedback: fb}
-	node := aggNode()
-
-	before, err := plan.Compile(env, node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := before.Explain(); !strings.Contains(s, "kernel=dense") || strings.Contains(s, "feedback=") {
-		t.Fatalf("unobserved compile should select dense with no feedback attr:\n%s", s)
-	}
-	want, err := before.Execute(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	after, err := plan.Compile(env, node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := after.Explain()
-	if !strings.Contains(s, "kernel=static") || !strings.Contains(s, "feedback=") ||
-		!strings.Contains(s, "map-kernel(sparse-domain)") {
-		t.Fatalf("observed compile did not demote to the map kernel:\n%s", s)
-	}
-	got, err := after.Execute(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Agg.Nodes) != len(want.Agg.Nodes) || len(got.Agg.Edges) != len(want.Agg.Edges) {
-		t.Fatal("map-kernel plan result differs from dense plan result")
-	}
-	for tu, w := range want.Agg.Nodes {
-		if got.Agg.Nodes[tu] != w {
-			t.Fatalf("tuple %d: map kernel weight %d, dense %d", tu, got.Agg.Nodes[tu], w)
-		}
-	}
-	for k, w := range want.Agg.Edges {
-		if got.Agg.Edges[k] != w {
-			t.Fatalf("edge %v: map kernel weight %d, dense %d", k, got.Agg.Edges[k], w)
-		}
-	}
-}
-
 // TestFeedbackInvalidatesCachedPlan: a cached plan compiled before any
 // observation must be recompiled once feedback arrives — the observation
 // bumps the key's epoch, turning the next lookup into a miss.
@@ -174,9 +124,6 @@ func TestFeedbackInvalidatesCachedPlan(t *testing.T) {
 	}
 	if adapted == first {
 		t.Fatal("observation did not invalidate the cached plan")
-	}
-	if s := adapted.Explain(); !strings.Contains(s, "feedback=") {
-		t.Fatalf("recompiled plan carries no feedback attr:\n%s", s)
 	}
 	// The adapted plan is itself cached under the new epoch.
 	stable, err := plan.Compile(env, node)

@@ -5,16 +5,14 @@ import "repro/internal/metrics"
 // Selections counts which physical operator the planner chose for each
 // executed plan, one counter per operator. Cached plans count on every
 // execution (selection is a property of the run, not the compile), so the
-// counters reflect live traffic like agg.KernelSelections does. They are
-// package-level because planning happens inside the library where no
+// counters reflect live traffic. They are package-level because planning happens inside the library where no
 // registry is in scope; the serving layer registers them under one metric
 // family (graphtempod_planner_selections_total{op=...}).
 var Selections struct {
 	CatalogUnion metrics.Counter // union-ALL answered through the materialization catalog
-	DenseAgg     metrics.Counter // view aggregation on the dense flat-array kernel
-	MapAgg       metrics.Counter // view aggregation on a map kernel (static or varying)
+	DenseAgg     metrics.Counter // view aggregation on the aggregation kernels
 	MeasureAgg   metrics.Counter // SUM/AVG/MIN/MAX measure aggregation
-	FilteredAgg  metrics.Counter // predicate-filtered aggregation (serial map engine)
+	FilteredAgg  metrics.Counter // predicate-filtered aggregation (serial time-major kernel)
 	FastExplore  metrics.Counter // exploration on the incremental-view fast path
 	TuneExplore  metrics.Counter // §3.5 threshold tuning loop (memoized evaluation)
 	Top          metrics.Counter // top-N attribute-group ranking

@@ -138,9 +138,9 @@ func (o *catalogAggOp) run(ctx context.Context, out *Result) error {
 	return nil
 }
 
-// viewAggOp aggregates a view with the kernel the schema selects (dense
-// flat arrays or map) and the chunked-parallel engine when the view is
-// large enough to amortize worker spawn and merge.
+// viewAggOp aggregates a view on the aggregation kernels, with the
+// chunked-parallel engine when the view is large enough to amortize worker
+// spawn and merge.
 type viewAggOp struct {
 	view    *viewOp
 	schema  *agg.Schema
@@ -176,7 +176,6 @@ func workersString(n int) string {
 func (o *viewAggOp) describe() []kv {
 	attrs := []kv{
 		{"kind", kindString(o.kind)},
-		{"kernel", o.schema.KernelName()},
 		{"mode", o.mode()},
 		{"workers", workersString(o.workers)},
 		{"est_cost", itoa64(o.cost)},
@@ -190,14 +189,7 @@ func (o *viewAggOp) describe() []kv {
 }
 
 func (o *viewAggOp) children() []physOp { return []physOp{o.view} }
-
-func (o *viewAggOp) countSelection() {
-	if o.schema.KernelName() == "dense" {
-		Selections.DenseAgg.Inc()
-	} else {
-		Selections.MapAgg.Inc()
-	}
-}
+func (o *viewAggOp) countSelection()    { Selections.DenseAgg.Inc() }
 
 func (o *viewAggOp) run(ctx context.Context, out *Result) error {
 	ag, err := agg.AggregateParallelCtx(ctx, o.view.view, o.schema, o.kind, o.workers)
@@ -209,9 +201,8 @@ func (o *viewAggOp) run(ctx context.Context, out *Result) error {
 	return nil
 }
 
-// filteredAggOp aggregates a view under an appearance filter. The filtered
-// engine is the serial map engine: predicates are evaluated per appearance,
-// which the flat-array kernels cannot express.
+// filteredAggOp aggregates a view under an appearance filter: the serial
+// time-major kernel, evaluating the predicates per appearance.
 type filteredAggOp struct {
 	view   *viewOp
 	schema *agg.Schema
@@ -227,7 +218,6 @@ func (o *filteredAggOp) describe() []kv {
 	return []kv{
 		{"kind", kindString(o.kind)},
 		{"predicates", strconv.Itoa(o.preds)},
-		{"engine", "filtered-map"},
 		{"est_cost", itoa64(o.cost)},
 	}
 }
@@ -236,11 +226,8 @@ func (o *filteredAggOp) children() []physOp { return []physOp{o.view} }
 func (o *filteredAggOp) countSelection()    { Selections.FilteredAgg.Inc() }
 
 func (o *filteredAggOp) run(ctx context.Context, out *Result) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	ag := agg.AggregateFiltered(o.view.view, o.schema, o.kind, o.filter)
-	if err := ctx.Err(); err != nil {
+	ag, err := agg.AggregateFiltered(ctx, o.view.view, o.schema, o.kind, o.filter)
+	if err != nil {
 		return err
 	}
 	out.Agg, out.AggSource = ag, materialize.Scratch
@@ -495,7 +482,6 @@ func (o *evolveOp) describe() []kv {
 		{"kind", kindString(o.kind)},
 		{"old", intervalString(o.old)},
 		{"new", intervalString(o.new)},
-		{"kernel", evolution.KernelName(o.schema)},
 		{"filter", filterString(o.preds)},
 		{"est_cost", itoa64(o.cost)},
 	}
@@ -529,7 +515,6 @@ func (o *timelineOp) name() string { return "EvolutionTimeline" }
 func (o *timelineOp) describe() []kv {
 	return []kv{
 		{"steps", strconv.Itoa(o.steps)},
-		{"kernel", evolution.KernelName(o.schema)},
 		{"filter", filterString(o.preds)},
 		{"est_cost", itoa64(o.cost)},
 	}

@@ -389,7 +389,6 @@ func (s *Server) catalogStats() materialize.Stats {
 //	graphtempod_catalog_cache_{entries,bytes}   gauges
 //	graphtempod_graph_index_bytes{index}        gauge (points)
 //	graphtempod_explorer_evaluations_total      counter (engine hot path)
-//	graphtempod_kernel_selections_total{kernel} counter (engine hot path)
 //	graphtempod_planner_selections_total{op}    counter (planner choices)
 //	graphtempod_planner_feedback_total{kind}    counter (cardinality records)
 //	graphtempod_plan_cache_total{result}        counter (hit/miss)
@@ -452,13 +451,6 @@ func (s *Server) registerMetrics() {
 		func() float64 { return float64(s.catalogStats().CacheEvictions) })
 	r.RegisterCounter("graphtempod_explorer_evaluations_total",
 		"Exploration candidate evaluations across all requests.", &explore.TotalEvaluations)
-	r.RegisterCounter("graphtempod_kernel_selections_total",
-		"Aggregation kernel selections.", &agg.KernelSelections.Dense,
-		metrics.Label{Key: "kernel", Value: "dense"})
-	r.RegisterCounter("graphtempod_kernel_selections_total", "",
-		&agg.KernelSelections.Static, metrics.Label{Key: "kernel", Value: "static"})
-	r.RegisterCounter("graphtempod_kernel_selections_total", "",
-		&agg.KernelSelections.Varying, metrics.Label{Key: "kernel", Value: "varying"})
 	plannerHelp := "Physical operators selected by the query planner, counted per plan execution."
 	for _, sel := range []struct {
 		op string
@@ -466,7 +458,6 @@ func (s *Server) registerMetrics() {
 	}{
 		{"catalog-union", &plan.Selections.CatalogUnion},
 		{"dense-agg", &plan.Selections.DenseAgg},
-		{"map-agg", &plan.Selections.MapAgg},
 		{"measure-agg", &plan.Selections.MeasureAgg},
 		{"filtered-agg", &plan.Selections.FilteredAgg},
 		{"fast-explore", &plan.Selections.FastExplore},

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/analytics"
-	"repro/internal/benchutil"
 	"repro/internal/core"
 	"repro/internal/evolution"
 	"repro/internal/explore"
@@ -54,7 +53,7 @@ func (r *Result) String() string {
 		return r.Evolution.String()
 	case r.Stats != nil:
 		var b strings.Builder
-		tb := &benchutil.Table{ID: "stats", Title: "nodes and edges per time point",
+		tb := &Table{ID: "stats", Title: "nodes and edges per time point",
 			Header: []string{"#TP", "#Nodes", "#Edges"}}
 		for i, label := range r.Stats.Labels {
 			tb.Add(label, fmt.Sprintf("%d", r.Stats.Nodes[i]), fmt.Sprintf("%d", r.Stats.Edges[i]))
@@ -71,7 +70,7 @@ func (r *Result) String() string {
 		return b.String()
 	case r.Timeline != nil:
 		var b strings.Builder
-		tb := &benchutil.Table{ID: "timeline", Title: "evolution per consecutive pair",
+		tb := &Table{ID: "timeline", Title: "evolution per consecutive pair",
 			Header: []string{"step", "nodes St", "nodes Gr", "nodes Shr", "edges St", "edges Gr", "edges Shr"}}
 		tl := r.g.Timeline()
 		for _, st := range r.Timeline {
@@ -84,7 +83,7 @@ func (r *Result) String() string {
 	case r.Coarse != nil:
 		var b strings.Builder
 		stats := core.ComputeStats(r.Coarse)
-		tb := &benchutil.Table{ID: "coarsened", Title: "zoomed-out graph",
+		tb := &Table{ID: "coarsened", Title: "zoomed-out graph",
 			Header: []string{"#TP", "#Nodes", "#Edges"}}
 		for i, label := range stats.Labels {
 			tb.Add(label, fmt.Sprintf("%d", stats.Nodes[i]), fmt.Sprintf("%d", stats.Edges[i]))
@@ -93,7 +92,7 @@ func (r *Result) String() string {
 		return b.String()
 	case r.Events != nil:
 		var b strings.Builder
-		tb := &benchutil.Table{ID: "events",
+		tb := &Table{ID: "events",
 			Title:  fmt.Sprintf("evolution events, window width %d (%d steps)", r.Events.Width, r.Events.Steps),
 			Header: []string{"step", "window", "group", "St", "Gr", "Shr", "class"}}
 		for _, row := range r.Events.Rows {
@@ -104,7 +103,7 @@ func (r *Result) String() string {
 		return b.String()
 	case r.Paths != nil:
 		var b strings.Builder
-		tb := &benchutil.Table{ID: "paths",
+		tb := &Table{ID: "paths",
 			Title: fmt.Sprintf("%s time-respecting paths during %s (%d reached)",
 				r.Paths.Mode, r.Paths.Window, r.Paths.Reached),
 			Header: []string{"node", "depart", "arrive", "duration"}}
@@ -115,7 +114,7 @@ func (r *Result) String() string {
 		return b.String()
 	case r.Trend != nil:
 		var b strings.Builder
-		tb := &benchutil.Table{ID: "trend",
+		tb := &Table{ID: "trend",
 			Title:  fmt.Sprintf("sliding-window trend, width %d (%d windows)", r.Trend.Width, r.Trend.Windows),
 			Header: []string{"group", "series", "slope", "direction"}}
 		for _, row := range r.Trend.Rows {
