@@ -59,19 +59,30 @@ func comboLabel(names []string) string {
 // [t0, t0+i]: operator time, then DIST and ALL aggregation time for a
 // static and a time-varying attribute (Fig. 6a–d).
 func Fig6(id, title string, g *core.Graph, staticAttr, varyingAttr string) *Experiment {
+	e, add := distAllExperiment(id, title, "interval end", g, staticAttr, varyingAttr)
+	tl := g.Timeline()
+	for x := 1; x < tl.Len(); x++ {
+		iv := tl.Range(0, timeline.Time(x))
+		add(tl.Label(timeline.Time(x)), func() *ops.View { return ops.Union(g, iv, iv) })
+	}
+	return e
+}
+
+// distAllExperiment is the table of Figs. 6, 8 and 9 and the function that
+// adds one row to it: the time of op, then of DIST and ALL aggregation of
+// its view on the static and on the time-varying attribute.
+func distAllExperiment(id, title, xlabel string, g *core.Graph, staticAttr, varyingAttr string) (*Experiment, func(label string, op func() *ops.View)) {
 	e := &Experiment{
-		ID: id, Title: title, XLabel: "interval end",
+		ID: id, Title: title, XLabel: xlabel,
 		Series: []string{"op", staticAttr[:1] + ":DIST", staticAttr[:1] + ":ALL",
 			varyingAttr[:1] + ":DIST", varyingAttr[:1] + ":ALL"},
 	}
 	sStatic := schemaFor(g, staticAttr)
 	sVarying := schemaFor(g, varyingAttr)
-	tl := g.Timeline()
-	for x := 1; x < tl.Len(); x++ {
-		iv := tl.Range(0, timeline.Time(x))
+	return e, func(label string, op func() *ops.View) {
 		var v *ops.View
-		opTime := timed(func() { v = ops.Union(g, iv, iv) })
-		e.Add(tl.Label(timeline.Time(x)),
+		opTime := timed(func() { v = op() })
+		e.Add(label,
 			opTime,
 			timed(func() { agg.Aggregate(v, sStatic, agg.Distinct) }),
 			timed(func() { agg.Aggregate(v, sStatic, agg.All) }),
@@ -79,7 +90,6 @@ func Fig6(id, title string, g *core.Graph, staticAttr, varyingAttr string) *Expe
 			timed(func() { agg.Aggregate(v, sVarying, agg.All) }),
 		)
 	}
-	return e
 }
 
 // Fig7 measures intersection + DIST aggregation while extending the
@@ -114,56 +124,30 @@ func Fig7(id, title string, g *core.Graph, staticAttr, varyingAttr string) *Expe
 // time point and Told = [x, last-1] expanding leftward, plus DIST and ALL
 // aggregation on a static and a time-varying attribute.
 func Fig8(id, title string, g *core.Graph, staticAttr, varyingAttr string) *Experiment {
-	e := &Experiment{
-		ID: id, Title: title, XLabel: "Told start",
-		Series: []string{"op", staticAttr[:1] + ":DIST", staticAttr[:1] + ":ALL",
-			varyingAttr[:1] + ":DIST", varyingAttr[:1] + ":ALL"},
-	}
-	sStatic := schemaFor(g, staticAttr)
-	sVarying := schemaFor(g, varyingAttr)
-	tl := g.Timeline()
-	last := timeline.Time(tl.Len() - 1)
-	tnew := ops.Exists(tl.Point(last))
-	for x := tl.Len() - 2; x >= 0; x-- {
-		told := ops.Exists(tl.Range(timeline.Time(x), last-1))
-		var v *ops.View
-		opTime := timed(func() { v = ops.DifferenceView(g, told, tnew) })
-		e.Add(tl.Label(timeline.Time(x)),
-			opTime,
-			timed(func() { agg.Aggregate(v, sStatic, agg.Distinct) }),
-			timed(func() { agg.Aggregate(v, sStatic, agg.All) }),
-			timed(func() { agg.Aggregate(v, sVarying, agg.Distinct) }),
-			timed(func() { agg.Aggregate(v, sVarying, agg.All) }),
-		)
-	}
-	return e
+	return differenceFig(id, title, g, staticAttr, varyingAttr, false)
 }
 
 // Fig9 measures the opposite difference Tnew − Told(∪): Tnew fixed at the
 // last point, Told expanding leftward; the output shrinks instead of
 // growing.
 func Fig9(id, title string, g *core.Graph, staticAttr, varyingAttr string) *Experiment {
-	e := &Experiment{
-		ID: id, Title: title, XLabel: "Told start",
-		Series: []string{"op", staticAttr[:1] + ":DIST", staticAttr[:1] + ":ALL",
-			varyingAttr[:1] + ":DIST", varyingAttr[:1] + ":ALL"},
-	}
-	sStatic := schemaFor(g, staticAttr)
-	sVarying := schemaFor(g, varyingAttr)
+	return differenceFig(id, title, g, staticAttr, varyingAttr, true)
+}
+
+// differenceFig is Fig. 8, or Fig. 9 when newMinusOld.
+func differenceFig(id, title string, g *core.Graph, staticAttr, varyingAttr string, newMinusOld bool) *Experiment {
+	e, add := distAllExperiment(id, title, "Told start", g, staticAttr, varyingAttr)
 	tl := g.Timeline()
 	last := timeline.Time(tl.Len() - 1)
 	tnew := ops.Exists(tl.Point(last))
 	for x := tl.Len() - 2; x >= 0; x-- {
 		told := ops.Exists(tl.Range(timeline.Time(x), last-1))
-		var v *ops.View
-		opTime := timed(func() { v = ops.DifferenceView(g, tnew, told) })
-		e.Add(tl.Label(timeline.Time(x)),
-			opTime,
-			timed(func() { agg.Aggregate(v, sStatic, agg.Distinct) }),
-			timed(func() { agg.Aggregate(v, sStatic, agg.All) }),
-			timed(func() { agg.Aggregate(v, sVarying, agg.Distinct) }),
-			timed(func() { agg.Aggregate(v, sVarying, agg.All) }),
-		)
+		add(tl.Label(timeline.Time(x)), func() *ops.View {
+			if newMinusOld {
+				return ops.DifferenceView(g, tnew, told)
+			}
+			return ops.DifferenceView(g, told, tnew)
+		})
 	}
 	return e
 }
@@ -179,25 +163,20 @@ func Fig10(id, title string, g *core.Graph, staticAttr, varyingAttr string) *Exp
 			staticAttr[:1] + ":scratch", staticAttr[:1] + ":mat", staticAttr[:1] + ":speedup",
 			varyingAttr[:1] + ":scratch", varyingAttr[:1] + ":mat", varyingAttr[:1] + ":speedup"},
 	}
-	sStatic := schemaFor(g, staticAttr)
-	sVarying := schemaFor(g, varyingAttr)
-	stStatic := materialize.NewStore(g, sStatic)
-	stVarying := materialize.NewStore(g, sVarying)
+	var stores []*materialize.Store
+	for _, attr := range []string{staticAttr, varyingAttr} {
+		stores = append(stores, materialize.NewStore(g, schemaFor(g, attr)))
+	}
 	tl := g.Timeline()
 	for x := 1; x < tl.Len(); x++ {
 		iv := tl.Range(0, timeline.Time(x))
-		var scratchS, matS, scratchV, matV float64
-		scratchS = timed(func() {
-			agg.Aggregate(ops.Union(g, iv, iv), sStatic, agg.All)
-		})
-		matS = timed(func() { stStatic.UnionAll(iv) })
-		scratchV = timed(func() {
-			agg.Aggregate(ops.Union(g, iv, iv), sVarying, agg.All)
-		})
-		matV = timed(func() { stVarying.UnionAll(iv) })
-		e.Add(tl.Label(timeline.Time(x)),
-			scratchS, matS, ratio(scratchS, matS),
-			scratchV, matV, ratio(scratchV, matV))
+		var row []float64
+		for _, st := range stores {
+			scratch := timed(func() { agg.Aggregate(ops.Union(g, iv, iv), st.Schema(), agg.All) })
+			mat := timed(func() { st.UnionAll(iv) })
+			row = append(row, scratch, mat, ratio(scratch, mat))
+		}
+		e.Add(tl.Label(timeline.Time(x)), row...)
 	}
 	return e
 }

@@ -223,9 +223,10 @@ func anyOne(row []string) bool {
 	return false
 }
 
-// copyEntities builds the output arrays from the rows selected by keep,
-// mirroring Algorithm 1's insert loops (lines 3–14).
-func (ga *GraphArrays) copyEntities(cols []string, keep func(row []string) bool) *GraphArrays {
+// copyEntities builds the output arrays from the node and edge rows, over
+// cols, that keepNode and keepEdge select, mirroring Algorithm 1's insert
+// loops (lines 3–14).
+func (ga *GraphArrays) copyEntities(cols []string, keepNode, keepEdge func(label string, row []string) bool) *GraphArrays {
 	out := &GraphArrays{Times: cols, A: make(map[string]*Array), AOrder: ga.AOrder}
 	out.V = NewArray(cols...)
 	out.S = NewArray(ga.S.ColLabels...)
@@ -238,7 +239,7 @@ func (ga *GraphArrays) copyEntities(cols []string, keep func(row []string) bool)
 		restrictedA[name] = ga.A[name].Restrict(cols...)
 	}
 	for r, label := range rv.RowLabels {
-		if !keep(rv.Cells[r]) {
+		if !keepNode(label, rv.Cells[r]) {
 			continue
 		}
 		out.V.AddRow(label, rv.Cells[r]...)
@@ -252,19 +253,20 @@ func (ga *GraphArrays) copyEntities(cols []string, keep func(row []string) bool)
 	out.E = NewArray(cols...)
 	re := ga.E.Restrict(cols...)
 	for r, label := range re.RowLabels {
-		if !keep(re.Cells[r]) {
-			continue
+		if keepEdge(label, re.Cells[r]) {
+			out.E.AddRow(label, re.Cells[r]...)
 		}
-		out.E.AddRow(label, re.Cells[r]...)
 	}
 	return out
 }
+
+func anyOneRow(_ string, row []string) bool { return anyOne(row) }
 
 // Union implements Algorithm 1: keep every node/edge with a 1 in some
 // column of T1 ∪ T2, restricted to those columns.
 func (ga *GraphArrays) Union(t1, t2 timeline.Interval) *GraphArrays {
 	cols := ga.intervalCols(t1.Union(t2))
-	return ga.copyEntities(cols, anyOne)
+	return ga.copyEntities(cols, anyOneRow, anyOneRow)
 }
 
 // Intersection keeps entities with a 1 in some column of T1 and in some
@@ -279,7 +281,7 @@ func (ga *GraphArrays) Intersection(t1, t2 timeline.Interval) *GraphArrays {
 	for _, c := range ga.intervalCols(t2) {
 		cols2[c] = true
 	}
-	keep := func(row []string) bool {
+	keep := func(_ string, row []string) bool {
 		in1, in2 := false, false
 		for i, c := range cols {
 			if row[i] == "1" {
@@ -293,7 +295,7 @@ func (ga *GraphArrays) Intersection(t1, t2 timeline.Interval) *GraphArrays {
 		}
 		return in1 && in2
 	}
-	return ga.copyEntities(cols, keep)
+	return ga.copyEntities(cols, keep, keep)
 }
 
 // Difference implements §4.1's difference T1 − T2: an edge row is kept when
@@ -323,37 +325,7 @@ func (ga *GraphArrays) Difference(t1, t2 timeline.Interval) *GraphArrays {
 		}
 	}
 
-	out := &GraphArrays{Times: cols1, A: make(map[string]*Array), AOrder: ga.AOrder}
-	out.V = NewArray(cols1...)
-	out.S = NewArray(ga.S.ColLabels...)
-	for _, name := range ga.AOrder {
-		out.A[name] = NewArray(cols1...)
-	}
-	rv := ga.V.Restrict(cols1...)
-	restrictedA := make(map[string]*Array, len(ga.AOrder))
-	for _, name := range ga.AOrder {
-		restrictedA[name] = ga.A[name].Restrict(cols1...)
-	}
-	for r, label := range rv.RowLabels {
-		if !anyOne(rv.Cells[r]) {
-			continue
-		}
-		if !gone(label, v2) && !endpoints[label] {
-			continue
-		}
-		out.V.AddRow(label, rv.Cells[r]...)
-		srow, _ := ga.S.Row(label)
-		out.S.AddRow(label, srow...)
-		for _, name := range ga.AOrder {
-			arow, _ := restrictedA[name].Row(label)
-			out.A[name].AddRow(label, arow...)
-		}
-	}
-	out.E = NewArray(cols1...)
-	for r, label := range re1.RowLabels {
-		if keptEdges[label] {
-			out.E.AddRow(label, re1.Cells[r]...)
-		}
-	}
-	return out
+	return ga.copyEntities(cols1, func(label string, row []string) bool {
+		return anyOne(row) && (gone(label, v2) || endpoints[label])
+	}, func(label string, _ []string) bool { return keptEdges[label] })
 }

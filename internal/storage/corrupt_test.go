@@ -118,7 +118,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 func FuzzWALReplay(f *testing.F) {
 	dir := f.TempDir()
 	seed := filepath.Join(dir, "seed.log")
-	w, err := createWAL(seed, 1)
+	w, err := createWAL(osFS{}, seed, 1)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		// Must never panic; decode failures inside records surface through
 		// the callback error, framing damage as a torn tail.
-		_, _, _, _ = replayWAL(p, func(payload []byte) error {
+		_, _, _, _ = replayWAL(osFS{}, p, func(payload []byte) error {
 			_, _, _, err := DecodeIngestRecord(payload)
 			return err
 		})

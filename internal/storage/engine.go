@@ -3,7 +3,6 @@ package storage
 import (
 	"fmt"
 	"log/slog"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,15 +70,19 @@ type Options struct {
 
 // Engine is the durable persistence layer behind a stream-mode daemon: it
 // owns a stream.Series plus the data directory's snapshot and WAL files,
-// and keeps them in sync — every Append lands in the series and the WAL
+// and keeps them in sync — every Append lands in the WAL and then the series
 // under one lock, checkpoints compact the WAL into a fresh snapshot
 // generation while serving continues, and Open recovers the whole state
-// after a crash. All methods are safe for concurrent use.
+// after a crash. The first failed WAL write or sync stops it: from then on
+// it refuses every append and checkpoint, so nothing is acknowledged behind
+// a record the log may have lost, and reopening recovers. All methods are
+// safe for concurrent use.
 type Engine struct {
 	dir   string
 	opts  Options
 	log   *slog.Logger
 	attrs []core.AttrSpec
+	fs    fsys
 
 	series *stream.Series
 
@@ -90,6 +93,7 @@ type Engine struct {
 	raw        [][]byte // every ingest record payload, in transaction order (replication tail)
 	segRecords int      // records in the active segment
 	closed     bool
+	failed     error // the ErrWAL every append returns after a WAL write or sync failed
 
 	// Transaction-time watermarks of the newest usable snapshot: its file
 	// generation and the number of leading raw records it covers. ReplayTo
@@ -122,6 +126,10 @@ type Engine struct {
 // append. It refuses with ErrUnrecoverable when what loads covers less than
 // the damaged files show was acknowledged.
 func Open(dir string, attrs []core.AttrSpec, opts Options) (*Engine, error) {
+	return open(osFS{}, dir, attrs, opts)
+}
+
+func open(fs fsys, dir string, attrs []core.AttrSpec, opts Options) (*Engine, error) {
 	if opts.FsyncInterval <= 0 {
 		opts.FsyncInterval = 100 * time.Millisecond
 	}
@@ -132,10 +140,11 @@ func Open(dir string, attrs []core.AttrSpec, opts Options) (*Engine, error) {
 	if log == nil {
 		log = slog.Default()
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	e := &Engine{
+		fs:    fs,
 		dir:   dir,
 		opts:  opts,
 		log:   log,
@@ -190,11 +199,13 @@ func (e *Engine) Append(label string, snap stream.Snapshot) error {
 	return err
 }
 
-// AppendAt durably ingests one time point: it validates and applies the
-// batch to the in-memory series, appends the record to the WAL, and — under
-// FsyncAlways — syncs before returning. When before names an existing time
-// point the new point is inserted immediately before it (retroactive
-// ingest); an empty before appends at the valid-time tail. Either way the
+// AppendAt durably ingests one time point: it validates the batch, appends
+// its record to the WAL, applies it to the in-memory series, and — under
+// FsyncAlways — syncs before returning. The lock it holds from validation to
+// apply keeps the verdict true, the engine being the series' only mutator.
+// When before names an existing time point the new point is inserted
+// immediately before it (retroactive ingest); an empty before appends at
+// the valid-time tail. Either way the
 // record takes the tail of transaction time — the WAL stays strictly
 // append-only and crash recovery replays the insert deterministically. The
 // returned index is the point's valid-time position.
@@ -202,25 +213,33 @@ func (e *Engine) Append(label string, snap stream.Snapshot) error {
 // Concurrent appends group-commit: the write lock is released before the
 // fsync, one leader syncs the segment for every record written so far, and
 // the other appends ride the same flush instead of issuing their own.
-// Validation failures leave no state behind and are returned verbatim; a
-// WAL write failure is wrapped in ErrWAL (the in-memory state is then ahead
-// of disk, which the caller should surface as a server-side error).
+// Validation failures leave no state behind and are returned verbatim. A
+// failed WAL write leaves the series as it was; a failed sync comes after
+// the apply, so its record may stay visible and survive a restart, as any
+// unacknowledged write may. Either stops the engine (see Engine) and returns
+// an ErrWAL, which the caller should surface as a server-side error.
 func (e *Engine) AppendAt(label string, snap stream.Snapshot, before string) (int, error) {
 	e.mu.Lock()
+	err := e.failed
 	if e.closed {
-		e.mu.Unlock()
-		return 0, fmt.Errorf("storage: engine closed")
+		err = fmt.Errorf("storage: engine closed")
+	} else if err == nil {
+		err = e.series.Validate(label, snap, before)
 	}
-	at, err := e.series.AppendAt(label, snap, before)
 	if err != nil {
 		e.mu.Unlock()
 		return 0, err
 	}
 	payload := EncodeIngestRecord(label, before, snap)
 	n, err := e.wal.append(payload)
+	at := 0
+	if err == nil {
+		at, err = e.series.AppendAt(label, snap, before)
+	}
 	if err != nil {
+		err = e.fail(err)
 		e.mu.Unlock()
-		return 0, fmt.Errorf("%w: %v", ErrWAL, err)
+		return 0, err
 	}
 	e.raw = append(e.raw, payload)
 	e.seq++
@@ -235,16 +254,11 @@ func (e *Engine) AppendAt(label string, snap stream.Snapshot, before string) (in
 
 	if e.opts.Fsync == FsyncAlways {
 		if err := e.syncTo(seq); err != nil {
-			return 0, fmt.Errorf("%w: %v", ErrWAL, err)
+			return 0, err
 		}
 	}
 	return at, nil
 }
-
-// TxnSeq returns the transaction high-water mark: the number of ingest
-// records ever appended (across restarts). Record n is transaction n+1;
-// an AS OF TxnSeq() query sees every acknowledged write.
-func (e *Engine) TxnSeq() int { return e.RecordCount() }
 
 // syncTo blocks until record seq is durable. The first caller to find no
 // flush in flight becomes the leader and fsyncs the WAL once for every
@@ -274,13 +288,17 @@ func (e *Engine) syncTo(seq uint64) error {
 	e.mu.Lock()
 	target := e.seq
 	closed := e.closed
-	var err error
-	if !closed {
+	// After a failed sync no later one may vouch for the records it covered:
+	// the kernel may have dropped their pages and still report success.
+	err := e.failed
+	if err == nil && !closed {
 		// Records in rotated-out segments were synced at rotation, so one
 		// sync of the active segment covers everything up to target. When
 		// the engine closed in the meantime, durability is Close's final
 		// sync's job (it runs under e.mu and reports its own error).
-		err = e.wal.sync()
+		if err = e.wal.sync(); err != nil {
+			err = e.fail(err)
+		}
 	}
 	e.mu.Unlock()
 	if err == nil && !closed {
@@ -295,6 +313,16 @@ func (e *Engine) syncTo(seq uint64) error {
 	e.gcCond.Broadcast()
 	e.gcMu.Unlock()
 	return err
+}
+
+// fail stops the engine after a WAL write or sync failed and returns the
+// error every later append gets. Called with e.mu held.
+func (e *Engine) fail(err error) error {
+	if e.failed == nil {
+		e.failed = fmt.Errorf("%w: %v (the engine accepts no more writes; reopen the data directory to recover)", ErrWAL, err)
+		e.log.Error("wal failed, refusing further writes", "dir", e.dir, "err", err)
+	}
+	return e.failed
 }
 
 // triggerCheckpoint starts a background checkpoint unless one is already
@@ -342,9 +370,9 @@ func (e *Engine) syncLoop() {
 			return
 		case <-t.C:
 			e.mu.Lock()
-			if !e.closed {
+			if !e.closed && e.failed == nil {
 				if err := e.wal.sync(); err != nil {
-					e.log.Error("interval fsync failed", "err", err)
+					e.fail(err)
 				} else {
 					e.ctr.fsyncs.Add(1)
 				}

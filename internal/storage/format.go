@@ -84,8 +84,10 @@ var (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// writeRecord frames payload as [len][crc][payload] into w.
-func writeRecord(w io.Writer, payload []byte) error {
+// WriteFramedRecord frames payload as [len u32 LE][crc32c u32 LE][payload]
+// into w — the framing of WAL records, snapshot sections and the
+// replication stream, which is a plain sequence of such frames.
+func WriteFramedRecord(w io.Writer, payload []byte) error {
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
@@ -106,10 +108,10 @@ func appendRecord(buf, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// readRecord reads one framed record from r. io.EOF at a record boundary
-// is returned as io.EOF; a partial header or short payload maps to
-// ErrTruncated, a bad checksum to ErrChecksum.
-func readRecord(r io.Reader) ([]byte, error) {
+// ReadFramedRecord reads and checksum-verifies one framed record from r.
+// io.EOF at a record boundary is returned as io.EOF; a partial header or
+// short payload maps to ErrTruncated, a bad checksum to ErrChecksum.
+func ReadFramedRecord(r io.Reader) ([]byte, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {

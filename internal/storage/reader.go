@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"unsafe"
 
 	"repro/internal/agg"
@@ -26,9 +25,9 @@ type Snapshot struct {
 	// saved.
 	Stores []*materialize.Store
 
-	// points are the raw ingest records of a stream-mode checkpoint, used
-	// by Engine recovery to reproduce the exact append sequence.
-	points []seriesPoint
+	// records are the raw ingest records of a stream-mode checkpoint, in
+	// transaction order: Engine recovery's journal.
+	records [][]byte
 	// coveredTxn is the transaction-time watermark the snapshot covers; 0
 	// for files written before the bi-temporal format extension.
 	coveredTxn int
@@ -42,7 +41,7 @@ func (s *Snapshot) CoveredTxn() int {
 	if s.coveredTxn > 0 {
 		return s.coveredTxn
 	}
-	return len(s.points)
+	return len(s.records)
 }
 
 // Load reads a snapshot from r into one private buffer and decodes it with
@@ -60,8 +59,10 @@ func Load(r io.Reader) (*Snapshot, error) {
 }
 
 // LoadFile reads a snapshot from path.
-func LoadFile(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
+func LoadFile(path string) (*Snapshot, error) { return loadFile(osFS{}, path) }
+
+func loadFile(fs fsys, path string) (*Snapshot, error) {
+	data, err := fs.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +110,7 @@ type parsedV2 struct {
 	nodes  []string
 
 	storeSpecs []storeSpec
-	points     []seriesPoint
+	records    [][]byte
 	coveredTxn int
 
 	wordsPerTau int
@@ -216,7 +217,8 @@ func parseV2(data []byte, verifyBlobs bool) (*parsedV2, error) {
 					d.fail("series record length %d exceeds remaining %d", m, d.remaining())
 				}
 				if d.err == nil {
-					p.points = append(p.points, seriesPoint{payload: append([]byte(nil), d.b[d.off:d.off+m]...)})
+					// Records alias data, as the graph's columns do.
+					p.records = append(p.records, d.b[d.off:d.off+m:d.off+m])
 					d.off += m
 				}
 			}
@@ -434,7 +436,7 @@ func snapshotFromParsed(p *parsedV2) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 
-	snap := &Snapshot{Graph: g, points: p.points, coveredTxn: p.coveredTxn}
+	snap := &Snapshot{Graph: g, records: p.records, coveredTxn: p.coveredTxn}
 	for _, sp := range p.storeSpecs {
 		st, err := rebuildStore(g, sp)
 		if err != nil {

@@ -1,8 +1,8 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -55,7 +55,7 @@ func (e *Engine) recover(attrs []core.AttrSpec) error {
 	)
 	for i := len(snaps) - 1; i >= 0; i-- {
 		gen := snaps[i]
-		data, rerr := os.ReadFile(filepath.Join(e.dir, snapName(gen)))
+		data, rerr := e.fs.ReadFile(filepath.Join(e.dir, snapName(gen)))
 		if rerr != nil {
 			return rerr // IO error: do not silently fall back
 		}
@@ -71,7 +71,7 @@ func (e *Engine) recover(attrs []core.AttrSpec) error {
 			"file", snapName(gen), "err", lerr)
 		unloadable = append(unloadable, fmt.Sprintf("%s: %v", snapName(gen), lerr))
 		if p, perr := parseV2(data, false); perr == nil {
-			if txn := (&Snapshot{points: p.points, coveredTxn: p.coveredTxn}).CoveredTxn(); txn > named {
+			if txn := (&Snapshot{records: p.records, coveredTxn: p.coveredTxn}).CoveredTxn(); txn > named {
 				named, namedBy = txn, snapName(gen)
 			}
 		}
@@ -90,9 +90,7 @@ func (e *Engine) recover(attrs []core.AttrSpec) error {
 		if err != nil {
 			return err
 		}
-		for _, p := range loaded.points {
-			e.raw = append(e.raw, p.payload)
-		}
+		e.raw = append(e.raw, loaded.records...)
 		e.recovery.SnapshotGeneration = snapGen
 		e.recovery.SnapshotPoints = e.series.Len()
 		e.snapGen = snapGen
@@ -115,24 +113,30 @@ func (e *Engine) recover(attrs []core.AttrSpec) error {
 	)
 	for i, gen := range replaySegs {
 		path := filepath.Join(e.dir, walName(gen))
-		records, goodLen, torn, rerr := replayWAL(path, func(payload []byte) error {
+		records, goodLen, size, rerr := replayWAL(e.fs, path, func(payload []byte) error {
 			if aerr := replayRecord(e.series, payload); aerr != nil {
 				return aerr
 			}
 			e.raw = append(e.raw, append([]byte(nil), payload...))
 			return nil
 		})
+		if errors.Is(rerr, ErrTruncated) && i == len(replaySegs)-1 {
+			// A crash cut this segment's creation short: its header is synced
+			// before any record is written, so it held none. Recreate it.
+			e.log.Warn("wal segment without a complete header, recreating", "file", walName(gen), "bytes", size)
+			e.gen = max(e.gen, gen)
+			if rerr = e.fs.Remove(path); rerr == nil {
+				break
+			}
+		}
 		if rerr != nil {
 			return fmt.Errorf("replay %s: %w", walName(gen), rerr)
 		}
-		if torn {
+		if goodLen < size {
 			if i != len(replaySegs)-1 {
 				return fmt.Errorf("%w: non-final wal segment %s has a torn tail", ErrCorrupt, walName(gen))
 			}
-			fi, serr := os.Stat(path)
-			if serr == nil {
-				e.recovery.TruncatedBytes = fi.Size() - goodLen
-			}
+			e.recovery.TruncatedBytes = size - goodLen
 			e.log.Warn("wal tail truncated to last complete record",
 				"file", walName(gen), "records", records, "discarded_bytes", e.recovery.TruncatedBytes)
 		}
@@ -154,15 +158,15 @@ func (e *Engine) recover(attrs []core.AttrSpec) error {
 			ErrUnrecoverable, e.dir, namedBy, named, from, len(e.raw))
 	}
 	if tailPath != "" {
-		if e.wal, err = openWALForAppend(tailPath, tailGoodLen); err != nil {
+		if e.wal, err = openWALForAppend(e.fs, tailPath, tailGoodLen); err != nil {
 			return err
 		}
 	} else {
-		e.wal, err = createWAL(filepath.Join(e.dir, walName(e.gen)), e.gen)
+		e.wal, err = createWAL(e.fs, filepath.Join(e.dir, walName(e.gen)), e.gen)
 		if err != nil {
 			return err
 		}
-		if err := syncDir(e.dir); err != nil {
+		if err := syncDir(e.fs, e.dir); err != nil {
 			return err
 		}
 	}
@@ -183,14 +187,14 @@ func (e *Engine) recover(attrs []core.AttrSpec) error {
 // scan lists snapshot and segment generations (ascending) and removes
 // leftover temporary files.
 func (e *Engine) scan() (snaps, segs []uint64, err error) {
-	entries, err := os.ReadDir(e.dir)
+	entries, err := e.fs.ReadDir(e.dir)
 	if err != nil {
 		return nil, nil, err
 	}
 	for _, ent := range entries {
 		name := ent.Name()
 		if strings.HasSuffix(name, ".tmp") {
-			os.Remove(filepath.Join(e.dir, name))
+			e.fs.Remove(filepath.Join(e.dir, name))
 			continue
 		}
 		if gen, ok := parseGen(name, "snapshot-", ".gts"); ok {
@@ -216,12 +220,12 @@ func (e *Engine) gcBefore(keep uint64) {
 	}
 	for _, gen := range snaps {
 		if gen < keep {
-			os.Remove(filepath.Join(e.dir, snapName(gen)))
+			e.fs.Remove(filepath.Join(e.dir, snapName(gen)))
 		}
 	}
 	for _, gen := range segs {
 		if gen < keep {
-			os.Remove(filepath.Join(e.dir, walName(gen)))
+			e.fs.Remove(filepath.Join(e.dir, walName(gen)))
 		}
 	}
 }

@@ -7,25 +7,32 @@ import (
 	"repro/internal/stream"
 )
 
-// seriesFromSnapshot rebuilds the in-memory series of a stream checkpoint
-// by replaying its embedded ingest records — the same encoding the WAL
-// carries, in the same transaction order — so dictionary codes and append
-// order come out exactly as the original process built them, and recovered
-// query responses are byte-identical to pre-crash ones. Retroactive
-// records route through AppendAt, reproducing the valid-time insert.
+// seriesFromSnapshot rebuilds the in-memory series of a stream checkpoint:
+// its embedded ingest records — the WAL's encoding, in transaction order —
+// become the series journal, and its graph, which is the series' own graph
+// at the checkpoint, seeds the accumulator, so no record is applied twice and
+// dictionary codes and entity IDs come back in the order the original process
+// assigned them. Recovered query responses are byte-identical to pre-crash
+// ones.
 func seriesFromSnapshot(snap *Snapshot, attrs []core.AttrSpec) (*stream.Series, error) {
 	if err := matchAttrs(snap.Graph.Attrs(), attrs); err != nil {
 		return nil, err
 	}
-	if len(snap.points) != snap.Graph.Timeline().Len() {
+	if len(snap.records) != snap.Graph.Timeline().Len() {
 		return nil, fmt.Errorf("%w: snapshot carries %d series records for %d time points (not a stream checkpoint?)",
-			ErrCorrupt, len(snap.points), snap.Graph.Timeline().Len())
+			ErrCorrupt, len(snap.records), snap.Graph.Timeline().Len())
 	}
-	s := stream.New(attrs...)
-	for _, p := range snap.points {
-		if err := replayRecord(s, p.payload); err != nil {
+	journal := make([]stream.JournalEntry, len(snap.records))
+	for i, payload := range snap.records {
+		label, before, batch, err := DecodeIngestRecord(payload)
+		if err != nil {
 			return nil, err
 		}
+		journal[i] = stream.JournalEntry{Label: label, Before: before, Snap: batch}
+	}
+	s, err := stream.Restore(snap.Graph, journal, len(journal))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return s, nil
 }

@@ -1,9 +1,6 @@
 package storage
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // This file is the storage half of WAL replication: it exports the
 // length-prefixed framing so `internal/server` can stream a shard's history
@@ -22,20 +19,6 @@ import (
 // FormatVersion is the on-disk snapshot/WAL format version, exported for
 // the serving tier's /v1/status report.
 const FormatVersion = formatVersion
-
-// WriteFramedRecord frames one payload as [len u32 LE][crc32c u32 LE][payload]
-// — the same framing WAL segments and snapshot sections use — and writes it
-// to w. The replication stream is a plain sequence of such frames.
-func WriteFramedRecord(w io.Writer, payload []byte) error {
-	return writeRecord(w, payload)
-}
-
-// ReadFramedRecord reads and checksum-verifies one framed record from r.
-// io.EOF is returned cleanly at a frame boundary; a partial frame surfaces
-// as ErrTruncated or ErrChecksum.
-func ReadFramedRecord(r io.Reader) ([]byte, error) {
-	return readRecord(r)
-}
 
 // TailRecords returns the raw ingest record payloads with global sequence
 // number >= from, i.e. the records for time points from..Len-1. The engine
@@ -57,9 +40,11 @@ func (e *Engine) TailRecords(from int) ([][]byte, error) {
 	return out, nil
 }
 
-// RecordCount returns the total number of ingest records (time points) the
-// engine holds — the exclusive upper bound for TailRecords.
-func (e *Engine) RecordCount() int {
+// TxnSeq returns the transaction high-water mark: the number of ingest
+// records ever appended (across restarts), the exclusive upper bound for
+// TailRecords. Record n is transaction n+1; an AS OF TxnSeq() query sees
+// every acknowledged write.
+func (e *Engine) TxnSeq() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return len(e.raw)

@@ -171,12 +171,13 @@ func TestReplayToOracleDBLP(t *testing.T) {
 }
 
 // randomJournal drives n random batches into the engine, about a quarter
-// of them retroactive at random positions; static values are a pure
-// function of the node label so histories stay schema-consistent.
+// of them retroactive at random positions, with a checkpoint after every
+// tenth; static values are a pure function of the node label so histories
+// stay schema-consistent. Labels continue after the points already there.
 func randomJournal(t *testing.T, e *Engine, r *rand.Rand, n int) {
 	t.Helper()
-	var live []string
-	for i := 0; i < n; i++ {
+	live := e.Series().Labels()
+	for i, end := len(live), len(live)+n; i < end; i++ {
 		label := fmt.Sprintf("p%d", i)
 		var snap stream.Snapshot
 		seen := map[string]bool{}
@@ -268,17 +269,17 @@ func TestReplayToSurvivesCrashRestart(t *testing.T) {
 	}
 	txns := []int{1, 3, 6, 7, 10, 11}
 	resumed := assertReplayMatchesOracle(t, e2, testAttrs, txns)
-	// txn 7..10 sit on the snapshot (covers 6) with an append-only delta;
-	// txn 11's delta carries the retroactive record and must fall back.
-	if resumed == 0 {
-		t.Fatalf("no post-checkpoint reconstruction used the snapshot")
+	// txn 7..11 sit on the snapshot (covers 6); txn 11's delta carries the
+	// retroactive record, which the resumed series folds in as ingest did.
+	if resumed != 4 {
+		t.Fatalf("%d post-checkpoint reconstructions used the snapshot, want 4", resumed)
 	}
 	g, st, err := e2.ReplayTo(11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.FromSnapshot {
-		t.Fatalf("retroactive delta unexpectedly took the snapshot-resume path: %+v", st)
+	if want := (ReplayStats{FromSnapshot: true, SnapshotTxn: 6, Replayed: 5}); st != want {
+		t.Fatalf("retroactive delta: %+v, want %+v", st, want)
 	}
 	if g.Timeline().Len() != 11 {
 		t.Fatalf("head reconstruction has %d points, want 11", g.Timeline().Len())

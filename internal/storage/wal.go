@@ -1,10 +1,9 @@
 package storage
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/stream"
@@ -24,14 +23,14 @@ const (
 
 // walWriter appends framed records to one WAL segment.
 type walWriter struct {
-	f   *os.File
+	f   file
 	buf []byte // reused framing buffer: one contiguous write per record
 }
 
 // createWAL creates a fresh segment with a synced header, so a segment
 // observed by recovery always has a parsable preamble.
-func createWAL(path string, gen uint64) (*walWriter, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+func createWAL(fs fsys, path string, gen uint64) (*walWriter, error) {
+	f, err := fs.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -50,19 +49,14 @@ func createWAL(path string, gen uint64) (*walWriter, error) {
 	return &walWriter{f: f}, nil
 }
 
-// openWALForAppend reopens an existing segment after replay truncated it
-// to goodLen, positioning subsequent appends at the end of the last
-// complete record.
-func openWALForAppend(path string, goodLen int64) (*walWriter, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
+// openWALForAppend reopens an existing segment truncated to goodLen, the
+// end of its last complete record, where subsequent appends land.
+func openWALForAppend(fs fsys, path string, goodLen int64) (*walWriter, error) {
+	f, err := fs.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	if err := f.Truncate(goodLen); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(goodLen, io.SeekStart); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -83,40 +77,36 @@ func (w *walWriter) close() error { return w.f.Close() }
 // replayWAL streams the records of one segment through fn, validating the
 // header and every checksum. A torn tail — a record cut short or failing
 // its checksum at the end of the file — stops replay and reports the
-// offset of the last complete record; the caller truncates there before
-// appending. Header-level failures surface as typed errors.
-func replayWAL(path string, fn func(payload []byte) error) (records int, goodLen int64, torn bool, err error) {
-	f, err := os.Open(path)
+// offset of the last complete record and the segment's size (goodLen <
+// size: torn); the caller truncates there before appending. Header-level
+// failures surface as typed errors.
+func replayWAL(fs fsys, path string, fn func(payload []byte) error) (records int, goodLen, size int64, err error) {
+	data, err := fs.ReadFile(path)
 	if err != nil {
-		return 0, 0, false, err
+		return 0, 0, 0, err
 	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	var hdr [walHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return 0, 0, false, fmt.Errorf("%w: wal header of %s", ErrTruncated, path)
+	size = int64(len(data))
+	if len(data) < walHeaderSize {
+		return 0, 0, size, fmt.Errorf("%w: wal header of %s", ErrTruncated, path)
 	}
-	if string(hdr[:8]) != walMagic {
-		return 0, 0, false, fmt.Errorf("%w: %s is not a wal segment", ErrBadMagic, path)
+	if string(data[:8]) != walMagic {
+		return 0, 0, size, fmt.Errorf("%w: %s is not a wal segment", ErrBadMagic, path)
 	}
-	if v := binary.LittleEndian.Uint16(hdr[8:10]); v != formatVersion {
-		return 0, 0, false, fmt.Errorf("%w: wal version %d, reader version %d", ErrVersion, v, formatVersion)
+	if v := binary.LittleEndian.Uint16(data[8:10]); v != formatVersion {
+		return 0, 0, size, fmt.Errorf("%w: wal version %d, reader version %d", ErrVersion, v, formatVersion)
 	}
-	goodLen = walHeaderSize
-	for {
-		payload, rerr := readRecord(br)
-		if rerr == io.EOF {
-			return records, goodLen, false, nil
-		}
+	r := bytes.NewReader(data[walHeaderSize:])
+	for goodLen = walHeaderSize; ; {
+		// Any framing or checksum failure is treated as a torn tail: the
+		// write that produced it never completed (records are appended with
+		// a single contiguous write and the segment is synced before a
+		// successor segment is created).
+		payload, rerr := ReadFramedRecord(r)
 		if rerr != nil {
-			// Any framing or checksum failure is treated as a torn tail:
-			// the write that produced it never completed (records are
-			// appended with a single contiguous write and the segment is
-			// synced before a successor segment is created).
-			return records, goodLen, true, nil
+			return records, goodLen, size, nil
 		}
 		if err := fn(payload); err != nil {
-			return records, goodLen, false, err
+			return records, goodLen, size, err
 		}
 		records++
 		goodLen += 8 + int64(len(payload))

@@ -25,7 +25,7 @@ func testBatch(i int) (string, stream.Snapshot) {
 
 func writeTestWAL(t *testing.T, path string, n int) {
 	t.Helper()
-	w, err := createWAL(path, 0)
+	w, err := createWAL(osFS{}, path, 0)
 	if err != nil {
 		t.Fatalf("createWAL: %v", err)
 	}
@@ -45,7 +45,7 @@ func writeTestWAL(t *testing.T, path string, n int) {
 
 func replayLabels(t *testing.T, path string) (labels []string, goodLen int64, torn bool) {
 	t.Helper()
-	records, goodLen, torn, err := replayWAL(path, func(payload []byte) error {
+	records, goodLen, size, err := replayWAL(osFS{}, path, func(payload []byte) error {
 		label, _, snap, err := DecodeIngestRecord(payload)
 		if err != nil {
 			return err
@@ -62,7 +62,7 @@ func replayLabels(t *testing.T, path string) (labels []string, goodLen int64, to
 	if records != len(labels) {
 		t.Fatalf("replayWAL reported %d records, callback saw %d", records, len(labels))
 	}
-	return labels, goodLen, torn
+	return labels, goodLen, goodLen < size
 }
 
 func TestWALAppendReplay(t *testing.T) {
@@ -94,7 +94,7 @@ func TestWALTornTail(t *testing.T) {
 	}
 	// Replay the intact file once to learn the record boundaries.
 	var bounds []int64
-	_, _, _, err = replayWAL(full, func(p []byte) error {
+	_, _, _, err = replayWAL(osFS{}, full, func(p []byte) error {
 		if len(bounds) == 0 {
 			bounds = append(bounds, walHeaderSize)
 		}
@@ -134,7 +134,7 @@ func TestWALReopenAppend(t *testing.T) {
 	if !torn {
 		t.Fatal("expected torn tail")
 	}
-	w, err := openWALForAppend(path, goodLen)
+	w, err := openWALForAppend(osFS{}, path, goodLen)
 	if err != nil {
 		t.Fatalf("openWALForAppend: %v", err)
 	}
@@ -174,7 +174,7 @@ func TestWALHeaderErrors(t *testing.T) {
 			if err := os.WriteFile(p, tc.data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, _, _, err := replayWAL(p, func([]byte) error { return nil })
+			_, _, _, err := replayWAL(osFS{}, p, func([]byte) error { return nil })
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("got %v, want %v", err, tc.want)
 			}

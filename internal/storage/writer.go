@@ -26,12 +26,6 @@ const (
 	secEnd      byte = 0xff
 )
 
-// seriesPoint is one raw ingest record carried inside a checkpoint
-// snapshot so stream recovery reproduces the exact append sequence.
-type seriesPoint struct {
-	payload []byte // encoded as a WAL ingest record payload
-}
-
 // Save writes g, and optionally materialized stores over g, to w in the
 // binary snapshot format.
 func Save(w io.Writer, g *core.Graph, stores ...*materialize.Store) error {
@@ -42,43 +36,41 @@ func Save(w io.Writer, g *core.Graph, stores ...*materialize.Store) error {
 // directory is synced and renamed over path, so readers only ever observe
 // a complete snapshot.
 func SaveFile(path string, g *core.Graph, stores ...*materialize.Store) error {
-	return saveFile(path, g, stores, nil, 0)
+	return saveFile(osFS{}, path, g, stores, nil, 0)
 }
 
-func saveFile(path string, g *core.Graph, stores []*materialize.Store, points []seriesPoint, coveredTxn int) error {
+// saveFile is SaveFile for checkpoints too: records are the raw ingest
+// record payloads (the WAL encoding) a stream checkpoint embeds.
+func saveFile(fs fsys, path string, g *core.Graph, stores []*materialize.Store, records [][]byte, coveredTxn int) error {
 	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := fs.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o666)
 	if err != nil {
 		return err
 	}
 	bw := bufio.NewWriterSize(f, 1<<20)
-	if err := writeSnapshotV2(bw, g, stores, points, coveredTxn); err == nil {
+	err = writeSnapshotV2(bw, g, stores, records, coveredTxn)
+	if err == nil {
 		err = bw.Flush()
 	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fs.Rename(tmp, path)
+	}
 	if err != nil {
-		f.Close()
-		os.Remove(tmp)
+		fs.Remove(tmp)
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(filepath.Dir(path))
+	return syncDir(fs, filepath.Dir(path))
 }
 
 // syncDir fsyncs a directory so a just-renamed file survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
+func syncDir(fs fsys, dir string) error {
+	d, err := fs.OpenFile(dir, os.O_RDONLY, 0)
 	if err != nil {
 		return err
 	}

@@ -66,7 +66,7 @@ const blobDirEntryLen = 28
 
 func align8(n int) int { return (n + 7) &^ 7 }
 
-func writeSnapshotV2(w io.Writer, g *core.Graph, stores []*materialize.Store, points []seriesPoint, coveredTxn int) error {
+func writeSnapshotV2(w io.Writer, g *core.Graph, stores []*materialize.Store, records [][]byte, coveredTxn int) error {
 	for _, st := range stores {
 		if st.Schema().Graph() != g {
 			return fmt.Errorf("storage: store schema built on a different graph")
@@ -84,7 +84,7 @@ func writeSnapshotV2(w io.Writer, g *core.Graph, stores []*materialize.Store, po
 	sec := func(id byte, fill func(*enc)) {
 		e := &enc{b: []byte{id}}
 		fill(e)
-		writeRecord(&meta, e.b)
+		WriteFramedRecord(&meta, e.b)
 	}
 	sec(secTimeline, func(e *enc) { e.strs(tl.Labels()) })
 	sec(secSchema, func(e *enc) {
@@ -109,12 +109,12 @@ func writeSnapshotV2(w io.Writer, g *core.Graph, stores []*materialize.Store, po
 			}
 		})
 	}
-	if len(points) > 0 {
+	if len(records) > 0 {
 		sec(secSeries, func(e *enc) {
-			e.uvarint(uint64(len(points)))
-			for _, p := range points {
-				e.uvarint(uint64(len(p.payload)))
-				e.b = append(e.b, p.payload...)
+			e.uvarint(uint64(len(records)))
+			for _, r := range records {
+				e.uvarint(uint64(len(r)))
+				e.b = append(e.b, r...)
 			}
 		})
 	}
@@ -200,10 +200,10 @@ func writeSnapshotV2(w io.Writer, g *core.Graph, stores []*materialize.Store, po
 		dir = binary.LittleEndian.AppendUint64(dir, be.length)
 		dir = binary.LittleEndian.AppendUint32(dir, be.crc)
 	}
-	if err := writeRecord(w, dir); err != nil {
+	if err := WriteFramedRecord(w, dir); err != nil {
 		return err
 	}
-	if err := writeRecord(w, []byte{secEnd}); err != nil {
+	if err := WriteFramedRecord(w, []byte{secEnd}); err != nil {
 		return err
 	}
 	if err := writeZeros(w, blobStart-framedLen); err != nil {

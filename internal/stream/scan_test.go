@@ -93,14 +93,15 @@ func TestPointIndexFollowsEveryPublication(t *testing.T) {
 		for txn := 1; txn <= s.Txn(); txn++ {
 			g, err := s.ReplayTo(txn)
 			check(fmt.Sprintf("replay to txn %d", txn), g, err)
-			// Resume from the pin and replay the tail appends that follow it.
-			res := stream.NewResumer(g)
+			// Restore the series at the pin and re-ingest the batches that
+			// follow it, retroactive inserts included.
+			res, err := stream.Restore(g, journal[:txn], txn)
+			check(fmt.Sprintf("restore at txn %d", txn), nil, err)
 			for _, e := range journal[txn:] {
-				if e.Before != "" {
-					break
-				}
-				res.Append(e.Label, e.Snap)
-				check(fmt.Sprintf("resumed from txn %d", txn), res.Graph(), nil)
+				_, err := res.AppendAt(e.Label, e.Snap, e.Before)
+				check(fmt.Sprintf("append to the series restored at txn %d", txn), nil, err)
+				g, err := res.Graph()
+				check(fmt.Sprintf("resumed from txn %d", txn), g, err)
 			}
 		}
 	}

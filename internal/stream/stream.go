@@ -102,7 +102,7 @@ func (s *Series) Append(label string, snap Snapshot) error {
 }
 
 // validate checks a batch against the schema and the accumulated state
-// without mutating anything. Called with the write lock held.
+// without mutating anything. Called with the lock held.
 func (s *Series) validate(label string, snap Snapshot) error {
 	for _, l := range s.labels {
 		if l == label {
@@ -146,8 +146,8 @@ func (s *Series) validate(label string, snap Snapshot) error {
 }
 
 // applyAcc feeds one batch into an accumulator — the single definition of
-// how a snapshot becomes graph columns, shared by tail inserts, the
-// valid-order replay a mid-timeline insert performs, and Resumer.
+// how a snapshot becomes graph columns, shared by tail inserts and the
+// valid-order replay a mid-timeline insert performs.
 func applyAcc(acc *core.Accumulator, attrs []core.AttrSpec, label string, snap Snapshot) {
 	acc.AddPoint(label)
 	for _, n := range snap.Nodes {
@@ -195,6 +195,17 @@ func (s *Series) AppendAt(label string, snap Snapshot, before string) (int, erro
 	return at, nil
 }
 
+// Validate returns the error AppendAt would return for the batch, changing
+// nothing: a write-ahead log checks a batch before logging it.
+func (s *Series) Validate(label string, snap Snapshot, before string) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if _, err := s.position(before); err != nil {
+		return err
+	}
+	return s.validate(label, snap)
+}
+
 // position resolves an insertion label to its valid-time index; "" is the
 // tail. Called with the lock held.
 func (s *Series) position(before string) (int, error) {
@@ -214,9 +225,7 @@ func (s *Series) position(before string) (int, error) {
 // shift wholesale. Called with the write lock held; must not fail.
 func (s *Series) insert(label string, snap Snapshot, before string, at int) {
 	tail := at == len(s.labels)
-	s.labels = slices.Insert(s.labels, at, label)
-	s.snaps = slices.Insert(s.snaps, at, snap)
-	s.journal = append(s.journal, JournalEntry{Label: label, Before: before, Snap: snap})
+	s.place(label, snap, before, at)
 	s.cached = nil
 	if tail {
 		applyAcc(s.acc, s.attrs, label, snap)
@@ -226,6 +235,46 @@ func (s *Series) insert(label string, snap Snapshot, before string, at int) {
 	for i, l := range s.labels {
 		applyAcc(s.acc, s.attrs, l, s.snaps[i])
 	}
+}
+
+// place records a batch at valid position at and at the tail of the
+// journal, leaving the accumulator to the caller.
+func (s *Series) place(label string, snap Snapshot, before string, at int) {
+	s.labels = slices.Insert(s.labels, at, label)
+	s.snaps = slices.Insert(s.snaps, at, snap)
+	s.journal = append(s.journal, JournalEntry{Label: label, Before: before, Snap: snap})
+}
+
+// Restore rebuilds the series that ingested journal, given g, the graph
+// that series materialized after its first covered entries (covered ≥ 1).
+// Those entries are only placed — valid order from their positions, the
+// accumulator resumed from g's columns instead of re-applying each batch —
+// and the rest are folded in the way ReplayTo folds every entry. Nothing is
+// validated again: the batches passed validation when first ingested. g's
+// timeline must be the covered entries' valid order.
+func Restore(g *core.Graph, journal []JournalEntry, covered int) (*Series, error) {
+	if len(journal) < covered {
+		return nil, fmt.Errorf("stream: journal of %d entries, graph covers %d", len(journal), covered)
+	}
+	s := New(g.Attrs()...)
+	for i, e := range journal {
+		at, err := s.position(e.Before)
+		if err != nil {
+			return nil, fmt.Errorf("stream: journal corrupt: entry %q: %w", e.Label, err)
+		}
+		if i >= covered {
+			s.insert(e.Label, e.Snap, e.Before, at)
+			continue
+		}
+		s.place(e.Label, e.Snap, e.Before, at)
+		if i == covered-1 {
+			if !slices.Equal(s.labels, g.Timeline().Labels()) {
+				return nil, fmt.Errorf("stream: graph timeline does not match the journal's first %d points", covered)
+			}
+			s.acc = core.ResumeAccumulator(g)
+		}
+	}
+	return s, nil
 }
 
 // Txn returns the transaction high-water mark: the number of batches ever
@@ -270,35 +319,6 @@ func (s *Series) ReplayTo(txn int) (*core.Graph, error) {
 		scratch.insert(e.Label, e.Snap, e.Before, at)
 	}
 	return scratch.acc.Snapshot(), nil
-}
-
-// Resumer replays tail batches on top of a previously snapshotted graph —
-// the "snapshot + partial WAL replay" half of point-in-time
-// reconstruction. It performs no validation: the batches come from a WAL
-// that validated them at ingest. Retroactive batches cannot be resumed
-// (they reshuffle the columns the snapshot froze); callers fall back to a
-// full replay when the delta contains one.
-type Resumer struct {
-	acc   *core.Accumulator
-	attrs []core.AttrSpec
-}
-
-// NewResumer returns a resumer whose state is exactly g's.
-func NewResumer(g *core.Graph) *Resumer {
-	return &Resumer{acc: core.ResumeAccumulator(g), attrs: g.Attrs()}
-}
-
-// Append applies one tail batch.
-func (r *Resumer) Append(label string, snap Snapshot) {
-	applyAcc(r.acc, r.attrs, label, snap)
-}
-
-// Graph snapshots the resumed state. Byte-identical to the graph a live
-// series held after ingesting the same history, because the snapshot
-// reader pins dictionary codes and entity IDs in their original order and
-// Append assigns new ones exactly as live ingestion does.
-func (r *Resumer) Graph() *core.Graph {
-	return r.acc.Snapshot()
 }
 
 // Attrs returns the series' attribute schema.
