@@ -534,9 +534,8 @@ func BenchmarkAblationExplorePruning(b *testing.B) {
 // paper-scale exploration workloads: one traversal of each kind that
 // dominates §5.2 (U-Explore on stability, I-Explore on stability, and
 // growth via minimal pairs), the §5.2 target itself (female→female edges,
-// I-Explore) and an ALL count. "seed" pins NoFastPath, "fast" evaluates
-// candidates serially, "parallel" adds the bounded worker pool at
-// GOMAXPROCS.
+// I-Explore) and an ALL count. "seed" pins NoFastPath, "fast" is the
+// default engine.
 func BenchmarkExploreFastPath(b *testing.B) {
 	g, _ := benchGraphs(b)
 	s := mustSchema(b, g, "gender")
@@ -571,19 +570,17 @@ func BenchmarkExploreFastPath(b *testing.B) {
 		if k < 1 {
 			k = 1
 		}
-		run := func(noFast bool, workers int) func(*testing.B) {
+		run := func(noFast bool) func(*testing.B) {
 			return func(b *testing.B) {
 				ex.NoFastPath = noFast
-				ex.Workers = workers
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					ex.Explore(tc.event, tc.sem, tc.ext, k)
 				}
 			}
 		}
-		b.Run(tc.name+"/seed", run(true, 0))
-		b.Run(tc.name+"/fast", run(false, 0))
-		b.Run(tc.name+"/parallel", run(false, -1))
+		b.Run(tc.name+"/seed", run(true))
+		b.Run(tc.name+"/fast", run(false))
 	}
 }
 

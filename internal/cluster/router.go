@@ -502,7 +502,7 @@ func (rt *Router) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req server.AggregateRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := server.DecodeJSON(bytes.NewReader(body), &req); err != nil {
 		rt.toMirror(w, r, body) // the mirror produces the canonical 400
 		return
 	}
@@ -522,7 +522,7 @@ func (rt *Router) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p, err := plan.CompileScatter(plan.ScatterQuery{
-		Op: req.Op, Attrs: req.Attrs, Kind: req.Kind, Workers: req.Workers, Slices: slices,
+		Op: req.Op, Attrs: req.Attrs, Kind: req.Kind, Slices: slices,
 	}, rt)
 	if err != nil {
 		rt.toMirror(w, r, body)
@@ -640,7 +640,7 @@ func (rt *Router) slicesFor(req server.AggregateRequest) ([]plan.ShardSlice, boo
 // Partial implements plan.Scatterer: execute one shard slice as a
 // POST /v1/partial/aggregate against the slice's shard, with member
 // failover.
-func (rt *Router) Partial(ctx context.Context, slice plan.ShardSlice, attrs []string, kind string, workers int) (*plan.PartialResult, error) {
+func (rt *Router) Partial(ctx context.Context, slice plan.ShardSlice, attrs []string, kind string) (*plan.PartialResult, error) {
 	i, ok := rt.byName[slice.Shard]
 	if !ok {
 		return nil, fmt.Errorf("cluster: unknown shard %q", slice.Shard)
@@ -650,7 +650,6 @@ func (rt *Router) Partial(ctx context.Context, slice plan.ShardSlice, attrs []st
 		Interval: server.IntervalSpec{From: slice.AFrom, To: slice.ATo},
 		Attrs:    attrs,
 		Kind:     kind,
-		Workers:  workers,
 	}
 	if slice.BFrom != "" {
 		req.Interval2 = server.IntervalSpec{From: slice.BFrom, To: slice.BTo}

@@ -343,6 +343,55 @@ func TestMirrorByteIdentity(t *testing.T) {
 	}
 }
 
+// TestRouterAndDaemonRejectTheSameBodies: the router decides a route from
+// the same strict decoding the daemons run, so every body gets one verdict
+// whichever process it reaches — a retired workers field or anything after
+// the request object is the daemon's canonical 400 through the router too,
+// not a scattered 200.
+func TestRouterAndDaemonRejectTheSameBodies(t *testing.T) {
+	routerURL, refURL, _ := startCluster(t, 3)
+	const obj = `{"op":"union","interval":{"from":"t0","to":"t1"},"interval2":{"from":"t3","to":"t5"},"attrs":["gender"]}`
+	for _, tc := range []struct {
+		name, body string
+		code       int
+	}{
+		{"valid", obj, http.StatusOK},
+		{"workers", obj[:len(obj)-1] + `,"workers":2}`, http.StatusBadRequest},
+		{"trailing bytes", obj + " trailing", http.StatusBadRequest},
+		{"two objects", obj + obj, http.StatusBadRequest},
+	} {
+		post := func(base string) (int, []byte) {
+			resp, err := http.Post(base+"/v1/aggregate", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			data, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				return resp.StatusCode, data
+			}
+			var m map[string]any
+			if err := json.Unmarshal(data, &m); err != nil {
+				t.Fatal(err)
+			}
+			delete(m, "source") // the router reports scatter(n)
+			delete(m, "elapsed_ms")
+			if data, err = json.Marshal(m); err != nil {
+				t.Fatal(err)
+			}
+			return resp.StatusCode, data
+		}
+		refCode, refBody := post(refURL)
+		gotCode, gotBody := post(routerURL)
+		if refCode != tc.code || gotCode != refCode || !bytes.Equal(gotBody, refBody) {
+			t.Errorf("%s: single %d %s vs router %d %s, want both %d", tc.name, refCode, refBody, gotCode, gotBody, tc.code)
+		}
+	}
+}
+
 // stripElapsed zeroes the elapsed_ms field of a JSON response.
 func stripElapsed(t *testing.T, data []byte) []byte {
 	t.Helper()

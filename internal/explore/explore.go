@@ -119,18 +119,11 @@ type Explorer struct {
 	// the seed traversal would, so the count is engine-independent.
 	Evaluations int
 
-	// Workers bounds the fast path's parallel candidate evaluator: 0 or 1
-	// evaluates serially, n > 1 uses up to n goroutines, and a negative
-	// value selects GOMAXPROCS. Candidates at the same traversal depth are
-	// independent, so parallel runs produce bit-identical pairs,
-	// ordering and Evaluations counts.
-	Workers int
-
 	// NoFastPath forces the seed evaluation engine (selector views plus a
 	// fresh aggregation per candidate) instead of the incremental-view fast
 	// path and the mask evaluator of an all-static schema — for
-	// Explore/Naive, InitK, ExploreFree and TopEdgeTuples. Used by
-	// ablations and equivalence tests.
+	// Explore/Naive, InitK and TopEdgeTuples. Used by ablations and
+	// equivalence tests.
 	NoFastPath bool
 
 	// Memo, when non-nil, caches candidate evaluations across runs (the
@@ -142,8 +135,7 @@ type Explorer struct {
 
 	// ctx is the cancellation context of the current ExploreCtx run (nil
 	// outside one). Traversal loops poll it between candidate evaluations
-	// so deadline-expired requests stop burning CPU; it is set before any
-	// worker goroutine starts and cleared after they all join.
+	// so deadline-expired requests stop burning CPU.
 	ctx context.Context
 }
 
@@ -153,10 +145,9 @@ func (ex *Explorer) canceled() bool {
 }
 
 // ExploreCtx is Explore with cooperative cancellation: the traversal polls
-// ctx between candidate evaluations (both the seed engine and the fast
-// path's depth waves) and abandons the run once the deadline expires,
-// returning ctx.Err() instead of a pair set. A nil error guarantees the
-// same pairs Explore would report.
+// ctx between candidate evaluations and abandons the run once the deadline
+// expires, returning ctx.Err() instead of a pair set. A nil error
+// guarantees the same pairs Explore would report.
 func (ex *Explorer) ExploreCtx(ctx context.Context, event Event, sem Semantics, ext Extend, k int64) ([]Pair, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -211,33 +202,37 @@ func sel(iv timeline.Interval, sem Semantics) ops.Sel {
 
 // Explore finds the minimal (union semantics) or maximal (intersection
 // semantics) interval pairs with at least k events, using the pruned
-// traversal of Table 1 for the given event and extension side. The seed
-// traversals below replace the fast path (fastpath.go) under NoFastPath
-// only, so they evaluate on the seed path.
+// traversal of Table 1 for the given event and extension side.
 func (ex *Explorer) Explore(event Event, sem Semantics, ext Extend, k int64) []Pair {
 	ex.Evaluations = 0
-	if !ex.NoFastPath {
-		fr := ex.newFastRun(event, sem, ext)
-		switch traversalFor(event, sem, ext) {
-		case travU:
-			return fr.uExplore(k)
-		case travI:
-			return fr.iExplore(k)
-		case travBase:
-			return fr.checkBase(k)
-		default:
-			return fr.checkLongest(k)
-		}
-	}
+	at := ex.candidates(event, sem, ext)
 	switch traversalFor(event, sem, ext) {
 	case travU:
-		return ex.uExplore(event, sem, ext, k)
+		return ex.uExplore(at, ext, k)
 	case travI:
-		return ex.iExplore(event, sem, ext, k)
+		return ex.iExplore(at, ext, k)
 	case travBase:
-		return ex.checkBase(event, sem, ext, k)
+		return ex.checkBase(at, ext, k)
 	default:
-		return ex.checkLongest(event, sem, ext, k)
+		return ex.checkLongest(at, ext, k)
+	}
+}
+
+// candidateFunc returns result(G) for reference point i's candidate at
+// extension extra, whose intervals (pairAt) are old and new. The
+// traversals visit reference points in order and each point's extensions
+// in increasing order.
+type candidateFunc func(i, extra int, old, new timeline.Interval) int64
+
+// candidates returns the run's candidate evaluator: the fast path's
+// incremental views (fastpath.go), or under NoFastPath the seed engine,
+// which rebuilds every candidate from its selectors.
+func (ex *Explorer) candidates(event Event, sem Semantics, ext Extend) candidateFunc {
+	if !ex.NoFastPath {
+		return ex.newFastRun(event, sem, ext).eval
+	}
+	return func(_, _ int, old, new timeline.Interval) int64 {
+		return ex.eval(nil, event, sel(old, sem), sel(new, sem))
 	}
 }
 
@@ -321,10 +316,19 @@ func (ex *Explorer) pairAt(i int, ext Extend, extra int) (timeline.Interval, tim
 	return tl.Range(timeline.Time(from), timeline.Time(i)), tl.Point(timeline.Time(i + 1)), true
 }
 
+// lastExtra is the largest extension of reference point i that pairAt
+// accepts: up to the timeline's last point (new) or its first (old).
+func (ex *Explorer) lastExtra(i int, ext Extend) int {
+	if ext == ExtendNew {
+		return ex.Graph.Timeline().Len() - 2 - i
+	}
+	return i
+}
+
 // uExplore implements U-Explore (§3.2): starting from each consecutive
 // pair, extend until the (monotonically increasing) result reaches k and
 // report that minimal pair.
-func (ex *Explorer) uExplore(event Event, sem Semantics, ext Extend, k int64) []Pair {
+func (ex *Explorer) uExplore(at candidateFunc, ext Extend, k int64) []Pair {
 	var out []Pair
 	n := ex.Graph.Timeline().Len()
 	for i := 0; i < n-1; i++ {
@@ -336,8 +340,7 @@ func (ex *Explorer) uExplore(event Event, sem Semantics, ext Extend, k int64) []
 			if !ok {
 				break
 			}
-			oldSel, newSel := sel(old, sem), sel(new, sem)
-			if r := ex.eval(nil, event, oldSel, newSel); r >= k {
+			if r := at(i, extra, old, new); r >= k {
 				out = append(out, Pair{Old: old, New: new, Result: r})
 				break // prune: minimal pair found for this reference point
 			}
@@ -349,7 +352,7 @@ func (ex *Explorer) uExplore(event Event, sem Semantics, ext Extend, k int64) []
 // iExplore implements I-Explore (§3.2): starting from each consecutive
 // pair, keep extending while the (monotonically decreasing) result stays
 // ≥ k; the last surviving extension is the maximal pair.
-func (ex *Explorer) iExplore(event Event, sem Semantics, ext Extend, k int64) []Pair {
+func (ex *Explorer) iExplore(at candidateFunc, ext Extend, k int64) []Pair {
 	var out []Pair
 	n := ex.Graph.Timeline().Len()
 	for i := 0; i < n-1; i++ {
@@ -362,7 +365,7 @@ func (ex *Explorer) iExplore(event Event, sem Semantics, ext Extend, k int64) []
 			if !ok {
 				break
 			}
-			r := ex.eval(nil, event, sel(old, sem), sel(new, sem))
+			r := at(i, extra, old, new)
 			if r < k {
 				break // prune: all further extensions are ≤ this result
 			}
@@ -377,7 +380,7 @@ func (ex *Explorer) iExplore(event Event, sem Semantics, ext Extend, k int64) []
 
 // checkBase handles the cases where extension is monotonically decreasing
 // under union semantics: only the consecutive-point pairs can be minimal.
-func (ex *Explorer) checkBase(event Event, sem Semantics, ext Extend, k int64) []Pair {
+func (ex *Explorer) checkBase(at candidateFunc, ext Extend, k int64) []Pair {
 	var out []Pair
 	n := ex.Graph.Timeline().Len()
 	for i := 0; i < n-1; i++ {
@@ -385,7 +388,7 @@ func (ex *Explorer) checkBase(event Event, sem Semantics, ext Extend, k int64) [
 			return nil
 		}
 		old, new, _ := ex.pairAt(i, ext, 0)
-		if r := ex.eval(nil, event, sel(old, sem), sel(new, sem)); r >= k {
+		if r := at(i, 0, old, new); r >= k {
 			out = append(out, Pair{Old: old, New: new, Result: r})
 		}
 	}
@@ -395,21 +398,16 @@ func (ex *Explorer) checkBase(event Event, sem Semantics, ext Extend, k int64) [
 // checkLongest handles the cases where extension is monotonically
 // increasing under intersection semantics: for each reference point the
 // longest possible extension alone is the candidate maximal pair.
-func (ex *Explorer) checkLongest(event Event, sem Semantics, ext Extend, k int64) []Pair {
+func (ex *Explorer) checkLongest(at candidateFunc, ext Extend, k int64) []Pair {
 	var out []Pair
-	tl := ex.Graph.Timeline()
-	n := tl.Len()
+	n := ex.Graph.Timeline().Len()
 	for i := 0; i < n-1; i++ {
 		if ex.canceled() {
 			return nil
 		}
-		var old, new timeline.Interval
-		if ext == ExtendOld {
-			old, new = tl.Range(0, timeline.Time(i)), tl.Point(timeline.Time(i+1))
-		} else {
-			old, new = tl.Point(timeline.Time(i)), tl.Range(timeline.Time(i+1), timeline.Time(n-1))
-		}
-		if r := ex.eval(nil, event, sel(old, sem), sel(new, sem)); r >= k {
+		extra := ex.lastExtra(i, ext)
+		old, new, _ := ex.pairAt(i, ext, extra)
+		if r := at(i, extra, old, new); r >= k {
 			out = append(out, Pair{Old: old, New: new, Result: r})
 		}
 	}
@@ -422,9 +420,7 @@ func (ex *Explorer) checkLongest(event Event, sem Semantics, ext Extend, k int64
 // baseline for the pruned traversals and the ablation comparator.
 func (ex *Explorer) Naive(event Event, sem Semantics, ext Extend, k int64) []Pair {
 	ex.Evaluations = 0
-	if !ex.NoFastPath {
-		return ex.newFastRun(event, sem, ext).naive(sem, k)
-	}
+	at := ex.candidates(event, sem, ext)
 	var out []Pair
 	n := ex.Graph.Timeline().Len()
 	for i := 0; i < n-1; i++ {
@@ -438,7 +434,7 @@ func (ex *Explorer) Naive(event Event, sem Semantics, ext Extend, k int64) []Pai
 			if !ok {
 				break
 			}
-			r := ex.eval(nil, event, sel(old, sem), sel(new, sem))
+			r := at(i, extra, old, new)
 			cands = append(cands, cand{Pair{Old: old, New: new, Result: r}, r >= k})
 		}
 		if sem == UnionSemantics {

@@ -44,10 +44,9 @@ func anyExplorer(r *rand.Rand) *Explorer {
 }
 
 // TestQuickFastPathMatchesSeed checks, across all 12 Table 1 cases on
-// random graphs, that the incremental-view fast path — serial and with the
-// bounded worker pool — returns bit-identical pairs, ordering and
-// Evaluations counts to the seed selector-view engine (NoFastPath), for
-// both Explore and Naive.
+// random graphs, that the incremental-view fast path returns bit-identical
+// pairs, ordering and Evaluations counts to the seed selector-view engine
+// (NoFastPath), for both Explore and Naive.
 func TestQuickFastPathMatchesSeed(t *testing.T) {
 	events := []Event{evolution.Stability, evolution.Growth, evolution.Shrinkage}
 	sems := []Semantics{UnionSemantics, IntersectionSemantics}
@@ -72,17 +71,14 @@ func TestQuickFastPathMatchesSeed(t *testing.T) {
 					seedNaive := ex.Naive(ev, sem, ext, k)
 					seedNaiveEvals := ex.Evaluations
 
-					for _, workers := range []int{0, 4} {
-						ex.NoFastPath = false
-						ex.Workers = workers
-						fast := ex.Explore(ev, sem, ext, k)
-						if !samePairs(fast, seedPairs) || ex.Evaluations != seedEvals {
-							return false
-						}
-						fastNaive := ex.Naive(ev, sem, ext, k)
-						if !samePairs(fastNaive, seedNaive) || ex.Evaluations != seedNaiveEvals {
-							return false
-						}
+					ex.NoFastPath = false
+					fast := ex.Explore(ev, sem, ext, k)
+					if !samePairs(fast, seedPairs) || ex.Evaluations != seedEvals {
+						return false
+					}
+					fastNaive := ex.Naive(ev, sem, ext, k)
+					if !samePairs(fastNaive, seedNaive) || ex.Evaluations != seedNaiveEvals {
+						return false
 					}
 				}
 			}
@@ -91,46 +87,6 @@ func TestQuickFastPathMatchesSeed(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestFastPathParallelRace exercises the worker pool under the race
-// detector on a fixture large enough for real contention: every Table 1
-// traversal with Workers well above GOMAXPROCS-typical values.
-func TestFastPathParallelRace(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	p := gtest.DefaultParams()
-	p.MaxNodes *= 4
-	p.MaxEdges *= 4
-	p.MaxTimes += 4
-	g := gtest.RandomGraph(r, p)
-	var static []core.AttrID
-	for a := 0; a < g.NumAttrs(); a++ {
-		if g.Attr(core.AttrID(a)).Kind == core.Static {
-			static = append(static, core.AttrID(a))
-		}
-	}
-	if len(static) == 0 {
-		t.Skip("fixture has no static attributes")
-	}
-	ex := &Explorer{
-		Graph:   g,
-		Schema:  agg.MustSchema(g, static...),
-		Kind:    agg.Distinct,
-		Result:  TotalEdges,
-		Workers: 8,
-	}
-	serial := &Explorer{Graph: g, Schema: ex.Schema, Kind: ex.Kind, Result: ex.Result}
-	for _, ev := range []Event{evolution.Stability, evolution.Growth, evolution.Shrinkage} {
-		for _, sem := range []Semantics{UnionSemantics, IntersectionSemantics} {
-			for _, ext := range []Extend{ExtendOld, ExtendNew} {
-				got := ex.Explore(ev, sem, ext, 2)
-				want := serial.Explore(ev, sem, ext, 2)
-				if !samePairs(got, want) || ex.Evaluations != serial.Evaluations {
-					t.Fatalf("%v %v %v: parallel explore diverged from serial", ev, sem, ext)
-				}
-			}
-		}
 	}
 }
 

@@ -114,9 +114,9 @@ var (
 )
 
 // checkFastMatchesSeed asserts fast ≡ NoFastPath for one case: InitK, then
-// every Table 1 traversal at a threshold drawn from the InitK range, at
-// Workers 1 and GOMAXPROCS — pairs, order and Evaluations — and, unless
-// quick, Naive and TuneK with its memo.
+// every Table 1 traversal at a threshold drawn from the InitK range —
+// pairs, order and Evaluations — and, unless quick, Naive and TuneK with
+// its memo.
 func checkFastMatchesSeed(t *testing.T, c measureCase, quick bool) {
 	t.Helper()
 	fast, seed := c.pair()
@@ -132,13 +132,9 @@ func checkFastMatchesSeed(t *testing.T, c measureCase, quick bool) {
 				for _, ext := range allExts {
 					want := seed.Explore(ev, sem, ext, k)
 					evals := seed.Evaluations
-					for _, workers := range []int{1, -1} {
-						fast.Workers = workers
-						got := fast.Explore(ev, sem, ext, k)
-						if !samePairs(got, want) || fast.Evaluations != evals {
-							t.Fatalf("%s %v/%v/%v k=%d workers=%d: masks %v (%d evals), seed %v (%d)",
-								c.name, ev, sem, ext, k, workers, pairStrings(got), fast.Evaluations, pairStrings(want), evals)
-						}
+					if got := fast.Explore(ev, sem, ext, k); !samePairs(got, want) || fast.Evaluations != evals {
+						t.Fatalf("%s %v/%v/%v k=%d: masks %v (%d evals), seed %v (%d)",
+							c.name, ev, sem, ext, k, pairStrings(got), fast.Evaluations, pairStrings(want), evals)
 					}
 					if quick {
 						continue

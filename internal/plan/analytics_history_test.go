@@ -18,7 +18,7 @@ func TestAnalyticsAsOf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := plan.Env{Graph: live, Workers: 1, History: r}
+	env := plan.Env{Graph: live, History: r}
 
 	events := func(txn int) *plan.Events {
 		return &plan.Events{
@@ -92,7 +92,7 @@ func TestAnalyticsValidDuring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := plan.Env{Graph: live, Workers: 1, History: r}
+	env := plan.Env{Graph: live, History: r}
 
 	node := &plan.Events{
 		Kind: "dist", Attrs: []string{"gender"}, Width: 1,
@@ -109,7 +109,7 @@ func TestAnalyticsValidDuring(t *testing.T) {
 		Kind: "all", Attrs: []string{"gender"}, Width: 1,
 		Valid: plan.IntervalRef{From: "t0", To: "t1"},
 	}
-	tres := execute(t, plan.Env{Graph: live, Workers: 1}, inline)
+	tres := execute(t, plan.Env{Graph: live}, inline)
 	if tres.Trend == nil || tres.Trend.Windows != 2 {
 		t.Fatalf("TREND VALID DURING t0..t1 should see two width-1 windows, got %+v", tres.Trend)
 	}

@@ -19,11 +19,11 @@ func aggNode(attr string) *Aggregate {
 }
 
 // TestCacheHit checks that recompiling the same canonical query returns
-// the identical plan, and that differing workers settings key separately.
+// the identical plan.
 func TestCacheHit(t *testing.T) {
 	g := core.PaperExample()
 	cache := NewCache(0)
-	env := Env{Graph: g, Workers: 1, Cache: cache}
+	env := Env{Graph: g, Cache: cache}
 
 	p1, err := Compile(env, aggNode("gender"))
 	if err != nil {
@@ -39,17 +39,6 @@ func TestCacheHit(t *testing.T) {
 	if cache.Len() != 1 {
 		t.Errorf("cache has %d plans, want 1", cache.Len())
 	}
-
-	// Negative workers survive clamping verbatim (engine-specific meaning),
-	// so the key differs regardless of the host's GOMAXPROCS.
-	env.Workers = -1
-	p3, err := Compile(env, aggNode("gender"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3 == p1 {
-		t.Error("workers setting must key separate plans")
-	}
 }
 
 // TestCacheNormalization checks that the cache keys on the canonical
@@ -59,7 +48,7 @@ func TestCacheHit(t *testing.T) {
 func TestCacheNormalization(t *testing.T) {
 	g := core.PaperExample()
 	cache := NewCache(0)
-	env := Env{Graph: g, Workers: 1, Cache: cache}
+	env := Env{Graph: g, Cache: cache}
 
 	n1 := aggNode("gender")
 	n1.Kind = "all"
@@ -85,11 +74,11 @@ func TestCacheGenerationFlush(t *testing.T) {
 	g2 := core.PaperExample()
 	cache := NewCache(0)
 
-	p1, err := Compile(Env{Graph: g1, Workers: 1, Cache: cache}, aggNode("gender"))
+	p1, err := Compile(Env{Graph: g1, Cache: cache}, aggNode("gender"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Compile(Env{Graph: g2, Workers: 1, Cache: cache}, aggNode("gender"))
+	p2, err := Compile(Env{Graph: g2, Cache: cache}, aggNode("gender"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +91,7 @@ func TestCacheGenerationFlush(t *testing.T) {
 
 	// A catalog change is a generation change too.
 	cat := materialize.NewCatalogWith(g2, materialize.CatalogConfig{})
-	if _, err := Compile(Env{Graph: g2, Catalog: cat, Workers: 1, Cache: cache}, aggNode("gender")); err != nil {
+	if _, err := Compile(Env{Graph: g2, Catalog: cat, Cache: cache}, aggNode("gender")); err != nil {
 		t.Fatal(err)
 	}
 	if cache.Len() != 1 {
@@ -118,7 +107,7 @@ func TestCacheAdvanceSuffixInvalidation(t *testing.T) {
 	g1 := core.PaperExample()
 	g2 := core.PaperExample() // stands in for the extended snapshot
 	cache := NewCache(0)
-	env := Env{Graph: g1, Workers: 1, Cache: cache}
+	env := Env{Graph: g1, Cache: cache}
 
 	prefix := aggNode("gender") // touches t0,t1 → maxTime 1
 	suffix := &Aggregate{
@@ -156,7 +145,7 @@ func TestCacheAdvanceSuffixInvalidation(t *testing.T) {
 	if kept != 1 || evicted != 2 {
 		t.Fatalf("Advance kept %d evicted %d, want 1/2", kept, evicted)
 	}
-	env2 := Env{Graph: g2, Workers: 1, Cache: cache}
+	env2 := Env{Graph: g2, Cache: cache}
 	got, err := Compile(env2, prefix)
 	if err != nil {
 		t.Fatal(err)
@@ -172,10 +161,10 @@ func TestCacheAdvanceSuffixInvalidation(t *testing.T) {
 
 	// Retired-generation traffic: a miss and a dropped store, never a flush.
 	before := cache.Len()
-	if p := cache.lookup(g1, nil, cacheKey(prefix, 1)); p != nil {
+	if p := cache.lookup(g1, nil, prefix.Key()); p != nil {
 		t.Error("retired-generation lookup returned a plan")
 	}
-	cache.store(g1, nil, cacheKey(unbounded, 1), pUnbounded)
+	cache.store(g1, nil, unbounded.Key(), pUnbounded)
 	if cache.Len() != before {
 		t.Errorf("retired-generation traffic changed the cache: %d → %d entries", before, cache.Len())
 	}
@@ -188,7 +177,7 @@ func TestCacheAdvanceSuffixInvalidation(t *testing.T) {
 func TestCacheBounded(t *testing.T) {
 	g := core.PaperExample()
 	cache := NewCache(2)
-	env := Env{Graph: g, Workers: 1, Cache: cache}
+	env := Env{Graph: g, Cache: cache}
 	for _, attr := range []string{"gender", "publications"} {
 		if _, err := Compile(env, aggNode(attr)); err != nil {
 			t.Fatal(err)
@@ -208,7 +197,7 @@ func TestCacheBounded(t *testing.T) {
 func TestCacheSkipsErrors(t *testing.T) {
 	g := core.PaperExample()
 	cache := NewCache(0)
-	env := Env{Graph: g, Workers: 1, Cache: cache}
+	env := Env{Graph: g, Cache: cache}
 	if _, err := Compile(env, aggNode("nope")); err == nil {
 		t.Fatal("unknown attribute compiled")
 	}
@@ -223,7 +212,7 @@ func TestCacheSkipsErrors(t *testing.T) {
 func TestConcurrentExecute(t *testing.T) {
 	g := core.PaperExample()
 	cache := NewCache(0)
-	env := Env{Graph: g, Workers: 1, Cache: cache}
+	env := Env{Graph: g, Cache: cache}
 
 	nodes := []Logical{
 		aggNode("gender"),

@@ -25,11 +25,6 @@ type Env struct {
 	// union-ALL aggregates (T-distributive / D-distributive reuse, §4.3).
 	// Nil compiles every aggregate to direct recompute.
 	Catalog *materialize.Catalog
-	// Workers is the requested parallelism, clamped to GOMAXPROCS at
-	// compile (ClampWorkers). Zero and negative keep their engine-specific
-	// meaning: aggregation treats <= 0 as GOMAXPROCS, exploration treats 0
-	// as serial and negative as GOMAXPROCS.
-	Workers int
 	// Query is the originating query text, used only to position
 	// resolution errors ("" renders plain messages for wire requests).
 	Query string
@@ -107,12 +102,6 @@ func (p *Plan) Execute(ctx context.Context) (*Result, error) {
 	return out, nil
 }
 
-// cacheKey is the plan-cache key: the canonical logical text plus the
-// effective workers setting (plans bind workers at compile).
-func cacheKey(node Logical, workers int) string {
-	return node.Key() + "|workers=" + strconv.Itoa(workers)
-}
-
 // Compile resolves a logical node against env into an executable physical
 // plan, selecting operators through the cost model and consulting the plan
 // cache when env.Cache is set. All user-facing resolution errors (unknown
@@ -129,10 +118,9 @@ func Compile(env Env, node Logical) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := ClampWorkers(env.Workers)
 	var key string
 	if env.Cache != nil {
-		key = cacheKey(node, workers)
+		key = node.Key()
 		if env.Feedback != nil {
 			// New observations bump the epoch, so an adapted selection takes
 			// effect on the next compile instead of hiding behind the cache.
@@ -151,13 +139,13 @@ func Compile(env Env, node Logical) (*Plan, error) {
 	)
 	switch q := node.(type) {
 	case *Aggregate:
-		root, maxTime, err = compileAggregate(env, workers, q)
+		root, maxTime, err = compileAggregate(env, q)
 		bounded = true
 	case *Partial:
-		root, maxTime, err = compilePartial(env, workers, q)
+		root, maxTime, err = compilePartial(env, q)
 		bounded = true
 	case *Explore:
-		root, err = compileExplore(env, workers, q)
+		root, err = compileExplore(env, q)
 	case *Top:
 		root, err = compileTop(env, q)
 	case *Evolve:
@@ -202,7 +190,7 @@ func maxTimeOf(ivs ...timeline.Interval) int {
 	return m
 }
 
-func compileAggregate(env Env, workers int, q *Aggregate) (physOp, int, error) {
+func compileAggregate(env Env, q *Aggregate) (physOp, int, error) {
 	g, in := env.Graph, env.Query
 	schema, err := resolveSchema(g, in, q.Attrs, q.AttrsPos)
 	if err != nil {
@@ -276,21 +264,19 @@ func compileAggregate(env Env, workers int, q *Aggregate) (physOp, int, error) {
 			g:      g,
 		}, maxTime, nil
 	}
-	// Recorded feedback can override the view operator's engine selections.
-	ad := adaptAggregate(env.Feedback, q.Key(), workers, agg.ParallelMinEntities())
+	// Recorded feedback can demote the view operator to serial.
 	return &viewAggOp{
-		view:    newViewOp(g, q.Op.Op, a, b),
-		schema:  schema,
-		kind:    kind,
-		workers: ad.workers,
-		cost:    scanCost(g),
-		fb:      env.Feedback,
-		fbKey:   q.Key(),
-		note:    ad.note(),
+		view:   newViewOp(g, q.Op.Op, a, b),
+		schema: schema,
+		kind:   kind,
+		serial: mergeBound(env.Feedback, q.Key(), agg.ParallelMinEntities()),
+		cost:   scanCost(g),
+		fb:     env.Feedback,
+		fbKey:  q.Key(),
 	}, maxTime, nil
 }
 
-func compileExplore(env Env, workers int, q *Explore) (physOp, error) {
+func compileExplore(env Env, q *Explore) (physOp, error) {
 	g, in := env.Graph, env.Query
 	schema, err := resolveSchema(g, in, q.Attrs, q.AttrsPos)
 	if err != nil {
@@ -336,17 +322,16 @@ func compileExplore(env Env, workers int, q *Explore) (physOp, error) {
 		}
 	}
 	op := &exploreOp{
-		g:       g,
-		schema:  schema,
-		kind:    kind,
-		event:   event,
-		sem:     sem,
-		ext:     ext,
-		k:       q.K,
-		workers: workers,
-		result:  result,
-		target:  target,
-		cost:    exploreCost(g),
+		g:      g,
+		schema: schema,
+		kind:   kind,
+		event:  event,
+		sem:    sem,
+		ext:    ext,
+		k:      q.K,
+		result: result,
+		target: target,
+		cost:   exploreCost(g),
 	}
 	if q.Tune > 0 {
 		return &tuneOp{inner: op, minPairs: q.Tune}, nil

@@ -87,7 +87,7 @@ func TestAggregateEquivalence(t *testing.T) {
 				node.Op.B = refB
 				v = ops.Difference(g, a, b)
 			}
-			res := execute(t, plan.Env{Graph: g, Workers: 1}, node)
+			res := execute(t, plan.Env{Graph: g}, node)
 			want, err := agg.AggregateParallelCtx(context.Background(), v, schema, kind.k, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -127,14 +127,14 @@ func TestCatalogEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	first := execute(t, plan.Env{Graph: g, Catalog: cat, Workers: 1}, node)
+	first := execute(t, plan.Env{Graph: g, Catalog: cat}, node)
 	if mustJSON(t, first.Agg) != mustJSON(t, want) {
 		t.Error("catalog-backed union-ALL differs from direct recompute")
 	}
 	if first.AggSource != materialize.Scratch {
 		t.Errorf("first answer source = %v, want scratch", first.AggSource)
 	}
-	second := execute(t, plan.Env{Graph: g, Catalog: cat, Workers: 1}, node)
+	second := execute(t, plan.Env{Graph: g, Catalog: cat}, node)
 	if mustJSON(t, second.Agg) != mustJSON(t, want) {
 		t.Error("cached union-ALL differs from direct recompute")
 	}

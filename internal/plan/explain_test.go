@@ -45,7 +45,7 @@ func TestExplainGolden(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			env := plan.Env{Graph: g, Workers: 1}
+			env := plan.Env{Graph: g}
 			if c.catalog {
 				// A fresh catalog per compile keeps the source hint
 				// deterministic (nothing materialized yet → scratch).

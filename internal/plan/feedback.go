@@ -11,9 +11,8 @@ import "sync"
 //
 // Observations are advisory: a stale or wrong one costs performance, never
 // correctness (every operator computes the same result on every engine).
-// They are keyed on the canonical logical text (Logical.Key, without the
-// workers suffix the plan cache adds — the data shape of a query does not
-// depend on the requested parallelism) and bounded FIFO like the plan
+// They are keyed on the canonical logical text (Logical.Key, the plan
+// cache's key without its epoch suffix) and bounded FIFO like the plan
 // cache. Safe for concurrent use.
 type Feedback struct {
 	mu    sync.Mutex
@@ -139,38 +138,11 @@ func (f *Feedback) epochFor(key string) int {
 // purpose.
 const mergeBoundFactor = 4
 
-// aggAdaptation is the outcome of consulting feedback for one aggregate
-// compile: possibly demoted workers, and the Explain notes naming what was
-// applied.
-type aggAdaptation struct {
-	workers int
-	notes   []string
-}
-
-// adaptAggregate consults the feedback store for one aggregate compile.
-// parallelMin is the engine's serial/parallel crossover
-// (agg.ParallelMinEntities).
-func adaptAggregate(f *Feedback, key string, workers int, parallelMin int) aggAdaptation {
-	ad := aggAdaptation{workers: workers}
+// mergeBound reports whether feedback demotes one aggregate compile to
+// serial: its last run selected a view past the engine's serial/parallel
+// crossover (parallelMin, agg.ParallelMinEntities) and answered within
+// mergeBoundFactor of it.
+func mergeBound(f *Feedback, key string, parallelMin int) bool {
 	obs, ok := f.Lookup(key)
-	if !ok {
-		return ad
-	}
-	if workers != 1 && obs.Entities >= parallelMin && obs.Results*mergeBoundFactor >= obs.Entities {
-		ad.workers = 1
-		ad.notes = append(ad.notes, "serial(merge-bound)")
-	}
-	return ad
-}
-
-// note renders the applied adaptations for Explain ("" when none).
-func (ad aggAdaptation) note() string {
-	out := ""
-	for i, n := range ad.notes {
-		if i > 0 {
-			out += "+"
-		}
-		out += n
-	}
-	return out
+	return ok && obs.Entities >= parallelMin && obs.Results*mergeBoundFactor >= obs.Entities
 }

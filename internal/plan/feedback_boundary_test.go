@@ -67,7 +67,7 @@ func TestCacheAdvanceConcurrentOldGeneration(t *testing.T) {
 	g1 := core.PaperExample()
 	g2 := core.PaperExample() // stands in for the appended snapshot
 	cache := NewCache(0)
-	env1 := Env{Graph: g1, Workers: 1, Cache: cache}
+	env1 := Env{Graph: g1, Cache: cache}
 
 	pPrefix, err := Compile(env1, aggNode("gender")) // maxTime 1: survives Advance(…, 2)
 	if err != nil {
@@ -98,8 +98,8 @@ func TestCacheAdvanceConcurrentOldGeneration(t *testing.T) {
 					return
 				}
 				// Raw cache traffic on the (soon to be) retired generation.
-				cache.lookup(g1, nil, cacheKey(node, 1))
-				cache.store(g1, nil, cacheKey(node, 1), p)
+				cache.lookup(g1, nil, node.Key())
+				cache.store(g1, nil, node.Key(), p)
 			}
 		}()
 	}
@@ -107,7 +107,7 @@ func TestCacheAdvanceConcurrentOldGeneration(t *testing.T) {
 	time.Sleep(2 * time.Millisecond) // let the old-generation traffic spin up
 	cache.Advance(g2, nil, 2)
 
-	env2 := Env{Graph: g2, Workers: 1, Cache: cache}
+	env2 := Env{Graph: g2, Cache: cache}
 	for i := 0; i < 50; i++ {
 		got, err := Compile(env2, aggNode("gender"))
 		if err != nil {
@@ -122,7 +122,7 @@ func TestCacheAdvanceConcurrentOldGeneration(t *testing.T) {
 
 	// With traffic stopped: the retired generation still misses, and the
 	// current generation still hits.
-	if p := cache.lookup(g1, nil, cacheKey(aggNode("gender"), 1)); p != nil {
+	if p := cache.lookup(g1, nil, aggNode("gender").Key()); p != nil {
 		t.Error("retired-generation lookup returned a plan after the advance")
 	}
 	if got, err := Compile(env2, aggNode("gender")); err != nil || got != pPrefix {

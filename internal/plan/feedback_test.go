@@ -3,7 +3,6 @@ package plan_test
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -67,7 +66,7 @@ func TestFeedbackRecordsObservations(t *testing.T) {
 	g := wideGraph(t)
 	fb := plan.NewFeedback()
 	node := aggNode()
-	p, err := plan.Compile(plan.Env{Graph: g, Workers: 1, Feedback: fb}, node)
+	p, err := plan.Compile(plan.Env{Graph: g, Feedback: fb}, node)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +100,7 @@ func TestFeedbackInvalidatesCachedPlan(t *testing.T) {
 	g := wideGraph(t)
 	fb := plan.NewFeedback()
 	cache := plan.NewCache(0)
-	env := plan.Env{Graph: g, Workers: 1, Feedback: fb, Cache: cache}
+	env := plan.Env{Graph: g, Feedback: fb, Cache: cache}
 	node := aggNode()
 
 	first, err := plan.Compile(env, node)
@@ -137,16 +136,12 @@ func TestFeedbackInvalidatesCachedPlan(t *testing.T) {
 
 // TestFeedbackSerialDemotion exercises the merge-bound demotion through
 // the exported seeding hook: an observed output cardinality within 4x of
-// the entity count makes a parallel compile fall back to one worker.
+// the entity count demotes the compile to serial, and Explain names it.
 func TestFeedbackSerialDemotion(t *testing.T) {
 	g := wideGraph(t)
 	fb := plan.NewFeedback()
-	env := plan.Env{Graph: g, Workers: 4, Feedback: fb}
+	env := plan.Env{Graph: g, Feedback: fb}
 	node := aggNode()
-	clamped := plan.ClampWorkers(4)
-	if clamped < 2 {
-		t.Skip("single-CPU host clamps every compile to serial")
-	}
 
 	// Entities past the engine crossover, results within the merge bound.
 	n := agg.ParallelMinEntities()
@@ -155,12 +150,11 @@ func TestFeedbackSerialDemotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := p.Explain()
-	if !strings.Contains(s, "workers=1") || !strings.Contains(s, "serial(merge-bound)") {
+	if s := p.Explain(); !strings.Contains(s, "mode=serial") || !strings.Contains(s, "feedback=serial(merge-bound)") {
 		t.Fatalf("merge-bound observation did not demote to serial:\n%s", s)
 	}
 
-	// A selective query (few result tuples) keeps its parallel budget.
+	// A selective query (few result tuples) is not demoted.
 	fb2 := plan.NewFeedback()
 	plan.SeedObservationForTest(fb2, node.Key(), 2*n, 8)
 	env.Feedback = fb2
@@ -168,8 +162,7 @@ func TestFeedbackSerialDemotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := p.Explain(); strings.Contains(s, "serial(merge-bound)") ||
-		!strings.Contains(s, "workers="+strconv.Itoa(clamped)) {
+	if s := p.Explain(); strings.Contains(s, "serial(merge-bound)") {
 		t.Fatalf("selective observation wrongly demoted:\n%s", s)
 	}
 }

@@ -120,7 +120,7 @@ func TestAsOfResolvesDistinctStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := plan.Env{Graph: live, Workers: 1, History: r}
+	env := plan.Env{Graph: live, History: r}
 
 	res1 := execute(t, env, asOfAgg(1))
 	resHead := execute(t, env, asOfAgg(s.Txn()))
@@ -175,7 +175,7 @@ func TestAsOfPlanCacheKeysPerTxn(t *testing.T) {
 // must reject AS OF but still serve VALID DURING by windowing inline.
 func TestAsOfWithoutHistoryRejected(t *testing.T) {
 	g := core.PaperExample()
-	env := plan.Env{Graph: g, Workers: 1}
+	env := plan.Env{Graph: g}
 	if _, err := plan.Compile(env, asOfAgg(3)); err == nil ||
 		!strings.Contains(err.Error(), "transaction log") {
 		t.Fatalf("AS OF without history = %v, want transaction-log error", err)
@@ -202,7 +202,7 @@ func TestValidDuringRestrictsTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := plan.Env{Graph: live, Workers: 1, History: r}
+	env := plan.Env{Graph: live, History: r}
 	node := &plan.Aggregate{
 		Op:    plan.TemporalOp{Op: plan.OpProject, A: plan.IntervalRef{From: "t2"}},
 		Attrs: []string{"gender"},
@@ -225,7 +225,7 @@ func TestAsOfBeyondHeadErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := plan.Env{Graph: live, Workers: 1, History: r}
+	env := plan.Env{Graph: live, History: r}
 	bad := s.Txn() + 5
 	_, cerr := plan.Compile(env, asOfAgg(bad))
 	if cerr == nil || !strings.Contains(cerr.Error(), fmt.Sprintf("AS OF %d", bad)) {
@@ -244,7 +244,7 @@ func TestAsOfCachedPlansExecuteHistoricalState(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := plan.NewCache(0)
-	env := plan.Env{Graph: live, Workers: 1, History: r, Cache: cache}
+	env := plan.Env{Graph: live, History: r, Cache: cache}
 
 	before := execute(t, env, asOfAgg(0))
 	_ = execute(t, env, asOfAgg(1))

@@ -139,51 +139,41 @@ func (o *catalogAggOp) run(ctx context.Context, out *Result) error {
 }
 
 // viewAggOp aggregates a view on the aggregation kernels, with the
-// chunked-parallel engine when the view is large enough to amortize worker
-// spawn and merge.
+// chunked-parallel engine on GOMAXPROCS workers when the view is large
+// enough to amortize worker spawn and merge and feedback has not demoted it.
 type viewAggOp struct {
-	view    *viewOp
-	schema  *agg.Schema
-	kind    agg.Kind
-	workers int
-	cost    int64
+	view   *viewOp
+	schema *agg.Schema
+	kind   agg.Kind
+	serial bool // feedback observed a merge-bound result (mergeBound)
+	cost   int64
 
-	// Feedback loop: run() reports the observed cardinalities under fbKey;
-	// note names the adaptations this compile applied, for Explain.
+	// Feedback loop: run() reports the observed cardinalities under fbKey.
 	fb    *Feedback
 	fbKey string
-	note  string
 }
 
 func (o *viewAggOp) name() string { return "ViewAggregate" }
 
 // mode reports serial vs parallel execution, mirroring the engine's
-// crossover: one worker or a small view runs serially.
+// crossover: a demoted plan or a small view runs serially.
 func (o *viewAggOp) mode() string {
-	if o.workers == 1 || o.view.entities() < agg.ParallelMinEntities() {
+	if o.serial || o.view.entities() < agg.ParallelMinEntities() {
 		return "serial"
 	}
 	return "parallel"
-}
-
-func workersString(n int) string {
-	if n <= 0 {
-		return "auto"
-	}
-	return strconv.Itoa(n)
 }
 
 func (o *viewAggOp) describe() []kv {
 	attrs := []kv{
 		{"kind", kindString(o.kind)},
 		{"mode", o.mode()},
-		{"workers", workersString(o.workers)},
 		{"est_cost", itoa64(o.cost)},
 	}
 	// Only plans compiled with applicable feedback name it, keeping the
 	// golden renderings of feedback-free environments stable.
-	if o.note != "" {
-		attrs = append(attrs, kv{"feedback", o.note})
+	if o.serial {
+		attrs = append(attrs, kv{"feedback", "serial(merge-bound)"})
 	}
 	return attrs
 }
@@ -192,7 +182,11 @@ func (o *viewAggOp) children() []physOp { return []physOp{o.view} }
 func (o *viewAggOp) countSelection()    { Selections.DenseAgg.Inc() }
 
 func (o *viewAggOp) run(ctx context.Context, out *Result) error {
-	ag, err := agg.AggregateParallelCtx(ctx, o.view.view, o.schema, o.kind, o.workers)
+	workers := 0 // GOMAXPROCS
+	if o.serial {
+		workers = 1
+	}
+	ag, err := agg.AggregateParallelCtx(ctx, o.view.view, o.schema, o.kind, workers)
 	if err != nil {
 		return err
 	}
@@ -301,33 +295,19 @@ func eventString(e explore.Event) string {
 // point index (built on first use, so EXPLAIN stays free); every piece of
 // engine state lives in a fresh Explorer per run.
 type exploreOp struct {
-	g       *core.Graph
-	schema  *agg.Schema
-	kind    agg.Kind
-	event   explore.Event
-	sem     explore.Semantics
-	ext     explore.Extend
-	k       int64 // < 1 selects the §3.5 initialization
-	workers int
-	result  explore.Measure
-	target  string
-	cost    int64
+	g      *core.Graph
+	schema *agg.Schema
+	kind   agg.Kind
+	event  explore.Event
+	sem    explore.Semantics
+	ext    explore.Extend
+	k      int64 // < 1 selects the §3.5 initialization
+	result explore.Measure
+	target string
+	cost   int64
 }
 
 func (o *exploreOp) name() string { return "FastExplore" }
-
-// exploreWorkersString renders the explore engine's workers semantics:
-// 0/1 serial, negative GOMAXPROCS.
-func exploreWorkersString(n int) string {
-	switch {
-	case n < 0:
-		return "auto"
-	case n <= 1:
-		return "serial"
-	default:
-		return strconv.Itoa(n)
-	}
-}
 
 func (o *exploreOp) kString() string {
 	if o.k >= 1 {
@@ -346,7 +326,6 @@ func (o *exploreOp) describe() []kv {
 		{"event", eventString(o.event)},
 		{"target", o.target},
 		{"k", o.kString()},
-		{"workers", exploreWorkersString(o.workers)},
 		{"est_cost", itoa64(o.cost)},
 	}
 }
@@ -358,11 +337,10 @@ func (o *exploreOp) countSelection() { Selections.FastExplore.Inc() }
 // explorer builds the per-run engine.
 func (o *exploreOp) explorer() *explore.Explorer {
 	return &explore.Explorer{
-		Graph:   o.g,
-		Schema:  o.schema,
-		Kind:    o.kind,
-		Result:  o.result,
-		Workers: o.workers,
+		Graph:  o.g,
+		Schema: o.schema,
+		Kind:   o.kind,
+		Result: o.result,
 	}
 }
 

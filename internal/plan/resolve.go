@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -56,18 +55,6 @@ func PosErrorf(in string, pos int, near, format string, args ...interface{}) err
 		return fmt.Errorf("tgql: %d:%d: %s (near %q)", line, col, msg, near)
 	}
 	return fmt.Errorf("tgql: %d:%d: %s", line, col, msg)
-}
-
-// ClampWorkers caps client-supplied parallelism at the host's GOMAXPROCS:
-// the engines allocate per-worker state and spawn one goroutine per worker,
-// so an unclamped value could exhaust memory with a single huge request.
-// Zero and negative values keep their engine-specific meaning (GOMAXPROCS
-// for aggregation, serial/GOMAXPROCS for exploration).
-func ClampWorkers(n int) int {
-	if max := runtime.GOMAXPROCS(0); n > max {
-		return max
-	}
-	return n
 }
 
 // ResolveInterval resolves a symbolic interval ref on g's timeline. in is

@@ -105,7 +105,7 @@ func (q *Partial) Key() string {
 	return b.String()
 }
 
-func compilePartial(env Env, workers int, q *Partial) (physOp, int, error) {
+func compilePartial(env Env, q *Partial) (physOp, int, error) {
 	if q.Op.Op != OpProject && q.Op.Op != OpUnion {
 		return nil, 0, errf(env.Query, 0, "",
 			"partial aggregate: operator %q does not decompose across time shards (want project or union)", q.Op.Op)
@@ -129,7 +129,7 @@ func compilePartial(env Env, workers int, q *Partial) (physOp, int, error) {
 		// so the full single-node operator selection — catalog composition,
 		// dense kernels, parallelism, feedback — is reused as the inner
 		// operator and only the result is re-encoded into label space.
-		inner, _, err := compileAggregate(env, workers, &Aggregate{Op: q.Op, Attrs: q.Attrs, Kind: q.Kind})
+		inner, _, err := compileAggregate(env, &Aggregate{Op: q.Op, Attrs: q.Attrs, Kind: q.Kind})
 		if err != nil {
 			return nil, 0, err
 		}
@@ -475,17 +475,16 @@ func (s ShardSlice) interval() string {
 // Scatterer executes one shard slice on its shard and returns the partial.
 // The cluster layer implements it over HTTP; plan stays transport-free.
 type Scatterer interface {
-	Partial(ctx context.Context, slice ShardSlice, attrs []string, kind string, workers int) (*PartialResult, error)
+	Partial(ctx context.Context, slice ShardSlice, attrs []string, kind string) (*PartialResult, error)
 }
 
 // ScatterQuery is a compiled routing decision: a decomposable aggregate
 // and the shard slices that cover its interval(s).
 type ScatterQuery struct {
-	Op      string
-	Attrs   []string
-	Kind    string
-	Workers int
-	Slices  []ShardSlice
+	Op     string
+	Attrs  []string
+	Kind   string
+	Slices []ShardSlice
 }
 
 // Scatter is the logical node of a scattered aggregate, for Explain and
@@ -559,7 +558,7 @@ func (o *shardScatterOp) children() []physOp { return nil }
 func (o *shardScatterOp) countSelection()    { Selections.ShardScatter.Inc() }
 
 func (o *shardScatterOp) fetch(ctx context.Context) (*PartialResult, error) {
-	return o.sc.Partial(ctx, o.slice, o.q.Attrs, o.q.Kind, o.q.Workers)
+	return o.sc.Partial(ctx, o.slice, o.q.Attrs, o.q.Kind)
 }
 
 func (o *shardScatterOp) run(ctx context.Context, out *Result) error {

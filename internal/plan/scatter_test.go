@@ -23,7 +23,7 @@ type localScatterer struct {
 	fail string // shard name whose fetch fails, "" for none
 }
 
-func (s localScatterer) Partial(ctx context.Context, slice plan.ShardSlice, attrs []string, kind string, workers int) (*plan.PartialResult, error) {
+func (s localScatterer) Partial(ctx context.Context, slice plan.ShardSlice, attrs []string, kind string) (*plan.PartialResult, error) {
 	if s.fail != "" && slice.Shard == s.fail {
 		return nil, fmt.Errorf("injected fetch failure")
 	}
@@ -35,7 +35,7 @@ func (s localScatterer) Partial(ctx context.Context, slice plan.ShardSlice, attr
 	if slice.BFrom != "" {
 		node.Op.B = plan.IntervalRef{From: slice.BFrom, To: slice.BTo}
 	}
-	p, err := plan.Compile(plan.Env{Graph: s.g, Workers: workers}, node)
+	p, err := plan.Compile(plan.Env{Graph: s.g}, node)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +97,7 @@ func TestScatterMatchesSingleNode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			single, err := plan.Compile(plan.Env{Graph: g, Workers: 1}, &plan.Aggregate{
+			single, err := plan.Compile(plan.Env{Graph: g}, &plan.Aggregate{
 				Op: plan.TemporalOp{
 					Op: plan.OpUnion,
 					A:  plan.IntervalRef{From: "t0", To: "t1"},
@@ -148,7 +148,7 @@ func TestScatterMatchesSingleNodeOnNastyValues(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			single, err := plan.Compile(plan.Env{Graph: g, Workers: 1}, &plan.Aggregate{
+			single, err := plan.Compile(plan.Env{Graph: g}, &plan.Aggregate{
 				Op:    plan.TemporalOp{Op: plan.OpUnion, A: plan.IntervalRef{From: "t0"}, B: plan.IntervalRef{From: "t1"}},
 				Attrs: attrs, Kind: kind,
 			})
@@ -191,7 +191,7 @@ func TestScatterSingleSliceProject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := plan.Compile(plan.Env{Graph: g, Workers: 1}, &plan.Aggregate{
+	single, err := plan.Compile(plan.Env{Graph: g}, &plan.Aggregate{
 		Op:    plan.TemporalOp{Op: plan.OpProject, A: plan.IntervalRef{From: "t0", To: "t1"}},
 		Attrs: []string{"gender"},
 		Kind:  "dist",

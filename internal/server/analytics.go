@@ -24,9 +24,6 @@ type EventsRequest struct {
 	Width int `json:"width,omitempty"`
 	// Min drops rows whose change magnitude (Gr+Shr) is below it.
 	Min int64 `json:"min,omitempty"`
-	// Workers is accepted for parity with the other endpoints (the events
-	// engines are single-pass; the value only keys the plan cache).
-	Workers int `json:"workers,omitempty"`
 	// AsOf evaluates against the graph as of this transaction; 0 is head.
 	AsOf int `json:"as_of,omitempty"`
 }
@@ -38,7 +35,7 @@ type EventsResponse struct {
 }
 
 func decodeEvents(req *EventsRequest) (query, error) {
-	return query{workers: req.Workers, stmt: tgql.Statement{Node: &plan.Events{
+	return query{stmt: tgql.Statement{Node: &plan.Events{
 		Kind:  req.Kind,
 		Attrs: req.Attrs,
 		Width: req.Width,
@@ -59,9 +56,8 @@ type PathsRequest struct {
 	To   []string `json:"to"`
 	// During restricts departures and traversal to a contiguous window;
 	// absent means the whole timeline.
-	During  IntervalSpec `json:"during,omitempty"`
-	Workers int          `json:"workers,omitempty"`
-	AsOf    int          `json:"as_of,omitempty"`
+	During IntervalSpec `json:"during,omitempty"`
+	AsOf   int          `json:"as_of,omitempty"`
 }
 
 // PathsResponse carries per-target arrivals.
@@ -71,7 +67,7 @@ type PathsResponse struct {
 }
 
 func decodePaths(req *PathsRequest) (query, error) {
-	return query{workers: req.Workers, stmt: tgql.Statement{Node: &plan.Paths{
+	return query{stmt: tgql.Statement{Node: &plan.Paths{
 		Mode:   req.Mode,
 		From:   req.From,
 		To:     req.To,
@@ -91,9 +87,8 @@ type TrendRequest struct {
 	// Kind is dist (default) or all.
 	Kind string `json:"kind,omitempty"`
 	// Width is the sliding window width in time points; 0 selects 1.
-	Width   int `json:"width,omitempty"`
-	Workers int `json:"workers,omitempty"`
-	AsOf    int `json:"as_of,omitempty"`
+	Width int `json:"width,omitempty"`
+	AsOf  int `json:"as_of,omitempty"`
 }
 
 // TrendResponse carries the per-group series.
@@ -103,7 +98,7 @@ type TrendResponse struct {
 }
 
 func decodeTrend(req *TrendRequest) (query, error) {
-	return query{workers: req.Workers, stmt: tgql.Statement{Node: &plan.Trend{
+	return query{stmt: tgql.Statement{Node: &plan.Trend{
 		Kind:  req.Kind,
 		Attrs: req.Attrs,
 		Width: req.Width,

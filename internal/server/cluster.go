@@ -189,7 +189,7 @@ func decodePartial(req *AggregateRequest) (query, error) {
 		// mirror rather than scattering it.
 		return query{}, fmt.Errorf("partial aggregates cannot serve as_of; query the router's mirror")
 	}
-	return query{workers: req.Workers, stmt: tgql.Statement{Node: &plan.Partial{
+	return query{stmt: tgql.Statement{Node: &plan.Partial{
 		Op:    plan.TemporalOp{Op: req.Op, A: req.Interval.ref(), B: req.Interval2.ref()},
 		Attrs: req.Attrs,
 		Kind:  req.Kind,

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -19,14 +20,36 @@ import (
 // errNotReady is returned while a stream-mode server has no data yet.
 var errNotReady = errors.New("server: no time points ingested yet")
 
-// decodeJSON strictly decodes the request body into v, enforcing the
+// errTrailingData rejects a body that goes on after its request object.
+var errTrailingData = errors.New("unexpected data after the request object")
+
+// DecodeJSON strictly decodes one request object from r into v: a field v
+// does not declare is an error, and so is anything but whitespace after the
+// object. The daemon's endpoints and the router's routing decision both
+// decode with it, so a body one of them rejects the other rejects too.
+func DecodeJSON(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	_, err := dec.Token()
+	var mbe *http.MaxBytesError
+	switch {
+	case errors.Is(err, io.EOF):
+		return nil
+	case errors.As(err, &mbe):
+		return err
+	}
+	return errTrailingData
+}
+
+// decodeJSON decodes the request body into v with DecodeJSON, enforcing the
 // configured body size limit. A body over the limit maps to a structured
 // 413 with the limit surfaced in the message; any other decode failure is
 // the client's fault (400).
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) (int, error) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := DecodeJSON(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			return http.StatusRequestEntityTooLarge,
@@ -62,8 +85,6 @@ type AggregateRequest struct {
 	Attrs     []string     `json:"attrs"`
 	// Kind is dist (default) or all.
 	Kind string `json:"kind,omitempty"`
-	// Workers bounds the parallel aggregation; 0 selects GOMAXPROCS.
-	Workers int `json:"workers,omitempty"`
 	// AsOf evaluates the query against the graph as of this transaction
 	// (the txn acknowledged by an earlier ingest); 0 is the live head.
 	AsOf int `json:"as_of,omitempty"`
@@ -85,7 +106,7 @@ type AggregateResponse struct {
 }
 
 func decodeAggregate(req *AggregateRequest) (query, error) {
-	return query{workers: req.Workers, stmt: tgql.Statement{Node: &plan.Aggregate{
+	return query{stmt: tgql.Statement{Node: &plan.Aggregate{
 		Op:    plan.TemporalOp{Op: req.Op, A: req.Interval.ref(), B: req.Interval2.ref()},
 		Attrs: req.Attrs,
 		Kind:  req.Kind,
@@ -116,9 +137,6 @@ type ExploreRequest struct {
 	NodeTuple []string `json:"node_tuple,omitempty"`
 	EdgeFrom  []string `json:"edge_from,omitempty"`
 	EdgeTo    []string `json:"edge_to,omitempty"`
-	// Workers bounds the fast path's parallel evaluator; 0 evaluates
-	// serially, negative selects GOMAXPROCS.
-	Workers int `json:"workers,omitempty"`
 	// AsOf evaluates the exploration against the graph as of this
 	// transaction; 0 is the live head.
 	AsOf int `json:"as_of,omitempty"`
@@ -146,7 +164,7 @@ func decodeExplore(req *ExploreRequest) (query, error) {
 	if req.K < 1 {
 		return query{}, fmt.Errorf("k must be >= 1, got %d", req.K)
 	}
-	return query{workers: req.Workers, stmt: tgql.Statement{Node: &plan.Explore{
+	return query{stmt: tgql.Statement{Node: &plan.Explore{
 		Event:     req.Event,
 		Attrs:     req.Attrs,
 		Kind:      req.Kind,
@@ -209,7 +227,7 @@ func decodeStatement(text string, asOf int) (query, error) {
 		text = fmt.Sprintf("%s AS OF %d", text, asOf)
 	}
 	stmt, err := tgql.Lower(text)
-	return query{stmt: stmt, workers: 1, text: text}, err
+	return query{stmt: stmt, text: text}, err
 }
 
 func encodeTGQL(w http.ResponseWriter, q query, a answer) (int, error) {

@@ -28,9 +28,8 @@ type query struct {
 	// plan: serve skips compile and execute, and the TGQL encoder computes
 	// them over the serving graph (tgql.Statement.Result) — the pipeline's
 	// one side door.
-	stmt    tgql.Statement
-	workers int
-	text    string // TGQL source: resolution errors carry line:col
+	stmt tgql.Statement
+	text string // TGQL source: resolution errors carry line:col
 }
 
 // answer is what serve hands an encoder.
@@ -120,8 +119,8 @@ func serve[R any](s *Server, decode func(*R) (query, error), encode encoder) api
 			// The plan cache is generation-keyed on the snapshot identity (a
 			// rebuild flushes it); feedback adapts selections to observed
 			// cardinalities; s resolves AS OF / VALID DURING states.
-			a.plan, err = plan.Compile(plan.Env{Graph: st.g, Catalog: st.cat, Workers: q.workers,
-				Query: q.text, Cache: s.plans, Feedback: s.fback, History: s}, q.stmt.Node)
+			a.plan, err = plan.Compile(plan.Env{Graph: st.g, Catalog: st.cat, Query: q.text,
+				Cache: s.plans, Feedback: s.fback, History: s}, q.stmt.Node)
 			w.stages.compile = clock.lap()
 			if err != nil {
 				return http.StatusBadRequest, err

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -455,40 +454,103 @@ func TestDeadlinePropagation(t *testing.T) {
 }
 
 // TestWorkersClamped checks that a client cannot dictate engine
-// parallelism: an absurd workers value is capped at GOMAXPROCS (the
-// engines allocate per-worker state, so honoring it verbatim would let a
-// single request exhaust memory), and the capped request still answers
-// correctly.
+// parallelism: the planner alone decides it, so no query endpoint declares
+// a workers field and a body that still carries one is a 400 naming it,
+// like any other unknown field.
 func TestWorkersClamped(t *testing.T) {
-	if got, want := plan.ClampWorkers(1<<30), runtime.GOMAXPROCS(0); got != want {
-		t.Fatalf("ClampWorkers(1<<30) = %d, want %d", got, want)
-	}
-	for _, n := range []int{-1, 0, 1} {
-		if got := plan.ClampWorkers(n); got != n {
-			t.Fatalf("ClampWorkers(%d) = %d, want unchanged", n, got)
+	s, _ := newStaticServer(t)
+	for path, body := range map[string]string{
+		"/v1/aggregate":         `{"op":"union","interval":{"from":"t0"},"interval2":{"from":"t1"},"attrs":["gender"],"workers":2}`,
+		"/v1/partial/aggregate": `{"op":"union","interval":{"from":"t0"},"interval2":{"from":"t1"},"attrs":["gender"],"workers":2}`,
+		"/v1/explore":           `{"event":"stability","k":2,"attrs":["gender"],"workers":2}`,
+		"/v1/events":            `{"attrs":["gender"],"workers":2}`,
+		"/v1/paths":             `{"from":["u1"],"to":["u2"],"workers":2}`,
+		"/v1/trend":             `{"attrs":["gender"],"workers":2}`,
+	} {
+		rec := post(s.Handler(), path, body)
+		want := `{"error":{"code":"bad_request","message":"bad request body: json: unknown field \"workers\""}}` + "\n"
+		if rec.Code != http.StatusBadRequest || rec.Body.String() != want {
+			t.Errorf("%s with workers = %d %s, want 400 %s", path, rec.Code, rec.Body, want)
 		}
 	}
+}
 
-	_, ts := newStaticServer(t)
-	code, data := postJSON(t, ts.URL+"/v1/aggregate", AggregateRequest{
-		Op: "union", Interval: IntervalSpec{From: "t0"}, Interval2: IntervalSpec{From: "t1"},
-		Attrs: []string{"gender"}, Workers: 1 << 30,
-	})
-	if code != 200 {
-		t.Fatalf("clamped aggregate = %d: %s", code, data)
+// TestOneQueryOneCacheEntry: parallelism is the planner's call, not part of
+// the query, so one aggregate asked on /v1/aggregate and then as TGQL is one
+// plan — one cache miss, then hits — and EXPLAIN renders the same plan
+// whichever entry point's form it is compiled from.
+func TestOneQueryOneCacheEntry(t *testing.T) {
+	s, _ := newStaticServer(t)
+	const (
+		wire = `{"op":"union","interval":{"from":"t0"},"interval2":{"from":"t1"},"attrs":["gender"],"kind":"all"}`
+		stmt = "AGG ALL gender ON UNION(t0, t1)"
+	)
+	misses, hits := plan.CacheMisses.Value(), plan.CacheHits.Value()
+	if rec := post(s.Handler(), "/v1/aggregate", wire); rec.Code != http.StatusOK {
+		t.Fatalf("aggregate = %d %s", rec.Code, rec.Body)
 	}
-	code, data = postJSON(t, ts.URL+"/v1/explore", ExploreRequest{
-		Event: "stability", K: 2, Attrs: []string{"gender"}, Workers: 1 << 30,
-	})
-	if code != 200 {
-		t.Fatalf("clamped explore = %d: %s", code, data)
+	if got := plan.CacheMisses.Value() - misses; got != 1 {
+		t.Fatalf("aggregate: %d cache misses, want 1", got)
 	}
-	var resp ExploreResponse
-	if err := json.Unmarshal(data, &resp); err != nil {
+	rec := post(s.Handler(), "/v1/explain", `{"query":"`+stmt+`"}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("explain = %d %s", rec.Code, rec.Body)
+	}
+	if rec := post(s.Handler(), "/v1/tgql", `{"query":"`+stmt+`"}`); rec.Code != http.StatusOK {
+		t.Fatalf("tgql = %d %s", rec.Code, rec.Body)
+	}
+	if m, h := plan.CacheMisses.Value()-misses, plan.CacheHits.Value()-hits; m != 1 || h != 2 || s.plans.Len() != 1 {
+		t.Fatalf("one query took %d misses, %d hits, %d cache entries; want 1, 2, 1", m, h, s.plans.Len())
+	}
+
+	var req AggregateRequest
+	if err := json.Unmarshal([]byte(wire), &req); err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Pairs) == 0 {
-		t.Fatal("clamped explore found no pairs")
+	q, err := decodeAggregate(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.current()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := plan.Compile(plan.Env{Graph: st.g, Catalog: st.cat}, q.stmt.Node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var explained ExplainResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &explained); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(explained.Plan, "workers") || explained.Plan != p.Explain() {
+		t.Fatalf("EXPLAIN of the TGQL form:\n%s\nof the wire form:\n%s", explained.Plan, p.Explain())
+	}
+}
+
+// TestTrailingDataRejected: a body is exactly one request object. Trailing
+// whitespace is fine; anything else after the object — garbage or a second
+// object — is a 400 rather than an answer to the first object.
+func TestTrailingDataRejected(t *testing.T) {
+	s, _ := newStaticServer(t)
+	const obj = `{"op":"union","interval":{"from":"t0"},"interval2":{"from":"t1"},"attrs":["gender"]}`
+	for _, tc := range []struct {
+		body string
+		code int
+	}{
+		{obj, http.StatusOK},
+		{obj + " \n\t", http.StatusOK},
+		{obj + " trailing", http.StatusBadRequest},
+		{obj + obj, http.StatusBadRequest},
+		{obj + "}", http.StatusBadRequest},
+	} {
+		rec := post(s.Handler(), "/v1/aggregate", tc.body)
+		if rec.Code != tc.code {
+			t.Errorf("%q = %d %s, want %d", tc.body, rec.Code, rec.Body, tc.code)
+		}
+		if tc.code == http.StatusBadRequest && !strings.Contains(rec.Body.String(), "unexpected data after the request object") {
+			t.Errorf("%q: %s does not name the trailing data", tc.body, rec.Body)
+		}
 	}
 }
 

@@ -165,19 +165,20 @@ func Exec(g *core.Graph, query string) (*Result, error) {
 // or the caller disconnects, returning ctx.Err() instead of a result. A nil
 // error guarantees the same result Exec reports.
 //
-// Queries run serially (one aggregation worker); serving layers that want
-// parallelism, catalog-backed reuse or plan caching pass those facilities
-// through ExecEnv.
+// Queries compile to the plan the daemon would pick: an aggregation runs on
+// GOMAXPROCS workers exactly when its view is past the parallel crossover.
+// Serving layers that want catalog-backed reuse, plan caching or feedback
+// pass those facilities through ExecEnv.
 func ExecCtx(ctx context.Context, g *core.Graph, query string) (*Result, error) {
-	return ExecEnv(ctx, plan.Env{Graph: g, Workers: 1}, query)
+	return ExecEnv(ctx, plan.Env{Graph: g}, query)
 }
 
 // ExecEnv parses one statement and executes it through the query planner:
 // parse → logical plan (Lower) → physical plan (plan.Compile's cost model
 // selects the operators) → execute → Result. The environment supplies the
 // graph and the optional serving facilities — a materialization catalog
-// (unlocks the catalog-backed union-ALL operator), a plan cache, a workers
-// budget. graphtempod runs the same four steps itself, around its own
+// (unlocks the catalog-backed union-ALL operator), a plan cache, a feedback
+// store. graphtempod runs the same four steps itself, around its own
 // instrumentation, from the same Statement.
 func ExecEnv(ctx context.Context, env plan.Env, query string) (*Result, error) {
 	st, err := Lower(query)
@@ -287,8 +288,8 @@ func PlanEnv(env plan.Env, query string) (*plan.Plan, error) {
 	return plan.Compile(env, st.Node)
 }
 
-// PlanQuery compiles one statement against g with the same serial
-// environment ExecCtx executes under.
+// PlanQuery compiles one statement against g with the same environment
+// ExecCtx executes under.
 func PlanQuery(g *core.Graph, query string) (*plan.Plan, error) {
-	return PlanEnv(plan.Env{Graph: g, Workers: 1}, query)
+	return PlanEnv(plan.Env{Graph: g}, query)
 }

@@ -96,7 +96,7 @@ func TestTemporalClausesParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := plan.Env{Graph: live, Workers: 1, History: replayResolver{s}}
+	env := plan.Env{Graph: live, History: replayResolver{s}}
 	queries := []string{
 		"AGG DIST gender ON POINT t0 AS OF 1",
 		"AGG DIST gender ON POINT t0 VALID DURING t0..t1 AS OF 2",
@@ -129,7 +129,7 @@ func TestAsOfMatchesReplayedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := plan.Env{Graph: live, Workers: 1, History: replayResolver{s}}
+	env := plan.Env{Graph: live, History: replayResolver{s}}
 	res, err := ExecEnv(context.Background(), env, "AGG DIST gender ON UNION(t0, t1) AS OF 2")
 	if err != nil {
 		t.Fatal(err)
