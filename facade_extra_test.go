@@ -2,7 +2,6 @@ package graphtempo_test
 
 import (
 	"bytes"
-	"context"
 	"strings"
 	"testing"
 
@@ -29,55 +28,28 @@ func TestFacadeQueryLanguage(t *testing.T) {
 	}
 }
 
+// TestFacadeMeasureAndFiltered: numeric measures and appearance filters
+// reach library users as TGQL clauses.
 func TestFacadeMeasureAndFiltered(t *testing.T) {
 	g := graphtempo.PaperExample()
 	s := mustByName(t, g, "gender")
-	v := graphtempo.At(g, 0)
 
-	mg, err := graphtempo.AggregateMeasure(v, s, g.MustAttr("publications"), graphtempo.MeasureMax)
+	r, err := graphtempo.Query(g, "AGG DIST gender ON POINT t0 MEASURE MAX(publications)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	m, _ := s.Encode("m")
-	if got, ok := mg.Value(m); !ok || got != 3 {
+	if got, ok := r.Measure.Value(m); !ok || got != 3 {
 		t.Errorf("MAX(m) = %v, want 3", got)
 	}
 
-	pubs := g.MustAttr("publications")
-	filtered := graphtempo.AggregateFiltered(v, s, graphtempo.Distinct,
-		func(n graphtempo.NodeID, tp graphtempo.Time) bool {
-			return g.ValueString(pubs, n, tp) == "1"
-		})
+	r, err = graphtempo.Query(g, "AGG DIST gender ON POINT t0 WHERE publications = 1")
+	if err != nil {
+		t.Fatal(err)
+	}
 	f, _ := s.Encode("f")
-	if filtered.NodeWeight(f) != 2 {
-		t.Errorf("filtered w(f) = %d, want 2 (u2, u3)", filtered.NodeWeight(f))
-	}
-	// Nil filter falls back to plain aggregation.
-	if !graphtempo.AggregateFiltered(v, s, graphtempo.Distinct, nil).
-		Equal(graphtempo.Aggregate(v, s, graphtempo.Distinct)) {
-		t.Error("nil filter should equal Aggregate")
-	}
-}
-
-func TestFacadeParallelAggregation(t *testing.T) {
-	g := graphtempo.DBLPScaled(1, 0.02)
-	tl := g.Timeline()
-	v := graphtempo.Union(g, tl.All(), tl.All())
-	s := mustByName(t, g, "gender", "publications")
-	got := graphtempo.AggregateParallel(v, s, graphtempo.All, 4)
-	want := graphtempo.Aggregate(v, s, graphtempo.All)
-	if !got.Equal(want) {
-		t.Fatal("facade parallel aggregation differs")
-	}
-
-	ctxGot, err := graphtempo.AggregateParallelCtx(context.Background(), v, s, graphtempo.All, 4)
-	if err != nil || !ctxGot.Equal(want) {
-		t.Fatalf("facade ctx aggregation: err %v, equal %v", err, ctxGot.Equal(want))
-	}
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := graphtempo.AggregateParallelCtx(canceled, v, s, graphtempo.All, 4); err != context.Canceled {
-		t.Fatalf("canceled ctx aggregation returned %v, want context.Canceled", err)
+	if r.Agg.NodeWeight(f) != 2 {
+		t.Errorf("filtered w(f) = %d, want 2 (u2, u3)", r.Agg.NodeWeight(f))
 	}
 }
 
@@ -85,16 +57,8 @@ func TestFacadeDOTOutput(t *testing.T) {
 	g := graphtempo.PaperExample()
 	tl := g.Timeline()
 	s := mustByName(t, g, "gender")
-	ag := graphtempo.Aggregate(graphtempo.At(g, 0), s, graphtempo.Distinct)
-	var buf bytes.Buffer
-	if err := graphtempo.WriteAggregateDOT(&buf, ag); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "digraph aggregate") {
-		t.Error("aggregate DOT malformed")
-	}
 	ev := graphtempo.AggregateEvolution(g, tl.Point(0), tl.Point(1), s, graphtempo.Distinct, nil)
-	buf.Reset()
+	var buf bytes.Buffer
 	if err := graphtempo.WriteEvolutionDOT(&buf, ev); err != nil {
 		t.Fatal(err)
 	}
@@ -105,15 +69,13 @@ func TestFacadeDOTOutput(t *testing.T) {
 
 func TestFacadeEvolutionTimelineAndTopTuples(t *testing.T) {
 	g := graphtempo.PaperExample()
-	s := mustByName(t, g, "gender")
-	steps := graphtempo.EvolutionTimeline(g, s, graphtempo.Distinct, nil)
-	if len(steps) != 2 || steps[0].NodeSt != 3 {
-		t.Fatalf("timeline = %+v", steps)
+	r, err := graphtempo.Query(g, "TIMELINE BY gender")
+	if err != nil || len(r.Timeline) != 2 || r.Timeline[0].NodeSt != 3 {
+		t.Fatalf("timeline = %+v, err %v", r.Timeline, err)
 	}
-	ex := &graphtempo.Explorer{Graph: g, Schema: s, Kind: graphtempo.Distinct, Result: graphtempo.TotalEdges}
-	top := graphtempo.TopEdgeTuples(ex, graphtempo.Growth, 1)
-	if len(top) != 1 || top[0].Peak != 2 {
-		t.Fatalf("top = %+v", top)
+	r, err = graphtempo.Query(g, "TOP 1 GROWTH BY gender")
+	if err != nil || len(r.Top) != 1 || r.Top[0].Peak != 2 {
+		t.Fatalf("top = %+v, err %v", r.Top, err)
 	}
 }
 

@@ -33,7 +33,6 @@
 package graphtempo
 
 import (
-	"context"
 	"io"
 
 	"repro/internal/agg"
@@ -55,20 +54,14 @@ import (
 type (
 	// Graph is an immutable temporal attributed graph.
 	Graph = core.Graph
-	// Builder assembles a Graph.
-	Builder = core.Builder
 	// NodeID indexes a node within one graph.
 	NodeID = core.NodeID
 	// EdgeID indexes an edge within one graph.
 	EdgeID = core.EdgeID
-	// Endpoints identifies a directed edge by its endpoint ids.
-	Endpoints = core.Endpoints
 	// AttrID indexes an attribute within a graph's schema.
 	AttrID = core.AttrID
 	// AttrSpec describes one node attribute (name and kind).
 	AttrSpec = core.AttrSpec
-	// AttrKind distinguishes static from time-varying attributes.
-	AttrKind = core.AttrKind
 	// Stats summarizes a graph per time point (Tables 3–4).
 	Stats = core.Stats
 )
@@ -95,16 +88,10 @@ type (
 	AggGraph = agg.Graph
 	// AggKind selects DIST or ALL counting.
 	AggKind = agg.Kind
-	// Tuple encodes one attribute-value combination.
-	Tuple = agg.Tuple
-	// AggEdgeKey identifies an aggregate edge by its endpoint tuples.
-	AggEdgeKey = agg.EdgeKey
 )
 
 // Evolution and exploration types.
 type (
-	// EvolutionView is the evolution graph G> between two intervals.
-	EvolutionView = evolution.View
 	// EvolutionAgg is an aggregated evolution graph with St/Gr/Shr weights.
 	EvolutionAgg = evolution.Agg
 	// EvolutionWeights is a (stability, growth, shrinkage) triple.
@@ -131,15 +118,6 @@ type (
 	MatStore = materialize.Store
 	// MatCatalog serves aggregate queries from materialized results.
 	MatCatalog = materialize.Catalog
-	// MatSource reports how a catalog answered a request.
-	MatSource = materialize.Source
-	// MatCatalogConfig sizes a catalog's serving cache.
-	MatCatalogConfig = materialize.CatalogConfig
-	// MatStats is an atomic snapshot of a catalog's counters.
-	MatStats = materialize.Stats
-	// EvalMemo is an opt-in cross-run cache of exploration candidate
-	// evaluations (used automatically by TuneK).
-	EvalMemo = explore.EvalMemo
 	// CoarsenSpec describes a zoom-out of the time axis.
 	CoarsenSpec = core.CoarsenSpec
 )
@@ -170,15 +148,6 @@ const (
 	ExtendOld             = explore.ExtendOld
 	ExtendNew             = explore.ExtendNew
 )
-
-// NewTimeline returns a timeline with the given point labels, in order.
-func NewTimeline(labels ...string) (*Timeline, error) { return timeline.New(labels...) }
-
-// NewBuilder returns a builder for a graph over tl with the given schema.
-func NewBuilder(tl *Timeline, attrs ...AttrSpec) *Builder { return core.NewBuilder(tl, attrs...) }
-
-// ReadGraphDir loads a graph from the CSV directory format of WriteGraphDir.
-func ReadGraphDir(dir string) (*Graph, error) { return core.ReadDir(dir) }
 
 // WriteGraphDir writes a graph as labeled-array CSV files (Table 2 layout).
 func WriteGraphDir(g *Graph, dir string) error { return core.WriteDir(g, dir) }
@@ -217,40 +186,13 @@ func StabilityView(g *Graph, old, new Sel) *View { return ops.StabilityView(g, o
 // DifferenceView generalizes Difference to selector semantics.
 func DifferenceView(g *Graph, pos, neg Sel) *View { return ops.DifferenceView(g, pos, neg) }
 
-// Materialize copies a view out into a standalone graph (Algorithm 1).
-func Materialize(v *View) (*Graph, error) { return ops.Materialize(v) }
-
 // Aggregation (§2.2, Algorithm 2).
-
-// NewSchema returns an aggregation schema on the given attributes.
-func NewSchema(g *Graph, attrs ...AttrID) (*AggSchema, error) { return agg.NewSchema(g, attrs...) }
 
 // SchemaByName builds an aggregation schema from attribute names.
 func SchemaByName(g *Graph, names ...string) (*AggSchema, error) { return agg.ByName(g, names...) }
 
 // Aggregate computes the aggregate graph of a view.
 func Aggregate(v *View, s *AggSchema, kind AggKind) *AggGraph { return agg.Aggregate(v, s, kind) }
-
-// AggregateParallel is Aggregate with sharded multi-goroutine execution;
-// workers ≤ 0 selects GOMAXPROCS.
-func AggregateParallel(v *View, s *AggSchema, kind AggKind, workers int) *AggGraph {
-	return agg.AggregateParallel(v, s, kind, workers)
-}
-
-// AggregateParallelCtx is AggregateParallel under a context deadline: the
-// kernels poll ctx between chunks and the call returns ctx.Err() when it
-// expires mid-aggregation. This is the entry point graphtempod serves
-// requests through.
-func AggregateParallelCtx(ctx context.Context, v *View, s *AggSchema, kind AggKind, workers int) (*AggGraph, error) {
-	return agg.AggregateParallelCtx(ctx, v, s, kind, workers)
-}
-
-// AggregateFiltered is Aggregate restricted to the (node, time)
-// appearances admitted by filter (nil admits everything).
-func AggregateFiltered(v *View, s *AggSchema, kind AggKind, filter NodeFilter) *AggGraph {
-	ag, _ := agg.AggregateFiltered(context.Background(), v, s, kind, agg.Filter(filter))
-	return ag
-}
 
 // Query parses and executes one TGQL statement against g, e.g.
 //
@@ -287,34 +229,10 @@ func Rollup(ag *AggGraph, attrs ...AttrID) (*AggGraph, error) { return agg.Rollu
 
 // Evolution (§2.3).
 
-// NewEvolutionView builds the evolution graph between told and tnew.
-func NewEvolutionView(g *Graph, told, tnew Interval) *EvolutionView {
-	return evolution.NewView(g, told, tnew)
-}
-
 // AggregateEvolution computes the aggregated evolution graph with
 // stability/growth/shrinkage weight triples; filter may be nil.
 func AggregateEvolution(g *Graph, told, tnew Interval, s *AggSchema, kind AggKind, filter NodeFilter) *EvolutionAgg {
 	return evolution.Aggregate(g, told, tnew, s, kind, filter)
-}
-
-// EvolutionTimelineStep summarizes the evolution between one consecutive
-// pair of time points (per-class node and edge totals).
-type EvolutionTimelineStep = evolution.TimelineStep
-
-// EvolutionTimeline computes the step-by-step evolution profile over all
-// consecutive time-point pairs.
-func EvolutionTimeline(g *Graph, s *AggSchema, kind AggKind, filter NodeFilter) []EvolutionTimelineStep {
-	return evolution.Timeline(g, s, kind, filter)
-}
-
-// TupleScore is one ranked attribute group from TopEdgeTuples.
-type TupleScore = explore.TupleScore
-
-// TopEdgeTuples ranks aggregate edges (attribute groups) by their peak
-// event count across consecutive interval pairs.
-func TopEdgeTuples(ex *Explorer, event EvolutionClass, n int) []TupleScore {
-	return explore.TopEdgeTuples(ex, event, n)
 }
 
 // Exploration measures (§3.2).
@@ -324,11 +242,6 @@ var (
 	// TotalEdges counts all aggregate edge weight.
 	TotalEdges = explore.TotalEdges
 )
-
-// NodeTupleResult counts the weight of one aggregate node.
-func NodeTupleResult(s *AggSchema, values ...string) (ResultMeasure, error) {
-	return explore.NodeTuple(s, values...)
-}
 
 // EdgeTupleResult counts the weight of one aggregate edge.
 func EdgeTupleResult(s *AggSchema, from, to []string) (ResultMeasure, error) {
@@ -342,16 +255,6 @@ func NewMatStore(g *Graph, s *AggSchema) *MatStore { return materialize.NewStore
 
 // NewMatCatalog returns an empty materialization catalog over g.
 func NewMatCatalog(g *Graph) *MatCatalog { return materialize.NewCatalog(g) }
-
-// NewMatCatalogWith returns an empty materialization catalog over g with
-// an explicit cache configuration.
-func NewMatCatalogWith(g *Graph, cfg MatCatalogConfig) *MatCatalog {
-	return materialize.NewCatalogWith(g, cfg)
-}
-
-// NewEvalMemo returns an exploration evaluation memo with the given byte
-// budget (<= 0 selects the default).
-func NewEvalMemo(maxBytes int64) *EvalMemo { return explore.NewEvalMemo(maxBytes) }
 
 // Coarsen zooms out on the time axis per spec (union existence semantics;
 // latest value per group for time-varying attributes).
@@ -374,28 +277,10 @@ type (
 	StreamNode = stream.NodeRecord
 	// StreamEdge describes one interaction at an ingested time point.
 	StreamEdge = stream.EdgeRecord
-	// MeasureGraph is an aggregate graph carrying a numeric measure
-	// (SUM/AVG/MIN/MAX of a node attribute) instead of a count.
-	MeasureGraph = agg.MeasureGraph
-	// MeasureFn selects the numeric aggregate function.
-	MeasureFn = agg.Measure
-)
-
-// Numeric measures (§2.2's "other aggregations may be supported").
-const (
-	MeasureSum = agg.Sum
-	MeasureAvg = agg.Avg
-	MeasureMin = agg.Min
-	MeasureMax = agg.Max
 )
 
 // NewStreamSeries returns an empty ingestion series with the given schema.
 func NewStreamSeries(attrs ...AttrSpec) *StreamSeries { return stream.New(attrs...) }
-
-// AggregateMeasure computes a numeric measure of attr per aggregate node.
-func AggregateMeasure(v *View, s *AggSchema, attr AttrID, m MeasureFn) (*MeasureGraph, error) {
-	return agg.AggregateMeasure(v, s, attr, m)
-}
 
 // Durable persistence (binary snapshots + write-ahead log).
 type (
@@ -409,45 +294,15 @@ type (
 	StorageOptions = storage.Options
 	// StorageSnapshot is the decoded content of one binary snapshot file.
 	StorageSnapshot = storage.Snapshot
-	// StorageStats is a point-in-time snapshot of a StorageEngine's
-	// counters.
-	StorageStats = storage.Stats
-	// StorageRecoveryInfo describes what one StorageEngine boot recovered.
-	StorageRecoveryInfo = storage.RecoveryInfo
-	// FsyncPolicy selects when WAL appends reach stable storage.
-	FsyncPolicy = storage.FsyncPolicy
-)
-
-// WAL fsync policies.
-const (
-	// FsyncAlways syncs before every ingest acknowledgement.
-	FsyncAlways = storage.FsyncAlways
-	// FsyncInterval syncs on a background timer.
-	FsyncInterval = storage.FsyncInterval
-	// FsyncNever leaves flushing to the OS page cache.
-	FsyncNever = storage.FsyncNever
 )
 
 // Save writes g — and optionally materialized stores over g — to w in the
 // versioned, checksummed binary snapshot format.
 func Save(w io.Writer, g *Graph, stores ...*MatStore) error { return storage.Save(w, g, stores...) }
 
-// SaveFile writes a binary snapshot atomically (temp file + rename), so
-// concurrent readers only ever observe a complete file.
-func SaveFile(path string, g *Graph, stores ...*MatStore) error {
-	return storage.SaveFile(path, g, stores...)
-}
-
 // Load reads a binary snapshot. It never panics on malformed input; all
-// failures wrap the typed storage errors (see LoadFile for the file form).
+// failures wrap the typed storage errors.
 func Load(r io.Reader) (*StorageSnapshot, error) { return storage.Load(r) }
-
-// LoadFile reads a binary snapshot file written by SaveFile or gtgen
-// -format=binary.
-func LoadFile(path string) (*StorageSnapshot, error) { return storage.LoadFile(path) }
-
-// LoadGraphFile is LoadFile returning only the graph.
-func LoadGraphFile(path string) (*Graph, error) { return storage.LoadGraph(path) }
 
 // OpenStorage recovers (or initializes) a durable data directory for a
 // stream with the given attribute schema: latest snapshot + WAL replay
@@ -456,20 +311,6 @@ func LoadGraphFile(path string) (*Graph, error) { return storage.LoadGraph(path)
 func OpenStorage(dir string, attrs []AttrSpec, opts StorageOptions) (*StorageEngine, error) {
 	return storage.Open(dir, attrs, opts)
 }
-
-// ParseFsyncPolicy parses "always", "interval" or "never".
-func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return storage.ParseFsyncPolicy(s) }
-
-// WindowGraph restricts g to the valid-time window [from, to] (inclusive
-// timeline indices): the subgraph of nodes and interactions alive inside
-// the window, with the timeline cut down to it. This is the library form of
-// TGQL's VALID DURING clause; combine with StreamSeries.ReplayTo or
-// StorageEngine.ReplayTo for full bi-temporal (AS OF + VALID DURING)
-// reconstruction.
-func WindowGraph(g *Graph, from, to int) (*Graph, error) { return core.Window(g, from, to) }
-
-// WriteAggregateDOT renders an aggregate graph in Graphviz DOT format.
-func WriteAggregateDOT(w io.Writer, ag *AggGraph) error { return dot.WriteAggregate(w, ag) }
 
 // WriteEvolutionDOT renders an aggregated evolution graph in DOT format,
 // colored by event type as in the paper's Fig. 4.
@@ -480,16 +321,12 @@ func WriteEvolutionDOT(w io.Writer, ev *EvolutionAgg) error { return dot.WriteEv
 // PaperExample returns the running example of Figs. 1–4 / Table 2.
 func PaperExample() *Graph { return core.PaperExample() }
 
-// DBLP generates the synthetic DBLP collaboration graph (Table 3 sizes).
-func DBLP(seed int64) *Graph { return dataset.DBLP(seed) }
-
-// DBLPScaled generates DBLP with counts scaled by the given factor.
+// DBLPScaled generates the synthetic DBLP collaboration graph (Table 3
+// sizes at scale 1) with counts scaled by the given factor.
 func DBLPScaled(seed int64, scale float64) *Graph { return dataset.DBLPScaled(seed, scale) }
 
-// MovieLens generates the synthetic MovieLens co-rating graph (Table 4).
-func MovieLens(seed int64) *Graph { return dataset.MovieLens(seed) }
-
-// MovieLensScaled generates MovieLens with counts scaled by the factor.
+// MovieLensScaled generates the synthetic MovieLens co-rating graph
+// (Table 4 sizes at scale 1) with counts scaled by the given factor.
 func MovieLensScaled(seed int64, scale float64) *Graph { return dataset.MovieLensScaled(seed, scale) }
 
 // SchoolContacts generates the school contact network of the §1 epidemic

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	graphtempo "repro"
+	"repro/internal/core"
+	"repro/internal/timeline"
 )
 
 // TestFacadeEndToEnd drives the whole public API surface on the paper's
@@ -77,12 +79,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFacadeBuilderAndIO writes a built graph through the facade and reads
+// it back.
 func TestFacadeBuilderAndIO(t *testing.T) {
-	tl, err := graphtempo.NewTimeline("jan", "feb")
+	tl, err := timeline.New("jan", "feb")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := graphtempo.NewBuilder(tl,
+	b := core.NewBuilder(tl,
 		graphtempo.AttrSpec{Name: "team", Kind: graphtempo.Static})
 	n1 := b.AddNode("alice")
 	n2 := b.AddNode("bob")
@@ -102,7 +106,7 @@ func TestFacadeBuilderAndIO(t *testing.T) {
 	if err := graphtempo.WriteGraphDir(g, dir); err != nil {
 		t.Fatal(err)
 	}
-	back, err := graphtempo.ReadGraphDir(dir)
+	back, err := core.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,14 +143,6 @@ func TestFacadeDatasets(t *testing.T) {
 	if dv.NumEdges() == 0 {
 		t.Error("difference view should find new co-ratings")
 	}
-	// Materialize an operator output back into a graph.
-	mg, err := graphtempo.Materialize(graphtempo.At(d, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mg.NumNodes() == 0 {
-		t.Error("materialized projection is empty")
-	}
 	// Rollup via facade.
 	s, _ := graphtempo.SchemaByName(m, "gender", "age")
 	ag := graphtempo.Aggregate(graphtempo.At(m, 0), s, graphtempo.Distinct)
@@ -159,9 +155,9 @@ func TestFacadeDatasets(t *testing.T) {
 		t.Error("facade rollup differs from direct aggregation")
 	}
 	// Result-func facades.
-	if _, err := graphtempo.NodeTupleResult(s, "F", "zz"); err == nil ||
+	if _, err := graphtempo.EdgeTupleResult(s, []string{"F", "zz"}, []string{"F", "zz"}); err == nil ||
 		!strings.Contains(err.Error(), "domain") {
-		t.Error("NodeTupleResult should reject out-of-domain values")
+		t.Error("EdgeTupleResult should reject out-of-domain values")
 	}
 }
 

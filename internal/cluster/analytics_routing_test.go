@@ -11,64 +11,43 @@ import (
 )
 
 // The analytics family (EVENTS/PATHS/TREND) is never scattered: the
-// router answers every analytics request from its full-timeline mirror,
+// router answers every analytics statement from its full-timeline mirror,
 // byte-identical to a single node holding the whole series, and a shard
 // daemon (Partial) refuses analytics outright with the typed 400.
 
 func TestAnalyticsMirrorByteIdentity(t *testing.T) {
 	routerURL, refURL, _ := startCluster(t, 3)
 
-	check := func(path string, req any) {
-		t.Helper()
-		code, refData, _ := postJSON(t, refURL+path, req)
-		if code != 200 {
-			t.Fatalf("single %s = %d: %s", path, code, refData)
-		}
-		code, gotData, hdr := postJSON(t, routerURL+path, req)
-		if code != 200 {
-			t.Fatalf("router %s = %d: %s", path, code, gotData)
-		}
-		if route := hdr.Get("X-Gt-Route"); route != "mirror" {
-			t.Errorf("%s route = %q, want mirror", path, route)
-		}
-		if b, a := stripElapsed(t, refData), stripElapsed(t, gotData); !bytes.Equal(b, a) {
-			t.Errorf("%s diverged:\n single %s\n router %s", path, b, a)
-		}
-	}
-
-	check("/v1/events", server.EventsRequest{Attrs: []string{"gender"}, Width: 2})
-	check("/v1/paths", server.PathsRequest{
-		Mode: "fastest", From: []string{"u1"}, To: []string{"u5"},
-	})
-	check("/v1/trend", server.TrendRequest{Attrs: []string{"gender"}, Kind: "all", Width: 3})
-
-	// The statement forms ride /v1/tgql — same mirror, same bytes. The
-	// window splits across the shard cut at t3, which only the mirror's
-	// full timeline can answer.
+	// The windows split across the shard cut at t3, which only the
+	// mirror's full timeline can answer.
 	for _, q := range []string{
 		"EVENTS DIST BY gender WIDTH 2",
+		"PATHS FASTEST FROM u1 TO u5",
 		"PATHS EARLIEST FROM u1 TO u5 DURING t1..t4",
 		"TREND ALL BY gender WIDTH 3",
 	} {
 		req := server.TGQLRequest{Query: q}
 		code, refData, _ := postJSON(t, refURL+"/v1/tgql", req)
 		if code != 200 {
-			t.Fatalf("single tgql %q = %d: %s", q, code, refData)
+			t.Fatalf("single %q = %d: %s", q, code, refData)
 		}
-		code, gotData, _ := postJSON(t, routerURL+"/v1/tgql", req)
+		code, gotData, hdr := postJSON(t, routerURL+"/v1/tgql", req)
 		if code != 200 {
-			t.Fatalf("router tgql %q = %d: %s", q, code, gotData)
+			t.Fatalf("router %q = %d: %s", q, code, gotData)
+		}
+		if route := hdr.Get("X-Gt-Route"); route != "mirror" {
+			t.Errorf("%q route = %q, want mirror", q, route)
 		}
 		if !bytes.Equal(refData, gotData) {
-			t.Errorf("tgql %q diverged:\n single %s\n router %s", q, refData, gotData)
+			t.Errorf("%q diverged:\n single %s\n router %s", q, refData, gotData)
 		}
 	}
 
 	// Compile errors keep their exact single-node envelopes too.
-	bad := server.PathsRequest{From: []string{"u1"}, To: []string{"nobody"}}
-	refCode, refErr, _ := postJSON(t, refURL+"/v1/paths", bad)
-	gotCode, gotErr, _ := postJSON(t, routerURL+"/v1/paths", bad)
-	if refCode != gotCode || !bytes.Equal(refErr, gotErr) {
+	bad := server.TGQLRequest{Query: "PATHS EARLIEST FROM u1 TO nobody"}
+	refCode, refErr, _ := postJSON(t, refURL+"/v1/tgql", bad)
+	gotCode, gotErr, _ := postJSON(t, routerURL+"/v1/tgql", bad)
+	if refCode != 400 || refCode != gotCode || !bytes.Equal(refErr, gotErr) {
 		t.Errorf("error envelope diverged: single %d %s vs router %d %s", refCode, refErr, gotCode, gotErr)
 	}
 }
@@ -96,10 +75,9 @@ func TestShardDaemonRejectsAnalytics(t *testing.T) {
 		path string
 		req  any
 	}{
-		{"/v1/events", server.EventsRequest{Attrs: []string{"gender"}}},
-		{"/v1/paths", server.PathsRequest{From: []string{"u1"}, To: []string{"u2"}}},
-		{"/v1/trend", server.TrendRequest{Attrs: []string{"gender"}}},
 		{"/v1/tgql", server.TGQLRequest{Query: "EVENTS DIST BY gender"}},
+		{"/v1/tgql", server.TGQLRequest{Query: "PATHS EARLIEST FROM u1 TO u2"}},
+		{"/v1/tgql", server.TGQLRequest{Query: "TREND DIST BY gender"}},
 		{"/v1/explain", server.TGQLRequest{Query: "TREND ALL BY gender WIDTH 2"}},
 	} {
 		code, data, _ := postJSON(t, ts.URL+c.path, c.req)

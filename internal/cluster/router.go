@@ -411,14 +411,12 @@ func (rt *Router) routes() {
 	// with the complete single-node engine behind it, so exploration,
 	// TGQL, explain, partials, the global timeline and even a global WAL
 	// stream (for chained followers) come for free and byte-identical.
-	// The analytics family (EVENTS/PATHS/TREND) is never scattered: the
-	// statements traverse the whole timeline, so shard-local partials
-	// cannot compose an answer. The mirror holds every point and answers
-	// byte-identically to a single node.
+	// That includes the analytics statements (EVENTS/PATHS/TREND) on
+	// /v1/tgql: they traverse the whole timeline, so shard-local partials
+	// cannot compose an answer, while the mirror holds every point.
 	for _, route := range []string{
 		"POST /v1/explore", "POST /v1/tgql", "POST /v1/explain",
 		"POST /v1/partial/aggregate", "GET /v1/labels", "GET /v1/wal/stream",
-		"POST /v1/events", "POST /v1/paths", "POST /v1/trend",
 	} {
 		rt.mux.HandleFunc(route, func(w http.ResponseWriter, r *http.Request) {
 			rt.toMirror(w, r, nil)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -10,99 +9,66 @@ import (
 	"repro/internal/analytics"
 	"repro/internal/core"
 	"repro/internal/stream"
+	"repro/internal/tgql"
 )
 
-// The analytics endpoints (/v1/events, /v1/paths, /v1/trend) must answer
+// The analytics statements (EVENTS, PATHS, TREND) on /v1/tgql must answer
 // byte-identically to the underlying engines, honor as_of pins, and be
 // rejected outright on partial (time-range shard) daemons — including via
-// /v1/tgql and /v1/explain.
-
-func analyticsJSONBody(t *testing.T, v any) string {
-	t.Helper()
-	data, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(data)
-}
+// /v1/explain.
 
 func TestEventsEndpointMatchesEngine(t *testing.T) {
 	_, ts := newStaticServer(t)
-	code, data := postJSON(t, ts.URL+"/v1/events", EventsRequest{Attrs: []string{"gender"}})
-	if code != 200 {
-		t.Fatalf("events = %d: %s", code, data)
-	}
-	var resp EventsResponse
-	if err := json.Unmarshal(data, &resp); err != nil {
-		t.Fatal(err)
-	}
+	text, _ := tgqlAt(t, ts.URL, "EVENTS DIST BY gender", 0)
 	g := core.PaperExample()
-	want := analytics.EventsSweep(g, analytics.EventsSpec{
+	want := &tgql.Result{Events: analytics.EventsSweep(g, analytics.EventsSpec{
 		Schema: agg.MustSchema(g, g.MustAttr("gender")),
 		Kind:   agg.Distinct,
-	})
-	if got, exp := analyticsJSONBody(t, resp.Events), analyticsJSONBody(t, want); got != exp {
-		t.Fatalf("events endpoint diverges from engine:\n got %s\nwant %s", got, exp)
+	})}
+	if text != want.String() {
+		t.Fatalf("events statement diverges from engine:\n got %s\nwant %s", text, want)
 	}
-	if resp.Events.Steps != 2 {
-		t.Fatalf("steps = %d, want 2", resp.Events.Steps)
+	if want.Events.Steps != 2 {
+		t.Fatalf("steps = %d, want 2", want.Events.Steps)
 	}
 }
 
 func TestPathsEndpointMatchesEngine(t *testing.T) {
 	_, ts := newStaticServer(t)
-	code, data := postJSON(t, ts.URL+"/v1/paths", PathsRequest{
-		From: []string{"u1"}, To: []string{"u2", "u4"},
-	})
-	if code != 200 {
-		t.Fatalf("paths = %d: %s", code, data)
-	}
-	var resp PathsResponse
-	if err := json.Unmarshal(data, &resp); err != nil {
-		t.Fatal(err)
-	}
+	text, _ := tgqlAt(t, ts.URL, "PATHS EARLIEST FROM u1 TO u2, u4", 0)
 	g := core.PaperExample()
 	u1, _ := g.NodeByLabel("u1")
 	u2, _ := g.NodeByLabel("u2")
 	u4, _ := g.NodeByLabel("u4")
-	want := analytics.NewPathsEngine(g, analytics.PathsSpec{
+	want := &tgql.Result{Paths: analytics.NewPathsEngine(g, analytics.PathsSpec{
 		Mode:   analytics.ModeEarliest,
 		Src:    []core.NodeID{u1},
 		Dst:    []core.NodeID{u2, u4},
 		Window: g.Timeline().All(),
-	}).Run()
-	if got, exp := analyticsJSONBody(t, resp.Paths), analyticsJSONBody(t, want); got != exp {
-		t.Fatalf("paths endpoint diverges from engine:\n got %s\nwant %s", got, exp)
+	}).Run()}
+	if text != want.String() {
+		t.Fatalf("paths statement diverges from engine:\n got %s\nwant %s", text, want)
 	}
 }
 
 func TestTrendEndpointMatchesEngine(t *testing.T) {
 	_, ts := newStaticServer(t)
-	code, data := postJSON(t, ts.URL+"/v1/trend", TrendRequest{
-		Attrs: []string{"gender"}, Kind: "all", Width: 2,
-	})
-	if code != 200 {
-		t.Fatalf("trend = %d: %s", code, data)
-	}
-	var resp TrendResponse
-	if err := json.Unmarshal(data, &resp); err != nil {
-		t.Fatal(err)
-	}
+	text, _ := tgqlAt(t, ts.URL, "TREND ALL BY gender WIDTH 2", 0)
 	g := core.PaperExample()
-	want := analytics.TrendScan(g, analytics.TrendSpec{
+	want := &tgql.Result{Trend: analytics.TrendScan(g, analytics.TrendSpec{
 		Schema: agg.MustSchema(g, g.MustAttr("gender")),
 		Kind:   agg.All,
 		Width:  2,
-	})
-	if got, exp := analyticsJSONBody(t, resp.Trend), analyticsJSONBody(t, want); got != exp {
-		t.Fatalf("trend endpoint diverges from engine:\n got %s\nwant %s", got, exp)
+	})}
+	if text != want.String() {
+		t.Fatalf("trend statement diverges from engine:\n got %s\nwant %s", text, want)
 	}
-	if resp.Trend.Windows != 2 {
-		t.Fatalf("windows = %d, want 2", resp.Trend.Windows)
+	if want.Trend.Windows != 2 {
+		t.Fatalf("windows = %d, want 2", want.Trend.Windows)
 	}
 }
 
-// TestAnalyticsEndpointsAsOf pins the three endpoints to an early
+// TestAnalyticsEndpointsAsOf pins the three statements to an early
 // transaction of a stream-mode server and checks the view shrinks
 // accordingly, while an explicit head pin matches the live answer.
 func TestAnalyticsEndpointsAsOf(t *testing.T) {
@@ -121,61 +87,48 @@ func TestAnalyticsEndpointsAsOf(t *testing.T) {
 		head = ingestAck(t, ts.URL, req).Txn
 	}
 
-	eventsAt := func(asOf int) *analytics.EventsResult {
-		code, data := postJSON(t, ts.URL+"/v1/events",
-			EventsRequest{Attrs: []string{"gender"}, AsOf: asOf})
-		if code != 200 {
-			t.Fatalf("events as_of %d = %d: %s", asOf, code, data)
-		}
-		var resp EventsResponse
-		if err := json.Unmarshal(data, &resp); err != nil {
-			t.Fatal(err)
-		}
-		return resp.Events
+	eventsAt := func(asOf int) string {
+		text, _ := tgqlAt(t, ts.URL, "EVENTS DIST BY gender", asOf)
+		return text
 	}
-	live, pinned := eventsAt(0), eventsAt(head)
-	if analyticsJSONBody(t, live) != analyticsJSONBody(t, pinned) {
-		t.Fatal("explicit head pin diverges from live answer")
+	live := eventsAt(0)
+	if pinned := eventsAt(head); live != pinned {
+		t.Fatalf("explicit head pin diverges from live answer:\n%s\n%s", pinned, live)
 	}
-	if live.Steps != 2 {
-		t.Fatalf("live steps = %d, want 2", live.Steps)
+	if !strings.Contains(live, "(2 steps)") {
+		t.Fatalf("live answer should have 2 steps:\n%s", live)
 	}
-	if early := eventsAt(1); early.Steps != 0 || len(early.Rows) != 0 {
-		t.Fatalf("as_of 1 should see a single point (0 steps), got %+v", early)
+	empty := &tgql.Result{Events: &analytics.EventsResult{Width: 1}}
+	if early := eventsAt(1); early != empty.String() {
+		t.Fatalf("as_of 1 should see a single point (0 steps, no rows), got\n%s", early)
 	}
 
-	code, data := postJSON(t, ts.URL+"/v1/trend",
-		TrendRequest{Attrs: []string{"gender"}, AsOf: 2})
-	if code != 200 {
-		t.Fatalf("trend as_of 2 = %d: %s", code, data)
-	}
-	var tr TrendResponse
-	if err := json.Unmarshal(data, &tr); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Trend.Windows != 2 {
-		t.Fatalf("trend as_of 2 windows = %d, want 2", tr.Trend.Windows)
+	if text, _ := tgqlAt(t, ts.URL, "TREND DIST BY gender", 2); !strings.Contains(text, "(2 windows)") {
+		t.Fatalf("trend as_of 2 should have 2 windows:\n%s", text)
 	}
 
 	// Node resolution happens against the pinned view: u3 does not exist
 	// until txn 2, so pinning before that is a compile error...
-	code, data = postJSON(t, ts.URL+"/v1/paths",
-		PathsRequest{From: []string{"u1"}, To: []string{"u3"}, AsOf: 1})
+	code, data := postJSON(t, ts.URL+"/v1/tgql", TGQLRequest{Query: "PATHS EARLIEST FROM u1 TO u3", AsOf: 1})
 	if code != 400 || !strings.Contains(string(data), "unknown node") {
 		t.Fatalf("paths as_of 1 to u3 = %d %s, want 400 unknown node", code, data)
 	}
 	// ...and pinning at txn 2 sees the u1 -t0-> u2 -t1-> u3 chain.
-	code, data = postJSON(t, ts.URL+"/v1/paths",
-		PathsRequest{From: []string{"u1"}, To: []string{"u3"}, AsOf: 2})
-	if code != 200 {
-		t.Fatalf("paths as_of 2 = %d: %s", code, data)
+	if text, _ := tgqlAt(t, ts.URL, "PATHS EARLIEST FROM u1 TO u3", 2); !strings.Contains(text, "(1 reached)") {
+		t.Fatalf("paths as_of 2 should reach 1 target:\n%s", text)
 	}
-	var pr PathsResponse
-	if err := json.Unmarshal(data, &pr); err != nil {
-		t.Fatal(err)
-	}
-	if pr.Paths.Reached != 1 {
-		t.Fatalf("paths as_of 2 reached = %d, want 1", pr.Paths.Reached)
+}
+
+// TestAnalyticsStatementErrors: an analytics statement naming something the
+// graph lacks is a 400 anchored at the offending token.
+func TestAnalyticsStatementErrors(t *testing.T) {
+	h := paperHandler(t, Config{})
+	for _, q := range []string{
+		"EVENTS DIST BY salary",
+		"PATHS EARLIEST FROM nobody TO u2",
+		"TREND MOST BY gender",
+	} {
+		expectReply(t, q, h, "/v1/tgql", marshalBody(t, TGQLRequest{Query: q}), 400, "bad_request", "tgql: 1:")
 	}
 }
 
@@ -183,14 +136,8 @@ func TestAnalyticsEndpointsAsOf(t *testing.T) {
 // planner selection counter in the exposition.
 func TestAnalyticsPlannerMetrics(t *testing.T) {
 	_, ts := newStaticServer(t)
-	if code, data := postJSON(t, ts.URL+"/v1/events", EventsRequest{Attrs: []string{"gender"}}); code != 200 {
-		t.Fatalf("events = %d: %s", code, data)
-	}
-	if code, data := postJSON(t, ts.URL+"/v1/paths", PathsRequest{From: []string{"u1"}, To: []string{"u4"}}); code != 200 {
-		t.Fatalf("paths = %d: %s", code, data)
-	}
-	if code, data := postJSON(t, ts.URL+"/v1/trend", TrendRequest{Attrs: []string{"gender"}}); code != 200 {
-		t.Fatalf("trend = %d: %s", code, data)
+	for _, q := range []string{"EVENTS DIST BY gender", "PATHS EARLIEST FROM u1 TO u4", "TREND DIST BY gender"} {
+		tgqlAt(t, ts.URL, q, 0)
 	}
 	code, data := get(t, ts.URL+"/metrics")
 	if code != 200 {

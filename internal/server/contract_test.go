@@ -37,18 +37,6 @@ var queryEndpoints = []struct {
 	{path: "/v1/explore",
 		ok:           ExploreRequest{Event: "stability", Semantics: "union", Extend: "old", K: 1, Attrs: []string{"gender"}},
 		unresolvable: ExploreRequest{Event: "implosion", Semantics: "union", Extend: "old", K: 1, Attrs: []string{"gender"}}},
-	{path: "/v1/events",
-		ok:            EventsRequest{Attrs: []string{"gender"}},
-		unresolvable:  EventsRequest{Attrs: []string{"salary"}},
-		wholeTimeline: []any{EventsRequest{Attrs: []string{"gender"}}}},
-	{path: "/v1/paths",
-		ok:            PathsRequest{From: []string{"u1"}, To: []string{"u2"}},
-		unresolvable:  PathsRequest{From: []string{"nobody"}, To: []string{"u2"}},
-		wholeTimeline: []any{PathsRequest{From: []string{"u1"}, To: []string{"u2"}}}},
-	{path: "/v1/trend",
-		ok:            TrendRequest{Attrs: []string{"gender"}},
-		unresolvable:  TrendRequest{Attrs: []string{"gender"}, Kind: "most"},
-		wholeTimeline: []any{TrendRequest{Attrs: []string{"gender"}}}},
 	{path: "/v1/tgql", statement: true,
 		ok:           TGQLRequest{Query: "AGG DIST gender ON UNION(t0, t1)"},
 		unresolvable: TGQLRequest{Query: "AGG DIST gender ON UNION(t0, t9)"},
@@ -134,7 +122,7 @@ func expectReply(t *testing.T, name string, h http.Handler, path string, body io
 
 // TestQueryEndpointContract holds every query endpoint to the one pipeline's
 // contract: whichever endpoint a fault arrives at, it maps to the same status
-// and envelope code, because one serve — not eight handlers — decides.
+// and envelope code, because one serve — not five handlers — decides.
 // (TestPartialRejectsAnalytics is the table's partial-shard column.)
 func TestQueryEndpointContract(t *testing.T) {
 	static, small := paperHandler(t, Config{}), paperHandler(t, Config{MaxBodyBytes: 256})

@@ -104,9 +104,6 @@ var endpointWeight = map[string]int64{
 	"explain":   1, // compile-only: no engine execution
 	"ingest":    1,
 	"partial":   1, // shard-local slice of a scattered aggregate
-	"events":    2, // whole-timeline entity sweep
-	"paths":     2, // per-departure time sweeps in fastest mode
-	"trend":     1, // O(windows) from the catalog, single scan otherwise
 }
 
 // state is one consistent serving snapshot: the graph, its catalog, and
@@ -629,9 +626,6 @@ func (s *Server) routes() {
 	s.mux.Handle("POST /v1/tgql", s.api("tgql", serve(s, func(req *TGQLRequest) (query, error) { return decodeStatement(req.Query, req.AsOf) }, encodeTGQL)))
 	s.mux.Handle("POST /v1/explain", s.api("explain", serve(s, decodeExplain, encodeExplain)))
 	s.mux.Handle("POST /v1/partial/aggregate", s.api("partial", serve(s, decodePartial, encodePartial)))
-	s.mux.Handle("POST /v1/events", s.api("events", serve(s, decodeEvents, encodeEvents)))
-	s.mux.Handle("POST /v1/paths", s.api("paths", serve(s, decodePaths, encodePaths)))
-	s.mux.Handle("POST /v1/trend", s.api("trend", serve(s, decodeTrend, encodeTrend)))
 	s.mux.Handle("POST /v1/ingest", s.api("ingest", s.handleIngest))
 	// Cluster control plane: status/labels serve the router's health, lag
 	// and shard-map probes, the WAL stream feeds replicas and the router's

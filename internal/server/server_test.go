@@ -463,9 +463,8 @@ func TestWorkersClamped(t *testing.T) {
 		"/v1/aggregate":         `{"op":"union","interval":{"from":"t0"},"interval2":{"from":"t1"},"attrs":["gender"],"workers":2}`,
 		"/v1/partial/aggregate": `{"op":"union","interval":{"from":"t0"},"interval2":{"from":"t1"},"attrs":["gender"],"workers":2}`,
 		"/v1/explore":           `{"event":"stability","k":2,"attrs":["gender"],"workers":2}`,
-		"/v1/events":            `{"attrs":["gender"],"workers":2}`,
-		"/v1/paths":             `{"from":["u1"],"to":["u2"],"workers":2}`,
-		"/v1/trend":             `{"attrs":["gender"],"workers":2}`,
+		"/v1/tgql":              `{"query":"EVENTS DIST BY gender","workers":2}`,
+		"/v1/explain":           `{"query":"PATHS EARLIEST FROM u1 TO u2","workers":2}`,
 	} {
 		rec := post(s.Handler(), path, body)
 		want := `{"error":{"code":"bad_request","message":"bad request body: json: unknown field \"workers\""}}` + "\n"

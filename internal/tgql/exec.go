@@ -136,24 +136,6 @@ func (r *Result) String() string {
 	}
 }
 
-// ParseFilter compiles a standalone predicate expression (the WHERE
-// grammar without the keyword, e.g. "publications > 4 AND gender = 'f'")
-// into an appearance filter usable with AggregateFiltered and
-// evolution.Aggregate.
-func ParseFilter(g *core.Graph, expr string) (agg.Filter, error) {
-	toks, err := lexAll(expr)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks, in: expr}
-	preds := p.predicates()
-	p.atEOF()
-	if p.err != nil {
-		return nil, p.err
-	}
-	return plan.CompilePredicates(g, expr, preds)
-}
-
 // Exec parses and executes one query against g.
 func Exec(g *core.Graph, query string) (*Result, error) {
 	return ExecCtx(context.Background(), g, query)

@@ -40,6 +40,11 @@ var goldenStatements = []string{
 	"AGG DIST nope ON POINT t0",
 	"AGG DIST gender ON POINT t0 WHERE nope = 1",
 	"AGG DIST gender ON POINT t0 WHERE gender < f",
+	"AGG DIST gender ON POINT t0 WHERE gender < 'f'",
+	"AGG DIST gender ON POINT t0 WHERE",
+	"AGG DIST gender ON POINT t0 WHERE gender =",
+	"AGG DIST gender ON POINT t0 WHERE gender = 'f' trailing",
+	"AGG DIST gender ON POINT t0 WHERE publications > four",
 	"AGG DIST gender ON POINT t0 MEASURE AVG publications",
 	"AGG DIST gender ON POINT t0 MEASURE MEDIAN(x)",
 	"AGG DIST gender ON POINT t0 WHERE gender = f MEASURE AVG(publications)",

@@ -185,8 +185,7 @@ func (p *parser) temporalOp() plan.TemporalOp {
 	return plan.TemporalOp{Op: name, A: a, B: b}
 }
 
-// predicates parses cmp (AND cmp)*: the WHERE grammar without its keyword,
-// which ParseFilter accepts on its own.
+// predicates parses cmp (AND cmp)*: the WHERE grammar after its keyword.
 func (p *parser) predicates() []plan.Predicate {
 	var out []plan.Predicate
 	for {

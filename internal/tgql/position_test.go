@@ -22,6 +22,7 @@ func TestErrorPositions(t *testing.T) {
 		{"AGG DIST nope ON POINT t0", []string{"tgql: 1:10:", `unknown attribute "nope"`}},
 		{"AGG DIST gender ON POINT t0 WHERE nope = 1", []string{"tgql: 1:35:", `unknown attribute "nope" in WHERE`}},
 		{"AGG DIST gender ON POINT t0 WHERE gender < f", []string{"tgql: 1:44:", "needs a numeric value"}},
+		{"AGG DIST gender ON POINT t0 WHERE publications > four", []string{"tgql: 1:50:", "needs a numeric value"}},
 		{"AGG DIST gender ON POINT t0 MEASURE AVG(nope)", []string{"tgql: 1:41:", `unknown measured attribute "nope"`}},
 		{"AGG DIST gender ON PROJECT t2..t0", []string{"tgql: 1:28:", "runs backwards"}},
 		{"EVOLVE DIST gender FROM t0", []string{"(at end of input)"}},
@@ -41,16 +42,17 @@ func TestErrorPositions(t *testing.T) {
 	}
 }
 
-// TestParseFilterErrorPositions checks the standalone predicate entry
-// point anchors its errors the same way.
+// TestParseFilterErrorPositions checks that errors inside a WHERE clause are
+// anchored at the offending predicate token, counted from the statement start.
 func TestParseFilterErrorPositions(t *testing.T) {
 	g := core.PaperExample()
-	if _, err := ParseFilter(g, "nope = 1"); err == nil ||
-		!strings.Contains(err.Error(), "tgql: 1:1:") {
-		t.Errorf("ParseFilter unknown attr = %v, want a 1:1 anchor", err)
+	const prefix = "AGG DIST gender ON POINT t0 WHERE " // 34 columns
+	if _, err := Exec(g, prefix+"nope = 1"); err == nil ||
+		!strings.Contains(err.Error(), "tgql: 1:35:") {
+		t.Errorf("WHERE unknown attr = %v, want a 1:35 anchor", err)
 	}
-	if _, err := ParseFilter(g, "publications > four"); err == nil ||
-		!strings.Contains(err.Error(), "tgql: 1:16:") {
-		t.Errorf("ParseFilter non-numeric = %v, want a 1:16 anchor", err)
+	if _, err := Exec(g, prefix+"publications > four"); err == nil ||
+		!strings.Contains(err.Error(), "tgql: 1:50:") {
+		t.Errorf("WHERE non-numeric = %v, want a 1:50 anchor", err)
 	}
 }

@@ -161,18 +161,22 @@ func TestParseAndExecErrors(t *testing.T) {
 	cases := []string{
 		"",
 		"FROBNICATE",
-		"AGG gender ON POINT t0",                               // missing kind
-		"AGG DIST ON POINT t0",                                 // missing attrs... ON parses as attr; then missing ON
-		"AGG DIST gender POINT t0",                             // missing ON
-		"AGG DIST gender ON BOGUS t0",                          // unknown operator
-		"AGG DIST gender ON UNION(t0 t1)",                      // missing comma
-		"AGG DIST gender ON UNION(t0, t1",                      // missing paren
-		"AGG DIST gender ON POINT t9",                          // unknown time point
-		"AGG DIST nope ON POINT t0",                            // unknown attribute
-		"AGG DIST gender ON POINT t0 WHERE nope = 1",           // unknown WHERE attribute
-		"AGG DIST gender ON POINT t0 WHERE gender < f",         // non-numeric ordering
-		"AGG DIST gender ON POINT t0 MEASURE AVG publications", // missing paren
-		"AGG DIST gender ON POINT t0 MEASURE MEDIAN(x)",        // unknown fn
+		"AGG gender ON POINT t0",                                  // missing kind
+		"AGG DIST ON POINT t0",                                    // missing attrs... ON parses as attr; then missing ON
+		"AGG DIST gender POINT t0",                                // missing ON
+		"AGG DIST gender ON BOGUS t0",                             // unknown operator
+		"AGG DIST gender ON UNION(t0 t1)",                         // missing comma
+		"AGG DIST gender ON UNION(t0, t1",                         // missing paren
+		"AGG DIST gender ON POINT t9",                             // unknown time point
+		"AGG DIST nope ON POINT t0",                               // unknown attribute
+		"AGG DIST gender ON POINT t0 WHERE nope = 1",              // unknown WHERE attribute
+		"AGG DIST gender ON POINT t0 WHERE gender < f",            // non-numeric ordering
+		"AGG DIST gender ON POINT t0 WHERE gender < 'f'",          // non-numeric ordering, quoted
+		"AGG DIST gender ON POINT t0 WHERE",                       // empty predicate
+		"AGG DIST gender ON POINT t0 WHERE gender =",              // missing value
+		"AGG DIST gender ON POINT t0 WHERE gender = 'f' trailing", // trailing input after the predicate
+		"AGG DIST gender ON POINT t0 MEASURE AVG publications",    // missing paren
+		"AGG DIST gender ON POINT t0 MEASURE MEDIAN(x)",           // unknown fn
 		"AGG DIST gender ON POINT t0 WHERE gender = f MEASURE AVG(publications)", // both
 		"AGG DIST gender ON PROJECT t2..t0",                                      // backwards interval
 		"AGG DIST gender ON POINT t0 trailing",                                   // trailing input
@@ -193,6 +197,23 @@ func TestParseAndExecErrors(t *testing.T) {
 	}
 }
 
+// TestParseFilter pins the WHERE grammar: a conjunction of comparisons is
+// evaluated per appearance, and malformed predicates are rejected.
+func TestParseFilter(t *testing.T) {
+	const where = " WHERE publications > 2 AND gender = 'm'"
+	r0 := exec(t, "AGG DIST gender ON POINT t0"+where)
+	m, _ := r0.Agg.Schema.Encode("m")
+	if r0.Agg.NodeWeight(m) != 1 || r0.Agg.TotalNodeWeight() != 1 { // u1@t0: m, 3 publications; u2 is f
+		t.Errorf("t0: w(m) = %d / total %d, want 1 / 1 (u1)", r0.Agg.NodeWeight(m), r0.Agg.TotalNodeWeight())
+	}
+	if r1 := exec(t, "AGG DIST gender ON POINT t1"+where); r1.Agg.TotalNodeWeight() != 0 { // u1@t1: 1 publication
+		t.Errorf("t1: total = %d, want 0", r1.Agg.TotalNodeWeight())
+	}
+	for _, bad := range []string{"", "nope = 1", "gender < 'f'", "gender = 'f' trailing", "gender ="} {
+		execErr(t, "AGG DIST gender ON POINT t0 WHERE "+bad)
+	}
+}
+
 func TestTopQuery(t *testing.T) {
 	r := exec(t, "TOP 2 GROWTH BY gender")
 	if len(r.Top) != 2 {
@@ -209,30 +230,6 @@ func TestTopQuery(t *testing.T) {
 	execErr(t, "TOP 2 WOBBLE BY gender")
 	execErr(t, "TOP 2 GROWTH gender")
 	execErr(t, "TOP 2 GROWTH BY nope")
-}
-
-func TestParseFilter(t *testing.T) {
-	g := core.PaperExample()
-	filter, err := ParseFilter(g, "publications > 2 AND gender = 'm'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	u1, _ := g.NodeByLabel("u1")
-	u2, _ := g.NodeByLabel("u2")
-	if !filter(u1, 0) { // u1@t0: m, 3 publications
-		t.Error("u1@t0 should pass")
-	}
-	if filter(u1, 1) { // u1@t1: 1 publication
-		t.Error("u1@t1 should fail")
-	}
-	if filter(u2, 0) { // u2 is f
-		t.Error("u2 should fail")
-	}
-	for _, bad := range []string{"", "nope = 1", "gender < 'f'", "gender = 'f' trailing", "gender ="} {
-		if _, err := ParseFilter(g, bad); err == nil {
-			t.Errorf("ParseFilter(%q) should fail", bad)
-		}
-	}
 }
 
 func TestTimelineQuery(t *testing.T) {
