@@ -26,6 +26,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -69,11 +70,24 @@ func parseFlags(args []string) (*options, error) {
 	return o, nil
 }
 
-func newLogger(format string) *slog.Logger {
+func newLogger(format string, w io.Writer) *slog.Logger {
 	if format == "json" {
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil))
+		return slog.New(slog.NewJSONHandler(w, nil))
 	}
-	return slog.New(slog.NewTextHandler(os.Stderr, nil))
+	return slog.New(slog.NewTextHandler(w, nil))
+}
+
+// routerConfig maps the parsed flags onto cluster.Config.
+func routerConfig(o *options, m *cluster.ShardMap, log *slog.Logger) cluster.Config {
+	return cluster.Config{
+		Map:            m,
+		MaxLag:         o.maxLag,
+		ShardTimeout:   o.shardTimeout,
+		RequestTimeout: o.timeout,
+		ProbeInterval:  o.probeInterval,
+		CacheBytes:     o.cacheBytes,
+		Logger:         log,
+	}
 }
 
 func run(args []string) error {
@@ -81,7 +95,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	log := newLogger(o.logFormat)
+	log := newLogger(o.logFormat, os.Stderr)
 	m, err := cluster.ParseShardMap(o.shards)
 	if err != nil {
 		return err
@@ -91,15 +105,7 @@ func run(args []string) error {
 	// New replays every frozen shard's WAL into the mirror synchronously,
 	// so a ready router serves the full timeline from the first request.
 	start := time.Now()
-	rt, err := cluster.New(cluster.Config{
-		Map:            m,
-		MaxLag:         o.maxLag,
-		ShardTimeout:   o.shardTimeout,
-		RequestTimeout: o.timeout,
-		ProbeInterval:  o.probeInterval,
-		CacheBytes:     o.cacheBytes,
-		Logger:         log,
-	})
+	rt, err := cluster.New(routerConfig(o, m, log))
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@
 //
 //	graphtempod -dataset paper                       # running example
 //	graphtempod -dataset dblp -scale 0.05 -seed 42   # synthetic DBLP
+//	graphtempod -dataset /path/to/graph.gts          # binary snapshot (gtgen -format binary)
 //	graphtempod -dataset /path/to/graphdir           # WriteGraphDir layout
 //	graphtempod -stream gender:static,publications:varying   # live ingestion
 //	graphtempod -stream ... -data-dir /var/lib/graphtempo    # durable ingestion
@@ -25,8 +26,9 @@
 // keeps serving exactly where the previous process stopped. See DESIGN.md
 // §4 for the persistence design.
 //
-// Endpoints: POST /v1/aggregate, /v1/explore, /v1/tgql, /v1/ingest;
-// GET /healthz, /readyz, /metrics. See DESIGN.md §3 for the serving
+// Endpoints: POST /v1/aggregate, /v1/explore, /v1/tgql, /v1/explain,
+// /v1/partial/aggregate, /v1/ingest; GET /healthz, /readyz, /metrics,
+// /v1/status, /v1/labels, /v1/wal/stream. See DESIGN.md §3 for the serving
 // architecture (admission control, deadlines, metrics taxonomy).
 //
 // SIGTERM/SIGINT starts a graceful drain: /readyz flips to 503 so load
@@ -39,10 +41,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -58,7 +62,6 @@ import (
 type options struct {
 	addr         string
 	dataset      string
-	mmap         bool
 	scale        float64
 	seed         int64
 	streamSpec   string
@@ -80,8 +83,7 @@ func parseFlags(args []string) (*options, error) {
 	fs := flag.NewFlagSet("graphtempod", flag.ContinueOnError)
 	o := &options{}
 	fs.StringVar(&o.addr, "addr", ":8089", "listen address")
-	fs.StringVar(&o.dataset, "dataset", "", "dataset to serve: paper, dblp, movielens, or a graph directory path")
-	fs.BoolVar(&o.mmap, "mmap", false, "serve a -dataset snapshot file zero-copy out of a file mapping, checking structure and ranges but not blob checksums or the full model rules (read into one heap buffer where mmap is unavailable)")
+	fs.StringVar(&o.dataset, "dataset", "", "dataset to serve: paper, dblp, movielens, a binary snapshot file (gtgen -format binary) or a graph directory path")
 	fs.Float64Var(&o.scale, "scale", 1.0, "size factor for synthetic datasets")
 	fs.Int64Var(&o.seed, "seed", 42, "generator seed for synthetic datasets")
 	fs.StringVar(&o.streamSpec, "stream", "", "run in stream mode with this schema, e.g. gender:static,publications:varying")
@@ -105,9 +107,6 @@ func parseFlags(args []string) (*options, error) {
 	}
 	if o.dataDir != "" && o.streamSpec == "" {
 		return nil, errors.New("-data-dir requires -stream (static datasets are already durable)")
-	}
-	if o.mmap && o.dataset == "" {
-		return nil, errors.New("-mmap requires -dataset pointing at a binary snapshot file")
 	}
 	if o.follow != "" && o.streamSpec == "" {
 		return nil, errors.New("-follow requires -stream (a replica replays the primary's ingest stream)")
@@ -135,26 +134,20 @@ func parseStreamSpec(spec string) ([]core.AttrSpec, error) {
 		default:
 			return nil, fmt.Errorf("bad attribute kind %q for %s (want static or varying)", kind, name)
 		}
+		if slices.ContainsFunc(attrs, func(a core.AttrSpec) bool { return a.Name == name }) {
+			return nil, fmt.Errorf("attribute %q named twice", name)
+		}
 		attrs = append(attrs, core.AttrSpec{Name: name, Kind: k})
 	}
 	return attrs, nil
 }
 
 // loadGraph resolves the -dataset flag. A path naming a regular file is
-// loaded as a binary snapshot (gtgen -format=binary) — zero-copy via mmap
-// when -mmap is set — and a directory uses the CSV labeled-array layout.
-// The returned mapping is non-nil when the graph aliases a file mapping;
-// it must stay open for the graph's lifetime.
-func loadGraph(o *options, log *slog.Logger) (*core.Graph, *storage.Mapped, error) {
+// loaded as a binary snapshot (gtgen -format=binary), fully verified, and a
+// directory uses the CSV labeled-array layout.
+func loadGraph(o *options, log *slog.Logger) (*core.Graph, error) {
 	start := time.Now()
-	var (
-		g   *core.Graph
-		m   *storage.Mapped
-		err error
-	)
-	// source is how the graph came to be: "generated" (a built-in), "load"
-	// (read and fully verified), or the byte source of an -mmap boot.
-	source := "generated"
+	var g *core.Graph
 	switch o.dataset {
 	case "paper":
 		g = core.PaperExample()
@@ -163,44 +156,29 @@ func loadGraph(o *options, log *slog.Logger) (*core.Graph, *storage.Mapped, erro
 	case "movielens":
 		g = dataset.MovieLensScaled(o.seed, o.scale)
 	default:
-		source = "load"
+		var err error
 		if fi, serr := os.Stat(o.dataset); serr == nil && fi.Mode().IsRegular() {
-			if o.mmap {
-				g, m, err = storage.MappedGraph(o.dataset)
-				if m != nil {
-					source = m.Source
-				}
-			} else {
-				g, err = storage.LoadGraph(o.dataset)
-			}
-		} else if o.mmap {
-			err = fmt.Errorf("-mmap needs a snapshot file, not %q", o.dataset)
+			g, err = storage.LoadGraph(o.dataset)
 		} else {
 			g, err = core.ReadDir(o.dataset)
 		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("load %s: %w", o.dataset, err)
+			return nil, fmt.Errorf("load %s: %w", o.dataset, err)
 		}
 	}
 	// A built or loaded graph transposes its point index on first use, so
 	// the size is normally 0 here; graphtempod_graph_index_bytes follows it
 	// as scans build it.
-	log.Info("dataset loaded", "dataset", o.dataset, "scale", o.scale, "source", source,
+	log.Info("dataset loaded", "dataset", o.dataset, "scale", o.scale,
 		"nodes", g.NumNodes(), "edges", g.NumEdges(), "points", g.Timeline().Len(),
 		"point_index_bytes", g.IndexBytes(),
 		"elapsed", time.Since(start).Round(time.Millisecond).String())
-	return g, m, nil
+	return g, nil
 }
 
-// newServer builds the server.Config for the parsed options. The returned
-// engine is non-nil when -data-dir enabled durable storage; the returned
-// mapping is non-nil when -mmap serves the dataset out of a file mapping.
-// The caller must Close both after the HTTP server drains. The returned
-// apply/applied pair drives the WAL follower loop under -follow: apply
-// lands one replicated record (through the engine in durable mode, so
-// replicated points hit the replica's own WAL too) and applied reports
-// the local sequence.
-func newServer(o *options, log *slog.Logger) (*server.Server, *storage.Engine, *storage.Mapped, func(string, stream.Snapshot, string) (int, error), func() int, error) {
+// serverConfig maps the serving flags onto server.Config; newServer adds
+// the graph, series or storage engine it serves.
+func serverConfig(o *options, log *slog.Logger) server.Config {
 	cfg := server.Config{
 		MaxInflight:    o.maxInflight,
 		MaxQueue:       o.maxQueue,
@@ -215,30 +193,46 @@ func newServer(o *options, log *slog.Logger) (*server.Server, *storage.Engine, *
 	if o.follow != "" {
 		cfg.Role = server.RoleReplica
 	}
+	return cfg
+}
+
+// storageOptions maps the durability flags onto storage.Options.
+func storageOptions(o *options, log *slog.Logger) (storage.Options, error) {
+	policy, err := storage.ParseFsyncPolicy(o.fsync)
+	return storage.Options{
+		Fsync:             policy,
+		FsyncInterval:     o.fsyncEvery,
+		CheckpointRecords: o.cpRecords,
+		Logger:            log,
+	}, err
+}
+
+// newServer builds the server for the parsed options. The returned engine
+// is non-nil when -data-dir enabled durable storage; the caller must Close
+// it after the HTTP server drains. The returned apply/applied pair drives
+// the WAL follower loop under -follow: apply lands one replicated record
+// (through the engine in durable mode, so replicated points hit the
+// replica's own WAL too) and applied reports the local sequence.
+func newServer(o *options, log *slog.Logger) (*server.Server, *storage.Engine, func(string, stream.Snapshot, string) (int, error), func() int, error) {
+	cfg := serverConfig(o, log)
 	var (
 		eng     *storage.Engine
-		mapped  *storage.Mapped
 		apply   func(string, stream.Snapshot, string) (int, error)
 		applied func() int
 	)
 	if o.streamSpec != "" {
 		attrs, err := parseStreamSpec(o.streamSpec)
 		if err != nil {
-			return nil, nil, nil, nil, nil, err
+			return nil, nil, nil, nil, err
 		}
 		if o.dataDir != "" {
-			policy, err := storage.ParseFsyncPolicy(o.fsync)
+			opts, err := storageOptions(o, log)
 			if err != nil {
-				return nil, nil, nil, nil, nil, err
+				return nil, nil, nil, nil, err
 			}
-			eng, err = storage.Open(o.dataDir, attrs, storage.Options{
-				Fsync:             policy,
-				FsyncInterval:     o.fsyncEvery,
-				CheckpointRecords: o.cpRecords,
-				Logger:            log,
-			})
+			eng, err = storage.Open(o.dataDir, attrs, opts)
 			if err != nil {
-				return nil, nil, nil, nil, nil, fmt.Errorf("open data dir %s: %w", o.dataDir, err)
+				return nil, nil, nil, nil, fmt.Errorf("open data dir %s: %w", o.dataDir, err)
 			}
 			cfg.Storage = eng
 			apply, applied = eng.AppendAt, eng.Series().Len
@@ -253,31 +247,27 @@ func newServer(o *options, log *slog.Logger) (*server.Server, *storage.Engine, *
 			log.Info("stream mode", "schema", o.streamSpec)
 		}
 	} else {
-		g, m, err := loadGraph(o, log)
+		g, err := loadGraph(o, log)
 		if err != nil {
-			return nil, nil, nil, nil, nil, err
+			return nil, nil, nil, nil, err
 		}
 		cfg.Graph = g
-		mapped = m
 	}
 	srv, err := server.New(cfg)
 	if err != nil {
 		if eng != nil {
 			eng.Close()
 		}
-		if mapped != nil {
-			mapped.Close()
-		}
-		return nil, nil, nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
-	return srv, eng, mapped, apply, applied, nil
+	return srv, eng, apply, applied, nil
 }
 
-func newLogger(format string) *slog.Logger {
+func newLogger(format string, w io.Writer) *slog.Logger {
 	if format == "json" {
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil))
+		return slog.New(slog.NewJSONHandler(w, nil))
 	}
-	return slog.New(slog.NewTextHandler(os.Stderr, nil))
+	return slog.New(slog.NewTextHandler(w, nil))
 }
 
 func run(args []string) error {
@@ -285,8 +275,8 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	log := newLogger(o.logFormat)
-	srv, eng, mapped, apply, applied, err := newServer(o, log)
+	log := newLogger(o.logFormat, os.Stderr)
+	srv, eng, apply, applied, err := newServer(o, log)
 	if err != nil {
 		return err
 	}
@@ -345,12 +335,6 @@ func run(args []string) error {
 			return fmt.Errorf("close storage: %w", err)
 		}
 		log.Info("storage closed", "generation", eng.Stats().Generation)
-	}
-	if mapped != nil {
-		// Queries have drained, so nothing references the mapping anymore.
-		if err := mapped.Close(); err != nil {
-			return fmt.Errorf("unmap dataset: %w", err)
-		}
 	}
 	log.Info("drained, exiting")
 	return nil

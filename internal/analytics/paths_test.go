@@ -84,7 +84,7 @@ func checkPaths(t *testing.T, g *core.Graph, r *rand.Rand) {
 }
 
 // storedForms returns g as the storage layer serves it: decoded from a
-// Save'd buffer, and opened from a snapshot file as -mmap does.
+// Save'd buffer, and read from a snapshot file as graphtempod -dataset does.
 func storedForms(t *testing.T, g *core.Graph) map[string]*core.Graph {
 	t.Helper()
 	var buf bytes.Buffer
@@ -99,12 +99,11 @@ func storedForms(t *testing.T, g *core.Graph) map[string]*core.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := storage.OpenMapped(path)
+	file, err := storage.LoadGraph(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { m.Close() })
-	return map[string]*core.Graph{"load": loaded.Graph, "mmap": m.Graph}
+	return map[string]*core.Graph{"load": loaded.Graph, "file": file}
 }
 
 // TestPathsEquivalence proves the frontier engine byte-identical to the

@@ -7,8 +7,8 @@ import (
 
 // FromWords returns a set of length n backed directly by words — no copy is
 // made, so the caller must not mutate words afterwards. It is the aliasing
-// constructor the mmap snapshot reader uses to serve timestamps straight
-// from a file mapping. len(words) must be exactly ceil(n/64) and any bits
+// constructor the snapshot reader uses to serve timestamps straight from
+// the file's bytes. len(words) must be exactly ceil(n/64) and any bits
 // at or beyond n must be zero (callers that cannot guarantee the latter
 // should validate the last word themselves; all combinators assume it).
 func FromWords(n int, words []uint64) *Set {

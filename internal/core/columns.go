@@ -10,8 +10,7 @@ import (
 )
 
 // Columns is the flat input of FromColumns: the column layout the storage
-// package persists, pointing straight into the snapshot's bytes (a heap
-// buffer, or a file mapping under -mmap).
+// package persists, pointing straight into the snapshot's heap buffer.
 type Columns struct {
 	Timeline   *timeline.Timeline
 	Attrs      []AttrSpec
@@ -33,8 +32,8 @@ type Columns struct {
 // in range (checkRanges), node labels are distinct — in one pass over each
 // column and without copying any. The model rules that need every τ pair or
 // an O(E) hash build (non-empty timestamps, edges within endpoint lifetimes,
-// distinct edges) are Validate's; a caller that skips it gets the
-// endpoints → id index built on first lookup instead.
+// distinct edges) are Validate's, which also builds the endpoints → id
+// index EdgeByEndpoints reads.
 func FromColumns(c Columns) (*Graph, error) {
 	if c.Timeline == nil {
 		return nil, fmt.Errorf("core: FromColumns requires a timeline")

@@ -15,7 +15,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/dict"
@@ -89,10 +88,6 @@ type Graph struct {
 	// the accumulator's lock-guarded index, clipped to this snapshot's
 	// node/edge counts. nodeIndex/edgeIndex are nil in that case.
 	shared *sharedIndex
-
-	// idxOnce builds edgeIndex on first lookup for FromColumns graphs that
-	// skipped Validate (mmap boot must not pay an O(E) map build).
-	idxOnce sync.Once
 
 	// points is the per-time-point existence index (points.go): appended
 	// columns on accumulator snapshots, transposed from τ on first use
@@ -172,7 +167,6 @@ func (g *Graph) EdgeByEndpoints(u, v NodeID) (EdgeID, bool) {
 	if g.shared != nil {
 		return g.shared.edgeByEndpoints(Endpoints{u, v}, len(g.edges))
 	}
-	g.idxOnce.Do(func() { _ = g.indexEdges() }) // a repeated edge is Validate's to report
 	e, ok := g.edgeIndex[Endpoints{u, v}]
 	return e, ok
 }

@@ -9,7 +9,7 @@ import (
 
 // Validate checks g against Definition 2.1, the one statement of the
 // model's invariants — Builder.Build runs it on every graph it assembles
-// and the snapshot reader on every verified load:
+// and the snapshot reader on every load:
 //
 //   - every τu(n) and τe(e) is non-empty and has no bit at or beyond the
 //     timeline's length;
@@ -18,7 +18,7 @@ import (
 //   - every attribute code lies in [dict.None, |domain|).
 //
 // The uniqueness pass leaves the label → id and endpoints → id indexes
-// built, so a validated graph never builds them lazily.
+// built; EdgeByEndpoints reads the latter.
 func (g *Graph) Validate() error {
 	if err := g.checkRanges(); err != nil {
 		return err
@@ -114,21 +114,19 @@ func (g *Graph) indexNodes() error {
 	return nil
 }
 
-// indexEdges is indexNodes for the endpoints → id index. A repeated edge is
-// reported but the index is still left complete (its last id wins), because
-// an unvalidated graph builds it on first lookup and serves regardless.
+// indexEdges is indexNodes for the endpoints → id index, rejecting a
+// repeated edge.
 func (g *Graph) indexEdges() error {
 	if g.edgeIndex != nil || g.shared != nil {
 		return nil
 	}
-	var err error
 	ei := make(map[Endpoints]EdgeID, len(g.edges))
 	for e, ep := range g.edges {
-		if _, dup := ei[ep]; dup && err == nil {
-			err = fmt.Errorf("core: duplicate edge (%s,%s)", g.nodeLabels[ep.U], g.nodeLabels[ep.V])
+		if _, dup := ei[ep]; dup {
+			return fmt.Errorf("core: duplicate edge (%s,%s)", g.nodeLabels[ep.U], g.nodeLabels[ep.V])
 		}
 		ei[ep] = EdgeID(e)
 	}
 	g.edgeIndex = ei
-	return err
+	return nil
 }

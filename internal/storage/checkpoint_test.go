@@ -53,7 +53,7 @@ func TestCheckpointWritesReplayedSnapshot(t *testing.T) {
 			t.Fatal("no checkpoint wrote a snapshot")
 		}
 		for i, data := range written {
-			snap, err := decode(append([]byte(nil), data...), true)
+			snap, err := decode(append([]byte(nil), data...))
 			if err != nil {
 				t.Fatalf("snapshot %d: %v", i, err)
 			}

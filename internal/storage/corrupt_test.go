@@ -85,6 +85,32 @@ func TestLoadBitFlips(t *testing.T) {
 	}
 }
 
+// TestLoadV2CorruptionDetected: every blob is checksummed, so any byte flip
+// anywhere in a file with time-varying rows must either fail or (for
+// padding bytes) leave the content identical, and every truncation must
+// fail with a typed error.
+func TestLoadV2CorruptionDetected(t *testing.T) {
+	g := gtest.LongLivedGraph(rand.New(rand.NewSource(7)), 320)
+	var buf bytes.Buffer
+	if err := Save(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	for off := 0; off < len(data); off += 31 {
+		mut := append([]byte(nil), data...)
+		mut[off] ^= 0x40
+		snap, err := Load(bytes.NewReader(mut))
+		if err == nil {
+			graphsEqual(t, g, snap.Graph) // padding flip: content must be intact
+		}
+	}
+	for cut := 0; cut < len(data); cut += 97 {
+		if _, err := Load(bytes.NewReader(data[:cut])); !isStorageError(err) {
+			t.Fatalf("truncation to %d bytes: %v, want a typed error", cut, err)
+		}
+	}
+}
+
 func TestLoadFileMissing(t *testing.T) {
 	if _, err := LoadFile(filepath.Join(t.TempDir(), "nope.gts")); !os.IsNotExist(err) {
 		t.Fatalf("got %v, want not-exist", err)

@@ -85,10 +85,10 @@ func columnKinds(t *testing.T, data []byte) []uint32 {
 }
 
 // TestCrossLayoutEquivalence: every way a graph reaches a reader — as
-// built, as an accumulator snapshot, Load(Save(g)), OpenMapped(Save(g)), and
-// a node-major file an older writer produced, loaded and mapped — reads the
-// same value at every (attribute, node, time point) and aggregates to the
-// same ALL and DIST graphs over random intervals.
+// built, as an accumulator snapshot, Load(Save(g)), and a node-major file an
+// older writer produced, loaded — reads the same value at every (attribute,
+// node, time point) and aggregates to the same ALL and DIST graphs over
+// random intervals.
 func TestCrossLayoutEquivalence(t *testing.T) {
 	for _, src := range layoutSources() {
 		t.Run(src.name, func(t *testing.T) {
@@ -104,9 +104,7 @@ func TestCrossLayoutEquivalence(t *testing.T) {
 			readings := map[string]*core.Graph{
 				"accumulator": gtest.Accumulated(g),
 				"load":        loadGraph(t, path),
-				"mmap":        mapGraph(t, path),
 				"legacy load": loadGraph(t, legacy),
-				"legacy mmap": mapGraph(t, legacy),
 			}
 			r := rand.New(rand.NewSource(int64(len(src.name))))
 			ivs := make([][2]timeline.Interval, 12)
@@ -148,14 +146,6 @@ func TestRowsFileBytes(t *testing.T) {
 			if !bytes.Equal(saved(t, snap.Graph), fresh) {
 				t.Fatal("Save(Load(f)) differs from f")
 			}
-			m, err := OpenMapped(writeTemp(t, fresh))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer m.Close()
-			if !bytes.Equal(saved(t, m.Graph), fresh) {
-				t.Fatal("Save(OpenMapped(f)) differs from f")
-			}
 
 			if src.name == "accumulated" || src.name == "resumed" {
 				if !hasShortRow(src.g) {
@@ -181,22 +171,19 @@ func TestRowsFileBytes(t *testing.T) {
 	}
 }
 
-// TestMappedRowsAliasFile: under OpenMapped on a little-endian host, every
-// row VaryingRows returns is a window of the file mapping — nothing is
-// copied or derived at boot or on a scan.
-func TestMappedRowsAliasFile(t *testing.T) {
+// TestLoadRowsAliasBuffer: every row VaryingRows returns is a window of the
+// buffer decode was handed — nothing is copied or derived at load or on a
+// scan.
+func TestLoadRowsAliasBuffer(t *testing.T) {
 	g := gtest.LongLivedGraph(rand.New(rand.NewSource(29)), 70)
-	m, err := OpenMapped(writeTemp(t, saved(t, g)))
+	data := saved(t, g)
+	snap, err := decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
-	if m.Source != "mmap" {
-		t.Skipf("snapshot served from %s, not a mapping", m.Source)
-	}
-	lo := uintptr(unsafe.Pointer(&m.data[0]))
-	hi := lo + uintptr(len(m.data))
-	rows := m.Graph.VaryingRows(m.Graph.MustAttr("act"))
+	lo := uintptr(unsafe.Pointer(&data[0]))
+	hi := lo + uintptr(len(data))
+	rows := snap.Graph.VaryingRows(snap.Graph.MustAttr("act"))
 	if len(rows) != g.Timeline().Len() {
 		t.Fatalf("%d rows for %d points", len(rows), g.Timeline().Len())
 	}
@@ -205,7 +192,7 @@ func TestMappedRowsAliasFile(t *testing.T) {
 			t.Fatalf("row %d has %d codes, want %d", tp, len(row), g.NumNodes())
 		}
 		if p := uintptr(unsafe.Pointer(&row[0])); p < lo || p+uintptr(len(row))*4 > hi {
-			t.Fatalf("row %d lives at %#x, outside the mapping [%#x,%#x)", tp, p, lo, hi)
+			t.Fatalf("row %d lives at %#x, outside the buffer [%#x,%#x)", tp, p, lo, hi)
 		}
 	}
 }
@@ -250,16 +237,6 @@ func loadGraph(t *testing.T, path string) *core.Graph {
 	if err != nil {
 		t.Fatalf("LoadGraph %s: %v", path, err)
 	}
-	return g
-}
-
-func mapGraph(t *testing.T, path string) *core.Graph {
-	t.Helper()
-	g, m, err := MappedGraph(path)
-	if err != nil {
-		t.Fatalf("MappedGraph %s: %v", path, err)
-	}
-	t.Cleanup(func() { m.Close() })
 	return g
 }
 

@@ -55,7 +55,7 @@ func Load(r io.Reader) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decode(data, true)
+	return decode(data)
 }
 
 // LoadFile reads a snapshot from path.
@@ -66,7 +66,7 @@ func loadFile(fs fsys, path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decode(data, true)
+	return decode(data)
 }
 
 // LoadGraph is LoadFile returning only the graph — the common case for
@@ -79,13 +79,13 @@ func LoadGraph(path string) (*core.Graph, error) {
 	return snap.Graph, nil
 }
 
-// decode is the one snapshot decoder: parse the file held in data, assemble
-// the graph over its blob regions, rebuild the stores. verify selects the
-// depth Load and OpenMapped differ in — blob checksums and Graph.Validate —
-// never a different path. data must be private to the caller unless the
-// host is little-endian (see hostOrder).
-func decode(data []byte, verify bool) (*Snapshot, error) {
-	p, err := parseV2(data, verify)
+// decode is the one snapshot decoder: parse the file held in data with
+// every blob checksum verified, assemble the graph over its blob regions,
+// check it against the full model (Graph.Validate), rebuild the stores. data
+// must be private to the caller: the graph's columns alias it (see
+// hostOrder).
+func decode(data []byte) (*Snapshot, error) {
+	p, err := parseV2(data, true)
 	if err != nil {
 		return nil, err
 	}
@@ -93,10 +93,8 @@ func decode(data []byte, verify bool) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if verify {
-		if err := snap.Graph.Validate(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
+	if err := snap.Graph.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return snap, nil
 }
@@ -148,8 +146,8 @@ type storeEdge struct {
 // parseV2 walks a complete snapshot held in data. The header must carry the
 // magic and formatVersion; framed meta records are checksum-verified as
 // always; blob regions are bounds- and alignment-checked against the
-// directory, and additionally CRC-verified when verifyBlobs is set (the
-// mapped path skips the checksums to avoid paging the whole file in).
+// directory, and additionally CRC-verified when verifyBlobs is set (recovery
+// clears it only to read the watermark of a snapshot that failed them).
 func parseV2(data []byte, verifyBlobs bool) (*parsedV2, error) {
 	if len(data) < 10 {
 		return nil, fmt.Errorf("%w: snapshot header", ErrTruncated)
@@ -471,11 +469,11 @@ func tauSets(words []uint64, n, wpt, T int) []*bitset.Set {
 // hostOrder turns a blob of little-endian fields, each width bytes wide,
 // into a host-order typed slice over the same memory. On a little-endian
 // host that is an alias; on a big-endian one the fields are byte-swapped in
-// place first, which is why such a host only ever decodes a private heap
-// buffer (OpenMapped reads instead of mapping there). parseV2 guarantees
-// 8-aligned blob offsets and file buffers are at least word-aligned, so the
-// element alignment holds for every T used here (uint64, int32 pairs, int32
-// codes); a misaligned base falls back to a copy.
+// place first, which is why decode requires a private buffer. parseV2
+// guarantees 8-aligned blob offsets and file buffers are at least
+// word-aligned, so the element alignment holds for every T used here
+// (uint64, int32 pairs, int32 codes); a misaligned base falls back to a
+// copy.
 func hostOrder[T any](b []byte, width int) []T {
 	var zero T
 	sz := int(unsafe.Sizeof(zero))

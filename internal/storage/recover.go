@@ -59,7 +59,7 @@ func (e *Engine) recover(attrs []core.AttrSpec) error {
 		if rerr != nil {
 			return rerr // IO error: do not silently fall back
 		}
-		s, lerr := decode(data, true)
+		s, lerr := decode(data)
 		if lerr == nil {
 			loaded, snapGen = s, gen
 			break

@@ -5,31 +5,18 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/ops"
 	"repro/internal/timeline"
 )
-
-func writeTemp(t *testing.T, data []byte) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "snap.gts")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
 
 // TestUnknownVersionRejected: the reader accepts exactly one format
 // version. Any other header — version 1 (the framed-column layout older
 // builds wrote) included — fails with ErrVersion naming the accepted
-// version, under Load and OpenMapped alike, and is never misparsed.
+// version, and is never misparsed.
 func TestUnknownVersionRejected(t *testing.T) {
 	g := dataset.DBLPScaled(9, 0.004)
 	var buf bytes.Buffer
@@ -39,18 +26,12 @@ func TestUnknownVersionRejected(t *testing.T) {
 	data := buf.Bytes()
 	for _, v := range []uint16{0, 1, 3, 0xffff} {
 		binary.LittleEndian.PutUint16(data[8:10], v)
-		_, lerr := Load(bytes.NewReader(data))
-		m, merr := OpenMapped(writeTemp(t, data))
-		if merr == nil {
-			m.Close()
+		_, err := Load(bytes.NewReader(data))
+		if !errors.Is(err, ErrVersion) {
+			t.Fatalf("version %d: %v, want ErrVersion", v, err)
 		}
-		for name, err := range map[string]error{"Load": lerr, "OpenMapped": merr} {
-			if !errors.Is(err, ErrVersion) {
-				t.Fatalf("version %d %s: %v, want ErrVersion", v, name, err)
-			}
-			if !strings.Contains(err.Error(), "accepts version 2") {
-				t.Fatalf("version %d %s: %q does not name the accepted version", v, name, err)
-			}
+		if !strings.Contains(err.Error(), "accepts version 2") {
+			t.Fatalf("version %d: %q does not name the accepted version", v, err)
 		}
 	}
 }
@@ -145,8 +126,7 @@ func mutateEntry(t *testing.T, data []byte, kind, param, newKind, newParam uint3
 
 // TestLoadSemanticViolations: files whose every checksum holds but whose
 // content breaks one rule of core.Graph.Validate or of the blob layout.
-// Load must name the rule under ErrCorrupt; OpenMapped, which skips
-// Validate, must reject the file or serve it without panicking.
+// Load must name the rule under ErrCorrupt.
 func TestLoadSemanticViolations(t *testing.T) {
 	g := violationGraph(t)
 	var buf bytes.Buffer
@@ -197,26 +177,6 @@ func TestLoadSemanticViolations(t *testing.T) {
 			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("Load: %v, want ErrCorrupt naming %q", err, c.want)
 			}
-			m, err := OpenMapped(writeTemp(t, c.mut))
-			if err != nil {
-				if !isStorageError(err) {
-					t.Fatalf("OpenMapped: untyped error %v", err)
-				}
-				return
-			}
-			defer m.Close()
-			// Served unvalidated: every read path must stay in bounds.
-			mg := m.Graph
-			all := mg.Timeline().All()
-			for _, kind := range []agg.Kind{agg.Distinct, agg.All} {
-				agg.Aggregate(ops.Union(mg, all, all), agg.MustSchema(mg, 0, 1), kind)
-			}
-			for tt := 0; tt < mg.Timeline().Len(); tt++ {
-				mg.NodesAt(timeline.Time(tt))
-				mg.EdgesAt(timeline.Time(tt))
-			}
-			mg.NodeByLabel("a")
-			mg.EdgeByEndpoints(0, 1)
 		})
 	}
 }

@@ -29,7 +29,7 @@ import (
 // (-1 = missing; a time-varying attribute time-major, one row of codes per
 // time point). The reader hands them to core.FromColumns as typed slices
 // over the file's own bytes (see hostOrder). Each directory entry carries a
-// CRC32C of its blob, verified by Load (OpenMapped checks structure only).
+// CRC32C of its blob, verified on every load.
 const (
 	secBlobDir byte = 11 // blob directory: count, file size, fixed-width entries
 	// secTauRuns is reserved: earlier writers put a second, run-length copy
