@@ -481,31 +481,6 @@ func BenchmarkAblationCatalogRollup(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationParallelAggregation measures sharded multi-goroutine
-// aggregation against the serial engine on the densest workload (ALL on
-// the time-varying attribute over the whole MovieLens timeline).
-func BenchmarkAblationParallelAggregation(b *testing.B) {
-	_, m := benchGraphs(b)
-	tl := m.Timeline()
-	v := graphtempo.Union(m, tl.All(), tl.All())
-	s, err := agg.ByName(m, "gender", "rating")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			agg.Aggregate(v, s, agg.All)
-		}
-	})
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				agg.AggregateParallel(v, s, agg.All, workers)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationExplorePruning compares the monotonicity-pruned
 // exploration against the exhaustive baseline.
 func BenchmarkAblationExplorePruning(b *testing.B) {

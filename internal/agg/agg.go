@@ -60,8 +60,9 @@ type EdgeKey struct {
 }
 
 // Schema fixes the attribute set of an aggregation over one base graph and
-// provides tuple encoding/decoding. Create one with NewSchema; a Schema
-// may be reused across many Aggregate calls on views of the same graph.
+// provides tuple encoding/decoding. NewSchema interns schemas per graph, so
+// every caller aggregating a graph on one attribute list shares one Schema
+// — its pooled scratch and its lazily built per-point tuple codes (Codes).
 type Schema struct {
 	g         *core.Graph
 	attrs     []core.AttrID
@@ -71,24 +72,71 @@ type Schema struct {
 	allStatic bool
 
 	// Kernel state (dense.go): pooled accumulators (sweep holds the
-	// evolution sweep kernel's), and the lazily built per-node static tuple
-	// codes and match masks for all-static schemas.
-	dense       sync.Pool
-	sweep       sync.Pool
-	staticOnce  sync.Once
-	staticCodes []int64
-	matchOnce   sync.Once
-	matchNodes  *bitset.Set
-	matchEdges  *bitset.Set
+	// evolution sweep kernel's), the per-point tuple-code rows, built under
+	// codesMu, and the all-static match masks.
+	dense      sync.Pool
+	sweep      sync.Pool
+	codes      []atomic.Pointer[[]int64]
+	codesMu    sync.Mutex
+	matchOnce  sync.Once
+	matchNodes *bitset.Set
+	matchEdges *bitset.Set
+}
+
+// schemaTable is one graph's interned schemas, keyed by attribute list. It
+// lives in the graph's memo slot, so it is released with the graph.
+type schemaTable struct {
+	mu      sync.Mutex
+	schemas map[string]*Schema
+	bytes   atomic.Int64 // tuple-code rows built so far, over every schema
+}
+
+func tableOf(g *core.Graph) *schemaTable {
+	return g.Memo(func() any { return &schemaTable{schemas: make(map[string]*Schema)} }).(*schemaTable)
+}
+
+// TupleRowBytes reports the resident size of the tuple-code rows the
+// schemas of g have built so far (Schema.Codes).
+func TupleRowBytes(g *core.Graph) int64 { return tableOf(g).bytes.Load() }
+
+// ReleaseRows drops the tuple-code rows built on g's schemas, for a graph a
+// newer generation superseded: whoever still holds one of its schemas (a
+// plan kept across the advance, an in-flight request) rebuilds the rows it
+// reads again.
+func ReleaseRows(g *core.Graph) {
+	tab := tableOf(g)
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	for _, s := range tab.schemas {
+		s.codesMu.Lock()
+		var freed int64
+		var last *[]int64 // an all-static schema's one row fills every slot
+		for i := range s.codes {
+			if p := s.codes[i].Swap(nil); p != nil && p != last {
+				freed += int64(len(*p)) * 8
+				last = p
+			}
+		}
+		s.codesMu.Unlock()
+		tab.bytes.Add(-freed)
+	}
 }
 
 // maxDomain bounds a schema's tuple domain so that every edge code
 // from·Domain+to fits in an int64: ⌊√(2⁶³−1)⌋.
 const maxDomain = 3_037_000_499
 
-// NewSchema returns a schema aggregating g's nodes on the given attributes,
-// in order. At least one attribute is required (Definition 2.6: 1 ≤ n ≤ k).
+// NewSchema returns the schema aggregating g's nodes on the given
+// attributes, in order. At least one attribute is required (Definition 2.6:
+// 1 ≤ n ≤ k). Equal attribute lists on one graph return one *Schema.
 func NewSchema(g *core.Graph, attrs ...core.AttrID) (*Schema, error) {
+	tab := tableOf(g)
+	key := fmt.Sprint(attrs)
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	if s := tab.schemas[key]; s != nil {
+		return s, nil
+	}
 	if len(attrs) == 0 {
 		return nil, fmt.Errorf("agg: at least one aggregation attribute is required")
 	}
@@ -99,6 +147,7 @@ func NewSchema(g *core.Graph, attrs ...core.AttrID) (*Schema, error) {
 		strides:   make([]int64, len(attrs)),
 		radices:   make([]int64, len(attrs)),
 		allStatic: true,
+		codes:     make([]atomic.Pointer[[]int64], g.Timeline().Len()),
 	}
 	stride := int64(1)
 	for i, a := range attrs {
@@ -124,6 +173,7 @@ func NewSchema(g *core.Graph, attrs ...core.AttrID) (*Schema, error) {
 		}
 	}
 	s.domain = stride
+	tab.schemas[key] = s
 	return s, nil
 }
 

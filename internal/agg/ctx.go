@@ -14,11 +14,19 @@ import (
 // nothing against per-entity work.
 const ctxChunk = 8192
 
-// AggregateParallelCtx is AggregateParallel with cooperative cancellation:
-// shard workers check ctx between chunks of ctxChunk entity ids and abandon
-// the scan once the deadline expires or the context is canceled, returning
-// ctx.Err() instead of a result. A nil error guarantees the same graph
-// AggregateParallel would produce.
+// AggregateParallelCtx computes the same result as Aggregate using several
+// goroutines. The view's node and edge id spaces are split into contiguous
+// shards, each worker aggregates its shards into a private partial graph,
+// and the partials are merged. Sharding by entity is correct for both
+// kinds: ALL weights are pure sums, and DIST deduplication is per entity,
+// so no entity's appearances are split across workers.
+//
+// workers ≤ 0 selects GOMAXPROCS. With one worker — or when the view
+// selects fewer than ParallelMinEntities entities, where goroutine spawn
+// and merge overhead dominate — it runs the serial engine. Workers check
+// ctx between chunks of ctxChunk entity ids and abandon the scan once the
+// deadline expires or the context is canceled, returning ctx.Err() instead
+// of a result; a nil error guarantees the complete graph.
 func AggregateParallelCtx(ctx context.Context, v *ops.View, s *Schema, kind Kind, workers int) (*Graph, error) {
 	if v.Graph() != s.g {
 		panic("agg: view and schema built on different graphs")
@@ -33,9 +41,9 @@ func AggregateParallelCtx(ctx context.Context, v *ops.View, s *Schema, kind Kind
 	return out, nil
 }
 
-// aggregateParallelInner is the shared engine behind AggregateParallel and
-// AggregateParallelCtx. With a cancelable ctx the result may be partial —
-// callers must discard it when ctx.Err() != nil.
+// aggregateParallelInner is AggregateParallelCtx's engine. With a
+// cancelable ctx the result may be partial — callers must discard it when
+// ctx.Err() != nil.
 func aggregateParallelInner(ctx context.Context, v *ops.View, s *Schema, kind Kind, workers int) *Graph {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/ops"
+	"repro/internal/timeline"
 )
 
 // TestAggregateParallelCtxMatchesSerial checks that a live context produces
@@ -33,8 +35,9 @@ func TestAggregateParallelCtxMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestAggregateParallelCtxCanceled checks the early exit: an
-// already-expired context returns its error without producing a graph.
+// TestAggregateParallelCtxCanceled checks the early exits: an
+// already-expired context returns its error without producing a graph, and
+// so does one canceled while the kernel runs, down to its dedupe pass.
 func TestAggregateParallelCtxCanceled(t *testing.T) {
 	g := core.PaperExample()
 	defer forceParallel(t)()
@@ -55,11 +58,48 @@ func TestAggregateParallelCtxCanceled(t *testing.T) {
 	if ag, err := AggregateParallelCtx(dctx, v, s, Distinct, 0); err != context.DeadlineExceeded {
 		t.Fatalf("expired deadline: got (%v, %v), want context.DeadlineExceeded", ag, err)
 	}
+
+	// A cancellation that lands inside DIST's word-by-word dedupe pass —
+	// after it deduplicated some words — stops the kernel, leaves the pooled
+	// scratch clean, and surfaces as the context's error.
+	g = dataset.DBLPScaled(1, 0.3)
+	all := g.Timeline().All()
+	v, s = ops.Union(g, all, all), MustSchema(g, g.MustAttr("publications"))
+	landed := 0
+	for k := 1; ; k++ {
+		sc := s.getScratch()
+		gen0, probes, inside := sc.gen, 0, false
+		done := denseVarying(v, s, Distinct, nil, sc, 0, g.NumNodes(), 0, g.NumEdges(), func() bool {
+			if probes++; probes < k {
+				return false
+			}
+			inside = sc.gen > gen0
+			return true
+		})
+		s.putScratch(sc)
+		if done {
+			break
+		}
+		if inside {
+			landed++
+		}
+	}
+	if landed < 2 {
+		t.Fatalf("only %d cancellations landed inside the dedupe pass", landed)
+	}
+	mid, cancelMid := context.WithCancel(context.Background())
+	cancelAtFirst := func(core.NodeID, timeline.Time) bool { cancelMid(); return true } // runs inside the scan
+	if ag, err := AggregateFiltered(mid, v, s, Distinct, cancelAtFirst); ag != nil || err != context.Canceled {
+		t.Fatalf("canceled mid-scan: (%v, %v), want (nil, context.Canceled)", ag, err)
+	}
+	if got, want := Aggregate(v, s, Distinct), AggregateMap(v, s, Distinct); !got.Equal(want) {
+		t.Fatal("a canceled scan returned its scratch dirty")
+	}
 }
 
 // forceParallel lowers the serial-fallback threshold so the tiny paper
 // fixture takes the sharded path, restoring it on cleanup.
-func forceParallel(t *testing.T) func() {
+func forceParallel(t testing.TB) func() {
 	t.Helper()
 	old := parallelMinEntities
 	parallelMinEntities = 0

@@ -12,7 +12,7 @@ import (
 )
 
 // This file implements the aggregation kernels behind Aggregate,
-// AggregateParallel and AggregateFiltered, for every schema.
+// AggregateParallelCtx and AggregateFiltered, for every schema.
 //
 // Tuples are dictionary-encoded mixed-radix codes, so the accumulators are
 // indexed by code — node weights by tuple, edge weights by from·Domain+to —
@@ -20,14 +20,21 @@ import (
 // scratch is pooled per schema, making repeated calls allocation-free apart
 // from the exactly-sized result maps.
 //
+// Every kernel reads a node's tuple with one load from the schema's
+// per-point code rows (Codes): row t holds every node's tuple code at t,
+// decoded once per (graph, schema, point) — schemas are interned per graph
+// — and shared by every later call. An all-static schema has one row, the
+// same at every point.
+//
 // Static schemas take one tuple per node (denseStatic). Time-varying schemas
 // — and filtered aggregation under any schema — are read the way
 // Algorithm 2 unpivots the node × time attribute arrays, by time column
 // (denseVarying): for each point of the view's interval the kernel streams
-// the words of the point's existence column ∧ the view's selection and
-// decodes tuples from that point's attribute rows, which stay
-// cache-resident through the whole pass, instead of walking each entity's τ
-// into a |V|·T table.
+// the words of the point's existence column ∧ the view's selection against
+// that point's row. DIST splits the selection, word-parallel, into entities
+// appearing once in the interval, streamed like ALL, and the rest, which are
+// deduplicated 64 at a time from the same columns (dedupe) — neither path
+// walks an entity's τ.
 //
 // Exploration (internal/explore) is the workload this exists for: every
 // candidate interval pair costs one aggregation, and Figs. 13–14 evaluate
@@ -122,23 +129,33 @@ func (a *Accum[V]) Reset() {
 }
 
 // denseScratch is one pooled kernel state for a schema: the node and edge
-// weights, DIST's stamps (the last entity, by gen, counted into a node or
-// edge group) and the time-major scan's per-call buffers.
+// weights, DIST's stamps (per code, which entities of the word being
+// deduplicated — by gen — already counted it) and the time-major scan's
+// per-call buffers.
 type denseScratch struct {
 	nodes, edges       Accum[int64]
-	nodeSeen, edgeSeen Accum[int64]
+	nodeSeen, edgeSeen Accum[wordStamp]
 	gen                int64
 
-	// Time-major kernel state (denseVarying), rebuilt per call: words are
-	// the indices of the selection's non-zero words within the scanned id
-	// range and sel those words (range-clipped); seen/multi are DIST's
-	// word-parallel "appears at ≥ 1 / ≥ 2 points of the interval" masks over
-	// the same words. rows and cur back the column plan (varyingScan).
+	// Time-major kernel state (denseVarying), rebuilt per call: ts are the
+	// points of the view's interval, rows their tuple codes and cols the
+	// scanned side's existence column at each; words are the indices of the
+	// selection's non-zero words within the scanned id range and sel those
+	// words (range-clipped); seen/multi are DIST's word-parallel "appears at
+	// ≥ 1 / ≥ 2 points of the interval" masks over the same words.
+	ts          []timeline.Time
+	rows        [][]int64
+	cols        []*bitset.Set
 	words       []int32
 	sel         []uint64
 	seen, multi []uint64
-	rows        [][][]dict.Code
-	cur         [][]dict.Code
+}
+
+// wordStamp marks, for one code, the entities of word gen's dedupe that
+// already counted it.
+type wordStamp struct {
+	gen  int64
+	mask uint64
 }
 
 // SweepPool is the schema's pool for the scratch of the evolution sweep
@@ -169,34 +186,73 @@ func (s *Schema) putScratch(sc *denseScratch) {
 	s.dense.Put(sc)
 }
 
-// StaticTupleCodes lazily builds the per-node tuple codes of an all-static
-// schema (-1 where any attribute value is missing). Built once per schema;
-// safe for concurrent readers, who must not modify it.
-func (s *Schema) StaticTupleCodes() []int64 {
-	s.staticOnce.Do(func() {
-		codes := make([]int64, s.g.NumNodes())
-		for n := range codes {
-			if tu, ok := s.StaticTuple(core.NodeID(n)); ok {
-				codes[n] = int64(tu)
-			} else {
-				codes[n] = -1
-			}
+// Codes returns the schema's tuple-code row of point t: row[n] is node n's
+// tuple code at t, or −1 when an attribute has no value. A time-varying or
+// mixed schema's row is decoded from the attribute columns of t over
+// NodesAt(t) — −1 for the nodes absent at t — and sized to that column, so
+// it covers every node existing at t. An all-static schema has one row over
+// every node, returned for every t. Each row is built once, on first use,
+// and shared by every caller, who must not modify it.
+func (s *Schema) Codes(t timeline.Time) []int64 {
+	if p := s.codes[t].Load(); p != nil {
+		return *p
+	}
+	s.codesMu.Lock()
+	defer s.codesMu.Unlock()
+	if p := s.codes[t].Load(); p != nil {
+		return *p
+	}
+	g := s.g
+	cols := make([][]dict.Code, len(s.attrs))
+	for i, a := range s.attrs {
+		if g.Attr(a).Kind == core.Static {
+			cols[i] = g.StaticColumn(a)
+		} else {
+			cols[i] = g.VaryingRows(a)[t]
 		}
-		s.staticCodes = codes
-	})
-	return s.staticCodes
+	}
+	code := func(n int) int64 {
+		var code int64
+		for i, col := range cols {
+			if n >= len(col) || col[n] < 0 {
+				return -1
+			}
+			code += int64(col[n]) * s.strides[i]
+		}
+		return code
+	}
+	var row []int64
+	if s.allStatic {
+		row = make([]int64, g.NumNodes())
+		for n := range row {
+			row[n] = code(n)
+		}
+		for i := range s.codes {
+			s.codes[i].Store(&row)
+		}
+	} else {
+		exists := g.PointIndex().NodesAt(t)
+		row = make([]int64, exists.Len())
+		for n := range row {
+			row[n] = -1
+		}
+		exists.ForEach(func(n int) { row[n] = code(n) })
+		s.codes[t].Store(&row)
+	}
+	tableOf(g).bytes.Add(int64(len(row)) * 8)
+	return row
 }
 
 // StaticMatch returns what aggregation under an all-static schema counts:
 // the nodes that have a tuple and the edges whose endpoints both have one.
-// Both are nil when every node has a tuple. Built once per schema, like
-// StaticTupleCodes; callers must not modify them.
+// Both are nil when every node has a tuple. Built once per schema, like its
+// code row; callers must not modify them.
 func (s *Schema) StaticMatch() (nodes, edges *bitset.Set) {
 	s.matchOnce.Do(func() {
 		g := s.g
 		has := bitset.New(g.NumNodes())
-		for n := 0; n < g.NumNodes(); n++ {
-			if _, ok := s.StaticTuple(core.NodeID(n)); ok {
+		for n, c := range s.Codes(0) {
+			if c >= 0 {
 				has.Add(n)
 			}
 		}
@@ -210,7 +266,7 @@ func (s *Schema) StaticMatch() (nodes, edges *bitset.Set) {
 // denseStatic is the §4.2 static fast path: one tuple per node, weights 1
 // (DIST) or the restricted-timestamp popcount (ALL).
 func denseStatic(v *ops.View, s *Schema, kind Kind, sc *denseScratch, nLo, nHi, eLo, eHi int) {
-	codes := s.StaticTupleCodes()
+	codes := s.Codes(0)
 	d := s.domain
 	v.ForEachNodeIn(nLo, nHi, func(n core.NodeID) {
 		c := codes[n]
@@ -248,18 +304,15 @@ func denseStatic(v *ops.View, s *Schema, kind Kind, sc *denseScratch, nLo, nHi, 
 // schemas, and for filtered aggregation under any schema, over the view's
 // entities with ids in [nLo,nHi) / [eLo,eHi). For each point t of the
 // view's interval it streams the words of NodesAt(t) ∧ view.nodes and
-// EdgesAt(t) ∧ view.edges and decodes each appearance's tuple from the
-// columns bound to t: row t of every varying attribute plus the static
-// columns, resolved once per call — no Graph.Value dispatch per appearance.
-// A non-nil filter drops the appearances it rejects (an edge's needs both
-// endpoints to pass).
+// EdgesAt(t) ∧ view.edges and reads each appearance's tuple from row t of
+// the schema's codes. A non-nil filter drops the appearances it rejects (an
+// edge's needs both endpoints to pass).
 //
 // ALL counts every appearance that way. DIST must count an (entity, tuple)
 // pair once: a word-parallel pass over the same columns first splits the
 // selection into entities that appear at exactly one point of the interval
 // — nothing to deduplicate, so they are streamed like ALL — and the
-// multi-appearance remainder, which alone is walked entity by entity with
-// epoch stamps.
+// multi-appearance remainder, which dedupe counts word by word.
 //
 // Only the selection's non-zero words are visited per point, so the work
 // is (non-zero words) · |interval| word operations plus the selected
@@ -267,39 +320,25 @@ func denseStatic(v *ops.View, s *Schema, kind Kind, sc *denseScratch, nLo, nHi, 
 // canceled is probed every ctxChunk ids' worth of words; the kernel
 // returns false when it stopped early.
 func denseVarying(v *ops.View, s *Schema, kind Kind, filter Filter, sc *denseScratch, nLo, nHi, eLo, eHi int, canceled func() bool) bool {
-	g := s.g
-	sc.rows, sc.cur = sc.rows[:0], sc.cur[:0]
-	for _, a := range s.attrs {
-		if g.Attr(a).Kind == core.Static {
-			sc.rows, sc.cur = append(sc.rows, nil), append(sc.cur, g.StaticColumn(a))
-		} else {
-			sc.rows, sc.cur = append(sc.rows, g.VaryingRows(a)), append(sc.cur, nil)
-		}
-	}
-	k := varyingScan{s: s, sc: sc, rows: sc.rows, cur: sc.cur, strides: s.strides,
-		times: v.Times().Mask(), dist: kind == Distinct, filter: filter, canceled: canceled}
-	if k.times == nil || k.times.IsEmpty() {
+	times := v.Times().Mask()
+	if times == nil {
 		return true
 	}
-	k.tLo, k.tHi = k.times.Next(0)/64, k.times.NumWords()
-	ix := g.PointIndex()
+	sc.ts, sc.rows = sc.ts[:0], sc.rows[:0]
+	for t := times.Next(0); t >= 0; t = times.Next(t + 1) {
+		sc.ts, sc.rows = append(sc.ts, timeline.Time(t)), append(sc.rows, s.Codes(timeline.Time(t)))
+	}
+	k := varyingScan{s: s, sc: sc, dist: kind == Distinct, filter: filter, canceled: canceled}
+	ix := s.g.PointIndex()
 	return k.side(v.Nodes(), ix.NodesAt, nLo, nHi, false) && k.side(v.Edges(), ix.EdgesAt, eLo, eHi, true)
 }
 
 // varyingScan is one denseVarying call.
 type varyingScan struct {
-	s  *Schema
-	sc *denseScratch
-	// The column plan, per schema attribute: the time-major rows of a
-	// varying one (nil for a static one), the column bound to the point
-	// being read — row t after bind(t), or the static column — and the
-	// attribute's stride in the tuple code.
-	rows     [][][]dict.Code
-	cur      [][]dict.Code
-	strides  []int64
+	s        *Schema
+	sc       *denseScratch
 	t        timeline.Time // the bound point
-	times    *bitset.Set   // the view's interval, non-empty
-	tLo, tHi int           // the words of times that can hold a point
+	row      []int64       // its tuple codes
 	dist     bool
 	filter   Filter
 	canceled func() bool
@@ -317,14 +356,17 @@ func (k *varyingScan) side(sel *bitset.Set, at func(timeline.Time) *bitset.Set, 
 			sc.words, sc.sel = append(sc.words, int32(wi)), append(sc.sel, w)
 		}
 	}
-	if len(sc.words) == 0 {
+	if len(sc.words) == 0 || len(sc.ts) == 0 {
 		return true
+	}
+	sc.cols = sc.cols[:0]
+	for _, t := range sc.ts {
+		sc.cols = append(sc.cols, at(t))
 	}
 	stream := sc.sel
 	if k.dist {
 		sc.seen, sc.multi = zeroed(sc.seen, len(sc.words)), zeroed(sc.multi, len(sc.words))
-		for t := k.times.Next(0); t >= 0; t = k.times.Next(t + 1) {
-			col := at(timeline.Time(t))
+		for _, col := range sc.cols {
 			nw := int32(col.NumWords())
 			for j, wi := range sc.words {
 				if wi >= nw {
@@ -340,10 +382,9 @@ func (k *varyingScan) side(sel *bitset.Set, at func(timeline.Time) *bitset.Set, 
 		}
 		stream = sc.seen // the single-appearance entities
 	}
-	for t := k.times.Next(0); t >= 0; t = k.times.Next(t + 1) {
-		col := at(timeline.Time(t))
+	for i, col := range sc.cols {
 		nw := int32(col.NumWords())
-		k.bind(t)
+		k.bind(i)
 		for j, wi := range sc.words {
 			if wi >= nw {
 				break
@@ -356,18 +397,7 @@ func (k *varyingScan) side(sel *bitset.Set, at func(timeline.Time) *bitset.Set, 
 			}
 		}
 	}
-	if !k.dist {
-		return true
-	}
-	for j, m := range sc.multi {
-		if j%probeWords == 0 && k.canceled() {
-			return false
-		}
-		for base := int(sc.words[j]) * 64; m != 0; m &= m - 1 {
-			k.dedupe(base+bits.TrailingZeros64(m), edges)
-		}
-	}
-	return true
+	return !k.dist || k.dedupe(edges)
 }
 
 // zeroed returns buf resized to n zero words, reallocating only to grow.
@@ -380,30 +410,21 @@ func zeroed(buf []uint64, n int) []uint64 {
 	return buf
 }
 
-// bind points the varying attributes' columns at row t.
-func (k *varyingScan) bind(t int) {
-	k.t = timeline.Time(t)
-	for i, rows := range k.rows {
-		if rows != nil {
-			k.cur[i] = rows[t]
-		}
-	}
-}
+// bind makes the i-th point of the interval the one read.
+func (k *varyingScan) bind(i int) { k.t, k.row = k.sc.ts[i], k.sc.rows[i] }
 
-// tuple decodes node n's tuple from the bound columns; -1 when any
-// attribute has no value. n exists at the bound point — it is in that
-// point's column, or an endpoint of an edge that is — so it is within every
-// bound row, however early the row was frozen.
-func (k *varyingScan) tuple(n core.NodeID) int64 {
-	var code int64
-	for i, col := range k.cur {
-		c := col[n]
-		if c < 0 {
-			return -1
-		}
-		code += int64(c) * k.strides[i]
+// code returns entity id's code at the bound point — a node's tuple, an
+// edge's from·Domain+to — or -1 when a tuple is missing. The entity exists
+// at the bound point, so its nodes lie within the point's row.
+func (k *varyingScan) code(id int, edges bool) int64 {
+	if !edges {
+		return k.row[id]
 	}
-	return code
+	ep := k.s.g.Edge(core.EdgeID(id))
+	if fu, tu := k.row[ep.U], k.row[ep.V]; fu >= 0 && tu >= 0 {
+		return fu*k.s.domain + tu
+	}
+	return -1
 }
 
 // admits reports whether the filter keeps node n's appearance at the bound
@@ -412,7 +433,7 @@ func (k *varyingScan) admits(n core.NodeID) bool { return k.filter == nil || k.f
 
 // admitted clears from word x of the id space the entities whose appearance
 // at the bound point the filter rejects (an edge's needs both endpoints
-// kept), so that count's per-appearance loop reads no filter.
+// kept), so that the per-appearance loops read no filter.
 func (k *varyingScan) admitted(base int, x uint64, edges bool) uint64 {
 	for y := x; y != 0; y &= y - 1 {
 		b := bits.TrailingZeros64(y)
@@ -430,57 +451,67 @@ func (k *varyingScan) admitted(base int, x uint64, edges bool) uint64 {
 // count adds one appearance at the bound point for every entity in word x
 // of the id space (bit b is id base+b) that the filter admits.
 func (k *varyingScan) count(base int, x uint64, edges bool) {
-	sc, g, d := k.sc, k.s.g, k.s.domain
+	w := &k.sc.nodes
+	if edges {
+		w = &k.sc.edges
+	}
 	if k.filter != nil {
 		x = k.admitted(base, x, edges)
 	}
 	for ; x != 0; x &= x - 1 {
-		id := base + bits.TrailingZeros64(x)
-		if !edges {
-			if tu := k.tuple(core.NodeID(id)); tu >= 0 {
-				*sc.nodes.Ref(tu)++
-			}
-			continue
-		}
-		ep := g.Edge(core.EdgeID(id))
-		if fu, tu := k.tuple(ep.U), k.tuple(ep.V); fu >= 0 && tu >= 0 {
-			*sc.edges.Ref(fu*d + tu)++
+		if c := k.code(base+bits.TrailingZeros64(x), edges); c >= 0 {
+			*w.Ref(c)++
 		}
 	}
 }
 
-// dedupe is DIST for one entity that appears at several points of the
-// interval: it walks the entity's restricted timestamp and counts each
-// distinct tuple (pair) once, stamping what the entity has exhibited.
-func (k *varyingScan) dedupe(id int, edges bool) {
-	sc, g, d := k.sc, k.s.g, k.s.domain
-	sc.gen++
+// dedupe is DIST for the entities that appear at several points of the
+// interval (multi), 64 at a time: for each point it takes the word of that
+// point's column, and per code it stamps the bits of the word's entities
+// that already counted it, so each (entity, tuple) pair counts once.
+func (k *varyingScan) dedupe(edges bool) bool {
+	sc := k.sc
 	w, seen := &sc.nodes, &sc.nodeSeen
-	var ep core.Endpoints
-	var tau *bitset.Set
 	if edges {
 		w, seen = &sc.edges, &sc.edgeSeen
-		ep, tau = g.Edge(core.EdgeID(id)), g.EdgeTau(core.EdgeID(id))
-	} else {
-		tau = g.NodeTau(core.NodeID(id))
 	}
-	for wi, hi := k.tLo, min(k.tHi, tau.NumWords()); wi < hi; wi++ {
-		for bw := tau.Word(wi) & k.times.Word(wi); bw != 0; bw &= bw - 1 {
-			k.bind(wi*64 + bits.TrailingZeros64(bw))
-			var code int64
-			if edges {
-				fu, tu := k.tuple(ep.U), k.tuple(ep.V)
-				if fu < 0 || tu < 0 || !k.admits(ep.U) || !k.admits(ep.V) {
-					continue
-				}
-				code = fu*d + tu
-			} else if code = k.tuple(core.NodeID(id)); code < 0 || !k.admits(core.NodeID(id)) {
+	for j, m := range sc.multi {
+		if j%probeWords == 0 && k.canceled() {
+			return false
+		}
+		if m == 0 {
+			continue
+		}
+		sc.gen++
+		wi := int(sc.words[j])
+		for i, col := range sc.cols {
+			if wi >= col.NumWords() {
 				continue
 			}
-			if st := seen.Ref(code); *st != sc.gen {
-				*st = sc.gen
-				*w.Ref(code)++
+			x := col.Word(wi) & m
+			if x == 0 {
+				continue
+			}
+			k.bind(i)
+			if k.filter != nil {
+				x = k.admitted(wi*64, x, edges)
+			}
+			for ; x != 0; x &= x - 1 {
+				b := bits.TrailingZeros64(x)
+				c := k.code(wi*64+b, edges)
+				if c < 0 {
+					continue
+				}
+				st := seen.Ref(c)
+				if st.gen != sc.gen {
+					*st = wordStamp{gen: sc.gen}
+				}
+				if st.mask&(1<<b) == 0 {
+					st.mask |= 1 << b
+					*w.Ref(c)++
+				}
 			}
 		}
 	}
+	return true
 }

@@ -139,7 +139,7 @@ func TestParallelDenseMatchesSerial(t *testing.T) {
 		for _, kind := range []Kind{Distinct, All} {
 			want := Aggregate(v, s, kind)
 			for _, workers := range []int{2, 3, 8} {
-				got := AggregateParallel(v, s, kind, workers)
+				got := aggregateParallel(v, s, kind, workers)
 				if !got.Equal(want) {
 					t.Fatalf("%v %s workers=%d: parallel != serial", names, kind, workers)
 				}
@@ -162,7 +162,7 @@ func TestParallelFallsBackToSerialOnSmallViews(t *testing.T) {
 	if v.NumNodes()+v.NumEdges() >= parallelMinEntities {
 		t.Skip("fixture unexpectedly large; fallback not exercised")
 	}
-	if !AggregateParallel(v, s, All, 8).Equal(Aggregate(v, s, All)) {
+	if !aggregateParallel(v, s, All, 8).Equal(Aggregate(v, s, All)) {
 		t.Fatal("fallback result differs from serial")
 	}
 }

@@ -51,14 +51,14 @@ func filteredMap(v *ops.View, s *Schema, kind Kind, filter Filter) *Graph {
 }
 
 // checkOracles renders every kernel entry point on every view and kind and
-// compares the bytes with its oracle's: Aggregate and AggregateParallel
+// compares the bytes with its oracle's: Aggregate and AggregateParallelCtx
 // with AggregateMap, AggregateFiltered with filteredMap.
 func checkOracles(t *testing.T, what string, s *Schema, views []*ops.View) {
 	t.Helper()
 	for vi, v := range views {
 		for _, kind := range []Kind{Distinct, All} {
 			want := AggregateMap(v, s, kind).String()
-			for engine, got := range map[string]*Graph{"serial": Aggregate(v, s, kind), "parallel": AggregateParallel(v, s, kind, 3)} {
+			for engine, got := range map[string]*Graph{"serial": Aggregate(v, s, kind), "parallel": aggregateParallel(v, s, kind, 3)} {
 				if got.String() != want {
 					t.Fatalf("%s %v view %d %s: %s kernel\n%s\nAggregateMap\n%s", what, s.AttrNames(), vi, kind, engine, got, want)
 				}

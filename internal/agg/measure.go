@@ -92,8 +92,8 @@ func AggregateMeasure(v *ops.View, s *Schema, attr core.AttrID, m Measure) (*Mea
 	}
 	v.ForEachNode(func(n core.NodeID) {
 		v.NodeTimes(n).ForEach(func(t int) {
-			tu, ok := s.TupleAt(n, timeline.Time(t))
-			if !ok {
+			tu := Tuple(s.Codes(timeline.Time(t))[n])
+			if tu < 0 {
 				return
 			}
 			code := g.Value(attr, n, timeline.Time(t))

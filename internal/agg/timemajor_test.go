@@ -97,7 +97,7 @@ func TestTimeMajorKernelMatchesMapEngine(t *testing.T) {
 						t.Fatalf("%s: serial kernel\n%s\nmap engine\n%s", what, got, want)
 					}
 					workers := 2 + r.Intn(4)
-					if got := AggregateParallel(v, s, kind, workers); !got.Equal(want) {
+					if got := aggregateParallel(v, s, kind, workers); !got.Equal(want) {
 						t.Fatalf("%s: %d workers\n%s\nmap engine\n%s", what, workers, got, want)
 					}
 					if got := aggregateInPieces(r, v, s, kind); !got.Equal(want) {

@@ -104,8 +104,8 @@ func TrendScan(g *core.Graph, spec TrendSpec) *TrendResult {
 				if spec.Filter != nil && !spec.Filter(id, timeline.Time(t)) {
 					return
 				}
-				tu, ok := spec.Schema.TupleAt(id, timeline.Time(t))
-				if !ok {
+				tu := agg.Tuple(spec.Schema.Codes(timeline.Time(t))[id])
+				if tu < 0 {
 					return
 				}
 				p := points[tu]
@@ -142,8 +142,8 @@ func TrendScan(g *core.Graph, spec TrendSpec) *TrendResult {
 				if spec.Filter != nil && !spec.Filter(id, timeline.Time(t)) {
 					return
 				}
-				tu, ok := spec.Schema.TupleAt(id, timeline.Time(t))
-				if !ok {
+				tu := agg.Tuple(spec.Schema.Codes(timeline.Time(t))[id])
+				if tu < 0 {
 					return
 				}
 				times[tu] = append(times[tu], t)

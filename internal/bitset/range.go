@@ -1,9 +1,6 @@
 package bitset
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // FromWords returns a set of length n backed directly by words — no copy is
 // made, so the caller must not mutate words afterwards. It is the aliasing
@@ -36,38 +33,4 @@ func (s *Set) WordIn(wi, lo, hi int) uint64 {
 		w &= 1<<uint(rest) - 1
 	}
 	return w
-}
-
-// nextClear returns the index of the first clear bit at or after i, where
-// every index at or beyond Len counts as clear.
-func (s *Set) nextClear(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	for i < s.n {
-		w := ^s.words[i/wordBits] >> uint(i%wordBits)
-		if w != 0 {
-			j := i + bits.TrailingZeros64(w)
-			if j > s.n {
-				j = s.n
-			}
-			return j
-		}
-		i = (i/wordBits + 1) * wordBits
-	}
-	return s.n
-}
-
-// ForEachRun calls fn for every maximal run [lo, hi) of consecutive set
-// bits, in increasing order — what a diff-array consumer (the static
-// per-point builder of package materialize) needs instead of single bits.
-func (s *Set) ForEachRun(fn func(lo, hi int)) {
-	for i := s.Next(0); i >= 0; {
-		j := s.nextClear(i)
-		fn(i, j)
-		if j >= s.n {
-			return
-		}
-		i = s.Next(j)
-	}
 }

@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/dict"
@@ -93,6 +94,21 @@ type Graph struct {
 	// columns on accumulator snapshots, transposed from τ on first use
 	// otherwise.
 	points PointIndex
+
+	// memo is what Memo built: one structure derived from the graph that
+	// lives and dies with it, like points.
+	memoOnce sync.Once
+	memo     any
+}
+
+// Memo returns the graph's memo slot, filling it with build() on first use;
+// concurrent first callers wait for the one build. There is one slot per
+// graph and package agg owns it (its per-graph schema table), so whatever
+// it holds is released with the graph rather than pinned by a package-level
+// map.
+func (g *Graph) Memo(build func() any) any {
+	g.memoOnce.Do(func() { g.memo = build() })
+	return g.memo
 }
 
 // indexLazily sets up the point index of a graph that was not grown by an

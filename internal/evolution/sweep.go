@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/agg"
 	"repro/internal/bitset"
@@ -15,6 +16,12 @@ import (
 // and TileSweep (EVENTS): one pass over the entities that classifies every
 // (entity, tuple) between every pair of consecutive windows.
 //
+// Entities are read sweepChunk ids at a time from the graph's point index:
+// read transposes each active point's existence column words, in order,
+// into the chunk's timestamps, and every appearance reads its tuple from
+// the schema's code row of its point (agg's Schema.Codes), so no τ is
+// walked and no tuple is decoded per appearance.
+//
 // Per entity, the appearances are bucketed into per-(tuple, window) counts
 // held in flat cells stamped with the entity's epoch, so nothing is cleared
 // between entities and nothing is hashed or allocated; the cells an entity
@@ -24,8 +31,8 @@ import (
 // agg.denseScratch, so a call costs O(entities + appearances + groups) and
 // never O(domain²).
 
-// sweepChunk is the number of entity ids swept between cancellation probes
-// (see agg's ctxChunk).
+// sweepChunk is the number of entity ids read at once and swept between
+// cancellation probes (see agg's ctxChunk).
 const sweepChunk = 4096
 
 // windows assigns time points to the windows a sweep classifies between:
@@ -172,10 +179,17 @@ func (a *acc) add(step int, code, c0, c1 int64, kind agg.Kind) {
 	addClass(a.Ref(int64(step)*a.stride+code*a.mul), c0, c1, kind)
 }
 
-// scratch is one pooled set of sweep state for a schema.
+// scratch is one pooled set of sweep state for a schema: the bucket, the
+// accumulators, and per call the active points, the existence column of the
+// side being swept at each (cols), the code rows by point (rows; nil off the
+// active points and under an all-static schema) and what read gathers.
 type scratch struct {
 	bucket
 	nodes, edges acc
+	pts          []timeline.Time
+	cols         []*bitset.Set
+	rows         [][]int64
+	tau, present []uint64
 }
 
 // sweep is one configured pass: what to classify (windows), under which
@@ -223,21 +237,22 @@ func (sw *sweep) run(ctx context.Context) (*scratch, error) {
 		sc.edges.shape(steps, edgeCodes)
 	}
 
-	for lo, n := 0, sw.g.NumNodes(); lo < n; lo += sweepChunk {
-		if err := ctx.Err(); err != nil {
-			return sc, err
+	T := sw.g.Timeline().Len()
+	tw := (T + 63) / 64
+	sc.pts, sc.rows = sc.pts[:0], slices.Grow(sc.rows[:0], T)[:T]
+	clear(sc.rows)
+	sw.win.active.ForEach(func(t int) {
+		sc.pts = append(sc.pts, timeline.Time(t))
+		if !sw.s.AllStatic() {
+			sc.rows[t] = sw.s.Codes(timeline.Time(t))
 		}
-		sw.sweepNodes(sc, lo, min(lo+sweepChunk, n))
+	})
+	sc.tau = slices.Grow(sc.tau[:0], sweepChunk*tw)[:sweepChunk*tw]
+	ix := sw.g.PointIndex()
+	if err := sw.sweepSide(ctx, sc, ix.NodesAt, sw.g.NumNodes(), false); err != nil || !sw.edges {
+		return sc, err
 	}
-	if sw.edges {
-		for lo, n := 0, sw.g.NumEdges(); lo < n; lo += sweepChunk {
-			if err := ctx.Err(); err != nil {
-				return sc, err
-			}
-			sw.sweepEdges(sc, lo, min(lo+sweepChunk, n))
-		}
-	}
-	return sc, nil
+	return sc, sw.sweepSide(ctx, sc, ix.EdgesAt, sw.g.NumEdges(), true)
 }
 
 // release empties the accumulators and pools the scratch.
@@ -248,109 +263,122 @@ func (sw *sweep) release(sc *scratch) {
 	sw.s.SweepPool().Put(sc)
 }
 
-func (sw *sweep) sweepNodes(sc *scratch, lo, hi int) {
-	g, s, win, filter := sw.g, sw.s, &sw.win, sw.filter
-	static := s.AllStatic()
-	var codes []int64
-	if static {
-		codes = s.StaticTupleCodes()
+// sweepSide sweeps the n nodes, or edges, whose existence columns at point
+// t are at(t), sweepChunk ids at a time between ctx probes. An edge's
+// appearance needs both endpoints to pass the filter and to have a tuple;
+// its code is from·d+to.
+func (sw *sweep) sweepSide(ctx context.Context, sc *scratch, at func(timeline.Time) *bitset.Set, n int, edges bool) error {
+	s, win, filter := sw.s, &sw.win, sw.filter
+	d, tw := s.Domain(), len(sc.tau)/sweepChunk
+	var static []int64
+	if s.AllStatic() {
+		static = s.Codes(0)
 	}
-	for n := lo; n < hi; n++ {
-		id := core.NodeID(n)
-		tau := g.NodeTau(id)
-		sc.begin()
-		if static {
-			code := codes[n]
-			if code < 0 {
-				continue
-			}
-			if filter == nil && win.old != nil {
-				// One tuple, no filter, two windows: popcounts suffice.
-				if c0, c1 := tau.CountAnd(win.old), tau.CountAnd(win.new); c0|c1 != 0 {
-					sc.nodes.add(0, code, int64(c0), int64(c1), sw.kind)
-				}
-				continue
-			}
-			sc.only(code)
+	a := &sc.nodes
+	if edges {
+		a = &sc.edges
+	}
+	sc.cols = sc.cols[:0]
+	for _, t := range sc.pts {
+		sc.cols = append(sc.cols, at(t))
+	}
+	for lo := 0; lo < n; lo += sweepChunk {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		for wi, words := 0, min(tau.NumWords(), win.active.NumWords()); wi < words; wi++ {
-			for w := tau.Word(wi) & win.active.Word(wi); w != 0; w &= w - 1 {
-				t := wi<<6 | bits.TrailingZeros64(w)
-				if filter != nil && !filter(id, timeline.Time(t)) {
-					continue
+		sc.read(lo/64, min(lo+sweepChunk, n))
+		for j, present := range sc.present {
+			for ; present != 0; present &= present - 1 {
+				b := j*64 + bits.TrailingZeros64(present)
+				u, v := core.NodeID(lo+b), core.NodeID(-1)
+				if edges {
+					ep := sw.g.Edge(core.EdgeID(lo + b))
+					u, v = ep.U, ep.V
 				}
-				var slot int32
-				if !static {
-					tu, ok := s.TupleAt(id, timeline.Time(t))
-					if !ok {
+				tau := sc.tau[b*tw : (b+1)*tw : (b+1)*tw]
+				sc.begin()
+				if static != nil {
+					code := tupleCode(static, u, v, d)
+					if code < 0 {
 						continue
 					}
-					slot = sc.slot(int64(tu))
+					if filter == nil && win.old != nil {
+						// One tuple, no filter, two windows: popcounts suffice.
+						a.add(0, code, countAnd(tau, win.old), countAnd(tau, win.new), sw.kind)
+						continue
+					}
+					sc.only(code)
 				}
-				if j := win.first[t]; j >= 0 {
-					sc.bump(slot, j)
+				for i, w := range tau {
+					for ; w != 0; w &= w - 1 {
+						t := i<<6 | bits.TrailingZeros64(w)
+						tt := timeline.Time(t)
+						if filter != nil && (!filter(u, tt) || v >= 0 && !filter(v, tt)) {
+							continue
+						}
+						var slot int32
+						if static == nil {
+							code := tupleCode(sc.rows[t], u, v, d)
+							if code < 0 {
+								continue
+							}
+							slot = sc.slot(code)
+						}
+						if j := win.first[t]; j >= 0 {
+							sc.bump(slot, j)
+						}
+						if win.second != nil && win.second[t] >= 0 {
+							sc.bump(slot, win.second[t])
+						}
+					}
 				}
-				if win.second != nil && win.second[t] >= 0 {
-					sc.bump(slot, win.second[t])
-				}
+				sc.fold(a, sw.kind)
 			}
 		}
-		sc.fold(&sc.nodes, sw.kind)
+	}
+	return nil
+}
+
+// read transposes ids [w0·64, hi) of the active points' columns, reading
+// each column's words in order, into the entities' timestamps:
+// tau[b·tw:(b+1)·tw] is entity w0·64+b's τ restricted to the active points,
+// and present gets, per word, the entities that appear at one of them.
+func (sc *scratch) read(w0, hi int) {
+	nw, tw := (hi+63)/64-w0, len(sc.tau)/sweepChunk
+	clear(sc.tau)
+	sc.present = slices.Grow(sc.present[:0], nw)[:nw]
+	clear(sc.present)
+	for i, col := range sc.cols {
+		t := int(sc.pts[i])
+		off, bit := t>>6, uint64(1)<<(t&63)
+		for j := range min(nw, col.NumWords()-w0) {
+			x := col.Word(w0 + j)
+			sc.present[j] |= x
+			for ; x != 0; x &= x - 1 {
+				sc.tau[(j*64+bits.TrailingZeros64(x))*tw+off] |= bit
+			}
+		}
 	}
 }
 
-// sweepEdges is sweepNodes for edges: an appearance needs both endpoints to
-// pass the filter and to have a tuple; its code is from·d+to.
-func (sw *sweep) sweepEdges(sc *scratch, lo, hi int) {
-	g, s, win, filter := sw.g, sw.s, &sw.win, sw.filter
-	static := s.AllStatic()
-	d := s.Domain()
-	var codes []int64
-	if static {
-		codes = s.StaticTupleCodes()
+// tupleCode is node u's tuple in row, or with v ≥ 0 the edge code u·d+v; -1
+// when a tuple is missing.
+func tupleCode(row []int64, u, v core.NodeID, d int64) int64 {
+	cu := row[u]
+	if v < 0 || cu < 0 {
+		return cu
 	}
-	for e := lo; e < hi; e++ {
-		id := core.EdgeID(e)
-		tau, ep := g.EdgeTau(id), g.Edge(id)
-		sc.begin()
-		if static {
-			cu, cv := codes[ep.U], codes[ep.V]
-			if cu < 0 || cv < 0 {
-				continue
-			}
-			code := cu*d + cv
-			if filter == nil && win.old != nil {
-				if c0, c1 := tau.CountAnd(win.old), tau.CountAnd(win.new); c0|c1 != 0 {
-					sc.edges.add(0, code, int64(c0), int64(c1), sw.kind)
-				}
-				continue
-			}
-			sc.only(code)
-		}
-		for wi, words := 0, min(tau.NumWords(), win.active.NumWords()); wi < words; wi++ {
-			for w := tau.Word(wi) & win.active.Word(wi); w != 0; w &= w - 1 {
-				t := wi<<6 | bits.TrailingZeros64(w)
-				tt := timeline.Time(t)
-				if filter != nil && (!filter(ep.U, tt) || !filter(ep.V, tt)) {
-					continue
-				}
-				var slot int32
-				if !static {
-					fu, ok1 := s.TupleAt(ep.U, tt)
-					tu, ok2 := s.TupleAt(ep.V, tt)
-					if !ok1 || !ok2 {
-						continue
-					}
-					slot = sc.slot(int64(fu)*d + int64(tu))
-				}
-				if j := win.first[t]; j >= 0 {
-					sc.bump(slot, j)
-				}
-				if win.second != nil && win.second[t] >= 0 {
-					sc.bump(slot, win.second[t])
-				}
-			}
-		}
-		sc.fold(&sc.edges, sw.kind)
+	if cv := row[v]; cv >= 0 {
+		return cu*d + cv
 	}
+	return -1
+}
+
+// countAnd is the popcount of tau ∧ m.
+func countAnd(tau []uint64, m *bitset.Set) int64 {
+	var c int
+	for i := range min(len(tau), m.NumWords()) {
+		c += bits.OnesCount64(tau[i] & m.Word(i))
+	}
+	return int64(c)
 }

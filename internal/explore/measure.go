@@ -114,10 +114,9 @@ func (ex *Explorer) masks() *masks {
 
 // withTuple returns the nodes whose static tuple is tu.
 func withTuple(s *agg.Schema, tu agg.Tuple) *bitset.Set {
-	g := s.Graph()
-	out := bitset.New(g.NumNodes())
-	for n := 0; n < g.NumNodes(); n++ {
-		if got, ok := s.StaticTuple(core.NodeID(n)); ok && got == tu {
+	out := bitset.New(s.Graph().NumNodes())
+	for n, c := range s.Codes(0) {
+		if c == int64(tu) {
 			out.Add(n)
 		}
 	}

@@ -40,7 +40,7 @@ func (ts TupleScore) Label(s *agg.Schema) string {
 // reused edge-only ops.PairView: the ranking reads aggregate edges alone,
 // so neither the node side nor Definition 2.5's rescue is computed and the
 // aggregation's node pass finds nothing to count (on an all-static schema
-// it counts each kept edge's StaticTupleCodes pair). NoFastPath pins the
+// it counts each kept edge's pair of static tuple codes). NoFastPath pins the
 // per-pair entity scans of ops.Intersection/ops.Difference instead (the
 // reference).
 func TopEdgeTuples(ex *Explorer, event Event, n int) []TupleScore {

@@ -53,19 +53,17 @@ type Store struct {
 	comp     *composer
 }
 
-// NewStore materializes the per-time-point ALL aggregates of g under s.
-// All-static schemas (the common materialization unit) are built by one
-// pass over the entities' timestamp runs (static.go) instead of one
-// aggregation per time point; time-varying schemas take the per-point
-// loop.
+// NewStore materializes the per-time-point ALL aggregates of g under s, one
+// kernel aggregation per time point.
 func NewStore(g *core.Graph, s *agg.Schema) *Store {
 	if s.Graph() != g {
 		panic("materialize: schema built on a different graph")
 	}
-	if s.AllStatic() {
-		return &Store{schema: s, perPoint: buildPointsStatic(g, s)}
+	perPoint := make([]*agg.Graph, g.Timeline().Len())
+	for t := range perPoint {
+		perPoint[t] = agg.Aggregate(ops.At(g, timeline.Time(t)), s, agg.All)
 	}
-	return &Store{schema: s, perPoint: referencePointsLoop(g, s)}
+	return &Store{schema: s, perPoint: perPoint}
 }
 
 // Extend returns a new store over newG's timeline: the time points listed in
@@ -472,6 +470,13 @@ func checkLineage(old, new *core.Graph) error {
 // changed. A point that landed earlier (a retroactive insert) puts one more
 // point inside every label range spanning it, so the result cache is
 // purged, and FirstDirty tells the plan cache which plans to evict.
+//
+// The superseded graph's tuple-code rows are released (agg.ReleaseRows).
+// What still holds that graph — the per-point aggregates a store carries
+// over, a kept cached result, a plan kept across the advance, an in-flight
+// request — then pins what it pinned before the rows existed (the graph's
+// columns, shared with its successors on an accumulator); a reader that
+// scans it again rebuilds the rows it reads.
 func (c *Catalog) Advance(newG *core.Graph) (AdvanceStats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -504,6 +509,7 @@ func (c *Catalog) Advance(newG *core.Graph) (AdvanceStats, error) {
 	if stats.FirstDirty < oldN {
 		c.cache.Purge()
 	}
+	agg.ReleaseRows(c.g)
 	c.g = newG
 	c.gen++
 	return stats, nil

@@ -42,7 +42,10 @@ func TestNewStoreFromPointsValidation(t *testing.T) {
 		t.Error("a nil point should fail")
 	}
 	foreign := points()
-	foreign[0] = NewStore(g, agg.MustSchema(g, g.MustAttr("gender"))).Point(0) // equal attributes, different *Schema
+	// Schemas are interned per graph: the same attributes on a second copy
+	// of the graph are the only way to an equal but foreign schema.
+	g2 := core.PaperExample()
+	foreign[0] = NewStore(g2, agg.MustSchema(g2, g2.MustAttr("gender"))).Point(0)
 	if _, err := NewStoreFromPoints(s, foreign); err == nil {
 		t.Error("a point on another schema should fail")
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/ops"
 	"repro/internal/timeline"
 )
 
@@ -33,19 +34,17 @@ func equalAgg(t *testing.T, label string, got, want *agg.Graph) {
 	}
 }
 
-// TestBuildPointsStaticEquivalence cross-checks the one-pass diff-array
-// store construction against the per-point reference loop, on DBLP and on
-// random graphs with long timelines (where vectors actually compress).
-func TestBuildPointsStaticEquivalence(t *testing.T) {
+// TestStaticStoreMatchesMapOracle cross-checks a static schema's store —
+// one kernel aggregation per point over the schema's static code row —
+// against the hash-map engine at every point, on DBLP and on random graphs
+// with long timelines and incomplete tuples.
+func TestStaticStoreMatchesMapOracle(t *testing.T) {
 	check := func(name string, g *core.Graph, attrs ...core.AttrID) {
 		s := agg.MustSchema(g, attrs...)
-		got := buildPointsStatic(g, s)
-		want := referencePointsLoop(g, s)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d points, want %d", name, len(got), len(want))
-		}
-		for i := range got {
-			equalAgg(t, fmt.Sprintf("%s point %d", name, i), got[i], want[i])
+		st := NewStore(g, s)
+		for i := 0; i < g.Timeline().Len(); i++ {
+			want := agg.AggregateMap(ops.At(g, timeline.Time(i)), s, agg.All)
+			equalAgg(t, fmt.Sprintf("%s point %d", name, i), st.Point(timeline.Time(i)), want)
 		}
 	}
 

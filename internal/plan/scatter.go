@@ -219,22 +219,14 @@ func (o *partialAggOp) runDist(ctx context.Context, out *Result) error {
 		}
 		set[label] = struct{}{}
 	}
-	if s.AllStatic() {
-		v.ForEachNode(func(n core.NodeID) {
-			if tu, ok := s.StaticTuple(n); ok {
-				addNode(tu, g.NodeLabel(n))
+	v.ForEachNode(func(n core.NodeID) {
+		label := g.NodeLabel(n)
+		v.NodeTimes(n).ForEach(func(t int) {
+			if tu := s.Codes(timeline.Time(t))[n]; tu >= 0 {
+				addNode(agg.Tuple(tu), label)
 			}
 		})
-	} else {
-		v.ForEachNode(func(n core.NodeID) {
-			label := g.NodeLabel(n)
-			v.NodeTimes(n).ForEach(func(t int) {
-				if tu, ok := s.TupleAt(n, timeline.Time(t)); ok {
-					addNode(tu, label)
-				}
-			})
-		})
-	}
+	})
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -247,28 +239,16 @@ func (o *partialAggOp) runDist(ctx context.Context, out *Result) error {
 		}
 		set[p] = struct{}{}
 	}
-	if s.AllStatic() {
-		v.ForEachEdge(func(e core.EdgeID) {
-			ep := g.Edge(e)
-			fu, ok1 := s.StaticTuple(ep.U)
-			tu, ok2 := s.StaticTuple(ep.V)
-			if ok1 && ok2 {
-				addEdge(agg.EdgeKey{From: fu, To: tu}, labelPair{g.NodeLabel(ep.U), g.NodeLabel(ep.V)})
+	v.ForEachEdge(func(e core.EdgeID) {
+		ep := g.Edge(e)
+		p := labelPair{g.NodeLabel(ep.U), g.NodeLabel(ep.V)}
+		v.EdgeTimes(e).ForEach(func(t int) {
+			row := s.Codes(timeline.Time(t))
+			if fu, tu := row[ep.U], row[ep.V]; fu >= 0 && tu >= 0 {
+				addEdge(agg.EdgeKey{From: agg.Tuple(fu), To: agg.Tuple(tu)}, p)
 			}
 		})
-	} else {
-		v.ForEachEdge(func(e core.EdgeID) {
-			ep := g.Edge(e)
-			p := labelPair{g.NodeLabel(ep.U), g.NodeLabel(ep.V)}
-			v.EdgeTimes(e).ForEach(func(t int) {
-				fu, ok1 := s.TupleAt(ep.U, timeline.Time(t))
-				tu, ok2 := s.TupleAt(ep.V, timeline.Time(t))
-				if ok1 && ok2 {
-					addEdge(agg.EdgeKey{From: fu, To: tu}, p)
-				}
-			})
-		})
-	}
+	})
 	if err := ctx.Err(); err != nil {
 		return err
 	}

@@ -33,7 +33,9 @@ func (s *Server) headTxn() int {
 }
 
 // histBytes estimates the resident footprint of one reconstructed state for
-// the LRU budget: graph columns plus the catalog's per-point schema arrays.
+// the LRU budget: graph columns, the catalog's per-point schema arrays and
+// one varying schema's tuple-code rows (agg.Schema.Codes), which the
+// state's scans build and keep.
 func histBytes(st plan.HistState) int64 {
 	g := st.Graph
 	if g == nil {
@@ -50,7 +52,8 @@ func histBytes(st plan.HistState) int64 {
 	return 4096 +
 		int64(g.NumNodes())*(16+8*attrs) + // labels, per-attr columns
 		int64(g.NumEdges())*24 + // endpoints + time
-		points*256 // timeline + per-point store rows
+		points*256 + // timeline + per-point store rows
+		points*int64(g.NumNodes())*8 // tuple-code rows
 }
 
 // histDo answers from the history LRU, reconstructing (graph, catalog,

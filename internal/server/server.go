@@ -435,15 +435,21 @@ func (s *Server) registerMetrics() {
 		func() float64 { return float64(s.catalogStats().CacheEntries) })
 	r.GaugeFunc("graphtempod_catalog_cache_bytes", "Approximate bytes of cached results.",
 		func() float64 { return float64(s.catalogStats().CacheBytes) })
-	r.GaugeFunc("graphtempod_graph_index_bytes",
-		"Bytes of the serving graph's point-index columns built so far.",
-		func() float64 {
-			st := s.cur.Load()
-			if st == nil {
-				return 0
-			}
-			return float64(st.g.IndexBytes())
-		}, metrics.Label{Key: "index", Value: "points"})
+	for _, ix := range []struct {
+		name  string
+		bytes func(*core.Graph) int64
+	}{{"points", (*core.Graph).IndexBytes}, {"tuple_rows", agg.TupleRowBytes}} {
+		bytes := ix.bytes
+		r.GaugeFunc("graphtempod_graph_index_bytes",
+			"Bytes of the serving graph's point-index columns (points) and tuple-code rows (tuple_rows) built so far.",
+			func() float64 {
+				st := s.cur.Load()
+				if st == nil {
+					return 0
+				}
+				return float64(bytes(st.g))
+			}, metrics.Label{Key: "index", Value: ix.name})
+	}
 	r.CounterFunc("graphtempod_catalog_cache_evictions_total", "Results evicted from the serving cache.",
 		func() float64 { return float64(s.catalogStats().CacheEvictions) })
 	r.RegisterCounter("graphtempod_explorer_evaluations_total",

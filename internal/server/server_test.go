@@ -10,9 +10,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/agg"
 	"repro/internal/core"
@@ -625,11 +628,12 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestGraphIndexBytesGauge: the serving graph's point index is visible. A
-// built graph transposes it on first use — nothing before a scan, every
-// column after one — while a streamed graph is handed its columns at
-// ingest. Time-varying rows are stored, not derived, so no other index is
-// reported.
+// TestGraphIndexBytesGauge: the serving graph's point index and its
+// schemas' tuple-code rows are visible. A built graph transposes the index
+// on first use — nothing before a scan, every column after one — while a
+// streamed graph is handed its columns at ingest; a scan on a time-varying
+// attribute decodes one code row per point of its interval. Time-varying
+// values are stored, not derived, so no other index is reported.
 func TestGraphIndexBytesGauge(t *testing.T) {
 	metricsText := func(url string) string {
 		_, body := get(t, url+"/metrics")
@@ -638,6 +642,14 @@ func TestGraphIndexBytesGauge(t *testing.T) {
 	gauge := func(url string) string {
 		return strings.TrimSpace(grepMetrics(metricsText(url), `graphtempod_graph_index_bytes{index="points"}`))
 	}
+	rowBytes := func(url string) int {
+		line := strings.TrimSpace(grepMetrics(metricsText(url), `graphtempod_graph_index_bytes{index="tuple_rows"}`))
+		n, err := strconv.Atoi(line[strings.LastIndexByte(line, ' ')+1:])
+		if err != nil {
+			t.Fatalf("tuple_rows gauge %q: %v", line, err)
+		}
+		return n
+	}
 	scan := AggregateRequest{Op: "intersection", Interval: IntervalSpec{From: "t0"}, Interval2: IntervalSpec{From: "t1"},
 		Attrs: []string{"publications"}, Kind: "dist"}
 
@@ -645,12 +657,17 @@ func TestGraphIndexBytesGauge(t *testing.T) {
 	if got, want := gauge(ts.URL), `graphtempod_graph_index_bytes{index="points"} 0`; got != want {
 		t.Errorf("before any scan: %q, want %q", got, want)
 	}
+	before := rowBytes(ts.URL)
 	if code, data := postJSON(t, ts.URL+"/v1/aggregate", scan); code != 200 {
 		t.Fatalf("aggregate = %d: %s", code, data)
 	}
 	// PaperExample: 3 points × (5 nodes + 6 edges → one word each) × 8 bytes.
 	if got, want := gauge(ts.URL), `graphtempod_graph_index_bytes{index="points"} 48`; got != want {
 		t.Errorf("after a scan: %q, want %q", got, want)
+	}
+	// Rows for t0 and t1, 5 nodes × 8 bytes each.
+	if got := rowBytes(ts.URL) - before; got != 80 {
+		t.Errorf("the scan added %d bytes of tuple-code rows, want 80", got)
 	}
 
 	_, sts := newStreamServer(t, Config{})
@@ -667,6 +684,43 @@ func TestGraphIndexBytesGauge(t *testing.T) {
 		if text := metricsText(url); strings.Contains(text, "varying_rows") {
 			t.Errorf("/metrics still reports a varying_rows series:\n%s", grepMetrics(text, "varying_rows"))
 		}
+	}
+}
+
+// TestIngestReleasesOldRows: the tuple-code rows a scan builds on one
+// ingest generation are released when the next generation replaces it,
+// although the plan cache keeps that scan's plan — bound to the retired
+// graph — across the advance.
+func TestIngestReleasesOldRows(t *testing.T) {
+	s, ts := newStreamServer(t, Config{})
+	var gens []weak.Pointer[core.Graph]
+	for i := 0; i < 8; i++ {
+		ingestPoint(t, ts.URL, i)
+		scan := AggregateRequest{Op: "intersection", Interval: IntervalSpec{From: "t0", To: fmt.Sprintf("t%d", i)},
+			Interval2: IntervalSpec{From: fmt.Sprintf("t%d", i)}, Attrs: []string{"gender", "publications"}, Kind: "dist"}
+		if code, data := postJSON(t, ts.URL+"/v1/aggregate", scan); code != 200 {
+			t.Fatalf("aggregate = %d: %s", code, data)
+		}
+		g := s.cur.Load().g
+		if agg.TupleRowBytes(g) == 0 {
+			t.Fatalf("generation %d: the scan built no tuple-code rows", i)
+		}
+		gens = append(gens, weak.Make(g))
+	}
+	for range 3 {
+		runtime.GC()
+	}
+	kept := 0
+	for i, w := range gens[:len(gens)-1] {
+		if g := w.Value(); g != nil {
+			kept++
+			if n := agg.TupleRowBytes(g); n != 0 {
+				t.Errorf("retired generation %d still holds %d bytes of tuple-code rows", i, n)
+			}
+		}
+	}
+	if kept == 0 {
+		t.Fatal("no retired generation is reachable: the plan cache kept no plan across an advance")
 	}
 }
 

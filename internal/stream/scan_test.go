@@ -1,10 +1,13 @@
 package stream_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/agg"
 	"repro/internal/core"
@@ -13,6 +16,7 @@ import (
 	"repro/internal/evolution"
 	"repro/internal/explore"
 	"repro/internal/gtest"
+	"repro/internal/materialize"
 	"repro/internal/ops"
 	"repro/internal/stream"
 	"repro/internal/timeline"
@@ -145,7 +149,10 @@ func TestScansRaceWithIngest(t *testing.T) {
 			}
 			schema := agg.MustSchema(g, attrs...)
 			v := viewOps[op](g, gtest.RandomRange(r, tl), gtest.RandomRange(r, tl))
-			got := agg.AggregateParallel(v, schema, kind, 1+r.Intn(3))
+			got, err := agg.AggregateParallelCtx(context.Background(), v, schema, kind, 1+r.Intn(3))
+			if err != nil {
+				return err
+			}
 			if want := agg.AggregateMap(v, schema, kind); !got.Equal(want) {
 				return fmt.Errorf("shape %d at %d points: kernel\n%s\nreference\n%s", shape, tl.Len(), got, want)
 			}
@@ -206,4 +213,61 @@ func TestScansRaceWithIngest(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// TestAdvanceReleasesRetiredRows: a catalog advanced over every ingest,
+// with scans between the ingests, leaves no tuple-code rows on a retired
+// generation. The scans build rows on each generation's schemas; the
+// catalog's stores and cached results keep retired generations reachable.
+func TestAdvanceReleasesRetiredRows(t *testing.T) {
+	src := dataset.DBLPScaled(3, 0.02)
+	labels, snaps := pointsOf(src)
+	s := stream.New(src.Attrs()...)
+	var cat *materialize.Catalog
+	var gens []weak.Pointer[core.Graph]
+	for i := range labels {
+		if err := s.Append(labels[i], snaps[i]); err != nil {
+			t.Fatal(err)
+		}
+		g, err := s.Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gens = append(gens, weak.Make(g))
+		gender, both := []core.AttrID{g.MustAttr("gender")}, []core.AttrID{g.MustAttr("gender"), g.MustAttr("publications")}
+		if cat == nil {
+			cat = materialize.NewCatalog(g)
+			if _, err := cat.Materialize(gender...); err != nil {
+				t.Fatal(err)
+			}
+		} else if _, err := cat.Advance(g); err != nil {
+			t.Fatal(err)
+		}
+		all := g.Timeline().All()
+		agg.Aggregate(ops.Union(g, all, all), agg.MustSchema(g, both...), agg.Distinct)
+		for _, attrs := range [][]core.AttrID{gender, both} { // a store's answer, a scratch one
+			if _, _, err := cat.UnionAll(all, attrs...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if agg.TupleRowBytes(g) == 0 {
+			t.Fatalf("generation %d: the scans built no tuple-code rows", i)
+		}
+	}
+	for range 3 {
+		runtime.GC()
+	}
+	kept := 0
+	for i, w := range gens[:len(gens)-1] {
+		if g := w.Value(); g != nil {
+			kept++
+			if n := agg.TupleRowBytes(g); n != 0 {
+				t.Errorf("retired generation %d still holds %d bytes of tuple-code rows", i, n)
+			}
+		}
+	}
+	if kept == 0 {
+		t.Fatal("no retired generation is reachable: the test checks nothing")
+	}
+	runtime.KeepAlive(cat)
 }
