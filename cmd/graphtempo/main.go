@@ -123,6 +123,9 @@ func query(args []string, stdin io.Reader, stdout io.Writer) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q (pass a statement with -q)\n%w", fs.Arg(0), errUsage)
 	}
+	if err := dataset.CheckScale(*gf.scale); err != nil {
+		return fmt.Errorf("%v\n%w", err, errUsage)
+	}
 	if f := *format; f != "text" && f != "json" && f != "dot" {
 		return fmt.Errorf("unknown -format %q (want text, json or dot)\n%w", f, errUsage)
 	}

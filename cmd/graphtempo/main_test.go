@@ -112,12 +112,13 @@ func TestFormatRejectsOtherResults(t *testing.T) {
 }
 
 // TestQueryRejectsPositionalArgs: a statement passed without -q is a usage
-// error, not silently dropped on the way into the REPL.
+// error, not silently dropped on the way into the REPL; so is a -scale the
+// generators cannot honour.
 func TestQueryRejectsPositionalArgs(t *testing.T) {
 	if out, err := runQuery(t, "", "STATS"); !errors.Is(err, errUsage) || out != "" {
 		t.Fatalf("query STATS = %q, %v; want a usage error and no output", out, err)
 	}
-	for _, args := range [][]string{nil, {"stats"}} {
+	for _, args := range [][]string{nil, {"stats"}, {"query", "-dataset", "dblp", "-scale", "NaN", "-q", "STATS"}} {
 		if err := run(args, strings.NewReader(""), new(bytes.Buffer)); !errors.Is(err, errUsage) {
 			t.Errorf("run(%q) = %v, want a usage error", args, err)
 		}

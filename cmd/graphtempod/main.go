@@ -105,6 +105,9 @@ func parseFlags(args []string) (*options, error) {
 	if (o.dataset == "") == (o.streamSpec == "") {
 		return nil, errors.New("exactly one of -dataset and -stream is required")
 	}
+	if err := dataset.CheckScale(o.scale); err != nil {
+		return nil, err
+	}
 	if o.dataDir != "" && o.streamSpec == "" {
 		return nil, errors.New("-data-dir requires -stream (static datasets are already durable)")
 	}
@@ -270,10 +273,14 @@ func newLogger(format string, w io.Writer) *slog.Logger {
 	return slog.New(slog.NewTextHandler(w, nil))
 }
 
+// usageError marks a malformed command line: main exits 2 on it and 1 on
+// every other error.
+type usageError struct{ error }
+
 func run(args []string) error {
 	o, err := parseFlags(args)
 	if err != nil {
-		return err
+		return usageError{err}
 	}
 	log := newLogger(o.logFormat, os.Stderr)
 	srv, eng, apply, applied, err := newServer(o, log)
@@ -341,8 +348,13 @@ func run(args []string) error {
 }
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "graphtempod:", err)
-		os.Exit(1)
+	err := run(os.Args[1:])
+	if err == nil {
+		return
 	}
+	fmt.Fprintln(os.Stderr, "graphtempod:", err)
+	if errors.As(err, new(usageError)) {
+		os.Exit(2)
+	}
+	os.Exit(1)
 }

@@ -35,6 +35,12 @@ func TestParseFlags(t *testing.T) {
 	if _, err := parseFlags([]string{"-dataset", "paper", "-stream", "a:static"}); err == nil {
 		t.Fatal("dataset and stream together accepted")
 	}
+	for _, scale := range []string{"NaN", "-5", "0", "+Inf"} {
+		err := run([]string{"-dataset", "dblp", "-scale", scale})
+		if !errors.As(err, new(usageError)) || !strings.Contains(err.Error(), "-scale") {
+			t.Errorf("-scale %s: %v, want a usage error naming the flag", scale, err)
+		}
+	}
 }
 
 func TestParseStreamSpec(t *testing.T) {

@@ -12,25 +12,21 @@
 //
 // With -format=binary the dataset is written as a single columnar snapshot
 // file in the internal/storage format instead — smaller, checksummed, and
-// loadable by graphtempod -dataset <file> or graphtempo.Load. An optional
-// -materialize attr1,attr2 embeds the per-time-point aggregate vectors
-// over those attributes alongside the graph:
+// loadable by graphtempod -dataset <file> or graphtempo.Load. The file
+// holds the graph alone; materialized aggregates are built in memory by
+// whatever serves it:
 //
 //	gtgen -dataset dblp -scale 0.1 -format=binary -out dblp01.gts
-//	gtgen -dataset dblp -format=binary -materialize gender -out dblp.gts
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
-	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/materialize"
 	"repro/internal/storage"
 )
 
@@ -41,11 +37,14 @@ func main() {
 		seed  = flag.Int64("seed", 1, "generator seed")
 		out   = flag.String("out", "", "output directory (or file with -format=binary)")
 		form  = flag.String("format", "dir", "output format: dir (CSV labeled arrays) or binary (single snapshot file)")
-		mat   = flag.String("materialize", "", "binary format: embed materialized per-point aggregates over these comma-separated attributes")
 	)
 	flag.Parse()
 	if *name == "" || *out == "" {
 		fmt.Fprintln(os.Stderr, "usage: gtgen -dataset <name> -out <dir> [-scale F] [-seed N]")
+		os.Exit(2)
+	}
+	if err := dataset.CheckScale(*scale); err != nil {
+		fmt.Fprintln(os.Stderr, "gtgen:", err)
 		os.Exit(2)
 	}
 	start := time.Now()
@@ -66,26 +65,9 @@ func main() {
 	var err error
 	switch *form {
 	case "dir":
-		if *mat != "" {
-			err = fmt.Errorf("-materialize requires -format=binary")
-		} else {
-			err = core.WriteDir(g, *out)
-		}
+		err = core.WriteDir(g, *out)
 	case "binary":
-		var stores []*materialize.Store
-		if *mat != "" {
-			var ids []core.AttrID
-			for _, n := range strings.Split(*mat, ",") {
-				id, ok := g.AttrByName(strings.TrimSpace(n))
-				if !ok {
-					fmt.Fprintf(os.Stderr, "gtgen: no attribute named %q in %s\n", n, *name)
-					os.Exit(2)
-				}
-				ids = append(ids, id)
-			}
-			stores = append(stores, materialize.NewStore(g, agg.MustSchema(g, ids...)))
-		}
-		err = storage.SaveFile(*out, g, stores...)
+		err = storage.SaveFile(*out, g)
 	default:
 		fmt.Fprintf(os.Stderr, "gtgen: unknown format %q (want dir or binary)\n", *form)
 		os.Exit(2)

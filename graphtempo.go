@@ -292,17 +292,22 @@ type (
 	// StorageOptions configures a StorageEngine (fsync policy, checkpoint
 	// threshold, logger).
 	StorageOptions = storage.Options
-	// StorageSnapshot is the decoded content of one binary snapshot file.
-	StorageSnapshot = storage.Snapshot
 )
 
-// Save writes g — and optionally materialized stores over g — to w in the
-// versioned, checksummed binary snapshot format.
-func Save(w io.Writer, g *Graph, stores ...*MatStore) error { return storage.Save(w, g, stores...) }
+// Save writes g to w in the versioned, checksummed binary snapshot format.
+// A snapshot holds the graph alone: materialized aggregates are the
+// catalog's in-memory choice and are rebuilt, not persisted.
+func Save(w io.Writer, g *Graph) error { return storage.Save(w, g) }
 
-// Load reads a binary snapshot. It never panics on malformed input; all
-// failures wrap the typed storage errors.
-func Load(r io.Reader) (*StorageSnapshot, error) { return storage.Load(r) }
+// Load reads a binary snapshot's graph. It never panics on malformed input;
+// all failures wrap the typed storage errors.
+func Load(r io.Reader) (*Graph, error) {
+	snap, err := storage.Load(r)
+	if err != nil {
+		return nil, err
+	}
+	return snap.Graph, nil
+}
 
 // OpenStorage recovers (or initializes) a durable data directory for a
 // stream with the given attribute schema: latest snapshot + WAL replay

@@ -114,6 +114,16 @@ func MovieLensScaled(seed int64, scale float64) *core.Graph {
 	return generate(rand.New(rand.NewSource(seed)), p)
 }
 
+// CheckScale is the command-line tools' check on their -scale flag: NaN,
+// an infinity, zero or a negative factor would floor every count to a
+// silent toy graph, so each tool refuses it as a usage error.
+func CheckScale(scale float64) error {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("invalid value %v for flag -scale: want a finite size factor > 0", scale)
+	}
+	return nil
+}
+
 func scaleCounts(counts []int, scale float64, floor int) []int {
 	out := make([]int, len(counts))
 	for i, c := range counts {

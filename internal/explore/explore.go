@@ -126,12 +126,11 @@ type Explorer struct {
 	// equivalence tests.
 	NoFastPath bool
 
-	// Memo, when non-nil, caches candidate evaluations across runs (the
-	// §3.5 tuning loop re-evaluates mostly the same candidates at every
-	// threshold). Memo hits are not charged to Evaluations, so leave it
-	// nil when comparing evaluation counts across engines. TuneK installs
-	// a temporary memo automatically when none is set.
-	Memo *EvalMemo
+	// memo, set only for the duration of TuneK, caches candidate
+	// evaluations across its runs (the §3.5 tuning loop re-evaluates
+	// mostly the same candidates at every threshold). Memo hits are not
+	// charged to Evaluations.
+	memo *evalMemo
 
 	// ctx is the cancellation context of the current ExploreCtx run (nil
 	// outside one). Traversal loops poll it between candidate evaluations
@@ -165,8 +164,8 @@ func (ex *Explorer) ExploreCtx(ctx context.Context, event Event, sem Semantics, 
 // two selectors, consulting the memo (when set) first. m is the run's mask
 // evaluator (Explorer.masks); nil takes the seed path.
 func (ex *Explorer) eval(m *masks, event Event, old, new ops.Sel) int64 {
-	if ex.Memo != nil {
-		if r, ok := ex.Memo.lookup(event, old, new); ok {
+	if ex.memo != nil {
+		if r, ok := ex.memo.lookup(event, old, new); ok {
 			return r
 		}
 	}
@@ -184,8 +183,8 @@ func (ex *Explorer) eval(m *masks, event Event, old, new ops.Sel) int64 {
 		panic("explore: unknown event")
 	}
 	r := ex.measure(m, v)
-	if ex.Memo != nil {
-		ex.Memo.store(event, old, new, r)
+	if ex.memo != nil {
+		ex.memo.store(event, old, new, r)
 	}
 	return r
 }

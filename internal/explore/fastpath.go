@@ -66,9 +66,9 @@ func (ex *Explorer) newFastRun(event Event, sem Semantics, ext Extend) *fastRun 
 // they are; the next computed candidate catches them up.
 func (fr *fastRun) eval(i, extra int, old, new timeline.Interval) int64 {
 	var oldSel, newSel ops.Sel
-	if fr.ex.Memo != nil {
+	if fr.ex.memo != nil {
 		oldSel, newSel = sel(old, fr.sem), sel(new, fr.sem)
-		if r, ok := fr.ex.Memo.lookup(fr.event, oldSel, newSel); ok {
+		if r, ok := fr.ex.memo.lookup(fr.event, oldSel, newSel); ok {
 			return r
 		}
 	}
@@ -104,8 +104,8 @@ func (fr *fastRun) eval(i, extra int, old, new timeline.Interval) int64 {
 	r := fr.ex.measure(fr.masks, v)
 	fr.ex.Evaluations++
 	TotalEvaluations.Inc()
-	if fr.ex.Memo != nil {
-		fr.ex.Memo.store(fr.event, oldSel, newSel, r)
+	if fr.ex.memo != nil {
+		fr.ex.memo.store(fr.event, oldSel, newSel, r)
 	}
 	return r
 }

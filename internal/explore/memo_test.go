@@ -30,13 +30,13 @@ func TestQuickMemoMatchesUnmemoized(t *testing.T) {
 		for _, ev := range events {
 			for _, sem := range sems {
 				for _, ext := range exts {
-					ex.Memo = nil
+					ex.memo = nil
 					want := ex.Explore(ev, sem, ext, k)
 					wantEvals := ex.Evaluations
 
 					for _, noFast := range []bool{false, true} {
 						ex.NoFastPath = noFast
-						ex.Memo = NewEvalMemo(0)
+						ex.memo = newEvalMemo()
 						got := ex.Explore(ev, sem, ext, k)
 						if !samePairs(got, want) || ex.Evaluations != wantEvals {
 							return false
@@ -48,7 +48,7 @@ func TestQuickMemoMatchesUnmemoized(t *testing.T) {
 						}
 					}
 					ex.NoFastPath = false
-					ex.Memo = nil
+					ex.memo = nil
 				}
 			}
 		}
@@ -69,7 +69,7 @@ func TestMemoSharedAcrossEngines(t *testing.T) {
 		ex = anyExplorer(r)
 	}
 	for _, sem := range []Semantics{UnionSemantics, IntersectionSemantics} {
-		ex.Memo = NewEvalMemo(0)
+		ex.memo = newEvalMemo()
 		ex.NoFastPath = true
 		want := ex.Explore(evolution.Stability, sem, ExtendNew, 2)
 		ex.NoFastPath = false
@@ -80,7 +80,7 @@ func TestMemoSharedAcrossEngines(t *testing.T) {
 		if ex.Evaluations != 0 {
 			t.Errorf("sem %v: fast path recomputed %d candidates the seed engine memoized", sem, ex.Evaluations)
 		}
-		st := ex.Memo.Stats()
+		st := ex.memo.stats()
 		if st.Hits == 0 || st.Misses == 0 {
 			t.Errorf("sem %v: memo stats %+v", sem, st)
 		}
@@ -136,9 +136,9 @@ func TestTuneKMemoized(t *testing.T) {
 	}
 	want, rawEvals := unmemoized()
 
-	ex.Memo = nil
+	ex.memo = nil
 	k, pairs := ex.TuneK(evolution.Growth, UnionSemantics, ExtendNew, 1)
-	if ex.Memo != nil {
+	if ex.memo != nil {
 		t.Error("TuneK leaked its temporary memo")
 	}
 	if k != want.k || !samePairs(pairs, want.pairs) {
@@ -146,12 +146,12 @@ func TestTuneKMemoized(t *testing.T) {
 	}
 	// The memoized loop cannot evaluate more candidates than the raw loop,
 	// and unless the loop ended after one run it should evaluate fewer.
-	memo := NewEvalMemo(0)
-	ex.Memo = memo
+	memo := newEvalMemo()
+	ex.memo = memo
 	ex.TuneK(evolution.Growth, UnionSemantics, ExtendNew, 1)
-	st := memo.Stats()
+	st := memo.stats()
 	if want.k > 1 && st.Hits == 0 {
 		t.Errorf("tuning loop produced no memo hits (raw evals %d, stats %+v)", rawEvals, st)
 	}
-	ex.Memo = nil
+	ex.memo = nil
 }

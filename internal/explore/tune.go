@@ -35,11 +35,11 @@ func (ex *Explorer) TuneK(event Event, sem Semantics, ext Extend, minPairs int) 
 		minPairs = 1
 	}
 	// The runs at different thresholds walk overlapping candidate chains;
-	// memoize them for the duration of the loop unless the caller already
-	// manages a memo.
-	if ex.Memo == nil {
-		ex.Memo = NewEvalMemo(0)
-		defer func() { ex.Memo = nil }()
+	// memoize them for the duration of the loop (a test may install its
+	// own memo first to inspect it).
+	if ex.memo == nil {
+		ex.memo = newEvalMemo()
+		defer func() { ex.memo = nil }()
 	}
 	run := func(k int64) []Pair { return ex.Explore(event, sem, ext, k) }
 

@@ -78,7 +78,7 @@ func checkStoreEquivalence(t *testing.T, r *rand.Rand, final *core.Graph, inc *S
 		t.Fatalf("incremental store covers %d points, want %d", got, n)
 	}
 	for tp := 0; tp < n; tp++ {
-		got, want := mustJSON(t, inc.Point(timeline.Time(tp))), mustJSON(t, scratch.Point(timeline.Time(tp)))
+		got, want := mustJSON(t, inc.perPoint[tp]), mustJSON(t, scratch.perPoint[tp])
 		if !bytes.Equal(got, want) {
 			t.Fatalf("point %d diverged:\nincremental: %s\nscratch:     %s", tp, got, want)
 		}

@@ -137,10 +137,6 @@ var ErrStaticBackfill = errors.New("materialize: static attribute back-filled on
 // Schema returns the store's aggregation schema.
 func (st *Store) Schema() *agg.Schema { return st.schema }
 
-// Point returns the materialized ALL aggregate of base time point t.
-// The caller must not modify it.
-func (st *Store) Point(t timeline.Time) *agg.Graph { return st.perPoint[t] }
-
 // UnionAll composes the ALL aggregate of the union graph over iv from the
 // materialized per-point aggregates (T-distributive reuse), without
 // touching the base graph. It uses the dense prefix-sum engine: each

@@ -183,7 +183,7 @@ func TestInsertAtSplicesVector(t *testing.T) {
 	g := seriesGraph(t, s)
 	attrs := []core.AttrID{g.MustAttr("gender")}
 	st := NewStore(g, agg.MustSchema(g, attrs...))
-	oldPoints := []*agg.Graph{st.Point(0), st.Point(1), st.Point(2)}
+	oldPoints := []*agg.Graph{st.perPoint[0], st.perPoint[1], st.perPoint[2]}
 
 	if _, err := s.AppendAt("t0b", retroSnap("u2", "f", "4"), "t1"); err != nil {
 		t.Fatal(err)
@@ -194,12 +194,12 @@ func TestInsertAtSplicesVector(t *testing.T) {
 		t.Fatalf("Extend: %v", err)
 	}
 	// Old per-point aggregates are position-shifted, not recomputed.
-	if next.Point(0) != oldPoints[0] || next.Point(2) != oldPoints[1] || next.Point(3) != oldPoints[2] {
+	if next.perPoint[0] != oldPoints[0] || next.perPoint[2] != oldPoints[1] || next.perPoint[3] != oldPoints[2] {
 		t.Fatal("Extend recomputed aggregates that should have been carried over")
 	}
 	scratch := NewStore(newG, agg.MustSchema(newG, attrs...))
 	for tp := 0; tp < 4; tp++ {
-		got, want := mustJSON(t, next.Point(timeline.Time(tp))), mustJSON(t, scratch.Point(timeline.Time(tp)))
+		got, want := mustJSON(t, next.perPoint[tp]), mustJSON(t, scratch.perPoint[tp])
 		if !bytes.Equal(got, want) {
 			t.Fatalf("point %d diverged after splice:\n%s\nvs\n%s", tp, got, want)
 		}

@@ -44,7 +44,7 @@ func TestStaticStoreMatchesMapOracle(t *testing.T) {
 		st := NewStore(g, s)
 		for i := 0; i < g.Timeline().Len(); i++ {
 			want := agg.AggregateMap(ops.At(g, timeline.Time(i)), s, agg.All)
-			equalAgg(t, fmt.Sprintf("%s point %d", name, i), st.Point(timeline.Time(i)), want)
+			equalAgg(t, fmt.Sprintf("%s point %d", name, i), st.perPoint[i], want)
 		}
 	}
 

@@ -80,7 +80,7 @@ func (e *Engine) checkpoint() error {
 	old.close()
 
 	path := filepath.Join(e.dir, snapName(newGen))
-	if err := saveFile(e.fs, path, g, nil, raw, len(raw)); err != nil {
+	if err := saveFile(e.fs, path, g, raw, len(raw)); err != nil {
 		return err
 	}
 	if hook := testHookSnapshotWritten; hook != nil {

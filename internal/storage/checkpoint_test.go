@@ -20,7 +20,7 @@ func replayedSnapshot(t *testing.T, e *Engine, txn int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	g := oracleReplay(t, e.attrs, e.Series().Journal(), txn)
-	if err := writeSnapshotV2(&buf, g, nil, e.raw[:txn], txn); err != nil {
+	if err := writeSnapshotV2(&buf, g, e.raw[:txn], txn); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

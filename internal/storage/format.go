@@ -138,7 +138,6 @@ func ReadFramedRecord(r io.Reader) ([]byte, error) {
 type enc struct{ b []byte }
 
 func (e *enc) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-func (e *enc) varint(v int64)   { e.b = binary.AppendVarint(e.b, v) }
 func (e *enc) byte(v byte)      { e.b = append(e.b, v) }
 func (e *enc) str(s string)     { e.uvarint(uint64(len(s))); e.b = append(e.b, s...) }
 func (e *enc) strs(ss []string) {
@@ -172,19 +171,6 @@ func (d *dec) uvarint() uint64 {
 	v, n := binary.Uvarint(d.b[d.off:])
 	if n <= 0 {
 		d.fail("bad uvarint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *dec) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("bad varint")
 		return 0
 	}
 	d.off += n
@@ -259,12 +245,11 @@ func (d *dec) count(minBytes int) int {
 	return int(n)
 }
 
-func (d *dec) strsN(n int) []string {
+func (d *dec) strs() []string {
+	n := d.count(1)
 	out := make([]string, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		out = append(out, d.str())
 	}
 	return out
 }
-
-func (d *dec) strs() []string { return d.strsN(d.count(1)) }

@@ -8,9 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/agg"
 	"repro/internal/core"
-	"repro/internal/materialize"
 	"repro/internal/timeline"
 )
 
@@ -18,6 +16,11 @@ import (
 // store on grp) written by the last commit whose writer emitted section 12:
 // run lists for the run-dominated τ vectors, beside the dense blobs.
 const legacyRunsFile = "testdata/v2_tau_runs.gts"
+
+// legacyStoresFile is `gtgen -dataset example -format binary -materialize
+// gender,publications` as written by the last commit whose writer emitted
+// section 9: one materialized store beside the paper's example graph.
+const legacyStoresFile = "testdata/v2_stores.gts"
 
 // legacyRunsGraph rebuilds the graph legacyRunsFile holds: 256 time points
 // (four words, the shortest timeline the old writer compressed), long-lived
@@ -98,51 +101,62 @@ func findSection(t *testing.T, data []byte, id byte) (lo, hi int, ok bool) {
 	}
 }
 
-// TestLegacyTauRunsSectionIgnored: files written while τ had a second,
-// run-length representation still load — section 12 is recognised,
-// checksummed by the framing like every record, and its payload skipped in
-// favour of the dense blobs — and the writer no longer emits it.
+// TestLegacyTauRunsSectionIgnored: files written while the format had
+// reserved sections still load — section 12 (a second, run-length τ) and
+// section 9 (materialized stores) are recognised, checksummed by the
+// framing like every record, and their payload skipped — and the writer
+// emits neither.
 func TestLegacyTauRunsSectionIgnored(t *testing.T) {
-	data, err := os.ReadFile(legacyRunsFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi, ok := findSection(t, data, secTauRuns)
-	if !ok {
-		t.Fatalf("%s carries no section %d: not the legacy fixture", legacyRunsFile, secTauRuns)
-	}
-	want := legacyRunsGraph(t)
+	for _, tc := range []struct {
+		file string
+		sec  byte
+		want func(*testing.T) *core.Graph
+	}{
+		{legacyRunsFile, secTauRuns, legacyRunsGraph},
+		{legacyStoresFile, secStores, func(*testing.T) *core.Graph { return core.PaperExample() }},
+	} {
+		t.Run(filepath.Base(tc.file), func(t *testing.T) {
+			data, err := os.ReadFile(tc.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo, hi, ok := findSection(t, data, tc.sec)
+			if !ok {
+				t.Fatalf("%s carries no section %d: not the legacy fixture", tc.file, tc.sec)
+			}
+			want := tc.want(t)
 
-	snap, err := Load(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	graphsEqual(t, want, snap.Graph)
-	if len(snap.Stores) != 1 {
-		t.Fatalf("Load kept %d stores, want 1", len(snap.Stores))
-	}
-	g, err := LoadGraph(legacyRunsFile)
-	if err != nil {
-		t.Fatalf("LoadGraph: %v", err)
-	}
-	graphsEqual(t, want, g)
+			snap, err := Load(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("Load: %v", err)
+			}
+			graphsEqual(t, want, snap.Graph)
+			g, err := LoadGraph(tc.file)
+			if err != nil {
+				t.Fatalf("LoadGraph: %v", err)
+			}
+			graphsEqual(t, want, g)
 
-	// Skipped is not unchecked: the section is still a CRC-framed record.
-	mut := append([]byte(nil), data...)
-	mut[(lo+hi)/2] ^= 0x01
-	if _, err := Load(bytes.NewReader(mut)); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("Load with a flipped byte in section %d: %v, want ErrChecksum", secTauRuns, err)
-	}
+			// Skipped is not unchecked: the section is still a CRC-framed record.
+			mut := append([]byte(nil), data...)
+			mut[(lo+hi)/2] ^= 0x01
+			if _, err := Load(bytes.NewReader(mut)); !errors.Is(err, ErrChecksum) {
+				t.Fatalf("Load with a flipped byte in section %d: %v, want ErrChecksum", tc.sec, err)
+			}
 
-	path := filepath.Join(t.TempDir(), "new.gts")
-	if err := SaveFile(path, want, materialize.NewStore(want, agg.MustSchema(want, 0))); err != nil {
-		t.Fatalf("SaveFile: %v", err)
-	}
-	fresh, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := findSection(t, fresh, secTauRuns); ok {
-		t.Fatalf("SaveFile still writes section %d", secTauRuns)
+			path := filepath.Join(t.TempDir(), "new.gts")
+			if err := SaveFile(path, want); err != nil {
+				t.Fatalf("SaveFile: %v", err)
+			}
+			fresh, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range []byte{secStores, secTauRuns} {
+				if _, _, ok := findSection(t, fresh, id); ok {
+					t.Fatalf("SaveFile still writes section %d", id)
+				}
+			}
+		})
 	}
 }

@@ -8,11 +8,9 @@ import (
 	"io"
 	"unsafe"
 
-	"repro/internal/agg"
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/dict"
-	"repro/internal/materialize"
 	"repro/internal/timeline"
 )
 
@@ -20,10 +18,6 @@ import (
 type Snapshot struct {
 	// Graph is the reconstructed temporal attributed graph.
 	Graph *core.Graph
-	// Stores are the materialized per-point aggregate vectors saved with
-	// the graph, rebuilt against Graph's schema; empty when none were
-	// saved.
-	Stores []*materialize.Store
 
 	// records are the raw ingest records of a stream-mode checkpoint, in
 	// transaction order: Engine recovery's journal.
@@ -81,9 +75,8 @@ func LoadGraph(path string) (*core.Graph, error) {
 
 // decode is the one snapshot decoder: parse the file held in data with
 // every blob checksum verified, assemble the graph over its blob regions,
-// check it against the full model (Graph.Validate), rebuild the stores. data
-// must be private to the caller: the graph's columns alias it (see
-// hostOrder).
+// check it against the full model (Graph.Validate). data must be private to
+// the caller: the graph's columns alias it (see hostOrder).
 func decode(data []byte) (*Snapshot, error) {
 	p, err := parseV2(data, true)
 	if err != nil {
@@ -107,7 +100,6 @@ type parsedV2 struct {
 	dicts  [][]string // value by code, per attribute
 	nodes  []string
 
-	storeSpecs []storeSpec
 	records    [][]byte
 	coveredTxn int
 
@@ -121,26 +113,6 @@ type parsedV2 struct {
 	// the node-major blobVarying older writers emitted).
 	attrB    [][]byte
 	attrKind []uint32
-}
-
-type storeSpec struct {
-	attrs  []core.AttrID
-	points []storePoint
-}
-
-type storePoint struct {
-	nodes []storeEntry
-	edges []storeEdge
-}
-
-type storeEntry struct {
-	values []string
-	weight int64
-}
-
-type storeEdge struct {
-	from, to []string
-	weight   int64
 }
 
 // parseV2 walks a complete snapshot held in data. The header must carry the
@@ -197,16 +169,8 @@ func parseV2(data []byte, verifyBlobs bool) (*parsedV2, error) {
 			}
 		case secNodes:
 			p.nodes = d.strs()
-		case secTauRuns:
+		case secTauRuns, secStores:
 			d.off = len(d.b) // reserved section: checksummed above, payload ignored
-		case secStores:
-			// The writer emits sections in id order, so the store section's
-			// attribute ids and point count are checked against a timeline
-			// and schema already read (absent ones reject every store).
-			ns := d.count(1)
-			for i := 0; i < ns && d.err == nil; i++ {
-				p.storeSpecs = append(p.storeSpecs, d.readStore(len(p.attrs), len(p.labels)))
-			}
 		case secSeries:
 			ns := d.count(1)
 			for i := 0; i < ns && d.err == nil; i++ {
@@ -346,38 +310,6 @@ func readRecordBytes(data []byte, off int) ([]byte, int, error) {
 	return payload, off + 8 + int(n), nil
 }
 
-// readStore decodes one materialized store: its attribute ids (each below
-// nAttrs), then T points of aggregate node and edge entries.
-func (d *dec) readStore(nAttrs, T int) storeSpec {
-	var sp storeSpec
-	na := d.count(1)
-	for i := 0; i < na && d.err == nil; i++ {
-		a := d.uvarint()
-		if a >= uint64(nAttrs) {
-			d.fail("store attribute id %d beyond schema of %d", a, nAttrs)
-			return sp
-		}
-		sp.attrs = append(sp.attrs, core.AttrID(a))
-	}
-	for t := 0; t < T && d.err == nil; t++ {
-		var pt storePoint
-		nn := d.count(1)
-		for i := 0; i < nn && d.err == nil; i++ {
-			pt.nodes = append(pt.nodes, storeEntry{values: d.strsN(len(sp.attrs)), weight: d.varint()})
-		}
-		ne := d.count(1)
-		for i := 0; i < ne && d.err == nil; i++ {
-			pt.edges = append(pt.edges, storeEdge{
-				from:   d.strsN(len(sp.attrs)),
-				to:     d.strsN(len(sp.attrs)),
-				weight: d.varint(),
-			})
-		}
-		sp.points = append(sp.points, pt)
-	}
-	return sp
-}
-
 // snapshotFromParsed assembles a graph over the parsed blob regions without
 // copying the columns: each becomes a host-order typed slice over the
 // snapshot's own bytes (a time-varying blob, one slice per time point) and
@@ -434,15 +366,7 @@ func snapshotFromParsed(p *parsedV2) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 
-	snap := &Snapshot{Graph: g, records: p.records, coveredTxn: p.coveredTxn}
-	for _, sp := range p.storeSpecs {
-		st, err := rebuildStore(g, sp)
-		if err != nil {
-			return nil, err
-		}
-		snap.Stores = append(snap.Stores, st)
-	}
-	return snap, nil
+	return &Snapshot{Graph: g, records: p.records, coveredTxn: p.coveredTxn}, nil
 }
 
 // timeMajor transposes a legacy node-major column (codes[n*T+t]) into a
@@ -502,45 +426,6 @@ func swapFields(b []byte, width int) {
 func hostLittleEndian() bool {
 	x := uint16(1)
 	return *(*byte)(unsafe.Pointer(&x)) == 1
-}
-
-// rebuildStore re-encodes a decoded store spec against the reconstructed
-// graph's dictionaries.
-func rebuildStore(g *core.Graph, sp storeSpec) (*materialize.Store, error) {
-	s, err := agg.NewSchema(g, sp.attrs...)
-	if err != nil {
-		return nil, fmt.Errorf("%w: store schema: %v", ErrCorrupt, err)
-	}
-	perPoint := make([]*agg.Graph, len(sp.points))
-	for t, pt := range sp.points {
-		ag := &agg.Graph{
-			Schema: s,
-			Kind:   agg.All,
-			Nodes:  make(map[agg.Tuple]int64, len(pt.nodes)),
-			Edges:  make(map[agg.EdgeKey]int64, len(pt.edges)),
-		}
-		for _, n := range pt.nodes {
-			tu, ok := s.Encode(n.values...)
-			if !ok {
-				return nil, fmt.Errorf("%w: store tuple %v not in attribute domain", ErrCorrupt, n.values)
-			}
-			ag.Nodes[tu] = n.weight
-		}
-		for _, e := range pt.edges {
-			from, ok1 := s.Encode(e.from...)
-			to, ok2 := s.Encode(e.to...)
-			if !ok1 || !ok2 {
-				return nil, fmt.Errorf("%w: store edge tuple %v→%v not in attribute domain", ErrCorrupt, e.from, e.to)
-			}
-			ag.Edges[agg.EdgeKey{From: from, To: to}] = e.weight
-		}
-		perPoint[t] = ag
-	}
-	st, err := materialize.NewStoreFromPoints(s, perPoint)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return st, nil
 }
 
 // errorsIsAny reports whether err wraps any of the given targets; used by

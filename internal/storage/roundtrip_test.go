@@ -7,11 +7,9 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/gtest"
-	"repro/internal/materialize"
 	"repro/internal/stream"
 	"repro/internal/timeline"
 )
@@ -61,10 +59,10 @@ func graphsEqual(t *testing.T, a, b *core.Graph) {
 	}
 }
 
-func roundTrip(t *testing.T, g *core.Graph, stores ...*materialize.Store) *Snapshot {
+func roundTrip(t *testing.T, g *core.Graph) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Save(&buf, g, stores...); err != nil {
+	if err := Save(&buf, g); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
 	saved := append([]byte(nil), buf.Bytes()...)
@@ -73,16 +71,15 @@ func roundTrip(t *testing.T, g *core.Graph, stores ...*materialize.Store) *Snaps
 		t.Fatalf("Load: %v", err)
 	}
 	graphsEqual(t, g, snap.Graph)
-	// Save∘Load is the identity on bytes: dictionary order, entity order
-	// and store contents all survive.
+	// Save∘Load is the identity on bytes: dictionary and entity order
+	// survive.
 	var again bytes.Buffer
-	if err := Save(&again, snap.Graph, snap.Stores...); err != nil {
+	if err := Save(&again, snap.Graph); err != nil {
 		t.Fatalf("re-Save: %v", err)
 	}
 	if !bytes.Equal(again.Bytes(), saved) {
 		t.Fatalf("Save(Load(f)) differs from f (%d vs %d bytes)", again.Len(), len(saved))
 	}
-	return snap
 }
 
 func TestRoundTripDBLPScales(t *testing.T) {
@@ -136,46 +133,6 @@ func TestRoundTripStreamedGraph(t *testing.T) {
 	roundTrip(t, streamedGraph(t))
 }
 
-func TestRoundTripStores(t *testing.T) {
-	g := dataset.DBLPScaled(3, 0.01)
-	gender := g.MustAttr("gender")
-	pubs := g.MustAttr("publications")
-	st1 := materialize.NewStore(g, agg.MustSchema(g, gender))
-	st2 := materialize.NewStore(g, agg.MustSchema(g, gender, pubs))
-	snap := roundTrip(t, g, st1, st2)
-	if len(snap.Stores) != 2 {
-		t.Fatalf("got %d stores, want 2", len(snap.Stores))
-	}
-	for i, orig := range []*materialize.Store{st1, st2} {
-		got := snap.Stores[i]
-		so, sg := orig.Schema(), got.Schema()
-		if fmt.Sprint(so.Attrs()) != fmt.Sprint(sg.Attrs()) {
-			t.Fatalf("store %d attrs %v vs %v", i, so.Attrs(), sg.Attrs())
-		}
-		for tt := 0; tt < g.Timeline().Len(); tt++ {
-			po, pg := orig.Point(timeline.Time(tt)), got.Point(timeline.Time(tt))
-			if len(po.Nodes) != len(pg.Nodes) || len(po.Edges) != len(pg.Edges) {
-				t.Fatalf("store %d point %d: %d/%d nodes, %d/%d edges",
-					i, tt, len(po.Nodes), len(pg.Nodes), len(po.Edges), len(pg.Edges))
-			}
-			for tu, w := range po.Nodes {
-				gtu, ok := sg.Encode(so.Decode(tu)...)
-				if !ok || pg.Nodes[gtu] != w {
-					t.Fatalf("store %d point %d tuple %v: weight %d missing or wrong", i, tt, so.Decode(tu), w)
-				}
-			}
-			for k, w := range po.Edges {
-				gfrom, ok1 := sg.Encode(so.Decode(k.From)...)
-				gto, ok2 := sg.Encode(so.Decode(k.To)...)
-				if !ok1 || !ok2 || pg.Edges[agg.EdgeKey{From: gfrom, To: gto}] != w {
-					t.Fatalf("store %d point %d edge %v→%v: weight %d missing or wrong",
-						i, tt, so.Decode(k.From), so.Decode(k.To), w)
-				}
-			}
-		}
-	}
-}
-
 func TestSaveFileAtomicAndLoadFile(t *testing.T) {
 	g := dataset.DBLPScaled(5, 0.004)
 	path := filepath.Join(t.TempDir(), "g.gts")
@@ -198,14 +155,4 @@ func TestSaveFileAtomicAndLoadFile(t *testing.T) {
 		t.Fatalf("LoadGraph after overwrite: %v", err)
 	}
 	graphsEqual(t, g2, got2)
-}
-
-func TestSaveRejectsForeignStore(t *testing.T) {
-	g1 := dataset.DBLPScaled(1, 0.004)
-	g2 := dataset.DBLPScaled(2, 0.004)
-	st := materialize.NewStore(g1, agg.MustSchema(g1, g1.MustAttr("gender")))
-	var buf bytes.Buffer
-	if err := Save(&buf, g2, st); err == nil {
-		t.Fatal("Save accepted a store built on a different graph")
-	}
 }

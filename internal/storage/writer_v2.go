@@ -3,14 +3,12 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"io"
 
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/dict"
-	"repro/internal/materialize"
 )
 
 // Snapshot layout. A header and framed meta sections, then the fixed-width
@@ -18,7 +16,7 @@ import (
 //
 //	header (magic + formatVersion)
 //	framed: secTimeline, secSchema, secNodes         (varint meta)
-//	framed: secStores, secSeries, secTxnMeta         (optional)
+//	framed: secSeries, secTxnMeta                    (optional)
 //	framed: secBlobDir                               (fixed-width directory)
 //	framed: secEnd
 //	zero padding to 8-byte alignment
@@ -32,9 +30,12 @@ import (
 // CRC32C of its blob, verified on every load.
 const (
 	secBlobDir byte = 11 // blob directory: count, file size, fixed-width entries
-	// secTauRuns is reserved: earlier writers put a second, run-length copy
-	// of the run-dominated tau vectors here. Never written now; the reader
-	// accepts it and ignores the payload (the tau blobs are authoritative).
+	// Reserved sections, never written now: the reader accepts them and
+	// ignores the payload. secStores held materialized per-point aggregate
+	// vectors (gtgen -materialize) that nothing read back; secTauRuns a
+	// second, run-length copy of the run-dominated tau vectors (the tau
+	// blobs are authoritative).
+	secStores  byte = 9
 	secTauRuns byte = 12
 )
 
@@ -66,12 +67,7 @@ const blobDirEntryLen = 28
 
 func align8(n int) int { return (n + 7) &^ 7 }
 
-func writeSnapshotV2(w io.Writer, g *core.Graph, stores []*materialize.Store, records [][]byte, coveredTxn int) error {
-	for _, st := range stores {
-		if st.Schema().Graph() != g {
-			return fmt.Errorf("storage: store schema built on a different graph")
-		}
-	}
+func writeSnapshotV2(w io.Writer, g *core.Graph, records [][]byte, coveredTxn int) error {
 	tl := g.Timeline()
 	T := tl.Len()
 	nNodes, nEdges := g.NumNodes(), g.NumEdges()
@@ -101,14 +97,6 @@ func writeSnapshotV2(w io.Writer, g *core.Graph, stores []*materialize.Store, re
 			e.str(g.NodeLabel(core.NodeID(n)))
 		}
 	})
-	if len(stores) > 0 {
-		sec(secStores, func(e *enc) {
-			e.uvarint(uint64(len(stores)))
-			for _, st := range stores {
-				writeStore(e, g, st)
-			}
-		})
-	}
 	if len(records) > 0 {
 		sec(secSeries, func(e *enc) {
 			e.uvarint(uint64(len(records)))
