@@ -10,14 +10,13 @@
 //
 // The shard spec lists shards in time order as name=primaryURL with
 // optional |replicaURL members. The router serves the same JSON API as a
-// single graphtempod: decomposable aggregates (union, and projects that
-// fit one shard) scatter to the shards and gather-merge exactly; every
-// other query — intersection, difference, explore, tgql — is answered
-// from the router's own WAL-replicated mirror of the full timeline, so
-// every answer is byte-identical to a single-node deployment. Reads
-// prefer the primary and fail over to caught-up replicas (-max-lag);
-// writes go to the tail shard's primary only. A shard with no reachable
-// member sheds load with 503 + Retry-After rather than answering wrong.
+// single graphtempod, and answers every read — aggregate, explore, tgql,
+// explain — from its own WAL-replicated mirror of the full timeline, so
+// every answer is byte-identical to a single-node deployment and frozen
+// history stays readable with its shard down. The mirror replicates from
+// the primary and fails over to a caught-up replica (-max-lag). Writes go
+// to the tail shard's primary only, forwarded once; an unreachable
+// primary answers 503 + Retry-After rather than risk a double apply.
 //
 // SIGTERM/SIGINT starts a graceful drain, mirroring graphtempod.
 package main
@@ -54,9 +53,9 @@ func parseFlags(args []string) (*options, error) {
 	o := &options{}
 	fs.StringVar(&o.addr, "addr", ":8090", "listen address")
 	fs.StringVar(&o.shards, "shards", "", "shard map in time order: name=primaryURL[|replicaURL...][;name=...]")
-	fs.IntVar(&o.maxLag, "max-lag", 0, "max replication lag (time points) a replica may trail by and still serve reads")
-	fs.DurationVar(&o.shardTimeout, "shard-timeout", 10*time.Second, "per-shard request deadline inside a scattered query")
-	fs.DurationVar(&o.timeout, "timeout", 30*time.Second, "end-to-end deadline for a scattered query")
+	fs.IntVar(&o.maxLag, "max-lag", 0, "max replication lag (time points) a member may trail by and still feed the mirror")
+	fs.DurationVar(&o.shardTimeout, "shard-timeout", 10*time.Second, "deadline of each shard call: a status probe or the ingest forward")
+	fs.DurationVar(&o.timeout, "timeout", 30*time.Second, "end-to-end deadline cap of a routed request: a mirror read or an ingest")
 	fs.DurationVar(&o.probeInterval, "probe-interval", 250*time.Millisecond, "member health/lag probe cadence")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 20*time.Second, "graceful shutdown budget")
 	fs.Int64Var(&o.cacheBytes, "cache-bytes", 0, "materialization cache budget for the mirror (0 = default)")

@@ -176,8 +176,8 @@ func TestDrainTimeoutBoundsShutdown(t *testing.T) {
 }
 
 // TestRunServesAndDrains boots the router binary path against two live
-// shards, waits for readiness, runs a boundary-spanning union through the
-// scatter path and a tgql query through the mirror, then drains.
+// shards, waits for readiness, runs a boundary-spanning union and a tgql
+// query through the mirror, then drains.
 func TestRunServesAndDrains(t *testing.T) {
 	addr := freeAddr(t)
 	done := startRouter(t, addr, "-drain-timeout", "5s")
@@ -193,8 +193,8 @@ func TestRunServesAndDrains(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("aggregate = %d: %s", resp.StatusCode, body)
 	}
-	if route := resp.Header.Get("X-Gt-Route"); route != "scatter" {
-		t.Fatalf("boundary-spanning union routed %q, want scatter (%s)", route, body)
+	if route := resp.Header.Get("X-Gt-Route"); route != "mirror" {
+		t.Fatalf("boundary-spanning union routed %q, want mirror (%s)", route, body)
 	}
 	var ar struct {
 		Graph json.RawMessage `json:"graph"`

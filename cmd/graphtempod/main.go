@@ -27,7 +27,7 @@
 // §4 for the persistence design.
 //
 // Endpoints: POST /v1/aggregate, /v1/explore, /v1/tgql, /v1/explain,
-// /v1/partial/aggregate, /v1/ingest; GET /healthz, /readyz, /metrics,
+// /v1/ingest; GET /healthz, /readyz, /metrics,
 // /v1/status, /v1/labels, /v1/wal/stream. See DESIGN.md §3 for the serving
 // architecture (admission control, deadlines, metrics taxonomy).
 //

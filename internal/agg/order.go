@@ -8,8 +8,8 @@ import (
 )
 
 // Wire order is the one presentation order of aggregate groups, shared by
-// every renderer (JSON, text, DOT, persisted stores) and by the router's
-// merge, so that equal graphs always render equal bytes:
+// every renderer (JSON, text, DOT) and by plan.MergePartials, so that equal
+// graphs always render equal bytes:
 //
 //   - nodes ascend by label, the group's values joined with ",";
 //   - edges ascend by the concatenated string label(from)+"→"+label(to) —

@@ -10,8 +10,8 @@ import (
 	"repro/internal/stream"
 )
 
-// The analytics family (EVENTS/PATHS/TREND) is never scattered: the
-// router answers every analytics statement from its full-timeline mirror,
+// The analytics family (EVENTS/PATHS/TREND), like every read: the router
+// answers every analytics statement from its full-timeline mirror,
 // byte-identical to a single node holding the whole series, and a shard
 // daemon (Partial) refuses analytics outright with the typed 400.
 

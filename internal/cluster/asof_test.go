@@ -4,19 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"repro/internal/server"
-	"repro/internal/stream"
 )
 
-// TestAsOfRoutesToMirror: transaction-time pins can never scatter (shards
-// serve head-only partials), so every as_of request lands on the router's
-// mirror — including queries a head request would have single-shard
-// routed — and answers byte-identically to a single node that ingested
-// the same series.
+// TestAsOfRoutesToMirror: the mirror holds the global transaction journal,
+// so every as_of request lands on it and answers byte-identically to a
+// single node that ingested the same series.
 func TestAsOfRoutesToMirror(t *testing.T) {
 	routerURL, refURL, rt := startCluster(t, 3)
 	head := rt.mseries.Txn()
@@ -24,7 +20,7 @@ func TestAsOfRoutesToMirror(t *testing.T) {
 		t.Fatalf("mirror txn = %d, want %d", head, len(testPoints()))
 	}
 
-	// Single-shard-resolvable interval, pinned: must go to the mirror.
+	// An interval inside one shard, pinned at the head.
 	req := server.AggregateRequest{
 		Op: "project", Interval: server.IntervalSpec{From: "t0", To: "t1"},
 		Attrs: []string{"gender"}, Kind: "dist", AsOf: head,
@@ -90,25 +86,6 @@ func TestAsOfRoutesToMirror(t *testing.T) {
 	}
 	if tr.Text != refTr.Text || !bytes.Equal(tr.Graph, refTr.Graph) {
 		t.Errorf("tgql as_of diverged:\n router %s\n single %s", tr.Text, refTr.Text)
-	}
-}
-
-// TestPartialRejectsAsOf: the shard-side partial endpoint refuses pinned
-// requests — scatter legs are head-only by contract.
-func TestPartialRejectsAsOf(t *testing.T) {
-	srv, err := server.New(server.Config{
-		Series: stream.New(attrsFor()...), ShardName: "s0", Logger: quietLogger(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	code, data, _ := postJSON(t, ts.URL+"/v1/partial/aggregate", server.AggregateRequest{
-		Op: "project", Interval: server.IntervalSpec{From: "t0"}, Attrs: []string{"gender"}, AsOf: 1,
-	})
-	if code != http.StatusBadRequest || !strings.Contains(string(data), "mirror") {
-		t.Fatalf("partial as_of = %d: %s", code, data)
 	}
 }
 

@@ -29,7 +29,7 @@ type MemberHealth struct {
 }
 
 // health polls every member's /v1/status and maintains the liveness and
-// replication-lag view member selection routes by.
+// replication-lag view the mirror's followers pick a member by.
 type health struct {
 	m       *ShardMap
 	client  *http.Client
@@ -140,8 +140,8 @@ func (h *health) member(url string) MemberHealth {
 	return h.states[url]
 }
 
-// candidates orders a shard's members for a read: the primary first, then
-// replicas, keeping only live, non-draining members within maxLag. When
+// candidates orders a shard's members for replication: the primary first,
+// then replicas, keeping only live, non-draining members within maxLag. When
 // nothing qualifies the full member list is returned — the health view
 // may be stale, and an actual request is the authoritative probe.
 func (h *health) candidates(sh Shard, maxLag int) []Member {

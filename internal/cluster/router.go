@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/plan"
 	"repro/internal/server"
 	"repro/internal/stream"
 )
@@ -25,14 +24,15 @@ import (
 type Config struct {
 	// Map is the cluster topology, shards in time order.
 	Map *ShardMap
-	// MaxLag is the maximum replication lag (in time points) a replica may
-	// have and still serve reads. 0 (the default) routes only to fully
-	// caught-up members.
+	// MaxLag is the maximum replication lag (in time points) a member may
+	// have and still feed the mirror. 0 (the default) replicates only from
+	// fully caught-up members.
 	MaxLag int
-	// ShardTimeout bounds each shard RPC attempt; <= 0 selects 10s.
+	// ShardTimeout bounds each shard RPC: a status probe or an ingest
+	// forward; <= 0 selects 10s.
 	ShardTimeout time.Duration
-	// RequestTimeout bounds a whole routed request across its retries;
-	// <= 0 selects 30s.
+	// RequestTimeout bounds a whole routed request, a mirror read or an
+	// ingest; <= 0 selects 30s.
 	RequestTimeout time.Duration
 	// ProbeInterval is the health poll cadence; <= 0 selects 250ms.
 	ProbeInterval time.Duration
@@ -45,11 +45,9 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// Router fronts the shard processes: it scatters decomposable aggregates
-// into per-shard partials and merges them exactly, answers everything
-// else from its mirror (a full WAL-replicated copy of every shard served
-// by an embedded single-node server), forwards ingests to the tail
-// shard's primary, and fails reads over to caught-up replicas.
+// Router fronts the shard processes: it answers every read from its mirror
+// (a full WAL-replicated copy of every shard served by an embedded
+// single-node server) and forwards ingests to the tail shard's primary.
 type Router struct {
 	cfg    Config
 	log    *slog.Logger
@@ -66,35 +64,16 @@ type Router struct {
 	msrv    *server.Server
 	applyMu sync.Mutex
 	starts  []int
-	byName  map[string]int // shard name -> index
-
-	// label -> global index cache over the mirror timeline.
-	tlMu     sync.Mutex
-	tlLabels []string
-	tlIndex  map[string]int
-	tlN      int
 
 	cancel   context.CancelFunc
 	wg       sync.WaitGroup
 	draining bool
 	drainMu  sync.Mutex
 
-	routeMu     sync.Mutex
-	routeCounts map[string]*metrics.Counter
-	failovers   metrics.Counter
-	unavailable metrics.Counter
+	// Requests answered by serving route, and ingests refused with 503.
+	mirrorReqs, ingestReqs metrics.Counter
+	unavailable            metrics.Counter
 }
-
-// shardError is a routed request's terminal error: the HTTP status the
-// shard tier produced (or 503 when no member answered) and the message to
-// surface. 4xx statuses are authoritative client errors; everything else
-// is retried across members first.
-type shardError struct {
-	status int
-	msg    string
-}
-
-func (e *shardError) Error() string { return e.msg }
 
 // New builds the router: it probes every shard for schema and watermarks,
 // replays the frozen shards into the mirror, starts the tail follower and
@@ -122,17 +101,12 @@ func New(cfg Config) (*Router, error) {
 		client = &http.Client{}
 	}
 	rt := &Router{
-		cfg:         cfg,
-		log:         log,
-		client:      client,
-		health:      newHealth(cfg.Map, client, cfg.ShardTimeout),
-		mux:         http.NewServeMux(),
-		reg:         metrics.NewRegistry(),
-		byName:      make(map[string]int),
-		routeCounts: make(map[string]*metrics.Counter),
-	}
-	for i, sh := range cfg.Map.Shards {
-		rt.byName[sh.Name] = i
+		cfg:    cfg,
+		log:    log,
+		client: client,
+		health: newHealth(cfg.Map, client, cfg.ShardTimeout),
+		mux:    http.NewServeMux(),
+		reg:    metrics.NewRegistry(),
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -216,11 +190,12 @@ func (rt *Router) buildMirror(ctx context.Context) error {
 		}
 	}
 	srv, err := server.New(server.Config{
-		Series:     rt.mseries,
-		CacheBytes: rt.cfg.CacheBytes,
-		Logger:     rt.log.With("component", "mirror"),
-		ShardName:  "mirror",
-		Role:       server.RoleReplica,
+		Series:         rt.mseries,
+		CacheBytes:     rt.cfg.CacheBytes,
+		RequestTimeout: rt.cfg.RequestTimeout,
+		Logger:         rt.log.With("component", "mirror"),
+		ShardName:      "mirror",
+		Role:           server.RoleReplica,
 	})
 	if err != nil {
 		return err
@@ -284,14 +259,14 @@ func (rt *Router) anyStatus(ctx context.Context, sh Shard) (*server.StatusRespon
 	return nil, fmt.Errorf("no member answered /v1/status: %w", lastErr)
 }
 
-// requestIDKey carries a request's X-Request-Id to the outbound shard hops.
+// requestIDKey carries a request's X-Request-Id to the ingest forward.
 type requestIDKey struct{}
 
 // Handler returns the router's root handler. Every request is traced under
 // one id — the client's X-Request-Id, else one minted here at the edge —
 // echoed on the response and forwarded on every hop the request makes: the
-// mirror reads it off the request (toMirror), shard posts take it from the
-// context (post).
+// mirror reads it off the request (toMirror), the ingest forward takes it
+// from the context (post).
 func (rt *Router) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := server.RequestID(r)
@@ -325,23 +300,7 @@ func (rt *Router) Close() {
 	rt.wg.Wait()
 }
 
-// ---- timeline -----------------------------------------------------------
-
-// timeline returns the mirror's global label list and label->index map,
-// refreshed when replication has appended points.
-func (rt *Router) timeline() ([]string, map[string]int) {
-	rt.tlMu.Lock()
-	defer rt.tlMu.Unlock()
-	if n := rt.mseries.Len(); n != rt.tlN {
-		rt.tlLabels = rt.mseries.Labels()
-		rt.tlIndex = make(map[string]int, n)
-		for i, l := range rt.tlLabels {
-			rt.tlIndex[l] = i
-		}
-		rt.tlN = n
-	}
-	return rt.tlLabels, rt.tlIndex
-}
+// ---- watermarks ---------------------------------------------------------
 
 // globalHigh is the cluster's high-water point count: the frozen prefix
 // plus the tail shard's highest member watermark (which may be ahead of
@@ -403,32 +362,30 @@ func (rt *Router) routes() {
 		rt.reg.WritePrometheus(w)
 		rt.msrv.Registry().WritePrometheus(w)
 	})
-	rt.mux.HandleFunc("POST /v1/aggregate", rt.handleAggregate)
 	rt.mux.HandleFunc("POST /v1/ingest", rt.handleIngest)
 	rt.mux.HandleFunc("GET /v1/status", rt.handleStatus)
 	rt.mux.HandleFunc("GET /v1/cluster/status", rt.handleClusterStatus)
-	// Everything non-decomposable is the mirror's: it is a full replica
-	// with the complete single-node engine behind it, so exploration,
-	// TGQL, explain, partials, the global timeline and even a global WAL
-	// stream (for chained followers) come for free and byte-identical.
-	// That includes the analytics statements (EVENTS/PATHS/TREND) on
-	// /v1/tgql: they traverse the whole timeline, so shard-local partials
-	// cannot compose an answer, while the mirror holds every point.
+	// Every read is the mirror's: it is a full replica with the complete
+	// single-node engine behind it — catalog and prefix sums included — so
+	// aggregates, exploration, TGQL (the whole-timeline analytics too),
+	// explain, the global timeline and even a global WAL stream (for
+	// chained followers) come byte-identical to a single node, and frozen
+	// history stays readable with every member of its shard down.
 	for _, route := range []string{
-		"POST /v1/explore", "POST /v1/tgql", "POST /v1/explain",
-		"POST /v1/partial/aggregate", "GET /v1/labels", "GET /v1/wal/stream",
+		"POST /v1/aggregate", "POST /v1/explore", "POST /v1/tgql", "POST /v1/explain",
+		"GET /v1/labels", "GET /v1/wal/stream",
 	} {
-		rt.mux.HandleFunc(route, func(w http.ResponseWriter, r *http.Request) {
-			rt.toMirror(w, r, nil)
-		})
+		rt.mux.HandleFunc(route, rt.toMirror)
 	}
 }
 
 func (rt *Router) registerMetrics() {
-	rt.reg.RegisterCounter("graphtempo_router_failovers_total",
-		"Shard requests retried against another member after a failure.", &rt.failovers)
+	rt.reg.RegisterCounter("graphtempo_router_requests_total", "Requests answered by serving route.",
+		&rt.mirrorReqs, metrics.Label{Key: "route", Value: "mirror"})
+	rt.reg.RegisterCounter("graphtempo_router_requests_total", "",
+		&rt.ingestReqs, metrics.Label{Key: "route", Value: "ingest"})
 	rt.reg.RegisterCounter("graphtempo_router_unavailable_total",
-		"Requests shed with 503 because a shard had no live member.", &rt.unavailable)
+		"Ingests refused with 503 because the tail primary did not answer.", &rt.unavailable)
 	rt.reg.GaugeFunc("graphtempo_router_mirror_lag_points",
 		"Points the mirror is behind the cluster high-water mark.",
 		func() float64 { return float64(rt.mirrorLag()) })
@@ -452,262 +409,74 @@ func (rt *Router) registerMetrics() {
 	}
 }
 
-// routeCounter counts answered requests by serving route
-// (scatter / mirror / ingest).
-func (rt *Router) routeCounter(route string) *metrics.Counter {
-	rt.routeMu.Lock()
-	defer rt.routeMu.Unlock()
-	c, ok := rt.routeCounts[route]
-	if !ok {
-		c = rt.reg.Counter("graphtempo_router_requests_total",
-			"Requests answered by serving route.",
-			metrics.Label{Key: "route", Value: route})
-		rt.routeCounts[route] = c
-	}
-	return c
-}
-
-// toMirror delegates a request to the embedded mirror server, replaying
-// the already-consumed body when the routing decision had to read it.
-func (rt *Router) toMirror(w http.ResponseWriter, r *http.Request, body []byte) {
-	rt.routeCounter("mirror").Inc()
+// toMirror delegates a request to the embedded mirror server.
+func (rt *Router) toMirror(w http.ResponseWriter, r *http.Request) {
+	rt.mirrorReqs.Inc()
 	w.Header().Set("X-Gt-Route", "mirror")
 	w.Header().Set("X-Gt-Lag", strconv.Itoa(rt.mirrorLag()))
-	if body != nil {
-		r = r.Clone(r.Context())
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		r.ContentLength = int64(len(body))
-	}
 	rt.msrv.Handler().ServeHTTP(w, r)
 }
 
-// readBody slurps the request body (the routing decision needs it, and a
-// mirror fallback must be able to replay it).
-func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+// ---- ingest -------------------------------------------------------------
+
+// handleIngest forwards the write to the tail shard's primary — never a
+// replica — and rewrites the shard-local point counts in the response to
+// global ones. The forward is sent once: a transport error may come after
+// the primary applied the write, and a resend would turn that applied write
+// into a duplicate-label 400. A dead primary means 503 + Retry-After; the
+// cluster never silently promotes a writer.
+func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.DefaultMaxBodyBytes))
 	if err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			server.WriteError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("request body exceeds the %d-byte limit", mbe.Limit))
+			return
+		}
 		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
-		return nil, false
-	}
-	return body, true
-}
-
-// ---- aggregate routing --------------------------------------------------
-
-func (rt *Router) handleAggregate(w http.ResponseWriter, r *http.Request) {
-	body, ok := rt.readBody(w, r)
-	if !ok {
 		return
 	}
-	var req server.AggregateRequest
-	if err := server.DecodeJSON(bytes.NewReader(body), &req); err != nil {
-		rt.toMirror(w, r, body) // the mirror produces the canonical 400
-		return
-	}
-	if req.AsOf != 0 {
-		// Time travel never scatters: the shards serve their heads only,
-		// while the mirror holds the full global transaction journal and
-		// reconstructs any AS OF position from it.
-		rt.toMirror(w, r, body)
-		return
-	}
-	slices, ok := rt.slicesFor(req)
-	if !ok {
-		// Non-decomposable (intersection/difference, explicit point sets)
-		// or not resolvable against the pinned timeline: the mirror is the
-		// exactness backstop for all of it, errors included.
-		rt.toMirror(w, r, body)
-		return
-	}
-	p, err := plan.CompileScatter(plan.ScatterQuery{
-		Op: req.Op, Attrs: req.Attrs, Kind: req.Kind, Slices: slices,
-	}, rt)
-	if err != nil {
-		rt.toMirror(w, r, body)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
+	tail := rt.cfg.Map.Tail()
+	primary := rt.cfg.Map.Shards[tail].Primary()
+	ctx, cancel := context.WithTimeout(r.Context(), min(rt.cfg.RequestTimeout, rt.cfg.ShardTimeout))
 	defer cancel()
-	start := time.Now()
-	res, err := p.Execute(ctx)
+	status, data, err := rt.post(ctx, primary.URL+"/v1/ingest", body)
 	if err != nil {
-		rt.writeRoutedError(w, err)
+		rt.unavailable.Inc()
+		w.Header().Set("Retry-After", "1")
+		server.WriteError(w, http.StatusServiceUnavailable,
+			fmt.Errorf("tail shard %s primary is unreachable: %w", rt.cfg.Map.Shards[tail].Name, err))
 		return
 	}
-	rt.routeCounter("scatter").Inc()
-	w.Header().Set("X-Gt-Route", "scatter")
-	w.Header().Set("X-Gt-Shards", strconv.Itoa(len(slices)))
-	server.WriteAggregate(w, fmt.Sprintf("scatter(%d)", len(slices)), time.Since(start), res.Merged)
+	if status != http.StatusOK {
+		if status >= 500 {
+			rt.unavailable.Inc()
+			w.Header().Set("Retry-After", "1")
+			server.WriteError(w, http.StatusServiceUnavailable, errors.New(envelopeMessage(data, status)))
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(status)
+		w.Write(data)
+		return
+	}
+	var ir server.IngestResponse
+	if err := json.Unmarshal(data, &ir); err != nil {
+		server.WriteError(w, http.StatusInternalServerError, fmt.Errorf("bad shard ingest response: %w", err))
+		return
+	}
+	ir.Points += rt.starts[tail]
+	ir.Visible += rt.starts[tail]
+	// The shard acked its local transaction sequence; the mirror's global
+	// journal has the frozen prefix in front, so the global AS OF handle is
+	// offset by the tail shard's start.
+	ir.Txn += rt.starts[tail]
+	rt.ingestReqs.Inc()
+	writeJSON(w, ir)
 }
 
-// slicesFor decides whether an aggregate decomposes across the shards
-// and, if so, clips its interval operand(s) to each shard's time range.
-// Union aggregates decompose fully: presence-anywhere over a point set is
-// exact under per-shard union merge (DIST entity sets union, ALL weights
-// sum over the disjoint shard pieces). Project has intersection semantics
-// — an entity must appear in EVERY point of the interval — which does not
-// merge by union, so it scatters only when the whole interval lands in
-// one shard (a single partial merges as the identity). ok=false means
-// "send it to the mirror" — everything else, explicit point sets, and
-// anything that does not resolve against the mirror timeline (so error
-// messages stay canonical).
-func (rt *Router) slicesFor(req server.AggregateRequest) ([]plan.ShardSlice, bool) {
-	if req.Op != "project" && req.Op != "union" {
-		return nil, false
-	}
-	if len(req.Interval.Points) > 0 || len(req.Interval2.Points) > 0 {
-		return nil, false
-	}
-	if req.Interval.From == "" {
-		return nil, false
-	}
-	labels, index := rt.timeline()
-	resolve := func(sp server.IntervalSpec) (int, int, bool) {
-		lo, ok := index[sp.From]
-		if !ok {
-			return 0, 0, false
-		}
-		hi := lo
-		if sp.To != "" {
-			if hi, ok = index[sp.To]; !ok {
-				return 0, 0, false
-			}
-		}
-		return lo, hi, hi >= lo
-	}
-	lo, hi, ok := resolve(req.Interval)
-	if !ok {
-		return nil, false
-	}
-	blo, bhi := -1, -1
-	if req.Op == "union" {
-		if req.Interval2.From == "" {
-			return nil, false
-		}
-		if blo, bhi, ok = resolve(req.Interval2); !ok {
-			return nil, false
-		}
-	} else if req.Interval2.From != "" || req.Interval2.To != "" {
-		return nil, false
-	}
-	clip := func(qlo, qhi, s, e int) (int, int) {
-		if qlo < 0 {
-			return -1, -1
-		}
-		f, t := max(qlo, s), min(qhi, e-1)
-		if f > t {
-			return -1, -1
-		}
-		return f, t
-	}
-	n := len(labels)
-	var slices []plan.ShardSlice
-	for i, sh := range rt.cfg.Map.Shards {
-		s, e := rt.starts[i], n
-		if i+1 < len(rt.starts) {
-			e = rt.starts[i+1]
-		}
-		aF, aT := clip(lo, hi, s, e)
-		bF, bT := clip(blo, bhi, s, e)
-		switch {
-		case req.Op == "project":
-			if aF >= 0 {
-				slices = append(slices, plan.ShardSlice{Shard: sh.Name, Op: "project",
-					AFrom: labels[aF], ATo: labels[aT]})
-			}
-		case aF >= 0 && bF >= 0:
-			slices = append(slices, plan.ShardSlice{Shard: sh.Name, Op: "union",
-				AFrom: labels[aF], ATo: labels[aT], BFrom: labels[bF], BTo: labels[bT]})
-		case aF >= 0:
-			// One operand piece: union(A,A) is presence-anywhere over the
-			// piece (union point sets dedupe), keeping union semantics —
-			// "project" would demand presence in every point instead.
-			slices = append(slices, plan.ShardSlice{Shard: sh.Name, Op: "union",
-				AFrom: labels[aF], ATo: labels[aT], BFrom: labels[aF], BTo: labels[aT]})
-		case bF >= 0:
-			slices = append(slices, plan.ShardSlice{Shard: sh.Name, Op: "union",
-				AFrom: labels[bF], ATo: labels[bT], BFrom: labels[bF], BTo: labels[bT]})
-		}
-	}
-	if req.Op == "project" && len(slices) > 1 {
-		return nil, false // intersection semantics: multi-shard project is the mirror's
-	}
-	return slices, len(slices) > 0
-}
-
-// Partial implements plan.Scatterer: execute one shard slice as a
-// POST /v1/partial/aggregate against the slice's shard, with member
-// failover.
-func (rt *Router) Partial(ctx context.Context, slice plan.ShardSlice, attrs []string, kind string) (*plan.PartialResult, error) {
-	i, ok := rt.byName[slice.Shard]
-	if !ok {
-		return nil, fmt.Errorf("cluster: unknown shard %q", slice.Shard)
-	}
-	req := server.AggregateRequest{
-		Op:       slice.Op,
-		Interval: server.IntervalSpec{From: slice.AFrom, To: slice.ATo},
-		Attrs:    attrs,
-		Kind:     kind,
-	}
-	if slice.BFrom != "" {
-		req.Interval2 = server.IntervalSpec{From: slice.BFrom, To: slice.BTo}
-	}
-	var resp server.PartialAggregateResponse
-	if err := rt.doShard(ctx, i, "/v1/partial/aggregate", req, &resp); err != nil {
-		return nil, err
-	}
-	if resp.Partial != nil {
-		resp.Partial.Source = slice.Shard + ":" + resp.Partial.Source
-	}
-	return resp.Partial, nil
-}
-
-// doShard posts a JSON request to a shard, trying its members in
-// candidate order (primary, then caught-up replicas, with a short
-// backoff between attempts). 4xx answers are authoritative and returned
-// immediately; transport errors, 5xx and 429 fail over to the next
-// member. When every member fails the result is a 503-mapped shardError.
-func (rt *Router) doShard(ctx context.Context, shard int, path string, in, out any) error {
-	sh := rt.cfg.Map.Shards[shard]
-	payload, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	var lastErr error
-	for attempt, mem := range rt.health.candidates(sh, rt.cfg.MaxLag) {
-		if attempt > 0 {
-			rt.failovers.Inc()
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(time.Duration(attempt) * 50 * time.Millisecond):
-			}
-		}
-		actx, cancel := context.WithTimeout(ctx, rt.cfg.ShardTimeout)
-		status, data, err := rt.post(actx, mem.URL+path, payload)
-		cancel()
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			lastErr = fmt.Errorf("%s: %w", mem.URL, err)
-			continue
-		}
-		if status == http.StatusOK {
-			return json.Unmarshal(data, out)
-		}
-		msg := envelopeMessage(data, status)
-		if status >= 400 && status < 500 && status != http.StatusTooManyRequests {
-			return &shardError{status: status, msg: msg}
-		}
-		lastErr = fmt.Errorf("%s: status %d: %s", mem.URL, status, msg)
-	}
-	return &shardError{
-		status: http.StatusServiceUnavailable,
-		msg:    fmt.Sprintf("shard %s has no live member: %v", sh.Name, lastErr),
-	}
-}
-
+// post sends the ingest forward; the reply is read whole.
 func (rt *Router) post(ctx context.Context, url string, body []byte) (int, []byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
@@ -739,95 +508,6 @@ func envelopeMessage(data []byte, status int) string {
 		return eb.Error.Message
 	}
 	return fmt.Sprintf("status %d: %s", status, bytes.TrimSpace(data))
-}
-
-// writeRoutedError maps a scatter execution error onto the wire: shard
-// 4xx pass through, unavailability becomes 503 + Retry-After, deadlines
-// become 504 — always in the unified error envelope.
-func (rt *Router) writeRoutedError(w http.ResponseWriter, err error) {
-	var se *shardError
-	if errors.As(err, &se) {
-		if se.status >= 500 || se.status == http.StatusTooManyRequests {
-			rt.unavailable.Inc()
-			w.Header().Set("Retry-After", "1")
-			server.WriteError(w, http.StatusServiceUnavailable, errors.New(se.msg))
-			return
-		}
-		server.WriteError(w, se.status, errors.New(se.msg))
-		return
-	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		server.WriteError(w, http.StatusGatewayTimeout, err)
-		return
-	}
-	server.WriteError(w, http.StatusInternalServerError, err)
-}
-
-// ---- ingest -------------------------------------------------------------
-
-// handleIngest forwards the write to the tail shard's primary — never a
-// replica — and rewrites the shard-local point counts in the response to
-// global ones. A dead primary means the write is refused with 503; the
-// cluster never silently promotes a writer.
-func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body, ok := rt.readBody(w, r)
-	if !ok {
-		return
-	}
-	tail := rt.cfg.Map.Tail()
-	primary := rt.cfg.Map.Shards[tail].Primary()
-	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
-	defer cancel()
-	var status int
-	var data []byte
-	var err error
-	for attempt := 0; attempt < 2; attempt++ {
-		if attempt > 0 {
-			rt.failovers.Inc()
-			select {
-			case <-ctx.Done():
-			case <-time.After(50 * time.Millisecond):
-			}
-		}
-		actx, acancel := context.WithTimeout(ctx, rt.cfg.ShardTimeout)
-		status, data, err = rt.post(actx, primary.URL+"/v1/ingest", body)
-		acancel()
-		if err == nil {
-			break
-		}
-	}
-	if err != nil {
-		rt.unavailable.Inc()
-		w.Header().Set("Retry-After", "1")
-		server.WriteError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("tail shard %s primary is unreachable: %w", rt.cfg.Map.Shards[tail].Name, err))
-		return
-	}
-	if status != http.StatusOK {
-		if status >= 500 {
-			rt.unavailable.Inc()
-			w.Header().Set("Retry-After", "1")
-			server.WriteError(w, http.StatusServiceUnavailable, errors.New(envelopeMessage(data, status)))
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		w.Write(data)
-		return
-	}
-	var ir server.IngestResponse
-	if err := json.Unmarshal(data, &ir); err != nil {
-		server.WriteError(w, http.StatusInternalServerError, fmt.Errorf("bad shard ingest response: %w", err))
-		return
-	}
-	ir.Points += rt.starts[tail]
-	ir.Visible += rt.starts[tail]
-	// The shard acked its local transaction sequence; the mirror's global
-	// journal has the frozen prefix in front, so the global AS OF handle is
-	// offset by the tail shard's start.
-	ir.Txn += rt.starts[tail]
-	rt.routeCounter("ingest").Inc()
-	writeJSON(w, ir)
 }
 
 // ---- status -------------------------------------------------------------

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -189,60 +190,62 @@ func TestParseShardMap(t *testing.T) {
 	}
 }
 
-// TestScatterByteIdentity is the acceptance criterion for the exact
-// merge: every aggregate answered through the router — scattered unions,
-// single-shard projects, and mirror-served multi-shard projects — is
-// byte-identical to the single-node answer, across shard counts, kinds
-// and boundary-spanning intervals. Union requests must take the scatter
-// path; single-shard projects scatter as one slice; multi-shard projects
-// (intersection semantics) fall back to the mirror.
-func TestScatterByteIdentity(t *testing.T) {
-	iv := func(from, to string) server.IntervalSpec { return server.IntervalSpec{From: from, To: to} }
-	cases := []server.AggregateRequest{
-		{Op: "project", Interval: iv("t0", "t5"), Attrs: []string{"gender"}},
-		{Op: "project", Interval: iv("t1", "t4"), Attrs: []string{"gender"}, Kind: "all"},
-		{Op: "project", Interval: iv("t2", "t3"), Attrs: []string{"gender", "publications"}},
-		{Op: "project", Interval: iv("t2", ""), Attrs: []string{"publications"}, Kind: "all"},
-		{Op: "union", Interval: iv("t0", "t1"), Interval2: iv("t3", "t5"), Attrs: []string{"gender"}},
-		{Op: "union", Interval: iv("t0", "t3"), Interval2: iv("t2", "t5"), Attrs: []string{"gender"}, Kind: "all"},
-		{Op: "union", Interval: iv("t1", "t2"), Interval2: iv("t2", "t4"), Attrs: []string{"gender", "publications"}},
+// newReplica starts a replica of the shard whose primary is at primaryURL
+// and feeds it the primary's n points over the real WAL stream.
+func newReplica(t *testing.T, name, primaryURL string, n int) *httptest.Server {
+	t.Helper()
+	series := stream.New(attrsFor()...)
+	srv, err := server.New(server.Config{
+		Series: series, Logger: quietLogger(), ShardName: name, Role: server.RoleReplica,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, cuts := range [][]int{{3}, {2, 4}} {
-		routerURL, refURL, _ := startCluster(t, cuts...)
-		for _, req := range cases {
-			want, _ := aggregate(t, refURL, req)
-			got, route := aggregate(t, routerURL, req)
-			if req.Op == "union" && route != "scatter" {
-				t.Errorf("cuts=%v union %s: route = %q, want scatter", cuts, req.Interval.From, route)
-			}
-			if !bytes.Equal(want, got) {
-				t.Errorf("cuts=%v %+v diverged:\n single %s\n router %s", cuts, req, want, got)
-			}
-		}
-		// Route sanity at this cut set: a single-point project lands in one
-		// shard and scatters as one slice.
-		_, route := aggregate(t, routerURL, server.AggregateRequest{
-			Op: "project", Interval: iv("t2", ""), Attrs: []string{"gender"}})
-		if route != "scatter" {
-			t.Errorf("cuts=%v single-shard project route = %q, want scatter", cuts, route)
-		}
-		// A boundary-spanning project is intersection-semantics and must be
-		// served by the mirror.
-		_, route = aggregate(t, routerURL, server.AggregateRequest{
-			Op: "project", Interval: iv("t0", "t5"), Attrs: []string{"gender"}})
-		if route != "mirror" {
-			t.Errorf("cuts=%v spanning project route = %q, want mirror", cuts, route)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	f := &Follower{
+		Pick:  func() (string, error) { return primaryURL, nil },
+		Apply: series.AppendAt,
+		Len:   series.Len,
+		Log:   quietLogger(),
+	}
+	for series.Len() < n {
+		if _, err := f.Poll(context.Background()); err != nil {
+			t.Fatalf("replica catch-up: %v", err)
 		}
 	}
+	return ts
 }
 
-// TestScatterByteIdentityOnNastyValues: the router's scatter answer goes
-// through the same encoder, wire order and envelope as a single node's, so
-// the whole body (modulo source and elapsed_ms) stays byte-identical on
-// values that collide labels, that order differently as a concatenated edge
-// key than as a pair, and that need every JSON escape. (Invalid UTF-8 is
-// already U+FFFD on both sides: it cannot cross the JSON ingest.)
-func TestScatterByteIdentityOnNastyValues(t *testing.T) {
+// startReplicatedCluster splits pts at cut into frozen shard a (a primary
+// plus a WAL-fed replica) and tail shard b, and starts a router over them
+// and a single-node reference holding every point. It returns the router
+// and reference URLs, shard a's members and shard b's primary.
+func startReplicatedCluster(t *testing.T, pts []server.IngestRequest, cut int) (routerURL, refURL string, shardA []*httptest.Server, primB *httptest.Server) {
+	t.Helper()
+	ref := newStreamServer(t, "", "", pts)
+	primA := newStreamServer(t, "a", "", pts[:cut])
+	replA := newReplica(t, "a", primA.URL, cut)
+	primB = newStreamServer(t, "b", "", pts[cut:])
+	m, err := ParseShardMap("a=" + primA.URL + "|" + replA.URL + ";b=" + primB.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := New(Config{Map: m, ProbeInterval: 20 * time.Millisecond, Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	waitMirror(t, rt, len(pts))
+	rts := httptest.NewServer(rt.Handler())
+	t.Cleanup(rts.Close)
+	return rts.URL, ref.URL, []*httptest.Server{primA, replA}, primB
+}
+
+// nastyPoints is a four-point series over gtest.NastyValues: values that
+// collide labels, that order differently as a concatenated edge key than
+// as a pair, and that need every JSON escape.
+func nastyPoints() []server.IngestRequest {
 	vals := gtest.NastyValues
 	var pts []server.IngestRequest
 	for p := 0; p < 4; p++ {
@@ -257,28 +260,106 @@ func TestScatterByteIdentityOnNastyValues(t *testing.T) {
 		}
 		pts = append(pts, req)
 	}
-	routerURL, refURL, _ := startClusterOn(t, pts, 2)
-	volatile := regexp.MustCompile(`^\{"source":"[^"]*","elapsed_ms":[0-9.]+,`)
-	for _, kind := range []string{"dist", "all"} {
-		for _, attrs := range [][]string{{"gender", "publications"}, {"publications", "gender"}} {
-			req := server.AggregateRequest{Op: "union", Kind: kind, Attrs: attrs,
-				Interval:  server.IntervalSpec{From: "t0", To: "t1"},
-				Interval2: server.IntervalSpec{From: "t1", To: "t3"}}
-			code, want, _ := postJSON(t, refURL+"/v1/aggregate", req)
-			if code != 200 {
-				t.Fatalf("single node = %d: %s", code, want)
-			}
-			code, got, hdr := postJSON(t, routerURL+"/v1/aggregate", req)
-			if code != 200 || hdr.Get("X-Gt-Route") != "scatter" {
-				t.Fatalf("router = %d via %q: %s", code, hdr.Get("X-Gt-Route"), got)
-			}
-			if !volatile.Match(got) || !bytes.Equal(volatile.ReplaceAll(got, nil), volatile.ReplaceAll(want, nil)) {
-				t.Errorf("%s %v diverged:\n single %s\n router %s", kind, attrs, want, got)
-			}
-			if hdr.Get("Content-Length") != strconv.Itoa(len(got)) {
-				t.Errorf("router Content-Length = %q for a %d-byte body", hdr.Get("Content-Length"), len(got))
+	return pts
+}
+
+// routerTable is the router ≡ single-node table over a series whose tail
+// shard starts at point cut (2 ≤ cut ≤ len(labels)-2): every temporal
+// operator under both kinds and two attribute orders, on operands inside
+// the frozen shard, inside the tail, spanning the boundary, and as explicit
+// point sets.
+func routerTable(labels []string, cut int) map[string]server.AggregateRequest {
+	last := len(labels) - 1
+	iv := func(from, to int) server.IntervalSpec {
+		return server.IntervalSpec{From: labels[from], To: labels[to]}
+	}
+	pts := func(ix ...int) server.IntervalSpec {
+		var sp server.IntervalSpec
+		for _, i := range ix {
+			sp.Points = append(sp.Points, labels[i])
+		}
+		return sp
+	}
+	operands := []struct {
+		name string
+		a, b server.IntervalSpec
+	}{
+		{"frozen", iv(0, 0), iv(1, cut-1)},
+		{"tail", iv(cut, cut), iv(cut+1, last)},
+		{"spanning", iv(0, cut), iv(cut-1, last)},
+		{"points", pts(0, cut), pts(cut-1, last)},
+	}
+	table := make(map[string]server.AggregateRequest)
+	for _, op := range []string{"union", "project", "intersection", "difference"} {
+		for _, kind := range []string{"dist", "all"} {
+			for _, attrs := range [][]string{{"gender"}, {"publications", "gender"}} {
+				for _, o := range operands {
+					req := server.AggregateRequest{Op: op, Kind: kind, Attrs: attrs, Interval: o.a}
+					if op != "project" {
+						req.Interval2 = o.b
+					}
+					table[fmt.Sprintf("%s/%s/%s/%s", op, kind, strings.Join(attrs, "+"), o.name)] = req
+				}
 			}
 		}
+	}
+	return table
+}
+
+// elapsedField is the one field of an aggregate body that describes the
+// run rather than the answer.
+var elapsedField = regexp.MustCompile(`"elapsed_ms":[0-9.]+`)
+
+// checkRouterMatchesSingleNode runs the table against the router and the
+// reference: every body must be byte-identical with elapsed_ms stripped,
+// and every routed answer must come from the mirror.
+func checkRouterMatchesSingleNode(t *testing.T, routerURL, refURL string, table map[string]server.AggregateRequest) {
+	t.Helper()
+	for name, req := range table {
+		code, want, _ := postJSON(t, refURL+"/v1/aggregate", req)
+		if code != http.StatusOK {
+			t.Fatalf("%s: single node = %d: %s", name, code, want)
+		}
+		code, got, hdr := postJSON(t, routerURL+"/v1/aggregate", req)
+		if code != http.StatusOK || hdr.Get("X-Gt-Route") != "mirror" {
+			t.Fatalf("%s: router = %d via %q: %s", name, code, hdr.Get("X-Gt-Route"), got)
+		}
+		if !bytes.Equal(elapsedField.ReplaceAll(got, nil), elapsedField.ReplaceAll(want, nil)) {
+			t.Errorf("%s diverged:\n single %s\n router %s", name, want, got)
+		}
+		if hdr.Get("Content-Length") != strconv.Itoa(len(got)) {
+			t.Errorf("%s: router Content-Length = %q for a %d-byte body", name, hdr.Get("Content-Length"), len(got))
+		}
+	}
+}
+
+// TestRouterMatchesSingleNode is the router's exactness criterion: every
+// aggregate in routerTable answers through the router with the single
+// node's bytes, on the fixture series and on gtest.NastyValues, and still
+// does after every member of frozen shard a is killed — frozen history
+// lives in the mirror, so reads do not depend on shard liveness.
+func TestRouterMatchesSingleNode(t *testing.T) {
+	for _, fx := range []struct {
+		name string
+		pts  []server.IngestRequest
+		cut  int
+	}{
+		{"fixture", testPoints(), 3},
+		{"nasty", nastyPoints(), 2},
+	} {
+		t.Run(fx.name, func(t *testing.T) {
+			var labels []string
+			for _, p := range fx.pts {
+				labels = append(labels, p.Label)
+			}
+			table := routerTable(labels, fx.cut)
+			routerURL, refURL, shardA, _ := startReplicatedCluster(t, fx.pts, fx.cut)
+			checkRouterMatchesSingleNode(t, routerURL, refURL, table)
+			for _, member := range shardA {
+				member.Close()
+			}
+			checkRouterMatchesSingleNode(t, routerURL, refURL, table)
+		})
 	}
 }
 
@@ -343,25 +424,28 @@ func TestMirrorByteIdentity(t *testing.T) {
 	}
 }
 
-// TestRouterAndDaemonRejectTheSameBodies: the router decides a route from
-// the same strict decoding the daemons run, so every body gets one verdict
+// TestRouterAndDaemonRejectTheSameBodies: every body gets one verdict
 // whichever process it reaches — a retired workers field or anything after
 // the request object is the daemon's canonical 400 through the router too,
-// not a scattered 200.
+// and an ingest body over the daemon's limit is the daemon's 413, not a
+// truncated body forwarded to the primary.
 func TestRouterAndDaemonRejectTheSameBodies(t *testing.T) {
 	routerURL, refURL, _ := startCluster(t, 3)
 	const obj = `{"op":"union","interval":{"from":"t0","to":"t1"},"interval2":{"from":"t3","to":"t5"},"attrs":["gender"]}`
+	const point = `{"label":"t6","nodes":[{"label":"u1","static":{"gender":"m"}}]}`
 	for _, tc := range []struct {
-		name, body string
-		code       int
+		name, path, body string
+		code             int
 	}{
-		{"valid", obj, http.StatusOK},
-		{"workers", obj[:len(obj)-1] + `,"workers":2}`, http.StatusBadRequest},
-		{"trailing bytes", obj + " trailing", http.StatusBadRequest},
-		{"two objects", obj + obj, http.StatusBadRequest},
+		{"valid", "/v1/aggregate", obj, http.StatusOK},
+		{"workers", "/v1/aggregate", obj[:len(obj)-1] + `,"workers":2}`, http.StatusBadRequest},
+		{"trailing bytes", "/v1/aggregate", obj + " trailing", http.StatusBadRequest},
+		{"two objects", "/v1/aggregate", obj + obj, http.StatusBadRequest},
+		{"oversize ingest", "/v1/ingest",
+			strings.Repeat(" ", server.DefaultMaxBodyBytes+1-len(point)) + point, http.StatusRequestEntityTooLarge},
 	} {
 		post := func(base string) (int, []byte) {
-			resp, err := http.Post(base+"/v1/aggregate", "application/json", strings.NewReader(tc.body))
+			resp, err := http.Post(base+tc.path, "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -370,19 +454,7 @@ func TestRouterAndDaemonRejectTheSameBodies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if resp.StatusCode != http.StatusOK {
-				return resp.StatusCode, data
-			}
-			var m map[string]any
-			if err := json.Unmarshal(data, &m); err != nil {
-				t.Fatal(err)
-			}
-			delete(m, "source") // the router reports scatter(n)
-			delete(m, "elapsed_ms")
-			if data, err = json.Marshal(m); err != nil {
-				t.Fatal(err)
-			}
-			return resp.StatusCode, data
+			return resp.StatusCode, elapsedField.ReplaceAll(data, nil)
 		}
 		refCode, refBody := post(refURL)
 		gotCode, gotBody := post(routerURL)
@@ -407,98 +479,51 @@ func stripElapsed(t *testing.T, data []byte) []byte {
 	return out
 }
 
-// TestReplicaFailover builds a shard with a WAL-fed replica, kills the
-// primary, and checks reads keep flowing with byte-identical answers;
-// killing the replica too must surface 503 + Retry-After in the unified
-// envelope, never a silently wrong answer.
+// TestReplicaFailover: reads never touch a shard, so killing every member
+// of frozen shard a leaves them byte-identical; writes go to the tail
+// primary only, so killing it makes a routed ingest 503 + Retry-After in
+// the error envelope — never a write promoted onto a replica.
 func TestReplicaFailover(t *testing.T) {
 	pts := testPoints()
-	ref := newStreamServer(t, "", "", pts)
-
-	// Shard a (t0..t2): primary plus a replica that replicates over the
-	// real WAL stream. Shard b (t3..t5) is the tail.
-	primA := newStreamServer(t, "a", "", pts[:3])
-	replSeries := stream.New(attrsFor()...)
-	replSrv, err := server.New(server.Config{
-		Series: replSeries, Logger: quietLogger(), ShardName: "a", Role: server.RoleReplica,
-	})
-	if err != nil {
-		t.Fatal(err)
+	routerURL, refURL, shardA, primB := startReplicatedCluster(t, pts, 3)
+	reads := map[string]any{
+		"/v1/aggregate": server.AggregateRequest{Op: "union", Attrs: []string{"gender"},
+			Interval: server.IntervalSpec{From: "t0", To: "t2"}, Interval2: server.IntervalSpec{From: "t3", To: "t5"}},
+		"/v1/explore": server.ExploreRequest{Event: "growth", Semantics: "union", Extend: "old", K: 1, Attrs: []string{"gender"}},
+		"/v1/tgql":    server.TGQLRequest{Query: "AGG ALL gender ON INTERSECT(t0..t2, t3..t5)"},
 	}
-	replA := httptest.NewServer(replSrv.Handler())
-	t.Cleanup(replA.Close)
-	f := &Follower{
-		Pick:  func() (string, error) { return primA.URL, nil },
-		Apply: replSeries.AppendAt,
-		Len:   replSeries.Len,
-		Log:   quietLogger(),
-	}
-	for replSeries.Len() < 3 {
-		if _, err := f.Poll(context.Background()); err != nil {
-			t.Fatalf("replica catch-up: %v", err)
+	checkReads := func(phase string) {
+		t.Helper()
+		for path, req := range reads {
+			_, want, _ := postJSON(t, refURL+path, req)
+			code, got, hdr := postJSON(t, routerURL+path, req)
+			if code != http.StatusOK || hdr.Get("X-Gt-Route") != "mirror" {
+				t.Fatalf("%s %s = %d via %q: %s", phase, path, code, hdr.Get("X-Gt-Route"), got)
+			}
+			if !bytes.Equal(elapsedField.ReplaceAll(got, nil), elapsedField.ReplaceAll(want, nil)) {
+				t.Errorf("%s %s diverged:\n single %s\n router %s", phase, path, want, got)
+			}
 		}
 	}
-	primB := newStreamServer(t, "b", "", pts[3:])
+	checkReads("healthy")
+	for _, member := range shardA {
+		member.Close()
+	}
+	checkReads("shard a down")
 
-	m, err := ParseShardMap("a=" + primA.URL + "|" + replA.URL + ";b=" + primB.URL)
-	if err != nil {
-		t.Fatal(err)
+	primB.Close()
+	code, data, hdr := postJSON(t, routerURL+"/v1/ingest", server.IngestRequest{Label: "t6",
+		Nodes: []server.IngestNode{{Label: "u1", Static: map[string]string{"gender": "m"}}}})
+	if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
+		t.Fatalf("ingest with the tail primary down = %d (Retry-After %q): %s", code, hdr.Get("Retry-After"), data)
 	}
-	rt, err := New(Config{Map: m, ProbeInterval: 20 * time.Millisecond, Logger: quietLogger()})
-	if err != nil {
-		t.Fatal(err)
+	var eb struct {
+		Error server.ErrorDetail `json:"error"`
 	}
-	t.Cleanup(rt.Close)
-	// The tail shard replays into the mirror in the background, and the router
-	// resolves labels against the mirror's timeline: wait for t3..t5 to land.
-	waitMirror(t, rt, len(pts))
-	rts := httptest.NewServer(rt.Handler())
-	t.Cleanup(rts.Close)
-
-	req := server.AggregateRequest{
-		Op: "union", Interval: server.IntervalSpec{From: "t0", To: "t2"},
-		Interval2: server.IntervalSpec{From: "t3", To: "t5"}, Attrs: []string{"gender"},
+	if err := json.Unmarshal(data, &eb); err != nil || eb.Error.Code != "unavailable" {
+		t.Errorf("503 envelope = %s", data)
 	}
-	want, _ := aggregate(t, ref.URL, req)
-	got, route := aggregate(t, rts.URL, req)
-	if route != "scatter" || !bytes.Equal(want, got) {
-		t.Fatalf("pre-failover: route=%s\n single %s\n router %s", route, want, got)
-	}
-
-	// Kill shard a's primary: the scatter must fail over to the replica
-	// (possibly before the health loop notices) and stay byte-identical.
-	primA.Close()
-	got, route = aggregate(t, rts.URL, req)
-	if route != "scatter" {
-		t.Errorf("post-failover route = %q", route)
-	}
-	if !bytes.Equal(want, got) {
-		t.Errorf("post-failover diverged:\n single %s\n router %s", want, got)
-	}
-
-	// Kill the replica too: shard a has no live member, so the scattered
-	// read must shed with 503 + Retry-After in the error envelope.
-	replA.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		code, data, hdr := postJSON(t, rts.URL+"/v1/aggregate", req)
-		if code == http.StatusServiceUnavailable {
-			if hdr.Get("Retry-After") == "" {
-				t.Errorf("503 without Retry-After")
-			}
-			var eb struct {
-				Error server.ErrorDetail `json:"error"`
-			}
-			if err := json.Unmarshal(data, &eb); err != nil || eb.Error.Code != "unavailable" {
-				t.Errorf("503 envelope = %s", data)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("shard never became unavailable: %d %s", code, data)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
+	checkReads("tail primary down")
 }
 
 // TestIngestThroughRouter routes a write to the tail primary, checks the
@@ -540,7 +565,7 @@ func TestIngestThroughRouter(t *testing.T) {
 	}
 	want, _ := aggregate(t, refURL, req)
 	got, route := aggregate(t, routerURL, req)
-	if route != "scatter" {
+	if route != "mirror" {
 		t.Errorf("route = %q", route)
 	}
 	if !bytes.Equal(want, got) {
@@ -561,6 +586,69 @@ func TestIngestThroughRouter(t *testing.T) {
 	if code != http.StatusConflict {
 		t.Fatalf("replica ingest = %d: %s", code, data)
 	}
+}
+
+// TestIngestIsForwardedOnce: the tail primary applies a write and the
+// connection then drops before the reply. The router must answer 503 +
+// Retry-After — not resend the batch and relay the primary's duplicate-label
+// 400 — and the series must hold the write exactly once.
+func TestIngestIsForwardedOnce(t *testing.T) {
+	pts := testPoints()
+	shardA := newStreamServer(t, "a", "", pts[:3])
+	series := stream.New(attrsFor()...)
+	srv, err := server.New(server.Config{Series: series, Logger: quietLogger(), ShardName: "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	real := srv.Handler()
+	for _, p := range pts[3:] {
+		body, _ := json.Marshal(p)
+		rec := httptest.NewRecorder()
+		real.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("ingest %s: %d: %s", p.Label, rec.Code, rec.Body)
+		}
+	}
+	// The fake primary serves every route from the real stream server, but
+	// loses the reply of the first ingest it applies; a resend would get the
+	// real server's answer.
+	var dropped atomic.Bool
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/ingest" || dropped.Swap(true) {
+			real.ServeHTTP(w, r)
+			return
+		}
+		real.ServeHTTP(httptest.NewRecorder(), r)
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		conn.Close()
+	}))
+	t.Cleanup(fake.Close)
+	m, err := ParseShardMap("a=" + shardA.URL + ";b=" + fake.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := New(Config{Map: m, ProbeInterval: 25 * time.Millisecond, Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	rts := httptest.NewServer(rt.Handler())
+	t.Cleanup(rts.Close)
+
+	before := series.Len()
+	code, data, hdr := postJSON(t, rts.URL+"/v1/ingest", server.IngestRequest{Label: "t6",
+		Nodes: []server.IngestNode{{Label: "u1", Static: map[string]string{"gender": "m"}}}})
+	if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
+		t.Errorf("ingest with a lost reply = %d (Retry-After %q): %s", code, hdr.Get("Retry-After"), data)
+	}
+	if got := series.Len(); got != before+1 {
+		t.Errorf("tail series holds %d points after one write, want %d", got, before+1)
+	}
+	waitMirror(t, rt, len(pts)+1)
 }
 
 // TestClusterStatus sanity-checks the control-plane view: pinned starts,
@@ -631,8 +719,8 @@ func (b *lockedBuffer) String() string {
 
 // TestRequestIDFollowsHops: one id follows a request across processes — the
 // router adopts the client's X-Request-Id (or mints one), echoes it, and
-// forwards it on its shard posts and mirror hand-offs, so the shard's and the
-// mirror's access-log lines carry the id the client holds.
+// forwards it on its mirror hand-offs and ingest forwards, so the mirror's
+// and the tail shard's access-log lines carry the id the client holds.
 func TestRequestIDFollowsHops(t *testing.T) {
 	var logs lockedBuffer // shards, mirror and router share one sink
 	log := slog.New(slog.NewTextHandler(&logs, nil))
@@ -692,23 +780,22 @@ func TestRequestIDFollowsHops(t *testing.T) {
 	union := server.AggregateRequest{Op: "union", Interval: server.IntervalSpec{From: "t0", To: "t1"},
 		Interval2: server.IntervalSpec{From: "t3", To: "t5"}, Attrs: []string{"gender"}}
 
-	if route, echoed := send("/v1/aggregate", union, "trace-scatter"); route != "scatter" || echoed != "trace-scatter" {
-		t.Fatalf("scatter: route %q, echoed id %q", route, echoed)
+	if route, echoed := send("/v1/aggregate", union, "trace-mirror"); route != "mirror" || echoed != "trace-mirror" {
+		t.Fatalf("aggregate: route %q, echoed id %q", route, echoed)
 	}
-	for shard := 0; shard < 2; shard++ {
-		if !containsLine(logs.String(), "endpoint=partial", fmt.Sprintf("shard=%d", shard), "request_id=trace-scatter") {
-			t.Errorf("shard %d logged no partial request under the client's id:\n%s", shard, logs.String())
-		}
+	if !containsLine(logs.String(), "endpoint=aggregate", "request_id=trace-mirror", "component=mirror") {
+		t.Errorf("the mirror logged no aggregate request under the client's id:\n%s", logs.String())
 	}
-	if route, echoed := send("/v1/tgql", server.TGQLRequest{Query: "TIMELINE BY gender"}, "trace-mirror"); route != "mirror" || echoed != "trace-mirror" {
-		t.Fatalf("mirror: route %q, echoed id %q", route, echoed)
+	ingest := server.IngestRequest{Label: "t6", Nodes: []server.IngestNode{{Label: "u1", Static: map[string]string{"gender": "m"}}}}
+	if route, echoed := send("/v1/ingest", ingest, "trace-ingest"); route != "" || echoed != "trace-ingest" {
+		t.Fatalf("ingest: route %q, echoed id %q", route, echoed)
 	}
-	if !containsLine(logs.String(), "endpoint=tgql", "request_id=trace-mirror", "component=mirror") {
-		t.Errorf("the mirror logged no tgql request under the client's id:\n%s", logs.String())
+	if !containsLine(logs.String(), "endpoint=ingest", "shard=1", "request_id=trace-ingest") {
+		t.Errorf("the tail shard logged no ingest under the client's id:\n%s", logs.String())
 	}
-	_, minted := send("/v1/aggregate", union, "")
-	if minted == "" || !containsLine(logs.String(), "endpoint=partial", "request_id="+minted) {
-		t.Errorf("router-minted id %q did not reach a shard:\n%s", minted, logs.String())
+	_, minted := send("/v1/tgql", server.TGQLRequest{Query: "TIMELINE BY gender"}, "")
+	if minted == "" || !containsLine(logs.String(), "endpoint=tgql", "request_id="+minted, "component=mirror") {
+		t.Errorf("router-minted id %q did not reach the mirror:\n%s", minted, logs.String())
 	}
 }
 

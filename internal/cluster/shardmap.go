@@ -1,27 +1,23 @@
 // Package cluster is GraphTempo's horizontal serving tier: a router that
 // fronts N graphtempod processes, each owning a contiguous time-range
-// shard of the temporal graph, with WAL-streamed read replicas.
+// shard of the temporal graph, with WAL-streamed replicas.
 //
-// The interval algebra makes time-range sharding natural — a [ts,te]
-// aggregate touches only the shards whose ranges it overlaps — and the
-// paper's distributivity results make the cross-shard merge exact:
-// project/union aggregates decompose into per-shard partials (ALL weights
-// sum, DIST entity sets union; see internal/plan/scatter.go). Operators
-// that do not decompose (intersection, difference, exploration, TGQL) are
-// answered by the router's mirror: a full replica of every shard's
-// stream, rebuilt through the same WAL replication path replicas use, and
-// served by an embedded single-node server — so non-decomposable answers
-// and error messages are byte-identical to a single-node deployment by
-// construction.
+// The router answers every read from its mirror: a full replica of every
+// shard's stream, rebuilt through the same WAL replication path replicas
+// use, and served by an embedded single-node server — so answers and error
+// messages are byte-identical to a single-node deployment by construction,
+// and the paper's T-distributive reuse (§4.3) runs inside the mirror's
+// catalog instead of across HTTP. Frozen history lives in the mirror, so
+// reads do not depend on shard liveness.
 //
 // Topology contract: shards are listed in time order; every shard except
 // the last is frozen (its time range no longer grows) and the last (tail)
-// shard receives all new ingests. Writes go to shard primaries only;
-// replicas follow their primary's WAL over HTTP and serve reads when
-// caught up. Exactness of single-shard and scattered reads additionally
-// assumes self-contained ingest batches: every appearance restates its
-// static attribute values, so a shard never depends on an appearance that
-// lives in an earlier shard's range (DESIGN.md §5).
+// shard receives all new ingests. Writes go to the tail shard's primary
+// only; replicas follow their primary's WAL over HTTP, and the mirror's
+// tail follower fails over to a caught-up replica. Ingest batches are
+// self-contained: every appearance restates its static attribute values,
+// so a shard never depends on an appearance that lives in an earlier
+// shard's range (DESIGN.md §5).
 package cluster
 
 import (

@@ -64,10 +64,6 @@ type Result struct {
 	Events *analytics.EventsResult
 	Paths  *analytics.PathsResult
 	Trend  *analytics.TrendResult
-	// Partial is a shard-local partial aggregate (Partial plans); Merged is
-	// the gathered cross-shard answer (CompileScatter plans). See scatter.go.
-	Partial *PartialResult
-	Merged  *MergedGraph
 }
 
 // Plan is an executable physical plan: the logical node it was compiled
@@ -140,9 +136,6 @@ func Compile(env Env, node Logical) (*Plan, error) {
 	switch q := node.(type) {
 	case *Aggregate:
 		root, maxTime, err = compileAggregate(env, q)
-		bounded = true
-	case *Partial:
-		root, maxTime, err = compilePartial(env, q)
 		bounded = true
 	case *Explore:
 		root, err = compileExplore(env, q)

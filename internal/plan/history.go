@@ -28,8 +28,7 @@ type HistoryResolver interface {
 	WindowAt(txn, from, to int) (HistState, error)
 }
 
-// temporalOf extracts a logical node's bi-temporal clauses; zero values for
-// node types that cannot carry them (Partial — shards always serve head).
+// temporalOf extracts a logical node's bi-temporal clauses.
 func temporalOf(node Logical) (IntervalRef, TxnRef) {
 	switch q := node.(type) {
 	case *Aggregate:

@@ -18,9 +18,6 @@ var Selections struct {
 	Top          metrics.Counter // top-N attribute-group ranking
 	Evolve       metrics.Counter // evolution aggregate
 	Timeline     metrics.Counter // per-consecutive-pair evolution timeline
-	PartialAgg   metrics.Counter // shard-local partial aggregate (scatter slice execution)
-	ShardScatter metrics.Counter // shard slices fanned out by scattered aggregates
-	GatherMerge  metrics.Counter // cross-shard gather-merge roots
 	EventsSweep  metrics.Counter // EVENTS on the single-pass entity-sweep engine
 	PathsFront   metrics.Counter // PATHS on the per-point adjacency frontier engine
 	TrendCatalog metrics.Counter // TREND composed from the catalog's prefix sums

@@ -10,13 +10,11 @@ import (
 
 	"repro/internal/plan"
 	"repro/internal/storage"
-	"repro/internal/tgql"
 )
 
 // This file is the shard-side control plane of the cluster tier: the
 // status/labels probes the router builds its shard map and lag view from,
-// the partial-aggregate endpoint scattered queries execute against, and
-// the WAL stream that feeds read replicas and the router's mirror.
+// and the WAL stream that feeds read replicas and the router's mirror.
 
 // Cluster roles, as reported by /v1/status and configured via Config.Role.
 const (
@@ -174,34 +172,13 @@ func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, LabelsResponse{Points: points, Labels: labels[from:]})
 }
 
-// PartialAggregateResponse carries a shard-local partial aggregate for the
-// router's gather-merge, mirroring AggregateResponse's source/elapsed
-// reporting.
+// PartialAggregateResponse is the retired partial-aggregate reply: a
+// shard-local partial with AggregateResponse's source/elapsed reporting.
+// bench/traced.go is its last caller.
 type PartialAggregateResponse struct {
 	Source    string              `json:"source,omitempty"`
 	ElapsedMs float64             `json:"elapsed_ms"`
 	Partial   *plan.PartialResult `json:"partial"`
-}
-
-func decodePartial(req *AggregateRequest) (query, error) {
-	if req.AsOf != 0 {
-		// Shards serve the head only; the router answers AS OF from its
-		// mirror rather than scattering it.
-		return query{}, fmt.Errorf("partial aggregates cannot serve as_of; query the router's mirror")
-	}
-	return query{stmt: tgql.Statement{Node: &plan.Partial{
-		Op:    plan.TemporalOp{Op: req.Op, A: req.Interval.ref(), B: req.Interval2.ref()},
-		Attrs: req.Attrs,
-		Kind:  req.Kind,
-	}}}, nil
-}
-
-func encodePartial(w http.ResponseWriter, _ query, a answer) (int, error) {
-	return writeJSON(w, PartialAggregateResponse{
-		Source:    a.res.Partial.Source,
-		ElapsedMs: elapsedMs(a.elapsed),
-		Partial:   a.res.Partial,
-	})
 }
 
 // handleWALStream serves GET /v1/wal/stream?from=N[&wait_ms=W]: the ingest

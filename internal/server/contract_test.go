@@ -31,9 +31,6 @@ var queryEndpoints = []struct {
 	{path: "/v1/aggregate",
 		ok:           AggregateRequest{Op: "union", Interval: IntervalSpec{From: "t0"}, Interval2: IntervalSpec{From: "t1"}, Attrs: []string{"gender"}, Kind: "all"},
 		unresolvable: AggregateRequest{Op: "union", Interval: IntervalSpec{From: "t9"}, Interval2: IntervalSpec{From: "t1"}, Attrs: []string{"gender"}}},
-	{path: "/v1/partial/aggregate",
-		ok:           AggregateRequest{Op: "union", Interval: IntervalSpec{From: "t0"}, Interval2: IntervalSpec{From: "t1"}, Attrs: []string{"gender"}, Kind: "all"},
-		unresolvable: AggregateRequest{Op: "union", Interval: IntervalSpec{From: "t0"}, Interval2: IntervalSpec{From: "t1"}, Attrs: []string{"salary"}}},
 	{path: "/v1/explore",
 		ok:           ExploreRequest{Event: "stability", Semantics: "union", Extend: "old", K: 1, Attrs: []string{"gender"}},
 		unresolvable: ExploreRequest{Event: "implosion", Semantics: "union", Extend: "old", K: 1, Attrs: []string{"gender"}}},
@@ -122,7 +119,7 @@ func expectReply(t *testing.T, name string, h http.Handler, path string, body io
 
 // TestQueryEndpointContract holds every query endpoint to the one pipeline's
 // contract: whichever endpoint a fault arrives at, it maps to the same status
-// and envelope code, because one serve — not five handlers — decides.
+// and envelope code, because one serve — not one handler per endpoint — decides.
 // (TestPartialRejectsAnalytics is the table's partial-shard column.)
 func TestQueryEndpointContract(t *testing.T) {
 	static, small := paperHandler(t, Config{}), paperHandler(t, Config{MaxBodyBytes: 256})

@@ -23,11 +23,10 @@ var errNotReady = errors.New("server: no time points ingested yet")
 // errTrailingData rejects a body that goes on after its request object.
 var errTrailingData = errors.New("unexpected data after the request object")
 
-// DecodeJSON strictly decodes one request object from r into v: a field v
-// does not declare is an error, and so is anything but whitespace after the
-// object. The daemon's endpoints and the router's routing decision both
-// decode with it, so a body one of them rejects the other rejects too.
-func DecodeJSON(r io.Reader, v any) error {
+// decodeStrict decodes one request object from r into v: a field v does
+// not declare is an error, and so is anything but whitespace after the
+// object.
+func decodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -44,12 +43,12 @@ func DecodeJSON(r io.Reader, v any) error {
 	return errTrailingData
 }
 
-// decodeJSON decodes the request body into v with DecodeJSON, enforcing the
+// decodeJSON decodes the request body into v with decodeStrict, enforcing the
 // configured body size limit. A body over the limit maps to a structured
 // 413 with the limit surfaced in the message; any other decode failure is
 // the client's fault (400).
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) (int, error) {
-	if err := DecodeJSON(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), v); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			return http.StatusRequestEntityTooLarge,
@@ -91,16 +90,15 @@ type AggregateRequest struct {
 }
 
 // AggregateResponse carries the aggregate graph and how it was derived. The
-// daemons write these bytes with WriteAggregate rather than reflecting over
+// daemons write these bytes with writeAggregate rather than reflecting over
 // the struct; it is the contract clients decode.
 type AggregateResponse struct {
 	// Source is the materialization catalog's derivation (scratch, cached,
 	// t-distributive, d-distributive).
 	Source string `json:"source"`
-	// ElapsedMs is the time the compiled plan took to execute (on the
-	// router: to scatter and merge). Decoding and compiling the request and
-	// encoding and sending the graph are not in it; the request log and the
-	// latency histogram cover the whole request.
+	// ElapsedMs is the time the compiled plan took to execute. Decoding and
+	// compiling the request and encoding and sending the graph are not in
+	// it; the request log and the latency histogram cover the whole request.
 	ElapsedMs float64         `json:"elapsed_ms"`
 	Graph     json.RawMessage `json:"graph"`
 }
@@ -115,7 +113,7 @@ func decodeAggregate(req *AggregateRequest) (query, error) {
 }
 
 func encodeAggregate(w http.ResponseWriter, _ query, a answer) (int, error) {
-	return WriteAggregate(w, a.res.AggSource.String(), a.elapsed, a.res.Agg)
+	return writeAggregate(w, a.res.AggSource.String(), a.elapsed, a.res.Agg)
 }
 
 // ExploreRequest asks for minimal/maximal interval pairs with at least K

@@ -63,8 +63,7 @@ func (c *stageClock) lap() time.Duration {
 }
 
 // errPartialAnalytics is the typed rejection of a whole-timeline statement
-// on a partial (time-range shard) daemon, mirroring the partial aggregate's
-// as_of contract.
+// on a partial (time-range shard) daemon.
 var errPartialAnalytics = errors.New(
 	"analytics statements traverse the whole timeline and cannot be served by a time-range shard; query the router's mirror")
 

@@ -51,7 +51,8 @@ type Config struct {
 	Storage *storage.Engine
 
 	// MaxBodyBytes bounds request bodies (ingest snapshots included);
-	// exceeding it returns a structured 413. <= 0 selects 64 MiB.
+	// exceeding it returns a structured 413. <= 0 selects
+	// DefaultMaxBodyBytes.
 	MaxBodyBytes int64
 
 	// MaxInflight is the admission semaphore capacity in weight units
@@ -94,6 +95,10 @@ type Config struct {
 	Partial bool
 }
 
+// DefaultMaxBodyBytes is the request body limit of a daemon that sets no
+// MaxBodyBytes; the cluster router holds ingest bodies to it too.
+const DefaultMaxBodyBytes = 64 << 20
+
 // endpointWeight is the admission cost of each API endpoint: exploration
 // and TGQL may fan out into many candidate evaluations, so they consume
 // twice the capacity of a single aggregation.
@@ -103,7 +108,6 @@ var endpointWeight = map[string]int64{
 	"tgql":      2,
 	"explain":   1, // compile-only: no engine execution
 	"ingest":    1,
-	"partial":   1, // shard-local slice of a scattered aggregate
 }
 
 // state is one consistent serving snapshot: the graph, its catalog, and
@@ -167,7 +171,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: exactly one of Graph, Series and Storage must be set")
 	}
 	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 64 << 20
+		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = int64(2 * runtime.GOMAXPROCS(0))
@@ -468,9 +472,6 @@ func (s *Server) registerMetrics() {
 		{"top", &plan.Selections.Top},
 		{"evolve", &plan.Selections.Evolve},
 		{"timeline", &plan.Selections.Timeline},
-		{"partial-agg", &plan.Selections.PartialAgg},
-		{"shard-scatter", &plan.Selections.ShardScatter},
-		{"gather-merge", &plan.Selections.GatherMerge},
 		{"events-sweep", &plan.Selections.EventsSweep},
 		{"paths-frontier", &plan.Selections.PathsFront},
 		{"trend-catalog", &plan.Selections.TrendCatalog},
@@ -631,7 +632,6 @@ func (s *Server) routes() {
 	s.mux.Handle("POST /v1/explore", s.api("explore", serve(s, decodeExplore, encodeExplore)))
 	s.mux.Handle("POST /v1/tgql", s.api("tgql", serve(s, func(req *TGQLRequest) (query, error) { return decodeStatement(req.Query, req.AsOf) }, encodeTGQL)))
 	s.mux.Handle("POST /v1/explain", s.api("explain", serve(s, decodeExplain, encodeExplain)))
-	s.mux.Handle("POST /v1/partial/aggregate", s.api("partial", serve(s, decodePartial, encodePartial)))
 	s.mux.Handle("POST /v1/ingest", s.api("ingest", s.handleIngest))
 	// Cluster control plane: status/labels serve the router's health, lag
 	// and shard-map probes, the WAL stream feeds replicas and the router's
@@ -817,10 +817,6 @@ func writeJSON(w http.ResponseWriter, v any) (int, error) {
 	return http.StatusOK, nil
 }
 
-// WireGraph is an aggregate graph that appends its own wire form:
-// *agg.Graph on a node, *plan.MergedGraph on the router.
-type WireGraph interface{ AppendJSON(dst []byte) []byte }
-
 // respBufs recycles the buffers graph-carrying answers are built in; one
 // that grew past maxPooledResp is dropped instead of pinned in the pool.
 var respBufs = sync.Pool{New: func() any { return new([]byte) }}
@@ -833,7 +829,7 @@ const maxPooledResp = 1 << 20
 // bytes are exactly what json.NewEncoder(w).Encode of the response struct
 // (AggregateResponse, TGQLResponse) would send, and the return values are
 // writeJSON's.
-func writeGraphJSON(w http.ResponseWriter, open func(dst []byte) []byte, g WireGraph) (int, error) {
+func writeGraphJSON(w http.ResponseWriter, open func(dst []byte) []byte, g *agg.Graph) (int, error) {
 	bp := respBufs.Get().(*[]byte)
 	buf := append(g.AppendJSON(open((*bp)[:0])), '}', '\n')
 	w.Header().Set("Content-Type", "application/json")
@@ -849,10 +845,9 @@ func writeGraphJSON(w http.ResponseWriter, open func(dst []byte) []byte, g WireG
 	return http.StatusOK, nil
 }
 
-// WriteAggregate writes the AggregateResponse for g; elapsed is sampled by
-// the caller, before the graph is encoded. Exported for the cluster router,
-// whose scatter answers share the envelope.
-func WriteAggregate(w http.ResponseWriter, source string, elapsed time.Duration, g WireGraph) (int, error) {
+// writeAggregate writes the AggregateResponse for g; elapsed is sampled by
+// the caller, before the graph is encoded.
+func writeAggregate(w http.ResponseWriter, source string, elapsed time.Duration, g *agg.Graph) (int, error) {
 	return writeGraphJSON(w, func(dst []byte) []byte {
 		dst = agg.AppendJSONString(append(dst, `{"source":`...), source)
 		// Whole microseconds in milliseconds: never in the range (< 1e-6 or
