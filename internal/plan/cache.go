@@ -8,8 +8,8 @@ import (
 )
 
 // Cache memoizes compiled plans keyed on the logical node's canonical text
-// (Logical.Key, a normalized query rendering) plus the feedback epoch. It is generation-keyed on the (graph, catalog) identity the
-// plans were compiled against: compiled plans bind resolved views and
+// (Logical.Key, a normalized query rendering). It is generation-keyed on
+// the (graph, catalog) identity the plans were compiled against: compiled plans bind resolved views and
 // schemas to one concrete graph, so when a serving snapshot is replaced
 // wholesale the cache is flushed rather than ever serving a plan built on
 // an unrelated graph.

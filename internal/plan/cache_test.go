@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/materialize"
@@ -244,13 +245,87 @@ func TestConcurrentExecute(t *testing.T) {
 			}(i)
 		}
 		wg.Wait()
+		base.Elapsed = 0 // a measurement, not part of the answer
 		for i, r := range results {
 			if r == nil {
 				continue // error already reported
 			}
-			if !reflect.DeepEqual(r, base) {
+			if r.Elapsed = 0; !reflect.DeepEqual(r, base) {
 				t.Errorf("%s: concurrent execution %d diverged", node.Key(), i)
 			}
 		}
+	}
+}
+
+// TestCacheAdvanceConcurrentOldGeneration races Advance against sustained
+// compile/lookup/store traffic on the outgoing generation. Run under
+// -race this checks the retired-generation degradation is merely a miss:
+// old-generation stores are dropped, old-generation lookups return nil,
+// and the clean-prefix plan carried across the advance keeps being served
+// to the new generation throughout.
+func TestCacheAdvanceConcurrentOldGeneration(t *testing.T) {
+	g1 := core.PaperExample()
+	g2 := core.PaperExample() // stands in for the appended snapshot
+	cache := NewCache(0)
+	env1 := Env{Graph: g1, Cache: cache}
+
+	pPrefix, err := Compile(env1, aggNode("gender")) // maxTime 1: survives Advance(…, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	attrs := []string{"gender", "publications"}
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				node := aggNode(attrs[n%2])
+				p, err := Compile(env1, node)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := p.Execute(context.Background()); err != nil {
+					t.Error(err)
+					return
+				}
+				// Raw cache traffic on the (soon to be) retired generation.
+				cache.lookup(g1, nil, node.Key())
+				cache.store(g1, nil, node.Key(), p)
+			}
+		}()
+	}
+
+	time.Sleep(2 * time.Millisecond) // let the old-generation traffic spin up
+	cache.Advance(g2, nil, 2)
+
+	env2 := Env{Graph: g2, Cache: cache}
+	for i := 0; i < 50; i++ {
+		got, err := Compile(env2, aggNode("gender"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != pPrefix {
+			t.Fatalf("iteration %d: clean-prefix plan lost under concurrent retired traffic", i)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	// With traffic stopped: the retired generation still misses, and the
+	// current generation still hits.
+	if p := cache.lookup(g1, nil, aggNode("gender").Key()); p != nil {
+		t.Error("retired-generation lookup returned a plan after the advance")
+	}
+	if got, err := Compile(env2, aggNode("gender")); err != nil || got != pPrefix {
+		t.Errorf("current-generation hit lost after concurrent traffic (err=%v)", err)
 	}
 }

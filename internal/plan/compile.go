@@ -3,8 +3,8 @@ package plan
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/agg"
 	"repro/internal/analytics"
@@ -31,9 +31,8 @@ type Env struct {
 	// Cache, when set, memoizes compiled plans on the canonical query text
 	// (generation-keyed on Graph/Catalog identity).
 	Cache *Cache
-	// Feedback, when set, records observed cardinalities from executed
-	// plans and adapts Compile's selections (serial vs parallel, dense vs
-	// map kernel) to them.
+	// Feedback is ignored: plans are chosen at compile time alone.
+	// bench/ is its last caller.
 	Feedback *Feedback
 	// History, when set, resolves AS OF / VALID DURING clauses into
 	// reconstructed historical states (graph, catalog, plan cache). Nil
@@ -41,6 +40,13 @@ type Env struct {
 	// AS OF — there is no transaction log to travel on.
 	History HistoryResolver
 }
+
+// Feedback is an empty placeholder for the deleted planner feedback loop.
+// bench/ is its last caller.
+type Feedback struct{}
+
+// NewFeedback returns an empty Feedback. bench/ is its last caller.
+func NewFeedback() *Feedback { return &Feedback{} }
 
 // Result holds the output of one executed plan; the fields mirror the
 // statement families, with exactly one payload group set.
@@ -64,6 +70,34 @@ type Result struct {
 	Events *analytics.EventsResult
 	Paths  *analytics.PathsResult
 	Trend  *analytics.TrendResult
+
+	// Elapsed is the root operator's wall time: what EXPLAIN ANALYZE
+	// reports as actual_us.
+	Elapsed time.Duration
+}
+
+// rows is the output cardinality EXPLAIN ANALYZE reports: aggregate nodes
+// plus edges, or the rows, pairs, tuples or steps the statement returned.
+func (r *Result) rows() int {
+	switch {
+	case r.Agg != nil:
+		return len(r.Agg.Nodes) + len(r.Agg.Edges)
+	case r.Measure != nil:
+		return len(r.Measure.Nodes)
+	case r.Evolution != nil:
+		return len(r.Evolution.Nodes) + len(r.Evolution.Edges)
+	case r.Top != nil:
+		return len(r.Top)
+	case r.Timeline != nil:
+		return len(r.Timeline)
+	case r.Events != nil:
+		return len(r.Events.Rows)
+	case r.Paths != nil:
+		return len(r.Paths.Rows)
+	case r.Trend != nil:
+		return len(r.Trend.Rows)
+	}
+	return len(r.Pairs)
 }
 
 // Plan is an executable physical plan: the logical node it was compiled
@@ -84,17 +118,23 @@ type Plan struct {
 // Logical returns the logical node the plan was compiled from.
 func (p *Plan) Logical() Logical { return p.logical }
 
+// Op returns the root operator's name, as Explain renders it.
+func (p *Plan) Op() string { return p.root.name() }
+
 // Execute runs the plan. The selection counters record the root operator
-// on every execution; ctx cancels cooperatively inside the engines.
+// on every execution, and the root's wall time is stamped on the Result;
+// ctx cancels cooperatively inside the engines.
 func (p *Plan) Execute(ctx context.Context) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	p.root.countSelection()
 	out := &Result{}
+	start := time.Now()
 	if err := p.root.run(ctx, out); err != nil {
 		return nil, err
 	}
+	out.Elapsed = time.Since(start)
 	return out, nil
 }
 
@@ -117,11 +157,6 @@ func Compile(env Env, node Logical) (*Plan, error) {
 	var key string
 	if env.Cache != nil {
 		key = node.Key()
-		if env.Feedback != nil {
-			// New observations bump the epoch, so an adapted selection takes
-			// effect on the next compile instead of hiding behind the cache.
-			key += "|fb=" + strconv.Itoa(env.Feedback.epochFor(node.Key()))
-		}
 		if p := env.Cache.lookup(env.Graph, env.Catalog, key); p != nil {
 			CacheHits.Inc()
 			return p, nil
@@ -257,15 +292,11 @@ func compileAggregate(env Env, q *Aggregate) (physOp, int, error) {
 			g:      g,
 		}, maxTime, nil
 	}
-	// Recorded feedback can demote the view operator to serial.
 	return &viewAggOp{
 		view:   newViewOp(g, q.Op.Op, a, b),
 		schema: schema,
 		kind:   kind,
-		serial: mergeBound(env.Feedback, q.Key(), agg.ParallelMinEntities()),
 		cost:   scanCost(g),
-		fb:     env.Feedback,
-		fbKey:  q.Key(),
 	}, maxTime, nil
 }
 

@@ -1,16 +1,22 @@
 package plan_test
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/materialize"
+	"repro/internal/ops"
 	"repro/internal/plan"
 	"repro/internal/tgql"
+	"repro/internal/timeline"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden plan files")
@@ -123,5 +129,110 @@ func TestExplainStatement(t *testing.T) {
 	}
 	if _, err := tgql.Exec(g, "EXPLAIN STATS"); err == nil {
 		t.Error("EXPLAIN STATS should fail (no query plan)")
+	}
+}
+
+// TestExplainAnalyze runs EXPLAIN ANALYZE through the TGQL front end: the
+// plan executes, and the rendering is plain EXPLAIN's tree (taken after the
+// run, so the catalog's live hint agrees) with the root's measurements
+// appended — wall time, output cardinality and, for the catalog operator,
+// the source that answered.
+func TestExplainAnalyze(t *testing.T) {
+	g := core.PaperExample()
+	env := plan.Env{Graph: g, Catalog: materialize.NewCatalogWith(g, materialize.CatalogConfig{})}
+	for _, c := range []struct{ query, measured string }{
+		{"AGG ALL gender ON UNION(t0, t1)", `, actual_us=\d+, rows=4, source=scratch\)`},
+		{"AGG DIST gender ON UNION(t0, t1)", `, actual_us=\d+, rows=4\)`},
+		{"EXPLORE STABILITY BY gender K 2", `, actual_us=\d+, rows=\d+\)`},
+		{"TIMELINE BY gender", `, actual_us=\d+, rows=2\)`},
+	} {
+		res, err := tgql.ExecEnv(context.Background(), env, "EXPLAIN ANALYZE "+c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := tgql.ExecEnv(context.Background(), env, "EXPLAIN "+c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := regexp.MustCompile(c.measured)
+		if !root.MatchString(res.Explain) {
+			t.Errorf("%s: root line lacks %s:\n%s", c.query, c.measured, res.Explain)
+		}
+		if got := root.ReplaceAllString(res.Explain, ")"); got != plain.Explain {
+			t.Errorf("%s: EXPLAIN ANALYZE tree\n%s\ndiffers from EXPLAIN\n%s", c.query, got, plain.Explain)
+		}
+	}
+}
+
+// TestViewAggregateModeAtCrossover pins the parallel crossover on both
+// sides: a view one entity below agg.ParallelMinEntities renders
+// mode=serial, one at it renders mode=parallel, and both answer exactly as
+// the map oracle does.
+func TestViewAggregateModeAtCrossover(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a graph of agg.ParallelMinEntities entities")
+	}
+	// n nodes live at t0 and t1 on a ring of n edges; the ring's first edge
+	// is missing at t0, so t1 selects 2n entities and t0 one fewer.
+	n := agg.ParallelMinEntities() / 2
+	tl := timeline.MustNew("t0", "t1")
+	b := core.NewBuilder(tl, core.AttrSpec{Name: "team", Kind: core.Static})
+	for i := 0; i < n; i++ {
+		id := b.AddNode("n" + strconv.Itoa(i))
+		b.SetNodeTime(id, 0)
+		b.SetNodeTime(id, 1)
+		b.SetStatic(0, id, strconv.Itoa(i%5))
+	}
+	for i := 0; i < n; i++ {
+		e := b.AddEdge(core.NodeID(i), core.NodeID((i+1)%n))
+		if i > 0 {
+			b.SetEdgeTime(e, 0)
+		}
+		b.SetEdgeTime(e, 1)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema, err := agg.ByName(g, "team")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		point, mode string
+		t           timeline.Time
+		entities    int
+	}{
+		{"t0", "serial", 0, 2*n - 1},
+		{"t1", "parallel", 1, 2 * n},
+	} {
+		for _, kind := range []struct {
+			name string
+			k    agg.Kind
+		}{{"dist", agg.Distinct}, {"all", agg.All}} {
+			node := &plan.Aggregate{
+				Op:    plan.TemporalOp{Op: plan.OpProject, A: plan.IntervalRef{From: c.point}},
+				Attrs: []string{"team"},
+				Kind:  kind.name,
+			}
+			p, err := plan.Compile(plan.Env{Graph: g}, node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := p.Explain(); !strings.Contains(s, "mode="+c.mode) {
+				t.Errorf("%d entities: want mode=%s:\n%s", c.entities, c.mode, s)
+			}
+			res, err := p.Execute(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := ops.Project(g, tl.Point(c.t))
+			if v.NumNodes()+v.NumEdges() != c.entities {
+				t.Fatalf("%s selects %d entities, want %d", c.point, v.NumNodes()+v.NumEdges(), c.entities)
+			}
+			if got, want := mustJSON(t, res.Agg), mustJSON(t, agg.AggregateMap(v, schema, kind.k)); got != want {
+				t.Errorf("%s %s (mode=%s) differs from the map oracle", c.point, kind.name, c.mode)
+			}
+		}
 	}
 }

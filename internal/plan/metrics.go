@@ -30,10 +30,3 @@ var (
 	CacheHits   metrics.Counter
 	CacheMisses metrics.Counter
 )
-
-// Feedbacks counts runtime observations recorded into the planner's
-// feedback store (feedback.go), one counter per observation kind. The
-// serving layer registers them under graphtempod_planner_feedback_total.
-var Feedbacks struct {
-	Cardinality metrics.Counter // view entity / result cardinality records
-}

@@ -140,57 +140,41 @@ func (o *catalogAggOp) run(ctx context.Context, out *Result) error {
 
 // viewAggOp aggregates a view on the aggregation kernels, with the
 // chunked-parallel engine on GOMAXPROCS workers when the view is large
-// enough to amortize worker spawn and merge and feedback has not demoted it.
+// enough to amortize worker spawn and merge.
 type viewAggOp struct {
 	view   *viewOp
 	schema *agg.Schema
 	kind   agg.Kind
-	serial bool // feedback observed a merge-bound result (mergeBound)
 	cost   int64
-
-	// Feedback loop: run() reports the observed cardinalities under fbKey.
-	fb    *Feedback
-	fbKey string
 }
 
 func (o *viewAggOp) name() string { return "ViewAggregate" }
 
-// mode reports serial vs parallel execution, mirroring the engine's
-// crossover: a demoted plan or a small view runs serially.
+// mode reports serial vs parallel execution: the engine's compile-time
+// crossover on the view's selected entity count.
 func (o *viewAggOp) mode() string {
-	if o.serial || o.view.entities() < agg.ParallelMinEntities() {
+	if o.view.entities() < agg.ParallelMinEntities() {
 		return "serial"
 	}
 	return "parallel"
 }
 
 func (o *viewAggOp) describe() []kv {
-	attrs := []kv{
+	return []kv{
 		{"kind", kindString(o.kind)},
 		{"mode", o.mode()},
 		{"est_cost", itoa64(o.cost)},
 	}
-	// Only plans compiled with applicable feedback name it, keeping the
-	// golden renderings of feedback-free environments stable.
-	if o.serial {
-		attrs = append(attrs, kv{"feedback", "serial(merge-bound)"})
-	}
-	return attrs
 }
 
 func (o *viewAggOp) children() []physOp { return []physOp{o.view} }
 func (o *viewAggOp) countSelection()    { Selections.DenseAgg.Inc() }
 
 func (o *viewAggOp) run(ctx context.Context, out *Result) error {
-	workers := 0 // GOMAXPROCS
-	if o.serial {
-		workers = 1
-	}
-	ag, err := agg.AggregateParallelCtx(ctx, o.view.view, o.schema, o.kind, workers)
+	ag, err := agg.AggregateParallelCtx(ctx, o.view.view, o.schema, o.kind, 0) // 0: GOMAXPROCS
 	if err != nil {
 		return err
 	}
-	o.fb.observe(o.fbKey, o.view.entities(), len(ag.Nodes)+len(ag.Edges))
 	out.Agg, out.AggSource = ag, materialize.Scratch
 	return nil
 }

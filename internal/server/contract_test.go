@@ -227,7 +227,8 @@ func TestRequestIDAndStages(t *testing.T) {
 		t.Fatalf("status %d, X-Request-Id %q, want the client's id echoed", rec.Code, got)
 	}
 	line := logs.String()
-	for _, field := range []string{"request_id=client-chose-this", "decode_us=", "state_us=", "compile_us=", "exec_us=", "encode_us=", " ms="} {
+	for _, field := range []string{"level=INFO", "request_id=client-chose-this", "op=CatalogUnionAll",
+		"admit_us=", "decode_us=", "state_us=", "compile_us=", "exec_us=", "encode_us=", " ms="} {
 		if !strings.Contains(line, field) {
 			t.Errorf("access log lacks %q: %s", field, line)
 		}
@@ -247,5 +248,50 @@ func TestRequestIDAndStages(t *testing.T) {
 	s.Handler().ServeHTTP(rec, oversize)
 	if got := rec.Header().Get("X-Request-Id"); len(got) > 128 {
 		t.Errorf("a %d-byte client id was adopted", len(got))
+	}
+}
+
+// TestSlowRequestWarns: a request that used more than half its deadline
+// raises its own access line to WARN — the slow-query log is that line,
+// with the root operator and every stage on it — and a fast one stays INFO.
+func TestSlowRequestWarns(t *testing.T) {
+	var logs syncBuffer
+	s, err := New(Config{Graph: core.PaperExample(), Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		id, deadline string
+		delay        time.Duration
+		status       int
+		level, op    string
+	}{
+		{"fast", "", 0, http.StatusOK, "INFO", "CatalogUnionAll"},
+		// Expires while its body arrives: it never reaches compile.
+		{"expired", "1", 20 * time.Millisecond, http.StatusGatewayTimeout, "WARN", `""`},
+		{"slow-in-time", "1000", 600 * time.Millisecond, http.StatusOK, "WARN", "CatalogUnionAll"},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/aggregate", &slowBody{delay: c.delay, Reader: marshalBody(t, queryEndpoints[0].ok)})
+		req.Header.Set("X-Request-Id", c.id)
+		if c.deadline != "" {
+			req.Header.Set("X-Deadline-Ms", c.deadline)
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != c.status {
+			t.Fatalf("%s: status %d, want %d: %s", c.id, rec.Code, c.status, rec.Body)
+		}
+		var line string
+		for _, l := range strings.Split(logs.String(), "\n") {
+			if strings.Contains(l, "request_id="+c.id) {
+				line = l
+			}
+		}
+		for _, field := range []string{"level=" + c.level, "msg=request", "op=" + c.op,
+			"admit_us=", "decode_us=", "state_us=", "compile_us=", "exec_us=", "encode_us="} {
+			if !strings.Contains(line, field) {
+				t.Errorf("%s: access line lacks %q: %s", c.id, field, line)
+			}
+		}
 	}
 }

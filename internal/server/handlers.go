@@ -248,7 +248,8 @@ func encodeTGQL(w http.ResponseWriter, q query, a answer) (int, error) {
 }
 
 // ExplainRequest asks for the physical plan of one TGQL statement without
-// executing it. A leading EXPLAIN keyword in the query is accepted.
+// executing it. A leading EXPLAIN keyword in the query is accepted; EXPLAIN
+// ANALYZE, which executes, is a 400 here and answers on /v1/tgql.
 type ExplainRequest struct {
 	Query string `json:"query"`
 	// AsOf is shorthand for suffixing the statement with AS OF <txn>.
@@ -261,10 +262,17 @@ type ExplainResponse struct {
 	Plan string `json:"plan"`
 }
 
+// errExplainAnalyze is /v1/explain's answer to a statement it would have
+// to execute.
+var errExplainAnalyze = errors.New("EXPLAIN ANALYZE executes the statement; POST it to /v1/tgql")
+
 func decodeExplain(req *ExplainRequest) (query, error) {
 	q, err := decodeStatement(req.Query, req.AsOf)
 	if err == nil {
 		err = q.stmt.NoPlan
+		if q.stmt.Analyze {
+			err = errExplainAnalyze
+		}
 	}
 	q.stmt.Explain = true
 	return q, err

@@ -46,10 +46,18 @@ type answer struct {
 // encoder writes one endpoint's reply.
 type encoder func(w http.ResponseWriter, q query, a answer) (int, error)
 
-// stages is where one request's wall time went, in pipeline order. Reads
-// fill all five; an ingest's exec is validate → WAL → AppendAt and its state
-// is the advance (or rebuild) that made the point visible.
-type stages struct{ decode, state, compile, exec, encode time.Duration }
+// stages is where one request's wall time went, in pipeline order. admit
+// is the wait for admission; reads fill the other five, and an ingest's exec
+// is validate → WAL → AppendAt and its state the advance (or rebuild) that
+// made the point visible. A stage the request never reached reads 0.
+type stages struct{ admit, decode, state, compile, exec, encode time.Duration }
+
+// stageNames label graphtempod_stage_seconds, in the order of stages.all.
+var stageNames = [...]string{"admission", "decode", "state", "compile", "exec", "encode"}
+
+func (st *stages) all() [len(stageNames)]time.Duration {
+	return [...]time.Duration{st.admit, st.decode, st.state, st.compile, st.exec, st.encode}
+}
 
 // stageClock attributes wall time to stages: each lap is the time since the
 // previous one.
@@ -116,15 +124,15 @@ func serve[R any](s *Server, decode func(*R) (query, error), encode encoder) api
 		a := answer{g: st.g}
 		if q.stmt.Node != nil {
 			// The plan cache is generation-keyed on the snapshot identity (a
-			// rebuild flushes it); feedback adapts selections to observed
-			// cardinalities; s resolves AS OF / VALID DURING states.
+			// rebuild flushes it); s resolves AS OF / VALID DURING states.
 			a.plan, err = plan.Compile(plan.Env{Graph: st.g, Catalog: st.cat, Query: q.text,
-				Cache: s.plans, Feedback: s.fback, History: s}, q.stmt.Node)
+				Cache: s.plans, History: s}, q.stmt.Node)
 			w.stages.compile = clock.lap()
 			if err != nil {
 				return http.StatusBadRequest, err
 			}
-			if !q.stmt.Explain {
+			w.op = a.plan.Op()
+			if q.stmt.Runs() {
 				a.res, err = a.plan.Execute(ctx)
 				a.elapsed = clock.lap()
 				w.stages.exec = a.elapsed

@@ -129,7 +129,6 @@ type Server struct {
 	series  *stream.Series
 	storage *storage.Engine
 	plans   *plan.Cache
-	fback   *plan.Feedback
 	hist    *lru.Cache[plan.HistState]
 
 	cur       atomic.Pointer[state]
@@ -152,7 +151,7 @@ type Server struct {
 	visibility    *metrics.Histogram
 	reqMu         sync.Mutex
 	reqCount      map[string]*metrics.Counter // endpoint\x00code
-	latency       map[string]*metrics.Histogram
+	latency       map[string]*latencyHists
 	shed          map[string]*metrics.Counter
 	started       time.Time
 }
@@ -194,10 +193,9 @@ func New(cfg Config) (*Server, error) {
 		reg:      metrics.NewRegistry(),
 		series:   cfg.Series,
 		plans:    plan.NewCache(0),
-		fback:    plan.NewFeedback(),
 		hist:     newHistCache(cfg.HistoryCacheBytes),
 		reqCount: make(map[string]*metrics.Counter),
-		latency:  make(map[string]*metrics.Histogram),
+		latency:  make(map[string]*latencyHists),
 		shed:     make(map[string]*metrics.Counter),
 		started:  time.Now(),
 	}
@@ -276,10 +274,6 @@ func (s *Server) current() (*state, error) {
 			s.plans.Advance(g, old.cat, stats.FirstDirty)
 			if stats.FirstDirty < old.g.Timeline().Len() {
 				// A retroactive point landed inside the old timeline.
-				// Feedback cardinalities are keyed by interval labels whose
-				// positions just shifted, so they restart from scratch; a
-				// suffix-only advance keeps them.
-				s.fback.Reset()
 				s.retroApplies.Inc()
 			} else {
 				s.deltaApplies.Inc()
@@ -306,9 +300,6 @@ func (s *Server) current() (*state, error) {
 	st = &state{g: g, cat: s.newCatalog(g), gen: gen}
 	s.cur.Store(st)
 	s.plans.Reset(g, st.cat)
-	// Cardinalities observed against the replaced snapshot no longer
-	// describe anything; suffix-only advances (above) keep them instead.
-	s.fback.Reset()
 	s.observeVisibility(gen)
 	s.log.Info("serving state rebuilt", "points", gen, "nodes", g.NumNodes(), "edges", g.NumEdges())
 	return st, nil
@@ -382,6 +373,7 @@ func (s *Server) catalogStats() materialize.Stats {
 //
 //	graphtempod_requests_total{endpoint,code}   counter
 //	graphtempod_request_seconds{endpoint}       histogram
+//	graphtempod_stage_seconds{endpoint,stage}   histogram (admission … encode)
 //	graphtempod_shed_total{endpoint}            counter (429 overflow)
 //	graphtempod_inflight                        gauge (admitted weight)
 //	graphtempod_admission_queue                 gauge
@@ -391,7 +383,6 @@ func (s *Server) catalogStats() materialize.Stats {
 //	graphtempod_graph_index_bytes{index}        gauge (points)
 //	graphtempod_explorer_evaluations_total      counter (engine hot path)
 //	graphtempod_planner_selections_total{op}    counter (planner choices)
-//	graphtempod_planner_feedback_total{kind}    counter (cardinality records)
 //	graphtempod_plan_cache_total{result}        counter (hit/miss)
 //	graphtempod_ingested_points                 gauge (stream mode)
 //	graphtempod_catalog_delta_applies_total     counter (stream mode)
@@ -486,9 +477,6 @@ func (s *Server) registerMetrics() {
 		&plan.CacheHits, metrics.Label{Key: "result", Value: "hit"})
 	r.RegisterCounter("graphtempod_plan_cache_total", "",
 		&plan.CacheMisses, metrics.Label{Key: "result", Value: "miss"})
-	r.RegisterCounter("graphtempod_planner_feedback_total",
-		"Runtime observations recorded into the planner feedback loop.",
-		&plan.Feedbacks.Cardinality, metrics.Label{Key: "kind", Value: "cardinality"})
 	if s.series != nil {
 		r.GaugeFunc("graphtempod_ingested_points", "Time points ingested.",
 			func() float64 { return float64(s.series.Len()) })
@@ -567,13 +555,31 @@ func (s *Server) reqCounter(endpoint string, code int) *metrics.Counter {
 	return c
 }
 
-func (s *Server) latencyHist(endpoint string) *metrics.Histogram {
+// latencyHists is one endpoint's request_seconds histogram and its
+// stage_seconds histograms, in stageNames order.
+type latencyHists struct {
+	request *metrics.Histogram
+	stages  [len(stageNames)]*metrics.Histogram
+}
+
+// stageBuckets extend DefBuckets two powers of four down, to 6.25µs: a
+// stage often takes a few microseconds.
+var stageBuckets = append([]float64{0.00000625, 0.000025}, metrics.DefBuckets...)
+
+// latencyHist returns (registering on first use) an endpoint's latency
+// histograms.
+func (s *Server) latencyHist(endpoint string) *latencyHists {
 	s.reqMu.Lock()
 	defer s.reqMu.Unlock()
 	h, ok := s.latency[endpoint]
 	if !ok {
-		h = s.reg.Histogram("graphtempod_request_seconds", "Request latency in seconds.", nil,
-			metrics.Label{Key: "endpoint", Value: endpoint})
+		ep := metrics.Label{Key: "endpoint", Value: endpoint}
+		h = &latencyHists{request: s.reg.Histogram("graphtempod_request_seconds", "Request latency in seconds.", nil, ep)}
+		for i, name := range stageNames {
+			h.stages[i] = s.reg.Histogram("graphtempod_stage_seconds",
+				"Request wall time by pipeline stage, for the stages a request reached.", stageBuckets,
+				ep, metrics.Label{Key: "stage", Value: name})
+		}
 		s.latency[endpoint] = h
 	}
 	return h
@@ -649,6 +655,7 @@ type statusWriter struct {
 	status int
 	bytes  int
 	stages stages
+	op     string // the compiled plan's root operator
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -684,6 +691,7 @@ func (s *Server) api(endpoint string, h apiHandler) http.Handler {
 		sw := &statusWriter{ResponseWriter: w}
 		id := RequestID(r)
 		sw.Header().Set("X-Request-Id", id)
+		deadline := s.deadlineFor(r)
 
 		defer func() {
 			if rec := recover(); rec != nil {
@@ -696,27 +704,41 @@ func (s *Server) api(endpoint string, h apiHandler) http.Handler {
 				}
 			}
 			elapsed := time.Since(start)
-			hist.Observe(elapsed.Seconds())
+			hist.request.Observe(elapsed.Seconds())
 			if sw.status == http.StatusOK {
 				okCount.Inc()
 			} else {
 				s.reqCounter(endpoint, sw.status).Inc()
 			}
-			// Typed attrs: no boxing of the twelve values on every request.
 			st := &sw.stages
-			s.log.LogAttrs(r.Context(), slog.LevelInfo, "request",
+			for i, d := range st.all() {
+				if d > 0 {
+					hist.stages[i].Observe(d.Seconds())
+				}
+			}
+			// A request that used more than half its deadline is the slow-query
+			// log: the same line, raised to WARN.
+			level := slog.LevelInfo
+			if elapsed > deadline/2 {
+				level = slog.LevelWarn
+			}
+			// Typed attrs: no boxing of the values on every request.
+			s.log.LogAttrs(r.Context(), level, "request",
 				slog.String("endpoint", endpoint), slog.String("method", r.Method), slog.String("path", r.URL.Path),
-				slog.Int("status", sw.status), slog.Float64("ms", elapsedMs(elapsed)),
+				slog.Int("status", sw.status), slog.Float64("ms", elapsedMs(elapsed)), slog.String("op", sw.op),
+				slog.Int64("admit_us", st.admit.Microseconds()),
 				slog.Int64("decode_us", st.decode.Microseconds()), slog.Int64("state_us", st.state.Microseconds()),
 				slog.Int64("compile_us", st.compile.Microseconds()), slog.Int64("exec_us", st.exec.Microseconds()),
 				slog.Int64("encode_us", st.encode.Microseconds()),
 				slog.Int("bytes", sw.bytes), slog.String("remote", r.RemoteAddr), slog.String("request_id", id))
 		}()
 
-		ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(r))
+		ctx, cancel := context.WithTimeout(r.Context(), deadline)
 		defer cancel()
 
-		if err := s.adm.acquire(ctx, weight); err != nil {
+		err := s.adm.acquire(ctx, weight)
+		sw.stages.admit = time.Since(start)
+		if err != nil {
 			if err == ErrOverloaded {
 				s.shedCounter(endpoint).Inc()
 				sw.Header().Set("Retry-After", "1")
@@ -735,14 +757,14 @@ func (s *Server) api(endpoint string, h apiHandler) http.Handler {
 }
 
 // deadlineFor resolves the request deadline: the server cap, lowered by a
-// client-supplied X-Deadline-Ms header when present and valid.
+// client-supplied X-Deadline-Ms header when present, valid and below it. A
+// header at or above the cap keeps the cap, so a value too large for a
+// time.Duration cannot overflow into an instant expiry.
 func (s *Server) deadlineFor(r *http.Request) time.Duration {
 	d := s.cfg.RequestTimeout
 	if h := r.Header.Get("X-Deadline-Ms"); h != "" {
-		if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 {
-			if cd := time.Duration(ms) * time.Millisecond; cd < d {
-				d = cd
-			}
+		if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 && ms < d.Milliseconds() {
+			d = time.Duration(ms) * time.Millisecond
 		}
 	}
 	return d

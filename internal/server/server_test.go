@@ -456,6 +456,36 @@ func TestDeadlinePropagation(t *testing.T) {
 	}
 }
 
+// TestClientDeadlineHeader: X-Deadline-Ms only ever lowers the server's
+// cap. A value at or above it — even one too large for a time.Duration —
+// keeps the cap, and a malformed or non-positive one is ignored.
+func TestClientDeadlineHeader(t *testing.T) {
+	s, ts := newStaticServer(t)
+	ag := AggregateRequest{Op: "union", Interval: IntervalSpec{From: "t0"}, Interval2: IntervalSpec{From: "t1"}, Attrs: []string{"gender"}}
+	for _, c := range []struct {
+		header string
+		want   time.Duration
+	}{
+		{"9223372036854775807", 30 * time.Second}, // overflowed to -1ms
+		{"9300000000000", 30 * time.Second},       // overflowed to a negative duration
+		{"30000", 30 * time.Second},
+		{"29999", 29999 * time.Millisecond},
+		{"5000", 5 * time.Second},
+		{"0", 30 * time.Second},
+		{"-5", 30 * time.Second},
+		{"soon", 30 * time.Second},
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/v1/aggregate", nil)
+		r.Header.Set("X-Deadline-Ms", c.header)
+		if got := s.deadlineFor(r); got != c.want {
+			t.Errorf("X-Deadline-Ms %s: deadline %v, want %v", c.header, got, c.want)
+		}
+		if code, data := postJSON(t, ts.URL+"/v1/aggregate", ag, "X-Deadline-Ms", c.header); code != http.StatusOK {
+			t.Errorf("X-Deadline-Ms %s: status %d, want 200: %s", c.header, code, data)
+		}
+	}
+}
+
 // TestWorkersClamped checks that a client cannot dictate engine
 // parallelism: the planner alone decides it, so no query endpoint declares
 // a workers field and a body that still carries one is a 400 naming it,
@@ -605,6 +635,13 @@ func TestMetricsExposition(t *testing.T) {
 		`graphtempod_requests_total{code="200",endpoint="tgql"} 1`,
 		"# TYPE graphtempod_request_seconds histogram",
 		`graphtempod_request_seconds_count{endpoint="aggregate"} 1`,
+		"# TYPE graphtempod_stage_seconds histogram",
+		`graphtempod_stage_seconds_count{endpoint="aggregate",stage="admission"} 1`,
+		`graphtempod_stage_seconds_count{endpoint="aggregate",stage="exec"} 1`,
+		`graphtempod_stage_seconds_count{endpoint="explore",stage="compile"} 1`,
+		// STATS has no plan: its request never reaches compile or exec.
+		`graphtempod_stage_seconds_count{endpoint="tgql",stage="compile"} 0`,
+		`graphtempod_stage_seconds_count{endpoint="tgql",stage="encode"} 1`,
 		"# TYPE graphtempod_catalog_answers_total counter",
 		"# TYPE graphtempod_inflight gauge",
 		"graphtempod_panics_total 0",
@@ -612,6 +649,9 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+	if strings.Contains(text, "graphtempod_planner_feedback_total") {
+		t.Error("the deleted planner feedback counter is still exported")
 	}
 	// The union+ALL request was answered by the catalog: one non-zero
 	// source counter must be present.
@@ -757,6 +797,13 @@ func TestExplainEndpoint(t *testing.T) {
 	code, data = postJSON(t, ts.URL+"/v1/explain", ExplainRequest{Query: "EXPLAIN EXPLORE STABILITY BY gender K 2"})
 	if code != 200 || !strings.Contains(string(data), "FastExplore") {
 		t.Errorf("explain of EXPLAIN-prefixed explore = %d: %s", code, data)
+	}
+
+	// EXPLAIN ANALYZE executes the statement, so it is /v1/tgql's: here it
+	// is a 400, and nothing runs.
+	code, data = postJSON(t, ts.URL+"/v1/explain", ExplainRequest{Query: "EXPLAIN ANALYZE AGG ALL gender ON UNION(t0, t1)"})
+	if code != http.StatusBadRequest || !strings.Contains(string(data), "/v1/tgql") {
+		t.Errorf("explain of EXPLAIN ANALYZE = %d, want 400 pointing at /v1/tgql: %s", code, data)
 	}
 
 	// Compile-only: no catalog answer was produced by any explain above.

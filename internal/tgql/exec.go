@@ -33,7 +33,8 @@ type Result struct {
 	Events *analytics.EventsResult
 	Paths  *analytics.PathsResult
 	Trend  *analytics.TrendResult
-	// Explain is the physical-plan rendering of an EXPLAIN statement.
+	// Explain is the physical-plan rendering of an EXPLAIN statement (with
+	// the root's measurements for EXPLAIN ANALYZE).
 	Explain string
 
 	// g is the graph the query ran against, for rendering context.
@@ -149,8 +150,8 @@ func Exec(g *core.Graph, query string) (*Result, error) {
 //
 // Queries compile to the plan the daemon would pick: an aggregation runs on
 // GOMAXPROCS workers exactly when its view is past the parallel crossover.
-// Serving layers that want catalog-backed reuse, plan caching or feedback
-// pass those facilities through ExecEnv.
+// Serving layers that want catalog-backed reuse or plan caching pass those
+// facilities through ExecEnv.
 func ExecCtx(ctx context.Context, g *core.Graph, query string) (*Result, error) {
 	return ExecEnv(ctx, plan.Env{Graph: g}, query)
 }
@@ -159,9 +160,10 @@ func ExecCtx(ctx context.Context, g *core.Graph, query string) (*Result, error) 
 // parse → logical plan (Lower) → physical plan (plan.Compile's cost model
 // selects the operators) → execute → Result. The environment supplies the
 // graph and the optional serving facilities — a materialization catalog
-// (unlocks the catalog-backed union-ALL operator), a plan cache, a feedback
-// store. graphtempod runs the same four steps itself, around its own
-// instrumentation, from the same Statement.
+// (unlocks the catalog-backed union-ALL operator) and a plan cache.
+// graphtempod runs the same four steps itself, around its own
+// instrumentation, from the same Statement, so an EXPLAIN ANALYZE renders
+// the same tree here, in the REPL and on /v1/tgql.
 func ExecEnv(ctx context.Context, env plan.Env, query string) (*Result, error) {
 	st, err := Lower(query)
 	if err != nil {
@@ -177,7 +179,7 @@ func ExecEnv(ctx context.Context, env plan.Env, query string) (*Result, error) {
 		if p, err = plan.Compile(env, st.Node); err != nil {
 			return nil, err
 		}
-		if !st.Explain {
+		if st.Runs() {
 			if pr, err = p.Execute(ctx); err != nil {
 				return nil, err
 			}
@@ -199,6 +201,9 @@ type Statement struct {
 	// Explain reports an EXPLAIN prefix: Node is to be compiled and its
 	// physical plan rendered, not executed.
 	Explain bool
+	// Analyze reports EXPLAIN ANALYZE: Node is executed too, and the
+	// rendering carries what the run measured (plan.ExplainAnalyze).
+	Analyze bool
 
 	// NoPlan is why Node is nil: the error a compile-only caller (EXPLAIN,
 	// /v1/explain) reports for the statement.
@@ -208,6 +213,10 @@ type Statement struct {
 	coarsen int  // COARSEN's width; 0 for every other statement
 }
 
+// Runs reports whether the statement's plan executes: every statement
+// with a plan but a plain EXPLAIN.
+func (st Statement) Runs() bool { return st.Node != nil && (!st.Explain || st.Analyze) }
+
 // Lower parses query — once — into a Statement. EXPLAIN of a statement
 // that has no logical plan is an error.
 func Lower(query string) (Statement, error) {
@@ -216,7 +225,8 @@ func Lower(query string) (Statement, error) {
 }
 
 // Result renders the statement's outcome against g, the graph it ran on:
-// the compiled plan's rendering for EXPLAIN, the executed plan's payload
+// the compiled plan's rendering for EXPLAIN (with the run's measurements
+// for EXPLAIN ANALYZE), the executed plan's payload
 // otherwise (p and pr are what plan.Compile and Plan.Execute returned for
 // Node), and — for the plan-less STATS and COARSEN — the statistics
 // computed here, directly over g.
@@ -236,7 +246,10 @@ func (st Statement) Result(g *core.Graph, p *plan.Plan, pr *plan.Result) (*Resul
 		}
 		return &Result{Coarse: coarse, g: g}, nil
 	}
-	if st.Explain {
+	switch {
+	case st.Analyze:
+		return &Result{Explain: p.ExplainAnalyze(pr), g: g}, nil
+	case st.Explain:
 		return &Result{Explain: p.Explain(), g: g}, nil
 	}
 	return &Result{

@@ -261,8 +261,8 @@ func (p *parser) clauses(valid *plan.IntervalRef, asOf *plan.TxnRef, clause func
 	p.atEOF()
 }
 
-// parse parses one statement, optionally prefixed with EXPLAIN. EXPLAIN of
-// a statement that has no logical plan is an error.
+// parse parses one statement, optionally prefixed with EXPLAIN [ANALYZE].
+// EXPLAIN of a statement that has no logical plan is an error.
 func parse(in string) (Statement, error) {
 	toks, err := lexAll(in)
 	if err != nil {
@@ -270,6 +270,7 @@ func parse(in string) (Statement, error) {
 	}
 	p := &parser{toks: toks, in: in}
 	st := Statement{Explain: p.keyword("EXPLAIN")}
+	st.Analyze = st.Explain && p.keyword("ANALYZE")
 	switch {
 	case p.keyword("STATS"):
 		st.stats, st.NoPlan = true, noPlan("tgql.statsQuery")

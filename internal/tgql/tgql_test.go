@@ -197,6 +197,38 @@ func TestParseAndExecErrors(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeParse pins the EXPLAIN ANALYZE grammar: ANALYZE is
+// only a modifier of EXPLAIN, on statements that have a plan; the statement
+// lowers to the node plain EXPLAIN does, and it runs.
+func TestExplainAnalyzeParse(t *testing.T) {
+	for _, c := range []struct{ q, err string }{
+		{"EXPLAIN ANALYZE STATS", "has no query plan"},
+		{"EXPLAIN ANALYZE COARSEN 2", "has no query plan"},
+		{"ANALYZE AGG DIST gender ON POINT t0", `found "ANALYZE"`},
+		{"EXPLAIN ANALYZE", "at end of input"},
+		{"EXPLAIN ANALYZE ANALYZE AGG DIST gender ON POINT t0", `found "ANALYZE"`},
+		{"ANALYZE EXPLAIN AGG DIST gender ON POINT t0", `found "ANALYZE"`},
+	} {
+		if err := execErr(t, c.q); !strings.Contains(err.Error(), c.err) {
+			t.Errorf("Exec(%q) = %v, want an error containing %q", c.q, err, c.err)
+		}
+	}
+	plain, err := Lower("EXPLAIN AGG DIST gender ON POINT t0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Lower("explain analyze AGG DIST gender ON POINT t0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Explain || !st.Analyze || !st.Runs() || st.Node.Key() != plain.Node.Key() {
+		t.Errorf("EXPLAIN ANALYZE lowered to %+v, want plain EXPLAIN's node, analyzed", st)
+	}
+	if plain.Analyze || plain.Runs() {
+		t.Errorf("plain EXPLAIN lowered to %+v, want a compile-only statement", plain)
+	}
+}
+
 // TestParseFilter pins the WHERE grammar: a conjunction of comparisons is
 // evaluated per appearance, and malformed predicates are rejected.
 func TestParseFilter(t *testing.T) {
