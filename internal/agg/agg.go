@@ -100,9 +100,8 @@ func tableOf(g *core.Graph) *schemaTable {
 func TupleRowBytes(g *core.Graph) int64 { return tableOf(g).bytes.Load() }
 
 // ReleaseRows drops the tuple-code rows built on g's schemas, for a graph a
-// newer generation superseded: whoever still holds one of its schemas (a
-// plan kept across the advance, an in-flight request) rebuilds the rows it
-// reads again.
+// newer generation superseded: a request still in flight on it rebuilds the
+// rows it reads again.
 func ReleaseRows(g *core.Graph) {
 	tab := tableOf(g)
 	tab.mu.Lock()

@@ -51,35 +51,35 @@ func goldenStatements(t *testing.T) []string {
 // cache, built once.
 type facadeResolver struct {
 	series *stream.Series
-	head   plan.HistState
-	states map[string]plan.HistState
+	head   *plan.State
+	states map[string]*plan.State
 }
 
-func (r *facadeResolver) state(key string, build func() (*core.Graph, error)) (plan.HistState, error) {
+func (r *facadeResolver) state(key string, build func() (*core.Graph, error)) (*plan.State, error) {
 	if st, ok := r.states[key]; ok {
 		return st, nil
 	}
 	g, err := build()
 	if err != nil {
-		return plan.HistState{}, err
+		return nil, err
 	}
-	st := plan.HistState{Graph: g, Catalog: materialize.NewCatalog(g), Plans: plan.NewCache(0)}
+	st := plan.NewState(g, materialize.NewCatalog(g), 0)
 	r.states[key] = st
 	return st, nil
 }
 
-func (r *facadeResolver) StateAt(txn int) (plan.HistState, error) {
+func (r *facadeResolver) StateAt(txn int) (*plan.State, error) {
 	head := r.series.Txn()
 	if txn == 0 || txn == head {
 		return r.head, nil
 	}
 	if txn < 1 || txn > head {
-		return plan.HistState{}, fmt.Errorf("transaction %d is out of range [1, %d]", txn, head)
+		return nil, fmt.Errorf("transaction %d is out of range [1, %d]", txn, head)
 	}
 	return r.state("txn="+strconv.Itoa(txn), func() (*core.Graph, error) { return r.series.ReplayTo(txn) })
 }
 
-func (r *facadeResolver) WindowAt(txn, from, to int) (plan.HistState, error) {
+func (r *facadeResolver) WindowAt(txn, from, to int) (*plan.State, error) {
 	if txn == 0 {
 		txn = r.series.Txn()
 	}
@@ -113,9 +113,9 @@ func facadeEnv(t *testing.T, pts []server.IngestRequest) plan.Env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	head := plan.HistState{Graph: g, Catalog: materialize.NewCatalog(g), Plans: plan.NewCache(0)}
+	head := plan.NewState(g, materialize.NewCatalog(g), series.Len())
 	return plan.Env{Graph: g, Catalog: head.Catalog, Cache: head.Plans,
-		History: &facadeResolver{series: series, head: head, states: map[string]plan.HistState{}}}
+		History: &facadeResolver{series: series, head: head, states: map[string]*plan.State{}}}
 }
 
 // tgqlOutcome posts a statement to base's /v1/tgql and renders the outcome
@@ -186,5 +186,34 @@ func TestExplainAnalyzeAgreesAcrossSurfaces(t *testing.T) {
 	t.Logf("%d of %d golden statements analyzed, %d answered by the catalog", ran, len(stmts), sourced)
 	if ran < 40 || sourced == 0 {
 		t.Errorf("%d golden statements analyzed, %d by the catalog: the table exercises too little", ran, sourced)
+	}
+}
+
+// TestWindowedTimelineAgreesAcrossSurfaces: a VALID DURING TIMELINE labels
+// its steps with the window's timeline — as TIMELINE over the windowed graph
+// does — through the library, a daemon and the router alike.
+func TestWindowedTimelineAgreesAcrossSurfaces(t *testing.T) {
+	routerURL, refURL, _ := startCluster(t, 3)
+	env := facadeEnv(t, testPoints())
+	wg, err := core.Window(env.Graph, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := tgql.Exec(wg, "TIMELINE BY gender")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = "TIMELINE BY gender VALID DURING t2..t4"
+	res, err := tgql.ExecEnv(context.Background(), env, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.String() != want.String() {
+		t.Errorf("library:\n%s\nwant:\n%s", res, want)
+	}
+	for name, base := range map[string]string{"daemon": refURL, "router": routerURL} {
+		if got := tgqlOutcome(t, base, q); got != want.String() {
+			t.Errorf("%s:\n%s\nwant:\n%s", name, got, want)
+		}
 	}
 }

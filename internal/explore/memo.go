@@ -2,7 +2,6 @@ package explore
 
 import (
 	"repro/internal/evolution"
-	"repro/internal/lru"
 	"repro/internal/ops"
 )
 
@@ -18,19 +17,20 @@ import (
 // to the owning explorer's graph, schema, kind and measure. Because it
 // changes Evaluations (hits are not recharged), no run outside TuneK has
 // one: a plain Explore reports the engine-independent counts the
-// equivalence tests assert.
+// equivalence tests assert. It lives for one tuning loop, whose candidates
+// number at most n(n-1)/2 per traversal over n time points, so it is a
+// plain map.
 type evalMemo struct {
-	cache *lru.Cache[int64]
+	results map[string]int64
+	hits    int
 }
 
-// newEvalMemo returns a memo with the lru default byte budget. Entries are
-// tiny — the budget mostly bounds key storage.
-func newEvalMemo() *evalMemo {
-	return &evalMemo{cache: lru.New[int64](lru.Config{})}
-}
+func newEvalMemo() *evalMemo { return &evalMemo{results: make(map[string]int64)} }
 
-// stats exposes the underlying cache counters.
-func (m *evalMemo) stats() lru.Stats { return m.cache.Stats() }
+// memoStats is what tests read of a memo.
+type memoStats struct{ Hits int }
+
+func (m *evalMemo) stats() memoStats { return memoStats{Hits: m.hits} }
 
 // selKey renders one selector compactly, normalizing the semantics flag:
 // over ≤ 1 time point Exists and ForAll select identically, so both map to
@@ -64,11 +64,14 @@ func memoKey(event Event, old, new ops.Sel) string {
 
 // lookup returns the memoized result for a candidate, if present.
 func (m *evalMemo) lookup(event Event, old, new ops.Sel) (int64, bool) {
-	return m.cache.Get(memoKey(event, old, new))
+	r, ok := m.results[memoKey(event, old, new)]
+	if ok {
+		m.hits++
+	}
+	return r, ok
 }
 
-// store records a computed result. The charged size approximates the key
-// header plus the value; lru adds its own per-entry overhead.
+// store records a computed result.
 func (m *evalMemo) store(event Event, old, new ops.Sel, r int64) {
-	m.cache.Put(memoKey(event, old, new), r, 8)
+	m.results[memoKey(event, old, new)] = r
 }

@@ -80,9 +80,8 @@ func TestMemoSharedAcrossEngines(t *testing.T) {
 		if ex.Evaluations != 0 {
 			t.Errorf("sem %v: fast path recomputed %d candidates the seed engine memoized", sem, ex.Evaluations)
 		}
-		st := ex.memo.stats()
-		if st.Hits == 0 || st.Misses == 0 {
-			t.Errorf("sem %v: memo stats %+v", sem, st)
+		if len(ex.memo.results) == 0 {
+			t.Errorf("sem %v: the seed engine memoized nothing", sem)
 		}
 	}
 }

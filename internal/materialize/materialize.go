@@ -371,8 +371,7 @@ type AdvanceStats struct {
 	// Rebuilt counts stores re-materialized from scratch because their
 	// tuple coding changed.
 	Rebuilt int
-	// FirstDirty is the lowest new-timeline index whose content changed:
-	// every cached plan or result that reads at or beyond it is stale. It
+	// FirstDirty is the lowest new-timeline index whose content changed. It
 	// equals the old timeline length when the new points are a suffix.
 	FirstDirty int
 }
@@ -465,14 +464,14 @@ func checkLineage(old, new *core.Graph) error {
 // label-based interval strings and nothing an old label range covers
 // changed. A point that landed earlier (a retroactive insert) puts one more
 // point inside every label range spanning it, so the result cache is
-// purged, and FirstDirty tells the plan cache which plans to evict.
+// purged; FirstDirty reports which case it was.
 //
 // The superseded graph's tuple-code rows are released (agg.ReleaseRows).
 // What still holds that graph — the per-point aggregates a store carries
-// over, a kept cached result, a plan kept across the advance, an in-flight
-// request — then pins what it pinned before the rows existed (the graph's
-// columns, shared with its successors on an accumulator); a reader that
-// scans it again rebuilds the rows it reads.
+// over, a kept cached result, an in-flight request — then pins what it
+// pinned before the rows existed (the graph's columns, shared with its
+// successors on an accumulator); a reader that scans it again rebuilds the
+// rows it reads.
 func (c *Catalog) Advance(newG *core.Graph) (AdvanceStats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

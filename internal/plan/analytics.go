@@ -53,7 +53,7 @@ func compileEvents(env Env, q *Events) (physOp, error) {
 	}, nil
 }
 
-func compilePaths(env Env, q *Paths) (physOp, int, bool, error) {
+func compilePaths(env Env, q *Paths) (physOp, error) {
 	g, in := env.Graph, env.Query
 	mode := strings.ToLower(q.Mode)
 	switch mode {
@@ -61,10 +61,10 @@ func compilePaths(env Env, q *Paths) (physOp, int, bool, error) {
 		mode = analytics.ModeEarliest
 	case analytics.ModeFastest:
 	default:
-		return nil, 0, false, errf(in, 0, "", "unknown paths mode %q (want EARLIEST or FASTEST)", q.Mode)
+		return nil, errf(in, 0, "", "unknown paths mode %q (want EARLIEST or FASTEST)", q.Mode)
 	}
 	if len(q.From) == 0 || len(q.To) == 0 {
-		return nil, 0, false, errf(in, 0, "", "PATHS needs FROM and TO node sets")
+		return nil, errf(in, 0, "", "PATHS needs FROM and TO node sets")
 	}
 	resolveNodes := func(labels []string, poss []int) ([]core.NodeID, error) {
 		out := make([]core.NodeID, 0, len(labels))
@@ -79,33 +79,27 @@ func compilePaths(env Env, q *Paths) (physOp, int, bool, error) {
 	}
 	src, err := resolveNodes(q.From, q.FromPos)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, err
 	}
 	dst, err := resolveNodes(q.To, q.ToPos)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, err
 	}
 	window := g.Timeline().All()
-	bounded := false
 	if !q.During.IsZero() {
 		window, err = ResolveInterval(g, in, q.During)
 		if err != nil {
-			return nil, 0, false, err
+			return nil, err
 		}
 		if !window.IsContiguous() {
-			return nil, 0, false, errf(in, q.During.FromPos, q.During.From,
+			return nil, errf(in, q.During.FromPos, q.During.From,
 				"PATHS DURING requires a contiguous range")
 		}
-		bounded = true
 	}
 	winLen := window.Len()
 	sweeps := int64(1)
 	if mode == analytics.ModeFastest {
 		sweeps = int64(winLen)
-	}
-	maxTime := 0
-	if bounded && !window.IsEmpty() {
-		maxTime = int(window.Max())
 	}
 	return &pathsOp{
 		g: g,
@@ -114,7 +108,7 @@ func compilePaths(env Env, q *Paths) (physOp, int, bool, error) {
 		},
 		srcN: len(q.From), dstN: len(q.To),
 		cost: scanCost(g) + sweeps*int64(g.NumNodes()+winLen),
-	}, maxTime, bounded, nil
+	}, nil
 }
 
 func compileTrend(env Env, q *Trend) (physOp, error) {
@@ -222,7 +216,7 @@ func (o *pathsOp) describe() []kv {
 		{"mode", o.spec.Mode},
 		{"sources", strconv.Itoa(o.srcN)},
 		{"targets", strconv.Itoa(o.dstN)},
-		{"window", intervalString(o.spec.Window)},
+		{"window", o.spec.Window.String()},
 		{"engine", "time-bucket-frontier"},
 		{"est_cost", itoa64(o.cost)},
 	}

@@ -82,45 +82,6 @@ func TestAnalyticsEngineSelection(t *testing.T) {
 	}
 }
 
-// TestAnalyticsBounded pins cache-invalidation reach: PATHS with a DURING
-// window is bounded at the window's max point; everything else traverses
-// the whole timeline and must stay unbounded.
-func TestAnalyticsBounded(t *testing.T) {
-	g := core.PaperExample()
-	env := Env{Graph: g}
-
-	p, err := Compile(env, eventsNode(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.bounded {
-		t.Error("EVENTS plan must be unbounded (traverses the whole timeline)")
-	}
-	p, err = Compile(env, trendNode("dist", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.bounded {
-		t.Error("TREND plan must be unbounded")
-	}
-	p, err = Compile(env, pathsNode("earliest", []string{"u1"}, []string{"u2"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.bounded {
-		t.Error("PATHS without DURING must be unbounded")
-	}
-	bounded := pathsNode("earliest", []string{"u1"}, []string{"u2"})
-	bounded.During = IntervalRef{From: "t0", To: "t1"}
-	p, err = Compile(env, bounded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.bounded || p.maxTime != 1 {
-		t.Errorf("PATHS DURING t0..t1: bounded=%v maxTime=%d, want true/1", p.bounded, p.maxTime)
-	}
-}
-
 // TestAnalyticsCompileEquivalence routes each statement through
 // Compile+Execute and requires byte-identical JSON against the naive
 // oracle — including the 0- and 1-step EVENTS and 1- and 2-point PATHS

@@ -12,7 +12,6 @@ import (
 	"repro/internal/evolution"
 	"repro/internal/explore"
 	"repro/internal/materialize"
-	"repro/internal/timeline"
 )
 
 // Env is the compile environment: the concrete graph a logical plan is
@@ -28,14 +27,15 @@ type Env struct {
 	// Query is the originating query text, used only to position
 	// resolution errors ("" renders plain messages for wire requests).
 	Query string
-	// Cache, when set, memoizes compiled plans on the canonical query text
-	// (generation-keyed on Graph/Catalog identity).
+	// Cache, when set, memoizes compiled plans on the canonical query text.
+	// It must hold plans compiled against Graph and Catalog alone: a
+	// serving State owns one cache per (graph, catalog) pair.
 	Cache *Cache
 	// Feedback is ignored: plans are chosen at compile time alone.
 	// bench/ is its last caller.
 	Feedback *Feedback
 	// History, when set, resolves AS OF / VALID DURING clauses into
-	// reconstructed historical states (graph, catalog, plan cache). Nil
+	// reconstructed states, each with its own catalog and plan cache. Nil
 	// still serves VALID DURING by windowing Graph inline, but rejects
 	// AS OF — there is no transaction log to travel on.
 	History HistoryResolver
@@ -101,22 +101,22 @@ func (r *Result) rows() int {
 }
 
 // Plan is an executable physical plan: the logical node it was compiled
-// from and the selected operator tree. Compiled state (views, schemas,
-// filters) is immutable, so one Plan may be executed concurrently; each
-// Execute runs on fresh per-run engine state.
+// from, the graph it was resolved against and the selected operator tree.
+// Compiled state (views, schemas, filters) is immutable, so one Plan may be
+// executed concurrently; each Execute runs on fresh per-run engine state.
 type Plan struct {
 	logical Logical
+	g       *core.Graph
 	root    physOp
-
-	// Time reach, for suffix-scoped cache invalidation (Cache.Advance):
-	// a bounded plan reads base time points ≤ maxTime only; an unbounded
-	// plan (EXPLORE/TOP/TIMELINE) traverses the whole timeline.
-	maxTime int
-	bounded bool
 }
 
 // Logical returns the logical node the plan was compiled from.
 func (p *Plan) Logical() Logical { return p.logical }
+
+// Graph returns the graph the plan was resolved against: the historical or
+// windowed graph of an AS OF / VALID DURING statement, else the
+// environment's. Its timeline labels the plan's results.
+func (p *Plan) Graph() *core.Graph { return p.g }
 
 // Op returns the root operator's name, as Explain renders it.
 func (p *Plan) Op() string { return p.root.name() }
@@ -157,34 +157,28 @@ func Compile(env Env, node Logical) (*Plan, error) {
 	var key string
 	if env.Cache != nil {
 		key = node.Key()
-		if p := env.Cache.lookup(env.Graph, env.Catalog, key); p != nil {
+		if p := env.Cache.lookup(key); p != nil {
 			CacheHits.Inc()
 			return p, nil
 		}
 		CacheMisses.Inc()
 	}
-	var (
-		root    physOp
-		maxTime int
-		bounded bool
-	)
+	var root physOp
 	switch q := node.(type) {
 	case *Aggregate:
-		root, maxTime, err = compileAggregate(env, q)
-		bounded = true
+		root, err = compileAggregate(env, q)
 	case *Explore:
 		root, err = compileExplore(env, q)
 	case *Top:
 		root, err = compileTop(env, q)
 	case *Evolve:
-		root, maxTime, err = compileEvolve(env, q)
-		bounded = true
+		root, err = compileEvolve(env, q)
 	case *Timeline:
 		root, err = compileTimeline(env, q)
 	case *Events:
 		root, err = compileEvents(env, q)
 	case *Paths:
-		root, maxTime, bounded, err = compilePaths(env, q)
+		root, err = compilePaths(env, q)
 	case *Trend:
 		root, err = compileTrend(env, q)
 	default:
@@ -193,9 +187,9 @@ func Compile(env Env, node Logical) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{logical: node, root: root, maxTime: maxTime, bounded: bounded}
+	p := &Plan{logical: node, g: env.Graph, root: root}
 	if env.Cache != nil {
-		env.Cache.store(env.Graph, env.Catalog, key, p)
+		env.Cache.store(key, p)
 	}
 	return p, nil
 }
@@ -205,45 +199,31 @@ func scanCost(g *core.Graph) int64 {
 	return int64(g.NumNodes() + g.NumEdges())
 }
 
-// maxTimeOf returns the highest time index any of the intervals touches
-// (0 for all-empty), bounding how far into the timeline a compiled plan
-// can read.
-func maxTimeOf(ivs ...timeline.Interval) int {
-	m := 0
-	for _, iv := range ivs {
-		if !iv.IsEmpty() && int(iv.Max()) > m {
-			m = int(iv.Max())
-		}
-	}
-	return m
-}
-
-func compileAggregate(env Env, q *Aggregate) (physOp, int, error) {
+func compileAggregate(env Env, q *Aggregate) (physOp, error) {
 	g, in := env.Graph, env.Query
 	schema, err := resolveSchema(g, in, q.Attrs, q.AttrsPos)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	a, b, err := resolveOp(g, in, q.Op)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	maxTime := maxTimeOf(a, b)
 	kind, err := resolveKind(in, q.Kind)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	filter, err := CompilePredicates(g, in, q.Where)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if q.Measure != "" {
 		if filter != nil {
-			return nil, 0, fmt.Errorf("tgql: WHERE and MEASURE cannot be combined")
+			return nil, fmt.Errorf("tgql: WHERE and MEASURE cannot be combined")
 		}
 		attr, ok := g.AttrByName(q.MeasureAttr)
 		if !ok {
-			return nil, 0, errf(in, q.MeasureAttrPos, q.MeasureAttr, "unknown measured attribute %q", q.MeasureAttr)
+			return nil, errf(in, q.MeasureAttrPos, q.MeasureAttr, "unknown measured attribute %q", q.MeasureAttr)
 		}
 		var fn agg.Measure
 		switch strings.ToUpper(q.Measure) {
@@ -256,7 +236,7 @@ func compileAggregate(env Env, q *Aggregate) (physOp, int, error) {
 		case "MAX":
 			fn = agg.Max
 		default:
-			return nil, 0, errf(in, 0, "", "unknown measure %q (want SUM, AVG, MIN or MAX)", q.Measure)
+			return nil, errf(in, 0, "", "unknown measure %q (want SUM, AVG, MIN or MAX)", q.Measure)
 		}
 		return &measureAggOp{
 			view:   newViewOp(g, q.Op.Op, a, b),
@@ -266,7 +246,7 @@ func compileAggregate(env Env, q *Aggregate) (physOp, int, error) {
 			fnName: strings.ToUpper(q.Measure),
 			attrNm: q.MeasureAttr,
 			cost:   scanCost(g),
-		}, maxTime, nil
+		}, nil
 	}
 	if filter != nil {
 		return &filteredAggOp{
@@ -276,7 +256,7 @@ func compileAggregate(env Env, q *Aggregate) (physOp, int, error) {
 			preds:  len(q.Where),
 			filter: filter,
 			cost:   scanCost(g),
-		}, maxTime, nil
+		}, nil
 	}
 	// Union + ALL is T-distributive (§4.3): when a catalog serves this
 	// graph, answer through it (cache → composed store → roll-up →
@@ -290,14 +270,14 @@ func compileAggregate(env Env, q *Aggregate) (physOp, int, error) {
 			attrs:  schema.Attrs(),
 			schema: schema,
 			g:      g,
-		}, maxTime, nil
+		}, nil
 	}
 	return &viewAggOp{
 		view:   newViewOp(g, q.Op.Op, a, b),
 		schema: schema,
 		kind:   kind,
 		cost:   scanCost(g),
-	}, maxTime, nil
+	}, nil
 }
 
 func compileExplore(env Env, q *Explore) (physOp, error) {
@@ -405,27 +385,27 @@ func compileTop(env Env, q *Top) (physOp, error) {
 	}, nil
 }
 
-func compileEvolve(env Env, q *Evolve) (physOp, int, error) {
+func compileEvolve(env Env, q *Evolve) (physOp, error) {
 	g, in := env.Graph, env.Query
 	schema, err := resolveSchema(g, in, q.Attrs, q.AttrsPos)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	kind, err := resolveKind(in, q.Kind)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	old, err := ResolveInterval(g, in, q.From)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	new, err := ResolveInterval(g, in, q.To)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	filter, err := CompilePredicates(g, in, q.Where)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	return &evolveOp{
 		g:      g,
@@ -436,7 +416,7 @@ func compileEvolve(env Env, q *Evolve) (physOp, int, error) {
 		filter: filter,
 		preds:  len(q.Where),
 		cost:   scanCost(g),
-	}, maxTimeOf(old, new), nil
+	}, nil
 }
 
 func compileTimeline(env Env, q *Timeline) (physOp, error) {
@@ -462,6 +442,3 @@ func compileTimeline(env Env, q *Timeline) (physOp, error) {
 		cost:   scanCost(g) + int64(steps),
 	}, nil
 }
-
-// intervalString renders an interval for explanation.
-func intervalString(iv timeline.Interval) string { return iv.String() }

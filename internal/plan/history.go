@@ -5,27 +5,37 @@ import (
 	"repro/internal/materialize"
 )
 
-// HistState is one reconstructed bi-temporal evaluation state: the graph as
-// of a transaction-time position (optionally restricted to a valid-time
-// window), plus the serving facilities built over it. Catalog and Plans may
-// be nil — compilation then falls back to direct operators and skips plan
-// memoization.
-type HistState struct {
+// State is one serving state: a graph, the materialization catalog built
+// over it and the plans compiled against both, plus the series generation a
+// server's head state was built from (-1 for a static graph, 0 for a
+// reconstructed historical state). A state owns its plan cache, so a plan
+// lives exactly as long as the graph it was resolved against: every new
+// state — an advance, a rebuild, an AS OF replay, a VALID DURING window —
+// starts with an empty cache. Catalog and Plans may be nil — compilation
+// then falls back to direct operators and skips plan memoization.
+type State struct {
 	Graph   *core.Graph
 	Catalog *materialize.Catalog
 	Plans   *Cache
+	Gen     int
+}
+
+// NewState returns the state over g and cat at generation gen, with an
+// empty plan cache.
+func NewState(g *core.Graph, cat *materialize.Catalog, gen int) *State {
+	return &State{Graph: g, Catalog: cat, Plans: NewCache(0), Gen: gen}
 }
 
 // HistoryResolver reconstructs historical states on demand. The server
 // implements it over the storage engine's transaction log with an LRU of
-// reconstructed graphs; tests implement it over stream.Series.ReplayTo.
+// reconstructed states; tests implement it over stream.Series.ReplayTo.
 //
 // Txn 0 means the live head (the resolver pins it to the current watermark
 // so the result is stable for the duration of one compile). From/to are
 // valid-time indices into the txn-state's timeline, inclusive.
 type HistoryResolver interface {
-	StateAt(txn int) (HistState, error)
-	WindowAt(txn, from, to int) (HistState, error)
+	StateAt(txn int) (*State, error)
+	WindowAt(txn, from, to int) (*State, error)
 }
 
 // temporalOf extracts a logical node's bi-temporal clauses.

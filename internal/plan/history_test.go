@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/agg"
 	"repro/internal/core"
+	"repro/internal/materialize"
 	"repro/internal/plan"
 	"repro/internal/stream"
 	"repro/internal/timeline"
@@ -22,28 +24,28 @@ type seriesResolver struct {
 	stateCalls int
 }
 
-func (r *seriesResolver) StateAt(txn int) (plan.HistState, error) {
+func (r *seriesResolver) StateAt(txn int) (*plan.State, error) {
 	r.stateCalls++
 	if txn == 0 {
 		txn = r.s.Txn()
 	}
 	g, err := r.s.ReplayTo(txn)
 	if err != nil {
-		return plan.HistState{}, err
+		return nil, err
 	}
-	return plan.HistState{Graph: g}, nil
+	return &plan.State{Graph: g}, nil
 }
 
-func (r *seriesResolver) WindowAt(txn, from, to int) (plan.HistState, error) {
+func (r *seriesResolver) WindowAt(txn, from, to int) (*plan.State, error) {
 	st, err := r.StateAt(txn)
 	if err != nil {
-		return plan.HistState{}, err
+		return nil, err
 	}
 	wg, err := core.Window(st.Graph, from, to)
 	if err != nil {
-		return plan.HistState{}, err
+		return nil, err
 	}
-	return plan.HistState{Graph: wg}, nil
+	return &plan.State{Graph: wg}, nil
 }
 
 // paperSeries replays the Fig. 1 running example point by point.
@@ -251,5 +253,60 @@ func TestAsOfCachedPlansExecuteHistoricalState(t *testing.T) {
 	after := execute(t, env, asOfAgg(0))
 	if got, want := mustJSON(t, after.Agg), mustJSON(t, before.Agg); got != want {
 		t.Fatalf("head plan answer changed after an AS OF compile:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestReadAfterAdvanceLeavesRetiredRows: Catalog.Advance releases the
+// retired graph's tuple-code rows, and a read after it — on the advanced
+// state, or through a cache moved along with Cache.Advance — compiles
+// against the new graph instead of re-running a plan bound to the retired
+// one, so those rows stay released.
+func TestReadAfterAdvanceLeavesRetiredRows(t *testing.T) {
+	full := core.PaperExample()
+	s := stream.New(full.Attrs()...)
+	appendPoint := func(ti int) *core.Graph {
+		t.Helper()
+		label, snap := pointBatch(full, ti)
+		if err := s.Append(label, snap); err != nil {
+			t.Fatal(err)
+		}
+		g, err := s.Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	scan := &plan.Aggregate{
+		Op:    plan.TemporalOp{Op: plan.OpIntersection, A: plan.IntervalRef{From: "t0"}, B: plan.IntervalRef{From: "t1"}},
+		Attrs: []string{"gender", "publications"},
+		Kind:  "dist",
+	}
+	read := func(g *core.Graph, cat *materialize.Catalog, cache *plan.Cache) {
+		t.Helper()
+		execute(t, plan.Env{Graph: g, Catalog: cat, Cache: cache}, scan)
+	}
+	appendPoint(0)
+	g1 := appendPoint(1)
+	cat := materialize.NewCatalog(g1)
+	st1 := plan.NewState(g1, cat, s.Len())
+	moved := plan.NewCache(0) // one cache carried across generations, as bench/ does
+	read(g1, cat, st1.Plans)
+	read(g1, cat, moved)
+	if agg.TupleRowBytes(g1) == 0 {
+		t.Fatal("the scan built no tuple-code rows")
+	}
+	g2 := appendPoint(2)
+	if _, err := cat.Advance(g2); err != nil {
+		t.Fatal(err)
+	}
+	if n := agg.TupleRowBytes(g1); n != 0 {
+		t.Fatalf("Catalog.Advance left %d bytes of the retired graph's rows", n)
+	}
+	st2 := plan.NewState(g2, cat, s.Len())
+	read(g2, cat, st2.Plans)
+	moved.Advance(g2, cat, 2)
+	read(g2, cat, moved)
+	if n := agg.TupleRowBytes(g1); n != 0 {
+		t.Errorf("a read after the advance rebuilt %d bytes of the retired graph's rows", n)
 	}
 }

@@ -66,7 +66,7 @@ func (o *viewOp) name() string {
 
 func (o *viewOp) describe() []kv {
 	return []kv{
-		{"times", intervalString(o.view.Times())},
+		{"times", o.view.Times().String()},
 		{"nodes", strconv.Itoa(o.view.NumNodes())},
 		{"edges", strconv.Itoa(o.view.NumEdges())},
 	}
@@ -113,7 +113,7 @@ func (o *catalogAggOp) describe() []kv {
 		cost = scanCost(o.g)
 	}
 	return []kv{
-		{"interval", intervalString(o.iv)},
+		{"interval", o.iv.String()},
 		{"source-hint", src.String()},
 		{"composition", "prefix-sum"},
 		{"est_cost", itoa64(cost)},
@@ -442,8 +442,8 @@ func filterString(preds int) string {
 func (o *evolveOp) describe() []kv {
 	return []kv{
 		{"kind", kindString(o.kind)},
-		{"old", intervalString(o.old)},
-		{"new", intervalString(o.new)},
+		{"old", o.old.String()},
+		{"new", o.new.String()},
 		{"filter", filterString(o.preds)},
 		{"est_cost", itoa64(o.cost)},
 	}

@@ -70,10 +70,14 @@ func asOfBatches() []IngestRequest {
 func runAsOfLifecycle(t *testing.T, base string) {
 	t.Helper()
 	const q = "AGG DIST gender ON UNION(t0, t0)"
+	// TIMELINE labels its steps with its state's timeline, which the
+	// retroactive t0b shifts under the head.
+	const steps = "TIMELINE BY gender"
 	type capture struct {
-		txn   int
-		text  string
-		graph []byte
+		txn      int
+		text     string
+		graph    []byte
+		timeline string
 	}
 	var caps []capture
 	for i, req := range asOfBatches() {
@@ -85,7 +89,8 @@ func runAsOfLifecycle(t *testing.T, base string) {
 			t.Fatalf("ingest %s: points = %d, want %d", req.Label, ir.Points, i+1)
 		}
 		text, graph := tgqlAt(t, base, q, 0)
-		caps = append(caps, capture{ir.Txn, text, graph})
+		timeline, _ := tgqlAt(t, base, steps, 0)
+		caps = append(caps, capture{ir.Txn, text, graph, timeline})
 	}
 
 	// Retroactive visibility: the full-interval aggregate now spans four
@@ -103,6 +108,9 @@ func runAsOfLifecycle(t *testing.T, base string) {
 		}
 		if !bytes.Equal(graph, c.graph) {
 			t.Errorf("AS OF %d graph diverges from live capture:\n%s\nvs\n%s", c.txn, graph, c.graph)
+		}
+		if timeline, _ := tgqlAt(t, base, steps, c.txn); timeline != c.timeline {
+			t.Errorf("AS OF %d %s:\n%s\nwant live capture:\n%s", c.txn, steps, timeline, c.timeline)
 		}
 	}
 

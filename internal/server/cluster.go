@@ -129,7 +129,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if s.series != nil {
 		resp.Visible = 0
 		if st := s.cur.Load(); st != nil {
-			resp.Visible = st.gen
+			resp.Visible = st.Gen
 		}
 		for _, a := range s.series.Attrs() {
 			resp.Attrs = append(resp.Attrs, StatusAttr{Name: a.Name, Kind: a.Kind.String()})

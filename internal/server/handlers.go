@@ -371,7 +371,7 @@ func (s *Server) handleIngest(ctx context.Context, w *statusWriter, r *http.Requ
 	st, err := s.current()
 	w.stages.state = clock.lap()
 	if err == nil {
-		visible = st.gen
+		visible = st.Gen
 	} else {
 		s.log.Warn("ingest accepted but serving state not advanced", "err", err)
 	}

@@ -13,9 +13,9 @@ import (
 // log: AS OF queries reconstruct the graph as of a WAL position (durable
 // mode replays snapshot + partial WAL; plain stream mode replays the
 // in-memory journal), VALID DURING restrictions window a base state. Every
-// reconstructed state gets its own materialization catalog and plan cache
-// so repeated audit queries against the same position are as cheap as
-// queries against the head, and all of it sits behind a byte-budgeted LRU:
+// reconstructed state is a plan.State with its own catalog and plan cache,
+// so repeated audit queries against one position are as cheap as queries
+// against the head, and all of it sits behind a byte-budgeted LRU:
 // historical states are immutable (a transaction prefix never changes, even
 // under retroactive ingest), so entries never need invalidation — only
 // eviction under memory pressure.
@@ -36,11 +36,8 @@ func (s *Server) headTxn() int {
 // the LRU budget: graph columns, the catalog's per-point schema arrays and
 // one varying schema's tuple-code rows (agg.Schema.Codes), which the
 // state's scans build and keep.
-func histBytes(st plan.HistState) int64 {
+func histBytes(st *plan.State) int64 {
 	g := st.Graph
-	if g == nil {
-		return 4096
-	}
 	attrs := int64(len(g.Attrs()))
 	if attrs == 0 {
 		attrs = 1
@@ -56,16 +53,16 @@ func histBytes(st plan.HistState) int64 {
 		points*int64(g.NumNodes())*8 // tuple-code rows
 }
 
-// histDo answers from the history LRU, reconstructing (graph, catalog,
-// plan cache) on a miss. Concurrent requests for the same key share one
-// reconstruction via the cache's flight dedup.
-func (s *Server) histDo(key string, build func() (*core.Graph, error)) (plan.HistState, error) {
-	st, _, err := s.hist.Do(key, histBytes, func() (plan.HistState, error) {
+// histDo answers from the history LRU, reconstructing the state on a miss.
+// Concurrent requests for the same key share one reconstruction via the
+// cache's flight dedup.
+func (s *Server) histDo(key string, build func() (*core.Graph, error)) (*plan.State, error) {
+	st, _, err := s.hist.Do(key, histBytes, func() (*plan.State, error) {
 		g, err := build()
 		if err != nil {
-			return plan.HistState{}, err
+			return nil, err
 		}
-		return plan.HistState{Graph: g, Catalog: s.newCatalog(g), Plans: plan.NewCache(0)}, nil
+		return plan.NewState(g, s.newCatalog(g), 0), nil
 	})
 	return st, err
 }
@@ -83,27 +80,27 @@ func (s *Server) replayTo(txn int) (*core.Graph, error) {
 
 // StateAt implements plan.HistoryResolver: the serving state as of
 // transaction txn. Txn 0 (and the current watermark) resolve to the live
-// head — same graph, catalog and plan cache the latest-state path serves,
-// so AS OF <head> costs nothing extra and is byte-identical to a plain
-// query. Earlier positions are reconstructed and cached.
-func (s *Server) StateAt(txn int) (plan.HistState, error) {
+// head state itself, so AS OF <head> costs nothing extra and is
+// byte-identical to a plain query. Earlier positions are reconstructed and
+// cached.
+func (s *Server) StateAt(txn int) (*plan.State, error) {
 	head := s.headTxn()
 	if txn == 0 || txn == head {
 		st, err := s.current()
 		if err != nil {
-			return plan.HistState{}, err
+			return nil, err
 		}
 		// Accept the live state only when it is exactly the asked-for
 		// transaction (a concurrent ingest may have advanced past it).
-		if txn == 0 || st.gen == txn {
-			return plan.HistState{Graph: st.g, Catalog: st.cat, Plans: s.plans}, nil
+		if txn == 0 || st.Gen == txn {
+			return st, nil
 		}
 	}
 	if s.series == nil {
-		return plan.HistState{}, fmt.Errorf("static mode has no transaction log")
+		return nil, fmt.Errorf("static mode has no transaction log")
 	}
 	if txn < 1 || txn > head {
-		return plan.HistState{}, fmt.Errorf("transaction %d is out of range [1, %d]", txn, head)
+		return nil, fmt.Errorf("transaction %d is out of range [1, %d]", txn, head)
 	}
 	return s.histDo("txn="+strconv.Itoa(txn), func() (*core.Graph, error) {
 		return s.replayTo(txn)
@@ -114,7 +111,7 @@ func (s *Server) StateAt(txn int) (plan.HistState, error) {
 // to the valid-time window [from, to]. Windowed states are cached under
 // their own keys so audit dashboards sweeping a fixed window across
 // transactions (or windows across one transaction) stay warm.
-func (s *Server) WindowAt(txn, from, to int) (plan.HistState, error) {
+func (s *Server) WindowAt(txn, from, to int) (*plan.State, error) {
 	if txn == 0 {
 		txn = s.headTxn()
 	}
@@ -129,9 +126,9 @@ func (s *Server) WindowAt(txn, from, to int) (plan.HistState, error) {
 }
 
 // newHistCache sizes the history LRU from the config (<= 0 selects 256 MiB).
-func newHistCache(bytes int64) *lru.Cache[plan.HistState] {
+func newHistCache(bytes int64) *lru.Cache[*plan.State] {
 	if bytes <= 0 {
 		bytes = 256 << 20
 	}
-	return lru.New[plan.HistState](lru.Config{MaxBytes: bytes})
+	return lru.New[*plan.State](lru.Config{MaxBytes: bytes})
 }

@@ -34,7 +34,7 @@ type query struct {
 
 // answer is what serve hands an encoder.
 type answer struct {
-	g    *core.Graph  // the serving graph the request ran against
+	g    *core.Graph  // the head serving graph; a plan carries its own
 	plan *plan.Plan   // nil when the query has no logical node
 	res  *plan.Result // nil for compile-only requests
 	// elapsed is the reply's elapsed_ms: the time the compiled plan took to
@@ -121,12 +121,12 @@ func serve[R any](s *Server, decode func(*R) (query, error), encode encoder) api
 		if err := ctx.Err(); err != nil {
 			return statusForCtx(err), err
 		}
-		a := answer{g: st.g}
+		a := answer{g: st.Graph}
 		if q.stmt.Node != nil {
-			// The plan cache is generation-keyed on the snapshot identity (a
-			// rebuild flushes it); s resolves AS OF / VALID DURING states.
-			a.plan, err = plan.Compile(plan.Env{Graph: st.g, Catalog: st.cat, Query: q.text,
-				Cache: s.plans, History: s}, q.stmt.Node)
+			// The plan cache is the serving state's own; s resolves AS OF /
+			// VALID DURING states, each with a cache of its own.
+			a.plan, err = plan.Compile(plan.Env{Graph: st.Graph, Catalog: st.Catalog, Query: q.text,
+				Cache: st.Plans, History: s}, q.stmt.Node)
 			w.stages.compile = clock.lap()
 			if err != nil {
 				return http.StatusBadRequest, err

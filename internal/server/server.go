@@ -110,14 +110,6 @@ var endpointWeight = map[string]int64{
 	"ingest":    1,
 }
 
-// state is one consistent serving snapshot: the graph, its catalog, and
-// the series generation (number of ingested points) it was built from.
-type state struct {
-	g   *core.Graph
-	cat *materialize.Catalog
-	gen int
-}
-
 // Server is the graphtempod request handler. Create with New, mount
 // Handler on an http.Server, call BeginDrain on shutdown.
 type Server struct {
@@ -128,10 +120,11 @@ type Server struct {
 	reg     *metrics.Registry
 	series  *stream.Series
 	storage *storage.Engine
-	plans   *plan.Cache
-	hist    *lru.Cache[plan.HistState]
+	hist    *lru.Cache[*plan.State]
 
-	cur       atomic.Pointer[state]
+	// cur is the head serving state; its Gen is the series generation
+	// (number of ingested points) it was built from.
+	cur       atomic.Pointer[plan.State]
 	rebuildMu sync.Mutex
 	retired   materialize.Stats // counters of catalogs replaced by rebuilds
 
@@ -192,7 +185,6 @@ func New(cfg Config) (*Server, error) {
 		mux:      http.NewServeMux(),
 		reg:      metrics.NewRegistry(),
 		series:   cfg.Series,
-		plans:    plan.NewCache(0),
 		hist:     newHistCache(cfg.HistoryCacheBytes),
 		reqCount: make(map[string]*metrics.Counter),
 		latency:  make(map[string]*latencyHists),
@@ -204,7 +196,7 @@ func New(cfg Config) (*Server, error) {
 		s.series = cfg.Storage.Series()
 	}
 	if cfg.Graph != nil {
-		s.cur.Store(&state{g: cfg.Graph, cat: s.newCatalog(cfg.Graph), gen: -1})
+		s.cur.Store(plan.NewState(cfg.Graph, s.newCatalog(cfg.Graph), -1))
 	}
 	s.registerMetrics()
 	s.routes()
@@ -239,9 +231,10 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // the new points into the existing catalog in place — wherever in valid time
 // they landed, with queries continuing to serve the old generation until the
 // swap — else a counted stop-the-world rebuild when the delta is refused
-// (renumbered nodes, static back-fill). It returns an error (mapped to 503)
-// while no data has been ingested yet.
-func (s *Server) current() (*state, error) {
+// (renumbered nodes, static back-fill). Either way the new state starts with
+// an empty plan cache, and the retired graph's plans go with its state. It
+// returns an error (mapped to 503) while no data has been ingested yet.
+func (s *Server) current() (*plan.State, error) {
 	st := s.cur.Load()
 	if s.series == nil {
 		return st, nil
@@ -250,12 +243,12 @@ func (s *Server) current() (*state, error) {
 	if gen == 0 {
 		return nil, errNotReady
 	}
-	if st != nil && st.gen == gen {
+	if st != nil && st.Gen == gen {
 		return st, nil
 	}
 	s.rebuildMu.Lock()
 	defer s.rebuildMu.Unlock()
-	if st = s.cur.Load(); st != nil && st.gen == s.series.Len() {
+	if st = s.cur.Load(); st != nil && st.Gen == s.series.Len() {
 		return st, nil
 	}
 	gen = s.series.Len()
@@ -264,15 +257,11 @@ func (s *Server) current() (*state, error) {
 		return nil, err
 	}
 	if old := s.cur.Load(); old != nil {
-		stats, err := old.cat.Advance(g)
+		stats, err := old.Catalog.Advance(g)
 		if err == nil {
-			st = &state{g: g, cat: old.cat, gen: gen}
+			st = plan.NewState(g, old.Catalog, gen)
 			s.cur.Store(st)
-			// Bounded plans over the clean prefix keep serving; only plans
-			// that can observe a position at or past the first dirty one are
-			// evicted.
-			s.plans.Advance(g, old.cat, stats.FirstDirty)
-			if stats.FirstDirty < old.g.Timeline().Len() {
+			if stats.FirstDirty < old.Graph.Timeline().Len() {
 				// A retroactive point landed inside the old timeline.
 				s.retroApplies.Inc()
 			} else {
@@ -288,7 +277,7 @@ func (s *Server) current() (*state, error) {
 		s.log.Warn("catalog delta refused, rebuilding", "points", gen, "err", err)
 		// Fold the retiring catalog's counters into the cumulative base so
 		// /metrics stays monotonic across rebuilds.
-		os := old.cat.Stats()
+		os := old.Catalog.Stats()
 		s.retired.Scratch += os.Scratch
 		s.retired.Cached += os.Cached
 		s.retired.TDistributive += os.TDistributive
@@ -297,9 +286,8 @@ func (s *Server) current() (*state, error) {
 		s.retired.CacheDeduped += os.CacheDeduped
 		s.fullRebuilds.Inc()
 	}
-	st = &state{g: g, cat: s.newCatalog(g), gen: gen}
+	st = plan.NewState(g, s.newCatalog(g), gen)
 	s.cur.Store(st)
-	s.plans.Reset(g, st.cat)
 	s.observeVisibility(gen)
 	s.log.Info("serving state rebuilt", "points", gen, "nodes", g.NumNodes(), "edges", g.NumEdges())
 	return st, nil
@@ -355,7 +343,7 @@ func (s *Server) catalogStats() materialize.Stats {
 	defer s.rebuildMu.Unlock()
 	base := s.retired
 	if st := s.cur.Load(); st != nil {
-		cs := st.cat.Stats()
+		cs := st.Catalog.Stats()
 		base.Scratch += cs.Scratch
 		base.Cached += cs.Cached
 		base.TDistributive += cs.TDistributive
@@ -442,7 +430,7 @@ func (s *Server) registerMetrics() {
 				if st == nil {
 					return 0
 				}
-				return float64(bytes(st.g))
+				return float64(bytes(st.Graph))
 			}, metrics.Label{Key: "index", Value: ix.name})
 	}
 	r.CounterFunc("graphtempod_catalog_cache_evictions_total", "Results evicted from the serving cache.",
@@ -622,8 +610,8 @@ func (s *Server) routes() {
 				http.Error(w, "gen must be an integer", http.StatusBadRequest)
 				return
 			}
-			if st.gen < want {
-				http.Error(w, fmt.Sprintf("at generation %d, waiting for %d", st.gen, want),
+			if st.Gen < want {
+				http.Error(w, fmt.Sprintf("at generation %d, waiting for %d", st.Gen, want),
 					http.StatusServiceUnavailable)
 				return
 			}

@@ -171,8 +171,8 @@ func TestAggregateCatalogSources(t *testing.T) {
 		t.Fatalf("second answer source = %q, want cached", got)
 	}
 	// Materialize the per-point store, then a fresh interval composes.
-	gid, _ := s.cur.Load().g.AttrByName("gender")
-	if _, err := s.cur.Load().cat.Materialize(gid); err != nil {
+	gid, _ := s.cur.Load().Graph.AttrByName("gender")
+	if _, err := s.cur.Load().Catalog.Materialize(gid); err != nil {
 		t.Fatal(err)
 	}
 	req.Interval2 = IntervalSpec{From: "t2"}
@@ -530,8 +530,8 @@ func TestOneQueryOneCacheEntry(t *testing.T) {
 	if rec := post(s.Handler(), "/v1/tgql", `{"query":"`+stmt+`"}`); rec.Code != http.StatusOK {
 		t.Fatalf("tgql = %d %s", rec.Code, rec.Body)
 	}
-	if m, h := plan.CacheMisses.Value()-misses, plan.CacheHits.Value()-hits; m != 1 || h != 2 || s.plans.Len() != 1 {
-		t.Fatalf("one query took %d misses, %d hits, %d cache entries; want 1, 2, 1", m, h, s.plans.Len())
+	if m, h := plan.CacheMisses.Value()-misses, plan.CacheHits.Value()-hits; m != 1 || h != 2 || s.cur.Load().Plans.Len() != 1 {
+		t.Fatalf("one query took %d misses, %d hits, %d cache entries; want 1, 2, 1", m, h, s.cur.Load().Plans.Len())
 	}
 
 	var req AggregateRequest
@@ -546,7 +546,7 @@ func TestOneQueryOneCacheEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := plan.Compile(plan.Env{Graph: st.g, Catalog: st.cat}, q.stmt.Node)
+	p, err := plan.Compile(plan.Env{Graph: st.Graph, Catalog: st.Catalog}, q.stmt.Node)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -726,10 +726,10 @@ func TestGraphIndexBytesGauge(t *testing.T) {
 	}
 }
 
-// TestIngestReleasesOldRows: the tuple-code rows a scan builds on one
-// ingest generation are released when the next generation replaces it,
-// although the plan cache keeps that scan's plan — bound to the retired
-// graph — across the advance.
+// TestIngestReleasesOldRows: a retired ingest generation is unreachable once
+// the next one replaces it. Each serving state owns its plan cache, so no
+// plan bound to a retired graph outlives that graph's state, and no
+// retired graph keeps the tuple-code rows its scans built.
 func TestIngestReleasesOldRows(t *testing.T) {
 	s, ts := newStreamServer(t, Config{})
 	var gens []weak.Pointer[core.Graph]
@@ -740,7 +740,7 @@ func TestIngestReleasesOldRows(t *testing.T) {
 		if code, data := postJSON(t, ts.URL+"/v1/aggregate", scan); code != 200 {
 			t.Fatalf("aggregate = %d: %s", code, data)
 		}
-		g := s.cur.Load().g
+		g := s.cur.Load().Graph
 		if agg.TupleRowBytes(g) == 0 {
 			t.Fatalf("generation %d: the scan built no tuple-code rows", i)
 		}
@@ -749,17 +749,38 @@ func TestIngestReleasesOldRows(t *testing.T) {
 	for range 3 {
 		runtime.GC()
 	}
-	kept := 0
 	for i, w := range gens[:len(gens)-1] {
 		if g := w.Value(); g != nil {
-			kept++
-			if n := agg.TupleRowBytes(g); n != 0 {
-				t.Errorf("retired generation %d still holds %d bytes of tuple-code rows", i, n)
-			}
+			t.Errorf("retired generation %d is still reachable (%d bytes of tuple-code rows)", i, agg.TupleRowBytes(g))
 		}
 	}
-	if kept == 0 {
-		t.Fatal("no retired generation is reachable: the plan cache kept no plan across an advance")
+}
+
+// TestIngestStartsAnEmptyPlanCache: a query asked again after an ingest
+// compiles against the new generation — one more plan-cache miss — even
+// though its intervals end before the appended point.
+func TestIngestStartsAnEmptyPlanCache(t *testing.T) {
+	_, ts := newStreamServer(t, Config{})
+	ingestPoint(t, ts.URL, 0)
+	ingestPoint(t, ts.URL, 1)
+	q := TGQLRequest{Query: "AGG DIST gender ON INTERSECT(t0, t1)"}
+	ask := func() (misses, hits int64) {
+		t.Helper()
+		m, h := plan.CacheMisses.Value(), plan.CacheHits.Value()
+		if code, data := postJSON(t, ts.URL+"/v1/tgql", q); code != http.StatusOK {
+			t.Fatalf("tgql = %d: %s", code, data)
+		}
+		return plan.CacheMisses.Value() - m, plan.CacheHits.Value() - h
+	}
+	if m, _ := ask(); m != 1 {
+		t.Fatalf("first ask: %d misses, want 1", m)
+	}
+	if m, h := ask(); m != 0 || h != 1 {
+		t.Fatalf("second ask: %d misses, %d hits, want 0, 1", m, h)
+	}
+	ingestPoint(t, ts.URL, 2)
+	if m, h := ask(); m != 1 || h != 0 {
+		t.Fatalf("after an ingest: %d misses, %d hits, want 1, 0", m, h)
 	}
 }
 

@@ -224,13 +224,17 @@ func Lower(query string) (Statement, error) {
 	return parse(query)
 }
 
-// Result renders the statement's outcome against g, the graph it ran on:
-// the compiled plan's rendering for EXPLAIN (with the run's measurements
-// for EXPLAIN ANALYZE), the executed plan's payload
-// otherwise (p and pr are what plan.Compile and Plan.Execute returned for
-// Node), and — for the plan-less STATS and COARSEN — the statistics
-// computed here, directly over g.
+// Result renders the statement's outcome: the compiled plan's rendering for
+// EXPLAIN (with the run's measurements for EXPLAIN ANALYZE), the executed
+// plan's payload otherwise (p and pr are what plan.Compile and Plan.Execute
+// returned for Node), and — for the plan-less STATS and COARSEN — the
+// statistics computed here, directly over g, the serving graph. A planned
+// statement renders against the graph its plan ran on, which AS OF and
+// VALID DURING swap for a historical or windowed one.
 func (st Statement) Result(g *core.Graph, p *plan.Plan, pr *plan.Result) (*Result, error) {
+	if p != nil {
+		g = p.Graph()
+	}
 	switch {
 	case st.stats:
 		s := core.ComputeStats(g)

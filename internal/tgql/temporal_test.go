@@ -61,30 +61,30 @@ func replaySeries(t *testing.T) *stream.Series {
 	return s
 }
 
-// replayResolver serves plan.HistState via stream replay.
+// replayResolver serves plan.State via stream replay.
 type replayResolver struct{ s *stream.Series }
 
-func (r replayResolver) StateAt(txn int) (plan.HistState, error) {
+func (r replayResolver) StateAt(txn int) (*plan.State, error) {
 	if txn == 0 {
 		txn = r.s.Txn()
 	}
 	g, err := r.s.ReplayTo(txn)
 	if err != nil {
-		return plan.HistState{}, err
+		return nil, err
 	}
-	return plan.HistState{Graph: g}, nil
+	return &plan.State{Graph: g}, nil
 }
 
-func (r replayResolver) WindowAt(txn, from, to int) (plan.HistState, error) {
+func (r replayResolver) WindowAt(txn, from, to int) (*plan.State, error) {
 	st, err := r.StateAt(txn)
 	if err != nil {
-		return plan.HistState{}, err
+		return nil, err
 	}
 	wg, err := core.Window(st.Graph, from, to)
 	if err != nil {
-		return plan.HistState{}, err
+		return nil, err
 	}
-	return plan.HistState{Graph: wg}, nil
+	return &plan.State{Graph: wg}, nil
 }
 
 // TestTemporalClausesParse routes the clauses through every statement
@@ -191,7 +191,8 @@ func TestTemporalClauseErrors(t *testing.T) {
 }
 
 // TestValidDuringInlineWindow: with no resolver at all, VALID DURING still
-// works by windowing the live graph — and restricts what labels resolve.
+// works by windowing the live graph — restricts what labels resolve, and
+// labels TIMELINE's steps with the window's timeline.
 func TestValidDuringInlineWindow(t *testing.T) {
 	g := core.PaperExample()
 	res, err := Exec(g, "AGG DIST gender ON POINT t1 VALID DURING t1..t2")
@@ -208,5 +209,18 @@ func TestValidDuringInlineWindow(t *testing.T) {
 	if _, err := Exec(g, "AGG DIST gender ON POINT t0 VALID DURING t1..t2"); err == nil ||
 		!strings.Contains(err.Error(), `unknown time point "t0"`) {
 		t.Fatalf("POINT t0 outside window = %v, want unknown-point error", err)
+	}
+	wg, err := core.Window(g, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err = Exec(g, "TIMELINE BY gender VALID DURING t1..t2"); err != nil {
+		t.Fatal(err)
+	}
+	if want, err = Exec(wg, "TIMELINE BY gender"); err != nil {
+		t.Fatal(err)
+	}
+	if res.String() != want.String() {
+		t.Fatalf("windowed TIMELINE render:\n%s\nwant:\n%s", res, want)
 	}
 }
