@@ -67,12 +67,26 @@ type shard[V any] struct {
 type Cache[V any] struct {
 	shards []shard[V]
 	mask   uint32
+	cfg    Config
+	*counters
+}
 
+// counters are a cache's cumulative totals, shared with every cache Renew
+// derives from it.
+type counters struct {
 	hits, misses, deduped, evictions atomic.Int64
 }
 
 // New returns an empty cache sized by cfg.
-func New[V any](cfg Config) *Cache[V] {
+func New[V any](cfg Config) *Cache[V] { return newCache[V](cfg, &counters{}) }
+
+// Renew returns an empty cache with c's configuration whose counters
+// continue c's: both caches count into the same hit, miss, dedupe and
+// eviction totals, so a caller that replaces c by its renewal keeps
+// monotonic counters. c itself is left untouched and keeps serving.
+func (c *Cache[V]) Renew() *Cache[V] { return newCache[V](c.cfg, c.counters) }
+
+func newCache[V any](cfg Config, ctr *counters) *Cache[V] {
 	maxBytes := cfg.MaxBytes
 	if maxBytes <= 0 {
 		maxBytes = 64 << 20
@@ -85,7 +99,7 @@ func New[V any](cfg Config) *Cache[V] {
 	for pow < n {
 		pow <<= 1
 	}
-	c := &Cache[V]{shards: make([]shard[V], pow), mask: uint32(pow - 1)}
+	c := &Cache[V]{shards: make([]shard[V], pow), mask: uint32(pow - 1), cfg: cfg, counters: ctr}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.maxBytes = maxBytes / int64(pow)
@@ -229,19 +243,6 @@ func (c *Cache[V]) Do(key string, size func(V) int64, compute func() (V, error))
 	s.mu.Unlock()
 	cl.wg.Done()
 	return cl.val, false, cl.err
-}
-
-// Purge drops every resident entry (in-flight computations are untouched
-// and will insert their results when they finish).
-func (c *Cache[V]) Purge() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.items = make(map[string]*entry[V])
-		s.ring.next, s.ring.prev = &s.ring, &s.ring
-		s.bytes = 0
-		s.mu.Unlock()
-	}
 }
 
 // Len returns the number of resident entries.

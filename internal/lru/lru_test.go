@@ -123,16 +123,32 @@ func TestDoSingleflight(t *testing.T) {
 	}
 }
 
-func TestPurge(t *testing.T) {
-	c := New[int](Config{})
+// TestRenew: a renewed cache starts empty with the same budget, the old
+// cache keeps its entries, and both count into one set of totals.
+func TestRenew(t *testing.T) {
+	c := New[int](Config{MaxBytes: 4 * (10 + 1 + entryOverhead), Shards: 1})
 	c.Put("a", 1, 10)
 	c.Put("b", 2, 10)
-	c.Purge()
-	if c.Len() != 0 {
-		t.Fatalf("Len after purge = %d", c.Len())
+	c.Get("a")
+	r := c.Renew()
+	if r.Len() != 0 {
+		t.Fatalf("Len after renew = %d", r.Len())
 	}
-	if st := c.Stats(); st.Bytes != 0 || st.Entries != 0 {
-		t.Fatalf("stats after purge = %+v", st)
+	if st := r.Stats(); st.Bytes != 0 || st.Entries != 0 || st.Hits != 1 {
+		t.Fatalf("renewed stats = %+v, want empty with the old hit", st)
+	}
+	if v, ok := c.Get("b"); !ok || v != 2 {
+		t.Fatalf("old cache lost b: %v %v", v, ok)
+	}
+	for _, k := range []string{"c", "d", "e", "f", "g"} {
+		r.Put(k, 0, 10)
+	}
+	old, renewed := c.Stats(), r.Stats()
+	if renewed.Evictions != 1 || renewed.Entries != 4 {
+		t.Fatalf("renewed cache: %+v, want 4 entries and 1 eviction at its own budget", renewed)
+	}
+	if old.Hits != 2 || old.Evictions != renewed.Evictions || old.Entries != 2 {
+		t.Fatalf("old cache: %+v, want its 2 entries and the shared totals", old)
 	}
 }
 

@@ -7,12 +7,16 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/gtest"
+	"repro/internal/ops"
+	"repro/internal/stream"
 	"repro/internal/timeline"
 )
 
@@ -48,6 +52,7 @@ func replayAdvance(t *testing.T, g *core.Graph, attrSets [][]core.AttrID) (*Cata
 		if err != nil {
 			t.Fatalf("advance to point %d: %v", tp, err)
 		}
+		cat = stats.Catalog
 		total.NewPoints += stats.NewPoints
 		total.Extended += stats.Extended
 		total.Rebuilt += stats.Rebuilt
@@ -186,6 +191,7 @@ func TestAdvanceCodingChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cat = stats.Catalog
 	if stats.Extended != 1 || stats.Rebuilt != 0 {
 		t.Fatalf("same-coding advance: extended=%d rebuilt=%d, want 1/0", stats.Extended, stats.Rebuilt)
 	}
@@ -197,6 +203,7 @@ func TestAdvanceCodingChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cat = stats.Catalog
 	if stats.Extended != 0 || stats.Rebuilt != 1 {
 		t.Fatalf("coding-change advance: extended=%d rebuilt=%d, want 0/1", stats.Extended, stats.Rebuilt)
 	}
@@ -264,42 +271,71 @@ func TestAdvanceRejectsNonExtension(t *testing.T) {
 	}
 }
 
-// TestAdvanceConcurrentHammer mixes a writer advancing the catalog with 15
-// reader goroutines issuing composed interval queries — run under -race it
-// proves old generations keep serving while deltas fold in.
+// TestAdvanceConcurrentHammer runs a writer that moves the head catalog
+// through tail appends, retroactive inserts and one refused advance
+// (Rebuild) against 15 readers that load the head from an atomic pointer, as
+// the server does. Each reader resolves its interval on the graph of the
+// catalog it loaded and requires the catalog's answer to equal scratch over
+// that graph, whichever catalog is the head by the time it runs — under
+// -race it proves a catalog keeps answering over its own graph while its
+// successors take over.
 func TestAdvanceConcurrentHammer(t *testing.T) {
 	const (
 		readers = 15
-		points  = 40
+		steps   = 40
+		nodes   = 20
 	)
-	acc := core.NewAccumulator(
+	s := stream.New(
 		core.AttrSpec{Name: "color", Kind: core.Static},
 		core.AttrSpec{Name: "load", Kind: core.TimeVarying},
 	)
 	wr := rand.New(rand.NewSource(99))
-	grow := func(tp int) *core.Graph {
-		acc.AddPoint(fmt.Sprintf("t%d", tp))
-		for i := 0; i < 6; i++ {
-			n := wr.Intn(20)
-			id := acc.EnsureNode(fmt.Sprintf("n%d", n))
-			acc.SetNodeTime(id)
-			// Static values must stay consistent across points (the stream
-			// layer enforces this); derive the color from the node identity.
-			acc.SetStatic(0, id, fmt.Sprintf("c%d", n%3))
-			acc.SetVarying(1, id, fmt.Sprintf("l%d", wr.Intn(4)))
+	record := func(label string, color int) stream.NodeRecord {
+		return stream.NodeRecord{
+			Label:   label,
+			Static:  map[string]string{"color": fmt.Sprintf("c%d", color)},
+			Varying: map[string]string{"load": fmt.Sprintf("l%d", wr.Intn(4))},
 		}
-		return acc.Snapshot()
 	}
-
-	cat := NewCatalog(grow(0))
-	if _, err := cat.Materialize(0); err != nil {
+	// batch draws 6 of the original nodes (every one of them is born at the
+	// first point, so a retroactive batch of them renumbers nothing) plus
+	// any new ones, and a few edges among them.
+	batch := func(newNodes ...string) stream.Snapshot {
+		var snap stream.Snapshot
+		for _, n := range wr.Perm(nodes)[:6] {
+			snap.Nodes = append(snap.Nodes, record(fmt.Sprintf("n%d", n), n%3))
+		}
+		for _, l := range newNodes {
+			snap.Nodes = append(snap.Nodes, record(l, 0))
+		}
+		for i := 1; i < len(snap.Nodes); i += 2 {
+			snap.Edges = append(snap.Edges, stream.EdgeRecord{U: snap.Nodes[i-1].Label, V: snap.Nodes[i].Label})
+		}
+		return snap
+	}
+	var first stream.Snapshot
+	for n := 0; n < nodes; n++ {
+		first.Nodes = append(first.Nodes, record(fmt.Sprintf("n%d", n), n%3))
+	}
+	if err := s.Append("t0", first); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cat.Materialize(0, 1); err != nil {
-		t.Fatal(err)
+	attrSets := [][]core.AttrID{{0}, {0, 1}, {1}} // the last has no store
+	withStores := func(cat *Catalog) *Catalog {
+		for _, as := range attrSets[:2] {
+			if _, err := cat.Materialize(as...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return cat
 	}
+	var head atomic.Pointer[Catalog]
+	head.Store(withStores(NewCatalog(seriesGraph(t, s))))
 
-	var wg sync.WaitGroup
+	var (
+		wg    sync.WaitGroup
+		reads atomic.Int64
+	)
 	stop := make(chan struct{})
 	errc := make(chan error, readers)
 	for i := 0; i < readers; i++ {
@@ -313,42 +349,93 @@ func TestAdvanceConcurrentHammer(t *testing.T) {
 					return
 				default:
 				}
+				// One session: several requests on the catalog loaded at its
+				// start, which the writer may retire in the meantime.
+				cat := head.Load()
 				g := cat.Graph()
-				tl := g.Timeline()
-				a := r.Intn(tl.Len())
-				b := a + r.Intn(tl.Len()-a)
-				iv := tl.Range(timeline.Time(a), timeline.Time(b))
-				attrs := []core.AttrID{0}
-				if r.Intn(2) == 0 {
-					attrs = []core.AttrID{0, 1}
-				}
-				st, err := cat.Materialize(attrs...)
-				if err != nil {
-					errc <- err
-					return
-				}
-				if !st.UnionAll(iv).Equal(st.UnionAllLinear(iv)) {
-					errc <- fmt.Errorf("composed result over %s diverged from linear reference", iv)
-					return
-				}
-				if _, _, err := cat.UnionAll(iv, attrs...); err != nil {
-					errc <- err
-					return
+				for q := 0; q < 8; q++ {
+					iv := gtest.RandomRange(r, g.Timeline())
+					attrs := attrSets[r.Intn(len(attrSets))]
+					got, _, err := cat.UnionAll(iv, attrs...)
+					if err != nil {
+						errc <- err
+						return
+					}
+					want := agg.Aggregate(ops.Union(g, iv, iv), agg.MustSchema(g, attrs...), agg.All)
+					gb, _ := json.Marshal(got)
+					wb, _ := json.Marshal(want)
+					if !bytes.Equal(gb, wb) {
+						errc <- fmt.Errorf("UnionAll %v over %s of a %d-point graph:\n%s\nscratch:\n%s", attrs, iv, g.Timeline().Len(), gb, wb)
+						return
+					}
+					if st, ok := cat.store(attrsKey(attrs)); ok && !st.UnionAll(iv).Equal(st.UnionAllLinear(iv)) {
+						errc <- fmt.Errorf("composed result over %s diverged from linear reference", iv)
+						return
+					}
+					reads.Add(1)
 				}
 			}
 		}(int64(i))
 	}
 
-	for tp := 1; tp < points; tp++ {
-		if _, err := cat.Advance(grow(tp)); err != nil {
-			close(stop)
-			t.Fatalf("advance %d: %v", tp, err)
+	// The writer: tail appends, a retroactive insert every fourth step, and
+	// at mid-run a tail point with a new node followed by a retroactive
+	// point with another new node before it — that renumbers the first, so
+	// the advance is refused and the head is rebuilt.
+	var tails, retros, refusals int
+	write := func() error {
+		lateLabel := ""
+		for step := 1; step < steps; step++ {
+			old := head.Load()
+			labels := old.Graph().Timeline().Labels()
+			var err error
+			switch {
+			case step == steps/2:
+				lateLabel = fmt.Sprintf("t%d", step)
+				err = s.Append(lateLabel, batch("late"))
+			case step == steps/2+1:
+				_, err = s.AppendAt(fmt.Sprintf("r%d", step), batch("early"), lateLabel)
+			case step%4 == 0:
+				_, err = s.AppendAt(fmt.Sprintf("r%d", step), batch(), labels[1+wr.Intn(len(labels)-1)])
+			default:
+				err = s.Append(fmt.Sprintf("t%d", step), batch())
+			}
+			if err != nil {
+				return fmt.Errorf("step %d: %w", step, err)
+			}
+			g := seriesGraph(t, s)
+			adv, err := old.Advance(g)
+			next := adv.Catalog
+			switch {
+			case errors.Is(err, ErrNotExtension):
+				refusals++
+				next = withStores(old.Rebuild(g))
+			case err != nil:
+				return fmt.Errorf("step %d: %w", step, err)
+			case adv.FirstDirty < len(labels):
+				retros++
+			default:
+				tails++
+			}
+			head.Store(next)
+			// Let the readers see every head before the next one replaces it.
+			for reads.Load() < int64(step*readers) && len(errc) == 0 {
+				time.Sleep(100 * time.Microsecond)
+			}
 		}
+		return nil
 	}
+	err := write()
 	close(stop)
 	wg.Wait()
 	close(errc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for err := range errc {
 		t.Error(err)
+	}
+	if tails == 0 || retros == 0 || refusals != 1 {
+		t.Errorf("writer made %d tail advances, %d retroactive ones and %d refusals; want some, some and 1", tails, retros, refusals)
 	}
 }

@@ -30,9 +30,8 @@ import (
 // had when built (a missing tail reads as zero), and appending one time
 // point costs O(slots) for the new prefix entry — never a rebuild of
 // history. extend produces a NEW composer sharing the frozen backing
-// arrays with its parent, so readers of the old generation are undisturbed;
-// a composer may be extended at most once (Catalog.Advance enforces a
-// single lineage).
+// arrays with its parent, so readers of the old generation are undisturbed
+// and two extensions of one composer never see each other's points.
 //
 // The structures are built lazily on the first composed query (sync.Once,
 // so a Store is safe for concurrent UnionAll callers) and cost

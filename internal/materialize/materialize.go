@@ -79,9 +79,7 @@ func NewStore(g *core.Graph, s *agg.Schema) *Store {
 // It fails with ErrCodingChanged when an attribute dictionary grew or was
 // re-ordered (a mid-timeline insert replays valid order, which can change
 // which value is seen first): the old vectors are then not comparable and
-// the caller rebuilds from scratch. The old store is left fully usable; a
-// store may be extended at most once (callers serialize lineage —
-// Catalog.Advance does so under its lock).
+// the caller rebuilds from scratch. The old store is left fully usable.
 func (st *Store) Extend(newG *core.Graph, inserted []int) (*Store, error) {
 	s2, err := agg.NewSchema(newG, st.schema.Attrs()...)
 	if err != nil {
@@ -239,30 +237,24 @@ type catEntry struct {
 	src Source
 }
 
-// Catalog serves union-ALL aggregate requests over one evolving graph,
+// Catalog serves union-ALL aggregate requests over one graph, for life,
 // reusing a per-time-point store per attribute set and caching full
 // results in a sharded LRU. All methods are safe for concurrent use:
 // distinct requests proceed in parallel (mutex-per-shard cache,
 // RWMutex-guarded store set) and concurrent identical requests are
-// deduplicated onto one computation. Advance folds new time points into
-// every store; the result cache survives it when they are a suffix of the
-// timeline (interval cache keys are label-based, so every cached result
-// stays correct) and is purged when one landed earlier.
+// deduplicated onto one computation. Nothing changes a catalog's graph: a
+// longer history gets a successor catalog (Advance, or Rebuild when the
+// advance is refused) that continues the answer and cache counters, so a
+// request still running on the predecessor answers over the predecessor's
+// graph and caches into the predecessor's cache.
 type Catalog struct {
-	mu          sync.RWMutex
-	g           *core.Graph // current graph; replaced by Advance
-	gen         uint64      // bumped by Advance; guards in-flight builds
-	stores      map[string]*Store
-	storeFlight map[string]*storeCall
+	g *core.Graph
+
+	mu     sync.RWMutex
+	stores map[string]*Store
 
 	cache *lru.Cache[catEntry]
-	hits  [numSources]atomic.Int64
-}
-
-type storeCall struct {
-	wg  sync.WaitGroup
-	st  *Store
-	err error
+	hits  *[numSources]atomic.Int64 // shared with successors
 }
 
 // NewCatalog returns an empty catalog over g with the default cache
@@ -274,10 +266,10 @@ func NewCatalog(g *core.Graph) *Catalog {
 // NewCatalogWith returns an empty catalog over g sized by cfg.
 func NewCatalogWith(g *core.Graph, cfg CatalogConfig) *Catalog {
 	return &Catalog{
-		g:           g,
-		stores:      make(map[string]*Store),
-		storeFlight: make(map[string]*storeCall),
-		cache:       lru.New[catEntry](lru.Config{MaxBytes: cfg.MaxBytes, Shards: cfg.Shards}),
+		g:      g,
+		stores: make(map[string]*Store),
+		cache:  lru.New[catEntry](lru.Config{MaxBytes: cfg.MaxBytes, Shards: cfg.Shards}),
+		hits:   new([numSources]atomic.Int64),
 	}
 }
 
@@ -292,66 +284,29 @@ func attrsKey(attrs []core.AttrID) string {
 	return string(b)
 }
 
-// graph returns the catalog's current graph.
-func (c *Catalog) graph() *core.Graph {
-	c.mu.RLock()
-	g := c.g
-	c.mu.RUnlock()
-	return g
-}
-
-// Graph returns the graph the catalog currently serves (the newest
-// generation after Advance calls).
-func (c *Catalog) Graph() *core.Graph { return c.graph() }
+// Graph returns the graph the catalog serves.
+func (c *Catalog) Graph() *core.Graph { return c.g }
 
 // Materialize builds (or returns) the per-time-point store for the given
-// attribute set. Concurrent calls for the same attribute set share one
-// construction. If the catalog Advances while a store is being built, the
-// build catches up on the new points before registering.
+// attribute set. The build runs outside the lock; when concurrent calls
+// race on one attribute set, the first store registered wins and every
+// caller gets it.
 func (c *Catalog) Materialize(attrs ...core.AttrID) (*Store, error) {
 	key := attrsKey(attrs)
-	c.mu.Lock()
-	if st, ok := c.stores[key]; ok {
-		c.mu.Unlock()
+	if st, ok := c.store(key); ok {
 		return st, nil
 	}
-	if call, ok := c.storeFlight[key]; ok {
-		c.mu.Unlock()
-		call.wg.Wait()
-		return call.st, call.err
+	st, err := buildStore(c.g, attrs)
+	if err != nil {
+		return nil, err
 	}
-	call := &storeCall{}
-	call.wg.Add(1)
-	c.storeFlight[key] = call
-	g, gen := c.g, c.gen
-	c.mu.Unlock()
-
-	st, err := buildStore(g, attrs)
-
 	c.mu.Lock()
-	// The catalog may have advanced while we built against the old graph;
-	// fold the missed points in (or rebuild on a coding change) until the
-	// generation holds still.
-	for err == nil && c.gen != gen {
-		g, gen = c.g, c.gen
-		c.mu.Unlock()
-		inserted, aerr := newPoints(st.schema.Graph(), g)
-		if aerr == nil {
-			st, aerr = st.Extend(g, inserted)
-		}
-		if aerr != nil {
-			st, err = buildStore(g, attrs)
-		}
-		c.mu.Lock()
+	defer c.mu.Unlock()
+	if old, ok := c.stores[key]; ok {
+		return old, nil
 	}
-	delete(c.storeFlight, key)
-	if err == nil {
-		c.stores[key] = st
-	}
-	call.st, call.err = st, err
-	c.mu.Unlock()
-	call.wg.Done()
-	return call.st, call.err
+	c.stores[key] = st
+	return st, nil
 }
 
 func buildStore(g *core.Graph, attrs []core.AttrID) (*Store, error) {
@@ -364,6 +319,8 @@ func buildStore(g *core.Graph, attrs []core.AttrID) (*Store, error) {
 
 // AdvanceStats reports what one Catalog.Advance did.
 type AdvanceStats struct {
+	// Catalog is the successor catalog over the new graph.
+	Catalog *Catalog
 	// NewPoints is how many time points the new graph has beyond the old.
 	NewPoints int
 	// Extended counts stores folded forward incrementally (Store.Extend).
@@ -446,25 +403,23 @@ func checkLineage(old, new *core.Graph) error {
 	return nil
 }
 
-// Advance folds the delta between the catalog's current graph and newG into
-// every materialized store — the one way a catalog moves to a longer
-// history. newG's timeline must contain the current labels as a subsequence
-// (newPoints) and agree with the current graph on schema, node identities
-// and static values (checkLineage); anything else is refused with
-// ErrNotExtension or ErrStaticBackfill, the catalog keeps serving its
-// current graph, and the caller rebuilds. Each store absorbs the new points
-// (Store.Extend) or is rebuilt from scratch when its tuple coding changed,
-// then the catalog switches to newG. Concurrent readers keep serving the
-// old stores until the swap; in-flight Materialize builds catch up on their
-// own.
+// Advance returns the successor catalog over newG, the one way a catalog
+// moves to a longer history; the catalog itself is left unchanged and keeps
+// answering over its own graph. newG's timeline must contain the catalog's
+// labels as a subsequence (newPoints) and agree with its graph on schema,
+// node identities and static values (checkLineage); anything else is
+// refused with ErrNotExtension or ErrStaticBackfill and the caller falls
+// back to Rebuild. Each store is carried to newG (Store.Extend) or rebuilt
+// from scratch when its tuple coding changed.
 //
-// What survives is decided by where the new points landed, not by the
-// caller. A suffix of the new timeline (FirstDirty == the old length: a
-// tail append) keeps the result cache and hit counters — cache keys are
-// label-based interval strings and nothing an old label range covers
-// changed. A point that landed earlier (a retroactive insert) puts one more
-// point inside every label range spanning it, so the result cache is
-// purged; FirstDirty reports which case it was.
+// Whether the result cache carries over is decided by where the new points
+// landed, not by the caller. When they are a suffix of the new timeline
+// (FirstDirty == the old length: a tail append) the successor shares the
+// catalog's cache — cache keys are label-based interval strings and nothing
+// an old label range covers changed, so either catalog may fill it. A point
+// that landed earlier (a retroactive insert) puts one more point inside every
+// label range spanning it, so the successor starts with a fresh cache.
+// Answer and cache counters continue either way.
 //
 // The superseded graph's tuple-code rows are released (agg.ReleaseRows).
 // What still holds that graph — the per-point aggregates a store carries
@@ -473,11 +428,9 @@ func checkLineage(old, new *core.Graph) error {
 // successors on an accumulator); a reader that scans it again rebuilds the
 // rows it reads.
 func (c *Catalog) Advance(newG *core.Graph) (AdvanceStats, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	oldN := c.g.Timeline().Len()
 	if newG == c.g {
-		return AdvanceStats{FirstDirty: oldN}, nil
+		return AdvanceStats{Catalog: c, FirstDirty: oldN}, nil
 	}
 	inserted, err := newPoints(c.g, newG)
 	if err != nil {
@@ -490,6 +443,12 @@ func (c *Catalog) Advance(newG *core.Graph) (AdvanceStats, error) {
 	if len(inserted) > 0 {
 		stats.FirstDirty = inserted[0]
 	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	next := &Catalog{g: newG, stores: make(map[string]*Store, len(c.stores)), cache: c.cache, hits: c.hits}
+	if stats.FirstDirty < oldN {
+		next.cache = c.cache.Renew()
+	}
 	for key, st := range c.stores {
 		ext, err := st.Extend(newG, inserted)
 		if err == nil {
@@ -497,17 +456,21 @@ func (c *Catalog) Advance(newG *core.Graph) (AdvanceStats, error) {
 		} else if ext, err = buildStore(newG, st.schema.Attrs()); err == nil {
 			stats.Rebuilt++
 		} else {
-			return stats, err
+			return AdvanceStats{}, err
 		}
-		c.stores[key] = ext
-	}
-	if stats.FirstDirty < oldN {
-		c.cache.Purge()
+		next.stores[key] = ext
 	}
 	agg.ReleaseRows(c.g)
-	c.g = newG
-	c.gen++
+	stats.Catalog = next
 	return stats, nil
+}
+
+// Rebuild returns an empty successor catalog over g — no stores, a fresh
+// result cache with the catalog's configuration — whose answer and cache
+// counters continue the catalog's. It is the fallback when Advance refuses
+// g.
+func (c *Catalog) Rebuild(g *core.Graph) *Catalog {
+	return &Catalog{g: g, stores: make(map[string]*Store), cache: c.cache.Renew(), hits: c.hits}
 }
 
 // store returns the materialized store for the exact attribute set, if any.
@@ -596,7 +559,7 @@ func (c *Catalog) computeUnionAll(skey string, iv timeline.Interval, attrs []cor
 			}
 		}
 	}
-	g := c.graph()
+	g := c.g
 	s, err := agg.NewSchema(g, attrs...)
 	if err != nil {
 		return catEntry{}, err

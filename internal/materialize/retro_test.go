@@ -12,6 +12,7 @@ import (
 	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/gtest"
+	"repro/internal/ops"
 	"repro/internal/stream"
 	"repro/internal/timeline"
 )
@@ -89,6 +90,10 @@ func TestAdvanceRetroExtendsStores(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Advance: %v", err)
 	}
+	if cat.Graph() != g {
+		t.Fatal("Advance moved the catalog off its graph")
+	}
+	cat = stats.Catalog
 	if stats.NewPoints != 1 || stats.FirstDirty != 1 {
 		t.Fatalf("stats = %+v, want NewPoints=1 FirstDirty=1", stats)
 	}
@@ -96,7 +101,7 @@ func TestAdvanceRetroExtendsStores(t *testing.T) {
 		t.Fatalf("stats = %+v, want 2 stores touched", stats)
 	}
 	if cat.Graph() != newG {
-		t.Fatal("catalog did not adopt the new graph")
+		t.Fatal("the successor catalog does not serve the new graph")
 	}
 
 	r := rand.New(rand.NewSource(11))
@@ -110,6 +115,59 @@ func TestAdvanceRetroExtendsStores(t *testing.T) {
 		t.Fatal("gender+publications store vanished across the advance")
 	}
 	checkStoreEquivalence(t, r, newG, st2, both)
+}
+
+// TestRetiredCatalogAnswersItsOwnGraph: a request that reaches a catalog
+// after a retroactive advance replaced it answers over that catalog's graph,
+// through a store and through scratch, and nothing it computes reaches the
+// successor, which answers over the new graph from a fresh cache.
+func TestRetiredCatalogAnswersItsOwnGraph(t *testing.T) {
+	s := retroSeries(t)
+	g1 := seriesGraph(t, s)
+	c1 := NewCatalog(g1)
+	gender := []core.AttrID{g1.MustAttr("gender")}
+	both := []core.AttrID{g1.MustAttr("gender"), g1.MustAttr("publications")}
+	if _, err := c1.Materialize(gender...); err != nil { // both stays scratch
+		t.Fatal(err)
+	}
+	if _, err := s.AppendAt("t0b", retroSnap("u2", "f", "4"), "t1"); err != nil {
+		t.Fatal(err)
+	}
+	g2 := seriesGraph(t, s)
+	adv, err := c1.Advance(g2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2 := adv.Catalog
+	scratch := func(g *core.Graph, iv timeline.Interval, attrs []core.AttrID) []byte {
+		return mustJSON(t, agg.Aggregate(ops.Union(g, iv, iv), agg.MustSchema(g, attrs...), agg.All))
+	}
+	iv1 := g1.Timeline().Range(1, 2) // [t1,t2] on the old timeline
+	for _, attrs := range [][]core.AttrID{gender, both} {
+		got, _, err := c1.UnionAll(iv1, attrs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := scratch(g1, iv1, attrs); !bytes.Equal(mustJSON(t, got), want) {
+			t.Errorf("retired catalog, %v over %s:\n%s\nwant\n%s", attrs, iv1, mustJSON(t, got), want)
+		}
+	}
+	if n := c2.Stats().CacheEntries; n != 0 {
+		t.Errorf("the successor holds %d results the retired catalog computed", n)
+	}
+	iv2 := g2.Timeline().Range(2, 3) // [t1,t2] on the new timeline
+	for _, attrs := range [][]core.AttrID{gender, both} {
+		got, src, err := c2.UnionAll(iv2, attrs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if src == Cached {
+			t.Errorf("successor answered %v over %s from cache", attrs, iv2)
+		}
+		if want := scratch(g2, iv2, attrs); !bytes.Equal(mustJSON(t, got), want) {
+			t.Errorf("successor, %v over %s:\n%s\nwant\n%s", attrs, iv2, mustJSON(t, got), want)
+		}
+	}
 }
 
 // TestAdvanceRetroTailAndMiddle mixes a trailing append into the same
@@ -133,6 +191,7 @@ func TestAdvanceRetroTailAndMiddle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Advance: %v", err)
 	}
+	cat = stats.Catalog
 	if stats.NewPoints != 2 || stats.FirstDirty != 2 {
 		t.Fatalf("stats = %+v, want NewPoints=2 FirstDirty=2", stats)
 	}
@@ -273,8 +332,7 @@ func TestAdvanceRandomHistories(t *testing.T) {
 		}
 		g := seriesGraph(t, s)
 		attrSets := [][]core.AttrID{{g.MustAttr("colour")}, {g.MustAttr("load")}, {g.MustAttr("colour"), g.MustAttr("load")}}
-		newCat := func(g *core.Graph) *Catalog {
-			cat := NewCatalog(g)
+		withStores := func(cat *Catalog) *Catalog {
 			for _, as := range attrSets {
 				if _, err := cat.Materialize(as...); err != nil {
 					t.Fatal(err)
@@ -282,7 +340,7 @@ func TestAdvanceRandomHistories(t *testing.T) {
 			}
 			return cat
 		}
-		cat := newCat(g)
+		cat := withStores(NewCatalog(g))
 
 		arrived := []int{0}
 		order := r.Perm(points - 1)
@@ -323,9 +381,10 @@ func TestAdvanceRandomHistories(t *testing.T) {
 					t.Fatalf("seed %d: refused advance moved the catalog off its graph", seed)
 				}
 				refusals++
-				cat = newCat(newG)
+				cat = withStores(cat.Rebuild(newG))
 				continue
 			}
+			cat = stats.Catalog
 			if stats.FirstDirty != firstDirty || stats.NewPoints != len(arrived)-oldN || stats.Extended+stats.Rebuilt != len(attrSets) {
 				t.Fatalf("seed %d: stats %+v, want FirstDirty=%d NewPoints=%d over %d stores", seed, stats, firstDirty, len(arrived)-oldN, len(attrSets))
 			}

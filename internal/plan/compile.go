@@ -20,9 +20,11 @@ import (
 type Env struct {
 	// Graph is the base graph. Required.
 	Graph *core.Graph
-	// Catalog, when set, enables the catalog-backed UnionAll operator for
-	// union-ALL aggregates (T-distributive / D-distributive reuse, §4.3).
-	// Nil compiles every aggregate to direct recompute.
+	// Catalog, when set, enables the catalog-backed operators for
+	// union-ALL aggregates and ALL trends (T-distributive / D-distributive
+	// reuse, §4.3). It is used only when its Graph() is Graph: a catalog
+	// built over another graph is ignored, and so is nil — every aggregate
+	// then compiles to direct recompute.
 	Catalog *materialize.Catalog
 	// Query is the originating query text, used only to position
 	// resolution errors ("" renders plain messages for wire requests).
@@ -153,6 +155,11 @@ func Compile(env Env, node Logical) (*Plan, error) {
 	env, err := resolveHistory(env, node)
 	if err != nil {
 		return nil, err
+	}
+	// A catalog answers over its own graph's timeline; paired with another
+	// graph it would resolve intervals on one and aggregate the other.
+	if env.Catalog != nil && env.Catalog.Graph() != env.Graph {
+		env.Catalog = nil
 	}
 	var key string
 	if env.Cache != nil {

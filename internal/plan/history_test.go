@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -296,17 +297,115 @@ func TestReadAfterAdvanceLeavesRetiredRows(t *testing.T) {
 		t.Fatal("the scan built no tuple-code rows")
 	}
 	g2 := appendPoint(2)
-	if _, err := cat.Advance(g2); err != nil {
+	adv, err := cat.Advance(g2)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if n := agg.TupleRowBytes(g1); n != 0 {
 		t.Fatalf("Catalog.Advance left %d bytes of the retired graph's rows", n)
 	}
-	st2 := plan.NewState(g2, cat, s.Len())
-	read(g2, cat, st2.Plans)
+	st2 := plan.NewState(g2, adv.Catalog, s.Len())
+	read(g2, adv.Catalog, st2.Plans)
 	moved.Advance(g2, cat, 2)
 	read(g2, cat, moved)
 	if n := agg.TupleRowBytes(g1); n != 0 {
 		t.Errorf("a read after the advance rebuilt %d bytes of the retired graph's rows", n)
+	}
+}
+
+// TestLatePlansOnRetiredState compiles a union-ALL aggregate and an ALL
+// trend on one serving state, advances past a retroactive point and runs
+// them late: each answers over its own state's graph. The successor state
+// answers both over the new graph, from none of the results the retired
+// state computed.
+func TestLatePlansOnRetiredState(t *testing.T) {
+	full := core.PaperExample()
+	s := stream.New(full.Attrs()...)
+	for ti := 0; ti < 3; ti++ {
+		label, snap := pointBatch(full, ti)
+		if err := s.Append(label, snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g1, err := s.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	union := &plan.Aggregate{
+		Op:    plan.TemporalOp{Op: plan.OpUnion, A: plan.IntervalRef{From: "t1"}, B: plan.IntervalRef{From: "t2"}},
+		Attrs: []string{"gender"},
+		Kind:  "all",
+	}
+	trend := &plan.Trend{Kind: "all", Attrs: []string{"gender"}, Width: 2}
+	env := func(st *plan.State) plan.Env {
+		return plan.Env{Graph: st.Graph, Catalog: st.Catalog, Cache: st.Plans}
+	}
+	answer := func(res *plan.Result) string {
+		if res.Trend != nil {
+			return mustJSON(t, res.Trend)
+		}
+		return mustJSON(t, res.Agg)
+	}
+	scratch := func(g *core.Graph, node plan.Logical) string {
+		return answer(execute(t, plan.Env{Graph: g}, node))
+	}
+
+	s1 := plan.NewState(g1, materialize.NewCatalog(g1), s.Len())
+	var late []*plan.Plan
+	for _, node := range []plan.Logical{union, trend} {
+		p, err := plan.Compile(env(s1), node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		late = append(late, p)
+	}
+
+	// A copy of t0's batch lands before t1: no node is new, so the catalog
+	// advances instead of rebuilding.
+	_, snap := pointBatch(full, 0)
+	if _, err := s.AppendAt("t0b", snap, "t1"); err != nil {
+		t.Fatal(err)
+	}
+	g2, err := s.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	adv, err := s1.Catalog.Advance(g2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if adv.FirstDirty != 1 {
+		t.Fatalf("FirstDirty = %d, want the retroactive position 1", adv.FirstDirty)
+	}
+	s2 := plan.NewState(g2, adv.Catalog, s.Len())
+
+	for i, p := range late {
+		res, err := p.Execute(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := answer(res), scratch(g1, p.Logical()); got != want {
+			t.Errorf("late %s on the retired state:\n%s\nwant\n%s", []string{"union", "trend"}[i], got, want)
+		}
+	}
+	if n := s2.Catalog.Stats().CacheEntries; n != 0 {
+		t.Errorf("the successor's catalog holds %d results the retired state computed", n)
+	}
+	for _, node := range []plan.Logical{union, trend} {
+		res := execute(t, env(s2), node)
+		if node == plan.Logical(union) && res.AggSource == materialize.Cached {
+			t.Error("the successor answered the union from cache")
+		}
+		if got, want := answer(res), scratch(g2, node); got != want {
+			t.Errorf("%s on the successor:\n%s\nwant\n%s", node.Key(), got, want)
+		}
+		// The retired catalog paired with the new graph is ignored.
+		p, err := plan.Compile(plan.Env{Graph: g2, Catalog: s1.Catalog}, node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if op := p.Op(); op == "CatalogUnionAll" || op == "TrendCatalog" {
+			t.Errorf("%s compiled to %s over a catalog of another graph", node.Key(), op)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -262,22 +263,88 @@ func TestAsOfStaticModeRejected(t *testing.T) {
 	}
 }
 
+// catalogCounters scrapes the catalog's cumulative counters from /metrics:
+// the answers by source and the cache evictions.
+func catalogCounters(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	_, body := get(t, base+"/metrics")
+	out := map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if !strings.HasPrefix(line, "graphtempod_catalog_answers_total{") &&
+			!strings.HasPrefix(line, "graphtempod_catalog_cache_evictions_total ") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("metric line %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	if len(out) != 5 {
+		t.Fatalf("scraped %d catalog counters, want 4 sources and evictions: %v", len(out), out)
+	}
+	return out
+}
+
+// requireMonotonic fails when a catalog counter fell between two scrapes.
+func requireMonotonic(t *testing.T, what string, before, after map[string]float64) {
+	t.Helper()
+	for k, v := range before {
+		if after[k] < v {
+			t.Errorf("%s: %s fell from %v to %v", what, k, v, after[k])
+		}
+	}
+}
+
+// catalogRound sends union-ALL queries the head's catalog answers, over
+// each label for three attribute lists, each twice (a computed answer, then
+// a cached one unless evicted).
+func catalogRound(t *testing.T, base string, labels ...string) {
+	t.Helper()
+	for _, l := range labels {
+		for _, attrs := range []string{"gender", "publications", "gender, publications"} {
+			q := "AGG ALL " + attrs + " ON UNION(" + l + ", " + l + ")"
+			tgqlAt(t, base, q, 0)
+			tgqlAt(t, base, q, 0)
+		}
+	}
+}
+
 // TestRetroIngestReaggregates: after a retroactive batch, interval
 // aggregates spanning the insert match a from-scratch server fed the same
-// four points in valid-time order.
+// four points in valid-time order, and the catalog counters on /metrics
+// never fall across the advances — the retroactive one included, whose
+// successor catalog starts with a fresh result cache.
 func TestRetroIngestReaggregates(t *testing.T) {
 	series := stream.New(
 		core.AttrSpec{Name: "gender", Kind: core.Static},
 		core.AttrSpec{Name: "publications", Kind: core.TimeVarying},
 	)
-	s, err := New(Config{Series: series, Logger: quietLogger()})
+	// A cache too small for every result, so evictions are counted too.
+	s, err := New(Config{Series: series, Logger: quietLogger(), CacheBytes: 8192})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	var (
+		last   map[string]float64
+		labels []string
+	)
 	for _, req := range asOfBatches() {
 		ingestAck(t, ts.URL, req)
+		now := catalogCounters(t, ts.URL)
+		requireMonotonic(t, "ingest "+req.Label, last, now)
+		labels = append(labels, req.Label)
+		catalogRound(t, ts.URL, labels...)
+		last = catalogCounters(t, ts.URL)
+		requireMonotonic(t, "queries after "+req.Label, now, last)
+	}
+	for _, k := range []string{`graphtempod_catalog_answers_total{source="cached"}`, "graphtempod_catalog_cache_evictions_total"} {
+		if last[k] == 0 {
+			t.Errorf("%s stayed 0: the monotonicity check checked nothing", k)
+		}
 	}
 
 	// Reference: the same history ingested in valid-time order.

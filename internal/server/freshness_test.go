@@ -97,8 +97,9 @@ func TestIngestDeltaApplies(t *testing.T) {
 
 // TestIngestStaticBackfillFallsBack pins the soundness fallback: filling in
 // a static value for a pre-existing node changes its tuple at old points,
-// so the delta is refused and the server rebuilds — counted, and still
-// correct (the ack still reports the point visible).
+// so the delta is refused and the server rebuilds — counted, still correct
+// (the ack still reports the point visible), and with catalog counters on
+// /metrics that continue across the rebuild.
 func TestIngestStaticBackfillFallsBack(t *testing.T) {
 	s, ts := newStreamServer(t, Config{})
 	// t0: u9 appears without a gender.
@@ -109,6 +110,8 @@ func TestIngestStaticBackfillFallsBack(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("ingest t0 = %d: %s", code, data)
 	}
+	catalogRound(t, ts.URL, "t0")
+	before := catalogCounters(t, ts.URL)
 	// t1: the same node's gender is filled in retroactively.
 	code, data = postJSON(t, ts.URL+"/v1/ingest", IngestRequest{
 		Label: "t1",
@@ -131,6 +134,13 @@ func TestIngestStaticBackfillFallsBack(t *testing.T) {
 	if got := s.fullRebuilds.Value(); got != 1 {
 		t.Errorf("full rebuilds = %d, want 1", got)
 	}
+	rebuilt := catalogCounters(t, ts.URL)
+	requireMonotonic(t, "rebuild", before, rebuilt)
+	if k := `graphtempod_catalog_answers_total{source="scratch"}`; before[k] == 0 {
+		t.Errorf("%s was 0 before the rebuild: the monotonicity check checked nothing", k)
+	}
+	catalogRound(t, ts.URL, "t0")
+	requireMonotonic(t, "queries after the rebuild", rebuilt, catalogCounters(t, ts.URL))
 }
 
 // TestReadyzGeneration pins the /readyz?gen=N polling contract.

@@ -8,9 +8,10 @@
 //
 // The server runs in one of two modes. Static mode serves a fixed graph
 // given at construction. Stream mode serves a stream.Series that grows via
-// POST /v1/ingest; the full graph and its materialization catalog are
-// rebuilt lazily when a query observes new time points, so queries always
-// see a consistent (graph, catalog) pair.
+// POST /v1/ingest; the first request to observe new time points moves the
+// head serving state to the new graph and a successor of the old catalog
+// built over it (Catalog.Advance, else Catalog.Rebuild), and a request
+// keeps the (graph, catalog) pair it loaded for its whole run.
 package server
 
 import (
@@ -126,7 +127,6 @@ type Server struct {
 	// (number of ingested points) it was built from.
 	cur       atomic.Pointer[plan.State]
 	rebuildMu sync.Mutex
-	retired   materialize.Stats // counters of catalogs replaced by rebuilds
 
 	// ingest-to-visible freshness tracking (stream mode): each acknowledged
 	// ingest is pending until the swap that makes its generation queryable.
@@ -136,17 +136,16 @@ type Server struct {
 	draining atomic.Bool
 
 	// metrics
-	panics        metrics.Counter
-	deltaApplies  metrics.Counter
-	retroApplies  metrics.Counter
-	fullRebuilds  metrics.Counter
-	storeRebuilds metrics.Counter
-	visibility    *metrics.Histogram
-	reqMu         sync.Mutex
-	reqCount      map[string]*metrics.Counter // endpoint\x00code
-	latency       map[string]*latencyHists
-	shed          map[string]*metrics.Counter
-	started       time.Time
+	panics       metrics.Counter
+	deltaApplies metrics.Counter
+	retroApplies metrics.Counter
+	fullRebuilds metrics.Counter
+	visibility   *metrics.Histogram
+	reqMu        sync.Mutex
+	reqCount     map[string]*metrics.Counter // endpoint\x00code
+	latency      map[string]*latencyHists
+	shed         map[string]*metrics.Counter
+	started      time.Time
 }
 
 // New validates cfg, builds the initial serving state (static mode
@@ -227,13 +226,14 @@ func (s *Server) BeginDrain() {
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // current returns the serving state, advancing it in stream mode when
-// ingestion has moved past the snapshot's generation: Catalog.Advance folds
-// the new points into the existing catalog in place — wherever in valid time
-// they landed, with queries continuing to serve the old generation until the
-// swap — else a counted stop-the-world rebuild when the delta is refused
-// (renumbered nodes, static back-fill). Either way the new state starts with
-// an empty plan cache, and the retired graph's plans go with its state. It
-// returns an error (mapped to 503) while no data has been ingested yet.
+// ingestion has moved past the snapshot's generation: Catalog.Advance
+// returns a successor catalog over the new graph — wherever in valid time
+// the new points landed — else, when the delta is refused (renumbered
+// nodes, static back-fill), a counted Catalog.Rebuild. Either way the new
+// state starts with an empty plan cache, queries that loaded the old state
+// keep answering over the old graph with the old catalog, and the counters
+// the successor continues keep /metrics monotonic. It returns an error
+// (mapped to 503) while no data has been ingested yet.
 func (s *Server) current() (*plan.State, error) {
 	st := s.cur.Load()
 	if s.series == nil {
@@ -256,37 +256,30 @@ func (s *Server) current() (*plan.State, error) {
 	if err != nil {
 		return nil, err
 	}
-	if old := s.cur.Load(); old != nil {
-		stats, err := old.Catalog.Advance(g)
+	var cat *materialize.Catalog
+	if old := s.cur.Load(); old == nil {
+		cat = s.newCatalog(g)
+	} else {
+		adv, err := old.Catalog.Advance(g)
 		if err == nil {
-			st = plan.NewState(g, old.Catalog, gen)
+			st = plan.NewState(g, adv.Catalog, gen)
 			s.cur.Store(st)
-			if stats.FirstDirty < old.Graph.Timeline().Len() {
+			if adv.FirstDirty < old.Graph.Timeline().Len() {
 				// A retroactive point landed inside the old timeline.
 				s.retroApplies.Inc()
 			} else {
 				s.deltaApplies.Inc()
 			}
-			s.storeRebuilds.Add(int64(stats.Rebuilt))
 			s.observeVisibility(gen)
 			s.log.Info("serving state advanced", "points", gen,
-				"new_points", stats.NewPoints, "first_dirty", stats.FirstDirty,
-				"stores_extended", stats.Extended, "stores_rebuilt", stats.Rebuilt)
+				"new_points", adv.NewPoints, "first_dirty", adv.FirstDirty)
 			return st, nil
 		}
 		s.log.Warn("catalog delta refused, rebuilding", "points", gen, "err", err)
-		// Fold the retiring catalog's counters into the cumulative base so
-		// /metrics stays monotonic across rebuilds.
-		os := old.Catalog.Stats()
-		s.retired.Scratch += os.Scratch
-		s.retired.Cached += os.Cached
-		s.retired.TDistributive += os.TDistributive
-		s.retired.DDistributive += os.DDistributive
-		s.retired.CacheEvictions += os.CacheEvictions
-		s.retired.CacheDeduped += os.CacheDeduped
 		s.fullRebuilds.Inc()
+		cat = old.Catalog.Rebuild(g)
 	}
-	st = plan.NewState(g, s.newCatalog(g), gen)
+	st = plan.NewState(g, cat, gen)
 	s.cur.Store(st)
 	s.observeVisibility(gen)
 	s.log.Info("serving state rebuilt", "points", gen, "nodes", g.NumNodes(), "edges", g.NumEdges())
@@ -332,29 +325,13 @@ func (s *Server) observeVisibility(gen int) {
 	s.visMu.Unlock()
 }
 
-// catalogStats returns the cumulative catalog counters: the live catalog
-// plus every retired one.
+// catalogStats returns the head catalog's counters, which continue those
+// of every catalog it succeeded.
 func (s *Server) catalogStats() materialize.Stats {
-	// Sample the retired base and the live catalog as one consistent pair:
-	// rebuilds fold a retiring catalog into s.retired under rebuildMu, so
-	// reading s.cur after releasing the lock could miss a just-retired
-	// catalog's counters and make the summed totals transiently decrease.
-	s.rebuildMu.Lock()
-	defer s.rebuildMu.Unlock()
-	base := s.retired
 	if st := s.cur.Load(); st != nil {
-		cs := st.Catalog.Stats()
-		base.Scratch += cs.Scratch
-		base.Cached += cs.Cached
-		base.TDistributive += cs.TDistributive
-		base.DDistributive += cs.DDistributive
-		base.CacheEvictions += cs.CacheEvictions
-		base.CacheDeduped += cs.CacheDeduped
-		base.CacheEntries = cs.CacheEntries
-		base.CacheBytes = cs.CacheBytes
-		base.Stores = cs.Stores
+		return st.Catalog.Stats()
 	}
-	return base
+	return materialize.Stats{}
 }
 
 // registerMetrics wires the serving metrics taxonomy:
@@ -375,7 +352,6 @@ func (s *Server) catalogStats() materialize.Stats {
 //	graphtempod_ingested_points                 gauge (stream mode)
 //	graphtempod_catalog_delta_applies_total     counter (stream mode)
 //	graphtempod_catalog_full_rebuilds_total     counter (stream mode)
-//	graphtempod_catalog_store_rebuilds_total    counter (stream mode)
 //	graphtempod_ingest_visibility_seconds       histogram (stream mode)
 //	graphtempod_uptime_seconds                  gauge
 //
@@ -469,10 +445,10 @@ func (s *Server) registerMetrics() {
 		r.GaugeFunc("graphtempod_ingested_points", "Time points ingested.",
 			func() float64 { return float64(s.series.Len()) })
 		r.RegisterCounter("graphtempod_catalog_delta_applies_total",
-			"Serving snapshots advanced in place by incremental delta application.",
+			"Serving states advanced to a successor catalog by a tail append.",
 			&s.deltaApplies)
 		r.RegisterCounter("graphtempod_catalog_retro_applies_total",
-			"Serving snapshots advanced in place by retroactive splice (dirty-range invalidation).",
+			"Serving states advanced to a successor catalog by a retroactive splice (fresh result cache).",
 			&s.retroApplies)
 		r.GaugeFunc("graphtempod_history_cache_entries", "Reconstructed historical states resident.",
 			func() float64 { return float64(s.hist.Stats().Entries) })
@@ -481,9 +457,6 @@ func (s *Server) registerMetrics() {
 		r.RegisterCounter("graphtempod_catalog_full_rebuilds_total",
 			"Serving snapshots replaced by a from-scratch rebuild after the initial build.",
 			&s.fullRebuilds)
-		r.RegisterCounter("graphtempod_catalog_store_rebuilds_total",
-			"Materialized stores rebuilt during delta application (attribute dictionary grew).",
-			&s.storeRebuilds)
 		s.visibility = r.Histogram("graphtempod_ingest_visibility_seconds",
 			"Latency from ingest acknowledgement to the point being queryable.",
 			[]float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1, 5})

@@ -240,8 +240,12 @@ func TestAdvanceReleasesRetiredRows(t *testing.T) {
 			if _, err := cat.Materialize(gender...); err != nil {
 				t.Fatal(err)
 			}
-		} else if _, err := cat.Advance(g); err != nil {
-			t.Fatal(err)
+		} else {
+			adv, err := cat.Advance(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cat = adv.Catalog
 		}
 		all := g.Timeline().All()
 		agg.Aggregate(ops.Union(g, all, all), agg.MustSchema(g, both...), agg.Distinct)
