@@ -36,7 +36,7 @@ type Config struct {
 	RequestTimeout time.Duration
 	// ProbeInterval is the health poll cadence; <= 0 selects 250ms.
 	ProbeInterval time.Duration
-	// CacheBytes sizes the mirror server's materialization cache.
+	// CacheBytes sizes the mirror's materialization cache and answer memo.
 	CacheBytes int64
 	// Client is the HTTP client for shard RPCs, health probes and
 	// replication; nil selects a default without a global timeout.

@@ -245,6 +245,16 @@ func (c *Cache[V]) Do(key string, size func(V) int64, compute func() (V, error))
 	return cl.val, false, cl.err
 }
 
+// MaxBytes returns the byte budget, the default resolved.
+func (c *Cache[V]) MaxBytes() int64 { return c.shards[0].maxBytes * int64(len(c.shards)) }
+
+// Fits reports whether an entry of bytes under key fits its shard's share
+// of the budget. Put of one that does not evicts its whole shard, itself
+// included.
+func (c *Cache[V]) Fits(key string, bytes int64) bool {
+	return bytes+int64(len(key))+entryOverhead <= c.shard(key).maxBytes
+}
+
 // Len returns the number of resident entries.
 func (c *Cache[V]) Len() int {
 	n := 0

@@ -287,6 +287,9 @@ func attrsKey(attrs []core.AttrID) string {
 // Graph returns the graph the catalog serves.
 func (c *Catalog) Graph() *core.Graph { return c.g }
 
+// MaxBytes returns the byte budget of the catalog's result cache.
+func (c *Catalog) MaxBytes() int64 { return c.cache.MaxBytes() }
+
 // Materialize builds (or returns) the per-time-point store for the given
 // attribute set. The build runs outside the lock; when concurrent calls
 // race on one attribute set, the first store registered wins and every

@@ -4,7 +4,6 @@ import (
 	"context"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/agg"
 	"repro/internal/analytics"
@@ -195,18 +194,14 @@ func (o *eventsOp) run(ctx context.Context, out *Result) error {
 
 // ---- paths operator ---------------------------------------------------
 
-// pathsOp answers a time-respecting path query. The frontier engine's
-// per-point adjacency is immutable and window-wide, so it is built once per
-// plan (lazily, keeping EXPLAIN free) and shared across concurrent
-// executions.
+// pathsOp answers a time-respecting path query on the frontier engine,
+// built per run: a repeated query on a serving state is answered from the
+// plan's memo.
 type pathsOp struct {
 	g          *core.Graph
 	spec       analytics.PathsSpec
 	srcN, dstN int
 	cost       int64
-
-	engOnce sync.Once
-	eng     *analytics.PathsEngine
 }
 
 func (o *pathsOp) name() string { return "PathsFrontier" }
@@ -227,8 +222,7 @@ func (o *pathsOp) children() []physOp { return nil }
 func (o *pathsOp) countSelection() { Selections.PathsFront.Inc() }
 
 func (o *pathsOp) run(ctx context.Context, out *Result) error {
-	o.engOnce.Do(func() { o.eng = analytics.NewPathsEngine(o.g, o.spec) })
-	res, err := o.eng.RunCtx(ctx)
+	res, err := analytics.NewPathsEngine(o.g, o.spec).RunCtx(ctx)
 	out.Paths = res
 	return err
 }

@@ -1,70 +1,77 @@
 package plan
 
 import (
-	"sync"
-
 	"repro/internal/core"
+	"repro/internal/lru"
 	"repro/internal/materialize"
 )
 
-// Cache memoizes compiled plans keyed on the logical node's canonical text
-// (Logical.Key, a normalized query rendering). A cache belongs to one
-// serving State: compiled plans bind resolved views and schemas to that
-// state's graph and catalog, so every new state starts with an empty cache
-// and its plans are dropped together with it. A cache must not be shared
-// across graphs.
+// Cache holds one serving State's compiled plans, keyed on the logical
+// node's canonical text (Logical.Key), and the answers they computed:
+// compiled plans bind resolved views and schemas to that state's graph and
+// catalog, and a state never changes, so a plan's first successful answer
+// is the answer to every later request for it (Plan.Answer). Every new
+// state starts with an empty cache, and its plans and answers are dropped
+// together with it. A cache must not be shared across graphs.
 //
 // Only successfully compiled plans are stored, so a hit can never replay a
-// resolution error from a differently-positioned query spelling. Safe for
-// concurrent use; eviction is FIFO at a fixed entry count (plans are small
-// — views and schemas, no result data).
+// resolution error from a differently-positioned query spelling. Plans and
+// answers share one byte budget, evicted least-recently-used first; an
+// answer larger than the whole budget is served but not kept. Safe for
+// concurrent use.
 type Cache struct {
-	mu    sync.Mutex
-	m     map[string]*Plan
-	order []string
-	max   int
+	plans *lru.Cache[*Plan]
 }
 
-// NewCache returns a cache of at most maxEntries plans (<= 0 selects 256).
-func NewCache(maxEntries int) *Cache {
-	if maxEntries <= 0 {
-		maxEntries = 256
+// planBytes is what a compiled plan is charged against the budget: 512
+// bytes per operator, plus the node and edge bitsets of every view it
+// keeps, which span the whole graph.
+func planBytes(op physOp) int64 {
+	n := int64(512)
+	if v, ok := op.(*viewOp); ok {
+		n += int64(v.view.Nodes().Len()+v.view.Edges().Len()) / 8
 	}
-	return &Cache{m: make(map[string]*Plan), max: maxEntries}
+	for _, c := range op.children() {
+		n += planBytes(c)
+	}
+	return n
+}
+
+// NewCache returns an empty cache of at most maxBytes resident plans and
+// answers (<= 0 selects the lru default, 64 MiB).
+func NewCache(maxBytes int64) *Cache {
+	return &Cache{plans: lru.New[*Plan](lru.Config{MaxBytes: maxBytes, Shards: 1})}
 }
 
 // Advance empties the cache, for a caller that moves one cache to a new
 // graph generation instead of starting a new State. bench/ is its last
 // caller.
-func (c *Cache) Advance(*core.Graph, *materialize.Catalog, int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m = make(map[string]*Plan)
-	c.order = nil
-}
+func (c *Cache) Advance(*core.Graph, *materialize.Catalog, int) { c.plans = c.plans.Renew() }
 
 func (c *Cache) lookup(key string) *Plan {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[key]
+	p, _ := c.plans.Get(key)
+	return p
 }
 
-func (c *Cache) store(key string, p *Plan) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.m[key]; !ok {
-		for len(c.order) >= c.max {
-			delete(c.m, c.order[0])
-			c.order = c.order[1:]
-		}
-		c.order = append(c.order, key)
+// store caches p, unless it alone exceeds the budget.
+func (c *Cache) store(p *Plan) {
+	if size := planBytes(p.root); c.plans.Fits(p.key, size) {
+		c.plans.Put(p.key, p, size)
 	}
-	c.m[key] = p
 }
+
+// keep memoizes res as p's answer and charges it against the budget, unless
+// it could never fit or another request's answer got there first.
+func (c *Cache) keep(p *Plan, res *Result) {
+	size := planBytes(p.root) + res.bytes()
+	if c.plans.Fits(p.key, size) && p.answer.CompareAndSwap(nil, res) {
+		c.plans.Put(p.key, p, size)
+	}
+}
+
+// MaxBytes returns the cache's byte budget; Bytes, what is resident of it.
+func (c *Cache) MaxBytes() int64 { return c.plans.MaxBytes() }
+func (c *Cache) Bytes() int64    { return c.plans.Stats().Bytes }
 
 // Len returns the number of cached plans.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
+func (c *Cache) Len() int { return c.plans.Len() }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/agg"
@@ -29,9 +30,10 @@ type Env struct {
 	// Query is the originating query text, used only to position
 	// resolution errors ("" renders plain messages for wire requests).
 	Query string
-	// Cache, when set, memoizes compiled plans on the canonical query text.
-	// It must hold plans compiled against Graph and Catalog alone: a
-	// serving State owns one cache per (graph, catalog) pair.
+	// Cache, when set, memoizes compiled plans and their answers on the
+	// canonical query text. It must hold plans compiled against Graph and
+	// Catalog alone: a serving State owns one cache per (graph, catalog)
+	// pair.
 	Cache *Cache
 	// Feedback is ignored: plans are chosen at compile time alone.
 	// bench/ is its last caller.
@@ -102,6 +104,20 @@ func (r *Result) rows() int {
 	return len(r.Pairs)
 }
 
+// bytes estimates a result's resident size for the plan cache's budget: an
+// aggregate graph's own estimate (what the catalog charges it), else a
+// fixed cost per output row, a series' worth per TREND row.
+func (r *Result) bytes() int64 {
+	if r.Agg != nil {
+		return 256 + r.Agg.ApproxBytes()
+	}
+	n := int64(r.rows())
+	if r.Trend != nil {
+		n *= int64(r.Trend.Windows)/8 + 1
+	}
+	return 256 + 128*n
+}
+
 // Plan is an executable physical plan: the logical node it was compiled
 // from, the graph it was resolved against and the selected operator tree.
 // Compiled state (views, schemas, filters) is immutable, so one Plan may be
@@ -110,6 +126,12 @@ type Plan struct {
 	logical Logical
 	g       *core.Graph
 	root    physOp
+	key     string
+	// memo is the serving state's cache this plan keeps its answer in; nil
+	// for a plan compiled without a cache, and for the catalog-backed
+	// operators, whose answers the catalog caches and reports the source of.
+	memo   *Cache
+	answer atomic.Pointer[Result]
 }
 
 // Logical returns the logical node the plan was compiled from.
@@ -123,9 +145,28 @@ func (p *Plan) Graph() *core.Graph { return p.g }
 // Op returns the root operator's name, as Explain renders it.
 func (p *Plan) Op() string { return p.root.name() }
 
-// Execute runs the plan. The selection counters record the root operator
-// on every execution, and the root's wall time is stamped on the Result;
-// ctx cancels cooperatively inside the engines.
+// Answer returns the plan's answer, and whether it was memoized. A plan
+// compiled on a serving state's cache keeps its first successful answer:
+// the state's graph never changes, so every later call returns that Result
+// without running the operator. Nothing may modify a returned Result. A run
+// that fails or is cancelled keeps nothing.
+func (p *Plan) Answer(ctx context.Context) (*Result, bool, error) {
+	if res := p.answer.Load(); res != nil {
+		MemoHits.Inc()
+		return res, true, nil
+	}
+	res, err := p.Execute(ctx)
+	if err == nil && p.memo != nil {
+		MemoMisses.Inc()
+		p.memo.keep(p, res)
+	}
+	return res, false, err
+}
+
+// Execute runs the plan's operator, whatever its memo holds: what EXPLAIN
+// ANALYZE measures. The selection counters record the root operator on
+// every run, and the root's wall time is stamped on the Result; ctx
+// cancels cooperatively inside the engines.
 func (p *Plan) Execute(ctx context.Context) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -142,7 +183,8 @@ func (p *Plan) Execute(ctx context.Context) (*Result, error) {
 
 // Compile resolves a logical node against env into an executable physical
 // plan, selecting operators through the cost model and consulting the plan
-// cache when env.Cache is set. All user-facing resolution errors (unknown
+// cache when env.Cache is set; a plan from the cache carries the answer
+// it memoized. All user-facing resolution errors (unknown
 // time points, attributes, enum values, malformed combinations) surface
 // here; Execute can only fail on context cancellation or engine errors.
 func Compile(env Env, node Logical) (*Plan, error) {
@@ -194,9 +236,14 @@ func Compile(env Env, node Logical) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{logical: node, g: env.Graph, root: root}
+	p := &Plan{logical: node, g: env.Graph, root: root, key: key}
 	if env.Cache != nil {
-		env.Cache.store(key, p)
+		switch root.(type) {
+		case *catalogAggOp, *trendCatalogOp:
+		default:
+			p.memo = env.Cache
+		}
+		env.Cache.store(p)
 	}
 	return p, nil
 }

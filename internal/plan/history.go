@@ -8,11 +8,12 @@ import (
 // State is one serving state: a graph, the materialization catalog built
 // over it and the plans compiled against both, plus the series generation a
 // server's head state was built from (-1 for a static graph, 0 for a
-// reconstructed historical state). A state owns its plan cache, so a plan
-// lives exactly as long as the graph it was resolved against: every new
-// state — an advance, a rebuild, an AS OF replay, a VALID DURING window —
-// starts with an empty cache. Catalog and Plans may be nil — compilation
-// then falls back to direct operators and skips plan memoization.
+// reconstructed historical state). A state owns its plan cache and the
+// answers memoized in it, so a plan and its answer live exactly as long as
+// the graph they were computed over: every new state — an advance, a
+// rebuild, an AS OF replay, a VALID DURING window — starts with an empty
+// cache. Catalog and Plans may be nil — compilation then falls back to
+// direct operators and skips plan and answer memoization.
 type State struct {
 	Graph   *core.Graph
 	Catalog *materialize.Catalog
@@ -21,9 +22,9 @@ type State struct {
 }
 
 // NewState returns the state over g and cat at generation gen, with an
-// empty plan cache.
+// empty plan cache of the same byte budget as cat's result cache.
 func NewState(g *core.Graph, cat *materialize.Catalog, gen int) *State {
-	return &State{Graph: g, Catalog: cat, Plans: NewCache(0), Gen: gen}
+	return &State{Graph: g, Catalog: cat, Plans: NewCache(cat.MaxBytes()), Gen: gen}
 }
 
 // HistoryResolver reconstructs historical states on demand. The server

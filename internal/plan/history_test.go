@@ -313,11 +313,12 @@ func TestReadAfterAdvanceLeavesRetiredRows(t *testing.T) {
 	}
 }
 
-// TestLatePlansOnRetiredState compiles a union-ALL aggregate and an ALL
-// trend on one serving state, advances past a retroactive point and runs
-// them late: each answers over its own state's graph. The successor state
-// answers both over the new graph, from none of the results the retired
-// state computed.
+// TestLatePlansOnRetiredState compiles a union-ALL aggregate, an ALL
+// trend and a DIST scan on one serving state, advances past a retroactive
+// point and runs them late: each answers over its own state's graph, and
+// the scan memoizes its answer into that state's cache alone. The
+// successor state answers all three over the new graph, from none of the
+// results the retired state computed.
 func TestLatePlansOnRetiredState(t *testing.T) {
 	full := core.PaperExample()
 	s := stream.New(full.Attrs()...)
@@ -337,6 +338,11 @@ func TestLatePlansOnRetiredState(t *testing.T) {
 		Kind:  "all",
 	}
 	trend := &plan.Trend{Kind: "all", Attrs: []string{"gender"}, Width: 2}
+	scan := &plan.Aggregate{
+		Op:    plan.TemporalOp{Op: plan.OpUnion, A: plan.IntervalRef{From: "t1"}, B: plan.IntervalRef{From: "t2"}},
+		Attrs: []string{"gender"},
+		Kind:  "dist",
+	}
 	env := func(st *plan.State) plan.Env {
 		return plan.Env{Graph: st.Graph, Catalog: st.Catalog, Cache: st.Plans}
 	}
@@ -352,7 +358,7 @@ func TestLatePlansOnRetiredState(t *testing.T) {
 
 	s1 := plan.NewState(g1, materialize.NewCatalog(g1), s.Len())
 	var late []*plan.Plan
-	for _, node := range []plan.Logical{union, trend} {
+	for _, node := range []plan.Logical{union, trend, scan} {
 		p, err := plan.Compile(env(s1), node)
 		if err != nil {
 			t.Fatal(err)
@@ -380,19 +386,32 @@ func TestLatePlansOnRetiredState(t *testing.T) {
 	s2 := plan.NewState(g2, adv.Catalog, s.Len())
 
 	for i, p := range late {
-		res, err := p.Execute(context.Background())
+		res, _, err := p.Answer(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, want := answer(res), scratch(g1, p.Logical()); got != want {
-			t.Errorf("late %s on the retired state:\n%s\nwant\n%s", []string{"union", "trend"}[i], got, want)
+			t.Errorf("late %s on the retired state:\n%s\nwant\n%s", []string{"union", "trend", "scan"}[i], got, want)
 		}
+	}
+	if _, memo, err := late[2].Answer(context.Background()); err != nil || !memo {
+		t.Errorf("the late scan's answer was not memoized on the retired state (err %v)", err)
+	}
+	if n := s2.Plans.Len(); n != 0 {
+		t.Errorf("the successor's plan cache holds %d plans the retired state compiled", n)
 	}
 	if n := s2.Catalog.Stats().CacheEntries; n != 0 {
 		t.Errorf("the successor's catalog holds %d results the retired state computed", n)
 	}
-	for _, node := range []plan.Logical{union, trend} {
-		res := execute(t, env(s2), node)
+	for _, node := range []plan.Logical{union, trend, scan} {
+		p, err := plan.Compile(env(s2), node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, memo, err := p.Answer(context.Background())
+		if err != nil || memo {
+			t.Fatalf("%s on the successor: memo %v, err %v", node.Key(), memo, err)
+		}
 		if node == plan.Logical(union) && res.AggSource == materialize.Cached {
 			t.Error("the successor answered the union from cache")
 		}
@@ -400,7 +419,7 @@ func TestLatePlansOnRetiredState(t *testing.T) {
 			t.Errorf("%s on the successor:\n%s\nwant\n%s", node.Key(), got, want)
 		}
 		// The retired catalog paired with the new graph is ignored.
-		p, err := plan.Compile(plan.Env{Graph: g2, Catalog: s1.Catalog}, node)
+		p, err = plan.Compile(plan.Env{Graph: g2, Catalog: s1.Catalog}, node)
 		if err != nil {
 			t.Fatal(err)
 		}

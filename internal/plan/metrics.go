@@ -4,8 +4,9 @@ import "repro/internal/metrics"
 
 // Selections counts which physical operator the planner chose for each
 // executed plan, one counter per operator. Cached plans count on every
-// execution (selection is a property of the run, not the compile), so the
-// counters reflect live traffic. They are package-level because planning happens inside the library where no
+// run of their operator (selection is a property of the run, not the
+// compile); an answer served from a plan's memo runs nothing and counts
+// nothing. They are package-level because planning happens inside the library where no
 // registry is in scope; the serving layer registers them under one metric
 // family (graphtempod_planner_selections_total{op=...}).
 var Selections struct {
@@ -26,7 +27,11 @@ var Selections struct {
 
 // CacheHits / CacheMisses count plan-cache lookups in Compile. A hit skips
 // resolution and operator selection entirely and returns the compiled plan.
+// MemoHits / MemoMisses count Plan.Answer calls on memoizing plans: a hit
+// returns the plan's kept answer, a miss runs the operator to compute it.
 var (
 	CacheHits   metrics.Counter
 	CacheMisses metrics.Counter
+	MemoHits    metrics.Counter
+	MemoMisses  metrics.Counter
 )

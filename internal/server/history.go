@@ -33,9 +33,9 @@ func (s *Server) headTxn() int {
 }
 
 // histBytes estimates the resident footprint of one reconstructed state for
-// the LRU budget: graph columns, the catalog's per-point schema arrays and
-// one varying schema's tuple-code rows (agg.Schema.Codes), which the
-// state's scans build and keep.
+// the LRU budget: graph columns, the catalog's per-point schema arrays, one
+// varying schema's tuple-code rows (agg.Schema.Codes), which the state's
+// scans build and keep, and the budget of its plan and answer memo.
 func histBytes(st *plan.State) int64 {
 	g := st.Graph
 	attrs := int64(len(g.Attrs()))
@@ -46,7 +46,7 @@ func histBytes(st *plan.State) int64 {
 	if points == 0 {
 		points = 1
 	}
-	return 4096 +
+	return 4096 + st.Plans.MaxBytes() +
 		int64(g.NumNodes())*(16+8*attrs) + // labels, per-attr columns
 		int64(g.NumEdges())*24 + // endpoints + time
 		points*256 + // timeline + per-point store rows
@@ -55,14 +55,17 @@ func histBytes(st *plan.State) int64 {
 
 // histDo answers from the history LRU, reconstructing the state on a miss.
 // Concurrent requests for the same key share one reconstruction via the
-// cache's flight dedup.
+// cache's flight dedup. A reconstructed state's memo gets a 64th of the
+// history budget, which charges it (histBytes).
 func (s *Server) histDo(key string, build func() (*core.Graph, error)) (*plan.State, error) {
 	st, _, err := s.hist.Do(key, histBytes, func() (*plan.State, error) {
 		g, err := build()
 		if err != nil {
 			return nil, err
 		}
-		return plan.NewState(g, s.newCatalog(g), 0), nil
+		st := plan.NewState(g, s.newCatalog(g), 0)
+		st.Plans = plan.NewCache(s.hist.MaxBytes() / 64)
+		return st, nil
 	})
 	return st, err
 }

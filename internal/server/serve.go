@@ -37,8 +37,8 @@ type answer struct {
 	g    *core.Graph  // the head serving graph; a plan carries its own
 	plan *plan.Plan   // nil when the query has no logical node
 	res  *plan.Result // nil for compile-only requests
-	// elapsed is the reply's elapsed_ms: the time the compiled plan took to
-	// execute, and nothing else. The other stages are the access log's
+	// elapsed is the reply's elapsed_ms: the time this request's execute
+	// step took — ≈ 0 for an answer the plan memoized — and nothing else. The other stages are the access log's
 	// fields; the latency histogram covers the whole request.
 	elapsed time.Duration
 }
@@ -89,8 +89,9 @@ func wholeTimeline(node plan.Logical) bool {
 }
 
 // serve is the one request pipeline behind every query endpoint — body →
-// serving state → partial-shard guard → plan.Compile (plan cache) → Execute →
-// reply; R is the endpoint's wire request struct.
+// serving state → partial-shard guard → plan.Compile (plan cache) → the
+// plan's answer (memoized on the state) → reply; R is the endpoint's wire
+// request struct.
 func serve[R any](s *Server, decode func(*R) (query, error), encode encoder) apiHandler {
 	return func(ctx context.Context, w *statusWriter, r *http.Request) (int, error) {
 		clock := stageClock{last: time.Now()}
@@ -133,7 +134,11 @@ func serve[R any](s *Server, decode func(*R) (query, error), encode encoder) api
 			}
 			w.op = a.plan.Op()
 			if q.stmt.Runs() {
-				a.res, err = a.plan.Execute(ctx)
+				if q.stmt.Analyze { // EXPLAIN ANALYZE measures the operator itself
+					a.res, err = a.plan.Execute(ctx)
+				} else {
+					a.res, w.memo, err = a.plan.Answer(ctx)
+				}
 				a.elapsed = clock.lap()
 				w.stages.exec = a.elapsed
 				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

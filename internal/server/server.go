@@ -68,11 +68,13 @@ type Config struct {
 	// request a shorter deadline via the X-Deadline-Ms header; longer is
 	// clamped. <= 0 selects 30s.
 	RequestTimeout time.Duration
-	// CacheBytes sizes the materialization catalog's serving cache
-	// (<= 0 selects the catalog default).
+	// CacheBytes sizes the materialization catalog's serving cache, and
+	// the head state's plan and answer memo beside it (<= 0 selects the
+	// catalog default).
 	CacheBytes int64
 	// HistoryCacheBytes sizes the LRU of reconstructed historical states
-	// serving AS OF / VALID DURING queries (<= 0 selects 256 MiB).
+	// serving AS OF / VALID DURING queries, their memos included (<= 0
+	// selects 256 MiB).
 	HistoryCacheBytes int64
 	// Logger receives structured access and lifecycle logs; nil selects
 	// slog.Default().
@@ -348,7 +350,7 @@ func (s *Server) catalogStats() materialize.Stats {
 //	graphtempod_graph_index_bytes{index}        gauge (points)
 //	graphtempod_explorer_evaluations_total      counter (engine hot path)
 //	graphtempod_planner_selections_total{op}    counter (planner choices)
-//	graphtempod_plan_cache_total{result}        counter (hit/miss)
+//	graphtempod_plan_cache_total{result}        counter (hit/miss, memo_hit/memo_miss)
 //	graphtempod_ingested_points                 gauge (stream mode)
 //	graphtempod_catalog_delta_applies_total     counter (stream mode)
 //	graphtempod_catalog_full_rebuilds_total     counter (stream mode)
@@ -437,10 +439,14 @@ func (s *Server) registerMetrics() {
 		plannerHelp = ""
 	}
 	r.RegisterCounter("graphtempod_plan_cache_total",
-		"Plan cache lookups by result (a hit skips resolution and operator selection).",
+		"Plan cache lookups by result (a hit skips resolution and operator selection; a memo_hit also skips execution).",
 		&plan.CacheHits, metrics.Label{Key: "result", Value: "hit"})
 	r.RegisterCounter("graphtempod_plan_cache_total", "",
 		&plan.CacheMisses, metrics.Label{Key: "result", Value: "miss"})
+	r.RegisterCounter("graphtempod_plan_cache_total", "",
+		&plan.MemoHits, metrics.Label{Key: "result", Value: "memo_hit"})
+	r.RegisterCounter("graphtempod_plan_cache_total", "",
+		&plan.MemoMisses, metrics.Label{Key: "result", Value: "memo_miss"})
 	if s.series != nil {
 		r.GaugeFunc("graphtempod_ingested_points", "Time points ingested.",
 			func() float64 { return float64(s.series.Len()) })
@@ -617,6 +623,7 @@ type statusWriter struct {
 	bytes  int
 	stages stages
 	op     string // the compiled plan's root operator
+	memo   bool   // the answer was the plan's memoized one
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -683,7 +690,13 @@ func (s *Server) api(endpoint string, h apiHandler) http.Handler {
 			if elapsed > deadline/2 {
 				level = slog.LevelWarn
 			}
-			// Typed attrs: no boxing of the values on every request.
+			// Typed attrs: no boxing of the values on every request. A
+			// memoized answer's line ends in memo=hit; slog drops the empty
+			// Attr every other line carries.
+			var memo slog.Attr
+			if sw.memo {
+				memo = slog.String("memo", "hit")
+			}
 			s.log.LogAttrs(r.Context(), level, "request",
 				slog.String("endpoint", endpoint), slog.String("method", r.Method), slog.String("path", r.URL.Path),
 				slog.Int("status", sw.status), slog.Float64("ms", elapsedMs(elapsed)), slog.String("op", sw.op),
@@ -691,7 +704,7 @@ func (s *Server) api(endpoint string, h apiHandler) http.Handler {
 				slog.Int64("decode_us", st.decode.Microseconds()), slog.Int64("state_us", st.state.Microseconds()),
 				slog.Int64("compile_us", st.compile.Microseconds()), slog.Int64("exec_us", st.exec.Microseconds()),
 				slog.Int64("encode_us", st.encode.Microseconds()),
-				slog.Int("bytes", sw.bytes), slog.String("remote", r.RemoteAddr), slog.String("request_id", id))
+				slog.Int("bytes", sw.bytes), slog.String("remote", r.RemoteAddr), slog.String("request_id", id), memo)
 		}()
 
 		ctx, cancel := context.WithTimeout(r.Context(), deadline)

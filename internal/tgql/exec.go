@@ -179,10 +179,13 @@ func ExecEnv(ctx context.Context, env plan.Env, query string) (*Result, error) {
 		if p, err = plan.Compile(env, st.Node); err != nil {
 			return nil, err
 		}
-		if st.Runs() {
-			if pr, err = p.Execute(ctx); err != nil {
-				return nil, err
-			}
+		if st.Analyze { // EXPLAIN ANALYZE measures the operator itself
+			pr, err = p.Execute(ctx)
+		} else if st.Runs() {
+			pr, _, err = p.Answer(ctx)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	return st.Result(env.Graph, p, pr)
