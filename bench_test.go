@@ -578,9 +578,10 @@ func wholeTimelineUnion(b *testing.B, g *graphtempo.Graph, names ...string) *agg
 // BenchmarkWireEncode measures the aggregate-graph wire encoder alone, on
 // the three dashboard panels (gender: 2 groups, publications, and their
 // product — 26 nodes and ~600 edges at scale 1). The plain rows render one
-// graph b.N times, so after the first they time the remembered wire order
-// a cached panel pays; the /cold rows render a fresh Clone per iteration
-// (cloned outside the timer), the sort included — what a one-off answer pays.
+// graph b.N times, so after the first they time the append of the kept
+// bytes a cached panel pays; the /cold rows render a fresh Clone per
+// iteration (cloned outside the timer) — the first render, sort, encode and
+// the kept copy included — what a one-off answer pays.
 func BenchmarkWireEncode(b *testing.B) {
 	g, _ := benchGraphs(b)
 	for _, tc := range []struct {

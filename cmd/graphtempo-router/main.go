@@ -58,7 +58,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.DurationVar(&o.timeout, "timeout", 30*time.Second, "end-to-end deadline cap of a routed request: a mirror read or an ingest")
 	fs.DurationVar(&o.probeInterval, "probe-interval", 250*time.Millisecond, "member health/lag probe cadence")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 20*time.Second, "graceful shutdown budget")
-	fs.Int64Var(&o.cacheBytes, "cache-bytes", 0, "byte budget of each mirror state's result cache and of the head state's plan and answer memo (0 = default)")
+	fs.Int64Var(&o.cacheBytes, "cache-bytes", 0, "byte budget of the mirror's head state's result cache and of its plan and answer memo (0 = default)")
 	fs.StringVar(&o.logFormat, "log", "text", "log format: text or json")
 	if err := fs.Parse(args); err != nil {
 		return nil, err

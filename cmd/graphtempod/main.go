@@ -95,7 +95,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.maxQueue, "max-queue", -1, "admission wait-queue length (-1 = 2×capacity)")
 	fs.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-request deadline cap")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 20*time.Second, "graceful shutdown budget")
-	fs.Int64Var(&o.cacheBytes, "cache-bytes", 0, "byte budget of each serving state's result cache and of the head state's plan and answer memo (0 = default)")
+	fs.Int64Var(&o.cacheBytes, "cache-bytes", 0, "byte budget of the head state's result cache and of its plan and answer memo (0 = default)")
 	fs.StringVar(&o.logFormat, "log", "text", "log format: text or json")
 	fs.StringVar(&o.shard, "shard", "", "cluster shard name this process serves (reported in /v1/status)")
 	fs.StringVar(&o.follow, "follow", "", "run as a read replica streaming the WAL from this primary URL (requires -stream)")

@@ -81,6 +81,10 @@ type Schema struct {
 	matchOnce  sync.Once
 	matchNodes *bitset.Set
 	matchEdges *bitset.Set
+
+	// The widest a tuple and the attribute names render (wire.go).
+	widthOnce             sync.Once
+	valueWidth, nameWidth int64
 }
 
 // schemaTable is one graph's interned schemas, keyed by attribute list. It
@@ -294,21 +298,16 @@ func (s *Schema) Encode(values ...string) (Tuple, bool) {
 }
 
 // Graph is a weighted aggregate graph G'(V', E', W_V', W_E', A'). It is
-// immutable once rendered or shared: the first render remembers the wire
-// order with its weights, every later one walks it without sorting, and
-// Merge, the one mutator, forgets it.
+// immutable once rendered or shared: the first render of each wire form
+// keeps its bytes (wire.go), every later one appends them, and Merge, the
+// one mutator, forgets them.
 type Graph struct {
 	Schema *Schema
 	Kind   Kind
 	Nodes  map[Tuple]int64
 	Edges  map[EdgeKey]int64
-	order  atomic.Pointer[wireOrder]
-}
-
-// wireOrder is a graph's groups in wire order, each with its weight.
-type wireOrder struct {
-	nodes []weighted[Tuple]
-	edges []weighted[EdgeKey]
+	json   atomic.Pointer[[]byte] // AppendJSON's bytes
+	text   atomic.Pointer[[]byte] // AppendJSONText's bytes
 }
 
 // weighted is one group with its weight: sorting the pairs carries each
@@ -326,19 +325,13 @@ func pairs[K comparable](groups map[K]int64) []weighted[K] {
 	return out
 }
 
-// wire returns ag's wire order, sorting on first use with the wire-order
-// sorter (order.go). Concurrent first renders may each sort; their orders
-// are equal and either is kept.
-func (ag *Graph) wire() *wireOrder {
-	if o := ag.order.Load(); o != nil {
-		return o
-	}
+// sorted returns ag's groups in wire order (order.go) with their weights.
+func (ag *Graph) sorted() ([]weighted[Tuple], []weighted[EdgeKey]) {
 	s := ag.Schema
-	o := &wireOrder{nodes: pairs(ag.Nodes), edges: pairs(ag.Edges)}
-	SortNodes(o.nodes, func(p weighted[Tuple]) Tuple { return p.key }, s.AppendLabel, s.compareTuples)
-	SortEdges(o.edges, func(p weighted[EdgeKey]) (Tuple, Tuple) { return p.key.From, p.key.To }, s.AppendLabel, s.compareTuples)
-	ag.order.Store(o)
-	return o
+	nodes, edges := pairs(ag.Nodes), pairs(ag.Edges)
+	SortNodes(nodes, func(p weighted[Tuple]) Tuple { return p.key }, s.AppendLabel, s.compareTuples)
+	SortEdges(edges, func(p weighted[EdgeKey]) (Tuple, Tuple) { return p.key.From, p.key.To }, s.AppendLabel, s.compareTuples)
+	return nodes, edges
 }
 
 // NodeWeight returns the weight of the aggregate node for tu (0 if absent).
@@ -366,32 +359,25 @@ func (ag *Graph) TotalEdgeWeight() int64 {
 }
 
 // SortedNodes returns the aggregate node tuples in wire order (order.go):
-// by decoded label, for deterministic presentation.
-func (ag *Graph) SortedNodes() []Tuple { return keys(ag.wire().nodes) }
+// by decoded label, for deterministic presentation. It sorts on every call.
+func (ag *Graph) SortedNodes() []Tuple { return SortedTuples(ag.Schema, ag.Nodes) }
 
 // SortedEdges returns the aggregate edge keys in wire order.
-func (ag *Graph) SortedEdges() []EdgeKey { return keys(ag.wire().edges) }
-
-func keys[K any](ps []weighted[K]) []K {
-	out := make([]K, len(ps))
-	for i, p := range ps {
-		out[i] = p.key
-	}
-	return out
-}
+func (ag *Graph) SortedEdges() []EdgeKey { return SortedEdgeKeys(ag.Schema, ag.Edges) }
 
 // String renders the aggregate graph for debugging, examples and the TGQL
 // text result.
 func (ag *Graph) String() string {
-	s, o := ag.Schema, ag.wire()
+	s := ag.Schema
+	nodes, edges := ag.sorted()
 	b := make([]byte, 0, 64+32*(len(ag.Nodes)+len(ag.Edges)))
 	b = fmt.Appendf(b, "aggregate graph (%s) on %d tuples\n", ag.Kind, len(ag.Nodes))
-	for _, p := range o.nodes {
+	for _, p := range nodes {
 		b = s.AppendLabel(append(b, "  node ("...), p.key)
 		b = strconv.AppendInt(append(b, ") w="...), p.w, 10)
 		b = append(b, '\n')
 	}
-	for _, p := range o.edges {
+	for _, p := range edges {
 		b = s.AppendLabel(append(b, "  edge ("...), p.key.From)
 		b = s.AppendLabel(append(b, ")→("...), p.key.To)
 		b = strconv.AppendInt(append(b, ") w="...), p.w, 10)
@@ -666,7 +652,8 @@ func (ag *Graph) Merge(other *Graph) {
 	if !ag.Schema.SameCoding(other.Schema) || ag.Kind != other.Kind {
 		panic("agg: Merge of incompatible aggregate graphs")
 	}
-	ag.order.Store(nil)
+	ag.json.Store(nil)
+	ag.text.Store(nil)
 	for tu, w := range other.Nodes {
 		ag.Nodes[tu] += w
 	}
@@ -677,16 +664,18 @@ func (ag *Graph) Merge(other *Graph) {
 
 // ApproxBytes estimates the resident size of the aggregate graph for
 // cache accounting: a fixed header plus the hash-map entries (key, weight
-// and bucket overhead) and the remembered wire order, counted whether or
-// not it was built yet. It is deliberately cheap — O(1) — and approximate;
-// byte-budgeted caches only need relative sizes to be sane.
+// and bucket overhead) and a bound on both kept wire forms (renderBounds),
+// counted whether or not they were rendered yet. It is cheap — O(1) after
+// the schema's first call — and approximate; byte-budgeted caches only need
+// relative sizes to be sane, and never to under-count the kept bytes.
 func (ag *Graph) ApproxBytes() int64 {
 	const (
-		header    = 64
-		nodeEntry = 48 + 16 // Tuple (8) + int64 (8) + bucket overhead; wire order Tuple + weight
-		edgeEntry = 64 + 24 // EdgeKey (16) + int64 (8) + bucket overhead; wire order EdgeKey + weight
+		header    = 128
+		nodeEntry = 48 // Tuple (8) + int64 (8) + bucket overhead
+		edgeEntry = 64 // EdgeKey (16) + int64 (8) + bucket overhead
 	)
-	return header + int64(len(ag.Nodes))*nodeEntry + int64(len(ag.Edges))*edgeEntry
+	json, text := ag.renderBounds()
+	return header + int64(len(ag.Nodes))*nodeEntry + int64(len(ag.Edges))*edgeEntry + json + text
 }
 
 // Clone returns a deep copy of ag.

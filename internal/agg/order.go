@@ -19,8 +19,8 @@ import (
 //     ("a,b","c") and ("a","b,c") both read "a,b,c") fall back to comparing
 //     their value lists element-wise, from before to for edges.
 //
-// Each label is rendered once per sort, not once per comparison, and each
-// Graph is sorted once: its first render remembers the order (Graph.wire).
+// Each label is rendered once per sort, not once per comparison, and a
+// Graph is sorted once per wire form: its first render keeps the bytes.
 
 // sortByKey sorts items by the bytes key appends for each, breaking ties
 // with tie.

@@ -1,7 +1,9 @@
 package agg
 
 import (
+	"bytes"
 	"strconv"
+	"sync/atomic"
 	"unicode/utf8"
 )
 
@@ -15,7 +17,7 @@ import (
 // groups in wire order (order.go), an empty attributes/nodes/edges list
 // rendered as null, strings escaped exactly like encoding/json with HTML
 // escaping on. Those bytes are a contract: clients hash them and the router
-// must answer what a single node answers. WireWriter is the only place the
+// must answer what a single node answers. AppendJSON is the only place the
 // shape is spelled; it appends to a caller-owned buffer and never reflects.
 
 const hexDigits = "0123456789abcdef"
@@ -82,12 +84,8 @@ func AppendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// appendJSONStrings appends a JSON array of strings; nil renders as null,
-// like encoding/json renders a nil slice.
+// appendJSONStrings appends a non-nil slice of strings as a JSON array.
 func appendJSONStrings(dst []byte, values []string) []byte {
-	if values == nil {
-		return append(dst, "null"...)
-	}
 	dst = append(dst, '[')
 	for i, v := range values {
 		if i > 0 {
@@ -98,95 +96,100 @@ func appendJSONStrings(dst []byte, values []string) []byte {
 	return append(dst, ']')
 }
 
-// WireWriter appends one aggregate graph in wire form. Feed it every node,
-// then every edge, each already in wire order, then Close.
-type WireWriter struct {
-	dst     []byte
-	inEdges bool
-	n       int // items written to the open list
-}
-
-// NewWireWriter starts a graph with the given attribute names and kind
-// ("DIST" or "ALL"), appending to dst.
-func NewWireWriter(dst []byte, attrs []string, kind string) WireWriter {
-	dst = append(dst, `{"attributes":`...)
-	dst = appendJSONStrings(dst, attrs)
-	dst = append(dst, `,"kind":`...)
-	dst = AppendJSONString(dst, kind)
-	return WireWriter{dst: append(dst, `,"nodes":`...)}
-}
-
-// item opens the next object of the current list.
-func (w *WireWriter) item(open string) {
-	sep := byte(',')
-	if w.n == 0 {
-		sep = '['
+// appendGroups appends one group list in wire order — null when empty —
+// each group's opening fields by open, then its weight.
+func appendGroups[K any](dst []byte, groups []weighted[K], open func([]byte, K) []byte) []byte {
+	if len(groups) == 0 {
+		return append(dst, "null"...)
 	}
-	w.n++
-	w.dst = append(append(w.dst, sep), open...)
-}
-
-// endList closes the current list; one that received no item is null.
-func (w *WireWriter) endList() {
-	if w.n == 0 {
-		w.dst = append(w.dst, "null"...)
-	} else {
-		w.dst = append(w.dst, ']')
+	for i, p := range groups {
+		sep := byte(',')
+		if i == 0 {
+			sep = '['
+		}
+		dst = strconv.AppendInt(append(open(append(dst, sep), p.key), `,"weight":`...), p.w, 10)
+		dst = append(dst, '}')
 	}
-	w.n = 0
-}
-
-// Node appends one node group given by its decoded values.
-func (w *WireWriter) Node(values []string, weight int64) {
-	w.item(`{"values":`)
-	w.dst = appendJSONStrings(w.dst, values)
-	w.weight(weight)
-}
-
-// Edge appends one edge group given by its decoded endpoint values; the
-// first edge closes the node list.
-func (w *WireWriter) Edge(from, to []string, weight int64) {
-	if !w.inEdges {
-		w.endList()
-		w.dst = append(w.dst, `,"edges":`...)
-		w.inEdges = true
-	}
-	w.item(`{"from":`)
-	w.dst = appendJSONStrings(w.dst, from)
-	w.dst = append(w.dst, `,"to":`...)
-	w.dst = appendJSONStrings(w.dst, to)
-	w.weight(weight)
-}
-
-func (w *WireWriter) weight(weight int64) {
-	w.dst = append(w.dst, `,"weight":`...)
-	w.dst = append(strconv.AppendInt(w.dst, weight, 10), '}')
-}
-
-// Close ends the graph and returns the extended buffer.
-func (w *WireWriter) Close() []byte {
-	if !w.inEdges {
-		w.endList()
-		w.dst = append(w.dst, `,"edges":`...)
-	}
-	w.endList()
-	return append(w.dst, '}')
+	return append(dst, ']')
 }
 
 // AppendJSON appends the graph's wire form to dst and returns the extended
-// buffer. Any number of goroutines may encode one shared (cached) graph;
-// after the first, each walks the remembered wire order without sorting.
+// buffer. Any number of goroutines may encode one shared (cached) graph:
+// the first render sorts and encodes into dst and keeps an exact-size copy,
+// every later one appends the kept bytes.
 func (ag *Graph) AppendJSON(dst []byte) []byte {
-	s, o := ag.Schema, ag.wire()
-	w := NewWireWriter(dst, s.AttrNames(), ag.Kind.String())
-	from, to := make([]string, len(s.attrs)), make([]string, len(s.attrs))
-	for _, p := range o.nodes {
-		w.Node(s.decodeInto(from, p.key), p.w)
+	if b := ag.json.Load(); b != nil {
+		return append(dst, *b...)
 	}
-	for _, p := range o.edges {
-		w.Edge(s.decodeInto(from, p.key.From), s.decodeInto(to, p.key.To), p.w)
+	start, s, n := len(dst), ag.Schema, len(ag.Schema.attrs)
+	nodes, edges := ag.sorted()
+	values := make([]string, 2*n)
+	from, to := values[:n], values[n:]
+	dst = append(dst, `{"attributes":[`...)
+	for i, a := range s.attrs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = AppendJSONString(dst, s.g.Attr(a).Name)
 	}
-	return w.Close()
+	dst = append(AppendJSONString(append(dst, `],"kind":`...), ag.Kind.String()), `,"nodes":`...)
+	dst = appendGroups(dst, nodes, func(dst []byte, k Tuple) []byte {
+		return appendJSONStrings(append(dst, `{"values":`...), s.decodeInto(from, k))
+	})
+	dst = appendGroups(append(dst, `,"edges":`...), edges, func(dst []byte, k EdgeKey) []byte {
+		dst = appendJSONStrings(append(dst, `{"from":`...), s.decodeInto(from, k.From))
+		return appendJSONStrings(append(dst, `,"to":`...), s.decodeInto(to, k.To))
+	})
+	return keep(&ag.json, start, append(dst, '}'))
+}
+
+// AppendJSONText appends String() as a JSON string literal — the "text"
+// of a TGQL aggregate reply — and keeps it like AppendJSON keeps the wire
+// form.
+func (ag *Graph) AppendJSONText(dst []byte) []byte {
+	if b := ag.text.Load(); b != nil {
+		return append(dst, *b...)
+	}
+	return keep(&ag.text, len(dst), AppendJSONString(dst, ag.String()))
+}
+
+// keep publishes an exact-size copy of dst[start:], the form just rendered,
+// in slot and returns dst. Concurrent first renders each render; their
+// bytes are equal and either copy is kept.
+func keep(slot *atomic.Pointer[[]byte], start int, dst []byte) []byte {
+	b := bytes.Clone(dst[start:])
+	slot.Store(&b)
+	return dst
+}
+
+// renderBounds bounds the lengths of AppendJSON's and AppendJSONText's
+// bytes. Per group, with W the schema's value width (widths): a node is at
+// most W+43 wire bytes and W+34 text bytes, an edge 2W+48 and 2W+39 —
+// the fixed punctuation, a weight of up to 20 characters and a separator.
+func (ag *Graph) renderBounds() (json, text int64) {
+	w, names := ag.Schema.widths()
+	n, e := int64(len(ag.Nodes)), int64(len(ag.Edges))
+	return 64 + names + n*(w+43) + e*(2*w+48), 64 + n*(w+34) + e*(2*w+39)
+}
+
+// widths returns, computed once per schema, the widest a tuple's values
+// render — the sum over attributes of the longest escaped dictionary value
+// (quotes included) plus one separator — and the same sum over the
+// attribute names.
+func (s *Schema) widths() (values, names int64) {
+	s.widthOnce.Do(func() {
+		var buf []byte
+		for _, a := range s.attrs {
+			widest := 2 // "", what an empty domain decodes to
+			for _, v := range s.g.Dict(a).Values() {
+				buf = AppendJSONString(buf[:0], v)
+				widest = max(widest, len(buf))
+			}
+			s.valueWidth += int64(widest) + 1
+			s.nameWidth += int64(len(AppendJSONString(buf[:0], s.g.Attr(a).Name))) + 1
+		}
+	})
+	return s.valueWidth, s.nameWidth
 }
 
 // MarshalJSON renders the wire form for encoding/json callers.

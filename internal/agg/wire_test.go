@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -105,22 +106,42 @@ func oracleString(ag *Graph) string {
 	return b.String()
 }
 
-// checkWire holds every rendering of ag to the oracle.
+// checkWire holds every rendering of ag to the oracle, twice: the first
+// round renders each kept form into a prefixed buffer, the second appends
+// the bytes the first kept. The escaped text is held to encoding/json of
+// the text oracle, and each kept form to its share of ApproxBytes.
 func checkWire(t testing.TB, ag *Graph) {
 	t.Helper()
 	want := oracleJSON(t, ag)
-	if got := ag.AppendJSON(nil); !bytes.Equal(got, want) {
-		t.Fatalf("AppendJSON differs from the reflection oracle\n got %s\nwant %s", got, want)
+	wantText, err := json.Marshal(oracleString(ag))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := ag.AppendJSON([]byte("prefix")); !bytes.Equal(got, append([]byte("prefix"), want...)) {
-		t.Fatalf("AppendJSON clobbered its destination prefix: %.40s", got)
+	prefix := []byte("prefix")
+	for round := 0; round < 2; round++ {
+		if got := ag.AppendJSON(slices.Clone(prefix)); !bytes.Equal(got, append(slices.Clone(prefix), want...)) {
+			t.Fatalf("round %d: AppendJSON into a prefixed buffer differs from the reflection oracle\n got %s\nwant prefix%s", round, got, want)
+		}
+		if got := ag.AppendJSON(nil); !bytes.Equal(got, want) {
+			t.Fatalf("round %d: AppendJSON differs from the reflection oracle\n got %s\nwant %s", round, got, want)
+		}
+		// What bench/oracle.go and every other encoding/json caller sees.
+		if got, err := json.Marshal(ag); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("round %d: json.Marshal differs from the reflection oracle (err %v)\n got %s\nwant %s", round, err, got, want)
+		}
+		if got := ag.AppendJSONText(slices.Clone(prefix)); !bytes.Equal(got, append(slices.Clone(prefix), wantText...)) {
+			t.Fatalf("round %d: AppendJSONText into a prefixed buffer differs from encoding/json\n got %s\nwant prefix%s", round, got, wantText)
+		}
+		if got := ag.AppendJSONText(nil); !bytes.Equal(got, wantText) {
+			t.Fatalf("round %d: AppendJSONText differs from encoding/json\n got %s\nwant %s", round, got, wantText)
+		}
+		if got, want := ag.String(), oracleString(ag); got != want {
+			t.Fatalf("round %d: String differs from the fmt oracle\n got %q\nwant %q", round, got, want)
+		}
 	}
-	// What bench/oracle.go and every other encoding/json caller sees.
-	if got, err := json.Marshal(ag); err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("json.Marshal differs from the reflection oracle (err %v)\n got %s\nwant %s", err, got, want)
-	}
-	if got, want := ag.String(), oracleString(ag); got != want {
-		t.Fatalf("String differs from the fmt oracle\n got %q\nwant %q", got, want)
+	jsonBound, textBound := ag.renderBounds()
+	if int64(len(want)) > jsonBound || int64(len(wantText)) > textBound {
+		t.Fatalf("kept %d wire and %d text bytes; ApproxBytes charges %d and %d for them", len(want), len(wantText), jsonBound, textBound)
 	}
 }
 
@@ -161,12 +182,30 @@ func TestWireMatchesOracleOnDBLP(t *testing.T) {
 	}
 }
 
+// TestWireMatchesOracleOnNastyValues: values that escape to six bytes a
+// byte still render within the bounds ApproxBytes charges (checkWire) —
+// also in a graph of one value with every weight 20 characters wide, where
+// each group renders as wide as its bound allows.
 func TestWireMatchesOracleOnNastyValues(t *testing.T) {
-	g := gtest.ValueGraph(gtest.NastyValues)
-	v := ops.Union(g, g.Timeline().Point(0), g.Timeline().Point(1))
-	for _, attrs := range [][]core.AttrID{{0}, {1}, {0, 1}, {1, 0}} {
-		for _, kind := range []Kind{Distinct, All} {
-			checkWire(t, Aggregate(v, MustSchema(g, attrs...), kind))
+	graphs := []*core.Graph{gtest.ValueGraph(gtest.NastyValues)}
+	for _, value := range gtest.NastyValues {
+		graphs = append(graphs, gtest.ValueGraph([]string{value}))
+	}
+	for _, g := range graphs {
+		v := ops.Union(g, g.Timeline().Point(0), g.Timeline().Point(1))
+		for _, attrs := range [][]core.AttrID{{0}, {1}, {0, 1}, {1, 0}} {
+			for _, kind := range []Kind{Distinct, All} {
+				ag := Aggregate(v, MustSchema(g, attrs...), kind)
+				checkWire(t, ag)
+				wide := ag.Clone()
+				for tu := range wide.Nodes {
+					wide.Nodes[tu] = math.MinInt64
+				}
+				for k := range wide.Edges {
+					wide.Edges[k] = math.MinInt64
+				}
+				checkWire(t, wide)
+			}
 		}
 	}
 }
@@ -264,7 +303,8 @@ func TestWireConcurrentEncode(t *testing.T) {
 }
 
 // FuzzGraphWireJSON holds the encoder to the reflection oracle on arbitrary
-// attribute values, and the string appender to encoding/json itself.
+// attribute values, first render and kept bytes alike, on a graph and on an
+// empty one, and the string appender to encoding/json itself.
 func FuzzGraphWireJSON(f *testing.F) {
 	for i := 0; i+2 < len(gtest.NastyValues); i += 3 {
 		f.Add(gtest.NastyValues[i], gtest.NastyValues[i+1], gtest.NastyValues[i+2])
@@ -287,8 +327,10 @@ func FuzzGraphWireJSON(f *testing.F) {
 			}
 		}
 		g := gtest.ValueGraph(values)
+		t0 := g.Timeline().Point(0)
 		for _, attrs := range [][]core.AttrID{{0}, {1, 0}} {
 			checkWire(t, Aggregate(ops.At(g, 0), MustSchema(g, attrs...), All))
+			checkWire(t, Aggregate(ops.Difference(g, t0, t0), MustSchema(g, attrs...), Distinct))
 		}
 	})
 }

@@ -2,6 +2,7 @@ package agg
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -16,21 +17,26 @@ import (
 	"repro/internal/timeline"
 )
 
-// A graph's wire order is sorted on its first render and remembered. These
-// tests hold every render, first and later, to a reference that sorts the
-// maps afresh with SortedTuples / SortedEdgeKeys and looks every weight up —
-// what each render did before the order was remembered.
+// A graph keeps the bytes of each wire form its first render produced (the
+// wire JSON and the JSON-escaped text), and every later render appends
+// them. These tests hold every render, first and later, to a reference that
+// sorts the maps afresh with SortedTuples / SortedEdgeKeys and looks every
+// weight up — what each render did before anything was kept.
 
 func sorterJSON(ag *Graph) []byte {
 	s := ag.Schema
-	w := NewWireWriter(nil, s.AttrNames(), ag.Kind.String())
+	out := jsonGraph{Attributes: s.AttrNames(), Kind: ag.Kind.String()}
 	for _, tu := range SortedTuples(s, ag.Nodes) {
-		w.Node(s.Decode(tu), ag.Nodes[tu])
+		out.Nodes = append(out.Nodes, jsonNode{s.Decode(tu), ag.Nodes[tu]})
 	}
 	for _, k := range SortedEdgeKeys(s, ag.Edges) {
-		w.Edge(s.Decode(k.From), s.Decode(k.To), ag.Edges[k])
+		out.Edges = append(out.Edges, jsonEdge{s.Decode(k.From), s.Decode(k.To), ag.Edges[k]})
 	}
-	return w.Close()
+	data, err := json.Marshal(out)
+	if err != nil {
+		panic(err)
+	}
+	return data
 }
 
 func sorterString(ag *Graph) string {
@@ -51,6 +57,7 @@ func sorterString(ag *Graph) string {
 func checkRemembered(t *testing.T, ag *Graph) {
 	t.Helper()
 	wantJSON, wantString := sorterJSON(ag), sorterString(ag)
+	wantText := AppendJSONString(nil, wantString)
 	wantNodes, wantEdges := SortedTuples(ag.Schema, ag.Nodes), SortedEdgeKeys(ag.Schema, ag.Edges)
 	for _, jsonFirst := range []bool{true, false} {
 		fresh := ag.Clone()
@@ -60,7 +67,10 @@ func checkRemembered(t *testing.T, ag *Graph) {
 					if got := fresh.AppendJSON(nil); !bytes.Equal(got, wantJSON) {
 						t.Fatalf("AppendJSON round %d (json first %v) differs from the sorter\n got %s\nwant %s", round, jsonFirst, got, wantJSON)
 					}
-				} else if got := fresh.String(); got != wantString {
+				} else if got := fresh.AppendJSONText(nil); !bytes.Equal(got, wantText) {
+					t.Fatalf("AppendJSONText round %d (json first %v) differs from the sorter\n got %s\nwant %s", round, jsonFirst, got, wantText)
+				}
+				if got := fresh.String(); got != wantString {
 					t.Fatalf("String round %d (json first %v) differs from the sorter\n got %q\nwant %q", round, jsonFirst, got, wantString)
 				}
 			}
@@ -155,14 +165,14 @@ func TestWireOrderRememberedOnOrderCorners(t *testing.T) {
 }
 
 // TestWireOrderMergeForgets: Merge after a render must show up in the next
-// render — new groups in their place, summed weights on the old ones.
+// render — new groups in their place, summed weights on the old ones — and
+// that render must equal a fresh graph's.
 func TestWireOrderMergeForgets(t *testing.T) {
 	g := core.PaperExample()
 	s := MustSchema(g, g.MustAttr("gender"), g.MustAttr("publications"))
 	ag := Aggregate(ops.At(g, 0), s, All)
 	other := Aggregate(ops.At(g, 1), s, All)
-	before := ag.AppendJSON(nil)
-	_ = ag.String()
+	before, beforeText := ag.AppendJSON(nil), ag.AppendJSONText(nil)
 	newNode, newEdge := false, false
 	for tu := range other.Nodes {
 		_, ok := ag.Nodes[tu]
@@ -176,12 +186,16 @@ func TestWireOrderMergeForgets(t *testing.T) {
 		t.Fatalf("fixture: t1 adds no new node (%v) or edge (%v) group to t0", newNode, newEdge)
 	}
 	ag.Merge(other)
-	got := ag.AppendJSON(nil)
-	if bytes.Equal(got, before) {
+	fresh := ag.Clone()
+	got, gotText := ag.AppendJSON(nil), ag.AppendJSONText(nil)
+	if bytes.Equal(got, before) || bytes.Equal(gotText, beforeText) {
 		t.Fatal("render after Merge repeats the render before it")
 	}
-	if want := sorterJSON(ag); !bytes.Equal(got, want) {
+	if want := fresh.AppendJSON(nil); !bytes.Equal(got, want) || !bytes.Equal(got, sorterJSON(ag)) {
 		t.Fatalf("AppendJSON after Merge\n got %s\nwant %s", got, want)
+	}
+	if want := fresh.AppendJSONText(nil); !bytes.Equal(gotText, want) {
+		t.Fatalf("AppendJSONText after Merge\n got %s\nwant %s", gotText, want)
 	}
 	if got, want := ag.String(), sorterString(ag); got != want {
 		t.Fatalf("String after Merge\n got %q\nwant %q", got, want)
@@ -191,31 +205,36 @@ func TestWireOrderMergeForgets(t *testing.T) {
 	}
 }
 
-// TestWireOrderConcurrentFirstRender starts 8 goroutines on one graph that
+// TestWireOrderConcurrentFirstRender starts 16 goroutines on one graph that
 // was never rendered, the way concurrent requests meet a fresh catalog
-// entry. Run under -race.
+// entry: half render the wire JSON first, half the escaped text, and every
+// goroutine must get the same bytes of both. Run under -race.
 func TestWireOrderConcurrentFirstRender(t *testing.T) {
 	g := dataset.DBLPScaled(1, 0.05)
 	base := Aggregate(ops.Union(g, g.Timeline().All(), g.Timeline().All()), MustSchema(g, 0, 1), All)
-	wantJSON, wantString := sorterJSON(base), sorterString(base)
+	wantJSON, wantText := sorterJSON(base), AppendJSONString(nil, sorterString(base))
 	for round := 0; round < 5; round++ {
 		ag := base.Clone()
 		start := make(chan struct{})
 		var wg sync.WaitGroup
-		for w := 0; w < 8; w++ {
+		for w := 0; w < 16; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				<-start
+				var gotJSON, gotText []byte
 				if w%2 == 0 {
-					if got := ag.AppendJSON(nil); !bytes.Equal(got, wantJSON) {
-						t.Error("concurrent first AppendJSON differs from the sorter")
-					}
-				} else if got := ag.String(); got != wantString {
-					t.Error("concurrent first String differs from the sorter")
+					gotJSON = ag.AppendJSON(nil)
+					gotText = ag.AppendJSONText(nil)
+				} else {
+					gotText = ag.AppendJSONText(nil)
+					gotJSON = ag.AppendJSON(nil)
 				}
-				if got := ag.AppendJSON(nil); !bytes.Equal(got, wantJSON) {
-					t.Error("concurrent second AppendJSON differs from the sorter")
+				if !bytes.Equal(gotJSON, wantJSON) || !bytes.Equal(gotText, wantText) {
+					t.Error("a concurrent first render differs from the sorter")
+				}
+				if !bytes.Equal(ag.AppendJSON(nil), wantJSON) || !bytes.Equal(ag.AppendJSONText(nil), wantText) {
+					t.Error("a concurrent second render differs from the sorter")
 				}
 			}()
 		}
@@ -224,9 +243,9 @@ func TestWireOrderConcurrentFirstRender(t *testing.T) {
 	}
 }
 
-// TestWireOrderWarmAppendJSONAllocs: a warm render of a cached panel
-// allocates the attribute names and the two decode buffers, nothing else —
-// no sort, no label buffer.
+// TestWireOrderWarmAppendJSONAllocs: a warm render of a cached panel, wire
+// JSON or escaped text, into a buffer with room for it allocates nothing —
+// no sort, no decode buffer, no attribute names.
 func TestWireOrderWarmAppendJSONAllocs(t *testing.T) {
 	g := dataset.DBLPScaled(1, 0.2)
 	s, err := ByName(g, "gender", "publications")
@@ -235,7 +254,11 @@ func TestWireOrderWarmAppendJSONAllocs(t *testing.T) {
 	}
 	ag := Aggregate(ops.Union(g, g.Timeline().All(), g.Timeline().All()), s, All)
 	buf := ag.AppendJSON(nil)
-	if allocs := testing.AllocsPerRun(50, func() { buf = ag.AppendJSON(buf[:0]) }); allocs > 3 {
-		t.Fatalf("warm AppendJSON allocates %.1f times per render, want ≤ 3", allocs)
+	if allocs := testing.AllocsPerRun(50, func() { buf = ag.AppendJSON(buf[:0]) }); allocs != 0 {
+		t.Fatalf("warm AppendJSON allocates %.1f times per render, want 0", allocs)
+	}
+	buf = ag.AppendJSONText(nil)
+	if allocs := testing.AllocsPerRun(50, func() { buf = ag.AppendJSONText(buf[:0]) }); allocs != 0 {
+		t.Fatalf("warm AppendJSONText allocates %.1f times per render, want 0", allocs)
 	}
 }

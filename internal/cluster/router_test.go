@@ -424,6 +424,50 @@ func TestMirrorByteIdentity(t *testing.T) {
 	}
 }
 
+// TestMirrorRepeatedReadsKeepTheirBytes: graph-carrying reads asked three
+// times through the router — union-ALL the mirror's catalog caches, a
+// DIST intersection its memo keeps, and their TGQL forms — answer each time
+// what a single node asked the same sequence answers, elapsed_ms aside, and
+// every repeat carries the first answer's graph.
+func TestMirrorRepeatedReadsKeepTheirBytes(t *testing.T) {
+	routerURL, refURL, _ := startCluster(t, 3)
+	iv := func(from, to string) server.IntervalSpec { return server.IntervalSpec{From: from, To: to} }
+	reads := []struct {
+		path string
+		body any
+	}{
+		{"/v1/aggregate", server.AggregateRequest{Op: "union", Kind: "all", Interval: iv("t0", "t2"), Interval2: iv("t3", "t5"), Attrs: []string{"gender", "publications"}}},
+		{"/v1/aggregate", server.AggregateRequest{Op: "intersection", Interval: iv("t0", "t2"), Interval2: iv("t3", "t5"), Attrs: []string{"publications"}}},
+		{"/v1/tgql", server.TGQLRequest{Query: "AGG ALL gender, publications ON UNION(t0..t2, t3..t5)"}},
+		{"/v1/tgql", server.TGQLRequest{Query: "AGG DIST publications ON INTERSECT(t0..t2, t3..t5)"}},
+	}
+	for _, r := range reads {
+		var first json.RawMessage
+		for ask := 0; ask < 3; ask++ {
+			code, want, _ := postJSON(t, refURL+r.path, r.body)
+			if code != http.StatusOK {
+				t.Fatalf("%+v: single node = %d: %s", r.body, code, want)
+			}
+			code, got, hdr := postJSON(t, routerURL+r.path, r.body)
+			if code != http.StatusOK || hdr.Get("X-Gt-Route") != "mirror" {
+				t.Fatalf("%+v: router = %d via %q: %s", r.body, code, hdr.Get("X-Gt-Route"), got)
+			}
+			if !bytes.Equal(elapsedField.ReplaceAll(got, nil), elapsedField.ReplaceAll(want, nil)) {
+				t.Errorf("%+v ask %d diverged:\n single %s\n router %s", r.body, ask, want, got)
+			}
+			var reply struct{ Graph json.RawMessage }
+			if err := json.Unmarshal(got, &reply); err != nil || reply.Graph == nil {
+				t.Fatalf("%+v: no graph in %s (%v)", r.body, got, err)
+			}
+			if first == nil {
+				first = reply.Graph
+			} else if !bytes.Equal(reply.Graph, first) {
+				t.Errorf("%+v ask %d: graph\n%s\nwant the first answer's\n%s", r.body, ask, reply.Graph, first)
+			}
+		}
+	}
+}
+
 // TestRouterAndDaemonRejectTheSameBodies: every body gets one verdict
 // whichever process it reaches — a retired workers field or anything after
 // the request object is the daemon's canonical 400 through the router too,

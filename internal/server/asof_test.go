@@ -322,7 +322,7 @@ func TestRetroIngestReaggregates(t *testing.T) {
 		core.AttrSpec{Name: "publications", Kind: core.TimeVarying},
 	)
 	// A cache too small for every result, so evictions are counted too.
-	s, err := New(Config{Series: series, Logger: quietLogger(), CacheBytes: 8192})
+	s, err := New(Config{Series: series, Logger: quietLogger(), CacheBytes: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/agg"
 	"repro/internal/explore"
 	"repro/internal/plan"
 	"repro/internal/storage"
@@ -236,8 +235,7 @@ func encodeTGQL(w http.ResponseWriter, q query, a answer) (int, error) {
 	if res.Agg != nil {
 		// An aggregate statement sets no other payload: text, then graph.
 		return writeGraphJSON(w, func(dst []byte) []byte {
-			dst = agg.AppendJSONString(append(dst, `{"text":`...), res.String())
-			return append(dst, `,"graph":`...)
+			return append(res.Agg.AppendJSONText(append(dst, `{"text":`...)), `,"graph":`...)
 		}, res.Agg)
 	}
 	resp := TGQLResponse{Text: res.String(), Pairs: explorePairs(res.Pairs)}

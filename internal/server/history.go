@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lru"
+	"repro/internal/materialize"
 	"repro/internal/plan"
 )
 
@@ -35,7 +36,8 @@ func (s *Server) headTxn() int {
 // histBytes estimates the resident footprint of one reconstructed state for
 // the LRU budget: graph columns, the catalog's per-point schema arrays, one
 // varying schema's tuple-code rows (agg.Schema.Codes), which the state's
-// scans build and keep, and the budget of its plan and answer memo.
+// scans build and keep, and the budgets of its plan and answer memo and of
+// its catalog's result cache.
 func histBytes(st *plan.State) int64 {
 	g := st.Graph
 	attrs := int64(len(g.Attrs()))
@@ -46,7 +48,7 @@ func histBytes(st *plan.State) int64 {
 	if points == 0 {
 		points = 1
 	}
-	return 4096 + st.Plans.MaxBytes() +
+	return 4096 + st.Plans.MaxBytes() + st.Catalog.MaxBytes() +
 		int64(g.NumNodes())*(16+8*attrs) + // labels, per-attr columns
 		int64(g.NumEdges())*24 + // endpoints + time
 		points*256 + // timeline + per-point store rows
@@ -55,17 +57,17 @@ func histBytes(st *plan.State) int64 {
 
 // histDo answers from the history LRU, reconstructing the state on a miss.
 // Concurrent requests for the same key share one reconstruction via the
-// cache's flight dedup. A reconstructed state's memo gets a 64th of the
-// history budget, which charges it (histBytes).
+// cache's flight dedup. A reconstructed state's catalog result cache gets a
+// 64th of the history budget, in one shard, and its plan and answer memo
+// the same (plan.NewState); histBytes charges both.
 func (s *Server) histDo(key string, build func() (*core.Graph, error)) (*plan.State, error) {
 	st, _, err := s.hist.Do(key, histBytes, func() (*plan.State, error) {
 		g, err := build()
 		if err != nil {
 			return nil, err
 		}
-		st := plan.NewState(g, s.newCatalog(g), 0)
-		st.Plans = plan.NewCache(s.hist.MaxBytes() / 64)
-		return st, nil
+		cfg := materialize.CatalogConfig{MaxBytes: s.hist.MaxBytes() / 64, Shards: 1}
+		return plan.NewState(g, materialize.NewCatalogWith(g, cfg), 0), nil
 	})
 	return st, err
 }

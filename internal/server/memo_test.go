@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/materialize"
 	"repro/internal/metrics"
 	"repro/internal/plan"
 )
@@ -292,10 +293,12 @@ func TestConcurrentIdenticalReads(t *testing.T) {
 }
 
 // TestHistoryMemoWithinBudget: a reconstructed AS OF state's plan and
-// answer memo is charged to the history LRU, so AS OF states each filled
-// with distinct statements keep their graphs and memos within
-// HistoryCacheBytes. Memos sized by -cache-bytes and left uncharged hold
-// 1.7 times the budget here.
+// answer memo and its catalog's result cache are charged to the history
+// LRU, so AS OF states each filled with distinct statements — TOP reads,
+// union-ALL reads the catalog caches and TGQL AGG DIST reads the memo
+// keeps, each aggregate with its kept wire forms — hold their graphs,
+// memos and cached results within HistoryCacheBytes. A catalog sized by
+// -cache-bytes and left uncharged holds more than the whole budget here.
 func TestHistoryMemoWithinBudget(t *testing.T) {
 	const budget = 256 << 10
 	s, ts := newStreamServer(t, Config{HistoryCacheBytes: budget})
@@ -303,22 +306,38 @@ func TestHistoryMemoWithinBudget(t *testing.T) {
 	for i := 0; i < points; i++ {
 		ingestPoint(t, ts.URL, i)
 	}
+	read := func(q TGQLRequest) {
+		t.Helper()
+		if code, body := postJSON(t, ts.URL+"/v1/tgql", q); code != http.StatusOK {
+			t.Fatalf("%s AS OF %d = %d: %s", q.Query, q.AsOf, code, body)
+		}
+	}
 	for txn := 1; txn < points; txn++ {
 		for n := 1; n <= 40; n++ {
-			q := TGQLRequest{Query: fmt.Sprintf("TOP %d GROWTH BY gender", n), AsOf: txn}
-			if code, body := postJSON(t, ts.URL+"/v1/tgql", q); code != http.StatusOK {
-				t.Fatalf("%s AS OF %d = %d: %s", q.Query, txn, code, body)
+			read(TGQLRequest{Query: fmt.Sprintf("TOP %d GROWTH BY gender", n), AsOf: txn})
+		}
+		for from := 0; from < txn; from++ {
+			for to := from; to < txn; to++ {
+				for _, kind := range []string{"ALL", "DIST"} {
+					read(TGQLRequest{Query: fmt.Sprintf("AGG %s gender, publications ON UNION(t%d..t%d, t%d..t%d)", kind, from, to, from, to), AsOf: txn})
+				}
 			}
 		}
 	}
-	var resident, memo int64
+	var resident, memo, results int64
 	for txn := 1; txn < points; txn++ {
 		if st, ok := s.hist.Get("txn=" + strconv.Itoa(txn)); ok {
-			resident += histBytes(st) - st.Plans.MaxBytes() + st.Plans.Bytes()
+			// What histBytes charges the graph alone: a state over it with
+			// one-byte budgets.
+			bare := &plan.State{Graph: st.Graph, Plans: plan.NewCache(1),
+				Catalog: materialize.NewCatalogWith(st.Graph, materialize.CatalogConfig{MaxBytes: 1, Shards: 1})}
+			cached := st.Catalog.Stats().CacheBytes
+			resident += histBytes(bare) + st.Plans.Bytes() + cached
 			memo += st.Plans.Bytes()
+			results += cached
 		}
 	}
-	if memo == 0 || resident > budget {
-		t.Fatalf("AS OF states hold %d bytes, %d of them memo; budget %d", resident, memo, budget)
+	if memo == 0 || results == 0 || resident > budget {
+		t.Fatalf("AS OF states hold %d bytes, %d of them memo and %d cached results; budget %d", resident, memo, results, budget)
 	}
 }

@@ -68,13 +68,13 @@ type Config struct {
 	// request a shorter deadline via the X-Deadline-Ms header; longer is
 	// clamped. <= 0 selects 30s.
 	RequestTimeout time.Duration
-	// CacheBytes sizes the materialization catalog's serving cache, and
-	// the head state's plan and answer memo beside it (<= 0 selects the
+	// CacheBytes sizes the head state's materialization catalog's serving
+	// cache, and its plan and answer memo beside it (<= 0 selects the
 	// catalog default).
 	CacheBytes int64
 	// HistoryCacheBytes sizes the LRU of reconstructed historical states
-	// serving AS OF / VALID DURING queries, their memos included (<= 0
-	// selects 256 MiB).
+	// serving AS OF / VALID DURING queries, their memos and catalog result
+	// caches included (<= 0 selects 256 MiB).
 	HistoryCacheBytes int64
 	// Logger receives structured access and lifecycle logs; nil selects
 	// slog.Default().

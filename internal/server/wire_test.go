@@ -16,6 +16,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/gtest"
 	"repro/internal/ops"
+	"repro/internal/plan"
 )
 
 // reflected encodes v the way the handlers did before they wrote graph
@@ -105,6 +106,68 @@ func TestGraphAnswersMatchReflectedStructs(t *testing.T) {
 				check(post(srv.Handler(), "/v1/tgql", string(stmt)),
 					reflected(t, TGQLResponse{Text: want.String(), Graph: graph}))
 			})
+		}
+	}
+}
+
+// TestRepeatedGraphRepliesKeepTheirBytes: a graph-carrying reply asked
+// three times is each time what encoding/json makes of the response struct
+// (elapsed_ms and source taken from the reply), whichever path serves the
+// repeat — the catalog's cached graph, a plan's memoized answer, or a fresh
+// graph from a catalog too small to keep one (source=scratch) — on
+// /v1/aggregate and TGQL alike.
+func TestRepeatedGraphRepliesKeepTheirBytes(t *testing.T) {
+	g := gtest.ValueGraph(gtest.NastyValues)
+	tl := g.Timeline()
+	a, b := tl.Point(0), tl.Point(1)
+	schema := agg.MustSchema(g, 1, 0)
+	for _, sc := range []struct {
+		name       string
+		cacheBytes int64
+		union      string // the source of a repeated union-ALL
+	}{{"catalog", 0, "cached"}, {"scratch", 1, "scratch"}} {
+		srv, err := New(Config{Graph: g, Logger: quietLogger(), CacheBytes: sc.cacheBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			op, stmt string
+			kind     agg.Kind
+			view     *ops.View
+		}{
+			{"union", "UNION", agg.All, ops.Union(g, a, b)},
+			{"intersection", "INTERSECT", agg.Distinct, ops.Intersection(g, a, b)},
+		} {
+			want := agg.Aggregate(tc.view, schema, tc.kind)
+			graph, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req, _ := json.Marshal(AggregateRequest{Op: tc.op, Kind: strings.ToLower(tc.kind.String()), Attrs: []string{"y", "x"},
+				Interval: IntervalSpec{From: "t0"}, Interval2: IntervalSpec{From: "t1"}})
+			stmt, _ := json.Marshal(TGQLRequest{Query: fmt.Sprintf("AGG %s y, x ON %s(t0, t1)", tc.kind, tc.stmt)})
+			for ask := 0; ask < 3; ask++ {
+				hits := plan.MemoHits.Value()
+				rec := post(srv.Handler(), "/v1/aggregate", string(req))
+				var got AggregateResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+					t.Fatalf("%s/%s: undecodable answer %s: %v", sc.name, tc.op, rec.Body, err)
+				}
+				if !bytes.Equal(rec.Body.Bytes(), reflected(t, AggregateResponse{Source: got.Source, ElapsedMs: got.ElapsedMs, Graph: graph})) {
+					t.Errorf("%s/%s ask %d: /v1/aggregate differs from the reflected struct:\n%s", sc.name, tc.op, ask, rec.Body)
+				}
+				switch {
+				case ask == 0:
+				case tc.kind == agg.All && got.Source != sc.union:
+					t.Errorf("%s/%s ask %d: source %q, want %q", sc.name, tc.op, ask, got.Source, sc.union)
+				case tc.kind == agg.Distinct && plan.MemoHits.Value() == hits:
+					t.Errorf("%s/%s ask %d: the repeat was no memo hit", sc.name, tc.op, ask)
+				}
+				rec = post(srv.Handler(), "/v1/tgql", string(stmt))
+				if !bytes.Equal(rec.Body.Bytes(), reflected(t, TGQLResponse{Text: want.String(), Graph: graph})) {
+					t.Errorf("%s/%s ask %d: /v1/tgql differs from the reflected struct:\n%s", sc.name, tc.op, ask, rec.Body)
+				}
+			}
 		}
 	}
 }
