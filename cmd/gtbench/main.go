@@ -6,14 +6,12 @@
 //	gtbench -all                     # run everything at full Table 3/4 scale
 //	gtbench -scale 0.1 -all          # scaled-down quick run
 //	gtbench -run fig10,fig13         # selected experiments
-//	gtbench -all -csvdir out/        # additionally write one CSV per result
 //	gtbench -all -json               # one JSON object per result (JSON lines)
 //	gtbench -list                    # list experiment ids
 //
 // Output is plain text: one aligned table per experiment, in paper order
-// (one JSON object per result with -json, CSV files for plotting when
-// -csvdir is set). Timings are wall
-// clock on this machine; the reproduction target is the shape of each
+// (one JSON object per result with -json). Timings are wall clock on the
+// machine that runs it; the reproduction target is the shape of each
 // curve (who wins, by what factor, where crossovers fall), not the
 // paper's absolute milliseconds.
 package main
@@ -24,7 +22,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -156,45 +153,30 @@ func experiments() []experiment {
 				g, tl.Range(10, 19), tl.Point(20), 4))
 		}},
 		{"fig13", "MovieLens exploration for F-F co-rating (Fig. 13)", func(env *environment) []benchutil.Printable {
-			g := env.MovieLens()
-			titles := []string{
-				"MovieLens: maximal stability pairs (∩) for F-F edges",
-				"MovieLens: minimal growth pairs (∪) for F-F edges",
-				"MovieLens: minimal shrinkage pairs (∪) for F-F edges",
-			}
-			var out []benchutil.Printable
-			for i, spec := range benchutil.PaperExplorations() {
-				out = append(out, benchutil.FigExploration(fmt.Sprintf("Fig. 13%c", 'a'+i), titles[i],
-					g, "gender", []string{"F"}, []string{"F"}, spec))
-			}
-			return out
+			return explorations("13", "MovieLens", env.MovieLens(), "F", "F-F edges")
 		}},
 		{"fig14", "DBLP exploration for f-f collaborations (Fig. 14)", func(env *environment) []benchutil.Printable {
-			g := env.DBLP()
-			titles := []string{
-				"DBLP: maximal stability pairs (∩) for f-f collaborations",
-				"DBLP: minimal growth pairs (∪) for f-f collaborations",
-				"DBLP: minimal shrinkage pairs (∪) for f-f collaborations",
-			}
-			var out []benchutil.Printable
-			for i, spec := range benchutil.PaperExplorations() {
-				out = append(out, benchutil.FigExploration(fmt.Sprintf("Fig. 14%c", 'a'+i), titles[i],
-					g, "gender", []string{"f"}, []string{"f"}, spec))
-			}
-			return out
+			return explorations("14", "DBLP", env.DBLP(), "f", "f-f collaborations")
 		}},
 	}
 }
 
-// gitDescribe labels the source tree for run metadata; best effort — an
-// empty string when git or the repository is unavailable.
-func gitDescribe() string {
-	return gitDescribeIn("")
+// explorations is Fig. 13 or 14: the three §5.2 exploration cases for the
+// gender edge tuple value → value.
+func explorations(fig, dataset string, g *core.Graph, value, what string) []benchutil.Printable {
+	cases := []string{"maximal stability pairs (∩)", "minimal growth pairs (∪)", "minimal shrinkage pairs (∪)"}
+	var out []benchutil.Printable
+	for i, spec := range benchutil.PaperExplorations() {
+		out = append(out, benchutil.FigExploration(fmt.Sprintf("Fig. %s%c", fig, 'a'+i),
+			fmt.Sprintf("%s: %s for %s", dataset, cases[i], what), g, "gender", []string{value}, []string{value}, spec))
+	}
+	return out
 }
 
-// gitDescribeIn runs git describe in dir ("" = current directory). It
-// degrades gracefully: a missing git binary or a directory outside any
-// checkout yields an empty string with no stderr noise.
+// gitDescribeIn labels the source tree in dir ("" = current directory)
+// for run metadata with git describe. It degrades gracefully: a missing
+// git binary or a directory outside any checkout yields an empty string
+// with no stderr noise.
 func gitDescribeIn(dir string) string {
 	if _, err := exec.LookPath("git"); err != nil {
 		return ""
@@ -209,21 +191,6 @@ func gitDescribeIn(dir string) string {
 	return strings.TrimSpace(string(out))
 }
 
-// csvName turns a result id like "Fig. 13a" into "fig-13a.csv".
-func csvName(id string) string {
-	s := strings.ToLower(id)
-	s = strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			return r
-		default:
-			return '-'
-		}
-	}, s)
-	s = strings.Trim(strings.ReplaceAll(s, "--", "-"), "-")
-	return s + ".csv"
-}
-
 func main() {
 	var (
 		all    = flag.Bool("all", false, "run every experiment")
@@ -232,7 +199,6 @@ func main() {
 		scale  = flag.Float64("scale", 1.0, "dataset scale factor (1.0 = paper sizes)")
 		seed   = flag.Int64("seed", 1, "dataset generator seed")
 		out    = flag.String("out", "", "write text output to file instead of stdout")
-		csvdir = flag.String("csvdir", "", "additionally write one CSV per result into this directory")
 		asJSON = flag.Bool("json", false, "emit one JSON object per result (JSON lines) instead of text tables")
 	)
 	flag.Parse()
@@ -284,12 +250,6 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if *csvdir != "" {
-		if err := os.MkdirAll(*csvdir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
 
 	env := &environment{seed: *seed, scale: *scale}
 	if *asJSON {
@@ -297,7 +257,7 @@ func main() {
 			GoVersion:  runtime.Version(),
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
 			Timestamp:  time.Now().UTC().Format(time.RFC3339),
-			Git:        gitDescribe(),
+			Git:        gitDescribeIn(""),
 			Seed:       *seed,
 			Scale:      *scale,
 		})
@@ -314,19 +274,6 @@ func main() {
 				}
 			} else {
 				p.Print(w)
-			}
-			if *csvdir != "" {
-				path := filepath.Join(*csvdir, csvName(p.Name()))
-				f, err := os.Create(path)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				if err := p.WriteCSV(f); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				f.Close()
 			}
 		}
 		fmt.Fprintf(os.Stderr, "%s done in %v\n", e.id, time.Since(start).Round(time.Millisecond))

@@ -7,23 +7,18 @@
 package benchutil
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"time"
 
 	"repro/internal/tgql"
 )
 
 // Printable is implemented by Experiment and tgql.Table: render as an
-// aligned text block or as CSV (WriteJSON renders either as one JSON
-// object).
+// aligned text block (WriteJSON renders either as one JSON object).
 type Printable interface {
 	Print(w io.Writer)
-	WriteCSV(w io.Writer) error
-	Name() string
 }
 
 // Experiment is a numeric result: one row per x-axis point, one column per
@@ -41,9 +36,6 @@ type ExpRow struct {
 	X      string
 	Values []float64
 }
-
-// Name returns the experiment id.
-func (e *Experiment) Name() string { return e.ID }
 
 // Add appends a row.
 func (e *Experiment) Add(x string, values ...float64) {
@@ -106,27 +98,6 @@ func formatValue(v float64) string {
 	default:
 		return fmt.Sprintf("%.2f", v)
 	}
-}
-
-// WriteCSV renders the experiment as CSV (x label first, then one column
-// per series) for external plotting.
-func (e *Experiment) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(append([]string{e.XLabel}, e.Series...)); err != nil {
-		return err
-	}
-	for _, r := range e.Rows {
-		rec := make([]string, 1+len(r.Values))
-		rec[0] = r.X
-		for j, v := range r.Values {
-			rec[1+j] = strconv.FormatFloat(v, 'g', -1, 64)
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // RunMeta describes the environment a JSON run executed in. When set via

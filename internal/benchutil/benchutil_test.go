@@ -44,27 +44,6 @@ func TestTablePrint(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	e := &Experiment{ID: "x", Title: "demo", XLabel: "t", Series: []string{"a", "b"}}
-	e.Add("t0", 0.5, 2)
-	var buf bytes.Buffer
-	if err := e.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.String(); got != "t,a,b\nt0,0.5,2\n" {
-		t.Errorf("CSV = %q", got)
-	}
-	tb := &tgql.Table{Header: []string{"x", "y"}}
-	tb.Add("1", "2")
-	buf.Reset()
-	if err := tb.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.String(); got != "x,y\n1,2\n" {
-		t.Errorf("table CSV = %q", got)
-	}
-}
-
 func TestStatsTableMatchesGraph(t *testing.T) {
 	g := dataset.PaperExample()
 	tb := StatsTable("t", "paper example", g)
@@ -106,7 +85,7 @@ func TestFigures5Through11OnScaledDBLP(t *testing.T) {
 	}
 
 	f10 := Fig10("10", "dblp", g, "gender", "publications")
-	if len(f10.Rows) != n-1 || len(f10.Series) != 6 {
+	if len(f10.Rows) != n-1 || len(f10.Series) != 9 {
 		t.Errorf("Fig10 shape: %d rows × %d series", len(f10.Rows), len(f10.Series))
 	}
 	for _, r := range f10.Rows {
@@ -117,7 +96,7 @@ func TestFigures5Through11OnScaledDBLP(t *testing.T) {
 
 	f11 := Fig11("11a", "dblp", g, []string{"gender", "publications"},
 		[][]string{{"gender"}, {"publications"}})
-	if len(f11.Rows) != n || len(f11.Series) != 2 {
+	if len(f11.Rows) != n || len(f11.Series) != 4 {
 		t.Errorf("Fig11 shape: %d rows × %d series", len(f11.Rows), len(f11.Series))
 	}
 }
@@ -129,12 +108,16 @@ func TestFig11MovieLensVariants(t *testing.T) {
 		t.Fatalf("Fig11b experiments = %d, want 6", len(singles))
 	}
 	pairs := Fig11MovieLensPairs(g)
-	if len(pairs.Series) != 6 {
-		t.Errorf("Fig11c series = %d, want 6 pairs", len(pairs.Series))
+	if len(pairs.Series) != 6+2 {
+		t.Errorf("Fig11c series = %d, want 6 pairs and the 2 work series", len(pairs.Series))
 	}
 	triples := Fig11MovieLensTriples(g)
-	if len(triples.Series) != 4 {
-		t.Errorf("Fig11d series = %d, want 4 triples", len(triples.Series))
+	if len(triples.Series) != 4+2 {
+		t.Errorf("Fig11d series = %d, want 4 triples and the 2 work series", len(triples.Series))
+	}
+	f5 := Fig5("5b", "movielens", g, Fig5MovieLensCombos)
+	if len(f5.Rows) != 6 || len(f5.Series) != 7 || f5.Series[6] != "g+a+o+r" {
+		t.Errorf("Fig5b shape: %d rows × series %v", len(f5.Rows), f5.Series)
 	}
 }
 
@@ -173,12 +156,7 @@ func TestFigExplorationOnDBLP(t *testing.T) {
 		if len(tb.Rows) != 3 {
 			t.Errorf("spec %d: rows = %d, want 3 thresholds", i, len(tb.Rows))
 		}
-		// Pruned evaluations never exceed naive.
-		for _, r := range tb.Rows {
-			if r[2] > r[3] && len(r[2]) >= len(r[3]) {
-				t.Errorf("spec %d: pruned evals %s > naive %s", i, r[2], r[3])
-			}
-		}
+		checkEvaluations(t, tb)
 	}
 }
 

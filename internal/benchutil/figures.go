@@ -155,13 +155,16 @@ func differenceFig(id, title string, g *core.Graph, staticAttr, varyingAttr stri
 // Fig10 measures the speedup of composing union ALL aggregates from
 // per-time-point materialized aggregates (T-distributive reuse) over
 // computing them from scratch, for a static and a time-varying attribute,
-// while extending the interval [t0, t0+x].
+// while extending the interval [t0, t0+x]. The last three series count the
+// work behind the times: the entities (nodes + edges) the scratch union
+// view holds, and the groups each store composes.
 func Fig10(id, title string, g *core.Graph, staticAttr, varyingAttr string) *Experiment {
 	e := &Experiment{
 		ID: id, Title: title, XLabel: "interval end",
 		Series: []string{
 			staticAttr[:1] + ":scratch", staticAttr[:1] + ":mat", staticAttr[:1] + ":speedup",
-			varyingAttr[:1] + ":scratch", varyingAttr[:1] + ":mat", varyingAttr[:1] + ":speedup"},
+			varyingAttr[:1] + ":scratch", varyingAttr[:1] + ":mat", varyingAttr[:1] + ":speedup",
+			"entities", staticAttr[:1] + ":groups", varyingAttr[:1] + ":groups"},
 	}
 	var stores []*materialize.Store
 	for _, attr := range []string{staticAttr, varyingAttr} {
@@ -170,16 +173,27 @@ func Fig10(id, title string, g *core.Graph, staticAttr, varyingAttr string) *Exp
 	tl := g.Timeline()
 	for x := 1; x < tl.Len(); x++ {
 		iv := tl.Range(0, timeline.Time(x))
-		var row []float64
+		var (
+			row, composedGroups []float64
+			view                *ops.View
+			composed            *agg.Graph
+		)
 		for _, st := range stores {
-			scratch := timed(func() { agg.Aggregate(ops.Union(g, iv, iv), st.Schema(), agg.All) })
-			mat := timed(func() { st.UnionAll(iv) })
+			scratch := timed(func() { view = ops.Union(g, iv, iv); agg.Aggregate(view, st.Schema(), agg.All) })
+			mat := timed(func() { composed = st.UnionAll(iv) })
 			row = append(row, scratch, mat, ratio(scratch, mat))
+			composedGroups = append(composedGroups, groups(composed))
 		}
-		e.Add(tl.Label(timeline.Time(x)), row...)
+		row = append(row, entities(view))
+		e.Add(tl.Label(timeline.Time(x)), append(row, composedGroups...)...)
 	}
 	return e
 }
+
+// groups and entities count the nodes and edges of an aggregate graph and
+// of a view: the work of reading one.
+func groups(ag *agg.Graph) float64 { return float64(len(ag.Nodes) + len(ag.Edges)) }
+func entities(v *ops.View) float64 { return float64(v.NumNodes() + v.NumEdges()) }
 
 func ratio(a, b float64) float64 {
 	if b <= 0 {
@@ -191,12 +205,15 @@ func ratio(a, b float64) float64 {
 // Fig11 measures the speedup of deriving aggregates on attribute subsets
 // from a materialized superset aggregate (D-distributive roll-up) over
 // computing them from scratch, per time point. super is the materialized
-// attribute combination; subsets are the targets.
+// attribute combination; subsets are the targets. The last two series
+// count the work behind the times: the entities the scratch aggregation
+// scans, and the source groups every roll-up reads.
 func Fig11(id, title string, g *core.Graph, super []string, subsets [][]string) *Experiment {
 	e := &Experiment{ID: id, Title: title, XLabel: "time point"}
 	for _, sub := range subsets {
 		e.Series = append(e.Series, comboLabel(sub)+"⇐"+comboLabel(super))
 	}
+	e.Series = append(e.Series, "entities", "src groups")
 	superSchema := schemaFor(g, super...)
 	subIDs := make([][]core.AttrID, len(subsets))
 	subSchemas := make([]*agg.Schema, len(subsets))
@@ -208,7 +225,7 @@ func Fig11(id, title string, g *core.Graph, super []string, subsets [][]string) 
 	for t := 0; t < tl.Len(); t++ {
 		v := ops.At(g, timeline.Time(t))
 		fine := agg.Aggregate(v, superSchema, agg.Distinct) // materialized
-		vals := make([]float64, len(subsets))
+		vals := make([]float64, len(subsets), len(subsets)+2)
 		for i := range subsets {
 			scratch := timed(func() { agg.Aggregate(v, subSchemas[i], agg.Distinct) })
 			rolled := timed(func() {
@@ -218,6 +235,7 @@ func Fig11(id, title string, g *core.Graph, super []string, subsets [][]string) 
 			})
 			vals[i] = ratio(scratch, rolled)
 		}
+		vals = append(vals, entities(v), groups(fine))
 		e.Add(tl.Label(timeline.Time(t)), vals...)
 	}
 	return e

@@ -6,10 +6,17 @@ import (
 	"repro/internal/timeline"
 )
 
-// AggregateMap computes the same result as Aggregate on hash-map
-// accumulators: one (old, new) count map per entity, one weight map per
-// result. It is the EVOLVE oracle the sweep is cross-checked against —
-// exported for this package's external tests.
+// AggregateMap is EVOLVE's one oracle: the aggregated evolution graph of
+// Def. 2.7 computed the way the definition reads, on hash maps. For every
+// entity it counts, per attribute tuple (a node's tuple, or an edge's
+// endpoint-tuple pair), the appearances that pass the filter in Told and
+// in Tnew; a tuple seen in both windows is stability (the intersection
+// graph), one seen only in Tnew growth (Tnew − Told), one seen only in
+// Told shrinkage (Told − Tnew). DIST adds one per entity and class, ALL
+// the appearances (both windows' for stability), as the paper's Fig. 4b
+// example counts them. The sweep, Timeline and TileSweep are
+// cross-checked against it on DIST, ALL and filtered rows; it is exported
+// for this package's external tests.
 func AggregateMap(g *core.Graph, told, tnew timeline.Interval, s *agg.Schema, kind agg.Kind, filter Filter) *Agg {
 	if s.Graph() != g {
 		panic("evolution: schema built on a different graph")

@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/gtest"
-	"repro/internal/larray"
 	"repro/internal/timeline"
 )
 
@@ -69,28 +68,6 @@ func schemasOf(g *core.Graph) map[string]*agg.Schema {
 	return out
 }
 
-// checkLarray compares a DIST, unfiltered aggregate with the labeled-array
-// reference engine.
-func checkLarray(t *testing.T, ga *larray.GraphArrays, s *agg.Schema, a *Agg) {
-	t.Helper()
-	ref := ga.AggregateEvolution(a.Old, a.New, s.AttrNames())
-	if len(ref.Nodes) != len(a.Nodes) || len(ref.Edges) != len(a.Edges) {
-		t.Fatalf("%v → %v: larray has %d nodes / %d edges, sweep %d / %d",
-			a.Old, a.New, len(ref.Nodes), len(ref.Edges), len(a.Nodes), len(a.Edges))
-	}
-	for tu, w := range a.Nodes {
-		if rw := ref.Nodes[s.Label(tu)]; (Weights{St: rw.St, Gr: rw.Gr, Shr: rw.Shr}) != w {
-			t.Fatalf("%v → %v node (%s): larray %+v, sweep %+v", a.Old, a.New, s.Label(tu), rw, w)
-		}
-	}
-	for k, w := range a.Edges {
-		label := larray.EdgeLabel(s.Label(k.From), s.Label(k.To))
-		if rw := ref.Edges[label]; (Weights{St: rw.St, Gr: rw.Gr, Shr: rw.Shr}) != w {
-			t.Fatalf("%v → %v edge %s: larray %+v, sweep %+v", a.Old, a.New, label, rw, w)
-		}
-	}
-}
-
 // timelineByPairs is the T−1-call loop Timeline replaced: one map
 // aggregation per consecutive pair of points, reduced to class totals.
 func timelineByPairs(g *core.Graph, s *agg.Schema, kind agg.Kind, filter Filter) []TimelineStep {
@@ -117,11 +94,10 @@ func timelineByPairs(g *core.Graph, s *agg.Schema, kind agg.Kind, filter Filter)
 }
 
 // checkSweep asserts, for every schema shape of g, kind, filter and window
-// pair: sweep ≡ AggregateMap (≡ larray where that engine applies: DIST,
-// unfiltered, and ga non-nil), Timeline ≡ the per-pair loop, and TileSweep
+// pair: sweep ≡ AggregateMap, Timeline ≡ the per-pair loop, and TileSweep
 // ≡ per-step AggregateMap node weights at widths 1, 2, a random one and T
 // (or only at the given ones: the oracle costs a graph scan per step).
-func checkSweep(t *testing.T, g *core.Graph, r *rand.Rand, pairs int, ga *larray.GraphArrays, widths ...int) {
+func checkSweep(t *testing.T, g *core.Graph, r *rand.Rand, pairs int, widths ...int) {
 	t.Helper()
 	tl := g.Timeline()
 	for name, s := range schemasOf(g) {
@@ -133,9 +109,6 @@ func checkSweep(t *testing.T, g *core.Graph, r *rand.Rand, pairs int, ga *larray
 					if !reflect.DeepEqual(got.Nodes, want.Nodes) || !reflect.DeepEqual(got.Edges, want.Edges) {
 						t.Fatalf("%s %v filter=%d %v → %v: sweep diverges from AggregateMap\n got %v\nwant %v",
 							name, kind, fi, p[0], p[1], got, want)
-					}
-					if ga != nil && kind == agg.Distinct && filter == nil {
-						checkLarray(t, ga, s, got)
 					}
 				}
 				got, want := Timeline(g, s, kind, filter), timelineByPairs(g, s, kind, filter)
@@ -196,11 +169,11 @@ func checkTiles(t *testing.T, g *core.Graph, s *agg.Schema, kind agg.Kind, width
 	}
 }
 
-func TestSweepMatchesMapAndLarrayRandomGraphs(t *testing.T) {
+func TestSweepMatchesMapRandomGraphs(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g := gtest.RandomGraph(r, gtest.DefaultParams())
-		checkSweep(t, g, r, 4, larray.FromGraph(g))
+		checkSweep(t, g, r, 4)
 	}
 }
 
@@ -210,14 +183,7 @@ func TestSweepMatchesMapAndLarrayRandomGraphs(t *testing.T) {
 func TestSweepMultiWordTimestamps(t *testing.T) {
 	r := rand.New(rand.NewSource(320))
 	g := gtest.LongLivedGraph(r, 320)
-	checkSweep(t, g, r, 6, nil)
-	// The labeled-array engine is quadratic in T; give it a few pairs only.
-	ga := larray.FromGraph(g)
-	for _, s := range schemasOf(g) {
-		for _, p := range windowPairs(r, g.Timeline(), 0) {
-			checkLarray(t, ga, s, Aggregate(g, p[0], p[1], s, agg.Distinct, nil))
-		}
-	}
+	checkSweep(t, g, r, 6)
 }
 
 // movieLens returns MovieLens at scale 0.1, generated once for the package's
@@ -235,12 +201,9 @@ func TestSweepMatchesMapOnDatasets(t *testing.T) {
 		"movielens": movieLens(),
 	} {
 		t.Run(name, func(t *testing.T) {
-			checkSweep(t, g, rand.New(rand.NewSource(7)), 0, nil, 3)
+			checkSweep(t, g, rand.New(rand.NewSource(7)), 0, 3)
 		})
 	}
-	// The reference engine on a DBLP small enough for its string-keyed rows.
-	g := dataset.DBLPScaled(1, 0.02)
-	checkSweep(t, g, rand.New(rand.NewSource(8)), 1, larray.FromGraph(g), 2)
 }
 
 // TestLargeDomainMatchesMap runs the sweep where its accumulators leave
@@ -267,7 +230,7 @@ func TestLargeDomainMatchesMap(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(33))
 	wide := gtest.WideGraph(r, 300, 6, 50_000, 50_000, 3)
-	checkSweep(t, wide, r, 2, nil, 1, 4)
+	checkSweep(t, wide, r, 2, 1, 4)
 }
 
 // TestOnePointTimeline: no consecutive pair, no step.

@@ -1,7 +1,6 @@
 package tgql
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
@@ -16,9 +15,6 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 }
-
-// Name returns the table id.
-func (t *Table) Name() string { return t.ID }
 
 // Add appends a row.
 func (t *Table) Add(cells ...string) {
@@ -55,19 +51,4 @@ func (t *Table) Print(w io.Writer) {
 		fmt.Fprintln(w, strings.Join(line, "  "))
 	}
 	fmt.Fprintln(w)
-}
-
-// WriteCSV renders the table as CSV.
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Header); err != nil {
-		return err
-	}
-	for _, r := range t.Rows {
-		if err := cw.Write(r); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
