@@ -21,6 +21,7 @@ package agg
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -565,58 +566,47 @@ func aggregateVaryingRange(v *ops.View, s *Schema, kind Kind, ag *Graph, nLo, nH
 // same coarse tuple, which is why the paper applies roll-up reuse per time
 // point (Fig. 11).
 func Rollup(ag *Graph, attrs ...core.AttrID) (*Graph, error) {
-	sub, err := NewSchema(ag.Schema.g, attrs...)
+	src := ag.Schema
+	sub, err := NewSchema(src.g, attrs...)
 	if err != nil {
 		return nil, err
 	}
 	// Positions of the subset attributes within the source schema.
 	pos := make([]int, len(attrs))
 	for i, a := range attrs {
-		found := -1
-		for j, b := range ag.Schema.attrs {
-			if a == b {
-				found = j
-				break
-			}
-		}
-		if found < 0 {
+		if pos[i] = slices.Index(src.attrs, a); pos[i] < 0 {
 			return nil, fmt.Errorf("agg: attribute %q is not part of the source aggregation",
-				ag.Schema.g.Attr(a).Name)
+				src.g.Attr(a).Name)
 		}
-		pos[i] = found
 	}
-	// Distinct fine tuples repeat heavily across entries (every edge key
-	// carries two), so memoize the projection.
-	cache := make(map[Tuple]Tuple, len(ag.Nodes))
-	codes := make([]int64, len(ag.Schema.attrs))
-	project := func(tu Tuple) Tuple {
-		if out, ok := cache[tu]; ok {
-			return out
-		}
-		rem := int64(tu)
-		for j := range ag.Schema.attrs {
-			codes[j] = rem % ag.Schema.radices[j]
-			rem /= ag.Schema.radices[j]
-		}
+	// project maps a fine tuple code to its subset code. When the fine
+	// domain is no larger than the groups read, a table over the whole
+	// domain costs less than decoding every group's codes.
+	project := func(c int64) int64 {
 		var out int64
-		for i := range pos {
-			out += codes[pos[i]] * sub.strides[i]
+		for i, p := range pos {
+			out += c / src.strides[p] % src.radices[p] * sub.strides[i]
 		}
-		cache[tu] = Tuple(out)
-		return Tuple(out)
+		return out
 	}
-	out := &Graph{
-		Schema: sub,
-		Kind:   ag.Kind,
-		Nodes:  make(map[Tuple]int64, len(ag.Nodes)),
-		Edges:  make(map[EdgeKey]int64, len(ag.Edges)),
+	if src.domain <= int64(len(ag.Nodes)+len(ag.Edges)) {
+		table := make([]int64, src.domain)
+		for c := range table {
+			table[c] = project(int64(c))
+		}
+		project = func(c int64) int64 { return table[c] }
 	}
+	sc := sub.getScratch()
+	defer sub.putScratch(sc)
 	for tu, w := range ag.Nodes {
-		out.Nodes[project(tu)] += w
+		*sc.nodes.Ref(project(int64(tu))) += w
 	}
+	d := sub.domain
 	for k, w := range ag.Edges {
-		out.Edges[EdgeKey{project(k.From), project(k.To)}] += w
+		*sc.edges.Ref(project(int64(k.From))*d + project(int64(k.To))) += w
 	}
+	out := &Graph{Schema: sub, Kind: ag.Kind}
+	out.collect(sc)
 	return out, nil
 }
 

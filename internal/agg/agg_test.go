@@ -431,7 +431,10 @@ func TestQuickLemma33IntersectionMonotoneDecreasing(t *testing.T) {
 }
 
 func TestQuickRollupExactForAll(t *testing.T) {
-	// D-distributive roll-up is exact for ALL aggregates on any view.
+	// D-distributive roll-up is exact for ALL aggregates on any view, both
+	// when it projects codes through a table over the fine domain (the
+	// domain is no larger than the groups read) and when it decodes them.
+	var tabled, decoded int
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := gtest.RandomGraph(r, gtest.DefaultParams())
@@ -442,6 +445,11 @@ func TestQuickRollupExactForAll(t *testing.T) {
 		tl := g.Timeline()
 		v := ops.Union(g, gtest.RandomInterval(r, tl), gtest.RandomInterval(r, tl))
 		fine := Aggregate(v, s, All)
+		if s.Domain() <= int64(len(fine.Nodes)+len(fine.Edges)) {
+			tabled++
+		} else {
+			decoded++
+		}
 		subset := []core.AttrID{core.AttrID(r.Intn(g.NumAttrs()))}
 		rolled, err := Rollup(fine, subset...)
 		if err != nil {
@@ -452,6 +460,9 @@ func TestQuickRollupExactForAll(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+	if tabled == 0 || decoded == 0 {
+		t.Errorf("%d roll-ups through the code table, %d decoding: want both", tabled, decoded)
 	}
 }
 

@@ -122,12 +122,17 @@ func aggregateRangeCtx(ctx context.Context, v *ops.View, s *Schema, kind Kind, f
 	if !aggregateDense(v, s, kind, filter, sc, nLo, nHi, eLo, eHi, canceled) {
 		return
 	}
+	ag.collect(sc)
+}
+
+// collect fills ag's maps, exactly sized, from a scratch of its schema.
+func (ag *Graph) collect(sc *denseScratch) {
 	ag.Nodes = make(map[Tuple]int64, sc.nodes.Len())
 	for i := range sc.nodes.Len() {
 		c, w := sc.nodes.Entry(i)
 		ag.Nodes[Tuple(c)] = w
 	}
-	d := s.domain
+	d := ag.Schema.domain
 	ag.Edges = make(map[EdgeKey]int64, sc.edges.Len())
 	for i := range sc.edges.Len() {
 		c, w := sc.edges.Entry(i)

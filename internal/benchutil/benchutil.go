@@ -10,6 +10,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/tgql"
@@ -59,7 +61,7 @@ func (e *Experiment) Print(w io.Writer) {
 	for i, r := range e.Rows {
 		cells[i] = make([]string, len(r.Values))
 		for j, v := range r.Values {
-			cells[i][j] = formatValue(v)
+			cells[i][j] = formatValue(e.Series[j], v)
 		}
 	}
 	for j, s := range e.Series {
@@ -85,10 +87,14 @@ func (e *Experiment) Print(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// formatValue renders values compactly. The unit (seconds or ×) is implied
-// by the series name.
-func formatValue(v float64) string {
+// formatValue renders a value of the named series compactly. The unit
+// (seconds or ×) is implied by the series name; a work count — the
+// entities a scan holds, the groups an aggregate has — prints as the
+// integer it is.
+func formatValue(series string, v float64) string {
 	switch {
+	case series == "entities" || strings.HasSuffix(series, "groups"):
+		return strconv.FormatFloat(v, 'f', 0, 64)
 	case v == 0:
 		return "0"
 	case v < 0.0001:

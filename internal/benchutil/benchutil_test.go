@@ -11,13 +11,16 @@ import (
 )
 
 func TestExperimentPrint(t *testing.T) {
-	e := &Experiment{ID: "x", Title: "demo", XLabel: "t", Series: []string{"a", "b"}}
-	e.Add("t0", 0.5, 2)
-	e.Add("t1", 0, 0.00005)
+	e := &Experiment{ID: "x", Title: "demo", XLabel: "t", Series: []string{"a", "b", "entities", "g:groups"}}
+	e.Add("t0", 0.5, 2, 24749, 12)
+	e.Add("t1", 0, 0.00005, 3, 0)
 	var buf bytes.Buffer
 	e.Print(&buf)
 	out := buf.String()
-	for _, want := range []string{"== x: demo ==", "t0", "0.5000", "2.00"} {
+	if strings.Contains(out, "24749.00") || strings.Contains(out, "12.00") {
+		t.Errorf("work counts printed with decimals:\n%s", out)
+	}
+	for _, want := range []string{"== x: demo ==", "t0", "0.5000", "2.00", "24749", "12"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}

@@ -128,8 +128,8 @@ type Plan struct {
 	root    physOp
 	key     string
 	// memo is the serving state's cache this plan keeps its answer in; nil
-	// for a plan compiled without a cache, and for the catalog-backed
-	// operators, whose answers the catalog caches and reports the source of.
+	// for a plan compiled without a cache, and for the catalog union-ALL,
+	// whose answer the catalog caches and reports the source of.
 	memo   *Cache
 	answer atomic.Pointer[Result]
 }
@@ -238,9 +238,7 @@ func Compile(env Env, node Logical) (*Plan, error) {
 	}
 	p := &Plan{logical: node, g: env.Graph, root: root, key: key}
 	if env.Cache != nil {
-		switch root.(type) {
-		case *catalogAggOp, *trendCatalogOp:
-		default:
+		if _, ok := root.(*catalogAggOp); !ok {
 			p.memo = env.Cache
 		}
 		env.Cache.store(p)

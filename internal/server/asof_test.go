@@ -193,7 +193,7 @@ func TestAsOfLifecycleStorage(t *testing.T) {
 		t.Fatalf("reopen after crash: %v", err)
 	}
 	defer eng2.Close()
-	if got := eng2.TxnSeq(); got != 4 {
+	if got := eng2.Series().Txn(); got != 4 {
 		t.Fatalf("recovered txn seq = %d, want 4", got)
 	}
 	if err := eng2.Checkpoint(); err != nil {

@@ -58,8 +58,9 @@ func ingestPoint(t *testing.T, url string, i int) IngestResponse {
 
 // TestIngestDeltaApplies pins the freshness contract: after the initial
 // build, every steady-state ingest folds in as a delta (no full rebuilds),
-// the acknowledgement reports the point already visible, and the
-// visibility histogram records one observation per ingest.
+// the acknowledgement reports the point already visible, and the ingest's
+// state stage — the advance that makes the point queryable — records one
+// observation per ingest.
 func TestIngestDeltaApplies(t *testing.T) {
 	s, ts := newStreamServer(t, Config{})
 	const points = 4
@@ -79,7 +80,7 @@ func TestIngestDeltaApplies(t *testing.T) {
 		t.Errorf("full rebuilds = %d, want 0 in steady state", got)
 	}
 
-	// The histogram covers every acknowledged ingest, exposed on /metrics.
+	// The state stage covers every acknowledged ingest, exposed on /metrics.
 	code, body := get(t, ts.URL+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics = %d", code)
@@ -87,7 +88,7 @@ func TestIngestDeltaApplies(t *testing.T) {
 	for _, want := range []string{
 		fmt.Sprintf("graphtempod_catalog_delta_applies_total %d", points-1),
 		"graphtempod_catalog_full_rebuilds_total 0",
-		fmt.Sprintf("graphtempod_ingest_visibility_seconds_count %d", points),
+		fmt.Sprintf(`graphtempod_stage_seconds_count{endpoint="ingest",stage="state"} %d`, points),
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)

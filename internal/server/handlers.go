@@ -280,18 +280,13 @@ func encodeExplain(w http.ResponseWriter, _ query, a answer) (int, error) {
 	return writeJSON(w, ExplainResponse{Plan: a.plan.Explain()})
 }
 
-// IngestNode is the wire form of one node in an ingested snapshot.
-type IngestNode struct {
-	Label   string            `json:"label"`
-	Static  map[string]string `json:"static,omitempty"`
-	Varying map[string]string `json:"varying,omitempty"`
-}
-
-// IngestEdge is one directed interaction in an ingested snapshot.
-type IngestEdge struct {
-	U string `json:"u"`
-	V string `json:"v"`
-}
+// IngestNode and IngestEdge are the wire forms of one node and one
+// interaction of an ingested snapshot: the series' own records, so a
+// decoded request is the batch AppendAt takes.
+type (
+	IngestNode = stream.NodeRecord
+	IngestEdge = stream.EdgeRecord
+)
 
 // IngestRequest appends one time point to a stream-mode server. Before,
 // when set, names an existing time-point label the new point is inserted
@@ -332,16 +327,7 @@ func (s *Server) handleIngest(ctx context.Context, w *statusWriter, r *http.Requ
 	if req.Label == "" {
 		return http.StatusBadRequest, fmt.Errorf("label required")
 	}
-	snap := stream.Snapshot{
-		Nodes: make([]stream.NodeRecord, len(req.Nodes)),
-		Edges: make([]stream.EdgeRecord, len(req.Edges)),
-	}
-	for i, n := range req.Nodes {
-		snap.Nodes[i] = stream.NodeRecord{Label: n.Label, Static: n.Static, Varying: n.Varying}
-	}
-	for i, e := range req.Edges {
-		snap.Edges[i] = stream.EdgeRecord{U: e.U, V: e.V}
-	}
+	snap := stream.Snapshot{Nodes: req.Nodes, Edges: req.Edges}
 	// AppendAt validates the batch and places it at the tail or before
 	// req.Before — through the storage engine when there is one, so the WAL
 	// append (and, under -fsync=always, the sync) precedes the
@@ -362,9 +348,7 @@ func (s *Server) handleIngest(ctx context.Context, w *statusWriter, r *http.Requ
 	// length doubles as the transaction sequence this write landed at.
 	points := s.series.Len()
 	// Fold the delta into the serving state inline so the acknowledgement
-	// already carries the visible generation; the pending entry is recorded
-	// first so the freshness histogram covers this very advance.
-	s.trackVisibility(points)
+	// already carries the visible generation; the state stage times it.
 	visible := 0
 	st, err := s.current()
 	w.stages.state = clock.lap()

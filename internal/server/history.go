@@ -24,9 +24,6 @@ import (
 // headTxn returns the current transaction watermark: the number of ingest
 // records ever applied. Zero in static mode, which has no transaction log.
 func (s *Server) headTxn() int {
-	if s.storage != nil {
-		return s.storage.TxnSeq()
-	}
 	if s.series != nil {
 		return s.series.Txn()
 	}
@@ -34,10 +31,10 @@ func (s *Server) headTxn() int {
 }
 
 // histBytes estimates the resident footprint of one reconstructed state for
-// the LRU budget: graph columns, the catalog's per-point schema arrays, one
-// varying schema's tuple-code rows (agg.Schema.Codes), which the state's
-// scans build and keep, and the budgets of its plan and answer memo and of
-// its catalog's result cache.
+// the LRU budget: graph columns, the timeline, one varying schema's
+// tuple-code rows (agg.Schema.Codes), which the state's scans build and
+// keep, and the budgets of its plan and answer memo and of its catalog's
+// result cache. A state holds no per-point stores.
 func histBytes(st *plan.State) int64 {
 	g := st.Graph
 	attrs := int64(len(g.Attrs()))
@@ -51,7 +48,7 @@ func histBytes(st *plan.State) int64 {
 	return 4096 + st.Plans.MaxBytes() + st.Catalog.MaxBytes() +
 		int64(g.NumNodes())*(16+8*attrs) + // labels, per-attr columns
 		int64(g.NumEdges())*24 + // endpoints + time
-		points*256 + // timeline + per-point store rows
+		points*256 + // timeline
 		points*int64(g.NumNodes())*8 // tuple-code rows
 }
 

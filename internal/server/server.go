@@ -130,11 +130,6 @@ type Server struct {
 	cur       atomic.Pointer[plan.State]
 	rebuildMu sync.Mutex
 
-	// ingest-to-visible freshness tracking (stream mode): each acknowledged
-	// ingest is pending until the swap that makes its generation queryable.
-	visMu      sync.Mutex
-	visPending []visEntry
-
 	draining atomic.Bool
 
 	// metrics
@@ -142,7 +137,6 @@ type Server struct {
 	deltaApplies metrics.Counter
 	retroApplies metrics.Counter
 	fullRebuilds metrics.Counter
-	visibility   *metrics.Histogram
 	reqMu        sync.Mutex
 	reqCount     map[string]*metrics.Counter // endpoint\x00code
 	latency      map[string]*latencyHists
@@ -272,7 +266,6 @@ func (s *Server) current() (*plan.State, error) {
 			} else {
 				s.deltaApplies.Inc()
 			}
-			s.observeVisibility(gen)
 			s.log.Info("serving state advanced", "points", gen,
 				"new_points", adv.NewPoints, "first_dirty", adv.FirstDirty)
 			return st, nil
@@ -283,48 +276,8 @@ func (s *Server) current() (*plan.State, error) {
 	}
 	st = plan.NewState(g, cat, gen)
 	s.cur.Store(st)
-	s.observeVisibility(gen)
 	s.log.Info("serving state rebuilt", "points", gen, "nodes", g.NumNodes(), "edges", g.NumEdges())
 	return st, nil
-}
-
-// visEntry is one acknowledged ingest awaiting visibility: the series
-// generation it produced and the acknowledgement time.
-type visEntry struct {
-	gen int
-	at  time.Time
-}
-
-// trackVisibility records the acknowledgement of an ingest that grew the
-// series to gen points; the pending entry is resolved by the swap that
-// makes that generation queryable.
-func (s *Server) trackVisibility(gen int) {
-	if s.visibility == nil {
-		return
-	}
-	s.visMu.Lock()
-	s.visPending = append(s.visPending, visEntry{gen: gen, at: time.Now()})
-	s.visMu.Unlock()
-}
-
-// observeVisibility resolves every pending ingest at or below the
-// generation that just became queryable into the freshness histogram.
-func (s *Server) observeVisibility(gen int) {
-	if s.visibility == nil {
-		return
-	}
-	now := time.Now()
-	s.visMu.Lock()
-	kept := s.visPending[:0]
-	for _, e := range s.visPending {
-		if e.gen <= gen {
-			s.visibility.Observe(now.Sub(e.at).Seconds())
-		} else {
-			kept = append(kept, e)
-		}
-	}
-	s.visPending = kept
-	s.visMu.Unlock()
 }
 
 // catalogStats returns the head catalog's counters, which continue those
@@ -354,7 +307,6 @@ func (s *Server) catalogStats() materialize.Stats {
 //	graphtempod_ingested_points                 gauge (stream mode)
 //	graphtempod_catalog_delta_applies_total     counter (stream mode)
 //	graphtempod_catalog_full_rebuilds_total     counter (stream mode)
-//	graphtempod_ingest_visibility_seconds       histogram (stream mode)
 //	graphtempod_uptime_seconds                  gauge
 //
 // With durable storage (stream mode + -data-dir) the persistence family is
@@ -463,9 +415,6 @@ func (s *Server) registerMetrics() {
 		r.RegisterCounter("graphtempod_catalog_full_rebuilds_total",
 			"Serving snapshots replaced by a from-scratch rebuild after the initial build.",
 			&s.fullRebuilds)
-		s.visibility = r.Histogram("graphtempod_ingest_visibility_seconds",
-			"Latency from ingest acknowledgement to the point being queryable.",
-			[]float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1, 5})
 	}
 	if eng := s.storage; eng != nil {
 		r.CounterFunc("graphtempod_storage_recovery_records_total",
@@ -482,7 +431,7 @@ func (s *Server) registerMetrics() {
 			func() float64 { return float64(eng.Stats().Generation) })
 		r.GaugeFunc("graphtempod_storage_txn_seq",
 			"Transaction-time watermark: ingest records ever applied (the upper bound of AS OF).",
-			func() float64 { return float64(eng.TxnSeq()) })
+			func() float64 { return float64(s.series.Txn()) })
 		r.CounterFunc("graphtempod_storage_wal_records_total", "WAL records appended since boot.",
 			func() float64 { return float64(eng.Stats().WALRecords) })
 		r.CounterFunc("graphtempod_storage_wal_bytes_total", "WAL bytes appended since boot.",

@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/storage"
+	"repro/internal/stream"
 )
 
 // durableAttrs is the stream schema used by the durable-mode tests.
@@ -324,5 +327,70 @@ func TestParentDataDirServesParentAnswers(t *testing.T) {
 		if got := elapsedField.ReplaceAllString(rec.Body.String(), ""); rec.Code != want.Status || got != want.Answer {
 			t.Errorf("%s %s:\n got %d %s\nwant %d %s", want.Path, want.Body, rec.Code, got, want.Status, want.Answer)
 		}
+	}
+}
+
+// TestWALStreamOneByteForm: a durable daemon serves /v1/wal/stream from the
+// records its WAL framed, a non-durable one re-encodes them from its
+// journal. Fed the same history — tail appends and retroactive inserts of
+// nodes with two static attributes — both serve byte-identical bodies.
+func TestWALStreamOneByteForm(t *testing.T) {
+	attrs := []core.AttrSpec{
+		{Name: "grade", Kind: core.Static},
+		{Name: "class", Kind: core.Static},
+		{Name: "contacts", Kind: core.TimeVarying},
+	}
+	eng, err := storage.Open(t.TempDir(), attrs, storage.Options{CheckpointRecords: -1, Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	durable, err := New(Config{Storage: eng, Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := New(Config{Series: stream.New(attrs...), Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(1))
+	var labels []string
+	retro := 0
+	for i := range 12 {
+		req := IngestRequest{Label: fmt.Sprintf("t%d", i)}
+		if i > 0 && r.Intn(4) == 0 {
+			req.Before = labels[r.Intn(len(labels))]
+			retro++
+		}
+		for _, j := range r.Perm(8)[:2+r.Intn(5)] {
+			req.Nodes = append(req.Nodes, IngestNode{Label: fmt.Sprintf("n%d", j),
+				Static:  map[string]string{"grade": fmt.Sprint(j % 3), "class": fmt.Sprint(j % 2)},
+				Varying: map[string]string{"contacts": fmt.Sprint(r.Intn(4))}})
+		}
+		req.Edges = []IngestEdge{{U: req.Nodes[0].Label, V: req.Nodes[1].Label}}
+		labels = append(labels, req.Label)
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []*Server{durable, plain} {
+			if rec := post(s.Handler(), "/v1/ingest", string(body)); rec.Code != http.StatusOK {
+				t.Fatalf("ingest %s = %d: %s", req.Label, rec.Code, rec.Body)
+			}
+		}
+	}
+	walStream := func(s *Server) []byte {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/wal/stream?from=0", nil))
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Wal-Next") != "12" {
+			t.Fatalf("wal stream = %d, next %s: %s", rec.Code, rec.Header().Get("X-Wal-Next"), rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	if retro == 0 {
+		t.Fatal("the history holds no retroactive insert")
+	}
+	if a, b := walStream(durable), walStream(plain); !bytes.Equal(a, b) {
+		t.Fatalf("durable and non-durable wal streams differ:\n%x\n%x", a, b)
 	}
 }

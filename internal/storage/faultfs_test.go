@@ -5,14 +5,20 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"maps"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/stream"
 )
 
 // memFS is an in-memory fsys that models what a crash keeps. A file has
@@ -247,27 +253,81 @@ func (e memEntry) IsDir() bool                { return false }
 func (e memEntry) Type() fs.FileMode          { return 0 }
 func (e memEntry) Info() (fs.FileInfo, error) { return nil, errors.ErrUnsupported }
 
-// faultStep is one operation of the enumerated history: the append of
-// testBatch(i), before the named point when before is set; a checkpoint
-// (checkpoint); or a kill -9 and reopen, which recovers from the same files
-// (kill).
+// faultStep is one operation of a fault history: the append of label
+// with snap, before the named point when before is set; a checkpoint; or a
+// kill -9 and reopen, which recovers from the same files.
 type faultStep struct {
-	i      int
+	op     faultOp
+	label  string
 	before string
+	snap   stream.Snapshot
 }
+
+type faultOp int
 
 const (
-	checkpoint = -1
-	kill       = -2
+	appendOp faultOp = iota
+	checkpoint
+	kill
 )
 
-var faultHistory = []faultStep{
-	{0, ""}, {1, ""}, {2, ""}, {3, ""}, {checkpoint, ""},
-	{4, ""}, {5, "t2"}, {6, ""}, {checkpoint, ""},
-	{7, ""}, {kill, ""}, {8, "t0"}, {checkpoint, ""}, {9, ""},
+// faultAttrs is the fault histories' schema. Two static attributes give a
+// node's static map two keys, the case whose record bytes an unordered
+// encoder would choose at random.
+var faultAttrs = []core.AttrSpec{
+	{Name: "grade", Kind: core.Static},
+	{Name: "class", Kind: core.Static},
+	{Name: "contacts", Kind: core.TimeVarying},
 }
 
-// faultRun is what one run of faultHistory did.
+// faultBatch draws a batch over faultAttrs from r: two to six of eight
+// nodes, each with static values fixed by its name and a drawn contact
+// count, and up to six edges between distinct ones.
+func faultBatch(r *rand.Rand) stream.Snapshot {
+	var snap stream.Snapshot
+	for _, j := range r.Perm(8)[:2+r.Intn(5)] {
+		snap.Nodes = append(snap.Nodes, stream.NodeRecord{
+			Label:   fmt.Sprintf("n%d", j),
+			Static:  map[string]string{"grade": fmt.Sprint(j % 3), "class": fmt.Sprint(j % 2)},
+			Varying: map[string]string{"contacts": fmt.Sprint(r.Intn(4))},
+		})
+	}
+	for range r.Intn(7) {
+		p := r.Perm(len(snap.Nodes))
+		snap.Edges = append(snap.Edges, stream.EdgeRecord{U: snap.Nodes[p[0]].Label, V: snap.Nodes[p[1]].Label})
+	}
+	return snap
+}
+
+// randomHistory draws a fault history from seed: seven tail appends, two
+// retroactive inserts before a point appended earlier, three checkpoints
+// and one kill -9, in a random order that starts with a tail append.
+func randomHistory(seed int64) []faultStep {
+	r := rand.New(rand.NewSource(seed))
+	rest := []faultStep{{op: checkpoint}, {op: checkpoint}, {op: checkpoint}, {op: kill},
+		{op: appendOp, before: "?"}, {op: appendOp, before: "?"}}
+	for range 6 {
+		rest = append(rest, faultStep{op: appendOp})
+	}
+	r.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
+	h := append([]faultStep{{op: appendOp}}, rest...)
+	var labels []string
+	for i := range h {
+		st := &h[i]
+		if st.op != appendOp {
+			continue
+		}
+		if st.before != "" {
+			st.before = labels[r.Intn(len(labels))]
+		}
+		st.label = fmt.Sprintf("t%d", len(labels))
+		st.snap = faultBatch(r)
+		labels = append(labels, st.label)
+	}
+	return h
+}
+
+// faultRun is what one run of a fault history did.
 type faultRun struct {
 	attempted []string // labels, in the order their appends were issued
 	acked     []string // labels whose append returned nil
@@ -281,30 +341,30 @@ func (r *faultRun) lastAcked() string {
 	return r.acked[len(r.acked)-1]
 }
 
-// runFaultHistory opens an engine on m, drives faultHistory through it and
+// runFaultHistory opens an engine on m, drives history h through it and
 // closes it, checking on the way that a failed append changed nothing
 // readers see — unless it was a failed sync, which comes after the apply —
 // that no append is acknowledged after one failed, and that a kill keeps
 // every acknowledged append. A retroactive insert before a point an earlier
 // failure lost is not attempted.
-func runFaultHistory(t *testing.T, m *memFS, fsync FsyncPolicy) faultRun {
+func runFaultHistory(t *testing.T, m *memFS, fsync FsyncPolicy, h []faultStep) faultRun {
 	t.Helper()
 	var r faultRun
 	m.acked = r.lastAcked
 	opts := Options{Fsync: fsync, CheckpointRecords: -1, Logger: quiet}
-	e, err := open(m, m.dir, testAttrs, opts)
+	e, err := open(m, m.dir, faultAttrs, opts)
 	if err != nil {
 		r.openErr = err
 		return r
 	}
 	failed := false
-	for _, st := range faultHistory {
+	for _, st := range h {
 		switch {
-		case st.i == checkpoint:
+		case st.op == checkpoint:
 			e.Checkpoint()
 			continue
-		case st.i == kill: // the abandoned engine runs no background work
-			if e, err = open(m, m.dir, testAttrs, opts); err != nil {
+		case st.op == kill: // the abandoned engine runs no background work
+			if e, err = open(m, m.dir, faultAttrs, opts); err != nil {
 				r.openErr = err
 				return r
 			}
@@ -316,19 +376,18 @@ func runFaultHistory(t *testing.T, m *memFS, fsync FsyncPolicy) faultRun {
 		case st.before != "" && !slices.Contains(e.Series().Labels(), st.before):
 			continue
 		}
-		label, snap := testBatch(st.i)
 		before := e.Series().Txn()
-		r.attempted = append(r.attempted, label)
-		_, err := e.AppendAt(label, snap, st.before)
+		r.attempted = append(r.attempted, st.label)
+		_, err := e.AppendAt(st.label, st.snap, st.before)
 		switch {
 		case err == nil && failed:
-			t.Fatalf("%s acknowledged after an earlier append failed", label)
+			t.Fatalf("%s acknowledged after an earlier append failed", st.label)
 		case err == nil:
-			r.acked = append(r.acked, label)
+			r.acked = append(r.acked, st.label)
 		case !errors.Is(err, ErrWAL):
-			t.Fatalf("append %s: %v, want ErrWAL", label, err)
+			t.Fatalf("append %s: %v, want ErrWAL", st.label, err)
 		case e.Series().Txn() != before && m.hit != "sync":
-			t.Fatalf("append %s failed at a %s but changed the series", label, m.hit)
+			t.Fatalf("append %s failed at a %s but changed the series", st.label, m.hit)
 		default:
 			failed = true
 		}
@@ -361,7 +420,7 @@ func checkHistory(t *testing.T, what string, e *Engine, run faultRun, lastAcked 
 // checkpoints again.
 func checkRecovery(t *testing.T, what string, img *memFS, run faultRun, lastAcked string) {
 	t.Helper()
-	e, err := open(img, img.dir, testAttrs, Options{CheckpointRecords: -1, Logger: quiet})
+	e, err := open(img, img.dir, faultAttrs, Options{CheckpointRecords: -1, Logger: quiet})
 	if err != nil {
 		t.Fatalf("%s: recovery failed: %v\nfiles: %v", what, err, img.files())
 	}
@@ -372,12 +431,11 @@ func checkRecovery(t *testing.T, what string, img *memFS, run faultRun, lastAcke
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(snapBytes(t, live), snapBytes(t, oracleReplay(t, testAttrs, journal, len(journal)))) {
+		if !bytes.Equal(snapBytes(t, live), snapBytes(t, oracleReplay(t, faultAttrs, journal, len(journal)))) {
 			t.Fatalf("%s: recovered series diverges from the replay of its %d records", what, len(journal))
 		}
 	}
-	label, snap := testBatch(100)
-	if err := e.Append(label, snap); err != nil {
+	if err := e.Append("t100", faultBatch(rand.New(rand.NewSource(0)))); err != nil {
 		t.Fatalf("%s: append after recovery: %v", what, err)
 	}
 	if err := e.Checkpoint(); err != nil {
@@ -385,64 +443,103 @@ func checkRecovery(t *testing.T, what string, img *memFS, run faultRun, lastAcke
 	}
 }
 
-// TestFaultEnumeration runs a history of appends, retroactive inserts,
-// checkpoints (each a rotation, a snapshot write and a GC), a kill -9 with
-// its recovery, and a close over memFS, once per file-system operation it
-// performs. Each run either fails that operation or crashes just before it,
-// and every disk image left behind must recover to a prefix of the
-// attempted appends: under FsyncAlways one that holds every acknowledged
-// append (ack ⇒ survives any crash); under FsyncNever, which promises
-// nothing for the tail, recovery must still succeed and rotation must have
-// synced every segment but the newest. A failed write never changes what
-// readers see.
+// faultSeeds is the number of random histories one TestFaultEnumeration
+// run enumerates. Each run takes the next faultSeeds seeds, so a single
+// run enumerates the same fixed histories every time, and -count=N covers
+// N·faultSeeds distinct ones.
+const faultSeeds = 2
+
+var faultRuns atomic.Int64
+
+// TestFaultEnumeration runs random histories of appends, retroactive
+// inserts, checkpoints (each a rotation, a snapshot write and a GC), a
+// kill -9 with its recovery, and a close over memFS, once per file-system
+// operation each performs. Each run either fails that operation or crashes
+// just before it, and every disk image left behind must recover to a
+// prefix of the attempted appends: under FsyncAlways one that holds every
+// acknowledged append (ack ⇒ survives any crash); under FsyncNever, which
+// promises nothing for the tail, recovery must still succeed and rotation
+// must have synced every segment but the newest. A failed write never
+// changes what readers see.
 func TestFaultEnumeration(t *testing.T) {
-	const dir = "/data"
+	first := faultRuns.Add(1)*faultSeeds - faultSeeds + 1
 	for _, fsync := range []FsyncPolicy{FsyncAlways, FsyncNever} {
 		t.Run(fsync.String(), func(t *testing.T) {
-			promised := func(lastAcked string) string {
-				if fsync == FsyncNever {
-					return ""
-				}
-				return lastAcked
+			for seed := first; seed < first+faultSeeds; seed++ {
+				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { enumerateFaults(t, fsync, randomHistory(seed)) })
 			}
-			clean := newMemFS(dir)
-			run := runFaultHistory(t, clean, fsync)
-			if run.openErr != nil || len(run.acked) != 10 {
-				t.Fatalf("clean run: open %v, %d acknowledged", run.openErr, len(run.acked))
-			}
-			total := clean.ops
-			for name, img := range clean.crashImages() {
-				checkRecovery(t, "clean run, "+name+" image", img, run, promised(run.lastAcked()))
-			}
-			kinds := map[string]int{}
-			for at := 1; at <= total; at++ {
-				for _, crash := range []bool{true, false} {
-					m := newMemFS(dir)
-					m.at, m.crash = at, crash
-					run := runFaultHistory(t, m, fsync)
-					if m.hit == "" {
-						t.Fatalf("op %d of %d never ran", at, total)
-					}
-					if crash {
-						for name, img := range m.image {
-							checkRecovery(t, fmt.Sprintf("crash before op %d (%s), %s image", at, m.hit, name), img, run, promised(m.ackd))
-						}
-						continue
-					}
-					kinds[m.hit]++
-					// The failure, then a crash at the end.
-					for name, img := range m.crashImages() {
-						checkRecovery(t, fmt.Sprintf("%s %d failed, %s image", m.hit, at, name), img, run, promised(run.lastAcked()))
-					}
-				}
-			}
-			for _, k := range []string{"open", "write", "sync", "dirsync", "rename", "remove", "readfile", "readdir", "truncate", "mkdir"} {
-				if kinds[k] == 0 {
-					t.Errorf("no %s was injected (%v)", k, kinds)
-				}
-			}
-			t.Logf("%d operations, each failed and crashed at; failures by kind: %v", total, kinds)
 		})
+	}
+}
+
+// enumerateFaults is TestFaultEnumeration for one history.
+func enumerateFaults(t *testing.T, fsync FsyncPolicy, h []faultStep) {
+	const dir = "/data"
+	promised := func(lastAcked string) string {
+		if fsync == FsyncNever {
+			return ""
+		}
+		return lastAcked
+	}
+	clean := newMemFS(dir)
+	run := runFaultHistory(t, clean, fsync, h)
+	appends := 0
+	for _, st := range h {
+		if st.op == appendOp {
+			appends++
+		}
+	}
+	if run.openErr != nil || len(run.acked) != appends {
+		t.Fatalf("clean run: open %v, %d of %d appends acknowledged", run.openErr, len(run.acked), appends)
+	}
+	total := clean.ops
+	for name, img := range clean.crashImages() {
+		checkRecovery(t, "clean run, "+name+" image", img, run, promised(run.lastAcked()))
+	}
+	kinds := map[string]int{}
+	for at := 1; at <= total; at++ {
+		for _, crash := range []bool{true, false} {
+			m := newMemFS(dir)
+			m.at, m.crash = at, crash
+			run := runFaultHistory(t, m, fsync, h)
+			if m.hit == "" {
+				t.Fatalf("op %d of %d never ran", at, total)
+			}
+			if crash {
+				for name, img := range m.image {
+					checkRecovery(t, fmt.Sprintf("crash before op %d (%s), %s image", at, m.hit, name), img, run, promised(m.ackd))
+				}
+				continue
+			}
+			kinds[m.hit]++
+			// The failure, then a crash at the end.
+			for name, img := range m.crashImages() {
+				checkRecovery(t, fmt.Sprintf("%s %d failed, %s image", m.hit, at, name), img, run, promised(run.lastAcked()))
+			}
+		}
+	}
+	for _, k := range []string{"open", "write", "sync", "dirsync", "rename", "remove", "readfile", "readdir", "truncate", "mkdir"} {
+		if kinds[k] == 0 {
+			t.Errorf("no %s was injected (%v)", k, kinds)
+		}
+	}
+	t.Logf("%d operations, each failed and crashed at; failures by kind: %v", total, kinds)
+}
+
+// TestSameHistorySameDirectory: two engines fed the same random history,
+// with the same checkpoints and the same kill -9, leave byte-identical data
+// directories — a record's bytes, and so a segment's and a snapshot's, are
+// a function of the ingest history.
+func TestSameHistorySameDirectory(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		h := randomHistory(seed)
+		a, b := newMemFS("/data"), newMemFS("/data")
+		runFaultHistory(t, a, FsyncAlways, h)
+		runFaultHistory(t, b, FsyncAlways, h)
+		same := maps.EqualFunc(a.live, b.live, func(x, y *memInode) bool { return bytes.Equal(x.data, y.data) })
+		if !same || len(a.live) < 2 {
+			t.Fatalf("seed %d: data directories differ or hold no checkpoint:\n%v\n%v", seed, a.files(), b.files())
+		}
 	}
 }
 

@@ -39,13 +39,3 @@ func (e *Engine) TailRecords(from int) ([][]byte, error) {
 	copy(out, e.raw[from:])
 	return out, nil
 }
-
-// TxnSeq returns the transaction high-water mark: the number of ingest
-// records ever appended (across restarts), the exclusive upper bound for
-// TailRecords. Record n is transaction n+1; an AS OF TxnSeq() query sees
-// every acknowledged write.
-func (e *Engine) TxnSeq() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.raw)
-}

@@ -264,8 +264,11 @@ func TestReplayToSurvivesCrashRestart(t *testing.T) {
 	// No Close — the reopened engine must rebuild the txn axis from disk.
 	e2 := openTestEngine(t, dir, Options{Fsync: FsyncAlways, CheckpointRecords: -1})
 	defer e2.Close()
-	if got := e2.TxnSeq(); got != 11 {
-		t.Fatalf("recovered TxnSeq %d, want 11", got)
+	if got := e2.Series().Txn(); got != 11 {
+		t.Fatalf("recovered txn %d, want 11", got)
+	}
+	if recs, err := e2.TailRecords(0); err != nil || len(recs) != 11 {
+		t.Fatalf("recovered record log of %d records (%v), want 11", len(recs), err)
 	}
 	txns := []int{1, 3, 6, 7, 10, 11}
 	resumed := assertReplayMatchesOracle(t, e2, testAttrs, txns)

@@ -181,14 +181,26 @@ func DecodeIngestRecord(payload []byte) (label, before string, snap stream.Snaps
 	return label, before, snap, nil
 }
 
-// writeAttrMap serializes an attribute map in sorted-insensitive pair
-// order. Order does not matter to Series.Append, so insertion order is
-// not preserved.
+// writeAttrMap serializes an attribute map with its pairs in ascending key
+// order, so a record's bytes are a function of its batch wherever they
+// appear: in the WAL, in checkpoints and on /v1/wal/stream. The keys are
+// insertion-sorted in a stack array (a map has a few keys, one per
+// attribute of a kind); only a map of more than eight spills to the heap.
 func writeAttrMap(e *enc, m map[string]string) {
 	e.uvarint(uint64(len(m)))
-	for k, v := range m {
+	var buf [8]string
+	keys := buf[:0]
+	for k := range m {
+		keys = append(keys, k)
+		i := len(keys) - 1
+		for ; i > 0 && keys[i-1] > k; i-- {
+			keys[i] = keys[i-1]
+		}
+		keys[i] = k
+	}
+	for _, k := range keys {
 		e.str(k)
-		e.str(v)
+		e.str(m[k])
 	}
 }
 

@@ -22,20 +22,22 @@ import (
 	"repro/internal/dict"
 )
 
-// NodeRecord describes one node alive at the appended time point.
+// NodeRecord describes one node alive at the appended time point. The JSON
+// tags are graphtempod's ingest wire form.
 type NodeRecord struct {
-	Label string
+	Label string `json:"label"`
 	// Static holds static attribute values; values for a node seen before
 	// must not contradict the earlier ones.
-	Static map[string]string
+	Static map[string]string `json:"static,omitempty"`
 	// Varying holds this time point's values of time-varying attributes.
-	Varying map[string]string
+	Varying map[string]string `json:"varying,omitempty"`
 }
 
 // EdgeRecord describes one directed interaction at the appended time
 // point. Both endpoints must appear in the snapshot's node list.
 type EdgeRecord struct {
-	U, V string
+	U string `json:"u"`
+	V string `json:"v"`
 }
 
 // Snapshot is the content of one time point.
