@@ -31,6 +31,9 @@
 // /v1/status, /v1/labels, /v1/wal/stream. See DESIGN.md §3 for the serving
 // architecture (admission control, deadlines, metrics taxonomy).
 //
+// With -admin-addr it also serves net/http/pprof (/debug/pprof/) on that
+// address, a listener of its own; without it no second port opens.
+//
 // SIGTERM/SIGINT starts a graceful drain: /readyz flips to 503 so load
 // balancers stop routing here, in-flight requests finish (up to
 // -drain-timeout), then the process exits.
@@ -43,7 +46,9 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
+	_ "net/http/pprof" // registers /debug/pprof/ on http.DefaultServeMux, which only -admin-addr serves
 	"os"
 	"os/signal"
 	"slices"
@@ -61,6 +66,7 @@ import (
 
 type options struct {
 	addr         string
+	adminAddr    string
 	dataset      string
 	scale        float64
 	seed         int64
@@ -83,6 +89,7 @@ func parseFlags(args []string) (*options, error) {
 	fs := flag.NewFlagSet("graphtempod", flag.ContinueOnError)
 	o := &options{}
 	fs.StringVar(&o.addr, "addr", ":8089", "listen address")
+	fs.StringVar(&o.adminAddr, "admin-addr", "", "serve net/http/pprof on this address (default: off)")
 	fs.StringVar(&o.dataset, "dataset", "", "dataset to serve: paper, dblp, movielens, a binary snapshot file (gtgen -format binary) or a graph directory path")
 	fs.Float64Var(&o.scale, "scale", 1.0, "size factor for synthetic datasets")
 	fs.Int64Var(&o.seed, "seed", 42, "generator seed for synthetic datasets")
@@ -170,8 +177,8 @@ func loadGraph(o *options, log *slog.Logger) (*core.Graph, error) {
 		}
 	}
 	// A built or loaded graph transposes its point index on first use, so
-	// the size is normally 0 here; graphtempod_graph_index_bytes follows it
-	// as scans build it.
+	// the size here is normally that of its multi-appearance sets alone;
+	// graphtempod_graph_index_bytes follows it as scans build the columns.
 	log.Info("dataset loaded", "dataset", o.dataset, "scale", o.scale,
 		"nodes", g.NumNodes(), "edges", g.NumEdges(), "points", g.Timeline().Len(),
 		"point_index_bytes", g.IndexBytes(),
@@ -288,10 +295,15 @@ func run(args []string) error {
 		return err
 	}
 
-	hs := &http.Server{
-		Addr:              o.addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
+	ln, admin, err := listen(o)
+	if err != nil {
+		return err
+	}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	if admin != nil {
+		defer admin.Close()
+		go (&http.Server{Handler: http.DefaultServeMux, ReadHeaderTimeout: 10 * time.Second}).Serve(admin)
+		log.Info("admin listening", "addr", admin.Addr().String())
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
@@ -315,7 +327,7 @@ func run(args []string) error {
 	errc := make(chan error, 1)
 	go func() {
 		log.Info("listening", "addr", o.addr)
-		if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+		if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
 			errc <- err
 		}
 	}()
@@ -345,6 +357,19 @@ func run(args []string) error {
 	}
 	log.Info("drained, exiting")
 	return nil
+}
+
+// listen opens the serving listener and, when -admin-addr is set, the admin
+// listener; admin is nil otherwise.
+func listen(o *options) (ln, admin net.Listener, err error) {
+	if ln, err = net.Listen("tcp", o.addr); err != nil || o.adminAddr == "" {
+		return ln, nil, err
+	}
+	if admin, err = net.Listen("tcp", o.adminAddr); err != nil {
+		ln.Close()
+		return nil, nil, err
+	}
+	return ln, admin, nil
 }
 
 func main() {

@@ -332,3 +332,66 @@ func TestRunServesAndDrains(t *testing.T) {
 		t.Fatal("daemon did not drain after SIGTERM")
 	}
 }
+
+// TestAdminAddr: without -admin-addr the daemon opens one listener and its
+// serving port has no /debug/pprof/; with it, the profiles answer on the
+// admin address alone.
+func TestAdminAddr(t *testing.T) {
+	status := func(url string) int {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	o, err := parseFlags([]string{"-dataset", "paper", "-addr", freeAddr(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, admin, err := listen(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.Close()
+	if admin != nil {
+		admin.Close()
+		t.Fatal("an admin listener opened without -admin-addr")
+	}
+	for _, adminAddr := range []string{"", freeAddr(t)} {
+		addr := freeAddr(t)
+		args := []string{"-dataset", "paper", "-addr", addr, "-drain-timeout", "5s"}
+		if adminAddr != "" {
+			args = append(args, "-admin-addr", adminAddr)
+		}
+		done := make(chan error, 1)
+		go func() { done <- run(args) }()
+		awaitReady(t, "http://"+addr)
+		if code := status("http://" + addr + "/debug/pprof/"); code != 404 {
+			t.Errorf("admin %q: /debug/pprof/ on the serving port = %d, want 404", adminAddr, code)
+		}
+		if adminAddr != "" {
+			for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/heap"} {
+				if code := status("http://" + adminAddr + path); code != 200 {
+					t.Errorf("%s on the admin port = %d, want 200", path, code)
+				}
+			}
+			if code := status("http://" + adminAddr + "/readyz"); code != 404 {
+				t.Errorf("/readyz on the admin port = %d, want 404", code)
+			}
+		}
+		if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("run returned %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("daemon did not drain after SIGTERM")
+		}
+	}
+}

@@ -73,11 +73,13 @@ type Schema struct {
 	allStatic bool
 
 	// Kernel state (dense.go): pooled accumulators (sweep holds the
-	// evolution sweep kernel's), the per-point tuple-code rows, built under
-	// codesMu, and the all-static match masks.
+	// evolution sweep kernel's), the per-point tuple-code rows and
+	// aggregates of singles, built under codesMu, and the all-static match
+	// masks.
 	dense      sync.Pool
 	sweep      sync.Pool
 	codes      []atomic.Pointer[[]int64]
+	singles    [2][]atomic.Pointer[[][2]int64] // nodes, edges
 	codesMu    sync.Mutex
 	matchOnce  sync.Once
 	matchNodes *bitset.Set
@@ -100,13 +102,13 @@ func tableOf(g *core.Graph) *schemaTable {
 	return g.Memo(func() any { return &schemaTable{schemas: make(map[string]*Schema)} }).(*schemaTable)
 }
 
-// TupleRowBytes reports the resident size of the tuple-code rows the
-// schemas of g have built so far (Schema.Codes).
+// TupleRowBytes reports the resident size of the tuple-code rows and the
+// per-point aggregates of singles the schemas of g have built so far.
 func TupleRowBytes(g *core.Graph) int64 { return tableOf(g).bytes.Load() }
 
-// ReleaseRows drops the tuple-code rows built on g's schemas, for a graph a
-// newer generation superseded: a request still in flight on it rebuilds the
-// rows it reads again.
+// ReleaseRows drops the tuple-code rows and per-point aggregates built on
+// g's schemas, for a graph a newer generation superseded: a request still in
+// flight on it rebuilds what it reads again.
 func ReleaseRows(g *core.Graph) {
 	tab := tableOf(g)
 	tab.mu.Lock()
@@ -119,6 +121,13 @@ func ReleaseRows(g *core.Graph) {
 			if p := s.codes[i].Swap(nil); p != nil && p != last {
 				freed += int64(len(*p)) * 8
 				last = p
+			}
+		}
+		for _, side := range s.singles {
+			for i := range side {
+				if p := side[i].Swap(nil); p != nil {
+					freed += int64(len(*p)) * 16
+				}
 			}
 		}
 		s.codesMu.Unlock()
@@ -152,6 +161,8 @@ func NewSchema(g *core.Graph, attrs ...core.AttrID) (*Schema, error) {
 		radices:   make([]int64, len(attrs)),
 		allStatic: true,
 		codes:     make([]atomic.Pointer[[]int64], g.Timeline().Len()),
+		singles: [2][]atomic.Pointer[[][2]int64]{
+			make([]atomic.Pointer[[][2]int64], g.Timeline().Len()), make([]atomic.Pointer[[][2]int64], g.Timeline().Len())},
 	}
 	stride := int64(1)
 	for i, a := range attrs {

@@ -31,10 +31,10 @@ import (
 // Algorithm 2 unpivots the node × time attribute arrays, by time column
 // (denseVarying): for each point of the view's interval the kernel streams
 // the words of the point's existence column ∧ the view's selection against
-// that point's row. DIST splits the selection, word-parallel, into entities
-// appearing once in the interval, streamed like ALL, and the rest, which are
-// deduplicated 64 at a time from the same columns (dedupe) — neither path
-// walks an entity's τ.
+// that point's row. The entities living at that point alone are added as
+// one per-point aggregate when the view selects them all; DIST
+// deduplicates the rest 64 at a time from the same columns (dedupe) — no
+// path walks an entity's τ.
 //
 // Exploration (internal/explore) is the workload this exists for: every
 // candidate interval pair costs one aggregation, and Figs. 13–14 evaluate
@@ -140,15 +140,18 @@ type denseScratch struct {
 	// Time-major kernel state (denseVarying), rebuilt per call: ts are the
 	// points of the view's interval, rows their tuple codes and cols the
 	// scanned side's existence column at each; words are the indices of the
-	// selection's non-zero words within the scanned id range and sel those
-	// words (range-clipped); seen/multi are DIST's word-parallel "appears at
-	// ≥ 1 / ≥ 2 points of the interval" masks over the same words.
-	ts          []timeline.Time
-	rows        [][]int64
-	cols        []*bitset.Set
-	words       []int32
-	sel         []uint64
-	seen, multi []uint64
+	// selection's non-zero words within the scanned id range, sel those
+	// words (range-clipped), and multi/single their entities in and out of
+	// the point index's multi-appearance set; absorbed tells, per point,
+	// whether the view takes the aggregate of its singles, adds is that
+	// aggregate for the range that adds it.
+	ts                 []timeline.Time
+	rows               [][]int64
+	cols               []*bitset.Set
+	words              []int32
+	sel, multi, single []uint64
+	absorbed           []bool
+	adds               [][][2]int64
 }
 
 // wordStamp marks, for one code, the entities of word gen's dedupe that
@@ -308,11 +311,14 @@ func denseStatic(v *ops.View, s *Schema, kind Kind, sc *denseScratch, nLo, nHi, 
 // the schema's codes. A non-nil filter drops the appearances it rejects (an
 // edge's needs both endpoints to pass).
 //
-// ALL counts every appearance that way. DIST must count an (entity, tuple)
-// pair once: a word-parallel pass over the same columns first splits the
-// selection into entities that appear at exactly one point of the interval
-// — nothing to deduplicate, so they are streamed like ALL — and the
-// multi-appearance remainder, which dedupe counts word by word.
+// An entity that exists at t and at no other point of the graph — one of
+// t's singles, outside the point index's multi-appearance set — counts
+// once, under DIST and ALL alike, in every view that selects it. So when an
+// unfiltered view selects every single of t, the range owning id 0 adds the
+// schema's per-point aggregate of them (singles) and every range masks
+// them out of its stream; otherwise they are streamed. ALL streams the
+// multi-appearance entities too; DIST must count an (entity, tuple) pair
+// once, so dedupe counts those word by word.
 //
 // Only the selection's non-zero words are visited per point, so the work
 // is (non-zero words) · |interval| word operations plus the selected
@@ -330,7 +336,8 @@ func denseVarying(v *ops.View, s *Schema, kind Kind, filter Filter, sc *denseScr
 	}
 	k := varyingScan{s: s, sc: sc, dist: kind == Distinct, filter: filter, canceled: canceled}
 	ix := s.g.PointIndex()
-	return k.side(v.Nodes(), ix.NodesAt, nLo, nHi, false) && k.side(v.Edges(), ix.EdgesAt, eLo, eHi, true)
+	return k.side(v.Nodes(), ix.NodesAt, ix.MultiNodes(), nLo, nHi, false) &&
+		k.side(v.Edges(), ix.EdgesAt, ix.MultiEdges(), eLo, eHi, true)
 }
 
 // varyingScan is one denseVarying call.
@@ -347,44 +354,54 @@ type varyingScan struct {
 // probeWords is the number of selection words between cancellation probes.
 const probeWords = ctxChunk / 64
 
-// side scans one side of the view — nodes, or edges — over ids [lo, hi).
-func (k *varyingScan) side(sel *bitset.Set, at func(timeline.Time) *bitset.Set, lo, hi int, edges bool) bool {
+// side scans one side of the view — nodes, or edges — over ids [lo, hi);
+// multi is that side's multi-appearance set.
+func (k *varyingScan) side(sel *bitset.Set, at func(timeline.Time) *bitset.Set, multi *bitset.Set, lo, hi int, edges bool) bool {
 	sc := k.sc
-	sc.words, sc.sel = sc.words[:0], sc.sel[:0]
+	sc.words, sc.sel, sc.multi, sc.single = sc.words[:0], sc.sel[:0], sc.multi[:0], sc.single[:0]
 	for wi := lo / 64; wi*64 < hi; wi++ {
 		if w := sel.WordIn(wi, lo, hi); w != 0 {
+			m := multi.Word(wi)
 			sc.words, sc.sel = append(sc.words, int32(wi)), append(sc.sel, w)
+			sc.multi, sc.single = append(sc.multi, w&m), append(sc.single, w&^m)
 		}
 	}
-	if len(sc.words) == 0 || len(sc.ts) == 0 {
+	owner := lo == 0 && hi > 0
+	if len(sc.ts) == 0 || len(sc.words) == 0 && !owner {
 		return true
 	}
-	sc.cols = sc.cols[:0]
-	for _, t := range sc.ts {
-		sc.cols = append(sc.cols, at(t))
+	// Which points' singles the view absorbs, and for the range owning id 0
+	// their aggregates, built while this side's accumulator is still empty.
+	sc.cols, sc.absorbed, sc.adds = sc.cols[:0], sc.absorbed[:0], sc.adds[:0]
+	for i, t := range sc.ts {
+		col := at(t)
+		absorbed := k.filter == nil && selectsSingles(sel, col, multi)
+		var add [][2]int64
+		if absorbed && owner {
+			k.bind(i)
+			add = k.singles(col, multi, edges)
+		}
+		sc.cols, sc.absorbed, sc.adds = append(sc.cols, col), append(sc.absorbed, absorbed), append(sc.adds, add)
 	}
-	stream := sc.sel
-	if k.dist {
-		sc.seen, sc.multi = zeroed(sc.seen, len(sc.words)), zeroed(sc.multi, len(sc.words))
-		for _, col := range sc.cols {
-			nw := int32(col.NumWords())
-			for j, wi := range sc.words {
-				if wi >= nw {
-					break
-				}
-				x := col.Word(int(wi)) & sc.sel[j]
-				sc.multi[j] |= sc.seen[j] & x
-				sc.seen[j] |= x
-			}
-		}
-		for j := range sc.seen {
-			sc.seen[j] &^= sc.multi[j]
-		}
-		stream = sc.seen // the single-appearance entities
+	w := &sc.nodes
+	if edges {
+		w = &sc.edges
 	}
 	for i, col := range sc.cols {
-		nw := int32(col.NumWords())
 		k.bind(i)
+		stream := sc.sel
+		if sc.absorbed[i] {
+			for _, g := range sc.adds[i] {
+				*w.Ref(g[0]) += g[1]
+			}
+			if k.dist {
+				continue
+			}
+			stream = sc.multi
+		} else if k.dist {
+			stream = sc.single
+		}
+		nw := int32(col.NumWords())
 		for j, wi := range sc.words {
 			if wi >= nw {
 				break
@@ -400,14 +417,51 @@ func (k *varyingScan) side(sel *bitset.Set, at func(timeline.Time) *bitset.Set, 
 	return !k.dist || k.dedupe(edges)
 }
 
-// zeroed returns buf resized to n zero words, reallocating only to grow.
-func zeroed(buf []uint64, n int) []uint64 {
-	if cap(buf) < n {
-		return make([]uint64, n)
+// selectsSingles reports whether selection sel holds every single of the
+// point column col: each of its entities outside the multi-appearance set.
+// It reads the whole id space, so every range of a sharded scan decides
+// alike.
+func selectsSingles(sel, col, multi *bitset.Set) bool {
+	for wi := range col.NumWords() {
+		if col.Word(wi)&^multi.Word(wi)&^sel.Word(wi) != 0 {
+			return false
+		}
 	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
+	return true
+}
+
+// singles returns the schema's aggregate of the bound point's singles on
+// one side: per code, how many entities of col outside multi have it. It is
+// built once per (schema, point, side), on first use, under codesMu like
+// the rows, by counting into the side's scratch accumulator, which must be
+// empty and is left empty. Callers must not modify it.
+func (k *varyingScan) singles(col, multi *bitset.Set, edges bool) [][2]int64 {
+	s, side, w := k.s, 0, &k.sc.nodes
+	if edges {
+		side, w = 1, &k.sc.edges
+	}
+	slot := &s.singles[side][k.t]
+	if p := slot.Load(); p != nil {
+		return *p
+	}
+	s.codesMu.Lock()
+	defer s.codesMu.Unlock()
+	if p := slot.Load(); p != nil {
+		return *p
+	}
+	for wi := range col.NumWords() {
+		if x := col.Word(wi) &^ multi.Word(wi); x != 0 {
+			k.count(wi*64, x, edges)
+		}
+	}
+	out := make([][2]int64, w.Len())
+	for i := range out {
+		out[i][0], out[i][1] = w.Entry(i)
+	}
+	w.Reset()
+	slot.Store(&out)
+	tableOf(s.g).bytes.Add(int64(len(out)) * 16)
+	return out
 }
 
 // bind makes the i-th point of the interval the one read.
@@ -465,18 +519,21 @@ func (k *varyingScan) count(base int, x uint64, edges bool) {
 	}
 }
 
-// dedupe is DIST for the entities that appear at several points of the
-// interval (multi), 64 at a time: for each point it takes the word of that
-// point's column, and per code it stamps the bits of the word's entities
-// that already counted it, so each (entity, tuple) pair counts once.
+// dedupe is DIST for the selected entities that appear at several points
+// of the graph (multi), 64 at a time: for each point it takes the word of
+// that point's column, and per code it stamps the bits of the word's
+// entities that already counted it, so each (entity, tuple) pair counts
+// once. A word reads a column word per point, so canceled is probed about
+// every ctxChunk ids' worth of column words.
 func (k *varyingScan) dedupe(edges bool) bool {
 	sc := k.sc
 	w, seen := &sc.nodes, &sc.nodeSeen
 	if edges {
 		w, seen = &sc.edges, &sc.edgeSeen
 	}
+	every := max(1, probeWords/len(sc.cols))
 	for j, m := range sc.multi {
-		if j%probeWords == 0 && k.canceled() {
+		if j%every == 0 && k.canceled() {
 			return false
 		}
 		if m == 0 {

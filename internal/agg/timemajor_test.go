@@ -217,16 +217,25 @@ func TestTimeMajorKernelCancellation(t *testing.T) {
 				}
 				exact("a call canceled at its first probe")
 			}
-			// Cancel at the k'th probe, for every k the scan reaches.
+			// Cancel at the k'th probe, for every k the scan reaches. ALL
+			// streams appearances point by point; DIST adds the per-point
+			// aggregates of the view's singles first and counts the rest in
+			// dedupe, so its cancellations must land inside dedupe's loop,
+			// after it deduplicated some words.
 			partial := 0
 			for k, stopped := 1, true; stopped; k++ {
 				probes := 0
 				sc := s.getScratch()
+				gen0 := sc.gen
 				stopped = !denseVarying(v, s, kind, nil, sc, 0, g.NumNodes(), 0, g.NumEdges(), func() bool {
 					probes++
 					return probes >= k
 				})
-				if stopped && sc.nodes.Len()+sc.edges.Len() > 0 {
+				landed := sc.nodes.Len()+sc.edges.Len() > 0
+				if kind == Distinct {
+					landed = sc.gen > gen0
+				}
+				if stopped && landed {
 					partial++
 				}
 				s.putScratch(sc)

@@ -249,8 +249,8 @@ func (a *Accumulator) SetNodeTime(n NodeID) {
 		}
 		a.nodeTau[n] = s
 	}
+	a.nodeAt.mark(a.column(), int(n), a.elsewhere(s))
 	s.Add(len(a.labels) - 1)
-	a.nodeAt.mark(a.column(), int(n))
 }
 
 // touch prepares a timestamp bitset for mutation at the current point:
@@ -262,6 +262,12 @@ func (a *Accumulator) touch(s *bitset.Set, sGen *uint64) *bitset.Set {
 		*sGen = a.gen
 	}
 	return s
+}
+
+// elsewhere reports whether timestamp s holds a point other than the
+// current one: the entity exists at two or more points once recorded.
+func (a *Accumulator) elsewhere(s *bitset.Set) bool {
+	return !s.Contains(len(a.labels)-1) && !s.IsEmpty()
 }
 
 // EnsureEdge returns the id of edge (u, v), registering it if new.
@@ -290,8 +296,8 @@ func (a *Accumulator) SetEdgeTime(e EdgeID) {
 		}
 		a.edgeTau[e] = s
 	}
+	a.edgeAt.mark(a.column(), int(e), a.elsewhere(s))
 	s.Add(len(a.labels) - 1)
-	a.edgeAt.mark(a.column(), int(e))
 }
 
 // SetStatic records the value of static attribute attr for node n. Writing
@@ -353,9 +359,11 @@ func (a *Accumulator) Snapshot() *Graph {
 		varying:    make([][][]dict.Code, len(a.attrs)),
 		shared:     a.index,
 		points: PointIndex{
-			head:   a.head,
-			nodeAt: a.nodeAt.cols[:len(a.nodeAt.cols):len(a.nodeAt.cols)],
-			edgeAt: a.edgeAt.cols[:len(a.edgeAt.cols):len(a.edgeAt.cols)],
+			head:       a.head,
+			nodeAt:     a.nodeAt.cols[:len(a.nodeAt.cols):len(a.nodeAt.cols)],
+			edgeAt:     a.edgeAt.cols[:len(a.edgeAt.cols):len(a.edgeAt.cols)],
+			multiNodes: a.nodeAt.multiSet(len(a.nodeTau)),
+			multiEdges: a.edgeAt.multiSet(len(a.edgeTau)),
 		},
 	}
 	a.nodeTauShared, a.nodeTauFrozen = true, len(a.nodeTau)

@@ -112,9 +112,12 @@ func (g *Graph) Memo(build func() any) any {
 }
 
 // indexLazily sets up the point index of a graph that was not grown by an
-// Accumulator: every column is transposed from τ when first asked for.
+// Accumulator: every column is transposed from τ when first asked for; the
+// multi-appearance sets are counted now.
 func (g *Graph) indexLazily() {
-	g.points = PointIndex{head: &lazyColumns{T: g.tl.Len(), nodeTau: g.nodeTau, edgeTau: g.edgeTau}}
+	g.points = PointIndex{head: &lazyColumns{T: g.tl.Len(), nodeTau: g.nodeTau, edgeTau: g.edgeTau},
+		multiNodes: bitset.FromWords(len(g.nodeTau), multiOf(g.nodeTau)),
+		multiEdges: bitset.FromWords(len(g.edgeTau), multiOf(g.edgeTau))}
 }
 
 // Timeline returns the graph's time domain.

@@ -3,9 +3,9 @@ package core
 import (
 	"encoding/csv"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/dict"
 	"repro/internal/timeline"
@@ -28,44 +28,32 @@ func WriteDir(g *Graph, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := writeCSV(filepath.Join(dir, "schema.csv"), func(w *csv.Writer) error {
-		if err := w.Write([]string{"name", "kind"}); err != nil {
-			return err
-		}
+	if err := writeCSV(filepath.Join(dir, "schema.csv"), func(w *csv.Writer) {
+		w.Write([]string{"name", "kind"})
 		for _, a := range g.attrs {
-			if err := w.Write([]string{a.Name, a.Kind.String()}); err != nil {
-				return err
-			}
+			w.Write([]string{a.Name, a.Kind.String()})
 		}
-		return nil
 	}); err != nil {
 		return err
 	}
 
 	labels := g.tl.Labels()
-	if err := writeCSV(filepath.Join(dir, "nodes.csv"), func(w *csv.Writer) error {
-		if err := w.Write(append([]string{"id"}, labels...)); err != nil {
-			return err
-		}
+	if err := writeCSV(filepath.Join(dir, "nodes.csv"), func(w *csv.Writer) {
+		w.Write(append([]string{"id"}, labels...))
 		row := make([]string, 1+len(labels))
 		for n := range g.nodeLabels {
 			row[0] = g.nodeLabels[n]
 			for t := range labels {
 				row[1+t] = bit(g.nodeTau[n].Contains(t))
 			}
-			if err := w.Write(row); err != nil {
-				return err
-			}
+			w.Write(row)
 		}
-		return nil
 	}); err != nil {
 		return err
 	}
 
-	if err := writeCSV(filepath.Join(dir, "edges.csv"), func(w *csv.Writer) error {
-		if err := w.Write(append([]string{"u", "v"}, labels...)); err != nil {
-			return err
-		}
+	if err := writeCSV(filepath.Join(dir, "edges.csv"), func(w *csv.Writer) {
+		w.Write(append([]string{"u", "v"}, labels...))
 		row := make([]string, 2+len(labels))
 		for e, ep := range g.edges {
 			row[0] = g.nodeLabels[ep.U]
@@ -73,11 +61,8 @@ func WriteDir(g *Graph, dir string) error {
 			for t := range labels {
 				row[2+t] = bit(g.edgeTau[e].Contains(t))
 			}
-			if err := w.Write(row); err != nil {
-				return err
-			}
+			w.Write(row)
 		}
-		return nil
 	}); err != nil {
 		return err
 	}
@@ -89,14 +74,12 @@ func WriteDir(g *Graph, dir string) error {
 		}
 	}
 	if len(staticAttrs) > 0 {
-		if err := writeCSV(filepath.Join(dir, "static.csv"), func(w *csv.Writer) error {
+		if err := writeCSV(filepath.Join(dir, "static.csv"), func(w *csv.Writer) {
 			hdr := []string{"id"}
 			for _, a := range staticAttrs {
 				hdr = append(hdr, g.attrs[a].Name)
 			}
-			if err := w.Write(hdr); err != nil {
-				return err
-			}
+			w.Write(hdr)
 			row := make([]string, 1+len(staticAttrs))
 			for n := range g.nodeLabels {
 				row[0] = g.nodeLabels[n]
@@ -108,11 +91,8 @@ func WriteDir(g *Graph, dir string) error {
 						row[1+i] = g.dicts[a].Value(c)
 					}
 				}
-				if err := w.Write(row); err != nil {
-					return err
-				}
+				w.Write(row)
 			}
-			return nil
 		}); err != nil {
 			return err
 		}
@@ -123,10 +103,8 @@ func WriteDir(g *Graph, dir string) error {
 			continue
 		}
 		name := filepath.Join(dir, "varying_"+g.attrs[a].Name+".csv")
-		if err := writeCSV(name, func(w *csv.Writer) error {
-			if err := w.Write(append([]string{"id"}, labels...)); err != nil {
-				return err
-			}
+		if err := writeCSV(name, func(w *csv.Writer) {
+			w.Write(append([]string{"id"}, labels...))
 			row := make([]string, 1+len(labels))
 			for n := range g.nodeLabels {
 				row[0] = g.nodeLabels[n]
@@ -138,11 +116,8 @@ func WriteDir(g *Graph, dir string) error {
 						row[1+t] = g.dicts[a].Value(c)
 					}
 				}
-				if err := w.Write(row); err != nil {
-					return err
-				}
+				w.Write(row)
 			}
-			return nil
 		}); err != nil {
 			return err
 		}
@@ -157,16 +132,15 @@ func bit(b bool) string {
 	return "0"
 }
 
-func writeCSV(path string, fn func(*csv.Writer) error) error {
+// writeCSV writes the file fn fills. A failed write makes every later one
+// fail too, so the error is read once, after the flush.
+func writeCSV(path string, fn func(*csv.Writer)) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	w := csv.NewWriter(f)
-	if err := fn(w); err != nil {
-		f.Close()
-		return err
-	}
+	fn(w)
 	w.Flush()
 	if err := w.Error(); err != nil {
 		f.Close()
@@ -180,9 +154,6 @@ func ReadDir(dir string) (*Graph, error) {
 	schema, err := readAll(filepath.Join(dir, "schema.csv"))
 	if err != nil {
 		return nil, err
-	}
-	if len(schema) < 1 {
-		return nil, fmt.Errorf("core: schema.csv is empty")
 	}
 	var attrs []AttrSpec
 	for _, row := range schema[1:] {
@@ -205,8 +176,8 @@ func ReadDir(dir string) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(nodes) < 1 || len(nodes[0]) < 2 {
-		return nil, fmt.Errorf("core: nodes.csv missing header or time columns")
+	if len(nodes[0]) < 2 {
+		return nil, fmt.Errorf("core: nodes.csv has no time columns")
 	}
 	tl, err := timeline.New(nodes[0][1:]...)
 	if err != nil {
@@ -233,9 +204,6 @@ func ReadDir(dir string) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(edges) < 1 {
-		return nil, fmt.Errorf("core: edges.csv is empty")
-	}
 	for _, row := range edges[1:] {
 		if len(row) != 2+tl.Len() {
 			return nil, fmt.Errorf("core: malformed edge row %v", row)
@@ -260,33 +228,18 @@ func ReadDir(dir string) (*Graph, error) {
 		}
 	}
 
-	hasStatic := false
-	for _, a := range attrs {
-		if a.Kind == Static {
-			hasStatic = true
-		}
-	}
-	if hasStatic {
+	if slices.ContainsFunc(attrs, func(a AttrSpec) bool { return a.Kind == Static }) {
 		static, err := readAll(filepath.Join(dir, "static.csv"))
 		if err != nil {
 			return nil, err
 		}
-		if len(static) < 1 {
-			return nil, fmt.Errorf("core: static.csv is empty")
-		}
 		cols := make([]AttrID, 0, len(static[0])-1)
 		for _, name := range static[0][1:] {
-			found := false
-			for a := range attrs {
-				if attrs[a].Name == name && attrs[a].Kind == Static {
-					cols = append(cols, AttrID(a))
-					found = true
-					break
-				}
-			}
-			if !found {
+			a := slices.IndexFunc(attrs, func(a AttrSpec) bool { return a.Name == name && a.Kind == Static })
+			if a < 0 {
 				return nil, fmt.Errorf("core: static.csv references unknown attribute %q", name)
 			}
+			cols = append(cols, AttrID(a))
 		}
 		for _, row := range static[1:] {
 			if len(row) != 1+len(cols) {
@@ -312,9 +265,6 @@ func ReadDir(dir string) (*Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(rows) < 1 {
-			return nil, fmt.Errorf("core: varying_%s.csv is empty", attrs[a].Name)
-		}
 		for _, row := range rows[1:] {
 			if len(row) != 1+tl.Len() {
 				return nil, fmt.Errorf("core: malformed varying_%s row %v", attrs[a].Name, row)
@@ -333,6 +283,7 @@ func ReadDir(dir string) (*Graph, error) {
 	return b.Build()
 }
 
+// readAll reads a CSV file that has at least its header row.
 func readAll(path string) ([][]string, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -341,15 +292,9 @@ func readAll(path string) ([][]string, error) {
 	defer f.Close()
 	r := csv.NewReader(f)
 	r.FieldsPerRecord = -1
-	var rows [][]string
-	for {
-		row, err := r.Read()
-		if err == io.EOF {
-			return rows, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
+	rows, err := r.ReadAll()
+	if err == nil && len(rows) == 0 {
+		err = fmt.Errorf("core: %s is empty", filepath.Base(path))
 	}
+	return rows, err
 }

@@ -21,6 +21,10 @@ import (
 // A column is frozen at the entity count of its point, so it may be shorter
 // than today's id space; it reads as zero-padded ("absent for every later
 // id"), the rule τ follows along the time axis.
+//
+// The index also knows which entities exist at two or more points of the
+// graph (MultiNodes, MultiEdges): the rest of a column — its singles — live
+// at that point alone.
 type PointIndex struct {
 	// head holds the columns of the first head.T points when they were not
 	// appended at ingest: all of a built or loaded graph's, or those of the
@@ -31,6 +35,10 @@ type PointIndex struct {
 	// nodeAt/edgeAt are the columns of points head.T, head.T+1, … that an
 	// Accumulator appended as each point finished.
 	nodeAt, edgeAt []*bitset.Set
+	// multiNodes/multiEdges are the multi-appearance sets, over the whole id
+	// space: counted from τ when the graph is built or loaded, frozen with
+	// the snapshot by an Accumulator.
+	multiNodes, multiEdges *bitset.Set
 }
 
 // PointIndex returns the graph's per-time-point existence index, shared by
@@ -55,18 +63,38 @@ func (ix *PointIndex) EdgesAt(t timeline.Time) *bitset.Set {
 	return ix.edgeAt[int(t)-ix.head.points()]
 }
 
+// MultiNodes returns the set of nodes existing at two or more points of the
+// graph, as long as the id space: a node of NodesAt(t) outside it exists at
+// t alone. Callers must not modify it.
+func (ix *PointIndex) MultiNodes() *bitset.Set { return ix.multiNodes }
+
+// MultiEdges is MultiNodes for edges.
+func (ix *PointIndex) MultiEdges() *bitset.Set { return ix.multiEdges }
+
 // bytes is the resident size of the columns built so far.
 func (ix *PointIndex) bytes() int64 {
 	var b int64
 	if ix.head != nil {
 		b = ix.head.bytes.Load()
 	}
-	for _, cols := range [2][]*bitset.Set{ix.nodeAt, ix.edgeAt} {
+	for _, cols := range [3][]*bitset.Set{ix.nodeAt, ix.edgeAt, {ix.multiNodes, ix.multiEdges}} {
 		for _, c := range cols {
 			b += int64(c.NumWords()) * 8
 		}
 	}
 	return b
+}
+
+// multiOf returns the words of the multi-appearance set of the entities
+// with timestamps taus: those that hold two or more points.
+func multiOf(taus []*bitset.Set) []uint64 {
+	words := make([]uint64, (len(taus)+63)/64)
+	for i, tau := range taus {
+		if tau.Count() >= 2 {
+			words[i/64] |= 1 << uint(i%64)
+		}
+	}
+	return words
 }
 
 // lazyColumns are point-index columns derived from τ when first asked for:
@@ -121,16 +149,18 @@ func transpose(taus []*bitset.Set, T int) []*bitset.Set {
 }
 
 // pointColumns is one side (nodes or edges) of the index an Accumulator
-// grows: one frozen column per finished point, and the words of the current
-// point's column while it is being written.
+// grows: one frozen column per finished point, the words of the current
+// point's column while it is being written, and the words of the
+// multi-appearance set.
 type pointColumns struct {
-	cols []*bitset.Set
-	cur  []uint64
+	cols       []*bitset.Set
+	cur, multi []uint64
 }
 
 // mark records that entity id exists at the current point, the t'th this
-// accumulator appends columns for.
-func (c *pointColumns) mark(t, id int) {
+// accumulator appends columns for — again when it exists at another point
+// too.
+func (c *pointColumns) mark(t, id int, again bool) {
 	if t < 0 {
 		panic("core: a resumed accumulator records existence only after AddPoint")
 	}
@@ -145,10 +175,26 @@ func (c *pointColumns) mark(t, id int) {
 			c.cur = append(c.cur, last.Word(wi))
 		}
 	}
-	for id/64 >= len(c.cur) {
-		c.cur = append(c.cur, 0)
+	setBit(&c.cur, id)
+	if again {
+		setBit(&c.multi, id)
 	}
-	c.cur[id/64] |= 1 << uint(id%64)
+}
+
+// setBit sets bit id of words, growing it as needed.
+func setBit(words *[]uint64, id int) {
+	for id/64 >= len(*words) {
+		*words = append(*words, 0)
+	}
+	(*words)[id/64] |= 1 << uint(id%64)
+}
+
+// multiSet copies the multi-appearance set out for a snapshot of n entities:
+// its scans keep reading that set while the accumulator goes on.
+func (c *pointColumns) multiSet(n int) *bitset.Set {
+	words := make([]uint64, (n+63)/64)
+	copy(words, c.multi)
+	return bitset.FromWords(n, words)
 }
 
 // freeze finishes point t at an id space of n entities: the column is copied

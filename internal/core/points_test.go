@@ -50,7 +50,8 @@ func newHistory(seed int64) *history {
 		core.AttrSpec{Name: "grp", Kind: core.Static}, core.AttrSpec{Name: "act", Kind: core.TimeVarying})}
 }
 
-// TestPointIndexIsTransposeOfTau: the index is a pure function of τ on every
+// TestPointIndexIsTransposeOfTau: the index — its columns and its
+// multi-appearance sets — is a pure function of τ on every
 // way core publishes a graph — snapshots after every appended point
 // (columns handed over, never rebuilt), a snapshot taken mid-point that the
 // caller keeps writing to, accumulators resumed from a snapshot and from
@@ -62,7 +63,11 @@ func TestPointIndexIsTransposeOfTau(t *testing.T) {
 		var gens []*core.Graph
 		check := func(what string, g *core.Graph) {
 			t.Helper()
-			if err := gtest.PointIndexError(g); err != nil {
+			err := gtest.PointIndexError(g)
+			if err == nil {
+				err = multiError(g)
+			}
+			if err != nil {
 				t.Fatalf("seed %d, %s (%d points, %d nodes, %d edges): %v",
 					seed, what, g.Timeline().Len(), g.NumNodes(), g.NumEdges(), err)
 			}
@@ -108,11 +113,36 @@ func TestPointIndexIsTransposeOfTau(t *testing.T) {
 		}
 		check("loaded", loaded)
 		for i, g := range gens {
+			if err := multiError(g); err != nil {
+				t.Fatalf("seed %d: generation %d: %v", seed, i, err)
+			}
 			if err := gtest.PointIndexError(g); err != nil {
 				t.Fatalf("seed %d: generation %d changed after later ones were published: %v", seed, i, err)
 			}
 		}
 	}
+}
+
+// multiError compares g's multi-appearance sets with its timestamps: an
+// entity is in its side's set exactly when τ holds two or more points, and
+// each set is as long as its id space.
+func multiError(g *core.Graph) error {
+	ix := g.PointIndex()
+	if ix.MultiNodes().Len() != g.NumNodes() || ix.MultiEdges().Len() != g.NumEdges() {
+		return fmt.Errorf("multi-appearance sets of %d/%d ids, graph has %d nodes, %d edges",
+			ix.MultiNodes().Len(), ix.MultiEdges().Len(), g.NumNodes(), g.NumEdges())
+	}
+	for n := 0; n < g.NumNodes(); n++ {
+		if got, tau := ix.MultiNodes().Contains(n), g.NodeTau(core.NodeID(n)).Count(); got != (tau >= 2) {
+			return fmt.Errorf("node %d: multi-appearance set says %v, τ holds %d points", n, got, tau)
+		}
+	}
+	for e := 0; e < g.NumEdges(); e++ {
+		if got, tau := ix.MultiEdges().Contains(e), g.EdgeTau(core.EdgeID(e)).Count(); got != (tau >= 2) {
+			return fmt.Errorf("edge %d: multi-appearance set says %v, τ holds %d points", e, got, tau)
+		}
+	}
+	return nil
 }
 
 // reload copies g through the column layout storage persists — every row

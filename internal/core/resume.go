@@ -21,7 +21,8 @@ import (
 // g's point index is chained to, not copied and not forced: the columns g
 // was handed at ingest are adopted, the ones it builds lazily stay lazy and
 // shared, so a resumed graph that is never scanned pays no transpose and one
-// that is pays it once for every generation resumed from g. g's points are
+// that is pays it once for every generation resumed from g. The
+// multi-appearance sets are counted from g's timestamps. g's points are
 // closed: the first write must follow an AddPoint.
 func ResumeAccumulator(g *Graph) *Accumulator {
 	a := &Accumulator{
@@ -45,8 +46,8 @@ func ResumeAccumulator(g *Graph) *Accumulator {
 		// touch of any adopted bitset clones it instead of mutating g's.
 		gen:    1,
 		head:   g.points.head,
-		nodeAt: pointColumns{cols: g.points.nodeAt},
-		edgeAt: pointColumns{cols: g.points.edgeAt},
+		nodeAt: pointColumns{cols: g.points.nodeAt, multi: multiOf(g.nodeTau)},
+		edgeAt: pointColumns{cols: g.points.edgeAt, multi: multiOf(g.edgeTau)},
 	}
 	for i, l := range a.nodeLabels {
 		a.index.nodes[l] = NodeID(i)

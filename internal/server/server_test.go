@@ -669,7 +669,8 @@ func TestMetricsExposition(t *testing.T) {
 
 // TestGraphIndexBytesGauge: the serving graph's point index and its
 // schemas' tuple-code rows are visible. A built graph transposes the index
-// on first use — nothing before a scan, every column after one — while a
+// on first use — only the multi-appearance sets before a scan, every column
+// after one — while a
 // streamed graph is handed its columns at ingest; a scan on a time-varying
 // attribute decodes one code row per point of its interval. Time-varying
 // values are stored, not derived, so no other index is reported.
@@ -693,18 +694,21 @@ func TestGraphIndexBytesGauge(t *testing.T) {
 		Attrs: []string{"publications"}, Kind: "dist"}
 
 	_, ts := newStaticServer(t)
-	if got, want := gauge(ts.URL), `graphtempod_graph_index_bytes{index="points"} 0`; got != want {
+	if got, want := gauge(ts.URL), `graphtempod_graph_index_bytes{index="points"} 16`; got != want {
 		t.Errorf("before any scan: %q, want %q", got, want)
 	}
 	before := rowBytes(ts.URL)
 	if code, data := postJSON(t, ts.URL+"/v1/aggregate", scan); code != 200 {
 		t.Fatalf("aggregate = %d: %s", code, data)
 	}
-	// PaperExample: 3 points × (5 nodes + 6 edges → one word each) × 8 bytes.
-	if got, want := gauge(ts.URL), `graphtempod_graph_index_bytes{index="points"} 48`; got != want {
+	// PaperExample: 3 points plus the multi-appearance sets × (5 nodes + 6
+	// edges → one word each) × 8 bytes.
+	if got, want := gauge(ts.URL), `graphtempod_graph_index_bytes{index="points"} 64`; got != want {
 		t.Errorf("after a scan: %q, want %q", got, want)
 	}
-	// Rows for t0 and t1, 5 nodes × 8 bytes each.
+	// Rows for t0 and t1, 5 nodes × 8 bytes each. The intersection selects
+	// every single node of t1 — it has none — so the node side of t1's
+	// aggregate of singles is built, with no group: 0 bytes.
 	if got := rowBytes(ts.URL) - before; got != 80 {
 		t.Errorf("the scan added %d bytes of tuple-code rows, want 80", got)
 	}
@@ -716,7 +720,7 @@ func TestGraphIndexBytesGauge(t *testing.T) {
 	if code, data := postJSON(t, sts.URL+"/v1/aggregate", scan); code != 200 {
 		t.Fatalf("stream aggregate = %d: %s", code, data)
 	}
-	if got, want := gauge(sts.URL), `graphtempod_graph_index_bytes{index="points"} 48`; got != want {
+	if got, want := gauge(sts.URL), `graphtempod_graph_index_bytes{index="points"} 64`; got != want {
 		t.Errorf("streamed graph: %q, want %q", got, want)
 	}
 	for _, url := range []string{ts.URL, sts.URL} {
