@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math/bits"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -939,11 +940,19 @@ func BenchmarkViewBuild(b *testing.B) {
 // union 0.547, intersection 0.335, difference 0.504; DBLP's singles are
 // 86 % of its edge appearances and 4 % of its node appearances).
 //
+// Every row also reports items_per_appearance: the code groups the kernel
+// visits per selected appearance of a multi-appearance entity over the
+// walk (a kernel without groups visits one item per appearance). Before
+// the rows run, the walk is scanned once with DIST, which builds the
+// groups, so every row reads grouped points, as a daemon serving both
+// kinds does. Default scale: 0.477 on (gender, publications), 0.391 on
+// publications.
+//
 // Spread: 10 alternating runs per binary, -cpu 2, default scale, on a
-// 2-vCPU VM, µs/op median [min, max], the parent commit of the per-point
-// aggregates → with them: allGP 327 [294, 382] → 218 [187, 254], allP 277
-// [250, 370] → 185 [169, 223], distGP 519 [482, 569] → 364 [333, 451],
-// distP 468 [432, 578] → 333 [309, 373].
+// 2-vCPU VM, µs/op median [min, max], the parent commit of the code groups
+// → with them: distGP 483 [441, 582] → 389 [334, 653], allGP 303 [270,
+// 404] → 285 [214, 419], distP 455 [386, 559] → 319 [276, 359], allP 286
+// [236, 339] → 202 [166, 241].
 func BenchmarkScanVarying(b *testing.B) {
 	g, _ := benchGraphs(b)
 	tl := g.Timeline()
@@ -969,20 +978,29 @@ func BenchmarkScanVarying(b *testing.B) {
 	}
 	view := func(op opFunc, i int) *graphtempo.View { return op(g, ranges[(i*89)%n], ranges[(17+i*137)%n]) }
 	schemas := make([]*graphtempo.AggSchema, len(scans))
+	groups := make([]groupCounts, len(scans))
 	for si, tc := range scans {
-		schemas[si] = mustSchema(b, g, tc.attrs...)
+		schemas[si], groups[si] = mustSchema(b, g, tc.attrs...), groupCounts{}
+		var items, multi int
+		for i := 0; i < n; i++ { // one period of the walk: 3 divides n
+			graphtempo.Aggregate(view(ops[i%len(ops)], i), schemas[si], graphtempo.Distinct)
+			it, m := groups[si].items(view(ops[i%len(ops)], i), schemas[si])
+			items, multi = items+it, multi+m
+		}
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				graphtempo.Aggregate(view(ops[i%len(ops)], i), schemas[si], tc.kind)
 			}
+			b.ReportMetric(float64(items)/float64(max(multi, 1)), "items_per_appearance")
 		})
 	}
 	for oi, name := range []string{"union", "intersection", "difference"} {
-		var absorbed, selected int
+		var absorbed, selected, items, multi int
 		for i := 0; i < n; i++ {
 			a, s := absorbedAppearances(view(ops[oi], i))
-			absorbed, selected = absorbed+a, selected+s
+			it, m := groups[i%len(scans)].items(view(ops[oi], i), schemas[i%len(scans)])
+			absorbed, selected, items, multi = absorbed+a, selected+s, items+it, multi+m
 		}
 		b.Run("op/"+name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -990,8 +1008,69 @@ func BenchmarkScanVarying(b *testing.B) {
 				graphtempo.Aggregate(view(ops[oi], i), schemas[i%len(scans)], scans[i%len(scans)].kind)
 			}
 			b.ReportMetric(float64(absorbed)/float64(max(selected, 1)), "absorbed_share")
+			b.ReportMetric(float64(items)/float64(max(multi, 1)), "items_per_appearance")
 		})
 	}
+}
+
+// groupCounts caches, per (side, point, word) of one schema, the number of
+// code groups the scan kernel keeps for the word: the distinct tuple codes
+// of the word's multi-appearance entities that have a tuple at the point.
+type groupCounts map[[3]int]int
+
+// items counts what the scan kernel visits for v's multi-appearance
+// entities under schema s: at each point of v's interval, every group of
+// each word in which v selects such an entity (multi, the selected
+// appearances of those entities). The parent of the grouped kernel visited
+// one item per such appearance.
+func (gc groupCounts) items(v *graphtempo.View, s *graphtempo.AggSchema) (items, multi int) {
+	g := v.Graph()
+	ix := g.PointIndex()
+	code := func(id int, t graphtempo.Time, edge bool) int64 {
+		if !edge {
+			tu, ok := s.TupleAt(graphtempo.NodeID(id), t)
+			if !ok {
+				return -1
+			}
+			return int64(tu)
+		}
+		ep := g.Edge(graphtempo.EdgeID(id))
+		fu, ok1 := s.TupleAt(ep.U, t)
+		tu, ok2 := s.TupleAt(ep.V, t)
+		if !ok1 || !ok2 {
+			return -1
+		}
+		return int64(fu)*s.Domain() + int64(tu)
+	}
+	mask := v.Times().Mask()
+	for t := mask.Next(0); t >= 0; t = mask.Next(t + 1) {
+		tt := graphtempo.Time(t)
+		for side, sets := range [][3]*bitset.Set{
+			{v.Nodes(), ix.NodesAt(tt), ix.MultiNodes()},
+			{v.Edges(), ix.EdgesAt(tt), ix.MultiEdges()},
+		} {
+			sel, col, ms := sets[0], sets[1], sets[2]
+			for wi := range col.NumWords() {
+				x := col.Word(wi) & ms.Word(wi)
+				if x&sel.Word(wi) == 0 {
+					continue
+				}
+				multi += bits.OnesCount64(x & sel.Word(wi))
+				key := [3]int{side, t, wi}
+				if _, ok := gc[key]; !ok {
+					codes := map[int64]bool{}
+					for ; x != 0; x &= x - 1 {
+						if c := code(wi*64+bits.TrailingZeros64(x), tt, side == 1); c >= 0 {
+							codes[c] = true
+						}
+					}
+					gc[key] = len(codes)
+				}
+				items += gc[key]
+			}
+		}
+	}
+	return items, multi
 }
 
 // absorbedAppearances counts v's selected appearances and those the scan

@@ -25,7 +25,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -34,6 +33,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/server"
 )
 
 type options struct {
@@ -69,13 +69,6 @@ func parseFlags(args []string) (*options, error) {
 	return o, nil
 }
 
-func newLogger(format string, w io.Writer) *slog.Logger {
-	if format == "json" {
-		return slog.New(slog.NewJSONHandler(w, nil))
-	}
-	return slog.New(slog.NewTextHandler(w, nil))
-}
-
 // routerConfig maps the parsed flags onto cluster.Config.
 func routerConfig(o *options, m *cluster.ShardMap, log *slog.Logger) cluster.Config {
 	return cluster.Config{
@@ -94,7 +87,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	log := newLogger(o.logFormat, os.Stderr)
+	log := server.NewLogger(o.logFormat, os.Stderr)
 	m, err := cluster.ParseShardMap(o.shards)
 	if err != nil {
 		return err

@@ -44,7 +44,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -273,13 +272,6 @@ func newServer(o *options, log *slog.Logger) (*server.Server, *storage.Engine, f
 	return srv, eng, apply, applied, nil
 }
 
-func newLogger(format string, w io.Writer) *slog.Logger {
-	if format == "json" {
-		return slog.New(slog.NewJSONHandler(w, nil))
-	}
-	return slog.New(slog.NewTextHandler(w, nil))
-}
-
 // usageError marks a malformed command line: main exits 2 on it and 1 on
 // every other error.
 type usageError struct{ error }
@@ -289,7 +281,7 @@ func run(args []string) error {
 	if err != nil {
 		return usageError{err}
 	}
-	log := newLogger(o.logFormat, os.Stderr)
+	log := server.NewLogger(o.logFormat, os.Stderr)
 	srv, eng, apply, applied, err := newServer(o, log)
 	if err != nil {
 		return err

@@ -188,7 +188,7 @@ func TestFlagsReachConfig(t *testing.T) {
 func TestLogFormat(t *testing.T) {
 	for format, wantJSON := range map[string]bool{"json": true, "text": false} {
 		var buf bytes.Buffer
-		newLogger(format, &buf).Info("listening", "addr", ":0")
+		server.NewLogger(format, &buf).Info("listening", "addr", ":0")
 		if json.Valid(buf.Bytes()) != wantJSON {
 			t.Fatalf("-log %s wrote %q", format, buf.String())
 		}

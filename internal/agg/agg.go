@@ -74,12 +74,12 @@ type Schema struct {
 
 	// Kernel state (dense.go): pooled accumulators (sweep holds the
 	// evolution sweep kernel's), the per-point tuple-code rows and
-	// aggregates of singles, built under codesMu, and the all-static match
-	// masks.
+	// per-(point, side) scan records, built under codesMu, and the
+	// all-static match masks.
 	dense      sync.Pool
 	sweep      sync.Pool
 	codes      []atomic.Pointer[[]int64]
-	singles    [2][]atomic.Pointer[[][2]int64] // nodes, edges
+	scans      [2][]atomic.Pointer[pointScan] // nodes, edges
 	codesMu    sync.Mutex
 	matchOnce  sync.Once
 	matchNodes *bitset.Set
@@ -103,10 +103,10 @@ func tableOf(g *core.Graph) *schemaTable {
 }
 
 // TupleRowBytes reports the resident size of the tuple-code rows and the
-// per-point aggregates of singles the schemas of g have built so far.
+// per-point scan records the schemas of g have built so far.
 func TupleRowBytes(g *core.Graph) int64 { return tableOf(g).bytes.Load() }
 
-// ReleaseRows drops the tuple-code rows and per-point aggregates built on
+// ReleaseRows drops the tuple-code rows and per-point scan records built on
 // g's schemas, for a graph a newer generation superseded: a request still in
 // flight on it rebuilds what it reads again.
 func ReleaseRows(g *core.Graph) {
@@ -123,10 +123,10 @@ func ReleaseRows(g *core.Graph) {
 				last = p
 			}
 		}
-		for _, side := range s.singles {
+		for _, side := range s.scans {
 			for i := range side {
 				if p := side[i].Swap(nil); p != nil {
-					freed += int64(len(*p)) * 16
+					freed += p.bytes()
 				}
 			}
 		}
@@ -161,8 +161,8 @@ func NewSchema(g *core.Graph, attrs ...core.AttrID) (*Schema, error) {
 		radices:   make([]int64, len(attrs)),
 		allStatic: true,
 		codes:     make([]atomic.Pointer[[]int64], g.Timeline().Len()),
-		singles: [2][]atomic.Pointer[[][2]int64]{
-			make([]atomic.Pointer[[][2]int64], g.Timeline().Len()), make([]atomic.Pointer[[][2]int64], g.Timeline().Len())},
+		scans: [2][]atomic.Pointer[pointScan]{
+			make([]atomic.Pointer[pointScan], g.Timeline().Len()), make([]atomic.Pointer[pointScan], g.Timeline().Len())},
 	}
 	stride := int64(1)
 	for i, a := range attrs {
@@ -402,9 +402,7 @@ func (ag *Graph) String() string {
 // (Algorithm 2 and its ALL/static variants) on the kernels of dense.go. The
 // view must be over the same base graph as the schema.
 func Aggregate(v *ops.View, s *Schema, kind Kind) *Graph {
-	if v.Graph() != s.g {
-		panic("agg: view and schema built on different graphs")
-	}
+	s.owns(v)
 	// context.Background is never canceled: the shared engine's probes cost
 	// a nil check.
 	return aggregateSerialCtx(context.Background(), v, s, kind, nil)
@@ -415,21 +413,7 @@ func Aggregate(v *ops.View, s *Schema, kind Kind) *Graph {
 // are cross-checked against and the "seed path" comparator of the fast-path
 // benchmarks; library code should call Aggregate.
 func AggregateMap(v *ops.View, s *Schema, kind Kind) *Graph {
-	if v.Graph() != s.g {
-		panic("agg: view and schema built on different graphs")
-	}
-	ag := &Graph{
-		Schema: s,
-		Kind:   kind,
-		Nodes:  make(map[Tuple]int64),
-		Edges:  make(map[EdgeKey]int64),
-	}
-	if s.allStatic {
-		aggregateStaticRange(v, s, kind, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
-	} else {
-		aggregateVaryingRange(v, s, kind, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
-	}
-	return ag
+	return mapAggregate(v, s, kind, s.allStatic)
 }
 
 // AggregateGeneral computes the same result as Aggregate but always takes
@@ -437,17 +421,26 @@ func AggregateMap(v *ops.View, s *Schema, kind Kind) *Graph {
 // to measure what the §4.2 static fast path buys (the static-fast-path
 // ablation benchmark); library code should call Aggregate.
 func AggregateGeneral(v *ops.View, s *Schema, kind Kind) *Graph {
+	return mapAggregate(v, s, kind, false)
+}
+
+// mapAggregate is the map engine, on its §4.2 static path when static is set.
+func mapAggregate(v *ops.View, s *Schema, kind Kind, static bool) *Graph {
+	s.owns(v)
+	ag := &Graph{Schema: s, Kind: kind, Nodes: make(map[Tuple]int64), Edges: make(map[EdgeKey]int64)}
+	if static {
+		aggregateStaticRange(v, s, kind, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
+	} else {
+		aggregateVaryingRange(v, s, kind, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
+	}
+	return ag
+}
+
+// owns panics unless v is a view over the schema's base graph.
+func (s *Schema) owns(v *ops.View) {
 	if v.Graph() != s.g {
 		panic("agg: view and schema built on different graphs")
 	}
-	ag := &Graph{
-		Schema: s,
-		Kind:   kind,
-		Nodes:  make(map[Tuple]int64),
-		Edges:  make(map[EdgeKey]int64),
-	}
-	aggregateVaryingRange(v, s, kind, ag, 0, s.g.NumNodes(), 0, s.g.NumEdges())
-	return ag
 }
 
 // Filter restricts which (node, time) appearances participate in a
@@ -462,9 +455,7 @@ type Filter func(n core.NodeID, t timeline.Time) bool
 // time-varying attributes. ctx is probed like AggregateParallelCtx does: a
 // nil error guarantees the complete result.
 func AggregateFiltered(ctx context.Context, v *ops.View, s *Schema, kind Kind, filter Filter) (*Graph, error) {
-	if v.Graph() != s.g {
-		panic("agg: view and schema built on different graphs")
-	}
+	s.owns(v)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -28,9 +28,7 @@ const ctxChunk = 8192
 // deadline expires or the context is canceled, returning ctx.Err() instead
 // of a result; a nil error guarantees the complete graph.
 func AggregateParallelCtx(ctx context.Context, v *ops.View, s *Schema, kind Kind, workers int) (*Graph, error) {
-	if v.Graph() != s.g {
-		panic("agg: view and schema built on different graphs")
-	}
+	s.owns(v)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

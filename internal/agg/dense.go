@@ -2,6 +2,7 @@ package agg
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/bitset"
@@ -12,29 +13,28 @@ import (
 )
 
 // This file implements the aggregation kernels behind Aggregate,
-// AggregateParallelCtx and AggregateFiltered, for every schema.
+// AggregateParallelCtx and AggregateFiltered, for every schema. Tuples are
+// mixed-radix codes, so the accumulators are indexed by code — node weights
+// by tuple, edge weights by from·Domain+to — unhashed and pooled per schema
+// (Accum). A schema decodes row t of its tuple codes (Codes) once per point;
+// an all-static schema has one row and one tuple per node (denseStatic).
 //
-// Tuples are dictionary-encoded mixed-radix codes, so the accumulators are
-// indexed by code — node weights by tuple, edge weights by from·Domain+to —
-// with unhashed updates and nothing allocated per entity (Accum). The
-// scratch is pooled per schema, making repeated calls allocation-free apart
-// from the exactly-sized result maps.
-//
-// Every kernel reads a node's tuple with one load from the schema's
-// per-point code rows (Codes): row t holds every node's tuple code at t,
-// decoded once per (graph, schema, point) — schemas are interned per graph
-// — and shared by every later call. An all-static schema has one row, the
-// same at every point.
-//
-// Static schemas take one tuple per node (denseStatic). Time-varying schemas
-// — and filtered aggregation under any schema — are read the way
-// Algorithm 2 unpivots the node × time attribute arrays, by time column
-// (denseVarying): for each point of the view's interval the kernel streams
-// the words of the point's existence column ∧ the view's selection against
-// that point's row. The entities living at that point alone are added as
-// one per-point aggregate when the view selects them all; DIST
-// deduplicates the rest 64 at a time from the same columns (dedupe) — no
-// path walks an entity's τ.
+// Time-varying schemas, and filtered aggregation under any schema, are read
+// by time column (denseVarying), the way Algorithm 2 unpivots the node ×
+// time attribute arrays. A point's tuples never change, so the unpivot and
+// group-by live in a scan record per (schema, point, side) (pointScan),
+// built under codesMu after the scan loaded the point's row (Codes takes
+// that lock): the span of the words holding the point's singles — entities
+// existing at no other point — on first use; their aggregate when an
+// unfiltered view selects them all; and on the first DIST scan, the
+// column's multi-appearance entities (only those: single edges, 86 % of
+// DBLP's edge appearances, would fill every group list) grouped per word by
+// code. DIST stamps per code the bits a group already counted (dedupe); ALL
+// adds popcount(group ∧ word), or streams per appearance while the point has
+// no groups, so a graph read once (a stream generation) never builds them.
+// A record costs 16 B per group and code of singles and 4 B per column word
+// (DBLP ×1 (gender, publications): ~1.5 MB), counted in TupleRowBytes and
+// dropped by ReleaseRows.
 //
 // Exploration (internal/explore) is the workload this exists for: every
 // candidate interval pair costs one aggregation, and Figs. 13–14 evaluate
@@ -138,20 +138,19 @@ type denseScratch struct {
 	gen                int64
 
 	// Time-major kernel state (denseVarying), rebuilt per call: ts are the
-	// points of the view's interval, rows their tuple codes and cols the
-	// scanned side's existence column at each; words are the indices of the
-	// selection's non-zero words within the scanned id range, sel those
-	// words (range-clipped), and multi/single their entities in and out of
-	// the point index's multi-appearance set; absorbed tells, per point,
-	// whether the view takes the aggregate of its singles, adds is that
-	// aggregate for the range that adds it.
-	ts                 []timeline.Time
-	rows               [][]int64
-	cols               []*bitset.Set
-	words              []int32
-	sel, multi, single []uint64
-	absorbed           []bool
-	adds               [][][2]int64
+	// points of the view's interval, rows their tuple codes, cols and recs
+	// the scanned side's columns and scan records there; words are the
+	// selection's non-zero words in the scanned id range, multi/single their
+	// entities in and out of the multi-appearance set, absorbed whether the
+	// view takes a point's singles' aggregate; groups is a record's buffer.
+	ts            []timeline.Time
+	rows          [][]int64
+	cols          []*bitset.Set
+	recs          []*pointScan
+	words         []int32
+	multi, single []uint64
+	absorbed      []bool
+	groups        []group
 }
 
 // wordStamp marks, for one code, the entities of word gen's dedupe that
@@ -303,28 +302,12 @@ func denseStatic(v *ops.View, s *Schema, kind Kind, sc *denseScratch, nLo, nHi, 
 	})
 }
 
-// denseVarying is the time-major kernel for time-varying (and mixed)
-// schemas, and for filtered aggregation under any schema, over the view's
-// entities with ids in [nLo,nHi) / [eLo,eHi). For each point t of the
-// view's interval it streams the words of NodesAt(t) ∧ view.nodes and
-// EdgesAt(t) ∧ view.edges and reads each appearance's tuple from row t of
-// the schema's codes. A non-nil filter drops the appearances it rejects (an
-// edge's needs both endpoints to pass).
-//
-// An entity that exists at t and at no other point of the graph — one of
-// t's singles, outside the point index's multi-appearance set — counts
-// once, under DIST and ALL alike, in every view that selects it. So when an
-// unfiltered view selects every single of t, the range owning id 0 adds the
-// schema's per-point aggregate of them (singles) and every range masks
-// them out of its stream; otherwise they are streamed. ALL streams the
-// multi-appearance entities too; DIST must count an (entity, tuple) pair
-// once, so dedupe counts those word by word.
-//
-// Only the selection's non-zero words are visited per point, so the work
-// is (non-zero words) · |interval| word operations plus the selected
-// appearances: a long projection that keeps few entities stays cheap.
-// canceled is probed every ctxChunk ids' worth of words; the kernel
-// returns false when it stopped early.
+// denseVarying is the time-major kernel over the view's entities with ids
+// in [nLo,nHi) / [eLo,eHi): per point t of the view's interval, the words
+// of NodesAt(t) ∧ view.nodes and EdgesAt(t) ∧ view.edges against t's scan
+// records. A filter clears the appearances it rejects (an edge's needs both
+// ends) per (point, word); over one point DIST counts as ALL. canceled is
+// probed every ctxChunk ids' worth of words; false means it stopped early.
 func denseVarying(v *ops.View, s *Schema, kind Kind, filter Filter, sc *denseScratch, nLo, nHi, eLo, eHi int, canceled func() bool) bool {
 	times := v.Times().Mask()
 	if times == nil {
@@ -334,7 +317,7 @@ func denseVarying(v *ops.View, s *Schema, kind Kind, filter Filter, sc *denseScr
 	for t := times.Next(0); t >= 0; t = times.Next(t + 1) {
 		sc.ts, sc.rows = append(sc.ts, timeline.Time(t)), append(sc.rows, s.Codes(timeline.Time(t)))
 	}
-	k := varyingScan{s: s, sc: sc, dist: kind == Distinct, filter: filter, canceled: canceled}
+	k := varyingScan{s: s, sc: sc, dist: kind == Distinct && len(sc.ts) > 1, filter: filter, canceled: canceled}
 	ix := s.g.PointIndex()
 	return k.side(v.Nodes(), ix.NodesAt, ix.MultiNodes(), nLo, nHi, false) &&
 		k.side(v.Edges(), ix.EdgesAt, ix.MultiEdges(), eLo, eHi, true)
@@ -358,49 +341,48 @@ const probeWords = ctxChunk / 64
 // multi is that side's multi-appearance set.
 func (k *varyingScan) side(sel *bitset.Set, at func(timeline.Time) *bitset.Set, multi *bitset.Set, lo, hi int, edges bool) bool {
 	sc := k.sc
-	sc.words, sc.sel, sc.multi, sc.single = sc.words[:0], sc.sel[:0], sc.multi[:0], sc.single[:0]
+	sc.words, sc.multi, sc.single = sc.words[:0], sc.multi[:0], sc.single[:0]
 	for wi := lo / 64; wi*64 < hi; wi++ {
 		if w := sel.WordIn(wi, lo, hi); w != 0 {
 			m := multi.Word(wi)
-			sc.words, sc.sel = append(sc.words, int32(wi)), append(sc.sel, w)
-			sc.multi, sc.single = append(sc.multi, w&m), append(sc.single, w&^m)
+			sc.words, sc.multi, sc.single = append(sc.words, int32(wi)), append(sc.multi, w&m), append(sc.single, w&^m)
 		}
 	}
 	owner := lo == 0 && hi > 0
 	if len(sc.ts) == 0 || len(sc.words) == 0 && !owner {
 		return true
 	}
-	// Which points' singles the view absorbs, and for the range owning id 0
-	// their aggregates, built while this side's accumulator is still empty.
-	sc.cols, sc.absorbed, sc.adds = sc.cols[:0], sc.absorbed[:0], sc.adds[:0]
+	// Records are built while the side's accumulator is empty. Whether the
+	// view takes a point's singles reads their span: every range agrees.
+	sc.cols, sc.recs, sc.absorbed = sc.cols[:0], sc.recs[:0], sc.absorbed[:0]
 	for i, t := range sc.ts {
+		k.bind(i)
 		col := at(t)
-		absorbed := k.filter == nil && selectsSingles(sel, col, multi)
-		var add [][2]int64
-		if absorbed && owner {
-			k.bind(i)
-			add = k.singles(col, multi, edges)
+		rec := k.record(col, multi, edges, false)
+		absorbed := k.filter == nil
+		for wi := rec.lo; absorbed && wi <= rec.hi; wi++ {
+			absorbed = col.Word(wi)&^multi.Word(wi)&^sel.Word(wi) == 0
 		}
-		sc.cols, sc.absorbed, sc.adds = append(sc.cols, col), append(sc.absorbed, absorbed), append(sc.adds, add)
+		if absorbed && owner {
+			rec = k.record(col, multi, edges, true)
+		}
+		sc.cols, sc.recs, sc.absorbed = append(sc.cols, col), append(sc.recs, rec), append(sc.absorbed, absorbed)
 	}
 	w := &sc.nodes
 	if edges {
 		w = &sc.edges
 	}
 	for i, col := range sc.cols {
-		k.bind(i)
-		stream := sc.sel
-		if sc.absorbed[i] {
-			for _, g := range sc.adds[i] {
+		absorbed, rec := sc.absorbed[i], sc.recs[i]
+		if absorbed && owner {
+			for _, g := range rec.singles {
 				*w.Ref(g[0]) += g[1]
 			}
-			if k.dist {
-				continue
-			}
-			stream = sc.multi
-		} else if k.dist {
-			stream = sc.single
 		}
+		if absorbed && k.dist {
+			continue
+		}
+		k.bind(i)
 		nw := int32(col.NumWords())
 		for j, wi := range sc.words {
 			if wi >= nw {
@@ -409,67 +391,117 @@ func (k *varyingScan) side(sel *bitset.Set, at func(timeline.Time) *bitset.Set, 
 			if j%probeWords == 0 && k.canceled() {
 				return false
 			}
-			if x := col.Word(int(wi)) & stream[j]; x != 0 {
-				k.count(int(wi)*64, x, edges)
+			base, x := int(wi)*64, col.Word(int(wi))
+			if y := x & sc.single[j]; y != 0 && !absorbed {
+				k.count(w, base, k.admitted(base, y, edges), edges)
+			}
+			if y := x & sc.multi[j]; y != 0 && !k.dist && rec.start == nil {
+				k.count(w, base, k.admitted(base, y, edges), edges)
+			} else if y != 0 && !k.dist {
+				y = k.admitted(base, y, edges)
+				for _, g := range rec.word(int(wi)) {
+					if n := bits.OnesCount64(g.mask & y); n != 0 {
+						*w.Ref(g.code) += int64(n)
+					}
+				}
 			}
 		}
 	}
 	return !k.dist || k.dedupe(edges)
 }
 
-// selectsSingles reports whether selection sel holds every single of the
-// point column col: each of its entities outside the multi-appearance set.
-// It reads the whole id space, so every range of a sharded scan decides
-// alike.
-func selectsSingles(sel, col, multi *bitset.Set) bool {
-	for wi := range col.NumWords() {
-		if col.Word(wi)&^multi.Word(wi)&^sel.Word(wi) != 0 {
-			return false
-		}
-	}
-	return true
+// pointScan is a scan record: [lo, hi] holds the column's singles (lo > hi:
+// none), singles is their aggregate (code, count) once built, and once
+// grouped, word wi's groups are groups[start[wi]:start[wi+1]].
+type pointScan struct {
+	singles [][2]int64
+	lo, hi  int
+	start   []int32
+	groups  []group
 }
 
-// singles returns the schema's aggregate of the bound point's singles on
-// one side: per code, how many entities of col outside multi have it. It is
-// built once per (schema, point, side), on first use, under codesMu like
-// the rows, by counting into the side's scratch accumulator, which must be
-// empty and is left empty. Callers must not modify it.
-func (k *varyingScan) singles(col, multi *bitset.Set, edges bool) [][2]int64 {
+// group is the entities of one word (a mask) that share a code.
+type group struct {
+	code int64
+	mask uint64
+}
+
+func (p *pointScan) word(wi int) []group { return p.groups[p.start[wi]:p.start[wi+1]] }
+
+// bytes is the record's resident size, as TupleRowBytes counts it.
+func (p *pointScan) bytes() int64 {
+	return int64(len(p.singles))*16 + int64(len(p.start))*4 + int64(len(p.groups))*16
+}
+
+// record returns the bound point's record on one side (column col),
+// building under codesMu what is missing: the span on first use, the
+// singles' aggregate when singles is set (in the side's scratch
+// accumulator, empty before and after), the groups on the first DIST scan
+// (probing a word's groups linearly). Callers must not modify it.
+func (k *varyingScan) record(col, multi *bitset.Set, edges, singles bool) *pointScan {
 	s, side, w := k.s, 0, &k.sc.nodes
 	if edges {
 		side, w = 1, &k.sc.edges
 	}
-	slot := &s.singles[side][k.t]
-	if p := slot.Load(); p != nil {
-		return *p
+	slot := &s.scans[side][k.t]
+	if p := slot.Load(); p != nil && (p.singles != nil || !singles) && (p.start != nil || !k.dist) {
+		return p
 	}
 	s.codesMu.Lock()
 	defer s.codesMu.Unlock()
-	if p := slot.Load(); p != nil {
-		return *p
+	p, nw := slot.Load(), col.NumWords()
+	if p != nil && (p.singles != nil || !singles) && (p.start != nil || !k.dist) {
+		return p
 	}
-	for wi := range col.NumWords() {
-		if x := col.Word(wi) &^ multi.Word(wi); x != 0 {
-			k.count(wi*64, x, edges)
+	q := &pointScan{lo: nw, hi: -1}
+	if p == nil {
+		p = &pointScan{}
+		for wi := range nw {
+			if col.Word(wi)&^multi.Word(wi) != 0 {
+				q.lo, q.hi = min(q.lo, wi), wi
+			}
 		}
+	} else {
+		*q = *p
 	}
-	out := make([][2]int64, w.Len())
-	for i := range out {
-		out[i][0], out[i][1] = w.Entry(i)
+	if singles && q.singles == nil {
+		for wi := q.lo; wi <= q.hi; wi++ {
+			k.count(w, wi*64, col.Word(wi)&^multi.Word(wi), edges)
+		}
+		q.singles = make([][2]int64, w.Len())
+		for i := range q.singles {
+			q.singles[i][0], q.singles[i][1] = w.Entry(i)
+		}
+		w.Reset()
 	}
-	w.Reset()
-	slot.Store(&out)
-	tableOf(s.g).bytes.Add(int64(len(out)) * 16)
-	return out
+	if k.dist && q.start == nil {
+		q.start = make([]int32, nw+1)
+		gs := k.sc.groups[:0]
+		for wi := range nw {
+			q.start[wi] = int32(len(gs))
+			for y := col.Word(wi) & multi.Word(wi); y != 0; y &= y - 1 {
+				b := bits.TrailingZeros64(y)
+				c := k.code(wi*64+b, edges)
+				if i := slices.IndexFunc(gs[q.start[wi]:], func(g group) bool { return g.code == c }); i >= 0 {
+					gs[int(q.start[wi])+i].mask |= 1 << b
+				} else if c >= 0 {
+					gs = append(gs, group{c, 1 << b})
+				}
+			}
+		}
+		q.start[nw] = int32(len(gs))
+		q.groups, k.sc.groups = slices.Clone(gs), gs
+	}
+	slot.Store(q)
+	tableOf(s.g).bytes.Add(q.bytes() - p.bytes())
+	return q
 }
 
 // bind makes the i-th point of the interval the one read.
 func (k *varyingScan) bind(i int) { k.t, k.row = k.sc.ts[i], k.sc.rows[i] }
 
-// code returns entity id's code at the bound point — a node's tuple, an
-// edge's from·Domain+to — or -1 when a tuple is missing. The entity exists
-// at the bound point, so its nodes lie within the point's row.
+// code returns entity id's code at the bound point, where it exists — a
+// node's tuple, an edge's from·Domain+to — or -1 when a tuple is missing.
 func (k *varyingScan) code(id int, edges bool) int64 {
 	if !edges {
 		return k.row[id]
@@ -481,37 +513,27 @@ func (k *varyingScan) code(id int, edges bool) int64 {
 	return -1
 }
 
-// admits reports whether the filter keeps node n's appearance at the bound
-// point.
-func (k *varyingScan) admits(n core.NodeID) bool { return k.filter == nil || k.filter(n, k.t) }
-
 // admitted clears from word x of the id space the entities whose appearance
 // at the bound point the filter rejects (an edge's needs both endpoints
-// kept), so that the per-appearance loops read no filter.
+// kept), so that the per-appearance and per-group loops read no filter.
 func (k *varyingScan) admitted(base int, x uint64, edges bool) uint64 {
-	for y := x; y != 0; y &= y - 1 {
+	for y := x; y != 0 && k.filter != nil; y &= y - 1 {
 		b := bits.TrailingZeros64(y)
+		u, v := core.NodeID(base+b), core.NodeID(base+b)
 		if edges {
-			if ep := k.s.g.Edge(core.EdgeID(base + b)); !k.admits(ep.U) || !k.admits(ep.V) {
-				x &^= 1 << b
-			}
-		} else if !k.admits(core.NodeID(base + b)) {
+			ep := k.s.g.Edge(core.EdgeID(base + b))
+			u, v = ep.U, ep.V
+		}
+		if !k.filter(u, k.t) || v != u && !k.filter(v, k.t) {
 			x &^= 1 << b
 		}
 	}
 	return x
 }
 
-// count adds one appearance at the bound point for every entity in word x
-// of the id space (bit b is id base+b) that the filter admits.
-func (k *varyingScan) count(base int, x uint64, edges bool) {
-	w := &k.sc.nodes
-	if edges {
-		w = &k.sc.edges
-	}
-	if k.filter != nil {
-		x = k.admitted(base, x, edges)
-	}
+// count adds to w one appearance at the bound point for every entity in
+// word x of the id space (bit b is id base+b) that has a tuple there.
+func (k *varyingScan) count(w *Accum[int64], base int, x uint64, edges bool) {
 	for ; x != 0; x &= x - 1 {
 		if c := k.code(base+bits.TrailingZeros64(x), edges); c >= 0 {
 			*w.Ref(c)++
@@ -519,12 +541,11 @@ func (k *varyingScan) count(base int, x uint64, edges bool) {
 	}
 }
 
-// dedupe is DIST for the selected entities that appear at several points
-// of the graph (multi), 64 at a time: for each point it takes the word of
-// that point's column, and per code it stamps the bits of the word's
-// entities that already counted it, so each (entity, tuple) pair counts
-// once. A word reads a column word per point, so canceled is probed about
-// every ctxChunk ids' worth of column words.
+// dedupe is DIST for the selected multi-appearance entities, 64 at a time:
+// per point it meets the column word with the record's groups of the word
+// and, per code, stamps the bits already counted, so each (entity, tuple)
+// pair counts once. canceled is probed about every ctxChunk ids' worth of
+// column words.
 func (k *varyingScan) dedupe(edges bool) bool {
 	sc := k.sc
 	w, seen := &sc.nodes, &sc.nodeSeen
@@ -550,22 +571,19 @@ func (k *varyingScan) dedupe(edges bool) bool {
 				continue
 			}
 			k.bind(i)
-			if k.filter != nil {
-				x = k.admitted(wi*64, x, edges)
-			}
-			for ; x != 0; x &= x - 1 {
-				b := bits.TrailingZeros64(x)
-				c := k.code(wi*64+b, edges)
-				if c < 0 {
+			x = k.admitted(wi*64, x, edges)
+			for _, g := range sc.recs[i].word(wi) {
+				nb := g.mask & x
+				if nb == 0 {
 					continue
 				}
-				st := seen.Ref(c)
+				st := seen.Ref(g.code)
 				if st.gen != sc.gen {
 					*st = wordStamp{gen: sc.gen}
 				}
-				if st.mask&(1<<b) == 0 {
-					st.mask |= 1 << b
-					*w.Ref(c)++
+				if nb &^= st.mask; nb != 0 {
+					st.mask |= nb
+					*w.Ref(g.code) += int64(bits.OnesCount64(nb))
 				}
 			}
 		}

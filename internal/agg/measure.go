@@ -72,9 +72,7 @@ type MeasureGraph struct {
 // by a value and measuring it would always yield that value).
 func AggregateMeasure(v *ops.View, s *Schema, attr core.AttrID, m Measure) (*MeasureGraph, error) {
 	g := s.Graph()
-	if v.Graph() != g {
-		panic("agg: view and schema built on different graphs")
-	}
+	s.owns(v)
 	if int(attr) < 0 || int(attr) >= g.NumAttrs() {
 		return nil, fmt.Errorf("agg: measured attribute id %d out of range", attr)
 	}

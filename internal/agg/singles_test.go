@@ -14,11 +14,13 @@ import (
 	"repro/internal/timeline"
 )
 
-// singlesGraph builds a random graph in which most nodes and edges exist at
-// one point only — DBLP's shape, where 86 % of edge appearances are such
-// singles — over up to ~300 nodes, so the id spaces cross word boundaries.
-// One node in ten has no grp and a quarter of the appearances no act.
-func singlesGraph(r *rand.Rand) *core.Graph {
+// singlesGraph builds a random graph over up to ~300 nodes, so the id
+// spaces cross word boundaries, in which an entity exists at one point only
+// with probability ones/4 and otherwise at a random subset of the points
+// (ones = 3 is DBLP's shape, where 86 % of edge appearances are such
+// singles). One node in ten has no grp and a quarter of the appearances no
+// act.
+func singlesGraph(r *rand.Rand, ones int) *core.Graph {
 	T := 2 + r.Intn(9)
 	labels := make([]string, T)
 	for i := range labels {
@@ -27,7 +29,7 @@ func singlesGraph(r *rand.Rand) *core.Graph {
 	tl := timeline.MustNew(labels...)
 	b := core.NewBuilder(tl, core.AttrSpec{Name: "grp", Kind: core.Static}, core.AttrSpec{Name: "act", Kind: core.TimeVarying})
 	lifetime := func(within []int) []int {
-		if i := r.Intn(len(within)); r.Intn(4) != 0 {
+		if i := r.Intn(len(within)); r.Intn(4) >= 4-ones {
 			return within[i : i+1]
 		}
 		var out []int
@@ -117,7 +119,8 @@ func singlesViews(r *rand.Rand, g *core.Graph) []*ops.View {
 
 // singlesPaths counts, over the points of v's interval that have singles,
 // those whose singles v selects in full — the kernel adds their per-point
-// aggregate (absorbed, confirmed by the aggregate having been built) — and
+// aggregate (absorbed, confirmed by the record's aggregate having been
+// built) — and
 // those it selects only in part, which are streamed.
 func singlesPaths(v *ops.View, s *Schema) (absorbed, streamed int) {
 	ix := s.g.PointIndex()
@@ -131,12 +134,11 @@ func singlesPaths(v *ops.View, s *Schema) (absorbed, streamed int) {
 			{v.Edges(), ix.EdgesAt(timeline.Time(t)), ix.MultiEdges()},
 		} {
 			sel, col, multi := sets[0], sets[1], sets[2]
+			p := s.scans[side][t].Load()
 			switch singles := col.AndNot(multi); {
 			case singles.IsEmpty():
-			case selectsSingles(sel, col, multi):
-				if s.singles[side][t].Load() != nil {
-					absorbed++
-				}
+			case p != nil && p.singles != nil && sel.ContainsAll(singles):
+				absorbed++
 			case singles.Intersects(sel):
 				streamed++
 			}
@@ -157,7 +159,7 @@ func TestSinglesKernelMatchesMapEngine(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
 	var absorbed, streamed, rows int
 	for i := 0; i < 40; i++ {
-		built := singlesGraph(r)
+		built := singlesGraph(r, 3)
 		for name, g := range map[string]*core.Graph{"built": built, "accumulated": gtest.Accumulated(built)} {
 			for _, s := range []*Schema{MustSchema(g, 1), MustSchema(g, 0, 1), MustSchema(g, 1, 0)} {
 				for vi, v := range singlesViews(r, g) {
@@ -189,8 +191,9 @@ func TestSinglesKernelMatchesMapEngine(t *testing.T) {
 // TestSinglesFrozenWhileAppending: a snapshot taken while an entity lives
 // at one point keeps answering as that graph while the accumulator goes
 // on, from another goroutine, to record the entity at later points — its
-// multi-appearance set is frozen with it (run under -race) — and every
-// later snapshot answers as its own graph.
+// multi-appearance set is frozen with it (run under -race), and so are the
+// scan records built on it — and every later snapshot answers as its own
+// graph.
 func TestSinglesFrozenWhileAppending(t *testing.T) {
 	acc := core.NewAccumulator(core.AttrSpec{Name: "grp", Kind: core.Static}, core.AttrSpec{Name: "act", Kind: core.TimeVarying})
 	point := func(p, lo, hi int) {
@@ -273,11 +276,17 @@ func TestSinglesFrozenWhileAppending(t *testing.T) {
 	if a, _ := singlesPaths(views[0], rows[0].s); a == 0 {
 		t.Fatal("the union over g1 absorbed no point")
 	}
+	for _, s := range []*Schema{rows[0].s, rows[len(rows)-1].s} {
+		if n, ng, err := recordError(s); ng == 0 || err != nil {
+			t.Fatalf("g1's scan records, %v: %d checked, %d grouped, %v", s.AttrNames(), n, ng, err)
+		}
+	}
 }
 
 // TestSinglesAfterRetroactiveInsert: a before-insert that gives entities
 // living at one point a second appearance replays the series through a
-// fresh accumulator, whose graph counts them as multi-appearance entities.
+// fresh accumulator, whose graph counts them as multi-appearance entities
+// and groups them in its scan records.
 func TestSinglesAfterRetroactiveInsert(t *testing.T) {
 	series := stream.New(core.AttrSpec{Name: "grp", Kind: core.Static}, core.AttrSpec{Name: "act", Kind: core.TimeVarying})
 	batch := func(p int, nodes ...int) stream.Snapshot {
@@ -321,6 +330,9 @@ func TestSinglesAfterRetroactiveInsert(t *testing.T) {
 						t.Fatalf("after %s, %v %s:\n%s\nwant\n%s", b.label, s.AttrNames(), kind, got, want)
 					}
 				}
+			}
+			if n, ng, err := recordError(s); n == 0 || ng == 0 && tl.Len() > 1 || err != nil { // one point: DIST counts as ALL
+				t.Fatalf("after %s, %v scan records: %d checked, %d grouped, %v", b.label, s.AttrNames(), n, ng, err)
 			}
 		}
 	}

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -751,6 +752,15 @@ func WriteError(w http.ResponseWriter, status int, err error) {
 }
 
 func writeError(w http.ResponseWriter, status int, err error) { WriteError(w, status, err) }
+
+// NewLogger returns the logger of a daemon's -log format: one JSON object
+// per record for "json", slog's text handler otherwise.
+func NewLogger(format string, w io.Writer) *slog.Logger {
+	if format == "json" {
+		return slog.New(slog.NewJSONHandler(w, nil))
+	}
+	return slog.New(slog.NewTextHandler(w, nil))
+}
 
 // writeJSON reflects v into the response; it serves the small fixed-shape
 // replies. Answers that carry an aggregate graph go through writeGraphJSON.

@@ -706,11 +706,15 @@ func TestGraphIndexBytesGauge(t *testing.T) {
 	if got, want := gauge(ts.URL), `graphtempod_graph_index_bytes{index="points"} 64`; got != want {
 		t.Errorf("after a scan: %q, want %q", got, want)
 	}
-	// Rows for t0 and t1, 5 nodes × 8 bytes each. The intersection selects
-	// every single node of t1 — it has none — so the node side of t1's
-	// aggregate of singles is built, with no group: 0 bytes.
-	if got := rowBytes(ts.URL) - before; got != 80 {
-		t.Errorf("the scan added %d bytes of tuple-code rows, want 80", got)
+	// Rows for t0 and t1, 5 nodes × 8 bytes each, plus a scan record per
+	// (point, side). A DIST scan groups each: one word, so two 4-byte word
+	// starts, and 16 bytes per group — nodes: t0 u1 (3), u2 (1), u4 (2); t1
+	// u1, u2, u4 under (1); edges: t0 u1→u2 (3→1), u2→u4 (1→2); t1 u1→u2,
+	// u2→u4 under (1→1). The intersection selects every single node of t1 —
+	// it has none — so that side's aggregate of singles is built, with no
+	// code: 0 bytes. 80 + 4·8 + 7·16 = 224.
+	if got := rowBytes(ts.URL) - before; got != 224 {
+		t.Errorf("the scan added %d bytes of tuple-code rows and scan records, want 224", got)
 	}
 
 	_, sts := newStreamServer(t, Config{})
