@@ -183,7 +183,8 @@ func TestParseShardMap(t *testing.T) {
 	if got := m.Shards[1].Primary().URL; got != "http://h:3" {
 		t.Fatalf("trailing slash not trimmed: %q", got)
 	}
-	for _, bad := range []string{"", "a=", "a=notaurl", "a=http://h:1;a=http://h:2", "=http://h:1"} {
+	for _, bad := range []string{"", "a=", "a=notaurl", "a=http://h:1;a=http://h:2", "=http://h:1",
+		"a=http://h:1;b=http://h:1", "a=http://h:1|http://h:1/"} {
 		if _, err := ParseShardMap(bad); err == nil {
 			t.Errorf("ParseShardMap(%q) accepted", bad)
 		}

@@ -55,12 +55,15 @@ type ShardMap struct {
 //
 // e.g. "a=http://127.0.0.1:7101|http://127.0.0.1:7102;b=http://127.0.0.1:7201".
 // Shards must be listed in time order; the last one is the ingest tail.
+// Each member URL may be named once: two members at one address are one
+// process, which the router's mirror would replay once per shard.
 func ParseShardMap(spec string) (*ShardMap, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("cluster: empty shard map")
 	}
 	m := &ShardMap{}
 	seen := make(map[string]bool)
+	members := make(map[string]string) // member URL -> its shard
 	for _, part := range strings.Split(spec, ";") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -82,6 +85,10 @@ func ParseShardMap(spec string) (*ShardMap, error) {
 			if err != nil || parsed.Scheme == "" || parsed.Host == "" {
 				return nil, fmt.Errorf("cluster: shard %q: bad member URL %q", name, u)
 			}
+			if other, dup := members[u]; dup {
+				return nil, fmt.Errorf("cluster: member URL %q named twice (shards %q and %q)", u, other, name)
+			}
+			members[u] = name
 			role := "replica"
 			if i == 0 {
 				role = "primary"

@@ -239,24 +239,22 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // tailRecords returns the encoded ingest records from global sequence
-// `from`. Durable mode serves the engine's retained raw log (the bytes the
-// WAL framed on disk); non-durable stream mode re-encodes from the series
-// journal — transaction order, not valid order, so retroactive inserts
+// `from`, in transaction order, not valid order, so retroactive inserts
 // replay at the position they arrived and the follower converges on an
-// identical series.
+// identical series. A durable daemon's journal entries carry the bytes its
+// WAL logged; a non-durable one's are encoded here, to the same bytes.
 func (s *Server) tailRecords(from int) [][]byte {
-	if s.storage != nil {
-		if recs, err := s.storage.TailRecords(from); err == nil {
-			return recs
-		}
-	}
 	journal := s.series.Journal()
 	if from >= len(journal) {
 		return nil
 	}
 	out := make([][]byte, 0, len(journal)-from)
 	for _, e := range journal[from:] {
-		out = append(out, storage.EncodeIngestRecord(e.Label, e.Before, e.Snap))
+		rec := e.Record
+		if rec == nil {
+			rec = storage.EncodeIngestRecord(e.Label, e.Before, e.Snap)
+		}
+		out = append(out, rec)
 	}
 	return out
 }

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -333,18 +334,22 @@ func TestParentDataDirServesParentAnswers(t *testing.T) {
 // TestWALStreamOneByteForm: a durable daemon serves /v1/wal/stream from the
 // records its WAL framed, a non-durable one re-encodes them from its
 // journal. Fed the same history — tail appends and retroactive inserts of
-// nodes with two static attributes — both serve byte-identical bodies.
+// nodes with two static attributes — both serve byte-identical bodies, also
+// after the durable one checkpointed mid-history, was abandoned without a
+// Close and reopened, so its records come from a snapshot, from WAL replay
+// and from appends after the restart.
 func TestWALStreamOneByteForm(t *testing.T) {
 	attrs := []core.AttrSpec{
 		{Name: "grade", Kind: core.Static},
 		{Name: "class", Kind: core.Static},
 		{Name: "contacts", Kind: core.TimeVarying},
 	}
-	eng, err := storage.Open(t.TempDir(), attrs, storage.Options{CheckpointRecords: -1, Logger: quietLogger()})
+	dir := t.TempDir()
+	opts := storage.Options{CheckpointRecords: -1, Logger: quietLogger()}
+	eng, err := storage.Open(dir, attrs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
 	durable, err := New(Config{Storage: eng, Logger: quietLogger()})
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +361,7 @@ func TestWALStreamOneByteForm(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	var labels []string
 	retro := 0
-	for i := range 12 {
+	ingest := func(i int) {
 		req := IngestRequest{Label: fmt.Sprintf("t%d", i)}
 		if i > 0 && r.Intn(4) == 0 {
 			req.Before = labels[r.Intn(len(labels))]
@@ -379,18 +384,44 @@ func TestWALStreamOneByteForm(t *testing.T) {
 			}
 		}
 	}
-	walStream := func(s *Server) []byte {
+	walStream := func(s *Server, next int) []byte {
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/wal/stream?from=0", nil))
-		if rec.Code != http.StatusOK || rec.Header().Get("X-Wal-Next") != "12" {
-			t.Fatalf("wal stream = %d, next %s: %s", rec.Code, rec.Header().Get("X-Wal-Next"), rec.Body)
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Wal-Next") != strconv.Itoa(next) {
+			t.Fatalf("wal stream = %d, next %s, want %d: %s", rec.Code, rec.Header().Get("X-Wal-Next"), next, rec.Body)
 		}
 		return rec.Body.Bytes()
+	}
+	for i := range 12 {
+		ingest(i)
+		if i == 5 {
+			if err := eng.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if a, b := walStream(durable, 12), walStream(plain, 12); !bytes.Equal(a, b) {
+		t.Fatalf("durable and non-durable wal streams differ:\n%x\n%x", a, b)
+	}
+	// kill -9: the first engine is abandoned, not closed.
+	eng2, err := storage.Open(dir, attrs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng2.Close()
+	if ri := eng2.Recovery(); ri.SnapshotPoints != 6 || ri.WALRecords != 6 {
+		t.Fatalf("recovery %+v, want 6 snapshot points + 6 WAL records", ri)
+	}
+	if durable, err = New(Config{Storage: eng2, Logger: quietLogger()}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 12; i < 18; i++ {
+		ingest(i)
 	}
 	if retro == 0 {
 		t.Fatal("the history holds no retroactive insert")
 	}
-	if a, b := walStream(durable), walStream(plain); !bytes.Equal(a, b) {
-		t.Fatalf("durable and non-durable wal streams differ:\n%x\n%x", a, b)
+	if a, b := walStream(durable, 18), walStream(plain, 18); !bytes.Equal(a, b) {
+		t.Fatalf("reopened durable and non-durable wal streams differ:\n%x\n%x", a, b)
 	}
 }

@@ -19,8 +19,13 @@ import (
 func replayedSnapshot(t *testing.T, e *Engine, txn int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	g := oracleReplay(t, e.attrs, e.Series().Journal(), txn)
-	if err := writeSnapshotV2(&buf, g, e.raw[:txn], txn); err != nil {
+	journal := e.Series().Journal()[:txn]
+	g := oracleReplay(t, e.attrs, journal, txn)
+	records := make([][]byte, txn)
+	for i, j := range journal {
+		records[i] = EncodeIngestRecord(j.Label, j.Before, j.Snap)
+	}
+	if err := writeSnapshotV2(&buf, g, records, txn); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"log/slog"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -59,9 +58,10 @@ type Options struct {
 	// FsyncInterval is the background sync period under FsyncInterval
 	// (<= 0 selects 100ms).
 	FsyncInterval time.Duration
-	// CheckpointRecords is the WAL record count that triggers a
-	// background checkpoint (0 selects 1024; negative disables automatic
-	// checkpointing — Checkpoint can still be called explicitly).
+	// CheckpointRecords is the active segment's record count at which an
+	// append cuts a checkpoint, written in the background (0 selects 1024;
+	// negative disables automatic checkpointing — Checkpoint can still be
+	// called explicitly).
 	CheckpointRecords int
 	// Logger receives recovery and checkpoint lifecycle logs; nil selects
 	// slog.Default().
@@ -86,19 +86,21 @@ type Engine struct {
 
 	series *stream.Series
 
+	// The series journal is the engine's one transaction log: each entry
+	// carries the payload the WAL framed for it (JournalEntry.Record), and
+	// Series.Txn() counts them.
 	mu         sync.Mutex // serializes appends, rotation, close
 	wal        *walWriter
 	gen        uint64
-	seq        uint64   // records appended since Open (durability watermark domain)
-	raw        [][]byte // every ingest record payload, in transaction order (replication tail)
-	segRecords int      // records in the active segment
+	segRecords int // records in the active segment
 	closed     bool
-	failed     error // the ErrWAL every append returns after a WAL write or sync failed
+	failed     error         // the ErrWAL every append returns after a WAL write or sync failed
+	lastCut    chan struct{} // closed when the newest checkpoint's write is done; nil before the first
 
 	// Transaction-time watermarks of the newest usable snapshot: its file
-	// generation and the number of leading raw records it covers. ReplayTo
-	// reconstructs txn >= snapTxn as snapshot + partial replay of
-	// raw[snapTxn:txn] instead of a full replay.
+	// generation and the number of leading journal entries it covers.
+	// ReplayTo reconstructs txn >= snapTxn as snapshot + partial replay of
+	// journal[snapTxn:txn] instead of a full replay.
 	snapGen uint64
 	snapTxn int
 
@@ -107,12 +109,11 @@ type Engine struct {
 	// followers wait until the durable watermark covers their record.
 	gcMu      sync.Mutex
 	gcCond    *sync.Cond
-	syncedSeq uint64 // highest seq known durable (under gcMu)
-	syncing   bool   // a leader's fsync is in flight (under gcMu)
+	syncedTxn int  // highest txn known durable (under gcMu)
+	syncing   bool // a leader's fsync is in flight (under gcMu)
 
-	cpRunning atomic.Bool
-	stopc     chan struct{}
-	wg        sync.WaitGroup
+	stopc chan struct{}
+	wg    sync.WaitGroup
 
 	recovery RecoveryInfo
 	ctr      counters
@@ -155,6 +156,7 @@ func open(fs fsys, dir string, attrs []core.AttrSpec, opts Options) (*Engine, er
 	if err := e.recover(attrs); err != nil {
 		return nil, err
 	}
+	e.syncedTxn = e.series.Txn()
 	if opts.Fsync == FsyncInterval {
 		e.wg.Add(1)
 		go e.syncLoop()
@@ -208,7 +210,9 @@ func (e *Engine) Append(label string, snap stream.Snapshot) error {
 // the valid-time tail. Either way the
 // record takes the tail of transaction time — the WAL stays strictly
 // append-only and crash recovery replays the insert deterministically. The
-// returned index is the point's valid-time position.
+// returned index is the point's valid-time position. The append that fills
+// the active segment to Options.CheckpointRecords cuts a checkpoint at its
+// own txn (see startCheckpoint).
 //
 // Concurrent appends group-commit: the write lock is released before the
 // fsync, one leader syncs the segment for every record written so far, and
@@ -234,41 +238,46 @@ func (e *Engine) AppendAt(label string, snap stream.Snapshot, before string) (in
 	n, err := e.wal.append(payload)
 	at := 0
 	if err == nil {
-		at, err = e.series.AppendAt(label, snap, before)
+		at, err = e.series.AppendEntry(stream.JournalEntry{Label: label, Before: before, Snap: snap, Record: payload})
 	}
 	if err != nil {
 		err = e.fail(err)
 		e.mu.Unlock()
 		return 0, err
 	}
-	e.raw = append(e.raw, payload)
-	e.seq++
-	seq := e.seq
+	txn := e.series.Txn()
 	e.ctr.walRecords.Add(1)
 	e.ctr.walBytes.Add(int64(n))
 	e.segRecords++
 	if e.opts.CheckpointRecords > 0 && e.segRecords >= e.opts.CheckpointRecords {
-		e.triggerCheckpoint()
+		cp, err := e.startCheckpoint()
+		e.wg.Add(1)
+		go func() {
+			defer e.wg.Done()
+			if err := e.finishCheckpoint(cp, err); err != nil {
+				e.log.Error("checkpoint failed", "dir", e.dir, "err", err)
+			}
+		}()
 	}
 	e.mu.Unlock()
 
 	if e.opts.Fsync == FsyncAlways {
-		if err := e.syncTo(seq); err != nil {
+		if err := e.syncTo(txn); err != nil {
 			return 0, err
 		}
 	}
 	return at, nil
 }
 
-// syncTo blocks until record seq is durable. The first caller to find no
+// syncTo blocks until transaction txn is durable. The first caller to find no
 // flush in flight becomes the leader and fsyncs the WAL once for every
 // record appended so far; callers whose record that flush (or a rotation's)
 // already covered return without touching the disk and are counted as
 // coalesced.
-func (e *Engine) syncTo(seq uint64) error {
+func (e *Engine) syncTo(txn int) error {
 	e.gcMu.Lock()
 	for {
-		if e.syncedSeq >= seq {
+		if e.syncedTxn >= txn {
 			e.gcMu.Unlock()
 			e.ctr.coalescedSyncs.Add(1)
 			return nil
@@ -286,7 +295,7 @@ func (e *Engine) syncTo(seq uint64) error {
 	}
 
 	e.mu.Lock()
-	target := e.seq
+	target := e.series.Txn()
 	closed := e.closed
 	// After a failed sync no later one may vouch for the records it covered:
 	// the kernel may have dropped their pages and still report success.
@@ -307,8 +316,8 @@ func (e *Engine) syncTo(seq uint64) error {
 
 	e.gcMu.Lock()
 	e.syncing = false
-	if err == nil && target > e.syncedSeq {
-		e.syncedSeq = target
+	if err == nil && target > e.syncedTxn {
+		e.syncedTxn = target
 	}
 	e.gcCond.Broadcast()
 	e.gcMu.Unlock()
@@ -325,34 +334,23 @@ func (e *Engine) fail(err error) error {
 	return e.failed
 }
 
-// triggerCheckpoint starts a background checkpoint unless one is already
-// running. Called with e.mu held.
-func (e *Engine) triggerCheckpoint() {
-	if !e.cpRunning.CompareAndSwap(false, true) {
-		return
-	}
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		defer e.cpRunning.Store(false)
-		if err := e.checkpoint(); err != nil {
-			e.ctr.checkpointErrors.Add(1)
-			e.log.Error("checkpoint failed", "dir", e.dir, "err", err)
-		}
-	}()
+// Checkpoint synchronously compacts the WAL into a new snapshot generation
+// that covers every record appended so far. It cuts the checkpoint now and
+// returns once it is written, after every checkpoint cut before it. It is
+// safe to call concurrently with appends.
+func (e *Engine) Checkpoint() error {
+	e.mu.Lock()
+	cp, err := e.startCheckpoint()
+	e.mu.Unlock()
+	return e.finishCheckpoint(cp, err)
 }
 
-// Checkpoint synchronously compacts the WAL into a new snapshot
-// generation. It is safe to call concurrently with appends and with the
-// automatic background checkpointer.
-func (e *Engine) Checkpoint() error {
-	for !e.cpRunning.CompareAndSwap(false, true) {
-		// An automatic checkpoint is in flight; brief spin-wait keeps the
-		// rare explicit call simple (tests, admin tooling).
-		time.Sleep(time.Millisecond)
+// finishCheckpoint writes the checkpoint startCheckpoint cut, or returns
+// the error it failed with, and counts a failure.
+func (e *Engine) finishCheckpoint(cp *cut, err error) error {
+	if err == nil && cp != nil {
+		err = e.writeCheckpoint(cp)
 	}
-	defer e.cpRunning.Store(false)
-	err := e.checkpoint()
 	if err != nil {
 		e.ctr.checkpointErrors.Add(1)
 	}

@@ -529,16 +529,50 @@ func enumerateFaults(t *testing.T, fsync FsyncPolicy, h []faultStep) {
 // TestSameHistorySameDirectory: two engines fed the same random history,
 // with the same checkpoints and the same kill -9, leave byte-identical data
 // directories — a record's bytes, and so a segment's and a snapshot's, are
-// a function of the ingest history.
+// a function of the ingest history. Automatic checkpoints are part of the
+// history too: each is cut at the append that triggered it, however far
+// behind the writes of the earlier ones are.
 func TestSameHistorySameDirectory(t *testing.T) {
+	sameDir := func(a, b *memFS) bool {
+		return maps.EqualFunc(a.live, b.live, func(x, y *memInode) bool { return bytes.Equal(x.data, y.data) })
+	}
 	for seed := int64(1); seed <= 3; seed++ {
 		h := randomHistory(seed)
 		a, b := newMemFS("/data"), newMemFS("/data")
 		runFaultHistory(t, a, FsyncAlways, h)
 		runFaultHistory(t, b, FsyncAlways, h)
-		same := maps.EqualFunc(a.live, b.live, func(x, y *memInode) bool { return bytes.Equal(x.data, y.data) })
-		if !same || len(a.live) < 2 {
+		if !sameDir(a, b) || len(a.live) < 2 {
 			t.Fatalf("seed %d: data directories differ or hold no checkpoint:\n%v\n%v", seed, a.files(), b.files())
+		}
+	}
+	auto := func() *memFS {
+		m := newMemFS("/data")
+		e, err := open(m, m.dir, faultAttrs, Options{CheckpointRecords: 8, Logger: quiet})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(1))
+		for i := range 30 {
+			if err := e.Append(fmt.Sprintf("t%d", i), faultBatch(r)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	want := auto()
+	var names []string
+	for name := range want.live {
+		names = append(names, filepath.Base(name))
+	}
+	if slices.Sort(names); !slices.Equal(names, []string{snapName(3), walName(3)}) {
+		t.Fatalf("30 appends with a checkpoint every 8 left %v, want generation 3's snapshot and segment", want.files())
+	}
+	for trial := range 20 {
+		if got := auto(); !sameDir(want, got) {
+			t.Fatalf("trial %d: automatic checkpoints left different data directories:\n%v\n%v", trial, want.files(), got.files())
 		}
 	}
 }

@@ -55,6 +55,10 @@ const (
 	maxRecordBytes = 1 << 30
 )
 
+// FormatVersion is the on-disk snapshot/WAL format version, exported for
+// the serving tier's /v1/status report.
+const FormatVersion = formatVersion
+
 // Typed errors. Readers never panic on malformed input: every failure maps
 // to one of these (possibly wrapped with positional detail).
 var (
@@ -86,7 +90,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // WriteFramedRecord frames payload as [len u32 LE][crc32c u32 LE][payload]
 // into w — the framing of WAL records, snapshot sections and the
-// replication stream, which is a plain sequence of such frames.
+// replication stream (`/v1/wal/stream`), which is a plain sequence of such
+// frames, one ingest record each, in transaction order from a txn.
 func WriteFramedRecord(w io.Writer, payload []byte) error {
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))

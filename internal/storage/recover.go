@@ -90,7 +90,6 @@ func (e *Engine) recover(attrs []core.AttrSpec) error {
 		if err != nil {
 			return err
 		}
-		e.raw = append(e.raw, loaded.records...)
 		e.recovery.SnapshotGeneration = snapGen
 		e.recovery.SnapshotPoints = e.series.Len()
 		e.snapGen = snapGen
@@ -113,13 +112,7 @@ func (e *Engine) recover(attrs []core.AttrSpec) error {
 	)
 	for i, gen := range replaySegs {
 		path := filepath.Join(e.dir, walName(gen))
-		records, goodLen, size, rerr := replayWAL(e.fs, path, func(payload []byte) error {
-			if aerr := replayRecord(e.series, payload); aerr != nil {
-				return aerr
-			}
-			e.raw = append(e.raw, append([]byte(nil), payload...))
-			return nil
-		})
+		records, goodLen, size, rerr := replayWAL(e.fs, path, func(p []byte) error { return replayRecord(e.series, p) })
 		if errors.Is(rerr, ErrTruncated) && i == len(replaySegs)-1 {
 			// A crash cut this segment's creation short: its header is synced
 			// before any record is written, so it held none. Recreate it.
@@ -149,13 +142,13 @@ func (e *Engine) recover(attrs []core.AttrSpec) error {
 			tailPath, tailGoodLen, e.segRecords = path, goodLen, records
 		}
 	}
-	if named > len(e.raw) {
+	if txn := e.series.Txn(); named > txn {
 		from := "no snapshot"
 		if loaded != nil {
 			from = snapName(snapGen)
 		}
 		return fmt.Errorf("%w: %s: %s does not load but covers txn %d; %s and the surviving wal segments reach only txn %d",
-			ErrUnrecoverable, e.dir, namedBy, named, from, len(e.raw))
+			ErrUnrecoverable, e.dir, namedBy, named, from, txn)
 	}
 	if tailPath != "" {
 		if e.wal, err = openWALForAppend(e.fs, tailPath, tailGoodLen); err != nil {

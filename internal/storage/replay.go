@@ -32,7 +32,7 @@ type ReplayStats struct {
 // graphs — the equivalence the storage oracle tests pin down.
 func (e *Engine) ReplayTo(txn int) (*core.Graph, ReplayStats, error) {
 	e.mu.Lock()
-	n := len(e.raw)
+	n := e.series.Txn()
 	snapGen, snapTxn := e.snapGen, e.snapTxn
 	e.mu.Unlock()
 	if txn < 1 || txn > n {
@@ -40,7 +40,6 @@ func (e *Engine) ReplayTo(txn int) (*core.Graph, ReplayStats, error) {
 	}
 
 	if snapTxn > 0 && snapTxn <= txn {
-		// The series journal holds the same batches as the record log, decoded.
 		g, err := e.resumeFromSnapshot(snapGen, e.series.Journal()[:txn], snapTxn)
 		if err == nil {
 			return g, ReplayStats{FromSnapshot: true, SnapshotTxn: snapTxn, Replayed: txn - snapTxn}, nil

@@ -9,11 +9,11 @@ import (
 
 // seriesFromSnapshot rebuilds the in-memory series of a stream checkpoint:
 // its embedded ingest records — the WAL's encoding, in transaction order —
-// become the series journal, and its graph, which is the series' own graph
-// at the checkpoint, seeds the accumulator, so no record is applied twice and
-// dictionary codes and entity IDs come back in the order the original process
-// assigned them. Recovered query responses are byte-identical to pre-crash
-// ones.
+// become the series journal, each entry keeping its record's bytes, and its
+// graph, which is the series' own graph at the checkpoint, seeds the
+// accumulator, so no record is applied twice and dictionary codes and
+// entity IDs come back in the order the original process assigned them.
+// Recovered query responses are byte-identical to pre-crash ones.
 func seriesFromSnapshot(snap *Snapshot, attrs []core.AttrSpec) (*stream.Series, error) {
 	if err := matchAttrs(snap.Graph.Attrs(), attrs); err != nil {
 		return nil, err
@@ -28,7 +28,7 @@ func seriesFromSnapshot(snap *Snapshot, attrs []core.AttrSpec) (*stream.Series, 
 		if err != nil {
 			return nil, err
 		}
-		journal[i] = stream.JournalEntry{Label: label, Before: before, Snap: batch}
+		journal[i] = stream.JournalEntry{Label: label, Before: before, Snap: batch, Record: payload}
 	}
 	s, err := stream.Restore(snap.Graph, journal, len(journal))
 	if err != nil {
@@ -37,13 +37,15 @@ func seriesFromSnapshot(snap *Snapshot, attrs []core.AttrSpec) (*stream.Series, 
 	return s, nil
 }
 
-// replayRecord applies one encoded ingest record (either type) to a series.
+// replayRecord applies one encoded ingest record (either type) to a series,
+// whose journal keeps a copy of the payload.
 func replayRecord(s *stream.Series, payload []byte) error {
 	label, before, batch, err := DecodeIngestRecord(payload)
 	if err != nil {
 		return err
 	}
-	if _, err := s.AppendAt(label, batch, before); err != nil {
+	e := stream.JournalEntry{Label: label, Before: before, Snap: batch, Record: append([]byte(nil), payload...)}
+	if _, err := s.AppendEntry(e); err != nil {
 		return fmt.Errorf("%w: replay of %q: %v", ErrCorrupt, label, err)
 	}
 	return nil

@@ -267,8 +267,12 @@ func TestReplayToSurvivesCrashRestart(t *testing.T) {
 	if got := e2.Series().Txn(); got != 11 {
 		t.Fatalf("recovered txn %d, want 11", got)
 	}
-	if recs, err := e2.TailRecords(0); err != nil || len(recs) != 11 {
-		t.Fatalf("recovered record log of %d records (%v), want 11", len(recs), err)
+	// Every recovered entry carries its logged bytes, from the snapshot or
+	// from the WAL.
+	for i, j := range e2.Series().Journal() {
+		if want := EncodeIngestRecord(j.Label, j.Before, j.Snap); !bytes.Equal(j.Record, want) {
+			t.Fatalf("recovered entry %d (%s) carries record %x, want %x", i, j.Label, j.Record, want)
+		}
 	}
 	txns := []int{1, 3, 6, 7, 10, 11}
 	resumed := assertReplayMatchesOracle(t, e2, testAttrs, txns)

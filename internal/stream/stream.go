@@ -55,6 +55,10 @@ type JournalEntry struct {
 	Label  string
 	Before string
 	Snap   Snapshot
+	// Record is the write-ahead log payload of the batch when a writer
+	// logged it, nil otherwise. The series only keeps it: checkpoints and
+	// replication send these bytes instead of encoding the batch again.
+	Record []byte
 }
 
 // Series accumulates an evolving graph. It is safe for concurrent use:
@@ -172,7 +176,7 @@ func applyAcc(acc *core.Accumulator, attrs []core.AttrSpec, label string, snap S
 	}
 }
 
-// AppendAt ingests one time point — the series' only mutator. The label
+// AppendAt ingests one time point: AppendEntry with no record. The label
 // must be new; edges must reference snapshot nodes; nodes must carry values
 // for every attribute of the schema (static values may be omitted after the
 // node's first appearance, and must not contradict the value recorded at
@@ -184,16 +188,22 @@ func applyAcc(acc *core.Accumulator, attrs []core.AttrSpec, label string, snap S
 // The whole batch is validated before any state changes: a returned error
 // means the series is exactly as it was.
 func (s *Series) AppendAt(label string, snap Snapshot, before string) (int, error) {
+	return s.AppendEntry(JournalEntry{Label: label, Before: before, Snap: snap})
+}
+
+// AppendEntry ingests the batch of e — the series' only mutator — and
+// journals e with its Record as given.
+func (s *Series) AppendEntry(e JournalEntry) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	at, err := s.position(before)
+	at, err := s.position(e.Before)
 	if err != nil {
 		return 0, err
 	}
-	if err := s.validate(label, snap); err != nil {
+	if err := s.validate(e.Label, e.Snap); err != nil {
 		return 0, err
 	}
-	s.insert(label, snap, before, at)
+	s.insert(e, at)
 	return at, nil
 }
 
@@ -225,12 +235,12 @@ func (s *Series) position(before string) (int, error) {
 // replaying the new valid order, because its columns are keyed by
 // first-appearance order over valid time, which a mid-timeline insert can
 // shift wholesale. Called with the write lock held; must not fail.
-func (s *Series) insert(label string, snap Snapshot, before string, at int) {
+func (s *Series) insert(e JournalEntry, at int) {
 	tail := at == len(s.labels)
-	s.place(label, snap, before, at)
+	s.place(e, at)
 	s.cached = nil
 	if tail {
-		applyAcc(s.acc, s.attrs, label, snap)
+		applyAcc(s.acc, s.attrs, e.Label, e.Snap)
 		return
 	}
 	s.acc = core.NewAccumulator(s.attrs...)
@@ -241,10 +251,10 @@ func (s *Series) insert(label string, snap Snapshot, before string, at int) {
 
 // place records a batch at valid position at and at the tail of the
 // journal, leaving the accumulator to the caller.
-func (s *Series) place(label string, snap Snapshot, before string, at int) {
-	s.labels = slices.Insert(s.labels, at, label)
-	s.snaps = slices.Insert(s.snaps, at, snap)
-	s.journal = append(s.journal, JournalEntry{Label: label, Before: before, Snap: snap})
+func (s *Series) place(e JournalEntry, at int) {
+	s.labels = slices.Insert(s.labels, at, e.Label)
+	s.snaps = slices.Insert(s.snaps, at, e.Snap)
+	s.journal = append(s.journal, e)
 }
 
 // Restore rebuilds the series that ingested journal, given g, the graph
@@ -265,10 +275,10 @@ func Restore(g *core.Graph, journal []JournalEntry, covered int) (*Series, error
 			return nil, fmt.Errorf("stream: journal corrupt: entry %q: %w", e.Label, err)
 		}
 		if i >= covered {
-			s.insert(e.Label, e.Snap, e.Before, at)
+			s.insert(e, at)
 			continue
 		}
-		s.place(e.Label, e.Snap, e.Before, at)
+		s.place(e, at)
 		if i == covered-1 {
 			if !slices.Equal(s.labels, g.Timeline().Labels()) {
 				return nil, fmt.Errorf("stream: graph timeline does not match the journal's first %d points", covered)
@@ -318,7 +328,7 @@ func (s *Series) ReplayTo(txn int) (*core.Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("stream: journal corrupt: entry %q: %w", e.Label, err)
 		}
-		scratch.insert(e.Label, e.Snap, e.Before, at)
+		scratch.insert(e, at)
 	}
 	return scratch.acc.Snapshot(), nil
 }
