@@ -13,6 +13,8 @@
 package graphtempo_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -21,6 +23,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -31,11 +34,15 @@ import (
 	"repro/internal/analytics"
 	"repro/internal/bitset"
 	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/dict"
 	"repro/internal/evolution"
 	"repro/internal/explore"
 	"repro/internal/larray"
 	"repro/internal/materialize"
 	"repro/internal/server"
+	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/timeline"
 )
 
@@ -1093,4 +1100,181 @@ func absorbedAppearances(v *graphtempo.View) (absorbed, selected int) {
 		}
 	}
 	return absorbed, selected
+}
+
+// contactsStream is bench/'s ingest_audit stream (bench/data.go
+// contactsGraph at scale 1, ingestBatches): 240 students in 24 classes,
+// ~330 contact edges a day, one batch per day that restates the static
+// attributes of each node it lists.
+func contactsStream(days int) ([]core.AttrSpec, []server.IngestRequest) {
+	g := dataset.SchoolContacts(1, dataset.ContactsParams{
+		Days: days, Grades: 6, ClassesPerGrade: 4, StudentsPerClass: 10,
+		ContactsPerDay: 330, Homophily: 0.7, MitigationDay: days / 2,
+	})
+	attrs := g.Attrs()
+	out := make([]server.IngestRequest, days)
+	for tp := range out {
+		out[tp].Label = g.Timeline().Label(timeline.Time(tp))
+	}
+	for n := 0; n < g.NumNodes(); n++ {
+		id := core.NodeID(n)
+		static := map[string]string{}
+		for ai, spec := range attrs {
+			if spec.Kind != core.Static {
+				continue
+			}
+			if c := g.StaticValue(core.AttrID(ai), id); c != dict.None {
+				static[spec.Name] = g.Dict(core.AttrID(ai)).Value(c)
+			}
+		}
+		g.NodeTau(id).ForEach(func(tp int) {
+			node := server.IngestNode{Label: g.NodeLabel(id), Static: static}
+			for ai, spec := range attrs {
+				if spec.Kind == core.Static {
+					continue
+				}
+				if c := g.VaryingValue(core.AttrID(ai), id, timeline.Time(tp)); c != dict.None {
+					if node.Varying == nil {
+						node.Varying = map[string]string{}
+					}
+					node.Varying[spec.Name] = g.Dict(core.AttrID(ai)).Value(c)
+				}
+			}
+			out[tp].Nodes = append(out[tp].Nodes, node)
+		})
+	}
+	for e := 0; e < g.NumEdges(); e++ {
+		ep := g.Edge(core.EdgeID(e))
+		edge := server.IngestEdge{U: g.NodeLabel(ep.U), V: g.NodeLabel(ep.V)}
+		g.EdgeTau(core.EdgeID(e)).ForEach(func(tp int) { out[tp].Edges = append(out[tp].Edges, edge) })
+	}
+	return attrs, out
+}
+
+// BenchmarkReplayTo times Series.ReplayTo on ingest_audit's 1,132-day
+// contacts stream: to txn 283, the deepest cold AS OF pin the workload
+// draws (its pins come from the oldest quarter, below the newest
+// checkpoint, so Engine.ReplayTo replays the journal), and to the head.
+func BenchmarkReplayTo(b *testing.B) {
+	attrs, days := contactsStream(1132)
+	s := stream.New(attrs...)
+	for _, d := range days {
+		if err := s.Append(d.Label, stream.Snapshot{Nodes: d.Nodes, Edges: d.Edges}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	days = nil
+	for _, txn := range []int{283, 1132} {
+		b.Run(strconv.Itoa(txn), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.ReplayTo(txn); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkServeIngest drives graphtempod's durable ingest handler in
+// process: a stream-mode server over a storage engine on a temporary
+// directory (-fsync never, so the stages time the daemon's work rather than
+// the disk; -checkpoint-records 256, as in ingest_audit) that holds 128
+// (1x) or 512 (4x) contact days, then POST /v1/ingest of the following days,
+// one per iteration. After 256 ingests the server is rebuilt outside the
+// timer, so every timed ingest lands on 1x–3x or 4x–6x history. It reports
+// the µs/op of each stage graphtempod_stage_seconds{endpoint="ingest"}
+// records and the live heap after the last ingest.
+func BenchmarkServeIngest(b *testing.B) {
+	const base, span = 128, 256
+	attrs, days := contactsStream(4*base + span)
+	bodies := make([][]byte, len(days))
+	for i, d := range days {
+		var err error
+		if bodies[i], err = json.Marshal(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	for _, mult := range []int{1, 4} {
+		b.Run(fmt.Sprintf("history=%dx", mult), func(b *testing.B) {
+			var (
+				eng    *storage.Engine
+				srv    *server.Server
+				next   int
+				stages = map[string]float64{}
+			)
+			// settle adds the stage sums of the server being retired.
+			settle := func() {
+				for k, v := range ingestStageSums(b, srv) {
+					stages[k] += v
+				}
+				eng.Close()
+			}
+			boot := func() {
+				var err error
+				eng, err = storage.Open(b.TempDir(), attrs, storage.Options{Fsync: storage.FsyncNever, CheckpointRecords: 256, Logger: quiet})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, d := range days[:mult*base] {
+					if err := eng.Append(d.Label, stream.Snapshot{Nodes: d.Nodes, Edges: d.Edges}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if srv, err = server.New(server.Config{Storage: eng, Logger: quiet}); err != nil {
+					b.Fatal(err)
+				}
+				next = mult * base
+			}
+			boot()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if next == mult*base+span {
+					b.StopTimer()
+					settle()
+					boot()
+					b.StartTimer()
+				}
+				w := httptest.NewRecorder()
+				srv.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/v1/ingest", bytes.NewReader(bodies[next])))
+				if w.Code != http.StatusOK {
+					b.Fatalf("ingest %s: %d %s", days[next].Label, w.Code, w.Body)
+				}
+				next++
+			}
+			b.StopTimer()
+			runtime.GC()
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "live_heap_mb")
+			settle()
+			for stage, sec := range stages {
+				b.ReportMetric(sec*1e6/float64(b.N), stage+"_us/op")
+			}
+		})
+	}
+}
+
+// ingestStageSums scrapes srv's /metrics for the seconds each stage of
+// the ingest endpoint has recorded in total.
+func ingestStageSums(b *testing.B, srv *server.Server) map[string]float64 {
+	w := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+	const prefix = `graphtempod_stage_seconds_sum{endpoint="ingest",stage="`
+	out := map[string]float64{}
+	for _, line := range strings.Split(w.Body.String(), "\n") {
+		rest, ok := strings.CutPrefix(line, prefix)
+		if !ok {
+			continue
+		}
+		stage, val, _ := strings.Cut(rest, `"} `)
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			b.Fatalf("metrics line %q: %v", line, err)
+		}
+		out[stage] = v
+	}
+	return out
 }

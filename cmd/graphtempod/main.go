@@ -222,11 +222,11 @@ func storageOptions(o *options, log *slog.Logger) (storage.Options, error) {
 // the WAL follower loop under -follow: apply lands one replicated record
 // (through the engine in durable mode, so replicated points hit the
 // replica's own WAL too) and applied reports the local sequence.
-func newServer(o *options, log *slog.Logger) (*server.Server, *storage.Engine, func(string, stream.Snapshot, string) (int, error), func() int, error) {
+func newServer(o *options, log *slog.Logger) (*server.Server, *storage.Engine, func([]byte) (int, error), func() int, error) {
 	cfg := serverConfig(o, log)
 	var (
 		eng     *storage.Engine
-		apply   func(string, stream.Snapshot, string) (int, error)
+		apply   func([]byte) (int, error)
 		applied func() int
 	)
 	if o.streamSpec != "" {
@@ -244,7 +244,7 @@ func newServer(o *options, log *slog.Logger) (*server.Server, *storage.Engine, f
 				return nil, nil, nil, nil, fmt.Errorf("open data dir %s: %w", o.dataDir, err)
 			}
 			cfg.Storage = eng
-			apply, applied = eng.AppendAt, eng.Series().Len
+			apply, applied = eng.AppendRecord, eng.Series().Len
 			ri := eng.Recovery()
 			log.Info("durable stream mode", "schema", o.streamSpec, "data-dir", o.dataDir,
 				"fsync", o.fsync, "recovered_points", eng.Series().Len(),
@@ -252,7 +252,7 @@ func newServer(o *options, log *slog.Logger) (*server.Server, *storage.Engine, f
 		} else {
 			series := stream.New(attrs...)
 			cfg.Series = series
-			apply, applied = series.AppendAt, series.Len
+			apply, applied = series.AppendRecord, series.Len
 			log.Info("stream mode", "schema", o.streamSpec)
 		}
 	} else {

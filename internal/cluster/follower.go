@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/storage"
-	"repro/internal/stream"
 )
 
 // Follower tails an upstream's WAL over GET /v1/wal/stream and applies
@@ -26,12 +25,11 @@ type Follower struct {
 	// their primary; the router's mirror picks any live, caught-up member
 	// of the shard so replication survives a primary failure.
 	Pick func() (string, error)
-	// Apply ingests one replicated time point — the local AppendAt
-	// (stream.Series' or storage.Engine's): before carries the valid-time
-	// insertion position of a retroactive record ("" for a tail append), so
-	// follower and upstream converge on identical journals. An error stops
-	// the current poll; the record is re-fetched on the next one.
-	Apply func(label string, snap stream.Snapshot, before string) (int, error)
+	// Apply ingests one replicated record as it arrived — the local
+	// AppendRecord (stream.Series' or storage.Engine's), so follower and
+	// upstream converge on identical journals. An error stops the current
+	// poll; the record is re-fetched on the next one.
+	Apply func(rec []byte) (int, error)
 	// Len returns the applied record count — the next sequence to request.
 	Len func() int
 	// WaitMs is the long-poll window passed to the upstream when caught
@@ -95,12 +93,8 @@ func (f *Follower) Poll(ctx context.Context) (int, error) {
 			// applied count, exactly like a torn WAL tail on disk.
 			return applied, fmt.Errorf("wal stream %s: %w", base, err)
 		}
-		label, before, snap, err := storage.DecodeIngestRecord(payload)
-		if err != nil {
-			return applied, fmt.Errorf("wal stream %s: %w", base, err)
-		}
-		if _, err := f.Apply(label, snap, before); err != nil {
-			return applied, fmt.Errorf("apply replicated point %q: %w", label, err)
+		if _, err := f.Apply(payload); err != nil {
+			return applied, fmt.Errorf("apply replicated record %d: %w", from+applied, err)
 		}
 		applied++
 	}

@@ -215,10 +215,10 @@ func (rt *Router) shardFollower(i int) *Follower {
 			cands := rt.health.candidates(sh, rt.cfg.MaxLag)
 			return cands[0].URL, nil
 		},
-		Apply: func(label string, snap stream.Snapshot, before string) (int, error) {
+		Apply: func(rec []byte) (int, error) {
 			rt.applyMu.Lock()
 			defer rt.applyMu.Unlock()
-			return rt.mseries.AppendAt(label, snap, before)
+			return rt.mseries.AppendRecord(rec)
 		},
 		Len: func() int {
 			rt.applyMu.Lock()

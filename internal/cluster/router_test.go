@@ -206,7 +206,7 @@ func newReplica(t *testing.T, name, primaryURL string, n int) *httptest.Server {
 	t.Cleanup(ts.Close)
 	f := &Follower{
 		Pick:  func() (string, error) { return primaryURL, nil },
-		Apply: series.AppendAt,
+		Apply: series.AppendRecord,
 		Len:   series.Len,
 		Log:   quietLogger(),
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/bitset"
@@ -300,12 +301,21 @@ func (a *Accumulator) SetEdgeTime(e EdgeID) {
 	s.Add(len(a.labels) - 1)
 }
 
+// intern returns attr's code for value, copying value into the dictionary
+// only when new: a caller passing converted bytes allocates nothing else.
+func (a *Accumulator) intern(attr AttrID, value string) dict.Code {
+	if c := a.dicts[attr].Code(value); c != dict.None {
+		return c
+	}
+	return a.dicts[attr].Put(strings.Clone(value))
+}
+
 // SetStatic records the value of static attribute attr for node n. Writing
 // below the newest snapshot's frozen length copies the column first
 // (filling a value that earlier points left unset — the only legal case,
 // since conflicting rewrites are rejected by the caller).
 func (a *Accumulator) SetStatic(attr AttrID, n NodeID, value string) {
-	c := a.dicts[attr].Put(value)
+	c := a.intern(attr, value)
 	col := a.static[attr]
 	if col[n] == c {
 		return
@@ -324,7 +334,7 @@ func (a *Accumulator) SetVarying(attr AttrID, n NodeID, value string) {
 	if a.curVarying[attr] == nil {
 		a.curVarying[attr] = make(map[NodeID]dict.Code)
 	}
-	a.curVarying[attr][n] = a.dicts[attr].Put(value)
+	a.curVarying[attr][n] = a.intern(attr, value)
 }
 
 // Snapshot freezes the accumulated state into an immutable Graph. The tau

@@ -226,35 +226,16 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 		case <-time.After(20 * time.Millisecond):
 		}
 	}
-	records := s.tailRecords(from)
+	// Transaction order, so a follower replays retroactive inserts where
+	// they arrived; each record is the bytes this daemon applied (and logged).
+	entries := s.series.Journal()[from:]
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Wal-From", strconv.Itoa(from))
-	w.Header().Set("X-Wal-Next", strconv.Itoa(from+len(records)))
+	w.Header().Set("X-Wal-Next", strconv.Itoa(from+len(entries)))
 	w.WriteHeader(http.StatusOK)
-	for _, rec := range records {
-		if err := storage.WriteFramedRecord(w, rec); err != nil {
+	for _, e := range entries {
+		if err := storage.WriteFramedRecord(w, e.Record); err != nil {
 			return // client went away mid-stream; it will re-request from its applied seq
 		}
 	}
-}
-
-// tailRecords returns the encoded ingest records from global sequence
-// `from`, in transaction order, not valid order, so retroactive inserts
-// replay at the position they arrived and the follower converges on an
-// identical series. A durable daemon's journal entries carry the bytes its
-// WAL logged; a non-durable one's are encoded here, to the same bytes.
-func (s *Server) tailRecords(from int) [][]byte {
-	journal := s.series.Journal()
-	if from >= len(journal) {
-		return nil
-	}
-	out := make([][]byte, 0, len(journal)-from)
-	for _, e := range journal[from:] {
-		rec := e.Record
-		if rec == nil {
-			rec = storage.EncodeIngestRecord(e.Label, e.Before, e.Snap)
-		}
-		out = append(out, rec)
-	}
-	return out
 }

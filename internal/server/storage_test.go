@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -331,13 +332,15 @@ func TestParentDataDirServesParentAnswers(t *testing.T) {
 	}
 }
 
-// TestWALStreamOneByteForm: a durable daemon serves /v1/wal/stream from the
-// records its WAL framed, a non-durable one re-encodes them from its
-// journal. Fed the same history — tail appends and retroactive inserts of
-// nodes with two static attributes — both serve byte-identical bodies, also
-// after the durable one checkpointed mid-history, was abandoned without a
-// Close and reopened, so its records come from a snapshot, from WAL replay
-// and from appends after the restart.
+// TestWALStreamOneByteForm: every daemon serves /v1/wal/stream from the
+// records its journal holds — a durable one's are the bytes its WAL framed,
+// a non-durable one's the bytes it encoded at ingest. Fed the same history
+// — tail appends and retroactive inserts of nodes with two static
+// attributes — both serve byte-identical bodies, also after the durable one
+// checkpointed mid-history, was abandoned without a Close and reopened, so
+// its records come from a snapshot, from WAL replay and from appends after
+// the restart; and a durable replica fed that body serves it too, from a
+// WAL that logged the primary's bytes.
 func TestWALStreamOneByteForm(t *testing.T) {
 	attrs := []core.AttrSpec{
 		{Name: "grade", Kind: core.Static},
@@ -421,7 +424,46 @@ func TestWALStreamOneByteForm(t *testing.T) {
 	if retro == 0 {
 		t.Fatal("the history holds no retroactive insert")
 	}
-	if a, b := walStream(durable, 18), walStream(plain, 18); !bytes.Equal(a, b) {
-		t.Fatalf("reopened durable and non-durable wal streams differ:\n%x\n%x", a, b)
+	body := walStream(durable, 18)
+	if b := walStream(plain, 18); !bytes.Equal(body, b) {
+		t.Fatalf("reopened durable and non-durable wal streams differ:\n%x\n%x", body, b)
+	}
+
+	// A durable -follow replica: graphtempod applies each frame of the
+	// primary's stream with its engine's AppendRecord, as the follower
+	// reads it. It serves the primary's body, and its WAL segment holds
+	// those frames verbatim after the header.
+	rdir := t.TempDir()
+	reng, err := storage.Open(rdir, attrs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reng.Close()
+	replica, err := New(Config{Storage: reng, Role: RoleReplica, Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := bytes.NewReader(body); ; {
+		rec, err := storage.ReadFramedRecord(r)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reng.AppendRecord(rec); err != nil {
+			t.Fatalf("replica append: %v", err)
+		}
+	}
+	if b := walStream(replica, 18); !bytes.Equal(body, b) {
+		t.Fatalf("replica and primary wal streams differ:\n%x\n%x", b, body)
+	}
+	seg, err := os.ReadFile(filepath.Join(rdir, "wal-0000000000000000.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const walHeader = 18 // magic, version, generation
+	if len(seg) < walHeader || !bytes.Equal(seg[walHeader:], body) {
+		t.Fatalf("replica WAL payloads differ from the primary's frames:\n%x\n%x", seg, body)
 	}
 }

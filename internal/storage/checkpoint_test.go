@@ -23,7 +23,7 @@ func replayedSnapshot(t *testing.T, e *Engine, txn int) []byte {
 	g := oracleReplay(t, e.attrs, journal, txn)
 	records := make([][]byte, txn)
 	for i, j := range journal {
-		records[i] = EncodeIngestRecord(j.Label, j.Before, j.Snap)
+		records[i] = j.Record
 	}
 	if err := writeSnapshotV2(&buf, g, records, txn); err != nil {
 		t.Fatal(err)

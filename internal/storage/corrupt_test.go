@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/gtest"
+	"repro/internal/stream"
 )
 
 // validSnapshotBytes returns a small but fully featured snapshot: graph
@@ -150,7 +151,7 @@ func FuzzWALReplay(f *testing.F) {
 	}
 	for i := 0; i < 3; i++ {
 		label, snap := testBatch(i)
-		if _, err := w.append(EncodeIngestRecord(label, "", snap)); err != nil {
+		if _, err := w.append(stream.EncodeRecord(label, "", snap)); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -170,7 +171,7 @@ func FuzzWALReplay(f *testing.F) {
 		// Must never panic; decode failures inside records surface through
 		// the callback error, framing damage as a torn tail.
 		_, _, _, _ = replayWAL(osFS{}, p, func(payload []byte) error {
-			_, _, _, err := DecodeIngestRecord(payload)
+			_, err := stream.RecordEntry(payload)
 			return err
 		})
 	})

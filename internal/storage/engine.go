@@ -86,9 +86,8 @@ type Engine struct {
 
 	series *stream.Series
 
-	// The series journal is the engine's one transaction log: each entry
-	// carries the payload the WAL framed for it (JournalEntry.Record), and
-	// Series.Txn() counts them.
+	// The series journal, whose entries are the records the WAL framed, is
+	// the engine's one transaction log; Series.Txn() counts them.
 	mu         sync.Mutex // serializes appends, rotation, close
 	wal        *walWriter
 	gen        uint64
@@ -165,7 +164,7 @@ func open(fs fsys, dir string, attrs []core.AttrSpec, opts Options) (*Engine, er
 }
 
 // Series returns the engine's recovered (and growing) series. Queries read
-// it directly; all mutation must go through Append.
+// it directly; all mutation must go through AppendAt or AppendRecord.
 func (e *Engine) Series() *stream.Series { return e.series }
 
 // Recovery returns what the boot recovered.
@@ -201,44 +200,43 @@ func (e *Engine) Append(label string, snap stream.Snapshot) error {
 	return err
 }
 
-// AppendAt durably ingests one time point: it validates the batch, appends
-// its record to the WAL, applies it to the in-memory series, and — under
-// FsyncAlways — syncs before returning. The lock it holds from validation to
-// apply keeps the verdict true, the engine being the series' only mutator.
-// When before names an existing time point the new point is inserted
-// immediately before it (retroactive ingest); an empty before appends at
-// the valid-time tail. Either way the
-// record takes the tail of transaction time — the WAL stays strictly
-// append-only and crash recovery replays the insert deterministically. The
-// returned index is the point's valid-time position. The append that fills
-// the active segment to Options.CheckpointRecords cuts a checkpoint at its
-// own txn (see startCheckpoint).
+// AppendAt durably ingests one time point (see stream.Series.AppendAt):
+// AppendRecord of the batch's record, encoded once.
+func (e *Engine) AppendAt(label string, snap stream.Snapshot, before string) (int, error) {
+	return e.AppendRecord(stream.EncodeRecord(label, before, snap))
+}
+
+// AppendRecord durably ingests one record: it checks it, appends it to the
+// WAL, applies it to the series, and — under FsyncAlways — syncs before
+// returning; the lock held from check to apply keeps the verdict true. A
+// replica appends the primary's records with it, so its WAL logs them
+// verbatim. The append that fills the active segment to
+// Options.CheckpointRecords cuts a checkpoint at its own txn.
 //
 // Concurrent appends group-commit: the write lock is released before the
 // fsync, one leader syncs the segment for every record written so far, and
 // the other appends ride the same flush instead of issuing their own.
-// Validation failures leave no state behind and are returned verbatim. A
-// failed WAL write leaves the series as it was; a failed sync comes after
-// the apply, so its record may stay visible and survive a restart, as any
+// Check failures leave no state behind and are returned verbatim. A failed
+// WAL write leaves the series as it was; a failed sync comes after the
+// apply, so its record may stay visible and survive a restart, as any
 // unacknowledged write may. Either stops the engine (see Engine) and returns
 // an ErrWAL, which the caller should surface as a server-side error.
-func (e *Engine) AppendAt(label string, snap stream.Snapshot, before string) (int, error) {
+func (e *Engine) AppendRecord(rec []byte) (int, error) {
 	e.mu.Lock()
 	err := e.failed
 	if e.closed {
 		err = fmt.Errorf("storage: engine closed")
 	} else if err == nil {
-		err = e.series.Validate(label, snap, before)
+		err = e.series.CheckRecord(rec)
 	}
 	if err != nil {
 		e.mu.Unlock()
 		return 0, err
 	}
-	payload := EncodeIngestRecord(label, before, snap)
-	n, err := e.wal.append(payload)
+	n, err := e.wal.append(rec)
 	at := 0
 	if err == nil {
-		at, err = e.series.AppendEntry(stream.JournalEntry{Label: label, Before: before, Snap: snap, Record: payload})
+		at, err = e.series.AppendRecord(rec)
 	}
 	if err != nil {
 		err = e.fail(err)

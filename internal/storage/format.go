@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 )
 
 const (
@@ -115,7 +114,9 @@ func appendRecord(buf, payload []byte) []byte {
 
 // ReadFramedRecord reads and checksum-verifies one framed record from r.
 // io.EOF at a record boundary is returned as io.EOF; a partial header or
-// short payload maps to ErrTruncated, a bad checksum to ErrChecksum.
+// short payload maps to ErrTruncated, a bad checksum to ErrChecksum. The
+// returned payload is a fresh allocation that belongs to the caller: a
+// series may journal it as it is.
 func ReadFramedRecord(r io.Reader) ([]byte, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -136,125 +137,4 @@ func ReadFramedRecord(r io.Reader) ([]byte, error) {
 		return nil, ErrChecksum
 	}
 	return payload, nil
-}
-
-// enc accumulates a record payload. All integers are unsigned varints
-// unless noted; strings and slices are length-prefixed.
-type enc struct{ b []byte }
-
-func (e *enc) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-func (e *enc) byte(v byte)      { e.b = append(e.b, v) }
-func (e *enc) str(s string)     { e.uvarint(uint64(len(s))); e.b = append(e.b, s...) }
-func (e *enc) strs(ss []string) {
-	e.uvarint(uint64(len(ss)))
-	for _, s := range ss {
-		e.str(s)
-	}
-}
-
-// dec consumes a record payload with sticky error state: after the first
-// failure every accessor returns a zero value, so decode paths read
-// straight through and check err once.
-type dec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *dec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s at offset %d", ErrCorrupt, fmt.Sprintf(format, args...), d.off)
-	}
-}
-
-func (d *dec) remaining() int { return len(d.b) - d.off }
-
-func (d *dec) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("bad uvarint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *dec) byteVal() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.remaining() < 1 {
-		d.fail("unexpected end")
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *dec) u32() uint32 {
-	if d.err != nil {
-		return 0
-	}
-	if d.remaining() < 4 {
-		d.fail("unexpected end in uint32")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.remaining() < 8 {
-		d.fail("unexpected end in uint64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *dec) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(d.remaining()) {
-		d.fail("string length %d exceeds remaining %d", n, d.remaining())
-		return ""
-	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-// count reads a collection length and validates it against the remaining
-// payload assuming each element occupies at least minBytes, so corrupt
-// lengths cannot trigger huge allocations.
-func (d *dec) count(minBytes int) int {
-	n := d.uvarint()
-	if d.err != nil {
-		return 0
-	}
-	if n > uint64(math.MaxInt32) || int64(n)*int64(minBytes) > int64(d.remaining()) {
-		d.fail("collection length %d implausible for %d remaining bytes", n, d.remaining())
-		return 0
-	}
-	return int(n)
-}
-
-func (d *dec) strs() []string {
-	n := d.count(1)
-	out := make([]string, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		out = append(out, d.str())
-	}
-	return out
 }

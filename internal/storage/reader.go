@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"repro/internal/bitset"
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/dict"
 	"repro/internal/timeline"
@@ -152,60 +153,60 @@ func parseV2(data []byte, verifyBlobs bool) (*parsedV2, error) {
 			return nil, fmt.Errorf("%w: duplicate section %d", ErrCorrupt, id)
 		}
 		seen[id] = true
-		d := &dec{b: payload[1:]}
+		d := &codec.Dec{B: payload[1:], Corrupt: ErrCorrupt}
 		switch id {
 		case secTimeline:
-			p.labels = d.strs()
+			p.labels = d.Strs()
 		case secSchema:
-			na := d.count(2)
-			for i := 0; i < na && d.err == nil; i++ {
-				name := d.str()
-				kind := d.byteVal()
+			na := d.Count(2)
+			for i := 0; i < na && d.Err == nil; i++ {
+				name := d.Str()
+				kind := d.Byte()
 				if kind > byte(core.TimeVarying) {
-					d.fail("bad attribute kind %d", kind)
+					d.Fail("bad attribute kind %d", kind)
 				}
 				p.attrs = append(p.attrs, core.AttrSpec{Name: name, Kind: core.AttrKind(kind)})
-				p.dicts = append(p.dicts, d.strs())
+				p.dicts = append(p.dicts, d.Strs())
 			}
 		case secNodes:
-			p.nodes = d.strs()
+			p.nodes = d.Strs()
 		case secTauRuns, secStores:
-			d.off = len(d.b) // reserved section: checksummed above, payload ignored
+			d.Off = len(d.B) // reserved section: checksummed above, payload ignored
 		case secSeries:
-			ns := d.count(1)
-			for i := 0; i < ns && d.err == nil; i++ {
-				m := d.count(1)
-				if d.err == nil && m > d.remaining() {
-					d.fail("series record length %d exceeds remaining %d", m, d.remaining())
+			ns := d.Count(1)
+			for i := 0; i < ns && d.Err == nil; i++ {
+				m := d.Count(1)
+				if d.Err == nil && m > d.Remaining() {
+					d.Fail("series record length %d exceeds remaining %d", m, d.Remaining())
 				}
-				if d.err == nil {
+				if d.Err == nil {
 					// Records alias data, as the graph's columns do.
-					p.records = append(p.records, d.b[d.off:d.off+m:d.off+m])
-					d.off += m
+					p.records = append(p.records, d.B[d.Off:d.Off+m:d.Off+m])
+					d.Off += m
 				}
 			}
 		case secTxnMeta:
-			p.coveredTxn = int(d.uvarint())
+			p.coveredTxn = int(d.Uvarint())
 		case secBlobDir:
-			cnt := int(d.u32())
-			fileSize = d.u64()
-			if d.err == nil && cnt*blobDirEntryLen != d.remaining() {
-				d.fail("blob directory count %d does not match payload", cnt)
+			cnt := int(d.U32())
+			fileSize = d.U64()
+			if d.Err == nil && cnt*blobDirEntryLen != d.Remaining() {
+				d.Fail("blob directory count %d does not match payload", cnt)
 			}
-			for i := 0; i < cnt && d.err == nil; i++ {
+			for i := 0; i < cnt && d.Err == nil; i++ {
 				dir = append(dir, blobEntry{
-					kind: d.u32(), param: d.u32(),
-					off: d.u64(), length: d.u64(), crc: d.u32(),
+					kind: d.U32(), param: d.U32(),
+					off: d.U64(), length: d.U64(), crc: d.U32(),
 				})
 			}
 		default:
 			return nil, fmt.Errorf("%w: unknown section %d", ErrCorrupt, id)
 		}
-		if d.err != nil {
-			return nil, fmt.Errorf("section %d: %w", id, d.err)
+		if d.Err != nil {
+			return nil, fmt.Errorf("section %d: %w", id, d.Err)
 		}
-		if d.remaining() != 0 {
-			return nil, fmt.Errorf("%w: section %d has %d trailing bytes", ErrCorrupt, id, d.remaining())
+		if d.Remaining() != 0 {
+			return nil, fmt.Errorf("%w: section %d has %d trailing bytes", ErrCorrupt, id, d.Remaining())
 		}
 	}
 	for _, id := range []byte{secTimeline, secSchema, secNodes, secBlobDir} {

@@ -112,7 +112,13 @@ func (e *Engine) recover(attrs []core.AttrSpec) error {
 	)
 	for i, gen := range replaySegs {
 		path := filepath.Join(e.dir, walName(gen))
-		records, goodLen, size, rerr := replayWAL(e.fs, path, func(p []byte) error { return replayRecord(e.series, p) })
+		records, goodLen, size, rerr := replayWAL(e.fs, path, func(p []byte) error {
+			// The series journals p, which ReadFramedRecord allocated.
+			if _, err := e.series.AppendRecord(p); err != nil {
+				return fmt.Errorf("%w: replay: %v", ErrCorrupt, err)
+			}
+			return nil
+		})
 		if errors.Is(rerr, ErrTruncated) && i == len(replaySegs)-1 {
 			// A crash cut this segment's creation short: its header is synced
 			// before any record is written, so it held none. Recreate it.

@@ -7,13 +7,11 @@ import (
 	"repro/internal/stream"
 )
 
-// seriesFromSnapshot rebuilds the in-memory series of a stream checkpoint:
-// its embedded ingest records — the WAL's encoding, in transaction order —
-// become the series journal, each entry keeping its record's bytes, and its
-// graph, which is the series' own graph at the checkpoint, seeds the
-// accumulator, so no record is applied twice and dictionary codes and
-// entity IDs come back in the order the original process assigned them.
-// Recovered query responses are byte-identical to pre-crash ones.
+// seriesFromSnapshot rebuilds the series of a stream checkpoint: its
+// embedded records, in transaction order, become the journal as they are,
+// and its graph seeds the accumulator, so no record is applied twice and
+// codes and entity IDs come back in their original order — recovered
+// responses are byte-identical to pre-crash ones.
 func seriesFromSnapshot(snap *Snapshot, attrs []core.AttrSpec) (*stream.Series, error) {
 	if err := matchAttrs(snap.Graph.Attrs(), attrs); err != nil {
 		return nil, err
@@ -23,32 +21,18 @@ func seriesFromSnapshot(snap *Snapshot, attrs []core.AttrSpec) (*stream.Series, 
 			ErrCorrupt, len(snap.records), snap.Graph.Timeline().Len())
 	}
 	journal := make([]stream.JournalEntry, len(snap.records))
-	for i, payload := range snap.records {
-		label, before, batch, err := DecodeIngestRecord(payload)
+	for i, rec := range snap.records {
+		e, err := stream.RecordEntry(rec)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: series record %d: %v", ErrCorrupt, i, err)
 		}
-		journal[i] = stream.JournalEntry{Label: label, Before: before, Snap: batch, Record: payload}
+		journal[i] = e
 	}
 	s, err := stream.Restore(snap.Graph, journal, len(journal))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return s, nil
-}
-
-// replayRecord applies one encoded ingest record (either type) to a series,
-// whose journal keeps a copy of the payload.
-func replayRecord(s *stream.Series, payload []byte) error {
-	label, before, batch, err := DecodeIngestRecord(payload)
-	if err != nil {
-		return err
-	}
-	e := stream.JournalEntry{Label: label, Before: before, Snap: batch, Record: append([]byte(nil), payload...)}
-	if _, err := s.AppendEntry(e); err != nil {
-		return fmt.Errorf("%w: replay of %q: %v", ErrCorrupt, label, err)
-	}
-	return nil
 }
 
 // matchAttrs verifies the on-disk schema equals the configured one: a data

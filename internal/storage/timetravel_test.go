@@ -31,19 +31,13 @@ func snapBytes(t *testing.T, g *core.Graph) []byte {
 	return buf.Bytes()
 }
 
-// oracleReplay is the naive reference: replay the first txn journal
-// entries, in transaction order, into a fresh series.
+// oracleReplay is the naive reference: append the first txn journal
+// records, in transaction order, to a fresh series.
 func oracleReplay(t *testing.T, attrs []core.AttrSpec, journal []stream.JournalEntry, txn int) *core.Graph {
 	t.Helper()
 	s := stream.New(attrs...)
 	for i, e := range journal[:txn] {
-		var err error
-		if e.Before != "" {
-			_, err = s.AppendAt(e.Label, e.Snap, e.Before)
-		} else {
-			err = s.Append(e.Label, e.Snap)
-		}
-		if err != nil {
+		if _, err := s.AppendRecord(e.Record); err != nil {
 			t.Fatalf("oracle replay record %d: %v", i, err)
 		}
 	}
@@ -269,9 +263,10 @@ func TestReplayToSurvivesCrashRestart(t *testing.T) {
 	}
 	// Every recovered entry carries its logged bytes, from the snapshot or
 	// from the WAL.
+	logged := e.Series().Journal()
 	for i, j := range e2.Series().Journal() {
-		if want := EncodeIngestRecord(j.Label, j.Before, j.Snap); !bytes.Equal(j.Record, want) {
-			t.Fatalf("recovered entry %d (%s) carries record %x, want %x", i, j.Label, j.Record, want)
+		if want := logged[i]; j.Label != want.Label || j.Before != want.Before || !bytes.Equal(j.Record, want.Record) {
+			t.Fatalf("recovered entry %d (%s) carries record %x, want %x", i, j.Label, j.Record, want.Record)
 		}
 	}
 	txns := []int{1, 3, 6, 7, 10, 11}

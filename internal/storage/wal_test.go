@@ -8,9 +8,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/stream"
 )
 
@@ -32,7 +32,7 @@ func writeTestWAL(t *testing.T, path string, n int) {
 	}
 	for i := 0; i < n; i++ {
 		label, snap := testBatch(i)
-		if _, err := w.append(EncodeIngestRecord(label, "", snap)); err != nil {
+		if _, err := w.append(stream.EncodeRecord(label, "", snap)); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -47,14 +47,16 @@ func writeTestWAL(t *testing.T, path string, n int) {
 func replayLabels(t *testing.T, path string) (labels []string, goodLen int64, torn bool) {
 	t.Helper()
 	records, goodLen, size, err := replayWAL(osFS{}, path, func(payload []byte) error {
-		label, _, snap, err := DecodeIngestRecord(payload)
+		e, err := stream.RecordEntry(payload)
 		if err != nil {
 			return err
 		}
-		if len(snap.Nodes) != 2 || len(snap.Edges) != 1 {
-			return fmt.Errorf("bad batch shape at %s", label)
+		var i int
+		fmt.Sscanf(e.Label, "t%d", &i)
+		if label, snap := testBatch(i); label != e.Label || !bytes.Equal(payload, stream.EncodeRecord(label, "", snap)) {
+			return fmt.Errorf("record %s is not the batch written", e.Label)
 		}
-		labels = append(labels, label)
+		labels = append(labels, e.Label)
 		return nil
 	})
 	if err != nil {
@@ -140,7 +142,7 @@ func TestWALReopenAppend(t *testing.T) {
 		t.Fatalf("openWALForAppend: %v", err)
 	}
 	label, snap := testBatch(9)
-	if _, err := w.append(EncodeIngestRecord(label, "", snap)); err != nil {
+	if _, err := w.append(stream.EncodeRecord(label, "", snap)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.sync(); err != nil {
@@ -185,18 +187,28 @@ func TestWALHeaderErrors(t *testing.T) {
 
 func TestIngestCodecRejectsTrailingBytes(t *testing.T) {
 	label, snap := testBatch(0)
-	payload := append(EncodeIngestRecord(label, "", snap), 0x00)
-	if _, _, _, err := DecodeIngestRecord(payload); !errors.Is(err, ErrCorrupt) {
+	payload := append(stream.EncodeRecord(label, "", snap), 0x00)
+	dir := t.TempDir()
+	w, err := createWAL(osFS{}, filepath.Join(dir, walName(0)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.append(payload); err != nil {
+		t.Fatal(err)
+	}
+	w.close()
+	if _, err := Open(dir, testAttrs, Options{Logger: quiet}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing byte: got %v, want ErrCorrupt", err)
 	}
 }
 
 // TestIngestCodecGolden pins the record bytes against the two encoders the
 // one codec replaced (encodeIngest for tail appends, encodeIngestAt for
-// retroactive inserts, as of PR 22): their payloads decode to the same batch
-// and re-encode to the same bytes, so WAL segments, snapshot-embedded records
-// and replication frames written before and after are interchangeable. Each
-// attribute map holds one entry — the encoder writes maps in iteration order.
+// retroactive inserts): the batch encodes to the same bytes,
+// and a series appending those bytes holds the graph one appending the
+// batch does, so WAL segments, snapshot-embedded records and replication
+// frames written before and after are interchangeable. Each attribute map
+// holds one entry — the encoder then wrote maps in iteration order.
 func TestIngestCodecGolden(t *testing.T) {
 	snap := stream.Snapshot{
 		Nodes: []stream.NodeRecord{
@@ -206,6 +218,7 @@ func TestIngestCodecGolden(t *testing.T) {
 		},
 		Edges: []stream.EdgeRecord{{U: "u1", V: "u2"}, {U: "u3", V: "u1"}},
 	}
+	attrs := []core.AttrSpec{{Name: "gender", Kind: core.Static}, {Name: "pubs", Kind: core.TimeVarying}}
 	for _, tc := range []struct {
 		name, label, before, golden string
 	}{
@@ -216,34 +229,40 @@ func TestIngestCodecGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		label, before, got, err := DecodeIngestRecord(golden)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", tc.name, err)
+		if got := stream.EncodeRecord(tc.label, tc.before, snap); !bytes.Equal(got, golden) {
+			t.Fatalf("%s: encoded to\n%x\nwant\n%x", tc.name, got, golden)
 		}
-		if label != tc.label || before != tc.before || !reflect.DeepEqual(got, snap) {
-			t.Fatalf("%s: decoded (%q, %q, %+v), want (%q, %q, %+v)", tc.name, label, before, got, tc.label, tc.before, snap)
+		fromBytes, fromBatch := stream.New(attrs...), stream.New(attrs...)
+		if tc.before != "" {
+			for _, s := range []*stream.Series{fromBytes, fromBatch} {
+				if err := s.Append(tc.before, stream.Snapshot{}); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-		if again := EncodeIngestRecord(label, before, got); !bytes.Equal(again, golden) {
-			t.Fatalf("%s: re-encoded to\n%x\nwant\n%x", tc.name, again, golden)
+		if _, err := fromBytes.AppendRecord(golden); err != nil {
+			t.Fatalf("%s: append record: %v", tc.name, err)
+		}
+		if _, err := fromBatch.AppendAt(tc.label, snap, tc.before); err != nil {
+			t.Fatalf("%s: append batch: %v", tc.name, err)
+		}
+		g1, _ := fromBytes.Graph()
+		g2, _ := fromBatch.Graph()
+		if !bytes.Equal(snapBytes(t, g1), snapBytes(t, g2)) {
+			t.Fatalf("%s: the record and the batch build different graphs", tc.name)
 		}
 	}
 }
 
 // TestIngestRecordOneByteForm: a batch whose nodes carry two attributes of
 // one kind encodes to one byte string, call after call, so the WAL, a
-// checkpoint and /v1/wal/stream carry the same bytes for it; and ordering
-// an attribute map's pairs allocates nothing.
+// checkpoint and /v1/wal/stream carry the same bytes for it.
 func TestIngestRecordOneByteForm(t *testing.T) {
 	snap := faultBatch(rand.New(rand.NewSource(1)))
-	want := EncodeIngestRecord("t0", "", snap)
+	want := stream.EncodeRecord("t0", "", snap)
 	for i := range 50 {
-		if got := EncodeIngestRecord("t0", "", snap); !bytes.Equal(got, want) {
+		if got := stream.EncodeRecord("t0", "", snap); !bytes.Equal(got, want) {
 			t.Fatalf("encode %d: %x, want %x", i, got, want)
 		}
-	}
-	e := &enc{b: make([]byte, 0, 256)}
-	m := snap.Nodes[0].Static
-	if n := testing.AllocsPerRun(100, func() { e.b = e.b[:0]; writeAttrMap(e, m) }); n != 0 {
-		t.Errorf("writeAttrMap allocates %.0f times per call, want 0", n)
 	}
 }

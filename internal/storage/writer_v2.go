@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"repro/internal/bitset"
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/dict"
 )
@@ -77,37 +78,37 @@ func writeSnapshotV2(w io.Writer, g *core.Graph, records [][]byte, coveredTxn in
 	// Meta sections, buffered so blob offsets are known before anything is
 	// written. bytes.Buffer writes cannot fail.
 	var meta bytes.Buffer
-	sec := func(id byte, fill func(*enc)) {
-		e := &enc{b: []byte{id}}
+	sec := func(id byte, fill func(*codec.Enc)) {
+		e := &codec.Enc{B: []byte{id}}
 		fill(e)
-		WriteFramedRecord(&meta, e.b)
+		WriteFramedRecord(&meta, e.B)
 	}
-	sec(secTimeline, func(e *enc) { e.strs(tl.Labels()) })
-	sec(secSchema, func(e *enc) {
-		e.uvarint(uint64(len(attrs)))
+	sec(secTimeline, func(e *codec.Enc) { e.Strs(tl.Labels()) })
+	sec(secSchema, func(e *codec.Enc) {
+		e.Uvarint(uint64(len(attrs)))
 		for i, a := range attrs {
-			e.str(a.Name)
-			e.byte(byte(a.Kind))
-			e.strs(g.Dict(core.AttrID(i)).Values())
+			e.Str(a.Name)
+			e.Byte(byte(a.Kind))
+			e.Strs(g.Dict(core.AttrID(i)).Values())
 		}
 	})
-	sec(secNodes, func(e *enc) {
-		e.uvarint(uint64(nNodes))
+	sec(secNodes, func(e *codec.Enc) {
+		e.Uvarint(uint64(nNodes))
 		for n := 0; n < nNodes; n++ {
-			e.str(g.NodeLabel(core.NodeID(n)))
+			e.Str(g.NodeLabel(core.NodeID(n)))
 		}
 	})
 	if len(records) > 0 {
-		sec(secSeries, func(e *enc) {
-			e.uvarint(uint64(len(records)))
+		sec(secSeries, func(e *codec.Enc) {
+			e.Uvarint(uint64(len(records)))
 			for _, r := range records {
-				e.uvarint(uint64(len(r)))
-				e.b = append(e.b, r...)
+				e.Uvarint(uint64(len(r)))
+				e.B = append(e.B, r...)
 			}
 		})
 	}
 	if coveredTxn > 0 {
-		sec(secTxnMeta, func(e *enc) { e.uvarint(uint64(coveredTxn)) })
+		sec(secTxnMeta, func(e *codec.Enc) { e.Uvarint(uint64(coveredTxn)) })
 	}
 
 	// Blobs, in a fixed order the reader re-derives from the meta sections.

@@ -132,9 +132,9 @@ func TestAppendAtValidation(t *testing.T) {
 	}
 }
 
-// TestReplayToPrefixesJournal checks ReplayTo(k) equals replaying the
-// first k journal records into a fresh series, for every k, across a
-// history with retroactive inserts.
+// TestReplayToPrefixesJournal checks ReplayTo(k) equals appending the
+// first k journal records, decoded, to the map-path Oracle, for every k,
+// across a history with retroactive inserts.
 func TestReplayToPrefixesJournal(t *testing.T) {
 	attrs, labels, snaps := paperSnapshots()
 	s := New(attrs...)
@@ -153,20 +153,17 @@ func TestReplayToPrefixesJournal(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ReplayTo(%d): %v", txn, err)
 		}
-		ref := New(attrs...)
+		ref := NewOracle(attrs...)
 		for _, e := range journal[:txn] {
-			if e.Before != "" {
-				if _, err := ref.AppendAt(e.Label, e.Snap, e.Before); err != nil {
-					t.Fatal(err)
-				}
-			} else if err := ref.Append(e.Label, e.Snap); err != nil {
+			label, before, snap, err := DecodeIngestRecord(e.Record)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ref.AppendAt(label, snap, before); err != nil {
 				t.Fatal(err)
 			}
 		}
-		want, err := ref.Graph()
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := ref.Graph()
 		if !bytes.Equal(graphDump(t, got), graphDump(t, want)) {
 			t.Fatalf("ReplayTo(%d) diverges from prefix replay:\n%s\nvs\n%s",
 				txn, graphDump(t, got), graphDump(t, want))

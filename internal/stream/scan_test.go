@@ -102,7 +102,7 @@ func TestPointIndexFollowsEveryPublication(t *testing.T) {
 			res, err := stream.Restore(g, journal[:txn], txn)
 			check(fmt.Sprintf("restore at txn %d", txn), nil, err)
 			for _, e := range journal[txn:] {
-				_, err := res.AppendAt(e.Label, e.Snap, e.Before)
+				_, err := res.AppendRecord(e.Record)
 				check(fmt.Sprintf("append to the series restored at txn %d", txn), nil, err)
 				g, err := res.Graph()
 				check(fmt.Sprintf("resumed from txn %d", txn), g, err)

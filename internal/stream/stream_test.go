@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 )
 
@@ -179,5 +180,15 @@ func TestSeriesConcurrentHammer(t *testing.T) {
 
 	if got, want := s.Len(), len(labels)+extra; got != want {
 		t.Fatalf("final Len = %d, want %d", got, want)
+	}
+}
+
+// TestWriteAttrMapAllocatesNothing: ordering an attribute map's pairs takes
+// a stack array, so encoding a record allocates its buffer only.
+func TestWriteAttrMapAllocatesNothing(t *testing.T) {
+	e := &codec.Enc{B: make([]byte, 0, 256)}
+	m := map[string]string{"b": "2", "a": "1", "c": "3"}
+	if n := testing.AllocsPerRun(100, func() { e.B = e.B[:0]; writeAttrMap(e, m) }); n != 0 {
+		t.Errorf("writeAttrMap allocates %.0f times per call, want 0", n)
 	}
 }
