@@ -247,9 +247,18 @@ func BenchmarkFig10MaterializedUnion(b *testing.B) {
 				graphtempo.Aggregate(graphtempo.Union(g, whole, whole), s, graphtempo.All)
 			}
 		})
+		// The linear reference: one map merge per point of the interval.
+		points := make([]*graphtempo.AggGraph, tl.Len())
+		for t := range points {
+			points[t] = store.UnionAll(tl.Point(graphtempo.Time(t)))
+		}
 		b.Run(attr+"-linear", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				store.UnionAllLinear(whole)
+				out := &graphtempo.AggGraph{Schema: s, Kind: graphtempo.All,
+					Nodes: map[agg.Tuple]int64{}, Edges: map[agg.EdgeKey]int64{}}
+				for _, p := range points {
+					out.Merge(p)
+				}
 			}
 		})
 		b.Run(attr+"-prefix", func(b *testing.B) {
@@ -437,26 +446,6 @@ func BenchmarkAblationCopyVsView(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			u := ga.Union(iv, iv)
 			u.Aggregate([]string{"gender", "publications"}, true)
-		}
-	})
-}
-
-// BenchmarkAblationStaticFastPath measures what the §4.2 static-only fast
-// path buys over the general per-time-point path.
-func BenchmarkAblationStaticFastPath(b *testing.B) {
-	g, _ := benchGraphs(b)
-	tl := g.Timeline()
-	whole := tl.All()
-	s := mustSchema(b, g, "gender")
-	v := graphtempo.Union(g, whole, whole)
-	b.Run("fast-path", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			graphtempo.Aggregate(v, s, graphtempo.All)
-		}
-	})
-	b.Run("general-path", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			agg.AggregateGeneral(v, s, agg.All)
 		}
 	})
 }
@@ -1151,26 +1140,48 @@ func contactsStream(days int) ([]core.AttrSpec, []server.IngestRequest) {
 	return attrs, out
 }
 
-// BenchmarkReplayTo times Series.ReplayTo on ingest_audit's 1,132-day
-// contacts stream: to txn 283, the deepest cold AS OF pin the workload
-// draws (its pins come from the oldest quarter, below the newest
-// checkpoint, so Engine.ReplayTo replays the journal), and to the head.
+// BenchmarkReplayTo times Series.ReplayTo on ingest_audit's contacts
+// stream, materialized after every ingest as the server does: at 1x history
+// (1,132 days), to txn 283, the deepest cold AS OF pin the workload draws
+// (its pins come from the oldest quarter, below the newest checkpoint), and
+// to the head; at 4x history, to txn 283 again. Each row reports the
+// anchors the series keeps, their estimated size and the live heap.
 func BenchmarkReplayTo(b *testing.B) {
-	attrs, days := contactsStream(1132)
-	s := stream.New(attrs...)
-	for _, d := range days {
-		if err := s.Append(d.Label, stream.Snapshot{Nodes: d.Nodes, Edges: d.Edges}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	days = nil
-	for _, txn := range []int{283, 1132} {
-		b.Run(strconv.Itoa(txn), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.ReplayTo(txn); err != nil {
+	for _, mult := range []int{1, 4} {
+		b.Run(fmt.Sprintf("history=%dx", mult), func(b *testing.B) {
+			attrs, days := contactsStream(1132 * mult)
+			s := stream.New(attrs...)
+			for _, d := range days {
+				if err := s.Append(d.Label, stream.Snapshot{Nodes: d.Nodes, Edges: d.Edges}); err != nil {
 					b.Fatal(err)
 				}
+				if _, err := s.Graph(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			days = nil
+			txns := []int{283, 1132}
+			if mult > 1 {
+				txns = txns[:1]
+			}
+			for _, txn := range txns {
+				b.Run(strconv.Itoa(txn), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := s.ReplayTo(txn); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StopTimer()
+					runtime.GC()
+					runtime.GC()
+					var ms runtime.MemStats
+					runtime.ReadMemStats(&ms)
+					st := s.Anchors()
+					b.ReportMetric(float64(st.Count), "anchors")
+					b.ReportMetric(float64(st.Bytes)/(1<<20), "anchor_mb")
+					b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "live_heap_mb")
+				})
 			}
 		})
 	}

@@ -416,14 +416,6 @@ func AggregateMap(v *ops.View, s *Schema, kind Kind) *Graph {
 	return mapAggregate(v, s, kind, s.allStatic)
 }
 
-// AggregateGeneral computes the same result as Aggregate but always takes
-// the general per-time-point path, even for all-static schemas. It exists
-// to measure what the §4.2 static fast path buys (the static-fast-path
-// ablation benchmark); library code should call Aggregate.
-func AggregateGeneral(v *ops.View, s *Schema, kind Kind) *Graph {
-	return mapAggregate(v, s, kind, false)
-}
-
 // mapAggregate is the map engine, on its §4.2 static path when static is set.
 func mapAggregate(v *ops.View, s *Schema, kind Kind, static bool) *Graph {
 	s.owns(v)

@@ -3,15 +3,49 @@ package agg
 import (
 	"context"
 	"math/rand"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/gtest"
 	"repro/internal/ops"
 	"repro/internal/timeline"
 )
+
+// AggregateGeneral computes the same result as Aggregate but always takes
+// the general per-time-point path, even for all-static schemas: the
+// reference for the §4.2 static fast path.
+func AggregateGeneral(v *ops.View, s *Schema, kind Kind) *Graph {
+	return mapAggregate(v, s, kind, false)
+}
+
+// BenchmarkAblationStaticFastPath measures what the §4.2 static-only fast
+// path buys over the general per-time-point path, on DBLP ×0.25 (or
+// GT_BENCH_SCALE).
+func BenchmarkAblationStaticFastPath(b *testing.B) {
+	scale := 0.25
+	if v, err := strconv.ParseFloat(os.Getenv("GT_BENCH_SCALE"), 64); err == nil && v > 0 {
+		scale = v
+	}
+	g := dataset.DBLPScaled(1, scale)
+	whole := g.Timeline().All()
+	s := MustSchema(g, g.MustAttr("gender"))
+	v := ops.Union(g, whole, whole)
+	b.Run("fast-path", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Aggregate(v, s, All)
+		}
+	})
+	b.Run("general-path", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			AggregateGeneral(v, s, All)
+		}
+	})
+}
 
 func TestKindAndMeasureStrings(t *testing.T) {
 	if Distinct.String() != "DIST" || All.String() != "ALL" {

@@ -30,16 +30,6 @@ func (ix *sharedIndex) nodeByLabel(label string, bound int) (NodeID, bool) {
 	return n, true
 }
 
-func (ix *sharedIndex) edgeByEndpoints(key Endpoints, bound int) (EdgeID, bool) {
-	ix.mu.RLock()
-	e, ok := ix.edges[key]
-	ix.mu.RUnlock()
-	if !ok || int(e) >= bound {
-		return 0, false
-	}
-	return e, true
-}
-
 // Accumulator grows a temporal attributed graph one time point at a time
 // and hands out immutable Graph snapshots between appends — the O(batch)
 // counterpart of replaying the whole history through a Builder.

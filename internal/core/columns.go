@@ -32,8 +32,8 @@ type Columns struct {
 // in range (checkRanges), node labels are distinct — in one pass over each
 // column and without copying any. The model rules that need every τ pair or
 // an O(E) hash build (non-empty timestamps, edges within endpoint lifetimes,
-// distinct edges) are Validate's, which also builds the endpoints → id
-// index EdgeByEndpoints reads.
+// distinct edges) are Validate's, which also builds the label and
+// endpoints indexes.
 func FromColumns(c Columns) (*Graph, error) {
 	if c.Timeline == nil {
 		return nil, fmt.Errorf("core: FromColumns requires a timeline")

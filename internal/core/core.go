@@ -181,15 +181,6 @@ func (g *Graph) NodeTau(n NodeID) *bitset.Set { return g.nodeTau[n] }
 // Edge returns the endpoints of edge e.
 func (g *Graph) Edge(e EdgeID) Endpoints { return g.edges[e] }
 
-// EdgeByEndpoints returns the edge (u, v), if present.
-func (g *Graph) EdgeByEndpoints(u, v NodeID) (EdgeID, bool) {
-	if g.shared != nil {
-		return g.shared.edgeByEndpoints(Endpoints{u, v}, len(g.edges))
-	}
-	e, ok := g.edgeIndex[Endpoints{u, v}]
-	return e, ok
-}
-
 // EdgeTau returns τe(e): the bitset of time points at which edge e exists.
 // The caller must not modify it.
 func (g *Graph) EdgeTau(e EdgeID) *bitset.Set { return g.edgeTau[e] }

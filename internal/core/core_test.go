@@ -1,11 +1,18 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/dict"
 	"repro/internal/timeline"
 )
+
+// EdgeByEndpoints returns the edge (u, v), if present.
+func (g *Graph) EdgeByEndpoints(u, v NodeID) (EdgeID, bool) {
+	e := slices.Index(g.edges, Endpoints{u, v})
+	return EdgeID(e), e >= 0
+}
 
 func TestBuilderBasics(t *testing.T) {
 	tl := timeline.MustNew("t0", "t1")

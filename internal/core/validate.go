@@ -18,7 +18,7 @@ import (
 //   - every attribute code lies in [dict.None, |domain|).
 //
 // The uniqueness pass leaves the label → id and endpoints → id indexes
-// built; EdgeByEndpoints reads the latter.
+// built: NodeByLabel reads the former, the latter marks the edges checked.
 func (g *Graph) Validate() error {
 	if err := g.checkRanges(); err != nil {
 		return err

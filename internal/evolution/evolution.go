@@ -159,11 +159,6 @@ func addClass(w *Weights, c0, c1 int64, kind agg.Kind) {
 // NodeWeights returns the weight triple of the aggregate node for tu.
 func (a *Agg) NodeWeights(tu agg.Tuple) Weights { return a.Nodes[tu] }
 
-// EdgeWeights returns the weight triple of the aggregate edge (from, to).
-func (a *Agg) EdgeWeights(from, to agg.Tuple) Weights {
-	return a.Edges[agg.EdgeKey{From: from, To: to}]
-}
-
 // SortedNodes returns the tuple keys in the aggregate graphs' wire order.
 func (a *Agg) SortedNodes() []agg.Tuple { return agg.SortedTuples(a.Schema, a.Nodes) }
 

@@ -8,6 +8,11 @@ import (
 	"repro/internal/core"
 )
 
+// EdgeWeights returns the weight triple of the aggregate edge (from, to).
+func (a *Agg) EdgeWeights(from, to agg.Tuple) Weights {
+	return a.Edges[agg.EdgeKey{From: from, To: to}]
+}
+
 func TestClassStrings(t *testing.T) {
 	if Stability.String() != "St" || Growth.String() != "Gr" || Shrinkage.String() != "Shr" {
 		t.Error("Class strings wrong")

@@ -144,22 +144,6 @@ func (st *Store) UnionAll(iv timeline.Interval) *agg.Graph {
 	return st.composer().compose(iv)
 }
 
-// UnionAllLinear is the reference composition: merge the per-point
-// map-based aggregates one at a time, O(|interval|) map merges. The dense
-// engine is cross-checked against it.
-func (st *Store) UnionAllLinear(iv timeline.Interval) *agg.Graph {
-	out := &agg.Graph{
-		Schema: st.schema,
-		Kind:   agg.All,
-		Nodes:  make(map[agg.Tuple]int64),
-		Edges:  make(map[agg.EdgeKey]int64),
-	}
-	for _, t := range iv.Times() {
-		out.Merge(st.perPoint[t])
-	}
-	return out
-}
-
 // PointSubset derives the aggregate of base time point t on a subset of
 // the store's attributes by D-distributive roll-up. At a single time
 // point the roll-up is exact for both kinds; the result carries the
@@ -224,11 +208,6 @@ type Stats struct {
 
 	// Stores is the number of materialized per-time-point stores.
 	Stores int
-}
-
-// Answered returns the total number of answered requests.
-func (s Stats) Answered() int64 {
-	return s.Scratch + s.Cached + s.TDistributive + s.DDistributive
 }
 
 // catEntry is a cached query result together with how it was derived.

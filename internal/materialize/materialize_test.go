@@ -14,6 +14,27 @@ import (
 	"repro/internal/timeline"
 )
 
+// UnionAllLinear is the reference composition: merge the per-point
+// map-based aggregates one at a time, O(|interval|) map merges. The dense
+// engine is cross-checked against it.
+func (st *Store) UnionAllLinear(iv timeline.Interval) *agg.Graph {
+	out := &agg.Graph{
+		Schema: st.schema,
+		Kind:   agg.All,
+		Nodes:  make(map[agg.Tuple]int64),
+		Edges:  make(map[agg.EdgeKey]int64),
+	}
+	for _, t := range iv.Times() {
+		out.Merge(st.perPoint[t])
+	}
+	return out
+}
+
+// Answered returns the total number of answered requests.
+func (s Stats) Answered() int64 {
+	return s.Scratch + s.Cached + s.TDistributive + s.DDistributive
+}
+
 func TestUnionAllComposition(t *testing.T) {
 	g := core.PaperExample()
 	tl := g.Timeline()

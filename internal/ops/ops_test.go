@@ -11,6 +11,16 @@ import (
 )
 
 // viewNodes returns the labels of a view's nodes, sorted.
+// edgeByEndpoints returns the edge (u, v) of g, if present.
+func edgeByEndpoints(g *core.Graph, u, v core.NodeID) (core.EdgeID, bool) {
+	for e := range g.NumEdges() {
+		if g.Edge(core.EdgeID(e)) == (core.Endpoints{U: u, V: v}) {
+			return core.EdgeID(e), true
+		}
+	}
+	return 0, false
+}
+
 func viewNodes(v *View) []string {
 	var out []string
 	v.ForEachNode(func(n core.NodeID) { out = append(out, v.Graph().NodeLabel(n)) })
@@ -325,7 +335,7 @@ func TestEdgeTimesRestricted(t *testing.T) {
 	v := Union(g, tl.Point(0), tl.Point(1))
 	u2, _ := g.NodeByLabel("u2")
 	u4, _ := g.NodeByLabel("u4")
-	e, ok := g.EdgeByEndpoints(u2, u4)
+	e, ok := edgeByEndpoints(g, u2, u4)
 	if !ok {
 		t.Fatal("edge (u2,u4) missing")
 	}

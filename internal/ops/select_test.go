@@ -72,7 +72,7 @@ func TestDifferenceViewForAllNeg(t *testing.T) {
 	// that existed only at t1 would be kept.
 	u1, _ := g.NodeByLabel("u1")
 	u4, _ := g.NodeByLabel("u4")
-	if _, ok := g.EdgeByEndpoints(u1, u4); !ok {
+	if _, ok := edgeByEndpoints(g, u1, u4); !ok {
 		t.Fatal("fixture edge (u1,u4) missing")
 	}
 	// (u1,u4) exists only at t1: not at t2, so not part of either view.

@@ -236,6 +236,13 @@ func TestAsOfLifecycleStorage(t *testing.T) {
 			t.Errorf("metrics missing %s", name)
 		}
 	}
+	// Each pin below the head (txns 1..3) left its state as an anchor: four
+	// transactions keep the finest spacing.
+	for _, line := range []string{"graphtempod_history_anchors 3\n", "graphtempod_history_anchor_spacing 1\n", "graphtempod_history_anchor_bytes "} {
+		if !strings.Contains(string(data), line) {
+			t.Errorf("metrics missing %q:\n%s", line, grepMetrics(string(data), "anchor"))
+		}
+	}
 }
 
 // TestAsOfStaticModeRejected: a static dataset has no transaction log;

@@ -11,9 +11,10 @@ import (
 )
 
 // This file implements plan.HistoryResolver over the server's transaction
-// log: AS OF queries reconstruct the graph as of a WAL position (durable
-// mode replays snapshot + partial WAL; plain stream mode replays the
-// in-memory journal), VALID DURING restrictions window a base state. Every
+// log: AS OF queries reconstruct the graph as of a transaction — in durable
+// and plain stream mode alike, the series resumes its nearest in-memory
+// anchor at or below it and folds in the journal's records after that —
+// and VALID DURING restrictions window a base state. Every
 // reconstructed state is a plan.State with its own catalog and plan cache,
 // so repeated audit queries against one position are as cheap as queries
 // against the head, and all of it sits behind a byte-budgeted LRU:
@@ -69,17 +70,6 @@ func (s *Server) histDo(key string, build func() (*core.Graph, error)) (*plan.St
 	return st, err
 }
 
-// replayTo reconstructs the graph as of transaction txn. Durable mode uses
-// the engine's bounded replay (snapshot resume + partial WAL when the
-// covered prefix allows it); plain stream mode replays the series journal.
-func (s *Server) replayTo(txn int) (*core.Graph, error) {
-	if s.storage != nil {
-		g, _, err := s.storage.ReplayTo(txn)
-		return g, err
-	}
-	return s.series.ReplayTo(txn)
-}
-
 // StateAt implements plan.HistoryResolver: the serving state as of
 // transaction txn. Txn 0 (and the current watermark) resolve to the live
 // head state itself, so AS OF <head> costs nothing extra and is
@@ -105,7 +95,7 @@ func (s *Server) StateAt(txn int) (*plan.State, error) {
 		return nil, fmt.Errorf("transaction %d is out of range [1, %d]", txn, head)
 	}
 	return s.histDo("txn="+strconv.Itoa(txn), func() (*core.Graph, error) {
-		return s.replayTo(txn)
+		return s.series.ReplayTo(txn)
 	})
 }
 

@@ -308,6 +308,7 @@ func (s *Server) catalogStats() materialize.Stats {
 //	graphtempod_ingested_points                 gauge (stream mode)
 //	graphtempod_catalog_delta_applies_total     counter (stream mode)
 //	graphtempod_catalog_full_rebuilds_total     counter (stream mode)
+//	graphtempod_history_anchor{s,_spacing,_bytes} gauges (stream mode)
 //	graphtempod_uptime_seconds                  gauge
 //
 // With durable storage (stream mode + -data-dir) the persistence family is
@@ -413,6 +414,12 @@ func (s *Server) registerMetrics() {
 			func() float64 { return float64(s.hist.Stats().Entries) })
 		r.GaugeFunc("graphtempod_history_cache_bytes", "Approximate bytes of reconstructed historical states.",
 			func() float64 { return float64(s.hist.Stats().Bytes) })
+		r.GaugeFunc("graphtempod_history_anchors", "Graphs the series keeps for AS OF replays to resume from.",
+			func() float64 { return float64(s.series.Anchors().Count) })
+		r.GaugeFunc("graphtempod_history_anchor_spacing", "Transactions between the anchors the series keeps.",
+			func() float64 { return float64(s.series.Anchors().Spacing) })
+		r.GaugeFunc("graphtempod_history_anchor_bytes", "Estimated bytes the anchors hold apart: each one's timestamp arrays and the bitsets changed since the anchor before it.",
+			func() float64 { return float64(s.series.Anchors().Bytes) })
 		r.RegisterCounter("graphtempod_catalog_full_rebuilds_total",
 			"Serving snapshots replaced by a from-scratch rebuild after the initial build.",
 			&s.fullRebuilds)

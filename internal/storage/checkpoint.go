@@ -86,9 +86,7 @@ func (e *Engine) startCheckpoint() (*cut, error) {
 }
 
 // writeCheckpoint writes, verifies and garbage-collects behind the
-// snapshot cp captured (steps 1–4 of startCheckpoint). It must not be
-// called with e.mu held: the previous cut's write takes it to publish its
-// watermark.
+// snapshot cp captured (steps 1–4 of startCheckpoint).
 func (e *Engine) writeCheckpoint(cp *cut) error {
 	defer close(cp.done)
 	if cp.prev != nil {
@@ -113,10 +111,6 @@ func (e *Engine) writeCheckpoint(cp *cut) error {
 		e.fs.Remove(path)
 		return err
 	}
-	e.mu.Lock()
-	e.snapGen, e.snapTxn = cp.gen, txn
-	e.mu.Unlock()
-
 	e.gcBefore(cp.gen)
 	elapsed := cp.took + time.Since(start)
 	e.ctr.checkpoints.Add(1)

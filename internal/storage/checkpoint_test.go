@@ -183,16 +183,20 @@ func contactsDir(b *testing.B, dir string, days, checkpointAt int) *Engine {
 	return e
 }
 
-// BenchmarkCheckpoint times one checkpoint of a 1,024-day history: the
-// snapshot write and its verification.
+// BenchmarkCheckpoint times one checkpoint of a 1,024-day (1x) and a
+// 4,096-day (4x) history: the snapshot write and its verification.
 func BenchmarkCheckpoint(b *testing.B) {
-	e := contactsDir(b, b.TempDir(), 1024, 0)
-	defer e.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := e.Checkpoint(); err != nil {
-			b.Fatal(err)
-		}
+	for _, mult := range []int{1, 4} {
+		b.Run(fmt.Sprintf("history=%dx", mult), func(b *testing.B) {
+			e := contactsDir(b, b.TempDir(), 1024*mult, 0)
+			defer e.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := e.Checkpoint(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

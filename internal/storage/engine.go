@@ -96,13 +96,6 @@ type Engine struct {
 	failed     error         // the ErrWAL every append returns after a WAL write or sync failed
 	lastCut    chan struct{} // closed when the newest checkpoint's write is done; nil before the first
 
-	// Transaction-time watermarks of the newest usable snapshot: its file
-	// generation and the number of leading journal entries it covers.
-	// ReplayTo reconstructs txn >= snapTxn as snapshot + partial replay of
-	// journal[snapTxn:txn] instead of a full replay.
-	snapGen uint64
-	snapTxn int
-
 	// Group commit (FsyncAlways): concurrent appends coalesce into one
 	// fsync. A leader syncs the WAL for every record appended so far;
 	// followers wait until the durable watermark covers their record.
@@ -207,8 +200,9 @@ func (e *Engine) AppendAt(label string, snap stream.Snapshot, before string) (in
 }
 
 // AppendRecord durably ingests one record: it checks it, appends it to the
-// WAL, applies it to the series, and — under FsyncAlways — syncs before
-// returning; the lock held from check to apply keeps the verdict true. A
+// WAL, applies the check's verdict to the series, and — under FsyncAlways —
+// syncs before returning. The lock held from check to apply serializes
+// every mutator, so the series applies the verdict without checking again. A
 // replica appends the primary's records with it, so its WAL logs them
 // verbatim. The append that fills the active segment to
 // Options.CheckpointRecords cuts a checkpoint at its own txn.
@@ -224,10 +218,11 @@ func (e *Engine) AppendAt(label string, snap stream.Snapshot, before string) (in
 func (e *Engine) AppendRecord(rec []byte) (int, error) {
 	e.mu.Lock()
 	err := e.failed
+	var v stream.Verdict
 	if e.closed {
 		err = fmt.Errorf("storage: engine closed")
 	} else if err == nil {
-		err = e.series.CheckRecord(rec)
+		v, err = e.series.CheckRecord(rec)
 	}
 	if err != nil {
 		e.mu.Unlock()
@@ -236,7 +231,7 @@ func (e *Engine) AppendRecord(rec []byte) (int, error) {
 	n, err := e.wal.append(rec)
 	at := 0
 	if err == nil {
-		at, err = e.series.AppendRecord(rec)
+		at, err = e.series.Apply(v)
 	}
 	if err != nil {
 		err = e.fail(err)

@@ -92,8 +92,6 @@ func (e *Engine) recover(attrs []core.AttrSpec) error {
 		}
 		e.recovery.SnapshotGeneration = snapGen
 		e.recovery.SnapshotPoints = e.series.Len()
-		e.snapGen = snapGen
-		e.snapTxn = loaded.CoveredTxn()
 	} else {
 		e.series = stream.New(attrs...)
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -14,11 +16,11 @@ import (
 )
 
 // This file is the bi-temporal equivalence oracle: every AS OF
-// reconstruction the engine performs (snapshot + partial WAL replay when
-// the covered-txn watermark allows, full-log replay otherwise) must be
-// byte-identical — under the canonical snapshot serialization — to the
-// naive oracle that replays the first txn journal records into a fresh
-// series. The oracle runs over synthetic DBLP at three scales, seeded
+// reconstruction the engine performs (an in-memory anchor resumed, with the
+// records after it folded in, or a replay from the first record when no
+// anchor lies below) must be byte-identical — under the canonical snapshot
+// serialization — to the naive oracle that replays the first txn journal
+// records into a fresh series. The oracle runs over synthetic DBLP at three scales, seeded
 // random series, and retroactive-ingest histories.
 
 // snapBytes canonicalizes a graph as its binary snapshot encoding.
@@ -50,10 +52,11 @@ func oracleReplay(t *testing.T, attrs []core.AttrSpec, journal []stream.JournalE
 
 // assertReplayMatchesOracle sweeps the given transactions and compares the
 // engine's reconstruction against the oracle byte for byte. It returns how
-// many reconstructions took the snapshot-resume fast path. Every graph it
-// sees — the engine's live one (recovered, when the engine was reopened) and
-// each reconstruction, resumed from a snapshot's lazy columns or replayed —
-// must carry a point index equal to the transpose of its τ.
+// many reconstructions resumed from an anchor. Every graph it sees — the
+// engine's live one (recovered, when the engine was reopened) and each
+// reconstruction, resumed from an anchor (a snapshot's lazy columns, after a
+// reopen) or replayed — must carry a point index equal to the transpose of
+// its τ.
 func assertReplayMatchesOracle(t *testing.T, e *Engine, attrs []core.AttrSpec, txns []int) int {
 	t.Helper()
 	journal := e.Series().Journal()
@@ -68,16 +71,16 @@ func assertReplayMatchesOracle(t *testing.T, e *Engine, attrs []core.AttrSpec, t
 		if err != nil {
 			t.Fatalf("ReplayTo(%d): %v", txn, err)
 		}
-		if st.FromSnapshot {
+		if st.AnchorTxn > 0 {
 			resumed++
 		}
 		if err := gtest.PointIndexError(g); err != nil {
-			t.Fatalf("ReplayTo(%d) (from_snapshot=%v): point index: %v", txn, st.FromSnapshot, err)
+			t.Fatalf("ReplayTo(%d) (%+v): point index: %v", txn, st, err)
 		}
 		want := snapBytes(t, oracleReplay(t, attrs, journal, txn))
 		if got := snapBytes(t, g); !bytes.Equal(got, want) {
-			t.Fatalf("ReplayTo(%d) diverges from full-replay oracle (%d vs %d bytes, from_snapshot=%v)",
-				txn, len(got), len(want), st.FromSnapshot)
+			t.Fatalf("ReplayTo(%d) diverges from full-replay oracle (%d vs %d bytes, %+v)",
+				txn, len(got), len(want), st)
 		}
 	}
 	return resumed
@@ -132,8 +135,9 @@ func graphBatches(g *core.Graph) (attrs []core.AttrSpec, labels []string, snaps 
 
 // TestReplayToOracleDBLP replays the synthetic DBLP stream at three scales
 // and checks point-in-time reconstruction against the oracle at several
-// transactions, with a mid-stream checkpoint so both the snapshot-resume
-// and the full-replay paths are exercised.
+// transactions, with a mid-stream checkpoint; each reconstruction keeps the
+// states it passes as anchors, so both the anchor-resume and the
+// full-replay paths are exercised.
 func TestReplayToOracleDBLP(t *testing.T) {
 	for _, scale := range []float64{0.01, 0.02, 0.04} {
 		scale := scale
@@ -158,7 +162,7 @@ func TestReplayToOracleDBLP(t *testing.T) {
 			n := len(labels)
 			resumed := assertReplayMatchesOracle(t, e, attrs, []int{1, n / 4, n / 2, 3 * n / 4, n})
 			if resumed == 0 {
-				t.Fatalf("no reconstruction took the snapshot-resume path despite a mid-stream checkpoint")
+				t.Fatalf("no reconstruction resumed from an anchor an earlier one kept")
 			}
 		})
 	}
@@ -269,21 +273,157 @@ func TestReplayToSurvivesCrashRestart(t *testing.T) {
 			t.Fatalf("recovered entry %d (%s) carries record %x, want %x", i, j.Label, j.Record, want.Record)
 		}
 	}
-	txns := []int{1, 3, 6, 7, 10, 11}
-	resumed := assertReplayMatchesOracle(t, e2, testAttrs, txns)
-	// txn 7..11 sit on the snapshot (covers 6); txn 11's delta carries the
-	// retroactive record, which the resumed series folds in as ingest did.
-	if resumed != 4 {
-		t.Fatalf("%d post-checkpoint reconstructions used the snapshot, want 4", resumed)
-	}
+	// The reopened engine's one anchor is the snapshot (covers 6): txn 11
+	// resumes from it, and its delta carries the retroactive record, which
+	// the fold applies as ingest did.
 	g, st, err := e2.ReplayTo(11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (ReplayStats{FromSnapshot: true, SnapshotTxn: 6, Replayed: 5}); st != want {
+	if want := (ReplayStats{AnchorTxn: 6, Replayed: 5}); st != want {
 		t.Fatalf("retroactive delta: %+v, want %+v", st, want)
+	}
+	// That replay kept txns 7..11 as anchors; only txn 1 has none below it.
+	txns := []int{1, 3, 6, 7, 10, 11}
+	if resumed := assertReplayMatchesOracle(t, e2, testAttrs, txns); resumed != 5 {
+		t.Fatalf("%d reconstructions resumed from an anchor, want 5", resumed)
 	}
 	if g.Timeline().Len() != 11 {
 		t.Fatalf("head reconstruction has %d points, want 11", g.Timeline().Len())
+	}
+}
+
+// TestReplayToFromAnchorsMatchesScratch is the durable arm of the stream
+// package's test of the same name: seeded random histories of tail
+// appends, retroactive inserts, batches that introduce nodes (some inserted
+// retroactively, which renumbers), refused batches, materializations and
+// checkpoints, long enough to double the anchor spacing twice; every
+// transaction, in random order, must equal the replay from the first
+// record — on the engine that ingested them and on one reopened without
+// Close, whose first anchor is its snapshot.
+func TestReplayToFromAnchorsMatchesScratch(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			r := rand.New(rand.NewSource(seed))
+			dir := t.TempDir()
+			e := openTestEngine(t, dir, Options{Fsync: FsyncAlways, CheckpointRecords: -1, Logger: quiet})
+			var labels []string
+			for i := 0; len(labels) < 150; i++ {
+				label, before := fmt.Sprintf("p%d", i), ""
+				var snap stream.Snapshot
+				for _, j := range r.Perm(4 + i/3)[:1+r.Intn(4)] {
+					node := fmt.Sprintf("n%d", j)
+					snap.Nodes = append(snap.Nodes, stream.NodeRecord{Label: node,
+						Static: map[string]string{"gender": string("fm"[j%2])}, Varying: map[string]string{"pubs": fmt.Sprint(r.Intn(5))}})
+				}
+				switch r.Intn(8) {
+				case 0, 1:
+					if len(labels) > 0 {
+						before = labels[r.Intn(len(labels))]
+					}
+				case 2:
+					if len(labels) > 0 {
+						label = labels[r.Intn(len(labels))] // refused: the label is taken
+					}
+				case 3:
+					snap.Edges = append(snap.Edges, stream.EdgeRecord{U: snap.Nodes[0].Label, V: "absent"}) // refused
+				}
+				at, err := e.AppendAt(label, snap, before)
+				if err != nil {
+					continue
+				}
+				labels = slices.Insert(labels, at, label)
+				switch r.Intn(6) {
+				case 0:
+					if err := e.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				case 1, 2, 3:
+					if _, err := e.Series().Graph(); err != nil { // as the server does after an ingest
+						t.Fatal(err)
+					}
+				}
+			}
+			sweep := func(e *Engine) {
+				t.Helper()
+				journal := e.Series().Journal()
+				resumed := 0
+				for _, i := range r.Perm(len(journal)) {
+					g, st, err := e.ReplayTo(i + 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(snapBytes(t, g), snapBytes(t, oracleReplay(t, testAttrs, journal, i+1))) {
+						t.Fatalf("ReplayTo(%d) (%+v) differs from the replay from the first record", i+1, st)
+					}
+					if st.AnchorTxn > 0 {
+						resumed++
+					}
+				}
+				if st := e.Series().Anchors(); st.Spacing < 4 || st.Count > 33 || resumed < len(journal)/2 {
+					t.Fatalf("%+v after %d transactions, %d resumed", st, len(journal), resumed)
+				}
+			}
+			sweep(e)
+			// No Close: the reopened engine recovers from the files alone.
+			e2 := openTestEngine(t, dir, Options{Fsync: FsyncAlways, CheckpointRecords: -1, Logger: quiet})
+			defer e2.Close()
+			if st := e2.Series().Anchors(); st.Count != 1 {
+				t.Fatalf("reopened engine has %d anchors, want its snapshot's 1", st.Count)
+			}
+			sweep(e2)
+			if st := e2.Series().Anchors(); st.Spacing != 8 {
+				t.Fatalf("%d transactions keep spacing %d, want 8", e2.Series().Txn(), st.Spacing)
+			}
+
+			// Replays racing appends on the reopened engine, which resume
+			// from its snapshot and its replays' anchors while the appends
+			// double the spacing and drop anchors (run with -race).
+			journal := e2.Series().Journal()
+			want := make([][]byte, len(journal)+1)
+			for txn := 1; txn <= len(journal); txn++ {
+				want[txn] = snapBytes(t, oracleReplay(t, testAttrs, journal, txn))
+			}
+			errs := make(chan error, 3)
+			var wg sync.WaitGroup
+			for w := range 3 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					r := rand.New(rand.NewSource(seed*10 + int64(w)))
+					n := 60
+					if w == 0 {
+						n = 110 // past 256 entries: the spacing doubles to 16 mid-race
+					}
+					for i := 0; i < n; i++ {
+						if w == 0 {
+							label, snap := testBatch(1000 + i)
+							if _, err := e2.AppendAt(label, snap, ""); err != nil {
+								errs <- err
+								return
+							}
+							continue
+						}
+						txn := 1 + r.Intn(len(journal))
+						g, _, err := e2.ReplayTo(txn)
+						if err == nil && !bytes.Equal(snapBytes(t, g), want[txn]) {
+							err = fmt.Errorf("racing ReplayTo(%d) differs from the replay from the first record", txn)
+						}
+						if err != nil {
+							errs <- err
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			if st := e2.Series().Anchors(); st.Spacing != 16 {
+				t.Fatalf("%d transactions keep spacing %d, want 16", e2.Series().Txn(), st.Spacing)
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"io"
@@ -75,13 +74,29 @@ func writeSnapshotV2(w io.Writer, g *core.Graph, records [][]byte, coveredTxn in
 	attrs := g.Attrs()
 	wordsPerTau := (T + 63) / 64
 
-	// Meta sections, buffered so blob offsets are known before anything is
-	// written. bytes.Buffer writes cannot fail.
-	var meta bytes.Buffer
+	// The file is gathered piece by piece and written at the end, so blob
+	// offsets are known first and no piece is copied into another: a
+	// frame's length and CRC32C are summed over its payload's pieces.
+	var out [][]byte
+	size := 0
+	put := func(pieces ...[]byte) {
+		for _, p := range pieces {
+			out, size = append(out, p), size+len(p)
+		}
+	}
+	frame := func(payload ...[]byte) {
+		n, crc := 0, uint32(0)
+		for _, p := range payload {
+			n, crc = n+len(p), crc32.Update(crc, castagnoli, p)
+		}
+		put(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, uint32(n)), crc))
+		put(payload...)
+	}
+	put(binary.LittleEndian.AppendUint16([]byte(snapMagic), formatVersion))
 	sec := func(id byte, fill func(*codec.Enc)) {
 		e := &codec.Enc{B: []byte{id}}
 		fill(e)
-		WriteFramedRecord(&meta, e.B)
+		frame(e.B)
 	}
 	sec(secTimeline, func(e *codec.Enc) { e.Strs(tl.Labels()) })
 	sec(secSchema, func(e *codec.Enc) {
@@ -99,13 +114,18 @@ func writeSnapshotV2(w io.Writer, g *core.Graph, records [][]byte, coveredTxn in
 		}
 	})
 	if len(records) > 0 {
-		sec(secSeries, func(e *codec.Enc) {
-			e.Uvarint(uint64(len(records)))
-			for _, r := range records {
-				e.Uvarint(uint64(len(r)))
-				e.B = append(e.B, r...)
-			}
-		})
+		// The records go out from the journal's own bytes, each behind its
+		// length prefix; the prefixes share one buffer, sized up front so
+		// that appending never moves the ones already sliced.
+		pre := make([]byte, 0, 1+binary.MaxVarintLen64*(1+len(records)))
+		pre = binary.AppendUvarint(append(pre, secSeries), uint64(len(records)))
+		pieces := [][]byte{pre}
+		for _, r := range records {
+			at := len(pre)
+			pre = binary.AppendUvarint(pre, uint64(len(r)))
+			pieces = append(pieces, pre[at:], r)
+		}
+		frame(pieces...)
 	}
 	if coveredTxn > 0 {
 		sec(secTxnMeta, func(e *codec.Enc) { e.Uvarint(uint64(coveredTxn)) })
@@ -160,7 +180,7 @@ func writeSnapshotV2(w io.Writer, g *core.Graph, records [][]byte, coveredTxn in
 	// Lay the blob area out after the framed part: header + meta + blob
 	// directory record + end record, rounded up to alignment.
 	dirPayloadLen := 1 + 4 + 8 + len(entries)*blobDirEntryLen
-	framedLen := 10 + meta.Len() + (8 + dirPayloadLen) + (8 + 1)
+	framedLen := size + (8 + dirPayloadLen) + (8 + 1)
 	blobStart := align8(framedLen)
 	off := blobStart
 	for i := range entries {
@@ -169,15 +189,6 @@ func writeSnapshotV2(w io.Writer, g *core.Graph, records [][]byte, coveredTxn in
 	}
 	fileSize := off
 
-	var hdr [10]byte
-	copy(hdr[:8], snapMagic)
-	binary.LittleEndian.PutUint16(hdr[8:10], formatVersion)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := meta.WriteTo(w); err != nil {
-		return err
-	}
 	dir := make([]byte, 0, dirPayloadLen)
 	dir = append(dir, secBlobDir)
 	dir = binary.LittleEndian.AppendUint32(dir, uint32(len(entries)))
@@ -189,37 +200,19 @@ func writeSnapshotV2(w io.Writer, g *core.Graph, records [][]byte, coveredTxn in
 		dir = binary.LittleEndian.AppendUint64(dir, be.length)
 		dir = binary.LittleEndian.AppendUint32(dir, be.crc)
 	}
-	if err := WriteFramedRecord(w, dir); err != nil {
-		return err
-	}
-	if err := WriteFramedRecord(w, []byte{secEnd}); err != nil {
-		return err
-	}
-	if err := writeZeros(w, blobStart-framedLen); err != nil {
-		return err
-	}
-	pos := blobStart
+	frame(dir)
+	frame([]byte{secEnd})
+	var zeros [8]byte
+	put(zeros[:blobStart-framedLen])
 	for _, b := range blobs {
-		if _, err := w.Write(b); err != nil {
+		put(b, zeros[:align8(len(b))-len(b)])
+	}
+	for _, p := range out {
+		if _, err := w.Write(p); err != nil {
 			return err
 		}
-		pos += len(b)
-		if err := writeZeros(w, align8(pos)-pos); err != nil {
-			return err
-		}
-		pos = align8(pos)
 	}
 	return nil
-}
-
-var zeros [8]byte
-
-func writeZeros(w io.Writer, n int) error {
-	if n == 0 {
-		return nil
-	}
-	_, err := w.Write(zeros[:n])
-	return err
 }
 
 // tauBlob flattens n existence bitsets into w little-endian words each.

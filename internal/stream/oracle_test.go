@@ -181,3 +181,23 @@ func (o *Oracle) ReplayTo(txn int) *core.Graph {
 	}
 	return r.Graph()
 }
+
+// ScratchReplay is the graph as of transaction txn replayed from the first
+// record of s's journal into a fresh series, by the positions and inserts
+// ingest took: the reference every anchored ReplayTo must equal.
+func ScratchReplay(s *Series, txn int) (*core.Graph, error) {
+	scratch := New(s.attrs...)
+	for _, e := range s.Journal()[:txn] {
+		at, err := scratch.position(e.Before)
+		if err == nil {
+			err = scratch.insert(e, at)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("stream: journal corrupt: entry %q: %w", e.Label, err)
+		}
+	}
+	return scratch.acc.Snapshot(), nil
+}
+
+// MaxAnchors is the anchor bound, for the tests that check it holds.
+const MaxAnchors = maxAnchors

@@ -18,6 +18,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/bitset"
 	"repro/internal/core"
 )
 
@@ -69,13 +70,30 @@ type Series struct {
 
 	acc    *core.Accumulator
 	cached *core.Graph // latest snapshot; nil when stale
+
+	// anchors, in txn order, are states ReplayFrom resumes from (keepAnchor).
+	anchors []anchor
+	spacing int
 }
+
+// anchor is the graph as of transaction txn.
+type anchor struct {
+	txn int
+	g   *core.Graph
+}
+
+// maxAnchors bounds the anchors: once the journal outgrows maxAnchors ×
+// spacing entries, the spacing doubles and the anchors off it are dropped,
+// so n transactions keep at most maxAnchors states about n/maxAnchors
+// apart, plus the one Restore resumed from until the next doubling.
+const maxAnchors = 32
 
 // New returns an empty series with the given attribute schema.
 func New(attrs ...core.AttrSpec) *Series {
 	return &Series{
-		attrs: append([]core.AttrSpec(nil), attrs...),
-		acc:   core.NewAccumulator(attrs...),
+		attrs:   append([]core.AttrSpec(nil), attrs...),
+		acc:     core.NewAccumulator(attrs...),
+		spacing: 1,
 	}
 }
 
@@ -109,25 +127,45 @@ func (s *Series) AppendAt(label string, snap Snapshot, before string) (int, erro
 	return s.AppendRecord(EncodeRecord(label, before, snap))
 }
 
-// AppendRecord, the only mutator, checks rec (an error changes nothing),
-// applies it and journals it; the caller must not modify rec afterwards.
+// AppendRecord checks rec (an error changes nothing), applies it and
+// journals it; the caller must not modify rec afterwards.
 func (s *Series) AppendRecord(rec []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	label, before, at, err := s.check(rec)
-	if err != nil {
-		return 0, err
-	}
-	return at, s.insert(JournalEntry{Label: label, Before: before, Record: rec}, at)
+	return s.Apply(Verdict{rec: rec})
 }
 
-// CheckRecord returns the error AppendRecord would return for rec, changing
-// nothing: a write-ahead log checks a record before logging it.
-func (s *Series) CheckRecord(rec []byte) error {
+// Verdict is a record CheckRecord accepted, with its labels, its valid-time
+// position and the series and Txn() it was checked against.
+type Verdict struct {
+	s             *Series
+	rec           []byte
+	label, before string
+	at, txn       int
+}
+
+// CheckRecord returns the verdict and the error AppendRecord would return
+// for rec, changing nothing: a write-ahead log checks a record before
+// logging it, then applies the verdict.
+func (s *Series) CheckRecord(rec []byte) (Verdict, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, _, _, err := s.check(rec)
-	return err
+	label, before, at, err := s.check(rec)
+	return Verdict{s, rec, label, before, at, len(s.journal)}, err
+}
+
+// Apply, the only mutator, appends a checked record. A verdict this series
+// gave at its current Txn() still holds, since the journal only grows, and
+// is applied as it is; any other is checked again (an error changes
+// nothing).
+func (s *Series) Apply(v Verdict) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if v.s != s || v.txn != len(s.journal) {
+		var err error
+		if v.label, v.before, v.at, err = s.check(v.rec); err != nil {
+			return 0, err
+		}
+	}
+	return v.at, s.insert(JournalEntry{Label: v.label, Before: v.before, Record: v.rec}, v.at)
 }
 
 // position resolves an insertion label to its valid-time index; "" is the
@@ -164,44 +202,70 @@ func (s *Series) insert(e JournalEntry, at int) error {
 }
 
 // place records a batch at valid position at and at the tail of the
-// journal, leaving the accumulator to the caller.
+// journal, leaving the accumulator to the caller, and doubles the anchor
+// spacing when the journal outgrows it.
 func (s *Series) place(e JournalEntry, at int) {
 	s.labels = slices.Insert(s.labels, at, e.Label)
 	s.records = slices.Insert(s.records, at, e.Record)
 	s.journal = append(s.journal, e)
+	for len(s.journal) > maxAnchors*s.spacing {
+		s.spacing *= 2
+		s.anchors = slices.DeleteFunc(s.anchors, func(a anchor) bool { return a.txn%s.spacing != 0 })
+	}
+}
+
+// keepAnchor makes a snapshot of acc the anchor at txn if txn is on the
+// spacing and has none yet. Called with the write lock held.
+func (s *Series) keepAnchor(txn int, acc *core.Accumulator) {
+	i, found := slices.BinarySearchFunc(s.anchors, txn, func(a anchor, t int) int { return a.txn - t })
+	if !found && txn%s.spacing == 0 {
+		s.anchors = slices.Insert(s.anchors, i, anchor{txn, acc.Snapshot()})
+	}
 }
 
 // Restore rebuilds the series that ingested journal, given g, the graph
-// that series materialized after its first covered entries (covered ≥ 1).
-// Those entries are only placed, the accumulator resumed from g's columns;
-// the rest are folded in as ReplayTo folds every entry. Nothing is checked
-// again (records read from a file go through RecordEntry). g's timeline
-// must be the covered entries' valid order.
+// that series materialized after its first covered entries (covered ≥ 1),
+// and keeps g as its first anchor. Those entries are only placed, the
+// accumulator resumed from g's columns; the rest are folded in as ingest
+// folded them. Nothing is checked again (records read from a file go
+// through RecordEntry). g's timeline must be the covered entries' valid
+// order.
 func Restore(g *core.Graph, journal []JournalEntry, covered int) (*Series, error) {
 	if len(journal) < covered {
 		return nil, fmt.Errorf("stream: journal of %d entries, graph covers %d", len(journal), covered)
 	}
 	s := New(g.Attrs()...)
+	if err := s.resume(g, journal, covered, func(int) {}); err != nil {
+		return nil, err
+	}
+	s.anchors = []anchor{{covered, g}}
+	return s, nil
+}
+
+// resume is Restore on a series nobody else holds yet, with g nil when
+// covered is 0; step sees the txn of each entry folded in.
+func (s *Series) resume(g *core.Graph, journal []JournalEntry, covered int, step func(txn int)) error {
 	for i, e := range journal {
 		at, err := s.position(e.Before)
+		if err == nil && i >= covered {
+			err = s.insert(e, at)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("stream: journal corrupt: entry %q: %w", e.Label, err)
+			return fmt.Errorf("stream: journal corrupt: entry %q: %w", e.Label, err)
 		}
 		if i >= covered {
-			if err := s.insert(e, at); err != nil {
-				return nil, fmt.Errorf("stream: journal corrupt: entry %q: %w", e.Label, err)
-			}
+			step(i + 1)
 			continue
 		}
 		s.place(e, at)
 		if i == covered-1 {
 			if !slices.Equal(s.labels, g.Timeline().Labels()) {
-				return nil, fmt.Errorf("stream: graph timeline does not match the journal's first %d points", covered)
+				return fmt.Errorf("stream: graph timeline does not match the journal's first %d points", covered)
 			}
 			s.acc = core.ResumeAccumulator(g)
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // Txn returns the transaction high-water mark: the number of batches ever
@@ -221,33 +285,82 @@ func (s *Series) Journal() []JournalEntry {
 	return s.journal[:len(s.journal):len(s.journal)]
 }
 
-// ReplayTo reconstructs the graph as of transaction txn (1-based,
-// inclusive) by replaying the journal prefix's records into a scratch
-// series. The
-// result is byte-identical to what Graph() returned when the journal had
-// exactly txn entries: replay is deterministic and follows the same code
-// paths ingestion took.
+// ReplayTo is ReplayFrom without the anchor.
 func (s *Series) ReplayTo(txn int) (*core.Graph, error) {
+	g, _, err := s.ReplayFrom(txn)
+	return g, err
+}
+
+// ReplayFrom reconstructs the graph as of transaction txn (1-based,
+// inclusive) from the newest anchor at or below it, resumed as Restore
+// resumes, with the journal's records after it folded in; with no such
+// anchor, from the first record. It returns the anchor's txn (0 for none),
+// and keeps the states on the spacing it passes as anchors. The result is
+// byte-identical to what Graph() returned when the journal had exactly txn
+// entries: an anchor is the state at its txn, a transaction prefix never
+// changes, and the fold follows the code paths ingestion took.
+func (s *Series) ReplayFrom(txn int) (*core.Graph, int, error) {
 	s.mu.RLock()
 	n := len(s.journal)
 	if txn < 1 || txn > n {
 		s.mu.RUnlock()
-		return nil, fmt.Errorf("stream: txn %d out of range [1,%d]", txn, n)
+		return nil, 0, fmt.Errorf("stream: txn %d out of range [1,%d]", txn, n)
 	}
-	entries := s.journal[:txn]
+	entries, base, spacing := s.journal[:txn], anchor{}, s.spacing
+	for _, a := range s.anchors {
+		if a.txn <= txn {
+			base = a
+		}
+	}
 	s.mu.RUnlock()
 
 	scratch := New(s.attrs...)
-	for _, e := range entries {
-		at, err := scratch.position(e.Before)
-		if err == nil {
-			err = scratch.insert(e, at)
+	err := scratch.resume(base.g, entries, base.txn, func(t int) {
+		if t%spacing == 0 {
+			s.mu.Lock()
+			s.keepAnchor(t, scratch.acc)
+			s.mu.Unlock()
 		}
-		if err != nil {
-			return nil, fmt.Errorf("stream: journal corrupt: entry %q: %w", e.Label, err)
-		}
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	return scratch.acc.Snapshot(), nil
+	return scratch.acc.Snapshot(), base.txn, nil
+}
+
+// AnchorStats describes the anchors ReplayFrom resumes from.
+type AnchorStats struct {
+	Count, Spacing int
+	// Bytes estimates what each anchor holds that the one before it does
+	// not share: its timestamp pointer arrays and the bitsets changed since
+	// (an accumulator copies a bitset when a newer point extends it).
+	Bytes int64
+}
+
+// Anchors returns the series' anchor statistics.
+func (s *Series) Anchors() AnchorStats {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	st := AnchorStats{Count: len(s.anchors), Spacing: s.spacing}
+	var prev *core.Graph
+	for _, a := range s.anchors {
+		for _, side := range []struct {
+			n   func(*core.Graph) int
+			tau func(*core.Graph, int) *bitset.Set
+		}{
+			{(*core.Graph).NumNodes, func(g *core.Graph, i int) *bitset.Set { return g.NodeTau(core.NodeID(i)) }},
+			{(*core.Graph).NumEdges, func(g *core.Graph, i int) *bitset.Set { return g.EdgeTau(core.EdgeID(i)) }},
+		} {
+			st.Bytes += 8 * int64(side.n(a.g))
+			for i := range side.n(a.g) {
+				if b := side.tau(a.g, i); prev == nil || i >= side.n(prev) || side.tau(prev, i) != b {
+					st.Bytes += 32 + 8*int64((b.Len()+63)/64)
+				}
+			}
+		}
+		prev = a.g
+	}
+	return st
 }
 
 // Attrs returns the series' attribute schema.
